@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from .errors import RangeError
 
 # Beyond this the alternating series loses too many digits in float64.
@@ -15,29 +17,31 @@ _J0_RANGE = 50.0
 _REL_TRUNCATION = 1e-15
 
 
-def bessel_j0(x: float) -> float:
+def bessel_j0(x):
     """Evaluate J0(x) from the defining series sum_k (-1)^k (x/2)^(2k) / (k!)^2.
 
     Terms are accumulated until the next term falls below 1e-15 relative to
     the running partial-sum magnitude.  Guarded to |x| <= 50; accuracy
     degrades with cancellation well before that, so callers needing small
-    absolute error should stay within |x| <~ 15.
+    absolute error should stay within |x| <~ 15.  A float gives a float, an
+    ndarray an ndarray; every entry stops at its own truncation point, so an
+    array gives exactly the elementwise results.
     """
-    x = float(x)
-    if abs(x) > _J0_RANGE:
+    scalar = not isinstance(x, np.ndarray)
+    x = np.asarray(x, dtype=float)
+    if np.any(np.abs(x) > _J0_RANGE):
         raise RangeError(f"bessel_j0 series guard is |x| <= {_J0_RANGE}, got {x}")
     q = 0.25 * x * x
-    term = 1.0
-    total = 1.0
-    scale = 1.0
+    term, total, scale = np.ones_like(x), np.ones_like(x), np.ones_like(x)
+    active = np.ones(x.shape, dtype=bool)
     k = 0
-    while True:
+    while active.any():
         k += 1
-        term *= -q / (k * k)
-        total += term
-        scale = max(scale, abs(total))
-        if abs(term) <= _REL_TRUNCATION * max(scale, 1e-300):
-            return total
+        term = np.where(active, term * (-q / (k * k)), term)
+        total = np.where(active, total + term, total)
+        scale = np.maximum(scale, np.abs(total))
+        active &= np.abs(term) > _REL_TRUNCATION * np.maximum(scale, 1e-300)
+    return float(total) if scalar else total
 
 
 @functools.lru_cache(maxsize=1)

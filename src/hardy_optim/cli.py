@@ -5,10 +5,6 @@ Subcommands wrap the library one-to-one and emit machine-readable records
 --out.  Exit codes: 0 success, 1 error, 2 indeterminate/uncertified, so
 batch scripts can tell "borderline" from "broken".  Errors are emitted as
 structured [error] records, never bare tracebacks.
-
-The environment variable HARDY_OPTIM_THREADS caps internal parallelism
-(classifier probe integrals); computations are pure, so results do not
-depend on it.
 """
 from __future__ import annotations
 
@@ -185,7 +181,7 @@ def _cmd_check_closed_form(args, cfg: RunConfig):
     c = p.closed_form_multiplier(cfg.R)
     grid = np.exp(np.linspace(math.log(1e-6 * cfg.R), math.log(cfg.R * (1.0 - 1e-12)),
                               cfg.grid_n))
-    phi = np.array([p.closed_form(float(r), cfg.R) for r in grid])
+    phi = p.closed_form(grid, cfg.R)
     prob = ode.radius_problem(p, c, cfg.R)
     res = ode.residual(phi, prob, grid)
     record = {

@@ -9,7 +9,6 @@ written with 17 significant digits for cross-platform reproducibility.
 from __future__ import annotations
 
 import configparser
-import os
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -17,19 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .potentials import RadialPotential
-
-_ENV_THREADS = "HARDY_OPTIM_THREADS"
-
-
-def thread_cap() -> int:
-    """Internal parallelism cap from HARDY_OPTIM_THREADS (default 1)."""
-    raw = os.environ.get(_ENV_THREADS, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{_ENV_THREADS} must be an integer, got {raw!r}")
-    return max(1, cap)
-
 
 @dataclass(frozen=True)
 class SolverSettings:

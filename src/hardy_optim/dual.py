@@ -20,7 +20,7 @@ from scipy.integrate import quad
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
-from .potentials import RadialPotential
+from .potentials import Kind, RadialPotential
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,15 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 
 
 def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
+    """Infimum of v over (0, R]: exact for a table, whose log-log interpolant
+    is monotone between nodes and beyond either end (so the infimum is a node
+    value, v(R), or 0 when v rises outward from the origin); the minimum over
+    4096 log-spaced radii in [1e-9 R, R] for the catalog kinds."""
+    if p_pot.kind is Kind.CUSTOM:
+        log_r, log_v = p_pot.table_log_r, p_pot.table_log_v
+        if log_v[1] > log_v[0]:
+            return 0.0
+        nodes = np.exp(log_v[log_r <= math.log(R)])
+        return float(min(p_pot.value(R), nodes.min(initial=math.inf)))
     radii = np.exp(np.linspace(math.log(1e-9 * R), math.log(R), 4096))
-    values = [p_pot.value(float(r)) for r in radii]
-    return float(np.min(values))
+    return float(np.min(p_pot.value(radii)))

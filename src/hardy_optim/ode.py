@@ -71,9 +71,9 @@ class HardyODEProblem:
         if self.r0 is not None and not 0.0 < self.r0 < self.R:
             raise DomainError(f"r0 = {self.r0} must lie in (0, R)")
 
-    def coefficient(self, x: float) -> float:
+    def coefficient(self, x):
         """Equation coefficient in this domain's variable: c*v(r) at radius x,
-        or a(s) = c e^{-2s} v(e^{-s}) at log-abscissa x."""
+        or a(s) = c e^{-2s} v(e^{-s}) at log-abscissa x; float or ndarray."""
         if self.domain is Domain.RADIUS:
             return self.c * self.potential.value(x)
         return self.c * self.potential.log_weight(x)
@@ -487,7 +487,8 @@ def euler_tail_certificate(prob: HardyODEProblem,
                                (s_start, s_max), covered_from=s_start)
     grid = _tail_grid(s_start, s_max, settings.tail_samples)
     # saturate instead of overflowing: certificates only compare magnitudes
-    a = np.clip([prob.coefficient(s) for s in grid], 0.0, 1e250)
+    with np.errstate(over="ignore"):
+        a = np.clip(prob.coefficient(grid), 0.0, 1e250)
     if np.all(a <= 0.0):
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0,
                                (s_start, s_max), covered_from=s_start)
@@ -629,7 +630,7 @@ def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem,
         raise NonPositiveTrajectory("trajectory is not strictly positive on the sampled range")
     psi = dz / z
     dpsi = np.gradient(psi, s)
-    a = np.array([prob.coefficient(si) for si in s])
+    a = prob.coefficient(s)
     residual = np.abs(dpsi + psi ** 2 + a)
     return float(np.max(residual[2:-2])) if residual.size > 4 else float(np.max(residual))
 
@@ -667,6 +668,6 @@ def residual(phi: np.ndarray, prob: HardyODEProblem, grid: np.ndarray) -> float:
         dphi = np.gradient(phi, t)
         phi_tt = np.gradient(dphi, t)
         phi_tt[:2] = phi_tt[-2:] = np.nan
-    a = prob.c * np.array([prob.potential.log_weight(-ti) for ti in t])
+    a = prob.c * prob.potential.log_weight(-t)
     res = np.abs(phi_tt + a * phi) / np.maximum(1.0, np.abs(phi))
     return float(np.nanmax(res[2:-2]))

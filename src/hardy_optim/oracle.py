@@ -110,10 +110,15 @@ def _lumped(nodes: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.nda
     return total * half
 
 
-def _vectorized(p: RadialPotential) -> Callable:
-    def fn(r: np.ndarray) -> np.ndarray:
-        return np.array([p.value(float(ri)) for ri in r])
-    return fn
+def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
+    """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped:
+    stiffness (diag, off-diag) r^(n-1), lumped Hardy r^(n-3), lumped mass v r^(n-1)."""
+    k_diag, k_off = _stiffness(nodes, float(n - 1))
+    hardy_diag = _lumped(nodes, lambda r: r ** (n - 3.0))
+    m_diag = _lumped(nodes, lambda r: p.value(r) * r ** (n - 1.0))
+    if np.any(m_diag[:-1] <= 0.0):
+        raise SingularMass("potential weight vanishes on a full cell")
+    return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]
 
 
 def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10,
@@ -174,17 +179,10 @@ def reduced_rayleigh_min(p: RadialPotential, grid: GridSpec) -> EigenResult:
     critical inverse-square weight), so the minimum is the discretized best
     improvement constant and must agree with the shooting bisection.
     """
-    nodes = grid.nodes()
-    k_diag, k_off = _stiffness(nodes, 1.0)
-    vfun = _vectorized(p)
-    m_diag = _lumped(nodes, lambda r: vfun(r) * r)
-    # Dirichlet at R: drop the last node; r_min node stays free (natural).
-    k_diag, k_off, m_diag = k_diag[:-1], k_off[:-1], m_diag[:-1]
-    if np.any(m_diag <= 0.0):
-        raise SingularMass("potential weight vanishes on a full cell")
+    # the reduced quotient is the radial form of dimension 2 (weight r)
+    k_diag, k_off, _, m_diag = _pencil(p, grid.nodes(), 2)
     lam, x, res, iters = _smallest_eigenpair(k_diag, k_off, m_diag)
-    vec = np.concatenate([x, [0.0]])
-    return EigenResult(lam, vec, grid, res, iters)
+    return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
 
 def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> EigenResult:
@@ -200,18 +198,9 @@ def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> Eig
     mu_crit = 0.25 * (n - 2) ** 2
     if not 0.0 <= mu < mu_crit:
         raise IndefiniteForm(f"mu = {mu} outside [0, mu_n = {mu_crit})")
-    nodes = grid.nodes()
-    k_diag, k_off = _stiffness(nodes, float(n - 1))
-    hardy_diag = _lumped(nodes, lambda r: r ** (n - 3.0))
-    vfun = _vectorized(p)
-    m_diag = _lumped(nodes, lambda r: vfun(r) * r ** (n - 1.0))
-    k_diag = k_diag - mu * hardy_diag
-    k_diag, k_off, m_diag = k_diag[:-1], k_off[:-1], m_diag[:-1]
-    if np.any(m_diag <= 0.0):
-        raise SingularMass("potential weight vanishes on a full cell")
-    lam, x, res, iters = _smallest_eigenpair(k_diag, k_off, m_diag)
-    vec = np.concatenate([x, [0.0]])
-    return EigenResult(lam, vec, grid, res, iters)
+    k_diag, k_off, hardy_diag, m_diag = _pencil(p, grid.nodes(), n)
+    lam, x, res, iters = _smallest_eigenpair(k_diag - mu * hardy_diag, k_off, m_diag)
+    return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
 
 def lambda_limit(p: RadialPotential, n: int, R: float,
@@ -236,7 +225,10 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     mu_n = 0.25 * (n - 2) ** 2
     ks = np.arange(1, depth + 1)
     mus = (1.0 - 2.0 ** (-ks)) * mu_n
-    lambdas = np.array([weighted_eigen(p, float(mu), n, grid).lambda1 for mu in mus])
+    # one assembly; each mu only shifts the stiffness diagonal
+    k_diag, k_off, hardy_diag, m_diag = _pencil(p, grid.nodes(), n)
+    lambdas = np.array([_smallest_eigenpair(k_diag - float(mu) * hardy_diag, k_off, m_diag)[0]
+                        for mu in mus])
     diffs = np.diff(lambdas)
     if np.any(diffs > 1e-12 * np.abs(lambdas[:-1])):
         raise NonMonotoneSequence(
@@ -373,7 +365,7 @@ def hardy_quotient(r: np.ndarray, u: np.ndarray, p: RadialPotential, n: int,
     else:
         du = np.asarray(du, dtype=float)
     mu_n = 0.25 * (n - 2) ** 2
-    v = np.array([p.value(float(ri)) for ri in r])
+    v = p.value(r)
     numerator = np.trapezoid(du ** 2 * r ** (n - 1), r) - mu_n * np.trapezoid(u ** 2 * r ** (n - 3.0), r)
     denominator = np.trapezoid(v * u ** 2 * r ** (n - 1), r)
     if denominator <= 1e-300:

@@ -12,6 +12,9 @@ family.  Catalog entries:
   filippas_tertikas_x v(r) = amplitude / r^2 * sum_{i<=m} prod_{j<=i} X_j(r/d)^2
   custom              log-log interpolation of a sampled (r, v) table
 
+``value``, ``log_weight`` and ``closed_form`` take a float or an ndarray and
+return the same shape; each family's formula is written once for both.
+
 The two log families carry exact positive solutions of the reduced radial
 equation at multiplier 1/4 (see ``closed_form`` / ``closed_form_multiplier``);
 the constant potential carries the J0 profile at multiplier z0^2/R^2.
@@ -23,6 +26,7 @@ ever works (label Y).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,14 +39,31 @@ from .bessel import bessel_j0, bessel_j0_first_zero
 from .errors import DomainError, QuadratureError, UnsupportedPotential
 
 
-def _clip_exp(exponent: float) -> float:
-    """exp() that saturates instead of overflowing (comparisons only need
-    'very large', never the exact value)."""
+def _clip_exp(exponent):
+    """exp() that saturates at 1e300 / 0.0 instead of overflowing (comparisons
+    only need 'very large', never the exact value); float or ndarray."""
+    if isinstance(exponent, np.ndarray):
+        inner = np.exp(np.clip(exponent, -745.0, 690.0))
+        return np.where(exponent > 690.0, 1e300, np.where(exponent < -745.0, 0.0, inner))
     if exponent > 690.0:
         return 1e300
     if exponent < -745.0:
         return 0.0
     return math.exp(exponent)
+
+
+def _scaled_exp(amplitude: float, exponent, xp):
+    """amplitude * exp(exponent), or the saturated _clip_exp(log(amplitude) +
+    exponent) where exp itself overflows."""
+    if xp is math:
+        try:
+            return amplitude * math.exp(exponent)
+        except OverflowError:
+            return _clip_exp(math.log(max(amplitude, 1e-300)) + exponent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = np.exp(exponent)
+        return np.where(np.isinf(direct),
+                        _clip_exp(math.log(max(amplitude, 1e-300)) + exponent), amplitude * direct)
 
 
 # ---------------------------------------------------------------------------
@@ -88,14 +109,31 @@ def x_iter(k: int, t: float) -> float:
     return value
 
 
-def _x_chain(m: int, t: float) -> list[float]:
-    """[X_1(t), ..., X_m(t)] sharing the intermediate compositions."""
-    chain = []
-    value = float(t)
-    for _ in range(m):
-        value = 1.0 / (1.0 - math.log(value))
-        chain.append(value)
-    return chain
+# The chains of the two borderline families, shared by value, log_weight and
+# closed_form: float or ndarray in, with ``xp`` its namespace (math / numpy).
+
+def _log_chain(m: int, ell, xp):
+    """Factors ell_i = log^(i-1)(ell), i = 1..m, each required positive,
+    reduced to (sum_j prod_{i<=j} ell_i^(-2), prod_i ell_i)."""
+    total, prod = 0.0, 1.0
+    for i in range(m):
+        ell = xp.log(ell) if i else ell
+        if (ell <= 0.0).any() if xp is np else ell <= 0.0:
+            raise DomainError("a log factor of the iterated-log potential is not positive")
+        prod *= ell
+        total += prod ** -2
+    return total, prod
+
+
+def _x_chain(m: int, x, xp):
+    """X_1 = x, ..., X_m by X_(k+1) = 1 / (1 - log X_k), reduced to
+    (sum_i prod_{j<=i} X_j^2, prod_j X_j)."""
+    total, prod = 0.0, 1.0
+    for i in range(m):
+        x = 1.0 / (1.0 - xp.log(x)) if i else x
+        prod *= x
+        total += prod * prod
+    return total, prod
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +146,11 @@ class Kind(Enum):
     ADIMURTHI_LOG = "adimurthi_log"
     FILIPPAS_TERTIKAS_X = "filippas_tertikas_x"
     CUSTOM = "custom"
+
+
+# Aliases: an Enum attribute lookup costs ~0.1 us per scalar evaluation.
+_CONSTANT, _POWER_LAW, _ADIMURTHI_LOG, _FT_X = (
+    Kind.CONSTANT, Kind.POWER_LAW, Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X)
 
 
 @dataclass(frozen=True)
@@ -220,96 +263,75 @@ class RadialPotential:
 
     # -- evaluation ---------------------------------------------------------
 
-    def __call__(self, r: float) -> float:
+    def __call__(self, r):
         return self.value(r)
 
-    def value(self, r: float) -> float:
-        """v(r) for 0 < r <= r_max."""
-        r = float(r)
-        if not 0.0 < r <= self.r_max * (1.0 + 1e-12):
-            raise DomainError(f"radius {r} outside (0, {self.r_max}]")
-        if self.kind is Kind.CONSTANT:
-            return self.amplitude
-        if self.kind is Kind.POWER_LAW:
+    def value(self, r):
+        """v(r) for 0 < r <= r_max; a float gives a float, an ndarray an
+        ndarray of the same shape."""
+        xp = np if isinstance(r, np.ndarray) else math
+        r = r.astype(float, copy=False) if xp is np else float(r)
+        inside = (0.0 < r) & (r <= self.r_max * (1.0 + 1e-12))
+        if not (inside.all() if xp is np else inside):
+            bad = r[~inside].flat[0] if xp is np else r
+            raise DomainError(f"radius {bad} outside (0, {self.r_max}]")
+        kind = self.kind
+        if kind is _CONSTANT:
+            return np.full_like(r, self.amplitude) if xp is np else self.amplitude
+        if kind is _POWER_LAW:
             return self.amplitude * r ** (-self.alpha)
-        if self.kind is Kind.ADIMURTHI_LOG:
-            logs = self._adimurthi_factors(math.log(self.rho / r))
-            total = 0.0
-            prod = 1.0
-            for ell in logs:
-                prod *= ell
-                total += prod ** -2
-            return self.amplitude * total / (r * r)
-        if self.kind is Kind.FILIPPAS_TERTIKAS_X:
-            chain = _x_chain(self.m, r / self.d_scale)
-            total = 0.0
-            prod = 1.0
-            for x in chain:
-                prod *= x
-                total += prod * prod
-            return self.amplitude * total / (r * r)
-        return math.exp(self._table_interp(math.log(r)))
+        if kind is _ADIMURTHI_LOG:
+            return self.amplitude * _log_chain(self.m, xp.log(self.rho / r), xp)[0] / (r * r)
+        if kind is _FT_X:
+            x1 = 1.0 / (1.0 - xp.log(r / self.d_scale))
+            return self.amplitude * _x_chain(self.m, x1, xp)[0] / (r * r)
+        return _clip_exp(self._table_interp(xp.log(r)))
 
-    def log_weight(self, s: float) -> float:
-        """r^2 * v(r) evaluated at r = e^(-s), computed stably in s.
-
-        This is the coefficient (up to the multiplier) of the equation in the
-        log variable; direct evaluation of v(e^(-s)) would underflow for
-        s >~ 700, so each catalog entry expresses it in terms of s.
-        """
-        s = float(s)
-        if self.kind is Kind.CONSTANT:
-            try:
-                return self.amplitude * math.exp(-2.0 * s)
-            except OverflowError:
-                return _clip_exp(math.log(max(self.amplitude, 1e-300)) - 2.0 * s)
-        if self.kind is Kind.POWER_LAW:
+    def log_weight(self, s):
+        """r^2 * v(r) evaluated at r = e^(-s), computed stably in s; float or
+        ndarray, like ``value``.  This is the coefficient (up to the
+        multiplier) of the equation in the log variable; direct evaluation of
+        v(e^(-s)) would underflow for s >~ 700, so each entry works in s."""
+        xp = np if isinstance(s, np.ndarray) else math
+        s = s.astype(float, copy=False) if xp is np else float(s)
+        kind = self.kind
+        if kind is _CONSTANT:
+            return _scaled_exp(self.amplitude, -2.0 * s, xp)
+        if kind is _POWER_LAW:
             if self.amplitude == 0.0:
-                return 0.0
+                return np.zeros_like(s) if xp is np else 0.0
             return _clip_exp(math.log(self.amplitude) + (self.alpha - 2.0) * s)
-        if self.kind is Kind.ADIMURTHI_LOG:
-            ell1 = s + math.log(self.rho)
-            logs = self._adimurthi_factors(ell1)
-            total = 0.0
-            prod = 1.0
-            for ell in logs:
-                prod *= ell
-                total += prod ** -2
-            return self.amplitude * total
-        if self.kind is Kind.FILIPPAS_TERTIKAS_X:
+        if kind is _ADIMURTHI_LOG:
+            return self.amplitude * _log_chain(self.m, s + math.log(self.rho), xp)[0]
+        if kind is _FT_X:
             # X_1(e^(-s)/d) = 1 / (1 + log d + s), then the usual recursion.
-            x = 1.0 / (1.0 + math.log(self.d_scale) + s)
-            if x <= 0.0:
-                raise DomainError(f"log-abscissa {s} outside the X-family domain")
-            total = 0.0
-            prod = 1.0
-            for _ in range(self.m):
-                prod *= x
-                total += prod * prod
-                x = 1.0 / (1.0 - math.log(x))
-            return self.amplitude * total
+            x1 = 1.0 / (1.0 + math.log(self.d_scale) + s)
+            if (x1 <= 0.0).any() if xp is np else x1 <= 0.0:
+                raise DomainError(f"log-abscissa {np.min(s)} outside the X-family domain")
+            return self.amplitude * _x_chain(self.m, x1, xp)[0]
         # custom: evaluate the interpolant in exponent space
         return _clip_exp(self._table_interp(-s) - 2.0 * s)
 
-    def _adimurthi_factors(self, ell1: float) -> list[float]:
-        factors = []
-        value = ell1
-        for _ in range(self.m):
-            if value <= 0.0:
-                raise DomainError("a log factor of the iterated-log potential is not positive")
-            factors.append(value)
-            value = math.log(value)
-        return factors
-
-    def _table_interp(self, log_r: float) -> float:
+    @functools.cached_property
+    def _table_ends(self) -> tuple[float, ...]:
+        """(log r, log v) at both ends of the table and the slopes there."""
         lr, lv = self.table_log_r, self.table_log_v
-        if log_r <= lr[0]:
-            slope = (lv[1] - lv[0]) / (lr[1] - lr[0])
-            return lv[0] + slope * (log_r - lr[0])
-        if log_r >= lr[-1]:
-            slope = (lv[-1] - lv[-2]) / (lr[-1] - lr[-2])
-            return lv[-1] + slope * (log_r - lr[-1])
-        return float(np.interp(log_r, lr, lv))
+        return (float(lr[0]), float(lv[0]), float((lv[1] - lv[0]) / (lr[1] - lr[0])),
+                float(lr[-1]), float(lv[-1]), float((lv[-1] - lv[-2]) / (lr[-1] - lr[-2])))
+
+    def _table_interp(self, log_r):
+        """log v at log r: the table interpolated linearly, and extended past
+        either end with that end's slope."""
+        first, v_first, below, last, v_last, above = self._table_ends
+        if isinstance(log_r, np.ndarray):
+            return (np.interp(log_r, self.table_log_r, self.table_log_v)
+                    + below * np.minimum(log_r - first, 0.0)
+                    + above * np.maximum(log_r - last, 0.0))
+        if log_r <= first:
+            return v_first + below * (log_r - first)
+        if log_r >= last:
+            return v_last + above * (log_r - last)
+        return float(np.interp(log_r, self.table_log_r, self.table_log_v))
 
     # -- structure ----------------------------------------------------------
 
@@ -379,29 +401,22 @@ class RadialPotential:
             return 0.25 / self.amplitude
         raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
 
-    def closed_form(self, r: float, R: Optional[float] = None) -> float:
+    def closed_form(self, r, R: Optional[float] = None):
         """Exact positive solution of the reduced equation for this entry,
-        evaluated at radius r (valid multiplier from closed_form_multiplier).
+        evaluated at radius r (valid multiplier from closed_form_multiplier);
+        float or ndarray, like ``value``.
         """
         if self.kind is Kind.CONSTANT:
             if R is None:
                 R = self.r_max
-            z0 = bessel_j0_first_zero()
-            return bessel_j0(z0 * r / R)
-        if r <= 0.0:
-            raise DomainError(f"closed form of {self.kind.value} needs r > 0, got {r}")
+            return bessel_j0(bessel_j0_first_zero() * r / R)
+        xp = np if isinstance(r, np.ndarray) else math
+        if np.min(r) <= 0.0:
+            raise DomainError(f"closed form of {self.kind.value} needs r > 0, got {np.min(r)}")
         if self.kind is Kind.ADIMURTHI_LOG:
-            logs = self._adimurthi_factors(math.log(self.rho / r))
-            prod = 1.0
-            for ell in logs:
-                prod *= ell
-            return math.sqrt(prod)
+            return xp.sqrt(_log_chain(self.m, xp.log(self.rho / r), xp)[1])
         if self.kind is Kind.FILIPPAS_TERTIKAS_X:
-            chain = _x_chain(self.m, r / self.d_scale)
-            prod = 1.0
-            for x in chain:
-                prod *= x
-            return prod ** -0.5
+            return _x_chain(self.m, 1.0 / (1.0 - xp.log(r / self.d_scale)), xp)[1] ** -0.5
         raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
 
     # -- config -------------------------------------------------------------
@@ -496,7 +511,7 @@ def _certified_divergent(p: RadialPotential) -> bool:
     r ~ e^(-620); the stable ``log_weight`` form avoids underflow there.
     """
     s_grid = np.linspace(25.0, 620.0, 120)
-    vals = np.array([p.log_weight(s) for s in s_grid])
+    vals = p.log_weight(s_grid)
     if np.any(vals < 1e-10):
         return False
     slope = np.polyfit(s_grid, np.log(vals), 1)[0]
@@ -527,14 +542,7 @@ def classify(p: RadialPotential, probes: Optional[np.ndarray] = None,
         evidence = np.full(probes.shape, -np.inf)
         return ClassLabel(Label.Y, evidence, probes)
 
-    from .config import thread_cap
-    cap = thread_cap()
-    if cap > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            inner = np.array(list(pool.map(lambda r: inner_integral(p, r), probes)))
-    else:
-        inner = np.array([inner_integral(p, r) for r in probes])
+    inner = np.array([inner_integral(p, r) for r in probes])
     evidence = np.log(probes) * inner
 
     tail = evidence[-5:]

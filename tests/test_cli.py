@@ -222,21 +222,3 @@ def test_console_script_entry(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "feasible = true" in proc.stdout
-
-
-def test_thread_cap_env_var(tmp_path, capsys, monkeypatch):
-    # HARDY_OPTIM_THREADS caps internal parallelism; results are pure and
-    # must not depend on it
-    from hardy_optim.config import thread_cap
-    cfg = _write_config(tmp_path, potential={"kind": "power_law", "alpha": "1.0"})
-    monkeypatch.delenv("HARDY_OPTIM_THREADS", raising=False)
-    assert thread_cap() == 1
-    _, serial = _run(capsys, "classify", "--config", cfg)
-    monkeypatch.setenv("HARDY_OPTIM_THREADS", "4")
-    assert thread_cap() == 4
-    _, threaded = _run(capsys, "classify", "--config", cfg)
-    assert serial == threaded
-    monkeypatch.setenv("HARDY_OPTIM_THREADS", "soon")
-    from hardy_optim.errors import ConfigError
-    with pytest.raises(ConfigError):
-        thread_cap()

@@ -18,6 +18,30 @@ def test_essential_infimum_for_constants():
     assert b.q is None
 
 
+def test_essential_infimum_of_table_sees_a_dip_between_samples():
+    # The p = 2 bound once took the minimum over 4096 log-spaced samples of
+    # [1e-9 R, R], an upper estimate of the infimum: a one-node dip that
+    # falls between two samples went unseen.
+    h = 9.0 * math.log(10.0) / 4095
+    log_dip = math.log(1e-9) + 3000.5 * h
+    log_r = np.concatenate([np.linspace(math.log(1e-10), log_dip - 1e-4, 50), [log_dip],
+                            np.linspace(log_dip + 1e-4, 0.0, 50)])
+    v = np.ones_like(log_r)
+    v[50] = 0.01
+    p = RadialPotential.custom(np.exp(log_r), v)
+    assert dual_lower_bound(p, 2.0, 2.0, 3, 1.0).bound == pytest.approx(0.02, rel=1e-12)
+
+
+def test_essential_infimum_of_table_uses_the_extrapolation_limits():
+    r = np.geomspace(1e-6, 1.0, 30)
+    # v rises outward at the origin: the inner extrapolation tends to 0
+    rising = RadialPotential.custom(r, np.sqrt(r))
+    assert dual_lower_bound(rising, 1.0, 2.0, 3, 1.0).bound == 0.0
+    # v falls outward: the infimum over (0, R] is v(R), also for R < r_max
+    falling = RadialPotential.custom(r, 1.0 / r)
+    assert dual_lower_bound(falling, 1.0, 2.0, 3, 0.5).bound == pytest.approx(2.0, rel=1e-12)
+
+
 def test_power_law_analytic_value():
     # q = 1: norm = 4 pi int_0^1 r * r^2 dr = pi, so the bound is 1/pi
     b = dual_lower_bound(RadialPotential.power_law(1.0), 1.0, 1.0, 3, 1.0)

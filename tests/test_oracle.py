@@ -150,6 +150,39 @@ def test_two_routes_agree_on_custom_potential(settings):
     assert rr == pytest.approx(bc, rel=0.01)
 
 
+def test_lambda_limit_reuses_one_assembly_exactly():
+    # lambda_limit assembles once and shifts the diagonal per mu; every raw
+    # eigenvalue must be the one weighted_eigen computes at that mu
+    p = RadialPotential.power_law(0.5, amplitude=2.0)
+    res = lambda_limit(p, 3, 1.0)
+    grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
+    for k, mu in enumerate(res.mu_values):
+        assert res.lambdas[k] == weighted_eigen(p, mu, 3, grid).lambda1
+
+
+@pytest.mark.parametrize("potential", [RadialPotential.power_law(1.0),
+                                       RadialPotential.adimurthi_log(2)])
+def test_fe_assembly_evaluates_the_potential_o1_times(monkeypatch, potential):
+    # the FE mass is assembled from one array evaluation per Gauss node,
+    # not one scalar evaluation per grid node
+    calls = []
+    value = RadialPotential.value
+
+    def spy(self, r):
+        calls.append(np.size(r))
+        return value(self, r)
+
+    monkeypatch.setattr(RadialPotential, "value", spy)
+    counts = []
+    for n_nodes in (64, 4096):
+        calls.clear()
+        weighted_eigen(potential, 0.1, 3, _grid(n_nodes))
+        reduced_rayleigh_min(potential, _grid(n_nodes))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 12
+    assert min(calls) >= 4095
+
+
 # ---------------------------------------------------------------------------
 # weighted one-dimensional inequality
 # ---------------------------------------------------------------------------

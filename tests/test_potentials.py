@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy_optim import (Kind, Label, RadialPotential, classify, exp_tower,
@@ -70,6 +70,101 @@ def test_log_weight_matches_direct_evaluation():
 def test_log_weight_stable_far_beyond_underflow():
     p = RadialPotential.adimurthi_log(1, rho=math.e)
     assert p.log_weight(1e6) == pytest.approx((1e6 + 1.0) ** -2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation: the same formula as the scalar calls
+# ---------------------------------------------------------------------------
+
+def _table_potential():
+    r = np.geomspace(1e-7, 2.0, 40)
+    return RadialPotential.custom(r, r ** -1.3 * (2.0 + np.sin(7.0 * np.log(r))))
+
+
+ARRAY_POTENTIALS = {
+    "constant": RadialPotential.constant(2.5),
+    "power_law": RadialPotential.power_law(1.3, amplitude=0.7),
+    "power_law_steep": RadialPotential.power_law(2.6, amplitude=3.0),
+    "adimurthi_m1": RadialPotential.adimurthi_log(1),
+    "adimurthi_m2": RadialPotential.adimurthi_log(2, amplitude=4.0, r_max=3.0),
+    "adimurthi_m3": RadialPotential.adimurthi_log(3, rho=1e7),
+    "ft_x_m1": RadialPotential.filippas_tertikas(1),
+    "ft_x_m2": RadialPotential.filippas_tertikas(2, d_scale=5.0, r_max=2.0),
+    "ft_x_m3": RadialPotential.filippas_tertikas(3, amplitude=0.1),
+    "custom": _table_potential(),
+}
+
+
+def _assert_within_ulps(array_result, scalar_results, ulps=4):
+    expected = np.array(scalar_results)
+    assert array_result.shape == expected.shape
+    assert np.all(np.abs(array_result - expected) <= ulps * np.spacing(np.abs(expected)))
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 250.0), min_size=1, max_size=40))
+def test_value_array_matches_scalar_calls(name, depths):
+    # radii down to r_max * e^-250, where v is still a finite float for
+    # every entry (deep log-domain work goes through log_weight)
+    p = ARRAY_POTENTIALS[name]
+    r = p.r_max * np.exp(-np.array(depths))
+    _assert_within_ulps(p.value(r), [p.value(float(ri)) for ri in r])
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.floats(0.0, 1e6), st.floats(0.0, 1e3)), min_size=1, max_size=40))
+def test_log_weight_array_matches_scalar_calls(name, offsets):
+    p = ARRAY_POTENTIALS[name]
+    s = np.array(offsets) - math.log(p.r_max)
+    _assert_within_ulps(p.log_weight(s), [p.log_weight(float(si)) for si in s])
+
+
+@pytest.mark.parametrize("name", ["power_law", "power_law_steep", "constant", "custom"])
+def test_log_weight_array_saturates_like_scalar(name):
+    # both sides of the 1e300 / 0.0 saturation of _clip_exp, and far beyond
+    p = ARRAY_POTENTIALS[name]
+    s = np.concatenate([np.linspace(300.0, 1200.0, 901), [1e6, 1e300]])
+    array = p.log_weight(s)
+    assert np.all(np.isfinite(array))
+    _assert_within_ulps(array, [p.log_weight(float(si)) for si in s])
+
+
+def test_constant_array_evaluation_is_exact():
+    p = RadialPotential.constant(1.0)
+    assert np.all(p.value(np.geomspace(1e-9, 1.0, 50)) == 1.0)
+
+
+@pytest.mark.parametrize("name", ["adimurthi_m2", "ft_x_m2"])
+def test_closed_form_array_matches_scalar_calls(name):
+    p = ARRAY_POTENTIALS[name]
+    r = p.r_max * np.geomspace(1e-12, 1.0, 200)
+    _assert_within_ulps(p.closed_form(r), [p.closed_form(float(ri)) for ri in r])
+    constant = ARRAY_POTENTIALS["constant"]
+    assert np.array_equal(constant.closed_form(r / p.r_max),
+                          [constant.closed_form(float(ri)) for ri in r / p.r_max])
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
+def test_array_with_one_bad_radius_raises(name):
+    p = ARRAY_POTENTIALS[name]
+    with pytest.raises(DomainError):
+        p.value(float(2.0 * p.r_max))
+    with pytest.raises(DomainError):
+        p.value(np.array([0.5 * p.r_max, 2.0 * p.r_max, 0.25 * p.r_max]))
+    with pytest.raises(DomainError):
+        p.value(np.array([0.5 * p.r_max, 0.0]))
+
+
+@pytest.mark.parametrize("name, s_bad", [("adimurthi_m1", -5.0), ("adimurthi_m2", -3.0),
+                                         ("ft_x_m1", -3.0)])
+def test_log_weight_array_with_one_bad_abscissa_raises(name, s_bad):
+    p = ARRAY_POTENTIALS[name]
+    with pytest.raises(DomainError):
+        p.log_weight(s_bad)
+    with pytest.raises(DomainError):
+        p.log_weight(np.array([1.0, 2.0, s_bad, 3.0]))
 
 
 # ---------------------------------------------------------------------------
