@@ -47,7 +47,6 @@ class Domain(Enum):
 class Status(Enum):
     NO_ZERO_ON_INTERVAL = "NoZeroOnInterval"
     ZERO_FOUND = "ZeroFound"
-    OVERFLOW_RESCALED = "OverflowRescaled"
     HORIZON_REACHED = "HorizonReached"
 
 
@@ -197,7 +196,6 @@ class _RawRun:
     y: np.ndarray                 # shape (2, n), rescaled consistently
     zero_t: Optional[float]
     rescale_count: int
-    reached_end: bool
     dense: Optional[Callable]
 
 
@@ -230,7 +228,6 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
     t_cur, state = float(t0), np.asarray(state0, dtype=float)
     rescales = 0
     zero_t = None
-    reached_end = False
 
     for _ in range(10_000):
         sol = solve_ivp(rhs, (t_cur, t1), state, method="DOP853",
@@ -268,8 +265,7 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
                 chunk[3] /= factor
             rescales += 1
             continue
-        reached_end = True
-        break
+        break  # reached t1
     else:
         raise StepSizeUnderflow("too many rescale restarts", t_cur)
 
@@ -287,7 +283,7 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
                 return sol_chunk(t) * post
         raise DomainError(f"abscissa {t} outside the integrated range")
 
-    return _RawRun(t_all, y_all, zero_t, rescales, reached_end, dense)
+    return _RawRun(t_all, y_all, zero_t, rescales, dense)
 
 
 def _bisect_zero(dense, t_lo: float, t_hit: float, width: float, direction: float) -> float:
@@ -367,10 +363,8 @@ def _integrate_radius(prob: HardyODEProblem, settings: SolverSettings) -> Shooti
             "y": np.append(run.y[0][cut], zero_state[0]),
             "dy": np.append(run.y[1][cut] / r[cut], zero_state[1] / first_zero),
         }
-    elif run.reached_end:
-        status = Status.NO_ZERO_ON_INTERVAL
     else:
-        status = Status.OVERFLOW_RESCALED
+        status = Status.NO_ZERO_ON_INTERVAL
     dense = run.dense
 
     def dense_r(radius):
@@ -448,8 +442,6 @@ def _log_outcome(run: _RawRun, prob: HardyODEProblem,
     if run.zero_t is not None:
         first_zero = math.exp(-run.zero_t)
         status = Status.ZERO_FOUND
-    elif not run.reached_end:
-        first_zero, status = None, Status.OVERFLOW_RESCALED
     else:
         first_zero = None
         # a completed backward sweep covers its whole interval; a forward one

@@ -11,6 +11,8 @@ inner cutoff r_min.  The inner cutoff stands in for the boundedness
 condition at the origin; forcing the value to zero there instead would
 pollute eigenvalues logarithmically (the origin has zero capacity for these
 weights, so the continuum problem does not see a Dirichlet condition at 0).
+A cutoff so deep that the innermost cells underflow double precision is
+rejected with DomainError.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainErr
 from .potentials import RadialPotential
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+_TINY = np.finfo(float).tiny       # smallest normal double
 
 
 class GridMapping(Enum):
@@ -84,9 +87,19 @@ def _cell_integral_power(lo: np.ndarray, hi: np.ndarray, a: float) -> np.ndarray
 
 
 def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """P1 stiffness with weight r^a: returns (diagonal, off-diagonal)."""
-    h = np.diff(nodes)
-    cell = _cell_integral_power(nodes[:-1], nodes[1:], a) / h ** 2
+    """P1 stiffness with weight r^a: returns (diagonal, off-diagonal).
+
+    Raises DomainError when a squared cell width or a weight integral is
+    below the smallest normal double (deep inner cutoffs), where the
+    assembly would lose its precision and then overflow.
+    """
+    h2 = np.diff(nodes) ** 2
+    weight = _cell_integral_power(nodes[:-1], nodes[1:], a)
+    if min(h2.min(), weight.min()) < _TINY:
+        raise DomainError(
+            f"grid cells near r_min = {nodes[0]:g} underflow double precision; "
+            "raise r_min")
+    cell = weight / h2
     diag = np.zeros(nodes.size)
     diag[:-1] += cell
     diag[1:] += cell
@@ -116,8 +129,8 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     k_diag, k_off = _stiffness(nodes, float(n - 1))
     hardy_diag = _lumped(nodes, lambda r: r ** (n - 3.0))
     m_diag = _lumped(nodes, lambda r: p.value(r) * r ** (n - 1.0))
-    if np.any(m_diag[:-1] <= 0.0):
-        raise SingularMass("potential weight vanishes on a full cell")
+    if np.any(m_diag[:-1] < _TINY):
+        raise SingularMass("potential weight vanishes or underflows on a full cell")
     return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]
 
 
@@ -180,9 +193,9 @@ def reduced_rayleigh_min(p: RadialPotential, grid: GridSpec) -> EigenResult:
     truncated interval [r_min, R], free at r_min: an upper bound on the best
     improvement constant c(V) of (0, R), tending to c(V) as r_min -> 0.  When
     c(V) is attained the gap is negligible at modest cutoffs and the value
-    agrees with the shooting bisection.  For the borderline families it is
-    not: for the m = 1 iterated-log potential the minimum is 1/4 + w(L)^2,
-    w the root of tan(w L) = -2w in (pi / 2L, pi / L),
+    agrees with the shooting answer of best_constant.  For the borderline
+    families it is not: for the m = 1 iterated-log potential the minimum is
+    1/4 + w(L)^2, w the root of tan(w L) = -2w in (pi / 2L, pi / L),
     L = ln(ln(rho / r_min) / ln(rho / R)), so the gap closes only like
     (pi / L)^2.
     """

@@ -95,6 +95,63 @@ def test_no_upper_bracket(settings):
         best_constant(RadialPotential.constant(0.0), 1.0, settings=settings)
 
 
+# ---------------------------------------------------------------------------
+# radius-domain root solve: probe counts and certified ends
+# ---------------------------------------------------------------------------
+
+def _assert_certified_bracket(p, R, res, settings):
+    assert res.converged and res.band is None
+    assert res.c_lo < res.c_best < res.c_hi
+    assert res.c_hi - res.c_lo <= 0.5 * res.tolerance * max(1.0, res.c_best)
+    assert feasible(p, res.c_lo, R, settings).feasible
+    assert not feasible(p, res.c_hi, R, settings).feasible
+
+
+@pytest.mark.parametrize("alpha, amplitude, R", [
+    (0.0, 1.0, 1.0), (0.0, 3.0, 2.0), (0.0, 0.05, 0.25),
+    (0.5, 1.0, 1.0), (0.5, 7.0, 3.0), (1.0, 1.0, 1.0), (1.0, 0.2, 0.5),
+    (1.9, 1.0, 1.0), (1.9, 20.0, 4.0)])
+def test_root_solve_shots_constant_and_power_law(alpha, amplitude, R, settings):
+    # the Bessel start is exact here: c = 0, the start, one expansion and
+    # one clamped iterate
+    p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
+        RadialPotential.power_law(alpha, amplitude, R)
+    res = best_constant(p, R, tol=1e-6, settings=settings)
+    assert res.iterations <= 6
+    c = power_law_best_constant(alpha, R) / amplitude
+    assert res.c_lo <= c <= res.c_hi
+    _assert_certified_bracket(p, R, res, settings)
+
+
+# (table, c_best of the bisection driver on it at tol 1e-6, probe budget);
+# the bisection took 22-24 probes on each.  Without the Illinois step the
+# oscillating table needs 12.
+_CUSTOM_TABLES = {"1+5/r": (lambda r: 1.0 + 5.0 / r, 0.2768874168395996, 14),
+                  "exp(3r)": (lambda r: np.exp(3.0 * r), 1.2259259223937988, 14),
+                  "2+sin(8r)": (lambda r: 2.0 + np.sin(8.0 * r), 2.840723991394043, 10)}
+
+
+@pytest.mark.parametrize("name", sorted(_CUSTOM_TABLES))
+def test_root_solve_shots_custom_tables(name, settings):
+    fn, c_bisected, budget = _CUSTOM_TABLES[name]
+    r = np.geomspace(1e-6, 1.0, 40)
+    p = RadialPotential.custom(r, fn(r))
+    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    assert res.iterations <= budget
+    assert abs(res.c_best - c_bisected) <= res.tolerance * max(1.0, c_bisected)
+    _assert_certified_bracket(p, 1.0, res, settings)
+
+
+def test_shooting_margin_changes_sign_at_the_threshold(settings, constant_pot):
+    below = feasible(constant_pot, Z0_SQ * (1.0 - 1e-3), 1.0, settings)
+    above = feasible(constant_pot, Z0_SQ * (1.0 + 1e-3), 1.0, settings)
+    assert below.feasible and below.margin > 0.0
+    assert not above.feasible and above.margin < 0.0
+    # continuous across the zero reaching R: both sides are O(1e-3)
+    assert below.margin - above.margin < 1e-2
+    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, settings).margin is None
+
+
 def test_class_y_potential_collapses_to_zero(settings):
     res = best_constant(RadialPotential.power_law(2.5), 1.0, tol=1e-6,
                         settings=settings)
@@ -151,6 +208,21 @@ def test_critical_best_constant_reports_band(settings, adimurthi_1):
     assert lo_ev.certificate is not None and lo_ev.certificate.kind == "nonoscillatory"
     assert hi_ev.status is Status.ZERO_FOUND or (
         hi_ev.certificate is not None and hi_ev.certificate.kind == "oscillatory")
+
+
+@pytest.mark.parametrize("family, m, amplitude", [
+    ("adimurthi_log", 1, 0.26), ("adimurthi_log", 1, 0.3), ("filippas_tertikas", 2, 0.26)])
+def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, settings):
+    # c = 1 lies inside the band above 1/(4A): the doubling phase meets an
+    # undecided multiplier before a certified-infeasible one
+    p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+    with pytest.raises(IndeterminateAtHorizon):
+        feasible(p, 1.0, 1.0, settings)
+    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    assert not res.converged and res.band == (res.c_lo, res.c_hi)
+    assert res.c_lo <= 0.25 / amplitude <= res.c_hi
+    assert res.c_best == res.c_lo
+    assert (res.c_hi - res.c_lo) * amplitude / 0.25 < 0.3
 
 
 # ---------------------------------------------------------------------------

@@ -333,3 +333,17 @@ def test_grid_nodes_ordering():
     nodes = g.nodes()
     assert nodes[0] == pytest.approx(1e-5) and nodes[-1] == pytest.approx(2.0)
     assert np.all(np.diff(nodes) > 0.0)
+
+
+def test_deep_cutoff_squared_cell_width_underflow_is_rejected():
+    # N = 1e5 cells down to 1e-157: h^2 is subnormal and v overflows
+    grid = GridSpec(100_000, GridMapping.LOG_SPACED, 1.0, 1e-157)
+    with pytest.raises(DomainError, match="underflow"):
+        reduced_rayleigh_min(RadialPotential.adimurthi_log(1), grid)
+
+
+def test_deep_cutoff_weight_underflow_is_rejected():
+    # the r^2 stiffness and mass weights of dimension 3 underflow near 1e-107
+    grid = GridSpec(4_000, GridMapping.LOG_SPACED, 1.0, 1e-107)
+    with pytest.raises(DomainError, match="underflow"):
+        weighted_eigen(RadialPotential.constant(1.0), 0.0, 3, grid)
