@@ -26,15 +26,18 @@ multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bessel import bessel_j0_first_zero
 from .config import SolverSettings
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from .ode import (ShootingOutcome, Status, euler_tail_certificate, integrate,
-                  integrate_principal_tail, log_problem, radius_problem)
+                  integrate_principal_tail, log_problem, radius_problem,
+                  wants_log_domain)
 from .potentials import RadialPotential
+
+_DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,6 @@ class BestConstantResult:
         return (self.c_lo, self.c_hi)
 
 
-def _wants_log_domain(p: RadialPotential) -> bool:
-    return p.critical or p.sigma >= 2.0
-
-
 def _margin(out: ShootingOutcome, R: float) -> float:
     """Signed shooting margin of a radius-domain shot, continuous in c:
     y(R) without a zero, else r* y'(r*) ln(R / r*), the value at R of the
@@ -81,7 +80,7 @@ def feasible(p: RadialPotential, c: float, R: float,
     """Decide feasibility of multiplier c on the ball of radius R."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
-    if not _wants_log_domain(p):
+    if not wants_log_domain(p):
         prob = radius_problem(p, c, R)
         out = integrate(prob, settings)
         ok = out.status is not Status.ZERO_FOUND or \
@@ -100,9 +99,7 @@ def feasible(p: RadialPotential, c: float, R: float,
             out.first_zero < R * (1.0 - settings.boundary_grace)
         return FeasibilityCheck(not interior_zero, out, "principal-tail")
     # oscillatory tail: infeasible; run the outer-edge shot for trajectory evidence
-    out = integrate(prob, settings)
-    out = ShootingOutcome(out.trajectory, out.first_zero, out.status,
-                          out.rescale_count, certificate=cert, dense=out.dense)
+    out = replace(integrate(prob, settings), certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
 
 
@@ -123,15 +120,15 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
-    upward search is guarded by ``doubling_cap``: a potential that never
-    becomes infeasible, e.g. amplitude 0, raises NoUpperBracket.
+    upward search stops at 2^60: a potential that never becomes infeasible,
+    e.g. amplitude 0, raises NoUpperBracket.
     """
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     check = feasible(p, 0.0, R, settings)
     if not check.feasible:
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    if _wants_log_domain(p):
+    if wants_log_domain(p):
         return _log_best_constant(p, R, tol, settings, check)
     return _radius_best_constant(p, R, tol, settings, check)
 
@@ -155,7 +152,7 @@ def _radius_best_constant(p, R, tol, settings, zero: FeasibilityCheck) -> BestCo
     if amp > 0.0 and math.isfinite(amp):
         two_minus = 2.0 - p.sigma
         c = (bessel_j0_first_zero() * two_minus / 2.0) ** 2 / (amp * R ** two_minus)
-        c = min(c, settings.doubling_cap)
+        c = min(c, _DOUBLING_CAP)
     else:
         c = 1.0
     # expand by 2, up from a feasible start or down from an infeasible one,
@@ -170,9 +167,9 @@ def _radius_best_constant(p, R, tol, settings, zero: FeasibilityCheck) -> BestCo
         if hi is not None and (lo[0] > 0.0 or c <= 0.5 * tol):
             break
         c *= 2.0 if hi is None else 0.5
-        if c > settings.doubling_cap:
+        if c > _DOUBLING_CAP:
             raise NoUpperBracket(
-                f"no infeasible multiplier up to {settings.doubling_cap:g}; "
+                f"no infeasible multiplier up to {_DOUBLING_CAP:g}; "
                 "best constant is unbounded", last_multiplier=c / 2.0)
 
     (a, lo_check), (b, hi_check) = lo, hi
@@ -217,9 +214,9 @@ def _log_best_constant(p, R, tol, settings, zero: FeasibilityCheck) -> BestConst
                 break
             c_lo, ev_lo = c_hi, check.evidence
         c_hi *= 2.0
-        if c_hi > settings.doubling_cap:
+        if c_hi > _DOUBLING_CAP:
             raise NoUpperBracket(
-                f"no infeasible multiplier up to {settings.doubling_cap:g}; "
+                f"no infeasible multiplier up to {_DOUBLING_CAP:g}; "
                 "best constant is unbounded", last_multiplier=c_hi / 2.0)
 
     while not undecided and c_hi - c_lo > tol * max(1.0, 0.5 * (c_lo + c_hi)):

@@ -194,15 +194,11 @@ def _cmd_check_closed_form(args, cfg: RunConfig):
 
 
 def _cmd_trace(args, cfg: RunConfig):
-    p = cfg.potential
-    if p.critical or p.sigma >= 2.0:
-        prob = ode.log_problem(p, args.c, cfg.R, s_max=cfg.settings.s_max)
-        out = ode.integrate(prob, cfg.settings)
-        header = "s,z,dz"
-    else:
-        prob = ode.radius_problem(p, args.c, cfg.R)
-        out = ode.integrate(prob, cfg.settings)
-        header = "r,y,dy"
+    prob = ode.radius_problem(cfg.potential, args.c, cfg.R)
+    if ode.wants_log_domain(cfg.potential):
+        prob = ode.to_log_domain(prob, cfg.settings.s_max)
+    out = ode.integrate(prob, cfg.settings)
+    header = ",".join(out.trajectory)    # r,y,dy or s,z,dz
     path = args.out or "trajectory.csv"
     write_trajectory_csv(path, out, header)
     record = {

@@ -1,7 +1,10 @@
 """Solver settings, run configuration, and record/CSV serialization.
 
 Config files are INI-style structured text (configparser) with sections
-``[potential]``, ``[domain]``, ``[solver]`` and ``[output]``.  Result records
+``[potential]``, ``[domain]``, ``[solver]`` and ``[output]``.  ``[solver]``
+takes every ``SolverSettings`` field plus ``grid_n`` and ``r_min_rel``;
+``[output]`` takes only ``timestamp`` (true/false), since where a record
+goes and in what form are the CLI's ``--out`` and ``--format``.  Result records
 are emitted in the same syntax (a single ``[result]`` or ``[error]`` section)
 so that every record re-parses under the config machinery.  All numbers are
 written with 17 significant digits for cross-platform reproducibility.
@@ -27,11 +30,9 @@ class SolverSettings:
     r0: Optional[float] = None       # inner start radius; None = automatic
     s_max: float = 1e6               # log-domain horizon
     bisect_tol: float = 1e-6         # relative bracket width for best_constant
-    doubling_cap: float = 2.0 ** 60  # upper-bracket search guard
     boundary_grace: float = 1e-9     # zeros within this of R count as boundary
     tail_samples: int = 512          # samples for the Euler-comparison fit
     certificate_slack: float = 1e-10 # relative slack on the 1/4 threshold
-    overflow_threshold: float = 1e250
 
     def validated(self) -> "SolverSettings":
         for f in fields(self):
@@ -53,8 +54,6 @@ class RunConfig:
     grid_n: int = 10_000
     r_min_rel: float = 1e-6
     settings: SolverSettings = field(default_factory=SolverSettings)
-    out_path: Optional[str] = None
-    out_format: str = "record"
     timestamp: bool = False
 
 
@@ -86,17 +85,13 @@ def load_config(path: str) -> RunConfig:
 
     sol = parser["solver"] if "solver" in parser else {}
     kwargs = {}
-    mapping = {
-        "rtol": float, "atol": float, "zero_width_rel": float, "r0": float,
-        "s_max": float, "bisect_tol": float, "boundary_grace": float,
-        "tail_samples": int, "certificate_slack": float,
-    }
-    for key, cast in mapping.items():
-        if key in sol:
+    for f in fields(SolverSettings):
+        if f.name in sol:
+            cast = float if f.default is None else type(f.default)
             try:
-                kwargs[key] = cast(sol[key])
+                kwargs[f.name] = cast(sol[f.name])
             except ValueError as exc:
-                raise ConfigError(f"{path}: [solver] key {key}: {exc}") from exc
+                raise ConfigError(f"{path}: [solver] key {f.name}: {exc}") from exc
     try:
         grid_n = int(sol.get("grid_n", 10_000))
         r_min_rel = float(sol.get("r_min_rel", 1e-6))
@@ -107,12 +102,9 @@ def load_config(path: str) -> RunConfig:
     settings = SolverSettings(**kwargs).validated()
 
     out = parser["output"] if "output" in parser else {}
-    out_format = out.get("format", "record").strip()
-    if out_format not in ("record", "csv"):
-        raise ConfigError(f"{path}: [output] format must be 'record' or 'csv', got {out_format!r}")
     return RunConfig(
         potential=potential, R=R, n=n, grid_n=grid_n, r_min_rel=r_min_rel,
-        settings=settings, out_path=out.get("path"), out_format=out_format,
+        settings=settings,
         timestamp=out.get("timestamp", "false").strip().lower() in ("1", "true", "yes"),
     )
 

@@ -52,14 +52,12 @@ class NoUpperBracket(HardyError):
 class IndeterminateAtHorizon(HardyError):
     """Neither a zero nor a comparison certificate was obtained by the horizon.
 
-    Carries the multiplier that could not be decided and, when available,
-    the indeterminate band established so far.
+    Carries the multiplier that could not be decided.
     """
 
-    def __init__(self, message: str, multiplier: float, band: tuple | None = None):
+    def __init__(self, message: str, multiplier: float):
         super().__init__(message)
         self.multiplier = multiplier
-        self.band = band
 
 
 class SingularMass(HardyError):

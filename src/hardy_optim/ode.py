@@ -1,12 +1,15 @@
 """Integration of the reduced radial equation y'' + y'/r + c v(r) y = 0.
 
-Two coordinate systems are supported.  In the radius domain the equation is
-integrated in t = ln r (which absorbs the 1/r drift and keeps steps O(1)
-down to arbitrarily small start radii); trajectories are reported as
-(r, y, dy/dr).  In the log domain s = ln(1/r) the equation becomes
-z'' + a(s) z = 0 with a(s) = c e^{-2s} v(e^{-s}), the natural frame for the
-borderline inverse-square potentials whose oscillation sits at the Euler
-threshold a(s) ~ 1/(4 s^2).
+Under s = ln(1/r) the equation becomes z'' + a(s) z = 0 with
+a(s) = c e^{-2s} v(e^{-s}), and every shot is one sweep of that equation
+from some start state (``_sweep``): the recessive shot runs from the series
+start s0 = ln(1/r0) down to the outer edge, the outer-edge shot runs up to
+the horizon s_max, the principal tail runs back from the horizon.  The s
+variable absorbs the 1/r drift, keeps steps O(1) down to arbitrarily small
+start radii, and is the natural frame for the borderline inverse-square
+potentials whose oscillation sits at the Euler threshold a(s) ~ 1/(4 s^2).
+Radius-domain problems report their sweep as (r, y, dy/dr), log-domain
+problems as (s, z, dz/ds).
 
 The recessive (principal) solution at the singular endpoint r = 0 is
 initialized by a truncated series (``frobenius_init``); first sign changes
@@ -35,8 +38,8 @@ from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
 from .potentials import RadialPotential
 
-_R0_FLOOR_REL = 1e-280     # representability floor for the automatic start radius
-_FROBENIUS_TARGET = 1e-8   # size of the truncated series correction at r0
+_FROBENIUS_TARGET = 1e-8      # size of the truncated series correction at r0
+_OVERFLOW_THRESHOLD = 1e250   # |z| + |z'| at which a sweep rescales its state
 
 
 class Domain(Enum):
@@ -113,7 +116,6 @@ class TailCertificate:
     gamma: float
     shift: float
     window: tuple             # (s1, s2) where the comparison was verified
-    covered_from: float       # certificate applies to s >= this abscissa
 
 
 @dataclass(frozen=True)
@@ -127,9 +129,11 @@ class ShootingOutcome:
     certificate: Optional[TailCertificate] = None
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
 
-    @property
-    def columns(self) -> tuple:
-        return tuple(self.trajectory.keys())
+
+def wants_log_domain(p: RadialPotential) -> bool:
+    """Critical or strongly singular potentials have no recessive series
+    start at r = 0; their feasibility is decided in the log domain."""
+    return p.critical or p.sigma >= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +141,10 @@ class ShootingOutcome:
 # ---------------------------------------------------------------------------
 
 def resolve_r0(prob: HardyODEProblem, settings: SolverSettings) -> float:
-    """Start radius: explicit if given, else 1e-8 R shrunk until the series
-    correction is below target (potentials with sigma near 2 need smaller
-    starts for the truncation to stay valid)."""
+    """Start radius: explicit if given, else 1e-8 R shrunk by 1e-2 until the
+    series correction is below target (potentials with sigma near 2 need
+    smaller starts for the truncation to stay valid).  Raises
+    UnsupportedSingularity when 64 shrinks do not get there."""
     if prob.r0 is not None:
         return prob.r0
     if settings.r0 is not None:
@@ -158,11 +163,9 @@ def resolve_r0(prob: HardyODEProblem, settings: SolverSettings) -> float:
         if correction <= _FROBENIUS_TARGET:
             return r0
         r0 *= 1e-2
-        if r0 < _R0_FLOOR_REL * R:
-            raise UnsupportedSingularity(
-                f"required start radius below {_R0_FLOOR_REL} R for sigma = {p.sigma}; "
-                "use the log domain")
-    return r0
+    raise UnsupportedSingularity(
+        f"series correction still {correction:.3g} at start radius {100.0 * r0 / R:.0e} R "
+        f"for sigma = {p.sigma}; use the log domain")
 
 
 def frobenius_init(prob: HardyODEProblem,
@@ -174,7 +177,7 @@ def frobenius_init(prob: HardyODEProblem,
     r y'/y -> 0, the defining property of the recessive branch.
     """
     p = prob.potential
-    if p.critical or p.sigma >= 2.0:
+    if wants_log_domain(p):
         raise UnsupportedSingularity(
             f"potential with sigma = {p.sigma} (critical = {p.critical}) has no "
             "series start at r = 0; integrate in the log domain")
@@ -210,8 +213,6 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
     is bracketed between accepted steps and bisected on the dense output to
     the requested width.
     """
-    direction = 1.0 if t1 >= t0 else -1.0
-
     def zero_event(t, y):
         return y[0]
     zero_event.terminal = True
@@ -242,12 +243,8 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
         chunks.append([sol.t[0], sol.t[-1], sol.sol, 1.0])
 
         if sol.t_events[0].size:  # sign change of the solution
-            t_hit = float(sol.t_events[0][0])
-            accepted = sol.t
-            idx = np.searchsorted(accepted, t_hit) if direction > 0 else \
-                accepted.size - np.searchsorted(accepted[::-1], t_hit)
-            lo = accepted[max(0, idx - 1)]
-            zero_t = _bisect_zero(sol.sol, lo, t_hit, zero_width, direction)
+            # a terminal event ends sol.t, so the step before it brackets it
+            zero_t = _bisect_zero(sol.sol, sol.t[-2], float(sol.t_events[0][0]), zero_width)
             break
         if sol.t_events[1].size:  # overflow: rescale and resume
             t_cur = float(sol.t_events[1][0])
@@ -286,7 +283,7 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
     return _RawRun(t_all, y_all, zero_t, rescales, dense)
 
 
-def _bisect_zero(dense, t_lo: float, t_hit: float, width: float, direction: float) -> float:
+def _bisect_zero(dense, t_lo: float, t_hit: float, width: float) -> float:
     """Bisect the dense output for the sign change in [t_lo, t_hit]."""
     f_lo = dense(t_lo)[0]
     f_hit = dense(t_hit)[0]
@@ -306,106 +303,39 @@ def _bisect_zero(dense, t_lo: float, t_hit: float, width: float, direction: floa
 
 
 # ---------------------------------------------------------------------------
-# Public integration entry points
+# The sweep of z'' + a(s) z = 0 and its public entry points
 # ---------------------------------------------------------------------------
 
 def integrate(prob: HardyODEProblem,
               settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
     """Shoot the problem across its interval and report the first zero.
 
-    Radius domain: starts from the recessive series at r0 and integrates
-    outward to R (internally in t = ln r).  Log domain: starts at the outer
-    edge with z = 1, z' = 0 and integrates toward increasing s up to s_max.
+    Radius domain: the recessive sweep from s = ln(1/r0) down to the outer
+    edge, reported as (r, y, dy/dr).  Log domain: starts at the outer edge
+    with z = 1, z' = 0 and sweeps toward increasing s up to s_max.
     """
     if prob.domain is Domain.RADIUS:
-        return _integrate_radius(prob, settings)
-    return _integrate_log_forward(prob, settings)
-
-
-def _radius_rhs(prob: HardyODEProblem):
-    lw = prob.potential.log_weight
-    c = prob.c
-
-    def rhs(t, u):
-        return (u[1], -c * lw(-t) * u[0])
-    return rhs
-
-
-def _log_rhs(prob: HardyODEProblem):
-    lw = prob.potential.log_weight
-    c = prob.c
-
-    def rhs(s, u):
-        return (u[1], -c * lw(s) * u[0])
-    return rhs
-
-
-def _integrate_radius(prob: HardyODEProblem, settings: SolverSettings) -> ShootingOutcome:
-    r0 = resolve_r0(prob, settings)
-    y0, dy0 = frobenius_init(replace(prob, r0=r0), settings)
-    t0, t1 = math.log(r0), math.log(prob.R)
-    # state in t = ln r: (y, r y')
-    state0 = (y0, r0 * dy0)
-    width_t = settings.zero_width_rel  # |Delta ln r| <= rel width <=> |Delta r| <= rel*R near R
-    run = _integrate_chunked(_radius_rhs(prob), t0, t1, state0,
-                             rtol=settings.rtol, atol=settings.atol,
-                             zero_width=width_t,
-                             overflow_threshold=settings.overflow_threshold)
-    r = np.exp(run.t)
-    trajectory = {"r": r, "y": run.y[0], "dy": run.y[1] / r}
-    first_zero = math.exp(run.zero_t) if run.zero_t is not None else None
-    if first_zero is not None:
-        status = Status.ZERO_FOUND
-        cut = run.t < run.zero_t
-        zero_state = run.dense(run.zero_t)
-        trajectory = {
-            "r": np.append(r[cut], first_zero),
-            "y": np.append(run.y[0][cut], zero_state[0]),
-            "dy": np.append(run.y[1][cut] / r[cut], zero_state[1] / first_zero),
-        }
-    else:
-        status = Status.NO_ZERO_ON_INTERVAL
-    dense = run.dense
-
-    def dense_r(radius):
-        state = dense(math.log(radius))
-        return np.array([state[0], state[1] / radius])
-
-    return ShootingOutcome(trajectory, first_zero, status, run.rescale_count,
-                           dense=dense_r)
-
-
-def _integrate_log_forward(prob: HardyODEProblem, settings: SolverSettings) -> ShootingOutcome:
+        s0, state0 = _recessive_start(prob, settings)
+        return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0, settings))
     s_start = -math.log(prob.R) + 1e-9
     if prob.s_max <= s_start:
         raise DomainError(f"horizon s_max = {prob.s_max} not beyond the outer edge {s_start}")
-    run = _integrate_chunked(_log_rhs(prob), s_start, prob.s_max, (1.0, 0.0),
-                             rtol=settings.rtol, atol=settings.atol,
-                             zero_width=settings.zero_width_rel,
-                             overflow_threshold=settings.overflow_threshold)
-    return _log_outcome(run, prob)
+    return _sweep(prob, s_start, prob.s_max, (1.0, 0.0), settings)
 
 
 def integrate_recessive_log(prob: HardyODEProblem,
                             settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
-    """The same recessive solution as the radius-domain shot, integrated in
-    the log variable from s = ln(1/r0) down to the outer edge.
+    """The radius-domain shot of the same problem without the change back to
+    (r, y, dy/dr): the recessive solution from s = ln(1/r0) down to the outer
+    edge, reported as (s, z, dz/ds).
 
     Exists so the two coordinate systems can be cross-checked against each
     other; zeros must agree with the radius-domain run at s* = ln(1/r*).
     """
     if prob.domain is not Domain.LOG:
         raise DomainError("integrate_recessive_log expects a log-domain problem")
-    rprob = to_radius_domain(prob)
-    r0 = resolve_r0(rprob, settings)
-    y0, dy0 = frobenius_init(replace(rprob, r0=r0), settings)
-    s_hi, s_end = math.log(1.0 / r0), -math.log(prob.R)
-    state0 = (y0, -r0 * dy0)   # dz/ds = -r y'(r)
-    run = _integrate_chunked(_log_rhs(prob), s_hi, s_end, state0,
-                             rtol=settings.rtol, atol=settings.atol,
-                             zero_width=settings.zero_width_rel,
-                             overflow_threshold=settings.overflow_threshold)
-    return _log_outcome(run, prob, backward=True)
+    s0, state0 = _recessive_start(prob, settings)
+    return _sweep(prob, s0, -math.log(prob.R), state0, settings)
 
 
 def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate,
@@ -424,31 +354,67 @@ def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate
         raise DomainError("principal tail integration needs a non-oscillatory certificate")
     gamma = min(certificate.gamma, 0.25)
     mu = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * gamma)))
-    s_end = -math.log(prob.R)
-    sigma_max = prob.s_max - certificate.shift
-    state0 = (1.0, mu / sigma_max)
-    run = _integrate_chunked(_log_rhs(prob), prob.s_max, s_end, state0,
-                             rtol=settings.rtol, atol=settings.atol,
-                             zero_width=settings.zero_width_rel,
-                             overflow_threshold=settings.overflow_threshold)
-    return _log_outcome(run, prob, certificate=certificate, backward=True)
+    state0 = (1.0, mu / (prob.s_max - certificate.shift))
+    return _sweep(prob, prob.s_max, -math.log(prob.R), state0, settings, certificate)
 
 
-def _log_outcome(run: _RawRun, prob: HardyODEProblem,
-                 certificate: Optional[TailCertificate] = None,
-                 backward: bool = False) -> ShootingOutcome:
-    order = np.argsort(run.t)
-    trajectory = {"s": run.t[order], "z": run.y[0][order], "dz": run.y[1][order]}
-    if run.zero_t is not None:
+def _recessive_start(prob: HardyODEProblem, settings: SolverSettings):
+    """s0 = ln(1/r0) and the series state (z, dz/ds) = (y0, -r0 y0') there."""
+    r0 = resolve_r0(prob, settings)
+    y0, dy0 = frobenius_init(replace(prob, r0=r0), settings)
+    return -math.log(r0), (y0, -r0 * dy0)
+
+
+def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
+           settings: SolverSettings,
+           certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
+    """Integrate z'' + a(s) z = 0 from s_from to s_to.
+
+    The trajectory ends at the bisected first zero, if any, and is sorted
+    by s.  Without a zero, a sweep toward the outer edge (decreasing s) has
+    covered its whole interval; a sweep outward has only reached its horizon.
+    """
+    lw, c = prob.potential.log_weight, prob.c
+
+    def rhs(s, u):
+        return (u[1], -c * lw(s) * u[0])
+
+    run = _integrate_chunked(rhs, s_from, s_to, state0, rtol=settings.rtol,
+                             atol=settings.atol, zero_width=settings.zero_width_rel,
+                             overflow_threshold=_OVERFLOW_THRESHOLD)
+    to_edge = s_to < s_from    # toward the outer edge r = R
+    s, z, dz = run.t, run.y[0], run.y[1]
+    if run.zero_t is None:
+        first_zero = None
+        status = Status.NO_ZERO_ON_INTERVAL if to_edge else Status.HORIZON_REACHED
+    else:
         first_zero = math.exp(-run.zero_t)
         status = Status.ZERO_FOUND
-    else:
-        first_zero = None
-        # a completed backward sweep covers its whole interval; a forward one
-        # merely ran out of horizon
-        status = Status.NO_ZERO_ON_INTERVAL if backward else Status.HORIZON_REACHED
-    return ShootingOutcome(trajectory, first_zero, status, run.rescale_count,
-                           certificate=certificate, dense=run.dense)
+        before = s > run.zero_t if to_edge else s < run.zero_t
+        zero_state = run.dense(run.zero_t)
+        s = np.append(s[before], run.zero_t)
+        z = np.append(z[before], zero_state[0])
+        dz = np.append(dz[before], zero_state[1])
+    if to_edge:
+        s, z, dz = s[::-1], z[::-1], dz[::-1]
+    return ShootingOutcome({"s": s, "z": z, "dz": dz}, first_zero, status,
+                           run.rescale_count, certificate=certificate, dense=run.dense)
+
+
+def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
+    """A sweep in the radius frame: r = e^-s, y = z and dy/dr = -z'/r, in
+    increasing r, with a dense output that takes a radius."""
+    s, z, dz = (out.trajectory[k][::-1] for k in ("s", "z", "dz"))
+    r = np.exp(-s)
+    if out.first_zero is not None:
+        r[-1] = out.first_zero    # math.exp, which np.exp may miss by an ulp
+    dense = out.dense
+
+    def dense_r(radius):
+        state = dense(-math.log(radius))
+        return np.array([state[0], -state[1] / radius])
+
+    return replace(out, trajectory={"r": r, "y": z, "dy": -dz / r}, dense=dense_r)
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +441,13 @@ def euler_tail_certificate(prob: HardyODEProblem,
     s_start = -math.log(prob.R) + 1e-9
     s_max = prob.s_max
     if prob.c == 0.0:
-        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0,
-                               (s_start, s_max), covered_from=s_start)
+        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, s_max))
     grid = _tail_grid(s_start, s_max, settings.tail_samples)
     # saturate instead of overflowing: certificates only compare magnitudes
     with np.errstate(over="ignore"):
         a = np.clip(prob.coefficient(grid), 0.0, 1e250)
     if np.all(a <= 0.0):
-        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0,
-                               (s_start, s_max), covered_from=s_start)
+        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, s_max))
 
     shifts = _candidate_shifts(grid, a, s_start)
     hint = prob.potential.euler_shift_hint()
@@ -507,8 +471,7 @@ def euler_tail_certificate(prob: HardyODEProblem,
         gmax = float(suffix_max[start])
         if _tail_trend_ok(sub, gamma):
             cert = TailCertificate("nonoscillatory", gmax, s0,
-                                   (float(sub[start]), float(sub[-1])),
-                                   covered_from=float(sub[start]))
+                                   (float(sub[start]), float(sub[-1])))
             if best_nonosc is None or cert.gamma < best_nonosc.gamma:
                 best_nonosc = cert
     if best_nonosc is not None:
@@ -589,8 +552,7 @@ def _oscillation_window(grid: np.ndarray, gamma: np.ndarray, s0: float
             length = math.log(sigma[hi] / sigma[lo])
             if length >= needed:
                 return TailCertificate("oscillatory", float(threshold), s0,
-                                       (float(grid[lo]), float(grid[hi])),
-                                       covered_from=float(grid[lo]))
+                                       (float(grid[lo]), float(grid[hi])))
     return None
 
 

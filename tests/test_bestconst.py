@@ -7,7 +7,8 @@ from hardy_optim import (RadialPotential, SolverSettings, Status, best_constant,
                          bessel_j0, bessel_j0_first_zero, brezis_vazquez_lambda,
                          equal_volume_radius, feasible, integrate, radius_problem,
                          unit_ball_volume)
-from hardy_optim.errors import (DomainError, IndeterminateAtHorizon, NoUpperBracket)
+from hardy_optim.errors import (DomainError, IndeterminateAtHorizon, NoUpperBracket,
+                                UnsupportedSingularity)
 
 from conftest import Z0, Z0_SQ, power_law_best_constant
 
@@ -93,6 +94,14 @@ def test_best_constant_scale_invariance(settings):
 def test_no_upper_bracket(settings):
     with pytest.raises(NoUpperBracket):
         best_constant(RadialPotential.constant(0.0), 1.0, settings=settings)
+
+
+def test_no_series_start_near_sigma_two_raises(settings):
+    # alpha = 1.99: no start radius down to 1e-134 R brings the series
+    # correction below target; shooting from an invalid start anyway once
+    # "certified" c_hi = 1.44026e-4 below the closed form 1.44580e-4
+    with pytest.raises(UnsupportedSingularity, match="use the log domain"):
+        best_constant(RadialPotential.power_law(1.99), 1.0, settings=settings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from hardy_optim.cli import main
-from hardy_optim.config import format_record, load_config, parse_record
+from hardy_optim.config import SolverSettings, format_record, load_config, parse_record
 
 from conftest import Z0_SQ
 
@@ -212,6 +213,15 @@ def test_config_round_trip(tmp_path):
     assert run.potential.alpha == 1.5 and run.potential.r_max == 3.0
     assert run.R == 2.5 and run.n == 4
     assert run.grid_n == 128 and run.settings.rtol == 1e-9
+
+
+def test_every_solver_setting_is_read_from_the_config(tmp_path):
+    wanted = {}
+    for f in dataclasses.fields(SolverSettings):
+        default = 1e-9 if f.default is None else f.default
+        wanted[f.name] = type(default)(3 * default)
+    run = load_config(_write_config(tmp_path, solver={k: repr(v) for k, v in wanted.items()}))
+    assert {k: getattr(run.settings, k) for k in wanted} == wanted
 
 
 def test_console_script_entry(tmp_path):

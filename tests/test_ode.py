@@ -155,12 +155,27 @@ def test_adimurthi_log_coefficient_is_shifted_euler():
 
 
 def test_domain_change_zero_consistency(settings):
-    # the same recessive solution integrated in both frames: zeros agree
-    p = RadialPotential.constant(1.0, r_max=10.0)
-    rprob = radius_problem(p, 1.0, 10.0)
-    r_out = integrate(rprob, settings)
-    l_out = integrate_recessive_log(to_log_domain(rprob), settings)
-    assert l_out.first_zero == pytest.approx(r_out.first_zero, rel=1e-10)
+    # both frames report one and the same recessive sweep: identical zeros
+    for p, c, R in [(RadialPotential.constant(1.0, r_max=10.0), 1.0, 10.0),
+                    (RadialPotential.power_law(0.5), 5.0, 1.0)]:
+        rprob = radius_problem(p, c, R)
+        r_out = integrate(rprob, settings)
+        l_out = integrate_recessive_log(to_log_domain(rprob), settings)
+        assert r_out.status is Status.ZERO_FOUND
+        assert l_out.first_zero == r_out.first_zero
+
+
+def test_log_shots_end_at_first_zero(settings):
+    # the outer-edge shot stops at the bisected zero, the last row in s
+    out = integrate(log_problem(RadialPotential.filippas_tertikas(1), 0.5, 1.0), settings)
+    assert out.status is Status.ZERO_FOUND
+    assert math.exp(-out.trajectory["s"][-1]) == out.first_zero
+    assert np.all(out.trajectory["z"][:-1] > 0.0)
+    # the recessive sweep runs toward decreasing s: its zero is the first row
+    rprob = radius_problem(RadialPotential.power_law(0.5), 5.0, 1.0)
+    rec = integrate_recessive_log(to_log_domain(rprob), settings)
+    assert math.exp(-rec.trajectory["s"][0]) == rec.first_zero
+    assert np.all(np.diff(rec.trajectory["s"]) > 0.0)
 
 
 def test_forward_log_integration_finds_oscillation_zero(settings):
