@@ -15,13 +15,13 @@ solution on (0, R).  Numerically:
     indeterminate at the horizon and said so.
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
-certified bracket.  In the radius domain the recessive shot depends smoothly
-on c, so the bracket starts at the leading-order Bessel level and is closed
-by a bracketed Illinois root solve of the signed shooting margin.  In the log
-domain the bracket comes from doubling and bisection; an indeterminate band
-around the threshold (met while doubling or bisecting) has its edges refined
-separately and reported, and ``c_best`` is the largest certified-feasible
-multiplier.
+certified bracket whichever domain decides each probe, and one loop finds
+it for both: a bracket started at the leading-order Bessel level (or at 1),
+expanded by factors of 2 and closed by an Illinois root solve of the signed
+shooting margin (radius domain) or by bisection (log domain, which has no
+margin).  An indeterminate band around the threshold has each certified
+edge bisected toward it and is reported, and ``c_best`` is then the largest
+certified-feasible multiplier.
 """
 from __future__ import annotations
 
@@ -107,17 +107,21 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   settings: SolverSettings = SolverSettings()) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    Radius domain (non-critical potentials): the bracket starts at the
-    leading-order Bessel level (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)),
-    exact for constants and power laws, and is expanded by factors of 2
-    until one end is feasible and the other infeasible; it is then closed by
-    a bracketed Illinois root solve to width tol * max(1, c) / 2.
+    One loop for both domains.  The bracket starts at the leading-order
+    Bessel level (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)) for non-critical
+    potentials with a finite positive singular amplitude A (exact for
+    constants and power laws), else at c = 1.  It expands by factors of 2,
+    up from a feasible or undecided start and down from an infeasible one,
+    until one end is certified infeasible and the other feasible (or an
+    indeterminate band is met, or [0, c] is already narrow).  It is then
+    closed to width tol * max(1, c) / 2: by an Illinois root solve of the
+    signed shooting margin where the domain has one, by bisection where it
+    does not.
 
-    Log domain (critical potentials): doubles from c = 1, then bisects to
-    relative width ``tol``.  If an indeterminate multiplier turns up while
-    doubling or bisecting, the certified edges of that band are refined
-    instead, ``converged`` is False, the band is reported, and c_best is
-    the largest certified-feasible multiplier.
+    A multiplier left indeterminate at the horizon opens a band; the
+    certified edges on either side of it are then bisected instead,
+    ``converged`` is False, the band is reported, and c_best is the largest
+    certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
@@ -125,46 +129,48 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     """
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    check = feasible(p, 0.0, R, settings)
-    if not check.feasible:
-        raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    if wants_log_domain(p):
-        return _log_best_constant(p, R, tol, settings, check)
-    return _radius_best_constant(p, R, tol, settings, check)
-
-
-def _radius_best_constant(p, R, tol, settings, zero: FeasibilityCheck) -> BestConstantResult:
-    """Scale-aware bracket, then an Illinois solve of the shooting margin.
-
-    The margin decides where the next multiplier goes; the verdict decides
-    which end it replaces, so both ends stay certified.  Each iterate is
-    clamped at least tol * max(1, c) / 4 inside the bracket, so an iterate
-    that lands next to the root on the far side closes the bracket.
-    """
-    iterations = 1
+    iterations = 0
+    lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
+    # Illinois weights: the ends' margins clipped to their side; 0 without a
+    # margin (log domain), which turns the Illinois step into a bisection
+    fa = fb = 0.0
 
     def probe(c):
         nonlocal iterations
         iterations += 1
-        return feasible(p, c, R, settings)
+        try:
+            return feasible(p, c, R, settings)
+        except IndeterminateAtHorizon:
+            return None
 
-    amp = p.singular_amplitude(R)
-    if amp > 0.0 and math.isfinite(amp):
+    def settle(c, check) -> str:
+        """File a probe: a verdict moves the certified end on its own side of
+        the band; an undecided or out-of-place one widens the band."""
+        nonlocal lo, hi, band, fa, fb
+        if check is not None and check.feasible and (band is None or c < band[0]):
+            lo, fa = (c, check), max(check.margin or 0.0, 0.0)
+            return "lo"
+        if check is not None and not check.feasible and (band is None or c > band[1]):
+            hi, fb = (c, check), min(check.margin or 0.0, 0.0)
+            return "hi"
+        band = (c, c) if band is None else (min(band[0], c), max(band[1], c))
+        return "band"
+
+    def wide(a, b):
+        return b - a > 0.5 * tol * max(1.0, 0.5 * (a + b))
+
+    if settle(0.0, probe(0.0)) != "lo":
+        raise DomainError("feasibility at c = 0 failed; potential is invalid")
+    amp = 0.0 if wants_log_domain(p) else p.singular_amplitude(R)
+    if 0.0 < amp < math.inf:
         two_minus = 2.0 - p.sigma
         c = (bessel_j0_first_zero() * two_minus / 2.0) ** 2 / (amp * R ** two_minus)
         c = min(c, _DOUBLING_CAP)
     else:
         c = 1.0
-    # expand by 2, up from a feasible start or down from an infeasible one,
-    # until both ends are certified (or [0, c] is already narrow enough)
-    lo, hi = (0.0, zero), None
     while True:
-        check = probe(c)
-        if check.feasible:
-            lo = (c, check)
-        else:
-            hi = (c, check)
-        if hi is not None and (lo[0] > 0.0 or c <= 0.5 * tol):
+        settle(c, probe(c))
+        if hi is not None and (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
             break
         c *= 2.0 if hi is None else 0.5
         if c > _DOUBLING_CAP:
@@ -172,108 +178,39 @@ def _radius_best_constant(p, R, tol, settings, zero: FeasibilityCheck) -> BestCo
                 f"no infeasible multiplier up to {_DOUBLING_CAP:g}; "
                 "best constant is unbounded", last_multiplier=c / 2.0)
 
-    (a, lo_check), (b, hi_check) = lo, hi
-    fa, fb = max(lo_check.margin, 0.0), min(hi_check.margin, 0.0)
-    kept = None
-    while b - a > 0.5 * tol * max(1.0, 0.5 * (a + b)):
-        delta = 0.25 * tol * max(1.0, 0.5 * (a + b))
-        x = b - fb * (b - a) / (fb - fa) if fa > fb else 0.5 * (a + b)
-        x = min(max(x, a + delta), b - delta)
-        check = probe(x)
-        if check.feasible:
-            a, fa, lo_check = x, max(check.margin, 0.0), check
-            if kept == "hi":
-                fb *= 0.5      # Illinois: the infeasible end was kept twice
-            kept = "hi"
-        else:
-            b, fb, hi_check = x, min(check.margin, 0.0), check
-            if kept == "lo":
-                fa *= 0.5
-            kept = "lo"
-    return BestConstantResult(0.5 * (a + b), a, b, iterations, lo_check.evidence,
-                              hi_check.evidence, tolerance=tol)
-
-
-def _log_best_constant(p, R, tol, settings, zero: FeasibilityCheck) -> BestConstantResult:
-    """Doubling from c = 1, then bisection.  A multiplier left indeterminate
-    on the way ends the search: the doubling goes on to a certified
-    infeasible multiplier, and the band edges are then refined."""
-    iterations = 1
-    c_lo, ev_lo = 0.0, zero.evidence
-    c_hi, ev_hi = 1.0, None
-    undecided = []
+    # The margin decides where the next multiplier goes; the verdict decides
+    # which end it replaces, so both ends stay certified.  Each iterate is
+    # clamped at least tol * max(1, c) / 4 inside the bracket, so an iterate
+    # that lands next to the root on the far side closes the bracket.
+    last = None
     while True:
-        iterations += 1
-        try:
-            check = feasible(p, c_hi, R, settings)
-        except IndeterminateAtHorizon:
-            undecided.append(c_hi)
-        else:
-            if not check.feasible:
-                ev_hi = check.evidence
+        if band is None:
+            a, b = lo[0], hi[0]
+            if not wide(a, b):
                 break
-            c_lo, ev_lo = c_hi, check.evidence
-        c_hi *= 2.0
-        if c_hi > _DOUBLING_CAP:
-            raise NoUpperBracket(
-                f"no infeasible multiplier up to {_DOUBLING_CAP:g}; "
-                "best constant is unbounded", last_multiplier=c_hi / 2.0)
-
-    while not undecided and c_hi - c_lo > tol * max(1.0, 0.5 * (c_lo + c_hi)):
-        mid = 0.5 * (c_lo + c_hi)
-        iterations += 1
-        try:
-            check = feasible(p, mid, R, settings)
-        except IndeterminateAtHorizon:
-            undecided.append(mid)
-            continue
-        if check.feasible:
-            c_lo, ev_lo = mid, check.evidence
+            delta = 0.25 * tol * max(1.0, 0.5 * (a + b))
+            x = b - fb * (b - a) / (fb - fa) if fa > fb else 0.5 * (a + b)
+            x = min(max(x, a + delta), b - delta)
+        elif wide(lo[0], band[0]):
+            x = 0.5 * (lo[0] + band[0])
+        elif wide(band[1], hi[0]):
+            x = 0.5 * (band[1] + hi[0])
         else:
-            c_hi, ev_hi = mid, check.evidence
+            break
+        side = settle(x, probe(x))
+        if side == last == "lo":
+            fb *= 0.5      # Illinois: the same end moved twice, so the other's weight halves
+        elif side == last == "hi":
+            fa *= 0.5
+        last = side
 
-    band = None
-    if undecided:
-        c_lo, ev, it = _refine_edge(p, R, c_lo, undecided[0], settings, want=True, tol=tol)
-        ev_lo = ev if ev is not None else ev_lo
-        c_hi, ev, it2 = _refine_edge(p, R, undecided[-1], c_hi, settings, want=False, tol=tol)
-        ev_hi = ev if ev is not None else ev_hi
-        iterations += it + it2
-        band = (c_lo, c_hi)
-    converged = c_hi - c_lo <= tol * max(1.0, 0.5 * (c_lo + c_hi))
-    c_best = 0.5 * (c_lo + c_hi) if converged else c_lo
-    return BestConstantResult(c_best, c_lo, c_hi, iterations, ev_lo, ev_hi,
-                              tolerance=tol, converged=converged, band=band)
-
-
-def _refine_edge(p, R, lo, hi, settings, want: bool, tol: float):
-    """Push the certified boundary into an indeterminate band.
-
-    want=True moves the feasible edge up from lo; want=False moves the
-    infeasible edge down from hi.  Returns (edge, evidence, iterations).
-    """
-    evidence = None
-    iterations = 0
-    while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        iterations += 1
-        try:
-            check = feasible(p, mid, R, settings)
-            verdict = check.feasible
-        except IndeterminateAtHorizon:
-            verdict = None
-        if verdict is want:
-            if want:
-                lo, evidence = mid, check.evidence
-            else:
-                hi, evidence = mid, check.evidence
-        else:
-            if want:
-                hi = mid
-            else:
-                lo = mid
-    edge = lo if want else hi
-    return edge, evidence, iterations
+    (c_lo, lo_check), (c_hi, hi_check) = lo, hi
+    if band is None:
+        return BestConstantResult(0.5 * (c_lo + c_hi), c_lo, c_hi, iterations,
+                                  lo_check.evidence, hi_check.evidence, tolerance=tol)
+    return BestConstantResult(c_lo, c_lo, c_hi, iterations, lo_check.evidence,
+                              hi_check.evidence, tolerance=tol, converged=False,
+                              band=(c_lo, c_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 
 Config files are INI-style structured text (configparser) with sections
 ``[potential]``, ``[domain]``, ``[solver]`` and ``[output]``.  ``[solver]``
-takes every ``SolverSettings`` field plus ``grid_n`` and ``r_min_rel``;
-``[output]`` takes only ``timestamp`` (true/false), since where a record
-goes and in what form are the CLI's ``--out`` and ``--format``.  Result records
-are emitted in the same syntax (a single ``[result]`` or ``[error]`` section)
-so that every record re-parses under the config machinery.  All numbers are
-written with 17 significant digits for cross-platform reproducibility.
+takes every ``SolverSettings`` field (``rtol``, ``atol``, ``r0``, ``s_max``,
+``bisect_tol``, ``boundary_grace``, ``tail_samples``, ``certificate_slack``)
+plus the FE grid keys ``grid_n`` and ``r_min_rel``, and rejects any other
+key with ``ConfigError``; ``[output]`` takes only ``timestamp``
+(true/false), since where a record goes and in what form are the CLI's
+``--out`` and ``--format``.  Result records are emitted in the same syntax (a
+single ``[result]`` or ``[error]`` section) so that every record re-parses
+under the config machinery.  All numbers are written with 17 significant
+digits for cross-platform reproducibility.
 """
 from __future__ import annotations
 
@@ -22,11 +25,10 @@ from .potentials import RadialPotential
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Numerical knobs shared by the shooting and bisection layers."""
+    """Numerical knobs shared by the shooting and best-constant layers."""
 
     rtol: float = 1e-10              # integrator relative tolerance
     atol: float = 1e-14              # integrator absolute tolerance
-    zero_width_rel: float = 1e-12    # zero bracket width, relative to R
     r0: Optional[float] = None       # inner start radius; None = automatic
     s_max: float = 1e6               # log-domain horizon
     bisect_tol: float = 1e-6         # relative bracket width for best_constant
@@ -84,6 +86,10 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [domain] R = {R} exceeds potential r_max = {potential.r_max}")
 
     sol = parser["solver"] if "solver" in parser else {}
+    unknown = sorted(set(sol) - {f.name for f in fields(SolverSettings)}
+                     - {"grid_n", "r_min_rel"})
+    if unknown:
+        raise ConfigError(f"{path}: [solver] unknown key(s): {', '.join(unknown)}")
     kwargs = {}
     for f in fields(SolverSettings):
         if f.name in sol:

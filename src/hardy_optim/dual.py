@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
@@ -85,13 +86,21 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
     """Infimum of v over (0, R]: exact for a table, whose log-log interpolant
     is monotone between nodes and beyond either end (so the infimum is a node
-    value, v(R), or 0 when v rises outward from the origin); the minimum over
-    4096 log-spaced radii in [1e-9 R, R] for the catalog kinds."""
+    value, v(R), or 0 when v rises outward from the origin).  For the catalog
+    kinds, the minimum over 4096 log-spaced radii in [1e-9 R, R], refined by
+    a bounded minimisation in ln r over the two sample cells around it: a
+    sampled minimum alone overstates the infimum of a non-monotone v (the X
+    family with m >= 2 dips inside the ball)."""
     if p_pot.kind is Kind.CUSTOM:
         log_r, log_v = p_pot.table_log_r, p_pot.table_log_v
         if log_v[1] > log_v[0]:
             return 0.0
         nodes = np.exp(log_v[log_r <= math.log(R)])
         return float(min(p_pot.value(R), nodes.min(initial=math.inf)))
-    radii = np.exp(np.linspace(math.log(1e-9 * R), math.log(R), 4096))
-    return float(np.min(p_pot.value(radii)))
+    t = np.linspace(math.log(1e-9 * R), math.log(R), 4096)
+    v = p_pot.value(np.exp(t))
+    k = int(np.argmin(v))
+    cells = (t[max(k - 1, 0)], t[min(k + 1, t.size - 1)])
+    refined = minimize_scalar(lambda x: p_pot.value(math.exp(x)), bounds=cells,
+                              method="bounded", options={"xatol": 1e-10})
+    return float(min(v[k], refined.fun))

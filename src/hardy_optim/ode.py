@@ -12,10 +12,10 @@ Radius-domain problems report their sweep as (r, y, dy/dr), log-domain
 problems as (s, z, dz/ds).
 
 The recessive (principal) solution at the singular endpoint r = 0 is
-initialized by a truncated series (``frobenius_init``); first sign changes
-are bracketed on the integrator's dense output and refined by bisection;
-overflow is handled by power-of-two rescaling, which a linear equation
-tolerates without moving any zero.
+initialized by a truncated series (``frobenius_init``); the first sign
+change ends a sweep at the integrator's terminal event, whose root solve_ivp
+refines on its dense output; overflow is handled by power-of-two rescaling,
+which a linear equation tolerates without moving any zero.
 
 For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
@@ -190,7 +190,7 @@ def frobenius_init(prob: HardyODEProblem,
 
 
 # ---------------------------------------------------------------------------
-# Chunked adaptive integration with rescaling and dense-output zero bisection
+# Chunked adaptive integration with rescaling and event-located zeros
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -203,15 +203,14 @@ class _RawRun:
 
 
 def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
-                       atol: float, zero_width: float,
-                       overflow_threshold: float) -> _RawRun:
+                       atol: float, overflow_threshold: float) -> _RawRun:
     """solve_ivp in chunks, restarting with a 2^-k rescale on overflow.
 
     The recorded trajectory is kept consistent: earlier samples are divided
     by each later rescale factor, so the final arrays are the true solution
     times a single overall power of two.  The first sign change of state[0]
-    is bracketed between accepted steps and bisected on the dense output to
-    the requested width.
+    ends the run at solve_ivp's terminal event, whose root is already
+    refined on the dense output.
     """
     def zero_event(t, y):
         return y[0]
@@ -243,8 +242,7 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
         chunks.append([sol.t[0], sol.t[-1], sol.sol, 1.0])
 
         if sol.t_events[0].size:  # sign change of the solution
-            # a terminal event ends sol.t, so the step before it brackets it
-            zero_t = _bisect_zero(sol.sol, sol.t[-2], float(sol.t_events[0][0]), zero_width)
+            zero_t = float(sol.t_events[0][0])
             break
         if sol.t_events[1].size:  # overflow: rescale and resume
             t_cur = float(sol.t_events[1][0])
@@ -281,25 +279,6 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
         raise DomainError(f"abscissa {t} outside the integrated range")
 
     return _RawRun(t_all, y_all, zero_t, rescales, dense)
-
-
-def _bisect_zero(dense, t_lo: float, t_hit: float, width: float) -> float:
-    """Bisect the dense output for the sign change in [t_lo, t_hit]."""
-    f_lo = dense(t_lo)[0]
-    f_hit = dense(t_hit)[0]
-    if f_lo == 0.0:
-        return t_lo
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hit) or f_hit == 0.0:
-        return t_hit  # crossing collapsed onto the event root
-    lo, hi = t_lo, t_hit
-    s_lo = math.copysign(1.0, f_lo)
-    while abs(hi - lo) > width:
-        mid = 0.5 * (lo + hi)
-        if math.copysign(1.0, dense(mid)[0]) == s_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +349,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
-    The trajectory ends at the bisected first zero, if any, and is sorted
+    The trajectory ends at the first zero, if any, and is sorted
     by s.  Without a zero, a sweep toward the outer edge (decreasing s) has
     covered its whole interval; a sweep outward has only reached its horizon.
     """
@@ -380,8 +359,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
         return (u[1], -c * lw(s) * u[0])
 
     run = _integrate_chunked(rhs, s_from, s_to, state0, rtol=settings.rtol,
-                             atol=settings.atol, zero_width=settings.zero_width_rel,
-                             overflow_threshold=_OVERFLOW_THRESHOLD)
+                             atol=settings.atol, overflow_threshold=_OVERFLOW_THRESHOLD)
     to_edge = s_to < s_from    # toward the outer edge r = R
     s, z, dz = run.t, run.y[0], run.y[1]
     if run.zero_t is None:

@@ -162,9 +162,12 @@ def test_shooting_margin_changes_sign_at_the_threshold(settings, constant_pot):
 
 
 def test_class_y_potential_collapses_to_zero(settings):
-    res = best_constant(RadialPotential.power_law(2.5), 1.0, tol=1e-6,
-                        settings=settings)
+    # a converged log-domain solve closes its bracket to the same width as
+    # the radius-domain root solve
+    p = RadialPotential.power_law(2.5)
+    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
     assert res.c_best <= 1e-5
+    _assert_certified_bracket(p, 1.0, res, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +235,30 @@ def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, se
     assert res.c_lo <= 0.25 / amplitude <= res.c_hi
     assert res.c_best == res.c_lo
     assert (res.c_hi - res.c_lo) * amplitude / 0.25 < 0.3
+    # both band edges re-verify as certified
+    assert feasible(p, res.c_lo, 1.0, settings).feasible
+    hi = feasible(p, res.c_hi, 1.0, settings)
+    assert not hi.feasible and hi.method == "oscillation-certificate"
+
+
+def test_contradicting_verdict_widens_the_band(monkeypatch, settings):
+    # a feasible verdict above an undecided multiplier contradicts Sturm
+    # monotonicity: it joins the band instead of moving the feasible end
+    # past it, which would probe the same multiplier forever
+    import hardy_optim.bestconst as bestconst_mod
+    calls = []
+
+    def fake_feasible(p, c, R, settings):
+        calls.append(c)
+        assert len(calls) < 200, "best_constant did not terminate"
+        if 0.25 <= c < 0.3:
+            raise IndeterminateAtHorizon(f"multiplier {c}", multiplier=c)
+        return bestconst_mod.FeasibilityCheck(c < 0.25 or 0.3 <= c < 0.35, None, "fake")
+
+    monkeypatch.setattr(bestconst_mod, "feasible", fake_feasible)
+    res = best_constant(RadialPotential.adimurthi_log(1), 1.0, tol=1e-6, settings=settings)
+    assert not res.converged and res.band == (res.c_lo, res.c_hi)
+    assert 0.25 - 1e-6 <= res.c_lo < 0.25 and 0.35 <= res.c_hi <= 0.35 + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from hardy_optim.cli import main
 from hardy_optim.config import SolverSettings, format_record, load_config, parse_record
+from hardy_optim.errors import ConfigError
 
 from conftest import Z0_SQ
 
@@ -222,6 +223,17 @@ def test_every_solver_setting_is_read_from_the_config(tmp_path):
         wanted[f.name] = type(default)(3 * default)
     run = load_config(_write_config(tmp_path, solver={k: repr(v) for k, v in wanted.items()}))
     assert {k: getattr(run.settings, k) for k in wanted} == wanted
+
+
+@pytest.mark.parametrize("key", ["bisect_tolerance", "zero_width_rel"])
+def test_unknown_solver_key_is_rejected(key, tmp_path, capsys):
+    # a misspelled setting, or one that no longer exists, was once parsed
+    # and then silently ignored
+    cfg = _write_config(tmp_path, solver={key: "1e-3"})
+    with pytest.raises(ConfigError, match=key):
+        load_config(cfg)
+    code, out = _run(capsys, "best-constant", "--config", cfg)
+    assert code == 1 and parse_record(out)["type"] == "ConfigError"
 
 
 def test_console_script_entry(tmp_path):

@@ -42,6 +42,16 @@ def test_essential_infimum_of_table_uses_the_extrapolation_limits():
     assert dual_lower_bound(falling, 1.0, 2.0, 3, 0.5).bound == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_essential_infimum_of_x_family_is_not_overstated(m):
+    # v dips inside the ball for m >= 2; the 4096-point sampled minimum alone
+    # lay 4.7e-8 (m = 2) and 7.0e-7 (m = 3) above the infimum
+    p = RadialPotential.filippas_tertikas(m)
+    fine = float(np.min(p.value(np.exp(np.linspace(-1.0, 0.0, 400_001)))))
+    bound = dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound
+    assert fine - 1e-9 <= bound <= fine + 1e-12
+
+
 def test_power_law_analytic_value():
     # q = 1: norm = 4 pi int_0^1 r * r^2 dr = pi, so the bound is 1/pi
     b = dual_lower_bound(RadialPotential.power_law(1.0), 1.0, 1.0, 3, 1.0)

@@ -97,12 +97,12 @@ def test_trajectory_positive_before_zero(settings):
 
 
 def test_zero_bracket_tightness(settings):
-    # the refined zero sits within the bisection width of the true crossing:
-    # the solution is still positive one width below it and essentially zero
+    # the refined zero sits within 1e-12 R of the true crossing: the
+    # solution is still positive one width below it and essentially zero
     # at it (the dense range ends at the event, so probe from the left)
     p = RadialPotential.constant(1.0, r_max=10.0)
     out = integrate(radius_problem(p, 1.0, 10.0), settings)
-    width = settings.zero_width_rel * 10.0
+    width = 1e-12 * 10.0
     assert out.dense(out.first_zero - 5 * width)[0] > 0.0
     slope = abs(out.dense(out.first_zero)[1])
     assert abs(out.dense(out.first_zero)[0]) <= 10 * width * slope
@@ -330,9 +330,9 @@ def test_rescaling_triggers_and_preserves_zeros():
     # how often the state is rescaled
     rhs = lambda t, u: (u[1], -u[0])
     clean = _integrate_chunked(rhs, 0.0, 10.0, (1.0, 0.0), rtol=1e-12, atol=1e-14,
-                               zero_width=1e-13, overflow_threshold=1e250)
+                               overflow_threshold=1e250)
     forced = _integrate_chunked(rhs, 0.0, 10.0, (1.0, 0.0), rtol=1e-12, atol=1e-14,
-                                zero_width=1e-13, overflow_threshold=1.2)
+                                overflow_threshold=1.2)
     assert clean.rescale_count == 0
     assert forced.rescale_count >= 1
     assert forced.zero_t == pytest.approx(clean.zero_t, abs=1e-12)
@@ -343,7 +343,7 @@ def test_rescaling_on_growth():
     # y'' = y with y = cosh t overflows any fixed threshold and is rescaled
     rhs = lambda t, u: (u[1], u[0])
     run = _integrate_chunked(rhs, 0.0, 40.0, (1.0, 0.0), rtol=1e-10, atol=1e-12,
-                             zero_width=1e-12, overflow_threshold=1e3)
+                             overflow_threshold=1e3)
     assert run.rescale_count >= 4
     assert run.zero_t is None and run.t[-1] == pytest.approx(40.0)
 
@@ -358,6 +358,5 @@ def test_step_size_underflow_mapping(monkeypatch):
     monkeypatch.setattr(ode_mod, "solve_ivp", lambda *a, **k: _Stalled())
     with pytest.raises(StepSizeUnderflow) as err:
         _integrate_chunked(lambda t, u: (u[1], -u[0]), 0.0, 1.0, (1.0, 0.0),
-                           rtol=1e-10, atol=1e-12, zero_width=1e-12,
-                           overflow_threshold=1e250)
+                           rtol=1e-10, atol=1e-12, overflow_threshold=1e250)
     assert err.value.last_abscissa == 0.5
