@@ -16,12 +16,12 @@ solution on (0, R).  Numerically:
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
 certified bracket whichever domain decides each probe, and one loop finds
-it for both: a bracket started at the leading-order Bessel level (or at 1),
-expanded by factors of 2 and closed by an Illinois root solve of the signed
-shooting margin (radius domain) or by bisection (log domain, which has no
-margin).  An indeterminate band around the threshold has each certified
-edge bisected toward it and is reported, and ``c_best`` is then the largest
-certified-feasible multiplier.
+it for both: in the log domain from the band edges that one sample of the
+coefficient predicts, else from a bracket started at the leading-order
+Bessel level (or at 1), expanded by factors of 2 and closed by an Illinois
+root solve of the signed shooting margin.  An indeterminate band around
+the threshold is reported with its certified edges, and ``c_best`` is then
+the largest certified-feasible multiplier.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .config import SolverSettings
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from .ode import (ShootingOutcome, Status, euler_tail_certificate, integrate,
                   integrate_principal_tail, log_problem, radius_problem,
-                  wants_log_domain)
+                  tail_edges, wants_log_domain)
 from .potentials import RadialPotential
 
 _DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
@@ -45,7 +45,7 @@ class FeasibilityCheck:
     feasible: bool
     evidence: ShootingOutcome
     method: str          # "recessive-shot" | "principal-tail" | "oscillation-certificate"
-    margin: Optional[float] = None    # radius domain: signed shooting margin, see _margin
+    margin: Optional[float] = None    # signed shooting margin, see _margin / _tail_margin
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,14 @@ def _margin(out: ShootingOutcome, R: float) -> float:
     return float(r * out.trajectory["dy"][-1] * math.log(R / r))
 
 
+def _tail_margin(out: ShootingOutcome, R: float) -> float:
+    """_margin of a principal-tail sweep, z at the outer edge or -z'(s*) ln(R / r*),
+    divided by max |z| since the sweep has no scale of its own."""
+    z, dz = out.trajectory["z"], out.trajectory["dz"]
+    edge = z[0] if out.first_zero is None else -dz[0] * math.log(R / out.first_zero)
+    return float(edge / abs(z).max())
+
+
 def feasible(p: RadialPotential, c: float, R: float,
              settings: SolverSettings = SolverSettings()) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R."""
@@ -97,7 +105,7 @@ def feasible(p: RadialPotential, c: float, R: float,
         out = integrate_principal_tail(prob, cert, settings)
         interior_zero = out.status is Status.ZERO_FOUND and \
             out.first_zero < R * (1.0 - settings.boundary_grace)
-        return FeasibilityCheck(not interior_zero, out, "principal-tail")
+        return FeasibilityCheck(not interior_zero, out, "principal-tail", _tail_margin(out, R))
     # oscillatory tail: infeasible; run the outer-edge shot for trajectory evidence
     out = replace(integrate(prob, settings), certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
@@ -107,21 +115,21 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   settings: SolverSettings = SolverSettings()) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    One loop for both domains.  The bracket starts at the leading-order
-    Bessel level (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)) for non-critical
-    potentials with a finite positive singular amplitude A (exact for
-    constants and power laws), else at c = 1.  It expands by factors of 2,
-    up from a feasible or undecided start and down from an infeasible one,
-    until one end is certified infeasible and the other feasible (or an
-    indeterminate band is met, or [0, c] is already narrow).  It is then
-    closed to width tol * max(1, c) / 2: by an Illinois root solve of the
-    signed shooting margin where the domain has one, by bisection where it
-    does not.
-
-    A multiplier left indeterminate at the horizon opens a band; the
-    certified edges on either side of it are then bisected instead,
-    ``converged`` is False, the band is reported, and c_best is the largest
-    certified-feasible multiplier.
+    In the log domain both Euler certificates are linear in c, so the band
+    edges c_non < c_osc come from one sample of the coefficient
+    (``tail_edges``).  When both are finite and positive the loop probes
+    c_non, c_non + delta, c_osc - delta and c_osc, delta = tol * max(1, c)
+    / 4, whose inner two are undecided by construction.  Otherwise, or after
+    a probe that contradicts the prediction, it searches: from the
+    leading-order Bessel level (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)) when
+    sigma < 2 and the singular amplitude A is finite and positive (exact for
+    constants and power laws), else from c = 1, it expands by factors of 2
+    until one end is certified infeasible and the other feasible (or a band
+    is met, or [0, c] is already narrow), and closes the bracket to width
+    tol * max(1, c) / 2 by an Illinois root solve of the signed shooting
+    margin (a bisection where an end has none).  Around an indeterminate
+    band the certified edges are bisected toward it instead; ``converged``
+    is then False and c_best is the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
@@ -132,7 +140,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     iterations = 0
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
     # Illinois weights: the ends' margins clipped to their side; 0 without a
-    # margin (log domain), which turns the Illinois step into a bisection
+    # margin, which turns the Illinois step into a bisection
     fa = fb = 0.0
 
     def probe(c):
@@ -161,22 +169,28 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    amp = 0.0 if wants_log_domain(p) else p.singular_amplitude(R)
-    if 0.0 < amp < math.inf:
-        two_minus = 2.0 - p.sigma
-        c = (bessel_j0_first_zero() * two_minus / 2.0) ** 2 / (amp * R ** two_minus)
-        c = min(c, _DOUBLING_CAP)
-    else:
-        c = 1.0
-    while True:
-        settle(c, probe(c))
-        if hi is not None and (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
+    edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max), settings) \
+        if wants_log_domain(p) else []
+    c_non = max((e.c_non for e in edges), default=0.0)
+    c_osc = min((e.c_osc for e in edges), default=math.inf)
+    inside = (c_non + 0.25 * tol * max(1.0, c_non), c_osc - 0.25 * tol * max(1.0, c_osc))
+    plan = [(c_non, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
+    # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
+    if not 0.0 < c_non < inside[0] < inside[1] < c_osc < math.inf:
+        amp, two_minus = (p.singular_amplitude(R) if p.sigma < 2.0 else 0.0), 2.0 - p.sigma
+        c = (bessel_j0_first_zero() * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
+            if 0.0 < amp < math.inf else 1.0
+        plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
+    for c, side in plan:
+        if settle(c, probe(c)) != side:
             break
+    while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
         c *= 2.0 if hi is None else 0.5
         if c > _DOUBLING_CAP:
             raise NoUpperBracket(
                 f"no infeasible multiplier up to {_DOUBLING_CAP:g}; "
                 "best constant is unbounded", last_multiplier=c / 2.0)
+        settle(c, probe(c))
 
     # The margin decides where the next multiplier goes; the verdict decides
     # which end it replaces, so both ends stay certified.  Each iterate is

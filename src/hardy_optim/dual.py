@@ -86,17 +86,20 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
     """Infimum of v over (0, R]: exact for a table, whose log-log interpolant
     is monotone between nodes and beyond either end (so the infimum is a node
-    value, v(R), or 0 when v rises outward from the origin).  For the catalog
-    kinds, the minimum over 4096 log-spaced radii in [1e-9 R, R], refined by
-    a bounded minimisation in ln r over the two sample cells around it: a
-    sampled minimum alone overstates the infimum of a non-monotone v (the X
-    family with m >= 2 dips inside the ball)."""
+    value, v(R), or 0 when v rises outward from the origin, as it does for the
+    catalog kinds with sigma < 0).  For the other catalog kinds, the minimum
+    over 4096 log-spaced radii in [1e-9 R, R], refined by a bounded
+    minimisation in ln r over the two sample cells around it: a sampled
+    minimum alone overstates the infimum of a non-monotone v (the X family
+    with m >= 2 dips inside the ball)."""
     if p_pot.kind is Kind.CUSTOM:
         log_r, log_v = p_pot.table_log_r, p_pot.table_log_v
         if log_v[1] > log_v[0]:
             return 0.0
         nodes = np.exp(log_v[log_r <= math.log(R)])
         return float(min(p_pot.value(R), nodes.min(initial=math.inf)))
+    if p_pot.sigma < 0.0:
+        return 0.0
     t = np.linspace(math.log(1e-9 * R), math.log(R), 4096)
     v = p_pot.value(np.exp(t))
     k = int(np.argmin(v))

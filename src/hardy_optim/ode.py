@@ -21,7 +21,8 @@ For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
 certificates: oscillation whenever a(s) >= g/(s-s0)^2 with g > 1/4 over a
 window long enough to contain an Euler half-oscillation, non-oscillation
-whenever a(s) <= (1/4)/(s-s0)^2 on the sampled tail.
+whenever a(s) <= (1/4)/(s-s0)^2 on the sampled tail.  Both are linear in
+the multiplier, so one sample of a(s) gives their multiplier edges.
 """
 from __future__ import annotations
 
@@ -319,11 +320,12 @@ def integrate_recessive_log(prob: HardyODEProblem,
 
 def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate,
                              settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
-    """Integrate the principal-at-infinity branch down from the horizon.
+    """Integrate the principal-at-infinity branch down from the end of the
+    certified window (the horizon, or 1e150 beyond it, see ``tail_edges``).
 
     Requires a non-oscillatory tail certificate; the branch is seeded with
     the decaying Euler exponent mu = (1 - sqrt(1 - 4 gamma))/2 through
-    z'/z = mu/(s_max - shift), then swept backward to the outer edge.  Its
+    z'/z = mu/(s_top - shift), then swept backward to the outer edge.  Its
     positivity decides whether a positive solution exists on the whole
     interval (the principal branch is minimal, so it vanishes first).
     """
@@ -333,8 +335,9 @@ def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate
         raise DomainError("principal tail integration needs a non-oscillatory certificate")
     gamma = min(certificate.gamma, 0.25)
     mu = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * gamma)))
-    state0 = (1.0, mu / (prob.s_max - certificate.shift))
-    return _sweep(prob, prob.s_max, -math.log(prob.R), state0, settings, certificate)
+    s_top = certificate.window[1]
+    state0 = (1.0, mu / (s_top - certificate.shift))
+    return _sweep(prob, s_top, -math.log(prob.R), state0, settings, certificate)
 
 
 def _recessive_start(prob: HardyODEProblem, settings: SolverSettings):
@@ -399,82 +402,81 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
 # Euler-comparison tail certificates
 # ---------------------------------------------------------------------------
 
-def euler_tail_certificate(prob: HardyODEProblem,
-                           settings: SolverSettings = SolverSettings()
-                           ) -> Optional[TailCertificate]:
-    """Classify the coefficient tail by shifted-Euler comparison.
+@dataclass(frozen=True)
+class TailEdges:
+    """Both multiplier edges of one shifted-Euler comparison: every
+    c <= c_non is certified non-oscillatory, every c >= c_osc oscillatory
+    (0 and inf when there is none), by the certificate at c = 1 with its
+    gamma scaled by c."""
 
-    Fits 1/sqrt(a(s)) ~ (s - s0)/sqrt(g) on the tail (exact for every
-    potential in the borderline catalog), then checks
+    c_non: float
+    unit_non: Optional[TailCertificate]
+    c_osc: float
+    unit_osc: Optional[TailCertificate]
 
-      * g_max = max a(s)(s-s0)^2 <= 1/4 (+slack)     -> non-oscillatory;
-      * some window [s1, s2] with a(s)(s-s0)^2 > 1/4
-        and ln((s2-s0)/(s1-s0)) >= pi/sqrt(g_lo-1/4) -> oscillatory
-        (the window then contains a half-oscillation of a minorant Euler
-        solution, so every solution vanishes inside it);
-      * neither                                      -> None.
-    """
+
+def tail_edges(prob: HardyODEProblem,
+               settings: SolverSettings = SolverSettings()) -> list[TailEdges]:
+    """The edges of every candidate shift s0 (a line fitted to 1/sqrt(g), and
+    the potential's hint) from one sample of the unit-multiplier coefficient
+    g(s) = r^2 v(r), r = e^-s, on a tail grid that stops at 1e150, where
+    (s - s0)^2 nears overflow and an inverse-square g underflows.  With
+    gamma = g (s - s0)^2: c_non = (1/4)(1 + slack) / max gamma from the last
+    decade on, unless gamma rises at the horizon; c_osc = min over windows
+    [s1, s2] of (1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2) / min gamma there,
+    as the window then holds a half-oscillation of a minorant Euler solution,
+    so every solution vanishes inside it."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     s_start = -math.log(prob.R) + 1e-9
-    s_max = prob.s_max
-    if prob.c == 0.0:
-        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, s_max))
-    grid = _tail_grid(s_start, s_max, settings.tail_samples)
-    # saturate instead of overflowing: certificates only compare magnitudes
-    with np.errstate(over="ignore"):
-        a = np.clip(prob.coefficient(grid), 0.0, 1e250)
-    if np.all(a <= 0.0):
-        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, s_max))
-
-    shifts = _candidate_shifts(grid, a, s_start)
+    grid = _tail_grid(s_start, min(prob.s_max, 1e150), settings.tail_samples)
+    g = prob.potential.log_weight(grid)
+    shifts = _candidate_shifts(grid, g, s_start)
     hint = prob.potential.euler_shift_hint()
     if hint is not None:
         shifts.insert(0, hint)
-    slack = settings.certificate_slack
-    best_nonosc = None
+    edges = []
     for s0 in shifts:
-        sub, gamma = _shifted_gamma(grid, a, s0)
-        if sub is None:
+        mask = grid > s0 + 1e-9 * max(1.0, abs(s0))
+        if mask.sum() < 16:
             continue
+        s = grid[mask]
+        with np.errstate(over="ignore"):
+            gamma = g[mask] * (s - s0) ** 2
         # the bound only has to hold on a tail: the principal sweep checks
         # positivity across any pre-asymptotic hump itself
-        suffix_max = np.maximum.accumulate(gamma[::-1])[::-1]
-        below = np.flatnonzero(suffix_max <= 0.25 * (1.0 + slack))
-        if below.size == 0:
-            continue
-        start = int(below[0])
-        if sub[start] > sub[-1] / 10.0:
-            continue  # too little tail left to trust the comparison
-        gmax = float(suffix_max[start])
-        if _tail_trend_ok(sub, gamma):
-            cert = TailCertificate("nonoscillatory", gmax, s0,
-                                   (float(sub[start]), float(sub[-1])))
-            if best_nonosc is None or cert.gamma < best_nonosc.gamma:
-                best_nonosc = cert
-    if best_nonosc is not None:
-        return best_nonosc
-
-    for s0 in shifts:
-        sub, gamma = _shifted_gamma(grid, a, s0)
-        if sub is None:
-            continue
-        cert = _oscillation_window(sub, gamma, s0)
-        if cert is not None:
-            return cert
-    return None
+        decade = np.flatnonzero(s <= s[-1] / 10.0)
+        c_non, unit_non = 0.0, None
+        if decade.size and _tail_trend_ok(s, gamma):
+            top = float(np.max(gamma[decade[-1]:]))
+            c_non = 0.25 * (1.0 + settings.certificate_slack) / top if top > 0.0 else math.inf
+            unit_non = TailCertificate("nonoscillatory", top, s0,
+                                       (float(s[decade[-1]]), float(s[-1])))
+        # a saturated sample still bounds gamma from below
+        edges.append(TailEdges(c_non, unit_non,
+                               *_oscillation_edge(s, s0, np.minimum(gamma, 1e300))))
+    return edges
 
 
-def _shifted_gamma(grid: np.ndarray, a: np.ndarray, s0: float):
-    """gamma(s) = a(s)(s-s0)^2 on the part of the grid where the shifted
-    comparison is defined (s > s0); None when too little of it is."""
-    mask = grid > s0 + 1e-9 * max(1.0, abs(s0))
-    if mask.sum() < 16:
-        return None, None
-    sigma = grid[mask] - s0
-    with np.errstate(over="ignore"):
-        gamma = np.minimum(a[mask] * sigma ** 2, 1e300)
-    return grid[mask], gamma
+def euler_tail_certificate(prob: HardyODEProblem,
+                           settings: SolverSettings = SolverSettings()
+                           ) -> Optional[TailCertificate]:
+    """Classify the coefficient tail a(s) = c g(s) by comparing c with the
+    edges of ``tail_edges``: non-oscillatory if c <= c_non for some shift
+    (the one with the largest c_non), else oscillatory if c >= c_osc for
+    some shift, else None."""
+    if prob.domain is not Domain.LOG:
+        raise DomainError("tail certificates live in the log domain")
+    c = prob.c
+    if c == 0.0:
+        s_start = -math.log(prob.R) + 1e-9
+        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, prob.s_max))
+    edges = tail_edges(prob, settings)
+    best = max(edges, key=lambda e: e.c_non, default=None)
+    if best is not None and c <= best.c_non:
+        return replace(best.unit_non, gamma=c * best.unit_non.gamma)
+    return next((replace(e.unit_osc, gamma=c * e.unit_osc.gamma)
+                 for e in edges if c >= e.c_osc), None)
 
 
 def _tail_grid(s_start: float, s_max: float, n: int) -> np.ndarray:
@@ -487,13 +489,13 @@ def _tail_grid(s_start: float, s_max: float, n: int) -> np.ndarray:
     return np.unique(np.concatenate([head, body]))
 
 
-def _candidate_shifts(grid: np.ndarray, a: np.ndarray, s_start: float) -> list[float]:
-    """Shift candidates: least-squares line through 1/sqrt(a) on the last
+def _candidate_shifts(grid: np.ndarray, g: np.ndarray, s_start: float) -> list[float]:
+    """Shift candidates: least-squares line through 1/sqrt(g) on the last
     decades (exact for shifted-Euler tails), plus simple fallbacks."""
     shifts = [0.0] if s_start > 0.0 else [s_start - 1.0]
-    mask = (grid >= grid[-1] / 100.0) & (a > 0.0)
+    mask = (grid >= grid[-1] / 100.0) & (g > 0.0)
     if mask.sum() >= 8:
-        q = 1.0 / np.sqrt(a[mask])
+        q = 1.0 / np.sqrt(g[mask])
         slope, intercept = np.polyfit(grid[mask], q, 1)
         if slope > 0.0:
             s0 = -intercept / slope
@@ -512,26 +514,29 @@ def _tail_trend_ok(grid: np.ndarray, gamma: np.ndarray) -> bool:
     return float(np.max(gamma[last])) <= float(np.max(gamma[prev])) * (1.0 + 1e-9)
 
 
-def _oscillation_window(grid: np.ndarray, gamma: np.ndarray, s0: float
-                        ) -> Optional[TailCertificate]:
-    sigma = grid - s0
-    for threshold in np.geomspace(0.2501, max(float(np.max(gamma)), 0.2502), 48):
-        if threshold <= 0.25:
-            continue
-        mask = gamma >= threshold
-        if not np.any(mask):
-            continue
-        # maximal contiguous runs of the mask
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.view(np.int8), [0]])))
-        needed = math.pi / math.sqrt(threshold - 0.25)
-        for lo, hi in zip(edges[::2], edges[1::2] - 1):
-            if hi <= lo:
-                continue
-            length = math.log(sigma[hi] / sigma[lo])
-            if length >= needed:
-                return TailCertificate("oscillatory", float(threshold), s0,
-                                       (float(grid[lo]), float(grid[hi])))
-    return None
+def _oscillation_edge(s: np.ndarray, s0: float, gamma: np.ndarray
+                      ) -> tuple[float, Optional[TailCertificate]]:
+    """The least c with c min gamma >= 1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2
+    on a sample window [s1, s2], and its certificate at c = 1 ((inf, None) if
+    none), in O(n): each sample is taken as the window minimum and its window
+    extended to its nearest smaller neighbours (a monotone stack)."""
+    vals, n = gamma.tolist(), gamma.size
+    left, right, stack = [0] * n, [n - 1] * n, []
+    for k, v in enumerate(vals):
+        while stack and vals[stack[-1]] > v:
+            right[stack.pop()] = k - 1
+        left[k] = stack[-1] + 1 if stack else 0
+        stack.append(k)
+    lo, hi = np.array(left), np.array(right)
+    length = np.log((s[hi] - s0) / (s[lo] - s0))
+    with np.errstate(over="ignore", divide="ignore"):
+        need = np.where((length > 0.0) & (gamma > 0.0),
+                        (0.25 + (math.pi / length) ** 2) / gamma, math.inf)
+    k = int(np.argmin(need))
+    if need[k] == math.inf:
+        return math.inf, None
+    return float(need[k]), TailCertificate("oscillatory", float(gamma[k]), s0,
+                                           (float(s[lo[k]]), float(s[hi[k]])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -158,7 +160,25 @@ def test_shooting_margin_changes_sign_at_the_threshold(settings, constant_pot):
     assert not above.feasible and above.margin < 0.0
     # continuous across the zero reaching R: both sides are O(1e-3)
     assert below.margin - above.margin < 1e-2
-    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, settings).margin is None
+    # the principal tail has a margin too; an oscillation certificate has none
+    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, settings).margin > 0.0
+    assert feasible(RadialPotential.adimurthi_log(1), 0.35, 1.0, settings).margin is None
+
+
+@pytest.mark.parametrize("alpha", [1.9, 1.99])
+def test_principal_tail_margin_root_solves_log_domain(alpha, settings):
+    # a power law forced into the log domain is decided by the principal
+    # tail on both sides of c(V); the bisection took 23 probes on each
+    p = dataclasses.replace(RadialPotential.power_law(alpha), critical=True)
+    below = feasible(p, 0.9 * power_law_best_constant(alpha, 1.0), 1.0, settings)
+    above = feasible(p, 1.1 * power_law_best_constant(alpha, 1.0), 1.0, settings)
+    assert below.method == above.method == "principal-tail"
+    assert below.margin > 0.0 > above.margin
+    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    assert res.iterations <= 14
+    # within tol: the principal tail puts the zero of c(V) itself a hair inside R
+    assert res.c_lo - 1e-6 <= power_law_best_constant(alpha, 1.0) <= res.c_hi + 1e-6
+    _assert_certified_bracket(p, 1.0, res, settings)
 
 
 def test_class_y_potential_collapses_to_zero(settings):
@@ -232,13 +252,58 @@ def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, se
         feasible(p, 1.0, 1.0, settings)
     res = best_constant(p, 1.0, tol=1e-6, settings=settings)
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
-    assert res.c_lo <= 0.25 / amplitude <= res.c_hi
+    # the non-oscillatory certificate takes 1/4 with certificate_slack, so
+    # the m = 1 edge sits at (1/4)(1 + slack) / A
+    assert res.c_lo <= 0.25 * (1.0 + 2.0 * settings.certificate_slack) / amplitude <= res.c_hi
     assert res.c_best == res.c_lo
     assert (res.c_hi - res.c_lo) * amplitude / 0.25 < 0.3
     # both band edges re-verify as certified
     assert feasible(p, res.c_lo, 1.0, settings).feasible
     hi = feasible(p, res.c_hi, 1.0, settings)
     assert not hi.feasible and hi.method == "oscillation-certificate"
+
+
+# A * [c_lo, c_hi] of the bisection driver at A = 1: the predicted edges
+# may only lie inside these bands
+_BISECTED_BANDS = {
+    ("adimurthi_log", 1): (0.25, 0.30295), ("filippas_tertikas", 1): (0.25, 0.30295),
+    ("adimurthi_log", 2): (0.24855, 0.31351), ("filippas_tertikas", 2): (0.24874, 0.30234),
+    ("adimurthi_log", 3): (0.24833, 0.33174), ("filippas_tertikas", 3): (0.24865, 0.30125)}
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("amplitude", [0.05, 1.0, 20.0])
+def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, settings):
+    p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    assert res.iterations <= 6
+    assert not res.converged and res.band == (res.c_lo, res.c_hi)
+    lo, hi = feasible(p, res.c_lo, 1.0, settings), feasible(p, res.c_hi, 1.0, settings)
+    assert lo.feasible and lo.method == "principal-tail"
+    assert not hi.feasible and hi.method == "oscillation-certificate"
+    # the next multiplier inside either edge is undecided
+    for c in (np.nextafter(res.c_lo, math.inf), np.nextafter(res.c_hi, 0.0)):
+        with pytest.raises(IndeterminateAtHorizon):
+            feasible(p, float(c), 1.0, settings)
+    bisected_lo, bisected_hi = _BISECTED_BANDS[family, m]
+    assert bisected_lo <= amplitude * res.c_lo and amplitude * res.c_hi <= bisected_hi
+    if m == 1:
+        assert res.c_lo == pytest.approx(0.25 * (1.0 + settings.certificate_slack) / amplitude,
+                                         rel=1e-14)
+
+
+@pytest.mark.parametrize("s_max", [1e30, 1e300])
+def test_band_at_huge_horizons(s_max, settings):
+    # at s_max = 1e300 the shifted gamma once formed inf * 0 = nan, and the
+    # band came out as [0, 0.25010] with c_best = 0
+    p = RadialPotential.adimurthi_log(1)
+    at_1e6 = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = best_constant(p, 1.0, tol=1e-6, settings=SolverSettings(s_max=s_max))
+    assert res.c_lo == pytest.approx(0.25, abs=1e-6) and res.c_best == res.c_lo
+    assert res.c_lo < res.c_hi <= at_1e6.c_hi
 
 
 def test_contradicting_verdict_widens_the_band(monkeypatch, settings):

@@ -42,6 +42,14 @@ def test_essential_infimum_of_table_uses_the_extrapolation_limits():
     assert dual_lower_bound(falling, 1.0, 2.0, 3, 0.5).bound == pytest.approx(2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [-0.5, -3.0])
+def test_essential_infimum_of_power_law_vanishing_at_origin(alpha):
+    # r^(-alpha) -> 0 as r -> 0: the sampled minimum at 1e-9 R was 3.16e-5
+    # (alpha = -0.5) and 1e-27 (alpha = -3)
+    p = RadialPotential.power_law(alpha)
+    assert dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound == 0.0
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_essential_infimum_of_x_family_is_not_overstated(m):
     # v dips inside the ball for m >= 2; the 4096-point sampled minimum alone

@@ -10,7 +10,7 @@ from hardy_optim import (RadialPotential, ShootingOutcome, Status,
                          to_log_domain, to_radius_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
-from hardy_optim.ode import _integrate_chunked
+from hardy_optim.ode import _integrate_chunked, _oscillation_edge, tail_edges
 
 from conftest import Z0, power_law_zero
 
@@ -222,6 +222,51 @@ def test_certificate_band_shrinks_with_horizon(settings, adimurthi_1):
 
 def test_certificate_none_inside_band(settings, adimurthi_1):
     assert euler_tail_certificate(log_problem(adimurthi_1, 0.28, 1.0), settings) is None
+
+
+def _oscillation_edge_brute_force(sigma, gamma):
+    best = math.inf
+    for i in range(sigma.size):
+        for j in range(i + 1, sigma.size):
+            low, length = gamma[i:j + 1].min(), math.log(sigma[j] / sigma[i])
+            if low > 0.0 and length > 0.0:
+                best = min(best, (0.25 + (math.pi / length) ** 2) / low)
+    return best
+
+
+def test_oscillation_edge_matches_all_windows():
+    rng = np.random.default_rng(7)
+    for trial in range(100):
+        n = int(rng.integers(2, 40))
+        sigma = np.cumsum(rng.uniform(0.01, 3.0, n))
+        # ties and zeros exercise the stack's nearest-smaller rule
+        gamma = rng.choice([0.0, 0.3, 1.0, 2.0], n) if trial % 2 else rng.uniform(0.0, 2.0, n)
+        c_osc, unit = _oscillation_edge(sigma, 0.0, gamma)
+        assert c_osc == pytest.approx(_oscillation_edge_brute_force(sigma, gamma), rel=1e-14)
+        if unit is not None:
+            s1, s2 = unit.window
+            assert unit.gamma == gamma[(sigma >= s1) & (sigma <= s2)].min()
+            assert c_osc * unit.gamma == pytest.approx(
+                0.25 + (math.pi / math.log(s2 / s1)) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_tail_edges_decide_the_certificate(family, settings):
+    # the certificate is the comparison of the multiplier with the edges,
+    # exactly at them included
+    p = getattr(RadialPotential, family)(2)
+    edges = tail_edges(log_problem(p, 1.0, 1.0), settings)
+    c_non = max(e.c_non for e in edges)
+    c_osc = min(e.c_osc for e in edges)
+    assert 0.0 < c_non < 0.25 < c_osc < math.inf
+    certs = [euler_tail_certificate(log_problem(p, c, 1.0), settings)
+             for c in (c_non, np.nextafter(c_non, math.inf), np.nextafter(c_osc, 0.0), c_osc)]
+    assert certs[0].kind == "nonoscillatory" and certs[0].gamma <= 0.25 * (1.0 + 1e-9)
+    assert certs[1] is None and certs[2] is None
+    assert certs[3].kind == "oscillatory"
+    s1, s2 = certs[3].window
+    assert math.log((s2 - certs[3].shift) / (s1 - certs[3].shift)) >= \
+        (1.0 - 1e-12) * math.pi / math.sqrt(certs[3].gamma - 0.25)
 
 
 def test_principal_tail_positive_at_threshold(settings, adimurthi_1):
