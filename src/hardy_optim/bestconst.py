@@ -32,8 +32,8 @@ from typing import Optional
 from .bessel import bessel_j0_first_zero
 from .config import SolverSettings
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (ShootingOutcome, Status, euler_tail_certificate, integrate,
-                  integrate_principal_tail, log_problem, radius_problem,
+from .ode import (ShootingOutcome, Status, TailEdges, euler_tail_certificate,
+                  integrate, integrate_principal_tail, log_problem, radius_problem,
                   tail_edges, wants_log_domain)
 from .potentials import RadialPotential
 
@@ -99,7 +99,7 @@ def feasible(p: RadialPotential, c: float, R: float,
     cert = euler_tail_certificate(prob, settings)
     if cert is None:
         raise IndeterminateAtHorizon(
-            f"multiplier {c}: no Euler comparison certificate by s_max = {settings.s_max}",
+            f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
             multiplier=c)
     if cert.kind == "nonoscillatory":
         out = integrate_principal_tail(prob, cert, settings)
@@ -118,8 +118,8 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     In the log domain both Euler certificates are linear in c, so the band
     edges c_non < c_osc come from one sample of the coefficient
     (``tail_edges``).  When both are finite and positive the loop probes
-    c_non, c_non + delta, c_osc - delta and c_osc, delta = tol * max(1, c)
-    / 4, whose inner two are undecided by construction.  Otherwise, or after
+    c_non, c_non (1 + slack) + delta, c_osc - delta and c_osc, delta =
+    tol * max(1, c) / 4, whose inner two are undecided by construction.  Otherwise, or after
     a probe that contradicts the prediction, it searches: from the
     leading-order Bessel level (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)) when
     sigma < 2 and the singular amplitude A is finite and positive (exact for
@@ -170,10 +170,10 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
     edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max), settings) \
-        if wants_log_domain(p) else []
-    c_non = max((e.c_non for e in edges), default=0.0)
-    c_osc = min((e.c_osc for e in edges), default=math.inf)
-    inside = (c_non + 0.25 * tol * max(1.0, c_non), c_osc - 0.25 * tol * max(1.0, c_osc))
+        if wants_log_domain(p) else TailEdges(0.0, None, math.inf, None)
+    c_non, c_osc = edges.c_non, edges.c_osc
+    inside = (c_non * (1.0 + settings.certificate_slack) + 0.25 * tol * max(1.0, c_non),
+              c_osc - 0.25 * tol * max(1.0, c_osc))
     plan = [(c_non, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
     if not 0.0 < c_non < inside[0] < inside[1] < c_osc < math.inf:

@@ -30,7 +30,7 @@ class SolverSettings:
     rtol: float = 1e-10              # integrator relative tolerance
     atol: float = 1e-14              # integrator absolute tolerance
     r0: Optional[float] = None       # inner start radius; None = automatic
-    s_max: float = 1e6               # log-domain horizon
+    s_max: float = 1e6               # log-domain horizon, capped at 1e150
     bisect_tol: float = 1e-6         # relative bracket width for best_constant
     boundary_grace: float = 1e-9     # zeros within this of R count as boundary
     tail_samples: int = 512          # samples for the Euler-comparison fit

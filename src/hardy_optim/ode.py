@@ -41,6 +41,7 @@ from .potentials import RadialPotential
 
 _FROBENIUS_TARGET = 1e-8      # size of the truncated series correction at r0
 _OVERFLOW_THRESHOLD = 1e250   # |z| + |z'| at which a sweep rescales its state
+_HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
 
 
 class Domain(Enum):
@@ -63,7 +64,7 @@ class HardyODEProblem:
     R: float
     domain: Domain = Domain.RADIUS
     r0: Optional[float] = None      # inner start radius (radius domain); None = automatic
-    s_max: float = 1e6              # outer horizon (log domain)
+    s_max: float = 1e6              # outer horizon (log domain), at most _HORIZON_CAP
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -73,6 +74,7 @@ class HardyODEProblem:
                 f"R = {self.R} outside (0, r_max = {self.potential.r_max}]")
         if self.r0 is not None and not 0.0 < self.r0 < self.R:
             raise DomainError(f"r0 = {self.r0} must lie in (0, R)")
+        object.__setattr__(self, "s_max", min(self.s_max, _HORIZON_CAP))
 
     def coefficient(self, x):
         """Equation coefficient in this domain's variable: c*v(r) at radius x,
@@ -321,7 +323,7 @@ def integrate_recessive_log(prob: HardyODEProblem,
 def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate,
                              settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
     """Integrate the principal-at-infinity branch down from the end of the
-    certified window (the horizon, or 1e150 beyond it, see ``tail_edges``).
+    certified window (the horizon).
 
     Requires a non-oscillatory tail certificate; the branch is seeded with
     the decaying Euler exponent mu = (1 - sqrt(1 - 4 gamma))/2 through
@@ -404,10 +406,9 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
 
 @dataclass(frozen=True)
 class TailEdges:
-    """Both multiplier edges of one shifted-Euler comparison: every
-    c <= c_non is certified non-oscillatory, every c >= c_osc oscillatory
-    (0 and inf when there is none), by the certificate at c = 1 with its
-    gamma scaled by c."""
+    """Multiplier edges of the shifted-Euler comparisons: c <= c_non is
+    non-oscillatory (to within ``certificate_slack``), c >= c_osc oscillatory
+    (0, inf if none), by its certificate at c = 1 with gamma scaled by c."""
 
     c_non: float
     unit_non: Optional[TailCertificate]
@@ -416,26 +417,25 @@ class TailEdges:
 
 
 def tail_edges(prob: HardyODEProblem,
-               settings: SolverSettings = SolverSettings()) -> list[TailEdges]:
-    """The edges of every candidate shift s0 (a line fitted to 1/sqrt(g), and
-    the potential's hint) from one sample of the unit-multiplier coefficient
-    g(s) = r^2 v(r), r = e^-s, on a tail grid that stops at 1e150, where
-    (s - s0)^2 nears overflow and an inverse-square g underflows.  With
-    gamma = g (s - s0)^2: c_non = (1/4)(1 + slack) / max gamma from the last
-    decade on, unless gamma rises at the horizon; c_osc = min over windows
-    [s1, s2] of (1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2) / min gamma there,
-    as the window then holds a half-oscillation of a minorant Euler solution,
-    so every solution vanishes inside it."""
+               settings: SolverSettings = SolverSettings()) -> TailEdges:
+    """The largest c_non and the smallest c_osc over the candidate shifts s0
+    (a line fitted to 1/sqrt(g), and the potential's hint), from one sample
+    of the unit-multiplier coefficient g(s) = r^2 v(r), r = e^-s, on the tail
+    grid up to the horizon.  With gamma = g (s - s0)^2: c_non = (1/4) / max
+    gamma from the last decade on, unless gamma rises at the horizon; c_osc =
+    min over windows [s1, s2] of (1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2) /
+    min gamma there, as the window then holds a half-oscillation of a
+    minorant Euler solution, so every solution vanishes inside it."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     s_start = -math.log(prob.R) + 1e-9
-    grid = _tail_grid(s_start, min(prob.s_max, 1e150), settings.tail_samples)
+    grid = _tail_grid(s_start, prob.s_max, settings.tail_samples)
     g = prob.potential.log_weight(grid)
     shifts = _candidate_shifts(grid, g, s_start)
     hint = prob.potential.euler_shift_hint()
     if hint is not None:
         shifts.insert(0, hint)
-    edges = []
+    c_non, unit_non, c_osc, unit_osc = 0.0, None, math.inf, None
     for s0 in shifts:
         mask = grid > s0 + 1e-9 * max(1.0, abs(s0))
         if mask.sum() < 16:
@@ -446,25 +446,25 @@ def tail_edges(prob: HardyODEProblem,
         # the bound only has to hold on a tail: the principal sweep checks
         # positivity across any pre-asymptotic hump itself
         decade = np.flatnonzero(s <= s[-1] / 10.0)
-        c_non, unit_non = 0.0, None
         if decade.size and _tail_trend_ok(s, gamma):
             top = float(np.max(gamma[decade[-1]:]))
-            c_non = 0.25 * (1.0 + settings.certificate_slack) / top if top > 0.0 else math.inf
-            unit_non = TailCertificate("nonoscillatory", top, s0,
-                                       (float(s[decade[-1]]), float(s[-1])))
+            edge = 0.25 / top if top > 0.0 else math.inf
+            if edge > c_non:
+                c_non, unit_non = edge, TailCertificate(
+                    "nonoscillatory", top, s0, (float(s[decade[-1]]), float(s[-1])))
         # a saturated sample still bounds gamma from below
-        edges.append(TailEdges(c_non, unit_non,
-                               *_oscillation_edge(s, s0, np.minimum(gamma, 1e300))))
-    return edges
+        edge, unit = _oscillation_edge(s, s0, np.minimum(gamma, 1e300))
+        if edge < c_osc:
+            c_osc, unit_osc = edge, unit
+    return TailEdges(c_non, unit_non, c_osc, unit_osc)
 
 
 def euler_tail_certificate(prob: HardyODEProblem,
                            settings: SolverSettings = SolverSettings()
                            ) -> Optional[TailCertificate]:
     """Classify the coefficient tail a(s) = c g(s) by comparing c with the
-    edges of ``tail_edges``: non-oscillatory if c <= c_non for some shift
-    (the one with the largest c_non), else oscillatory if c >= c_osc for
-    some shift, else None."""
+    edges of ``tail_edges``: non-oscillatory if c <= c_non (1 + slack), else
+    oscillatory if c >= c_osc, else None."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c = prob.c
@@ -472,11 +472,11 @@ def euler_tail_certificate(prob: HardyODEProblem,
         s_start = -math.log(prob.R) + 1e-9
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, prob.s_max))
     edges = tail_edges(prob, settings)
-    best = max(edges, key=lambda e: e.c_non, default=None)
-    if best is not None and c <= best.c_non:
-        return replace(best.unit_non, gamma=c * best.unit_non.gamma)
-    return next((replace(e.unit_osc, gamma=c * e.unit_osc.gamma)
-                 for e in edges if c >= e.c_osc), None)
+    if c <= edges.c_non * (1.0 + settings.certificate_slack):
+        return replace(edges.unit_non, gamma=c * edges.unit_non.gamma)
+    if c >= edges.c_osc:
+        return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma)
+    return None
 
 
 def _tail_grid(s_start: float, s_max: float, n: int) -> np.ndarray:

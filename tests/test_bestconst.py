@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from hardy_optim import (RadialPotential, SolverSettings, Status, best_constant,
                          bessel_j0, bessel_j0_first_zero, brezis_vazquez_lambda,
-                         equal_volume_radius, feasible, integrate, radius_problem,
-                         unit_ball_volume)
+                         equal_volume_radius, feasible, integrate, log_problem,
+                         radius_problem, unit_ball_volume)
 from hardy_optim.errors import (DomainError, IndeterminateAtHorizon, NoUpperBracket,
                                 UnsupportedSingularity)
 
@@ -252,9 +253,7 @@ def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, se
         feasible(p, 1.0, 1.0, settings)
     res = best_constant(p, 1.0, tol=1e-6, settings=settings)
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
-    # the non-oscillatory certificate takes 1/4 with certificate_slack, so
-    # the m = 1 edge sits at (1/4)(1 + slack) / A
-    assert res.c_lo <= 0.25 * (1.0 + 2.0 * settings.certificate_slack) / amplitude <= res.c_hi
+    assert res.c_lo <= 0.25 / amplitude <= res.c_hi
     assert res.c_best == res.c_lo
     assert (res.c_hi - res.c_lo) * amplitude / 0.25 < 0.3
     # both band edges re-verify as certified
@@ -282,22 +281,31 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, sett
     lo, hi = feasible(p, res.c_lo, 1.0, settings), feasible(p, res.c_hi, 1.0, settings)
     assert lo.feasible and lo.method == "principal-tail"
     assert not hi.feasible and hi.method == "oscillation-certificate"
-    # the next multiplier inside either edge is undecided
-    for c in (np.nextafter(res.c_lo, math.inf), np.nextafter(res.c_hi, 0.0)):
+    # the next multiplier beyond either certified extreme is undecided; the
+    # non-oscillatory certificate reaches certificate_slack above c_lo
+    for c in (np.nextafter(res.c_lo * (1.0 + settings.certificate_slack), math.inf),
+              np.nextafter(res.c_hi, 0.0)):
         with pytest.raises(IndeterminateAtHorizon):
             feasible(p, float(c), 1.0, settings)
+    # c(V) = 1/(4A) stays in the band; for m = 1 the lower edge is c(V) up to
+    # the rounding of max gamma, which the bisected 0.25 did not have
+    assert res.c_lo <= 0.25 / amplitude <= res.c_hi
     bisected_lo, bisected_hi = _BISECTED_BANDS[family, m]
-    assert bisected_lo <= amplitude * res.c_lo and amplitude * res.c_hi <= bisected_hi
     if m == 1:
-        assert res.c_lo == pytest.approx(0.25 * (1.0 + settings.certificate_slack) / amplitude,
-                                         rel=1e-14)
+        assert res.c_lo == pytest.approx(0.25 / amplitude, rel=1e-14)
+    else:
+        assert bisected_lo <= amplitude * res.c_lo
+    assert amplitude * res.c_hi <= bisected_hi
 
 
 @pytest.mark.parametrize("s_max", [1e30, 1e300])
 def test_band_at_huge_horizons(s_max, settings):
     # at s_max = 1e300 the shifted gamma once formed inf * 0 = nan, and the
-    # band came out as [0, 0.25010] with c_best = 0
+    # band came out as [0, 0.25010] with c_best = 0; horizons now stop at 1e150
     p = RadialPotential.adimurthi_log(1)
+    assert log_problem(p, 0.25, 1.0, s_max=s_max).s_max == min(s_max, 1e150)
+    with pytest.raises(IndeterminateAtHorizon, match=re.escape(f"s_max = {min(s_max, 1e150)}")):
+        feasible(p, 0.25005, 1.0, SolverSettings(s_max=s_max))
     at_1e6 = best_constant(p, 1.0, tol=1e-6, settings=settings)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -253,15 +253,17 @@ def test_oscillation_edge_matches_all_windows():
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_tail_edges_decide_the_certificate(family, settings):
     # the certificate is the comparison of the multiplier with the edges,
-    # exactly at them included
+    # exactly at them included; the non-oscillatory one takes the slack
     p = getattr(RadialPotential, family)(2)
     edges = tail_edges(log_problem(p, 1.0, 1.0), settings)
-    c_non = max(e.c_non for e in edges)
-    c_osc = min(e.c_osc for e in edges)
+    c_non, c_osc = edges.c_non, edges.c_osc
     assert 0.0 < c_non < 0.25 < c_osc < math.inf
+    assert c_non == 0.25 / edges.unit_non.gamma
+    c_top = c_non * (1.0 + settings.certificate_slack)
     certs = [euler_tail_certificate(log_problem(p, c, 1.0), settings)
-             for c in (c_non, np.nextafter(c_non, math.inf), np.nextafter(c_osc, 0.0), c_osc)]
-    assert certs[0].kind == "nonoscillatory" and certs[0].gamma <= 0.25 * (1.0 + 1e-9)
+             for c in (c_top, np.nextafter(c_top, math.inf), np.nextafter(c_osc, 0.0), c_osc)]
+    assert certs[0].kind == "nonoscillatory"
+    assert certs[0].gamma <= 0.25 * (1.0 + 2.0 * settings.certificate_slack)
     assert certs[1] is None and certs[2] is None
     assert certs[3].kind == "oscillatory"
     s1, s2 = certs[3].window
