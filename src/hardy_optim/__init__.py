@@ -10,10 +10,9 @@ from .bestconst import (BestConstantResult, FeasibilityCheck, best_constant,
 from .config import RunConfig, SolverSettings, load_config
 from .dual import DualBound, dual_lower_bound
 from .ode import (Domain, HardyODEProblem, ShootingOutcome, Status, TailCertificate,
-                  TailEdges, euler_tail_certificate, frobenius_init, integrate,
-                  integrate_principal_tail, integrate_recessive_log, log_problem,
-                  radius_problem, residual, riccati_check, tail_edges, to_log_domain,
-                  to_radius_domain)
+                  TailEdges, euler_tail_certificate, integrate, integrate_principal_tail,
+                  integrate_recessive_log, log_problem, radius_problem, residual,
+                  riccati_check, tail_edges, to_log_domain, to_radius_domain)
 from .oracle import (EigenResult, GridMapping, GridSpec, LambdaLimitResult,
                      PoincareResult, SmoothFn, hardy_quotient, lambda_limit,
                      poincare_check, reduced_rayleigh_min, weighted_eigen)

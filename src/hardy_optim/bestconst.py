@@ -4,7 +4,9 @@ A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  Numerically:
 
   * non-critical potentials (sigma < 2): shoot the recessive solution from
-    the singular endpoint; feasibility <=> no interior zero.  A zero within
+    the singular endpoint, exactly J0 on the inner cell of a constant, a
+    power law or a table, carried cell by cell by exact transfer matrices;
+    feasibility <=> no interior zero.  A zero within
     ``boundary_grace`` of R counts as the boundary case (the J0 profile
     vanishes exactly at R at the optimal constant and is still positive on
     the open interval);
@@ -84,8 +86,10 @@ def _tail_margin(out: ShootingOutcome, R: float) -> float:
 
 
 def feasible(p: RadialPotential, c: float, R: float,
-             settings: SolverSettings = SolverSettings()) -> FeasibilityCheck:
-    """Decide feasibility of multiplier c on the ball of radius R."""
+             settings: SolverSettings = SolverSettings(),
+             edges: Optional[TailEdges] = None) -> FeasibilityCheck:
+    """Decide feasibility of multiplier c on the ball of radius R.  ``edges``
+    are the log domain's ``tail_edges`` on this ball, if already sampled."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not wants_log_domain(p):
@@ -96,7 +100,7 @@ def feasible(p: RadialPotential, c: float, R: float,
         return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
 
     prob = log_problem(p, c, R, s_max=settings.s_max)
-    cert = euler_tail_certificate(prob, settings)
+    cert = euler_tail_certificate(prob, settings, edges=edges)
     if cert is None:
         raise IndeterminateAtHorizon(
             f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
@@ -138,6 +142,8 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     iterations = 0
+    edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max), settings) \
+        if wants_log_domain(p) else None
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
     # Illinois weights: the ends' margins clipped to their side; 0 without a
     # margin, which turns the Illinois step into a bisection
@@ -147,7 +153,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         nonlocal iterations
         iterations += 1
         try:
-            return feasible(p, c, R, settings)
+            return feasible(p, c, R, settings, edges=edges)
         except IndeterminateAtHorizon:
             return None
 
@@ -169,9 +175,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max), settings) \
-        if wants_log_domain(p) else TailEdges(0.0, None, math.inf, None)
-    c_non, c_osc = edges.c_non, edges.c_osc
+    c_non, c_osc = (edges.c_non, edges.c_osc) if edges is not None else (0.0, math.inf)
     inside = (c_non * (1.0 + settings.certificate_slack) + 0.25 * tol * max(1.0, c_non),
               c_osc - 0.25 * tol * max(1.0, c_osc))
     plan = [(c_non, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]

@@ -2,7 +2,7 @@
 
 Config files are INI-style structured text (configparser) with sections
 ``[potential]``, ``[domain]``, ``[solver]`` and ``[output]``.  ``[solver]``
-takes every ``SolverSettings`` field (``rtol``, ``atol``, ``r0``, ``s_max``,
+takes every ``SolverSettings`` field (``rtol``, ``atol``, ``s_max``,
 ``bisect_tol``, ``boundary_grace``, ``tail_samples``, ``certificate_slack``)
 plus the FE grid keys ``grid_n`` and ``r_min_rel``, and rejects any other
 key with ``ConfigError``; ``[output]`` takes only ``timestamp``
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -27,9 +26,8 @@ from .potentials import RadialPotential
 class SolverSettings:
     """Numerical knobs shared by the shooting and best-constant layers."""
 
-    rtol: float = 1e-10              # integrator relative tolerance
-    atol: float = 1e-14              # integrator absolute tolerance
-    r0: Optional[float] = None       # inner start radius; None = automatic
+    rtol: float = 1e-10              # integrator relative tolerance (log families)
+    atol: float = 1e-14              # integrator absolute tolerance (log families)
     s_max: float = 1e6               # log-domain horizon, capped at 1e150
     bisect_tol: float = 1e-6         # relative bracket width for best_constant
     boundary_grace: float = 1e-9     # zeros within this of R count as boundary
@@ -39,8 +37,6 @@ class SolverSettings:
     def validated(self) -> "SolverSettings":
         for f in fields(self):
             val = getattr(self, f.name)
-            if f.name in ("r0",) and val is None:
-                continue
             if isinstance(val, (int, float)) and not val > 0:
                 raise ConfigError(f"solver setting {f.name} must be positive, got {val}")
         return self
@@ -93,9 +89,8 @@ def load_config(path: str) -> RunConfig:
     kwargs = {}
     for f in fields(SolverSettings):
         if f.name in sol:
-            cast = float if f.default is None else type(f.default)
             try:
-                kwargs[f.name] = cast(sol[f.name])
+                kwargs[f.name] = type(f.default)(sol[f.name])
             except ValueError as exc:
                 raise ConfigError(f"{path}: [solver] key {f.name}: {exc}") from exc
     try:

@@ -2,20 +2,30 @@
 
 Under s = ln(1/r) the equation becomes z'' + a(s) z = 0 with
 a(s) = c e^{-2s} v(e^{-s}), and every shot is one sweep of that equation
-from some start state (``_sweep``): the recessive shot runs from the series
-start s0 = ln(1/r0) down to the outer edge, the outer-edge shot runs up to
-the horizon s_max, the principal tail runs back from the horizon.  The s
-variable absorbs the 1/r drift, keeps steps O(1) down to arbitrarily small
-start radii, and is the natural frame for the borderline inverse-square
-potentials whose oscillation sits at the Euler threshold a(s) ~ 1/(4 s^2).
-Radius-domain problems report their sweep as (r, y, dy/dr), log-domain
-problems as (s, z, dz/ds).
+from some start state (``_sweep``): the recessive shot runs from the inner
+cell down to the outer edge, the outer-edge shot runs up to the horizon
+s_max, the principal tail runs back from the horizon.  Radius-domain
+problems report their sweep as (r, y, dy/dr), log-domain problems as
+(s, z, dz/ds).
 
-The recessive (principal) solution at the singular endpoint r = 0 is
-initialized by a truncated series (``frobenius_init``); the first sign
-change ends a sweep at the integrator's terminal event, whose root solve_ivp
-refines on its dense output; overflow is handled by power-of-two rescaling,
-which a linear equation tolerates without moving any zero.
+Constants, power laws and ``custom`` tables are log-log linear: on each of
+their cells ln a(s) is linear in s, ln a = ln c + ell + q (s - anchor), and
+z'' + a z = 0 is solved exactly there by cylinder functions Z0(x) with
+x = (2/|q|) sqrt(a(s)); from x = 1e3 on (and for q = 0, where they are
+cos / sin, or a = 0, a line) in Hankel's modulus-phase form, whose phase
+never forms x itself.  Their sweeps multiply Wronskian-normalised
+(det 1) 2x2 transfer matrices cell by cell and take the first zero inside
+a cell from the Bessel modulus-phase form of the exact solution, so a cell
+holding two zeros is no trap.  The recessive branch at r = 0 is exactly
+J0(x) on the inner cell, which needs q < 0 there (sigma < 2).  This is the
+coefficient-approximation method (Pruess 1973; Pryce, Numerical Solution of
+Sturm-Liouville Problems, 1993) on the model the tables themselves define.
+
+The two log families are swept by DOP853 in s, which absorbs the 1/r drift
+and keeps steps O(1) up to the horizon; the first sign change ends such a
+sweep at the integrator's terminal event, whose root solve_ivp refines on
+its dense output; overflow is handled by power-of-two rescaling, which a
+linear equation tolerates without moving any zero.
 
 For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
@@ -32,16 +42,22 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .config import SolverSettings
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
 from .potentials import RadialPotential
 
-_FROBENIUS_TARGET = 1e-8      # size of the truncated series correction at r0
 _OVERFLOW_THRESHOLD = 1e250   # |z| + |z'| at which a sweep rescales its state
 _HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
+_TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
+_DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
+_CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
+_SMALL_X = 1e-30              # below it J0, Y0, x J1, x Y1 are their leading terms
+_X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
 
 
 class Domain(Enum):
@@ -63,7 +79,6 @@ class HardyODEProblem:
     c: float
     R: float
     domain: Domain = Domain.RADIUS
-    r0: Optional[float] = None      # inner start radius (radius domain); None = automatic
     s_max: float = 1e6              # outer horizon (log domain), at most _HORIZON_CAP
 
     def __post_init__(self):
@@ -72,8 +87,6 @@ class HardyODEProblem:
         if not 0.0 < self.R <= self.potential.r_max * (1.0 + 1e-12):
             raise DomainError(
                 f"R = {self.R} outside (0, r_max = {self.potential.r_max}]")
-        if self.r0 is not None and not 0.0 < self.r0 < self.R:
-            raise DomainError(f"r0 = {self.r0} must lie in (0, R)")
         object.__setattr__(self, "s_max", min(self.s_max, _HORIZON_CAP))
 
     def coefficient(self, x):
@@ -84,9 +97,8 @@ class HardyODEProblem:
         return self.c * self.potential.log_weight(x)
 
 
-def radius_problem(p: RadialPotential, c: float, R: float,
-                   r0: Optional[float] = None) -> HardyODEProblem:
-    return HardyODEProblem(p, c, R, Domain.RADIUS, r0=r0)
+def radius_problem(p: RadialPotential, c: float, R: float) -> HardyODEProblem:
+    return HardyODEProblem(p, c, R, Domain.RADIUS)
 
 
 def log_problem(p: RadialPotential, c: float, R: float,
@@ -97,13 +109,13 @@ def log_problem(p: RadialPotential, c: float, R: float,
 def to_log_domain(prob: HardyODEProblem, s_max: float = 1e6) -> HardyODEProblem:
     if prob.domain is not Domain.RADIUS:
         raise DomainError("to_log_domain expects a radius-domain problem")
-    return replace(prob, domain=Domain.LOG, r0=None, s_max=s_max)
+    return replace(prob, domain=Domain.LOG, s_max=s_max)
 
 
-def to_radius_domain(prob: HardyODEProblem, r0: Optional[float] = None) -> HardyODEProblem:
+def to_radius_domain(prob: HardyODEProblem) -> HardyODEProblem:
     if prob.domain is not Domain.LOG:
         raise DomainError("to_radius_domain expects a log-domain problem")
-    return replace(prob, domain=Domain.RADIUS, r0=r0)
+    return replace(prob, domain=Domain.RADIUS)
 
 
 @dataclass(frozen=True)
@@ -134,62 +146,9 @@ class ShootingOutcome:
 
 
 def wants_log_domain(p: RadialPotential) -> bool:
-    """Critical or strongly singular potentials have no recessive series
-    start at r = 0; their feasibility is decided in the log domain."""
+    """Critical or strongly singular potentials have no recessive start at
+    r = 0; their feasibility is decided in the log domain."""
     return p.critical or p.sigma >= 2.0
-
-
-# ---------------------------------------------------------------------------
-# Recessive initialization
-# ---------------------------------------------------------------------------
-
-def resolve_r0(prob: HardyODEProblem, settings: SolverSettings) -> float:
-    """Start radius: explicit if given, else 1e-8 R shrunk by 1e-2 until the
-    series correction is below target (potentials with sigma near 2 need
-    smaller starts for the truncation to stay valid).  Raises
-    UnsupportedSingularity when 64 shrinks do not get there."""
-    if prob.r0 is not None:
-        return prob.r0
-    if settings.r0 is not None:
-        return settings.r0
-    p, R = prob.potential, prob.R
-    r0 = 1e-8 * R
-    if prob.c == 0.0 or p.amplitude == 0.0:
-        return r0
-    two_minus = 2.0 - p.sigma
-    if two_minus <= 0.0:
-        raise UnsupportedSingularity(
-            f"sigma = {p.sigma} >= 2: no recessive series start, use the log domain")
-    for _ in range(64):
-        amp = p.singular_amplitude(r0)
-        correction = prob.c * amp * r0 ** two_minus / two_minus ** 2
-        if correction <= _FROBENIUS_TARGET:
-            return r0
-        r0 *= 1e-2
-    raise UnsupportedSingularity(
-        f"series correction still {correction:.3g} at start radius {100.0 * r0 / R:.0e} R "
-        f"for sigma = {p.sigma}; use the log domain")
-
-
-def frobenius_init(prob: HardyODEProblem,
-                   settings: SolverSettings = SolverSettings()) -> tuple[float, float]:
-    """Truncated-series start (y(r0), y'(r0)) for the recessive solution.
-
-    With v ~ A r^(-sigma) near 0 and sigma < 2 the bounded solution is
-    y = 1 - c A r^(2-sigma)/(2-sigma)^2 + O(r^(2(2-sigma))), which satisfies
-    r y'/y -> 0, the defining property of the recessive branch.
-    """
-    p = prob.potential
-    if wants_log_domain(p):
-        raise UnsupportedSingularity(
-            f"potential with sigma = {p.sigma} (critical = {p.critical}) has no "
-            "series start at r = 0; integrate in the log domain")
-    r0 = resolve_r0(prob, settings)
-    amp = p.singular_amplitude(r0) if prob.c != 0.0 else 0.0
-    two_minus = 2.0 - p.sigma
-    y0 = 1.0 - prob.c * amp * r0 ** two_minus / two_minus ** 2
-    dy0 = -prob.c * amp * r0 ** (1.0 - p.sigma) / two_minus
-    return y0, dy0
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +244,222 @@ def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
 
 
 # ---------------------------------------------------------------------------
+# Exact cell sweeps of the log-log linear kinds
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Segments:
+    """The cells a sweep crosses, clipped to it, in sweep order: segment k
+    runs from u[k] to w[k], where ln a = ln a(u) + q[k] (s - u[k]).  Where
+    bessel[k] its solutions are J0 and Y0 at ln x = lnx[k] + q[k] (s - u[k]) / 2;
+    elsewhere x >= _X_ASYMPTOTIC (or q = 0, or a = 0) and they take the
+    modulus-phase form with omega[k] = sqrt(a(u)) (see ``_hankel``)."""
+
+    u: np.ndarray
+    w: np.ndarray
+    bessel: np.ndarray
+    q: np.ndarray
+    lnx: np.ndarray
+    omega: np.ndarray
+
+
+def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
+    """Split [s_from, s_to] at the knots and pick each piece's model.
+
+    A piece along which x grows past x(u) + 2 pi ends there: its phase
+    then gains more than pi, so the sweep's first zero lies inside, and no
+    x beyond it (which could overflow) is ever formed.
+    """
+    knots, anchors, ell, q = prob.potential.log_cells
+    inside = knots[(knots - s_from) * (knots - s_to) < 0.0]
+    pts = np.concatenate([[s_from], inside if s_to > s_from else inside[::-1], [s_to]])
+    u, w = pts[:-1], pts[1:]
+    cell = np.searchsorted(knots, 0.5 * (u + w))
+    h = w - u
+    log_a = math.log(prob.c) + ell[cell] + q[cell] * (u - anchors[cell]) if prob.c > 0.0 \
+        else np.full(u.size, -math.inf)                                  # ln a(u)
+    q = np.where(log_a > -math.inf, q[cell], 0.0)                        # a = 0: a line
+    lnx = np.full(u.size, math.inf)
+    sloped = q != 0.0
+    lnx[sloped] = np.log(2.0 / np.abs(q[sloped])) + 0.5 * log_a[sloped]
+    bessel = np.minimum(lnx, lnx + 0.5 * q * h) < math.log(_X_ASYMPTOTIC)
+    omega = np.where(bessel, 0.0, np.exp(0.5 * np.minimum(log_a, 1400.0)))
+    cap = np.log(np.exp(np.minimum(lnx, 700.0)) + 2.0 * math.pi)
+    capped = np.flatnonzero((q * h > 0.0) & (lnx + 0.5 * q * h > cap))
+    if capped.size:
+        k = capped[0]
+        w[k] = u[k] + 2.0 * (cap[k] - lnx[k]) / q[k]
+        u, w, bessel, q, lnx, omega = (a[:k + 1] for a in (u, w, bessel, q, lnx, omega))
+    return _Segments(u, w, bessel, q, lnx, omega)
+
+
+def _small_y0(lnx):
+    """Y0 at x = e^lnx < _SMALL_X, from ln x: (2/pi) (ln(x/2) + Euler's gamma)."""
+    return (lnx - math.log(2.0) + np.euler_gamma) * (2.0 / math.pi)
+
+
+def _bessel(lnx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """J0, Y0, x J1 and x Y1 at x = e^lnx; below _SMALL_X their leading
+    terms, taken from ln x, since x itself may underflow there."""
+    x = np.exp(np.minimum(lnx, 700.0))
+    small = x < _SMALL_X
+    xs = np.where(small, 1.0, x)
+    return (np.where(small, 1.0, special.j0(xs)), np.where(small, _small_y0(lnx), special.y0(xs)),
+            np.where(small, 0.5 * x * x, xs * special.j1(xs)),
+            np.where(small, -2.0 / math.pi, xs * special.y1(xs)))
+
+
+def _unwrap(x, theta):
+    """The Bessel phase theta = arg(J0 + i Y0) on its branch: it increases
+    with x, and x - pi/2 < theta <= x - pi/4; float or ndarray."""
+    return theta + 2.0 * math.pi * np.rint((x - 0.25 * math.pi - theta) / (2.0 * math.pi))
+
+
+def _phase_at(lnx: float) -> float:
+    """The unwrapped Bessel phase at one x = e^lnx, in scalar arithmetic."""
+    x = math.exp(min(lnx, 700.0))
+    if x < _SMALL_X:
+        return _unwrap(x, math.atan2(_small_y0(lnx), 1.0))
+    return _unwrap(x, math.atan2(special.y0(x), special.j0(x)))
+
+
+def _hankel(omega: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fundamental matrix and phase of z'' + omega^2 e^(q t) z = 0 at t from
+    the modulus-phase form of Z0 for x >= _X_ASYMPTOTIC: with p = 1/x,
+    M^2 pi x / 2 = P = 1 + p^2/8 + 27 p^4/128 and theta = x - pi/4 + d,
+    d = -p/8 + 25 p^3/384 (Hankel's expansions, next terms ~p^6 and p^5), the
+    solutions are m cos(psi) and m sin(psi) / omega with m = sqrt(P x(0) / x)
+    and psi = sign(q) (theta - theta(0)), whose x - x(0) part is formed as
+    omega t expm1(q t / 2) / (q t / 2), never from x itself.  At q = 0 they are
+    cos and sin exactly, at omega = 0 the line 1, t; the Wronskian is 1."""
+    y = 0.5 * q * t
+    rho = np.exp(y)                                      # x / x(0)
+    gain = np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0.0)
+    p0 = np.divide(np.abs(q), 2.0 * omega, out=np.zeros_like(q), where=omega > 0.0)
+    p = p0 / rho
+    big_p = 1.0 + p * p / 8.0 + 27.0 * p ** 4 / 128.0
+    psi = omega * t * gain + np.sign(q) * ((p0 - p) / 8.0 + 25.0 * (p ** 3 - p0 ** 3) / 384.0)
+    m = np.sqrt(big_p / rho)
+    dm = -0.25 * q * m * (1.0 + (p * p / 4.0 + 27.0 * p ** 4 / 32.0) / big_p)
+    cos, sin = np.cos(psi), np.sin(psi)
+    sin_w = np.divide(sin, omega, out=t * gain, where=omega > 0.0)
+    return (m * cos, m * sin_w, dm * cos - m * omega * rho / big_p * sin,
+            dm * sin_w + m * rho / big_p * cos, psi)
+
+
+def _bessel_form(lnx0: np.ndarray, half_q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fundamental matrix (J0, Y0 and their s-derivatives) and unwrapped
+    phase at ln x = lnx0 + half_q t."""
+    lnx = lnx0 + half_q * t
+    j0, y0, xj1, xy1 = _bessel(lnx)
+    theta = _unwrap(np.exp(np.minimum(lnx, 700.0)), np.arctan2(y0, j0))
+    return j0, y0, -half_q * xj1, -half_q * xy1, theta
+
+
+def _fundamental(seg: _Segments, idx: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fundamental matrix (f11, f12, f21, f22) of segments ``idx`` at ``s``,
+    whose columns are the states (z, dz/ds) of two solutions, and the phase
+    there: J0, Y0 and arg(J0 + i Y0) unwrapped, or ``_hankel``'s form."""
+    t, bessel = s - seg.u[idx], seg.bessel[idx]
+    if bessel.all():
+        return _bessel_form(seg.lnx[idx], 0.5 * seg.q[idx], t)
+    if not bessel.any():
+        return _hankel(seg.omega[idx], seg.q[idx], t)
+    out = tuple(np.empty_like(t) for _ in range(5))
+    rest = ~bessel
+    for f, v, w in zip(out, _bessel_form(seg.lnx[idx][bessel], 0.5 * seg.q[idx][bessel],
+                                         t[bessel]),
+                       _hankel(seg.omega[idx][rest], seg.q[idx][rest], t[rest])):
+        f[bessel], f[rest] = v, w
+    return out
+
+
+def _transfer(a: tuple, b: tuple) -> tuple[np.ndarray, ...]:
+    """Transfer matrices T = B adj(A) / (+-sqrt(det A det B)), state(w) = T state(u),
+    from the fundamental matrices A at u and B at w.  Dividing by the
+    numerical Wronskians instead of their exact value (q / pi or 1) gives
+    det T = 1 up to rounding, however large the Y0 column is."""
+    a11, a12, a21, a22 = a[:4]
+    b11, b12, b21, b22 = b[:4]
+    det_a = a11 * a22 - a12 * a21
+    norm = np.copysign(np.sqrt(det_a * (b11 * b22 - b12 * b21)), det_a)
+    return ((b11 * a22 - b12 * a21) / norm, (b12 * a11 - b11 * a12) / norm,
+            (b21 * a22 - b22 * a21) / norm, (b22 * a11 - b21 * a12) / norm)
+
+
+def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _RawRun:
+    """Sweep a log-log linear kind exactly: carry the state across the
+    segments by their transfer matrices, find the first segment whose exact
+    solution vanishes, and locate the zero from the solution's phase, so two
+    zeros inside one segment are no trap.  The trajectory holds
+    _CELL_SAMPLES points per segment, knots included, and its end."""
+    seg = _segments(prob, s_from, s_to)
+    n = seg.u.size
+    both = _fundamental(seg, np.tile(np.arange(n), 2), np.concatenate([seg.u, seg.w]))
+    a, b = tuple(f[:n] for f in both), tuple(f[n:] for f in both)    # at u and at w
+    zi, dzi = float(state0[0]), float(state0[1])
+    z, dz = [zi], [dzi]
+    for t11, t12, t21, t22 in zip(*(t[:-1].tolist() for t in _transfer(a, b))):
+        zi, dzi = t11 * zi + t12 * dzi, t21 * zi + t22 * dzi
+        z.append(zi)
+        dz.append(dzi)
+    z, dz = np.array(z), np.array(dz)
+    det = a[0] * a[3] - a[1] * a[2]
+    A, B = (a[3] * z - a[1] * dz) / det, (a[0] * dz - a[2] * z) / det    # state = F(s) (A, B)
+
+    # the exact solution is (modulus) cos(phase - phi): its zeros sit at
+    # phase = phi + pi/2 (mod pi), first the one next to the entry along the
+    # sweep; at a = 0 the phase stands still, and every sweep enters such a
+    # line with dz = 0
+    theta_u, theta_w = a[4], b[4]
+    phi = np.arctan2(B, np.where(seg.bessel, A, seg.omega * A))
+    up = theta_w > theta_u
+    turns = (theta_u - phi - 0.5 * math.pi) / math.pi
+    target = phi + 0.5 * math.pi + math.pi * np.where(up, np.floor(turns) + 1.0,
+                                                     np.ceil(turns) - 1.0)
+    hit = np.where(up, target <= theta_w, target >= theta_w) & (theta_w != theta_u)
+
+    zero_t = None
+    if hit.any():
+        k = int(np.argmax(hit))
+        if seg.q[k] == 0.0:
+            zero_t = float(seg.u[k] + target[k] / seg.omega[k])
+        else:
+            if seg.bessel[k]:
+                lnx, half_q, u = (float(v[k]) for v in (seg.lnx, 0.5 * seg.q, seg.u))
+                gap = lambda s: _phase_at(lnx + half_q * (s - u)) - target[k]
+            else:
+                one = np.array([k])
+                gap = lambda s: _fundamental(seg, one, np.array([s]))[4][0] - target[k]
+            zero_t = brentq(gap, min(seg.u[k], seg.w[k]), max(seg.u[k], seg.w[k]), xtol=1e-15)
+        n = k + 1
+
+    frac = np.arange(_CELL_SAMPLES) / _CELL_SAMPLES
+    t = (seg.u[:n, None] + (seg.w - seg.u)[:n, None] * frac).ravel()
+    owner = np.repeat(np.arange(n), _CELL_SAMPLES)
+    if zero_t is None:
+        t, owner = np.append(t, seg.w[-1]), np.append(owner, n - 1)
+    keep = np.ones(t.size, dtype=bool)
+    keep[1:] = np.diff(t) != 0.0
+    t, owner = t[keep], owner[keep]
+    f11, f12, f21, f22, _ = _fundamental(seg, owner, t)
+    y = np.array([f11 * A[owner] + f12 * B[owner], f21 * A[owner] + f22 * B[owner]])
+
+    sign = 1.0 if s_to > s_from else -1.0
+    ends = sign * seg.w[:n]
+    lo, hi = sorted((s_from, seg.w[n - 1] if zero_t is None else zero_t))
+
+    def dense(s):
+        if not lo - 1e-12 <= s <= hi + 1e-12:
+            raise DomainError(f"abscissa {s} outside the swept range")
+        k = np.array([min(int(np.searchsorted(ends, sign * s)), n - 1)])
+        f11, f12, f21, f22, _ = _fundamental(seg, k, np.array([float(s)]))
+        return np.array([(f11 * A[k] + f12 * B[k])[0], (f21 * A[k] + f22 * B[k])[0]])
+
+    return _RawRun(t, y, zero_t, 0, dense)
+
+
+# ---------------------------------------------------------------------------
 # The sweep of z'' + a(s) z = 0 and its public entry points
 # ---------------------------------------------------------------------------
 
@@ -292,12 +467,12 @@ def integrate(prob: HardyODEProblem,
               settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
     """Shoot the problem across its interval and report the first zero.
 
-    Radius domain: the recessive sweep from s = ln(1/r0) down to the outer
+    Radius domain: the recessive sweep from the inner cell down to the outer
     edge, reported as (r, y, dy/dr).  Log domain: starts at the outer edge
     with z = 1, z' = 0 and sweeps toward increasing s up to s_max.
     """
     if prob.domain is Domain.RADIUS:
-        s0, state0 = _recessive_start(prob, settings)
+        s0, state0 = _inner_cell_start(prob)
         return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0, settings))
     s_start = -math.log(prob.R) + 1e-9
     if prob.s_max <= s_start:
@@ -308,15 +483,15 @@ def integrate(prob: HardyODEProblem,
 def integrate_recessive_log(prob: HardyODEProblem,
                             settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
     """The radius-domain shot of the same problem without the change back to
-    (r, y, dy/dr): the recessive solution from s = ln(1/r0) down to the outer
-    edge, reported as (s, z, dz/ds).
+    (r, y, dy/dr): the recessive solution from the inner cell down to the
+    outer edge, reported as (s, z, dz/ds).
 
     Exists so the two coordinate systems can be cross-checked against each
     other; zeros must agree with the radius-domain run at s* = ln(1/r*).
     """
     if prob.domain is not Domain.LOG:
         raise DomainError("integrate_recessive_log expects a log-domain problem")
-    s0, state0 = _recessive_start(prob, settings)
+    s0, state0 = _inner_cell_start(prob)
     return _sweep(prob, s0, -math.log(prob.R), state0, settings)
 
 
@@ -342,11 +517,37 @@ def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate
     return _sweep(prob, s_top, -math.log(prob.R), state0, settings, certificate)
 
 
-def _recessive_start(prob: HardyODEProblem, settings: SolverSettings):
-    """s0 = ln(1/r0) and the series state (z, dz/ds) = (y0, -r0 y0') there."""
-    r0 = resolve_r0(prob, settings)
-    y0, dy0 = frobenius_init(replace(prob, r0=r0), settings)
-    return -math.log(r0), (y0, -r0 * dy0)
+def _inner_cell_start(prob: HardyODEProblem):
+    """Start s0 of a recessive sweep and the recessive state (z, dz/ds) there:
+    exactly J0(x) on the inner cell (z = 1 where a = 0).  s0 is the radius
+    1e-8 R or the innermost knot, whichever is smaller, moved inward until
+    x <= 1 but not past s = 700 (r ~ 1e-304).
+
+    Raises UnsupportedSingularity for the log families, for an inner cell
+    with q >= 0 (sigma >= 2), which have no recessive branch of this form,
+    and when J0(x) already vanishes below s = 700 (sigma within ~1e-3 of 2,
+    well above the best constant), where no float radius holds the zero.
+    """
+    p = prob.potential
+    if p.log_cells is None:
+        raise UnsupportedSingularity(
+            f"{p.kind.value} potential has no recessive cell start; use the log domain")
+    knot, anchor, ell, q = (arr[-1] if arr.size else -math.inf for arr in p.log_cells)
+    s0 = max(-math.log(_TRAJECTORY_START * prob.R), knot)
+    if prob.c == 0.0 or ell == -math.inf:
+        return s0, (1.0, 0.0)
+    if q >= 0.0:
+        raise UnsupportedSingularity(
+            f"inner cell slope q = {q} >= 0 (sigma >= 2): no recessive start, use the log domain")
+    lnx = math.log(2.0 / -q) + 0.5 * (math.log(prob.c) + ell + q * (s0 - anchor))
+    if lnx > 0.0:
+        step = max(0.0, min(-2.0 * lnx / q, _DEEPEST_START - s0))
+        s0, lnx = s0 + step, lnx + 0.5 * q * step
+    if _phase_at(lnx) >= 0.5 * math.pi:
+        raise UnsupportedSingularity(
+            f"the recessive solution vanishes beyond s = {s0:.6g} (r < {math.exp(-s0):.3g})")
+    j0, _, xj1, _ = _bessel(np.array([lnx]))
+    return s0, (float(j0[0]), float(-0.5 * q * xj1[0]))
 
 
 def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
@@ -354,17 +555,22 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
-    The trajectory ends at the first zero, if any, and is sorted
-    by s.  Without a zero, a sweep toward the outer edge (decreasing s) has
-    covered its whole interval; a sweep outward has only reached its horizon.
+    Exactly, cell by cell, for the log-log linear kinds; by DOP853 for the
+    log families.  The trajectory ends at the first zero, if any, and is
+    sorted by s.  Without a zero, a sweep toward the outer edge (decreasing
+    s) has covered its whole interval; a sweep outward has only reached its
+    horizon.
     """
-    lw, c = prob.potential.log_weight, prob.c
+    if prob.potential.log_cells is not None:
+        run = _cell_sweep(prob, s_from, s_to, state0)
+    else:
+        lw, c = prob.potential.log_weight, prob.c
 
-    def rhs(s, u):
-        return (u[1], -c * lw(s) * u[0])
+        def rhs(s, u):
+            return (u[1], -c * lw(s) * u[0])
 
-    run = _integrate_chunked(rhs, s_from, s_to, state0, rtol=settings.rtol,
-                             atol=settings.atol, overflow_threshold=_OVERFLOW_THRESHOLD)
+        run = _integrate_chunked(rhs, s_from, s_to, state0, rtol=settings.rtol,
+                                 atol=settings.atol, overflow_threshold=_OVERFLOW_THRESHOLD)
     to_edge = s_to < s_from    # toward the outer edge r = R
     s, z, dz = run.t, run.y[0], run.y[1]
     if run.zero_t is None:
@@ -460,18 +666,21 @@ def tail_edges(prob: HardyODEProblem,
 
 
 def euler_tail_certificate(prob: HardyODEProblem,
-                           settings: SolverSettings = SolverSettings()
-                           ) -> Optional[TailCertificate]:
+                           settings: SolverSettings = SolverSettings(),
+                           edges: Optional[TailEdges] = None) -> Optional[TailCertificate]:
     """Classify the coefficient tail a(s) = c g(s) by comparing c with the
     edges of ``tail_edges``: non-oscillatory if c <= c_non (1 + slack), else
-    oscillatory if c >= c_osc, else None."""
+    oscillatory if c >= c_osc, else None.  The edges do not depend on c:
+    pass those of an earlier sample of this potential, ball and horizon to
+    skip sampling g again."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c = prob.c
     if c == 0.0:
         s_start = -math.log(prob.R) + 1e-9
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, prob.s_max))
-    edges = tail_edges(prob, settings)
+    if edges is None:
+        edges = tail_edges(prob, settings)
     if c <= edges.c_non * (1.0 + settings.certificate_slack):
         return replace(edges.unit_non, gamma=c * edges.unit_non.gamma)
     if c >= edges.c_osc:

@@ -333,6 +333,29 @@ class RadialPotential:
             return v_last + above * (log_r - last)
         return float(np.interp(log_r, self.table_log_r, self.table_log_v))
 
+    @functools.cached_property
+    def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
+        """ln(r^2 v) at r = e^(-s) as a chain of cells on which it is linear
+        in s, or None for the two log families.
+
+        Returns (knots, anchors, ell, q): the knots increase, cell k lies
+        between knots[k-1] and knots[k] (the first cell reaches down to
+        s = -inf, the last, the inner cell, up to +inf), and there
+        ln(r^2 v) = ell[k] + q[k] (s - anchors[k]).  A constant or a power
+        law is one cell with q = alpha - 2 (ell = -inf at amplitude 0); a
+        table has one cell per segment plus its two extrapolation cells.
+        """
+        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):
+            ell = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
+            return np.empty(0), np.zeros(1), np.array([ell]), np.array([self.alpha - 2.0])
+        if self.kind is not Kind.CUSTOM:
+            return None
+        knots = -self.table_log_r[::-1]
+        ell = (self.table_log_v + 2.0 * self.table_log_r)[::-1]
+        q = np.diff(ell) / np.diff(knots)
+        return (knots, np.concatenate([knots[:1], knots]), np.concatenate([ell[:1], ell]),
+                np.concatenate([q[:1], q, q[-1:]]))
+
     # -- structure ----------------------------------------------------------
 
     def singular_amplitude(self, r_ref: float) -> float:

@@ -10,8 +10,7 @@ from hardy_optim import (RadialPotential, SolverSettings, Status, best_constant,
                          bessel_j0, bessel_j0_first_zero, brezis_vazquez_lambda,
                          equal_volume_radius, feasible, integrate, log_problem,
                          radius_problem, unit_ball_volume)
-from hardy_optim.errors import (DomainError, IndeterminateAtHorizon, NoUpperBracket,
-                                UnsupportedSingularity)
+from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 
 from conftest import Z0, Z0_SQ, power_law_best_constant
 
@@ -99,12 +98,17 @@ def test_no_upper_bracket(settings):
         best_constant(RadialPotential.constant(0.0), 1.0, settings=settings)
 
 
-def test_no_series_start_near_sigma_two_raises(settings):
-    # alpha = 1.99: no start radius down to 1e-134 R brings the series
-    # correction below target; shooting from an invalid start anyway once
-    # "certified" c_hi = 1.44026e-4 below the closed form 1.44580e-4
-    with pytest.raises(UnsupportedSingularity, match="use the log domain"):
-        best_constant(RadialPotential.power_law(1.99), 1.0, settings=settings)
+def test_power_laws_near_sigma_two_bracket_the_closed_form(settings):
+    # the series start gave up from alpha ~ 1.94 on; the exact J0 start on
+    # the power law's one cell answers in the radius domain, in 4 probes
+    for alpha in (1.99, 1.999):
+        p = RadialPotential.power_law(alpha)
+        res = best_constant(p, 1.0, settings=settings)
+        assert res.converged and res.iterations == 4
+        assert "r" in res.evidence_hi.trajectory
+        assert res.c_lo <= power_law_best_constant(alpha, 1.0) <= res.c_hi
+        _assert_certified_bracket(p, 1.0, res, settings)
+    assert power_law_best_constant(1.99, 1.0) == pytest.approx(1.44580e-4, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,56 @@ def test_root_solve_shots_custom_tables(name, settings):
     assert res.iterations <= budget
     assert abs(res.c_best - c_bisected) <= res.tolerance * max(1.0, c_bisected)
     _assert_certified_bracket(p, 1.0, res, settings)
+
+
+def test_custom_table_brackets_are_reproducible(settings):
+    # one ulp of any one sample moves the exact sweeps by rounding only, so
+    # the Illinois iterates and the final bracket do not wander (adaptive
+    # steps moved them by up to 8.8e-7)
+    r = np.geomspace(1e-6, 1.0, 40)
+    v = 1.0 + 5.0 / r
+    a = best_constant(RadialPotential.custom(r, v), 1.0, settings=settings)
+    for k in range(v.size):
+        nudged = v.copy()
+        nudged[k] = np.nextafter(nudged[k], math.inf)
+        b = best_constant(RadialPotential.custom(r, nudged), 1.0, settings=settings)
+        assert b.iterations == a.iterations
+        for x, y in ((a.c_lo, b.c_lo), (a.c_hi, b.c_hi)):
+            assert abs(x - y) <= 1e-10 * x
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.mark.parametrize("p", [
+    RadialPotential.constant(2.0), RadialPotential.power_law(1.5, 3.0),
+    RadialPotential.custom(np.geomspace(1e-6, 1.0, 40),
+                           np.exp(3.0 * np.geomspace(1e-6, 1.0, 40)))],
+    ids=["constant", "power_law", "custom"])
+def test_radius_best_constant_makes_no_solve_ivp_call(p, settings, monkeypatch):
+    import hardy_optim.ode as ode_mod
+    counter = _Counter(ode_mod.solve_ivp)
+    monkeypatch.setattr(ode_mod, "solve_ivp", counter)
+    assert best_constant(p, 1.0, settings=settings).converged
+    assert counter.calls == 0
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_log_best_constant_samples_the_tail_once(family, settings, monkeypatch):
+    import hardy_optim.bestconst as bestconst_mod
+    import hardy_optim.ode as ode_mod
+    counter = _Counter(ode_mod.tail_edges)
+    monkeypatch.setattr(ode_mod, "tail_edges", counter)
+    monkeypatch.setattr(bestconst_mod, "tail_edges", counter)
+    res = best_constant(getattr(RadialPotential, family)(2), 1.0, settings=settings)
+    assert res.iterations >= 5
+    assert counter.calls == 1
 
 
 def test_shooting_margin_changes_sign_at_the_threshold(settings, constant_pot):
@@ -321,7 +375,7 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, settings):
     import hardy_optim.bestconst as bestconst_mod
     calls = []
 
-    def fake_feasible(p, c, R, settings):
+    def fake_feasible(p, c, R, settings, edges=None):
         calls.append(c)
         assert len(calls) < 200, "best_constant did not terminate"
         if 0.25 <= c < 0.3:

@@ -4,58 +4,68 @@ import numpy as np
 import pytest
 
 from hardy_optim import (RadialPotential, ShootingOutcome, Status,
-                         euler_tail_certificate, frobenius_init, integrate,
-                         integrate_principal_tail, integrate_recessive_log,
-                         log_problem, radius_problem, residual, riccati_check,
-                         to_log_domain, to_radius_domain)
+                         euler_tail_certificate, integrate, integrate_principal_tail,
+                         integrate_recessive_log, log_problem, radius_problem, residual,
+                         riccati_check, to_log_domain, to_radius_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
-from hardy_optim.ode import _integrate_chunked, _oscillation_edge, tail_edges
+from hardy_optim.ode import (_fundamental, _integrate_chunked, _oscillation_edge, _segments,
+                             _transfer, tail_edges)
 
 from conftest import Z0, power_law_zero
 
 
 # ---------------------------------------------------------------------------
-# recessive initialization
+# recessive initialization: the exact inner-cell state against the Frobenius
+# series y = 1 - c A r^(2-sigma)/(2-sigma)^2 + O(r^(2(2-sigma)))
 # ---------------------------------------------------------------------------
 
-def test_frobenius_constant(settings):
-    prob = radius_problem(RadialPotential.constant(1.0), 1.0, 1.0, r0=1e-4)
-    y0, dy0 = frobenius_init(prob, settings)
+def _recessive_state(p, c, r, R=1.0):
+    """(y, dy/dr) of the recessive shot at radius r."""
+    return integrate(radius_problem(p, c, R)).dense(r)
+
+
+def test_frobenius_constant():
+    y0, dy0 = _recessive_state(RadialPotential.constant(1.0), 1.0, 1e-4)
     # series of the J0 equation: y = 1 - r^2/4 + O(r^4)
     assert y0 == pytest.approx(1.0 - 2.5e-9, abs=1e-16)
     assert dy0 == pytest.approx(-5e-5, rel=1e-7)
 
 
-def test_frobenius_power_law(settings):
-    prob = radius_problem(RadialPotential.power_law(1.0), 1.0, 1.0, r0=1e-4)
-    y0, dy0 = frobenius_init(prob, settings)
-    # A = 1, sigma = 1: correction r/(2-1)^2, slope -1; the Picard iterate
-    # y = 1 - int t^-1 int s v ds dt = 1 - r confirms both to leading order
-    assert y0 == pytest.approx(1.0 - 1e-4, rel=1e-12)
-    assert dy0 == pytest.approx(-1.0, rel=1e-12)
+def test_frobenius_power_law():
+    y0, dy0 = _recessive_state(RadialPotential.power_law(1.0), 1.0, 1e-4)
+    # A = 1, sigma = 1: y = J0(2 sqrt(r)) = 1 - r + r^2/4 - ..., whose first
+    # correction r/(2-1)^2 and slope -1 are the series' leading terms
+    assert y0 == pytest.approx(1.0 - 1e-4 + 2.5e-9, rel=1e-14)
+    assert dy0 == pytest.approx(-1.0 + 0.5e-4 - 1e-8 / 12.0, rel=1e-12)
 
 
-def test_frobenius_zero_amplitude(settings):
-    prob = radius_problem(RadialPotential.constant(0.0), 1.0, 1.0, r0=1e-4)
-    assert frobenius_init(prob, settings) == (1.0, -0.0)
+def test_frobenius_zero_amplitude():
+    out = integrate(radius_problem(RadialPotential.constant(0.0), 1.0, 1.0))
+    assert tuple(out.dense(1e-4)) == (1.0, 0.0)
 
 
-def test_frobenius_rejects_critical(settings):
+def test_frobenius_rejects_critical():
+    # the log families have no cells; sigma >= 2 has no recessive J0 branch
     with pytest.raises(UnsupportedSingularity):
-        frobenius_init(radius_problem(RadialPotential.adimurthi_log(1), 0.2, 1.0), settings)
+        integrate(radius_problem(RadialPotential.adimurthi_log(1), 0.2, 1.0))
     with pytest.raises(UnsupportedSingularity):
-        frobenius_init(radius_problem(RadialPotential.power_law(2.5), 0.2, 1.0), settings)
+        integrate(radius_problem(RadialPotential.power_law(2.5), 0.2, 1.0))
+    with pytest.raises(UnsupportedSingularity):
+        integrate_recessive_log(log_problem(RadialPotential.filippas_tertikas(1), 0.2, 1.0))
 
 
-def test_recessive_normalization(settings):
-    # |r y'/y| at r0 stays within 10x the series correction size
+def test_recessive_normalization():
+    # r y'/y -> 0 at r = 0, within 10x the series correction size
     for p, c in [(RadialPotential.constant(1.0), 1.0),
                  (RadialPotential.power_law(1.5), 0.5)]:
-        prob = radius_problem(p, c, 1.0, r0=1e-6)
-        y0, dy0 = frobenius_init(prob, settings)
-        correction = abs(1.0 - y0)
-        assert abs(1e-6 * dy0 / y0) <= 10.0 * max(correction, 1e-300)
+        ratios = []
+        for r in (1e-4, 1e-6, 1e-8):
+            y0, dy0 = _recessive_state(p, c, r)
+            correction = c * r ** (2.0 - p.sigma) / (2.0 - p.sigma) ** 2
+            ratios.append(abs(r * dy0 / y0))
+            assert ratios[-1] <= 10.0 * correction
+        assert ratios[0] > ratios[1] > ratios[2]
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +74,7 @@ def test_recessive_normalization(settings):
 
 def test_first_zero_is_bessel_zero(settings):
     p = RadialPotential.constant(1.0, r_max=10.0)
-    out = integrate(radius_problem(p, 1.0, 10.0, r0=1e-6), settings)
+    out = integrate(radius_problem(p, 1.0, 10.0), settings)
     assert out.status is Status.ZERO_FOUND
     assert out.first_zero == pytest.approx(Z0, abs=1e-9)
 
@@ -116,6 +126,67 @@ def test_sturm_zero_monotonicity(settings):
         out = integrate(radius_problem(p, c, 30.0), settings)
         zeros.append(out.first_zero)
     assert all(zeros[i + 1] < zeros[i] + 1e-10 for i in range(len(zeros) - 1))
+
+
+# ---------------------------------------------------------------------------
+# exact cell sweeps
+# ---------------------------------------------------------------------------
+
+def test_first_zero_inside_a_cell_with_two_zeros():
+    # v = 1 tabulated on [1e-3, 6]: one cell holds both J0 zeros below 6 and
+    # J0(6) > 0, so a sign test at the knots sees no zero at all
+    p = RadialPotential.custom(np.array([1e-3, 6.0]), np.array([1.0, 1.0]))
+    out = integrate(radius_problem(p, 1.0, 6.0))
+    assert out.status is Status.ZERO_FOUND
+    assert out.first_zero == pytest.approx(Z0, abs=1e-12)
+    assert out.trajectory["r"][-1] == out.first_zero
+
+
+def test_flat_cell_propagates_by_cos_and_sin():
+    # v = r^-2: q = 0 on the cell between the knots, a = c, z = cos(2 (s - s_start))
+    p = RadialPotential.custom(np.array([1e-3, 1.0]), np.array([1e6, 1.0]))
+    lp = log_problem(p, 4.0, 1.0, s_max=5.0)
+    assert p.log_cells[3][1] == 0.0
+    out = integrate(lp)
+    s_start = 1e-9
+    assert out.first_zero == pytest.approx(math.exp(-(s_start + math.pi / 4.0)), rel=1e-14)
+    s = out.trajectory["s"]
+    np.testing.assert_allclose(out.trajectory["z"], np.cos(2.0 * (s - s_start)), atol=1e-14)
+    np.testing.assert_allclose(out.trajectory["dz"], -2.0 * np.sin(2.0 * (s - s_start)),
+                               atol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6, 1e-4])
+def test_nearly_flat_cell_keeps_its_zero(eps):
+    # v = r^(-2 + eps): q = -eps, x = 2 sqrt(a) / eps is huge, where Z0(x)
+    # in plain float loses ~eps x of phase and cos / sin at one frequency
+    # ~eps h; the modulus-phase form keeps the zero to rounding
+    from scipy.integrate import solve_ivp
+    p = RadialPotential.custom(np.array([1e-3, 1.0]), np.array([1e-3 ** (-2.0 + eps), 1.0]))
+    out = integrate(log_problem(p, 50.0, 1.0, s_max=6.0))
+
+    def crossing(s, u):
+        return u[0]
+    crossing.terminal = True
+    ref = solve_ivp(lambda s, u: (u[1], -50.0 * p.log_weight(s) * u[0]), (1e-9, 6.0),
+                    (1.0, 0.0), method="DOP853", rtol=1e-13, atol=1e-15, events=crossing)
+    assert -math.log(out.first_zero) == pytest.approx(ref.t_events[0][0], abs=1e-12)
+
+
+@pytest.mark.parametrize("p, c, s_from, s_to", [
+    (RadialPotential.custom(np.geomspace(1e-8, 1.0, 60),
+                            np.geomspace(1e-8, 1.0, 60) ** -0.5 + 10.0
+                            * np.geomspace(1e-8, 1.0, 60) ** 2), 50.0, 40.0, 0.0),
+    (RadialPotential.power_law(1.999), 3e-6, 1e3, 0.0),       # x ~ 1, Y0 ~ 1
+    (RadialPotential.constant(1.0), 1.0, 0.0, 1e6),           # x underflows, Y0 ~ -1e6
+    (RadialPotential.constant(1.0), 1e6, 0.0, 5.0),           # x from 1e3 down to 7
+    (RadialPotential.constant(1.0), 1e12, 0.0, 5.0),          # modulus-phase form
+    (RadialPotential.custom(np.array([1e-3, 1.0]), np.array([1e6, 1.0])), 4.0, 0.0, 5.0)])
+def test_transfer_matrices_have_unit_determinant(p, c, s_from, s_to):
+    seg = _segments(radius_problem(p, c, 1.0), s_from, s_to)
+    idx = np.arange(seg.u.size)
+    t11, t12, t21, t22 = _transfer(_fundamental(seg, idx, seg.u), _fundamental(seg, idx, seg.w))
+    np.testing.assert_allclose(t11 * t22 - t12 * t21, 1.0, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
