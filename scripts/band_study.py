@@ -7,7 +7,7 @@ is reported as feasible / infeasible / indeterminate; the indeterminate
 stretch shrinks as the horizon grows because the Euler-comparison window
 needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's band
 edges as ``tail_edges`` predicts them: every c <= c_non has a
-non-oscillatory certificate, to within ``certificate_slack`` (feasible
+non-oscillatory certificate, to within ``CERTIFICATE_SLACK`` (feasible
 unless the principal tail vanishes), every c >= c_osc an oscillatory one
 (infeasible).
 
@@ -30,7 +30,7 @@ def verdict(p, c, s_max):
 
 
 def predicted_edges(p, s_max):
-    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max), SolverSettings(s_max=s_max))
+    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
     return edges.c_non, edges.c_osc
 
 

@@ -8,9 +8,8 @@ Run:  python scripts/catalog_report.py [--grid-n 10000]
 import argparse
 import math
 
-from hardy_optim import (GridMapping, GridSpec, RadialPotential, SolverSettings,
-                         best_constant, classify, dual_lower_bound, lambda_limit,
-                         reduced_rayleigh_min)
+from hardy_optim import (GridMapping, GridSpec, RadialPotential, best_constant, classify,
+                         dual_lower_bound, lambda_limit, reduced_rayleigh_min)
 from hardy_optim.errors import HardyError
 
 
@@ -22,7 +21,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--grid-n", type=int, default=10_000)
     args = parser.parse_args()
-    st = SolverSettings()
     grid = GridSpec(args.grid_n, GridMapping.LOG_SPACED, 1.0, 1e-6)
 
     catalog = [
@@ -42,7 +40,7 @@ def main():
     for name, p in catalog:
         label = classify(p).label.value
         try:
-            res = best_constant(p, 1.0, tol=1e-6, settings=st)
+            res = best_constant(p, 1.0, tol=1e-6)
             cb = res.c_best
             span = f"[{res.c_lo:.4g}, {res.c_hi:.4g}]" + ("" if res.converged else " band")
         except HardyError as exc:

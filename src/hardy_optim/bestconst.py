@@ -7,14 +7,15 @@ solution on (0, R).  Numerically:
     the singular endpoint, exactly J0 on the inner cell of a constant, a
     power law or a table, carried cell by cell by exact transfer matrices;
     feasibility <=> no interior zero.  A zero within
-    ``boundary_grace`` of R counts as the boundary case (the J0 profile
+    ``_BOUNDARY_GRACE`` of R counts as the boundary case (the J0 profile
     vanishes exactly at R at the optimal constant and is still positive on
     the open interval);
   * critical / strongly singular potentials: work in the log domain.  A
     non-oscillatory Euler certificate plus a positive principal-branch sweep
     certifies feasibility; an oscillatory certificate (or an actual zero of
-    the principal branch) certifies infeasibility; otherwise the answer is
-    indeterminate at the horizon and said so.
+    the principal branch) certifies infeasibility, and is the whole
+    evidence, since it proves a zero inside its window; otherwise the
+    answer is indeterminate at the horizon and said so.
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
 certified bracket whichever domain decides each probe, and one loop finds
@@ -28,18 +29,21 @@ the largest certified-feasible multiplier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .bessel import bessel_j0_first_zero
 from .config import SolverSettings
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (ShootingOutcome, Status, TailEdges, euler_tail_certificate,
-                  integrate, integrate_principal_tail, log_problem, radius_problem,
-                  tail_edges, wants_log_domain)
+from .ode import (CERTIFICATE_SLACK, ShootingOutcome, Status, TailEdges,
+                  euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
+                  radius_problem, tail_edges, wants_log_domain)
 from .potentials import RadialPotential
 
 _DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
+_BOUNDARY_GRACE = 1e-9      # zeros within this of R (relative) count as boundary
 
 
 @dataclass(frozen=True)
@@ -88,30 +92,32 @@ def _tail_margin(out: ShootingOutcome, R: float) -> float:
 def feasible(p: RadialPotential, c: float, R: float,
              settings: SolverSettings = SolverSettings(),
              edges: Optional[TailEdges] = None) -> FeasibilityCheck:
-    """Decide feasibility of multiplier c on the ball of radius R.  ``edges``
-    are the log domain's ``tail_edges`` on this ball, if already sampled."""
+    """Decide feasibility of multiplier c on the ball of radius R.  ``settings``
+    carries the log-domain horizon; ``edges`` are the log domain's
+    ``tail_edges`` on this ball, if already sampled."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not wants_log_domain(p):
         prob = radius_problem(p, c, R)
-        out = integrate(prob, settings)
-        ok = out.status is not Status.ZERO_FOUND or \
-            out.first_zero >= R * (1.0 - settings.boundary_grace)
+        out = integrate(prob)
+        ok = out.status is not Status.ZERO_FOUND or out.first_zero >= R * (1.0 - _BOUNDARY_GRACE)
         return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
 
     prob = log_problem(p, c, R, s_max=settings.s_max)
-    cert = euler_tail_certificate(prob, settings, edges=edges)
+    cert = euler_tail_certificate(prob, edges=edges)
     if cert is None:
         raise IndeterminateAtHorizon(
             f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
             multiplier=c)
     if cert.kind == "nonoscillatory":
-        out = integrate_principal_tail(prob, cert, settings)
+        out = integrate_principal_tail(prob, cert)
         interior_zero = out.status is Status.ZERO_FOUND and \
-            out.first_zero < R * (1.0 - settings.boundary_grace)
+            out.first_zero < R * (1.0 - _BOUNDARY_GRACE)
         return FeasibilityCheck(not interior_zero, out, "principal-tail", _tail_margin(out, R))
-    # oscillatory tail: infeasible; run the outer-edge shot for trajectory evidence
-    out = replace(integrate(prob, settings), certificate=cert)
+    # oscillatory tail: infeasible, and the certificate proves a zero inside its window
+    empty = np.empty(0)
+    out = ShootingOutcome({"s": empty, "z": empty, "dz": empty}, None, Status.ZERO_FOUND,
+                          certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
 
 
@@ -142,7 +148,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     iterations = 0
-    edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max), settings) \
+    edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max)) \
         if wants_log_domain(p) else None
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
     # Illinois weights: the ends' margins clipped to their side; 0 without a
@@ -176,7 +182,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
     c_non, c_osc = (edges.c_non, edges.c_osc) if edges is not None else (0.0, math.inf)
-    inside = (c_non * (1.0 + settings.certificate_slack) + 0.25 * tol * max(1.0, c_non),
+    inside = (c_non * (1.0 + CERTIFICATE_SLACK) + 0.25 * tol * max(1.0, c_non),
               c_osc - 0.25 * tol * max(1.0, c_osc))
     plan = [(c_non, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 import time
@@ -57,6 +58,7 @@ def main(argv: Optional[list] = None) -> int:
     return extra_exit
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hardy-optim",
@@ -101,8 +103,7 @@ def _emit(args, record: dict, section: str = "result", to_stdout: bool = False) 
 # ---------------------------------------------------------------------------
 
 def _cmd_best_constant(args, cfg: RunConfig):
-    result = bestconst.best_constant(cfg.potential, cfg.R,
-                                     tol=cfg.settings.bisect_tol, settings=cfg.settings)
+    result = bestconst.best_constant(cfg.potential, cfg.R, settings=cfg.settings)
     record = {
         "c_best": result.c_best,
         "c_lo": result.c_lo,
@@ -125,7 +126,6 @@ def _cmd_feasible(args, cfg: RunConfig):
         "method": check.method,
         "status": out.status.value,
         "first_zero": out.first_zero,
-        "rescale_count": out.rescale_count,
     }
     if out.certificate is not None:
         record["certificate"] = out.certificate.kind
@@ -197,14 +197,13 @@ def _cmd_trace(args, cfg: RunConfig):
     prob = ode.radius_problem(cfg.potential, args.c, cfg.R)
     if ode.wants_log_domain(cfg.potential):
         prob = ode.to_log_domain(prob, cfg.settings.s_max)
-    out = ode.integrate(prob, cfg.settings)
+    out = ode.integrate(prob)
     header = ",".join(out.trajectory)    # r,y,dy or s,z,dz
     path = args.out or "trajectory.csv"
     write_trajectory_csv(path, out, header)
     record = {
         "status": out.status.value,
         "first_zero": out.first_zero,
-        "rescale_count": out.rescale_count,
         "samples": out.trajectory[header.split(",")[0]].size,
         "csv": path,
     }

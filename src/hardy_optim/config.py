@@ -2,10 +2,12 @@
 
 Config files are INI-style structured text (configparser) with sections
 ``[potential]``, ``[domain]``, ``[solver]`` and ``[output]``.  ``[solver]``
-takes every ``SolverSettings`` field (``rtol``, ``atol``, ``s_max``,
-``bisect_tol``, ``boundary_grace``, ``tail_samples``, ``certificate_slack``)
+takes the log-domain horizon ``s_max`` (the one ``SolverSettings`` field)
 plus the FE grid keys ``grid_n`` and ``r_min_rel``, and rejects any other
-key with ``ConfigError``; ``[output]`` takes only ``timestamp``
+key with ``ConfigError``; the integrator tolerances, the tail sample count,
+the certificate slack and the boundary grace are constants of ``ode`` and
+``bestconst``, and the best-constant tolerance is ``best_constant``'s
+default.  ``[output]`` takes only ``timestamp``
 (true/false), since where a record goes and in what form are the CLI's
 ``--out`` and ``--format``.  Result records are emitted in the same syntax (a
 single ``[result]`` or ``[error]`` section) so that every record re-parses
@@ -15,7 +17,7 @@ digits for cross-platform reproducibility.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,21 +26,13 @@ from .potentials import RadialPotential
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Numerical knobs shared by the shooting and best-constant layers."""
+    """The numerical knob a caller sets per run."""
 
-    rtol: float = 1e-10              # integrator relative tolerance (log families)
-    atol: float = 1e-14              # integrator absolute tolerance (log families)
     s_max: float = 1e6               # log-domain horizon, capped at 1e150
-    bisect_tol: float = 1e-6         # relative bracket width for best_constant
-    boundary_grace: float = 1e-9     # zeros within this of R count as boundary
-    tail_samples: int = 512          # samples for the Euler-comparison fit
-    certificate_slack: float = 1e-10 # relative slack on the 1/4 threshold
 
     def validated(self) -> "SolverSettings":
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, (int, float)) and not val > 0:
-                raise ConfigError(f"solver setting {f.name} must be positive, got {val}")
+        if not self.s_max > 0:
+            raise ConfigError(f"solver setting s_max must be positive, got {self.s_max}")
         return self
 
 
@@ -82,25 +76,17 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [domain] R = {R} exceeds potential r_max = {potential.r_max}")
 
     sol = parser["solver"] if "solver" in parser else {}
-    unknown = sorted(set(sol) - {f.name for f in fields(SolverSettings)}
-                     - {"grid_n", "r_min_rel"})
+    unknown = sorted(set(sol) - {"s_max", "grid_n", "r_min_rel"})
     if unknown:
         raise ConfigError(f"{path}: [solver] unknown key(s): {', '.join(unknown)}")
-    kwargs = {}
-    for f in fields(SolverSettings):
-        if f.name in sol:
-            try:
-                kwargs[f.name] = type(f.default)(sol[f.name])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: [solver] key {f.name}: {exc}") from exc
     try:
+        settings = SolverSettings(float(sol.get("s_max", SolverSettings.s_max))).validated()
         grid_n = int(sol.get("grid_n", 10_000))
         r_min_rel = float(sol.get("r_min_rel", 1e-6))
     except ValueError as exc:
         raise ConfigError(f"{path}: [solver] {exc}") from exc
     if grid_n < 16:
         raise ConfigError(f"{path}: [solver] grid_n must be >= 16, got {grid_n}")
-    settings = SolverSettings(**kwargs).validated()
 
     out = parser["output"] if "output" in parser else {}
     return RunConfig(

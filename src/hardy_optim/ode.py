@@ -22,10 +22,9 @@ coefficient-approximation method (Pruess 1973; Pryce, Numerical Solution of
 Sturm-Liouville Problems, 1993) on the model the tables themselves define.
 
 The two log families are swept by DOP853 in s, which absorbs the 1/r drift
-and keeps steps O(1) up to the horizon; the first sign change ends such a
-sweep at the integrator's terminal event, whose root solve_ivp refines on
-its dense output; overflow is handled by power-of-two rescaling, which a
-linear equation tolerates without moving any zero.
+and keeps steps O(1) up to the horizon, in one solve_ivp call; the first
+sign change ends such a sweep at the integrator's terminal event, whose
+root solve_ivp refines on its dense output.
 
 For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
@@ -46,12 +45,13 @@ from scipy import special
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .config import SolverSettings
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
 from .potentials import RadialPotential
 
-_OVERFLOW_THRESHOLD = 1e250   # |z| + |z'| at which a sweep rescales its state
+_RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
+_TAIL_SAMPLES = 512           # tail grid samples of the Euler-comparison edges
+CERTIFICATE_SLACK = 1e-10     # relative slack on the non-oscillatory edge
 _HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
 _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
@@ -112,12 +112,6 @@ def to_log_domain(prob: HardyODEProblem, s_max: float = 1e6) -> HardyODEProblem:
     return replace(prob, domain=Domain.LOG, s_max=s_max)
 
 
-def to_radius_domain(prob: HardyODEProblem) -> HardyODEProblem:
-    if prob.domain is not Domain.LOG:
-        raise DomainError("to_radius_domain expects a log-domain problem")
-    return replace(prob, domain=Domain.RADIUS)
-
-
 @dataclass(frozen=True)
 class TailCertificate:
     """Euler-comparison verdict for the coefficient tail a(s).
@@ -140,7 +134,6 @@ class ShootingOutcome:
     trajectory: dict                      # column name -> sample array
     first_zero: Optional[float]           # radius of the first zero, if any
     status: Status
-    rescale_count: int = 0
     certificate: Optional[TailCertificate] = None
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
 
@@ -152,95 +145,50 @@ def wants_log_domain(p: RadialPotential) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Chunked adaptive integration with rescaling and event-located zeros
+# DOP853 sweeps of the log families
 # ---------------------------------------------------------------------------
 
 @dataclass
 class _RawRun:
     t: np.ndarray
-    y: np.ndarray                 # shape (2, n), rescaled consistently
+    y: np.ndarray                 # shape (2, n)
     zero_t: Optional[float]
-    rescale_count: int
     dense: Optional[Callable]
 
 
-def _integrate_chunked(rhs, t0: float, t1: float, state0, *, rtol: float,
-                       atol: float, overflow_threshold: float) -> _RawRun:
-    """solve_ivp in chunks, restarting with a 2^-k rescale on overflow.
+def _dop853_sweep(rhs, t0: float, t1: float, state0) -> _RawRun:
+    """One solve_ivp call from t0 to t1; the first sign change of state[0]
+    ends it at the terminal event, whose root is already refined on the
+    dense output.
 
-    The recorded trajectory is kept consistent: earlier samples are divided
-    by each later rescale factor, so the final arrays are the true solution
-    times a single overall power of two.  The first sign change of state[0]
-    ends the run at solve_ivp's terminal event, whose root is already
-    refined on the dense output.
+    No state can overflow.  For both log families g = ``log_weight`` is
+    positive and decreasing in s.  Every sweep starts at z = 1, not rising
+    along the sweep (z' = 0 at the outer edge, z' >= 0 at the horizon,
+    swept toward smaller s), and ends at its first zero: so 0 < z <= 1 by
+    concavity, and the energy z'^2 + a z^2 grows by at most the rise of a
+    along the sweep, which bounds |z'| by sqrt(z'(start)^2 + c g(outer
+    edge)) <= sqrt(DBL_MAX) ~ 1.4e154.
     """
     def zero_event(t, y):
         return y[0]
     zero_event.terminal = True
     zero_event.direction = 0.0
 
-    def overflow_event(t, y):
-        return abs(y[0]) + abs(y[1]) - overflow_threshold
-    overflow_event.terminal = True
-    overflow_event.direction = 1.0
-
-    ts: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    chunks: list[tuple[float, float, Callable, float]] = []  # (lo, hi, sol, postscale)
-    t_cur, state = float(t0), np.asarray(state0, dtype=float)
-    rescales = 0
-    zero_t = None
-
-    for _ in range(10_000):
-        sol = solve_ivp(rhs, (t_cur, t1), state, method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True,
-                        events=[zero_event, overflow_event])
-        if sol.status == -1:
-            last = sol.t[-1] if sol.t.size else t_cur
-            raise StepSizeUnderflow(f"integrator stalled at abscissa {last}: {sol.message}",
-                                    float(last))
-        ts.append(sol.t)
-        ys.append(sol.y)
-        chunks.append([sol.t[0], sol.t[-1], sol.sol, 1.0])
-
-        if sol.t_events[0].size:  # sign change of the solution
-            zero_t = float(sol.t_events[0][0])
-            break
-        if sol.t_events[1].size:  # overflow: rescale and resume
-            t_cur = float(sol.t_events[1][0])
-            state = sol.sol(t_cur)
-            # bring the state down to O(1) (or a quarter of a sub-unit
-            # threshold) so the next chunk has headroom; k >= 1 guarantees
-            # progress
-            target = min(1.0, overflow_threshold / 4.0)
-            k = max(1, math.ceil(math.log2(max(abs(state[0]), abs(state[1])) / target)))
-            factor = 2.0 ** k
-            state = state / factor
-            for arr in ys:
-                arr /= factor
-            for chunk in chunks:
-                chunk[3] /= factor
-            rescales += 1
-            continue
-        break  # reached t1
-    else:
-        raise StepSizeUnderflow("too many rescale restarts", t_cur)
-
-    t_all = np.concatenate(ts)
-    y_all = np.concatenate(ys, axis=1)
-    # drop duplicate restart points
-    keep = np.ones(t_all.size, dtype=bool)
-    keep[1:] = np.abs(np.diff(t_all)) > 0.0
-    t_all, y_all = t_all[keep], y_all[:, keep]
+    sol = solve_ivp(rhs, (t0, t1), np.asarray(state0, dtype=float), method="DOP853",
+                    rtol=_RTOL, atol=_ATOL, dense_output=True, events=[zero_event])
+    if sol.status == -1:
+        last = sol.t[-1] if sol.t.size else t0
+        raise StepSizeUnderflow(f"integrator stalled at abscissa {last}: {sol.message}",
+                                float(last))
+    zero_t = float(sol.t_events[0][0]) if sol.t_events[0].size else None
+    lo, hi = sorted((sol.t[0], sol.t[-1]))
 
     def dense(t):
-        for lo, hi, sol_chunk, post in chunks:
-            a, b = (lo, hi) if lo <= hi else (hi, lo)
-            if a - 1e-12 <= t <= b + 1e-12:
-                return sol_chunk(t) * post
-        raise DomainError(f"abscissa {t} outside the integrated range")
+        if not lo - 1e-12 <= t <= hi + 1e-12:
+            raise DomainError(f"abscissa {t} outside the integrated range")
+        return sol.sol(t)
 
-    return _RawRun(t_all, y_all, zero_t, rescales, dense)
+    return _RawRun(sol.t, sol.y, zero_t, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +404,14 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
         f11, f12, f21, f22, _ = _fundamental(seg, k, np.array([float(s)]))
         return np.array([(f11 * A[k] + f12 * B[k])[0], (f21 * A[k] + f22 * B[k])[0]])
 
-    return _RawRun(t, y, zero_t, 0, dense)
+    return _RawRun(t, y, zero_t, dense)
 
 
 # ---------------------------------------------------------------------------
 # The sweep of z'' + a(s) z = 0 and its public entry points
 # ---------------------------------------------------------------------------
 
-def integrate(prob: HardyODEProblem,
-              settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
+def integrate(prob: HardyODEProblem) -> ShootingOutcome:
     """Shoot the problem across its interval and report the first zero.
 
     Radius domain: the recessive sweep from the inner cell down to the outer
@@ -473,30 +420,15 @@ def integrate(prob: HardyODEProblem,
     """
     if prob.domain is Domain.RADIUS:
         s0, state0 = _inner_cell_start(prob)
-        return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0, settings))
+        return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0))
     s_start = -math.log(prob.R) + 1e-9
     if prob.s_max <= s_start:
         raise DomainError(f"horizon s_max = {prob.s_max} not beyond the outer edge {s_start}")
-    return _sweep(prob, s_start, prob.s_max, (1.0, 0.0), settings)
+    return _sweep(prob, s_start, prob.s_max, (1.0, 0.0))
 
 
-def integrate_recessive_log(prob: HardyODEProblem,
-                            settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
-    """The radius-domain shot of the same problem without the change back to
-    (r, y, dy/dr): the recessive solution from the inner cell down to the
-    outer edge, reported as (s, z, dz/ds).
-
-    Exists so the two coordinate systems can be cross-checked against each
-    other; zeros must agree with the radius-domain run at s* = ln(1/r*).
-    """
-    if prob.domain is not Domain.LOG:
-        raise DomainError("integrate_recessive_log expects a log-domain problem")
-    s0, state0 = _inner_cell_start(prob)
-    return _sweep(prob, s0, -math.log(prob.R), state0, settings)
-
-
-def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate,
-                             settings: SolverSettings = SolverSettings()) -> ShootingOutcome:
+def integrate_principal_tail(prob: HardyODEProblem,
+                             certificate: TailCertificate) -> ShootingOutcome:
     """Integrate the principal-at-infinity branch down from the end of the
     certified window (the horizon).
 
@@ -514,7 +446,7 @@ def integrate_principal_tail(prob: HardyODEProblem, certificate: TailCertificate
     mu = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * gamma)))
     s_top = certificate.window[1]
     state0 = (1.0, mu / (s_top - certificate.shift))
-    return _sweep(prob, s_top, -math.log(prob.R), state0, settings, certificate)
+    return _sweep(prob, s_top, -math.log(prob.R), state0, certificate)
 
 
 def _inner_cell_start(prob: HardyODEProblem):
@@ -551,7 +483,6 @@ def _inner_cell_start(prob: HardyODEProblem):
 
 
 def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
-           settings: SolverSettings,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
@@ -569,8 +500,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
         def rhs(s, u):
             return (u[1], -c * lw(s) * u[0])
 
-        run = _integrate_chunked(rhs, s_from, s_to, state0, rtol=settings.rtol,
-                                 atol=settings.atol, overflow_threshold=_OVERFLOW_THRESHOLD)
+        run = _dop853_sweep(rhs, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
     s, z, dz = run.t, run.y[0], run.y[1]
     if run.zero_t is None:
@@ -587,7 +517,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     if to_edge:
         s, z, dz = s[::-1], z[::-1], dz[::-1]
     return ShootingOutcome({"s": s, "z": z, "dz": dz}, first_zero, status,
-                           run.rescale_count, certificate=certificate, dense=run.dense)
+                           certificate=certificate, dense=run.dense)
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
@@ -613,7 +543,7 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
 @dataclass(frozen=True)
 class TailEdges:
     """Multiplier edges of the shifted-Euler comparisons: c <= c_non is
-    non-oscillatory (to within ``certificate_slack``), c >= c_osc oscillatory
+    non-oscillatory (to within ``CERTIFICATE_SLACK``), c >= c_osc oscillatory
     (0, inf if none), by its certificate at c = 1 with gamma scaled by c."""
 
     c_non: float
@@ -622,8 +552,7 @@ class TailEdges:
     unit_osc: Optional[TailCertificate]
 
 
-def tail_edges(prob: HardyODEProblem,
-               settings: SolverSettings = SolverSettings()) -> TailEdges:
+def tail_edges(prob: HardyODEProblem) -> TailEdges:
     """The largest c_non and the smallest c_osc over the candidate shifts s0
     (a line fitted to 1/sqrt(g), and the potential's hint), from one sample
     of the unit-multiplier coefficient g(s) = r^2 v(r), r = e^-s, on the tail
@@ -635,7 +564,7 @@ def tail_edges(prob: HardyODEProblem,
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     s_start = -math.log(prob.R) + 1e-9
-    grid = _tail_grid(s_start, prob.s_max, settings.tail_samples)
+    grid = _tail_grid(s_start, prob.s_max, _TAIL_SAMPLES)
     g = prob.potential.log_weight(grid)
     shifts = _candidate_shifts(grid, g, s_start)
     hint = prob.potential.euler_shift_hint()
@@ -666,7 +595,6 @@ def tail_edges(prob: HardyODEProblem,
 
 
 def euler_tail_certificate(prob: HardyODEProblem,
-                           settings: SolverSettings = SolverSettings(),
                            edges: Optional[TailEdges] = None) -> Optional[TailCertificate]:
     """Classify the coefficient tail a(s) = c g(s) by comparing c with the
     edges of ``tail_edges``: non-oscillatory if c <= c_non (1 + slack), else
@@ -680,8 +608,8 @@ def euler_tail_certificate(prob: HardyODEProblem,
         s_start = -math.log(prob.R) + 1e-9
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, prob.s_max))
     if edges is None:
-        edges = tail_edges(prob, settings)
-    if c <= edges.c_non * (1.0 + settings.certificate_slack):
+        edges = tail_edges(prob)
+    if c <= edges.c_non * (1.0 + CERTIFICATE_SLACK):
         return replace(edges.unit_non, gamma=c * edges.unit_non.gamma)
     if c >= edges.c_osc:
         return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma)

@@ -262,7 +262,7 @@ def test_criterion_09_transform_identities():
 
     pj = RadialPotential.constant(1.0, r_max=math.exp(-1.0))
     lpj = log_problem(pj, 1.0, math.exp(-1.0), s_max=5.0)
-    res_j0 = riccati_check(integrate(lpj, ST), lpj)
+    res_j0 = riccati_check(integrate(lpj), lpj)
 
     pa = RadialPotential.adimurthi_log(1, rho=1.0, r_max=1.0 / math.e)
     lpa = log_problem(pa, 0.25, 1.0 / math.e)

@@ -11,6 +11,7 @@ from hardy_optim import (RadialPotential, SolverSettings, Status, best_constant,
                          equal_volume_radius, feasible, integrate, log_problem,
                          radius_problem, unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
+from hardy_optim.ode import CERTIFICATE_SLACK
 
 from conftest import Z0, Z0_SQ, power_law_best_constant
 
@@ -52,6 +53,18 @@ def test_feasible_supercritical_power_laws(settings):
             check = feasible(p, c, 1.0, settings)
             assert not check.feasible
             assert check.evidence.certificate is not None
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_oscillation_certificate_is_the_whole_evidence(family):
+    # an outer-edge sweep at c = 1e80 stalls at its first step; the
+    # certificate alone proves a zero, so no sweep runs after it
+    check = feasible(getattr(RadialPotential, family)(1), 1e80, 1.0)
+    assert not check.feasible and check.method == "oscillation-certificate"
+    out = check.evidence
+    assert out.status is Status.ZERO_FOUND and out.first_zero is None
+    assert out.certificate.kind == "oscillatory"
+    assert all(column.size == 0 for column in out.trajectory.values())
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +349,8 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, sett
     assert lo.feasible and lo.method == "principal-tail"
     assert not hi.feasible and hi.method == "oscillation-certificate"
     # the next multiplier beyond either certified extreme is undecided; the
-    # non-oscillatory certificate reaches certificate_slack above c_lo
-    for c in (np.nextafter(res.c_lo * (1.0 + settings.certificate_slack), math.inf),
+    # non-oscillatory certificate reaches CERTIFICATE_SLACK above c_lo
+    for c in (np.nextafter(res.c_lo * (1.0 + CERTIFICATE_SLACK), math.inf),
               np.nextafter(res.c_hi, 0.0)):
         with pytest.raises(IndeterminateAtHorizon):
             feasible(p, float(c), 1.0, settings)
@@ -392,9 +405,9 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, settings):
 # Bessel cross-checks and reference constants
 # ---------------------------------------------------------------------------
 
-def test_ode_and_series_agree_on_z0(settings):
+def test_ode_and_series_agree_on_z0():
     p = RadialPotential.constant(1.0, r_max=10.0)
-    out = integrate(radius_problem(p, 1.0, 10.0), settings)
+    out = integrate(radius_problem(p, 1.0, 10.0))
     assert out.first_zero == pytest.approx(bessel_j0_first_zero(), abs=1e-9)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 import subprocess
@@ -82,6 +83,16 @@ def test_feasible_subcommand(tmp_path, capsys):
     assert code == 0 and parse_record(out)["feasible"] == "true"
     code, out = _run(capsys, "feasible", "--c", "6.0", "--config", cfg)
     assert code == 0 and parse_record(out)["feasible"] == "false"
+
+
+def test_feasible_oscillation_certificate_at_huge_multiplier(tmp_path, capsys):
+    # the certificate decides alone; an evidence sweep at c = 1e80 would stall
+    cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": "1"})
+    code, out = _run(capsys, "feasible", "--c", "1e80", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 0
+    assert (rec["feasible"], rec["method"]) == ("false", "oscillation-certificate")
+    assert (rec["status"], rec["first_zero"]) == ("ZeroFound", "none")
 
 
 def test_feasible_indeterminate(tmp_path, capsys):
@@ -185,6 +196,22 @@ def test_records_are_deterministic(tmp_path, capsys):
     assert first == second
 
 
+def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
+    # the seven-subcommand tree once cost a third of a best-constant op
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = _write_config(tmp_path)
+    for _ in range(3):
+        assert _run(capsys, "feasible", "--c", "1.0", "--config", cfg)[0] == 0
+    assert built.count("hardy-optim") <= 1
+
+
 def test_timestamp_behind_flag(tmp_path, capsys):
     cfg = _write_config(tmp_path, potential={"kind": "power_law", "alpha": "1.0"})
     _, plain = _run(capsys, "dual", "--c", "1.0", "--p", "2.0", "--config", cfg)
@@ -209,11 +236,11 @@ def test_config_round_trip(tmp_path):
     cfg = _write_config(tmp_path, potential={"kind": "power_law", "alpha": "1.5",
                                              "amplitude": "2.0", "r_max": "3.0"},
                         domain={"R": "2.5", "n": "4"},
-                        solver={"grid_n": "128", "rtol": "1e-9"})
+                        solver={"grid_n": "128", "s_max": "1e9"})
     run = load_config(cfg)
     assert run.potential.alpha == 1.5 and run.potential.r_max == 3.0
     assert run.R == 2.5 and run.n == 4
-    assert run.grid_n == 128 and run.settings.rtol == 1e-9
+    assert run.grid_n == 128 and run.settings.s_max == 1e9
 
 
 def test_every_solver_setting_is_read_from_the_config(tmp_path):
@@ -225,11 +252,14 @@ def test_every_solver_setting_is_read_from_the_config(tmp_path):
     assert {k: getattr(run.settings, k) for k in wanted} == wanted
 
 
-@pytest.mark.parametrize("key", ["bisect_tolerance", "zero_width_rel"])
+@pytest.mark.parametrize("key", ["bisect_tolerance", "zero_width_rel", "rtol", "atol",
+                                 "bisect_tol", "boundary_grace", "tail_samples",
+                                 "certificate_slack"])
 def test_unknown_solver_key_is_rejected(key, tmp_path, capsys):
     # a misspelled setting, or one that no longer exists, was once parsed
-    # and then silently ignored
-    cfg = _write_config(tmp_path, solver={key: "1e-3"})
+    # and then silently ignored; the tolerances, sample count, slack and
+    # grace are constants now, and best-constant uses best_constant's tol
+    cfg = _write_config(tmp_path, solver={key: "64"})   # a value every old key parsed
     with pytest.raises(ConfigError, match=key):
         load_config(cfg)
     code, out = _run(capsys, "best-constant", "--config", cfg)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hardy_optim import (RadialPotential, ShootingOutcome, Status,
+from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status,
                          euler_tail_certificate, integrate, integrate_principal_tail,
-                         integrate_recessive_log, log_problem, radius_problem, residual,
-                         riccati_check, to_log_domain, to_radius_domain)
+                         log_problem, radius_problem, residual, riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
-from hardy_optim.ode import (_fundamental, _integrate_chunked, _oscillation_edge, _segments,
+from hardy_optim.ode import (CERTIFICATE_SLACK, _fundamental, _oscillation_edge, _segments,
                              _transfer, tail_edges)
 
 from conftest import Z0, power_law_zero
@@ -52,7 +51,7 @@ def test_frobenius_rejects_critical():
     with pytest.raises(UnsupportedSingularity):
         integrate(radius_problem(RadialPotential.power_law(2.5), 0.2, 1.0))
     with pytest.raises(UnsupportedSingularity):
-        integrate_recessive_log(log_problem(RadialPotential.filippas_tertikas(1), 0.2, 1.0))
+        integrate(radius_problem(RadialPotential.filippas_tertikas(1), 0.2, 1.0))
 
 
 def test_recessive_normalization():
@@ -72,58 +71,58 @@ def test_recessive_normalization():
 # shooting
 # ---------------------------------------------------------------------------
 
-def test_first_zero_is_bessel_zero(settings):
+def test_first_zero_is_bessel_zero():
     p = RadialPotential.constant(1.0, r_max=10.0)
-    out = integrate(radius_problem(p, 1.0, 10.0), settings)
+    out = integrate(radius_problem(p, 1.0, 10.0))
     assert out.status is Status.ZERO_FOUND
     assert out.first_zero == pytest.approx(Z0, abs=1e-9)
 
 
-def test_no_zero_below_bessel_zero(settings):
+def test_no_zero_below_bessel_zero():
     p = RadialPotential.constant(1.0, r_max=2.0)
-    out = integrate(radius_problem(p, 1.0, 2.0), settings)
+    out = integrate(radius_problem(p, 1.0, 2.0))
     assert out.status is Status.NO_ZERO_ON_INTERVAL
     assert out.first_zero is None
 
 
-def test_zero_amplitude_stays_at_one(settings):
-    out = integrate(radius_problem(RadialPotential.constant(0.0), 1.0, 1.0), settings)
+def test_zero_amplitude_stays_at_one():
+    out = integrate(radius_problem(RadialPotential.constant(0.0), 1.0, 1.0))
     assert out.status is Status.NO_ZERO_ON_INTERVAL
     assert np.all(out.trajectory["y"] == 1.0)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-def test_power_law_zeros_match_analytic(alpha, settings):
+def test_power_law_zeros_match_analytic(alpha):
     p = RadialPotential.power_law(alpha, r_max=50.0)
-    out = integrate(radius_problem(p, 1.0, 50.0), settings)
+    out = integrate(radius_problem(p, 1.0, 50.0))
     assert out.first_zero == pytest.approx(power_law_zero(alpha, 1.0), rel=1e-9)
 
 
-def test_trajectory_positive_before_zero(settings):
+def test_trajectory_positive_before_zero():
     p = RadialPotential.constant(1.0, r_max=10.0)
-    out = integrate(radius_problem(p, 1.0, 10.0), settings)
+    out = integrate(radius_problem(p, 1.0, 10.0))
     y = out.trajectory["y"]
     assert np.all(y[:-1] > 0.0)
 
 
-def test_zero_bracket_tightness(settings):
+def test_zero_bracket_tightness():
     # the refined zero sits within 1e-12 R of the true crossing: the
     # solution is still positive one width below it and essentially zero
     # at it (the dense range ends at the event, so probe from the left)
     p = RadialPotential.constant(1.0, r_max=10.0)
-    out = integrate(radius_problem(p, 1.0, 10.0), settings)
+    out = integrate(radius_problem(p, 1.0, 10.0))
     width = 1e-12 * 10.0
     assert out.dense(out.first_zero - 5 * width)[0] > 0.0
     slope = abs(out.dense(out.first_zero)[1])
     assert abs(out.dense(out.first_zero)[0]) <= 10 * width * slope
 
 
-def test_sturm_zero_monotonicity(settings):
+def test_sturm_zero_monotonicity():
     # larger multiplier, earlier first zero
     p = RadialPotential.power_law(1.0, r_max=30.0)
     zeros = []
     for c in (0.5, 1.0, 2.0, 4.0):
-        out = integrate(radius_problem(p, c, 30.0), settings)
+        out = integrate(radius_problem(p, c, 30.0))
         zeros.append(out.first_zero)
     assert all(zeros[i + 1] < zeros[i] + 1e-10 for i in range(len(zeros) - 1))
 
@@ -193,7 +192,7 @@ def test_transfer_matrices_have_unit_determinant(p, c, s_from, s_to):
 # log domain
 # ---------------------------------------------------------------------------
 
-def test_to_log_domain_coefficient_identity(settings):
+def test_to_log_domain_coefficient_identity():
     prob = radius_problem(RadialPotential.power_law(2.0, amplitude=0.25), 1.0, 1.0)
     lp = to_log_domain(prob)
     for s in (0.5, 7.0, 300.0):
@@ -202,20 +201,18 @@ def test_to_log_domain_coefficient_identity(settings):
     assert to_log_domain(cprob).coefficient(2.0) == pytest.approx(math.exp(-4.0), rel=1e-14)
 
 
-def test_log_domain_round_trip(settings):
+def test_log_domain_round_trip():
     prob = radius_problem(RadialPotential.power_law(0.8, amplitude=1.7), 2.3, 1.0)
     lp = to_log_domain(prob)
-    back = to_radius_domain(lp)
+    # the same problem, only its frame changes
+    assert lp.domain is Domain.LOG
+    assert (lp.potential, lp.c, lp.R) == (prob.potential, prob.c, prob.R)
     for r in np.logspace(-8, -0.01, 9):
         # pulled-back coefficient equals r^2 c v(r) pointwise
         assert lp.coefficient(math.log(1.0 / r)) == pytest.approx(
             r * r * prob.coefficient(float(r)), rel=1e-13)
-        assert back.coefficient(float(r)) == pytest.approx(
-            prob.coefficient(float(r)), rel=1e-13)
     with pytest.raises(DomainError):
         to_log_domain(lp)
-    with pytest.raises(DomainError):
-        to_radius_domain(prob)
 
 
 def test_adimurthi_log_coefficient_is_shifted_euler():
@@ -225,42 +222,32 @@ def test_adimurthi_log_coefficient_is_shifted_euler():
         assert lp.coefficient(s) == pytest.approx(0.25 / s ** 2, rel=1e-13)
 
 
-def test_domain_change_zero_consistency(settings):
-    # both frames report one and the same recessive sweep: identical zeros
-    for p, c, R in [(RadialPotential.constant(1.0, r_max=10.0), 1.0, 10.0),
-                    (RadialPotential.power_law(0.5), 5.0, 1.0)]:
-        rprob = radius_problem(p, c, R)
-        r_out = integrate(rprob, settings)
-        l_out = integrate_recessive_log(to_log_domain(rprob), settings)
-        assert r_out.status is Status.ZERO_FOUND
-        assert l_out.first_zero == r_out.first_zero
-
-
-def test_log_shots_end_at_first_zero(settings):
+def test_log_shots_end_at_first_zero():
     # the outer-edge shot stops at the bisected zero, the last row in s
-    out = integrate(log_problem(RadialPotential.filippas_tertikas(1), 0.5, 1.0), settings)
+    out = integrate(log_problem(RadialPotential.filippas_tertikas(1), 0.5, 1.0))
     assert out.status is Status.ZERO_FOUND
     assert math.exp(-out.trajectory["s"][-1]) == out.first_zero
     assert np.all(out.trajectory["z"][:-1] > 0.0)
-    # the recessive sweep runs toward decreasing s: its zero is the first row
-    rprob = radius_problem(RadialPotential.power_law(0.5), 5.0, 1.0)
-    rec = integrate_recessive_log(to_log_domain(rprob), settings)
-    assert math.exp(-rec.trajectory["s"][0]) == rec.first_zero
-    assert np.all(np.diff(rec.trajectory["s"]) > 0.0)
+    # the recessive sweep runs toward decreasing s: in the radius frame its
+    # zero is the last row
+    rec = integrate(radius_problem(RadialPotential.power_law(0.5), 5.0, 1.0))
+    assert rec.status is Status.ZERO_FOUND
+    assert rec.trajectory["r"][-1] == rec.first_zero
+    assert np.all(np.diff(rec.trajectory["r"]) > 0.0)
 
 
-def test_forward_log_integration_finds_oscillation_zero(settings):
+def test_forward_log_integration_finds_oscillation_zero():
     p = RadialPotential.adimurthi_log(1)
-    out = integrate(log_problem(p, 0.35, 1.0, s_max=1e6), settings)
+    out = integrate(log_problem(p, 0.35, 1.0, s_max=1e6))
     assert out.status is Status.ZERO_FOUND
     assert 0.0 < out.first_zero < 1.0
 
 
-def test_forward_log_integration_horizon(settings):
+def test_forward_log_integration_horizon():
     # outer-edge shots eventually cross zero for any nonzero potential (they
     # carry the subdominant branch), so pick a horizon short of the crossing
     p = RadialPotential.constant(0.1)
-    out = integrate(log_problem(p, 1.0, 1.0, s_max=5.0), settings)
+    out = integrate(log_problem(p, 1.0, 1.0, s_max=5.0))
     assert out.status is Status.HORIZON_REACHED
     assert np.all(out.trajectory["z"] > 0.0)
 
@@ -269,14 +256,14 @@ def test_forward_log_integration_horizon(settings):
 # Euler tail certificates
 # ---------------------------------------------------------------------------
 
-def test_certificate_nonoscillatory_at_quarter(settings, adimurthi_1):
-    cert = euler_tail_certificate(log_problem(adimurthi_1, 0.25, 1.0), settings)
+def test_certificate_nonoscillatory_at_quarter(adimurthi_1):
+    cert = euler_tail_certificate(log_problem(adimurthi_1, 0.25, 1.0))
     assert cert is not None and cert.kind == "nonoscillatory"
     assert cert.gamma <= 0.25 * (1.0 + 1e-9)
 
 
-def test_certificate_oscillatory_above_quarter(settings, adimurthi_1):
-    cert = euler_tail_certificate(log_problem(adimurthi_1, 0.35, 1.0), settings)
+def test_certificate_oscillatory_above_quarter(adimurthi_1):
+    cert = euler_tail_certificate(log_problem(adimurthi_1, 0.35, 1.0))
     assert cert is not None and cert.kind == "oscillatory"
     assert cert.gamma > 0.25
     # window long enough for an Euler half-oscillation
@@ -285,14 +272,14 @@ def test_certificate_oscillatory_above_quarter(settings, adimurthi_1):
         math.pi / math.sqrt(cert.gamma - 0.25)
 
 
-def test_certificate_band_shrinks_with_horizon(settings, adimurthi_1):
-    at_1e4 = euler_tail_certificate(log_problem(adimurthi_1, 0.35, 1.0, s_max=1e4), settings)
-    at_1e6 = euler_tail_certificate(log_problem(adimurthi_1, 0.35, 1.0, s_max=1e6), settings)
+def test_certificate_band_shrinks_with_horizon(adimurthi_1):
+    at_1e4 = euler_tail_certificate(log_problem(adimurthi_1, 0.35, 1.0, s_max=1e4))
+    at_1e6 = euler_tail_certificate(log_problem(adimurthi_1, 0.35, 1.0, s_max=1e6))
     assert at_1e4 is None and at_1e6 is not None
 
 
-def test_certificate_none_inside_band(settings, adimurthi_1):
-    assert euler_tail_certificate(log_problem(adimurthi_1, 0.28, 1.0), settings) is None
+def test_certificate_none_inside_band(adimurthi_1):
+    assert euler_tail_certificate(log_problem(adimurthi_1, 0.28, 1.0)) is None
 
 
 def _oscillation_edge_brute_force(sigma, gamma):
@@ -322,19 +309,19 @@ def test_oscillation_edge_matches_all_windows():
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
-def test_tail_edges_decide_the_certificate(family, settings):
+def test_tail_edges_decide_the_certificate(family):
     # the certificate is the comparison of the multiplier with the edges,
     # exactly at them included; the non-oscillatory one takes the slack
     p = getattr(RadialPotential, family)(2)
-    edges = tail_edges(log_problem(p, 1.0, 1.0), settings)
+    edges = tail_edges(log_problem(p, 1.0, 1.0))
     c_non, c_osc = edges.c_non, edges.c_osc
     assert 0.0 < c_non < 0.25 < c_osc < math.inf
     assert c_non == 0.25 / edges.unit_non.gamma
-    c_top = c_non * (1.0 + settings.certificate_slack)
-    certs = [euler_tail_certificate(log_problem(p, c, 1.0), settings)
+    c_top = c_non * (1.0 + CERTIFICATE_SLACK)
+    certs = [euler_tail_certificate(log_problem(p, c, 1.0))
              for c in (c_top, np.nextafter(c_top, math.inf), np.nextafter(c_osc, 0.0), c_osc)]
     assert certs[0].kind == "nonoscillatory"
-    assert certs[0].gamma <= 0.25 * (1.0 + 2.0 * settings.certificate_slack)
+    assert certs[0].gamma <= 0.25 * (1.0 + 2.0 * CERTIFICATE_SLACK)
     assert certs[1] is None and certs[2] is None
     assert certs[3].kind == "oscillatory"
     s1, s2 = certs[3].window
@@ -342,10 +329,10 @@ def test_tail_edges_decide_the_certificate(family, settings):
         (1.0 - 1e-12) * math.pi / math.sqrt(certs[3].gamma - 0.25)
 
 
-def test_principal_tail_positive_at_threshold(settings, adimurthi_1):
+def test_principal_tail_positive_at_threshold(adimurthi_1):
     lp = log_problem(adimurthi_1, 0.25, 1.0)
-    cert = euler_tail_certificate(lp, settings)
-    out = integrate_principal_tail(lp, cert, settings)
+    cert = euler_tail_certificate(lp)
+    out = integrate_principal_tail(lp, cert)
     assert out.status is Status.NO_ZERO_ON_INTERVAL
     assert np.all(out.trajectory["z"] > 0.0)
     # tracks the exact solution sqrt(s + ln rho) up to normalization
@@ -358,18 +345,18 @@ def test_principal_tail_positive_at_threshold(settings, adimurthi_1):
 # Riccati residuals
 # ---------------------------------------------------------------------------
 
-def test_riccati_zero_potential(settings):
+def test_riccati_zero_potential():
     p = RadialPotential.constant(0.0)
     lp = log_problem(p, 1.0, 1.0, s_max=10.0)
-    out = integrate(lp, settings)
+    out = integrate(lp)
     assert riccati_check(out, lp) <= 1e-12
 
 
-def test_riccati_integrated_trajectory(settings):
+def test_riccati_integrated_trajectory():
     # the J0 profile seen in the log frame over s in [1, 5]
     p = RadialPotential.constant(1.0, r_max=math.exp(-1.0))
     lp = log_problem(p, 1.0, math.exp(-1.0), s_max=5.0)
-    out = integrate(lp, settings)
+    out = integrate(lp)
     assert riccati_check(out, lp) <= 1e-6
 
 
@@ -440,41 +427,49 @@ def test_residual_grid_too_coarse():
 
 
 # ---------------------------------------------------------------------------
-# chunked integrator internals: rescaling and stall reporting
+# DOP853 sweeps of the log families: bounded states and stall reporting
 # ---------------------------------------------------------------------------
 
-def test_rescaling_triggers_and_preserves_zeros():
-    # manufactured oscillator y'' = -y, y(0) = 1: zero at pi/2 regardless of
-    # how often the state is rescaled
-    rhs = lambda t, u: (u[1], -u[0])
-    clean = _integrate_chunked(rhs, 0.0, 10.0, (1.0, 0.0), rtol=1e-12, atol=1e-14,
-                               overflow_threshold=1e250)
-    forced = _integrate_chunked(rhs, 0.0, 10.0, (1.0, 0.0), rtol=1e-12, atol=1e-14,
-                                overflow_threshold=1.2)
-    assert clean.rescale_count == 0
-    assert forced.rescale_count >= 1
-    assert forced.zero_t == pytest.approx(clean.zero_t, abs=1e-12)
-    assert clean.zero_t == pytest.approx(math.pi / 2.0, abs=1e-11)
-
-
-def test_rescaling_on_growth():
-    # y'' = y with y = cosh t overflows any fixed threshold and is rescaled
-    rhs = lambda t, u: (u[1], u[0])
-    run = _integrate_chunked(rhs, 0.0, 40.0, (1.0, 0.0), rtol=1e-10, atol=1e-12,
-                             overflow_threshold=1e3)
-    assert run.rescale_count >= 4
-    assert run.zero_t is None and run.t[-1] == pytest.approx(40.0)
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
+    # g is positive and decreasing, and every sweep starts at z = 1, not
+    # rising along the sweep, and ends at its first zero: so z <= 1 and
+    # |z'| <= sqrt(z'(start)^2 + c g(outer edge)), far from overflow, and
+    # each sweep is one solve_ivp call
+    import hardy_optim.ode as ode_mod
+    calls = []
+    real = ode_mod.solve_ivp
+    monkeypatch.setattr(ode_mod, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for amplitude in (0.05, 1.0, 20.0):
+        p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+        g = p.log_weight(np.geomspace(1e-9, 1e6, 4000))
+        assert np.all(g > 0.0) and np.all(np.diff(g) <= 0.0)
+        edges = tail_edges(log_problem(p, 1.0, 1.0))
+        tail = log_problem(p, edges.c_non, 1.0)
+        sweeps = [(tail, integrate_principal_tail(tail, euler_tail_certificate(tail)))]
+        for c in (edges.c_osc, 3.0 * edges.c_osc, 1e40 / amplitude):
+            shot = log_problem(p, c, 1.0)
+            sweeps.append((shot, integrate(shot)))
+        for prob, out in sweeps:
+            z, dz = out.trajectory["z"], out.trajectory["dz"]
+            start, end = (-1, 0) if prob is tail else (0, -1)   # the tail runs down in s
+            assert z[start] == 1.0 and np.all(z <= 1.0)
+            assert np.all((z if out.first_zero is None else np.delete(z, end)) > 0.0)
+            bound = math.sqrt(dz[start] ** 2 + prob.c * float(p.log_weight(0.0)))
+            assert np.max(np.abs(dz)) <= bound * (1.0 + 1e-9)
+    assert len(calls) == 12
 
 
 def test_step_size_underflow_mapping(monkeypatch):
+    # a stalled sweep raises with the abscissa the integrator reached
     class _Stalled:
         status = -1
         message = "step too small"
-        t = np.array([0.0, 0.5])
+        t = np.array([1e-9, 0.5])
 
     import hardy_optim.ode as ode_mod
     monkeypatch.setattr(ode_mod, "solve_ivp", lambda *a, **k: _Stalled())
     with pytest.raises(StepSizeUnderflow) as err:
-        _integrate_chunked(lambda t, u: (u[1], -u[0]), 0.0, 1.0, (1.0, 0.0),
-                           rtol=1e-10, atol=1e-12, overflow_threshold=1e250)
+        integrate(log_problem(RadialPotential.adimurthi_log(1), 0.35, 1.0))
     assert err.value.last_abscissa == 0.5

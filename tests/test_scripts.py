@@ -1,0 +1,32 @@
+"""Smoke tests of the scripts under ``scripts/``: each runs in-process on
+the library it imports and prints its final lines."""
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run_script(name, argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [str(SCRIPTS / name)] + argv)
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_band_study_prints_the_band_per_horizon(monkeypatch, capsys):
+    lines = _run_script("band_study.py", [], monkeypatch, capsys)
+    bands = [line for line in lines if line.startswith("s_max = ")]
+    assert len(bands) == 5
+    assert bands[-1].startswith("s_max = 1e+150: ") and "predicted band [0.25" in bands[-1]
+    assert any(line.startswith("c_non ") for line in lines)
+
+
+def test_catalog_report_prints_its_table(monkeypatch, capsys):
+    lines = _run_script("catalog_report.py", ["--grid-n", "256"], monkeypatch, capsys)
+    assert lines[0].startswith("potential")
+    rows = {line[:15].strip(): line[15:].split() for line in lines[1:10]}
+    assert list(rows) == ["constant", "power a=0.5", "power a=1", "power a=1.5", "power a=2",
+                          "adimurthi m=1", "adimurthi m=2", "ft m=1", "ft m=2"]
+    assert all("nan" not in row for row in rows.values())
+    assert rows["constant"][0] == "X" and rows["adimurthi m=1"][4] == "band"
+    assert lines[-1].startswith("closes only doubly-logarithmically")
