@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands wrap the library one-to-one and emit machine-readable records
-(INI-style, re-parsable by the config machinery) either to stdout or to
---out.  Exit codes: 0 success, 1 error, 2 indeterminate/uncertified, so
-batch scripts can tell "borderline" from "broken".  Errors are emitted as
-structured [error] records, never bare tracebacks.
+(INI-style, re-parsable by the config machinery) to stdout, or to --out
+unless that names a CSV artifact (`trace`, `eigen --format csv`).  Exit
+codes: 0 success, 1 error, 2 indeterminate/uncertified, so batch scripts
+can tell "borderline" from "broken".  Errors are emitted as structured
+[error] records, never bare tracebacks.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ def main(argv: Optional[list] = None) -> int:
     if args.timestamp:
         cfg = dataclasses.replace(cfg, timestamp=True)
     try:
-        outcome = args.handler(args, cfg)
+        record, extra_exit = args.handler(args, cfg)
     except (IndeterminateAtHorizon, NoUpperBracket) as exc:
         record = {"type": type(exc).__name__, "message": str(exc), "status": type(exc).__name__}
         _emit(args, record, section="error")
@@ -48,13 +49,9 @@ def main(argv: Optional[list] = None) -> int:
     except HardyError as exc:
         _emit(args, {"type": type(exc).__name__, "message": str(exc)}, section="error")
         return _EXIT_ERROR
-    record, extra_exit = outcome[0], outcome[1]
-    wrote_artifact = len(outcome) > 2 and outcome[2]
-    if record is not None:
-        if cfg.timestamp:
-            record["timestamp"] = f"{time.time():.6f}"
-        # when --out already received a CSV artifact the record goes to stdout
-        _emit(args, record, to_stdout=wrote_artifact)
+    if cfg.timestamp:
+        record["timestamp"] = f"{time.time():.6f}"
+    _emit(args, record)
     return extra_exit
 
 
@@ -89,9 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, record: dict, section: str = "result", to_stdout: bool = False) -> None:
+def _writes_csv(args) -> bool:
+    """Whether --out names the subcommand's CSV artifact."""
+    return args.handler is _cmd_trace or (args.handler is _cmd_eigen and args.format == "csv")
+
+
+def _emit(args, record: dict, section: str = "result") -> None:
     text = format_record(record, section=section)
-    if getattr(args, "out", None) and not to_stdout:
+    # records, [error] ones included, never overwrite a CSV artifact path
+    if args.out and not _writes_csv(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -160,7 +163,6 @@ def _cmd_eigen(args, cfg: RunConfig):
         path = args.out or "eigenvector.csv"
         write_vector_csv(path, grid.nodes(), result.eigenvector)
         record["csv"] = path
-        return record, _EXIT_OK, True
     return record, _EXIT_OK
 
 
@@ -207,7 +209,7 @@ def _cmd_trace(args, cfg: RunConfig):
         "samples": out.trajectory[header.split(",")[0]].size,
         "csv": path,
     }
-    return record, _EXIT_OK, True
+    return record, _EXIT_OK
 
 
 if __name__ == "__main__":

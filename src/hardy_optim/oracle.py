@@ -2,9 +2,14 @@
 weighted one-dimensional inequalities.
 
 Everything here deliberately avoids the shooting machinery: quotients are
-assembled as piecewise-linear finite elements on explicit grids and solved
-by shifted inverse iteration, so agreement with the ODE side is a genuine
-two-sided check of the feasibility characterization.
+assembled as piecewise-linear finite elements on explicit grids, so
+agreement with the ODE side is a genuine two-sided check of the
+feasibility characterization.
+
+Smallest eigenvalues are certified by Sylvester's law of inertia: the
+tridiagonal K - sigma M has an unpivoted LDL^T factorization with positive
+pivots exactly when every eigenvalue exceeds sigma.  A returned lambda1 is
+a Rayleigh quotient, at most 1e-6 relative above such a certified sigma.
 
 Boundary treatment: Dirichlet at the outer radius, natural (free) at the
 inner cutoff r_min.  The inner cutoff stands in for the boundedness
@@ -22,10 +27,12 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+# dpttrs is bound as solve_banded because bench/spans.py traces the FE
+# solves under that module attribute (ROADMAP item 5)
+from scipy.linalg.lapack import dpttrf, dpttrs as solve_banded
 
 from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainError,
-                     IndefiniteForm, NonMonotoneSequence, SingularMass)
+                     HardyError, IndefiniteForm, NonMonotoneSequence, SingularMass)
 from .potentials import RadialPotential
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
@@ -134,43 +141,50 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]
 
 
-def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10,
-                        max_iter: int = 80) -> tuple[float, np.ndarray, float, int]:
+def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10, max_iter: int = 80,
+                        gap: float = 1e-6) -> tuple[float, np.ndarray, float, int]:
     """Smallest eigenpair of (tridiagonal K) u = lambda (diagonal M) u by
-    inverse iteration with Rayleigh-quotient shifts after a plain warmup."""
-    n = k_diag.size
+    inverse iteration on certified shifts.
+
+    By Sylvester's law of inertia a successful `dpttrf` of K - sigma M (all
+    pivots positive) certifies sigma < lambda_1, a failed one lambda_1 <= sigma.
+    No pivoting: it would not count the inertia, and on these pencils (diagonal
+    from ~1e-39 to ~1e2, not diagonally dominant at the inner nodes) it wrecks
+    inverse iteration.  Solving with the last certified factor, the iterate can
+    only tend to the lowest mode.  Each step then tries to raise sigma to
+    lambda~(1 - gap), lambda~ the Rayleigh quotient, else halfway to the lowest
+    failed shift; it stops once sigma >= lambda~(1 - gap) and lambda~ moved by
+    at most tol relative, or raises at max_iter.
+    """
+    d, e, info = dpttrf(k_diag, k_off)
+    if info:
+        raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
+    row_sums = _tri_mul(k_diag, k_off, np.ones_like(k_diag))
     x = np.sqrt(np.maximum(m_diag, 1e-300))
-    x /= math.sqrt(float(x @ (m_diag * x)))
-    lam = float(x @ _tri_mul(k_diag, k_off, x))
-    shift = 0.0
-    iterations = 0
-    for it in range(max_iter):
-        iterations = it + 1
-        banded = np.zeros((3, n))
-        banded[0, 1:] = k_off
-        banded[1] = k_diag - shift * m_diag
-        banded[2, :-1] = k_off
-        try:
-            y = solve_banded((1, 1), banded, m_diag * x)
-        except np.linalg.LinAlgError:
-            shift *= 1.0 - 1e-10
-            continue
-        norm = math.sqrt(abs(float(y @ (m_diag * y))))
-        if norm == 0.0 or not math.isfinite(norm):
+    lam, sigma, failed = math.inf, 0.0, math.inf
+    for iterations in range(1, max_iter + 1):
+        y, _ = solve_banded(d, e, m_diag * x)
+        x = y / math.sqrt(float(y @ (m_diag * y)))
+        # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
+        dx = np.diff(x)
+        lam, lam_prev = float(row_sums @ (x * x) - k_off @ (dx * dx)), lam
+        target = lam * (1.0 - gap)
+        if sigma < target:
+            for shift in (target, 0.5 * (sigma + failed)):
+                if shift < failed:
+                    d_new, e_new, info = dpttrf(k_diag - shift * m_diag, k_off)
+                    if not info:
+                        sigma, d, e = shift, d_new, e_new
+                        break
+                    failed = shift
+        if abs(lam - lam_prev) <= tol * lam and sigma >= target:
             break
-        x = y / norm
-        lam_new = float(x @ _tri_mul(k_diag, k_off, x))
-        done = abs(lam_new - lam) <= tol * max(1.0, abs(lam_new))
-        lam = lam_new
-        if it >= 4:
-            shift = lam
-        if done and it >= 6:
-            break
-    if float(np.sum(x)) < 0.0:
-        x = -x
-    residual = _tri_mul(k_diag, k_off, x) - lam * m_diag * x
-    scale = np.linalg.norm(_tri_mul(k_diag, k_off, x)) + abs(lam) * np.linalg.norm(m_diag * x)
-    res_norm = float(np.linalg.norm(residual) / max(scale, 1e-300))
+    else:
+        raise HardyError(f"inverse iteration unsettled after {max_iter} steps: "
+                         f"lambda_1 in [{sigma:g}, {lam:g}]")
+    kx = _tri_mul(k_diag, k_off, x)
+    res_norm = float(np.linalg.norm(kx - lam * m_diag * x)
+                     / (np.linalg.norm(kx) + lam * np.linalg.norm(m_diag * x)))
     return lam, x, res_norm, iterations
 
 

@@ -174,6 +174,21 @@ def test_trace_critical_uses_log_frame(tmp_path, capsys):
     assert out_path.read_text().splitlines()[0] == "s,z,dz"
 
 
+@pytest.mark.parametrize("argv,potential,error", [
+    (("trace", "--c", "-1"), None, "DomainError"),
+    (("trace", "--c", "1"), {"kind": "nonsense"}, "ConfigError"),
+    (("eigen", "--mu", "0.3", "--format", "csv"), None, "IndefiniteForm"),
+], ids=["trace", "trace-config", "eigen-csv"])
+def test_error_record_leaves_the_csv_path_alone(tmp_path, capsys, argv, potential, error):
+    # --out names the CSV artifact here, so the [error] record goes to stdout
+    cfg = _write_config(tmp_path, potential=potential)
+    out_path = tmp_path / "artifact.csv"
+    code, out = _run(capsys, *argv, "--config", cfg, "--out", str(out_path))
+    assert code == 1
+    assert parse_record(out)["type"] == error
+    assert not out_path.exists()
+
+
 def test_custom_potential_from_csv(tmp_path, capsys):
     table = tmp_path / "v.csv"
     r = np.logspace(-8, 0, 200)

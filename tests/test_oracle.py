@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 from scipy.optimize import brentq
 
 from hardy_optim import (GridMapping, GridSpec, RadialPotential, SmoothFn,
-                         bessel_j0, hardy_quotient, lambda_limit, poincare_check,
+                         bessel_j0, hardy_quotient, lambda_limit, oracle, poincare_check,
                          reduced_rayleigh_min, weighted_eigen)
 from hardy_optim.errors import (BoundaryConditionViolated, DegenerateDenominator,
-                                DomainError, IndefiniteForm, NonMonotoneSequence,
-                                SingularMass)
+                                DomainError, HardyError, IndefiniteForm,
+                                NonMonotoneSequence, SingularMass)
 
 from conftest import Z0, Z0_SQ, J1_AT_Z0, power_law_best_constant
 
@@ -142,12 +144,93 @@ def test_lambda_limit_power_law():
     assert res.limit == pytest.approx(power_law_best_constant(1.0, 1.0), rel=0.02)
 
 
-def test_lambda_limit_nonmonotone_guard(constant_pot):
-    # an inner cutoff too deep for float64 conditioning breaks monotonicity
-    # and must be reported, not extrapolated
-    bad = GridSpec(6000, GridMapping.LOG_SPACED, 1.0, 1e-60)
+def test_lambda_limit_nonmonotone_guard(constant_pot, monkeypatch):
+    # a sequence that rises along mu must be reported, not extrapolated
+    rising = iter(np.linspace(1.0, 2.0, 12))
+    monkeypatch.setattr(oracle, "_smallest_eigenpair",
+                        lambda *args: (float(next(rising)), None, 0.0, 1))
     with pytest.raises(NonMonotoneSequence):
-        lambda_limit(constant_pot, 3, 1.0, grid=bad)
+        lambda_limit(constant_pot, 3, 1.0)
+
+
+def test_lambda_limit_deep_cutoff_is_monotone(constant_pot):
+    # the sequence that once rose at this cutoff came from unconverged solves
+    deep = GridSpec(6000, GridMapping.LOG_SPACED, 1.0, 1e-60)
+    res = lambda_limit(constant_pot, 3, 1.0, grid=deep)
+    assert np.all(np.diff(res.lambdas) < 0.0)
+    assert res.limit == pytest.approx(Z0_SQ, rel=0.02)
+
+
+def test_lambda_limit_first_solve_converges():
+    # mu = mu_n / 2 on the default grid: once 11.486 after the iteration cap
+    res = lambda_limit(RadialPotential.power_law(0.7, amplitude=2.0), 3, 1.0)
+    assert res.lambdas[0] == pytest.approx(2.16830, rel=1e-5)
+
+
+_CATALOG = {"constant": RadialPotential.constant(1.0),
+            "power-1": RadialPotential.power_law(1.0),
+            "power-1.8": RadialPotential.power_law(1.8)}
+_CATALOG.update({f"{family.__name__}-{m}": family(m) for m in (1, 2, 3)
+                 for family in (RadialPotential.adimurthi_log,
+                                RadialPotential.filippas_tertikas)})
+
+
+@pytest.mark.parametrize("potential", _CATALOG.values(), ids=_CATALOG.keys())
+def test_lambda_limit_eigenvalues_match_lapack_bisection(potential):
+    # every raw eigenvalue against an independent bisection (stebz) of the
+    # symmetrically scaled pencil M^-1/2 K M^-1/2 on lambda_limit's grid
+    res = lambda_limit(potential, 3, 1.0)
+    grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
+    k_diag, k_off, hardy_diag, m_diag = oracle._pencil(potential, grid.nodes(), 3)
+    scale = 1.0 / np.sqrt(m_diag)
+    for mu, lam in zip(res.mu_values, res.lambdas):
+        ref = eigh_tridiagonal((k_diag - mu * hardy_diag) * scale ** 2,
+                               k_off * scale[:-1] * scale[1:], eigvals_only=True,
+                               select="i", select_range=(0, 0),
+                               tol=np.finfo(float).tiny)[0]
+        assert lam == pytest.approx(ref, rel=1e-8), mu
+
+
+@pytest.mark.parametrize("r_min", [1e-60, 1e-80, 1e-100])
+def test_weighted_eigen_deep_cutoffs(constant_pot, r_min):
+    # once 1.0e8, 1.2e28 and 5.0e43 after the iteration cap, returned silently
+    res = weighted_eigen(constant_pot, 0.0, 3, _grid(10_000, r_min=r_min))
+    assert res.lambda1 == pytest.approx(PI_SQ, rel=1e-3)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.125, 0.2499])
+def test_returned_eigenvalue_is_inertia_certified(constant_pot, mu):
+    # K - lambda (1 - 1e-6) M is positive definite (no eigenvalue below) and
+    # K - lambda (1 + 1e-6) M is not (an eigenvalue within 1e-6 of lambda)
+    grid = _grid(4000, r_min=1e-40)
+    k_diag, k_off, hardy_diag, m_diag = oracle._pencil(constant_pot, grid.nodes(), 3)
+    lam = weighted_eigen(constant_pot, mu, 3, grid).lambda1
+    for factor, indefinite in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+        info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
+        assert bool(info) == indefinite
+
+
+def test_indefinite_stiffness_is_rejected():
+    k_diag = np.full(32, 2.0)
+    k_diag[5] = -1.0
+    with pytest.raises(IndefiniteForm):
+        oracle._smallest_eigenpair(k_diag, np.full(31, -1.0), np.ones(32))
+
+
+def test_eigensolve_raises_at_the_iteration_cap(constant_pot, monkeypatch):
+    # no shift above 0 ever certifies, so lambda~ never gets a close lower
+    # bound; the cap must raise, not return the uncertified quotient
+    factor = oracle.dpttrf
+    calls = []
+
+    def only_unshifted(d, e):
+        calls.append(1)
+        d, e, info = factor(d, e)
+        return d, e, info if len(calls) == 1 else 1
+
+    monkeypatch.setattr(oracle, "dpttrf", only_unshifted)
+    with pytest.raises(HardyError, match="unsettled after 80"):
+        weighted_eigen(constant_pot, 0.0, 3, _grid(2000))
 
 
 def test_two_routes_agree_on_custom_potential(settings):
