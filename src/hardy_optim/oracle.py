@@ -9,7 +9,7 @@ feasibility characterization.
 Smallest eigenvalues are certified by Sylvester's law of inertia: the
 tridiagonal K - sigma M has an unpivoted LDL^T factorization with positive
 pivots exactly when every eigenvalue exceeds sigma.  A returned lambda1 is
-a Rayleigh quotient, at most 1e-6 relative above such a certified sigma.
+a Rayleigh quotient at most _CERT_GAP (1e-6) relative above such a sigma.
 
 Boundary treatment: Dirichlet at the outer radius, natural (free) at the
 inner cutoff r_min.  The inner cutoff stands in for the boundedness
@@ -27,8 +27,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-# dpttrs is bound as solve_banded because bench/spans.py traces the FE
-# solves under that module attribute (ROADMAP item 5)
+# dpttrs keeps the name solve_banded, under which bench/spans.py traces FE solves
 from scipy.linalg.lapack import dpttrf, dpttrs as solve_banded
 
 from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainError,
@@ -37,6 +36,7 @@ from .potentials import RadialPotential
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _TINY = np.finfo(float).tiny       # smallest normal double
+_CERT_GAP = 1e-6                   # relative gap from a certified shift up to lambda1
 
 
 class GridMapping(Enum):
@@ -141,8 +141,8 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]
 
 
-def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10, max_iter: int = 80,
-                        gap: float = 1e-6) -> tuple[float, np.ndarray, float, int]:
+def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10,
+                        max_iter: int = 80) -> tuple[float, np.ndarray, float, int]:
     """Smallest eigenpair of (tridiagonal K) u = lambda (diagonal M) u by
     inverse iteration on certified shifts.
 
@@ -151,10 +151,10 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10, max_iter: int
     No pivoting: it would not count the inertia, and on these pencils (diagonal
     from ~1e-39 to ~1e2, not diagonally dominant at the inner nodes) it wrecks
     inverse iteration.  Solving with the last certified factor, the iterate can
-    only tend to the lowest mode.  Each step then tries to raise sigma to
-    lambda~(1 - gap), lambda~ the Rayleigh quotient, else halfway to the lowest
-    failed shift; it stops once sigma >= lambda~(1 - gap) and lambda~ moved by
-    at most tol relative, or raises at max_iter.
+    only tend to the lowest mode.  Each step tries sigma = lambda~(1 - _CERT_GAP),
+    lambda~ the Rayleigh quotient, then halfway to the lowest failed shift; it
+    stops once sigma >= lambda~(1 - _CERT_GAP) and lambda~ moved <= tol relative.
+    Raises HardyError if that takes more than max_iter steps.
     """
     d, e, info = dpttrf(k_diag, k_off)
     if info:
@@ -168,15 +168,15 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10, max_iter: int
         # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
         dx = np.diff(x)
         lam, lam_prev = float(row_sums @ (x * x) - k_off @ (dx * dx)), lam
-        target = lam * (1.0 - gap)
+        target = lam * (1.0 - _CERT_GAP)
         if sigma < target:
-            for shift in (target, 0.5 * (sigma + failed)):
-                if shift < failed:
-                    d_new, e_new, info = dpttrf(k_diag - shift * m_diag, k_off)
-                    if not info:
-                        sigma, d, e = shift, d_new, e_new
-                        break
-                    failed = shift
+            shift = target if target < failed else 0.5 * (sigma + failed)
+            for _ in range(2):
+                d_new, e_new, info = dpttrf(k_diag - shift * m_diag, k_off)
+                if not info:
+                    sigma, d, e = shift, d_new, e_new
+                    break
+                failed, shift = shift, 0.5 * (sigma + shift)
         if abs(lam - lam_prev) <= tol * lam and sigma >= target:
             break
     else:

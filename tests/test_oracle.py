@@ -200,12 +200,13 @@ def test_weighted_eigen_deep_cutoffs(constant_pot, r_min):
 
 @pytest.mark.parametrize("mu", [0.0, 0.125, 0.2499])
 def test_returned_eigenvalue_is_inertia_certified(constant_pot, mu):
-    # K - lambda (1 - 1e-6) M is positive definite (no eigenvalue below) and
-    # K - lambda (1 + 1e-6) M is not (an eigenvalue within 1e-6 of lambda)
+    # K - lambda (1 - gap) M is positive definite (no eigenvalue below) and
+    # K - lambda (1 + gap) M is not (an eigenvalue within gap of lambda)
+    gap = oracle._CERT_GAP
     grid = _grid(4000, r_min=1e-40)
     k_diag, k_off, hardy_diag, m_diag = oracle._pencil(constant_pot, grid.nodes(), 3)
     lam = weighted_eigen(constant_pot, mu, 3, grid).lambda1
-    for factor, indefinite in ((1.0 - 1e-6, False), (1.0 + 1e-6, True)):
+    for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
         info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
         assert bool(info) == indefinite
 
