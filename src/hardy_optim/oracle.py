@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-# dpttrs keeps the name solve_banded, under which bench/spans.py traces FE solves
+# dpttrs keeps the name solve_banded that bench/spans.py traces (ROADMAP item 5)
 from scipy.linalg.lapack import dpttrf, dpttrs as solve_banded
 
 from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainError,
