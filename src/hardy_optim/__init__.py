@@ -3,7 +3,6 @@ improvement, at what best constant, and does an independent discretization
 agree.
 """
 
-from .bessel import bessel_j0, bessel_j0_first_zero
 from .bestconst import (BestConstantResult, FeasibilityCheck, best_constant,
                         brezis_vazquez_lambda, equal_volume_radius, feasible,
                         unit_ball_volume)

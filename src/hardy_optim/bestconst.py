@@ -34,13 +34,12 @@ from typing import Optional
 
 import numpy as np
 
-from .bessel import bessel_j0_first_zero
 from .config import SolverSettings
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from .ode import (CERTIFICATE_SLACK, ShootingOutcome, Status, TailEdges,
                   euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
                   radius_problem, tail_edges, wants_log_domain)
-from .potentials import RadialPotential
+from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
 _BOUNDARY_GRACE = 1e-9      # zeros within this of R (relative) count as boundary
@@ -188,7 +187,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
     if not 0.0 < c_non < inside[0] < inside[1] < c_osc < math.inf:
         amp, two_minus = (p.singular_amplitude(R) if p.sigma < 2.0 else 0.0), 2.0 - p.sigma
-        c = (bessel_j0_first_zero() * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
+        c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
             if 0.0 < amp < math.inf else 1.0
         plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
     for c, side in plan:
@@ -262,5 +261,4 @@ def brezis_vazquez_lambda(n: int, volume: float) -> float:
         raise DomainError(f"dimension must be >= 3, got {n}")
     if volume <= 0.0:
         raise DomainError(f"volume must be positive, got {volume}")
-    z0 = bessel_j0_first_zero()
-    return z0 * z0 * unit_ball_volume(n) ** (2.0 / n) * volume ** (-2.0 / n)
+    return J0_FIRST_ZERO * J0_FIRST_ZERO * unit_ball_volume(n) ** (2.0 / n) * volume ** (-2.0 / n)

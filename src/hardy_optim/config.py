@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .ode import S_MAX_DEFAULT
 from .potentials import RadialPotential
 
 @dataclass(frozen=True)
 class SolverSettings:
     """The numerical knob a caller sets per run."""
 
-    s_max: float = 1e6               # log-domain horizon, capped at 1e150
+    s_max: float = S_MAX_DEFAULT     # log-domain horizon, capped at 1e150
 
     def validated(self) -> "SolverSettings":
         if not self.s_max > 0:

@@ -37,10 +37,6 @@ class QuadratureError(HardyError):
     """An inner integral neither converged nor could be certified divergent."""
 
 
-class RangeError(HardyError):
-    """Argument beyond the validated accuracy range of a special function."""
-
-
 class NoUpperBracket(HardyError):
     """Doubling never produced an infeasible multiplier (best constant is infinite)."""
 

@@ -52,6 +52,7 @@ from .potentials import RadialPotential
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 _TAIL_SAMPLES = 512           # tail grid samples of the Euler-comparison edges
 CERTIFICATE_SLACK = 1e-10     # relative slack on the non-oscillatory edge
+S_MAX_DEFAULT = 1e6           # default log-domain horizon
 _HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
 _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
@@ -79,7 +80,7 @@ class HardyODEProblem:
     c: float
     R: float
     domain: Domain = Domain.RADIUS
-    s_max: float = 1e6              # outer horizon (log domain), at most _HORIZON_CAP
+    s_max: float = S_MAX_DEFAULT    # outer horizon (log domain), at most _HORIZON_CAP
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -102,11 +103,11 @@ def radius_problem(p: RadialPotential, c: float, R: float) -> HardyODEProblem:
 
 
 def log_problem(p: RadialPotential, c: float, R: float,
-                s_max: float = 1e6) -> HardyODEProblem:
+                s_max: float = S_MAX_DEFAULT) -> HardyODEProblem:
     return HardyODEProblem(p, c, R, Domain.LOG, s_max=s_max)
 
 
-def to_log_domain(prob: HardyODEProblem, s_max: float = 1e6) -> HardyODEProblem:
+def to_log_domain(prob: HardyODEProblem, s_max: float = S_MAX_DEFAULT) -> HardyODEProblem:
     if prob.domain is not Domain.RADIUS:
         raise DomainError("to_log_domain expects a radius-domain problem")
     return replace(prob, domain=Domain.LOG, s_max=s_max)
@@ -136,6 +137,12 @@ class ShootingOutcome:
     status: Status
     certificate: Optional[TailCertificate] = None
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+
+def _outer_edge(prob: HardyODEProblem) -> float:
+    """Log abscissa just inside r = R where the outward sweep, the tail grid
+    and the c = 0 certificate start."""
+    return -math.log(prob.R) + 1e-9
 
 
 def wants_log_domain(p: RadialPotential) -> bool:
@@ -421,7 +428,7 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
     if prob.domain is Domain.RADIUS:
         s0, state0 = _inner_cell_start(prob)
         return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0))
-    s_start = -math.log(prob.R) + 1e-9
+    s_start = _outer_edge(prob)
     if prob.s_max <= s_start:
         raise DomainError(f"horizon s_max = {prob.s_max} not beyond the outer edge {s_start}")
     return _sweep(prob, s_start, prob.s_max, (1.0, 0.0))
@@ -563,7 +570,7 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     minorant Euler solution, so every solution vanishes inside it."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    s_start = -math.log(prob.R) + 1e-9
+    s_start = _outer_edge(prob)
     grid = _tail_grid(s_start, prob.s_max, _TAIL_SAMPLES)
     g = prob.potential.log_weight(grid)
     shifts = _candidate_shifts(grid, g, s_start)
@@ -605,7 +612,7 @@ def euler_tail_certificate(prob: HardyODEProblem,
         raise DomainError("tail certificates live in the log domain")
     c = prob.c
     if c == 0.0:
-        s_start = -math.log(prob.R) + 1e-9
+        s_start = _outer_edge(prob)
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, prob.s_max))
     if edges is None:
         edges = tail_edges(prob)

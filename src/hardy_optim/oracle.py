@@ -114,28 +114,27 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lumped(nodes: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Diagonal (lumped) weights: integral of fn over each node's cell,
-    composite Gauss-Legendre in t = ln r per half-cell."""
-    mids = np.sqrt(nodes[:-1] * nodes[1:])          # geometric midpoints
-    lo = np.concatenate([[nodes[0]], mids])
-    hi = np.concatenate([mids, [nodes[-1]]])
-    t_lo, t_hi = np.log(lo), np.log(hi)
+    """Diagonal (lumped) weights: integral of fn(t) dt, t = ln r, over each
+    node's cell, composite Gauss-Legendre per half-cell."""
+    t_nodes = np.log(nodes)
+    t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])       # geometric midpoints in r
+    t_lo = np.concatenate([t_nodes[:1], t_mid])
+    t_hi = np.concatenate([t_mid, t_nodes[-1:]])
     half = 0.5 * (t_hi - t_lo)
     mid = 0.5 * (t_hi + t_lo)
     total = np.zeros(nodes.size)
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        t = mid + half * xi
-        r = np.exp(t)
-        total += wi * fn(r) * r      # dr = r dt
+        total += wi * fn(mid + half * xi)
     return total * half
 
 
 def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped:
-    stiffness (diag, off-diag) r^(n-1), lumped Hardy r^(n-3), lumped mass v r^(n-1)."""
+    stiffness (diag, off-diag) r^(n-1), lumped Hardy r^(n-3) dr = e^((n-2)t) dt,
+    lumped mass v r^(n-1) dr = log_weight(-t) e^((n-2)t) dt."""
     k_diag, k_off = _stiffness(nodes, float(n - 1))
-    hardy_diag = _lumped(nodes, lambda r: r ** (n - 3.0))
-    m_diag = _lumped(nodes, lambda r: p.value(r) * r ** (n - 1.0))
+    hardy_diag = _lumped(nodes, lambda t: np.exp((n - 2.0) * t))
+    m_diag = _lumped(nodes, lambda t: p.log_weight(-t) * np.exp((n - 2.0) * t))
     if np.any(m_diag[:-1] < _TINY):
         raise SingularMass("potential weight vanishes or underflows on a full cell")
     return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]

@@ -12,8 +12,12 @@ family.  Catalog entries:
   filippas_tertikas_x v(r) = amplitude / r^2 * sum_{i<=m} prod_{j<=i} X_j(r/d)^2
   custom              log-log interpolation of a sampled (r, v) table
 
-``value``, ``log_weight`` and ``closed_form`` take a float or an ndarray and
-return the same shape; each family's formula is written once for both.
+Each family defines one thing, the coefficient of the radial equation in
+s = ln(1/r): ``log_weight(s)`` = r^2 v(r) at r = e^(-s).  The two log
+families write it as their chain formula; constants, power laws and tables
+evaluate it on ``log_cells``, the piecewise-linear model of ln(r^2 v) in s
+that their exact sweeps integrate.  ``value`` is derived from it.  Both, and
+``closed_form``, take a float or an ndarray and return the same shape.
 
 The two log families carry exact positive solutions of the reduced radial
 equation at multiplier 1/4 (see ``closed_form`` / ``closed_form_multiplier``);
@@ -33,10 +37,12 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy import special
 from scipy.integrate import quad
 
-from .bessel import bessel_j0, bessel_j0_first_zero
 from .errors import DomainError, QuadratureError, UnsupportedPotential
+
+J0_FIRST_ZERO = float(special.jn_zeros(0, 1)[0])   # z0, the first positive zero of J0
 
 
 def _clip_exp(exponent):
@@ -50,20 +56,6 @@ def _clip_exp(exponent):
     if exponent < -745.0:
         return 0.0
     return math.exp(exponent)
-
-
-def _scaled_exp(amplitude: float, exponent, xp):
-    """amplitude * exp(exponent), or the saturated _clip_exp(log(amplitude) +
-    exponent) where exp itself overflows."""
-    if xp is math:
-        try:
-            return amplitude * math.exp(exponent)
-        except OverflowError:
-            return _clip_exp(math.log(max(amplitude, 1e-300)) + exponent)
-    with np.errstate(over="ignore", invalid="ignore"):
-        direct = np.exp(exponent)
-        return np.where(np.isinf(direct),
-                        _clip_exp(math.log(max(amplitude, 1e-300)) + exponent), amplitude * direct)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +101,7 @@ def x_iter(k: int, t: float) -> float:
     return value
 
 
-# The chains of the two borderline families, shared by value, log_weight and
+# The chains of the two borderline families, shared by log_weight and
 # closed_form: float or ndarray in, with ``xp`` its namespace (math / numpy).
 
 def _log_chain(m: int, ell, xp):
@@ -149,8 +141,7 @@ class Kind(Enum):
 
 
 # Aliases: an Enum attribute lookup costs ~0.1 us per scalar evaluation.
-_CONSTANT, _POWER_LAW, _ADIMURTHI_LOG, _FT_X = (
-    Kind.CONSTANT, Kind.POWER_LAW, Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X)
+_ADIMURTHI_LOG, _FT_X = Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X
 
 
 @dataclass(frozen=True)
@@ -268,24 +259,18 @@ class RadialPotential:
 
     def value(self, r):
         """v(r) for 0 < r <= r_max; a float gives a float, an ndarray an
-        ndarray of the same shape."""
+        ndarray of the same shape.  Derived from the coefficient in s =
+        ln(1/r): ``log_weight(s) / r^2`` for the log families, ln v on the
+        cells of ``log_cells`` for the other kinds."""
         xp = np if isinstance(r, np.ndarray) else math
         r = r.astype(float, copy=False) if xp is np else float(r)
         inside = (0.0 < r) & (r <= self.r_max * (1.0 + 1e-12))
         if not (inside.all() if xp is np else inside):
             bad = r[~inside].flat[0] if xp is np else r
             raise DomainError(f"radius {bad} outside (0, {self.r_max}]")
-        kind = self.kind
-        if kind is _CONSTANT:
-            return np.full_like(r, self.amplitude) if xp is np else self.amplitude
-        if kind is _POWER_LAW:
-            return self.amplitude * r ** (-self.alpha)
-        if kind is _ADIMURTHI_LOG:
-            return self.amplitude * _log_chain(self.m, xp.log(self.rho / r), xp)[0] / (r * r)
-        if kind is _FT_X:
-            x1 = 1.0 / (1.0 - xp.log(r / self.d_scale))
-            return self.amplitude * _x_chain(self.m, x1, xp)[0] / (r * r)
-        return _clip_exp(self._table_interp(xp.log(r)))
+        if self.log_cells is None:
+            return self.log_weight(-xp.log(r)) / (r * r)
+        return self._cell_exp(-xp.log(r), 2.0)
 
     def log_weight(self, s):
         """r^2 * v(r) evaluated at r = e^(-s), computed stably in s; float or
@@ -295,12 +280,6 @@ class RadialPotential:
         xp = np if isinstance(s, np.ndarray) else math
         s = s.astype(float, copy=False) if xp is np else float(s)
         kind = self.kind
-        if kind is _CONSTANT:
-            return _scaled_exp(self.amplitude, -2.0 * s, xp)
-        if kind is _POWER_LAW:
-            if self.amplitude == 0.0:
-                return np.zeros_like(s) if xp is np else 0.0
-            return _clip_exp(math.log(self.amplitude) + (self.alpha - 2.0) * s)
         if kind is _ADIMURTHI_LOG:
             return self.amplitude * _log_chain(self.m, s + math.log(self.rho), xp)[0]
         if kind is _FT_X:
@@ -309,29 +288,25 @@ class RadialPotential:
             if (x1 <= 0.0).any() if xp is np else x1 <= 0.0:
                 raise DomainError(f"log-abscissa {np.min(s)} outside the X-family domain")
             return self.amplitude * _x_chain(self.m, x1, xp)[0]
-        # custom: evaluate the interpolant in exponent space
-        return _clip_exp(self._table_interp(-s) - 2.0 * s)
+        return self._cell_exp(s, 0.0)
+
+    def _cell_exp(self, s, lift: float):
+        """exp(ln(r^2 v) + lift s) at r = e^(-s) on the ``log_cells`` model:
+        ell + lift anchor + (q + lift)(s - anchor) on the cell of s, so that
+        lift = 2 gives ln v without the ulp(2 s) of adding 2 s afterwards (a
+        constant returns its amplitude).  A single cell skips the search."""
+        knots, anchor, ell, q = self._cell_lines
+        if knots is not None:
+            k = knots.searchsorted(s, side="right")
+            anchor, ell, q = anchor[k], ell[k], q[k]
+        return _clip_exp(ell + lift * anchor + (q + lift) * (s - anchor))
 
     @functools.cached_property
-    def _table_ends(self) -> tuple[float, ...]:
-        """(log r, log v) at both ends of the table and the slopes there."""
-        lr, lv = self.table_log_r, self.table_log_v
-        return (float(lr[0]), float(lv[0]), float((lv[1] - lv[0]) / (lr[1] - lr[0])),
-                float(lr[-1]), float(lv[-1]), float((lv[-1] - lv[-2]) / (lr[-1] - lr[-2])))
-
-    def _table_interp(self, log_r):
-        """log v at log r: the table interpolated linearly, and extended past
-        either end with that end's slope."""
-        first, v_first, below, last, v_last, above = self._table_ends
-        if isinstance(log_r, np.ndarray):
-            return (np.interp(log_r, self.table_log_r, self.table_log_v)
-                    + below * np.minimum(log_r - first, 0.0)
-                    + above * np.maximum(log_r - last, 0.0))
-        if log_r <= first:
-            return v_first + below * (log_r - first)
-        if log_r >= last:
-            return v_last + above * (log_r - last)
-        return float(np.interp(log_r, self.table_log_r, self.table_log_v))
+    def _cell_lines(self) -> tuple:
+        """``log_cells``, with a single cell as Python floats and no knots
+        (None): scalar calls then do float arithmetic only."""
+        knots, anchors, ell, q = self.log_cells
+        return (knots, anchors, ell, q) if knots.size else (None, 0.0, float(ell[0]), float(q[0]))
 
     @functools.cached_property
     def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
@@ -416,8 +391,7 @@ class RadialPotential:
                 R = self.r_max
             if self.amplitude == 0.0:
                 raise UnsupportedPotential("amplitude-0 potential has no nontrivial closed form")
-            z0 = bessel_j0_first_zero()
-            return z0 * z0 / (R * R * self.amplitude)
+            return J0_FIRST_ZERO * J0_FIRST_ZERO / (R * R * self.amplitude)
         if self.kind in (Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X):
             if self.amplitude == 0.0:
                 raise UnsupportedPotential("amplitude-0 potential has no nontrivial closed form")
@@ -432,7 +406,7 @@ class RadialPotential:
         if self.kind is Kind.CONSTANT:
             if R is None:
                 R = self.r_max
-            return bessel_j0(bessel_j0_first_zero() * r / R)
+            return special.j0(J0_FIRST_ZERO * r / R)
         xp = np if isinstance(r, np.ndarray) else math
         if np.min(r) <= 0.0:
             raise DomainError(f"closed form of {self.kind.value} needs r > 0, got {np.min(r)}")
@@ -490,6 +464,9 @@ def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # Classification: admissible after scaling (X) vs never admissible (Y)
 # ---------------------------------------------------------------------------
 
+_Y_THRESHOLD = -1e6         # L below this, still decreasing, counts as divergent
+
+
 class Label(Enum):
     X = "X"                      # liminf ln(r) int_0^r s v finite
     Y = "Y"                      # the limit is -infinity
@@ -541,14 +518,13 @@ def _certified_divergent(p: RadialPotential) -> bool:
     return slope >= -1e-5
 
 
-def classify(p: RadialPotential, probes: Optional[np.ndarray] = None,
-             threshold: float = -1e6) -> ClassLabel:
+def classify(p: RadialPotential, probes: Optional[np.ndarray] = None) -> ClassLabel:
     """Classify the potential by the decay of L(r) = ln(r) int_0^r s v ds.
 
     Heuristic, with an honest Indeterminate escape:
 
       * divergent inner integral (certified)            -> Y
-      * L monotone decreasing past ``threshold``        -> Y
+      * L monotone decreasing past _Y_THRESHOLD         -> Y
       * 1/|ln r| extrapolations of L over the last five
         probes agreeing on a finite limit               -> X
       * otherwise                                       -> Indeterminate
@@ -570,7 +546,7 @@ def classify(p: RadialPotential, probes: Optional[np.ndarray] = None,
 
     tail = evidence[-5:]
     decreasing = bool(np.all(np.diff(evidence) < 0.0))
-    if decreasing and evidence[-1] < threshold:
+    if decreasing and evidence[-1] < _Y_THRESHOLD:
         return ClassLabel(Label.Y, evidence, probes)
 
     # Certify boundedness two ways: shrinking magnitude (power-law-type

@@ -15,10 +15,10 @@ import time
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import j0
 
 from hardy_optim import (GridMapping, GridSpec, RadialPotential, ShootingOutcome,
-                         SolverSettings, SmoothFn, Status, bessel_j0,
-                         bessel_j0_first_zero, best_constant, brezis_vazquez_lambda,
+                         SolverSettings, SmoothFn, Status, best_constant, brezis_vazquez_lambda,
                          classify, dual_lower_bound, feasible, hardy_quotient,
                          integrate, lambda_limit, log_problem, poincare_check,
                          radius_problem, reduced_rayleigh_min, residual,
@@ -26,9 +26,9 @@ from hardy_optim import (GridMapping, GridSpec, RadialPotential, ShootingOutcome
                          weighted_eigen, Label)
 from hardy_optim.errors import IndeterminateAtHorizon
 
+from conftest import Z0, Z0_SQ
+
 ST = SolverSettings()
-Z0 = bessel_j0_first_zero()           # independent series-bisection oracle
-Z0_SQ = Z0 * Z0
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -220,9 +220,9 @@ def test_criterion_08_inequality_property_suite():
             total += term
         return total
 
-    phi_j0 = SmoothFn(lambda x: bessel_j0(Z0 * x),
+    phi_j0 = SmoothFn(lambda x: j0(Z0 * x),
                       lambda x: -Z0 * j1(Z0 * x),
-                      lambda x: -Z0_SQ * bessel_j0(Z0 * x) + (Z0 * j1(Z0 * x) / x
+                      lambda x: -Z0_SQ * j0(Z0 * x) + (Z0 * j1(Z0 * x) / x
                                                               if x > 0 else -0.5 * Z0_SQ))
     phi_sin = SmoothFn(lambda x: math.sin(math.pi * x),
                        lambda x: math.pi * math.cos(math.pi * x),

@@ -1,43 +1,29 @@
 import math
 
 import pytest
-import scipy.special
 
-from hardy_optim import bessel_j0, bessel_j0_first_zero
-from hardy_optim.errors import RangeError
+from hardy_optim import RadialPotential
+from hardy_optim.potentials import J0_FIRST_ZERO
 
 from conftest import Z0
 
 
 def test_j0_at_zero():
-    assert bessel_j0(0.0) == 1.0
+    assert RadialPotential.constant(1.0).closed_form(0.0) == 1.0
 
 
 def test_j0_frozen_values():
-    # mpmath 40-digit references
-    assert bessel_j0(2.0) == pytest.approx(0.22389077914123566805, abs=1e-15)
-    assert bessel_j0(0.5) == pytest.approx(0.93846980724081290423, abs=1e-15)
-
-
-@pytest.mark.parametrize("x", [0.1, 1.0, 2.0, 3.5, 5.0, 8.0, -4.0])
-def test_j0_matches_scipy(x):
-    assert bessel_j0(x) == pytest.approx(float(scipy.special.j0(x)), abs=1e-13)
-
-
-def test_j0_cancellation_growth():
-    # alternating-series cancellation: still ~1e-11 absolute by x = 15
-    for x in (12.0, 15.0):
-        assert bessel_j0(x) == pytest.approx(float(scipy.special.j0(x)), abs=1e-11)
-
-
-def test_j0_range_guard():
-    with pytest.raises(RangeError):
-        bessel_j0(50.1)
+    # mpmath 40-digit references for J0(2) and J0(0.5), through the constant
+    # potential's closed form J0(z0 r / R)
+    p = RadialPotential.constant(1.0, r_max=Z0)
+    assert p.closed_form(2.0) == pytest.approx(0.22389077914123566805, abs=1e-15)
+    assert p.closed_form(0.5) == pytest.approx(0.93846980724081290423, abs=1e-15)
 
 
 def test_first_zero_value():
-    assert abs(bessel_j0_first_zero() - Z0) <= 1e-12
+    # the package's z0 against the frozen 20-digit literal, to 1 ulp
+    assert abs(J0_FIRST_ZERO - Z0) <= math.ulp(Z0)
 
 
 def test_first_zero_is_a_root():
-    assert abs(bessel_j0(bessel_j0_first_zero())) <= 1e-12
+    assert abs(RadialPotential.constant(1.0).closed_form(1.0)) <= 1e-15

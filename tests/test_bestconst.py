@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from hardy_optim import (RadialPotential, SolverSettings, Status, best_constant,
-                         bessel_j0, bessel_j0_first_zero, brezis_vazquez_lambda,
-                         equal_volume_radius, feasible, integrate, log_problem,
-                         radius_problem, unit_ball_volume)
+                         brezis_vazquez_lambda, equal_volume_radius, feasible,
+                         integrate, log_problem, radius_problem, unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from hardy_optim.ode import CERTIFICATE_SLACK
 
@@ -76,7 +75,11 @@ def test_best_constant_is_bessel_level(settings, constant_pot):
     assert res.converged
     assert abs(res.c_best - Z0_SQ) <= 1e-4
     assert res.c_hi - res.c_lo <= res.tolerance * max(1.0, res.c_best)
-    assert res.evidence_lo.status in (Status.NO_ZERO_ON_INTERVAL, Status.HORIZON_REACHED)
+    # the start probe (z0 / R)^2 is c* itself: its J0 zero may land within
+    # the boundary grace of R, never before it
+    assert abs(res.c_lo / Z0_SQ - 1.0) <= 1e-14
+    lo = res.evidence_lo
+    assert lo.status is not Status.ZERO_FOUND or lo.first_zero >= 1.0 - 1e-9
     assert res.evidence_hi.status is Status.ZERO_FOUND
 
 
@@ -408,7 +411,7 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, settings):
 def test_ode_and_series_agree_on_z0():
     p = RadialPotential.constant(1.0, r_max=10.0)
     out = integrate(radius_problem(p, 1.0, 10.0))
-    assert out.first_zero == pytest.approx(bessel_j0_first_zero(), abs=1e-9)
+    assert out.first_zero == pytest.approx(Z0, abs=1e-9)
 
 
 def test_brezis_vazquez_cancellation():

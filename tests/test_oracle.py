@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf
 from scipy.optimize import brentq
+from scipy.special import j0
 
 from hardy_optim import (GridMapping, GridSpec, RadialPotential, SmoothFn,
-                         bessel_j0, hardy_quotient, lambda_limit, oracle, poincare_check,
+                         hardy_quotient, lambda_limit, oracle, poincare_check,
                          reduced_rayleigh_min, weighted_eigen)
 from hardy_optim.errors import (BoundaryConditionViolated, DegenerateDenominator,
                                 DomainError, HardyError, IndefiniteForm,
@@ -261,16 +262,16 @@ def test_lambda_limit_reuses_one_assembly_exactly():
 @pytest.mark.parametrize("potential", [RadialPotential.power_law(1.0),
                                        RadialPotential.adimurthi_log(2)])
 def test_fe_assembly_evaluates_the_potential_o1_times(monkeypatch, potential):
-    # the FE mass is assembled from one array evaluation per Gauss node,
-    # not one scalar evaluation per grid node
+    # the FE mass is assembled from one array evaluation of log_weight per
+    # Gauss node, not one scalar evaluation per grid node
     calls = []
-    value = RadialPotential.value
+    log_weight = RadialPotential.log_weight
 
-    def spy(self, r):
-        calls.append(np.size(r))
-        return value(self, r)
+    def spy(self, s):
+        calls.append(np.size(s))
+        return log_weight(self, s)
 
-    monkeypatch.setattr(RadialPotential, "value", spy)
+    monkeypatch.setattr(RadialPotential, "log_weight", spy)
     counts = []
     for n_nodes in (64, 4096):
         calls.clear()
@@ -287,9 +288,9 @@ def test_fe_assembly_evaluates_the_potential_o1_times(monkeypatch, potential):
 
 def _j0_profile():
     return SmoothFn(
-        lambda r: bessel_j0(Z0 * r),
+        lambda r: j0(Z0 * r),
         lambda r: -Z0 * _bessel_j1(Z0 * r),
-        lambda r: -Z0 * Z0 * bessel_j0(Z0 * r) + (Z0 * _bessel_j1(Z0 * r) / r
+        lambda r: -Z0 * Z0 * j0(Z0 * r) + (Z0 * _bessel_j1(Z0 * r) / r
                                                   if r > 0 else -0.5 * Z0 * Z0),
     )
 
@@ -368,9 +369,8 @@ def test_quotient_truncated_minimizer(constant_pot):
     # z0^2 + 1/J1(z0)^2 = 9.4936 (the boundary term survives truncation:
     # the formal minimizer is not attained)
     r = _log_radii()
-    j0 = np.array([bessel_j0(Z0 * ri) for ri in r])
     j1 = np.array([_bessel_j1(Z0 * ri) for ri in r])
-    u = j0 / np.sqrt(r)
+    u = j0(Z0 * r) / np.sqrt(r)
     du = -Z0 * j1 / np.sqrt(r) - 0.5 * u / r
     q = hardy_quotient(r, u, constant_pot, 3, 1.0, du=du)
     assert q >= Z0_SQ

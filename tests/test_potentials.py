@@ -136,6 +136,26 @@ def test_constant_array_evaluation_is_exact():
     assert np.all(p.value(np.geomspace(1e-9, 1.0, 50)) == 1.0)
 
 
+@pytest.mark.parametrize("amplitude", [2.5, 20.0])
+def test_constant_value_is_its_amplitude_at_every_depth(amplitude):
+    # v comes from ln v on the cell; ln(r^2 v) + 2s would lose ulp(2s),
+    # about 1e-13 at s = 250
+    p = RadialPotential.constant(amplitude, r_max=3.0)
+    r = p.r_max * np.exp(-np.linspace(0.0, 250.0, 251))
+    _assert_within_ulps(p.value(r), np.full(r.size, amplitude), ulps=2)
+    _assert_within_ulps(np.array([p.value(float(ri)) for ri in r]),
+                        np.full(r.size, amplitude), ulps=2)
+
+
+def test_table_value_reproduces_its_samples():
+    # ln |v| <= 4.6 here, so the log / exp round trip itself costs <= 2 ulps
+    r = np.geomspace(0.01, 2.0, 40)
+    v = r ** -0.8 * (2.0 + np.sin(7.0 * np.log(r)))
+    p = RadialPotential.custom(r, v)
+    _assert_within_ulps(p.value(r), v)
+    _assert_within_ulps(np.array([p.value(float(ri)) for ri in r]), v)
+
+
 @pytest.mark.parametrize("name", ["adimurthi_m2", "ft_x_m2"])
 def test_closed_form_array_matches_scalar_calls(name):
     p = ARRAY_POTENTIALS[name]
