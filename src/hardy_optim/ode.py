@@ -576,7 +576,7 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     shifts = _candidate_shifts(grid, g, s_start)
     hint = prob.potential.euler_shift_hint()
     if hint is not None:
-        shifts.insert(0, hint)
+        shifts = [hint] + [s0 for s0 in shifts if s0 != hint]   # each shift once
     c_non, unit_non, c_osc, unit_osc = 0.0, None, math.inf, None
     for s0 in shifts:
         mask = grid > s0 + 1e-9 * max(1.0, abs(s0))

@@ -140,7 +140,8 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]
 
 
-def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10,
+def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = None,
+                        shift: float = 0.0, tol: float = 1e-10,
                         max_iter: int = 80) -> tuple[float, np.ndarray, float, int]:
     """Smallest eigenpair of (tridiagonal K) u = lambda (diagonal M) u by
     inverse iteration on certified shifts.
@@ -153,14 +154,21 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, tol: float = 1e-10,
     only tend to the lowest mode.  Each step tries sigma = lambda~(1 - _CERT_GAP),
     lambda~ the Rayleigh quotient, then halfway to the lowest failed shift; it
     stops once sigma >= lambda~(1 - _CERT_GAP) and lambda~ moved <= tol relative.
-    Raises HardyError if that takes more than max_iter steps.
+    Raises HardyError if that takes more than max_iter steps.  A warm start
+    replaces the initial vector sqrt(M) by ``start`` and tries ``shift`` > 0
+    as the first sigma, dropped (sigma = 0) if its factorization fails.
     """
-    d, e, info = dpttrf(k_diag, k_off)
-    if info:
-        raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
+    sigma, failed = 0.0, math.inf
+    if shift > 0.0:
+        d, e, info = dpttrf(k_diag - shift * m_diag, k_off)
+        sigma = 0.0 if info else shift
+    if not sigma:
+        d, e, info = dpttrf(k_diag, k_off)
+        if info:
+            raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
     row_sums = _tri_mul(k_diag, k_off, np.ones_like(k_diag))
-    x = np.sqrt(np.maximum(m_diag, 1e-300))
-    lam, sigma, failed = math.inf, 0.0, math.inf
+    x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else start
+    lam = math.inf
     for iterations in range(1, max_iter + 1):
         y, _ = solve_banded(d, e, m_diag * x)
         x = y / math.sqrt(float(y @ (m_diag * y)))
@@ -241,13 +249,16 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     """Extrapolated limit of the first eigenvalue as mu increases to the
     critical coupling, along mu_k = (1 - 2^-k) mu_n.
 
-    The eigenvalue approaches its limit linearly in nu = sqrt(mu_n - mu),
-    so a two-point Richardson step in nu (ratio sqrt(2)) removes the leading
-    term.  Deep in the sequence the inner cutoff contaminates the data
-    (the plateau of the truncated interval), so the reported limit is the
-    extrapolant where consecutive extrapolants agree best, the usual error
-    proxy.  The raw sequence is returned for inspection; a non-monotone
-    sequence aborts the extrapolation.
+    A continuation: each solve starts from the last eigenvector and first
+    tries the shift 2 lambda_k - lambda_(k-1), below lambda_(k+1) while the
+    steps shrink; each eigenvalue is certified as in a cold solve.  It
+    approaches its limit linearly in nu = sqrt(mu_n - mu), so a two-point
+    Richardson step in nu (ratio sqrt(2)) removes the leading term.  Deep in
+    the sequence the inner cutoff contaminates the data (the plateau of the
+    truncated interval), so the reported limit is the extrapolant where
+    consecutive extrapolants agree best, the usual error proxy.  The raw
+    sequence is returned for inspection; a non-monotone sequence aborts the
+    extrapolation.
     """
     if grid is None:
         # The near-critical eigenfunctions drift to the origin like
@@ -256,12 +267,16 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
         # and the sequence plateaus above the true limit.
         grid = GridSpec(4000, GridMapping.LOG_SPACED, R, 1e-40 * R)
     mu_n = 0.25 * (n - 2) ** 2
-    ks = np.arange(1, depth + 1)
-    mus = (1.0 - 2.0 ** (-ks)) * mu_n
+    mus = (1.0 - 2.0 ** -np.arange(1.0, depth + 1)) * mu_n
     # one assembly; each mu only shifts the stiffness diagonal
     k_diag, k_off, hardy_diag, m_diag = _pencil(p, grid.nodes(), n)
-    lambdas = np.array([_smallest_eigenpair(k_diag - float(mu) * hardy_diag, k_off, m_diag)[0]
-                        for mu in mus])
+    lambdas, x, shift = [], None, 0.0
+    for mu in mus:
+        # warm start passed positionally, the way tests stub the solver
+        lam, x = _smallest_eigenpair(k_diag - float(mu) * hardy_diag, k_off, m_diag, x, shift)[:2]
+        shift = 2.0 * lam - lambdas[-1] if lambdas else 0.0
+        lambdas.append(lam)
+    lambdas = np.array(lambdas)
     diffs = np.diff(lambdas)
     if np.any(diffs > 1e-12 * np.abs(lambdas[:-1])):
         raise NonMonotoneSequence(

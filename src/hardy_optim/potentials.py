@@ -38,9 +38,8 @@ from typing import Optional
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
-from .errors import DomainError, QuadratureError, UnsupportedPotential
+from .errors import DomainError, UnsupportedPotential
 
 J0_FIRST_ZERO = float(special.jn_zeros(0, 1)[0])   # z0, the first positive zero of J0
 
@@ -269,7 +268,9 @@ class RadialPotential:
             bad = r[~inside].flat[0] if xp is np else r
             raise DomainError(f"radius {bad} outside (0, {self.r_max}]")
         if self.log_cells is None:
-            return self.log_weight(-xp.log(r)) / (r * r)
+            with np.errstate(over="ignore"):     # r * r underflows below 1.5e-154
+                v = self.log_weight(-xp.log(r)) / r / r
+            return np.minimum(v, 1e300) if xp is np else min(v, 1e300)
         return self._cell_exp(-xp.log(r), 2.0)
 
     def log_weight(self, s):
@@ -464,7 +465,8 @@ def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
 # Classification: admissible after scaling (X) vs never admissible (Y)
 # ---------------------------------------------------------------------------
 
-_Y_THRESHOLD = -1e6         # L below this, still decreasing, counts as divergent
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_TAIL_PANELS = 30            # unit panels in ln(s - s0) past the last abscissa
 
 
 class Label(Enum):
@@ -481,53 +483,56 @@ class ClassLabel:
     limit_estimate: Optional[float] = None
 
 
-def inner_integral(p: RadialPotential, r: float) -> float:
-    """int_0^r s v(s) ds, computed as a log-variable integral to infinity.
+def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
+    """int_{s_k}^inf ``log_weight`` for increasing s_k, from one array
+    ``log_weight`` call.  On ``log_cells`` every piece between the s_k and the
+    knots is exact, g(a) (b - a) exprel(q (b - a)), and the inner cell adds
+    g / |q| (inf if q >= 0).  The log families take a composite Gauss rule on
+    unit panels in ln(s - s0), s0 their Euler shift (geometric panels in
+    u = 1 / (s - s0)), closed past the last one, S, by g(S) (S - s0)."""
+    cells = p.log_cells
+    if cells is not None:
+        knots, _, ell, q = cells
+        if q[-1] >= 0.0 and ell[-1] > -math.inf:
+            return np.full(s.shape, math.inf)
+        points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
+        g, width = p.log_weight(points), np.diff(points)
+        cell_q = q[knots.searchsorted(points[:-1], "right")]
+        piece = g[:-1] * width * special.exprel(cell_q * width)
+        pieces, at = np.append(piece, -g[-1] / q[-1] if g[-1] else 0.0), points.searchsorted(s)
+    else:
+        s0 = p.euler_shift_hint()
+        tau = np.log(s - s0)
+        edges = np.concatenate([tau, tau[-1] + np.arange(1.0, _TAIL_PANELS + 1.0)])
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        u = np.exp(np.append(mid[:, None] + half[:, None] * _GL_NODES, edges[-1]))   # s - s0
+        gu = p.log_weight(s0 + u) * u
+        panels = gu[:-1].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS * half
+        pieces, at = np.append(panels, gu[-1]), np.arange(s.size)
+    return np.cumsum(pieces[::-1])[::-1][at]
 
-    With u = e^(-s) the integral becomes int_{ln(1/r)}^inf r^2 v | ... ds,
-    i.e. the integral of ``log_weight`` over [ln(1/r), inf), which scipy's
-    adaptive quadrature handles including the slow 1/s^2 critical tails.
-    """
+
+def inner_integral(p: RadialPotential, r: float) -> float:
+    """int_0^r s v(s) ds = int_{ln(1/r)}^inf ``log_weight``, by the rule of
+    ``_tail_integrals`` (exact on ``log_cells``, inf when it diverges)."""
     if not 0.0 < r <= p.r_max * (1.0 + 1e-12):
         raise DomainError(f"radius {r} outside (0, {p.r_max}]")
-    s_r = math.log(1.0 / r)
-    result = quad(p.log_weight, s_r, np.inf, limit=400,
-                  epsabs=0.0, epsrel=1e-10, full_output=1)
-    val, err = result[0], result[1]
-    clean = len(result) == 3
-    converged = math.isfinite(val) and (clean or err <= 1e-6 * max(abs(val), 1e-300))
-    if not converged:
-        raise QuadratureError(
-            f"inner integral at r = {r} did not converge (value {val}, error {err})")
-    return val
-
-
-def _certified_divergent(p: RadialPotential) -> bool:
-    """True when int_0^r s v(s) ds can be certified divergent.
-
-    Certificate: r^2 v(r) is bounded below by a positive constant and not
-    decaying (fitted log-slope >= -1e-5) over a deep window of log-radii,
-    which makes s v(s) >= delta / s near the origin.  The window reaches
-    r ~ e^(-620); the stable ``log_weight`` form avoids underflow there.
-    """
-    s_grid = np.linspace(25.0, 620.0, 120)
-    vals = p.log_weight(s_grid)
-    if np.any(vals < 1e-10):
-        return False
-    slope = np.polyfit(s_grid, np.log(vals), 1)[0]
-    return slope >= -1e-5
+    return float(_tail_integrals(p, np.array([math.log(1.0 / r)]))[0])
 
 
 def classify(p: RadialPotential, probes: Optional[np.ndarray] = None) -> ClassLabel:
-    """Classify the potential by the decay of L(r) = ln(r) int_0^r s v ds.
+    """Classify the potential by L(r) = ln(r) int_0^r t v dt = -s int_s^inf g,
+    s = ln(1/r), g = ``log_weight``.  Every label is certified:
 
-    Heuristic, with an honest Indeterminate escape:
+      * ``log_cells`` kinds, exactly by the inner cell's slope q (g ~ e^(q s)):
+        q < 0 makes L -> 0, X (limit_estimate 0); q >= 0 makes the integral
+        diverge, Y (evidence infinite);
+      * the log families, by the bound B = 1 / (4 c_non) of
+        ``ode.tail_edges``: g <= B / (s - s0)^2 on the sampled tail gives
+        |L| <= B s / (s - s0) -> B, X (limit_estimate -B); Indeterminate
+        when its trend check refuses the sample (c_non = 0).
 
-      * divergent inner integral (certified)            -> Y
-      * L monotone decreasing past _Y_THRESHOLD         -> Y
-      * 1/|ln r| extrapolations of L over the last five
-        probes agreeing on a finite limit               -> X
-      * otherwise                                       -> Indeterminate
+    The evidence is L at the probe radii, from ``_tail_integrals``.
     """
     if probes is None:
         probes = p.r_max * np.logspace(-2, -8, 13)
@@ -536,34 +541,13 @@ def classify(p: RadialPotential, probes: Optional[np.ndarray] = None) -> ClassLa
         raise DomainError("probe radii must be strictly decreasing")
     if probes[-1] > 1e-6 * p.r_max:
         raise DomainError("smallest probe must be <= 1e-6 * r_max")
-
-    if _certified_divergent(p):
-        evidence = np.full(probes.shape, -np.inf)
-        return ClassLabel(Label.Y, evidence, probes)
-
-    inner = np.array([inner_integral(p, r) for r in probes])
-    evidence = np.log(probes) * inner
-
-    tail = evidence[-5:]
-    decreasing = bool(np.all(np.diff(evidence) < 0.0))
-    if decreasing and evidence[-1] < _Y_THRESHOLD:
-        return ClassLabel(Label.Y, evidence, probes)
-
-    # Certify boundedness two ways: shrinking magnitude (power-law-type
-    # tails, L -> 0), or agreeing 1/|ln r| extrapolations (log-family tails,
-    # L -> finite negative limit).
-    magnitudes = np.abs(tail)
-    if np.all(np.diff(magnitudes) < 0.0) and magnitudes.max() <= 10.0:
-        return ClassLabel(Label.X, evidence, probes, limit_estimate=float(tail[-1]))
-
-    s = -np.log(probes[-5:])
-    extrapolants = []
-    for i in range(len(tail) - 1):
-        b = (tail[i] - tail[i + 1]) / (1.0 / s[i] - 1.0 / s[i + 1])
-        extrapolants.append(tail[i + 1] - b / s[i + 1])
-    extrapolants = np.array(extrapolants)
-    spread = float(np.max(extrapolants) - np.min(extrapolants))
-    limit = float(np.mean(extrapolants))
-    if spread <= 0.05 * (1.0 + abs(limit)) and np.isfinite(limit):
-        return ClassLabel(Label.X, evidence, probes, limit_estimate=limit)
-    return ClassLabel(Label.INDETERMINATE, evidence, probes, limit_estimate=limit)
+    evidence = np.log(probes) * _tail_integrals(p, -np.log(probes))
+    if p.log_cells is not None:
+        if np.isinf(evidence[-1]):
+            return ClassLabel(Label.Y, evidence, probes)
+        return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)
+    from .ode import log_problem, tail_edges      # ode builds on this module
+    c_non = tail_edges(log_problem(p, 1.0, p.r_max)).c_non
+    if c_non > 0.0:
+        return ClassLabel(Label.X, evidence, probes, limit_estimate=-0.25 / c_non)
+    return ClassLabel(Label.INDETERMINATE, evidence, probes)

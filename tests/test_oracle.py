@@ -249,14 +249,53 @@ def test_two_routes_agree_on_custom_potential(settings):
     assert rr == pytest.approx(bc, rel=0.01)
 
 
-def test_lambda_limit_reuses_one_assembly_exactly():
-    # lambda_limit assembles once and shifts the diagonal per mu; every raw
-    # eigenvalue must be the one weighted_eigen computes at that mu
+def test_lambda_limit_reuses_one_assembly_exactly(monkeypatch):
+    # lambda_limit assembles once and shifts the diagonal per mu: the pencil
+    # it hands the eigensolver at each mu is, bit for bit, the one
+    # weighted_eigen builds.  Its warm-started iteration path differs from a
+    # cold solve, so the eigenvalues agree to rounding, not bitwise.
+    pencils = []
+    solver = oracle._smallest_eigenpair
+
+    def spy(*args):
+        pencils.append([a.tobytes() for a in args[:3]])
+        return solver(*args)
+
+    monkeypatch.setattr(oracle, "_smallest_eigenpair", spy)
     p = RadialPotential.power_law(0.5, amplitude=2.0)
     res = lambda_limit(p, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
     for k, mu in enumerate(res.mu_values):
-        assert res.lambdas[k] == weighted_eigen(p, mu, 3, grid).lambda1
+        assert res.lambdas[k] == pytest.approx(weighted_eigen(p, mu, 3, grid).lambda1, rel=1e-12)
+        assert pencils[-1] == pencils[k]
+
+
+@pytest.mark.parametrize("potential,solves", [(RadialPotential.constant(1.0), 38),
+                                              (RadialPotential.adimurthi_log(3), 59)],
+                         ids=["constant", "adimurthi_log-3"])
+def test_lambda_limit_inverse_iteration_count(monkeypatch, potential, solves):
+    # one dpttrs solve per inverse-iteration step over the 12 mu; a cold
+    # start at every mu took 72 and 88
+    calls = []
+    solve = oracle.solve_banded
+    monkeypatch.setattr(oracle, "solve_banded", lambda *args: calls.append(1) or solve(*args))
+    lambda_limit(potential, 3, 1.0)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("potential", [RadialPotential.power_law(1.8),
+                                       RadialPotential.filippas_tertikas(3)])
+def test_lambda_limit_eigenvalues_are_inertia_certified(potential):
+    # warm starts and predicted shifts keep every eigenvalue within the
+    # certificate gap above a shift that factors positive definite
+    gap = oracle._CERT_GAP
+    res = lambda_limit(potential, 3, 1.0)
+    grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
+    k_diag, k_off, hardy_diag, m_diag = oracle._pencil(potential, grid.nodes(), 3)
+    for mu, lam in zip(res.mu_values, res.lambdas):
+        for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
+            info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
+            assert bool(info) == indefinite
 
 
 @pytest.mark.parametrize("potential", [RadialPotential.power_law(1.0),

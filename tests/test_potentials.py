@@ -131,6 +131,15 @@ def test_log_weight_array_saturates_like_scalar(name):
     _assert_within_ulps(array, [p.log_weight(float(si)) for si in s])
 
 
+@pytest.mark.parametrize("name", ["adimurthi_m1", "ft_x_m3"])
+def test_log_family_value_saturates_below_square_underflow(name):
+    # r * r underflows below 1.5e-154: a float radius once raised
+    # ZeroDivisionError, an ndarray gave inf with an overflow warning
+    p = ARRAY_POTENTIALS[name]
+    assert p.value(1e-170) == 1e300
+    np.testing.assert_array_equal(p.value(np.array([1e-170, 1e-3])), [1e300, p.value(1e-3)])
+
+
 def test_constant_array_evaluation_is_exact():
     p = RadialPotential.constant(1.0)
     assert np.all(p.value(np.geomspace(1e-9, 1.0, 50)) == 1.0)
@@ -331,7 +340,7 @@ def test_scaled_matches_definition(beta):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha,label", [
-    (0.5, Label.X), (1.0, Label.X), (1.5, Label.X),
+    (0.5, Label.X), (1.0, Label.X), (1.5, Label.X), (1.95, Label.X),
     (2.0, Label.Y), (2.5, Label.Y),
 ])
 def test_classify_power_law_dichotomy(alpha, label):
@@ -352,7 +361,42 @@ def test_classify_log_family_limit():
 
 
 def test_classify_near_critical_is_honest():
-    assert classify(RadialPotential.power_law(1.99)).label is Label.INDETERMINATE
+    # the inner cell's slope q = alpha - 2 = -0.01 < 0 decides exactly
+    assert classify(RadialPotential.power_law(1.99)).label is Label.X
+
+
+def test_classify_log_family_bound_is_the_tail_sample():
+    # once Indeterminate; B = 1 / (4 c_non) from the Euler tail sample
+    # bounds |L| in the limit
+    lab = classify(RadialPotential.adimurthi_log(3, amplitude=20.0))
+    assert lab.label is Label.X
+    assert -20.2 < lab.limit_estimate < -20.0
+    assert np.all(np.abs(lab.evidence) < -lab.limit_estimate)
+
+
+def test_classify_rising_tail_is_indeterminate(monkeypatch):
+    # s^2 g ~ ln s still rises at the horizon: the trend check refuses
+    # the sample, so no bound B and no label
+    log_weight = RadialPotential.log_weight
+    monkeypatch.setattr(RadialPotential, "log_weight",
+                        lambda self, s: log_weight(self, s) * np.log(math.e + s))
+    assert classify(RadialPotential.adimurthi_log(1)).label is Label.INDETERMINATE
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
+def test_classify_evaluates_the_potential_at_most_twice(monkeypatch, name):
+    # one array log_weight call for the evidence, one for the tail sample of
+    # the log families; no scalar quadrature
+    calls = []
+    log_weight = RadialPotential.log_weight
+
+    def spy(self, s):
+        calls.append(np.ndim(s))
+        return log_weight(self, s)
+
+    monkeypatch.setattr(RadialPotential, "log_weight", spy)
+    classify(ARRAY_POTENTIALS[name])
+    assert len(calls) <= 2 and all(ndim == 1 for ndim in calls)
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0])
@@ -385,6 +429,14 @@ def test_inner_integral_analytic_cases():
         pytest.approx(0.005, rel=1e-9)
     p = RadialPotential.adimurthi_log(1, rho=math.e)
     assert inner_integral(p, 1e-4) == pytest.approx(1.0 / math.log(math.e / 1e-4), rel=1e-9)
+
+
+def test_inner_integral_is_exact_across_table_knots():
+    # v = r^-1/2 below r = 0.1 (with the inner extrapolation), 0.1 r^-3/2 above
+    p = RadialPotential.custom(np.array([1e-3, 0.1, 1.0]), np.array([10 ** 1.5, 10 ** 0.5, 0.1]))
+    exact = (2.0 / 3.0) * 0.1 ** 1.5 + 0.2 * (1.0 - 0.1 ** 0.5)
+    assert inner_integral(p, 1.0) == pytest.approx(exact, rel=1e-14)
+    assert inner_integral(p, 0.01) == pytest.approx((2.0 / 3.0) * 0.01 ** 1.5, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
