@@ -17,14 +17,13 @@ import argparse
 
 import numpy as np
 
-from hardy_optim import RadialPotential, SolverSettings, feasible, log_problem, tail_edges
+from hardy_optim import RadialPotential, feasible, log_problem, tail_edges
 from hardy_optim.errors import IndeterminateAtHorizon
 
 
 def verdict(p, c, s_max):
     try:
-        return "feasible" if feasible(p, c, 1.0, SolverSettings(s_max=s_max)).feasible \
-            else "infeasible"
+        return "feasible" if feasible(p, c, 1.0, s_max=s_max).feasible else "infeasible"
     except IndeterminateAtHorizon:
         return "indeterminate"
 

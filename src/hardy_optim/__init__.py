@@ -6,7 +6,7 @@ agree.
 from .bestconst import (BestConstantResult, FeasibilityCheck, best_constant,
                         brezis_vazquez_lambda, equal_volume_radius, feasible,
                         unit_ball_volume)
-from .config import RunConfig, SolverSettings, load_config
+from .config import RunConfig, load_config
 from .dual import DualBound, dual_lower_bound
 from .ode import (Domain, HardyODEProblem, ShootingOutcome, Status, TailCertificate,
                   TailEdges, euler_tail_certificate, integrate, integrate_principal_tail,

@@ -3,16 +3,17 @@
 A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  Numerically:
 
-  * non-critical potentials (sigma < 2): shoot the recessive solution from
-    the singular endpoint, exactly J0 on the inner cell of a constant, a
-    power law or a table, carried cell by cell by exact transfer matrices;
-    feasibility <=> no interior zero.  A zero within
-    ``_BOUNDARY_GRACE`` of R counts as the boundary case (the J0 profile
-    vanishes exactly at R at the optimal constant and is still positive on
-    the open interval);
-  * critical / strongly singular potentials: work in the log domain.  A
-    non-oscillatory Euler certificate plus a positive principal-branch sweep
-    certifies feasibility; an oscillatory certificate (or an actual zero of
+  * non-critical potentials whose inner cell has slope q < 0 (sigma < 2
+    for a power law): shoot the recessive solution from the singular
+    endpoint, exactly J0 on the inner cell of a constant, a power law or a
+    table, carried cell by cell by exact transfer matrices; feasibility <=>
+    no interior zero.  A zero within ``_BOUNDARY_GRACE`` of R counts as the
+    boundary case (the J0 profile vanishes exactly at R at the optimal
+    constant and is still positive on the open interval);
+  * critical potentials, the log families and inner cells with q >= 0
+    (``wants_log_domain``): work in the log domain.  A non-oscillatory
+    Euler certificate plus a positive principal-branch sweep certifies
+    feasibility; an oscillatory certificate (or an actual zero of
     the principal branch) certifies infeasibility, and is the whole
     evidence, since it proves a zero inside its window; otherwise the
     answer is indeterminate at the horizon and said so.
@@ -34,9 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import SolverSettings
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (CERTIFICATE_SLACK, ShootingOutcome, Status, TailEdges,
+from .ode import (CERTIFICATE_SLACK, S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges,
                   euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
                   radius_problem, tail_edges, wants_log_domain)
 from .potentials import J0_FIRST_ZERO, RadialPotential
@@ -88,12 +88,11 @@ def _tail_margin(out: ShootingOutcome, R: float) -> float:
     return float(edge / abs(z).max())
 
 
-def feasible(p: RadialPotential, c: float, R: float,
-             settings: SolverSettings = SolverSettings(),
+def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAULT,
              edges: Optional[TailEdges] = None) -> FeasibilityCheck:
-    """Decide feasibility of multiplier c on the ball of radius R.  ``settings``
-    carries the log-domain horizon; ``edges`` are the log domain's
-    ``tail_edges`` on this ball, if already sampled."""
+    """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
+    is the log-domain horizon; ``edges`` are the log domain's ``tail_edges``
+    on this ball, if already sampled."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not wants_log_domain(p):
@@ -102,7 +101,7 @@ def feasible(p: RadialPotential, c: float, R: float,
         ok = out.status is not Status.ZERO_FOUND or out.first_zero >= R * (1.0 - _BOUNDARY_GRACE)
         return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
 
-    prob = log_problem(p, c, R, s_max=settings.s_max)
+    prob = log_problem(p, c, R, s_max=s_max)
     cert = euler_tail_certificate(prob, edges=edges)
     if cert is None:
         raise IndeterminateAtHorizon(
@@ -121,7 +120,7 @@ def feasible(p: RadialPotential, c: float, R: float,
 
 
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
-                  settings: SolverSettings = SolverSettings()) -> BestConstantResult:
+                  s_max: float = S_MAX_DEFAULT) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
     In the log domain both Euler certificates are linear in c, so the band
@@ -147,7 +146,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if tol <= 0.0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     iterations = 0
-    edges = tail_edges(log_problem(p, 1.0, R, s_max=settings.s_max)) \
+    edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max)) \
         if wants_log_domain(p) else None
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
     # Illinois weights: the ends' margins clipped to their side; 0 without a
@@ -158,7 +157,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         nonlocal iterations
         iterations += 1
         try:
-            return feasible(p, c, R, settings, edges=edges)
+            return feasible(p, c, R, s_max, edges=edges)
         except IndeterminateAtHorizon:
             return None
 

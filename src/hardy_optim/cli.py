@@ -4,13 +4,13 @@ Subcommands wrap the library one-to-one and emit machine-readable records
 (INI-style, re-parsable by the config machinery) to stdout, or to --out
 unless that names a CSV artifact (`trace`, `eigen --format csv`).  Exit
 codes: 0 success, 1 error, 2 indeterminate/uncertified, so batch scripts
-can tell "borderline" from "broken".  Errors are emitted as structured
-[error] records, never bare tracebacks.
+can tell "borderline" from "broken".  Errors, usage errors (an unknown
+flag, a missing option) included, are emitted as structured [error]
+records, never bare tracebacks or argparse's exit status 2.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -22,7 +22,7 @@ import numpy as np
 from . import bestconst, dual, ode, oracle
 from .config import (RunConfig, format_record, load_config, write_trajectory_csv,
                      write_vector_csv)
-from .errors import HardyError, IndeterminateAtHorizon, NoUpperBracket
+from .errors import ConfigError, HardyError, IndeterminateAtHorizon, NoUpperBracket
 from .potentials import classify as classify_potential
 
 _EXIT_OK = 0
@@ -31,17 +31,10 @@ _EXIT_INDETERMINATE = 2
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
-        cfg = load_config(args.config)
-    except HardyError as exc:
-        _emit(args, {"type": type(exc).__name__, "message": str(exc)}, section="error")
-        return _EXIT_ERROR
-    if args.timestamp:
-        cfg = dataclasses.replace(cfg, timestamp=True)
-    try:
-        record, extra_exit = args.handler(args, cfg)
+        args = _build_parser().parse_args(argv)
+        record, exit_code = args.handler(args, load_config(args.config))
     except (IndeterminateAtHorizon, NoUpperBracket) as exc:
         record = {"type": type(exc).__name__, "message": str(exc), "status": type(exc).__name__}
         _emit(args, record, section="error")
@@ -49,15 +42,24 @@ def main(argv: Optional[list] = None) -> int:
     except HardyError as exc:
         _emit(args, {"type": type(exc).__name__, "message": str(exc)}, section="error")
         return _EXIT_ERROR
-    if cfg.timestamp:
+    if args.timestamp:
         record["timestamp"] = f"{time.time():.6f}"
     _emit(args, record)
-    return extra_exit
+    return exit_code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a usage error: argparse would exit with 2,
+    which this CLI keeps for indeterminate verdicts.  --help still exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardy-optim",
         description="Improved Hardy inequality feasibility, best constants, and "
                     "discretized eigenvalue cross-checks.")
@@ -67,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="INI config path")
         cmd.add_argument("--out", default=None, help="write the record/CSV here instead of stdout")
-        cmd.add_argument("--format", choices=("record", "csv"), default="record")
         cmd.add_argument("--timestamp", action="store_true",
                          help="append a wall-clock field (off by default for reproducibility)")
         for flag, kw in extra_args.items():
@@ -78,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("best-constant", _cmd_best_constant)
     add("feasible", _cmd_feasible, **{"--c": dict(type=float, required=True, dest="c")})
     add("classify", _cmd_classify)
-    add("eigen", _cmd_eigen, **{"--mu": dict(type=float, required=True, dest="mu")})
+    add("eigen", _cmd_eigen, **{"--mu": dict(type=float, required=True, dest="mu"),
+                                "--format": dict(choices=("record", "csv"), default="record")})
     add("dual", _cmd_dual, **{"--c": dict(type=float, required=True, dest="c"),
                               "--p": dict(type=float, required=True, dest="p")})
     add("check-closed-form", _cmd_check_closed_form)
@@ -88,13 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _writes_csv(args) -> bool:
     """Whether --out names the subcommand's CSV artifact."""
-    return args.handler is _cmd_trace or (args.handler is _cmd_eigen and args.format == "csv")
+    return args.handler is _cmd_trace or getattr(args, "format", None) == "csv"
 
 
 def _emit(args, record: dict, section: str = "result") -> None:
     text = format_record(record, section=section)
-    # records, [error] ones included, never overwrite a CSV artifact path
-    if args.out and not _writes_csv(args):
+    # records, [error] ones included, never overwrite a CSV artifact path;
+    # a usage error has no parsed arguments and goes to stdout
+    if args is not None and args.out and not _writes_csv(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -106,7 +109,7 @@ def _emit(args, record: dict, section: str = "result") -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_best_constant(args, cfg: RunConfig):
-    result = bestconst.best_constant(cfg.potential, cfg.R, settings=cfg.settings)
+    result = bestconst.best_constant(cfg.potential, cfg.R, s_max=cfg.s_max)
     record = {
         "c_best": result.c_best,
         "c_lo": result.c_lo,
@@ -122,7 +125,7 @@ def _cmd_best_constant(args, cfg: RunConfig):
 
 
 def _cmd_feasible(args, cfg: RunConfig):
-    check = bestconst.feasible(cfg.potential, args.c, cfg.R, cfg.settings)
+    check = bestconst.feasible(cfg.potential, args.c, cfg.R, cfg.s_max)
     out = check.evidence
     record = {
         "feasible": check.feasible,
@@ -198,7 +201,7 @@ def _cmd_check_closed_form(args, cfg: RunConfig):
 def _cmd_trace(args, cfg: RunConfig):
     prob = ode.radius_problem(cfg.potential, args.c, cfg.R)
     if ode.wants_log_domain(cfg.potential):
-        prob = ode.to_log_domain(prob, cfg.settings.s_max)
+        prob = ode.to_log_domain(prob, cfg.s_max)
     out = ode.integrate(prob)
     header = ",".join(out.trajectory)    # r,y,dy or s,z,dz
     path = args.out or "trajectory.csv"

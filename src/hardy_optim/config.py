@@ -1,100 +1,138 @@
-"""Solver settings, run configuration, and record/CSV serialization.
+"""Run configuration, and record/CSV serialization.
 
-Config files are INI-style structured text (configparser) with sections
-``[potential]``, ``[domain]``, ``[solver]`` and ``[output]``.  ``[solver]``
-takes the log-domain horizon ``s_max`` (the one ``SolverSettings`` field)
-plus the FE grid keys ``grid_n`` and ``r_min_rel``, and rejects any other
-key with ``ConfigError``; the integrator tolerances, the tail sample count,
-the certificate slack and the boundary grace are constants of ``ode`` and
-``bestconst``, and the best-constant tolerance is ``best_constant``'s
-default.  ``[output]`` takes only ``timestamp``
-(true/false), since where a record goes and in what form are the CLI's
-``--out`` and ``--format``.  Result records are emitted in the same syntax (a
-single ``[result]`` or ``[error]`` section) so that every record re-parses
-under the config machinery.  All numbers are written with 17 significant
-digits for cross-platform reproducibility.
+Config files are INI-style structured text (configparser).  ``KEYS`` is
+the one table of what a file may set: the keys of ``[potential]`` (by its
+``kind``), ``[domain]`` and ``[solver]``, each with its parser.  Any other
+section or key is a ``ConfigError``, whichever subcommand reads the file.
+``[solver] s_max`` is the log-domain horizon; the integrator tolerances,
+the tail sample count, the certificate slack and the boundary grace are
+constants of ``ode`` and ``bestconst``, and the best-constant tolerance is
+``best_constant``'s default.  Where a record goes, in what form and with
+what wall-clock stamp are the CLI's ``--out``, ``eigen --format`` and
+``--timestamp``.  Result records are emitted in the same syntax (a single
+``[result]`` or ``[error]`` section) so that every record re-parses under
+the config machinery.  All numbers are written with 17 significant digits
+for cross-platform reproducibility.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .ode import S_MAX_DEFAULT
 from .potentials import RadialPotential
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """The numerical knob a caller sets per run."""
 
-    s_max: float = S_MAX_DEFAULT     # log-domain horizon, capped at 1e150
+def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a two-column CSV with header ``r,v`` and monotone radii."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if [c.strip() for c in header.split(",")] != ["r", "v"]:
+            raise DomainError(f"expected CSV header 'r,v' in {path}, got {header!r}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != 2:
+        raise DomainError(f"expected two columns in {path}")
+    return data[:, 0], data[:, 1]
 
-    def validated(self) -> "SolverSettings":
-        if not self.s_max > 0:
-            raise ConfigError(f"solver setting s_max must be positive, got {self.s_max}")
-        return self
+
+def _custom(samples: str, sigma=None, r_max=None) -> RadialPotential:
+    return RadialPotential.custom(*load_samples_csv(samples), r_max, sigma)
+
+
+# Every key a config file may set, with its parser (configparser lower-cases
+# keys, so [domain] R is "r").  Each [potential] kind reads the keyword
+# arguments of its factory in _FACTORIES.
+KEYS = {
+    "potential": {
+        "constant": {"amplitude": float, "r_max": float},
+        "power_law": {"alpha": float, "amplitude": float, "r_max": float},
+        "adimurthi_log": {"m": int, "rho": float, "amplitude": float, "r_max": float},
+        "filippas_tertikas_x": {"m": int, "d_scale": float, "amplitude": float, "r_max": float},
+        "custom": {"samples": str, "sigma": float, "r_max": float},
+    },
+    "domain": {"r": float, "n": int},
+    "solver": {"s_max": float, "grid_n": int, "r_min_rel": float},
+}
+_FACTORIES = {"constant": RadialPotential.constant, "power_law": RadialPotential.power_law,
+              "adimurthi_log": RadialPotential.adimurthi_log,
+              "filippas_tertikas_x": RadialPotential.filippas_tertikas, "custom": _custom}
+_REQUIRED = {"power_law": "alpha", "custom": "samples"}
+
+
+def _parse(section, keys: dict) -> dict:
+    """The section's values, each read by its parser in ``keys``; any other
+    key is a DomainError."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise DomainError(f"unknown key(s): {', '.join(unknown)}")
+    return {key: keys[key](value) for key, value in section.items()}
+
+
+def read_potential(section) -> RadialPotential:
+    """Build the potential of a ``[potential]`` mapping: ``kind`` picks the
+    factory, and the other keys are that kind's row of ``KEYS``."""
+    section = dict(section)
+    kind = section.pop("kind", "").strip().lower()
+    if kind not in _FACTORIES:
+        raise DomainError(f"unknown potential kind {kind!r}")
+    values = _parse(section, KEYS["potential"][kind])
+    required = _REQUIRED.get(kind)
+    if required and required not in values:
+        raise DomainError(f"{kind} potential needs key {required!r}")
+    return _FACTORIES[kind](**values)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed CLI configuration: potential + domain + solver + output."""
+    """Parsed CLI configuration: potential + domain + solver."""
 
     potential: RadialPotential
     R: float = 1.0
     n: int = 3
     grid_n: int = 10_000
     r_min_rel: float = 1e-6
-    settings: SolverSettings = field(default_factory=SolverSettings)
-    timestamp: bool = False
+    s_max: float = S_MAX_DEFAULT     # log-domain horizon, capped at 1e150
 
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate an INI config file into a RunConfig."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:      # no section header, a repeated key, ...
+        raise ConfigError(f"{path}: {exc}".replace("\n", " ")) from exc
     if not read:
         raise ConfigError(f"config file {path!r} not found or unreadable")
+    unknown = sorted(set(parser.sections()) - set(KEYS))
+    if unknown:
+        raise ConfigError(f"{path}: unknown section(s): {', '.join(unknown)}")
     if "potential" not in parser:
         raise ConfigError(f"{path}: missing required section [potential]")
     try:
-        potential = RadialPotential.from_config(dict(parser["potential"]))
+        potential = read_potential(parser["potential"])
     except Exception as exc:  # surfaced with the offending section for diagnostics
         raise ConfigError(f"{path}: [potential] {exc}") from exc
-
-    dom = parser["domain"] if "domain" in parser else {}
-    try:
-        R = float(dom.get("r", potential.r_max))
-        n = int(dom.get("n", 3))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [domain] {exc}") from exc
-    if R <= 0:
-        raise ConfigError(f"{path}: [domain] R must be positive, got {R}")
-    if n < 3:
-        raise ConfigError(f"{path}: [domain] dimension n must be >= 3, got {n}")
-    if R > potential.r_max * (1.0 + 1e-12):
-        raise ConfigError(f"{path}: [domain] R = {R} exceeds potential r_max = {potential.r_max}")
-
-    sol = parser["solver"] if "solver" in parser else {}
-    unknown = sorted(set(sol) - {"s_max", "grid_n", "r_min_rel"})
-    if unknown:
-        raise ConfigError(f"{path}: [solver] unknown key(s): {', '.join(unknown)}")
-    try:
-        settings = SolverSettings(float(sol.get("s_max", SolverSettings.s_max))).validated()
-        grid_n = int(sol.get("grid_n", 10_000))
-        r_min_rel = float(sol.get("r_min_rel", 1e-6))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: [solver] {exc}") from exc
-    if grid_n < 16:
-        raise ConfigError(f"{path}: [solver] grid_n must be >= 16, got {grid_n}")
-
-    out = parser["output"] if "output" in parser else {}
-    return RunConfig(
-        potential=potential, R=R, n=n, grid_n=grid_n, r_min_rel=r_min_rel,
-        settings=settings,
-        timestamp=out.get("timestamp", "false").strip().lower() in ("1", "true", "yes"),
-    )
+    values = {}
+    for name in ("domain", "solver"):
+        try:
+            values.update(_parse(parser[name] if name in parser else {}, KEYS[name]))
+        except (DomainError, ValueError, configparser.Error) as exc:
+            raise ConfigError(f"{path}: [{name}] {exc}") from exc
+    cfg = RunConfig(potential, values.pop("r", potential.r_max), **values)
+    if cfg.R <= 0:
+        raise ConfigError(f"{path}: [domain] R must be positive, got {cfg.R}")
+    if cfg.n < 3:
+        raise ConfigError(f"{path}: [domain] dimension n must be >= 3, got {cfg.n}")
+    if cfg.R > potential.r_max * (1.0 + 1e-12):
+        raise ConfigError(f"{path}: [domain] R = {cfg.R} exceeds potential r_max = {potential.r_max}")
+    if not cfg.s_max > 0:
+        raise ConfigError(f"{path}: [solver] s_max must be positive, got {cfg.s_max}")
+    if cfg.grid_n < 16:
+        raise ConfigError(f"{path}: [solver] grid_n must be >= 16, got {cfg.grid_n}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +164,9 @@ def format_record(mapping: dict, section: str = "result") -> str:
 
 
 def parse_record(text: str) -> dict:
-    """Inverse of format_record; values come back as strings."""
-    parser = configparser.ConfigParser()
+    """Inverse of format_record; values come back as strings, verbatim (a
+    '%' in a message is no interpolation)."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(text)
     sections = parser.sections()
     if len(sections) != 1:

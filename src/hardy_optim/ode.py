@@ -59,6 +59,7 @@ _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 
 _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
 _SMALL_X = 1e-30              # below it J0, Y0, x J1, x Y1 are their leading terms
 _X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
+_RICCATI_SAMPLES = 4097       # dense-output resamples of riccati_check
 
 
 class Domain(Enum):
@@ -146,9 +147,11 @@ def _outer_edge(prob: HardyODEProblem) -> float:
 
 
 def wants_log_domain(p: RadialPotential) -> bool:
-    """Critical or strongly singular potentials have no recessive start at
-    r = 0; their feasibility is decided in the log domain."""
-    return p.critical or p.sigma >= 2.0
+    """Critical potentials, the log families (no ``log_cells``) and inner
+    cells of slope q >= 0 (alpha >= 2 for a power law; a table by its inner
+    cell, not its fitted sigma) have no recessive start at r = 0
+    (``_inner_cell_start``); their feasibility is decided in the log domain."""
+    return p.critical or p.log_cells is None or bool(p.log_cells[3][-1] >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +690,7 @@ def _oscillation_edge(s: np.ndarray, s0: float, gamma: np.ndarray
 # Riccati transform and pointwise residuals
 # ---------------------------------------------------------------------------
 
-def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem,
-                  n_resample: int = 4097) -> float:
+def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem) -> float:
     """Max |psi' + psi^2 + a(s)| along the trajectory, psi = z'/z.
 
     psi is the log-derivative of the solution in the log variable (equal to
@@ -704,7 +706,7 @@ def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem,
     z = outcome.trajectory["z"]
     dz = outcome.trajectory["dz"]
     if outcome.dense is not None and s.size >= 2:
-        s = np.linspace(s[0], s[-1], n_resample)
+        s = np.linspace(s[0], s[-1], _RICCATI_SAMPLES)
         states = np.array([outcome.dense(si) for si in s])
         z, dz = states[:, 0], states[:, 1]
     if np.any(z <= 0.0):

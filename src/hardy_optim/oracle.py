@@ -37,6 +37,9 @@ from .potentials import RadialPotential
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 _TINY = np.finfo(float).tiny       # smallest normal double
 _CERT_GAP = 1e-6                   # relative gap from a certified shift up to lambda1
+_EIG_TOL = 1e-10                   # relative settling of lambda~ that ends inverse iteration
+_MAX_ITER = 80                     # inverse iteration steps before HardyError
+_LIMIT_DEPTH = 12                  # lambda_limit's mu_k = (1 - 2^-k) mu_n, k = 1.._LIMIT_DEPTH
 
 
 class GridMapping(Enum):
@@ -86,22 +89,16 @@ class LambdaLimitResult:
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _cell_integral_power(lo: np.ndarray, hi: np.ndarray, a: float) -> np.ndarray:
-    """int_lo^hi r^a dr, elementwise."""
-    if abs(a + 1.0) < 1e-14:
-        return np.log(hi / lo)
-    return (hi ** (a + 1.0) - lo ** (a + 1.0)) / (a + 1.0)
-
-
 def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """P1 stiffness with weight r^a: returns (diagonal, off-diagonal).
+    """P1 stiffness with weight r^a, a = n - 1 >= 1: returns (diagonal,
+    off-diagonal).
 
     Raises DomainError when a squared cell width or a weight integral is
     below the smallest normal double (deep inner cutoffs), where the
     assembly would lose its precision and then overflow.
     """
     h2 = np.diff(nodes) ** 2
-    weight = _cell_integral_power(nodes[:-1], nodes[1:], a)
+    weight = np.diff(nodes ** (a + 1.0)) / (a + 1.0)     # int r^a dr per cell
     if min(h2.min(), weight.min()) < _TINY:
         raise DomainError(
             f"grid cells near r_min = {nodes[0]:g} underflow double precision; "
@@ -141,8 +138,7 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
 
 
 def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = None,
-                        shift: float = 0.0, tol: float = 1e-10,
-                        max_iter: int = 80) -> tuple[float, np.ndarray, float, int]:
+                        shift: float = 0.0) -> tuple[float, np.ndarray, float, int]:
     """Smallest eigenpair of (tridiagonal K) u = lambda (diagonal M) u by
     inverse iteration on certified shifts.
 
@@ -153,10 +149,11 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     inverse iteration.  Solving with the last certified factor, the iterate can
     only tend to the lowest mode.  Each step tries sigma = lambda~(1 - _CERT_GAP),
     lambda~ the Rayleigh quotient, then halfway to the lowest failed shift; it
-    stops once sigma >= lambda~(1 - _CERT_GAP) and lambda~ moved <= tol relative.
-    Raises HardyError if that takes more than max_iter steps.  A warm start
-    replaces the initial vector sqrt(M) by ``start`` and tries ``shift`` > 0
-    as the first sigma, dropped (sigma = 0) if its factorization fails.
+    stops once sigma >= lambda~(1 - _CERT_GAP) and lambda~ moved <= _EIG_TOL
+    relative.  Raises HardyError if that takes more than _MAX_ITER steps.  A
+    warm start replaces the initial vector sqrt(M) by ``start`` and tries
+    ``shift`` > 0 as the first sigma, dropped (sigma = 0) if its
+    factorization fails.
     """
     sigma, failed = 0.0, math.inf
     if shift > 0.0:
@@ -169,7 +166,7 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     row_sums = _tri_mul(k_diag, k_off, np.ones_like(k_diag))
     x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else start
     lam = math.inf
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         y, _ = solve_banded(d, e, m_diag * x)
         x = y / math.sqrt(float(y @ (m_diag * y)))
         # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
@@ -184,10 +181,10 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
                     sigma, d, e = shift, d_new, e_new
                     break
                 failed, shift = shift, 0.5 * (sigma + shift)
-        if abs(lam - lam_prev) <= tol * lam and sigma >= target:
+        if abs(lam - lam_prev) <= _EIG_TOL * lam and sigma >= target:
             break
     else:
-        raise HardyError(f"inverse iteration unsettled after {max_iter} steps: "
+        raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: "
                          f"lambda_1 in [{sigma:g}, {lam:g}]")
     kx = _tri_mul(k_diag, k_off, x)
     res_norm = float(np.linalg.norm(kx - lam * m_diag * x)
@@ -245,9 +242,10 @@ def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> Eig
 
 
 def lambda_limit(p: RadialPotential, n: int, R: float,
-                 grid: Optional[GridSpec] = None, depth: int = 12) -> LambdaLimitResult:
+                 grid: Optional[GridSpec] = None) -> LambdaLimitResult:
     """Extrapolated limit of the first eigenvalue as mu increases to the
-    critical coupling, along mu_k = (1 - 2^-k) mu_n.
+    critical coupling, along mu_k = (1 - 2^-k) mu_n, k = 1.._LIMIT_DEPTH,
+    in dimension n >= 3.
 
     A continuation: each solve starts from the last eigenvector and first
     tries the shift 2 lambda_k - lambda_(k-1), below lambda_(k+1) while the
@@ -260,6 +258,8 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     sequence is returned for inspection; a non-monotone sequence aborts the
     extrapolation.
     """
+    if n < 3:
+        raise DomainError(f"dimension must be >= 3, got {n}")
     if grid is None:
         # The near-critical eigenfunctions drift to the origin like
         # r^(nu - (n-2)/2) with nu -> 0, so the inner cutoff must be far
@@ -267,7 +267,7 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
         # and the sequence plateaus above the true limit.
         grid = GridSpec(4000, GridMapping.LOG_SPACED, R, 1e-40 * R)
     mu_n = 0.25 * (n - 2) ** 2
-    mus = (1.0 - 2.0 ** -np.arange(1.0, depth + 1)) * mu_n
+    mus = (1.0 - 2.0 ** -np.arange(1.0, _LIMIT_DEPTH + 1)) * mu_n
     # one assembly; each mu only shifts the stiffness diagonal
     k_diag, k_off, hardy_diag, m_diag = _pencil(p, grid.nodes(), n)
     lambdas, x, shift = [], None, 0.0

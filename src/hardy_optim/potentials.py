@@ -178,7 +178,7 @@ class RadialPotential:
                    alpha=float(alpha), sigma=float(alpha))
 
     @classmethod
-    def adimurthi_log(cls, m: int, rho: Optional[float] = None,
+    def adimurthi_log(cls, m: int = 1, rho: Optional[float] = None,
                       amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
         """Iterated-log family.  rho defaults to, and must be at least,
         r_max times the m-fold exponential tower of 1, which keeps every
@@ -196,7 +196,7 @@ class RadialPotential:
                    m=int(m), rho=float(rho), sigma=2.0, critical=True)
 
     @classmethod
-    def filippas_tertikas(cls, m: int, d_scale: Optional[float] = None,
+    def filippas_tertikas(cls, m: int = 1, d_scale: Optional[float] = None,
                           amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
         """X-function family; d defaults to r_max and must not be smaller,
         so r/d stays in (0, 1] where every X_i is defined."""
@@ -212,7 +212,7 @@ class RadialPotential:
 
     @classmethod
     def custom(cls, r: np.ndarray, v: np.ndarray, r_max: Optional[float] = None,
-               sigma: Optional[float] = None, critical: bool = False) -> "RadialPotential":
+               sigma: Optional[float] = None) -> "RadialPotential":
         """Tabulated potential, interpolated log-linearly (linear in log r vs
         log v) and extrapolated with the boundary slopes.
 
@@ -241,8 +241,7 @@ class RadialPotential:
             slope = np.polyfit(log_r[mask], log_v[mask], 1)[0]
             sigma = -float(slope)
         return cls(Kind.CUSTOM, amplitude=1.0, r_max=float(r_max),
-                   sigma=float(sigma), critical=bool(critical),
-                   table_log_r=log_r, table_log_v=log_v)
+                   sigma=float(sigma), table_log_r=log_r, table_log_v=log_v)
 
     @staticmethod
     def _check_amp_rmax(amplitude: float, r_max: float) -> None:
@@ -373,7 +372,7 @@ class RadialPotential:
                                                      self.amplitude, self.r_max / beta)
         r = np.exp(self.table_log_r) / beta
         v = np.exp(self.table_log_v) * beta ** 2
-        return RadialPotential.custom(r, v, self.r_max / beta, self.sigma, self.critical)
+        return RadialPotential.custom(r, v, self.r_max / beta, self.sigma)
 
     # -- closed forms -------------------------------------------------------
 
@@ -417,49 +416,6 @@ class RadialPotential:
             return _x_chain(self.m, 1.0 / (1.0 - xp.log(r / self.d_scale)), xp)[1] ** -0.5
         raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
 
-    # -- config -------------------------------------------------------------
-
-    @classmethod
-    def from_config(cls, section: dict) -> "RadialPotential":
-        """Build from a parsed config mapping with keys kind / alpha / m /
-        rho / d_scale / amplitude / r_max / samples."""
-        kind = section.get("kind", "").strip().lower()
-        r_max = float(section.get("r_max", 1.0))
-        amplitude = float(section.get("amplitude", 1.0))
-        if kind == Kind.CONSTANT.value:
-            return cls.constant(amplitude, r_max)
-        if kind == Kind.POWER_LAW.value:
-            if "alpha" not in section:
-                raise DomainError("power_law potential needs key 'alpha'")
-            return cls.power_law(float(section["alpha"]), amplitude, r_max)
-        if kind == Kind.ADIMURTHI_LOG.value:
-            m = int(section.get("m", 1))
-            rho = float(section["rho"]) if "rho" in section else None
-            return cls.adimurthi_log(m, rho, amplitude, r_max)
-        if kind == Kind.FILIPPAS_TERTIKAS_X.value:
-            m = int(section.get("m", 1))
-            d = float(section["d_scale"]) if "d_scale" in section else None
-            return cls.filippas_tertikas(m, d, amplitude, r_max)
-        if kind == Kind.CUSTOM.value:
-            if "samples" not in section:
-                raise DomainError("custom potential needs key 'samples' (CSV path)")
-            r, v = load_samples_csv(section["samples"])
-            sigma = float(section["sigma"]) if "sigma" in section else None
-            return cls.custom(r, v, r_max if "r_max" in section else None, sigma)
-        raise DomainError(f"unknown potential kind {kind!r}")
-
-
-def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column CSV with header ``r,v`` and monotone radii."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if [c.strip() for c in header.split(",")] != ["r", "v"]:
-            raise DomainError(f"expected CSV header 'r,v' in {path}, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != 2:
-        raise DomainError(f"expected two columns in {path}")
-    return data[:, 0], data[:, 1]
-
 
 # ---------------------------------------------------------------------------
 # Classification: admissible after scaling (X) vs never admissible (Y)
@@ -467,6 +423,7 @@ def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _TAIL_PANELS = 30            # unit panels in ln(s - s0) past the last abscissa
+_PROBES = np.logspace(-2, -8, 13)   # classify's probe radii / r_max, decreasing
 
 
 class Label(Enum):
@@ -520,7 +477,7 @@ def inner_integral(p: RadialPotential, r: float) -> float:
     return float(_tail_integrals(p, np.array([math.log(1.0 / r)]))[0])
 
 
-def classify(p: RadialPotential, probes: Optional[np.ndarray] = None) -> ClassLabel:
+def classify(p: RadialPotential) -> ClassLabel:
     """Classify the potential by L(r) = ln(r) int_0^r t v dt = -s int_s^inf g,
     s = ln(1/r), g = ``log_weight``.  Every label is certified:
 
@@ -532,15 +489,10 @@ def classify(p: RadialPotential, probes: Optional[np.ndarray] = None) -> ClassLa
         |L| <= B s / (s - s0) -> B, X (limit_estimate -B); Indeterminate
         when its trend check refuses the sample (c_non = 0).
 
-    The evidence is L at the probe radii, from ``_tail_integrals``.
+    The evidence is L at the probe radii r_max 10^-2 ... 10^-8, from
+    ``_tail_integrals``.
     """
-    if probes is None:
-        probes = p.r_max * np.logspace(-2, -8, 13)
-    probes = np.asarray(probes, dtype=float)
-    if np.any(np.diff(probes) >= 0.0):
-        raise DomainError("probe radii must be strictly decreasing")
-    if probes[-1] > 1e-6 * p.r_max:
-        raise DomainError("smallest probe must be <= 1e-6 * r_max")
+    probes = p.r_max * _PROBES
     evidence = np.log(probes) * _tail_integrals(p, -np.log(probes))
     if p.log_cells is not None:
         if np.isinf(evidence[-1]):

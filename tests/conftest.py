@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hardy_optim import RadialPotential, SolverSettings
+from hardy_optim import RadialPotential
+from hardy_optim.ode import S_MAX_DEFAULT
 
 # First positive zero of J0 and derived constants, frozen from a
 # high-precision evaluation (mpmath, 40 digits) independent of the package.
@@ -11,8 +12,8 @@ J1_AT_Z0 = 0.51914749728946678814
 
 
 @pytest.fixture(scope="session")
-def settings():
-    return SolverSettings()
+def s_max():
+    return S_MAX_DEFAULT
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 from scipy.special import j0
 
 from hardy_optim import (GridMapping, GridSpec, RadialPotential, ShootingOutcome,
-                         SolverSettings, SmoothFn, Status, best_constant, brezis_vazquez_lambda,
+                         SmoothFn, Status, best_constant, brezis_vazquez_lambda,
                          classify, dual_lower_bound, feasible, hardy_quotient,
                          integrate, lambda_limit, log_problem, poincare_check,
                          radius_problem, reduced_rayleigh_min, residual,
@@ -28,8 +28,6 @@ from hardy_optim.errors import IndeterminateAtHorizon
 
 from conftest import Z0, Z0_SQ
 
-ST = SolverSettings()
-
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
@@ -38,7 +36,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_brezis_vazquez_constant():
     t0 = time.perf_counter()
-    res = best_constant(RadialPotential.constant(1.0), 1.0, tol=1e-6, settings=ST)
+    res = best_constant(RadialPotential.constant(1.0), 1.0, tol=1e-6)
     elapsed = time.perf_counter() - t0
     err = abs(res.c_best - Z0_SQ)
     _report("01", err <= 1e-4 and elapsed <= 1.0,
@@ -50,7 +48,7 @@ def test_criterion_02_scaling_law():
     products = {}
     for R in (0.5, 1.0, 2.0, 4.0):
         p = RadialPotential.constant(1.0, r_max=R)
-        products[R] = best_constant(p, R, tol=1e-6, settings=ST).c_best * R * R
+        products[R] = best_constant(p, R, tol=1e-6).c_best * R * R
     spread = (max(products.values()) - min(products.values())) / min(products.values())
     formula_ok = True
     details = []
@@ -81,15 +79,15 @@ def test_criterion_04_critical_bracketing():
     details = []
     for family in ("adimurthi_log", "filippas_tertikas"):
         p = getattr(RadialPotential, family)(1)
-        lo = feasible(p, 0.25, 1.0, ST)
-        hi = feasible(p, 0.35, 1.0, ST)
+        lo = feasible(p, 0.25, 1.0)
+        hi = feasible(p, 0.35, 1.0)
         ok &= lo.feasible and not hi.feasible
         ok &= hi.evidence.certificate is not None and \
             hi.evidence.certificate.kind == "oscillatory"
         # the indeterminate band shrinks as the horizon grows: c = 0.35 is
         # undecidable at s_max = 1e4 and certified infeasible at 1e6
         try:
-            feasible(p, 0.35, 1.0, SolverSettings(s_max=1e4))
+            feasible(p, 0.35, 1.0, s_max=1e4)
             shrank = False
         except IndeterminateAtHorizon:
             shrank = True
@@ -120,7 +118,7 @@ def test_criterion_06_oracle_equivalence_noncritical():
              (RadialPotential.power_law(1.0), "a=1")]
     grid = GridSpec(10_000, GridMapping.LOG_SPACED, 1.0, 1e-6)
     for p, name in cases:
-        bc = best_constant(p, 1.0, tol=1e-6, settings=ST).c_best
+        bc = best_constant(p, 1.0, tol=1e-6).c_best
         rr = reduced_rayleigh_min(p, grid).lambda1
         rel = abs(rr - bc) / bc
         ok &= rel <= 0.01
@@ -155,7 +153,7 @@ def test_criterion_06_oracle_equivalence_borderline():
     # fall as w(L)^2 does, not stay a fixed offset above c_best.  The
     # cutoff stops at 1e-100: below ~1e-157 the FE cell widths underflow.
     p = RadialPotential.adimurthi_log(1)
-    bc = best_constant(p, 1.0, tol=1e-6, settings=ST).c_best
+    bc = best_constant(p, 1.0, tol=1e-6).c_best
     ok = True
     details = []
     rrs = []
@@ -189,7 +187,7 @@ def test_criterion_07_weighted_eigenvalue():
     monotone = all(lams[i + 1] < lams[i] for i in range(len(lams) - 1))
     rel_const = abs(lambda_limit(p, 3, 1.0).limit - Z0_SQ) / Z0_SQ
     pl = RadialPotential.power_law(1.0)
-    bc_pl = best_constant(pl, 1.0, tol=1e-6, settings=ST).c_best
+    bc_pl = best_constant(pl, 1.0, tol=1e-6).c_best
     rel_pl = abs(lambda_limit(pl, 3, 1.0).limit - bc_pl) / bc_pl
     _report("07", mode_ok and monotone and rel_const <= 0.02 and rel_pl <= 0.02,
             f"mode = {fine:.6f} vs pi^2 ({abs(fine - pi_sq) / pi_sq:.1e} rel, refining); "
@@ -199,7 +197,7 @@ def test_criterion_07_weighted_eigenvalue():
 
 def test_criterion_08_inequality_property_suite():
     p = RadialPotential.constant(1.0)
-    bc = best_constant(p, 1.0, tol=1e-6, settings=ST).c_best
+    bc = best_constant(p, 1.0, tol=1e-6).c_best
     rng = np.random.default_rng(20260809)
     r = np.exp(np.linspace(math.log(1e-6), 0.0, 8001))
     r[-1] = 1.0

@@ -6,11 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hardy_optim import (RadialPotential, SolverSettings, Status, best_constant,
+from hardy_optim import (RadialPotential, Status, best_constant,
                          brezis_vazquez_lambda, equal_volume_radius, feasible,
                          integrate, log_problem, radius_problem, unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from hardy_optim.ode import CERTIFICATE_SLACK
+from hardy_optim.ode import CERTIFICATE_SLACK, wants_log_domain
 
 from conftest import Z0, Z0_SQ, power_law_best_constant
 
@@ -19,37 +19,37 @@ from conftest import Z0, Z0_SQ, power_law_best_constant
 # feasibility
 # ---------------------------------------------------------------------------
 
-def test_feasible_constant_bracket(settings, constant_pot):
+def test_feasible_constant_bracket(s_max, constant_pot):
     # first zero of the scaled Bessel profile is z0/sqrt(c)
-    assert feasible(constant_pot, 5.0, 1.0, settings).feasible      # 1.075 > 1
-    assert not feasible(constant_pot, 6.0, 1.0, settings).feasible  # 0.982 < 1
+    assert feasible(constant_pot, 5.0, 1.0, s_max).feasible      # 1.075 > 1
+    assert not feasible(constant_pot, 6.0, 1.0, s_max).feasible  # 0.982 < 1
 
 
-def test_feasible_at_zero_multiplier(settings):
+def test_feasible_at_zero_multiplier(s_max):
     for p in [RadialPotential.power_law(1.5), RadialPotential.adimurthi_log(1),
               RadialPotential.power_law(2.5)]:
-        assert feasible(p, 0.0, 1.0, settings).feasible
+        assert feasible(p, 0.0, 1.0, s_max).feasible
 
 
-def test_feasible_rejects_negative_multiplier(settings, constant_pot):
+def test_feasible_rejects_negative_multiplier(s_max, constant_pot):
     with pytest.raises(DomainError):
-        feasible(constant_pot, -0.1, 1.0, settings)
+        feasible(constant_pot, -0.1, 1.0, s_max)
 
 
-def test_feasibility_monotone_interval(settings):
+def test_feasibility_monotone_interval(s_max):
     # the feasible set over a c grid is an initial interval (no re-entry)
     for p in [RadialPotential.constant(1.0), RadialPotential.power_law(1.0)]:
-        flags = [feasible(p, c, 1.0, settings).feasible
+        flags = [feasible(p, c, 1.0, s_max).feasible
                  for c in np.linspace(0.0, 8.0, 17)]
         assert flags == sorted(flags, reverse=True)
 
 
-def test_feasible_supercritical_power_laws(settings):
+def test_feasible_supercritical_power_laws(s_max):
     # alpha >= 2: no multiplier works (certified through the log domain)
     for alpha in (2.0, 2.5):
         p = RadialPotential.power_law(alpha)
         for c in (0.1, 1.0, 10.0):
-            check = feasible(p, c, 1.0, settings)
+            check = feasible(p, c, 1.0, s_max)
             assert not check.feasible
             assert check.evidence.certificate is not None
 
@@ -70,8 +70,8 @@ def test_oscillation_certificate_is_the_whole_evidence(family):
 # best constant
 # ---------------------------------------------------------------------------
 
-def test_best_constant_is_bessel_level(settings, constant_pot):
-    res = best_constant(constant_pot, 1.0, tol=1e-6, settings=settings)
+def test_best_constant_is_bessel_level(s_max, constant_pot):
+    res = best_constant(constant_pot, 1.0, tol=1e-6, s_max=s_max)
     assert res.converged
     assert abs(res.c_best - Z0_SQ) <= 1e-4
     assert res.c_hi - res.c_lo <= res.tolerance * max(1.0, res.c_best)
@@ -83,47 +83,47 @@ def test_best_constant_is_bessel_level(settings, constant_pot):
     assert res.evidence_hi.status is Status.ZERO_FOUND
 
 
-def test_best_constant_scaling(settings):
+def test_best_constant_scaling(s_max):
     values = []
     for R in (0.5, 1.0, 2.0, 4.0):
         p = RadialPotential.constant(1.0, r_max=R)
-        res = best_constant(p, R, tol=1e-6, settings=settings)
+        res = best_constant(p, R, tol=1e-6, s_max=s_max)
         values.append(res.c_best * R * R)
     spread = (max(values) - min(values)) / min(values)
     assert spread <= 1e-5
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
-def test_best_constant_power_laws(alpha, settings):
+def test_best_constant_power_laws(alpha, s_max):
     res = best_constant(RadialPotential.power_law(alpha), 1.0, tol=1e-6,
-                        settings=settings)
+                        s_max=s_max)
     # bisection tolerance is absolute below c = 1 (tol * max(1, c))
     assert abs(res.c_best - power_law_best_constant(alpha, 1.0)) <= 2e-6
 
 
-def test_best_constant_scale_invariance(settings):
+def test_best_constant_scale_invariance(s_max):
     # c(V) is invariant under r -> beta r with amplitude beta^2
     p = RadialPotential.power_law(1.0)
-    direct = best_constant(p, 1.0, tol=1e-8, settings=settings)
-    scaled = best_constant(p.scaled(2.0), 0.5, tol=1e-8, settings=settings)
+    direct = best_constant(p, 1.0, tol=1e-8, s_max=s_max)
+    scaled = best_constant(p.scaled(2.0), 0.5, tol=1e-8, s_max=s_max)
     assert scaled.c_best == pytest.approx(direct.c_best, rel=1e-7)
 
 
-def test_no_upper_bracket(settings):
+def test_no_upper_bracket(s_max):
     with pytest.raises(NoUpperBracket):
-        best_constant(RadialPotential.constant(0.0), 1.0, settings=settings)
+        best_constant(RadialPotential.constant(0.0), 1.0, s_max=s_max)
 
 
-def test_power_laws_near_sigma_two_bracket_the_closed_form(settings):
+def test_power_laws_near_sigma_two_bracket_the_closed_form(s_max):
     # the series start gave up from alpha ~ 1.94 on; the exact J0 start on
     # the power law's one cell answers in the radius domain, in 4 probes
     for alpha in (1.99, 1.999):
         p = RadialPotential.power_law(alpha)
-        res = best_constant(p, 1.0, settings=settings)
+        res = best_constant(p, 1.0, s_max=s_max)
         assert res.converged and res.iterations == 4
         assert "r" in res.evidence_hi.trajectory
         assert res.c_lo <= power_law_best_constant(alpha, 1.0) <= res.c_hi
-        _assert_certified_bracket(p, 1.0, res, settings)
+        _assert_certified_bracket(p, 1.0, res, s_max)
     assert power_law_best_constant(1.99, 1.0) == pytest.approx(1.44580e-4, rel=1e-5)
 
 
@@ -131,28 +131,28 @@ def test_power_laws_near_sigma_two_bracket_the_closed_form(settings):
 # radius-domain root solve: probe counts and certified ends
 # ---------------------------------------------------------------------------
 
-def _assert_certified_bracket(p, R, res, settings):
+def _assert_certified_bracket(p, R, res, s_max):
     assert res.converged and res.band is None
     assert res.c_lo < res.c_best < res.c_hi
     assert res.c_hi - res.c_lo <= 0.5 * res.tolerance * max(1.0, res.c_best)
-    assert feasible(p, res.c_lo, R, settings).feasible
-    assert not feasible(p, res.c_hi, R, settings).feasible
+    assert feasible(p, res.c_lo, R, s_max).feasible
+    assert not feasible(p, res.c_hi, R, s_max).feasible
 
 
 @pytest.mark.parametrize("alpha, amplitude, R", [
     (0.0, 1.0, 1.0), (0.0, 3.0, 2.0), (0.0, 0.05, 0.25),
     (0.5, 1.0, 1.0), (0.5, 7.0, 3.0), (1.0, 1.0, 1.0), (1.0, 0.2, 0.5),
     (1.9, 1.0, 1.0), (1.9, 20.0, 4.0)])
-def test_root_solve_shots_constant_and_power_law(alpha, amplitude, R, settings):
+def test_root_solve_shots_constant_and_power_law(alpha, amplitude, R, s_max):
     # the Bessel start is exact here: c = 0, the start, one expansion and
     # one clamped iterate
     p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
         RadialPotential.power_law(alpha, amplitude, R)
-    res = best_constant(p, R, tol=1e-6, settings=settings)
+    res = best_constant(p, R, tol=1e-6, s_max=s_max)
     assert res.iterations <= 6
     c = power_law_best_constant(alpha, R) / amplitude
     assert res.c_lo <= c <= res.c_hi
-    _assert_certified_bracket(p, R, res, settings)
+    _assert_certified_bracket(p, R, res, s_max)
 
 
 # (table, c_best of the bisection driver on it at tol 1e-6, probe budget);
@@ -164,30 +164,48 @@ _CUSTOM_TABLES = {"1+5/r": (lambda r: 1.0 + 5.0 / r, 0.2768874168395996, 14),
 
 
 @pytest.mark.parametrize("name", sorted(_CUSTOM_TABLES))
-def test_root_solve_shots_custom_tables(name, settings):
+def test_root_solve_shots_custom_tables(name, s_max):
     fn, c_bisected, budget = _CUSTOM_TABLES[name]
     r = np.geomspace(1e-6, 1.0, 40)
     p = RadialPotential.custom(r, fn(r))
-    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.iterations <= budget
     assert abs(res.c_best - c_bisected) <= res.tolerance * max(1.0, c_bisected)
-    _assert_certified_bracket(p, 1.0, res, settings)
+    _assert_certified_bracket(p, 1.0, res, s_max)
 
 
-def test_custom_table_brackets_are_reproducible(settings):
+def test_custom_table_brackets_are_reproducible(s_max):
     # one ulp of any one sample moves the exact sweeps by rounding only, so
     # the Illinois iterates and the final bracket do not wander (adaptive
     # steps moved them by up to 8.8e-7)
     r = np.geomspace(1e-6, 1.0, 40)
     v = 1.0 + 5.0 / r
-    a = best_constant(RadialPotential.custom(r, v), 1.0, settings=settings)
+    a = best_constant(RadialPotential.custom(r, v), 1.0, s_max=s_max)
     for k in range(v.size):
         nudged = v.copy()
         nudged[k] = np.nextafter(nudged[k], math.inf)
-        b = best_constant(RadialPotential.custom(r, nudged), 1.0, settings=settings)
+        b = best_constant(RadialPotential.custom(r, nudged), 1.0, s_max=s_max)
         assert b.iterations == a.iterations
         for x, y in ((a.c_lo, b.c_lo), (a.c_hi, b.c_hi)):
             assert abs(x - y) <= 1e-10 * x
+
+
+def test_table_domain_follows_its_inner_cell():
+    # fitted over its small decades the table is r^-1.5, but its inner cell,
+    # where a recessive sweep starts, is r^-2.5 (slope q = 0.5 >= 0): the
+    # radius domain raised UnsupportedSingularity ("use the log domain")
+    r = np.geomspace(1e-9, 1.0, 200)
+    v = r ** -1.5
+    v[0] = v[1] * (r[0] / r[1]) ** -2.5
+    p = RadialPotential.custom(r, v)
+    assert p.sigma == pytest.approx(1.5) and wants_log_domain(p)
+    check = feasible(p, 0.1, 1.0)
+    assert not check.feasible and check.method == "oscillation-certificate"
+    res = best_constant(p, 1.0)
+    assert res.converged and res.c_lo == 0.0 and 0.0 < res.c_hi < 1e-6
+    # the catalog kinds keep their domain: q = alpha - 2
+    for alpha in (0.0, 1.0, 1.999, 2.0, 2.5):
+        assert wants_log_domain(RadialPotential.power_law(alpha)) is (alpha >= 2.0)
 
 
 class _Counter:
@@ -204,61 +222,61 @@ class _Counter:
     RadialPotential.custom(np.geomspace(1e-6, 1.0, 40),
                            np.exp(3.0 * np.geomspace(1e-6, 1.0, 40)))],
     ids=["constant", "power_law", "custom"])
-def test_radius_best_constant_makes_no_solve_ivp_call(p, settings, monkeypatch):
+def test_radius_best_constant_makes_no_solve_ivp_call(p, s_max, monkeypatch):
     import hardy_optim.ode as ode_mod
     counter = _Counter(ode_mod.solve_ivp)
     monkeypatch.setattr(ode_mod, "solve_ivp", counter)
-    assert best_constant(p, 1.0, settings=settings).converged
+    assert best_constant(p, 1.0, s_max=s_max).converged
     assert counter.calls == 0
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
-def test_log_best_constant_samples_the_tail_once(family, settings, monkeypatch):
+def test_log_best_constant_samples_the_tail_once(family, s_max, monkeypatch):
     import hardy_optim.bestconst as bestconst_mod
     import hardy_optim.ode as ode_mod
     counter = _Counter(ode_mod.tail_edges)
     monkeypatch.setattr(ode_mod, "tail_edges", counter)
     monkeypatch.setattr(bestconst_mod, "tail_edges", counter)
-    res = best_constant(getattr(RadialPotential, family)(2), 1.0, settings=settings)
+    res = best_constant(getattr(RadialPotential, family)(2), 1.0, s_max=s_max)
     assert res.iterations >= 5
     assert counter.calls == 1
 
 
-def test_shooting_margin_changes_sign_at_the_threshold(settings, constant_pot):
-    below = feasible(constant_pot, Z0_SQ * (1.0 - 1e-3), 1.0, settings)
-    above = feasible(constant_pot, Z0_SQ * (1.0 + 1e-3), 1.0, settings)
+def test_shooting_margin_changes_sign_at_the_threshold(s_max, constant_pot):
+    below = feasible(constant_pot, Z0_SQ * (1.0 - 1e-3), 1.0, s_max)
+    above = feasible(constant_pot, Z0_SQ * (1.0 + 1e-3), 1.0, s_max)
     assert below.feasible and below.margin > 0.0
     assert not above.feasible and above.margin < 0.0
     # continuous across the zero reaching R: both sides are O(1e-3)
     assert below.margin - above.margin < 1e-2
     # the principal tail has a margin too; an oscillation certificate has none
-    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, settings).margin > 0.0
-    assert feasible(RadialPotential.adimurthi_log(1), 0.35, 1.0, settings).margin is None
+    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, s_max).margin > 0.0
+    assert feasible(RadialPotential.adimurthi_log(1), 0.35, 1.0, s_max).margin is None
 
 
 @pytest.mark.parametrize("alpha", [1.9, 1.99])
-def test_principal_tail_margin_root_solves_log_domain(alpha, settings):
+def test_principal_tail_margin_root_solves_log_domain(alpha, s_max):
     # a power law forced into the log domain is decided by the principal
     # tail on both sides of c(V); the bisection took 23 probes on each
     p = dataclasses.replace(RadialPotential.power_law(alpha), critical=True)
-    below = feasible(p, 0.9 * power_law_best_constant(alpha, 1.0), 1.0, settings)
-    above = feasible(p, 1.1 * power_law_best_constant(alpha, 1.0), 1.0, settings)
+    below = feasible(p, 0.9 * power_law_best_constant(alpha, 1.0), 1.0, s_max)
+    above = feasible(p, 1.1 * power_law_best_constant(alpha, 1.0), 1.0, s_max)
     assert below.method == above.method == "principal-tail"
     assert below.margin > 0.0 > above.margin
-    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.iterations <= 14
     # within tol: the principal tail puts the zero of c(V) itself a hair inside R
     assert res.c_lo - 1e-6 <= power_law_best_constant(alpha, 1.0) <= res.c_hi + 1e-6
-    _assert_certified_bracket(p, 1.0, res, settings)
+    _assert_certified_bracket(p, 1.0, res, s_max)
 
 
-def test_class_y_potential_collapses_to_zero(settings):
+def test_class_y_potential_collapses_to_zero(s_max):
     # a converged log-domain solve closes its bracket to the same width as
     # the radius-domain root solve
     p = RadialPotential.power_law(2.5)
-    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.c_best <= 1e-5
-    _assert_certified_bracket(p, 1.0, res, settings)
+    _assert_certified_bracket(p, 1.0, res, s_max)
 
 
 # ---------------------------------------------------------------------------
@@ -266,40 +284,39 @@ def test_class_y_potential_collapses_to_zero(settings):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
-def test_critical_quarter_bracketing(family, settings):
+def test_critical_quarter_bracketing(family, s_max):
     p = getattr(RadialPotential, family)(1)
-    check_lo = feasible(p, 0.25, 1.0, settings)
-    check_hi = feasible(p, 0.35, 1.0, settings)
+    check_lo = feasible(p, 0.25, 1.0, s_max)
+    check_hi = feasible(p, 0.35, 1.0, s_max)
     assert check_lo.feasible and check_lo.method == "principal-tail"
     assert not check_hi.feasible and check_hi.method == "oscillation-certificate"
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 @pytest.mark.parametrize("m", [2, 3])
-def test_critical_deeper_levels(family, m, settings):
+def test_critical_deeper_levels(family, m, s_max):
     # the cumulative sum potentials keep threshold 1/4 for every depth, but
     # their coefficient approaches the Euler line only like 1/(ln s)^2, so
     # at desk scale: certified on both sides away from 1/4, honest
     # indeterminate exactly at it (deciding there needs the next
     # iterated-log comparison level)
     p = getattr(RadialPotential, family)(m)
-    assert feasible(p, 0.20, 1.0, settings).feasible
-    assert not feasible(p, 0.35, 1.0, settings).feasible
-    assert not feasible(p, 1.0, 1.0, settings).feasible
+    assert feasible(p, 0.20, 1.0, s_max).feasible
+    assert not feasible(p, 0.35, 1.0, s_max).feasible
+    assert not feasible(p, 1.0, 1.0, s_max).feasible
     with pytest.raises(IndeterminateAtHorizon):
-        feasible(p, 0.25, 1.0, settings)
+        feasible(p, 0.25, 1.0, s_max)
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_critical_indeterminate_at_short_horizon(family):
     p = getattr(RadialPotential, family)(1)
-    st = SolverSettings(s_max=1e4)
     with pytest.raises(IndeterminateAtHorizon):
-        feasible(p, 0.35, 1.0, st)
+        feasible(p, 0.35, 1.0, s_max=1e4)
 
 
-def test_critical_best_constant_reports_band(settings, adimurthi_1):
-    res = best_constant(adimurthi_1, 1.0, tol=1e-6, settings=settings)
+def test_critical_best_constant_reports_band(s_max, adimurthi_1):
+    res = best_constant(adimurthi_1, 1.0, tol=1e-6, s_max=s_max)
     assert not res.converged
     assert res.band is not None
     assert res.c_lo == pytest.approx(0.25, abs=1e-6)   # certified feasible edge
@@ -315,20 +332,20 @@ def test_critical_best_constant_reports_band(settings, adimurthi_1):
 
 @pytest.mark.parametrize("family, m, amplitude", [
     ("adimurthi_log", 1, 0.26), ("adimurthi_log", 1, 0.3), ("filippas_tertikas", 2, 0.26)])
-def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, settings):
+def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, s_max):
     # c = 1 lies inside the band above 1/(4A): the doubling phase meets an
     # undecided multiplier before a certified-infeasible one
     p = getattr(RadialPotential, family)(m, amplitude=amplitude)
     with pytest.raises(IndeterminateAtHorizon):
-        feasible(p, 1.0, 1.0, settings)
-    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+        feasible(p, 1.0, 1.0, s_max)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
     assert res.c_lo <= 0.25 / amplitude <= res.c_hi
     assert res.c_best == res.c_lo
     assert (res.c_hi - res.c_lo) * amplitude / 0.25 < 0.3
     # both band edges re-verify as certified
-    assert feasible(p, res.c_lo, 1.0, settings).feasible
-    hi = feasible(p, res.c_hi, 1.0, settings)
+    assert feasible(p, res.c_lo, 1.0, s_max).feasible
+    hi = feasible(p, res.c_hi, 1.0, s_max)
     assert not hi.feasible and hi.method == "oscillation-certificate"
 
 
@@ -343,12 +360,12 @@ _BISECTED_BANDS = {
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("amplitude", [0.05, 1.0, 20.0])
-def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, settings):
+def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, s_max):
     p = getattr(RadialPotential, family)(m, amplitude=amplitude)
-    res = best_constant(p, 1.0, tol=1e-6, settings=settings)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.iterations <= 6
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
-    lo, hi = feasible(p, res.c_lo, 1.0, settings), feasible(p, res.c_hi, 1.0, settings)
+    lo, hi = feasible(p, res.c_lo, 1.0, s_max), feasible(p, res.c_hi, 1.0, s_max)
     assert lo.feasible and lo.method == "principal-tail"
     assert not hi.feasible and hi.method == "oscillation-certificate"
     # the next multiplier beyond either certified extreme is undecided; the
@@ -356,7 +373,7 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, sett
     for c in (np.nextafter(res.c_lo * (1.0 + CERTIFICATE_SLACK), math.inf),
               np.nextafter(res.c_hi, 0.0)):
         with pytest.raises(IndeterminateAtHorizon):
-            feasible(p, float(c), 1.0, settings)
+            feasible(p, float(c), 1.0, s_max)
     # c(V) = 1/(4A) stays in the band; for m = 1 the lower edge is c(V) up to
     # the rounding of max gamma, which the bisected 0.25 did not have
     assert res.c_lo <= 0.25 / amplitude <= res.c_hi
@@ -369,29 +386,29 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, sett
 
 
 @pytest.mark.parametrize("s_max", [1e30, 1e300])
-def test_band_at_huge_horizons(s_max, settings):
+def test_band_at_huge_horizons(s_max):
     # at s_max = 1e300 the shifted gamma once formed inf * 0 = nan, and the
     # band came out as [0, 0.25010] with c_best = 0; horizons now stop at 1e150
     p = RadialPotential.adimurthi_log(1)
     assert log_problem(p, 0.25, 1.0, s_max=s_max).s_max == min(s_max, 1e150)
     with pytest.raises(IndeterminateAtHorizon, match=re.escape(f"s_max = {min(s_max, 1e150)}")):
-        feasible(p, 0.25005, 1.0, SolverSettings(s_max=s_max))
-    at_1e6 = best_constant(p, 1.0, tol=1e-6, settings=settings)
+        feasible(p, 0.25005, 1.0, s_max=s_max)
+    at_1e6 = best_constant(p, 1.0, tol=1e-6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = best_constant(p, 1.0, tol=1e-6, settings=SolverSettings(s_max=s_max))
+        res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.c_lo == pytest.approx(0.25, abs=1e-6) and res.c_best == res.c_lo
     assert res.c_lo < res.c_hi <= at_1e6.c_hi
 
 
-def test_contradicting_verdict_widens_the_band(monkeypatch, settings):
+def test_contradicting_verdict_widens_the_band(monkeypatch, s_max):
     # a feasible verdict above an undecided multiplier contradicts Sturm
     # monotonicity: it joins the band instead of moving the feasible end
     # past it, which would probe the same multiplier forever
     import hardy_optim.bestconst as bestconst_mod
     calls = []
 
-    def fake_feasible(p, c, R, settings, edges=None):
+    def fake_feasible(p, c, R, s_max, edges=None):
         calls.append(c)
         assert len(calls) < 200, "best_constant did not terminate"
         if 0.25 <= c < 0.3:
@@ -399,7 +416,7 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, settings):
         return bestconst_mod.FeasibilityCheck(c < 0.25 or 0.3 <= c < 0.35, None, "fake")
 
     monkeypatch.setattr(bestconst_mod, "feasible", fake_feasible)
-    res = best_constant(RadialPotential.adimurthi_log(1), 1.0, tol=1e-6, settings=settings)
+    res = best_constant(RadialPotential.adimurthi_log(1), 1.0, tol=1e-6, s_max=s_max)
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
     assert 0.25 - 1e-6 <= res.c_lo < 0.25 and 0.35 <= res.c_hi <= 0.35 + 1e-6
 

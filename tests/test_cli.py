@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import math
 import subprocess
 import sys
@@ -8,19 +7,18 @@ import numpy as np
 import pytest
 
 from hardy_optim.cli import main
-from hardy_optim.config import SolverSettings, format_record, load_config, parse_record
+from hardy_optim.config import KEYS, format_record, load_config, parse_record
 from hardy_optim.errors import ConfigError
 
 from conftest import Z0_SQ
 
 
-def _write_config(tmp_path, name="run.ini", potential=None, domain=None,
-                  solver=None, output=None):
+def _write_config(tmp_path, name="run.ini", potential=None, **sections):
     lines = ["[potential]"]
     for key, val in (potential or {"kind": "constant", "amplitude": "1.0",
                                    "r_max": "1.0"}).items():
         lines.append(f"{key} = {val}")
-    for section, mapping in (("domain", domain), ("solver", solver), ("output", output)):
+    for section, mapping in sections.items():
         if mapping:
             lines.append(f"[{section}]")
             lines.extend(f"{k} = {v}" for k, v in mapping.items())
@@ -255,16 +253,95 @@ def test_config_round_trip(tmp_path):
     run = load_config(cfg)
     assert run.potential.alpha == 1.5 and run.potential.r_max == 3.0
     assert run.R == 2.5 and run.n == 4
-    assert run.grid_n == 128 and run.settings.s_max == 1e9
+    assert run.grid_n == 128 and run.s_max == 1e9
 
 
-def test_every_solver_setting_is_read_from_the_config(tmp_path):
-    wanted = {}
-    for f in dataclasses.fields(SolverSettings):
-        default = 1e-9 if f.default is None else f.default
-        wanted[f.name] = type(default)(3 * default)
-    run = load_config(_write_config(tmp_path, solver={k: repr(v) for k, v in wanted.items()}))
-    assert {k: getattr(run.settings, k) for k in wanted} == wanted
+# a value, other than the default, of every key in config.KEYS
+_NEW_VALUES = {"amplitude": "3.0", "r_max": "2.0", "alpha": "1.5", "m": "2", "rho": "50.0",
+               "d_scale": "3.0", "sigma": "0.5", "r": "0.5", "n": "4", "s_max": "1e9",
+               "grid_n": "128", "r_min_rel": "1e-9"}
+
+
+def _table(tmp_path, name, scale):
+    path = tmp_path / name
+    r = np.logspace(-8, 0, 50)
+    path.write_text("r,v\n" + "\n".join(f"{ri},{scale / ri}" for ri in r))
+    return str(path)
+
+
+def test_every_config_key_is_read(tmp_path):
+    # each key the table accepts must change the parsed config; a key that
+    # is parsed and then ignored would leave it as it was
+    def fingerprint(potential=None, **sections):
+        run = load_config(_write_config(tmp_path, potential=potential, **sections))
+        return repr(run), run.potential.value(0.25)
+
+    bases = {kind: {"kind": kind} for kind in KEYS["potential"]}
+    bases["power_law"]["alpha"] = "1.0"
+    bases["custom"]["samples"] = _table(tmp_path, "one.csv", 1.0)
+    new_values = dict(_NEW_VALUES, samples=_table(tmp_path, "two.csv", 2.0))
+    seen = set()
+    for kind, keys in KEYS["potential"].items():
+        plain = fingerprint(bases[kind])
+        for key in keys:
+            assert fingerprint({**bases[kind], key: new_values[key]}) != plain, (kind, key)
+            seen.add(key)
+    plain = fingerprint()
+    for section in ("domain", "solver"):
+        for key in KEYS[section]:
+            assert fingerprint(**{section: {key: new_values[key]}}) != plain, (section, key)
+            seen.add(key)
+    assert seen == set(new_values)
+
+
+@pytest.mark.parametrize("potential,sections,culprit", [
+    ({"kind": "constant", "amplitdue": "3.0"}, {}, "amplitdue"),
+    (None, {"solvers": {"s_max": "1e9"}}, "solvers"),
+    ({"kind": "custom", "amplitude": "3.0"}, {}, "amplitude"),
+    (None, {"output": {"timestamp": "true"}}, "output"),
+], ids=["misspelt-key", "unknown-section", "key-of-another-kind", "output-section"])
+def test_unread_config_key_is_an_error(tmp_path, capsys, potential, sections, culprit):
+    # each of these was once parsed and ignored: a misspelt amplitude gave
+    # the best constant of amplitude 1
+    if potential and potential["kind"] == "custom":
+        potential = dict(potential, samples=_table(tmp_path, "one.csv", 1.0))
+    cfg = _write_config(tmp_path, potential=potential, **sections)
+    with pytest.raises(ConfigError, match=culprit):
+        load_config(cfg)
+    code, out = _run(capsys, "best-constant", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and rec["type"] == "ConfigError" and culprit in rec["message"]
+
+
+@pytest.mark.parametrize("text", [
+    "kind = constant\n",
+    "[potential]\nkind = constant\nkind = power_law\n",
+    "[potential]\nkind = constant\n[solver]\ns_max = 1e6%\n",
+], ids=["no-section-header", "repeated-key", "bad-interpolation"])
+def test_malformed_ini_is_an_error_record(tmp_path, capsys, text):
+    # configparser's own errors once escaped as bare tracebacks
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    code, out = _run(capsys, "best-constant", "--config", str(cfg))
+    assert code == 1 and parse_record(out)["type"] == "ConfigError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("feasible",), ("feasible", "--c", "1.0", "--tol", "1e-3"),
+    ("best-constant", "--format", "csv"), ("no-such-command",)],
+    ids=["missing-option", "unknown-flag", "format-off-eigen", "unknown-subcommand"])
+def test_usage_error_is_an_error_record(tmp_path, capsys, argv):
+    # argparse would exit with 2, the CLI's status for an indeterminate verdict
+    code, out = _run(capsys, *argv, "--config", _write_config(tmp_path))
+    assert code == 1
+    assert parse_record(out)["type"] == "ConfigError"
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["feasible", "--help"])
+    assert stop.value.code == 0
+    assert "--c" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["bisect_tolerance", "zero_width_rel", "rtol", "atol",

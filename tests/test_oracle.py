@@ -145,6 +145,14 @@ def test_lambda_limit_power_law():
     assert res.limit == pytest.approx(power_law_best_constant(1.0, 1.0), rel=0.02)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_lambda_limit_rejects_low_dimension(constant_pot, n):
+    # n = 2 once returned 5.7826 from twelve identical mu = 0 solves (mu_2 = 0),
+    # n = 1 an IndefiniteForm from a negative weight integral
+    with pytest.raises(DomainError, match="dimension"):
+        lambda_limit(constant_pot, n, 1.0)
+
+
 def test_lambda_limit_nonmonotone_guard(constant_pot, monkeypatch):
     # a sequence that rises along mu must be reported, not extrapolated
     rising = iter(np.linspace(1.0, 2.0, 12))
@@ -235,7 +243,7 @@ def test_eigensolve_raises_at_the_iteration_cap(constant_pot, monkeypatch):
         weighted_eigen(constant_pot, 0.0, 3, _grid(2000))
 
 
-def test_two_routes_agree_on_custom_potential(settings):
+def test_two_routes_agree_on_custom_potential(s_max):
     # wire the whole tabulated-potential path through both the shooting
     # bisection and the discretized quotient; v = 2/sqrt(r) has the exact
     # threshold (z0 * 3/4)^2 / 2 via the Bessel substitution
@@ -243,7 +251,7 @@ def test_two_routes_agree_on_custom_potential(settings):
     r = np.logspace(-9, 0, 400)
     p = RadialPotential.custom(r, 2.0 / np.sqrt(r))
     analytic = (Z0 * 0.75) ** 2 / 2.0
-    bc = best_constant(p, 1.0, tol=1e-6, settings=settings).c_best
+    bc = best_constant(p, 1.0, tol=1e-6, s_max=s_max).c_best
     rr = reduced_rayleigh_min(p, _grid()).lambda1
     assert bc == pytest.approx(analytic, rel=1e-4)
     assert rr == pytest.approx(bc, rel=0.01)

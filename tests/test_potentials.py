@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hardy_optim import (Kind, Label, RadialPotential, classify, exp_tower,
                          inner_integral, iterated_log, x_iter)
+from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
 
 
@@ -414,14 +415,6 @@ def test_classify_evidence_shape():
     assert lab.probe_radii[-1] <= 1e-6
 
 
-def test_classify_rejects_bad_probes():
-    p = RadialPotential.constant(1.0)
-    with pytest.raises(DomainError):
-        classify(p, probes=np.array([1e-3, 1e-2]))       # increasing
-    with pytest.raises(DomainError):
-        classify(p, probes=np.array([1e-2, 1e-4]))       # too shallow
-
-
 def test_inner_integral_analytic_cases():
     assert inner_integral(RadialPotential.power_law(1.0), 0.01) == \
         pytest.approx(0.01, rel=1e-9)
@@ -444,17 +437,17 @@ def test_inner_integral_is_exact_across_table_knots():
 # ---------------------------------------------------------------------------
 
 def test_from_config_catalog():
-    p = RadialPotential.from_config({"kind": "power_law", "alpha": "1.5", "r_max": "2.0"})
+    p = read_potential({"kind": "power_law", "alpha": "1.5", "r_max": "2.0"})
     assert p.kind is Kind.POWER_LAW and p.alpha == 1.5 and p.r_max == 2.0
     with pytest.raises(DomainError):
-        RadialPotential.from_config({"kind": "power_law"})
+        read_potential({"kind": "power_law"})
 
 
 def test_from_config_custom_csv(tmp_path):
     path = tmp_path / "table.csv"
     r = np.logspace(-6, 0, 50)
     path.write_text("r,v\n" + "\n".join(f"{ri},{2.0/ri}" for ri in r))
-    p = RadialPotential.from_config({"kind": "custom", "samples": str(path)})
+    p = read_potential({"kind": "custom", "samples": str(path)})
     assert p(0.5) == pytest.approx(4.0, rel=1e-9)
     assert p.sigma == pytest.approx(1.0, abs=1e-6)
 
@@ -463,4 +456,4 @@ def test_samples_csv_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("radius,value\n0.1,1.0\n0.2,1.0\n")
     with pytest.raises(DomainError):
-        RadialPotential.from_config({"kind": "custom", "samples": str(path)})
+        read_potential({"kind": "custom", "samples": str(path)})
