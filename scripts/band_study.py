@@ -9,15 +9,17 @@ needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's band
 edges as ``tail_edges`` predicts them: every c <= c_non has a
 non-oscillatory certificate, to within ``CERTIFICATE_SLACK`` (feasible
 unless the principal tail vanishes), every c >= c_osc an oscillatory one
-(infeasible).
+(infeasible).  Below them, each horizon's ``best_constant`` bracket and its
+wall time (best of 3), the before/after table of a change to the sweeps.
 
 Run:  python scripts/band_study.py [--family adimurthi_log|filippas_tertikas_x]
 """
 import argparse
+import time
 
 import numpy as np
 
-from hardy_optim import RadialPotential, feasible, log_problem, tail_edges
+from hardy_optim import RadialPotential, best_constant, feasible, log_problem, tail_edges
 from hardy_optim.errors import IndeterminateAtHorizon
 
 
@@ -31,6 +33,16 @@ def verdict(p, c, s_max):
 def predicted_edges(p, s_max):
     edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
     return edges.c_non, edges.c_osc
+
+
+def timed_best_constant(p, s_max):
+    """best_constant on the unit ball and its best wall time of 3, in ms."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        res = best_constant(p, 1.0, s_max=s_max)
+        times.append(time.perf_counter() - start)
+    return res, 1e3 * min(times)
 
 
 def main():
@@ -59,6 +71,10 @@ def main():
     edges = {h: predicted_edges(p, h) for h in horizons}
     print("c_non  " + "".join(f"{edges[h][0]:<18.6f}" for h in horizons))
     print("c_osc  " + "".join(f"{edges[h][1]:<18.6f}" for h in horizons))
+    solved = {h: timed_best_constant(p, h) for h in horizons}
+    print("c_lo   " + "".join(f"{solved[h][0].c_lo:<18.6f}" for h in horizons))
+    print("c_hi   " + "".join(f"{solved[h][0].c_hi:<18.6f}" for h in horizons))
+    print("ms     " + "".join(f"{solved[h][1]:<18.2f}" for h in horizons))
     print()
     for h in horizons:
         seen = (f"indeterminate on [{min(bands[h])}, {max(bands[h])}] ({len(bands[h])} grid points)"

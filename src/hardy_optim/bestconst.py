@@ -82,9 +82,10 @@ def _margin(out: ShootingOutcome, R: float) -> float:
 
 def _tail_margin(out: ShootingOutcome, R: float) -> float:
     """_margin of a principal-tail sweep, z at the outer edge or -z'(s*) ln(R / r*),
-    divided by max |z| since the sweep has no scale of its own."""
+    divided by max |z| since the sweep has no scale of its own.  ln(R / r*) is
+    taken as s* + ln R, since r* = e^-s* underflows beyond s* ~ 745."""
     z, dz = out.trajectory["z"], out.trajectory["dz"]
-    edge = z[0] if out.first_zero is None else -dz[0] * math.log(R / out.first_zero)
+    edge = z[0] if out.zero_s is None else -dz[0] * (out.zero_s + math.log(R))
     return float(edge / abs(z).max())
 
 

@@ -41,7 +41,8 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     The norm is the radial integral (n omega_n int_0^R (c v)^{-q} r^{n-1} dr)^{1/q}.
     A divergent integral is reported as an explicit zero bound with the
     ``divergent`` flag set (the local integrand exponent at the origin is
-    checked first: sigma q + n - 1 <= -1 certifies divergence).
+    checked first: sigma q + n - 1 <= -1 certifies divergence, as does a
+    vanishing potential).
     """
     if not 0.0 < p <= 2.0:
         raise InvalidP(f"exponent p must be in (0, 2], got {p}")
@@ -57,9 +58,10 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
         return DualBound(p, None, bound, c, divergent=False, potential=p_pot)
 
     q = p / (2.0 - p)
-    # integrand ~ r^(sigma q + n - 1) at the origin
+    # integrand ~ r^(sigma q + n - 1) at the origin; a vanishing v
+    # (amplitude 0) makes (c v)^(-q) infinite everywhere
     exponent0 = p_pot.sigma * q + n - 1.0
-    if exponent0 <= -1.0:
+    if exponent0 <= -1.0 or p_pot.amplitude == 0.0:
         return DualBound(p, q, 0.0, c, divergent=True, potential=p_pot)
 
     def integrand(t: float) -> float:

@@ -21,10 +21,15 @@ J0(x) on the inner cell, which needs q < 0 there (sigma < 2).  This is the
 coefficient-approximation method (Pruess 1973; Pryce, Numerical Solution of
 Sturm-Liouville Problems, 1993) on the model the tables themselves define.
 
-The two log families are swept by DOP853 in s, which absorbs the 1/r drift
-and keeps steps O(1) up to the horizon, in one solve_ivp call; the first
-sign change ends such a sweep at the integrator's terminal event, whose
-root solve_ivp refines on its dense output.
+The two log families are swept by DOP853 in one solve_ivp call, in the
+Liouville variable tau = ln(s - s0), s0 = (outer edge) - 1: with
+w = z / sqrt(s - s0) the equation is exactly w_tt + (a (s - s0)^2 - 1/4) w
+= 0, whose coefficient tends to a constant at the horizon (Hartman, Ordinary
+Differential Equations, Ch. XI), so steps grow with s and a sweep to
+s_max = 1e150 costs little more than one to 1e6.  The first sign change ends
+such a sweep at the integrator's terminal event, whose root solve_ivp
+refines on its dense output; trajectories and zeros are reported in s.  At
+c = 0 a sweep entering with z' = 0 is the line z = z(start), with no solve.
 
 For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
@@ -134,10 +139,15 @@ class ShootingOutcome:
     """Trajectory plus zero/termination bookkeeping for one integration."""
 
     trajectory: dict                      # column name -> sample array
-    first_zero: Optional[float]           # radius of the first zero, if any
+    zero_s: Optional[float]               # log abscissa s* of the first zero, if any
     status: Status
     certificate: Optional[TailCertificate] = None
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    @property
+    def first_zero(self) -> Optional[float]:
+        """Radius r* = e^-s* of the first zero; 0.0 beyond s* ~ 745."""
+        return None if self.zero_s is None else math.exp(-self.zero_s)
 
 
 def _outer_edge(prob: HardyODEProblem) -> float:
@@ -155,7 +165,7 @@ def wants_log_domain(p: RadialPotential) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# DOP853 sweeps of the log families
+# DOP853 sweeps of the log families, in the Liouville variable
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -163,13 +173,20 @@ class _RawRun:
     t: np.ndarray
     y: np.ndarray                 # shape (2, n)
     zero_t: Optional[float]
+    zero_y: Optional[list]        # the state (z, dz) at zero_t
     dense: Optional[Callable]
 
 
-def _dop853_sweep(rhs, t0: float, t1: float, state0) -> _RawRun:
-    """One solve_ivp call from t0 to t1; the first sign change of state[0]
-    ends it at the terminal event, whose root is already refined on the
-    dense output.
+def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _RawRun:
+    """Sweep a log family from s_from to s_to in tau = ln(s - s0), s0 = (outer
+    edge) - 1, by one solve_ivp call; the first sign change ends it at the
+    terminal event, whose root is already refined on the dense output.
+
+    With sigma = s - s0 = e^tau and z = w e^((tau - tau_start)/2), the
+    equation z'' + a z = 0 is exactly w_tt + (a sigma^2 - 1/4) w = 0, whose
+    coefficient tends to the constant c A - 1/4 at the horizon: steps grow
+    with s, so the sweep costs little at any horizon.  At c = 0 a sweep
+    entering with z' = 0 is the line z = z(start), answered without DOP853.
 
     No state can overflow.  For both log families g = ``log_weight`` is
     positive and decreasing in s.  Every sweep starts at z = 1, not rising
@@ -177,28 +194,67 @@ def _dop853_sweep(rhs, t0: float, t1: float, state0) -> _RawRun:
     swept toward smaller s), and ends at its first zero: so 0 < z <= 1 by
     concavity, and the energy z'^2 + a z^2 grows by at most the rise of a
     along the sweep, which bounds |z'| by sqrt(z'(start)^2 + c g(outer
-    edge)) <= sqrt(DBL_MAX) ~ 1.4e154.
+    edge)) <= sqrt(DBL_MAX) ~ 1.4e154.  Then |w| = z sqrt(sigma_start /
+    sigma) <= 1e75, as 1 <= sigma <= 1e150, and |w_t| <= 1e75 (sigma |z'| +
+    1/2) stays finite too.
     """
-    def zero_event(t, y):
-        return y[0]
+    z0, dz0 = float(state0[0]), float(state0[1])
+    lo, hi = sorted((s_from, s_to))     # the swept range, up to the zero once found
+
+    def check(s):
+        if not lo - 1e-12 <= s <= hi + 1e-12:
+            raise DomainError(f"abscissa {s} outside the integrated range")
+
+    if prob.c == 0.0 and dz0 == 0.0:
+        def line(s):
+            check(s)
+            return np.array([z0, 0.0])
+
+        return _RawRun(np.array([s_from, s_to]), np.array([[z0, z0], [0.0, 0.0]]), None, None,
+                       line)
+
+    c, lw = prob.c, prob.potential.log_weight
+    s0 = _outer_edge(prob) - 1.0
+    sigma0 = s_from - s0
+    tau0 = math.log(sigma0)
+
+    def rhs(tau, u):
+        sigma = math.exp(tau)
+        return (u[1], (0.25 - c * lw(s0 + sigma) * sigma * sigma) * u[0])
+
+    def zero_event(tau, u):
+        return u[0]
     zero_event.terminal = True
     zero_event.direction = 0.0
 
-    sol = solve_ivp(rhs, (t0, t1), np.asarray(state0, dtype=float), method="DOP853",
-                    rtol=_RTOL, atol=_ATOL, dense_output=True, events=[zero_event])
+    sol = solve_ivp(rhs, (tau0, math.log(s_to - s0)), (z0, sigma0 * dz0 - 0.5 * z0),
+                    method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
+                    events=[zero_event])
     if sol.status == -1:
-        last = sol.t[-1] if sol.t.size else t0
-        raise StepSizeUnderflow(f"integrator stalled at abscissa {last}: {sol.message}",
-                                float(last))
-    zero_t = float(sol.t_events[0][0]) if sol.t_events[0].size else None
-    lo, hi = sorted((sol.t[0], sol.t[-1]))
+        last = s0 + math.exp(sol.t[-1]) if sol.t.size else s_from
+        raise StepSizeUnderflow(f"integrator stalled at abscissa {last}: {sol.message}", last)
 
-    def dense(t):
-        if not lo - 1e-12 <= t <= hi + 1e-12:
-            raise DomainError(f"abscissa {t} outside the integrated range")
-        return sol.sol(t)
+    def to_z(tau, u):
+        """(s, z, dz/ds) from tau and (w, w_t); s0 + sigma is only as exact as
+        s0, so it is clipped into the swept range."""
+        sigma, gain = np.exp(tau), np.exp(0.5 * (tau - tau0))
+        return np.clip(s0 + sigma, lo, hi), gain * u[0], gain * (u[1] + 0.5 * u[0]) / sigma
 
-    return _RawRun(sol.t, sol.y, zero_t, dense)
+    s, z, dz = to_z(sol.t, sol.y)
+    s[0] = s_from
+    zero_t = zero_y = None
+    if sol.t_events[0].size:
+        zero_t, *zero_y = (float(v) for v in to_z(sol.t_events[0][0], sol.y_events[0][0]))
+        lo, hi = sorted((s_from, zero_t))
+    else:
+        s[-1] = s_to
+
+    def dense(s):
+        check(s)
+        tau = math.log(s - s0)
+        return np.array(to_z(tau, sol.sol(tau))[1:])
+
+    return _RawRun(s, np.array([z, dz]), zero_t, zero_y, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +470,7 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
         f11, f12, f21, f22, _ = _fundamental(seg, k, np.array([float(s)]))
         return np.array([(f11 * A[k] + f12 * B[k])[0], (f21 * A[k] + f22 * B[k])[0]])
 
-    return _RawRun(t, y, zero_t, dense)
+    return _RawRun(t, y, zero_t, None if zero_t is None else list(dense(zero_t)), dense)
 
 
 # ---------------------------------------------------------------------------
@@ -496,37 +552,30 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
-    Exactly, cell by cell, for the log-log linear kinds; by DOP853 for the
-    log families.  The trajectory ends at the first zero, if any, and is
-    sorted by s.  Without a zero, a sweep toward the outer edge (decreasing
-    s) has covered its whole interval; a sweep outward has only reached its
-    horizon.
+    Exactly, cell by cell, for the log-log linear kinds; by DOP853 in the
+    Liouville variable for the log families.  The trajectory ends at the
+    first zero, if any, and is sorted by s.  Without a zero, a sweep toward
+    the outer edge (decreasing s) has covered its whole interval; a sweep
+    outward has only reached its horizon.
     """
     if prob.potential.log_cells is not None:
         run = _cell_sweep(prob, s_from, s_to, state0)
     else:
-        lw, c = prob.potential.log_weight, prob.c
-
-        def rhs(s, u):
-            return (u[1], -c * lw(s) * u[0])
-
-        run = _dop853_sweep(rhs, s_from, s_to, state0)
+        run = _liouville_sweep(prob, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
     s, z, dz = run.t, run.y[0], run.y[1]
     if run.zero_t is None:
-        first_zero = None
         status = Status.NO_ZERO_ON_INTERVAL if to_edge else Status.HORIZON_REACHED
     else:
-        first_zero = math.exp(-run.zero_t)
         status = Status.ZERO_FOUND
         before = s > run.zero_t if to_edge else s < run.zero_t
-        zero_state = run.dense(run.zero_t)
+        before[0] = True    # the start, even where the zero rounds to its s
         s = np.append(s[before], run.zero_t)
-        z = np.append(z[before], zero_state[0])
-        dz = np.append(dz[before], zero_state[1])
+        z = np.append(z[before], run.zero_y[0])
+        dz = np.append(dz[before], run.zero_y[1])
     if to_edge:
         s, z, dz = s[::-1], z[::-1], dz[::-1]
-    return ShootingOutcome({"s": s, "z": z, "dz": dz}, first_zero, status,
+    return ShootingOutcome({"s": s, "z": z, "dz": dz}, run.zero_t, status,
                            certificate=certificate, dense=run.dense)
 
 
@@ -696,7 +745,8 @@ def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem) -> float:
     psi is the log-derivative of the solution in the log variable (equal to
     -r y'(r)/y(r) in radius terms); for an exact solution the expression
     vanishes identically, so the returned maximum bounds the combined
-    integration and finite-difference error.  Needs strictly positive z.
+    integration and finite-difference error.  Needs strictly positive z on
+    a range of s of positive length.
     """
     if prob.domain is not Domain.LOG:
         raise DomainError("riccati_check expects a log-domain problem")
@@ -705,7 +755,9 @@ def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem) -> float:
     s = outcome.trajectory["s"]
     z = outcome.trajectory["z"]
     dz = outcome.trajectory["dz"]
-    if outcome.dense is not None and s.size >= 2:
+    if s.size < 2 or not s[-1] > s[0]:
+        raise DomainError("trajectory spans no range of s")
+    if outcome.dense is not None:
         s = np.linspace(s[0], s[-1], _RICCATI_SAMPLES)
         states = np.array([outcome.dense(si) for si in s])
         z, dz = states[:, 0], states[:, 1]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hardy_optim import (RadialPotential, Status, best_constant,
+from hardy_optim import (RadialPotential, ShootingOutcome, Status, best_constant,
                          brezis_vazquez_lambda, equal_volume_radius, feasible,
                          integrate, log_problem, radius_problem, unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
@@ -56,8 +56,7 @@ def test_feasible_supercritical_power_laws(s_max):
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_oscillation_certificate_is_the_whole_evidence(family):
-    # an outer-edge sweep at c = 1e80 stalls at its first step; the
-    # certificate alone proves a zero, so no sweep runs after it
+    # the certificate alone proves a zero, so no sweep runs after it
     check = feasible(getattr(RadialPotential, family)(1), 1e80, 1.0)
     assert not check.feasible and check.method == "oscillation-certificate"
     out = check.evidence
@@ -240,6 +239,47 @@ def test_log_best_constant_samples_the_tail_once(family, s_max, monkeypatch):
     res = best_constant(getattr(RadialPotential, family)(2), 1.0, s_max=s_max)
     assert res.iterations >= 5
     assert counter.calls == 1
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_log_best_constant_answers_c_zero_without_solve_ivp(family, s_max, monkeypatch):
+    # at c = 0 the principal tail enters with z' = 0: it is the line z = 1
+    import hardy_optim.bestconst as bestconst_mod
+    import hardy_optim.ode as ode_mod
+    ivp = _Counter(ode_mod.solve_ivp)
+    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    calls_at = {}
+
+    def counted(p, c, *args, **kwargs):
+        before = ivp.calls
+        check = feasible(p, c, *args, **kwargs)
+        calls_at[c] = ivp.calls - before
+        if c == 0.0:
+            assert check.feasible and np.all(check.evidence.trajectory["z"] == 1.0)
+        return check
+
+    monkeypatch.setattr(bestconst_mod, "feasible", counted)
+    best_constant(getattr(RadialPotential, family)(1), 1.0, s_max=s_max)
+    assert calls_at[0.0] == 0 and ivp.calls > 0
+
+
+def test_tail_margin_of_a_zero_beyond_float_radii():
+    # r* = e^-1000 underflows to 0: ln(R / r*) is taken as s* + ln R
+    from hardy_optim.bestconst import _tail_margin
+    s = np.array([1e3, 2e3])
+    out = ShootingOutcome({"s": s, "z": np.array([0.0, 1.0]), "dz": np.array([2.0, 0.0])},
+                          1e3, Status.ZERO_FOUND)
+    assert out.first_zero == 0.0
+    assert _tail_margin(out, 2.0) == pytest.approx(-2.0 * (1e3 + math.log(2.0)), rel=1e-15)
+
+
+def test_deep_horizon_bracket_holds_the_threshold():
+    # at s_max = 1e120 the c_non tail of the s-variable sweep met a spurious
+    # zero near s = 1.07e32, whose radius underflowed: ln(R / 0) raised
+    # ZeroDivisionError; in tau = ln(s - s0) that tail stays positive
+    res = best_constant(RadialPotential.filippas_tertikas(2), 1.0, s_max=1e120)
+    assert res.c_lo <= 0.25 <= res.c_hi
+    assert res.c_hi - res.c_lo < 2e-4
 
 
 def test_shooting_margin_changes_sign_at_the_threshold(s_max, constant_pot):

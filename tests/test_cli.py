@@ -84,7 +84,7 @@ def test_feasible_subcommand(tmp_path, capsys):
 
 
 def test_feasible_oscillation_certificate_at_huge_multiplier(tmp_path, capsys):
-    # the certificate decides alone; an evidence sweep at c = 1e80 would stall
+    # the certificate decides alone; no evidence sweep runs after it
     cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": "1"})
     code, out = _run(capsys, "feasible", "--c", "1e80", "--config", cfg)
     rec = parse_record(out)
@@ -139,6 +139,16 @@ def test_dual_subcommand(tmp_path, capsys):
     assert rec["divergent"] == "false"
 
 
+def test_dual_on_a_vanishing_potential_is_divergent(tmp_path, capsys):
+    # (c v)^(-q) with v = 0 raised ZeroDivisionError for every p < 2
+    cfg = _write_config(tmp_path, potential={"kind": "constant", "amplitude": "0.0"})
+    for p in ("1", "2"):
+        code, out = _run(capsys, "dual", "--c", "1", "--p", p, "--config", cfg)
+        rec = parse_record(out)
+        assert code == 0 and float(rec["bound"]) == 0.0
+        assert rec["divergent"] == ("true" if p == "1" else "false")
+
+
 def test_check_closed_form_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, potential={"kind": "filippas_tertikas_x", "m": "2"})
     code, out = _run(capsys, "check-closed-form", "--config", cfg)
@@ -170,6 +180,23 @@ def test_trace_critical_uses_log_frame(tmp_path, capsys):
                      "--out", str(out_path))
     assert code == 0
     assert out_path.read_text().splitlines()[0] == "s,z,dz"
+
+
+def test_trace_at_huge_multiplier_finds_the_zero_next_to_the_edge(tmp_path, capsys):
+    # the first zero lies ~1e-40 past the outer edge s = 1e-9: no step in s
+    # resolves it, a step in tau = ln(s - s0) does
+    cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": "1"})
+    out_path = tmp_path / "traj.csv"
+    code, out = _run(capsys, "trace", "--c", "1e80", "--config", cfg, "--out", str(out_path))
+    assert code == 0
+    rec = parse_record(out)
+    assert rec["status"] == "ZeroFound"
+    assert float(rec["first_zero"]) == pytest.approx(math.exp(-1e-9), rel=1e-15)
+    assert rec["samples"] == "2"
+    lines = out_path.read_text().splitlines()
+    start, zero = (np.array([float(x) for x in line.split(",")]) for line in lines[1:])
+    assert (start[0], start[1], start[2]) == (1e-9, 1.0, 0.0)
+    assert zero[0] == 1e-9 and zero[1] <= 0.0 and zero[2] < 0.0
 
 
 @pytest.mark.parametrize("argv,potential,error", [

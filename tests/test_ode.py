@@ -380,6 +380,16 @@ def test_riccati_rejects_sign_change():
         riccati_check(out, lp)
 
 
+def test_riccati_rejects_a_zero_at_the_start():
+    # at c = 1e80 the first zero lies ~1e-40 past the outer edge, so the
+    # trajectory's start and zero share one s and span no range to sample
+    lp = log_problem(RadialPotential.adimurthi_log(1), 1e80, 1.0)
+    out = integrate(lp)
+    assert out.status is Status.ZERO_FOUND and out.trajectory["s"].size == 2
+    with pytest.raises(DomainError):
+        riccati_check(out, lp)
+
+
 # ---------------------------------------------------------------------------
 # pointwise residual
 # ---------------------------------------------------------------------------
@@ -427,7 +437,7 @@ def test_residual_grid_too_coarse():
 
 
 # ---------------------------------------------------------------------------
-# DOP853 sweeps of the log families: bounded states and stall reporting
+# DOP853 sweeps of the log families: bounded states, cost and stall reporting
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -461,15 +471,41 @@ def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
     assert len(calls) == 12
 
 
+@pytest.mark.parametrize("s_max, budget", [(1e6, 700), (1e150, 1500)])
+def test_principal_tail_rhs_evaluations(s_max, budget, monkeypatch):
+    # swept in tau = ln(s - s0), the c_non principal tail of every borderline
+    # entry takes a few hundred RHS evaluations at any horizon; swept in s it
+    # took 1,391-1,931 at s_max = 1e6 and ~19.9k at 1e150
+    import hardy_optim.ode as ode_mod
+    nfev = []
+    real = ode_mod.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(ode_mod, "solve_ivp", counted)
+    for family in ("adimurthi_log", "filippas_tertikas"):
+        for m in (1, 2, 3):
+            p = getattr(RadialPotential, family)(m)
+            edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
+            tail = log_problem(p, edges.c_non, 1.0, s_max=s_max)
+            nfev.clear()
+            integrate_principal_tail(tail, euler_tail_certificate(tail, edges))
+            assert len(nfev) == 1 and nfev[0] <= budget, (family, m, nfev)
+
+
 def test_step_size_underflow_mapping(monkeypatch):
-    # a stalled sweep raises with the abscissa the integrator reached
+    # a stalled sweep raises with the abscissa the integrator reached, in s:
+    # the integrator steps in tau = ln(s - s0), s0 = (outer edge) - 1
     class _Stalled:
         status = -1
         message = "step too small"
-        t = np.array([1e-9, 0.5])
+        t = np.array([0.0, 2.0])
 
     import hardy_optim.ode as ode_mod
     monkeypatch.setattr(ode_mod, "solve_ivp", lambda *a, **k: _Stalled())
     with pytest.raises(StepSizeUnderflow) as err:
         integrate(log_problem(RadialPotential.adimurthi_log(1), 0.35, 1.0))
-    assert err.value.last_abscissa == 0.5
+    assert err.value.last_abscissa == pytest.approx(1e-9 - 1.0 + math.exp(2.0), rel=1e-15)
