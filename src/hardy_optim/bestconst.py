@@ -21,9 +21,12 @@ solution on (0, R).  Numerically:
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
 certified bracket whichever domain decides each probe, and one loop finds
 it for both: in the log domain from the band edges that one sample of the
-coefficient predicts, else from a bracket started at the leading-order
-Bessel level (or at 1), expanded by factors of 2 and closed by an Illinois
-root solve of the signed shooting margin.  An indeterminate band around
+coefficient predicts; for a constant or a power law from the two multipliers
+c* (1 -+ tol / 8) around its exact Bessel level c*; else from a bracket
+started at the leading-order Bessel level (or at 1), expanded by factors of
+2 and closed by an Illinois root solve of the signed shooting margin.  A
+probe that contradicts a prediction falls back into that search, so every
+end is certified by its own probe.  An indeterminate band around
 the threshold is reported with its certified edges, and ``c_best`` is then
 the largest certified-feasible multiplier.
 """
@@ -128,17 +131,22 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     edges c_non < c_osc come from one sample of the coefficient
     (``tail_edges``).  When both are finite and positive the loop probes
     c_non, c_non (1 + slack) + delta, c_osc - delta and c_osc, delta =
-    tol * max(1, c) / 4, whose inner two are undecided by construction.  Otherwise, or after
-    a probe that contradicts the prediction, it searches: from the
-    leading-order Bessel level (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)) when
-    sigma < 2 and the singular amplitude A is finite and positive (exact for
-    constants and power laws), else from c = 1, it expands by factors of 2
-    until one end is certified infeasible and the other feasible (or a band
-    is met, or [0, c] is already narrow), and closes the bracket to width
-    tol * max(1, c) / 2 by an Illinois root solve of the signed shooting
-    margin (a bisection where an end has none).  Around an indeterminate
-    band the certified edges are bisected toward it instead; ``converged``
-    is then False and c_best is the largest certified-feasible multiplier.
+    tol * max(1, c) / 4, whose inner two are undecided by construction.
+    Without them (the radius domain among others) the start is the
+    leading-order Bessel level c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma))
+    when sigma < 2 and the singular amplitude A is finite and positive, else
+    c = 1.  For a constant or a power law (one cell of ``log_cells``) c* is
+    exact, and the loop probes c* (1 - tol/8), predicted feasible, and
+    c* (1 + tol/8), predicted infeasible (if tol < 8, so both are positive):
+    three probes with c = 0, and c_best is c* to rounding.  Otherwise, or
+    after a probe that contradicts a prediction, it searches: from the start
+    (or the last probe) it expands by factors of 2 until one end is
+    certified infeasible and the other feasible (or a band is met, or [0, c]
+    is already narrow), and closes the bracket to width tol * max(1, c) / 2
+    by an Illinois root solve of the signed shooting margin (a bisection
+    where an end has none).  Around an indeterminate band the certified
+    edges are bisected toward it instead; ``converged`` is then False and
+    c_best is the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
@@ -190,6 +198,12 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
             if 0.0 < amp < math.inf else 1.0
         plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
+        # one cell, a constant or a power law: the Bessel level c is exact, so
+        # c (1 - tol/8) is predicted feasible and c (1 + tol/8) infeasible
+        around = (c * (1.0 - 0.125 * tol), c * (1.0 + 0.125 * tol))
+        if 0.0 < amp < math.inf and not p.log_cells[0].size \
+                and 0.0 < around[0] < c < around[1] <= _DOUBLING_CAP:
+            plan = [(around[0], "lo"), (around[1], "hi")]
     for c, side in plan:
         if settle(c, probe(c)) != side:
             break

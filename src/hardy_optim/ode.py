@@ -28,8 +28,10 @@ w = z / sqrt(s - s0) the equation is exactly w_tt + (a (s - s0)^2 - 1/4) w
 Differential Equations, Ch. XI), so steps grow with s and a sweep to
 s_max = 1e150 costs little more than one to 1e6.  The first sign change ends
 such a sweep at the integrator's terminal event, whose root solve_ivp
-refines on its dense output; trajectories and zeros are reported in s.  At
-c = 0 a sweep entering with z' = 0 is the line z = z(start), with no solve.
+refines on its dense output; trajectories and zeros are reported in s.
+
+Whatever the kind, a sweep at c = 0 entering with z' = 0 is the line
+z = z(start), answered without a cell or a DOP853 solve.
 
 For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
@@ -177,6 +179,23 @@ class _RawRun:
     dense: Optional[Callable]
 
 
+def _check_swept(s: float, lo: float, hi: float) -> None:
+    """A dense output answers only on its swept range [lo, hi]."""
+    if not lo - 1e-12 <= s <= hi + 1e-12:
+        raise DomainError(f"abscissa {s} outside the swept range")
+
+
+def _line(s_from: float, s_to: float, z0: float) -> _RawRun:
+    """The sweep at c = 0 entering with z' = 0: the line z = z0, no zero."""
+    lo, hi = sorted((s_from, s_to))
+
+    def dense(s):
+        _check_swept(s, lo, hi)
+        return np.array([z0, 0.0])
+
+    return _RawRun(np.array([s_from, s_to]), np.array([[z0, z0], [0.0, 0.0]]), None, None, dense)
+
+
 def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _RawRun:
     """Sweep a log family from s_from to s_to in tau = ln(s - s0), s0 = (outer
     edge) - 1, by one solve_ivp call; the first sign change ends it at the
@@ -185,8 +204,7 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
     With sigma = s - s0 = e^tau and z = w e^((tau - tau_start)/2), the
     equation z'' + a z = 0 is exactly w_tt + (a sigma^2 - 1/4) w = 0, whose
     coefficient tends to the constant c A - 1/4 at the horizon: steps grow
-    with s, so the sweep costs little at any horizon.  At c = 0 a sweep
-    entering with z' = 0 is the line z = z(start), answered without DOP853.
+    with s, so the sweep costs little at any horizon.
 
     No state can overflow.  For both log families g = ``log_weight`` is
     positive and decreasing in s.  Every sweep starts at z = 1, not rising
@@ -200,19 +218,6 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
     """
     z0, dz0 = float(state0[0]), float(state0[1])
     lo, hi = sorted((s_from, s_to))     # the swept range, up to the zero once found
-
-    def check(s):
-        if not lo - 1e-12 <= s <= hi + 1e-12:
-            raise DomainError(f"abscissa {s} outside the integrated range")
-
-    if prob.c == 0.0 and dz0 == 0.0:
-        def line(s):
-            check(s)
-            return np.array([z0, 0.0])
-
-        return _RawRun(np.array([s_from, s_to]), np.array([[z0, z0], [0.0, 0.0]]), None, None,
-                       line)
-
     c, lw = prob.c, prob.potential.log_weight
     s0 = _outer_edge(prob) - 1.0
     sigma0 = s_from - s0
@@ -250,7 +255,7 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
         s[-1] = s_to
 
     def dense(s):
-        check(s)
+        _check_swept(s, lo, hi)
         tau = math.log(s - s0)
         return np.array(to_z(tau, sol.sol(tau))[1:])
 
@@ -464,8 +469,7 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
     lo, hi = sorted((s_from, seg.w[n - 1] if zero_t is None else zero_t))
 
     def dense(s):
-        if not lo - 1e-12 <= s <= hi + 1e-12:
-            raise DomainError(f"abscissa {s} outside the swept range")
+        _check_swept(s, lo, hi)
         k = np.array([min(int(np.searchsorted(ends, sign * s)), n - 1)])
         f11, f12, f21, f22, _ = _fundamental(seg, k, np.array([float(s)]))
         return np.array([(f11 * A[k] + f12 * B[k])[0], (f21 * A[k] + f22 * B[k])[0]])
@@ -552,13 +556,16 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
-    Exactly, cell by cell, for the log-log linear kinds; by DOP853 in the
-    Liouville variable for the log families.  The trajectory ends at the
+    As the line z = z(start) at c = 0 with z'(start) = 0; else exactly, cell
+    by cell, for the log-log linear kinds and by DOP853 in the Liouville
+    variable for the log families.  The trajectory ends at the
     first zero, if any, and is sorted by s.  Without a zero, a sweep toward
     the outer edge (decreasing s) has covered its whole interval; a sweep
     outward has only reached its horizon.
     """
-    if prob.potential.log_cells is not None:
+    if prob.c == 0.0 and state0[1] == 0.0:
+        run = _line(s_from, s_to, float(state0[0]))
+    elif prob.potential.log_cells is not None:
         run = _cell_sweep(prob, s_from, s_to, state0)
     else:
         run = _liouville_sweep(prob, s_from, s_to, state0)

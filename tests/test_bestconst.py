@@ -74,9 +74,10 @@ def test_best_constant_is_bessel_level(s_max, constant_pot):
     assert res.converged
     assert abs(res.c_best - Z0_SQ) <= 1e-4
     assert res.c_hi - res.c_lo <= res.tolerance * max(1.0, res.c_best)
-    # the start probe (z0 / R)^2 is c* itself: its J0 zero may land within
-    # the boundary grace of R, never before it
-    assert abs(res.c_lo / Z0_SQ - 1.0) <= 1e-14
+    # the probes c* (1 -+ tol / 8) straddle the exact Bessel level c* = (z0 / R)^2,
+    # so their midpoint is c* itself
+    assert res.c_lo < Z0_SQ < res.c_hi
+    assert abs(res.c_best / Z0_SQ - 1.0) <= 1e-14
     lo = res.evidence_lo
     assert lo.status is not Status.ZERO_FOUND or lo.first_zero >= 1.0 - 1e-9
     assert res.evidence_hi.status is Status.ZERO_FOUND
@@ -92,12 +93,16 @@ def test_best_constant_scaling(s_max):
     assert spread <= 1e-5
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9, 1.999])
 def test_best_constant_power_laws(alpha, s_max):
     res = best_constant(RadialPotential.power_law(alpha), 1.0, tol=1e-6,
                         s_max=s_max)
-    # bisection tolerance is absolute below c = 1 (tol * max(1, c))
-    assert abs(res.c_best - power_law_best_constant(alpha, 1.0)) <= 2e-6
+    # the bracket is relative for a single cell, also below c = 1, where the
+    # absolute closing rule tol * max(1, c) / 2 let alpha = 1.999 (c = 1.4e-6)
+    # return a bracket 17% wide
+    c = power_law_best_constant(alpha, 1.0)
+    assert res.c_hi - res.c_lo <= 0.25 * res.tolerance * c * (1.0 + 1e-9)
+    assert abs(res.c_best / c - 1.0) <= 1e-14
 
 
 def test_best_constant_scale_invariance(s_max):
@@ -115,11 +120,14 @@ def test_no_upper_bracket(s_max):
 
 def test_power_laws_near_sigma_two_bracket_the_closed_form(s_max):
     # the series start gave up from alpha ~ 1.94 on; the exact J0 start on
-    # the power law's one cell answers in the radius domain, in 4 probes
-    for alpha in (1.99, 1.999):
+    # the power law's one cell answers in the radius domain, in 3 probes
+    # (c = 0 and the two around the Bessel level).  From alpha ~ 1.9999 on,
+    # an expansion probe 2 c* put the first zero below every float radius
+    # and raised UnsupportedSingularity; the probes c* (1 -+ tol/8) do not
+    for alpha in (1.99, 1.999, 1.9999, 1.99999):
         p = RadialPotential.power_law(alpha)
         res = best_constant(p, 1.0, s_max=s_max)
-        assert res.converged and res.iterations == 4
+        assert res.converged and res.iterations == 3
         assert "r" in res.evidence_hi.trajectory
         assert res.c_lo <= power_law_best_constant(alpha, 1.0) <= res.c_hi
         _assert_certified_bracket(p, 1.0, res, s_max)
@@ -138,13 +146,61 @@ def _assert_certified_bracket(p, R, res, s_max):
     assert not feasible(p, res.c_hi, R, s_max).feasible
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 1.9])
+def test_single_cell_best_constant_takes_three_probes_and_two_sweeps(alpha, s_max,
+                                                                      monkeypatch):
+    # the Bessel level is exact for one cell: c = 0 is the line z = 1, with no
+    # sweep, and the probes c* (1 -+ tol/8) are each one cell sweep
+    import hardy_optim.ode as ode_mod
+    sweeps = _Counter(ode_mod._cell_sweep)
+    monkeypatch.setattr(ode_mod, "_cell_sweep", sweeps)
+    for amplitude in (0.05, 1.0, 20.0):
+        for R in (0.25, 1.0, 4.0):
+            p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
+                RadialPotential.power_law(alpha, amplitude, R)
+            before = sweeps.calls
+            res = best_constant(p, R, tol=1e-6, s_max=s_max)
+            assert res.iterations == 3 and sweeps.calls - before == 2
+            c = power_law_best_constant(alpha, R) / amplitude
+            assert abs(res.c_best / c - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("tol", [4.0, 8.0, 10.0])
+def test_single_cell_plan_never_probes_a_nonpositive_multiplier(tol, s_max, monkeypatch):
+    # at tol >= 8 the probe c* (1 - tol/8) would be <= 0: the loop searches
+    # from c* instead
+    import hardy_optim.bestconst as bestconst_mod
+    probed = []
+
+    def recorded(p, c, *args, **kwargs):
+        probed.append(c)
+        return feasible(p, c, *args, **kwargs)
+
+    monkeypatch.setattr(bestconst_mod, "feasible", recorded)
+    p = RadialPotential.power_law(1.0)
+    res = best_constant(p, 1.0, tol=tol, s_max=s_max)
+    assert probed[0] == 0.0 and all(c > 0.0 for c in probed[1:])
+    assert res.c_lo <= power_law_best_constant(1.0, 1.0) <= res.c_hi
+    assert feasible(p, res.c_lo, 1.0, s_max).feasible
+    assert not feasible(p, res.c_hi, 1.0, s_max).feasible
+
+
+def test_table_search_is_unchanged(s_max):
+    # tables keep the single start and the search: probe count and bracket
+    # of a 400-node table as before the single-cell plan
+    r = np.geomspace(1e-8, 1.0, 400)
+    res = best_constant(RadialPotential.custom(r, np.exp(3.0 * r)), 1.0, s_max=s_max)
+    assert res.iterations == 11
+    assert res.c_lo == pytest.approx(1.2495457553191462, rel=1e-12)
+    assert res.c_hi == pytest.approx(1.2495460677057655, rel=1e-12)
+
+
 @pytest.mark.parametrize("alpha, amplitude, R", [
     (0.0, 1.0, 1.0), (0.0, 3.0, 2.0), (0.0, 0.05, 0.25),
     (0.5, 1.0, 1.0), (0.5, 7.0, 3.0), (1.0, 1.0, 1.0), (1.0, 0.2, 0.5),
     (1.9, 1.0, 1.0), (1.9, 20.0, 4.0)])
 def test_root_solve_shots_constant_and_power_law(alpha, amplitude, R, s_max):
-    # the Bessel start is exact here: c = 0, the start, one expansion and
-    # one clamped iterate
+    # the Bessel level is exact here: c = 0 and the two probes around it
     p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
         RadialPotential.power_law(alpha, amplitude, R)
     res = best_constant(p, R, tol=1e-6, s_max=s_max)

@@ -91,6 +91,29 @@ def test_zero_amplitude_stays_at_one():
     assert np.all(out.trajectory["y"] == 1.0)
 
 
+@pytest.mark.parametrize("p", [
+    RadialPotential.constant(2.0), RadialPotential.power_law(1.5),
+    RadialPotential.custom(np.geomspace(1e-6, 1.0, 40), 1.0 + 5.0 / np.geomspace(1e-6, 1.0, 40)),
+    RadialPotential.power_law(2.5)], ids=["constant", "power_law", "custom", "supercritical"])
+def test_zero_multiplier_is_the_line_without_a_cell_sweep(p, monkeypatch):
+    # at c = 0 every sweep entering with z' = 0 is z = 1, for the cell kinds
+    # as for the log families: two samples, no transfer matrices
+    import hardy_optim.ode as ode_mod
+
+    def no_sweep(*args):
+        raise AssertionError("a cell sweep ran at c = 0")
+
+    monkeypatch.setattr(ode_mod, "_cell_sweep", no_sweep)
+    prob = radius_problem(p, 0.0, 1.0)
+    if ode_mod.wants_log_domain(p):
+        prob = to_log_domain(prob)
+    out = integrate(prob)
+    x, z, dz = out.trajectory.values()    # (r, y, dy/dr) or (s, z, dz/ds)
+    assert out.status is not Status.ZERO_FOUND
+    assert z.tolist() == [1.0, 1.0] and dz.tolist() == [0.0, 0.0]
+    assert tuple(out.dense(x[0])) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_power_law_zeros_match_analytic(alpha):
     p = RadialPotential.power_law(alpha, r_max=50.0)
