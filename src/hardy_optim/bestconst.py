@@ -20,8 +20,8 @@ solution on (0, R).  Numerically:
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
 certified bracket whichever domain decides each probe, and one loop finds
-it for both: in the log domain from the band edges that one sample of the
-coefficient predicts; for a constant or a power law from the two multipliers
+it for both: in the log domain from the band edges that ``tail_edges``
+predicts; for a constant or a power law from the two multipliers
 c* (1 -+ tol / 8) around its exact Bessel level c*; else from a bracket
 started at the leading-order Bessel level (or at 1), expanded by factors of
 2 and closed by an Illinois root solve of the signed shooting margin.  A
@@ -46,6 +46,7 @@ from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
 _BOUNDARY_GRACE = 1e-9      # zeros within this of R (relative) count as boundary
+_TOL_FLOOR = 8.0 * 2.0 ** -52  # least tol (8 eps) whose closing step clears the float spacing
 
 
 @dataclass(frozen=True)
@@ -96,7 +97,7 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
              edges: Optional[TailEdges] = None) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
     is the log-domain horizon; ``edges`` are the log domain's ``tail_edges``
-    on this ball, if already sampled."""
+    on this ball, if already computed."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not wants_log_domain(p):
@@ -128,12 +129,15 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     """Certified bracket around the supremum of feasible multipliers.
 
     In the log domain both Euler certificates are linear in c, so the band
-    edges c_non < c_osc come from one sample of the coefficient
+    edges c_non < c_osc come from one array call of the coefficient
     (``tail_edges``).  When both are finite and positive the loop probes
     c_non, c_non (1 + slack) + delta, c_osc - delta and c_osc, delta =
     tol * max(1, c) / 4, whose inner two are undecided by construction.
-    Without them (the radius domain among others) the start is the
-    leading-order Bessel level c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma))
+    When c_non = 0 < c_osc < inf (an inner cell of slope q >= 0, where
+    c(V) = 0) it probes c_osc, predicted infeasible: with c = 0 that is the
+    whole bracket once c_osc <= tol / 2.  Without them (the radius domain
+    among others) the start is the leading-order Bessel level
+    c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma))
     when sigma < 2 and the singular amplitude A is finite and positive, else
     c = 1.  For a constant or a power law (one cell of ``log_cells``) c* is
     exact, and the loop probes c* (1 - tol/8), predicted feasible, and
@@ -150,10 +154,13 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
-    e.g. amplitude 0, raises NoUpperBracket.
+    e.g. amplitude 0, raises NoUpperBracket.  A tol below 8 eps (~1.8e-15)
+    raises DomainError: its closing step tol * max(1, c) / 4 would not
+    clear the float spacing at the bracket's ends, and the loop would probe
+    the same multiplier forever.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not tol >= _TOL_FLOOR:
+        raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
     iterations = 0
     edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max)) \
         if wants_log_domain(p) else None
@@ -198,6 +205,8 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
             if 0.0 < amp < math.inf else 1.0
         plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
+        if c_non == 0.0 < c_osc < math.inf:    # an inner cell with q >= 0: c(V) = 0
+            plan = [(c_osc, "hi")]
         # one cell, a constant or a power law: the Bessel level c is exact, so
         # c (1 - tol/8) is predicted feasible and c (1 + tol/8) infeasible
         around = (c * (1.0 - 0.125 * tol), c * (1.0 + 0.125 * tol))

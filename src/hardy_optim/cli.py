@@ -209,6 +209,7 @@ def _cmd_trace(args, cfg: RunConfig):
     record = {
         "status": out.status.value,
         "first_zero": out.first_zero,
+        "zero_s": out.zero_s,
         "samples": out.trajectory[header.split(",")[0]].size,
         "csv": path,
     }

@@ -37,8 +37,10 @@ For log-domain problems that outrun any fixed horizon, Sturm comparison
 against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
 certificates: oscillation whenever a(s) >= g/(s-s0)^2 with g > 1/4 over a
 window long enough to contain an Euler half-oscillation, non-oscillation
-whenever a(s) <= (1/4)/(s-s0)^2 on the sampled tail.  Both are linear in
-the multiplier, so one sample of a(s) gives their multiplier edges.
+whenever a(s) <= (1/4)/(s-s0)^2 on [s_max, inf).  Both are linear in the
+multiplier, and at the chosen shift the least of a(s) (s - s0)^2 over a
+window sits at one of its ends, so the multiplier edges follow from a(s)
+at a few abscissae (``tail_edges``).
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
 from .potentials import RadialPotential
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
-_TAIL_SAMPLES = 512           # tail grid samples of the Euler-comparison edges
+_WINDOW_ENDS = 100            # candidate ends of the oscillation-certificate windows
 CERTIFICATE_SLACK = 1e-10     # relative slack on the non-oscillatory edge
 S_MAX_DEFAULT = 1e6           # default log-domain horizon
 _HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
@@ -126,14 +128,15 @@ class TailCertificate:
     """Euler-comparison verdict for the coefficient tail a(s).
 
     ``gamma`` is the extreme of a(s) (s - shift)^2 over the certified window:
-    a maximum for the non-oscillatory side (must be <= 1/4), a minimum for
-    the oscillatory side (must exceed 1/4 over a long enough window).
+    a maximum for the non-oscillatory side (must be <= 1/4), whose window
+    is [s_max, inf), a minimum for the oscillatory side (must exceed 1/4
+    over a long enough window).
     """
 
     kind: str                 # "nonoscillatory" | "oscillatory"
     gamma: float
     shift: float
-    window: tuple             # (s1, s2) where the comparison was verified
+    window: tuple             # (s1, s2) where the comparison holds
 
 
 @dataclass(frozen=True)
@@ -499,7 +502,7 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
 
 def integrate_principal_tail(prob: HardyODEProblem,
                              certificate: TailCertificate) -> ShootingOutcome:
-    """Integrate the principal-at-infinity branch down from the end of the
+    """Integrate the principal-at-infinity branch down from the start of the
     certified window (the horizon).
 
     Requires a non-oscillatory tail certificate; the branch is seeded with
@@ -514,7 +517,7 @@ def integrate_principal_tail(prob: HardyODEProblem,
         raise DomainError("principal tail integration needs a non-oscillatory certificate")
     gamma = min(certificate.gamma, 0.25)
     mu = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - 4.0 * gamma)))
-    s_top = certificate.window[1]
+    s_top = certificate.window[0]
     state0 = (1.0, mu / (s_top - certificate.shift))
     return _sweep(prob, s_top, -math.log(prob.R), state0, certificate)
 
@@ -619,45 +622,49 @@ class TailEdges:
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
-    """The largest c_non and the smallest c_osc over the candidate shifts s0
-    (a line fitted to 1/sqrt(g), and the potential's hint), from one sample
-    of the unit-multiplier coefficient g(s) = r^2 v(r), r = e^-s, on the tail
-    grid up to the horizon.  With gamma = g (s - s0)^2: c_non = (1/4) / max
-    gamma from the last decade on, unless gamma rises at the horizon; c_osc =
-    min over windows [s1, s2] of (1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2) /
-    min gamma there, as the window then holds a half-oscillation of a
-    minorant Euler solution, so every solution vanishes inside it."""
+    """The edges at c = 1 from one array call of g(s) = r^2 v(r), r = e^-s,
+    with gamma = g (s - s0)^2.  The two log families take s0 =
+    ``euler_shift_hint``, where gamma is non-increasing on [outer edge, inf);
+    a cell kind takes s0 = (outer edge) - 1, where ln gamma = ell + q (s -
+    anchor) + 2 ln(s - s0) is concave on its inner cell.  Either way the
+    least gamma on a window is at one of its ends, so no sample is needed:
+
+      * c_non = (1/4) / gamma(s_max) bounds c gamma by 1/4 on all of
+        [s_max, inf) once gamma no longer rises at s_max (always for the
+        families; for a cell when q + 2 / (s_max - s0) <= 0), else 0 (inf
+        where g = 0);
+      * c_osc = min over windows [s1, s2] between _WINDOW_ENDS ends
+        geometric in s - s0, inside the horizon and on the inner cell, of
+        (1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2) / min(gamma(s1), gamma(s2)):
+        the window then holds a half-oscillation of a minorant Euler
+        solution, so every solution vanishes inside it (Hartman, Ordinary
+        Differential Equations, Ch. XI).  Each window is a certificate; the
+        ends only decide how tight c_osc is."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    s_start = _outer_edge(prob)
-    grid = _tail_grid(s_start, prob.s_max, _TAIL_SAMPLES)
-    g = prob.potential.log_weight(grid)
-    shifts = _candidate_shifts(grid, g, s_start)
-    hint = prob.potential.euler_shift_hint()
-    if hint is not None:
-        shifts = [hint] + [s0 for s0 in shifts if s0 != hint]   # each shift once
-    c_non, unit_non, c_osc, unit_osc = 0.0, None, math.inf, None
-    for s0 in shifts:
-        mask = grid > s0 + 1e-9 * max(1.0, abs(s0))
-        if mask.sum() < 16:
-            continue
-        s = grid[mask]
-        with np.errstate(over="ignore"):
-            gamma = g[mask] * (s - s0) ** 2
-        # the bound only has to hold on a tail: the principal sweep checks
-        # positivity across any pre-asymptotic hump itself
-        decade = np.flatnonzero(s <= s[-1] / 10.0)
-        if decade.size and _tail_trend_ok(s, gamma):
-            top = float(np.max(gamma[decade[-1]:]))
-            edge = 0.25 / top if top > 0.0 else math.inf
-            if edge > c_non:
-                c_non, unit_non = edge, TailCertificate(
-                    "nonoscillatory", top, s0, (float(s[decade[-1]]), float(s[-1])))
-        # a saturated sample still bounds gamma from below
-        edge, unit = _oscillation_edge(s, s0, np.minimum(gamma, 1e300))
-        if edge < c_osc:
-            c_osc, unit_osc = edge, unit
-    return TailEdges(c_non, unit_non, c_osc, unit_osc)
+    p, lo = prob.potential, _outer_edge(prob)
+    s0, q, floor = p.euler_shift_hint(), -math.inf, p.amplitude    # families: gamma >= A
+    if p.log_cells is not None:
+        knots, q, s0, floor = p.log_cells[0], float(p.log_cells[3][-1]), lo - 1.0, 0.0
+        lo = max(lo, float(knots[-1])) if knots.size else lo
+    if lo >= prob.s_max:      # the inner cell starts beyond the horizon
+        return TailEdges(0.0, None, math.inf, None)
+    s = s0 + np.geomspace(lo - s0, prob.s_max - s0, _WINDOW_ENDS)
+    s[0], s[-1] = lo, prob.s_max
+    sigma = s - s0
+    i, j = np.triu_indices(s.size, 1)
+    with np.errstate(divide="ignore", over="ignore"):    # a saturated g still bounds gamma below
+        gamma = np.clip(p.log_weight(s) * sigma ** 2, floor, 1e300)
+        c_non = 0.0 if q > -2.0 / sigma[-1] and gamma[-1] > 0.0 else float(0.25 / gamma[-1])
+        need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
+            / np.minimum(gamma[i], gamma[j])
+    unit_non = TailCertificate("nonoscillatory", float(gamma[-1]), s0, (prob.s_max, math.inf)) \
+        if c_non > 0.0 else None
+    k = int(np.argmin(need))
+    i, j = i[k], j[k]
+    unit_osc = TailCertificate("oscillatory", float(min(gamma[i], gamma[j])), s0,
+                               (float(s[i]), float(s[j]))) if need[k] < math.inf else None
+    return TailEdges(c_non, unit_non, float(need[k]), unit_osc)
 
 
 def euler_tail_certificate(prob: HardyODEProblem,
@@ -665,14 +672,14 @@ def euler_tail_certificate(prob: HardyODEProblem,
     """Classify the coefficient tail a(s) = c g(s) by comparing c with the
     edges of ``tail_edges``: non-oscillatory if c <= c_non (1 + slack), else
     oscillatory if c >= c_osc, else None.  The edges do not depend on c:
-    pass those of an earlier sample of this potential, ball and horizon to
-    skip sampling g again."""
+    pass those of an earlier call for this potential, ball and horizon to
+    skip evaluating g again."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c = prob.c
     if c == 0.0:
         s_start = _outer_edge(prob)
-        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (s_start, prob.s_max))
+        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (prob.s_max, math.inf))
     if edges is None:
         edges = tail_edges(prob)
     if c <= edges.c_non * (1.0 + CERTIFICATE_SLACK):
@@ -680,66 +687,6 @@ def euler_tail_certificate(prob: HardyODEProblem,
     if c >= edges.c_osc:
         return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma)
     return None
-
-
-def _tail_grid(s_start: float, s_max: float, n: int) -> np.ndarray:
-    lo = max(s_start, 1e-3)
-    if s_start <= 0.0:
-        head = np.linspace(s_start, lo, 16, endpoint=False)
-    else:
-        head = np.empty(0)
-    body = np.geomspace(lo, s_max, n)
-    return np.unique(np.concatenate([head, body]))
-
-
-def _candidate_shifts(grid: np.ndarray, g: np.ndarray, s_start: float) -> list[float]:
-    """Shift candidates: least-squares line through 1/sqrt(g) on the last
-    decades (exact for shifted-Euler tails), plus simple fallbacks."""
-    shifts = [0.0] if s_start > 0.0 else [s_start - 1.0]
-    mask = (grid >= grid[-1] / 100.0) & (g > 0.0)
-    if mask.sum() >= 8:
-        q = 1.0 / np.sqrt(g[mask])
-        slope, intercept = np.polyfit(grid[mask], q, 1)
-        if slope > 0.0:
-            s0 = -intercept / slope
-            if s0 < grid[-1] / 10.0:
-                shifts.insert(0, float(s0))
-    return shifts
-
-
-def _tail_trend_ok(grid: np.ndarray, gamma: np.ndarray) -> bool:
-    """gamma(s) must not be rising at the horizon (a rising tail could
-    cross the threshold just beyond the sampled range)."""
-    last = grid >= grid[-1] / 3.0
-    prev = (grid >= grid[-1] / 10.0) & ~last
-    if last.sum() < 4 or prev.sum() < 4:
-        return True
-    return float(np.max(gamma[last])) <= float(np.max(gamma[prev])) * (1.0 + 1e-9)
-
-
-def _oscillation_edge(s: np.ndarray, s0: float, gamma: np.ndarray
-                      ) -> tuple[float, Optional[TailCertificate]]:
-    """The least c with c min gamma >= 1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2
-    on a sample window [s1, s2], and its certificate at c = 1 ((inf, None) if
-    none), in O(n): each sample is taken as the window minimum and its window
-    extended to its nearest smaller neighbours (a monotone stack)."""
-    vals, n = gamma.tolist(), gamma.size
-    left, right, stack = [0] * n, [n - 1] * n, []
-    for k, v in enumerate(vals):
-        while stack and vals[stack[-1]] > v:
-            right[stack.pop()] = k - 1
-        left[k] = stack[-1] + 1 if stack else 0
-        stack.append(k)
-    lo, hi = np.array(left), np.array(right)
-    length = np.log((s[hi] - s0) / (s[lo] - s0))
-    with np.errstate(over="ignore", divide="ignore"):
-        need = np.where((length > 0.0) & (gamma > 0.0),
-                        (0.25 + (math.pi / length) ** 2) / gamma, math.inf)
-    k = int(np.argmin(need))
-    if need[k] == math.inf:
-        return math.inf, None
-    return float(need[k]), TailCertificate("oscillatory", float(gamma[k]), s0,
-                                           (float(s[lo[k]]), float(s[hi[k]])))
 
 
 # ---------------------------------------------------------------------------

@@ -342,8 +342,11 @@ class RadialPotential:
 
         The borderline families are exactly shifted-Euler to leading order:
         r^2 v = amplitude (1 + ...)/(s + log rho)^2 for the iterated logs and
-        /(s + 1 + log d)^2 for the X family.  Purely a search hint; any
-        certificate is verified pointwise regardless of the shift's origin.
+        /(s + 1 + log d)^2 for the X family.  At this shift gamma =
+        r^2 v (s - s0)^2 is non-increasing in s on the whole ball and tends
+        to the amplitude, which ``ode.tail_edges`` takes as given: its
+        non-oscillatory edge bounds gamma beyond the horizon by its value
+        there, and each oscillation window by its value at the window's end.
         """
         if self.kind is Kind.ADIMURTHI_LOG:
             return -math.log(self.rho)
@@ -429,7 +432,6 @@ _PROBES = np.logspace(-2, -8, 13)   # classify's probe radii / r_max, decreasing
 class Label(Enum):
     X = "X"                      # liminf ln(r) int_0^r s v finite
     Y = "Y"                      # the limit is -infinity
-    INDETERMINATE = "Indeterminate"
 
 
 @dataclass(frozen=True)
@@ -485,9 +487,8 @@ def classify(p: RadialPotential) -> ClassLabel:
         q < 0 makes L -> 0, X (limit_estimate 0); q >= 0 makes the integral
         diverge, Y (evidence infinite);
       * the log families, by the bound B = 1 / (4 c_non) of
-        ``ode.tail_edges``: g <= B / (s - s0)^2 on the sampled tail gives
-        |L| <= B s / (s - s0) -> B, X (limit_estimate -B); Indeterminate
-        when its trend check refuses the sample (c_non = 0).
+        ``ode.tail_edges``, finite for both: g <= B / (s - s0)^2 on
+        [s_max, inf) gives |L| <= B s / (s - s0) -> B, X (limit_estimate -B).
 
     The evidence is L at the probe radii r_max 10^-2 ... 10^-8, from
     ``_tail_integrals``.
@@ -500,6 +501,4 @@ def classify(p: RadialPotential) -> ClassLabel:
         return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)
     from .ode import log_problem, tail_edges      # ode builds on this module
     c_non = tail_edges(log_problem(p, 1.0, p.r_max)).c_non
-    if c_non > 0.0:
-        return ClassLabel(Label.X, evidence, probes, limit_estimate=-0.25 / c_non)
-    return ClassLabel(Label.INDETERMINATE, evidence, probes)
+    return ClassLabel(Label.X, evidence, probes, limit_estimate=-0.25 / c_non)

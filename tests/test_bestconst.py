@@ -375,6 +375,39 @@ def test_class_y_potential_collapses_to_zero(s_max):
     _assert_certified_bracket(p, 1.0, res, s_max)
 
 
+_STEEP = np.geomspace(1e-6, 1.0, 400)
+
+
+@pytest.mark.parametrize("p", [RadialPotential.power_law(2.0), RadialPotential.power_law(2.5),
+                               RadialPotential.custom(_STEEP, _STEEP ** -2.2)],
+                         ids=["alpha-2", "alpha-2.5", "table-r^-2.2"])
+def test_zero_best_constant_takes_two_probes(p, s_max):
+    # an inner cell with q >= 0 has no non-oscillatory edge, and its c_osc is
+    # below tol / 2: c = 0 and c_osc close the bracket (the halving search
+    # down from c = 1 took 23 probes)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
+    assert res.iterations == 2
+    assert res.c_lo == 0.0
+    _assert_certified_bracket(p, 1.0, res, s_max)
+
+
+def test_tolerance_below_the_float_spacing_is_rejected():
+    # below 8 eps the closing step no longer clears the float spacing of the
+    # bracket's ends, and the same multiplier was probed forever
+    p = RadialPotential.power_law(1.0)
+    for tol in (1e-17, float(np.nextafter(8.0 * 2.0 ** -52, 0.0)), 0.0, -1e-6, math.nan):
+        with pytest.raises(DomainError, match="tolerance"):
+            best_constant(p, 1.0, tol=tol)
+
+
+def test_tolerance_at_the_floor_converges(s_max):
+    # at the floor every closing step lands strictly inside the bracket
+    p = RadialPotential.power_law(1.0, amplitude=1e6)
+    res = best_constant(p, 1.0, tol=8.0 * 2.0 ** -52, s_max=s_max)
+    assert res.iterations <= 10
+    _assert_certified_bracket(p, 1.0, res, s_max)
+
+
 # ---------------------------------------------------------------------------
 # borderline catalog: certified bracketing around 1/4
 # ---------------------------------------------------------------------------

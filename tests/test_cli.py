@@ -199,6 +199,21 @@ def test_trace_at_huge_multiplier_finds_the_zero_next_to_the_edge(tmp_path, caps
     assert zero[0] == 1e-9 and zero[1] <= 0.0 and zero[2] < 0.0
 
 
+def test_trace_reports_a_zero_beyond_float_radii(tmp_path, capsys):
+    # r* = e^-s* underflows beyond s* ~ 745, so first_zero reads 0 there;
+    # zero_s still says where the zero is
+    from hardy_optim import RadialPotential, integrate, log_problem
+    cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": "3",
+                                             "amplitude": "0.05"})
+    out_path = tmp_path / "traj.csv"
+    code, out = _run(capsys, "trace", "--c", "0.2", "--config", cfg, "--out", str(out_path))
+    assert code == 0
+    rec = parse_record(out)
+    assert rec["status"] == "ZeroFound" and float(rec["first_zero"]) == 0.0
+    shot = integrate(log_problem(RadialPotential.adimurthi_log(3, amplitude=0.05), 0.2, 1.0))
+    assert float(rec["zero_s"]) == shot.zero_s > 745.0
+
+
 @pytest.mark.parametrize("argv,potential,error", [
     (("trace", "--c", "-1"), None, "DomainError"),
     (("trace", "--c", "1"), {"kind": "nonsense"}, "ConfigError"),

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,8 +10,7 @@ from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status,
                          log_problem, radius_problem, residual, riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
-from hardy_optim.ode import (CERTIFICATE_SLACK, _fundamental, _oscillation_edge, _segments,
-                             _transfer, tail_edges)
+from hardy_optim.ode import CERTIFICATE_SLACK, _fundamental, _segments, _transfer, tail_edges
 
 from conftest import Z0, power_law_zero
 
@@ -305,32 +306,6 @@ def test_certificate_none_inside_band(adimurthi_1):
     assert euler_tail_certificate(log_problem(adimurthi_1, 0.28, 1.0)) is None
 
 
-def _oscillation_edge_brute_force(sigma, gamma):
-    best = math.inf
-    for i in range(sigma.size):
-        for j in range(i + 1, sigma.size):
-            low, length = gamma[i:j + 1].min(), math.log(sigma[j] / sigma[i])
-            if low > 0.0 and length > 0.0:
-                best = min(best, (0.25 + (math.pi / length) ** 2) / low)
-    return best
-
-
-def test_oscillation_edge_matches_all_windows():
-    rng = np.random.default_rng(7)
-    for trial in range(100):
-        n = int(rng.integers(2, 40))
-        sigma = np.cumsum(rng.uniform(0.01, 3.0, n))
-        # ties and zeros exercise the stack's nearest-smaller rule
-        gamma = rng.choice([0.0, 0.3, 1.0, 2.0], n) if trial % 2 else rng.uniform(0.0, 2.0, n)
-        c_osc, unit = _oscillation_edge(sigma, 0.0, gamma)
-        assert c_osc == pytest.approx(_oscillation_edge_brute_force(sigma, gamma), rel=1e-14)
-        if unit is not None:
-            s1, s2 = unit.window
-            assert unit.gamma == gamma[(sigma >= s1) & (sigma <= s2)].min()
-            assert c_osc * unit.gamma == pytest.approx(
-                0.25 + (math.pi / math.log(s2 / s1)) ** 2, rel=1e-14)
-
-
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_tail_edges_decide_the_certificate(family):
     # the certificate is the comparison of the multiplier with the edges,
@@ -350,6 +325,107 @@ def test_tail_edges_decide_the_certificate(family):
     s1, s2 = certs[3].window
     assert math.log((s2 - certs[3].shift) / (s1 - certs[3].shift)) >= \
         (1.0 - 1e-12) * math.pi / math.sqrt(certs[3].gamma - 0.25)
+
+
+_FAMILIES = {"adimurthi_log": ("rho", 5.0), "filippas_tertikas": ("d_scale", 3.0)}
+
+
+def _gamma(p, s, s0):
+    """a (s - s0)^2 at c = 1, saturated as ``tail_edges`` saturates it."""
+    with np.errstate(over="ignore"):
+        return np.minimum(p.log_weight(s) * (s - s0) ** 2, 1e300)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_gamma_is_non_increasing_at_the_hint_shift(family, m, scaled):
+    # Fact 1, which tail_edges takes as given: at s0 = euler_shift_hint,
+    # gamma = g (s - s0)^2 is A (1 + sum of products of squared inverse logs
+    # or of squared X's), non-increasing toward A, whatever rho or d
+    key, factor = _FAMILIES[family]
+    s = np.geomspace(1e-9, 1e150, 20001)
+    for amplitude in (0.05, 1.0, 20.0):
+        p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+        if scaled:
+            p = getattr(RadialPotential, family)(m, **{key: factor * getattr(p, key)},
+                                                 amplitude=amplitude)
+        gamma = _gamma(p, s, p.euler_shift_hint())
+        assert np.all(np.diff(gamma) <= 1e-15 * gamma[1:]), (family, m, amplitude)
+        assert gamma[-1] >= amplitude * (1.0 - 1e-15)
+
+
+def _tail_cases():
+    for family, m, amplitude in itertools.product(sorted(_FAMILIES), (1, 2, 3),
+                                                  (0.05, 1.0, 20.0)):
+        yield getattr(RadialPotential, family)(m, amplitude=amplitude)
+    yield dataclasses.replace(RadialPotential.power_law(1.9), critical=True)
+    yield RadialPotential.power_law(2.0)
+    yield RadialPotential.power_law(2.5)
+
+
+@pytest.mark.parametrize("s_max", [1e4, 1e6, 1e30, 1e150])
+def test_tail_edges_hold_on_a_dense_grid(s_max):
+    # every edge is a certificate: gamma on the returned oscillation window
+    # is at least its gamma, and the window holds an Euler half-oscillation
+    # at c_osc; beyond the horizon gamma stays at most the non-oscillatory
+    # gamma, so c_non gamma <= 1/4 on [s_max, inf)
+    for p, R in itertools.product(_tail_cases(), (1.0, 0.5)):
+        edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
+        unit = edges.unit_osc
+        assert unit is not None and 0.0 < edges.c_osc < math.inf
+        s1, s2 = unit.window
+        assert -math.log(R) < s1 < s2 <= s_max
+        s = unit.shift + np.geomspace(s1 - unit.shift, s2 - unit.shift, 20001)[1:-1]
+        assert np.all(_gamma(p, s, unit.shift) >= unit.gamma * (1.0 - 1e-12)), p
+        length = math.log((s2 - unit.shift) / (s1 - unit.shift))
+        assert length >= (1.0 - 1e-12) * math.pi / math.sqrt(edges.c_osc * unit.gamma - 0.25)
+        if edges.c_non > 0.0:
+            tail = edges.unit_non
+            assert tail.window == (s_max, math.inf)
+            s = np.geomspace(s_max, 1e3 * s_max, 20001)
+            assert np.all(_gamma(p, s, tail.shift) <= tail.gamma * (1.0 + 1e-12)), p
+            assert edges.c_non == (0.25 / tail.gamma if tail.gamma > 0.0 else math.inf)
+        else:
+            assert p.log_cells is not None and p.log_cells[3][-1] >= 0.0
+
+
+def test_tail_edges_m2_non_oscillatory_edge_is_the_closed_form():
+    # gamma at the horizon, not a sampled maximum from a fitted shift: the
+    # sampler gave 0.248551 here
+    p = RadialPotential.adimurthi_log(2)
+    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=1e6))
+    assert edges.c_non >= 0.24869
+    assert edges.unit_non.shift == p.euler_shift_hint()
+    # at m = 1 gamma is A = 1 and is clipped below at A, so c_non is 1/4 (at
+    # s_max = 1e6 the X family's gamma rounds one ulp above 1 instead)
+    for s_max in (1e4, 1e30, 1e150):
+        for family in _FAMILIES:
+            one = tail_edges(log_problem(getattr(RadialPotential, family)(1), 1.0, 1.0, s_max))
+            assert one.c_non == 0.25
+
+
+def test_tail_edges_evaluate_the_potential_once(monkeypatch):
+    calls = []
+    log_weight = RadialPotential.log_weight
+
+    def spy(self, s):
+        calls.append(np.ndim(s))
+        return log_weight(self, s)
+
+    monkeypatch.setattr(RadialPotential, "log_weight", spy)
+    for p in _tail_cases():
+        calls.clear()
+        tail_edges(log_problem(p, 1.0, 1.0))
+        assert calls == [1]
+
+
+def test_tail_edges_without_an_inner_cell_inside_the_horizon():
+    # a table whose inner knot lies beyond s_max leaves no window on its
+    # inner cell, so no edge
+    r = np.geomspace(1e-60, 1.0, 50)
+    edges = tail_edges(log_problem(RadialPotential.custom(r, r ** -2.2), 1.0, 1.0, s_max=100.0))
+    assert (edges.c_non, edges.unit_non, edges.c_osc, edges.unit_osc) == (0.0, None, math.inf, None)
 
 
 def test_principal_tail_positive_at_threshold(adimurthi_1):

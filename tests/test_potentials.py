@@ -367,26 +367,17 @@ def test_classify_near_critical_is_honest():
 
 
 def test_classify_log_family_bound_is_the_tail_sample():
-    # once Indeterminate; B = 1 / (4 c_non) from the Euler tail sample
-    # bounds |L| in the limit
+    # B = 1 / (4 c_non) of the Euler tail edges bounds |L| in the limit;
+    # c_non is finite for both log families, so no label is Indeterminate
     lab = classify(RadialPotential.adimurthi_log(3, amplitude=20.0))
     assert lab.label is Label.X
     assert -20.2 < lab.limit_estimate < -20.0
     assert np.all(np.abs(lab.evidence) < -lab.limit_estimate)
 
 
-def test_classify_rising_tail_is_indeterminate(monkeypatch):
-    # s^2 g ~ ln s still rises at the horizon: the trend check refuses
-    # the sample, so no bound B and no label
-    log_weight = RadialPotential.log_weight
-    monkeypatch.setattr(RadialPotential, "log_weight",
-                        lambda self, s: log_weight(self, s) * np.log(math.e + s))
-    assert classify(RadialPotential.adimurthi_log(1)).label is Label.INDETERMINATE
-
-
 @pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
 def test_classify_evaluates_the_potential_at_most_twice(monkeypatch, name):
-    # one array log_weight call for the evidence, one for the tail sample of
+    # one array log_weight call for the evidence, one for the tail edges of
     # the log families; no scalar quadrature
     calls = []
     log_weight = RadialPotential.log_weight
