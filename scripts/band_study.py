@@ -8,12 +8,15 @@ stretch shrinks as the horizon grows because the Euler-comparison window
 needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's band
 edges as ``tail_edges`` gives them, with gamma = r^2 v (s - s0)^2 at the
 family's Euler shift s0, where it is non-increasing: c_non = (1/4) /
-gamma(s_max), so every c <= c_non has a non-oscillatory certificate on
-[s_max, inf), to within ``CERTIFICATE_SLACK`` (feasible unless the
-principal tail vanishes); every c >= c_osc an oscillatory one on the best
-window [s1, s2] inside the horizon (infeasible).  Below them, each
-horizon's ``best_constant`` bracket and its wall time (best of 3), the
-before/after table of a change to the sweeps or the edges.
+gamma(s_max) <= 1/4, so every c <= c_non has a non-oscillatory certificate
+on [s_max, inf), to within ``CERTIFICATE_SLACK``; every c >= c_osc an
+oscillatory one on the best window [s1, s2] inside the horizon
+(infeasible).  The family's closed form certifies every c <= 1/4 feasible
+without a sweep, so c_non only shows how far the Euler comparison alone
+reaches.  Below them, each horizon's ``best_constant`` bracket and its
+wall time (best of 3): c_lo is 1/4 at every horizon, and c_hi follows
+c_osc.  It is the before/after table of a change to the sweeps or the
+edges.
 
 Run:  python scripts/band_study.py [--family adimurthi_log|filippas_tertikas_x]
 """

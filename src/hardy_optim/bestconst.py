@@ -10,30 +10,34 @@ solution on (0, R).  Numerically:
     no interior zero.  A zero within ``_BOUNDARY_GRACE`` of R counts as the
     boundary case (the J0 profile vanishes exactly at R at the optimal
     constant and is still positive on the open interval);
-  * critical potentials, the log families and inner cells with q >= 0
-    (``wants_log_domain``): work in the log domain.  A non-oscillatory
-    Euler certificate plus a positive principal-branch sweep certifies
-    feasibility; an oscillatory certificate (or an actual zero of
-    the principal branch) certifies infeasibility, and is the whole
+  * the log families of amplitude A > 0 at c <= c* = 1/(4A): feasible
+    without a sweep.  Their ``closed_form`` is a positive solution at c*,
+    so by Sturm comparison (the Picone identity) so is every smaller c;
+  * critical potentials, the log families above c* and inner cells with
+    q >= 0 (``wants_log_domain``): work in the log domain.  A
+    non-oscillatory Euler certificate plus a positive principal-branch
+    sweep certifies feasibility; an oscillatory certificate (or an actual
+    zero of the principal branch) certifies infeasibility, and is the whole
     evidence, since it proves a zero inside its window; otherwise the
     answer is indeterminate at the horizon and said so.
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
 certified bracket whichever domain decides each probe, and one loop finds
-it for both: in the log domain from the band edges that ``tail_edges``
-predicts; for a constant or a power law from the two multipliers
-c* (1 -+ tol / 8) around its exact Bessel level c*; else from a bracket
-started at the leading-order Bessel level (or at 1), expanded by factors of
-2 and closed by an Illinois root solve of the signed shooting margin.  A
-probe that contradicts a prediction falls back into that search, so every
-end is certified by its own probe.  An indeterminate band around
-the threshold is reported with its certified edges, and ``c_best`` is then
-the largest certified-feasible multiplier.
+it for both: for the log families from c* and the oscillatory edge that
+``tail_edges`` predicts, with no sweep; for a constant or a power law from
+the two multipliers c* (1 -+ tol / 8) around its exact Bessel level c*;
+else from a bracket started at the leading-order Bessel level (or at 1),
+expanded by factors of 2 and closed by an Illinois root solve of the
+signed shooting margin.  A probe that contradicts a prediction falls back
+into that search, so every end is certified by its own probe.  An
+indeterminate band around the threshold is reported with its certified
+edges, and ``c_best`` is then the largest certified-feasible multiplier.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -54,6 +58,7 @@ class FeasibilityCheck:
     feasible: bool
     evidence: ShootingOutcome
     method: str          # "recessive-shot" | "principal-tail" | "oscillation-certificate"
+                         # | "closed-form"
     margin: Optional[float] = None    # signed shooting margin, see _margin / _tail_margin
 
 
@@ -93,6 +98,14 @@ def _tail_margin(out: ShootingOutcome, R: float) -> float:
     return float(edge / abs(z).max())
 
 
+def _closed_form_covers(p: RadialPotential, c: float) -> bool:
+    """Whether c <= c* = 1/(4A) for a log family of amplitude A > 0, compared
+    exactly for the stored A.  Its ``closed_form`` is a positive solution on
+    (0, R) at c*, so Sturm comparison makes every such c feasible."""
+    return p.log_cells is None and p.amplitude > 0.0 and c < math.inf \
+        and Fraction(c) * Fraction(p.amplitude) <= Fraction(1, 4)
+
+
 def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAULT,
              edges: Optional[TailEdges] = None) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
@@ -107,6 +120,11 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
         return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
 
     prob = log_problem(p, c, R, s_max=s_max)
+    empty = np.empty(0)
+    if _closed_form_covers(p, c):
+        out = ShootingOutcome({"s": empty, "z": empty, "dz": empty}, None,
+                              Status.NO_ZERO_ON_INTERVAL)
+        return FeasibilityCheck(True, out, "closed-form")
     cert = euler_tail_certificate(prob, edges=edges)
     if cert is None:
         raise IndeterminateAtHorizon(
@@ -118,7 +136,6 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
             out.first_zero < R * (1.0 - _BOUNDARY_GRACE)
         return FeasibilityCheck(not interior_zero, out, "principal-tail", _tail_margin(out, R))
     # oscillatory tail: infeasible, and the certificate proves a zero inside its window
-    empty = np.empty(0)
     out = ShootingOutcome({"s": empty, "z": empty, "dz": empty}, None, Status.ZERO_FOUND,
                           certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
@@ -130,9 +147,14 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     In the log domain both Euler certificates are linear in c, so the band
     edges c_non < c_osc come from one array call of the coefficient
-    (``tail_edges``).  When both are finite and positive the loop probes
-    c_non, c_non (1 + slack) + delta, c_osc - delta and c_osc, delta =
-    tol * max(1, c) / 4, whose inner two are undecided by construction.
+    (``tail_edges``).  The lower end is c_non, or for a log family of
+    amplitude A > 0 the largest float c_lo <= 1/(4A), which its closed form
+    certifies (c_non <= 1/(4A) up to rounding).  When c_lo and c_osc are
+    finite and positive the loop probes c_lo, e (1 + slack) + delta,
+    c_osc - delta and c_osc, e = max(c_lo, c_non) and delta = tol * max(1,
+    c) / 4, whose inner two are undecided by construction: for the log
+    families no probe sweeps, and c_lo = c_best = 1/(4A) for every m, A, R
+    and horizon.
     When c_non = 0 < c_osc < inf (an inner cell of slope q >= 0, where
     c(V) = 0) it probes c_osc, predicted infeasible: with c = 0 that is the
     whole bracket once c_osc <= tol / 2.  Without them (the radius domain
@@ -196,11 +218,16 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
     c_non, c_osc = (edges.c_non, edges.c_osc) if edges is not None else (0.0, math.inf)
-    inside = (c_non * (1.0 + CERTIFICATE_SLACK) + 0.25 * tol * max(1.0, c_non),
+    lower = c_non
+    if p.log_cells is None and p.amplitude > 0.0:    # a log family: the largest float <= c*
+        lower = p.closed_form_multiplier(R)
+        lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
+    edge = max(lower, c_non)     # each c up to edge (1 + slack) is decided
+    inside = (edge * (1.0 + CERTIFICATE_SLACK) + 0.25 * tol * max(1.0, edge),
               c_osc - 0.25 * tol * max(1.0, c_osc))
-    plan = [(c_non, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
+    plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
-    if not 0.0 < c_non < inside[0] < inside[1] < c_osc < math.inf:
+    if not 0.0 < lower < inside[0] < inside[1] < c_osc < math.inf:
         amp, two_minus = (p.singular_amplitude(R) if p.sigma < 2.0 else 0.0), 2.0 - p.sigma
         c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
             if 0.0 < amp < math.inf else 1.0

@@ -178,7 +178,7 @@ class _RawRun:
     t: np.ndarray
     y: np.ndarray                 # shape (2, n)
     zero_t: Optional[float]
-    zero_y: Optional[list]        # the state (z, dz) at zero_t
+    zero_dz: Optional[float]      # the slope dz/ds at zero_t, where z = 0
     dense: Optional[Callable]
 
 
@@ -250,9 +250,9 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
 
     s, z, dz = to_z(sol.t, sol.y)
     s[0] = s_from
-    zero_t = zero_y = None
+    zero_t = zero_dz = None
     if sol.t_events[0].size:
-        zero_t, *zero_y = (float(v) for v in to_z(sol.t_events[0][0], sol.y_events[0][0]))
+        zero_t, _, zero_dz = (float(v) for v in to_z(sol.t_events[0][0], sol.y_events[0][0]))
         lo, hi = sorted((s_from, zero_t))
     else:
         s[-1] = s_to
@@ -262,7 +262,7 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
         tau = math.log(s - s0)
         return np.array(to_z(tau, sol.sol(tau))[1:])
 
-    return _RawRun(s, np.array([z, dz]), zero_t, zero_y, dense)
+    return _RawRun(s, np.array([z, dz]), zero_t, zero_dz, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,7 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
         f11, f12, f21, f22, _ = _fundamental(seg, k, np.array([float(s)]))
         return np.array([(f11 * A[k] + f12 * B[k])[0], (f21 * A[k] + f22 * B[k])[0]])
 
-    return _RawRun(t, y, zero_t, None if zero_t is None else list(dense(zero_t)), dense)
+    return _RawRun(t, y, zero_t, None if zero_t is None else float(dense(zero_t)[1]), dense)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +562,8 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     As the line z = z(start) at c = 0 with z'(start) = 0; else exactly, cell
     by cell, for the log-log linear kinds and by DOP853 in the Liouville
     variable for the log families.  The trajectory ends at the
-    first zero, if any, and is sorted by s.  Without a zero, a sweep toward
+    first zero, if any, as the row z = 0 with the engine's slope there, and
+    is sorted by s.  Without a zero, a sweep toward
     the outer edge (decreasing s) has covered its whole interval; a sweep
     outward has only reached its horizon.
     """
@@ -581,8 +582,8 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
         before = s > run.zero_t if to_edge else s < run.zero_t
         before[0] = True    # the start, even where the zero rounds to its s
         s = np.append(s[before], run.zero_t)
-        z = np.append(z[before], run.zero_y[0])
-        dz = np.append(dz[before], run.zero_y[1])
+        z = np.append(z[before], 0.0)    # the engine's z there is only as exact as its root
+        dz = np.append(dz[before], run.zero_dz)
     if to_edge:
         s, z, dz = s[::-1], z[::-1], dz[::-1]
     return ShootingOutcome({"s": s, "z": z, "dz": dz}, run.zero_t, status,

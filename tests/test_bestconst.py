@@ -2,13 +2,15 @@ import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hardy_optim import (RadialPotential, ShootingOutcome, Status, best_constant,
-                         brezis_vazquez_lambda, equal_volume_radius, feasible,
-                         integrate, log_problem, radius_problem, unit_ball_volume)
+                         brezis_vazquez_lambda, equal_volume_radius, euler_tail_certificate,
+                         feasible, integrate, integrate_principal_tail, log_problem,
+                         radius_problem, tail_edges, unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from hardy_optim.ode import CERTIFICATE_SLACK, wants_log_domain
 
@@ -116,6 +118,17 @@ def test_best_constant_scale_invariance(s_max):
 def test_no_upper_bracket(s_max):
     with pytest.raises(NoUpperBracket):
         best_constant(RadialPotential.constant(0.0), 1.0, s_max=s_max)
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_amplitude_zero_log_family_has_no_upper_bracket(family, s_max):
+    # closed_form_multiplier raises UnsupportedPotential at A = 0, so the
+    # closed form certifies nothing there: every probe sweeps, and all are
+    # feasible up to the doubling cap
+    p = getattr(RadialPotential, family)(1, amplitude=0.0)
+    assert feasible(p, 1.0, 1.0, s_max).method == "principal-tail"
+    with pytest.raises(NoUpperBracket):
+        best_constant(p, 1.0, s_max=s_max)
 
 
 def test_power_laws_near_sigma_two_bracket_the_closed_form(s_max):
@@ -299,24 +312,25 @@ def test_log_best_constant_samples_the_tail_once(family, s_max, monkeypatch):
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_log_best_constant_answers_c_zero_without_solve_ivp(family, s_max, monkeypatch):
-    # at c = 0 the principal tail enters with z' = 0: it is the line z = 1
+    # c = 0 and c* = 1/(4A) are certified by the closed form, the upper end
+    # by the oscillation certificate: the whole solve sweeps nothing (it
+    # took one DOP853 principal tail at c_non)
     import hardy_optim.bestconst as bestconst_mod
     import hardy_optim.ode as ode_mod
     ivp = _Counter(ode_mod.solve_ivp)
     monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
-    calls_at = {}
+    methods = {}
 
     def counted(p, c, *args, **kwargs):
-        before = ivp.calls
         check = feasible(p, c, *args, **kwargs)
-        calls_at[c] = ivp.calls - before
-        if c == 0.0:
-            assert check.feasible and np.all(check.evidence.trajectory["z"] == 1.0)
+        methods[c] = check.method
         return check
 
     monkeypatch.setattr(bestconst_mod, "feasible", counted)
-    best_constant(getattr(RadialPotential, family)(1), 1.0, s_max=s_max)
-    assert calls_at[0.0] == 0 and ivp.calls > 0
+    res = best_constant(getattr(RadialPotential, family)(1), 1.0, s_max=s_max)
+    assert ivp.calls == 0
+    assert methods == {0.0: "closed-form", 0.25: "closed-form",
+                       res.c_hi: "oscillation-certificate"}
 
 
 def test_tail_margin_of_a_zero_beyond_float_radii():
@@ -345,8 +359,12 @@ def test_shooting_margin_changes_sign_at_the_threshold(s_max, constant_pot):
     assert not above.feasible and above.margin < 0.0
     # continuous across the zero reaching R: both sides are O(1e-3)
     assert below.margin - above.margin < 1e-2
-    # the principal tail has a margin too; an oscillation certificate has none
-    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, s_max).margin > 0.0
+    # the principal tail has a margin too (a power law forced critical, which
+    # it still decides); the closed form and an oscillation certificate have none
+    forced = dataclasses.replace(RadialPotential.power_law(1.9), critical=True)
+    tail = feasible(forced, 0.9 * power_law_best_constant(1.9, 1.0), 1.0, s_max)
+    assert tail.method == "principal-tail" and tail.margin > 0.0
+    assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, s_max).margin is None
     assert feasible(RadialPotential.adimurthi_log(1), 0.35, 1.0, s_max).margin is None
 
 
@@ -417,24 +435,26 @@ def test_critical_quarter_bracketing(family, s_max):
     p = getattr(RadialPotential, family)(1)
     check_lo = feasible(p, 0.25, 1.0, s_max)
     check_hi = feasible(p, 0.35, 1.0, s_max)
-    assert check_lo.feasible and check_lo.method == "principal-tail"
+    assert check_lo.feasible and check_lo.method == "closed-form"
     assert not check_hi.feasible and check_hi.method == "oscillation-certificate"
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 @pytest.mark.parametrize("m", [2, 3])
 def test_critical_deeper_levels(family, m, s_max):
-    # the cumulative sum potentials keep threshold 1/4 for every depth, but
-    # their coefficient approaches the Euler line only like 1/(ln s)^2, so
-    # at desk scale: certified on both sides away from 1/4, honest
-    # indeterminate exactly at it (deciding there needs the next
+    # the cumulative sum potentials keep threshold 1/4 for every depth: the
+    # closed form certifies it, but their coefficient approaches the Euler
+    # line only like 1/(ln s)^2, so at desk scale the next multiplier above
+    # 1/4 is an honest indeterminate (deciding there needs the next
     # iterated-log comparison level)
     p = getattr(RadialPotential, family)(m)
     assert feasible(p, 0.20, 1.0, s_max).feasible
+    at = feasible(p, 0.25, 1.0, s_max)
+    assert at.feasible and at.method == "closed-form"
     assert not feasible(p, 0.35, 1.0, s_max).feasible
     assert not feasible(p, 1.0, 1.0, s_max).feasible
     with pytest.raises(IndeterminateAtHorizon):
-        feasible(p, 0.25, 1.0, s_max)
+        feasible(p, math.nextafter(0.25, 1.0), 1.0, s_max)
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
@@ -448,13 +468,14 @@ def test_critical_best_constant_reports_band(s_max, adimurthi_1):
     res = best_constant(adimurthi_1, 1.0, tol=1e-6, s_max=s_max)
     assert not res.converged
     assert res.band is not None
-    assert res.c_lo == pytest.approx(0.25, abs=1e-6)   # certified feasible edge
+    assert res.c_lo == 0.25                            # certified feasible edge
     assert 0.25 < res.c_hi < 0.35                      # certified infeasible edge
     assert res.c_best == res.c_lo
-    # the bracket evidence carries the certificates
+    # the closed form is the lower evidence, the certificate the upper
     lo_ev, hi_ev = res.evidence_lo, res.evidence_hi
     assert lo_ev.status is Status.NO_ZERO_ON_INTERVAL
-    assert lo_ev.certificate is not None and lo_ev.certificate.kind == "nonoscillatory"
+    assert lo_ev.certificate is None and lo_ev.first_zero is None
+    assert all(column.size == 0 for column in lo_ev.trajectory.values())
     assert hi_ev.status is Status.ZERO_FOUND or (
         hi_ev.certificate is not None and hi_ev.certificate.kind == "oscillatory")
 
@@ -478,8 +499,41 @@ def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, s_
     assert not hi.feasible and hi.method == "oscillation-certificate"
 
 
-# A * [c_lo, c_hi] of the bisection driver at A = 1: the predicted edges
-# may only lie inside these bands
+def _assert_quarter_edge(c, amplitude):
+    """c is the largest float whose product with A is at most 1/4, exactly."""
+    a = Fraction(amplitude)
+    assert Fraction(c) * a <= Fraction(1, 4) < Fraction(math.nextafter(c, math.inf)) * a
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("amplitude", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("R", [1.0, 0.5])
+def test_closed_form_lower_end_agrees_with_the_sweep(family, m, amplitude, R, monkeypatch):
+    # the principal tail at c_non <= 1/(4A), which it still decides, finds
+    # what the closed form proves on all of [0, 1/(4A)]: no interior zero.
+    # best_constant then starts at 1/(4A) and sweeps nothing
+    import hardy_optim.ode as ode_mod
+    p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+    horizons = (1e4, 1e6, 1e150)
+    for s_max in horizons:
+        c_non = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).c_non
+        assert 0.0 < c_non * amplitude <= 0.25 * (1.0 + 1e-15)
+        prob = log_problem(p, c_non, R, s_max=s_max)
+        out = integrate_principal_tail(prob, euler_tail_certificate(prob))
+        assert out.status is Status.NO_ZERO_ON_INTERVAL and out.first_zero is None
+    ivp = _Counter(ode_mod.solve_ivp)
+    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    for s_max in horizons:
+        res = best_constant(p, R, s_max=s_max)
+        assert res.c_lo == res.c_best and res.iterations <= 5
+        _assert_quarter_edge(res.c_lo, amplitude)
+        assert res.evidence_lo.certificate is None
+    assert ivp.calls == 0
+
+
+# A * [c_lo, c_hi] of the bisection driver at A = 1: the predicted upper
+# edge may only lie inside these bands
 _BISECTED_BANDS = {
     ("adimurthi_log", 1): (0.25, 0.30295), ("filippas_tertikas", 1): (0.25, 0.30295),
     ("adimurthi_log", 2): (0.24855, 0.31351), ("filippas_tertikas", 2): (0.24874, 0.30234),
@@ -495,23 +549,22 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, s_ma
     assert res.iterations <= 6
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
     lo, hi = feasible(p, res.c_lo, 1.0, s_max), feasible(p, res.c_hi, 1.0, s_max)
-    assert lo.feasible and lo.method == "principal-tail"
+    assert lo.feasible and lo.method == "closed-form"
     assert not hi.feasible and hi.method == "oscillation-certificate"
     # the next multiplier beyond either certified extreme is undecided; the
-    # non-oscillatory certificate reaches CERTIFICATE_SLACK above c_lo
-    for c in (np.nextafter(res.c_lo * (1.0 + CERTIFICATE_SLACK), math.inf),
+    # non-oscillatory certificate reaches CERTIFICATE_SLACK above c_non, which
+    # is c_lo or below for m >= 2 and may round 1 ulp above it for m = 1
+    edge = max(res.c_lo, tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max)).c_non)
+    assert edge <= math.nextafter(res.c_lo, math.inf)
+    for c in (np.nextafter(edge * (1.0 + CERTIFICATE_SLACK), math.inf),
               np.nextafter(res.c_hi, 0.0)):
         with pytest.raises(IndeterminateAtHorizon):
             feasible(p, float(c), 1.0, s_max)
-    # c(V) = 1/(4A) stays in the band; for m = 1 the lower edge is c(V) up to
-    # the rounding of max gamma, which the bisected 0.25 did not have
-    assert res.c_lo <= 0.25 / amplitude <= res.c_hi
-    bisected_lo, bisected_hi = _BISECTED_BANDS[family, m]
-    if m == 1:
-        assert res.c_lo == pytest.approx(0.25 / amplitude, rel=1e-14)
-    else:
-        assert bisected_lo <= amplitude * res.c_lo
-    assert amplitude * res.c_hi <= bisected_hi
+    # the lower edge is c(V) = 1/(4A) itself for every m, the largest float
+    # not above it; the bisection had only 0.2486 A^-1 for m >= 2
+    _assert_quarter_edge(res.c_lo, amplitude)
+    assert res.c_lo < res.c_hi
+    assert amplitude * res.c_hi <= _BISECTED_BANDS[family, m][1]
 
 
 @pytest.mark.parametrize("s_max", [1e30, 1e300])

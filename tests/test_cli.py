@@ -196,7 +196,7 @@ def test_trace_at_huge_multiplier_finds_the_zero_next_to_the_edge(tmp_path, caps
     lines = out_path.read_text().splitlines()
     start, zero = (np.array([float(x) for x in line.split(",")]) for line in lines[1:])
     assert (start[0], start[1], start[2]) == (1e-9, 1.0, 0.0)
-    assert zero[0] == 1e-9 and zero[1] <= 0.0 and zero[2] < 0.0
+    assert zero[0] == 1e-9 and zero[1] == 0.0 and zero[2] < 0.0
 
 
 def test_trace_reports_a_zero_beyond_float_radii(tmp_path, capsys):

@@ -260,6 +260,27 @@ def test_log_shots_end_at_first_zero():
     assert np.all(np.diff(rec.trajectory["r"]) > 0.0)
 
 
+@pytest.mark.parametrize("prob", [
+    log_problem(RadialPotential.adimurthi_log(1), 1e80, 1.0),
+    log_problem(RadialPotential.filippas_tertikas(2), 1e40, 1.0),
+    log_problem(RadialPotential.filippas_tertikas(1), 0.5, 1.0),
+    log_problem(RadialPotential.power_law(2.5), 1.0, 1.0),
+    radius_problem(RadialPotential.power_law(0.5), 5.0, 1.0)],
+    ids=["adimurthi-1e80", "ft2-1e40", "ft1-0.5", "cell-log", "cell-radius"])
+def test_zero_row_is_an_exact_zero(prob):
+    # the zero row held the engine's state at the located root: z = -0.0611
+    # for adimurthi_log m = 1 at c = 1e80, where the root is not resolved in
+    # tau; the row is now z = 0 with the engine's slope
+    out = integrate(prob)
+    assert out.status is Status.ZERO_FOUND
+    value, slope = (out.trajectory[k][-1] for k in (("z", "dz") if "z" in out.trajectory
+                                                    else ("y", "dy")))
+    assert value == 0.0 and slope != 0.0
+    if prob.c >= 1e40:    # the energy z'^2 + a z^2 = a of the start, at the zero
+        a = prob.coefficient(out.zero_s)
+        assert slope == pytest.approx(-math.sqrt(a), rel=1e-2)
+
+
 def test_forward_log_integration_finds_oscillation_zero():
     p = RadialPotential.adimurthi_log(1)
     out = integrate(log_problem(p, 0.35, 1.0, s_max=1e6))
