@@ -1,0 +1,90 @@
+#!/usr/bin/env python3
+"""Cold-start wall time of the CLI subcommands on the catalog.
+
+Each ``hardy-optim`` call is a fresh process, so its wall time includes
+the imports.  For each row this starts ``--repeat`` fresh interpreters,
+each of which imports hardy_optim and runs the row's subcommand through
+``cli.main``, and prints the median wall time (interpreter start to exit)
+and the scipy submodules the subcommand loaded.
+
+Run:  python scripts/cold_start.py [--repeat 5] [--row best-constant/log-2 ...]
+"""
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCIPY_SUBMODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+# Run in the fresh interpreter: each argv of the JSON list through cli.main,
+# then the exit codes and the loaded SCIPY_SUBMODULES as the last stdout line.
+_CHILD = f"""
+import json, sys
+from hardy_optim import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, [m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]]))
+"""
+
+_POWER_1 = {"kind": "power_law", "alpha": "1"}
+# name -> ([potential] keys, subcommand and its options); grid_n is 10000 by default
+ROWS = {
+    "best-constant/constant": ({"kind": "constant"}, ["best-constant"]),
+    "best-constant/power-1": (_POWER_1, ["best-constant"]),
+    "best-constant/log-1": ({"kind": "adimurthi_log", "m": "1"}, ["best-constant"]),
+    "best-constant/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["best-constant"]),
+    "best-constant/x-1": ({"kind": "filippas_tertikas_x", "m": "1"}, ["best-constant"]),
+    "best-constant/x-2": ({"kind": "filippas_tertikas_x", "m": "2"}, ["best-constant"]),
+    "eigen/power-1": (_POWER_1, ["eigen", "--mu", "0"]),
+    "classify/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["classify"]),
+}
+
+
+def fresh_run(runs, workdir) -> tuple:
+    """Run each (potential keys, subcommand argv) of ``runs`` through
+    ``cli.main``, in order, in one fresh interpreter with configs written
+    under ``workdir``.  Returns the wall time in s, the exit codes and the
+    scipy submodules loaded by the end."""
+    argvs = []
+    for k, (potential, argv) in enumerate(runs):
+        config = Path(workdir) / f"run{k}.ini"
+        config.write_text("[potential]\n" + "".join(f"{key} = {value}\n"
+                                                    for key, value in potential.items()))
+        argvs.append(argv[:1] + ["--config", str(config)] + argv[1:])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True)
+    wall = time.perf_counter() - t0
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return wall, codes, loaded
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=5, help="fresh runs per row")
+    parser.add_argument("--row", action="append", choices=ROWS,
+                        help="a row to run (repeatable; default all)")
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+
+    print(f"{'row':<24} {'median_ms':>9}  scipy loaded")
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in args.row or ROWS:
+            walls = []
+            for _ in range(args.repeat):
+                wall, _, loaded = fresh_run([ROWS[name]], workdir)
+                walls.append(wall)
+            names = " ".join(m.removeprefix("scipy.") for m in loaded) or "-"
+            print(f"{name:<24} {1e3 * statistics.median(walls):>9.1f}  {names}")
+
+
+if __name__ == "__main__":
+    main()

@@ -19,7 +19,10 @@ solution on (0, R).  Numerically:
     sweep certifies feasibility; an oscillatory certificate (or an actual
     zero of the principal branch) certifies infeasibility, and is the whole
     evidence, since it proves a zero inside its window; otherwise the
-    answer is indeterminate at the horizon and said so.
+    answer is indeterminate at the horizon and said so.  Above c* a log
+    family oscillates at infinity (its r^2 v (s - s0)^2 tends to A from
+    above), so a non-oscillatory certificate there, which only
+    ``CERTIFICATE_SLACK`` admits, is reported indeterminate too, unswept.
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
 certified bracket whichever domain decides each probe, and one loop finds
@@ -98,11 +101,17 @@ def _tail_margin(out: ShootingOutcome, R: float) -> float:
     return float(edge / abs(z).max())
 
 
+def _sharp_log_family(p: RadialPotential) -> bool:
+    """Whether p is a log family of amplitude A > 0, whose threshold is
+    exactly c* = 1/(4A)."""
+    return p.log_cells is None and p.amplitude > 0.0
+
+
 def _closed_form_covers(p: RadialPotential, c: float) -> bool:
     """Whether c <= c* = 1/(4A) for a log family of amplitude A > 0, compared
     exactly for the stored A.  Its ``closed_form`` is a positive solution on
     (0, R) at c*, so Sturm comparison makes every such c feasible."""
-    return p.log_cells is None and p.amplitude > 0.0 and c < math.inf \
+    return _sharp_log_family(p) and c < math.inf \
         and Fraction(c) * Fraction(p.amplitude) <= Fraction(1, 4)
 
 
@@ -126,7 +135,7 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
                               Status.NO_ZERO_ON_INTERVAL)
         return FeasibilityCheck(True, out, "closed-form")
     cert = euler_tail_certificate(prob, edges=edges)
-    if cert is None:
+    if cert is None or (cert.kind == "nonoscillatory" and _sharp_log_family(p)):
         raise IndeterminateAtHorizon(
             f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
             multiplier=c)
@@ -219,7 +228,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
     c_non, c_osc = (edges.c_non, edges.c_osc) if edges is not None else (0.0, math.inf)
     lower = c_non
-    if p.log_cells is None and p.amplitude > 0.0:    # a log family: the largest float <= c*
+    if _sharp_log_family(p):    # the largest float <= c*
         lower = p.closed_form_multiplier(R)
         lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
     edge = max(lower, c_non)     # each c up to edge (1 + slack) is decided

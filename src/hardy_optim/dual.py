@@ -16,12 +16,24 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
 from .potentials import Kind, RadialPotential
+
+
+# scipy is imported by the first call that needs it (see ``ode.solve_ivp``)
+
+def quad(*args, **kwargs):
+    """scipy.integrate.quad."""
+    from scipy import integrate
+    return integrate.quad(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    """scipy.optimize.minimize_scalar."""
+    from scipy import optimize
+    return optimize.minimize_scalar(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -50,9 +50,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
@@ -69,6 +66,22 @@ _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
 _SMALL_X = 1e-30              # below it J0, Y0, x J1, x Y1 are their leading terms
 _X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
 _RICCATI_SAMPLES = 4097       # dense-output resamples of riccati_check
+
+
+# scipy is imported by the first call that needs it, so that a process loads
+# scipy.integrate only to sweep a log family, and scipy.optimize and
+# scipy.special (imported by ``_bessel`` and ``_phase_at``) only to sweep cells
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp."""
+    from scipy import integrate
+    return integrate.solve_ivp(*args, **kwargs)
+
+
+def brentq(*args, **kwargs):
+    """scipy.optimize.brentq."""
+    from scipy import optimize
+    return optimize.brentq(*args, **kwargs)
 
 
 class Domain(Enum):
@@ -323,6 +336,7 @@ def _small_y0(lnx):
 def _bessel(lnx: np.ndarray) -> tuple[np.ndarray, ...]:
     """J0, Y0, x J1 and x Y1 at x = e^lnx; below _SMALL_X their leading
     terms, taken from ln x, since x itself may underflow there."""
+    from scipy import special
     x = np.exp(np.minimum(lnx, 700.0))
     small = x < _SMALL_X
     xs = np.where(small, 1.0, x)
@@ -342,6 +356,7 @@ def _phase_at(lnx: float) -> float:
     x = math.exp(min(lnx, 700.0))
     if x < _SMALL_X:
         return _unwrap(x, math.atan2(_small_y0(lnx), 1.0))
+    from scipy import special
     return _unwrap(x, math.atan2(special.y0(x), special.j0(x)))
 
 

@@ -27,8 +27,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-# dpttrs keeps the name solve_banded that bench/spans.py traces (ROADMAP item 5)
-from scipy.linalg.lapack import dpttrf, dpttrs as solve_banded
 
 from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainError,
                      HardyError, IndefiniteForm, NonMonotoneSequence, SingularMass)
@@ -40,6 +38,21 @@ _CERT_GAP = 1e-6                   # relative gap from a certified shift up to l
 _EIG_TOL = 1e-10                   # relative settling of lambda~ that ends inverse iteration
 _MAX_ITER = 80                     # inverse iteration steps before HardyError
 _LIMIT_DEPTH = 12                  # lambda_limit's mu_k = (1 - 2^-k) mu_n, k = 1.._LIMIT_DEPTH
+
+
+# LAPACK is imported by the first solve (see ``ode.solve_ivp``)
+
+def dpttrf(*args, **kwargs):
+    """scipy.linalg.lapack.dpttrf."""
+    from scipy.linalg import lapack
+    return lapack.dpttrf(*args, **kwargs)
+
+
+def solve_banded(*args, **kwargs):
+    """scipy.linalg.lapack.dpttrs, under the name bench/spans.py traces
+    (ROADMAP item 5)."""
+    from scipy.linalg import lapack
+    return lapack.dpttrs(*args, **kwargs)
 
 
 class GridMapping(Enum):

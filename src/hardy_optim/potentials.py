@@ -37,11 +37,12 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, UnsupportedPotential
 
-J0_FIRST_ZERO = float(special.jn_zeros(0, 1)[0])   # z0, the first positive zero of J0
+# z0, the first positive zero of J0: scipy.special.jn_zeros(0, 1)[0] bit for bit,
+# as a literal, so that importing the package loads no scipy
+J0_FIRST_ZERO = float.fromhex('0x1.33d152e971b3fp+1')
 
 
 def _clip_exp(exponent):
@@ -409,6 +410,7 @@ class RadialPotential:
         if self.kind is Kind.CONSTANT:
             if R is None:
                 R = self.r_max
+            from scipy import special
             return special.j0(J0_FIRST_ZERO * r / R)
         xp = np if isinstance(r, np.ndarray) else math
         if np.min(r) <= 0.0:
@@ -455,6 +457,7 @@ def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
         if q[-1] >= 0.0 and ell[-1] > -math.inf:
             return np.full(s.shape, math.inf)
         points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
+        from scipy import special
         g, width = p.log_weight(points), np.diff(points)
         cell_q = q[knots.searchsorted(points[:-1], "right")]
         piece = g[:-1] * width * special.exprel(cell_q * width)

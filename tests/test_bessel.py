@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from scipy import special
 
 from hardy_optim import RadialPotential
 from hardy_optim.potentials import J0_FIRST_ZERO
@@ -23,6 +24,12 @@ def test_j0_frozen_values():
 def test_first_zero_value():
     # the package's z0 against the frozen 20-digit literal, to 1 ulp
     assert abs(J0_FIRST_ZERO - Z0) <= math.ulp(Z0)
+
+
+def test_first_zero_literal_is_scipys():
+    # z0 is a float literal, so importing the package loads no scipy.special;
+    # it must stay bit-equal to the value it replaced
+    assert J0_FIRST_ZERO == float(special.jn_zeros(0, 1)[0])
 
 
 def test_first_zero_is_a_root():

@@ -131,6 +131,24 @@ def test_amplitude_zero_log_family_has_no_upper_bracket(family, s_max):
         best_constant(p, 1.0, s_max=s_max)
 
 
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+@pytest.mark.parametrize("amplitude", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("f", [1e-12, 5e-11, 1e-10])
+def test_no_feasible_verdict_just_above_the_sharp_threshold(family, amplitude, f, s_max,
+                                                            monkeypatch):
+    # 1/(4A) is sharp, yet CERTIFICATE_SLACK admits a non-oscillatory
+    # certificate up to c_non (1 + 1e-10), and c_non = 1/(4A) at m = 1: the
+    # principal tail then answered feasible.  Now the answer is undecided,
+    # without a sweep
+    import hardy_optim.ode as ode_mod
+    ivp = _Counter(ode_mod.solve_ivp)
+    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    p = getattr(RadialPotential, family)(1, amplitude=amplitude)
+    with pytest.raises(IndeterminateAtHorizon):
+        feasible(p, 0.25 / amplitude * (1.0 + f), 1.0, s_max)
+    assert ivp.calls == 0
+
+
 def test_power_laws_near_sigma_two_bracket_the_closed_form(s_max):
     # the series start gave up from alpha ~ 1.94 on; the exact J0 start on
     # the power law's one cell answers in the radius domain, in 3 probes

@@ -30,3 +30,11 @@ def test_catalog_report_prints_its_table(monkeypatch, capsys):
     assert all("nan" not in row for row in rows.values())
     assert rows["constant"][0] == "X" and rows["adimurthi m=1"][4] == "band"
     assert lines[-1].startswith("closes only doubly-logarithmically")
+
+
+def test_cold_start_times_a_log_family_row(monkeypatch, capsys):
+    lines = _run_script("cold_start.py", ["--repeat", "1", "--row", "best-constant/log-2"],
+                        monkeypatch, capsys)
+    assert lines[0].split()[:2] == ["row", "median_ms"]
+    name, wall, loaded = lines[1].split()
+    assert name == "best-constant/log-2" and float(wall) > 0.0 and loaded == "-"
