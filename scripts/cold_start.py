@@ -42,6 +42,7 @@ ROWS = {
     "best-constant/x-2": ({"kind": "filippas_tertikas_x", "m": "2"}, ["best-constant"]),
     "eigen/power-1": (_POWER_1, ["eigen", "--mu", "0"]),
     "classify/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["classify"]),
+    "dual/power-1-p2": (_POWER_1, ["dual", "--c", "1", "--p", "2"]),
 }
 
 

@@ -3,13 +3,13 @@
 A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  Numerically:
 
-  * non-critical potentials whose inner cell has slope q < 0 (sigma < 2
-    for a power law): shoot the recessive solution from the singular
-    endpoint, exactly J0 on the inner cell of a constant, a power law or a
-    table, carried cell by cell by exact transfer matrices; feasibility <=>
-    no interior zero.  A zero within ``_BOUNDARY_GRACE`` of R counts as the
-    boundary case (the J0 profile vanishes exactly at R at the optimal
-    constant and is still positive on the open interval);
+  * non-critical potentials whose inner cell has slope q = sigma - 2 < 0:
+    shoot the recessive solution, exactly J0 on the inner cell of a
+    constant, a power law or a table, carried by exact transfer matrices;
+    feasibility <=> no interior zero, one below every float radius (J0
+    vanishing beyond s = 700) included.  A zero within ``_BOUNDARY_GRACE``
+    of R counts as the boundary case (the J0 profile vanishes exactly at R
+    at the optimal constant and is still positive on the open interval);
   * the log families of amplitude A > 0 at c <= c* = 1/(4A): feasible
     without a sweep.  Their ``closed_form`` is a positive solution at c*,
     so by Sturm comparison (the Picone identity) so is every smaller c;
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
+from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket, UnsupportedSingularity
 from .ode import (CERTIFICATE_SLACK, S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges,
                   euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
                   radius_problem, tail_edges, wants_log_domain)
@@ -122,14 +122,17 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
     on this ball, if already computed."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
+    empty = np.empty(0)
     if not wants_log_domain(p):
-        prob = radius_problem(p, c, R)
-        out = integrate(prob)
+        try:
+            out = integrate(radius_problem(p, c, R))
+        except UnsupportedSingularity:    # its exact J0 start vanishes below r ~ 1e-304
+            out = ShootingOutcome({"r": empty, "y": empty, "dy": empty}, None, Status.ZERO_FOUND)
+            return FeasibilityCheck(False, out, "recessive-shot")
         ok = out.status is not Status.ZERO_FOUND or out.first_zero >= R * (1.0 - _BOUNDARY_GRACE)
         return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
 
     prob = log_problem(p, c, R, s_max=s_max)
-    empty = np.empty(0)
     if _closed_form_covers(p, c):
         out = ShootingOutcome({"s": empty, "z": empty, "dz": empty}, None,
                               Status.NO_ZERO_ON_INTERVAL)

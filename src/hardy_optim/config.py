@@ -38,8 +38,8 @@ def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1]
 
 
-def _custom(samples: str, sigma=None, r_max=None) -> RadialPotential:
-    return RadialPotential.custom(*load_samples_csv(samples), r_max, sigma)
+def _custom(samples: str, r_max=None) -> RadialPotential:
+    return RadialPotential.custom(*load_samples_csv(samples), r_max)
 
 
 # Every key a config file may set, with its parser (configparser lower-cases
@@ -51,7 +51,7 @@ KEYS = {
         "power_law": {"alpha": float, "amplitude": float, "r_max": float},
         "adimurthi_log": {"m": int, "rho": float, "amplitude": float, "r_max": float},
         "filippas_tertikas_x": {"m": int, "d_scale": float, "amplitude": float, "r_max": float},
-        "custom": {"samples": str, "sigma": float, "r_max": float},
+        "custom": {"samples": str, "r_max": float},
     },
     "domain": {"r": float, "n": int},
     "solver": {"s_max": float, "grid_n": int, "r_min_rel": float},

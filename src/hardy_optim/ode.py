@@ -176,9 +176,9 @@ def _outer_edge(prob: HardyODEProblem) -> float:
 
 def wants_log_domain(p: RadialPotential) -> bool:
     """Critical potentials, the log families (no ``log_cells``) and inner
-    cells of slope q >= 0 (alpha >= 2 for a power law; a table by its inner
-    cell, not its fitted sigma) have no recessive start at r = 0
-    (``_inner_cell_start``); their feasibility is decided in the log domain."""
+    cells of slope q = sigma - 2 >= 0 (alpha >= 2 for a power law) have no
+    recessive start at r = 0 (``_inner_cell_start``); their feasibility is
+    decided in the log domain."""
     return p.critical or p.log_cells is None or bool(p.log_cells[3][-1] >= 0.0)
 
 
@@ -363,8 +363,9 @@ def _phase_at(lnx: float) -> float:
 def _hankel(omega: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """Fundamental matrix and phase of z'' + omega^2 e^(q t) z = 0 at t from
     the modulus-phase form of Z0 for x >= _X_ASYMPTOTIC: with p = 1/x,
-    M^2 pi x / 2 = P = 1 + p^2/8 + 27 p^4/128 and theta = x - pi/4 + d,
-    d = -p/8 + 25 p^3/384 (Hankel's expansions, next terms ~p^6 and p^5), the
+    M^2 pi x / 2 = P = 1 - p^2/8 + 27 p^4/128 and theta = x - pi/4 + d,
+    d = -p/8 + 25 p^3/384 (Hankel's expansions, Abramowitz and Stegun
+    9.2.28-29, next terms ~p^6 and p^5; theta' = 1/P to that order), the
     solutions are m cos(psi) and m sin(psi) / omega with m = sqrt(P x(0) / x)
     and psi = sign(q) (theta - theta(0)), whose x - x(0) part is formed as
     omega t expm1(q t / 2) / (q t / 2), never from x itself.  At q = 0 they are
@@ -374,10 +375,10 @@ def _hankel(omega: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
     gain = np.divide(np.expm1(y), y, out=np.ones_like(y), where=y != 0.0)
     p0 = np.divide(np.abs(q), 2.0 * omega, out=np.zeros_like(q), where=omega > 0.0)
     p = p0 / rho
-    big_p = 1.0 + p * p / 8.0 + 27.0 * p ** 4 / 128.0
+    big_p = 1.0 - p * p / 8.0 + 27.0 * p ** 4 / 128.0
     psi = omega * t * gain + np.sign(q) * ((p0 - p) / 8.0 + 25.0 * (p ** 3 - p0 ** 3) / 384.0)
     m = np.sqrt(big_p / rho)
-    dm = -0.25 * q * m * (1.0 + (p * p / 4.0 + 27.0 * p ** 4 / 32.0) / big_p)
+    dm = -0.25 * q * m * (1.0 - (p * p / 4.0 - 27.0 * p ** 4 / 32.0) / big_p)
     cos, sin = np.cos(psi), np.sin(psi)
     sin_w = np.divide(sin, omega, out=t * gain, where=omega > 0.0)
     return (m * cos, m * sin_w, dm * cos - m * omega * rho / big_p * sin,
@@ -546,7 +547,8 @@ def _inner_cell_start(prob: HardyODEProblem):
     Raises UnsupportedSingularity for the log families, for an inner cell
     with q >= 0 (sigma >= 2), which have no recessive branch of this form,
     and when J0(x) already vanishes below s = 700 (sigma within ~1e-3 of 2,
-    well above the best constant), where no float radius holds the zero.
+    well above the best constant), where no float radius holds the zero:
+    ``feasible`` takes that zero as the interior zero it is.
     """
     p = prob.potential
     if p.log_cells is None:

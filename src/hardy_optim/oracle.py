@@ -297,12 +297,9 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
             f"{lambdas.tolist()}")
     root2 = math.sqrt(2.0)
     extrapolants = (root2 * lambdas[1:] - lambdas[:-1]) / (root2 - 1.0)
-    if extrapolants.size >= 3:
-        agreement = np.abs(np.diff(extrapolants))
-        best = int(np.argmin(agreement[1:])) + 1   # skip the warmup pair
-        limit = float(extrapolants[best + 1])
-    else:
-        limit = float(extrapolants[-1])
+    agreement = np.abs(np.diff(extrapolants))
+    best = int(np.argmin(agreement[1:])) + 1   # skip the warmup pair
+    limit = float(extrapolants[best + 1])
     return LambdaLimitResult(limit, mus, lambdas, extrapolants)
 
 

@@ -2,9 +2,9 @@
 admissibility classifier.
 
 A potential here is a nonnegative radial coefficient v(r) on (0, r_max],
-with a declared leading singularity v(r) ~ A * r^(-sigma) as r -> 0 and a
-``critical`` flag marking the borderline inverse-square-with-log-corrections
-family.  Catalog entries:
+with a leading singularity v(r) ~ A * r^(-sigma) as r -> 0 (a table's is
+its inner cell's) and a ``critical`` flag marking the borderline
+inverse-square-with-log-corrections family.  Catalog entries:
 
   constant            v(r) = amplitude
   power_law           v(r) = amplitude * r^(-alpha)
@@ -160,7 +160,7 @@ class RadialPotential:
     m: int = 1                # iteration depth of the log families
     rho: float = math.e       # outer scale of the iterated logs
     d_scale: float = 1.0      # outer scale of the X functions
-    sigma: float = 0.0        # declared leading exponent: v ~ A r^(-sigma)
+    sigma: float = 0.0        # v ~ A r^(-sigma) at r = 0; a table's is its inner cell's
     critical: bool = False    # borderline (4r^2)^(-1)-type singularity
     table_log_r: Optional[np.ndarray] = field(default=None, repr=False)
     table_log_v: Optional[np.ndarray] = field(default=None, repr=False)
@@ -212,13 +212,14 @@ class RadialPotential:
                    m=int(m), d_scale=float(d_scale), sigma=2.0, critical=True)
 
     @classmethod
-    def custom(cls, r: np.ndarray, v: np.ndarray, r_max: Optional[float] = None,
-               sigma: Optional[float] = None) -> "RadialPotential":
+    def custom(cls, r: np.ndarray, v: np.ndarray,
+               r_max: Optional[float] = None) -> "RadialPotential":
         """Tabulated potential, interpolated log-linearly (linear in log r vs
         log v) and extrapolated with the boundary slopes.
 
-        sigma defaults to the log-log slope fitted over the smallest sampled
-        decades (clipped to [1e-8, 1e-4] * r_max when the table reaches them).
+        Below r[0] the table is exactly v[0] (r / r[0])^(-sigma), so sigma is
+        its inner cell's exponent -(ln v1 - ln v0) / (ln r1 - ln r0), 0 when
+        the first segment is flat.
         """
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -230,19 +231,10 @@ class RadialPotential:
             raise DomainError("custom potential samples must be strictly positive")
         if r_max is None:
             r_max = float(r[-1])
-        log_r = np.log(r)
-        log_v = np.log(v)
-        if sigma is None:
-            lo = max(1e-8 * r_max, r[0])
-            hi = min(1e-4 * r_max, r[-1])
-            mask = (r >= lo * 0.999) & (r <= hi * 1.001)
-            if mask.sum() < 2:
-                mask = np.zeros_like(r, dtype=bool)
-                mask[: max(2, r.size // 4)] = True
-            slope = np.polyfit(log_r[mask], log_v[mask], 1)[0]
-            sigma = -float(slope)
+        log_r, log_v = np.log(r), np.log(v)
+        sigma = float((log_v[0] - log_v[1]) / (log_r[1] - log_r[0]))
         return cls(Kind.CUSTOM, amplitude=1.0, r_max=float(r_max),
-                   sigma=float(sigma), table_log_r=log_r, table_log_v=log_v)
+                   sigma=sigma, table_log_r=log_r, table_log_v=log_v)
 
     @staticmethod
     def _check_amp_rmax(amplitude: float, r_max: float) -> None:
@@ -376,13 +368,9 @@ class RadialPotential:
                                                      self.amplitude, self.r_max / beta)
         r = np.exp(self.table_log_r) / beta
         v = np.exp(self.table_log_v) * beta ** 2
-        return RadialPotential.custom(r, v, self.r_max / beta, self.sigma)
+        return RadialPotential.custom(r, v, self.r_max / beta)
 
     # -- closed forms -------------------------------------------------------
-
-    @property
-    def has_closed_form(self) -> bool:
-        return self.kind in (Kind.CONSTANT, Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X)
 
     def closed_form_multiplier(self, R: Optional[float] = None) -> float:
         """Multiplier c at which ``closed_form`` solves y'' + y'/r + c v y = 0.

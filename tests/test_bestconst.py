@@ -115,6 +115,22 @@ def test_best_constant_scale_invariance(s_max):
     assert scaled.c_best == pytest.approx(direct.c_best, rel=1e-7)
 
 
+_R2 = np.geomspace(1e-8, 2.0, 200)
+
+
+@pytest.mark.parametrize("p", [RadialPotential.constant(3.0, 2.0),
+                               RadialPotential.custom(_R2, np.exp(3.0 * _R2)),
+                               RadialPotential.custom(_R2, _R2 ** -1.5)],
+                         ids=["constant", "exp3r", "r-1.5"])
+@pytest.mark.parametrize("beta", [0.5, 4.0])
+def test_best_constant_scale_invariance_of_cell_kinds(p, beta, s_max):
+    # r -> beta^2 v(beta r) on the ball of radius R / beta has the same c(V)
+    direct = best_constant(p, 1.5, s_max=s_max)
+    scaled = best_constant(p.scaled(beta), 1.5 / beta, s_max=s_max)
+    assert direct.converged and scaled.converged
+    assert abs(scaled.c_best - direct.c_best) <= 1e-6 * max(1.0, direct.c_best)
+
+
 def test_no_upper_bracket(s_max):
     with pytest.raises(NoUpperBracket):
         best_constant(RadialPotential.constant(0.0), 1.0, s_max=s_max)
@@ -163,6 +179,24 @@ def test_power_laws_near_sigma_two_bracket_the_closed_form(s_max):
         assert res.c_lo <= power_law_best_constant(alpha, 1.0) <= res.c_hi
         _assert_certified_bracket(p, 1.0, res, s_max)
     assert power_law_best_constant(1.99, 1.0) == pytest.approx(1.44580e-4, rel=1e-5)
+
+
+@pytest.mark.parametrize("n, alpha", [(300, 1.9999), (400, 1.9999), (400, 1.99995),
+                                      (500, 1.99991)])
+def test_tables_near_sigma_two_bracket_the_closed_form(n, alpha, s_max):
+    # a table has no predicted pair: its search doubles c, and past ~1.07 c*
+    # the exact J0 start vanishes below every float radius (beyond s = 700),
+    # which raised UnsupportedSingularity out of best_constant.  That zero is
+    # an interior one: the multiplier is infeasible
+    r = np.geomspace(1e-8, 1.0, n)
+    p = RadialPotential.custom(r, r ** -alpha)
+    c_star = power_law_best_constant(alpha, 1.0)
+    far = feasible(p, 2.0 * c_star, 1.0, s_max)
+    assert not far.feasible and far.method == "recessive-shot"
+    assert far.evidence.status is Status.ZERO_FOUND and far.evidence.first_zero is None
+    # the table's own Bessel level, from its rounded inner cell, is c* to ~2e-9
+    res = best_constant(p, 1.0, s_max=s_max)
+    assert res.converged and res.c_lo <= c_star * (1.0 + 1e-8) and c_star <= res.c_hi
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +311,15 @@ def test_custom_table_brackets_are_reproducible(s_max):
 
 
 def test_table_domain_follows_its_inner_cell():
-    # fitted over its small decades the table is r^-1.5, but its inner cell,
-    # where a recessive sweep starts, is r^-2.5 (slope q = 0.5 >= 0): the
-    # radius domain raised UnsupportedSingularity ("use the log domain")
+    # over its small decades the table is r^-1.5, but its inner cell, where
+    # a recessive sweep starts, is r^-2.5 (slope q = 0.5 >= 0): the radius
+    # domain raised UnsupportedSingularity ("use the log domain"), and sigma
+    # was once the slope fitted over those decades, 1.5
     r = np.geomspace(1e-9, 1.0, 200)
     v = r ** -1.5
     v[0] = v[1] * (r[0] / r[1]) ** -2.5
     p = RadialPotential.custom(r, v)
-    assert p.sigma == pytest.approx(1.5) and wants_log_domain(p)
+    assert p.sigma == pytest.approx(2.5) and wants_log_domain(p)
     check = feasible(p, 0.1, 1.0)
     assert not check.feasible and check.method == "oscillation-certificate"
     res = best_constant(p, 1.0)

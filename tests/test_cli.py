@@ -149,6 +149,21 @@ def test_dual_on_a_vanishing_potential_is_divergent(tmp_path, capsys):
         assert rec["divergent"] == ("true" if p == "1" else "false")
 
 
+def test_dual_on_a_table_rising_from_the_origin_is_divergent(tmp_path, capsys):
+    # below its first node the table is r^4 (its inner cell): the p = 1 norm
+    # diverges at the origin, as p = 2's infimum 0 already said
+    r = np.geomspace(1e-9, 1.0, 200)
+    v = np.ones_like(r)
+    v[0] = v[1] * (r[0] / r[1]) ** 4
+    table = tmp_path / "rising.csv"
+    table.write_text("r,v\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(r, v)))
+    cfg = _write_config(tmp_path, potential={"kind": "custom", "samples": str(table)})
+    for p, divergent in (("1", "true"), ("2", "false")):
+        code, out = _run(capsys, "dual", "--c", "1", "--p", p, "--config", cfg)
+        rec = parse_record(out)
+        assert code == 0 and float(rec["bound"]) == 0.0 and rec["divergent"] == divergent
+
+
 def test_check_closed_form_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, potential={"kind": "filippas_tertikas_x", "m": "2"})
     code, out = _run(capsys, "check-closed-form", "--config", cfg)
@@ -300,7 +315,7 @@ def test_config_round_trip(tmp_path):
 
 # a value, other than the default, of every key in config.KEYS
 _NEW_VALUES = {"amplitude": "3.0", "r_max": "2.0", "alpha": "1.5", "m": "2", "rho": "50.0",
-               "d_scale": "3.0", "sigma": "0.5", "r": "0.5", "n": "4", "s_max": "1e9",
+               "d_scale": "3.0", "r": "0.5", "n": "4", "s_max": "1e9",
                "grid_n": "128", "r_min_rel": "1e-9"}
 
 
@@ -341,7 +356,9 @@ def test_every_config_key_is_read(tmp_path):
     (None, {"solvers": {"s_max": "1e9"}}, "solvers"),
     ({"kind": "custom", "amplitude": "3.0"}, {}, "amplitude"),
     (None, {"output": {"timestamp": "true"}}, "output"),
-], ids=["misspelt-key", "unknown-section", "key-of-another-kind", "output-section"])
+    ({"kind": "custom", "sigma": "0.5"}, {}, "sigma"),
+], ids=["misspelt-key", "unknown-section", "key-of-another-kind", "output-section",
+        "table-sigma"])
 def test_unread_config_key_is_an_error(tmp_path, capsys, potential, sections, culprit):
     # each of these was once parsed and ignored: a misspelt amplitude gave
     # the best constant of amplitude 1

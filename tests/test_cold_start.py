@@ -1,6 +1,7 @@
 """Each CLI subcommand loads only the scipy it runs, checked in fresh
 interpreters: the borderline families' best-constant, feasible and
-classify are closed forms and numpy, and load no scipy submodule."""
+classify are closed forms and numpy, and so is ``dual --p 2`` on
+``log_cells``; none of them loads a scipy submodule."""
 import runpy
 from pathlib import Path
 
@@ -30,3 +31,17 @@ def test_power_law_and_eigen_load_no_integrator(tmp_path):
     assert codes == [0, 0]
     assert "scipy.integrate" not in loaded
     assert "scipy.linalg" in loaded and "scipy.special" in loaded
+
+
+def test_dual_infimum_on_cells_loads_no_scipy(tmp_path):
+    # inf v on log_cells is v at R and at the knots; it once took 4096
+    # samples and minimize_scalar, loading special, optimize and linalg
+    table = tmp_path / "table.csv"
+    r = [10.0 ** -k for k in range(8, -1, -1)]
+    table.write_text("r,v\n" + "".join(f"{x!r},{2.0 + x * x!r}\n" for x in r))
+    p2 = ["dual", "--c", "1", "--p", "2"]
+    runs = [({"kind": "power_law", "alpha": "1"}, p2),
+            ({"kind": "custom", "samples": str(table)}, p2)]
+    _, codes, loaded = fresh_run(runs, tmp_path)
+    assert codes == [0, 0]
+    assert loaded == []

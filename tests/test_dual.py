@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardy_optim import RadialPotential, dual_lower_bound, hardy_quotient
+from hardy_optim import RadialPotential, dual, dual_lower_bound, hardy_quotient
 from hardy_optim.errors import DomainError, InvalidP
 
 from conftest import Z0_SQ
@@ -47,6 +47,49 @@ def test_essential_infimum_of_power_law_vanishing_at_origin(alpha):
     # r^(-alpha) -> 0 as r -> 0: the sampled minimum at 1e-9 R was 3.16e-5
     # (alpha = -0.5) and 1e-27 (alpha = -3)
     p = RadialPotential.power_law(alpha)
+    assert dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound == 0.0
+
+
+def _no_minimisation(*args, **kwargs):
+    raise AssertionError("the infimum on log_cells needs no minimisation")
+
+
+_R = np.geomspace(1e-9, 2.0, 200)
+_BUMPY = RadialPotential.custom(_R, 1.0 + 0.5 * np.sin(3.0 * np.log(_R)) + 1.0 / _R ** 0.3)
+
+
+@pytest.mark.parametrize("p, R", [
+    (RadialPotential.constant(3.0), 1.0), (RadialPotential.constant(2.0, 2.0), 0.5),
+    (RadialPotential.power_law(-0.5), 1.0), (RadialPotential.power_law(0.0, 2.0), 1.0),
+    (RadialPotential.power_law(1.0), 0.5), (RadialPotential.power_law(1.9, 3.0), 1.0),
+    (_BUMPY, 2.0), (_BUMPY, 0.3)],
+    ids=["constant", "constant-R/4", "power-0.5", "power0", "power1-R/2", "power1.9",
+         "table", "table-R0.3"])
+def test_essential_infimum_reads_the_cells(p, R, monkeypatch):
+    # v is monotone on each cell of log_cells: the infimum is the least of
+    # v(R) and v at the knots inside the ball, or 0 when v falls to the
+    # origin; constants and power laws once took 4096 samples and a
+    # minimize_scalar call
+    monkeypatch.setattr(dual, "minimize_scalar", _no_minimisation)
+    if p.sigma < 0.0:
+        expected = 0.0
+    else:
+        r = np.exp(-p.log_cells[0])
+        expected = min(p.value(R), p.value(r[r <= R]).min(initial=math.inf))
+    assert dual_lower_bound(p, 0.7, 2.0, 3, R).bound == pytest.approx(0.7 * expected,
+                                                                     rel=4e-16, abs=0.0)
+
+
+def test_table_rising_from_the_origin_has_a_divergent_norm():
+    # flat, but its first segment rises like r^4: below r[0] the table is
+    # r^4, so int (c v)^-1 r^2 dr diverges at the origin; a sigma fitted over
+    # the small decades (0) gave the bound 0.2387 and divergent = false
+    r = np.geomspace(1e-9, 1.0, 200)
+    v = np.ones_like(r)
+    v[0] = v[1] * (r[0] / r[1]) ** 4
+    p = RadialPotential.custom(r, v)
+    b = dual_lower_bound(p, 1.0, 1.0, 3, 1.0)
+    assert b.divergent and b.bound == 0.0
     assert dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound == 0.0
 
 

@@ -212,6 +212,40 @@ def test_transfer_matrices_have_unit_determinant(p, c, s_from, s_to):
     np.testing.assert_allclose(t11 * t22 - t12 * t21, 1.0, rtol=0.0, atol=1e-12)
 
 
+def test_sweep_from_bessel_into_modulus_phase_segments():
+    # v = 1 up to r = 0.5, then a jump to 1e8: the recessive sweep crosses
+    # Bessel segments (x <= 1) into one with x >= 5e3 before its first zero,
+    # so one _fundamental call holds both forms; against a tight DOP853
+    # solve of y'' + y'/r + c v y = 0, split at the knots.  The modulus once
+    # read P = 1 + p^2/8: dy/dr then missed by p^2/4 ~ 1e-8 relative (3e-12
+    # now)
+    from scipy import special
+    from scipy.integrate import solve_ivp
+    r = np.array([1e-3, 0.5, 0.5 * (1.0 + 1e-6), 1.0])
+    p = RadialPotential.custom(r, np.array([1.0, 1.0, 1e8, 1e8]))
+    prob = radius_problem(p, 1.0, 1.0)
+    seg = _segments(prob, -math.log(1e-8), 0.0)
+    assert seg.bessel[:-1].all() and not seg.bessel[-1]
+    out = integrate(prob)
+
+    def crossing(t, y):
+        return y[0]
+    crossing.terminal = True
+    state, pieces = (special.j0(r[0]), -special.j1(r[0])), []
+    for a, b in zip(r[:-1], r[1:]):
+        sol = solve_ivp(lambda t, y: (y[1], -y[1] / t - p.value(t) * y[0]), (a, b), state,
+                        method="DOP853", rtol=1e-13, atol=1e-15, events=crossing,
+                        dense_output=True)
+        pieces.append(sol)
+        state = sol.y[:, -1]
+    zero = pieces[-1].t_events[0][0]
+    assert out.status is Status.ZERO_FOUND
+    assert out.first_zero == pytest.approx(zero, rel=1e-12)
+    for piece, radius in ((pieces[0], 0.25), (pieces[1], 0.5 * (1.0 + 5e-7)),
+                          (pieces[2], 0.50001), (pieces[2], 0.5001), (pieces[2], 0.50015)):
+        np.testing.assert_allclose(out.dense(radius), piece.sol(radius), rtol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # log domain
 # ---------------------------------------------------------------------------
@@ -548,6 +582,20 @@ def test_residual_detects_wrong_profile():
     phi = np.cos(grid)
     prob = radius_problem(p, p.closed_form_multiplier(1.0), 1.0)
     assert residual(phi, prob, grid) > 1e-2
+
+
+def test_residual_on_a_jittered_grid():
+    # a non-uniform log grid takes the 2nd-order uneven differences
+    p = RadialPotential.constant(1.0)
+    t = np.linspace(math.log(1e-6), math.log(1.0 - 1e-12), 10_000)
+    t[1:-1] += np.random.default_rng(7).uniform(-0.1, 0.1, t.size - 2) * (t[1] - t[0])
+    grid = np.exp(t)
+    phi = p.closed_form(grid, 1.0)
+    c = p.closed_form_multiplier(1.0)
+    # the differences are 1st order in the jitter: 3.0e-4 here, against
+    # 0.0117 from a multiplier 1% off (0.01 c r^2 J0 near r = 0.6)
+    assert residual(phi, radius_problem(p, c, 1.0), grid) <= 5e-4
+    assert residual(phi, radius_problem(p, 1.01 * c, 1.0), grid) >= 1e-2
 
 
 def test_residual_grid_too_coarse():

@@ -320,6 +320,22 @@ def test_custom_interpolation_and_sigma():
     assert p(0.25) == pytest.approx(6.0, rel=1e-12)
 
 
+def test_table_sigma_is_its_inner_cells_exponent():
+    # below r[0] the table is v[0] (r / r[0])^(-sigma): sigma is the first
+    # segment's slope, not a fit over its smallest decades (1.5 here)
+    r = np.geomspace(1e-9, 1.0, 200)
+    v = r ** -1.5
+    v[0] = v[1] * (r[0] / r[1]) ** -2.5
+    p = RadialPotential.custom(r, v)
+    assert p.sigma == pytest.approx(2.5, rel=1e-12)
+    assert p.sigma == pytest.approx(2.0 + p.log_cells[3][-1], rel=1e-12)
+    flat = RadialPotential.custom(r, np.where(r < 1e-3, 2.0, 1.0 / r))
+    assert flat.sigma == 0.0 and math.copysign(1.0, flat.sigma) == 1.0
+    # sigma is no longer settable
+    with pytest.raises(TypeError):
+        RadialPotential.custom(r, v, sigma=0.5)
+
+
 def test_custom_requires_monotone_positive():
     with pytest.raises(DomainError):
         RadialPotential.custom(np.array([0.1, 0.1, 0.3]), np.array([1.0, 1.0, 1.0]))
@@ -329,11 +345,25 @@ def test_custom_requires_monotone_positive():
 
 @pytest.mark.parametrize("beta", [0.5, 2.0])
 def test_scaled_matches_definition(beta):
-    for p in [RadialPotential.power_law(1.2), RadialPotential.adimurthi_log(1),
-              RadialPotential.filippas_tertikas(2)]:
+    r = np.geomspace(1e-8, 1.0, 60)
+    for p in [RadialPotential.constant(3.0), RadialPotential.power_law(1.2),
+              RadialPotential.adimurthi_log(1), RadialPotential.filippas_tertikas(2),
+              RadialPotential.custom(r, r ** -0.5 + 10.0 * r ** 2)]:
         ps = p.scaled(beta)
         for r in np.logspace(-6, 0, 7) * ps.r_max:
             assert ps(float(r)) == pytest.approx(beta ** 2 * p(float(beta * r)), rel=1e-12)
+        assert ps.kind is p.kind and ps.r_max == pytest.approx(p.r_max / beta, rel=1e-15)
+        assert ps.sigma == pytest.approx(p.sigma, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0])
+def test_scaled_table_at_its_sample_radii(beta):
+    r = np.geomspace(1e-6, 2.0, 40)
+    v = np.exp(3.0 * r) / np.sqrt(r)
+    ps = RadialPotential.custom(r, v).scaled(beta)
+    np.testing.assert_allclose(ps.value(r / beta), beta ** 2 * v, rtol=1e-13)
+    assert ps.sigma == pytest.approx(0.5 - 3.0 * (r[1] - r[0]) / math.log(r[1] / r[0]),
+                                     rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
