@@ -6,11 +6,12 @@ For each horizon s_max, every multiplier on a grid around the 1/4 threshold
 is reported as feasible / infeasible / indeterminate; the indeterminate
 stretch shrinks as the horizon grows because the Euler-comparison window
 needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's band
-edges as ``tail_edges`` gives them, with gamma = r^2 v (s - s0)^2 at the
-family's Euler shift s0, where it is non-increasing: c_non = (1/4) /
-gamma(s_max) <= 1/4, so every c <= c_non has a non-oscillatory certificate
-on [s_max, inf), to within ``CERTIFICATE_SLACK``; every c >= c_osc an
-oscillatory one on the best window [s1, s2] inside the horizon
+edges as ``tail_edges`` gives them from g at the outer edge and at the
+horizon, with gamma = r^2 v (s - s0)^2 at the family's Euler shift s0,
+where it is non-increasing: c_non = (1/4) / gamma(s_max) <= 1/4, so every
+c <= c_non has a non-oscillatory certificate on [s_max, inf), to within
+``CERTIFICATE_SLACK``; every c >= c_osc an oscillatory one on the window
+from the outer edge to the horizon, which no shorter window beats
 (infeasible).  The family's closed form certifies every c <= 1/4 feasible
 without a sweep, so c_non only shows how far the Euler comparison alone
 reaches.  Below them, each horizon's ``best_constant`` bracket and its

@@ -3,38 +3,31 @@
 A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  Numerically:
 
-  * non-critical potentials whose inner cell has slope q = sigma - 2 < 0:
-    shoot the recessive solution, exactly J0 on the inner cell of a
-    constant, a power law or a table, carried by exact transfer matrices;
-    feasibility <=> no interior zero, one below every float radius (J0
-    vanishing beyond s = 700) included.  A zero within ``_BOUNDARY_GRACE``
-    of R counts as the boundary case (the J0 profile vanishes exactly at R
-    at the optimal constant and is still positive on the open interval);
+  * constants, power laws and tables whose inner cell has slope
+    q = sigma - 2 < 0: shoot the recessive solution, exactly J0 on the
+    inner cell, carried by exact transfer matrices; feasibility <=> no
+    interior zero, one below every float radius included.  A zero within
+    ``_BOUNDARY_GRACE`` of R counts as the boundary case (the J0 profile
+    vanishes exactly at R at the optimal constant);
   * the log families of amplitude A > 0 at c <= c* = 1/(4A): feasible
     without a sweep.  Their ``closed_form`` is a positive solution at c*,
     so by Sturm comparison (the Picone identity) so is every smaller c;
-  * critical potentials, the log families above c* and inner cells with
-    q >= 0 (``wants_log_domain``): work in the log domain.  A
-    non-oscillatory Euler certificate plus a positive principal-branch
-    sweep certifies feasibility; an oscillatory certificate (or an actual
-    zero of the principal branch) certifies infeasibility, and is the whole
-    evidence, since it proves a zero inside its window; otherwise the
-    answer is indeterminate at the horizon and said so.  Above c* a log
+  * the log families above c* and inner cells with q >= 0
+    (``wants_log_domain``): work in the log domain.  A non-oscillatory
+    certificate plus a positive principal-branch sweep certifies
+    feasibility (for a cell kind only where c v = 0); an oscillatory one
+    (a rising inner cell's at every c > 0) certifies infeasibility and is
+    the whole evidence, since it proves a zero inside its window; otherwise
+    the answer is indeterminate at the horizon and said so.  Above c* a log
     family oscillates at infinity (its r^2 v (s - s0)^2 tends to A from
     above), so a non-oscillatory certificate there, which only
     ``CERTIFICATE_SLACK`` admits, is reported indeterminate too, unswept.
 
 Feasibility is monotone in c (Sturm), so the best constant is the edge of a
-certified bracket whichever domain decides each probe, and one loop finds
-it for both: for the log families from c* and the oscillatory edge that
-``tail_edges`` predicts, with no sweep; for a constant or a power law from
-the two multipliers c* (1 -+ tol / 8) around its exact Bessel level c*;
-else from a bracket started at the leading-order Bessel level (or at 1),
-expanded by factors of 2 and closed by an Illinois root solve of the
-signed shooting margin.  A probe that contradicts a prediction falls back
-into that search, so every end is certified by its own probe.  An
-indeterminate band around the threshold is reported with its certified
-edges, and ``c_best`` is then the largest certified-feasible multiplier.
+certified bracket whichever domain decides each probe, found by one loop
+(``best_constant``).  An indeterminate band around the threshold is
+reported with its certified edges, and ``c_best`` is then the largest
+certified-feasible multiplier.
 """
 from __future__ import annotations
 
@@ -45,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket, UnsupportedSingularity
+from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from .ode import (CERTIFICATE_SLACK, S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges,
                   euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
                   radius_problem, tail_edges, wants_log_domain)
@@ -62,7 +55,7 @@ class FeasibilityCheck:
     evidence: ShootingOutcome
     method: str          # "recessive-shot" | "principal-tail" | "oscillation-certificate"
                          # | "closed-form"
-    margin: Optional[float] = None    # signed shooting margin, see _margin / _tail_margin
+    margin: Optional[float] = None    # signed shooting margin of a recessive shot, see _margin
 
 
 @dataclass(frozen=True)
@@ -82,23 +75,17 @@ class BestConstantResult:
         return (self.c_lo, self.c_hi)
 
 
-def _margin(out: ShootingOutcome, R: float) -> float:
+def _margin(out: ShootingOutcome, R: float) -> Optional[float]:
     """Signed shooting margin of a radius-domain shot, continuous in c:
     y(R) without a zero, else r* y'(r*) ln(R / r*), the value at R of the
-    tangent (in ln r) at the first zero r*.  Positive on the feasible side."""
+    tangent (in ln r) at the first zero r*.  Positive on the feasible side.
+    None for a zero below every float radius, which leaves no trajectory."""
     if out.first_zero is None:
         return float(out.trajectory["y"][-1])
+    if not out.trajectory["r"].size:
+        return None
     r = out.first_zero
     return float(r * out.trajectory["dy"][-1] * math.log(R / r))
-
-
-def _tail_margin(out: ShootingOutcome, R: float) -> float:
-    """_margin of a principal-tail sweep, z at the outer edge or -z'(s*) ln(R / r*),
-    divided by max |z| since the sweep has no scale of its own.  ln(R / r*) is
-    taken as s* + ln R, since r* = e^-s* underflows beyond s* ~ 745."""
-    z, dz = out.trajectory["z"], out.trajectory["dz"]
-    edge = z[0] if out.zero_s is None else -dz[0] * (out.zero_s + math.log(R))
-    return float(edge / abs(z).max())
 
 
 def _sharp_log_family(p: RadialPotential) -> bool:
@@ -122,21 +109,16 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
     on this ball, if already computed."""
     if c < 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
-    empty = np.empty(0)
     if not wants_log_domain(p):
-        try:
-            out = integrate(radius_problem(p, c, R))
-        except UnsupportedSingularity:    # its exact J0 start vanishes below r ~ 1e-304
-            out = ShootingOutcome({"r": empty, "y": empty, "dy": empty}, None, Status.ZERO_FOUND)
-            return FeasibilityCheck(False, out, "recessive-shot")
+        out = integrate(radius_problem(p, c, R))
         ok = out.status is not Status.ZERO_FOUND or out.first_zero >= R * (1.0 - _BOUNDARY_GRACE)
         return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
 
     prob = log_problem(p, c, R, s_max=s_max)
+    empty = dict.fromkeys("s z dz".split(), np.empty(0))
     if _closed_form_covers(p, c):
-        out = ShootingOutcome({"s": empty, "z": empty, "dz": empty}, None,
-                              Status.NO_ZERO_ON_INTERVAL)
-        return FeasibilityCheck(True, out, "closed-form")
+        return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
+                                "closed-form")
     cert = euler_tail_certificate(prob, edges=edges)
     if cert is None or (cert.kind == "nonoscillatory" and _sharp_log_family(p)):
         raise IndeterminateAtHorizon(
@@ -146,45 +128,53 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
         out = integrate_principal_tail(prob, cert)
         interior_zero = out.status is Status.ZERO_FOUND and \
             out.first_zero < R * (1.0 - _BOUNDARY_GRACE)
-        return FeasibilityCheck(not interior_zero, out, "principal-tail", _tail_margin(out, R))
+        return FeasibilityCheck(not interior_zero, out, "principal-tail")
     # oscillatory tail: infeasible, and the certificate proves a zero inside its window
-    out = ShootingOutcome({"s": empty, "z": empty, "dz": empty}, None, Status.ZERO_FOUND,
-                          certificate=cert)
+    out = ShootingOutcome(empty, None, Status.ZERO_FOUND, certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
+
+
+def _rising_cell_hi(p: RadialPotential, R: float, s_max: float, tol: float) -> float:
+    """Upper end for an inner cell of slope q >= 0: min(tol / 4, the least c
+    whose [s*, s_max] holds a half-oscillation of z'' + c g(s*) z = 0 over s*
+    >= s1, the certificate's start), at s* = max(s1, s_max - 2/q)."""
+    prob = log_problem(p, 1.0, R, s_max=s_max)
+    unit, q = euler_tail_certificate(prob), float(p.log_cells[3][-1])
+    s1 = prob.s_max if unit is None else unit.window[0]    # None: g(s1) underflows
+    s_star = max(s1, prob.s_max - 2.0 / q) if q > 0.0 else s1
+    g, width = p.log_weight(s_star), prob.s_max - s_star
+    return min(0.25 * tol, (math.pi / width) ** 2 / g if width > 0.0 and g > 0.0 else math.inf)
 
 
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   s_max: float = S_MAX_DEFAULT) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    In the log domain both Euler certificates are linear in c, so the band
-    edges c_non < c_osc come from one array call of the coefficient
-    (``tail_edges``).  The lower end is c_non, or for a log family of
-    amplitude A > 0 the largest float c_lo <= 1/(4A), which its closed form
-    certifies (c_non <= 1/(4A) up to rounding).  When c_lo and c_osc are
-    finite and positive the loop probes c_lo, e (1 + slack) + delta,
-    c_osc - delta and c_osc, e = max(c_lo, c_non) and delta = tol * max(1,
-    c) / 4, whose inner two are undecided by construction: for the log
-    families no probe sweeps, and c_lo = c_best = 1/(4A) for every m, A, R
-    and horizon.
-    When c_non = 0 < c_osc < inf (an inner cell of slope q >= 0, where
-    c(V) = 0) it probes c_osc, predicted infeasible: with c = 0 that is the
-    whole bracket once c_osc <= tol / 2.  Without them (the radius domain
-    among others) the start is the leading-order Bessel level
-    c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma))
-    when sigma < 2 and the singular amplitude A is finite and positive, else
-    c = 1.  For a constant or a power law (one cell of ``log_cells``) c* is
-    exact, and the loop probes c* (1 - tol/8), predicted feasible, and
-    c* (1 + tol/8), predicted infeasible (if tol < 8, so both are positive):
-    three probes with c = 0, and c_best is c* to rounding.  Otherwise, or
-    after a probe that contradicts a prediction, it searches: from the start
-    (or the last probe) it expands by factors of 2 until one end is
-    certified infeasible and the other feasible (or a band is met, or [0, c]
-    is already narrow), and closes the bracket to width tol * max(1, c) / 2
-    by an Illinois root solve of the signed shooting margin (a bisection
-    where an end has none).  Around an indeterminate band the certified
-    edges are bisected toward it instead; ``converged`` is then False and
-    c_best is the largest certified-feasible multiplier.
+    The loop probes a plan of predicted multipliers, then searches:
+
+      * a log family: the largest float c_lo <= 1/(4A) (for A > 0; else
+        c_non), e (1 + slack) + delta, c_osc - delta and c_osc, with c_non <
+        c_osc from one two-point call of the coefficient (``tail_edges``),
+        e = max(c_lo, c_non) and delta = tol * max(1, c) / 4: the inner two
+        are undecided by construction, no probe sweeps, and c_lo = c_best =
+        1/(4A) for every m, A, R and horizon;
+      * an inner cell of slope q >= 0 (c(V) = 0): ``_rising_cell_hi``
+        <= tol / 4, certified infeasible by the cell, so with c = 0 that is
+        the whole bracket;
+      * a constant or a power law: c* (1 -+ tol / 8), predicted feasible and
+        infeasible (if tol < 8), around its exact Bessel level c* =
+        (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)): three probes with c = 0,
+        and c_best is c* to rounding.
+
+    Otherwise, or after a probe that contradicts a prediction, it expands
+    from the Bessel level (a table's, if sigma < 2 and its amplitude A is
+    finite and positive, else c = 1) or the last probe by factors of 2 until
+    one end is certified infeasible and the other feasible (or a band is
+    met, or [0, c] is already narrow), and closes the bracket to width
+    tol * max(1, c) / 2 by an Illinois root solve of the signed shooting
+    margin (a bisection where an end has none).  Around an indeterminate
+    band the certified edges are bisected toward it instead; ``converged``
+    is then False and c_best is the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
@@ -196,8 +186,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if not tol >= _TOL_FLOOR:
         raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
     iterations = 0
-    edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max)) \
-        if wants_log_domain(p) else None
+    edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max)) if p.log_cells is None else None
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
     # Illinois weights: the ends' margins clipped to their side; 0 without a
     # margin, which turns the Illinois step into a bisection
@@ -244,8 +233,8 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
             if 0.0 < amp < math.inf else 1.0
         plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
-        if c_non == 0.0 < c_osc < math.inf:    # an inner cell with q >= 0: c(V) = 0
-            plan = [(c_osc, "hi")]
+        if edges is None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
+            plan = [(_rising_cell_hi(p, R, s_max, tol), "hi")]
         # one cell, a constant or a power law: the Bessel level c is exact, so
         # c (1 - tol/8) is predicted feasible and c (1 + tol/8) infeasible
         around = (c * (1.0 - 0.125 * tol), c * (1.0 + 0.125 * tol))

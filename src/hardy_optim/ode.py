@@ -6,41 +6,35 @@ from some start state (``_sweep``): the recessive shot runs from the inner
 cell down to the outer edge, the outer-edge shot runs up to the horizon
 s_max, the principal tail runs back from the horizon.  Radius-domain
 problems report their sweep as (r, y, dy/dr), log-domain problems as
-(s, z, dz/ds).
+(s, z, dz/ds).  At c = 0 a sweep entering with z' = 0 is the line z = z(start).
 
 Constants, power laws and ``custom`` tables are log-log linear: on each of
-their cells ln a(s) is linear in s, ln a = ln c + ell + q (s - anchor), and
-z'' + a z = 0 is solved exactly there by cylinder functions Z0(x) with
-x = (2/|q|) sqrt(a(s)); from x = 1e3 on (and for q = 0, where they are
-cos / sin, or a = 0, a line) in Hankel's modulus-phase form, whose phase
-never forms x itself.  Their sweeps multiply Wronskian-normalised
-(det 1) 2x2 transfer matrices cell by cell and take the first zero inside
-a cell from the Bessel modulus-phase form of the exact solution, so a cell
-holding two zeros is no trap.  The recessive branch at r = 0 is exactly
-J0(x) on the inner cell, which needs q < 0 there (sigma < 2).  This is the
-coefficient-approximation method (Pruess 1973; Pryce, Numerical Solution of
-Sturm-Liouville Problems, 1993) on the model the tables themselves define.
+their cells ln a = ln c + ell + q (s - anchor), and z'' + a z = 0 is solved
+exactly there by cylinder functions Z0(x), x = (2/|q|) sqrt(a(s)); from
+x = 1e3 on (and for q = 0, cos / sin, or a = 0, a line) in Hankel's
+modulus-phase form, whose phase never forms x itself.  Their sweeps multiply
+Wronskian-normalised (det 1) 2x2 transfer matrices cell by cell, and Newton
+steps on the monotone phase of the exact solution find the first zero
+inside a cell, so a cell holding two zeros is no trap.  The recessive
+branch at r = 0 is exactly J0(x) on the inner cell, which needs q < 0 there
+(sigma < 2).  This is the coefficient-approximation method (Pruess 1973;
+Pryce, Numerical Solution of Sturm-Liouville Problems, 1993) on the model
+the tables themselves define.
 
 The two log families are swept by DOP853 in one solve_ivp call, in the
-Liouville variable tau = ln(s - s0), s0 = (outer edge) - 1: with
-w = z / sqrt(s - s0) the equation is exactly w_tt + (a (s - s0)^2 - 1/4) w
-= 0, whose coefficient tends to a constant at the horizon (Hartman, Ordinary
-Differential Equations, Ch. XI), so steps grow with s and a sweep to
-s_max = 1e150 costs little more than one to 1e6.  The first sign change ends
-such a sweep at the integrator's terminal event, whose root solve_ivp
-refines on its dense output; trajectories and zeros are reported in s.
+Liouville variable tau = ln(s - s0), s0 = (outer edge) - 1, whose
+coefficient tends to a constant at the horizon, so a sweep to s_max = 1e150
+costs little more than one to 1e6; the integrator's terminal event ends it
+at the first sign change.  Trajectories and zeros are reported in s.
 
-Whatever the kind, a sweep at c = 0 entering with z' = 0 is the line
-z = z(start), answered without a cell or a DOP853 solve.
-
-For log-domain problems that outrun any fixed horizon, Sturm comparison
-against shifted Euler equations z'' + g/(s - s0)^2 z = 0 provides one-sided
-certificates: oscillation whenever a(s) >= g/(s-s0)^2 with g > 1/4 over a
-window long enough to contain an Euler half-oscillation, non-oscillation
-whenever a(s) <= (1/4)/(s-s0)^2 on [s_max, inf).  Both are linear in the
-multiplier, and at the chosen shift the least of a(s) (s - s0)^2 over a
-window sits at one of its ends, so the multiplier edges follow from a(s)
-at a few abscissae (``tail_edges``).
+Beyond any fixed horizon, Sturm comparison (Hartman, Ordinary Differential
+Equations, Ch. XI) gives one-sided certificates.  The log families compare
+with z'' + g/(s - s0)^2 z = 0 at their shift, where a (s - s0)^2 does not
+rise: oscillation if the outer edge to the horizon holds an Euler
+half-oscillation, non-oscillation if a <= (1/4)/(s-s0)^2 on [s_max, inf),
+both from a at those two abscissae (``tail_edges``).  A cell kind in the
+log domain has a rising inner cell (q >= 0), on which z'' + a(s1) z = 0 is
+a minorant out to s = inf: every c > 0 oscillates.
 """
 from __future__ import annotations
 
@@ -53,10 +47,9 @@ import numpy as np
 
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
-from .potentials import RadialPotential
+from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
-_WINDOW_ENDS = 100            # candidate ends of the oscillation-certificate windows
 CERTIFICATE_SLACK = 1e-10     # relative slack on the non-oscillatory edge
 S_MAX_DEFAULT = 1e6           # default log-domain horizon
 _HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
@@ -68,20 +61,13 @@ _X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
 _RICCATI_SAMPLES = 4097       # dense-output resamples of riccati_check
 
 
-# scipy is imported by the first call that needs it, so that a process loads
-# scipy.integrate only to sweep a log family, and scipy.optimize and
-# scipy.special (imported by ``_bessel`` and ``_phase_at``) only to sweep cells
+# scipy is imported by the first call that needs it: scipy.integrate to sweep a
+# log family, scipy.special (in ``_bessel`` and ``_phase_at``) to sweep cells
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp."""
     from scipy import integrate
     return integrate.solve_ivp(*args, **kwargs)
-
-
-def brentq(*args, **kwargs):
-    """scipy.optimize.brentq."""
-    from scipy import optimize
-    return optimize.brentq(*args, **kwargs)
 
 
 class Domain(Enum):
@@ -138,17 +124,17 @@ def to_log_domain(prob: HardyODEProblem, s_max: float = S_MAX_DEFAULT) -> HardyO
 
 @dataclass(frozen=True)
 class TailCertificate:
-    """Euler-comparison verdict for the coefficient tail a(s).
+    """Sturm-comparison verdict for the coefficient tail a(s).
 
     ``gamma`` is the extreme of a(s) (s - shift)^2 over the certified window:
     a maximum for the non-oscillatory side (must be <= 1/4), whose window
     is [s_max, inf), a minimum for the oscillatory side (must exceed 1/4
-    over a long enough window).
+    over a long enough window); a rising inner cell's (shift None) bounds a itself.
     """
 
     kind: str                 # "nonoscillatory" | "oscillatory"
     gamma: float
-    shift: float
+    shift: Optional[float]
     window: tuple             # (s1, s2) where the comparison holds
 
 
@@ -175,11 +161,10 @@ def _outer_edge(prob: HardyODEProblem) -> float:
 
 
 def wants_log_domain(p: RadialPotential) -> bool:
-    """Critical potentials, the log families (no ``log_cells``) and inner
-    cells of slope q = sigma - 2 >= 0 (alpha >= 2 for a power law) have no
-    recessive start at r = 0 (``_inner_cell_start``); their feasibility is
-    decided in the log domain."""
-    return p.critical or p.log_cells is None or bool(p.log_cells[3][-1] >= 0.0)
+    """The log families (no ``log_cells``) and inner cells of slope q = sigma
+    - 2 >= 0 (alpha >= 2 for a power law) have no recessive start at r = 0
+    (``_inner_cell_start``): their feasibility is decided in the log domain."""
+    return p.log_cells is None or bool(p.log_cells[3][-1] >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +336,29 @@ def _unwrap(x, theta):
     return theta + 2.0 * math.pi * np.rint((x - 0.25 * math.pi - theta) / (2.0 * math.pi))
 
 
-def _phase_at(lnx: float) -> float:
-    """The unwrapped Bessel phase at one x = e^lnx, in scalar arithmetic."""
-    x = math.exp(min(lnx, 700.0))
-    if x < _SMALL_X:
-        return _unwrap(x, math.atan2(_small_y0(lnx), 1.0))
+def _phase_at(lnx: float, rate: float) -> tuple[float, float]:
+    """The unwrapped Bessel phase at one x = e^lnx and its slope where ln x
+    grows at ``rate``, 2 rate / (pi (J0^2 + Y0^2)), in scalar arithmetic."""
     from scipy import special
-    return _unwrap(x, math.atan2(special.y0(x), special.j0(x)))
+    x = math.exp(min(lnx, 700.0))
+    j0, y0 = (1.0, _small_y0(lnx)) if x < _SMALL_X else (special.j0(x), special.y0(x))
+    return _unwrap(x, math.atan2(y0, j0)), 2.0 * rate / (math.pi * (j0 * j0 + y0 * y0))
+
+
+def _phase_root(phase: Callable, target: float, lo: float, hi: float, s: float) -> float:
+    """The s in [lo, hi] where a monotone phase(s) -> (value, slope) equals
+    ``target``: Newton steps from s, bisections where they leave the
+    bracket, until a step, the error after it (step^3 / last step^2 at
+    Newton's rate) or the bracket is within 1e-15 + 4 eps |s|."""
+    last = 0.0    # the last Newton step, 0 after a bisection
+    while True:
+        value, slope = phase(s)
+        step = (value - target) / slope    # > 0: the root lies below s
+        lo, hi = (lo, s) if step > 0.0 else (s, hi)
+        tol = 1e-15 + 2.0 ** -50 * abs(s)
+        if abs(step) <= tol or abs(step) ** 3 <= tol * last * last or hi - lo <= tol:
+            return float(s - step)
+        s, last = (s - step, abs(step)) if lo < s - step < hi else (0.5 * (lo + hi), 0.0)
 
 
 def _hankel(omega: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -463,13 +464,22 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
         if seg.q[k] == 0.0:
             zero_t = float(seg.u[k] + target[k] / seg.omega[k])
         else:
+            # Newton starts where theta ~ x - pi/4 - 1/(8x), or psi ~ +-(x - x(u)), hits it
+            goal, u, h, lnx = (float(v[k]) for v in (target, seg.u, 0.5 * seg.q, seg.lnx))
             if seg.bessel[k]:
-                lnx, half_q, u = (float(v[k]) for v in (seg.lnx, 0.5 * seg.q, seg.u))
-                gap = lambda s: _phase_at(lnx + half_q * (s - u)) - target[k]
+                phase = lambda s: _phase_at(lnx + h * (s - u), h)
+                beta = goal + 0.25 * math.pi
+                guess = u + (math.log(beta + 0.125 / beta) - lnx) / h if beta > 1.0 else u
             else:
-                one = np.array([k])
-                gap = lambda s: _fundamental(seg, one, np.array([s]))[4][0] - target[k]
-            zero_t = brentq(gap, min(seg.u[k], seg.w[k]), max(seg.u[k], seg.w[k]), xtol=1e-15)
+                one, w = np.array([k]), float(seg.omega[k])
+
+                def phase(s):    # psi and its slope, omega det F / (f11^2 + (omega f12)^2)
+                    f11, f12, f21, f22, psi = (float(v[0]) for v in
+                                               _fundamental(seg, one, np.array([s])))
+                    return psi, w * (f11 * f22 - f12 * f21) / (f11 * f11 + (w * f12) ** 2)
+                guess = u + math.log1p(h * goal / w) / h if h * goal / w > -1.0 else u
+            lo, hi = sorted((u, float(seg.w[k])))
+            zero_t = _phase_root(phase, goal, lo, hi, min(max(guess, lo), hi))
         n = k + 1
 
     frac = np.arange(_CELL_SAMPLES) / _CELL_SAMPLES
@@ -504,11 +514,15 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
     """Shoot the problem across its interval and report the first zero.
 
     Radius domain: the recessive sweep from the inner cell down to the outer
-    edge, reported as (r, y, dy/dr).  Log domain: starts at the outer edge
-    with z = 1, z' = 0 and sweeps toward increasing s up to s_max.
+    edge, reported as (r, y, dy/dr) (only its zero where that lies below
+    every float radius).  Log domain: starts at the outer edge with z = 1,
+    z' = 0 and sweeps toward increasing s up to s_max.
     """
     if prob.domain is Domain.RADIUS:
         s0, state0 = _inner_cell_start(prob)
+        if state0 is None:    # s0 is the zero, beyond s = 700
+            columns = dict.fromkeys("r y dy".split(), np.empty(0))
+            return ShootingOutcome(columns, s0, Status.ZERO_FOUND)
         return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0))
     s_start = _outer_edge(prob)
     if prob.s_max <= s_start:
@@ -544,11 +558,11 @@ def _inner_cell_start(prob: HardyODEProblem):
     1e-8 R or the innermost knot, whichever is smaller, moved inward until
     x <= 1 but not past s = 700 (r ~ 1e-304).
 
-    Raises UnsupportedSingularity for the log families, for an inner cell
-    with q >= 0 (sigma >= 2), which have no recessive branch of this form,
-    and when J0(x) already vanishes below s = 700 (sigma within ~1e-3 of 2,
-    well above the best constant), where no float radius holds the zero:
-    ``feasible`` takes that zero as the interior zero it is.
+    Where J0(x) already vanishes there (sigma within ~1e-3 of 2, well above
+    the best constant), the state is None and s0 that zero, x = z0.
+
+    Raises UnsupportedSingularity for the log families and for an inner cell
+    with q >= 0 (sigma >= 2), which have no recessive branch of this form.
     """
     p = prob.potential
     if p.log_cells is None:
@@ -565,9 +579,9 @@ def _inner_cell_start(prob: HardyODEProblem):
     if lnx > 0.0:
         step = max(0.0, min(-2.0 * lnx / q, _DEEPEST_START - s0))
         s0, lnx = s0 + step, lnx + 0.5 * q * step
-    if _phase_at(lnx) >= 0.5 * math.pi:
-        raise UnsupportedSingularity(
-            f"the recessive solution vanishes beyond s = {s0:.6g} (r < {math.exp(-s0):.3g})")
+    ln_z0 = math.log(J0_FIRST_ZERO)
+    if lnx >= ln_z0:
+        return float(s0 + 2.0 * (lnx - ln_z0) / -q), None
     j0, _, xj1, _ = _bessel(np.array([lnx]))
     return s0, (float(j0[0]), float(-0.5 * q * xj1[0]))
 
@@ -640,64 +654,64 @@ class TailEdges:
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
-    """The edges at c = 1 from one array call of g(s) = r^2 v(r), r = e^-s,
-    with gamma = g (s - s0)^2.  The two log families take s0 =
-    ``euler_shift_hint``, where gamma is non-increasing on [outer edge, inf);
-    a cell kind takes s0 = (outer edge) - 1, where ln gamma = ell + q (s -
-    anchor) + 2 ln(s - s0) is concave on its inner cell.  Either way the
-    least gamma on a window is at one of its ends, so no sample is needed:
+    """The edges at c = 1 of a log family from one two-point call of
+    g(s) = r^2 v(r), r = e^-s, with gamma = g (s - s0)^2 at s0 =
+    ``euler_shift_hint``, where gamma does not rise on [outer edge, inf) and
+    tends to the amplitude A (the floor it is clipped to):
 
       * c_non = (1/4) / gamma(s_max) bounds c gamma by 1/4 on all of
-        [s_max, inf) once gamma no longer rises at s_max (always for the
-        families; for a cell when q + 2 / (s_max - s0) <= 0), else 0 (inf
-        where g = 0);
-      * c_osc = min over windows [s1, s2] between _WINDOW_ENDS ends
-        geometric in s - s0, inside the horizon and on the inner cell, of
-        (1/4 + (pi / ln((s2 - s0)/(s1 - s0)))^2) / min(gamma(s1), gamma(s2)):
-        the window then holds a half-oscillation of a minorant Euler
-        solution, so every solution vanishes inside it (Hartman, Ordinary
-        Differential Equations, Ch. XI).  Each window is a certificate; the
-        ends only decide how tight c_osc is."""
+        [s_max, inf) (inf where A = 0);
+      * c_osc = (1/4 + (pi / ln(sigma_max / sigma_edge))^2) / min(gamma_edge,
+        gamma_max), sigma = s - s0: the outer edge to the horizon then holds
+        a half-oscillation of a minorant Euler solution, a zero of every
+        solution (Hartman, Ch. XI); no shorter window needs less.
+
+    A cell kind raises DomainError (see ``euler_tail_certificate``)."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     p, lo = prob.potential, _outer_edge(prob)
-    s0, q, floor = p.euler_shift_hint(), -math.inf, p.amplitude    # families: gamma >= A
     if p.log_cells is not None:
-        knots, q, s0, floor = p.log_cells[0], float(p.log_cells[3][-1]), lo - 1.0, 0.0
-        lo = max(lo, float(knots[-1])) if knots.size else lo
-    if lo >= prob.s_max:      # the inner cell starts beyond the horizon
+        raise DomainError(f"a {p.kind.value} potential has no tail edges, only its inner cell")
+    if lo >= prob.s_max:
         return TailEdges(0.0, None, math.inf, None)
-    s = s0 + np.geomspace(lo - s0, prob.s_max - s0, _WINDOW_ENDS)
-    s[0], s[-1] = lo, prob.s_max
+    s, s0 = np.array([lo, prob.s_max]), p.euler_shift_hint()
     sigma = s - s0
-    i, j = np.triu_indices(s.size, 1)
     with np.errstate(divide="ignore", over="ignore"):    # a saturated g still bounds gamma below
-        gamma = np.clip(p.log_weight(s) * sigma ** 2, floor, 1e300)
-        c_non = 0.0 if q > -2.0 / sigma[-1] and gamma[-1] > 0.0 else float(0.25 / gamma[-1])
-        need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
-            / np.minimum(gamma[i], gamma[j])
-    unit_non = TailCertificate("nonoscillatory", float(gamma[-1]), s0, (prob.s_max, math.inf)) \
-        if c_non > 0.0 else None
-    k = int(np.argmin(need))
-    i, j = i[k], j[k]
-    unit_osc = TailCertificate("oscillatory", float(min(gamma[i], gamma[j])), s0,
-                               (float(s[i]), float(s[j]))) if need[k] < math.inf else None
-    return TailEdges(c_non, unit_non, float(need[k]), unit_osc)
+        gamma = np.clip(p.log_weight(s) * sigma ** 2, p.amplitude, 1e300)
+        c_non = float(0.25 / gamma[1])
+        c_osc = float((0.25 + (math.pi / np.log(sigma[1] / sigma[0])) ** 2) / gamma.min())
+    unit_non = TailCertificate("nonoscillatory", float(gamma[1]), s0, (prob.s_max, math.inf))
+    unit_osc = TailCertificate("oscillatory", float(gamma.min()), s0, (lo, prob.s_max))
+    return TailEdges(c_non, unit_non, c_osc, unit_osc)
 
 
 def euler_tail_certificate(prob: HardyODEProblem,
                            edges: Optional[TailEdges] = None) -> Optional[TailCertificate]:
-    """Classify the coefficient tail a(s) = c g(s) by comparing c with the
-    edges of ``tail_edges``: non-oscillatory if c <= c_non (1 + slack), else
-    oscillatory if c >= c_osc, else None.  The edges do not depend on c:
-    pass those of an earlier call for this potential, ball and horizon to
-    skip evaluating g again."""
+    """Classify the coefficient tail a(s) = c g(s).  Where a = 0 (c = 0 or
+    amplitude 0) it is non-oscillatory, gamma = 0.  A cell kind's inner cell
+    rises (q >= 0; q < 0 raises DomainError) from s1 = max(outer edge,
+    innermost knot) out to s = inf, where the model is exact, so a >= gamma
+    = c g(s1) (clipped to 1e300) there, and by Sturm comparison with
+    z'' + gamma z = 0 every solution vanishes inside [s1, s1 + pi /
+    sqrt(gamma)], within the horizon or not (None if gamma underflows).  A
+    log family compares c with the edges of ``tail_edges``: non-oscillatory
+    if c <= c_non (1 + slack), else oscillatory if c >= c_osc, else None.
+    The edges do not depend on c: pass those of an earlier call for this
+    potential, ball and horizon to skip evaluating g again."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    c = prob.c
-    if c == 0.0:
-        s_start = _outer_edge(prob)
+    c, p, s_start = prob.c, prob.potential, _outer_edge(prob)
+    if c == 0.0 or p.amplitude == 0.0:
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (prob.s_max, math.inf))
+    if p.log_cells is not None:
+        if p.log_cells[3][-1] < 0.0:
+            raise DomainError("an inner cell of slope q < 0 is swept in the radius domain")
+        s1 = float(max([s_start, *p.log_cells[0][-1:]]))
+        gamma = min(c * p.log_weight(s1), 1e300)
+        if gamma == 0.0:
+            return None
+        return TailCertificate("oscillatory", gamma, None,
+                               (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
     if edges is None:
         edges = tail_edges(prob)
     if c <= edges.c_non * (1.0 + CERTIFICATE_SLACK):

@@ -3,8 +3,7 @@ admissibility classifier.
 
 A potential here is a nonnegative radial coefficient v(r) on (0, r_max],
 with a leading singularity v(r) ~ A * r^(-sigma) as r -> 0 (a table's is
-its inner cell's) and a ``critical`` flag marking the borderline
-inverse-square-with-log-corrections family.  Catalog entries:
+its inner cell's).  Catalog entries:
 
   constant            v(r) = amplitude
   power_law           v(r) = amplitude * r^(-alpha)
@@ -161,7 +160,6 @@ class RadialPotential:
     rho: float = math.e       # outer scale of the iterated logs
     d_scale: float = 1.0      # outer scale of the X functions
     sigma: float = 0.0        # v ~ A r^(-sigma) at r = 0; a table's is its inner cell's
-    critical: bool = False    # borderline (4r^2)^(-1)-type singularity
     table_log_r: Optional[np.ndarray] = field(default=None, repr=False)
     table_log_v: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -194,7 +192,7 @@ class RadialPotential:
             raise DomainError(
                 f"rho = {rho} violates the tower guard rho >= r_max * exp^({m})(1) = {floor}")
         return cls(Kind.ADIMURTHI_LOG, amplitude=amplitude, r_max=r_max,
-                   m=int(m), rho=float(rho), sigma=2.0, critical=True)
+                   m=int(m), rho=float(rho), sigma=2.0)
 
     @classmethod
     def filippas_tertikas(cls, m: int = 1, d_scale: Optional[float] = None,
@@ -209,7 +207,7 @@ class RadialPotential:
         if d_scale < r_max * (1.0 - 1e-12):
             raise DomainError(f"d_scale = {d_scale} must be >= r_max = {r_max}")
         return cls(Kind.FILIPPAS_TERTIKAS_X, amplitude=amplitude, r_max=r_max,
-                   m=int(m), d_scale=float(d_scale), sigma=2.0, critical=True)
+                   m=int(m), d_scale=float(d_scale), sigma=2.0)
 
     @classmethod
     def custom(cls, r: np.ndarray, v: np.ndarray,
@@ -337,9 +335,7 @@ class RadialPotential:
         r^2 v = amplitude (1 + ...)/(s + log rho)^2 for the iterated logs and
         /(s + 1 + log d)^2 for the X family.  At this shift gamma =
         r^2 v (s - s0)^2 is non-increasing in s on the whole ball and tends
-        to the amplitude, which ``ode.tail_edges`` takes as given: its
-        non-oscillatory edge bounds gamma beyond the horizon by its value
-        there, and each oscillation window by its value at the window's end.
+        to the amplitude, which ``ode.tail_edges`` takes as given.
         """
         if self.kind is Kind.ADIMURTHI_LOG:
             return -math.log(self.rho)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -7,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardy_optim import (RadialPotential, ShootingOutcome, Status, best_constant,
+from hardy_optim import (RadialPotential, Status, best_constant,
                          brezis_vazquez_lambda, equal_volume_radius, euler_tail_certificate,
                          feasible, integrate, integrate_principal_tail, log_problem,
                          radius_problem, tail_edges, unit_ball_volume)
@@ -187,13 +186,15 @@ def test_tables_near_sigma_two_bracket_the_closed_form(n, alpha, s_max):
     # a table has no predicted pair: its search doubles c, and past ~1.07 c*
     # the exact J0 start vanishes below every float radius (beyond s = 700),
     # which raised UnsupportedSingularity out of best_constant.  That zero is
-    # an interior one: the multiplier is infeasible
+    # an interior one: the multiplier is infeasible, and the shot reports its
+    # log abscissa, whose radius underflows
     r = np.geomspace(1e-8, 1.0, n)
     p = RadialPotential.custom(r, r ** -alpha)
     c_star = power_law_best_constant(alpha, 1.0)
     far = feasible(p, 2.0 * c_star, 1.0, s_max)
-    assert not far.feasible and far.method == "recessive-shot"
-    assert far.evidence.status is Status.ZERO_FOUND and far.evidence.first_zero is None
+    assert not far.feasible and far.method == "recessive-shot" and far.margin is None
+    assert far.evidence.status is Status.ZERO_FOUND and far.evidence.first_zero == 0.0
+    assert far.evidence.zero_s > 745.0
     # the table's own Bessel level, from its rounded inner cell, is c* to ~2e-9
     res = best_constant(p, 1.0, s_max=s_max)
     assert res.converged and res.c_lo <= c_star * (1.0 + 1e-8) and c_star <= res.c_hi
@@ -386,16 +387,6 @@ def test_log_best_constant_answers_c_zero_without_solve_ivp(family, s_max, monke
                        res.c_hi: "oscillation-certificate"}
 
 
-def test_tail_margin_of_a_zero_beyond_float_radii():
-    # r* = e^-1000 underflows to 0: ln(R / r*) is taken as s* + ln R
-    from hardy_optim.bestconst import _tail_margin
-    s = np.array([1e3, 2e3])
-    out = ShootingOutcome({"s": s, "z": np.array([0.0, 1.0]), "dz": np.array([2.0, 0.0])},
-                          1e3, Status.ZERO_FOUND)
-    assert out.first_zero == 0.0
-    assert _tail_margin(out, 2.0) == pytest.approx(-2.0 * (1e3 + math.log(2.0)), rel=1e-15)
-
-
 def test_deep_horizon_bracket_holds_the_threshold():
     # at s_max = 1e120 the c_non tail of the s-variable sweep met a spurious
     # zero near s = 1.07e32, whose radius underflowed: ln(R / 0) raised
@@ -412,29 +403,13 @@ def test_shooting_margin_changes_sign_at_the_threshold(s_max, constant_pot):
     assert not above.feasible and above.margin < 0.0
     # continuous across the zero reaching R: both sides are O(1e-3)
     assert below.margin - above.margin < 1e-2
-    # the principal tail has a margin too (a power law forced critical, which
-    # it still decides); the closed form and an oscillation certificate have none
-    forced = dataclasses.replace(RadialPotential.power_law(1.9), critical=True)
-    tail = feasible(forced, 0.9 * power_law_best_constant(1.9, 1.0), 1.0, s_max)
-    assert tail.method == "principal-tail" and tail.margin > 0.0
+    # only a recessive shot has one: the principal tail (which now only
+    # decides where a = 0), the closed form and an oscillation certificate
+    # have none
+    tail = feasible(RadialPotential.power_law(2.5), 0.0, 1.0, s_max)
+    assert tail.method == "principal-tail" and tail.feasible and tail.margin is None
     assert feasible(RadialPotential.adimurthi_log(1), 0.2, 1.0, s_max).margin is None
     assert feasible(RadialPotential.adimurthi_log(1), 0.35, 1.0, s_max).margin is None
-
-
-@pytest.mark.parametrize("alpha", [1.9, 1.99])
-def test_principal_tail_margin_root_solves_log_domain(alpha, s_max):
-    # a power law forced into the log domain is decided by the principal
-    # tail on both sides of c(V); the bisection took 23 probes on each
-    p = dataclasses.replace(RadialPotential.power_law(alpha), critical=True)
-    below = feasible(p, 0.9 * power_law_best_constant(alpha, 1.0), 1.0, s_max)
-    above = feasible(p, 1.1 * power_law_best_constant(alpha, 1.0), 1.0, s_max)
-    assert below.method == above.method == "principal-tail"
-    assert below.margin > 0.0 > above.margin
-    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
-    assert res.iterations <= 14
-    # within tol: the principal tail puts the zero of c(V) itself a hair inside R
-    assert res.c_lo - 1e-6 <= power_law_best_constant(alpha, 1.0) <= res.c_hi + 1e-6
-    _assert_certified_bracket(p, 1.0, res, s_max)
 
 
 def test_class_y_potential_collapses_to_zero(s_max):
@@ -453,13 +428,53 @@ _STEEP = np.geomspace(1e-6, 1.0, 400)
                                RadialPotential.custom(_STEEP, _STEEP ** -2.2)],
                          ids=["alpha-2", "alpha-2.5", "table-r^-2.2"])
 def test_zero_best_constant_takes_two_probes(p, s_max):
-    # an inner cell with q >= 0 has no non-oscillatory edge, and its c_osc is
-    # below tol / 2: c = 0 and c_osc close the bracket (the halving search
-    # down from c = 1 took 23 probes)
+    # an inner cell with q >= 0 certifies every c > 0 infeasible, and the
+    # upper probe is at most tol / 4: c = 0 and it close the bracket (the
+    # halving search down from c = 1 took 23 probes)
     res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.iterations == 2
     assert res.c_lo == 0.0
     _assert_certified_bracket(p, 1.0, res, s_max)
+
+
+@pytest.mark.parametrize("p", [RadialPotential.power_law(2.0), RadialPotential.power_law(2.5),
+                               RadialPotential.custom(_STEEP, _STEEP ** -2.2)],
+                         ids=["alpha-2", "alpha-2.5", "table-r^-2.2"])
+@pytest.mark.parametrize("R", [1.0, 0.5])
+def test_rising_inner_cell_is_infeasible_at_every_multiplier(p, R, s_max):
+    # below the horizon-bound edge c_osc (7.47e-11 for alpha = 2 at
+    # s_max = 1e6) these were undecided; the inner cell certifies them all
+    assert feasible(p, 0.0, R, s_max).feasible
+    for c in (1e-300, 1e-12, 1.0, 1e12):
+        check = feasible(p, c, R, s_max)
+        assert not check.feasible and check.method == "oscillation-certificate"
+        cert = check.evidence.certificate
+        assert cert.kind == "oscillatory" and cert.gamma > 0.0
+        assert check.evidence.status is Status.ZERO_FOUND and check.evidence.first_zero is None
+
+
+def test_rising_inner_cell_at_the_tolerance_floor_takes_two_probes():
+    # it stopped undecided after 35 probes, with the band (0, c_osc) between
+    # the certified ends c = 0 and c_osc = 7.47e-11
+    tol = 8.0 * 2.0 ** -52
+    res = best_constant(RadialPotential.power_law(2.0), 1.0, tol=tol)
+    assert res.converged and res.iterations == 2 and res.band is None
+    assert res.c_lo == 0.0 and res.c_hi == 0.25 * tol
+
+
+def test_rising_inner_cell_upper_end():
+    # (pi / (s_max - s*))^2 / g(s*) with s* = max(s1, s_max - 2/q): for
+    # alpha = 2, q = 0 and s* = s1 = 1e-9, so pi^2 / (1e6 - 1e-9)^2; for
+    # alpha = 2.5 g saturates at 1e300 there
+    res = best_constant(RadialPotential.power_law(2.0), 1.0, tol=1.0)
+    assert res.iterations == 2 and res.c_hi == pytest.approx(math.pi ** 2 / 1e12, rel=1e-14)
+    res = best_constant(RadialPotential.power_law(2.5), 1.0, tol=1.0)
+    assert res.iterations == 2 and res.c_hi == pytest.approx((math.pi / 4.0) ** 2 / 1e300,
+                                                             rel=1e-12)
+    # an inner cell beyond the horizon: the certificate still holds there
+    r = np.geomspace(1e-60, 1.0, 50)
+    res = best_constant(RadialPotential.custom(r, r ** -2.2), 1.0, s_max=100.0)
+    assert res.converged and res.iterations == 2 and res.c_hi == 0.25e-6
 
 
 def test_tolerance_below_the_float_spacing_is_rejected():

@@ -10,7 +10,7 @@ from hardy_optim.cli import main
 from hardy_optim.config import KEYS, format_record, load_config, parse_record
 from hardy_optim.errors import ConfigError
 
-from conftest import Z0_SQ
+from conftest import Z0, Z0_SQ
 
 
 def _write_config(tmp_path, name="run.ini", potential=None, **sections):
@@ -227,6 +227,45 @@ def test_trace_reports_a_zero_beyond_float_radii(tmp_path, capsys):
     assert rec["status"] == "ZeroFound" and float(rec["first_zero"]) == 0.0
     shot = integrate(log_problem(RadialPotential.adimurthi_log(3, amplitude=0.05), 0.2, 1.0))
     assert float(rec["zero_s"]) == shot.zero_s > 745.0
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["power-1.999", "table-r^-1.999"])
+def test_trace_of_a_recessive_zero_below_every_float_radius(tmp_path, capsys, table):
+    # the exact J0 start already vanishes beyond s = 700: trace gave an
+    # [error] UnsupportedSingularity record (exit 1); the zero has the closed
+    # form x = z0 on the inner cell, and no trajectory samples precede it
+    potential = {"kind": "power_law", "alpha": "1.999"}
+    if table:
+        r = np.geomspace(1e-8, 1.0, 400)
+        samples = tmp_path / "table.csv"
+        samples.write_text("r,v\n" + "".join(f"{x!r},{x ** -1.999!r}\n" for x in r.tolist()))
+        potential = {"kind": "custom", "samples": str(samples)}
+    cfg = _write_config(tmp_path, potential=potential)
+    out_path = tmp_path / "traj.csv"
+    code, out = _run(capsys, "trace", "--c", "1", "--config", cfg, "--out", str(out_path))
+    assert code == 0
+    rec = parse_record(out)
+    assert (rec["status"], rec["samples"], float(rec["first_zero"])) == ("ZeroFound", "0", 0.0)
+    q = 1.999 - 2.0    # x = (2/|q|) sqrt(c A e^(q s)) = z0 there, c = A = 1
+    zero_s = 2.0 / -q * math.log(2.0 / (Z0 * -q))
+    assert float(rec["zero_s"]) == pytest.approx(zero_s, rel=1e-9 if table else 1e-13)
+    assert out_path.read_text() == "r,y,dy\n"
+    code, out = _run(capsys, "feasible", "--c", "1", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 0 and (rec["feasible"], rec["method"]) == ("false", "recessive-shot")
+    assert (rec["status"], float(rec["first_zero"])) == ("ZeroFound", 0.0)
+
+
+def test_feasible_on_a_rising_inner_cell_is_certified(tmp_path, capsys):
+    # below the horizon-bound edge 7.47e-11 this was IndeterminateAtHorizon
+    # (exit 2); the inner cell of r^-2 certifies every c > 0
+    cfg = _write_config(tmp_path, potential={"kind": "power_law", "alpha": "2.0"})
+    code, out = _run(capsys, "feasible", "--c", "1e-12", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 0
+    assert (rec["feasible"], rec["method"], rec["certificate"]) == \
+        ("false", "oscillation-certificate", "oscillatory")
+    assert float(rec["certificate_gamma"]) == 1e-12
 
 
 @pytest.mark.parametrize("argv,potential,error", [

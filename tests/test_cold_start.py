@@ -1,7 +1,8 @@
 """Each CLI subcommand loads only the scipy it runs, checked in fresh
 interpreters: the borderline families' best-constant, feasible and
 classify are closed forms and numpy, and so is ``dual --p 2`` on
-``log_cells``; none of them loads a scipy submodule."""
+``log_cells``; none of them loads a scipy submodule.  Cell sweeps load
+``scipy.special`` alone."""
 import runpy
 from pathlib import Path
 
@@ -22,9 +23,25 @@ def test_borderline_subcommands_load_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_cell_sweeps_load_only_special(tmp_path):
+    # a zero inside a cell comes from Newton steps on the Bessel phase; its
+    # brentq imported scipy.optimize, and with it linalg and sparse
+    table = tmp_path / "table.csv"
+    r = [10.0 ** (-k / 4.0) for k in range(32, -1, -1)]
+    table.write_text("r,v\n" + "".join(f"{x!r},{1.0 + 5.0 / x!r}\n" for x in r))
+    runs = [({"kind": "power_law", "alpha": "1"}, ["best-constant"]),
+            ({"kind": "constant"}, ["best-constant"]),
+            ({"kind": "custom", "samples": str(table)}, ["best-constant"]),
+            ({"kind": "power_law", "alpha": "1.5"}, ["trace", "--c", "1e6", "--out",
+                                                     str(tmp_path / "t.csv")])]
+    _, codes, loaded = fresh_run(runs, tmp_path)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == ["scipy.special"]
+
+
 def test_power_law_and_eigen_load_no_integrator(tmp_path):
-    # the power law's cells need scipy.special and brentq, the eigensolve
-    # LAPACK; neither sweeps a log family, so neither loads scipy.integrate
+    # the power law's cells need scipy.special, the eigensolve LAPACK;
+    # neither sweeps a log family, so neither loads scipy.integrate
     runs = [({"kind": "power_law", "alpha": "1"}, ["best-constant"]),
             (_LOG_2, ["eigen", "--mu", "0"])]
     _, codes, loaded = fresh_run(runs, tmp_path)

@@ -1,12 +1,11 @@
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status,
-                         euler_tail_certificate, integrate, integrate_principal_tail,
+from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status, TailCertificate,
+                         TailEdges, euler_tail_certificate, integrate, integrate_principal_tail,
                          log_problem, radius_problem, residual, riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
@@ -120,6 +119,42 @@ def test_power_law_zeros_match_analytic(alpha):
     p = RadialPotential.power_law(alpha, r_max=50.0)
     out = integrate(radius_problem(p, 1.0, 50.0))
     assert out.first_zero == pytest.approx(power_law_zero(alpha, 1.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [round(0.1 * k, 1) for k in range(20)])
+def test_zero_in_a_cell_takes_few_phase_evaluations(alpha, monkeypatch):
+    # Newton steps on the monotone Bessel phase, from the inverse of its
+    # large-x form, take at most 3 phase evaluations per zero (brentq took
+    # 6-17 here, and imported scipy.optimize), and land on the cell's
+    # closed-form zero x = z0, s* = (2/|q|) ln(2 sqrt(c A) / (z0 |q|)), to
+    # the rounding of the phase's argument (which the sweep anchors at s ~ 20)
+    import hardy_optim.ode as ode_mod
+    calls = []
+    phase_at = ode_mod._phase_at
+    monkeypatch.setattr(ode_mod, "_phase_at", lambda *a: calls.append(1) or phase_at(*a))
+    q = alpha - 2.0
+    for amplitude, R, f in itertools.product((0.05, 1.0, 20.0), (0.25, 1.0, 4.0),
+                                             (1.0 + 1.25e-7, 1.001, 30.0)):
+        p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
+            RadialPotential.power_law(alpha, amplitude, R)
+        c = f * (Z0 * q / 2.0) ** 2 * R ** q / amplitude    # f c(V)
+        calls.clear()
+        out = integrate(radius_problem(p, c, R))
+        assert out.status is Status.ZERO_FOUND and 0 < len(calls) <= 3, (amplitude, R, calls)
+        exact = 2.0 / -q * math.log(2.0 * math.sqrt(c * amplitude) / (Z0 * -q))
+        assert out.zero_s == pytest.approx(exact, rel=8.0 * 2.0 ** -52, abs=2e-14)
+
+
+def test_recessive_zero_below_every_float_radius():
+    # where J0(x) already vanishes beyond s = 700, the shot is that zero,
+    # x = z0 on the inner cell, with no trajectory; it raised
+    # UnsupportedSingularity
+    for alpha in (1.999, 1.9999):
+        q = alpha - 2.0
+        out = integrate(radius_problem(RadialPotential.power_law(alpha), 1.0, 1.0))
+        assert out.status is Status.ZERO_FOUND and out.first_zero == 0.0
+        assert out.zero_s == pytest.approx(2.0 / -q * math.log(2.0 / (Z0 * -q)), rel=1e-13)
+        assert all(column.size == 0 for column in out.trajectory.values())
 
 
 def test_trajectory_positive_before_zero():
@@ -414,9 +449,6 @@ def _tail_cases():
     for family, m, amplitude in itertools.product(sorted(_FAMILIES), (1, 2, 3),
                                                   (0.05, 1.0, 20.0)):
         yield getattr(RadialPotential, family)(m, amplitude=amplitude)
-    yield dataclasses.replace(RadialPotential.power_law(1.9), critical=True)
-    yield RadialPotential.power_law(2.0)
-    yield RadialPotential.power_law(2.5)
 
 
 @pytest.mark.parametrize("s_max", [1e4, 1e6, 1e30, 1e150])
@@ -435,14 +467,11 @@ def test_tail_edges_hold_on_a_dense_grid(s_max):
         assert np.all(_gamma(p, s, unit.shift) >= unit.gamma * (1.0 - 1e-12)), p
         length = math.log((s2 - unit.shift) / (s1 - unit.shift))
         assert length >= (1.0 - 1e-12) * math.pi / math.sqrt(edges.c_osc * unit.gamma - 0.25)
-        if edges.c_non > 0.0:
-            tail = edges.unit_non
-            assert tail.window == (s_max, math.inf)
-            s = np.geomspace(s_max, 1e3 * s_max, 20001)
-            assert np.all(_gamma(p, s, tail.shift) <= tail.gamma * (1.0 + 1e-12)), p
-            assert edges.c_non == (0.25 / tail.gamma if tail.gamma > 0.0 else math.inf)
-        else:
-            assert p.log_cells is not None and p.log_cells[3][-1] >= 0.0
+        tail = edges.unit_non
+        assert tail.window == (s_max, math.inf)
+        s = np.geomspace(s_max, 1e3 * s_max, 20001)
+        assert np.all(_gamma(p, s, tail.shift) <= tail.gamma * (1.0 + 1e-12)), p
+        assert edges.c_non == 0.25 / tail.gamma
 
 
 def test_tail_edges_m2_non_oscillatory_edge_is_the_closed_form():
@@ -461,26 +490,109 @@ def test_tail_edges_m2_non_oscillatory_edge_is_the_closed_form():
 
 
 def test_tail_edges_evaluate_the_potential_once(monkeypatch):
+    # at the outer edge and at the horizon, in one array call
     calls = []
     log_weight = RadialPotential.log_weight
 
     def spy(self, s):
-        calls.append(np.ndim(s))
+        calls.append(np.shape(s))
         return log_weight(self, s)
 
     monkeypatch.setattr(RadialPotential, "log_weight", spy)
     for p in _tail_cases():
         calls.clear()
         tail_edges(log_problem(p, 1.0, 1.0))
-        assert calls == [1]
+        assert calls == [(2,)]
+
+
+def _pair_search_edges(prob):
+    """The oscillatory and non-oscillatory edges of a log family as the
+    pair search over 100 window ends found them: the least multiplier over
+    all pairs of ends geometric in s - s0, inside the horizon."""
+    p, lo = prob.potential, -math.log(prob.R) + 1e-9
+    s0 = p.euler_shift_hint()
+    s = s0 + np.geomspace(lo - s0, prob.s_max - s0, 100)
+    s[0], s[-1] = lo, prob.s_max
+    sigma = s - s0
+    i, j = np.triu_indices(s.size, 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        gamma = np.clip(p.log_weight(s) * sigma ** 2, p.amplitude, 1e300)
+        c_non = float(0.25 / gamma[-1])
+        need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
+            / np.minimum(gamma[i], gamma[j])
+    k = int(np.argmin(need))
+    unit_osc = TailCertificate("oscillatory", float(min(gamma[i[k]], gamma[j[k]])), s0,
+                               (float(s[i[k]]), float(s[j[k]])))
+    return TailEdges(c_non, TailCertificate("nonoscillatory", float(gamma[-1]), s0,
+                                            (prob.s_max, math.inf)), float(need[k]), unit_osc)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_tail_edges_equal_the_pair_search(family):
+    # gamma does not rise at the hint shift, so of all windows inside the
+    # horizon the whole one, outer edge to horizon, needs the least
+    # multiplier: the two-point edges are the pair search's, bit for bit
+    for m, amplitude, R, s_max in itertools.product(
+            (1, 2, 3), (1e-3, 0.05, 0.3, 1.0, 20.0, 1e3), (1.0, 0.5, 0.25),
+            (2.0, 10.0, 1e2, 1e4, 1e6, 1e30, 1e100, 1e150)):
+        prob = log_problem(getattr(RadialPotential, family)(m, amplitude=amplitude), 1.0, R,
+                           s_max=s_max)
+        assert tail_edges(prob) == _pair_search_edges(prob), (m, amplitude, R, s_max)
+
+
+_RISING = np.geomspace(1e-6, 1.0, 400)
+
+
+def _rising_cases():
+    for alpha in (2.0, 2.5, 3.0):
+        yield RadialPotential.power_law(alpha)
+    yield RadialPotential.custom(_RISING, _RISING ** -2.2)
+    r = np.geomspace(1e-60, 1.0, 50)
+    yield RadialPotential.custom(r, r ** -2.2)    # inner knot at s = 138
 
 
 def test_tail_edges_without_an_inner_cell_inside_the_horizon():
-    # a table whose inner knot lies beyond s_max leaves no window on its
-    # inner cell, so no edge
+    # tail edges are the log families'; a cell kind's log domain is decided
+    # by its inner cell, here one that starts beyond the horizon s_max = 100:
+    # the certificate's window lies past s_max, where the cell model is exact
     r = np.geomspace(1e-60, 1.0, 50)
-    edges = tail_edges(log_problem(RadialPotential.custom(r, r ** -2.2), 1.0, 1.0, s_max=100.0))
-    assert (edges.c_non, edges.unit_non, edges.c_osc, edges.unit_osc) == (0.0, None, math.inf, None)
+    prob = log_problem(RadialPotential.custom(r, r ** -2.2), 1.0, 1.0, s_max=100.0)
+    with pytest.raises(DomainError):
+        tail_edges(prob)
+    cert = euler_tail_certificate(prob)
+    assert cert.kind == "oscillatory" and cert.shift is None
+    assert cert.window[0] == pytest.approx(60.0 * math.log(10.0), rel=1e-15)
+    assert cert.window[0] > prob.s_max
+    for p in _rising_cases():
+        with pytest.raises(DomainError):
+            tail_edges(log_problem(p, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("R", [1.0, 0.5])
+def test_rising_cell_certificate_holds_on_a_dense_grid(R):
+    # from s1 = max(outer edge, innermost knot) on, a = c g rises, so
+    # a >= gamma = c g(s1) on the window, whose length pi / sqrt(gamma) holds
+    # a half-oscillation of z'' + gamma z = 0: every c > 0 oscillates
+    for p, c in itertools.product(_rising_cases(), (1e-300, 1e-12, 1.0, 1e12)):
+        prob = log_problem(p, c, R)
+        cert = euler_tail_certificate(prob)
+        assert cert.kind == "oscillatory" and cert.shift is None
+        s1, s2 = cert.window
+        knots = p.log_cells[0]
+        assert s1 == max(-math.log(R) + 1e-9, knots[-1] if knots.size else -math.inf)
+        assert s2 - s1 >= math.pi / math.sqrt(cert.gamma)
+        s = np.linspace(s1, s2, 20001)
+        assert np.all(c * p.log_weight(s) >= cert.gamma * (1.0 - 1e-15)), (p, c)
+
+
+def test_euler_certificate_rejects_a_falling_inner_cell():
+    # an inner cell of slope q < 0 (alpha < 2) has no rising-cell bound;
+    # its recessive shot runs in the radius domain
+    for p in (RadialPotential.power_law(1.9), RadialPotential.constant(1.0)):
+        with pytest.raises(DomainError):
+            euler_tail_certificate(log_problem(p, 1.0, 1.0))
+        with pytest.raises(DomainError):
+            tail_edges(log_problem(p, 1.0, 1.0))
 
 
 def test_principal_tail_positive_at_threshold(adimurthi_1):
