@@ -3,12 +3,17 @@
 A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  Numerically:
 
-  * constants, power laws and tables whose inner cell has slope
-    q = sigma - 2 < 0: shoot the recessive solution, exactly J0 on the
-    inner cell, carried by exact transfer matrices; feasibility <=> no
-    interior zero, one below every float radius included.  A zero within
-    ``_BOUNDARY_GRACE`` of R counts as the boundary case (the J0 profile
-    vanishes exactly at R at the optimal constant);
+  * constants and power laws with alpha < 2 (one cell of slope q = alpha -
+    2 < 0): decided in closed form, without a sweep.  The recessive
+    solution is exactly J0(x), x = (2/|q|) sqrt(c A r^(2 - alpha)), so c is
+    feasible iff x(R) <= z0, i.e. c <= c* = (z0 |q|/2)^2 / (A R^|q|), and an
+    infeasible c has its first zero where x = z0.  Within the rounding of c*
+    (a few ulps, ``_level_slack``) the verdict is undecided;
+  * tables whose inner cell has slope q < 0: shoot the recessive solution,
+    exactly J0 on the inner cell, carried by exact transfer matrices;
+    feasibility <=> no interior zero, one below every float radius
+    included.  A zero within the sweep's accuracy of R (``_SLIVER``) is
+    undecided; a zero at R exactly is the boundary case, feasible;
   * the log families of amplitude A > 0 at c <= c* = 1/(4A): feasible
     without a sweep.  Their ``closed_form`` is a positive solution at c*,
     so by Sturm comparison (the Picone identity) so is every smaller c;
@@ -23,8 +28,9 @@ solution on (0, R).  Numerically:
     above), so a non-oscillatory certificate there, which only
     ``CERTIFICATE_SLACK`` admits, is reported indeterminate too, unswept.
 
-Feasibility is monotone in c (Sturm), so the best constant is the edge of a
-certified bracket whichever domain decides each probe, found by one loop
+Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
+monotone in c (Sturm), so the best constant is the edge of a certified
+bracket whichever domain decides each probe, found by one loop
 (``best_constant``).  An indeterminate band around the threshold is
 reported with its certified edges, and ``c_best`` is then the largest
 certified-feasible multiplier.
@@ -45,8 +51,9 @@ from .ode import (CERTIFICATE_SLACK, S_MAX_DEFAULT, ShootingOutcome, Status, Tai
 from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
-_BOUNDARY_GRACE = 1e-9      # zeros within this of R (relative) count as boundary
-_TOL_FLOOR = 8.0 * 2.0 ** -52  # least tol (8 eps) whose closing step clears the float spacing
+_EPS = 2.0 ** -52
+_TOL_FLOOR = 8.0 * _EPS     # least tol whose closing step clears the float spacing
+_SLIVER = 1e-14             # a table's zero within this / min(1, |q|) of ln(1/R) is undecided
 
 
 @dataclass(frozen=True)
@@ -55,7 +62,8 @@ class FeasibilityCheck:
     evidence: ShootingOutcome
     method: str          # "recessive-shot" | "principal-tail" | "oscillation-certificate"
                          # | "closed-form"
-    margin: Optional[float] = None    # signed shooting margin of a recessive shot, see _margin
+    margin: Optional[float] = None    # of a recessive shot, > 0 if feasible: _margin's, or
+                                      # ln(c*/c) / 2 for one cell (_level_verdict)
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ class BestConstantResult:
 
 
 def _margin(out: ShootingOutcome, R: float) -> Optional[float]:
-    """Signed shooting margin of a radius-domain shot, continuous in c:
+    """Signed shooting margin of a swept radius-domain shot, continuous in c:
     y(R) without a zero, else r* y'(r*) ln(R / r*), the value at R of the
     tangent (in ln r) at the first zero r*.  Positive on the feasible side.
     None for a zero below every float radius, which leaves no trajectory."""
@@ -102,17 +110,86 @@ def _closed_form_covers(p: RadialPotential, c: float) -> bool:
         and Fraction(c) * Fraction(p.amplitude) <= Fraction(1, 4)
 
 
+def _bessel_level(p: RadialPotential, R: float) -> Optional[float]:
+    """The Bessel level c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)), A =
+    ``singular_amplitude(R)``, where sigma < 2 and both A and c* are finite
+    and positive, else None: c(V) for a constant or a power law (to
+    ``_level_slack``), a table's search start."""
+    if p.log_cells is None or not p.sigma < 2.0:
+        return None
+    amp, two_minus = p.singular_amplitude(R), 2.0 - p.sigma
+    if not 0.0 < amp < math.inf:
+        return None
+    c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus)
+    return c if 0.0 < c < math.inf else None
+
+
+def _one_cell(p: RadialPotential) -> bool:
+    """Whether p is a constant or a power law with alpha < 2: one cell of
+    slope q < 0, whose Bessel level is exact."""
+    return p.log_cells is not None and not p.log_cells[0].size and p.log_cells[3][0] < 0.0
+
+
+def _level_slack(p: RadialPotential, R: float) -> float:
+    """Bound on the error of the margin ln(c*/c) / 2 from a one-cell
+    ``_bessel_level``: the rounding of z0 and 2 - alpha (an ulp each), of
+    ln A, ln R and the exp in A = v(R) R^alpha (ulps of |ln A| and of
+    (|alpha| + |q|) |ln R|), of the powers of R, the products and c / c*,
+    taken about three times over (on 2e4 random cells, checked against
+    50-digit arithmetic, the error stayed below 7% of it)."""
+    ell, q = float(p.log_cells[2][0]), float(p.log_cells[3][0])
+    return 8.0 * _EPS * (2.0 + abs(ell) + (abs(p.sigma) + abs(q)) * abs(math.log(R)))
+
+
+def _level_verdict(p: RadialPotential, c: float, R: float, c_star: float) -> FeasibilityCheck:
+    """Decide c for one cell of slope q < 0 from its recessive solution
+    J0(x), unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 is feasible
+    above ``_level_slack``, infeasible below minus it, with the first zero
+    at s* = ln(1/R) + 2 margin / q, where x = z0, and undecided between."""
+    ratio, slack = c / c_star, _level_slack(p, R)
+    margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
+    if abs(margin) <= slack:
+        raise IndeterminateAtHorizon(
+            f"multiplier {c}: within the rounding ({slack:.1e}) of the Bessel threshold "
+            f"x(R) = z0, c* = {c_star!r}", multiplier=c)
+    zero_s = None if margin > 0.0 else -math.log(R) + 2.0 * margin / float(p.log_cells[3][0])
+    out = ShootingOutcome(dict.fromkeys("r y dy".split(), np.empty(0)), zero_s,
+                          Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
+    return FeasibilityCheck(margin > 0.0, out, "recessive-shot", margin)
+
+
+def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome) -> bool:
+    """Whether a recessive sweep of a table is zero-free on (0, R): a zero
+    at R exactly is the boundary case, feasible; one within _SLIVER / min(1,
+    |q|) of it in s, q the slope of its cell, is undecided.  That is the
+    sweep's tested accuracy: the Bessel-form zero carries the rounding of
+    ln x divided by the rate |q|/2 at which ln x moves."""
+    if out.status is not Status.ZERO_FOUND:
+        return True
+    past = out.zero_s + math.log(R)     # s* - ln(1/R) >= 0
+    q = abs(float(p.log_cells[3][p.log_cells[0].searchsorted(out.zero_s, "right")]))
+    if 0.0 < past <= _SLIVER / min(1.0, q or 1.0):
+        raise IndeterminateAtHorizon(
+            f"multiplier {c}: first zero within the sweep's accuracy of R, at s = {out.zero_s!r}",
+            multiplier=c)
+    return past <= 0.0
+
+
 def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAULT,
              edges: Optional[TailEdges] = None) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
     is the log-domain horizon; ``edges`` are the log domain's ``tail_edges``
-    on this ball, if already computed."""
-    if c < 0.0:
+    on this ball, if already computed.  An undecided verdict raises
+    IndeterminateAtHorizon."""
+    if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not wants_log_domain(p):
+        c_star = _bessel_level(p, R) if _one_cell(p) else None
+        if c_star is not None:
+            return _level_verdict(p, c, R, c_star)
         out = integrate(radius_problem(p, c, R))
-        ok = out.status is not Status.ZERO_FOUND or out.first_zero >= R * (1.0 - _BOUNDARY_GRACE)
-        return FeasibilityCheck(ok, out, "recessive-shot", _margin(out, R))
+        return FeasibilityCheck(_swept_verdict(p, c, R, out), out, "recessive-shot",
+                                _margin(out, R))
 
     prob = log_problem(p, c, R, s_max=s_max)
     empty = dict.fromkeys("s z dz".split(), np.empty(0))
@@ -124,11 +201,9 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
         raise IndeterminateAtHorizon(
             f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
             multiplier=c)
-    if cert.kind == "nonoscillatory":
+    if cert.kind == "nonoscillatory":    # c v = 0 here: the branch is a line
         out = integrate_principal_tail(prob, cert)
-        interior_zero = out.status is Status.ZERO_FOUND and \
-            out.first_zero < R * (1.0 - _BOUNDARY_GRACE)
-        return FeasibilityCheck(not interior_zero, out, "principal-tail")
+        return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
     # oscillatory tail: infeasible, and the certificate proves a zero inside its window
     out = ShootingOutcome(empty, None, Status.ZERO_FOUND, certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
@@ -161,10 +236,14 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
       * an inner cell of slope q >= 0 (c(V) = 0): ``_rising_cell_hi``
         <= tol / 4, certified infeasible by the cell, so with c = 0 that is
         the whole bracket;
-      * a constant or a power law: c* (1 -+ tol / 8), predicted feasible and
-        infeasible (if tol < 8), around its exact Bessel level c* =
-        (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)): three probes with c = 0,
-        and c_best is c* to rounding.
+      * a constant or a power law: c* (1 -+ tol / 8) (only the upper one
+        from tol = 8 on), around its exact Bessel level c* = (z0 (2 -
+        sigma)/2)^2 / (A R^(2 - sigma)), or c* (1 -+ 4 slack) where tol / 8
+        lies within the rounding of c* (``_level_slack``, tol ~ 8 eps).
+        ``feasible`` decides each by x(R) against z0, from the same c*,
+        unswept: three probes with c = 0, and c_best is c* to rounding.  A
+        bracket still too wide is closed to a band of that rounding's width
+        around c*, whose probes are undecided;
 
     Otherwise, or after a probe that contradicts a prediction, it expands
     from the Bessel level (a table's, if sigma < 2 and its amplitude A is
@@ -229,18 +308,20 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
     if not 0.0 < lower < inside[0] < inside[1] < c_osc < math.inf:
-        amp, two_minus = (p.singular_amplitude(R) if p.sigma < 2.0 else 0.0), 2.0 - p.sigma
-        c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus) \
-            if 0.0 < amp < math.inf else 1.0
+        level = _bessel_level(p, R)
+        c = 1.0 if level is None else level
         plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
         if edges is None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
             plan = [(_rising_cell_hi(p, R, s_max, tol), "hi")]
         # one cell, a constant or a power law: the Bessel level c is exact, so
-        # c (1 - tol/8) is predicted feasible and c (1 + tol/8) infeasible
-        around = (c * (1.0 - 0.125 * tol), c * (1.0 + 0.125 * tol))
-        if 0.0 < amp < math.inf and not p.log_cells[0].size \
-                and 0.0 < around[0] < c < around[1] <= _DOUBLING_CAP:
-            plan = [(around[0], "lo"), (around[1], "hi")]
+        # c (1 - step) is feasible and c (1 + step) infeasible, each decided
+        # by the same level, with step = tol/8 or, where that lies within the
+        # level's rounding, 4 slack; from tol = 8 on, [0, c (1 + step)] is narrow
+        if level is not None and _one_cell(p):
+            step = max(0.125 * tol, 4.0 * _level_slack(p, R))
+            below, above = c * (1.0 - step), c * (1.0 + step)
+            if above <= _DOUBLING_CAP:
+                plan = [(below, "lo"), (above, "hi")] if below > 0.0 else [(above, "hi")]
     for c, side in plan:
         if settle(c, probe(c)) != side:
             break

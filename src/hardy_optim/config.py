@@ -5,7 +5,7 @@ the one table of what a file may set: the keys of ``[potential]`` (by its
 ``kind``), ``[domain]`` and ``[solver]``, each with its parser.  Any other
 section or key is a ``ConfigError``, whichever subcommand reads the file.
 ``[solver] s_max`` is the log-domain horizon; the integrator tolerances,
-the candidate window ends, the certificate slack and the boundary grace are
+the candidate window ends, the certificate slack and the undecided sliver are
 constants of ``ode`` and ``bestconst``, and the best-constant tolerance is
 ``best_constant``'s default.  Where a record goes, in what form and with
 what wall-clock stamp are the CLI's ``--out``, ``eigen --format`` and

@@ -46,7 +46,10 @@ class NoUpperBracket(HardyError):
 
 
 class IndeterminateAtHorizon(HardyError):
-    """Neither a zero nor a comparison certificate was obtained by the horizon.
+    """A feasibility verdict could not be decided: neither a zero nor a
+    comparison certificate was obtained by the horizon, or the multiplier
+    lies within rounding of its threshold (a one-cell Bessel level, or a
+    table's first zero within the sweep's accuracy of R).
 
     Carries the multiplier that could not be decided.
     """

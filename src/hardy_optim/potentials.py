@@ -223,6 +223,8 @@ class RadialPotential:
         v = np.asarray(v, dtype=float)
         if r.ndim != 1 or r.shape != v.shape or r.size < 2:
             raise DomainError("custom potential needs matching 1-d r and v arrays, length >= 2")
+        if not (np.isfinite(r).all() and np.isfinite(v).all()):
+            raise DomainError("custom potential samples must be finite")
         if np.any(np.diff(r) <= 0.0):
             raise DomainError("custom potential radii must be strictly increasing")
         if np.any(r <= 0.0) or np.any(v <= 0.0):

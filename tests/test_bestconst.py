@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -215,8 +216,9 @@ def _assert_certified_bracket(p, R, res, s_max):
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 1.9])
 def test_single_cell_best_constant_takes_three_probes_and_two_sweeps(alpha, s_max,
                                                                       monkeypatch):
-    # the Bessel level is exact for one cell: c = 0 is the line z = 1, with no
-    # sweep, and the probes c* (1 -+ tol/8) are each one cell sweep
+    # the Bessel level is exact for one cell: c = 0 and the probes c* (1 -+
+    # tol/8) are each decided by x(R) against z0, with no cell sweep (each
+    # probe once took one)
     import hardy_optim.ode as ode_mod
     sweeps = _Counter(ode_mod._cell_sweep)
     monkeypatch.setattr(ode_mod, "_cell_sweep", sweeps)
@@ -224,9 +226,8 @@ def test_single_cell_best_constant_takes_three_probes_and_two_sweeps(alpha, s_ma
         for R in (0.25, 1.0, 4.0):
             p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
                 RadialPotential.power_law(alpha, amplitude, R)
-            before = sweeps.calls
             res = best_constant(p, R, tol=1e-6, s_max=s_max)
-            assert res.iterations == 3 and sweeps.calls - before == 2
+            assert res.iterations == 3 and sweeps.calls == 0
             c = power_law_best_constant(alpha, R) / amplitude
             assert abs(res.c_best / c - 1.0) <= 1e-14
 
@@ -253,12 +254,16 @@ def test_single_cell_plan_never_probes_a_nonpositive_multiplier(tol, s_max, monk
 
 def test_table_search_is_unchanged(s_max):
     # tables keep the single start and the search: probe count and bracket
-    # of a 400-node table as before the single-cell plan
+    # of a 400-node table as before the single-cell plan.  Its tenth probe,
+    # 1.2495457553..., has its first zero 2.3e-10 inside R: a boundary grace
+    # of 1e-9 R once certified it feasible and made it c_lo; it is c_hi now
     r = np.geomspace(1e-8, 1.0, 400)
-    res = best_constant(RadialPotential.custom(r, np.exp(3.0 * r)), 1.0, s_max=s_max)
+    p = RadialPotential.custom(r, np.exp(3.0 * r))
+    res = best_constant(p, 1.0, s_max=s_max)
     assert res.iterations == 11
-    assert res.c_lo == pytest.approx(1.2495457553191462, rel=1e-12)
-    assert res.c_hi == pytest.approx(1.2495460677057655, rel=1e-12)
+    assert res.c_lo == pytest.approx(1.2495454431420094, rel=1e-12)
+    assert res.c_hi == pytest.approx(1.249545755320257, rel=1e-12)
+    assert 2e-10 < feasible(p, res.c_hi, 1.0, s_max).evidence.zero_s < 3e-10
 
 
 @pytest.mark.parametrize("alpha, amplitude, R", [
@@ -492,6 +497,92 @@ def test_tolerance_at_the_floor_converges(s_max):
     res = best_constant(p, 1.0, tol=8.0 * 2.0 ** -52, s_max=s_max)
     assert res.iterations <= 10
     _assert_certified_bracket(p, 1.0, res, s_max)
+
+
+# ---------------------------------------------------------------------------
+# one cell in closed form: x(R) against z0, and the undecided sliver
+# ---------------------------------------------------------------------------
+
+_Z0_40 = Decimal("2.404825557695772768621631879326454643124")   # first zero of J0
+
+
+def _exact_level(alpha, amplitude, R):
+    """c* = (z0 (2 - alpha)/2)^2 R^(alpha - 2) / A to 50 digits, for the
+    floats alpha, A and R taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        two_minus = 2 - Decimal(alpha)
+        return (_Z0_40 * two_minus / 2) ** 2 / (Decimal(amplitude) * Decimal(R) ** two_minus)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10, 1e-12, 8.0 * 2.0 ** -52])
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5, 1.0, 1.5, 1.9, 1.999])
+def test_single_cell_bracket_holds_the_exact_level(alpha, tol, s_max):
+    # a zero within 1e-9 R of R once counted as the boundary case: from tol
+    # 1e-8 down, certified brackets excluded c* by ~(2 - alpha) 1e-9, and
+    # below tol 1e-10 the Illinois close crawled (2,157 probes at 1e-12).
+    # Decided by x(R) against z0, the bracket, or the band at the floor,
+    # holds c* for every cell, tolerance and ball, in 3 probes down to 1e-12
+    for amplitude in (0.05, 1.0, 20.0):
+        for R in (0.25, 1.0, 4.0):
+            p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
+                RadialPotential.power_law(alpha, amplitude, R)
+            res = best_constant(p, R, tol=tol, s_max=s_max)
+            assert Decimal(res.c_lo) < _exact_level(alpha, amplitude, R) < Decimal(res.c_hi)
+            if tol >= 1e-12:
+                assert res.converged and res.iterations == 3
+            if res.converged:
+                assert res.c_hi - res.c_lo <= 0.5 * tol * max(1.0, res.c_best)
+            else:    # a band of the level's rounding
+                assert res.c_hi / res.c_lo - 1.0 <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_power_law_close_takes_three_probes(tol, s_max):
+    # 31 and 2,157 probes (1.2 s) when each probe was a sweep and the
+    # Illinois close crawled by its clamp
+    res = best_constant(RadialPotential.power_law(1.0), 1.0, tol=tol, s_max=s_max)
+    assert res.converged and res.iterations == 3
+
+
+def test_constant_boundary_grace_no_longer_admits_infeasible_multipliers(s_max):
+    # its first zero lies at r = 0.99999999905: inside the ball, though
+    # within the former grace of 1e-9 R, which counted it as feasible
+    check = feasible(RadialPotential.constant(), Z0_SQ * (1.0 + 1.9e-9), 1.0, s_max)
+    assert not check.feasible and check.margin < 0.0
+    assert check.evidence.first_zero == pytest.approx(0.99999999905, abs=1e-11)
+    for tol in (1e-8, 1e-9, 1e-10):    # c_lo / z0^2 - 1 was +1.25e-9, +1.62e-9, +2.0e-9
+        res = best_constant(RadialPotential.constant(), 1.0, tol=tol, s_max=s_max)
+        assert res.iterations == 3 and res.c_lo < Z0_SQ < res.c_hi
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.999])
+def test_single_cell_verdict_within_the_rounding_of_the_level_is_undecided(alpha, s_max):
+    p = RadialPotential.power_law(alpha, 3.0, 2.0)
+    c = float(_exact_level(alpha, 3.0, 2.0))
+    with pytest.raises(IndeterminateAtHorizon, match="Bessel threshold"):
+        feasible(p, c, 2.0, s_max)
+    above = feasible(p, c * (1.0 + 1e-12), 2.0, s_max)
+    assert not above.feasible and above.method == "recessive-shot"
+    # the zero where x = z0, s* = ln(1/R) + 2 ln(c / c*) / (2 - alpha), unswept
+    zero_s = -math.log(2.0) + math.log1p(1e-12) / (2.0 - alpha)
+    assert above.evidence.zero_s == pytest.approx(zero_s, rel=1e-12)
+    assert above.evidence.trajectory["r"].size == 0
+    assert feasible(p, c * (1.0 - 1e-12), 2.0, s_max).feasible
+
+
+@pytest.mark.parametrize("alpha, amplitude, R", [(0.5, 3.0, 2.0), (0.0, 20.0, 4.0)])
+def test_table_zero_next_to_the_boundary_is_undecided(alpha, amplitude, R, s_max):
+    # a two-node table that is exactly a power law is one model cell with
+    # knots, so it is swept; a zero within 1e-9 R of R was feasible
+    r = np.array([1e-3 * R, R])
+    p = RadialPotential.custom(r, amplitude * r ** -alpha)
+    c = float(_exact_level(alpha, amplitude, R))
+    for f in (1e-9, 1e-13):
+        assert not feasible(p, c * (1.0 + f), R, s_max).feasible
+        assert feasible(p, c * (1.0 - f), R, s_max).feasible
+    with pytest.raises(IndeterminateAtHorizon, match="accuracy"):
+        feasible(p, c * (1.0 + 4e-15), R, s_max)
 
 
 # ---------------------------------------------------------------------------

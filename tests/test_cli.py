@@ -294,6 +294,26 @@ def test_custom_potential_from_csv(tmp_path, capsys):
     assert float(parse_record(out)["c_best"]) == pytest.approx(Z0_SQ / 4.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("row", ["1e-8,inf", "1e-8,nan", "inf,1", "nan,1"])
+def test_custom_table_rejects_non_finite_samples(tmp_path, capsys, row):
+    # NaN and inf passed the positivity check: "1e-8,inf" gave a converged
+    # best constant [0, 2.5e-7] and classify said Y, "1e-8,nan" an unbounded
+    # best constant.  The table's DomainError is reported as the config's
+    from hardy_optim import RadialPotential
+    from hardy_optim.errors import DomainError
+    table = tmp_path / "v.csv"
+    table.write_text(f"r,v\n{row}\n1e-4,2\n1,3\n")
+    cfg = _write_config(tmp_path, potential={"kind": "custom", "samples": str(table)})
+    for argv in (["best-constant"], ["classify"]):
+        code, out = _run(capsys, *argv, "--config", cfg)
+        rec = parse_record(out)
+        assert code == 1 and rec["type"] == "ConfigError"
+        assert rec["message"].endswith("custom potential samples must be finite")
+    r0, v0 = (float(x) for x in row.split(","))
+    with pytest.raises(DomainError, match="finite"):
+        RadialPotential.custom(np.array([r0, 1e-4, 1.0]), np.array([v0, 2.0, 3.0]))
+
+
 # ---------------------------------------------------------------------------
 # determinism and round trips
 # ---------------------------------------------------------------------------
