@@ -5,19 +5,17 @@ against the log-domain horizon.
 For each horizon s_max, every multiplier on a grid around the 1/4 threshold
 is reported as feasible / infeasible / indeterminate; the indeterminate
 stretch shrinks as the horizon grows because the Euler-comparison window
-needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's band
-edges as ``tail_edges`` gives them from g at the outer edge and at the
-horizon, with gamma = r^2 v (s - s0)^2 at the family's Euler shift s0,
-where it is non-increasing: c_non = (1/4) / gamma(s_max) <= 1/4, so every
-c <= c_non has a non-oscillatory certificate on [s_max, inf), to within
-``CERTIFICATE_SLACK``; every c >= c_osc an oscillatory one on the window
-from the outer edge to the horizon, which no shorter window beats
-(infeasible).  The family's closed form certifies every c <= 1/4 feasible
-without a sweep, so c_non only shows how far the Euler comparison alone
-reaches.  Below them, each horizon's ``best_constant`` bracket and its
-wall time (best of 3): c_lo is 1/4 at every horizon, and c_hi follows
-c_osc.  It is the before/after table of a change to the sweeps or the
-edges.
+needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's
+predicted band [1/4, c_osc]: the family's closed form certifies every
+c <= 1/4 feasible without a sweep, and ``tail_edges`` gives c_osc from g at
+the outer edge and at the horizon, with gamma = r^2 v (s - s0)^2 at the
+family's Euler shift s0, where it is non-increasing: every c >= c_osc has
+an oscillatory certificate on the window from the outer edge to the
+horizon, which no shorter window beats (infeasible).  The ``band`` row is
+its width c_osc - 1/4.  Below them, each horizon's ``best_constant``
+bracket and its wall time (best of 3): c_lo is 1/4 at every horizon, and
+c_hi follows c_osc.  It is the before/after table of a change to the
+sweeps or the edges.
 
 Run:  python scripts/band_study.py [--family adimurthi_log|filippas_tertikas_x]
 """
@@ -37,9 +35,10 @@ def verdict(p, c, s_max):
         return "indeterminate"
 
 
-def predicted_edges(p, s_max):
-    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
-    return edges.c_non, edges.c_osc
+def predicted_band(p, s_max):
+    """[1/(4A), c_osc]: feasible by the closed form up to its lower end,
+    certified infeasible from its upper end on."""
+    return p.closed_form_multiplier(1.0), tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max)).c_osc
 
 
 def timed_best_constant(p, s_max):
@@ -75,9 +74,9 @@ def main():
             if v == "indeterminate":
                 bands[h].append(float(c))
         print("".join(row))
-    edges = {h: predicted_edges(p, h) for h in horizons}
-    print("c_non  " + "".join(f"{edges[h][0]:<18.6f}" for h in horizons))
+    edges = {h: predicted_band(p, h) for h in horizons}
     print("c_osc  " + "".join(f"{edges[h][1]:<18.6f}" for h in horizons))
+    print("band   " + "".join(f"{edges[h][1] - edges[h][0]:<18.6f}" for h in horizons))
     solved = {h: timed_best_constant(p, h) for h in horizons}
     print("c_lo   " + "".join(f"{solved[h][0].c_lo:<18.6f}" for h in horizons))
     print("c_hi   " + "".join(f"{solved[h][0].c_hi:<18.6f}" for h in horizons))

@@ -18,15 +18,14 @@ solution on (0, R).  Numerically:
     without a sweep.  Their ``closed_form`` is a positive solution at c*,
     so by Sturm comparison (the Picone identity) so is every smaller c;
   * the log families above c* and inner cells with q >= 0
-    (``wants_log_domain``): work in the log domain.  A non-oscillatory
-    certificate plus a positive principal-branch sweep certifies
-    feasibility (for a cell kind only where c v = 0); an oscillatory one
-    (a rising inner cell's at every c > 0) certifies infeasibility and is
-    the whole evidence, since it proves a zero inside its window; otherwise
-    the answer is indeterminate at the horizon and said so.  Above c* a log
-    family oscillates at infinity (its r^2 v (s - s0)^2 tends to A from
-    above), so a non-oscillatory certificate there, which only
-    ``CERTIFICATE_SLACK`` admits, is reported indeterminate too, unswept.
+    (``wants_log_domain``): work in the log domain.  Where c v = 0 (c = 0
+    or amplitude 0) the principal branch is the line z = 1, which certifies
+    feasibility; an oscillatory certificate (a rising inner cell's at every
+    c > 0) certifies infeasibility and is the whole evidence, since it
+    proves a zero inside its window; otherwise the answer is indeterminate
+    at the horizon and said so.  Above c* a log family oscillates at
+    infinity (its r^2 v (s - s0)^2 tends to A from above), so no
+    non-oscillatory certificate exists there.
 
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
@@ -45,9 +44,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (CERTIFICATE_SLACK, S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges,
-                  euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
-                  radius_problem, tail_edges, wants_log_domain)
+from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges, euler_tail_certificate,
+                  integrate, integrate_principal_tail, log_problem, radius_problem, tail_edges,
+                  wants_log_domain)
 from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
@@ -96,17 +95,11 @@ def _margin(out: ShootingOutcome, R: float) -> Optional[float]:
     return float(r * out.trajectory["dy"][-1] * math.log(R / r))
 
 
-def _sharp_log_family(p: RadialPotential) -> bool:
-    """Whether p is a log family of amplitude A > 0, whose threshold is
-    exactly c* = 1/(4A)."""
-    return p.log_cells is None and p.amplitude > 0.0
-
-
 def _closed_form_covers(p: RadialPotential, c: float) -> bool:
     """Whether c <= c* = 1/(4A) for a log family of amplitude A > 0, compared
     exactly for the stored A.  Its ``closed_form`` is a positive solution on
     (0, R) at c*, so Sturm comparison makes every such c feasible."""
-    return _sharp_log_family(p) and c < math.inf \
+    return p.log_cells is None and p.amplitude > 0.0 and c < math.inf \
         and Fraction(c) * Fraction(p.amplitude) <= Fraction(1, 4)
 
 
@@ -161,18 +154,23 @@ def _level_verdict(p: RadialPotential, c: float, R: float, c_star: float) -> Fea
 def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome) -> bool:
     """Whether a recessive sweep of a table is zero-free on (0, R): a zero
     at R exactly is the boundary case, feasible; one within _SLIVER / min(1,
-    |q|) of it in s, q the slope of its cell, is undecided.  That is the
-    sweep's tested accuracy: the Bessel-form zero carries the rounding of
-    ln x divided by the rate |q|/2 at which ln x moves."""
-    if out.status is not Status.ZERO_FOUND:
-        return True
-    past = out.zero_s + math.log(R)     # s* - ln(1/R) >= 0
-    q = abs(float(p.log_cells[3][p.log_cells[0].searchsorted(out.zero_s, "right")]))
-    if 0.0 < past <= _SLIVER / min(1.0, q or 1.0):
+    |q|) of it in s, q the slope of its cell, is undecided: inside R the
+    first zero, past R the zero of a zero-free sweep's tangent at R.  That
+    is the sweep's tested accuracy: the Bessel-form zero carries the
+    rounding of ln x divided by the rate |q|/2 at which ln x moves."""
+    s_R, found = -math.log(R), out.status is Status.ZERO_FOUND
+    s = out.zero_s if found else s_R
+    q = abs(float(p.log_cells[3][p.log_cells[0].searchsorted(s, "right")]))
+    bound = _SLIVER / min(1.0, q or 1.0)
+    if found:
+        near = 0.0 < s - s_R <= bound
+    else:    # the tangent in s at R vanishes y(R) / (-R y'(R)) past R
+        near = 0.0 < out.trajectory["y"][-1] <= -R * out.trajectory["dy"][-1] * bound
+    if near:
         raise IndeterminateAtHorizon(
-            f"multiplier {c}: first zero within the sweep's accuracy of R, at s = {out.zero_s!r}",
-            multiplier=c)
-    return past <= 0.0
+            f"multiplier {c}: first zero within the sweep's accuracy of R, "
+            + (f"at s = {s!r}" if found else "past it by the tangent at R"), multiplier=c)
+    return s <= s_R
 
 
 def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAULT,
@@ -197,7 +195,7 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
         return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
                                 "closed-form")
     cert = euler_tail_certificate(prob, edges=edges)
-    if cert is None or (cert.kind == "nonoscillatory" and _sharp_log_family(p)):
+    if cert is None:
         raise IndeterminateAtHorizon(
             f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
             multiplier=c)
@@ -227,12 +225,11 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     The loop probes a plan of predicted multipliers, then searches:
 
-      * a log family: the largest float c_lo <= 1/(4A) (for A > 0; else
-        c_non), e (1 + slack) + delta, c_osc - delta and c_osc, with c_non <
-        c_osc from one two-point call of the coefficient (``tail_edges``),
-        e = max(c_lo, c_non) and delta = tol * max(1, c) / 4: the inner two
-        are undecided by construction, no probe sweeps, and c_lo = c_best =
-        1/(4A) for every m, A, R and horizon;
+      * a log family of amplitude A > 0: the largest float c_lo <= 1/(4A),
+        c_lo + delta, c_osc - delta and c_osc, with c_osc from one two-point
+        call of the coefficient (``tail_edges``) and delta = tol * max(1, c)
+        / 4: the inner two are undecided by construction, no probe sweeps,
+        and c_lo = c_best = 1/(4A) for every m, A, R and horizon;
       * an inner cell of slope q >= 0 (c(V) = 0): ``_rising_cell_hi``
         <= tol / 4, certified infeasible by the cell, so with c = 0 that is
         the whole bracket;
@@ -252,15 +249,17 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     met, or [0, c] is already narrow), and closes the bracket to width
     tol * max(1, c) / 2 by an Illinois root solve of the signed shooting
     margin (a bisection where an end has none).  Around an indeterminate
-    band the certified edges are bisected toward it instead; ``converged``
-    is then False and c_best is the largest certified-feasible multiplier.
+    band the certified edges are bisected toward it instead, beside a band
+    of one multiplier c from c (1 -+ tol / 8) on; unless the bracket then
+    closes, ``converged`` is False and c_best is the largest
+    certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
-    e.g. amplitude 0, raises NoUpperBracket.  A tol below 8 eps (~1.8e-15)
-    raises DomainError: its closing step tol * max(1, c) / 4 would not
-    clear the float spacing at the bracket's ends, and the loop would probe
-    the same multiplier forever.
+    e.g. amplitude 0 (each probe the line z = 1), raises NoUpperBracket.
+    A tol below 8 eps (~1.8e-15) raises DomainError: its closing step tol *
+    max(1, c) / 4 would not clear the float spacing at the bracket's ends,
+    and the loop would probe the same multiplier forever.
     """
     if not tol >= _TOL_FLOOR:
         raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
@@ -297,14 +296,12 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    c_non, c_osc = (edges.c_non, edges.c_osc) if edges is not None else (0.0, math.inf)
-    lower = c_non
-    if _sharp_log_family(p):    # the largest float <= c*
+    c_osc = edges.c_osc if edges is not None else math.inf
+    lower = 0.0
+    if p.log_cells is None and p.amplitude > 0.0:    # the largest float <= c* = 1/(4A)
         lower = p.closed_form_multiplier(R)
         lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
-    edge = max(lower, c_non)     # each c up to edge (1 + slack) is decided
-    inside = (edge * (1.0 + CERTIFICATE_SLACK) + 0.25 * tol * max(1.0, edge),
-              c_osc - 0.25 * tol * max(1.0, c_osc))
+    inside = (lower + 0.25 * tol * max(1.0, lower), c_osc - 0.25 * tol * max(1.0, c_osc))
     plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
     if not 0.0 < lower < inside[0] < inside[1] < c_osc < math.inf:
@@ -346,10 +343,12 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
             delta = 0.25 * tol * max(1.0, 0.5 * (a + b))
             x = b - fb * (b - a) / (fb - fa) if fa > fb else 0.5 * (a + b)
             x = min(max(x, a + delta), b - delta)
-        elif wide(lo[0], band[0]):
+        elif wide(lo[0], band[0]):    # beside a band of one multiplier c: c (1 -+ tol/8)
             x = 0.5 * (lo[0] + band[0])
+            x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] else x
         elif wide(band[1], hi[0]):
             x = 0.5 * (band[1] + hi[0])
+            x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] else x
         else:
             break
         side = settle(x, probe(x))
@@ -360,7 +359,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         last = side
 
     (c_lo, lo_check), (c_hi, hi_check) = lo, hi
-    if band is None:
+    if band is None or not wide(c_lo, c_hi):
         return BestConstantResult(0.5 * (c_lo + c_hi), c_lo, c_hi, iterations,
                                   lo_check.evidence, hi_check.evidence, tolerance=tol)
     return BestConstantResult(c_lo, c_lo, c_hi, iterations, lo_check.evidence,

@@ -4,12 +4,11 @@ Config files are INI-style structured text (configparser).  ``KEYS`` is
 the one table of what a file may set: the keys of ``[potential]`` (by its
 ``kind``), ``[domain]`` and ``[solver]``, each with its parser.  Any other
 section or key is a ``ConfigError``, whichever subcommand reads the file.
-``[solver] s_max`` is the log-domain horizon; the integrator tolerances,
-the candidate window ends, the certificate slack and the undecided sliver are
-constants of ``ode`` and ``bestconst``, and the best-constant tolerance is
-``best_constant``'s default.  Where a record goes, in what form and with
-what wall-clock stamp are the CLI's ``--out``, ``eigen --format`` and
-``--timestamp``.  Result records are emitted in the same syntax (a single
+``[solver] s_max`` is the log-domain horizon; the integrator tolerances
+and the undecided sliver are constants of ``ode`` and ``bestconst``, and
+the best-constant tolerance is ``best_constant``'s default.  Where a record
+goes, in what form and with what wall-clock stamp are the CLI's ``--out``,
+``eigen --format`` and ``--timestamp``.  Result records are emitted in the same syntax (a single
 ``[result]`` or ``[error]`` section) so that every record re-parses under
 the config machinery.  All numbers are written with 17 significant digits
 for cross-platform reproducibility.

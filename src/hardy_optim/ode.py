@@ -6,7 +6,7 @@ from some start state (``_sweep``): the recessive shot runs from the inner
 cell down to the outer edge, the outer-edge shot runs up to the horizon
 s_max, the principal tail runs back from the horizon.  Radius-domain
 problems report their sweep as (r, y, dy/dr), log-domain problems as
-(s, z, dz/ds).  At c = 0 a sweep entering with z' = 0 is the line z = z(start).
+(s, z, dz/ds).  Where a = 0 a sweep entering with z' = 0 is the line z = z(start).
 
 Constants, power laws and ``custom`` tables are log-log linear: on each of
 their cells ln a = ln c + ell + q (s - anchor), and z'' + a z = 0 is solved
@@ -28,13 +28,13 @@ costs little more than one to 1e6; the integrator's terminal event ends it
 at the first sign change.  Trajectories and zeros are reported in s.
 
 Beyond any fixed horizon, Sturm comparison (Hartman, Ordinary Differential
-Equations, Ch. XI) gives one-sided certificates.  The log families compare
-with z'' + g/(s - s0)^2 z = 0 at their shift, where a (s - s0)^2 does not
-rise: oscillation if the outer edge to the horizon holds an Euler
-half-oscillation, non-oscillation if a <= (1/4)/(s-s0)^2 on [s_max, inf),
-both from a at those two abscissae (``tail_edges``).  A cell kind in the
-log domain has a rising inner cell (q >= 0), on which z'' + a(s1) z = 0 is
-a minorant out to s = inf: every c > 0 oscillates.
+Equations, Ch. XI) certifies oscillation.  The log families compare with
+z'' + g/(s - s0)^2 z = 0 at their shift, where a (s - s0)^2 does not rise:
+the outer edge to the horizon must hold an Euler half-oscillation, decided
+from a at those two abscissae (``tail_edges``).  Only a = 0 has a
+non-oscillatory tail.  A cell kind in the log domain has a rising inner
+cell (q >= 0), on which z'' + a(s1) z = 0 is a minorant out to s = inf:
+every c > 0 oscillates.
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
 from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
-CERTIFICATE_SLACK = 1e-10     # relative slack on the non-oscillatory edge
 S_MAX_DEFAULT = 1e6           # default log-domain horizon
 _HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
@@ -127,9 +126,9 @@ class TailCertificate:
     """Sturm-comparison verdict for the coefficient tail a(s).
 
     ``gamma`` is the extreme of a(s) (s - shift)^2 over the certified window:
-    a maximum for the non-oscillatory side (must be <= 1/4), whose window
-    is [s_max, inf), a minimum for the oscillatory side (must exceed 1/4
-    over a long enough window); a rising inner cell's (shift None) bounds a itself.
+    a maximum for the non-oscillatory side (at most 1/4, 0 where a = 0) on
+    [s_max, inf), a minimum for the oscillatory side (must exceed 1/4 over a
+    long enough window); a rising inner cell's (shift None) bounds a itself.
     """
 
     kind: str                 # "nonoscillatory" | "oscillatory"
@@ -156,8 +155,13 @@ class ShootingOutcome:
 
 def _outer_edge(prob: HardyODEProblem) -> float:
     """Log abscissa just inside r = R where the outward sweep, the tail grid
-    and the c = 0 certificate start."""
+    and the a = 0 certificate start."""
     return -math.log(prob.R) + 1e-9
+
+
+def _vanishes(prob: HardyODEProblem) -> bool:
+    """Whether a = c g vanishes: c = 0 or amplitude 0 (table samples are > 0)."""
+    return prob.c == 0.0 or prob.potential.amplitude == 0.0
 
 
 def wants_log_domain(p: RadialPotential) -> bool:
@@ -187,7 +191,7 @@ def _check_swept(s: float, lo: float, hi: float) -> None:
 
 
 def _line(s_from: float, s_to: float, z0: float) -> _RawRun:
-    """The sweep at c = 0 entering with z' = 0: the line z = z0, no zero."""
+    """The sweep where a = 0 entering with z' = 0: the line z = z0, no zero."""
     lo, hi = sorted((s_from, s_to))
 
     def dense(s):
@@ -570,7 +574,7 @@ def _inner_cell_start(prob: HardyODEProblem):
             f"{p.kind.value} potential has no recessive cell start; use the log domain")
     knot, anchor, ell, q = (arr[-1] if arr.size else -math.inf for arr in p.log_cells)
     s0 = max(-math.log(_TRAJECTORY_START * prob.R), knot)
-    if prob.c == 0.0 or ell == -math.inf:
+    if _vanishes(prob):
         return s0, (1.0, 0.0)
     if q >= 0.0:
         raise UnsupportedSingularity(
@@ -590,15 +594,15 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
-    As the line z = z(start) at c = 0 with z'(start) = 0; else exactly, cell
-    by cell, for the log-log linear kinds and by DOP853 in the Liouville
-    variable for the log families.  The trajectory ends at the
-    first zero, if any, as the row z = 0 with the engine's slope there, and
-    is sorted by s.  Without a zero, a sweep toward
+    As the line z = z(start) where a = 0 (``_vanishes``) and z'(start) = 0;
+    else exactly, cell by cell, for the log-log linear kinds and by DOP853
+    in the Liouville variable for the log families.  The
+    trajectory ends at the first zero, if any, as the row z = 0 with the
+    engine's slope there, and is sorted by s.  Without a zero, a sweep toward
     the outer edge (decreasing s) has covered its whole interval; a sweep
     outward has only reached its horizon.
     """
-    if prob.c == 0.0 and state0[1] == 0.0:
+    if _vanishes(prob) and state0[1] == 0.0:
         run = _line(s_from, s_to, float(state0[0]))
     elif prob.potential.log_cells is not None:
         run = _cell_sweep(prob, s_from, s_to, state0)
@@ -643,28 +647,23 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
 
 @dataclass(frozen=True)
 class TailEdges:
-    """Multiplier edges of the shifted-Euler comparisons: c <= c_non is
-    non-oscillatory (to within ``CERTIFICATE_SLACK``), c >= c_osc oscillatory
-    (0, inf if none), by its certificate at c = 1 with gamma scaled by c."""
+    """Shifted-Euler edge: c >= c_osc (inf if none) is oscillatory by the
+    certificate unit_osc at c = 1, its gamma scaled by c."""
 
-    c_non: float
-    unit_non: Optional[TailCertificate]
     c_osc: float
     unit_osc: Optional[TailCertificate]
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
-    """The edges at c = 1 of a log family from one two-point call of
-    g(s) = r^2 v(r), r = e^-s, with gamma = g (s - s0)^2 at s0 =
-    ``euler_shift_hint``, where gamma does not rise on [outer edge, inf) and
-    tends to the amplitude A (the floor it is clipped to):
-
-      * c_non = (1/4) / gamma(s_max) bounds c gamma by 1/4 on all of
-        [s_max, inf) (inf where A = 0);
-      * c_osc = (1/4 + (pi / ln(sigma_max / sigma_edge))^2) / min(gamma_edge,
-        gamma_max), sigma = s - s0: the outer edge to the horizon then holds
-        a half-oscillation of a minorant Euler solution, a zero of every
-        solution (Hartman, Ch. XI); no shorter window needs less.
+    """The edge of a log family from one two-point call of g(s) = r^2 v(r),
+    r = e^-s, with gamma = g (s - s0)^2 at s0 = ``euler_shift_hint``, where
+    gamma does not rise on [outer edge, inf) and tends to the amplitude A
+    (the floor it is clipped to): c_osc = (1/4 + (pi / ln(sigma_max /
+    sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0, makes the
+    outer edge to the horizon hold a half-oscillation of a minorant Euler
+    solution, a zero of every solution (Hartman, Ch. XI); no shorter window
+    needs less.  That min is gamma_max up to rounding, so the certificate's
+    gamma also bounds gamma on all of [s_max, inf).
 
     A cell kind raises DomainError (see ``euler_tail_certificate``)."""
     if prob.domain is not Domain.LOG:
@@ -673,16 +672,14 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     if p.log_cells is not None:
         raise DomainError(f"a {p.kind.value} potential has no tail edges, only its inner cell")
     if lo >= prob.s_max:
-        return TailEdges(0.0, None, math.inf, None)
+        return TailEdges(math.inf, None)
     s, s0 = np.array([lo, prob.s_max]), p.euler_shift_hint()
     sigma = s - s0
     with np.errstate(divide="ignore", over="ignore"):    # a saturated g still bounds gamma below
         gamma = np.clip(p.log_weight(s) * sigma ** 2, p.amplitude, 1e300)
-        c_non = float(0.25 / gamma[1])
         c_osc = float((0.25 + (math.pi / np.log(sigma[1] / sigma[0])) ** 2) / gamma.min())
-    unit_non = TailCertificate("nonoscillatory", float(gamma[1]), s0, (prob.s_max, math.inf))
-    unit_osc = TailCertificate("oscillatory", float(gamma.min()), s0, (lo, prob.s_max))
-    return TailEdges(c_non, unit_non, c_osc, unit_osc)
+    return TailEdges(c_osc, TailCertificate("oscillatory", float(gamma.min()), s0,
+                                            (lo, prob.s_max)))
 
 
 def euler_tail_certificate(prob: HardyODEProblem,
@@ -694,14 +691,13 @@ def euler_tail_certificate(prob: HardyODEProblem,
     = c g(s1) (clipped to 1e300) there, and by Sturm comparison with
     z'' + gamma z = 0 every solution vanishes inside [s1, s1 + pi /
     sqrt(gamma)], within the horizon or not (None if gamma underflows).  A
-    log family compares c with the edges of ``tail_edges``: non-oscillatory
-    if c <= c_non (1 + slack), else oscillatory if c >= c_osc, else None.
-    The edges do not depend on c: pass those of an earlier call for this
+    log family is oscillatory if c >= c_osc of ``tail_edges``, else None.
+    The edge does not depend on c: pass that of an earlier call for this
     potential, ball and horizon to skip evaluating g again."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c, p, s_start = prob.c, prob.potential, _outer_edge(prob)
-    if c == 0.0 or p.amplitude == 0.0:
+    if _vanishes(prob):
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (prob.s_max, math.inf))
     if p.log_cells is not None:
         if p.log_cells[3][-1] < 0.0:
@@ -714,8 +710,6 @@ def euler_tail_certificate(prob: HardyODEProblem,
                                (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
     if edges is None:
         edges = tail_edges(prob)
-    if c <= edges.c_non * (1.0 + CERTIFICATE_SLACK):
-        return replace(edges.unit_non, gamma=c * edges.unit_non.gamma)
     if c >= edges.c_osc:
         return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma)
     return None

@@ -475,8 +475,8 @@ def classify(p: RadialPotential) -> ClassLabel:
       * ``log_cells`` kinds, exactly by the inner cell's slope q (g ~ e^(q s)):
         q < 0 makes L -> 0, X (limit_estimate 0); q >= 0 makes the integral
         diverge, Y (evidence infinite);
-      * the log families, by the bound B = 1 / (4 c_non) of
-        ``ode.tail_edges``, finite for both: g <= B / (s - s0)^2 on
+      * the log families, by the bound B = gamma(s_max) of the certificate
+        of ``ode.tail_edges``, finite for both: g <= B / (s - s0)^2 on
         [s_max, inf) gives |L| <= B s / (s - s0) -> B, X (limit_estimate -B).
 
     The evidence is L at the probe radii r_max 10^-2 ... 10^-8, from
@@ -489,5 +489,5 @@ def classify(p: RadialPotential) -> ClassLabel:
             return ClassLabel(Label.Y, evidence, probes)
         return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)
     from .ode import log_problem, tail_edges      # ode builds on this module
-    c_non = tail_edges(log_problem(p, 1.0, p.r_max)).c_non
-    return ClassLabel(Label.X, evidence, probes, limit_estimate=-0.25 / c_non)
+    bound = tail_edges(log_problem(p, 1.0, p.r_max)).unit_osc.gamma
+    return ClassLabel(Label.X, evidence, probes, limit_estimate=-bound)

@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hardy_optim import (RadialPotential, Status, best_constant,
-                         brezis_vazquez_lambda, equal_volume_radius, euler_tail_certificate,
-                         feasible, integrate, integrate_principal_tail, log_problem,
-                         radius_problem, tail_edges, unit_ball_volume)
+from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
+                         brezis_vazquez_lambda, equal_volume_radius, feasible, integrate,
+                         integrate_principal_tail, log_problem, radius_problem, tail_edges,
+                         unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from hardy_optim.ode import CERTIFICATE_SLACK, wants_log_domain
+from hardy_optim.ode import wants_log_domain
 
 from conftest import Z0, Z0_SQ, power_law_best_constant
 
@@ -137,14 +137,19 @@ def test_no_upper_bracket(s_max):
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
-def test_amplitude_zero_log_family_has_no_upper_bracket(family, s_max):
+def test_amplitude_zero_log_family_has_no_upper_bracket(family, s_max, monkeypatch):
     # closed_form_multiplier raises UnsupportedPotential at A = 0, so the
-    # closed form certifies nothing there: every probe sweeps, and all are
-    # feasible up to the doubling cap
+    # closed form certifies nothing there: every probe is the principal
+    # tail, the line z = 1 (61 DOP853 sweeps once), and all are feasible up
+    # to the doubling cap
+    import hardy_optim.ode as ode_mod
+    ivp = _Counter(ode_mod.solve_ivp)
+    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
     p = getattr(RadialPotential, family)(1, amplitude=0.0)
     assert feasible(p, 1.0, 1.0, s_max).method == "principal-tail"
     with pytest.raises(NoUpperBracket):
         best_constant(p, 1.0, s_max=s_max)
+    assert ivp.calls == 0
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
@@ -152,10 +157,10 @@ def test_amplitude_zero_log_family_has_no_upper_bracket(family, s_max):
 @pytest.mark.parametrize("f", [1e-12, 5e-11, 1e-10])
 def test_no_feasible_verdict_just_above_the_sharp_threshold(family, amplitude, f, s_max,
                                                             monkeypatch):
-    # 1/(4A) is sharp, yet CERTIFICATE_SLACK admits a non-oscillatory
-    # certificate up to c_non (1 + 1e-10), and c_non = 1/(4A) at m = 1: the
-    # principal tail then answered feasible.  Now the answer is undecided,
-    # without a sweep
+    # 1/(4A) is sharp, yet a relative slack of 1e-10 on the non-oscillatory
+    # edge 1/(4 gamma(s_max)), which is 1/(4A) at m = 1, once admitted a
+    # certificate there, and the principal tail answered feasible.  Now the
+    # answer is undecided, without a sweep
     import hardy_optim.ode as ode_mod
     ivp = _Counter(ode_mod.solve_ivp)
     monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
@@ -264,6 +269,48 @@ def test_table_search_is_unchanged(s_max):
     assert res.c_lo == pytest.approx(1.2495454431420094, rel=1e-12)
     assert res.c_hi == pytest.approx(1.249545755320257, rel=1e-12)
     assert 2e-10 < feasible(p, res.c_hi, 1.0, s_max).evidence.zero_s < 3e-10
+
+
+@pytest.mark.parametrize("alpha, amplitude, R", [(0.0, 20.0, 4.0), (0.5, 3.0, 2.0)])
+def test_table_zero_just_past_R_is_undecided(alpha, amplitude, R, s_max):
+    # a two-node table of a constant or a power law is one cell, whose first
+    # zero reaches R at the Bessel level c*.  Just above c* the zero lies
+    # inside R by less than the sweep's accuracy, and the sweep may put it
+    # past R: a zero-free sweep whose tangent at R vanishes within that
+    # sliver past R is undecided, as a zero within it inside R is.  The
+    # first 4 floats above c* were certified feasible
+    from hardy_optim.bestconst import _bessel_level
+    r = np.array([1e-3 * R, R])
+    p = RadialPotential.custom(r, amplitude * r ** -alpha)
+    c = _bessel_level(p, R)
+    for _ in range(4):
+        c = math.nextafter(c, math.inf)
+        try:
+            assert not feasible(p, c, R, s_max).feasible, c
+        except IndeterminateAtHorizon:
+            pass
+    # a zero-free sweep away from the sliver is still decided by it
+    check = feasible(p, c * (1.0 - 1e-9), R, s_max)
+    assert check.feasible and check.margin > 0.0
+
+
+def test_table_level_within_the_sliver_closes_around_it(s_max):
+    # a table of r^-1 starts its search at its Bessel level, its c(V) to
+    # rounding, which is undecided now that a zero just past R is.  The
+    # probes c (1 -+ tol/8) beside that one undecided multiplier close the
+    # bracket around it; bisecting toward it from 0 and 2c left a band (45
+    # probes on the two-node table)
+    from hardy_optim.bestconst import _bessel_level
+    for r in (np.array([1e-3, 1.0]), np.logspace(-8, 0, 200)):
+        p = RadialPotential.custom(r, 1.0 / r)
+        c = _bessel_level(p, 1.0)
+        with pytest.raises(IndeterminateAtHorizon, match="accuracy of R"):
+            feasible(p, c, 1.0, s_max)
+        for tol in (1e-6, 1e-10):
+            res = best_constant(p, 1.0, tol=tol, s_max=s_max)
+            assert res.iterations == 5 and res.c_lo < c < res.c_hi
+            assert res.c_best == pytest.approx(c, rel=1e-15)
+            _assert_certified_bracket(p, 1.0, res, s_max)
 
 
 @pytest.mark.parametrize("alpha, amplitude, R", [
@@ -642,8 +689,9 @@ def test_critical_best_constant_reports_band(s_max, adimurthi_1):
 @pytest.mark.parametrize("family, m, amplitude", [
     ("adimurthi_log", 1, 0.26), ("adimurthi_log", 1, 0.3), ("filippas_tertikas", 2, 0.26)])
 def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, s_max):
-    # c = 1 lies inside the band above 1/(4A): the doubling phase meets an
-    # undecided multiplier before a certified-infeasible one
+    # c = 1 lies inside the band above 1/(4A), undecided; the plan's
+    # predicted edges bracket that band (the doubling phase once met c = 1
+    # before a certified-infeasible multiplier)
     p = getattr(RadialPotential, family)(m, amplitude=amplitude)
     with pytest.raises(IndeterminateAtHorizon):
         feasible(p, 1.0, 1.0, s_max)
@@ -669,17 +717,20 @@ def _assert_quarter_edge(c, amplitude):
 @pytest.mark.parametrize("amplitude", [0.05, 1.0, 20.0])
 @pytest.mark.parametrize("R", [1.0, 0.5])
 def test_closed_form_lower_end_agrees_with_the_sweep(family, m, amplitude, R, monkeypatch):
-    # the principal tail at c_non <= 1/(4A), which it still decides, finds
+    # the principal tail at c = 1/(4 gamma(s_max)) <= 1/(4A), from a
+    # non-oscillatory certificate built by hand (no verdict reads one), finds
     # what the closed form proves on all of [0, 1/(4A)]: no interior zero.
     # best_constant then starts at 1/(4A) and sweeps nothing
     import hardy_optim.ode as ode_mod
     p = getattr(RadialPotential, family)(m, amplitude=amplitude)
     horizons = (1e4, 1e6, 1e150)
     for s_max in horizons:
-        c_non = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).c_non
-        assert 0.0 < c_non * amplitude <= 0.25 * (1.0 + 1e-15)
-        prob = log_problem(p, c_non, R, s_max=s_max)
-        out = integrate_principal_tail(prob, euler_tail_certificate(prob))
+        unit = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).unit_osc
+        c = 0.25 / unit.gamma
+        assert 0.0 < c * amplitude <= 0.25 * (1.0 + 1e-15)
+        prob = log_problem(p, c, R, s_max=s_max)
+        cert = TailCertificate("nonoscillatory", c * unit.gamma, unit.shift, (s_max, math.inf))
+        out = integrate_principal_tail(prob, cert)
         assert out.status is Status.NO_ZERO_ON_INTERVAL and out.first_zero is None
     ivp = _Counter(ode_mod.solve_ivp)
     monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
@@ -710,13 +761,9 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, s_ma
     lo, hi = feasible(p, res.c_lo, 1.0, s_max), feasible(p, res.c_hi, 1.0, s_max)
     assert lo.feasible and lo.method == "closed-form"
     assert not hi.feasible and hi.method == "oscillation-certificate"
-    # the next multiplier beyond either certified extreme is undecided; the
-    # non-oscillatory certificate reaches CERTIFICATE_SLACK above c_non, which
-    # is c_lo or below for m >= 2 and may round 1 ulp above it for m = 1
-    edge = max(res.c_lo, tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max)).c_non)
-    assert edge <= math.nextafter(res.c_lo, math.inf)
-    for c in (np.nextafter(edge * (1.0 + CERTIFICATE_SLACK), math.inf),
-              np.nextafter(res.c_hi, 0.0)):
+    # the next float beyond either certified extreme is undecided: no
+    # certificate of any kind reaches above c_lo = 1/(4A)
+    for c in (math.nextafter(res.c_lo, math.inf), math.nextafter(res.c_hi, 0.0)):
         with pytest.raises(IndeterminateAtHorizon):
             feasible(p, float(c), 1.0, s_max)
     # the lower edge is c(V) = 1/(4A) itself for every m, the largest float

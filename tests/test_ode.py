@@ -9,7 +9,7 @@ from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status, TailC
                          log_problem, radius_problem, residual, riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
-from hardy_optim.ode import CERTIFICATE_SLACK, _fundamental, _segments, _transfer, tail_edges
+from hardy_optim.ode import _fundamental, _segments, _transfer, tail_edges
 
 from conftest import Z0, power_law_zero
 
@@ -370,10 +370,41 @@ def test_forward_log_integration_horizon():
 # Euler tail certificates
 # ---------------------------------------------------------------------------
 
-def test_certificate_nonoscillatory_at_quarter(adimurthi_1):
-    cert = euler_tail_certificate(log_problem(adimurthi_1, 0.25, 1.0))
-    assert cert is not None and cert.kind == "nonoscillatory"
-    assert cert.gamma <= 0.25 * (1.0 + 1e-9)
+def test_certificate_nonoscillatory_only_where_a_vanishes(adimurthi_1):
+    # the closed form decides every c <= 1/(4A), and above it a log family
+    # oscillates at infinity: only a = 0 (c = 0 or amplitude 0) has a
+    # non-oscillatory tail, gamma = 0
+    assert euler_tail_certificate(log_problem(adimurthi_1, 0.25, 1.0)) is None
+    for family in ("adimurthi_log", "filippas_tertikas"):
+        null = getattr(RadialPotential, family)(2, amplitude=0.0)
+        for p, c in ((adimurthi_1, 0.0), (null, 1.0), (null, 1e300)):
+            cert = euler_tail_certificate(log_problem(p, c, 1.0))
+            assert cert.kind == "nonoscillatory" and cert.gamma == 0.0
+            assert cert.window == (1e6, math.inf)
+
+
+def test_vanishing_coefficient_is_swept_as_the_line(monkeypatch):
+    # a = 0 at c > 0 (amplitude 0) is the line z = 1 for every kind: the
+    # recessive shot, the outer-edge shot and the principal tail, with no
+    # cell sweep and no solve_ivp call (the log families took DOP853)
+    import hardy_optim.ode as ode_mod
+    calls = []
+    for name in ("solve_ivp", "_cell_sweep"):
+        real = getattr(ode_mod, name)
+        monkeypatch.setattr(ode_mod, name,
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    for p in (RadialPotential.constant(0.0), RadialPotential.power_law(1.0, 0.0),
+              RadialPotential.adimurthi_log(1, amplitude=0.0),
+              RadialPotential.filippas_tertikas(2, amplitude=0.0)):
+        prob = log_problem(p, 2.0, 1.0)
+        shots = [integrate(prob), integrate_principal_tail(prob, euler_tail_certificate(prob))]
+        if p.log_cells is not None:
+            shots.append(integrate(radius_problem(p, 2.0, 1.0)))
+        for out in shots:
+            assert out.first_zero is None and out.status is not Status.ZERO_FOUND
+            z = out.trajectory["z" if "z" in out.trajectory else "y"]
+            assert z.size == 2 and np.all(z == 1.0)
+    assert calls == []
 
 
 def test_certificate_oscillatory_above_quarter(adimurthi_1):
@@ -398,19 +429,15 @@ def test_certificate_none_inside_band(adimurthi_1):
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_tail_edges_decide_the_certificate(family):
-    # the certificate is the comparison of the multiplier with the edges,
-    # exactly at them included; the non-oscillatory one takes the slack
+    # the certificate is the comparison of the multiplier with the edge,
+    # exactly at it included; below it, at 1/4 and under, there is none
     p = getattr(RadialPotential, family)(2)
     edges = tail_edges(log_problem(p, 1.0, 1.0))
-    c_non, c_osc = edges.c_non, edges.c_osc
-    assert 0.0 < c_non < 0.25 < c_osc < math.inf
-    assert c_non == 0.25 / edges.unit_non.gamma
-    c_top = c_non * (1.0 + CERTIFICATE_SLACK)
+    c_osc = edges.c_osc
+    assert 0.25 < c_osc < math.inf
     certs = [euler_tail_certificate(log_problem(p, c, 1.0))
-             for c in (c_top, np.nextafter(c_top, math.inf), np.nextafter(c_osc, 0.0), c_osc)]
-    assert certs[0].kind == "nonoscillatory"
-    assert certs[0].gamma <= 0.25 * (1.0 + 2.0 * CERTIFICATE_SLACK)
-    assert certs[1] is None and certs[2] is None
+             for c in (0.2, 0.25, np.nextafter(c_osc, 0.0), c_osc)]
+    assert certs[:3] == [None, None, None]
     assert certs[3].kind == "oscillatory"
     s1, s2 = certs[3].window
     assert math.log((s2 - certs[3].shift) / (s1 - certs[3].shift)) >= \
@@ -455,8 +482,8 @@ def _tail_cases():
 def test_tail_edges_hold_on_a_dense_grid(s_max):
     # every edge is a certificate: gamma on the returned oscillation window
     # is at least its gamma, and the window holds an Euler half-oscillation
-    # at c_osc; beyond the horizon gamma stays at most the non-oscillatory
-    # gamma, so c_non gamma <= 1/4 on [s_max, inf)
+    # at c_osc; beyond the horizon gamma stays at most that gamma too, the
+    # bound B = gamma(s_max) of ``classify``
     for p, R in itertools.product(_tail_cases(), (1.0, 0.5)):
         edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
         unit = edges.unit_osc
@@ -467,26 +494,24 @@ def test_tail_edges_hold_on_a_dense_grid(s_max):
         assert np.all(_gamma(p, s, unit.shift) >= unit.gamma * (1.0 - 1e-12)), p
         length = math.log((s2 - unit.shift) / (s1 - unit.shift))
         assert length >= (1.0 - 1e-12) * math.pi / math.sqrt(edges.c_osc * unit.gamma - 0.25)
-        tail = edges.unit_non
-        assert tail.window == (s_max, math.inf)
         s = np.geomspace(s_max, 1e3 * s_max, 20001)
-        assert np.all(_gamma(p, s, tail.shift) <= tail.gamma * (1.0 + 1e-12)), p
-        assert edges.c_non == 0.25 / tail.gamma
+        assert np.all(_gamma(p, s, unit.shift) <= unit.gamma * (1.0 + 1e-12)), p
 
 
-def test_tail_edges_m2_non_oscillatory_edge_is_the_closed_form():
+def test_tail_edges_gamma_is_the_horizon_value():
     # gamma at the horizon, not a sampled maximum from a fitted shift: the
-    # sampler gave 0.248551 here
+    # sampler's gave 1/4 over 0.248551 here
     p = RadialPotential.adimurthi_log(2)
-    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=1e6))
-    assert edges.c_non >= 0.24869
-    assert edges.unit_non.shift == p.euler_shift_hint()
-    # at m = 1 gamma is A = 1 and is clipped below at A, so c_non is 1/4 (at
-    # s_max = 1e6 the X family's gamma rounds one ulp above 1 instead)
-    for s_max in (1e4, 1e30, 1e150):
+    unit = tail_edges(log_problem(p, 1.0, 1.0, s_max=1e6)).unit_osc
+    assert unit.gamma <= 0.25 / 0.24869
+    assert unit.shift == p.euler_shift_hint()
+    # at m = 1 gamma is A = 1 and is clipped below at A, so it is 1 (at s_max
+    # = 1e6 the X family's gamma rounds one ulp above 1 at the horizon, and
+    # the edge's, the smaller, is 1)
+    for s_max in (1e4, 1e6, 1e30, 1e150):
         for family in _FAMILIES:
             one = tail_edges(log_problem(getattr(RadialPotential, family)(1), 1.0, 1.0, s_max))
-            assert one.c_non == 0.25
+            assert one.unit_osc.gamma == 1.0
 
 
 def test_tail_edges_evaluate_the_potential_once(monkeypatch):
@@ -506,9 +531,9 @@ def test_tail_edges_evaluate_the_potential_once(monkeypatch):
 
 
 def _pair_search_edges(prob):
-    """The oscillatory and non-oscillatory edges of a log family as the
-    pair search over 100 window ends found them: the least multiplier over
-    all pairs of ends geometric in s - s0, inside the horizon."""
+    """The oscillatory edge of a log family as the pair search over 100
+    window ends found it: the least multiplier over all pairs of ends
+    geometric in s - s0, inside the horizon."""
     p, lo = prob.potential, -math.log(prob.R) + 1e-9
     s0 = p.euler_shift_hint()
     s = s0 + np.geomspace(lo - s0, prob.s_max - s0, 100)
@@ -517,14 +542,12 @@ def _pair_search_edges(prob):
     i, j = np.triu_indices(s.size, 1)
     with np.errstate(divide="ignore", over="ignore"):
         gamma = np.clip(p.log_weight(s) * sigma ** 2, p.amplitude, 1e300)
-        c_non = float(0.25 / gamma[-1])
         need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
             / np.minimum(gamma[i], gamma[j])
     k = int(np.argmin(need))
     unit_osc = TailCertificate("oscillatory", float(min(gamma[i[k]], gamma[j[k]])), s0,
                                (float(s[i[k]]), float(s[j[k]])))
-    return TailEdges(c_non, TailCertificate("nonoscillatory", float(gamma[-1]), s0,
-                                            (prob.s_max, math.inf)), float(need[k]), unit_osc)
+    return TailEdges(float(need[k]), unit_osc)
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -595,10 +618,18 @@ def test_euler_certificate_rejects_a_falling_inner_cell():
             tail_edges(log_problem(p, 1.0, 1.0))
 
 
+def _principal_tail(p, c, R=1.0, s_max=1e6, edges=None):
+    """The principal tail at c from a non-oscillatory certificate built by
+    hand, gamma = c gamma(s_max) on [s_max, inf): a log family's tail is
+    non-oscillatory up to c = 1/(4 gamma(s_max)), which no verdict reads."""
+    unit = (edges or tail_edges(log_problem(p, 1.0, R, s_max=s_max))).unit_osc
+    prob = log_problem(p, c, R, s_max=s_max)
+    cert = TailCertificate("nonoscillatory", c * unit.gamma, unit.shift, (s_max, math.inf))
+    return prob, integrate_principal_tail(prob, cert)
+
+
 def test_principal_tail_positive_at_threshold(adimurthi_1):
-    lp = log_problem(adimurthi_1, 0.25, 1.0)
-    cert = euler_tail_certificate(lp)
-    out = integrate_principal_tail(lp, cert)
+    _, out = _principal_tail(adimurthi_1, 0.25)
     assert out.status is Status.NO_ZERO_ON_INTERVAL
     assert np.all(out.trajectory["z"] > 0.0)
     # tracks the exact solution sqrt(s + ln rho) up to normalization
@@ -736,8 +767,8 @@ def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
         g = p.log_weight(np.geomspace(1e-9, 1e6, 4000))
         assert np.all(g > 0.0) and np.all(np.diff(g) <= 0.0)
         edges = tail_edges(log_problem(p, 1.0, 1.0))
-        tail = log_problem(p, edges.c_non, 1.0)
-        sweeps = [(tail, integrate_principal_tail(tail, euler_tail_certificate(tail)))]
+        tail, out = _principal_tail(p, 0.25 / edges.unit_osc.gamma, edges=edges)
+        sweeps = [(tail, out)]
         for c in (edges.c_osc, 3.0 * edges.c_osc, 1e40 / amplitude):
             shot = log_problem(p, c, 1.0)
             sweeps.append((shot, integrate(shot)))
@@ -753,8 +784,9 @@ def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
 
 @pytest.mark.parametrize("s_max, budget", [(1e6, 700), (1e150, 1500)])
 def test_principal_tail_rhs_evaluations(s_max, budget, monkeypatch):
-    # swept in tau = ln(s - s0), the c_non principal tail of every borderline
-    # entry takes a few hundred RHS evaluations at any horizon; swept in s it
+    # swept in tau = ln(s - s0), the principal tail at 1/(4 gamma(s_max)) of
+    # every borderline entry takes a few hundred RHS evaluations at any
+    # horizon; swept in s it
     # took 1,391-1,931 at s_max = 1e6 and ~19.9k at 1e150
     import hardy_optim.ode as ode_mod
     nfev = []
@@ -770,9 +802,8 @@ def test_principal_tail_rhs_evaluations(s_max, budget, monkeypatch):
         for m in (1, 2, 3):
             p = getattr(RadialPotential, family)(m)
             edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
-            tail = log_problem(p, edges.c_non, 1.0, s_max=s_max)
             nfev.clear()
-            integrate_principal_tail(tail, euler_tail_certificate(tail, edges))
+            _principal_tail(p, 0.25 / edges.unit_osc.gamma, s_max=s_max, edges=edges)
             assert len(nfev) == 1 and nfev[0] <= budget, (family, m, nfev)
 
 

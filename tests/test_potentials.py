@@ -397,12 +397,19 @@ def test_classify_near_critical_is_honest():
 
 
 def test_classify_log_family_bound_is_the_tail_sample():
-    # B = 1 / (4 c_non) of the Euler tail edges bounds |L| in the limit;
-    # c_non is finite for both log families, so no label is Indeterminate
+    # B = gamma(s_max), the gamma of the Euler tail edge's certificate,
+    # bounds |L| in the limit; it is finite for both log families, so no
+    # label is Indeterminate
     lab = classify(RadialPotential.adimurthi_log(3, amplitude=20.0))
     assert lab.label is Label.X
     assert -20.2 < lab.limit_estimate < -20.0
     assert np.all(np.abs(lab.evidence) < -lab.limit_estimate)
+    # at m = 1 gamma is A, and B is A itself (1/4 over 1/(4 gamma) missed it
+    # by up to 3 ulps)
+    for family in ("adimurthi_log", "filippas_tertikas"):
+        for amplitude in (0.05, 0.3, 7.956335241748048, 20.0):
+            p = getattr(RadialPotential, family)(1, amplitude=amplitude)
+            assert classify(p).limit_estimate == -amplitude
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
