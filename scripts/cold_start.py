@@ -42,8 +42,18 @@ ROWS = {
     "best-constant/x-2": ({"kind": "filippas_tertikas_x", "m": "2"}, ["best-constant"]),
     "eigen/power-1": (_POWER_1, ["eigen", "--mu", "0"]),
     "classify/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["classify"]),
+    "classify/power-1": (_POWER_1, ["classify"]),
+    "dual/power-1-p1": (_POWER_1, ["dual", "--c", "1", "--p", "1"]),
     "dual/power-1-p2": (_POWER_1, ["dual", "--c", "1", "--p", "2"]),
+    "dual/log-2-p1": ({"kind": "adimurthi_log", "m": "2"}, ["dual", "--c", "0.25", "--p", "1"]),
+    "dual/x-3-p2": ({"kind": "filippas_tertikas_x", "m": "3"}, ["dual", "--c", "0.25", "--p", "2"]),
 }
+
+
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports hardy_optim from SRC."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
 
 
 def fresh_run(runs, workdir) -> tuple:
@@ -57,10 +67,8 @@ def fresh_run(runs, workdir) -> tuple:
         config.write_text("[potential]\n" + "".join(f"{key} = {value}\n"
                                                     for key, value in potential.items()))
         argvs.append(argv[:1] + ["--config", str(config)] + argv[1:])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=child_env(),
                           stdout=subprocess.PIPE, text=True, check=True)
     wall = time.perf_counter() - t0
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])

@@ -8,32 +8,36 @@ For an admissible multiplier c (c <= c(V)) and 0 < p <= 2, every u with
 so the reciprocal dual norm is a computable lower bound on the gap infimum.
 At p = 2 the exponent degenerates and the bound is the essential infimum of
 c v over (0, R).
+
+The norm is taken in s = ln(1/r), in log space: with g = ``log_weight``,
+
+    ||(c v)^{-1}||_q^q = n omega_n I,   I = int_{s_R}^inf (c g(s))^(-q) e^(-(2q+n) s) ds,
+
+s_R = ln(1/R), and the bound is exp(-(ln(n omega_n) + ln I) / q), so that
+(c v)^(-q) never has to be a float.  On ``log_cells`` (constants, power
+laws, tables) ln I is exact, cell by cell; the two log families take an
+exp-sinh double-exponential rule (Takahasi and Mori 1974).  numpy only.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
-from .potentials import RadialPotential
+from .potentials import RadialPotential, exprel
 
-
-# scipy is imported by the first call that needs it (see ``ode.solve_ivp``)
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad."""
-    from scipy import integrate
-    return integrate.quad(*args, **kwargs)
-
-
-def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar."""
-    from scipy import optimize
-    return optimize.minimize_scalar(*args, **kwargs)
+# The exp-sinh rule sums t in [-4, 3]: u from 2e-19, below which a piece
+# of I is under 1e-18 of it, to 7e6, past which the integrand, decaying at
+# least like e^(-u) there, is below e^(-1e6) of its peak.
+_DE_T_LO, _DE_T_HI = -4.0, 3.0
+_DE_LEVELS = 8       # halvings of the step (h = 1/2 .. 1/256) before QuadratureError
+_DE_RTOL = 1e-12     # two successive levels agree to this, relative
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,12 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
                      R: float) -> DualBound:
     """1 / ||(c v)^{-1}||_{L^{p/(2-p)}} on the ball of radius R.
 
-    The norm is the radial integral (n omega_n int_0^R (c v)^{-q} r^{n-1} dr)^{1/q}.
-    A divergent integral is reported as an explicit zero bound with the
-    ``divergent`` flag set (the local integrand exponent at the origin is
-    checked first: sigma q + n - 1 <= -1 certifies divergence, as does a
-    vanishing potential).
+    The norm is the radial integral (n omega_n int_0^R (c v)^{-q} r^{n-1} dr)^{1/q},
+    evaluated as ln I (see the module docstring).  A divergent integral is
+    reported as an explicit zero bound with the ``divergent`` flag set (the
+    local integrand exponent at the origin is checked first: sigma q + n - 1
+    <= -1 certifies divergence, as does a vanishing potential).  A bound that
+    is not a positive float raises DivergentNorm.
     """
     if not 0.0 < p <= 2.0:
         raise InvalidP(f"exponent p must be in (0, 2], got {p}")
@@ -76,25 +81,77 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     if exponent0 <= -1.0 or p_pot.amplitude == 0.0:
         return DualBound(p, q, 0.0, c, divergent=True, potential=p_pot)
 
-    def integrand(t: float) -> float:
-        r = math.exp(t)
-        return (c * p_pot.value(r)) ** (-q) * r ** n   # dr = r dt
+    s_R = -math.log(R)
+    if p_pot.log_cells is not None:
+        log_i = _cell_log_integral(p_pot.log_cells, c, q, n, s_R)
+    else:
+        log_i = _exp_sinh_log_integral(p_pot, c, q, n, s_R)
+    log_norm = (math.log(n * unit_ball_volume(n)) + log_i) / q
+    with np.errstate(over="ignore"):
+        bound = float(np.exp(-log_norm))
+    if not 0.0 < bound < math.inf:
+        raise DivergentNorm(f"dual norm evaluated to exp({log_norm!r})")
+    return DualBound(p, q, bound, c, divergent=False, potential=p_pot)
 
-    t_lo, t_hi = math.log(1e-14 * R), math.log(R)
-    result = quad(integrand, t_lo, t_hi, limit=400, epsabs=0.0, epsrel=1e-11,
-                  full_output=1)
-    val, err = result[0], result[1]
-    if not (len(result) == 3 or err <= 1e-8 * max(abs(val), 1e-300)):
-        raise QuadratureError(f"dual norm integral did not converge: {val} +- {err}")
-    # analytic leading term below the quadrature cutoff
-    r_cut = 1e-14 * R
-    amp = p_pot.singular_amplitude(r_cut)
-    if amp > 0.0:
-        val += (c * amp) ** (-q) * r_cut ** (exponent0 + 1.0) / (exponent0 + 1.0)
-    norm = (n * unit_ball_volume(n) * val) ** (1.0 / q)
-    if not math.isfinite(norm) or norm <= 0.0:
-        raise DivergentNorm(f"dual norm evaluated to {norm}")
-    return DualBound(p, q, 1.0 / norm, c, divergent=False, potential=p_pot)
+
+def _log_sum_exp(x: np.ndarray) -> float:
+    top = float(x.max())
+    if not math.isfinite(top):
+        return top
+    return top + math.log(float(np.exp(x - top).sum()))
+
+
+def _cell_log_integral(cells: tuple, c: float, q: float, n: int, s_R: float) -> float:
+    """ln I on ``log_cells``: on each cell ln(c g) is linear in s, so the
+    log integrand f is linear too, of slope beta.  The pieces of I between
+    s_R and the knots past it are e^(max f) w exprel(-|beta| w), w the
+    piece's width; the inner cell adds e^(f at its start) / |beta|, +inf
+    when beta >= 0 (the norm diverges)."""
+    knots, anchors, ell, slope = cells
+    start = np.concatenate([[s_R], knots[knots > s_R]])
+    k = knots.searchsorted(start, side="right")
+    beta = -q * slope[k] - (2.0 * q + n)
+    f = -q * (math.log(c) + ell[k] + slope[k] * (start - anchors[k])) - (2.0 * q + n) * start
+    w = np.diff(start)
+    with np.errstate(divide="ignore"):
+        inner = f[-1] - np.log(np.maximum(-beta[-1], 0.0))
+        pieces = f[:-1] + np.maximum(beta[:-1], 0.0) * w + np.log(w * exprel(-np.abs(beta[:-1]) * w))
+    return _log_sum_exp(np.append(pieces, inner))
+
+
+def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
+                           s_R: float) -> float:
+    """ln I for the two log families by the exp-sinh rule in u = lam (s - s_R),
+    u = exp(pi/2 sinh t), with the step h halved (h = 1/2, 1/4, ...) until
+    two successive levels agree to _DE_RTOL relative; each level adds the
+    new nodes to the old.  lam = 2q + n - 2q / (s_R - s0) >= n is the decay
+    rate at s_R of the m = 1 integrand, (s - s0)^(2q) e^(-(2q+n) s), s0 the
+    Euler shift.  ln(c g) is ln(c A) plus the log of the amplitude-1 chain,
+    so that no node underflows g.  Raises QuadratureError after _DE_LEVELS
+    levels."""
+    unit = dataclasses.replace(p_pot, amplitude=1.0)
+    s0 = p_pot.euler_shift_hint()
+    lam = 2.0 * q + n - 2.0 * q / (s_R - s0)
+    log_ca = math.log(c * p_pot.amplitude)
+
+    def log_terms(t: np.ndarray) -> np.ndarray:
+        # ln of the integrand times ds/dt, less the constant -(2q+n) s_R
+        e = 0.5 * math.pi * np.sinh(t)
+        du = e + np.log(0.5 * math.pi * np.cosh(t) / lam)
+        s_off = np.exp(e) / lam
+        return -q * (log_ca + np.log(unit.log_weight(s_R + s_off))) - (2.0 * q + n) * s_off + du
+
+    h = 0.5
+    terms = log_terms(np.arange(_DE_T_LO, _DE_T_HI + 0.5 * h, h))
+    estimate = _log_sum_exp(terms) + math.log(h)
+    for _ in range(1, _DE_LEVELS):
+        h *= 0.5
+        terms = np.append(terms, log_terms(np.arange(_DE_T_LO + h, _DE_T_HI, 2.0 * h)))
+        estimate, previous = _log_sum_exp(terms) + math.log(h), estimate
+        if abs(estimate - previous) <= _DE_RTOL:
+            return estimate - (2.0 * q + n) * s_R
+    raise QuadratureError(f"dual norm integral unsettled after {_DE_LEVELS} exp-sinh levels: "
+                          f"ln I = {estimate - (2.0 * q + n) * s_R!r}")
 
 
 def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
@@ -102,7 +159,7 @@ def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
     power law, a table), where v is monotone on each cell: 0 when the inner
     cell falls to the origin (sigma < 0), else the least of v(R) and v at
     the knots inside the ball.  For the two log families, the minimum over
-    4096 log-spaced radii in [1e-9 R, R], refined by a bounded minimisation
+    4096 log-spaced radii in [1e-9 R, R], refined by ``_golden_section``
     in ln r over the two sample cells around it: a sampled minimum alone
     overstates the infimum of a non-monotone v (the X family with m >= 2
     dips inside the ball)."""
@@ -113,7 +170,23 @@ def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
     t = np.linspace(math.log(1e-9 * R), math.log(R), 4096)
     v = p_pot.value(np.exp(t))
     k = int(np.argmin(v))
-    around = (t[max(k - 1, 0)], t[min(k + 1, t.size - 1)])
-    refined = minimize_scalar(lambda x: p_pot.value(math.exp(x)), bounds=around,
-                              method="bounded", options={"xatol": 1e-10})
-    return float(min(v[k], refined.fun))
+    refined = _golden_section(lambda x: p_pot.value(math.exp(x)), t[max(k - 1, 0)],
+                              t[min(k + 1, t.size - 1)])
+    return float(min(v[k], refined))
+
+
+def _golden_section(f: Callable[[float], float], a: float, b: float) -> float:
+    """Least value of f found by golden-section search on [a, b], narrowed
+    until it is at most 1e-10 wide (Kiefer 1953); for f unimodal there."""
+    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > 1e-10:
+        if f1 < f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return min(f1, f2)

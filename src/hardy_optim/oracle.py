@@ -140,14 +140,19 @@ def _lumped(nodes: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.nda
 
 def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped:
-    stiffness (diag, off-diag) r^(n-1), lumped Hardy r^(n-3) dr = e^((n-2)t) dt,
-    lumped mass v r^(n-1) dr = log_weight(-t) e^((n-2)t) dt."""
+    stiffness (diag, off-diag) r^(n-1) and lumped mass v r^(n-1) dr =
+    log_weight(-t) e^((n-2)t) dt."""
     k_diag, k_off = _stiffness(nodes, float(n - 1))
-    hardy_diag = _lumped(nodes, lambda t: np.exp((n - 2.0) * t))
     m_diag = _lumped(nodes, lambda t: p.log_weight(-t) * np.exp((n - 2.0) * t))
     if np.any(m_diag[:-1] < _TINY):
         raise SingularMass("potential weight vanishes or underflows on a full cell")
-    return k_diag[:-1], k_off[:-1], hardy_diag[:-1], m_diag[:-1]
+    return k_diag[:-1], k_off[:-1], m_diag[:-1]
+
+
+def _hardy_diag(nodes: np.ndarray, n: int) -> np.ndarray:
+    """Lumped Hardy weight r^(n-3) dr = e^((n-2)t) dt of ``_pencil``'s nodes,
+    for the forms with an inverse-square term."""
+    return _lumped(nodes, lambda t: np.exp((n - 2.0) * t))[:-1]
 
 
 def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = None,
@@ -231,7 +236,7 @@ def reduced_rayleigh_min(p: RadialPotential, grid: GridSpec) -> EigenResult:
     (pi / L)^2.
     """
     # the reduced quotient is the radial form of dimension 2 (weight r)
-    k_diag, k_off, _, m_diag = _pencil(p, grid.nodes(), 2)
+    k_diag, k_off, m_diag = _pencil(p, grid.nodes(), 2)
     lam, x, res, iters = _smallest_eigenpair(k_diag, k_off, m_diag)
     return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
@@ -249,7 +254,9 @@ def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> Eig
     mu_crit = 0.25 * (n - 2) ** 2
     if not 0.0 <= mu < mu_crit:
         raise IndefiniteForm(f"mu = {mu} outside [0, mu_n = {mu_crit})")
-    k_diag, k_off, hardy_diag, m_diag = _pencil(p, grid.nodes(), n)
+    nodes = grid.nodes()
+    k_diag, k_off, m_diag = _pencil(p, nodes, n)
+    hardy_diag = _hardy_diag(nodes, n)
     lam, x, res, iters = _smallest_eigenpair(k_diag - mu * hardy_diag, k_off, m_diag)
     return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
@@ -282,7 +289,9 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     mu_n = 0.25 * (n - 2) ** 2
     mus = (1.0 - 2.0 ** -np.arange(1.0, _LIMIT_DEPTH + 1)) * mu_n
     # one assembly; each mu only shifts the stiffness diagonal
-    k_diag, k_off, hardy_diag, m_diag = _pencil(p, grid.nodes(), n)
+    nodes = grid.nodes()
+    k_diag, k_off, m_diag = _pencil(p, nodes, n)
+    hardy_diag = _hardy_diag(nodes, n)
     lambdas, x, shift = [], None, 0.0
     for mu in mus:
         # warm start passed positionally, the way tests stub the solver

@@ -57,6 +57,13 @@ def _clip_exp(exponent):
     return math.exp(exponent)
 
 
+def exprel(x: np.ndarray) -> np.ndarray:
+    """(e^x - 1) / x elementwise from numpy's expm1: 1 at x = 0, inf where
+    e^x overflows (``scipy.special.exprel``, within an ulp)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 1.0, np.expm1(x) / x)
+
+
 # ---------------------------------------------------------------------------
 # Iterated logarithms and the X_k correction weights
 # ---------------------------------------------------------------------------
@@ -433,20 +440,20 @@ class ClassLabel:
 def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
     """int_{s_k}^inf ``log_weight`` for increasing s_k, from one array
     ``log_weight`` call.  On ``log_cells`` every piece between the s_k and the
-    knots is exact, g(a) (b - a) exprel(q (b - a)), and the inner cell adds
-    g / |q| (inf if q >= 0).  The log families take a composite Gauss rule on
-    unit panels in ln(s - s0), s0 their Euler shift (geometric panels in
-    u = 1 / (s - s0)), closed past the last one, S, by g(S) (S - s0)."""
+    knots is exact, g(a) (b - a) ``exprel``(q (b - a)), and the inner cell
+    adds g / |q| (inf if q >= 0).  The log families take a composite Gauss
+    rule on unit panels in ln(s - s0), s0 their Euler shift (geometric panels
+    in u = 1 / (s - s0)), closed past the last one, S, by g(S) (S - s0).
+    numpy only."""
     cells = p.log_cells
     if cells is not None:
         knots, _, ell, q = cells
         if q[-1] >= 0.0 and ell[-1] > -math.inf:
             return np.full(s.shape, math.inf)
         points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
-        from scipy import special
         g, width = p.log_weight(points), np.diff(points)
         cell_q = q[knots.searchsorted(points[:-1], "right")]
-        piece = g[:-1] * width * special.exprel(cell_q * width)
+        piece = g[:-1] * width * exprel(cell_q * width)
         pieces, at = np.append(piece, -g[-1] / q[-1] if g[-1] else 0.0), points.searchsorted(s)
     else:
         s0 = p.euler_shift_hint()

@@ -164,6 +164,16 @@ def test_dual_on_a_table_rising_from_the_origin_is_divergent(tmp_path, capsys):
         assert code == 0 and float(rec["bound"]) == 0.0 and rec["divergent"] == divergent
 
 
+def test_dual_near_p_2_is_a_record(tmp_path, capsys):
+    # (c v)^(-q) = 1e597 at q = 199 ended in a bare OverflowError traceback;
+    # the bound is c A (omega_3)^(-1/q)
+    cfg = _write_config(tmp_path)
+    code, out = _run(capsys, "dual", "--c", "0.001", "--p", "1.99", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 0 and out.startswith("[result]")
+    assert float(rec["bound"]) == pytest.approx(9.928277938747e-4, rel=1e-12)
+
+
 def test_check_closed_form_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path, potential={"kind": "filippas_tertikas_x", "m": "2"})
     code, out = _run(capsys, "check-closed-form", "--config", cfg)

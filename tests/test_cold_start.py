@@ -1,10 +1,13 @@
 """Each CLI subcommand loads only the scipy it runs, checked in fresh
 interpreters: the borderline families' best-constant, feasible and
 classify are closed forms and numpy, and so are best-constant and feasible
-on a constant or a power law (x(R) against z0) and ``dual --p 2`` on
-``log_cells``; none of them loads a scipy submodule.  Cell sweeps load
-``scipy.special`` alone."""
+on a constant or a power law (x(R) against z0), classify on every kind and
+dual at every p; none of them loads a scipy submodule.  Cell sweeps load
+``scipy.special`` alone, and a whole oracle row ``scipy.linalg`` alone."""
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 COLD_START = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "cold_start.py"))
@@ -76,3 +79,57 @@ def test_dual_infimum_on_cells_loads_no_scipy(tmp_path):
     _, codes, loaded = fresh_run(runs, tmp_path)
     assert codes == [0, 0]
     assert loaded == []
+
+
+def _table(tmp_path):
+    table = tmp_path / "table.csv"
+    r = [10.0 ** -k for k in range(8, -1, -1)]
+    table.write_text("r,v\n" + "".join(f"{x!r},{2.0 + 1.0 / x!r}\n" for x in r))
+    return {"kind": "custom", "samples": str(table)}
+
+
+def test_dual_and_classify_load_no_scipy(tmp_path):
+    # the norm integral is exact on log_cells and an exp-sinh rule on the log
+    # families, where quad loaded integrate, optimize and linalg; the p = 2
+    # infimum is refined by golden-section search, not minimize_scalar; and
+    # classify's cell integrals take numpy's expm1, not scipy.special.exprel
+    kinds = [{"kind": "power_law", "alpha": "1"}, _table(tmp_path), _LOG_2,
+             {"kind": "filippas_tertikas_x", "m": "3"}]
+    runs = [(kind, argv) for kind in kinds
+            for argv in (["dual", "--c", "0.2", "--p", p] for p in ("1", "1.5", "2"))]
+    runs += [(kind, ["classify"]) for kind in kinds]
+    _, codes, loaded = fresh_run(runs, tmp_path)
+    assert codes == [0] * 16
+    assert loaded == []
+
+
+# The bench's oracle-catalog row, one config after another in one fresh
+# interpreter: classify, eigen and dual through cli.main, the two FE
+# quotients through the library.
+_ORACLE_ROW = f"""
+import json, sys
+from hardy_optim import cli, config, oracle
+for path in sys.argv[1:]:
+    for argv in (["classify"], ["eigen", "--mu", "0.1"], ["dual", "--c", "0.2", "--p", "1"],
+                 ["dual", "--c", "0.2", "--p", "2"]):
+        assert cli.main(argv[:1] + ["--config", path] + argv[1:]) == 0, argv
+    cfg = config.load_config(path)
+    grid = oracle.GridSpec(cfg.grid_n, oracle.GridMapping.LOG_SPACED, cfg.R, cfg.r_min_rel * cfg.R)
+    oracle.reduced_rayleigh_min(cfg.potential, grid)
+    oracle.lambda_limit(cfg.potential, cfg.n, cfg.R)
+print(json.dumps([m for m in {COLD_START["SCIPY_SUBMODULES"]!r} if m in sys.modules]))
+"""
+
+
+def test_oracle_row_loads_only_linalg(tmp_path):
+    kinds = ["kind = constant\namplitude = 3\nr_max = 2",
+             "kind = power_law\nalpha = 1.3\namplitude = 0.5",
+             "kind = adimurthi_log\nm = 2", "kind = filippas_tertikas_x\nm = 3\namplitude = 7"]
+    paths = []
+    for k, keys in enumerate(kinds):
+        paths.append(tmp_path / f"row{k}.ini")
+        paths[-1].write_text(f"[potential]\n{keys}\n[solver]\ngrid_n = 2000\n")
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_ROW] + [str(p) for p in paths],
+                          env=COLD_START["child_env"](), stdout=subprocess.PIPE, text=True,
+                          check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["scipy.linalg"]

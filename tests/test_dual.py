@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hardy_optim import RadialPotential, dual, dual_lower_bound, hardy_quotient
-from hardy_optim.errors import DomainError, InvalidP
+from hardy_optim.errors import DivergentNorm, DomainError, InvalidP, QuadratureError
 
 from conftest import Z0_SQ
 
@@ -50,8 +50,8 @@ def test_essential_infimum_of_power_law_vanishing_at_origin(alpha):
     assert dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound == 0.0
 
 
-def _no_minimisation(*args, **kwargs):
-    raise AssertionError("the infimum on log_cells needs no minimisation")
+def _no_refinement(*args, **kwargs):
+    raise AssertionError("the infimum on log_cells needs no refinement")
 
 
 _R = np.geomspace(1e-9, 2.0, 200)
@@ -69,8 +69,8 @@ def test_essential_infimum_reads_the_cells(p, R, monkeypatch):
     # v is monotone on each cell of log_cells: the infimum is the least of
     # v(R) and v at the knots inside the ball, or 0 when v falls to the
     # origin; constants and power laws once took 4096 samples and a
-    # minimize_scalar call
-    monkeypatch.setattr(dual, "minimize_scalar", _no_minimisation)
+    # minimize_scalar call, the log families' refinement
+    monkeypatch.setattr(dual, "_golden_section", _no_refinement)
     if p.sigma < 0.0:
         expected = 0.0
     else:
@@ -160,3 +160,107 @@ def test_bound_caps_gap_of_normalized_functions():
 
 def p_pot_values(p_pot, r):
     return np.array([p_pot.value(float(ri)) for ri in r])
+
+
+# ---------------------------------------------------------------------------
+# The norm integral ln I, I = int_{s_R}^inf (c g)^(-q) e^(-(2q+n) s) ds
+# ---------------------------------------------------------------------------
+
+def _closed_form_bound(alpha, amplitude, R, c, p, n=3):
+    # n omega_n I = (c A)^(-q) n omega_n R^(q alpha + n) / (q alpha + n)
+    q = p / (2.0 - p)
+    volume = n * math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    return c * amplitude * (volume * R ** (q * alpha + n) / (q * alpha + n)) ** (-1.0 / q)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 1.9])
+def test_cell_integral_matches_the_closed_form(p):
+    # constants and power laws over the bench ranges: one exact inner cell
+    worst = 0.0
+    for alpha in np.linspace(0.0, 1.9, 11):
+        for amplitude in np.geomspace(0.05, 20.0, 5):
+            for R in np.geomspace(0.25, 4.0, 5):
+                pot = (RadialPotential.constant(amplitude, R) if alpha == 0.0
+                       else RadialPotential.power_law(alpha, amplitude, R))
+                bound = dual_lower_bound(pot, 1.3, p, 3, R).bound
+                worst = max(worst, abs(bound / _closed_form_bound(alpha, amplitude, R, 1.3, p) - 1.0))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.9])
+def test_cell_integral_of_a_table_sums_its_cells(p):
+    # a table sampled from a power law is that power law, cell by cell,
+    # also on a ball smaller than its last radius
+    r = np.geomspace(1e-6, 2.0, 60)
+    table = RadialPotential.custom(r, 3.0 * r ** -1.2)
+    for R in (2.0, 0.7):
+        bound = dual_lower_bound(table, 0.9, p, 3, R).bound
+        assert bound == pytest.approx(_closed_form_bound(1.2, 3.0, R, 0.9, p), rel=1e-13)
+
+
+def _quad_log_integral(pot, c, q, n, R):
+    """ln I by scipy.integrate.quad on e^(f - max f), f the log integrand,
+    split at the sampled maximum."""
+    from scipy import integrate
+    s_R = -math.log(R)
+
+    def f(s):
+        return -q * math.log(c * pot.log_weight(s)) - (2.0 * q + n) * (s - s_R)
+
+    grid = s_R + np.geomspace(1e-12, 1e3, 2000)
+    values = [f(s) for s in grid]
+    top, peak = max(values), float(grid[int(np.argmax(values))])
+    total = 0.0
+    for lo, hi in ((s_R, peak), (peak, peak + 10.0), (peak + 10.0, math.inf)):
+        total += integrate.quad(lambda s: math.exp(f(s) - top), lo, hi, epsabs=0.0,
+                                epsrel=1e-12, limit=500)[0]
+    return top + math.log(total) - (2.0 * q + n) * s_R
+
+
+_FAMILIES = {"log": RadialPotential.adimurthi_log, "x": RadialPotential.filippas_tertikas}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", _FAMILIES)
+def test_exp_sinh_rule_matches_quad(family, m):
+    # the two log families at their floors (rho, d), amplitude and p over
+    # the bench ranges and up to p = 1.99, where (c v)^(-q) overflowed
+    for amplitude, c in ((0.05, 5.0), (1.0, 0.7), (20.0, 0.01)):
+        pot = _FAMILIES[family](m, amplitude=amplitude)
+        for p in (0.1, 1.0, 1.5, 1.99):
+            q = p / (2.0 - p)
+            for R in (1.0, 0.5):
+                rule = dual._exp_sinh_log_integral(pot, c, q, 3, -math.log(R))
+                assert math.exp(rule - _quad_log_integral(pot, c, q, 3, R)) == pytest.approx(
+                    1.0, rel=1e-10, abs=0.0), (amplitude, p, R)
+
+
+def test_exp_sinh_rule_raises_when_it_does_not_settle(monkeypatch):
+    monkeypatch.setattr(dual, "_DE_LEVELS", 1)
+    with pytest.raises(QuadratureError):
+        dual_lower_bound(RadialPotential.adimurthi_log(1), 1.0, 1.0, 3, 1.0)
+
+
+@pytest.mark.parametrize("c, expected", [(1e-3, 9.928277938747e-4), (1e3, 992.8277938747)])
+def test_bound_near_p_2_is_taken_in_log_space(c, expected):
+    # c A (omega_3)^(-1/q) at q = 199: (c v)^(-q) = 1e597 raised
+    # OverflowError, and at c = 1e3 the norm 1e-597 read as 0 (DivergentNorm)
+    b = dual_lower_bound(RadialPotential.constant(1.0), c, 1.99, 3, 1.0)
+    assert b.bound == pytest.approx(expected, rel=1e-12) and not b.divergent
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_log_family_bound_near_p_2_is_finite():
+    # iterated-log m = 3, A = 0.05: (c v)^(-q) overflowed under quad
+    pot = RadialPotential.adimurthi_log(3, amplitude=0.05)
+    b = dual_lower_bound(pot, 5.0, 1.99, 3, 1.0)
+    q = 1.99 / 0.01
+    ref = math.exp(-(math.log(4.0 * math.pi) + _quad_log_integral(pot, 5.0, q, 3, 1.0)) / q)
+    assert b.bound == pytest.approx(ref, rel=1e-12) and not b.divergent
+
+
+def test_a_bound_beyond_the_floats_is_a_divergent_norm():
+    # c A (omega_3)^(-1/q) = 1e600 is no float: an explicit error, not inf
+    with pytest.raises(DivergentNorm):
+        dual_lower_bound(RadialPotential.constant(1e300), 1e300, 1.99, 3, 1.0)

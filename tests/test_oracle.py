@@ -190,7 +190,8 @@ def test_lambda_limit_eigenvalues_match_lapack_bisection(potential):
     # symmetrically scaled pencil M^-1/2 K M^-1/2 on lambda_limit's grid
     res = lambda_limit(potential, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
-    k_diag, k_off, hardy_diag, m_diag = oracle._pencil(potential, grid.nodes(), 3)
+    k_diag, k_off, m_diag = oracle._pencil(potential, grid.nodes(), 3)
+    hardy_diag = oracle._hardy_diag(grid.nodes(), 3)
     scale = 1.0 / np.sqrt(m_diag)
     for mu, lam in zip(res.mu_values, res.lambdas):
         ref = eigh_tridiagonal((k_diag - mu * hardy_diag) * scale ** 2,
@@ -213,7 +214,8 @@ def test_returned_eigenvalue_is_inertia_certified(constant_pot, mu):
     # K - lambda (1 + gap) M is not (an eigenvalue within gap of lambda)
     gap = oracle._CERT_GAP
     grid = _grid(4000, r_min=1e-40)
-    k_diag, k_off, hardy_diag, m_diag = oracle._pencil(constant_pot, grid.nodes(), 3)
+    k_diag, k_off, m_diag = oracle._pencil(constant_pot, grid.nodes(), 3)
+    hardy_diag = oracle._hardy_diag(grid.nodes(), 3)
     lam = weighted_eigen(constant_pot, mu, 3, grid).lambda1
     for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
         info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
@@ -299,7 +301,8 @@ def test_lambda_limit_eigenvalues_are_inertia_certified(potential):
     gap = oracle._CERT_GAP
     res = lambda_limit(potential, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
-    k_diag, k_off, hardy_diag, m_diag = oracle._pencil(potential, grid.nodes(), 3)
+    k_diag, k_off, m_diag = oracle._pencil(potential, grid.nodes(), 3)
+    hardy_diag = oracle._hardy_diag(grid.nodes(), 3)
     for mu, lam in zip(res.mu_values, res.lambdas):
         for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
             info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
