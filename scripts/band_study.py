@@ -60,7 +60,7 @@ def main():
         else RadialPotential.filippas_tertikas
     p = maker(1)
     multipliers = np.round(np.arange(0.20, 0.46, 0.025), 3)
-    horizons = (1e4, 1e5, 1e6, 1e30, 1e150)    # 1e150 is the largest horizon
+    horizons = (1e4, 1e5, 1e6, 1e30, 1e150, 1e300)
 
     header = "c      " + "".join(f"s_max={h:<12.0e}" for h in horizons)
     print(f"# indeterminate band vs horizon, {args.family} (m = 1, threshold 1/4)")

@@ -44,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges, euler_tail_certificate,
-                  integrate, integrate_principal_tail, log_problem, radius_problem, tail_edges,
+from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, euler_tail_certificate, integrate,
+                  integrate_principal_tail, log_problem, radius_problem, tail_edges,
                   wants_log_domain)
 from .potentials import J0_FIRST_ZERO, RadialPotential
 
@@ -173,12 +173,11 @@ def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome)
     return s <= s_R
 
 
-def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAULT,
-             edges: Optional[TailEdges] = None) -> FeasibilityCheck:
+def feasible(p: RadialPotential, c: float, R: float,
+             s_max: float = S_MAX_DEFAULT) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
-    is the log-domain horizon; ``edges`` are the log domain's ``tail_edges``
-    on this ball, if already computed.  An undecided verdict raises
-    IndeterminateAtHorizon."""
+    is the log-domain horizon, any finite float.  An undecided verdict
+    raises IndeterminateAtHorizon."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not wants_log_domain(p):
@@ -194,7 +193,7 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
     if _closed_form_covers(p, c):
         return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
                                 "closed-form")
-    cert = euler_tail_certificate(prob, edges=edges)
+    cert = euler_tail_certificate(prob)
     if cert is None:
         raise IndeterminateAtHorizon(
             f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
@@ -210,13 +209,15 @@ def feasible(p: RadialPotential, c: float, R: float, s_max: float = S_MAX_DEFAUL
 def _rising_cell_hi(p: RadialPotential, R: float, s_max: float, tol: float) -> float:
     """Upper end for an inner cell of slope q >= 0: min(tol / 4, the least c
     whose [s*, s_max] holds a half-oscillation of z'' + c g(s*) z = 0 over s*
-    >= s1, the certificate's start), at s* = max(s1, s_max - 2/q)."""
+    >= s1, the certificate's start), at s* = max(s1, s_max - 2/q), but at
+    least c g(s1) = 2^-1022, which the certificate still decides at any horizon."""
     prob = log_problem(p, 1.0, R, s_max=s_max)
     unit, q = euler_tail_certificate(prob), float(p.log_cells[3][-1])
-    s1 = prob.s_max if unit is None else unit.window[0]    # None: g(s1) underflows
-    s_star = max(s1, prob.s_max - 2.0 / q) if q > 0.0 else s1
-    g, width = p.log_weight(s_star), prob.s_max - s_star
-    return min(0.25 * tol, (math.pi / width) ** 2 / g if width > 0.0 and g > 0.0 else math.inf)
+    s1 = s_max if unit is None else unit.window[0]    # None: g(s1) underflows
+    s_star = max(s1, s_max - 2.0 / q) if q > 0.0 else s1
+    g, width = p.log_weight(s_star), s_max - s_star
+    hi = min(0.25 * tol, (math.pi / width) ** 2 / g if width > 0.0 and g > 0.0 else math.inf)
+    return hi if unit is None else max(hi, 2.0 ** -1022 / min(unit.gamma, 1.0))
 
 
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
@@ -226,10 +227,9 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     The loop probes a plan of predicted multipliers, then searches:
 
       * a log family of amplitude A > 0: the largest float c_lo <= 1/(4A),
-        c_lo + delta, c_osc - delta and c_osc, with c_osc from one two-point
-        call of the coefficient (``tail_edges``) and delta = tol * max(1, c)
-        / 4: the inner two are undecided by construction, no probe sweeps,
-        and c_lo = c_best = 1/(4A) for every m, A, R and horizon;
+        c_lo + delta, c_osc - delta and c_osc (``tail_edges``), delta = tol
+        * max(1, c) / 4: the inner two are undecided by construction, no
+        probe sweeps, and c_lo = c_best = 1/(4A) for every m, A, R and horizon;
       * an inner cell of slope q >= 0 (c(V) = 0): ``_rising_cell_hi``
         <= tol / 4, certified infeasible by the cell, so with c = 0 that is
         the whole bracket;
@@ -250,9 +250,10 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     tol * max(1, c) / 2 by an Illinois root solve of the signed shooting
     margin (a bisection where an end has none).  Around an indeterminate
     band the certified edges are bisected toward it instead, beside a band
-    of one multiplier c from c (1 -+ tol / 8) on; unless the bracket then
-    closes, ``converged`` is False and c_best is the largest
-    certified-feasible multiplier.
+    of one multiplier c from c (1 -+ tol / 8) on, unless tol / 8 lies within
+    a one-cell level's rounding; unless the bracket then closes,
+    ``converged`` is False and c_best is the largest certified-feasible
+    multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
@@ -264,7 +265,6 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if not tol >= _TOL_FLOOR:
         raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
     iterations = 0
-    edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max)) if p.log_cells is None else None
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
     # Illinois weights: the ends' margins clipped to their side; 0 without a
     # margin, which turns the Illinois step into a bisection
@@ -274,7 +274,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         nonlocal iterations
         iterations += 1
         try:
-            return feasible(p, c, R, s_max, edges=edges)
+            return feasible(p, c, R, s_max)
         except IndeterminateAtHorizon:
             return None
 
@@ -296,11 +296,11 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    c_osc = edges.c_osc if edges is not None else math.inf
-    lower = 0.0
+    lower, c_osc = 0.0, math.inf
     if p.log_cells is None and p.amplitude > 0.0:    # the largest float <= c* = 1/(4A)
         lower = p.closed_form_multiplier(R)
         lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
+        c_osc = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).c_osc
     inside = (lower + 0.25 * tol * max(1.0, lower), c_osc - 0.25 * tol * max(1.0, c_osc))
     plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
     # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
@@ -308,7 +308,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         level = _bessel_level(p, R)
         c = 1.0 if level is None else level
         plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
-        if edges is None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
+        if p.log_cells is not None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
             plan = [(_rising_cell_hi(p, R, s_max, tol), "hi")]
         # one cell, a constant or a power law: the Bessel level c is exact, so
         # c (1 - step) is feasible and c (1 + step) infeasible, each decided
@@ -334,6 +334,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     # which end it replaces, so both ends stay certified.  Each iterate is
     # clamped at least tol * max(1, c) / 4 inside the bracket, so an iterate
     # that lands next to the root on the far side closes the bracket.
+    beside = not (_one_cell(p) and 0.125 * tol <= _level_slack(p, R))
     last = None
     while True:
         if band is None:
@@ -343,12 +344,12 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
             delta = 0.25 * tol * max(1.0, 0.5 * (a + b))
             x = b - fb * (b - a) / (fb - fa) if fa > fb else 0.5 * (a + b)
             x = min(max(x, a + delta), b - delta)
-        elif wide(lo[0], band[0]):    # beside a band of one multiplier c: c (1 -+ tol/8)
+        elif wide(lo[0], band[0]):
             x = 0.5 * (lo[0] + band[0])
-            x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] else x
+            x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] and beside else x
         elif wide(band[1], hi[0]):
             x = 0.5 * (band[1] + hi[0])
-            x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] else x
+            x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] and beside else x
         else:
             break
         side = settle(x, probe(x))

@@ -93,7 +93,7 @@ class RunConfig:
     n: int = 3
     grid_n: int = 10_000
     r_min_rel: float = 1e-6
-    s_max: float = S_MAX_DEFAULT     # log-domain horizon, capped at 1e150
+    s_max: float = S_MAX_DEFAULT     # log-domain horizon, positive and finite
 
 
 def load_config(path: str) -> RunConfig:
@@ -127,8 +127,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [domain] dimension n must be >= 3, got {cfg.n}")
     if cfg.R > potential.r_max * (1.0 + 1e-12):
         raise ConfigError(f"{path}: [domain] R = {cfg.R} exceeds potential r_max = {potential.r_max}")
-    if not cfg.s_max > 0:
-        raise ConfigError(f"{path}: [solver] s_max must be positive, got {cfg.s_max}")
+    if not 0 < cfg.s_max < np.inf:
+        raise ConfigError(f"{path}: [solver] s_max must be positive and finite, got {cfg.s_max}")
     if cfg.grid_n < 16:
         raise ConfigError(f"{path}: [solver] grid_n must be >= 16, got {cfg.grid_n}")
     return cfg

@@ -6,12 +6,12 @@ from some start state (``_sweep``): the recessive shot runs from the inner
 cell down to the outer edge, the outer-edge shot runs up to the horizon
 s_max, the principal tail runs back from the horizon.  Radius-domain
 problems report their sweep as (r, y, dy/dr), log-domain problems as
-(s, z, dz/ds).  Where a = 0 a sweep entering with z' = 0 is the line z = z(start).
+(s, z, dz/ds).  Where a = 0 a sweep is the line through its start state.
 
 Constants, power laws and ``custom`` tables are log-log linear: on each of
 their cells ln a = ln c + ell + q (s - anchor), and z'' + a z = 0 is solved
 exactly there by cylinder functions Z0(x), x = (2/|q|) sqrt(a(s)); from
-x = 1e3 on (and for q = 0, cos / sin, or a = 0, a line) in Hankel's
+x = 1e3 on (and for q = 0, cos / sin) in Hankel's
 modulus-phase form, whose phase never forms x itself.  Their sweeps multiply
 Wronskian-normalised (det 1) 2x2 transfer matrices cell by cell, and Newton
 steps on the monotone phase of the exact solution find the first zero
@@ -23,15 +23,15 @@ the tables themselves define.
 
 The two log families are swept by DOP853 in one solve_ivp call, in the
 Liouville variable tau = ln(s - s0), s0 = (outer edge) - 1, whose
-coefficient tends to a constant at the horizon, so a sweep to s_max = 1e150
-costs little more than one to 1e6; the integrator's terminal event ends it
-at the first sign change.  Trajectories and zeros are reported in s.
+coefficient tends to a constant at the horizon, so a sweep to any finite
+s_max costs little more than one to 1e6; the integrator's terminal event
+ends it at the first sign change.  Trajectories and zeros are reported in s.
 
 Beyond any fixed horizon, Sturm comparison (Hartman, Ordinary Differential
 Equations, Ch. XI) certifies oscillation.  The log families compare with
 z'' + g/(s - s0)^2 z = 0 at their shift, where a (s - s0)^2 does not rise:
 the outer edge to the horizon must hold an Euler half-oscillation, decided
-from a at those two abscissae (``tail_edges``).  Only a = 0 has a
+from a (s - s0)^2 at those two abscissae (``tail_edges``).  Only a = 0 has a
 non-oscillatory tail.  A cell kind in the log domain has a rising inner
 cell (q >= 0), on which z'' + a(s1) z = 0 is a minorant out to s = inf:
 every c > 0 oscillates.
@@ -51,7 +51,6 @@ from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 S_MAX_DEFAULT = 1e6           # default log-domain horizon
-_HORIZON_CAP = 1e150          # largest s_max: (s - s0)^2 stays finite, g ~ 1/s^2 normal
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
 _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
 _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
@@ -88,7 +87,7 @@ class HardyODEProblem:
     c: float
     R: float
     domain: Domain = Domain.RADIUS
-    s_max: float = S_MAX_DEFAULT    # outer horizon (log domain), at most _HORIZON_CAP
+    s_max: float = S_MAX_DEFAULT    # outer horizon (log domain), any finite float
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -96,7 +95,8 @@ class HardyODEProblem:
         if not 0.0 < self.R <= self.potential.r_max * (1.0 + 1e-12):
             raise DomainError(
                 f"R = {self.R} outside (0, r_max = {self.potential.r_max}]")
-        object.__setattr__(self, "s_max", min(self.s_max, _HORIZON_CAP))
+        if not math.isfinite(self.s_max):
+            raise DomainError(f"horizon s_max must be finite, got {self.s_max}")
 
     def coefficient(self, x):
         """Equation coefficient in this domain's variable: c*v(r) at radius x,
@@ -184,21 +184,26 @@ class _RawRun:
     dense: Optional[Callable]
 
 
-def _check_swept(s: float, lo: float, hi: float) -> None:
-    """A dense output answers only on its swept range [lo, hi]."""
-    if not lo - 1e-12 <= s <= hi + 1e-12:
-        raise DomainError(f"abscissa {s} outside the swept range")
+def _check_swept(s, lo: float, hi: float) -> None:
+    """A dense output answers only on its swept range [lo, hi]; float or ndarray."""
+    if not lo - 1e-12 <= np.min(s) <= np.max(s) <= hi + 1e-12:
+        raise DomainError(f"abscissa {s} outside the swept range [{lo}, {hi}]")
 
 
-def _line(s_from: float, s_to: float, z0: float) -> _RawRun:
-    """The sweep where a = 0 entering with z' = 0: the line z = z0, no zero."""
-    lo, hi = sorted((s_from, s_to))
+def _line(s_from: float, s_to: float, state0) -> _RawRun:
+    """The sweep where a = 0: the line z = z0 + z0' (s - s_from), up to its
+    zero if it crosses 0 inside the sweep."""
+    z0, dz0 = float(state0[0]), float(state0[1])
+    cross = s_from - z0 / dz0 if dz0 != 0.0 else math.nan    # where the line meets 0
+    zero_t = cross if min(s_from, s_to) <= cross <= max(s_from, s_to) else None
+    t = np.array([s_from, s_to if zero_t is None else zero_t])
+    lo, hi = sorted(t)
 
     def dense(s):
         _check_swept(s, lo, hi)
-        return np.array([z0, 0.0])
+        return np.array([z0 + dz0 * (np.asarray(s) - s_from), np.full(np.shape(s), dz0)])
 
-    return _RawRun(np.array([s_from, s_to]), np.array([[z0, z0], [0.0, 0.0]]), None, None, dense)
+    return _RawRun(t, dense(t), zero_t, None if zero_t is None else dz0, dense)
 
 
 def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _RawRun:
@@ -209,28 +214,22 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
     With sigma = s - s0 = e^tau and z = w e^((tau - tau_start)/2), the
     equation z'' + a z = 0 is exactly w_tt + (a sigma^2 - 1/4) w = 0, whose
     coefficient tends to the constant c A - 1/4 at the horizon: steps grow
-    with s, so the sweep costs little at any horizon.
-
-    No state can overflow.  For both log families g = ``log_weight`` is
-    positive and decreasing in s.  Every sweep starts at z = 1, not rising
-    along the sweep (z' = 0 at the outer edge, z' >= 0 at the horizon,
-    swept toward smaller s), and ends at its first zero: so 0 < z <= 1 by
-    concavity, and the energy z'^2 + a z^2 grows by at most the rise of a
-    along the sweep, which bounds |z'| by sqrt(z'(start)^2 + c g(outer
-    edge)) <= sqrt(DBL_MAX) ~ 1.4e154.  Then |w| = z sqrt(sigma_start /
-    sigma) <= 1e75, as 1 <= sigma <= 1e150, and |w_t| <= 1e75 (sigma |z'| +
-    1/2) stays finite too.
+    with s, so the sweep costs little at any horizon.  No sigma^2 is formed:
+    a sigma^2 = c G(ln(sigma + delta)) (sigma / (sigma + delta))^2, with
+    G = ``euler_gamma`` and sigma + delta = s - ``euler_shift_hint``.
     """
     z0, dz0 = float(state0[0]), float(state0[1])
     lo, hi = sorted((s_from, s_to))     # the swept range, up to the zero once found
-    c, lw = prob.c, prob.potential.log_weight
+    c, gamma = prob.c, prob.potential.euler_gamma
     s0 = _outer_edge(prob) - 1.0
+    delta = s0 - prob.potential.euler_shift_hint()
     sigma0 = s_from - s0
     tau0 = math.log(sigma0)
 
     def rhs(tau, u):
         sigma = math.exp(tau)
-        return (u[1], (0.25 - c * lw(s0 + sigma) * sigma * sigma) * u[0])
+        ratio = sigma / (sigma + delta)
+        return (u[1], (0.25 - c * gamma(math.log(sigma + delta)) * ratio * ratio) * u[0])
 
     def zero_event(tau, u):
         return u[0]
@@ -261,7 +260,7 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
 
     def dense(s):
         _check_swept(s, lo, hi)
-        tau = math.log(s - s0)
+        tau = np.log(np.asarray(s) - s0)
         return np.array(to_z(tau, sol.sol(tau))[1:])
 
     return _RawRun(s, np.array([z, dz]), zero_t, zero_dz, dense)
@@ -276,8 +275,8 @@ class _Segments:
     """The cells a sweep crosses, clipped to it, in sweep order: segment k
     runs from u[k] to w[k], where ln a = ln a(u) + q[k] (s - u[k]).  Where
     bessel[k] its solutions are J0 and Y0 at ln x = lnx[k] + q[k] (s - u[k]) / 2;
-    elsewhere x >= _X_ASYMPTOTIC (or q = 0, or a = 0) and they take the
-    modulus-phase form with omega[k] = sqrt(a(u)) (see ``_hankel``)."""
+    elsewhere x >= _X_ASYMPTOTIC (or q = 0) and they take the modulus-phase
+    form with omega[k] = sqrt(a(u)) (see ``_hankel``)."""
 
     u: np.ndarray
     w: np.ndarray
@@ -300,9 +299,7 @@ def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
     u, w = pts[:-1], pts[1:]
     cell = np.searchsorted(knots, 0.5 * (u + w))
     h = w - u
-    log_a = math.log(prob.c) + ell[cell] + q[cell] * (u - anchors[cell]) if prob.c > 0.0 \
-        else np.full(u.size, -math.inf)                                  # ln a(u)
-    q = np.where(log_a > -math.inf, q[cell], 0.0)                        # a = 0: a line
+    q, log_a = q[cell], math.log(prob.c) + ell[cell] + q[cell] * (u - anchors[cell])   # a(u) > 0
     lnx = np.full(u.size, math.inf)
     sloped = q != 0.0
     lnx[sloped] = np.log(2.0 / np.abs(q[sloped])) + 0.5 * log_a[sloped]
@@ -452,8 +449,7 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
 
     # the exact solution is (modulus) cos(phase - phi): its zeros sit at
     # phase = phi + pi/2 (mod pi), first the one next to the entry along the
-    # sweep; at a = 0 the phase stands still, and every sweep enters such a
-    # line with dz = 0
+    # sweep
     theta_u, theta_w = a[4], b[4]
     phi = np.arctan2(B, np.where(seg.bessel, A, seg.omega * A))
     up = theta_w > theta_u
@@ -503,9 +499,11 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
 
     def dense(s):
         _check_swept(s, lo, hi)
-        k = np.array([min(int(np.searchsorted(ends, sign * s)), n - 1)])
-        f11, f12, f21, f22, _ = _fundamental(seg, k, np.array([float(s)]))
-        return np.array([(f11 * A[k] + f12 * B[k])[0], (f21 * A[k] + f22 * B[k])[0]])
+        t = np.atleast_1d(np.asarray(s, dtype=float))
+        k = np.minimum(np.searchsorted(ends, sign * t), n - 1)
+        f11, f12, f21, f22, _ = _fundamental(seg, k, t)
+        state = np.array([f11 * A[k] + f12 * B[k], f21 * A[k] + f22 * B[k]])
+        return state if np.ndim(s) else state[:, 0]
 
     return _RawRun(t, y, zero_t, None if zero_t is None else float(dense(zero_t)[1]), dense)
 
@@ -594,16 +592,16 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
            certificate: Optional[TailCertificate] = None) -> ShootingOutcome:
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
-    As the line z = z(start) where a = 0 (``_vanishes``) and z'(start) = 0;
-    else exactly, cell by cell, for the log-log linear kinds and by DOP853
-    in the Liouville variable for the log families.  The
+    As the line through the start state where a = 0 (``_vanishes``); else
+    exactly, cell by cell, for the log-log linear kinds and by DOP853 in the
+    Liouville variable for the log families.  The
     trajectory ends at the first zero, if any, as the row z = 0 with the
     engine's slope there, and is sorted by s.  Without a zero, a sweep toward
     the outer edge (decreasing s) has covered its whole interval; a sweep
     outward has only reached its horizon.
     """
-    if _vanishes(prob) and state0[1] == 0.0:
-        run = _line(s_from, s_to, float(state0[0]))
+    if _vanishes(prob):
+        run = _line(s_from, s_to, state0)
     elif prob.potential.log_cells is not None:
         run = _cell_sweep(prob, s_from, s_to, state0)
     else:
@@ -635,7 +633,7 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
     dense = out.dense
 
     def dense_r(radius):
-        state = dense(-math.log(radius))
+        state = dense(-np.log(radius))
         return np.array([state[0], -state[1] / radius])
 
     return replace(out, trajectory={"r": r, "y": z, "dy": -dz / r}, dense=dense_r)
@@ -655,15 +653,14 @@ class TailEdges:
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
-    """The edge of a log family from one two-point call of g(s) = r^2 v(r),
-    r = e^-s, with gamma = g (s - s0)^2 at s0 = ``euler_shift_hint``, where
-    gamma does not rise on [outer edge, inf) and tends to the amplitude A
-    (the floor it is clipped to): c_osc = (1/4 + (pi / ln(sigma_max /
-    sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0, makes the
-    outer edge to the horizon hold a half-oscillation of a minorant Euler
-    solution, a zero of every solution (Hartman, Ch. XI); no shorter window
-    needs less.  That min is gamma_max up to rounding, so the certificate's
-    gamma also bounds gamma on all of [s_max, inf).
+    """The edge of a log family from gamma = g (s - s0)^2 (``euler_gamma``)
+    at s0 = ``euler_shift_hint``, where it does not rise on [outer edge, inf)
+    and tends to the amplitude A: c_osc = (1/4 + (pi / ln(sigma_max /
+    sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0 (inf at A =
+    0), makes the outer edge to the horizon hold a half-oscillation of a
+    minorant Euler solution, a zero of every solution (Hartman, Ch. XI); no
+    shorter window needs less.  That min is gamma_max up to rounding, so the
+    certificate's gamma also bounds gamma on all of [s_max, inf).
 
     A cell kind raises DomainError (see ``euler_tail_certificate``)."""
     if prob.domain is not Domain.LOG:
@@ -671,19 +668,17 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     p, lo = prob.potential, _outer_edge(prob)
     if p.log_cells is not None:
         raise DomainError(f"a {p.kind.value} potential has no tail edges, only its inner cell")
-    if lo >= prob.s_max:
+    s0 = p.euler_shift_hint()
+    sigma_edge, sigma_max = lo - s0, prob.s_max - s0
+    if not sigma_max > sigma_edge:    # no window inside the horizon
         return TailEdges(math.inf, None)
-    s, s0 = np.array([lo, prob.s_max]), p.euler_shift_hint()
-    sigma = s - s0
-    with np.errstate(divide="ignore", over="ignore"):    # a saturated g still bounds gamma below
-        gamma = np.clip(p.log_weight(s) * sigma ** 2, p.amplitude, 1e300)
-        c_osc = float((0.25 + (math.pi / np.log(sigma[1] / sigma[0])) ** 2) / gamma.min())
-    return TailEdges(c_osc, TailCertificate("oscillatory", float(gamma.min()), s0,
-                                            (lo, prob.s_max)))
+    gamma = min(p.euler_gamma(math.log(sigma_edge)), p.euler_gamma(math.log(sigma_max)))
+    need = 0.25 + (math.pi / math.log(sigma_max / sigma_edge)) ** 2
+    return TailEdges(need / gamma if gamma > 0.0 else math.inf,
+                     TailCertificate("oscillatory", gamma, s0, (lo, prob.s_max)))
 
 
-def euler_tail_certificate(prob: HardyODEProblem,
-                           edges: Optional[TailEdges] = None) -> Optional[TailCertificate]:
+def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     """Classify the coefficient tail a(s) = c g(s).  Where a = 0 (c = 0 or
     amplitude 0) it is non-oscillatory, gamma = 0.  A cell kind's inner cell
     rises (q >= 0; q < 0 raises DomainError) from s1 = max(outer edge,
@@ -691,9 +686,7 @@ def euler_tail_certificate(prob: HardyODEProblem,
     = c g(s1) (clipped to 1e300) there, and by Sturm comparison with
     z'' + gamma z = 0 every solution vanishes inside [s1, s1 + pi /
     sqrt(gamma)], within the horizon or not (None if gamma underflows).  A
-    log family is oscillatory if c >= c_osc of ``tail_edges``, else None.
-    The edge does not depend on c: pass that of an earlier call for this
-    potential, ball and horizon to skip evaluating g again."""
+    log family is oscillatory if c >= c_osc of ``tail_edges``, else None."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c, p, s_start = prob.c, prob.potential, _outer_edge(prob)
@@ -708,11 +701,8 @@ def euler_tail_certificate(prob: HardyODEProblem,
             return None
         return TailCertificate("oscillatory", gamma, None,
                                (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
-    if edges is None:
-        edges = tail_edges(prob)
-    if c >= edges.c_osc:
-        return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma)
-    return None
+    edges = tail_edges(prob)
+    return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma) if c >= edges.c_osc else None
 
 
 # ---------------------------------------------------------------------------
@@ -732,15 +722,12 @@ def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem) -> float:
         raise DomainError("riccati_check expects a log-domain problem")
     if "z" not in outcome.trajectory:
         raise DomainError("riccati_check expects a log-domain trajectory")
-    s = outcome.trajectory["s"]
-    z = outcome.trajectory["z"]
-    dz = outcome.trajectory["dz"]
+    s, z, dz = (outcome.trajectory[k] for k in ("s", "z", "dz"))
     if s.size < 2 or not s[-1] > s[0]:
         raise DomainError("trajectory spans no range of s")
     if outcome.dense is not None:
         s = np.linspace(s[0], s[-1], _RICCATI_SAMPLES)
-        states = np.array([outcome.dense(si) for si in s])
-        z, dz = states[:, 0], states[:, 1]
+        z, dz = outcome.dense(s)
     if np.any(z <= 0.0):
         raise NonPositiveTrajectory("trajectory is not strictly positive on the sampled range")
     psi = dz / z

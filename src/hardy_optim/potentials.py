@@ -352,6 +352,17 @@ class RadialPotential:
             return -(1.0 + math.log(self.d_scale))
         return None
 
+    def euler_gamma(self, tau):
+        """gamma = r^2 v (s - s0)^2 at s = s0 + e^tau, s0 = ``euler_shift_hint``:
+        by self-similarity, A plus the same family one level shallower (rho = 1
+        or d = 1) at abscissa tau, A at m = 1; float or ndarray."""
+        if self.kind not in (_ADIMURTHI_LOG, _FT_X):
+            raise UnsupportedPotential(f"no Euler shift for kind {self.kind.value}")
+        xp = np if isinstance(tau, np.ndarray) else math
+        chain = _log_chain(self.m - 1, tau, xp) if self.kind is _ADIMURTHI_LOG \
+            else _x_chain(self.m - 1, 1.0 / (1.0 + tau), xp)
+        return self.amplitude * (1.0 + chain[0]) + 0.0 * tau    # 0 tau: tau's shape at m = 1
+
     def scaled(self, beta: float) -> "RadialPotential":
         """The rescaled potential r |-> beta^2 * v(beta r) on (0, r_max / beta].
 

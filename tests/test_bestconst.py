@@ -406,14 +406,20 @@ def test_radius_best_constant_makes_no_solve_ivp_call(p, s_max, monkeypatch):
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_log_best_constant_samples_the_tail_once(family, s_max, monkeypatch):
-    import hardy_optim.bestconst as bestconst_mod
-    import hardy_optim.ode as ode_mod
-    counter = _Counter(ode_mod.tail_edges)
-    monkeypatch.setattr(ode_mod, "tail_edges", counter)
-    monkeypatch.setattr(bestconst_mod, "tail_edges", counter)
+    # the tail is read as gamma from ln(s - s0) at two abscissae per edge
+    # (``euler_gamma``), so no probe samples g on an array; an array call
+    # once cost 46 us, which an ``edges`` cache passed down saved
+    shapes = []
+    log_weight = RadialPotential.log_weight
+
+    def spy(self, s):
+        shapes.append(np.shape(s))
+        return log_weight(self, s)
+
+    monkeypatch.setattr(RadialPotential, "log_weight", spy)
     res = best_constant(getattr(RadialPotential, family)(2), 1.0, s_max=s_max)
     assert res.iterations >= 5
-    assert counter.calls == 1
+    assert all(shape == () for shape in shapes)
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
@@ -529,6 +535,25 @@ def test_rising_inner_cell_upper_end():
     assert res.converged and res.iterations == 2 and res.c_hi == 0.25e-6
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e30])
+@pytest.mark.parametrize("alpha", [2.0, 2.5])
+def test_rising_inner_cell_upper_end_never_underflows(alpha, amplitude):
+    # (pi / (s_max - s*))^2 / g(s*) underflowed to 0 for amplitude 1e30 at
+    # s_max = 1e150 (and for alpha = 2 beyond ~1e160), and best_constant then
+    # doubled c = 0 forever.  The planned end stays positive, no larger at a
+    # farther horizon, and certified by the cell
+    from hardy_optim.bestconst import _rising_cell_hi
+    p = RadialPotential.power_law(alpha, amplitude)
+    horizons = (1e150, 1e300)
+    ends = [_rising_cell_hi(p, 1.0, s_max, 1e-6) for s_max in horizons]
+    assert all(end > 0.0 for end in ends) and ends[1] <= ends[0]
+    for s_max, end in zip(horizons, ends):
+        res = best_constant(p, 1.0, s_max=s_max)
+        assert res.bracket == (0.0, end) and res.iterations <= 3
+        check = feasible(p, end, 1.0, s_max)
+        assert not check.feasible and check.method == "oscillation-certificate"
+
+
 def test_tolerance_below_the_float_spacing_is_rejected():
     # below 8 eps the closing step no longer clears the float spacing of the
     # bracket's ends, and the same multiplier was probed forever
@@ -582,6 +607,28 @@ def test_single_cell_bracket_holds_the_exact_level(alpha, tol, s_max):
                 assert res.c_hi - res.c_lo <= 0.5 * tol * max(1.0, res.c_best)
             else:    # a band of the level's rounding
                 assert res.c_hi / res.c_lo - 1.0 <= 1e-12
+
+
+# probes of best_constant at tol = 8 eps on the grid above, amplitude x R
+_FLOOR_PROBES = {
+    0.0: [16, 16, 16, 16, 14, 12, 16, 12, 6], -0.5: [18, 16, 18, 16, 14, 12, 18, 14, 6],
+    0.5: [16, 16, 16, 16, 12, 12, 16, 10, 6], 1.0: [16, 16, 16, 16, 14, 12, 14, 8, 6],
+    1.5: [16, 16, 16, 14, 10, 10, 8, 4, 4], 1.9: [14, 12, 12, 4, 3, 3, 3, 3, 3],
+    1.999: [3, 3, 3, 3, 3, 3, 3, 3, 3]}
+
+
+@pytest.mark.parametrize("alpha", sorted(_FLOOR_PROBES))
+def test_single_cell_probes_at_the_floor(alpha, s_max):
+    # beside a band of one multiplier c the search probed c (1 -+ tol/8),
+    # which at tol = 8 eps lies within the level's rounding and so was
+    # undecided too: one probe more on most cells (132 for the constant's)
+    tol, counts = 8.0 * 2.0 ** -52, []
+    for amplitude in (0.05, 1.0, 20.0):
+        for R in (0.25, 1.0, 4.0):
+            p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
+                RadialPotential.power_law(alpha, amplitude, R)
+            counts.append(best_constant(p, R, tol=tol, s_max=s_max).iterations)
+    assert counts == _FLOOR_PROBES[alpha]
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -776,17 +823,31 @@ def test_predicted_band_edges_are_certified_and_sharp(family, m, amplitude, s_ma
 @pytest.mark.parametrize("s_max", [1e30, 1e300])
 def test_band_at_huge_horizons(s_max):
     # at s_max = 1e300 the shifted gamma once formed inf * 0 = nan, and the
-    # band came out as [0, 0.25010] with c_best = 0; horizons now stop at 1e150
+    # band came out as [0, 0.25010] with c_best = 0; then horizons stopped at
+    # 1e150; read from ln(s - s0), gamma is exact at every finite horizon
     p = RadialPotential.adimurthi_log(1)
-    assert log_problem(p, 0.25, 1.0, s_max=s_max).s_max == min(s_max, 1e150)
-    with pytest.raises(IndeterminateAtHorizon, match=re.escape(f"s_max = {min(s_max, 1e150)}")):
-        feasible(p, 0.25005, 1.0, s_max=s_max)
-    at_1e6 = best_constant(p, 1.0, tol=1e-6)
+    assert log_problem(p, 0.25, 1.0, s_max=s_max).s_max == s_max
+    with pytest.raises(IndeterminateAtHorizon, match=re.escape(f"s_max = {s_max}")):
+        feasible(p, 0.25005 if s_max < 1e150 else 0.2500005, 1.0, s_max=s_max)
+    at_1e6, at_1e150 = (best_constant(p, 1.0, tol=1e-6, s_max=h) for h in (1e6, 1e150))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert res.c_lo == pytest.approx(0.25, abs=1e-6) and res.c_best == res.c_lo
     assert res.c_lo < res.c_hi <= at_1e6.c_hi
+    if s_max > 1e150:
+        assert res.c_hi < at_1e150.c_hi
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_band_at_1e300_is_within_1e_4(family, m):
+    # the band [1/(4A), c_osc] narrows like 4 (pi / ln s_max)^2 and took
+    # 3.3e-4 relative at the former horizon cap 1e150; at 1e300 it is
+    # 8.3e-5, in the same five probes
+    res = best_constant(getattr(RadialPotential, family)(m), 1.0, s_max=1e300)
+    assert res.iterations == 5 and res.band == (res.c_lo, res.c_hi)
+    assert res.c_lo == 0.25 and res.c_hi / res.c_lo - 1.0 <= 1e-4
 
 
 def test_contradicting_verdict_widens_the_band(monkeypatch, s_max):

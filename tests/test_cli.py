@@ -486,6 +486,18 @@ def test_unknown_solver_key_is_rejected(key, tmp_path, capsys):
     assert code == 1 and parse_record(out)["type"] == "ConfigError"
 
 
+@pytest.mark.parametrize("s_max", ["1e400", "inf", "nan", "0"])
+def test_horizon_must_be_positive_and_finite(s_max, tmp_path, capsys):
+    # 1e400 parses as inf, which was accepted and then cut to 1e150
+    cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": "1"},
+                        solver={"s_max": s_max})
+    with pytest.raises(ConfigError, match="s_max"):
+        load_config(cfg)
+    code, out = _run(capsys, "best-constant", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and rec["type"] == "ConfigError" and "finite" in rec["message"]
+
+
 def test_console_script_entry(tmp_path):
     cfg = _write_config(tmp_path)
     proc = subprocess.run(

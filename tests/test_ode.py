@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,40 @@ def test_zero_multiplier_is_the_line_without_a_cell_sweep(p, monkeypatch):
     assert out.status is not Status.ZERO_FOUND
     assert z.tolist() == [1.0, 1.0] and dz.tolist() == [0.0, 0.0]
     assert tuple(out.dense(x[0])) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("p", [RadialPotential.constant(0.0),
+                               RadialPotential.adimurthi_log(2, amplitude=0.0)],
+                         ids=["constant", "adimurthi_log"])
+@pytest.mark.parametrize("shift", [-1.0, 9.5])
+def test_vanishing_sweep_with_a_slope_is_the_exact_line(p, shift, monkeypatch):
+    # a non-oscillatory certificate with gamma > 0, built by hand on an a = 0
+    # problem, seeds the principal tail with z' > 0: the sweep is the line
+    # z = 1 + z'(s - s_top), ending at its zero if it crosses 0; it once ran a
+    # cell sweep (a cell model of a = 0) or solve_ivp
+    import hardy_optim.ode as ode_mod
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a vanishing coefficient was swept")
+
+    monkeypatch.setattr(ode_mod, "_cell_sweep", no_sweep)
+    monkeypatch.setattr(ode_mod, "solve_ivp", no_sweep)
+    prob = log_problem(p, 1.0, 1.0, s_max=10.0)
+    cert = TailCertificate("nonoscillatory", 0.25, shift, (10.0, math.inf))
+    out = integrate_principal_tail(prob, cert)
+    slope = 0.5 / (10.0 - shift)    # mu / (s_top - shift), mu = 1/2 at gamma = 1/4
+    s, z, dz = (out.trajectory[k] for k in ("s", "z", "dz"))
+    assert np.all(dz == slope)
+    if shift < 0.0:    # z(R) = 1 - 10 / 22 > 0: no zero on the ball
+        assert out.status is Status.NO_ZERO_ON_INTERVAL and out.zero_s is None
+        assert s.tolist() == [0.0, 10.0]
+        assert z.tolist() == [1.0 - 10.0 * slope, 1.0]
+    else:              # z = 1 + (s - 10) vanishes at s = 9
+        assert out.status is Status.ZERO_FOUND and out.zero_s == 9.0
+        assert s.tolist() == [9.0, 10.0] and z.tolist() == [0.0, 1.0]
+    np.testing.assert_array_equal(out.dense(s), [z, dz])
+    with pytest.raises(DomainError):
+        out.dense(s[0] - 1e-6)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -515,19 +551,20 @@ def test_tail_edges_gamma_is_the_horizon_value():
 
 
 def test_tail_edges_evaluate_the_potential_once(monkeypatch):
-    # at the outer edge and at the horizon, in one array call
+    # gamma at the outer edge and at the horizon, by two scalar euler_gamma
+    # calls at tau = ln(s - s0), and g itself not at all
     calls = []
-    log_weight = RadialPotential.log_weight
 
-    def spy(self, s):
-        calls.append(np.shape(s))
-        return log_weight(self, s)
+    def spy(name):
+        real = getattr(RadialPotential, name)
+        return lambda self, x: calls.append((name, np.shape(x))) or real(self, x)
 
-    monkeypatch.setattr(RadialPotential, "log_weight", spy)
+    for name in ("log_weight", "euler_gamma"):
+        monkeypatch.setattr(RadialPotential, name, spy(name))
     for p in _tail_cases():
         calls.clear()
         tail_edges(log_problem(p, 1.0, 1.0))
-        assert calls == [(2,)]
+        assert calls == [("euler_gamma", ())] * 2
 
 
 def _pair_search_edges(prob):
@@ -540,8 +577,8 @@ def _pair_search_edges(prob):
     s[0], s[-1] = lo, prob.s_max
     sigma = s - s0
     i, j = np.triu_indices(s.size, 1)
+    gamma = np.array([p.euler_gamma(math.log(x)) for x in sigma])
     with np.errstate(divide="ignore", over="ignore"):
-        gamma = np.clip(p.log_weight(s) * sigma ** 2, p.amplitude, 1e300)
         need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
             / np.minimum(gamma[i], gamma[j])
     k = int(np.argmin(need))
@@ -557,7 +594,7 @@ def test_tail_edges_equal_the_pair_search(family):
     # multiplier: the two-point edges are the pair search's, bit for bit
     for m, amplitude, R, s_max in itertools.product(
             (1, 2, 3), (1e-3, 0.05, 0.3, 1.0, 20.0, 1e3), (1.0, 0.5, 0.25),
-            (2.0, 10.0, 1e2, 1e4, 1e6, 1e30, 1e100, 1e150)):
+            (2.0, 10.0, 1e2, 1e4, 1e6, 1e30, 1e100, 1e150, 1e300)):
         prob = log_problem(getattr(RadialPotential, family)(m, amplitude=amplitude), 1.0, R,
                            s_max=s_max)
         assert tail_edges(prob) == _pair_search_edges(prob), (m, amplitude, R, s_max)
@@ -687,6 +724,51 @@ def test_riccati_rejects_a_zero_at_the_start():
         riccati_check(out, lp)
 
 
+def _dense_cases():
+    """Sweeps of every engine and frame: cells in the log and the radius
+    frame, DOP853 outward (to a zero) and back from the horizon, the line."""
+    cells = RadialPotential.custom([0.01, 0.1, 1.0], [30.0, 3.0, 2.0])
+    yield integrate(log_problem(cells, 0.05, 1.0, s_max=8.0))
+    yield integrate(radius_problem(RadialPotential.power_law(1.5), 6.0, 1.0))
+    yield integrate(log_problem(RadialPotential.adimurthi_log(2), 0.35, 1.0))
+    p = RadialPotential.filippas_tertikas(3)
+    yield _principal_tail(p, 0.25 / tail_edges(log_problem(p, 1.0, 1.0)).unit_osc.gamma)[1]
+    yield integrate(log_problem(RadialPotential.constant(0.0), 1.0, 1.0, s_max=10.0))
+
+
+def test_dense_answers_an_array_as_its_points():
+    # one call on an array, not one per point (each of which took ~160 us
+    # through _fundamental on size-1 arrays for a cell sweep)
+    for out in _dense_cases():
+        x = next(iter(out.trajectory.values()))
+        grid = np.linspace(x[0], x[-1], 257)
+        states = out.dense(grid)
+        assert states.shape == (2, grid.size)
+        points = np.array([out.dense(float(v)) for v in grid]).T
+        assert np.all(np.abs(states - points) <= 4.0 * np.spacing(np.abs(points))), out.status
+        with pytest.raises(DomainError):
+            out.dense(np.array([x[0], x[-1] + 1e-3 * (x[-1] - x[0])]))
+
+
+@pytest.mark.parametrize("p, c, R, s_max, value", [
+    (RadialPotential.constant(1.0, r_max=math.exp(-1.0)), 1.0, math.exp(-1.0), 5.0,
+     9.146290180783723e-08),
+    (RadialPotential.power_law(1.5), 0.05, 1.0, 6.0, 6.2440869419422285e-09),
+    (RadialPotential.custom([0.01, 0.1, 1.0], [30.0, 3.0, 2.0]), 0.05, 1.0, 8.0,
+     5.164824381880245e-07)], ids=["constant", "power_law", "custom"])
+def test_riccati_check_resamples_a_cell_sweep_in_one_call(p, c, R, s_max, value, monkeypatch):
+    # its 4,097 samples were 4,097 dense calls, 0.16-0.28 s on a constant's
+    # sweep; now one, with the same residual
+    import hardy_optim.ode as ode_mod
+    lp = log_problem(p, c, R, s_max=s_max)
+    out = integrate(lp)
+    calls = []
+    fundamental = ode_mod._fundamental
+    monkeypatch.setattr(ode_mod, "_fundamental", lambda *a: calls.append(1) or fundamental(*a))
+    assert riccati_check(out, lp) == pytest.approx(value, rel=1e-12)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # pointwise residual
 # ---------------------------------------------------------------------------
@@ -805,6 +887,35 @@ def test_principal_tail_rhs_evaluations(s_max, budget, monkeypatch):
             nfev.clear()
             _principal_tail(p, 0.25 / edges.unit_osc.gamma, s_max=s_max, edges=edges)
             assert len(nfev) == 1 and nfev[0] <= budget, (family, m, nfev)
+
+
+def test_horizon_is_any_finite_float():
+    # horizons were cut to 1e150 without a word, so 1e300 answered as 1e150
+    p = RadialPotential.adimurthi_log(1)
+    assert log_problem(p, 0.25, 1.0, s_max=1e300).s_max == 1e300
+    assert log_problem(p, 0.25, 1.0, s_max=sys.float_info.max).s_max == sys.float_info.max
+    for s_max in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            log_problem(p, 0.25, 1.0, s_max=s_max)
+
+
+@pytest.mark.parametrize("s_max", [1e300, sys.float_info.max], ids=["1e300", "max"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_log_family_sweeps_at_the_largest_horizons(family, m, s_max):
+    # gamma is read from ln(s - s0), so no (s - s0)^2 is formed: the tail
+    # edges, the principal tail back from the horizon and an outer-edge shot
+    # out to it raise nothing, warnings included
+    p = getattr(RadialPotential, family)(m)
+    assert log_problem(p, 1.0, 1.0, s_max=s_max).s_max == s_max    # no cut to 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
+        _, tail = _principal_tail(p, 0.25 / edges.unit_osc.gamma, s_max=s_max, edges=edges)
+        shot = integrate(log_problem(p, 1e-3, 1.0, s_max=s_max))
+    assert edges.unit_osc.gamma >= 1.0 and 0.25 < edges.c_osc < 0.25 * (1.0 + 1e-4)
+    assert tail.status is Status.NO_ZERO_ON_INTERVAL and np.all(tail.trajectory["z"] > 0.0)
+    assert shot.status is Status.ZERO_FOUND and 1.0 < shot.zero_s < s_max
 
 
 def test_step_size_underflow_mapping(monkeypatch):

@@ -73,6 +73,35 @@ def test_log_weight_stable_far_beyond_underflow():
     assert p.log_weight(1e6) == pytest.approx((1e6 + 1.0) ** -2, rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family, key", [("adimurthi_log", "rho"),
+                                         ("filippas_tertikas", "d_scale")])
+def test_euler_gamma_is_the_shifted_coefficient(family, key, m):
+    # self-similarity: gamma = g (s - s0)^2 at the hint shift, read from
+    # tau = ln(s - s0) alone, is A plus the family one level shallower, for
+    # rho or d at and above its floor
+    s = np.geomspace(1.5, 1e140, 200)
+    for amplitude in (0.05, 1.0, 20.0):
+        floor = getattr(getattr(RadialPotential, family)(m, amplitude=amplitude), key)
+        for scale in (1.0, 5.0):
+            p = getattr(RadialPotential, family)(m, amplitude=amplitude, **{key: scale * floor})
+            sigma = s - p.euler_shift_hint()
+            tau = np.log(sigma)
+            expected = p.log_weight(s) * sigma ** 2
+            for t, want in zip(tau, expected):
+                got = p.euler_gamma(float(t))
+                assert abs(got - want) <= 4.0 * math.ulp(want), (amplitude, scale, t)
+            np.testing.assert_array_equal(p.euler_gamma(tau),
+                                          [p.euler_gamma(float(t)) for t in tau])
+            if m == 1:
+                assert p.euler_gamma(float(tau[0])) == amplitude
+
+
+def test_euler_gamma_needs_a_log_family():
+    with pytest.raises(UnsupportedPotential):
+        RadialPotential.power_law(1.0).euler_gamma(1.0)
+
+
 # ---------------------------------------------------------------------------
 # array evaluation: the same formula as the scalar calls
 # ---------------------------------------------------------------------------

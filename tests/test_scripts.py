@@ -16,8 +16,8 @@ def _run_script(name, argv, monkeypatch, capsys):
 def test_band_study_prints_the_band_per_horizon(monkeypatch, capsys):
     lines = _run_script("band_study.py", [], monkeypatch, capsys)
     bands = [line for line in lines if line.startswith("s_max = ")]
-    assert len(bands) == 5
-    assert bands[-1].startswith("s_max = 1e+150: ") and "predicted band [0.25" in bands[-1]
+    assert len(bands) == 6
+    assert bands[-1].startswith("s_max = 1e+300: ") and "predicted band [0.25" in bands[-1]
     assert any(line.startswith("c_osc ") for line in lines)
     assert any(line.startswith("band ") for line in lines)
     assert not any(line.startswith("c_non") for line in lines)
