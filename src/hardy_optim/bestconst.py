@@ -180,6 +180,8 @@ def feasible(p: RadialPotential, c: float, R: float,
     raises IndeterminateAtHorizon."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
+    if not math.isfinite(s_max):
+        raise DomainError(f"horizon s_max must be finite, got {s_max}")
     if not wants_log_domain(p):
         c_star = _bessel_level(p, R) if _one_cell(p) else None
         if c_star is not None:
@@ -209,13 +211,14 @@ def feasible(p: RadialPotential, c: float, R: float,
 def _rising_cell_hi(p: RadialPotential, R: float, s_max: float, tol: float) -> float:
     """Upper end for an inner cell of slope q >= 0: min(tol / 4, the least c
     whose [s*, s_max] holds a half-oscillation of z'' + c g(s*) z = 0 over s*
-    >= s1, the certificate's start), at s* = max(s1, s_max - 2/q), but at
-    least c g(s1) = 2^-1022, which the certificate still decides at any horizon."""
+    >= s1, the certificate's start), at s_max - s* = min(2/q, s_max - s1),
+    not a difference that rounds to 0 once 2/q is below the float spacing of
+    s_max; at least c g(s1) = 2^-1022, decided by the certificate anywhere."""
     prob = log_problem(p, 1.0, R, s_max=s_max)
     unit, q = euler_tail_certificate(prob), float(p.log_cells[3][-1])
     s1 = s_max if unit is None else unit.window[0]    # None: g(s1) underflows
-    s_star = max(s1, s_max - 2.0 / q) if q > 0.0 else s1
-    g, width = p.log_weight(s_star), s_max - s_star
+    width = min(2.0 / q, s_max - s1) if q > 0.0 else s_max - s1
+    g = p.log_weight(s_max - width)
     hi = min(0.25 * tol, (math.pi / width) ** 2 / g if width > 0.0 and g > 0.0 else math.inf)
     return hi if unit is None else max(hi, 2.0 ** -1022 / min(unit.gamma, 1.0))
 

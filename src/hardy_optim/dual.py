@@ -15,21 +15,21 @@ The norm is taken in s = ln(1/r), in log space: with g = ``log_weight``,
 
 s_R = ln(1/R), and the bound is exp(-(ln(n omega_n) + ln I) / q), so that
 (c v)^(-q) never has to be a float.  On ``log_cells`` (constants, power
-laws, tables) ln I is exact, cell by cell; the two log families take an
-exp-sinh double-exponential rule (Takahasi and Mori 1974).  numpy only.
+laws, tables) ln I is exact, from ``log_cell_tails`` as ``classify``'s
+tails; the two log families take an exp-sinh double-exponential rule
+(Takahasi and Mori 1974) on ``euler_gamma``.  numpy only.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
-from .potentials import RadialPotential, exprel
+from .potentials import RadialPotential, log_cell_tails
 
 # The exp-sinh rule sums t in [-4, 3]: u from 2e-19, below which a piece
 # of I is under 1e-18 of it, to 7e6, past which the integrand, decaying at
@@ -37,7 +37,6 @@ from .potentials import RadialPotential, exprel
 _DE_T_LO, _DE_T_HI = -4.0, 3.0
 _DE_LEVELS = 8       # halvings of the step (h = 1/2 .. 1/256) before QuadratureError
 _DE_RTOL = 1e-12     # two successive levels agree to this, relative
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,8 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 
     s_R = -math.log(R)
     if p_pot.log_cells is not None:
-        log_i = _cell_log_integral(p_pot.log_cells, c, q, n, s_R)
+        log_i = -q * math.log(c) + float(
+            log_cell_tails(p_pot.log_cells, np.array([s_R]), -q, -(2.0 * q + n))[0])
     else:
         log_i = _exp_sinh_log_integral(p_pot, c, q, n, s_R)
     log_norm = (math.log(n * unit_ball_volume(n)) + log_i) / q
@@ -94,31 +94,6 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     return DualBound(p, q, bound, c, divergent=False, potential=p_pot)
 
 
-def _log_sum_exp(x: np.ndarray) -> float:
-    top = float(x.max())
-    if not math.isfinite(top):
-        return top
-    return top + math.log(float(np.exp(x - top).sum()))
-
-
-def _cell_log_integral(cells: tuple, c: float, q: float, n: int, s_R: float) -> float:
-    """ln I on ``log_cells``: on each cell ln(c g) is linear in s, so the
-    log integrand f is linear too, of slope beta.  The pieces of I between
-    s_R and the knots past it are e^(max f) w exprel(-|beta| w), w the
-    piece's width; the inner cell adds e^(f at its start) / |beta|, +inf
-    when beta >= 0 (the norm diverges)."""
-    knots, anchors, ell, slope = cells
-    start = np.concatenate([[s_R], knots[knots > s_R]])
-    k = knots.searchsorted(start, side="right")
-    beta = -q * slope[k] - (2.0 * q + n)
-    f = -q * (math.log(c) + ell[k] + slope[k] * (start - anchors[k])) - (2.0 * q + n) * start
-    w = np.diff(start)
-    with np.errstate(divide="ignore"):
-        inner = f[-1] - np.log(np.maximum(-beta[-1], 0.0))
-        pieces = f[:-1] + np.maximum(beta[:-1], 0.0) * w + np.log(w * exprel(-np.abs(beta[:-1]) * w))
-    return _log_sum_exp(np.append(pieces, inner))
-
-
 def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
                            s_R: float) -> float:
     """ln I for the two log families by the exp-sinh rule in u = lam (s - s_R),
@@ -126,67 +101,54 @@ def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
     two successive levels agree to _DE_RTOL relative; each level adds the
     new nodes to the old.  lam = 2q + n - 2q / (s_R - s0) >= n is the decay
     rate at s_R of the m = 1 integrand, (s - s0)^(2q) e^(-(2q+n) s), s0 the
-    Euler shift.  ln(c g) is ln(c A) plus the log of the amplitude-1 chain,
-    so that no node underflows g.  Raises QuadratureError after _DE_LEVELS
-    levels."""
-    unit = dataclasses.replace(p_pot, amplitude=1.0)
+    Euler shift.  ln(c g) is ln c + ln G(tau) - 2 tau at tau = ln(s - s0), G
+    = ``euler_gamma`` >= A, so that no node underflows g.  Raises
+    QuadratureError after _DE_LEVELS levels."""
     s0 = p_pot.euler_shift_hint()
     lam = 2.0 * q + n - 2.0 * q / (s_R - s0)
-    log_ca = math.log(c * p_pot.amplitude)
 
     def log_terms(t: np.ndarray) -> np.ndarray:
         # ln of the integrand times ds/dt, less the constant -(2q+n) s_R
         e = 0.5 * math.pi * np.sinh(t)
         du = e + np.log(0.5 * math.pi * np.cosh(t) / lam)
         s_off = np.exp(e) / lam
-        return -q * (log_ca + np.log(unit.log_weight(s_R + s_off))) - (2.0 * q + n) * s_off + du
+        tau = np.log(s_R - s0 + s_off)
+        return -q * (math.log(c) + np.log(p_pot.euler_gamma(tau)) - 2.0 * tau) \
+            - (2.0 * q + n) * s_off + du
 
     h = 0.5
     terms = log_terms(np.arange(_DE_T_LO, _DE_T_HI + 0.5 * h, h))
-    estimate = _log_sum_exp(terms) + math.log(h)
+    estimate = np.logaddexp.reduce(terms) + math.log(h)
     for _ in range(1, _DE_LEVELS):
         h *= 0.5
         terms = np.append(terms, log_terms(np.arange(_DE_T_LO + h, _DE_T_HI, 2.0 * h)))
-        estimate, previous = _log_sum_exp(terms) + math.log(h), estimate
+        estimate, previous = np.logaddexp.reduce(terms) + math.log(h), estimate
         if abs(estimate - previous) <= _DE_RTOL:
-            return estimate - (2.0 * q + n) * s_R
+            return float(estimate) - (2.0 * q + n) * s_R
     raise QuadratureError(f"dual norm integral unsettled after {_DE_LEVELS} exp-sinh levels: "
-                          f"ln I = {estimate - (2.0 * q + n) * s_R!r}")
+                          f"ln I = {float(estimate) - (2.0 * q + n) * s_R!r}")
 
 
 def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
     """Infimum of v over (0, R].  Exact on ``log_cells`` (a constant, a
     power law, a table), where v is monotone on each cell: 0 when the inner
     cell falls to the origin (sigma < 0), else the least of v(R) and v at
-    the knots inside the ball.  For the two log families, the minimum over
-    4096 log-spaced radii in [1e-9 R, R], refined by ``_golden_section``
-    in ln r over the two sample cells around it: a sampled minimum alone
-    overstates the infimum of a non-monotone v (the X family with m >= 2
-    dips inside the ball)."""
+    the knots inside the ball.  For the two log families, the least of v
+    over 4096 log-spaced radii in [1e-9 R, R], then over 65 samples on the
+    two cells around the least sample, round after round until that bracket
+    is at most 1e-10 wide in ln r: a sampled minimum alone overstates the
+    infimum of a non-monotone v (the X family with m >= 2 dips inside the
+    ball)."""
     if p_pot.log_cells is not None:
         knots = p_pot.log_cells[0]
         inside = p_pot.value(np.exp(-knots[knots >= -math.log(R)])).min(initial=math.inf)
         return 0.0 if p_pot.sigma < 0.0 else float(min(p_pot.value(R), inside))
-    t = np.linspace(math.log(1e-9 * R), math.log(R), 4096)
-    v = p_pot.value(np.exp(t))
-    k = int(np.argmin(v))
-    refined = _golden_section(lambda x: p_pot.value(math.exp(x)), t[max(k - 1, 0)],
-                              t[min(k + 1, t.size - 1)])
-    return float(min(v[k], refined))
-
-
-def _golden_section(f: Callable[[float], float], a: float, b: float) -> float:
-    """Least value of f found by golden-section search on [a, b], narrowed
-    until it is at most 1e-10 wide (Kiefer 1953); for f unimodal there."""
-    x1, x2 = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > 1e-10:
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return min(f1, f2)
+    t, least = np.linspace(math.log(1e-9 * R), math.log(R), 4096), math.inf
+    while True:
+        v = p_pot.value(np.exp(t))
+        k = int(np.argmin(v))
+        least = min(least, float(v[k]))
+        lo, hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
+        if hi - lo <= 1e-10:
+            return least
+        t = np.linspace(lo, hi, 65)

@@ -448,34 +448,42 @@ class ClassLabel:
     limit_estimate: Optional[float] = None
 
 
+def log_cell_tails(cells: tuple, s: np.ndarray, a: float, b: float) -> np.ndarray:
+    """ln int_{s_k}^inf e^(a ln g(t) + b t) dt for increasing s_k, exactly on
+    ``log_cells``: on each cell the exponent f is linear, of slope beta = a q
+    + b, so each piece between the s_k and the knots past them is e^(max f)
+    w ``exprel``(-|beta| w), w its width, and the inner cell adds e^f /
+    (-beta), +inf when beta >= 0; nothing where g = 0 (ell = -inf).  The
+    pieces are summed from the right in log space.  numpy only."""
+    knots, anchors, ell, q = cells
+    points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
+    k = knots.searchsorted(points, "right")
+    beta = a * q[k] + b
+    f = a * (ell[k] + q[k] * (points - anchors[k])) + b * points
+    w = np.diff(points)
+    with np.errstate(divide="ignore"):
+        pieces = f[:-1] + np.maximum(beta[:-1], 0.0) * w + np.log(w * exprel(-np.abs(beta[:-1]) * w))
+        inner = f[-1] if f[-1] == -math.inf else f[-1] - np.log(np.maximum(-beta[-1], 0.0))
+    tails = np.logaddexp.accumulate(np.append(pieces, inner)[::-1])[::-1]
+    return tails[points.searchsorted(s)]
+
+
 def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
-    """int_{s_k}^inf ``log_weight`` for increasing s_k, from one array
-    ``log_weight`` call.  On ``log_cells`` every piece between the s_k and the
-    knots is exact, g(a) (b - a) ``exprel``(q (b - a)), and the inner cell
-    adds g / |q| (inf if q >= 0).  The log families take a composite Gauss
-    rule on unit panels in ln(s - s0), s0 their Euler shift (geometric panels
-    in u = 1 / (s - s0)), closed past the last one, S, by g(S) (S - s0).
-    numpy only."""
-    cells = p.log_cells
-    if cells is not None:
-        knots, _, ell, q = cells
-        if q[-1] >= 0.0 and ell[-1] > -math.inf:
-            return np.full(s.shape, math.inf)
-        points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
-        g, width = p.log_weight(points), np.diff(points)
-        cell_q = q[knots.searchsorted(points[:-1], "right")]
-        piece = g[:-1] * width * exprel(cell_q * width)
-        pieces, at = np.append(piece, -g[-1] / q[-1] if g[-1] else 0.0), points.searchsorted(s)
-    else:
-        s0 = p.euler_shift_hint()
-        tau = np.log(s - s0)
-        edges = np.concatenate([tau, tau[-1] + np.arange(1.0, _TAIL_PANELS + 1.0)])
-        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
-        u = np.exp(np.append(mid[:, None] + half[:, None] * _GL_NODES, edges[-1]))   # s - s0
-        gu = p.log_weight(s0 + u) * u
-        panels = gu[:-1].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS * half
-        pieces, at = np.append(panels, gu[-1]), np.arange(s.size)
-    return np.cumsum(pieces[::-1])[::-1][at]
+    """int_{s_k}^inf r^2 v ds at r = e^(-s) for increasing s_k: exact on
+    ``log_cells`` (``log_cell_tails`` at a = 1, b = 0).  The log families
+    integrate G(tau) e^(-tau), G = ``euler_gamma``, by a composite Gauss rule
+    on unit panels in tau = ln(s - s0), s0 their Euler shift (geometric
+    panels in u = 1 / (s - s0)), closed past the last one, T, by G(T) e^(-T),
+    from one array ``euler_gamma`` call.  numpy only."""
+    if p.log_cells is not None:
+        return np.exp(log_cell_tails(p.log_cells, s, 1.0, 0.0))
+    tau = np.log(s - p.euler_shift_hint())
+    edges = np.concatenate([tau, tau[-1] + np.arange(1.0, _TAIL_PANELS + 1.0)])
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    nodes = np.append(mid[:, None] + half[:, None] * _GL_NODES, edges[-1])
+    terms = p.euler_gamma(nodes) * np.exp(-nodes)
+    panels = terms[:-1].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS * half
+    return np.cumsum(np.append(panels, terms[-1])[::-1])[::-1][:s.size]
 
 
 def inner_integral(p: RadialPotential, r: float) -> float:

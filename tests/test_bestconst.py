@@ -554,6 +554,30 @@ def test_rising_inner_cell_upper_end_never_underflows(alpha, amplitude):
         assert not check.feasible and check.method == "oscillation-certificate"
 
 
+@pytest.mark.parametrize("alpha", [2.0, 2.5])
+def test_rising_inner_cell_upper_end_does_not_widen_with_the_horizon(alpha):
+    # s* = s_max - 2/q rounded to s_max once 2/q fell below the float spacing
+    # of s_max, so the width was 0 and c_hi jumped to tol/4: for alpha = 2.5
+    # 6.17e-301 at 1e6 and 1e15, but 2.5e-7 from 1e17 on
+    p = RadialPotential.power_law(alpha)
+    ends = [best_constant(p, 1.0, s_max=s_max).c_hi for s_max in (1e6, 1e15, 1e17, 1e20, 1e300)]
+    assert all(b <= a for a, b in zip(ends, ends[1:])) and ends[-1] < 1e-290
+
+
+@pytest.mark.parametrize("s_max", [math.inf, math.nan])
+@pytest.mark.parametrize("p", [RadialPotential.constant(), RadialPotential.power_law(1.0),
+                               RadialPotential.custom(_STEEP, 1.0 + _STEEP ** -1.5),
+                               RadialPotential.power_law(2.5)],
+                         ids=["constant", "alpha-1", "table", "alpha-2.5"])
+def test_non_finite_horizon_is_rejected_for_every_kind(p, s_max):
+    # the kinds decided in the radius domain build no log-domain problem, and
+    # best_constant(constant(), 1.0, s_max=inf) returned c* = 5.78
+    with pytest.raises(DomainError, match="horizon"):
+        feasible(p, 1.0, 1.0, s_max)
+    with pytest.raises(DomainError, match="horizon"):
+        best_constant(p, 1.0, s_max=s_max)
+
+
 def test_tolerance_below_the_float_spacing_is_rejected():
     # below 8 eps the closing step no longer clears the float spacing of the
     # bracket's ends, and the same multiplier was probed forever

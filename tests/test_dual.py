@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardy_optim import RadialPotential, dual, dual_lower_bound, hardy_quotient
+from hardy_optim import RadialPotential, classify, dual, dual_lower_bound, hardy_quotient
 from hardy_optim.errors import DivergentNorm, DomainError, InvalidP, QuadratureError
 
 from conftest import Z0_SQ
@@ -50,10 +50,6 @@ def test_essential_infimum_of_power_law_vanishing_at_origin(alpha):
     assert dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound == 0.0
 
 
-def _no_refinement(*args, **kwargs):
-    raise AssertionError("the infimum on log_cells needs no refinement")
-
-
 _R = np.geomspace(1e-9, 2.0, 200)
 _BUMPY = RadialPotential.custom(_R, 1.0 + 0.5 * np.sin(3.0 * np.log(_R)) + 1.0 / _R ** 0.3)
 
@@ -68,16 +64,25 @@ _BUMPY = RadialPotential.custom(_R, 1.0 + 0.5 * np.sin(3.0 * np.log(_R)) + 1.0 /
 def test_essential_infimum_reads_the_cells(p, R, monkeypatch):
     # v is monotone on each cell of log_cells: the infimum is the least of
     # v(R) and v at the knots inside the ball, or 0 when v falls to the
-    # origin; constants and power laws once took 4096 samples and a
-    # minimize_scalar call, the log families' refinement
-    monkeypatch.setattr(dual, "_golden_section", _no_refinement)
+    # origin, read from one array and one scalar value call; constants and
+    # power laws once took 4096 samples and a minimize_scalar call, and the
+    # log families' refinement takes further rounds of samples
     if p.sigma < 0.0:
         expected = 0.0
     else:
         r = np.exp(-p.log_cells[0])
         expected = min(p.value(R), p.value(r[r <= R]).min(initial=math.inf))
+    calls = []
+    value = RadialPotential.value
+
+    def spy(self, r):
+        calls.append(np.ndim(r))
+        return value(self, r)
+
+    monkeypatch.setattr(RadialPotential, "value", spy)
     assert dual_lower_bound(p, 0.7, 2.0, 3, R).bound == pytest.approx(0.7 * expected,
                                                                      rel=4e-16, abs=0.0)
+    assert calls.count(1) == 1 and len(calls) <= 2    # no sampled refinement
 
 
 def test_table_rising_from_the_origin_has_a_divergent_norm():
@@ -101,6 +106,29 @@ def test_essential_infimum_of_x_family_is_not_overstated(m):
     fine = float(np.min(p.value(np.exp(np.linspace(-1.0, 0.0, 400_001)))))
     bound = dual_lower_bound(p, 1.0, 2.0, 3, 1.0).bound
     assert fine - 1e-9 <= bound <= fine + 1e-12
+
+
+@pytest.mark.parametrize("p", [RadialPotential.adimurthi_log(2, amplitude=0.3),
+                               RadialPotential.filippas_tertikas(3, amplitude=20.0)],
+                         ids=["adimurthi-m2", "ft-x-m3"])
+def test_log_family_oracle_row_evaluates_the_potential_by_arrays(p, monkeypatch):
+    # classify and the duals at p = 1 and p = 2 of one oracle row: the p = 2
+    # infimum once took ~40 scalar value calls in a golden-section search,
+    # and the tails one log_weight call per quadrature level
+    calls = {"value": [], "log_weight": []}
+    for name in calls:
+        original = getattr(RadialPotential, name)
+
+        def spy(self, x, name=name, original=original):
+            calls[name].append(np.ndim(x))
+            return original(self, x)
+
+        monkeypatch.setattr(RadialPotential, name, spy)
+    classify(p)
+    dual_lower_bound(p, 0.25 / p.amplitude, 1.0, 3, 1.0)
+    dual_lower_bound(p, 0.25 / p.amplitude, 2.0, 3, 1.0)
+    assert 0 not in calls["value"] + calls["log_weight"]
+    assert len(calls["value"]) <= 8
 
 
 def test_power_law_analytic_value():

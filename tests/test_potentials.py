@@ -9,6 +9,7 @@ from hardy_optim import (Kind, Label, RadialPotential, classify, exp_tower,
                          inner_integral, iterated_log, x_iter)
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
+from hardy_optim.potentials import log_cell_tails
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +488,75 @@ def test_inner_integral_is_exact_across_table_knots():
     exact = (2.0 / 3.0) * 0.1 ** 1.5 + 0.2 * (1.0 - 0.1 ** 0.5)
     assert inner_integral(p, 1.0) == pytest.approx(exact, rel=1e-14)
     assert inner_integral(p, 0.01) == pytest.approx((2.0 / 3.0) * 0.01 ** 1.5, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# exact cell tails
+# ---------------------------------------------------------------------------
+
+def _linear_cell_tails(cells, s, a, b):
+    """int_{s_k}^inf e^(a ln g + b t) dt summed in linear space, as
+    ``_tail_integrals`` did for a = 1, b = 0: h(x) w exprel(beta w) per piece
+    and h / (-beta) past the last point."""
+    knots, anchors, ell, q = cells
+    points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
+    k = knots.searchsorted(points, "right")
+    beta = a * q[k] + b
+    h = np.exp(a * (ell[k] + q[k] * (points - anchors[k])) + b * points)
+    w = np.diff(points)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        piece = h[:-1] * w * np.where(beta[:-1] * w == 0.0, 1.0,
+                                      np.expm1(beta[:-1] * w) / (beta[:-1] * w))
+    pieces = np.append(piece, h[-1] / -beta[-1])
+    return np.cumsum(pieces[::-1])[::-1][points.searchsorted(s)]
+
+
+@pytest.mark.parametrize("alpha, amplitude", [(0.0, 1.0), (1.0, 3.0), (1.9, 0.2), (-0.5, 7.0)])
+def test_log_cell_tails_of_one_cell_are_closed_form(alpha, amplitude):
+    # g = A e^(q s), q = alpha - 2: int_s^inf g = A e^(q s) / |q|, and the
+    # dual integrand g^(-p) e^(-(2p + 3) s) has slope -(p q + 2p + 3)
+    p = RadialPotential.power_law(alpha, amplitude)
+    q = alpha - 2.0
+    s = np.array([-1.0, 0.0, 0.5, 4.0, 30.0])
+    beta = -(q + 2.0 + 3.0)
+    for (a, b), want in [((1.0, 0.0), math.log(amplitude) + q * s - math.log(-q)),
+                         ((-1.0, -5.0), -math.log(amplitude) + beta * s - math.log(-beta))]:
+        got = log_cell_tails(p.log_cells, s, a, b)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.maximum(np.abs(want), 1.0)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p_exp", [1.0, 1.0 / 3.0])
+def test_log_cell_tails_match_the_linear_space_sum_on_tables(seed, p_exp):
+    # random tables falling to the origin; starts between and on the knots
+    rng = np.random.default_rng(seed)
+    r = np.sort(rng.uniform(1e-3, 1.0, 30))
+    v = r ** -rng.uniform(0.0, 1.9) * rng.uniform(0.5, 2.0, r.size)
+    cells = RadialPotential.custom(r, v).log_cells
+    knots = cells[0]
+    s = np.sort(np.concatenate([rng.uniform(0.0, 7.0, 6), knots[::7]]))
+    for a, b in [(1.0, 0.0), (-p_exp, -(2.0 * p_exp + 3.0))]:
+        np.testing.assert_allclose(np.exp(log_cell_tails(cells, s, a, b)),
+                                   _linear_cell_tails(cells, s, a, b), rtol=1e-14)
+
+
+def test_log_cell_tails_at_the_knots_and_at_the_ends():
+    p = RadialPotential.custom(np.array([1e-3, 0.1, 1.0]),
+                               np.array([10 ** 1.5, 10 ** 0.5, 0.1]))
+    knots = p.log_cells[0]
+    # starting on a knot adds a piece of width 0, and repeated starts agree
+    s = np.array([knots[0], knots[1], knots[1], knots[2]])
+    got = np.exp(log_cell_tails(p.log_cells, s, 1.0, 0.0))
+    np.testing.assert_allclose(got, _linear_cell_tails(p.log_cells, s, 1.0, 0.0), rtol=1e-15)
+    assert got[1] == got[2]
+    # amplitude 0: g = 0 on a cell of slope q >= 0 contributes nothing, not NaN
+    for alpha in (2.0, 3.0, 1.0):
+        zero = RadialPotential.power_law(alpha, 0.0).log_cells
+        assert np.all(log_cell_tails(zero, np.array([0.0, 5.0]), 1.0, 0.0) == -math.inf)
+    # a rising inner cell diverges at every start
+    rising = RadialPotential.custom(np.array([1e-3, 0.1, 1.0]), np.array([1e9, 1e3, 1.0]))
+    assert np.all(log_cell_tails(rising.log_cells, np.array([0.0, 3.0, 9.0]), 1.0, 0.0)
+                  == math.inf)
 
 
 # ---------------------------------------------------------------------------
