@@ -1,21 +1,28 @@
 """Run configuration, and record/CSV serialization.
 
-Config files are INI-style structured text (configparser).  ``KEYS`` is
-the one table of what a file may set: the keys of ``[potential]`` (by its
-``kind``), ``[domain]`` and ``[solver]``, each with its parser.  Any other
-section or key is a ``ConfigError``, whichever subcommand reads the file.
+Config files and records are INI-style text, read by ``read_ini``, whose
+grammar is strict and small: ``[name]`` section headers; ``key = value``
+or ``key: value`` lines, split at the first ``=`` or ``:``, the key
+lower-cased and both sides stripped; blank lines; and whole-line comments
+that start with ``#`` or ``;``.  A value is taken verbatim: no inline
+comments, no ``%`` interpolation, no continuation lines, no ``[DEFAULT]``
+section.  Anything else (a line before the first header, a line with no
+delimiter or an empty key, a malformed header, a repeated section or key)
+is a ``ConfigError`` that names its line.  ``KEYS`` is the one table of
+what a config may set: the keys of ``[potential]`` (by its ``kind``),
+``[domain]`` and ``[solver]``, each with its parser.  Any other section or
+key is a ``ConfigError``, whichever subcommand reads the file.
 ``[solver] s_max`` is the log-domain horizon; the integrator tolerances
 and the undecided sliver are constants of ``ode`` and ``bestconst``, and
 the best-constant tolerance is ``best_constant``'s default.  Where a record
 goes, in what form and with what wall-clock stamp are the CLI's ``--out``,
-``eigen --format`` and ``--timestamp``.  Result records are emitted in the same syntax (a single
-``[result]`` or ``[error]`` section) so that every record re-parses under
-the config machinery.  All numbers are written with 17 significant digits
-for cross-platform reproducibility.
+``eigen --format`` and ``--timestamp``.  Result records are emitted in the
+same syntax (a single ``[result]`` or ``[error]`` section), so that every
+record re-parses with ``parse_record``.  All numbers are written with 17
+significant digits for cross-platform reproducibility.
 """
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,35 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .ode import S_MAX_DEFAULT
 from .potentials import RadialPotential
+
+
+def read_ini(text: str) -> dict:
+    """{section: {key: value}} of INI text in the module's grammar; a
+    ConfigError names the first offending line."""
+    sections, current = {}, None
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == "[":
+            name = line[1:-1]
+            if line[-1] != "]" or not name:
+                raise ConfigError(f"line {number}: malformed section header {line!r}")
+            if name in sections:
+                raise ConfigError(f"line {number}: repeated section [{name}]")
+            current = sections[name] = {}
+            continue
+        if current is None:
+            raise ConfigError(f"line {number}: {line!r} before the first section header")
+        eq, colon = line.find("="), line.find(":")
+        cut = eq if colon < 0 or 0 <= eq < colon else colon
+        key = line[:cut].strip().lower()
+        if cut < 0 or not key:
+            raise ConfigError(f"line {number}: expected 'key = value', got {line!r}")
+        if key in current:
+            raise ConfigError(f"line {number}: repeated key {key!r} in [{name}]")
+        current[key] = line[cut + 1:].strip()
+    return sections
 
 
 def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -41,8 +77,8 @@ def _custom(samples: str, r_max=None) -> RadialPotential:
     return RadialPotential.custom(*load_samples_csv(samples), r_max)
 
 
-# Every key a config file may set, with its parser (configparser lower-cases
-# keys, so [domain] R is "r").  Each [potential] kind reads the keyword
+# Every key a config file may set, with its parser (read_ini lower-cases keys,
+# so [domain] R is "r").  Each [potential] kind reads the keyword
 # arguments of its factory in _FACTORIES.
 KEYS = {
     "potential": {
@@ -98,27 +134,29 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate an INI config file into a RunConfig."""
-    parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:      # no section header, a repeated key, ...
-        raise ConfigError(f"{path}: {exc}".replace("\n", " ")) from exc
-    if not read:
-        raise ConfigError(f"config file {path!r} not found or unreadable")
-    unknown = sorted(set(parser.sections()) - set(KEYS))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path!r} not found or unreadable") from exc
+    try:
+        sections = read_ini(text)
+    except ConfigError as exc:      # no section header, a repeated key, ...
+        raise ConfigError(f"{path}: {exc}") from exc
+    unknown = sorted(set(sections) - set(KEYS))
     if unknown:
         raise ConfigError(f"{path}: unknown section(s): {', '.join(unknown)}")
-    if "potential" not in parser:
+    if "potential" not in sections:
         raise ConfigError(f"{path}: missing required section [potential]")
     try:
-        potential = read_potential(parser["potential"])
+        potential = read_potential(sections["potential"])
     except Exception as exc:  # surfaced with the offending section for diagnostics
         raise ConfigError(f"{path}: [potential] {exc}") from exc
     values = {}
     for name in ("domain", "solver"):
         try:
-            values.update(_parse(parser[name] if name in parser else {}, KEYS[name]))
-        except (DomainError, ValueError, configparser.Error) as exc:
+            values.update(_parse(sections.get(name, {}), KEYS[name]))
+        except (DomainError, ValueError) as exc:
             raise ConfigError(f"{path}: [{name}] {exc}") from exc
     cfg = RunConfig(potential, values.pop("r", potential.r_max), **values)
     if cfg.R <= 0:
@@ -163,14 +201,11 @@ def format_record(mapping: dict, section: str = "result") -> str:
 
 
 def parse_record(text: str) -> dict:
-    """Inverse of format_record; values come back as strings, verbatim (a
-    '%' in a message is no interpolation)."""
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.read_string(text)
-    sections = parser.sections()
+    """Inverse of format_record; values come back as strings, verbatim."""
+    sections = read_ini(text)
     if len(sections) != 1:
-        raise ConfigError(f"expected exactly one record section, found {sections}")
-    return dict(parser[sections[0]])
+        raise ConfigError(f"expected exactly one record section, found {list(sections)}")
+    return sections.popitem()[1]
 
 
 def write_trajectory_csv(path: str, outcome, header: str) -> None:

@@ -96,6 +96,7 @@ class LambdaLimitResult:
     mu_values: np.ndarray
     lambdas: np.ndarray
     extrapolants: np.ndarray
+    residual_norms: np.ndarray    # of each solve, as EigenResult.residual_norm
 
 
 # ---------------------------------------------------------------------------
@@ -123,36 +124,32 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, -cell
 
 
-def _lumped(nodes: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Diagonal (lumped) weights: integral of fn(t) dt, t = ln r, over each
-    node's cell, composite Gauss-Legendre per half-cell."""
+def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
+    """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped:
+    stiffness (diag, off-diag) r^(n-1) and lumped mass v r^(n-1) dr =
+    log_weight(-t) e^((n-2)t) dt; with ``hardy``, also the lumped Hardy
+    weight r^(n-3) dr = e^((n-2)t) dt of the forms with an inverse-square
+    term, from the same e^((n-2)t) samples.  Lumped weights integrate over
+    each node's cell in t = ln r, composite Gauss-Legendre per half-cell."""
+    k_diag, k_off = _stiffness(nodes, float(n - 1))
     t_nodes = np.log(nodes)
     t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])       # geometric midpoints in r
     t_lo = np.concatenate([t_nodes[:1], t_mid])
     t_hi = np.concatenate([t_mid, t_nodes[-1:]])
     half = 0.5 * (t_hi - t_lo)
     mid = 0.5 * (t_hi + t_lo)
-    total = np.zeros(nodes.size)
+    m_diag, h_diag = np.zeros(nodes.size), np.zeros(nodes.size)
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        total += wi * fn(mid + half * xi)
-    return total * half
-
-
-def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
-    """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped:
-    stiffness (diag, off-diag) r^(n-1) and lumped mass v r^(n-1) dr =
-    log_weight(-t) e^((n-2)t) dt."""
-    k_diag, k_off = _stiffness(nodes, float(n - 1))
-    m_diag = _lumped(nodes, lambda t: p.log_weight(-t) * np.exp((n - 2.0) * t))
+        t = mid + half * xi
+        e = np.exp((n - 2.0) * t)
+        m_diag += wi * (p.log_weight(-t) * e)
+        if hardy:
+            h_diag += wi * e
+    m_diag *= half
     if np.any(m_diag[:-1] < _TINY):
         raise SingularMass("potential weight vanishes or underflows on a full cell")
-    return k_diag[:-1], k_off[:-1], m_diag[:-1]
-
-
-def _hardy_diag(nodes: np.ndarray, n: int) -> np.ndarray:
-    """Lumped Hardy weight r^(n-3) dr = e^((n-2)t) dt of ``_pencil``'s nodes,
-    for the forms with an inverse-square term."""
-    return _lumped(nodes, lambda t: np.exp((n - 2.0) * t))[:-1]
+    pencil = k_diag[:-1], k_off[:-1], m_diag[:-1]
+    return pencil + ((h_diag * half)[:-1],) if hardy else pencil
 
 
 def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = None,
@@ -254,9 +251,7 @@ def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> Eig
     mu_crit = 0.25 * (n - 2) ** 2
     if not 0.0 <= mu < mu_crit:
         raise IndefiniteForm(f"mu = {mu} outside [0, mu_n = {mu_crit})")
-    nodes = grid.nodes()
-    k_diag, k_off, m_diag = _pencil(p, nodes, n)
-    hardy_diag = _hardy_diag(nodes, n)
+    k_diag, k_off, m_diag, hardy_diag = _pencil(p, grid.nodes(), n, hardy=True)
     lam, x, res, iters = _smallest_eigenpair(k_diag - mu * hardy_diag, k_off, m_diag)
     return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
@@ -289,15 +284,15 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     mu_n = 0.25 * (n - 2) ** 2
     mus = (1.0 - 2.0 ** -np.arange(1.0, _LIMIT_DEPTH + 1)) * mu_n
     # one assembly; each mu only shifts the stiffness diagonal
-    nodes = grid.nodes()
-    k_diag, k_off, m_diag = _pencil(p, nodes, n)
-    hardy_diag = _hardy_diag(nodes, n)
-    lambdas, x, shift = [], None, 0.0
+    k_diag, k_off, m_diag, hardy_diag = _pencil(p, grid.nodes(), n, hardy=True)
+    lambdas, residuals, x, shift = [], [], None, 0.0
     for mu in mus:
         # warm start passed positionally, the way tests stub the solver
-        lam, x = _smallest_eigenpair(k_diag - float(mu) * hardy_diag, k_off, m_diag, x, shift)[:2]
+        lam, x, res = _smallest_eigenpair(k_diag - float(mu) * hardy_diag, k_off, m_diag,
+                                          x, shift)[:3]
         shift = 2.0 * lam - lambdas[-1] if lambdas else 0.0
         lambdas.append(lam)
+        residuals.append(res)
     lambdas = np.array(lambdas)
     diffs = np.diff(lambdas)
     if np.any(diffs > 1e-12 * np.abs(lambdas[:-1])):
@@ -309,7 +304,7 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     agreement = np.abs(np.diff(extrapolants))
     best = int(np.argmin(agreement[1:])) + 1   # skip the warmup pair
     limit = float(extrapolants[best + 1])
-    return LambdaLimitResult(limit, mus, lambdas, extrapolants)
+    return LambdaLimitResult(limit, mus, lambdas, extrapolants, np.array(residuals))
 
 
 # ---------------------------------------------------------------------------

@@ -448,6 +448,17 @@ class ClassLabel:
     limit_estimate: Optional[float] = None
 
 
+def _cell_points(cells: tuple, s: np.ndarray, a: float, b: float) -> tuple:
+    """The points of ``log_cell_tails``: the s_k and the knots past s_0, in
+    order, with the exponent f = a ln g + b t there, its slope beta on the
+    cell that starts at each point, and the widths between them."""
+    knots, anchors, ell, q = cells
+    points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
+    k = knots.searchsorted(points, "right")
+    f = a * (ell[k] + q[k] * (points - anchors[k])) + b * points
+    return points, f, a * q[k] + b, np.diff(points)
+
+
 def log_cell_tails(cells: tuple, s: np.ndarray, a: float, b: float) -> np.ndarray:
     """ln int_{s_k}^inf e^(a ln g(t) + b t) dt for increasing s_k, exactly on
     ``log_cells``: on each cell the exponent f is linear, of slope beta = a q
@@ -455,12 +466,7 @@ def log_cell_tails(cells: tuple, s: np.ndarray, a: float, b: float) -> np.ndarra
     w ``exprel``(-|beta| w), w its width, and the inner cell adds e^f /
     (-beta), +inf when beta >= 0; nothing where g = 0 (ell = -inf).  The
     pieces are summed from the right in log space.  numpy only."""
-    knots, anchors, ell, q = cells
-    points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
-    k = knots.searchsorted(points, "right")
-    beta = a * q[k] + b
-    f = a * (ell[k] + q[k] * (points - anchors[k])) + b * points
-    w = np.diff(points)
+    points, f, beta, w = _cell_points(cells, s, a, b)
     with np.errstate(divide="ignore"):
         pieces = f[:-1] + np.maximum(beta[:-1], 0.0) * w + np.log(w * exprel(-np.abs(beta[:-1]) * w))
         inner = f[-1] if f[-1] == -math.inf else f[-1] - np.log(np.maximum(-beta[-1], 0.0))
@@ -469,13 +475,28 @@ def log_cell_tails(cells: tuple, s: np.ndarray, a: float, b: float) -> np.ndarra
 
 
 def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
-    """int_{s_k}^inf r^2 v ds at r = e^(-s) for increasing s_k: exact on
-    ``log_cells`` (``log_cell_tails`` at a = 1, b = 0).  The log families
-    integrate G(tau) e^(-tau), G = ``euler_gamma``, by a composite Gauss rule
-    on unit panels in tau = ln(s - s0), s0 their Euler shift (geometric
-    panels in u = 1 / (s - s0)), closed past the last one, T, by G(T) e^(-T),
-    from one array ``euler_gamma`` call.  numpy only."""
+    """int_{s_k}^inf r^2 v ds at r = e^(-s) for increasing s_k.  On
+    ``log_cells`` each piece is exact, g w ``exprel``(q w) from its left end
+    (g / -q on the inner cell; every tail is inf when q >= 0 there), summed
+    from the right in linear space, to a few ulps, wherever every ln g lies
+    in [-700, 700] and the sum is finite; elsewhere it is the exp of
+    ``log_cell_tails`` at a = 1, b = 0, whose relative error grows like
+    eps |ln int g|.  The log families integrate G(tau) e^(-tau),
+    G = ``euler_gamma``, by a composite Gauss rule on unit panels in
+    tau = ln(s - s0), s0 their Euler shift (geometric panels in
+    u = 1 / (s - s0)), closed past the last one, T, by G(T) e^(-T), from one
+    array ``euler_gamma`` call.  numpy only."""
     if p.log_cells is not None:
+        points, f, q, w = _cell_points(p.log_cells, s, 1.0, 0.0)
+        if q[-1] >= 0.0 and f[-1] > -math.inf:
+            return np.full(s.shape, math.inf)
+        if np.all((np.abs(f) <= 700.0) | (f == -math.inf)):
+            g = np.exp(f)
+            with np.errstate(over="ignore", invalid="ignore"):
+                pieces = np.append(g[:-1] * w * exprel(q[:-1] * w), g[-1] / -q[-1] if g[-1] else 0.0)
+            tails = np.cumsum(pieces[::-1])[::-1]
+            if np.isfinite(tails[0]):
+                return tails[points.searchsorted(s)]
         return np.exp(log_cell_tails(p.log_cells, s, 1.0, 0.0))
     tau = np.log(s - p.euler_shift_hint())
     edges = np.concatenate([tau, tau[-1] + np.arange(1.0, _TAIL_PANELS + 1.0)])

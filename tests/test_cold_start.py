@@ -3,7 +3,8 @@ interpreters: the borderline families' best-constant, feasible and
 classify are closed forms and numpy, and so are best-constant and feasible
 on a constant or a power law (x(R) against z0), classify on every kind and
 dual at every p; none of them loads a scipy submodule.  Cell sweeps load
-``scipy.special`` alone, and a whole oracle row ``scipy.linalg`` alone."""
+``scipy.special`` alone, and a whole oracle row ``scipy.linalg`` alone.
+No subcommand loads the standard library's ``configparser``."""
 import json
 import runpy
 import subprocess
@@ -133,3 +134,35 @@ def test_oracle_row_loads_only_linalg(tmp_path):
                           env=COLD_START["child_env"](), stdout=subprocess.PIPE, text=True,
                           check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == ["scipy.linalg"]
+
+
+# Every subcommand, an error record and a usage error through cli.main in one
+# fresh interpreter, each record read back by parse_record.
+_EVERY_SUBCOMMAND = """
+import io, json, sys
+from contextlib import redirect_stdout
+from hardy_optim import cli, config
+config_path, out = sys.argv[1:]
+codes = []
+for argv in (["best-constant"], ["feasible", "--c", "1"], ["classify"],
+             ["eigen", "--mu", "0.1"], ["dual", "--c", "1", "--p", "1"], ["check-closed-form"],
+             ["trace", "--c", "1", "--out", out], ["feasible"]):
+    with redirect_stdout(io.StringIO()) as record:
+        codes.append(cli.main(argv[:1] + ["--config", config_path] + argv[1:]))
+    config.parse_record(record.getvalue())
+print(json.dumps([codes, "configparser" in sys.modules]))
+"""
+
+
+def test_no_subcommand_loads_configparser(tmp_path):
+    # configs and records are read by config.read_ini; configparser's parsing
+    # once took about 0.4 of each 0.85 ms best-constant op
+    path = tmp_path / "run.ini"
+    path.write_text("[potential]\nkind = constant\n[solver]\ngrid_n = 200\n")
+    proc = subprocess.run([sys.executable, "-c", _EVERY_SUBCOMMAND, str(path),
+                           str(tmp_path / "trace.csv")],
+                          env=COLD_START["child_env"](), stdout=subprocess.PIPE, text=True,
+                          check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert loaded is False

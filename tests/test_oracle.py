@@ -190,8 +190,7 @@ def test_lambda_limit_eigenvalues_match_lapack_bisection(potential):
     # symmetrically scaled pencil M^-1/2 K M^-1/2 on lambda_limit's grid
     res = lambda_limit(potential, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
-    k_diag, k_off, m_diag = oracle._pencil(potential, grid.nodes(), 3)
-    hardy_diag = oracle._hardy_diag(grid.nodes(), 3)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3, hardy=True)
     scale = 1.0 / np.sqrt(m_diag)
     for mu, lam in zip(res.mu_values, res.lambdas):
         ref = eigh_tridiagonal((k_diag - mu * hardy_diag) * scale ** 2,
@@ -214,8 +213,7 @@ def test_returned_eigenvalue_is_inertia_certified(constant_pot, mu):
     # K - lambda (1 + gap) M is not (an eigenvalue within gap of lambda)
     gap = oracle._CERT_GAP
     grid = _grid(4000, r_min=1e-40)
-    k_diag, k_off, m_diag = oracle._pencil(constant_pot, grid.nodes(), 3)
-    hardy_diag = oracle._hardy_diag(grid.nodes(), 3)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(constant_pot, grid.nodes(), 3, hardy=True)
     lam = weighted_eigen(constant_pot, mu, 3, grid).lambda1
     for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
         info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
@@ -301,8 +299,7 @@ def test_lambda_limit_eigenvalues_are_inertia_certified(potential):
     gap = oracle._CERT_GAP
     res = lambda_limit(potential, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
-    k_diag, k_off, m_diag = oracle._pencil(potential, grid.nodes(), 3)
-    hardy_diag = oracle._hardy_diag(grid.nodes(), 3)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3, hardy=True)
     for mu, lam in zip(res.mu_values, res.lambdas):
         for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
             info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
@@ -330,6 +327,46 @@ def test_fe_assembly_evaluates_the_potential_o1_times(monkeypatch, potential):
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 12
     assert min(calls) >= 4095
+
+
+def _lumped_exp(nodes, n):
+    """The Hardy diagonal as it was lumped on its own: e^((n-2)t) at the
+    Gauss points of each node's half-cells in t = ln r."""
+    t = np.log(nodes)
+    t_mid = 0.5 * (t[:-1] + t[1:])
+    t_lo, t_hi = np.concatenate([t[:1], t_mid]), np.concatenate([t_mid, t[-1:]])
+    half, mid = 0.5 * (t_hi - t_lo), 0.5 * (t_hi + t_lo)
+    total = np.zeros(nodes.size)
+    for xi, wi in zip(*np.polynomial.legendre.leggauss(6)):
+        total += wi * np.exp((n - 2.0) * (mid + half * xi))
+    return (total * half)[:-1]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_pencil_shares_its_exp_samples_with_the_hardy_weight(n):
+    # the Hardy diagonal reuses the mass's e^((n-2)t) samples, bit for bit,
+    # and asking for it leaves the pencil as it was
+    nodes = _grid(500, r_min=1e-40).nodes()
+    p = RadialPotential.adimurthi_log(2)
+    *pencil, hardy = oracle._pencil(p, nodes, n, hardy=True)
+    for got, want in zip(pencil, oracle._pencil(p, nodes, n)):
+        assert got.tobytes() == want.tobytes()
+    assert hardy.tobytes() == _lumped_exp(nodes, n).tobytes()
+
+
+def test_lambda_limit_reports_each_solves_residual(monkeypatch):
+    residuals = []
+    solver = oracle._smallest_eigenpair
+
+    def spy(*args):
+        out = solver(*args)
+        residuals.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "_smallest_eigenpair", spy)
+    res = lambda_limit(RadialPotential.power_law(1.0), 3, 1.0)
+    assert res.residual_norms.tolist() == residuals and len(residuals) == 12
+    assert np.all(res.residual_norms < 1e-6)
 
 
 # ---------------------------------------------------------------------------

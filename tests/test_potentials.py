@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -473,6 +474,53 @@ def test_classify_evidence_shape():
     assert lab.probe_radii[-1] <= 1e-6
 
 
+# L(r_k) = ln(r_k) int_{s_k}^inf g of the 400-node exp(3r) table on
+# geomspace(1e-8, 1, 400), at classify's 13 probes (s_k = -ln r_k as floats),
+# integrated cell by cell in 50-digit mpmath on the float cells of log_cells
+_EXP3R_EVIDENCE = [
+    "-0.0002349167304529588574600059966836366885568",
+    "-0.00002896503044966452582089012504929354223968",
+    "-0.000003460794392448530813733037617952415573036",
+    "-0.0000004032073765580680179456954117318785072765",
+    "-0.00000004606091487365843121652364509496239745294",
+    "-0.000000005181144192976691803126214474639872234387",
+    "-0.0000000005756577883658620423312442298010985020224",
+    "-0.00000000006332149060843932417008196162046877894666",
+    "-0.000000000006907769096990500085084674040881288926983",
+    "-7.483406285962613615097048763354598280746e-13",
+    "-8.059049437146778831708590692379316909333e-14",
+    "-8.634694640307297113625571510366885673921e-15",
+    "-9.210340506892456161655132916542653327093e-16",
+]
+
+
+def test_classify_evidence_on_a_table_is_ulp_accurate():
+    # the pieces are summed in linear space; a log-space sum erred by up to
+    # 1.0e-14 relative here (eps times ln int g, about -37)
+    r = np.geomspace(1e-8, 1.0, 400)
+    evidence = classify(RadialPotential.custom(r, np.exp(3.0 * r))).evidence
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        rel = [abs((decimal.Decimal(float(got)) - decimal.Decimal(want)) / decimal.Decimal(want))
+               for got, want in zip(evidence, _EXP3R_EVIDENCE)]
+    assert max(rel) <= decimal.Decimal("4.4e-16")
+
+
+def test_inner_integral_beyond_the_linear_sum():
+    # ln g = ln(1e305 r), 702 at r = 1: past the linear sum's range of ln g,
+    # the log-space sum
+    r = np.geomspace(1e-3, 1.0, 30)
+    p = RadialPotential.custom(r, 1e305 / r)
+    assert inner_integral(p, 1.0) == pytest.approx(1e305, rel=1e-12)
+    assert inner_integral(p, 0.5) == pytest.approx(5e304, rel=1e-12)
+    # ln g within range, but the rising cell's exprel(50 * 15) overflows
+    s = np.array([25.0, 20.0, 5.0, 0.0])
+    ln_g = np.array([550.0, 650.0, -100.0, -100.0])
+    p = RadialPotential.custom(np.exp(-s), np.exp(ln_g + 2.0 * s))
+    assert inner_integral(p, 1.0) == pytest.approx((1.0 / 50.0 + 1.0 / 20.0) * math.exp(650.0),
+                                                   rel=1e-12)
+
+
 def test_inner_integral_analytic_cases():
     assert inner_integral(RadialPotential.power_law(1.0), 0.01) == \
         pytest.approx(0.01, rel=1e-9)
@@ -496,7 +544,7 @@ def test_inner_integral_is_exact_across_table_knots():
 
 def _linear_cell_tails(cells, s, a, b):
     """int_{s_k}^inf e^(a ln g + b t) dt summed in linear space, as
-    ``_tail_integrals`` did for a = 1, b = 0: h(x) w exprel(beta w) per piece
+    ``_tail_integrals`` does for a = 1, b = 0: h(x) w exprel(beta w) per piece
     and h / (-beta) past the last point."""
     knots, anchors, ell, q = cells
     points = np.sort(np.concatenate([s, knots[knots > s[0]]]))
