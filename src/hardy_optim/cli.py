@@ -5,23 +5,22 @@ Subcommands wrap the library one-to-one and emit machine-readable records
 unless that names a CSV artifact (`trace`, `eigen --format csv`).  Exit
 codes: 0 success, 1 error, 2 indeterminate/uncertified, so batch scripts
 can tell "borderline" from "broken".  Errors, usage errors (an unknown
-flag, a missing option) included, are emitted as structured [error]
-records, never bare tracebacks or argparse's exit status 2.
+flag, a missing option) and an unwritable --out included, are emitted as
+structured [error] records, never bare tracebacks.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
 import time
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from . import bestconst, dual, ode, oracle
-from .config import (RunConfig, format_record, load_config, write_trajectory_csv,
-                     write_vector_csv)
+from .config import (RunConfig, format_record, load_config, write_text,
+                     write_trajectory_csv, write_vector_csv)
 from .errors import ConfigError, HardyError, IndeterminateAtHorizon, NoUpperBracket
 from .potentials import classify as classify_potential
 
@@ -33,59 +32,16 @@ _EXIT_INDETERMINATE = 2
 def main(argv: Optional[list] = None) -> int:
     args = None
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         record, exit_code = args.handler(args, load_config(args.config))
+        if args.timestamp:
+            record["timestamp"] = f"{time.time():.6f}"
+        return _emit(args, record, exit_code)
     except (IndeterminateAtHorizon, NoUpperBracket) as exc:
-        record = {"type": type(exc).__name__, "message": str(exc), "status": type(exc).__name__}
-        _emit(args, record, section="error")
-        return _EXIT_INDETERMINATE
+        return _emit(args, {**_error(exc), "status": type(exc).__name__}, _EXIT_INDETERMINATE,
+                     section="error")
     except HardyError as exc:
-        _emit(args, {"type": type(exc).__name__, "message": str(exc)}, section="error")
-        return _EXIT_ERROR
-    if args.timestamp:
-        record["timestamp"] = f"{time.time():.6f}"
-    _emit(args, record)
-    return exit_code
-
-
-class _Parser(argparse.ArgumentParser):
-    """Raises ConfigError on a usage error: argparse would exit with 2,
-    which this CLI keeps for indeterminate verdicts.  --help still exits 0."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise ConfigError(f"{self.prog}: {message}")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hardy-optim",
-        description="Improved Hardy inequality feasibility, best constants, and "
-                    "discretized eigenvalue cross-checks.")
-    sub = parser.add_subparsers(required=True)
-
-    def add(name, handler, **extra_args):
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="INI config path")
-        cmd.add_argument("--out", default=None, help="write the record/CSV here instead of stdout")
-        cmd.add_argument("--timestamp", action="store_true",
-                         help="append a wall-clock field (off by default for reproducibility)")
-        for flag, kw in extra_args.items():
-            cmd.add_argument(flag, **kw)
-        cmd.set_defaults(handler=handler)
-        return cmd
-
-    add("best-constant", _cmd_best_constant)
-    add("feasible", _cmd_feasible, **{"--c": dict(type=float, required=True, dest="c")})
-    add("classify", _cmd_classify)
-    add("eigen", _cmd_eigen, **{"--mu": dict(type=float, required=True, dest="mu"),
-                                "--format": dict(choices=("record", "csv"), default="record")})
-    add("dual", _cmd_dual, **{"--c": dict(type=float, required=True, dest="c"),
-                              "--p": dict(type=float, required=True, dest="p")})
-    add("check-closed-form", _cmd_check_closed_form)
-    add("trace", _cmd_trace, **{"--c": dict(type=float, required=True, dest="c")})
-    return parser
+        return _emit(args, _error(exc), _EXIT_ERROR, section="error")
 
 
 def _writes_csv(args) -> bool:
@@ -93,15 +49,24 @@ def _writes_csv(args) -> bool:
     return args.handler is _cmd_trace or getattr(args, "format", None) == "csv"
 
 
-def _emit(args, record: dict, section: str = "result") -> None:
+def _emit(args, record: dict, exit_code: int, section: str = "result") -> int:
+    """Write the record and return exit_code; a record that --out cannot
+    take is lost, and an [error] record on stdout says so (exit 1)."""
     text = format_record(record, section=section)
     # records, [error] ones included, never overwrite a CSV artifact path;
     # a usage error has no parsed arguments and goes to stdout
     if args is not None and args.out and not _writes_csv(args):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            write_text(args.out, text)
+            return exit_code
+        except ConfigError as exc:
+            text, exit_code = format_record(_error(exc), section="error"), _EXIT_ERROR
+    sys.stdout.write(text)
+    return exit_code
+
+
+def _error(exc: HardyError) -> dict:
+    return {"type": type(exc).__name__, "message": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +179,82 @@ def _cmd_trace(args, cfg: RunConfig):
         "csv": path,
     }
     return record, _EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# Command line: one table gives both the parse and the --help text
+# ---------------------------------------------------------------------------
+
+def _format(value: str) -> str:
+    if value not in ("record", "csv"):
+        raise ValueError(value)
+    return value
+
+
+# {name: (handler, {flag: value parser})}, every subcommand taking the shared
+# flags too; a flag is required unless _DEFAULTS holds it, and --timestamp
+# (parser None) is a switch that takes no value
+_SHARED = {"--config": str, "--out": str, "--timestamp": None}
+_DEFAULTS = {"--out": None, "--timestamp": False, "--format": "record"}
+_COMMANDS = {name: (handler, {**_SHARED, **flags}) for name, handler, flags in (
+    ("best-constant", _cmd_best_constant, {}),
+    ("feasible", _cmd_feasible, {"--c": float}),
+    ("classify", _cmd_classify, {}),
+    ("eigen", _cmd_eigen, {"--mu": float, "--format": _format}),
+    ("dual", _cmd_dual, {"--c": float, "--p": float}),
+    ("check-closed-form", _cmd_check_closed_form, {}),
+    ("trace", _cmd_trace, {"--c": float}))}
+
+
+def _usage(name: Optional[str], error: Optional[str] = None):
+    """Print the usage line of subcommand ``name`` (of all seven for None),
+    optional flags bracketed: for --help to stdout, then exit 0; for a usage
+    error to stderr, then raise it as a ConfigError."""
+    for each in [name] if name else _COMMANDS:
+        words = ["usage: hardy-optim", each]
+        for flag, parse in sorted(_COMMANDS[each][1].items(), key=lambda kv: kv[0] in _DEFAULTS):
+            word = flag if parse is None else \
+                f"{flag} {'record|csv' if parse is _format else flag[2:].upper()}"
+            words.append(f"[{word}]" if flag in _DEFAULTS else word)
+        print(*words, file=sys.stderr if error else sys.stdout)
+    if error:
+        raise ConfigError(f"hardy-optim{' ' + name if name else ''}: {error}")
+    raise SystemExit(0)
+
+
+def _parse_args(argv: list) -> SimpleNamespace:
+    """The namespace the handlers read, from ``<subcommand>`` and its flags in
+    any order, each ``--flag value`` or ``--flag=value``: exact names, each at
+    most once, value tokens verbatim.  -h/--help prints usage and exits 0."""
+    name = argv[0] if argv else ""
+    if name in ("-h", "--help"):
+        _usage(None)
+    if name not in _COMMANDS:
+        _usage(None, f"expected a subcommand, one of {', '.join(_COMMANDS)}; got {name!r}")
+    (handler, flags), values, tokens = _COMMANDS[name], {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if token in ("-h", "--help"):
+            _usage(name)
+        if flag not in flags or flag in values:
+            _usage(name, f"{'repeated' if flag in values else 'unrecognized'} argument {token!r}")
+        if flags[flag] is None:     # a switch
+            if eq:
+                _usage(name, f"argument {flag} takes no value")
+            values[flag] = True
+            continue
+        value = value if eq else next(tokens, None)
+        if value is None:
+            _usage(name, f"argument {flag}: expected one argument")
+        try:
+            values[flag] = flags[flag](value)
+        except ValueError:
+            _usage(name, f"argument {flag}: invalid value {value!r}")
+    missing = [flag for flag in flags if flag not in values and flag not in _DEFAULTS]
+    if missing:
+        _usage(name, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(handler=handler,
+                           **{flag[2:]: values.get(flag, _DEFAULTS.get(flag)) for flag in flags})
 
 
 if __name__ == "__main__":

@@ -208,17 +208,22 @@ def parse_record(text: str) -> dict:
     return sections.popitem()[1]
 
 
+def write_text(path: str, text: str) -> None:
+    """Write a record or a CSV to ``path``; a path that cannot be written is
+    a ConfigError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_trajectory_csv(path: str, outcome, header: str) -> None:
     """Trajectory CSV, one row per accepted step, increasing abscissa."""
     cols = np.column_stack([outcome.trajectory[name] for name in header.split(",")])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in cols:
-            fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+    write_text(path, header + "\n" + "".join(",".join(f"{val:.17g}" for val in row) + "\n"
+                                              for row in cols))
 
 
 def write_vector_csv(path: str, r: np.ndarray, u: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("r,u\n")
-        for ri, ui in zip(r, u):
-            fh.write(f"{ri:.17g},{ui:.17g}\n")
+    write_text(path, "r,u\n" + "".join(f"{ri:.17g},{ui:.17g}\n" for ri, ui in zip(r, u)))

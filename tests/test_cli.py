@@ -1,4 +1,3 @@
-import argparse
 import math
 import subprocess
 import sys
@@ -293,6 +292,23 @@ def test_error_record_leaves_the_csv_path_alone(tmp_path, capsys, argv, potentia
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (("best-constant",), "rec.ini"),
+    (("trace", "--c", "1"), "t.csv"),
+    (("eigen", "--mu", "0.1", "--format", "csv"), "v.csv"),
+], ids=["record", "trace-csv", "eigen-csv"])
+def test_unwritable_out_is_an_error_record(tmp_path, capsys, argv, name):
+    # open() raised FileNotFoundError out of main: a bare traceback, and the
+    # computed record was lost
+    out_path = tmp_path / "no" / "such" / name
+    code, out = _run(capsys, *argv, "--config", _write_config(tmp_path, solver={"grid_n": "200"}),
+                     "--out", str(out_path))
+    rec = parse_record(out)
+    assert code == 1 and rec["type"] == "ConfigError"
+    assert rec["message"] == f"cannot write {out_path}: No such file or directory"
+    assert out.startswith("[error]\n")
+
+
 def test_custom_potential_from_csv(tmp_path, capsys):
     table = tmp_path / "v.csv"
     r = np.logspace(-8, 0, 200)
@@ -333,22 +349,6 @@ def test_records_are_deterministic(tmp_path, capsys):
     _, first = _run(capsys, "best-constant", "--config", cfg)
     _, second = _run(capsys, "best-constant", "--config", cfg)
     assert first == second
-
-
-def test_parser_is_built_once(tmp_path, capsys, monkeypatch):
-    # the seven-subcommand tree once cost a third of a best-constant op
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cfg = _write_config(tmp_path)
-    for _ in range(3):
-        assert _run(capsys, "feasible", "--c", "1.0", "--config", cfg)[0] == 0
-    assert built.count("hardy-optim") <= 1
 
 
 def test_timestamp_behind_flag(tmp_path, capsys):
@@ -470,6 +470,60 @@ def test_help_still_exits_zero(capsys):
         main(["feasible", "--help"])
     assert stop.value.code == 0
     assert "--c" in capsys.readouterr().out
+
+
+# Every subcommand with all its required flags; "CFG" and "OUT" stand for the
+# config and a CSV path.
+_FULL_ARGV = {
+    "best-constant": ["--config", "CFG"],
+    "feasible": ["--config", "CFG", "--c", "1"],
+    "classify": ["--config", "CFG"],
+    "eigen": ["--config", "CFG", "--mu", "0.1"],
+    "dual": ["--config", "CFG", "--c", "1", "--p", "1"],
+    "check-closed-form": ["--config", "CFG"],
+    "trace": ["--config", "CFG", "--c", "1", "--out", "OUT"],
+}
+# id -> (argv, expected): an exit code and record type, "help" (exit 0), or
+# the argv whose record it must equal byte for byte
+_GRAMMAR = {
+    **{f"{name}-without-{argv[k]}": ([name] + argv[:k] + argv[k + 2:], (1, "ConfigError"))
+       for name, argv in _FULL_ARGV.items() for k in range(0, len(argv), 2)
+       if argv[k] != "--out"},
+    **{f"{name}-flag=value": ([name] + [f"{flag}={value}" for flag, value
+                                        in zip(argv[::2], argv[1::2])], [name] + argv)
+       for name, argv in _FULL_ARGV.items()},
+    "repeated-flag": (["feasible", "--config", "CFG", "--c", "1", "--c", "2"], (1, "ConfigError")),
+    "abbreviated-flag": (["feasible", "--conf", "CFG", "--c", "1"], (1, "ConfigError")),
+    "format-xml": (["eigen", "--config", "CFG", "--mu", "0.1", "--format", "xml"],
+                   (1, "ConfigError")),
+    "no-subcommand": ([], (1, "ConfigError")),
+    "unknown-subcommand": (["best-constants", "--config", "CFG"], (1, "ConfigError")),
+    "value-starting-with-dash": (["feasible", "--config", "CFG", "--c", "-1"], (1, "DomainError")),
+    "top-level-help": (["--help"], "help"),
+}
+
+
+@pytest.mark.parametrize("argv,expected", _GRAMMAR.values(), ids=_GRAMMAR)
+def test_argv_grammar(tmp_path, capsys, argv, expected):
+    cfg = _write_config(tmp_path, solver={"grid_n": "200"})
+
+    def run(argv):
+        code = main([a.replace("CFG", cfg).replace("OUT", str(tmp_path / "t.csv")) for a in argv])
+        return code, *capsys.readouterr()
+
+    if expected == "help":
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        out = capsys.readouterr().out
+        assert stop.value.code == 0 and all(f"hardy-optim {name} " in out for name in _FULL_ARGV)
+    elif isinstance(expected, list):
+        record = run(argv)
+        assert record == run(expected) and record[0] == 0
+    else:
+        code, out, err = run(argv)
+        assert (code, parse_record(out)["type"]) == expected
+        # a usage error prints usage to stderr; the library's errors do not
+        assert err.startswith("usage: hardy-optim") == (expected[1] == "ConfigError")
 
 
 @pytest.mark.parametrize("key", ["bisect_tolerance", "zero_width_rel", "rtol", "atol",

@@ -4,7 +4,8 @@ classify are closed forms and numpy, and so are best-constant and feasible
 on a constant or a power law (x(R) against z0), classify on every kind and
 dual at every p; none of them loads a scipy submodule.  Cell sweeps load
 ``scipy.special`` alone, and a whole oracle row ``scipy.linalg`` alone.
-No subcommand loads the standard library's ``configparser``."""
+No subcommand loads the standard library's ``configparser``, and none
+loads ``argparse`` unless the scipy it runs does."""
 import json
 import runpy
 import subprocess
@@ -137,32 +138,40 @@ def test_oracle_row_loads_only_linalg(tmp_path):
 
 
 # Every subcommand, an error record and a usage error through cli.main in one
-# fresh interpreter, each record read back by parse_record.
-_EVERY_SUBCOMMAND = """
+# fresh interpreter, each record read back by parse_record; the three that
+# load scipy come last.  After each: is argparse loaded, is a scipy submodule?
+_EVERY_SUBCOMMAND = f"""
 import io, json, sys
 from contextlib import redirect_stdout
 from hardy_optim import cli, config
 config_path, out = sys.argv[1:]
-codes = []
+codes, loaded = [], []
 for argv in (["best-constant"], ["feasible", "--c", "1"], ["classify"],
-             ["eigen", "--mu", "0.1"], ["dual", "--c", "1", "--p", "1"], ["check-closed-form"],
-             ["trace", "--c", "1", "--out", out], ["feasible"]):
+             ["dual", "--c", "1", "--p", "1"], ["feasible"], ["eigen", "--mu", "0.1"],
+             ["check-closed-form"], ["trace", "--c", "1", "--out", out]):
     with redirect_stdout(io.StringIO()) as record:
         codes.append(cli.main(argv[:1] + ["--config", config_path] + argv[1:]))
     config.parse_record(record.getvalue())
-print(json.dumps([codes, "configparser" in sys.modules]))
+    loaded.append(["argparse" in sys.modules,
+                   any(m in sys.modules for m in {COLD_START["SCIPY_SUBMODULES"]!r})])
+print(json.dumps([codes, "configparser" in sys.modules, loaded]))
 """
 
 
-def test_no_subcommand_loads_configparser(tmp_path):
-    # configs and records are read by config.read_ini; configparser's parsing
-    # once took about 0.4 of each 0.85 ms best-constant op
+def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
+    # configs and records are read by config.read_ini, the command line by
+    # cli._parse_args; configparser's parsing once took about 0.4 of each
+    # 0.85 ms best-constant op, and importing argparse 2 ms of a cold start.
+    # scipy.special and scipy.linalg import argparse themselves (through
+    # numpy.f2py), so it may arrive with them and only with them
     path = tmp_path / "run.ini"
     path.write_text("[potential]\nkind = constant\n[solver]\ngrid_n = 200\n")
     proc = subprocess.run([sys.executable, "-c", _EVERY_SUBCOMMAND, str(path),
                            str(tmp_path / "trace.csv")],
                           env=COLD_START["child_env"](), stdout=subprocess.PIPE, text=True,
                           check=True)
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0, 0, 1]
-    assert loaded is False
+    codes, configparser_loaded, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0, 1, 0, 0, 0]
+    assert configparser_loaded is False
+    assert loaded[:5] == [[False, False]] * 5
+    assert all(scipy for argparse, scipy in loaded if argparse)
