@@ -10,6 +10,9 @@ Smallest eigenvalues are certified by Sylvester's law of inertia: the
 tridiagonal K - sigma M has an unpivoted LDL^T factorization with positive
 pivots exactly when every eigenvalue exceeds sigma.  A returned lambda1 is
 a Rayleigh quotient at most _CERT_GAP (1e-6) relative above such a sigma.
+Inverse iteration takes each Rayleigh quotient from its solve and aims each
+shift at a predicted lower bound (see _smallest_eigenpair), so that a shift
+seldom fails to factor.
 
 Boundary treatment: Dirichlet at the outer radius, natural (free) at the
 inner cutoff r_min.  The inner cutoff stands in for the boundedness
@@ -139,10 +142,16 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
     half = 0.5 * (t_hi - t_lo)
     mid = 0.5 * (t_hi + t_lo)
     m_diag, h_diag = np.zeros(nodes.size), np.zeros(nodes.size)
+    neg_t, e = np.empty(nodes.size), np.ones(nodes.size)
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
-        t = mid + half * xi
-        e = np.exp((n - 2.0) * t)
-        m_diag += wi * (p.log_weight(-t) * e)
+        np.multiply(half, -xi, out=neg_t)
+        neg_t -= mid                                 # -t = -(mid + half xi), exactly
+        if n != 2:                                   # else e^((n-2)t) = 1
+            np.exp(np.multiply(neg_t, 2.0 - n, out=e), out=e)
+        lw = p.log_weight(neg_t)                     # a new array: scaled in place
+        lw *= e
+        lw *= wi
+        m_diag += lw
         if hardy:
             h_diag += wi * e
     m_diag *= half
@@ -162,13 +171,18 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     No pivoting: it would not count the inertia, and on these pencils (diagonal
     from ~1e-39 to ~1e2, not diagonally dominant at the inner nodes) it wrecks
     inverse iteration.  Solving with the last certified factor, the iterate can
-    only tend to the lowest mode.  Each step tries sigma = lambda~(1 - _CERT_GAP),
-    lambda~ the Rayleigh quotient, then halfway to the lowest failed shift; it
-    stops once sigma >= lambda~(1 - _CERT_GAP) and lambda~ moved <= _EIG_TOL
-    relative.  Raises HardyError if that takes more than _MAX_ITER steps.  A
-    warm start replaces the initial vector sqrt(M) by ``start`` and tries
-    ``shift`` > 0 as the first sigma, dropped (sigma = 0) if its
-    factorization fails.
+    only tend to the lowest mode.  Each step solves (K - sigma M) y = M x for
+    the Rayleigh quotient lambda~ = sigma + y.Mx / y.My (Parlett, The
+    Symmetric Eigenvalue Problem, 4.6).  The next shift aims at
+    lambda~ - 2|step| until successive lambda~ agree within _CERT_GAP
+    relative, then at lambda~(1 - _CERT_GAP), never below sigma; an aim not
+    below the lowest failed shift goes halfway to it, and a shift that fails
+    is retried once halfway back to sigma.  It stops once sigma >=
+    lambda~(1 - _CERT_GAP) and lambda~ moved <= _EIG_TOL relative, returning
+    the Rayleigh quotient of the final vector.  Raises HardyError if that
+    takes more than _MAX_ITER steps.  A warm start replaces the initial vector
+    sqrt(M) by ``start`` and tries ``shift`` > 0 as the first sigma, dropped
+    (sigma = 0) if its factorization fails.
     """
     sigma, failed = 0.0, math.inf
     if shift > 0.0:
@@ -178,29 +192,34 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
         d, e, info = dpttrf(k_diag, k_off)
         if info:
             raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
-    row_sums = _tri_mul(k_diag, k_off, np.ones_like(k_diag))
     x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else start
+    mx = m_diag * x
     lam = math.inf
     for iterations in range(1, _MAX_ITER + 1):
-        y, _ = solve_banded(d, e, m_diag * x)
-        x = y / math.sqrt(float(y @ (m_diag * y)))
-        # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
-        dx = np.diff(x)
-        lam, lam_prev = float(row_sums @ (x * x) - k_off @ (dx * dx)), lam
-        target = lam * (1.0 - _CERT_GAP)
-        if sigma < target:
-            shift = target if target < failed else 0.5 * (sigma + failed)
+        y, _ = solve_banded(d, e, mx)
+        my = m_diag * y
+        y_my = float(y @ my)
+        lam, lam_prev = sigma + float(y @ mx) / y_my, lam   # y.Ky = y.Mx + sigma y.My
+        scale = 1.0 / math.sqrt(y_my)
+        x, mx = y * scale, my * scale
+        target, step = lam * (1.0 - _CERT_GAP), abs(lam - lam_prev)
+        aim = target if step <= _CERT_GAP * lam else lam - 2.0 * step
+        if sigma < aim:
+            shift = aim if aim < failed else 0.5 * (sigma + failed)
             for _ in range(2):
                 d_new, e_new, info = dpttrf(k_diag - shift * m_diag, k_off)
                 if not info:
                     sigma, d, e = shift, d_new, e_new
                     break
                 failed, shift = shift, 0.5 * (sigma + shift)
-        if abs(lam - lam_prev) <= _EIG_TOL * lam and sigma >= target:
+        if step <= _EIG_TOL * lam and sigma >= target:
             break
     else:
         raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: "
                          f"lambda_1 in [{sigma:g}, {lam:g}]")
+    # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
+    dx = np.diff(x)
+    lam = float(_tri_mul(k_diag, k_off, np.ones_like(k_diag)) @ (x * x) - k_off @ (dx * dx))
     kx = _tri_mul(k_diag, k_off, x)
     res_norm = float(np.linalg.norm(kx - lam * m_diag * x)
                      / (np.linalg.norm(kx) + lam * np.linalg.norm(m_diag * x)))

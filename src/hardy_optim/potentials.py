@@ -48,6 +48,9 @@ def _clip_exp(exponent):
     """exp() that saturates at 1e300 / 0.0 instead of overflowing (comparisons
     only need 'very large', never the exact value); float or ndarray."""
     if isinstance(exponent, np.ndarray):
+        # NaN fails both bounds; an empty array has no min
+        if exponent.size and exponent.min() >= -745.0 and exponent.max() <= 690.0:
+            return np.exp(exponent)
         inner = np.exp(np.clip(exponent, -745.0, 690.0))
         return np.where(exponent > 690.0, 1e300, np.where(exponent < -745.0, 0.0, inner))
     if exponent > 690.0:

@@ -278,17 +278,36 @@ def test_lambda_limit_reuses_one_assembly_exactly(monkeypatch):
         assert pencils[-1] == pencils[k]
 
 
-@pytest.mark.parametrize("potential,solves", [(RadialPotential.constant(1.0), 38),
-                                              (RadialPotential.adimurthi_log(3), 59)],
+def _record_factorizations(monkeypatch):
+    """Wrap oracle.dpttrf; returns the list that collects each call's info
+    (0 where the factorization succeeded)."""
+    infos, factor = [], oracle.dpttrf
+
+    def counted(*args):
+        out = factor(*args)
+        infos.append(out[2])
+        return out
+
+    monkeypatch.setattr(oracle, "dpttrf", counted)
+    return infos
+
+
+@pytest.mark.parametrize("potential,solves,factorizations",
+                         [(RadialPotential.constant(1.0), 37, 32),
+                          (RadialPotential.adimurthi_log(3), 55, 47)],
                          ids=["constant", "adimurthi_log-3"])
-def test_lambda_limit_inverse_iteration_count(monkeypatch, potential, solves):
-    # one dpttrs solve per inverse-iteration step over the 12 mu; a cold
-    # start at every mu took 72 and 88
+def test_lambda_limit_inverse_iteration_count(monkeypatch, potential, solves, factorizations):
+    # one dpttrs solve per inverse-iteration step over the 12 mu, and no
+    # dpttrf of a shift that fails; a cold start at every mu took 72 and 88
+    # solves, and shifts aimed at lambda~(1 - gap) from the first step took
+    # 38 and 59 solves with 34 and 69 factorizations (5 and 23 failed)
     calls = []
     solve = oracle.solve_banded
     monkeypatch.setattr(oracle, "solve_banded", lambda *args: calls.append(1) or solve(*args))
+    infos = _record_factorizations(monkeypatch)
     lambda_limit(potential, 3, 1.0)
-    assert len(calls) == solves
+    assert (len(calls), len(infos)) == (solves, factorizations)
+    assert not any(infos)
 
 
 @pytest.mark.parametrize("potential", [RadialPotential.power_law(1.8),
@@ -352,6 +371,74 @@ def test_pencil_shares_its_exp_samples_with_the_hardy_weight(n):
     for got, want in zip(pencil, oracle._pencil(p, nodes, n)):
         assert got.tobytes() == want.tobytes()
     assert hardy.tobytes() == _lumped_exp(nodes, n).tobytes()
+
+
+def _reference_pencil(p, nodes, n, hardy=False):
+    """_pencil as it was assembled with temporaries: log_weight(-t) and
+    e^((n-2)t) evaluated at every Gauss point for every n, and each product
+    formed in a new array."""
+    k_diag, k_off = oracle._stiffness(nodes, float(n - 1))
+    t_nodes = np.log(nodes)
+    t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])
+    t_lo = np.concatenate([t_nodes[:1], t_mid])
+    t_hi = np.concatenate([t_mid, t_nodes[-1:]])
+    half = 0.5 * (t_hi - t_lo)
+    mid = 0.5 * (t_hi + t_lo)
+    m_diag, h_diag = np.zeros(nodes.size), np.zeros(nodes.size)
+    for xi, wi in zip(*np.polynomial.legendre.leggauss(6)):
+        t = mid + half * xi
+        e = np.exp((n - 2.0) * t)
+        m_diag += wi * (p.log_weight(-t) * e)
+        if hardy:
+            h_diag += wi * e
+    m_diag *= half
+    pencil = k_diag[:-1], k_off[:-1], m_diag[:-1]
+    return pencil + ((h_diag * half)[:-1],) if hardy else pencil
+
+
+_TABLE_R = np.logspace(-9, 0, 400)
+_PENCIL_POTENTIALS = {"constant": RadialPotential.constant(2.5),
+                      "power_law": RadialPotential.power_law(1.3, amplitude=0.7),
+                      "table-400": RadialPotential.custom(_TABLE_R, 2.0 / np.sqrt(_TABLE_R)),
+                      "adimurthi_log": RadialPotential.adimurthi_log(2),
+                      "filippas_tertikas": RadialPotential.filippas_tertikas(3)}
+
+
+@pytest.mark.parametrize("hardy", [False, True], ids=["plain", "hardy"])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("potential", _PENCIL_POTENTIALS.values(), ids=_PENCIL_POTENTIALS.keys())
+def test_pencil_matches_the_reference_assembly_bitwise(potential, n, hardy):
+    nodes = _grid(500, r_min=1e-40).nodes()
+    got = oracle._pencil(potential, nodes, n, hardy)
+    want = _reference_pencil(potential, nodes, n, hardy)
+    assert len(got) == len(want) == (4 if hardy else 3)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+_COLD_POTENTIALS = {"power_law-1.8": RadialPotential.power_law(1.8),
+                    "adimurthi_log-3": RadialPotential.adimurthi_log(3),
+                    "filippas_tertikas-3": RadialPotential.filippas_tertikas(3)}
+
+
+@pytest.mark.parametrize("potential", _COLD_POTENTIALS.values(), ids=_COLD_POTENTIALS.keys())
+def test_cold_solves_are_inertia_certified(monkeypatch, potential):
+    # weighted_eigen and reduced_rayleigh_min from a cold start: K - lambda
+    # (1 - gap) M factors, K - lambda (1 + gap) M does not, and no shift the
+    # solver tried failed to factor
+    gap, mu = oracle._CERT_GAP, 0.125
+    grid = _grid(4000, r_min=1e-40)
+    infos = _record_factorizations(monkeypatch)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3, hardy=True)
+    reduced = oracle._pencil(potential, grid.nodes(), 2)
+    cases = [(k_diag - mu * hardy_diag, k_off, m_diag,
+              weighted_eigen(potential, mu, 3, grid).lambda1),
+             (*reduced, reduced_rayleigh_min(potential, grid).lambda1)]
+    assert infos and not any(infos)
+    for k, off, m, lam in cases:
+        for scale, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
+            info = dpttrf(k - lam * scale * m, off)[2]
+            assert bool(info) == indefinite
 
 
 def test_lambda_limit_reports_each_solves_residual(monkeypatch):

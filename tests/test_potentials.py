@@ -10,7 +10,7 @@ from hardy_optim import (Kind, Label, RadialPotential, classify, exp_tower,
                          inner_integral, iterated_log, x_iter)
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
-from hardy_optim.potentials import log_cell_tails
+from hardy_optim.potentials import _clip_exp, log_cell_tails
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +161,44 @@ def test_log_weight_array_saturates_like_scalar(name):
     array = p.log_weight(s)
     assert np.all(np.isfinite(array))
     _assert_within_ulps(array, [p.log_weight(float(si)) for si in s])
+
+
+def _saturating_exp(exponent):
+    """_clip_exp's array path as it was before the in-range fast path."""
+    inner = np.exp(np.clip(exponent, -745.0, 690.0))
+    return np.where(exponent > 690.0, 1e300, np.where(exponent < -745.0, 0.0, inner))
+
+
+_EXPONENTS = {
+    "empty": [],
+    "nan": [math.nan],
+    "nan-among-finite": [0.5, math.nan, -3.0],
+    "inf": [math.inf, 1.0],
+    "minus-inf": [-math.inf, 1.0],
+    "bounds": [-745.0, 0.0, 690.0],
+    "above-690": [689.9, 690.0000001, 1e300],
+    "below-745": [-744.9, -745.0000001, -1e300],
+    "in-range": np.linspace(-745.0, 690.0, 1001),
+}
+
+
+@pytest.mark.parametrize("exponent", _EXPONENTS.values(), ids=_EXPONENTS.keys())
+def test_clip_exp_fast_path_matches_the_saturating_path(exponent):
+    exponent = np.array(exponent, dtype=float)
+    assert _clip_exp(exponent).tobytes() == _saturating_exp(exponent).tobytes()
+
+
+@pytest.mark.parametrize("p", [RadialPotential.constant(0.0),
+                               RadialPotential.power_law(1.3, amplitude=0.0)],
+                         ids=["constant", "power_law"])
+def test_clip_exp_saturates_at_amplitude_zero(p):
+    # ell = -inf on the single cell: every exponent is -inf, every weight 0
+    _, anchor, ell, q = p._cell_lines
+    assert ell == -math.inf
+    s = np.linspace(-5.0, 800.0, 50)
+    exponent = ell + q * (s - anchor)
+    assert _clip_exp(exponent).tobytes() == _saturating_exp(exponent).tobytes()
+    assert p.log_weight(s).tobytes() == np.zeros(s.size).tobytes()
 
 
 @pytest.mark.parametrize("name", ["adimurthi_m1", "ft_x_m3"])
