@@ -1,0 +1,80 @@
+#!/usr/bin/env python3
+"""SHA-256 digests of every CLI record on a fixed catalog, so that two
+checkouts can be compared record for record.
+
+The seven subcommands run in-process on each catalog entry: a constant,
+power laws alpha = 0.5, 1.5, 2.5, both log families at m = 1..3 and
+amplitude 0.05, 1, 20, and one 40-node table, all at grid_n = 2000.  Each
+record is hashed with its exit code and with the CSV it writes (eigen
+--format csv, trace) by content, the temporary directory's path replaced,
+and one digest is printed per entry, then one over all of them.  hardy_optim
+is imported from PYTHONPATH, so the same script digests any checkout.
+
+Run:  PYTHONPATH=src python scripts/record_digest.py
+"""
+import contextlib
+import hashlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from hardy_optim.cli import main as cli_main
+
+# (name, [potential] keys); "TABLE" stands for the table's CSV path
+CATALOG = [("constant", {"kind": "constant"})]
+CATALOG += [(f"power_law alpha={a}", {"kind": "power_law", "alpha": a}) for a in (0.5, 1.5, 2.5)]
+CATALOG += [(f"{kind} m={m} A={a}", {"kind": kind, "m": m, "amplitude": a})
+            for kind in ("adimurthi_log", "filippas_tertikas_x")
+            for m in (1, 2, 3) for a in (0.05, 1, 20)]
+CATALOG += [("custom 40 nodes", {"kind": "custom", "samples": "TABLE"})]
+
+# every subcommand with its flags; "OUT" stands for the CSV path
+COMMANDS = [
+    ["best-constant"],
+    ["feasible", "--c", "0.2"],
+    ["classify"],
+    ["eigen", "--mu", "0.1", "--format", "csv", "--out", "OUT"],
+    ["dual", "--c", "0.2", "--p", "1"],
+    ["check-closed-form"],
+    ["trace", "--c", "0.2", "--out", "OUT"],
+]
+
+
+def run(argv: list, tmp: Path) -> bytes:
+    """The exit code, record and CSV of one in-process CLI call, with the
+    temporary directory's path replaced."""
+    csv = tmp / "out.csv"
+    csv.unlink(missing_ok=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main([str(csv) if a == "OUT" else a for a in argv])
+    text = f"{' '.join(argv)}\n{code}\n{out.getvalue()}".replace(str(tmp), "TMP")
+    return text.encode() + (csv.read_bytes() if csv.exists() else b"")
+
+
+def main():
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        r = np.geomspace(1e-7, 1.0, 40)
+        v = r ** -1.3 * (2.0 + np.sin(7.0 * np.log(r)))
+        (tmp / "table.csv").write_text(
+            "r,v\n" + "".join(f"{ri:.17g},{vi:.17g}\n" for ri, vi in zip(r, v)))
+        for entry, potential in CATALOG:
+            keys = {k: str(tmp / "table.csv") if val == "TABLE" else val
+                    for k, val in potential.items()}
+            (tmp / "run.ini").write_text(
+                "[potential]\n" + "".join(f"{k} = {val}\n" for k, val in keys.items())
+                + "[solver]\ngrid_n = 2000\n")
+            digest = hashlib.sha256()
+            for command in COMMANDS:
+                digest.update(run(command + ["--config", str(tmp / "run.ini")], tmp))
+            print(f"{digest.hexdigest()}  {entry}")
+            total.update(digest.digest())
+    print(f"{total.hexdigest()}  total")
+
+
+if __name__ == "__main__":
+    main()

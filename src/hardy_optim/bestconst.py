@@ -176,8 +176,8 @@ def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome)
 def feasible(p: RadialPotential, c: float, R: float,
              s_max: float = S_MAX_DEFAULT) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
-    is the log-domain horizon, any finite float.  An undecided verdict
-    raises IndeterminateAtHorizon."""
+    is the log-domain horizon, finite and beyond the outer edge ln(1/R).  An
+    undecided verdict raises IndeterminateAtHorizon."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):

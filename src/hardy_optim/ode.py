@@ -87,7 +87,7 @@ class HardyODEProblem:
     c: float
     R: float
     domain: Domain = Domain.RADIUS
-    s_max: float = S_MAX_DEFAULT    # outer horizon (log domain), any finite float
+    s_max: float = S_MAX_DEFAULT    # outer horizon (log domain): finite, beyond the outer edge
 
     def __post_init__(self):
         if self.c < 0.0:
@@ -97,6 +97,9 @@ class HardyODEProblem:
                 f"R = {self.R} outside (0, r_max = {self.potential.r_max}]")
         if not math.isfinite(self.s_max):
             raise DomainError(f"horizon s_max must be finite, got {self.s_max}")
+        if self.domain is Domain.LOG and not self.s_max > _outer_edge(self):
+            raise DomainError(
+                f"horizon s_max = {self.s_max} not beyond the outer edge {_outer_edge(self)}")
 
     def coefficient(self, x):
         """Equation coefficient in this domain's variable: c*v(r) at radius x,
@@ -526,10 +529,7 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
             columns = dict.fromkeys("r y dy".split(), np.empty(0))
             return ShootingOutcome(columns, s0, Status.ZERO_FOUND)
         return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0))
-    s_start = _outer_edge(prob)
-    if prob.s_max <= s_start:
-        raise DomainError(f"horizon s_max = {prob.s_max} not beyond the outer edge {s_start}")
-    return _sweep(prob, s_start, prob.s_max, (1.0, 0.0))
+    return _sweep(prob, _outer_edge(prob), prob.s_max, (1.0, 0.0))
 
 
 def integrate_principal_tail(prob: HardyODEProblem,
@@ -649,7 +649,7 @@ class TailEdges:
     certificate unit_osc at c = 1, its gamma scaled by c."""
 
     c_osc: float
-    unit_osc: Optional[TailCertificate]
+    unit_osc: TailCertificate
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
@@ -657,10 +657,11 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     at s0 = ``euler_shift_hint``, where it does not rise on [outer edge, inf)
     and tends to the amplitude A: c_osc = (1/4 + (pi / ln(sigma_max /
     sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0 (inf at A =
-    0), makes the outer edge to the horizon hold a half-oscillation of a
-    minorant Euler solution, a zero of every solution (Hartman, Ch. XI); no
-    shorter window needs less.  That min is gamma_max up to rounding, so the
-    certificate's gamma also bounds gamma on all of [s_max, inf).
+    0 and where that ratio rounds to 1), makes the outer edge to the horizon
+    hold a half-oscillation of a minorant Euler solution, a zero of every
+    solution (Hartman, Ch. XI); no shorter window needs less.  That min is
+    gamma_max up to rounding, so the certificate's gamma also bounds gamma
+    on all of [s_max, inf).
 
     A cell kind raises DomainError (see ``euler_tail_certificate``)."""
     if prob.domain is not Domain.LOG:
@@ -670,10 +671,9 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
         raise DomainError(f"a {p.kind.value} potential has no tail edges, only its inner cell")
     s0 = p.euler_shift_hint()
     sigma_edge, sigma_max = lo - s0, prob.s_max - s0
-    if not sigma_max > sigma_edge:    # no window inside the horizon
-        return TailEdges(math.inf, None)
     gamma = min(p.euler_gamma(math.log(sigma_edge)), p.euler_gamma(math.log(sigma_max)))
-    need = 0.25 + (math.pi / math.log(sigma_max / sigma_edge)) ** 2
+    width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
+    need = 0.25 + (math.pi / width) ** 2 if width > 0.0 else math.inf
     return TailEdges(need / gamma if gamma > 0.0 else math.inf,
                      TailCertificate("oscillatory", gamma, s0, (lo, prob.s_max)))
 

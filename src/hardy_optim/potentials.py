@@ -1,5 +1,5 @@
-"""Radial potential catalog, iterated-log special functions, and the
-admissibility classifier.
+"""Radial potential catalog, the borderline chain, and the admissibility
+classifier.
 
 A potential here is a nonnegative radial coefficient v(r) on (0, r_max],
 with a leading singularity v(r) ~ A * r^(-sigma) as r -> 0 (a table's is
@@ -13,14 +13,17 @@ its inner cell's).  Catalog entries:
 
 Each family defines one thing, the coefficient of the radial equation in
 s = ln(1/r): ``log_weight(s)`` = r^2 v(r) at r = e^(-s).  The two log
-families write it as their chain formula; constants, power laws and tables
-evaluate it on ``log_cells``, the piecewise-linear model of ln(r^2 v) in s
-that their exact sweeps integrate.  ``value`` is derived from it.  Both, and
-``closed_form``, take a float or an ndarray and return the same shape.
+families are one chain (``_chain``), X_1 = 1/(s - s0), X_(i+1) = 1/(kappa -
+ln X_i), r^2 v = A sum_j prod_{i<=j} X_i^2, that differs only by kappa: 0 for
+the iterated logs (X_i = 1/log^(i)(rho/r)), 1 for the X family.  Constants,
+power laws and tables evaluate it on ``log_cells``, the piecewise-linear
+model of ln(r^2 v) in s that their exact sweeps integrate.  ``value`` is
+derived from it.  Both, and ``closed_form``, keep a float or ndarray's shape.
 
 The two log families carry exact positive solutions of the reduced radial
-equation at multiplier 1/4 (see ``closed_form`` / ``closed_form_multiplier``);
-the constant potential carries the J0 profile at multiplier z0^2/R^2.
+equation at multiplier 1/4, (prod X_i)^(-1/2) (see ``closed_form`` /
+``closed_form_multiplier``); the constant potential carries the J0 profile
+at multiplier z0^2/R^2.
 
 Admissibility classification follows the sign of
 liminf_{r->0} ln(r) * int_0^r s v(s) ds: finite liminf means the potential is
@@ -68,7 +71,7 @@ def exprel(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Iterated logarithms and the X_k correction weights
+# Iterated logarithms, the X_k correction weights and their chain
 # ---------------------------------------------------------------------------
 
 def iterated_log(i: int, x: float) -> float:
@@ -110,28 +113,19 @@ def x_iter(k: int, t: float) -> float:
     return value
 
 
-# The chains of the two borderline families, shared by log_weight and
-# closed_form: float or ndarray in, with ``xp`` its namespace (math / numpy).
-
-def _log_chain(m: int, ell, xp):
-    """Factors ell_i = log^(i-1)(ell), i = 1..m, each required positive,
-    reduced to (sum_j prod_{i<=j} ell_i^(-2), prod_i ell_i)."""
+def _chain(m: int, sigma, kappa: float, xp):
+    """The borderline families' X_1 = 1/sigma, ..., X_m by X_(i+1) = 1 /
+    (kappa - log X_i), each required positive (finite sigma), reduced to
+    (sum_i prod_{j<=i} X_j^2, prod_j X_j); float or ndarray, ``xp`` math or np."""
     total, prod = 0.0, 1.0
+    if (sigma == math.inf).any() if xp is np else sigma == math.inf:    # X_1 = 0
+        raise DomainError("abscissa outside the family's domain: a chain factor is not > 0")
     for i in range(m):
-        ell = xp.log(ell) if i else ell
-        if (ell <= 0.0).any() if xp is np else ell <= 0.0:
-            raise DomainError("a log factor of the iterated-log potential is not positive")
-        prod *= ell
-        total += prod ** -2
-    return total, prod
-
-
-def _x_chain(m: int, x, xp):
-    """X_1 = x, ..., X_m by X_(k+1) = 1 / (1 - log X_k), reduced to
-    (sum_i prod_{j<=i} X_j^2, prod_j X_j)."""
-    total, prod = 0.0, 1.0
-    for i in range(m):
-        x = 1.0 / (1.0 - xp.log(x)) if i else x
+        if i:
+            sigma = kappa - xp.log(x)    # finite, as the last X is in (0, inf)
+        if (sigma <= 0.0).any() if xp is np else sigma <= 0.0:
+            raise DomainError("abscissa outside the family's domain: a chain factor is not > 0")
+        x = 1.0 / sigma
         prod *= x
         total += prod * prod
     return total, prod
@@ -149,8 +143,8 @@ class Kind(Enum):
     CUSTOM = "custom"
 
 
-# Aliases: an Enum attribute lookup costs ~0.1 us per scalar evaluation.
-_ADIMURTHI_LOG, _FT_X = Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X
+# The borderline families: the kappa of their ``_chain``, the field of their scale
+_BORDERLINE = {Kind.ADIMURTHI_LOG: (0.0, "rho"), Kind.FILIPPAS_TERTIKAS_X: (1.0, "d_scale")}
 
 
 @dataclass(frozen=True)
@@ -189,35 +183,34 @@ class RadialPotential:
     @classmethod
     def adimurthi_log(cls, m: int = 1, rho: Optional[float] = None,
                       amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
-        """Iterated-log family.  rho defaults to, and must be at least,
-        r_max times the m-fold exponential tower of 1, which keeps every
-        factor log^(i)(rho/r) positive on (0, r_max]."""
-        cls._check_amp_rmax(amplitude, r_max)
-        if m < 1:
-            raise DomainError(f"iteration depth must be >= 1, got {m}")
-        floor = r_max * exp_tower(m)
-        if rho is None:
-            rho = floor
-        if rho < floor * (1.0 - 1e-12):
-            raise DomainError(
-                f"rho = {rho} violates the tower guard rho >= r_max * exp^({m})(1) = {floor}")
-        return cls(Kind.ADIMURTHI_LOG, amplitude=amplitude, r_max=r_max,
-                   m=int(m), rho=float(rho), sigma=2.0)
+        """Iterated-log family, the chain at kappa = 0.  rho defaults to, and
+        must be at least, r_max times the m-fold exponential tower of 1,
+        which keeps every factor log^(i)(rho/r) positive on (0, r_max]."""
+        return cls._borderline(Kind.ADIMURTHI_LOG, m, rho, amplitude, r_max)
 
     @classmethod
     def filippas_tertikas(cls, m: int = 1, d_scale: Optional[float] = None,
                           amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
-        """X-function family; d defaults to r_max and must not be smaller,
-        so r/d stays in (0, 1] where every X_i is defined."""
+        """X-function family, the chain at kappa = 1; d defaults to r_max and
+        must not be smaller, so r/d stays in (0, 1] where every X_i is defined."""
+        return cls._borderline(Kind.FILIPPAS_TERTIKAS_X, m, d_scale, amplitude, r_max)
+
+    @classmethod
+    def _borderline(cls, kind: Kind, m: int, scale: Optional[float],
+                    amplitude: float, r_max: float) -> "RadialPotential":
+        """A borderline family at outer scale ``scale``, by default and at least
+        its floor: r_max times exp^(m)(1) at kappa = 0, r_max at kappa = 1."""
         cls._check_amp_rmax(amplitude, r_max)
         if m < 1:
             raise DomainError(f"iteration depth must be >= 1, got {m}")
-        if d_scale is None:
-            d_scale = r_max
-        if d_scale < r_max * (1.0 - 1e-12):
-            raise DomainError(f"d_scale = {d_scale} must be >= r_max = {r_max}")
-        return cls(Kind.FILIPPAS_TERTIKAS_X, amplitude=amplitude, r_max=r_max,
-                   m=int(m), d_scale=float(d_scale), sigma=2.0)
+        kappa, key = _BORDERLINE[kind]
+        floor = r_max if kappa else r_max * exp_tower(m)
+        scale = floor if scale is None else scale
+        if scale < floor * (1.0 - 1e-12):
+            raise DomainError(f"{key} = {scale} must be >= r_max"
+                              f"{'' if kappa else f' * exp^({m})(1)'} = {floor}")
+        return cls(kind, amplitude=amplitude, r_max=r_max, m=int(m), sigma=2.0,
+                   **{key: float(scale)})
 
     @classmethod
     def custom(cls, r: np.ndarray, v: np.ndarray,
@@ -282,16 +275,20 @@ class RadialPotential:
         v(e^(-s)) would underflow for s >~ 700, so each entry works in s."""
         xp = np if isinstance(s, np.ndarray) else math
         s = s.astype(float, copy=False) if xp is np else float(s)
-        kind = self.kind
-        if kind is _ADIMURTHI_LOG:
-            return self.amplitude * _log_chain(self.m, s + math.log(self.rho), xp)[0]
-        if kind is _FT_X:
-            # X_1(e^(-s)/d) = 1 / (1 + log d + s), then the usual recursion.
-            x1 = 1.0 / (1.0 + math.log(self.d_scale) + s)
-            if (x1 <= 0.0).any() if xp is np else x1 <= 0.0:
-                raise DomainError(f"log-abscissa {np.min(s)} outside the X-family domain")
-            return self.amplitude * _x_chain(self.m, x1, xp)[0]
+        euler = self._euler
+        if euler is not None:
+            kappa, _, s0 = euler
+            return self.amplitude * _chain(self.m, s - s0, kappa, xp)[0]
         return self._cell_exp(s, 0.0)
+
+    @functools.cached_property
+    def _euler(self) -> Optional[tuple]:
+        """(kappa, scale rho or d, s0 = -(kappa + ln scale)) of a log family, else None."""
+        if self.kind not in _BORDERLINE:
+            return None
+        kappa, key = _BORDERLINE[self.kind]
+        scale = getattr(self, key)
+        return kappa, scale, -(kappa + math.log(scale))
 
     def _cell_exp(self, s, lift: float):
         """exp(ln(r^2 v) + lift s) at r = e^(-s) on the ``log_cells`` model:
@@ -344,27 +341,22 @@ class RadialPotential:
         """Natural shift s0 for comparing r^2 v(e^{-s}) against g/(s-s0)^2.
 
         The borderline families are exactly shifted-Euler to leading order:
-        r^2 v = amplitude (1 + ...)/(s + log rho)^2 for the iterated logs and
-        /(s + 1 + log d)^2 for the X family.  At this shift gamma =
-        r^2 v (s - s0)^2 is non-increasing in s on the whole ball and tends
-        to the amplitude, which ``ode.tail_edges`` takes as given.
+        r^2 v = amplitude (1 + ...)/(s - s0)^2, s0 = -(kappa + ln scale):
+        -ln rho for the iterated logs, -(1 + ln d) for the X family.  At this
+        shift gamma = r^2 v (s - s0)^2 is non-increasing in s on the whole
+        ball and tends to the amplitude, which ``ode.tail_edges`` takes as given.
         """
-        if self.kind is Kind.ADIMURTHI_LOG:
-            return -math.log(self.rho)
-        if self.kind is Kind.FILIPPAS_TERTIKAS_X:
-            return -(1.0 + math.log(self.d_scale))
-        return None
+        return None if self._euler is None else self._euler[2]
 
     def euler_gamma(self, tau):
         """gamma = r^2 v (s - s0)^2 at s = s0 + e^tau, s0 = ``euler_shift_hint``:
-        by self-similarity, A plus the same family one level shallower (rho = 1
-        or d = 1) at abscissa tau, A at m = 1; float or ndarray."""
-        if self.kind not in (_ADIMURTHI_LOG, _FT_X):
+        by self-similarity, A plus the same family one level shallower (scale
+        1, s0 = -kappa) at abscissa tau, A at m = 1; float or ndarray."""
+        if self._euler is None:
             raise UnsupportedPotential(f"no Euler shift for kind {self.kind.value}")
         xp = np if isinstance(tau, np.ndarray) else math
-        chain = _log_chain(self.m - 1, tau, xp) if self.kind is _ADIMURTHI_LOG \
-            else _x_chain(self.m - 1, 1.0 / (1.0 + tau), xp)
-        return self.amplitude * (1.0 + chain[0]) + 0.0 * tau    # 0 tau: tau's shape at m = 1
+        kappa = self._euler[0]    # below, 0 tau gives tau's shape at m = 1
+        return self.amplitude * (1.0 + _chain(self.m - 1, kappa + tau, kappa, xp)[0]) + 0.0 * tau
 
     def scaled(self, beta: float) -> "RadialPotential":
         """The rescaled potential r |-> beta^2 * v(beta r) on (0, r_max / beta].
@@ -379,12 +371,9 @@ class RadialPotential:
         if self.kind is Kind.POWER_LAW:
             return RadialPotential.power_law(self.alpha, self.amplitude * beta ** (2.0 - self.alpha),
                                              self.r_max / beta)
-        if self.kind is Kind.ADIMURTHI_LOG:
-            return RadialPotential.adimurthi_log(self.m, self.rho / beta,
-                                                 self.amplitude, self.r_max / beta)
-        if self.kind is Kind.FILIPPAS_TERTIKAS_X:
-            return RadialPotential.filippas_tertikas(self.m, self.d_scale / beta,
-                                                     self.amplitude, self.r_max / beta)
+        if self._euler is not None:
+            return RadialPotential._borderline(self.kind, self.m, self._euler[1] / beta,
+                                               self.amplitude, self.r_max / beta)
         r = np.exp(self.table_log_r) / beta
         v = np.exp(self.table_log_v) * beta ** 2
         return RadialPotential.custom(r, v, self.r_max / beta)
@@ -397,17 +386,14 @@ class RadialPotential:
         The log families solve at c = 1/4 / amplitude; the constant potential
         at c = z0^2 / (R^2 amplitude) where z0 is the first J0 zero.
         """
-        if self.kind is Kind.CONSTANT:
-            if R is None:
-                R = self.r_max
-            if self.amplitude == 0.0:
-                raise UnsupportedPotential("amplitude-0 potential has no nontrivial closed form")
-            return J0_FIRST_ZERO * J0_FIRST_ZERO / (R * R * self.amplitude)
-        if self.kind in (Kind.ADIMURTHI_LOG, Kind.FILIPPAS_TERTIKAS_X):
-            if self.amplitude == 0.0:
-                raise UnsupportedPotential("amplitude-0 potential has no nontrivial closed form")
+        if self.kind is not Kind.CONSTANT and self._euler is None:
+            raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
+        if self.amplitude == 0.0:
+            raise UnsupportedPotential("amplitude-0 potential has no nontrivial closed form")
+        if self._euler is not None:
             return 0.25 / self.amplitude
-        raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
+        R = self.r_max if R is None else R
+        return J0_FIRST_ZERO * J0_FIRST_ZERO / (R * R * self.amplitude)
 
     def closed_form(self, r, R: Optional[float] = None):
         """Exact positive solution of the reduced equation for this entry,
@@ -422,11 +408,10 @@ class RadialPotential:
         xp = np if isinstance(r, np.ndarray) else math
         if np.min(r) <= 0.0:
             raise DomainError(f"closed form of {self.kind.value} needs r > 0, got {np.min(r)}")
-        if self.kind is Kind.ADIMURTHI_LOG:
-            return xp.sqrt(_log_chain(self.m, xp.log(self.rho / r), xp)[1])
-        if self.kind is Kind.FILIPPAS_TERTIKAS_X:
-            return _x_chain(self.m, 1.0 / (1.0 - xp.log(r / self.d_scale)), xp)[1] ** -0.5
-        raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
+        if self._euler is None:
+            raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
+        kappa, scale, _ = self._euler    # X_1 = 1 / (kappa - ln(r / scale))
+        return _chain(self.m, kappa - xp.log(r / scale), kappa, xp)[1] ** -0.5
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,27 @@ def test_non_finite_horizon_is_rejected_for_every_kind(p, s_max):
         best_constant(p, 1.0, s_max=s_max)
 
 
+@pytest.mark.parametrize("p", [RadialPotential.adimurthi_log(1),
+                               RadialPotential.filippas_tertikas(2),
+                               RadialPotential.power_law(2.5)],
+                         ids=["adimurthi-1", "ft-2", "alpha-2.5"])
+def test_log_domain_horizon_inside_the_ball_is_rejected(p):
+    # at R = 1e-3 the outer edge is s = 6.9: s_max = 5 probed 60 undecided
+    # multipliers of adimurthi_log(1) and raised NoUpperBracket (c(V) = 1/4),
+    # and power_law(2.5) returned [0, 2.5e-7] from a principal tail swept
+    # outward from the horizon to the edge
+    edge = -math.log(1e-3) + 1e-9
+    message = rf"horizon s_max = 5.0 not beyond the outer edge {re.escape(repr(edge))}"
+    for s_max in (5.0, edge):
+        with pytest.raises(DomainError, match="not beyond the outer edge"):
+            log_problem(p, 1.0, 1e-3, s_max=s_max)
+    with pytest.raises(DomainError, match=message):
+        feasible(p, 1.0, 1e-3, s_max=5.0)
+    with pytest.raises(DomainError, match=message):
+        best_constant(p, 1e-3, s_max=5.0)
+    assert log_problem(p, 1.0, 1e-3, s_max=math.nextafter(edge, math.inf)).s_max > edge
+
+
 def test_tolerance_below_the_float_spacing_is_rejected():
     # below 8 eps the closing step no longer clears the float spacing of the
     # bracket's ends, and the same multiplier was probed forever

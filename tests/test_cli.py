@@ -426,13 +426,26 @@ def test_every_config_key_is_read(tmp_path):
     ({"kind": "custom", "amplitude": "3.0"}, {}, "amplitude"),
     (None, {"output": {"timestamp": "true"}}, "output"),
     ({"kind": "custom", "sigma": "0.5"}, {}, "sigma"),
+    (None, {"domain": {"r": "0"}}, "R must be positive"),
+    (None, {"domain": {"n": "2"}}, "dimension n must be >= 3"),
+    (None, {"domain": {"r": "2.0"}}, "exceeds potential r_max"),
+    (None, {"solver": {"grid_n": "8"}}, "grid_n must be >= 16"),
+    ({"kind": "custom", "samples": "r,v\n1e-8,1,1\n1,1,1\n"}, {}, "expected two columns"),
 ], ids=["misspelt-key", "unknown-section", "key-of-another-kind", "output-section",
-        "table-sigma"])
+        "table-sigma", "radius-zero", "dimension-two", "radius-above-r_max", "grid-of-eight",
+        "three-column-table"])
 def test_unread_config_key_is_an_error(tmp_path, capsys, potential, sections, culprit):
-    # each of these was once parsed and ignored: a misspelt amplitude gave
-    # the best constant of amplitude 1
+    # each of the first five was once parsed and ignored: a misspelt
+    # amplitude gave the best constant of amplitude 1; the later rows are
+    # range checks, not unread keys.  A custom kind reads the samples text
+    # given, else a valid table
     if potential and potential["kind"] == "custom":
-        potential = dict(potential, samples=_table(tmp_path, "one.csv", 1.0))
+        if "samples" in potential:
+            table = tmp_path / "one.csv"
+            table.write_text(potential["samples"])
+        else:
+            table = _table(tmp_path, "one.csv", 1.0)
+        potential = dict(potential, samples=str(table))
     cfg = _write_config(tmp_path, potential=potential, **sections)
     with pytest.raises(ConfigError, match=culprit):
         load_config(cfg)
@@ -445,7 +458,8 @@ def test_unread_config_key_is_an_error(tmp_path, capsys, potential, sections, cu
     "kind = constant\n",
     "[potential]\nkind = constant\nkind = power_law\n",
     "[potential]\nkind = constant\n[solver]\ns_max = 1e6%\n",
-], ids=["no-section-header", "repeated-key", "bad-interpolation"])
+    "[solver]\ns_max = 1e6\n",
+], ids=["no-section-header", "repeated-key", "bad-interpolation", "no-potential-section"])
 def test_malformed_ini_is_an_error_record(tmp_path, capsys, text):
     # configparser's own errors once escaped as bare tracebacks
     cfg = tmp_path / "bad.ini"
@@ -499,6 +513,8 @@ _GRAMMAR = {
     "no-subcommand": ([], (1, "ConfigError")),
     "unknown-subcommand": (["best-constants", "--config", "CFG"], (1, "ConfigError")),
     "value-starting-with-dash": (["feasible", "--config", "CFG", "--c", "-1"], (1, "DomainError")),
+    "switch-with-value": (["classify", "--config", "CFG", "--timestamp=1"], (1, "ConfigError")),
+    "trailing-flag-without-value": (["feasible", "--config", "CFG", "--c"], (1, "ConfigError")),
     "top-level-help": (["--help"], "help"),
 }
 
@@ -550,6 +566,18 @@ def test_horizon_must_be_positive_and_finite(s_max, tmp_path, capsys):
     code, out = _run(capsys, "best-constant", "--config", cfg)
     rec = parse_record(out)
     assert code == 1 and rec["type"] == "ConfigError" and "finite" in rec["message"]
+
+
+@pytest.mark.parametrize("argv", [("best-constant",), ("feasible", "--c", "0.1")])
+def test_log_domain_horizon_inside_the_ball_is_an_error_record(argv, tmp_path, capsys):
+    # at R = 1e-3 the outer edge is s = 6.9; best-constant gave NoUpperBracket
+    # (exit 2) for this c(V) = 1/4 potential, and feasible a verdict (exit 0)
+    cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": "1"},
+                        domain={"r": "0.001"}, solver={"s_max": "5"})
+    code, out = _run(capsys, *argv, "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and rec["type"] == "DomainError"
+    assert rec["message"].startswith("horizon s_max = 5.0 not beyond the outer edge 6.9")
 
 
 def test_console_script_entry(tmp_path):

@@ -98,6 +98,13 @@ def test_parse_record_inverts_format_record(record, section):
     assert parse_record(format_record(record, section)) == record
 
 
+@pytest.mark.parametrize("text", ["[result]\nx = 1\n[error]\ny = 2\n", "# none\n"],
+                         ids=["two-sections", "no-section"])
+def test_parse_record_needs_exactly_one_section(text):
+    with pytest.raises(ConfigError, match="expected exactly one record section"):
+        parse_record(text)
+
+
 def test_readme_example_config_loads(tmp_path):
     # its kind line once carried a trailing '; constant | ...', which was
     # read as part of the kind and rejected

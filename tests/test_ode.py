@@ -628,6 +628,17 @@ def test_tail_edges_without_an_inner_cell_inside_the_horizon():
             tail_edges(log_problem(p, 1.0, 1.0))
 
 
+def test_tail_edges_of_a_window_inside_the_rounding_of_the_shift():
+    # one ulp past the outer edge s = 1e-9, s_max - s0 rounds to the edge's
+    # s - s0 when s0 = -ln(1e300): the window's log ratio is 0, which the
+    # edge formula divided by, so no multiplier is certified oscillatory
+    p = RadialPotential.adimurthi_log(1, rho=1e300)
+    s_max = math.nextafter(1e-9, math.inf)
+    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
+    assert edges.c_osc == math.inf and edges.unit_osc.window == (1e-9, s_max)
+    assert euler_tail_certificate(log_problem(p, 1e6, 1.0, s_max=s_max)) is None
+
+
 @pytest.mark.parametrize("R", [1.0, 0.5])
 def test_rising_cell_certificate_holds_on_a_dense_grid(R):
     # from s1 = max(outer edge, innermost knot) on, a = c g rises, so

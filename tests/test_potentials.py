@@ -257,7 +257,8 @@ def test_array_with_one_bad_radius_raises(name):
 
 
 @pytest.mark.parametrize("name, s_bad", [("adimurthi_m1", -5.0), ("adimurthi_m2", -3.0),
-                                         ("ft_x_m1", -3.0)])
+                                         ("ft_x_m1", -3.0), ("adimurthi_m2", math.inf),
+                                         ("ft_x_m3", math.inf)])
 def test_log_weight_array_with_one_bad_abscissa_raises(name, s_bad):
     p = ARRAY_POTENTIALS[name]
     with pytest.raises(DomainError):
@@ -330,6 +331,87 @@ def test_x_iter_derivative_identity(k, t):
 def test_exp_tower():
     assert exp_tower(1) == pytest.approx(math.e, rel=1e-15)
     assert exp_tower(2) == pytest.approx(math.exp(math.e), rel=1e-15)
+
+
+# The chain of the two log families against the paper's definitions: X_i =
+# 1 / log^(i)(x) at x = rho / r, and X_i(x) = x_iter(i, x) at x = r / d.
+_CHAIN_FAMILIES = {"adimurthi_log": ("rho", 0.0), "filippas_tertikas": ("d_scale", 1.0)}
+
+
+def _paper_chain(family, k, x):
+    """(sum_j prod_{i<=j} X_i^2, prod_i X_i) over X_1 ... X_k at the paper's x."""
+    total, prod = 0.0, 1.0
+    for i in range(1, k + 1):
+        prod *= 1.0 / iterated_log(i, x) if family == "adimurthi_log" else x_iter(i, x)
+        total += prod * prod
+    return total, prod
+
+
+def _former_x_chain(m, x, xp):
+    """The X family's chain as it was before both families shared one."""
+    total, prod = 0.0, 1.0
+    for i in range(m):
+        x = 1.0 / (1.0 - xp.log(x)) if i else x
+        prod *= x
+        total += prod * prod
+    return total, prod
+
+
+def _chain_cases(family, m):
+    """The family at, and 5 times, its scale floor, with abscissae s from the
+    outer edge to s - s0 = 700, radii down to 1e-280 and tau = ln(s - s0)."""
+    key, _ = _CHAIN_FAMILIES[family]
+    for r_max, amplitude, above in ((1.0, 1.0, 1.0), (0.3, 20.0, 1.0), (1.0, 0.05, 5.0),
+                                    (7.0, 1.0, 5.0)):
+        floor = getattr(getattr(RadialPotential, family)(m, r_max=r_max), key)
+        p = getattr(RadialPotential, family)(m, amplitude=amplitude, r_max=r_max,
+                                            **{key: above * floor})
+        s = np.linspace(-math.log(r_max), p.euler_shift_hint() + 700.0, 60)
+        yield p, s, np.geomspace(1e-280, r_max, 60), np.log(s - p.euler_shift_hint())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_CHAIN_FAMILIES))
+def test_chain_matches_the_paper_definitions(family, m):
+    # log_weight(s) = A sum_j prod X_i^2 at sigma = s - s0 (x = e^sigma for
+    # the iterated logs, e^(1 - sigma) for the X family), closed_form(r) =
+    # (prod X_i)^(-1/2), and euler_gamma(tau) = A (1 + the sum one level
+    # shallower at scale 1, sigma = kappa + tau), on floats and on arrays
+    key, kappa = _CHAIN_FAMILIES[family]
+    for p, s, r, tau in _chain_cases(family, m):
+        scale, s0, amp = getattr(p, key), p.euler_shift_hint(), p.amplitude
+
+        def paper_x(sigma):
+            return math.exp(kappa - sigma) if kappa else math.exp(sigma)
+        cases = (
+            (p.log_weight, s, lambda si: amp * _paper_chain(family, m, paper_x(si - s0))[0]),
+            (p.closed_form, r,
+             lambda ri: _paper_chain(family, m, ri / scale if kappa else scale / ri)[1] ** -0.5),
+            (p.euler_gamma, tau,
+             lambda ti: amp * (1.0 + _paper_chain(family, m - 1, paper_x(kappa + ti))[0])))
+        for method, points, paper in cases:
+            want = np.array([paper(float(x)) for x in points])
+            _assert_within_ulps(method(points), want)
+            _assert_within_ulps(np.array([method(float(x)) for x in points]), want)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_x_family_is_bit_identical_to_its_former_chain(m):
+    # log_weight, euler_gamma and closed_form as the X family computed them
+    # before it shared its chain with the iterated logs, on arrays and floats
+    for p, s, r, tau in _chain_cases("filippas_tertikas", m):
+        d, amp = p.d_scale, p.amplitude
+
+        def former(xp, s, r, tau):
+            return (amp * _former_x_chain(m, 1.0 / (1.0 + math.log(d) + s), xp)[0],
+                    amp * (1.0 + _former_x_chain(m - 1, 1.0 / (1.0 + tau), xp)[0]) + 0.0 * tau,
+                    _former_x_chain(m, 1.0 / (1.0 - xp.log(r / d)), xp)[1] ** -0.5)
+        for got, want in zip((p.log_weight(s), p.euler_gamma(tau), p.closed_form(r)),
+                             former(np, s, r, tau)):
+            assert got.tobytes() == want.tobytes()
+        for si, ri, ti in zip(s.tolist(), r.tolist(), tau.tolist()):
+            assert (p.log_weight(si), p.euler_gamma(ti), p.closed_form(ri)) == \
+                former(math, si, ri, ti)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``scripts/``: each runs in-process on
 the library it imports and prints its final lines."""
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -40,3 +41,11 @@ def test_cold_start_times_a_log_family_row(monkeypatch, capsys):
     assert lines[0].split()[:2] == ["row", "median_ms"]
     name, wall, loaded = lines[1].split()
     assert name == "best-constant/log-2" and float(wall) > 0.0 and loaded == "-"
+
+
+def test_record_digest_prints_one_digest_per_entry(monkeypatch, capsys):
+    lines = _run_script("record_digest.py", [], monkeypatch, capsys)
+    digests, names = zip(*(line.split("  ", 1) for line in lines))
+    assert len(lines) == 24 and names[0] == "constant" and names[-1] == "total"
+    assert "adimurthi_log m=3 A=20" in names and "filippas_tertikas_x m=1 A=0.05" in names
+    assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
