@@ -17,9 +17,8 @@ bracket and its wall time (best of 3): c_lo is 1/4 at every horizon, and
 c_hi follows c_osc.  It is the before/after table of a change to the
 sweeps or the edges.
 
-Run:  python scripts/band_study.py [--family adimurthi_log|filippas_tertikas_x]
+Run:  python scripts/band_study.py
 """
-import argparse
 import time
 
 import numpy as np
@@ -52,18 +51,12 @@ def timed_best_constant(p, s_max):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--family", default="adimurthi_log",
-                        choices=("adimurthi_log", "filippas_tertikas_x"))
-    args = parser.parse_args()
-    maker = RadialPotential.adimurthi_log if args.family == "adimurthi_log" \
-        else RadialPotential.filippas_tertikas
-    p = maker(1)
+    p = RadialPotential.adimurthi_log(1)
     multipliers = np.round(np.arange(0.20, 0.46, 0.025), 3)
     horizons = (1e4, 1e5, 1e6, 1e30, 1e150, 1e300)
 
     header = "c      " + "".join(f"s_max={h:<12.0e}" for h in horizons)
-    print(f"# indeterminate band vs horizon, {args.family} (m = 1, threshold 1/4)")
+    print("# indeterminate band vs horizon, adimurthi_log (m = 1, threshold 1/4)")
     print(header)
     bands = {h: [] for h in horizons}
     for c in multipliers:

@@ -3,12 +3,14 @@
 checkouts can be compared record for record.
 
 The seven subcommands run in-process on each catalog entry: a constant,
-power laws alpha = 0.5, 1.5, 2.5, both log families at m = 1..3 and
-amplitude 0.05, 1, 20, and one 40-node table, all at grid_n = 2000.  Each
-record is hashed with its exit code and with the CSV it writes (eigen
---format csv, trace) by content, the temporary directory's path replaced,
-and one digest is printed per entry, then one over all of them.  hardy_optim
-is imported from PYTHONPATH, so the same script digests any checkout.
+power laws alpha = 0.5, 1.5, 2.5, alpha = 1 at amplitude 1e-30 (its best
+constant, ~1.4e30, lies above the doubling search's cap 2^60), both log
+families at m = 1..3 and amplitude 0.05, 1, 20, and one 40-node table, all
+at grid_n = 2000.  Each record is hashed with its exit code and with the
+CSV it writes (eigen --format csv, trace) by content, the temporary
+directory's path replaced, and one digest is printed per entry, then one
+over all of them.  hardy_optim is imported from PYTHONPATH, so the same
+script digests any checkout.
 
 Run:  PYTHONPATH=src python scripts/record_digest.py
 """
@@ -25,6 +27,7 @@ from hardy_optim.cli import main as cli_main
 # (name, [potential] keys); "TABLE" stands for the table's CSV path
 CATALOG = [("constant", {"kind": "constant"})]
 CATALOG += [(f"power_law alpha={a}", {"kind": "power_law", "alpha": a}) for a in (0.5, 1.5, 2.5)]
+CATALOG += [("power_law alpha=1 A=1e-30", {"kind": "power_law", "alpha": 1, "amplitude": 1e-30})]
 CATALOG += [(f"{kind} m={m} A={a}", {"kind": kind, "m": m, "amplitude": a})
             for kind in ("adimurthi_log", "filippas_tertikas_x")
             for m in (1, 2, 3) for a in (0.05, 1, 20)]

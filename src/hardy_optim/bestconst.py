@@ -208,55 +208,43 @@ def feasible(p: RadialPotential, c: float, R: float,
     return FeasibilityCheck(False, out, "oscillation-certificate")
 
 
-def _rising_cell_hi(p: RadialPotential, R: float, s_max: float, tol: float) -> float:
-    """Upper end for an inner cell of slope q >= 0: min(tol / 4, the least c
-    whose [s*, s_max] holds a half-oscillation of z'' + c g(s*) z = 0 over s*
-    >= s1, the certificate's start), at s_max - s* = min(2/q, s_max - s1),
-    not a difference that rounds to 0 once 2/q is below the float spacing of
-    s_max; at least c g(s1) = 2^-1022, decided by the certificate anywhere."""
-    prob = log_problem(p, 1.0, R, s_max=s_max)
-    unit, q = euler_tail_certificate(prob), float(p.log_cells[3][-1])
-    s1 = s_max if unit is None else unit.window[0]    # None: g(s1) underflows
-    width = min(2.0 / q, s_max - s1) if q > 0.0 else s_max - s1
-    g = p.log_weight(s_max - width)
-    hi = min(0.25 * tol, (math.pi / width) ** 2 / g if width > 0.0 and g > 0.0 else math.inf)
-    return hi if unit is None else max(hi, 2.0 ** -1022 / min(unit.gamma, 1.0))
-
-
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   s_max: float = S_MAX_DEFAULT) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    The loop probes a plan of predicted multipliers, then searches:
+    The loop probes a plan of predicted multipliers, each end from the rule
+    that certifies it, then searches:
 
-      * a log family of amplitude A > 0: the largest float c_lo <= 1/(4A),
-        c_lo + delta, c_osc - delta and c_osc (``tail_edges``), delta = tol
-        * max(1, c) / 4: the inner two are undecided by construction, no
-        probe sweeps, and c_lo = c_best = 1/(4A) for every m, A, R and horizon;
-      * an inner cell of slope q >= 0 (c(V) = 0): ``_rising_cell_hi``
-        <= tol / 4, certified infeasible by the cell, so with c = 0 that is
-        the whole bracket;
-      * a constant or a power law: c* (1 -+ tol / 8) (only the upper one
-        from tol = 8 on), around its exact Bessel level c* = (z0 (2 -
-        sigma)/2)^2 / (A R^(2 - sigma)), or c* (1 -+ 4 slack) where tol / 8
-        lies within the rounding of c* (``_level_slack``, tol ~ 8 eps).
+      * a log family of amplitude A > 0: the largest float c_lo <= 1/(4A)
+        (the closed form) and c_osc (``tail_edges``), and between them, where
+        that band is wider than tol, c_lo + delta and c_osc - delta, delta =
+        tol * max(1, c) / 4, undecided by construction: no probe sweeps, and
+        c_lo = c_best = 1/(4A) for every m, A, R and horizon.  An infinite
+        c_osc raises IndeterminateAtHorizon, naming [1/(4A), inf) and s_max;
+      * an inner cell of slope q >= 0 (c(V) = 0): 2^-1022 / min(gamma, 1), gamma
+        of its ``euler_tail_certificate`` at c = 1 (tol / 4 where that is None),
+        infeasible by the cell out to s = inf: with c = 0 the whole bracket;
+      * a constant or a power law, at any size: c* (1 -+ tol / 8) (only the
+        upper one from tol = 8 on), around its exact Bessel level c* = (z0
+        (2 - sigma)/2)^2 / (A R^(2 - sigma)), or c* (1 -+ 4 slack) where tol
+        / 8 lies within the rounding of c* (``_level_slack``, tol ~ 8 eps).
         ``feasible`` decides each by x(R) against z0, from the same c*,
         unswept: three probes with c = 0, and c_best is c* to rounding.  A
         bracket still too wide is closed to a band of that rounding's width
         around c*, whose probes are undecided;
 
-    Otherwise, or after a probe that contradicts a prediction, it expands
-    from the Bessel level (a table's, if sigma < 2 and its amplitude A is
-    finite and positive, else c = 1) or the last probe by factors of 2 until
-    one end is certified infeasible and the other feasible (or a band is
-    met, or [0, c] is already narrow), and closes the bracket to width
-    tol * max(1, c) / 2 by an Illinois root solve of the signed shooting
-    margin (a bisection where an end has none).  Around an indeterminate
-    band the certified edges are bisected toward it instead, beside a band
-    of one multiplier c from c (1 -+ tol / 8) on, unless tol / 8 lies within
-    a one-cell level's rounding; unless the bracket then closes,
-    ``converged`` is False and c_best is the largest certified-feasible
-    multiplier.
+    Otherwise (a table, amplitude 0), or after a probe that contradicts a
+    prediction, it expands from the Bessel level (a table's, if sigma < 2
+    and its amplitude A is finite and positive, else c = 1) or the last
+    probe by factors of 2 until one end is certified infeasible and the
+    other feasible (or a band is met, or [0, c] is already narrow), and
+    closes the bracket to width tol * max(1, c) / 2 by an Illinois root
+    solve of the signed shooting margin (a bisection where an end has none).
+    Around an indeterminate band the certified edges are bisected toward it
+    instead, beside a band of one multiplier c from c (1 -+ tol / 8) on,
+    unless tol / 8 lies within a one-cell level's rounding; unless the
+    bracket then closes, ``converged`` is False and c_best is the largest
+    certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     upward search stops at 2^60: a potential that never becomes infeasible,
@@ -299,29 +287,31 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
 
     if settle(0.0, probe(0.0)) != "lo":
         raise DomainError("feasibility at c = 0 failed; potential is invalid")
-    lower, c_osc = 0.0, math.inf
+    # the plan, (c, predicted side) pairs: each end from the rule that certifies it
+    level = _bessel_level(p, R)
     if p.log_cells is None and p.amplitude > 0.0:    # the largest float <= c* = 1/(4A)
         lower = p.closed_form_multiplier(R)
         lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
         c_osc = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).c_osc
-    inside = (lower + 0.25 * tol * max(1.0, lower), c_osc - 0.25 * tol * max(1.0, c_osc))
-    plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
-    # (c, predicted side); never probe an unbounded edge: a sweep costs like sqrt(c)
-    if not 0.0 < lower < inside[0] < inside[1] < c_osc < math.inf:
-        level = _bessel_level(p, R)
-        c = 1.0 if level is None else level
-        plan = [(min(c, _DOUBLING_CAP), None)]    # no prediction: search from c
-        if p.log_cells is not None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
-            plan = [(_rising_cell_hi(p, R, s_max, tol), "hi")]
-        # one cell, a constant or a power law: the Bessel level c is exact, so
-        # c (1 - step) is feasible and c (1 + step) infeasible, each decided
-        # by the same level, with step = tol/8 or, where that lies within the
-        # level's rounding, 4 slack; from tol = 8 on, [0, c (1 + step)] is narrow
-        if level is not None and _one_cell(p):
-            step = max(0.125 * tol, 4.0 * _level_slack(p, R))
-            below, above = c * (1.0 - step), c * (1.0 + step)
-            if above <= _DOUBLING_CAP:
-                plan = [(below, "lo"), (above, "hi")] if below > 0.0 else [(above, "hi")]
+        if c_osc == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
+            raise IndeterminateAtHorizon(f"multipliers in [{lower!r}, inf) undecided: no Euler "
+                                         f"edge is finite by s_max = {s_max!r}", multiplier=c_osc)
+        inside = (lower + 0.25 * tol * max(1.0, lower), c_osc - 0.25 * tol * max(1.0, c_osc))
+        plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
+        if not lower < inside[0] < inside[1] < c_osc:    # a band no wider than tol
+            plan = [plan[0], plan[3]]
+    elif p.log_cells is not None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
+        # the least c whose c g(s1) is a normal double; tol / 4 where g(s1) underflows
+        unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
+        plan = [(0.25 * tol if unit is None else 2.0 ** -1022 / min(unit.gamma, 1.0), "hi")]
+    elif level is not None and _one_cell(p):
+        # one cell: c* (1 -+ step), step = tol/8 or, where that lies within the
+        # level's rounding, 4 slack (from tol = 8 on, [0, c* (1 + step)] is narrow)
+        step = max(0.125 * tol, 4.0 * _level_slack(p, R))
+        below, above = level * (1.0 - step), min(level * (1.0 + step), math.nextafter(math.inf, 0))
+        plan = [(below, "lo"), (above, "hi")] if below > 0.0 else [(above, "hi")]
+    else:    # a table or amplitude 0: no prediction, search from c
+        plan = [(min(1.0 if level is None else level, _DOUBLING_CAP), None)]
     for c, side in plan:
         if settle(c, probe(c)) != side:
             break

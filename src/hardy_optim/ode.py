@@ -187,12 +187,6 @@ class _RawRun:
     dense: Optional[Callable]
 
 
-def _check_swept(s, lo: float, hi: float) -> None:
-    """A dense output answers only on its swept range [lo, hi]; float or ndarray."""
-    if not lo - 1e-12 <= np.min(s) <= np.max(s) <= hi + 1e-12:
-        raise DomainError(f"abscissa {s} outside the swept range [{lo}, {hi}]")
-
-
 def _line(s_from: float, s_to: float, state0) -> _RawRun:
     """The sweep where a = 0: the line z = z0 + z0' (s - s_from), up to its
     zero if it crosses 0 inside the sweep."""
@@ -200,10 +194,8 @@ def _line(s_from: float, s_to: float, state0) -> _RawRun:
     cross = s_from - z0 / dz0 if dz0 != 0.0 else math.nan    # where the line meets 0
     zero_t = cross if min(s_from, s_to) <= cross <= max(s_from, s_to) else None
     t = np.array([s_from, s_to if zero_t is None else zero_t])
-    lo, hi = sorted(t)
 
     def dense(s):
-        _check_swept(s, lo, hi)
         return np.array([z0 + dz0 * (np.asarray(s) - s_from), np.full(np.shape(s), dz0)])
 
     return _RawRun(t, dense(t), zero_t, None if zero_t is None else dz0, dense)
@@ -222,7 +214,7 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
     G = ``euler_gamma`` and sigma + delta = s - ``euler_shift_hint``.
     """
     z0, dz0 = float(state0[0]), float(state0[1])
-    lo, hi = sorted((s_from, s_to))     # the swept range, up to the zero once found
+    lo, hi = sorted((s_from, s_to))
     c, gamma = prob.c, prob.potential.euler_gamma
     s0 = _outer_edge(prob) - 1.0
     delta = s0 - prob.potential.euler_shift_hint()
@@ -257,12 +249,10 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
     zero_t = zero_dz = None
     if sol.t_events[0].size:
         zero_t, _, zero_dz = (float(v) for v in to_z(sol.t_events[0][0], sol.y_events[0][0]))
-        lo, hi = sorted((s_from, zero_t))
     else:
         s[-1] = s_to
 
     def dense(s):
-        _check_swept(s, lo, hi)
         tau = np.log(np.asarray(s) - s0)
         return np.array(to_z(tau, sol.sol(tau))[1:])
 
@@ -485,6 +475,10 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
             zero_t = _phase_root(phase, goal, lo, hi, min(max(guess, lo), hi))
         n = k + 1
 
+    def state(k, t):    # f (A, B) of segments k at t: the states (z, dz/ds)
+        f11, f12, f21, f22, _ = _fundamental(seg, k, t)
+        return np.array([f11 * A[k] + f12 * B[k], f21 * A[k] + f22 * B[k]])
+
     frac = np.arange(_CELL_SAMPLES) / _CELL_SAMPLES
     t = (seg.u[:n, None] + (seg.w - seg.u)[:n, None] * frac).ravel()
     owner = np.repeat(np.arange(n), _CELL_SAMPLES)
@@ -493,20 +487,15 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
     keep = np.ones(t.size, dtype=bool)
     keep[1:] = np.diff(t) != 0.0
     t, owner = t[keep], owner[keep]
-    f11, f12, f21, f22, _ = _fundamental(seg, owner, t)
-    y = np.array([f11 * A[owner] + f12 * B[owner], f21 * A[owner] + f22 * B[owner]])
+    y = state(owner, t)
 
     sign = 1.0 if s_to > s_from else -1.0
     ends = sign * seg.w[:n]
-    lo, hi = sorted((s_from, seg.w[n - 1] if zero_t is None else zero_t))
 
     def dense(s):
-        _check_swept(s, lo, hi)
         t = np.atleast_1d(np.asarray(s, dtype=float))
-        k = np.minimum(np.searchsorted(ends, sign * t), n - 1)
-        f11, f12, f21, f22, _ = _fundamental(seg, k, t)
-        state = np.array([f11 * A[k] + f12 * B[k], f21 * A[k] + f22 * B[k]])
-        return state if np.ndim(s) else state[:, 0]
+        out = state(np.minimum(np.searchsorted(ends, sign * t), n - 1), t)
+        return out if np.ndim(s) else out[:, 0]
 
     return _RawRun(t, y, zero_t, None if zero_t is None else float(dense(zero_t)[1]), dense)
 
@@ -594,11 +583,11 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
 
     As the line through the start state where a = 0 (``_vanishes``); else
     exactly, cell by cell, for the log-log linear kinds and by DOP853 in the
-    Liouville variable for the log families.  The
-    trajectory ends at the first zero, if any, as the row z = 0 with the
-    engine's slope there, and is sorted by s.  Without a zero, a sweep toward
-    the outer edge (decreasing s) has covered its whole interval; a sweep
-    outward has only reached its horizon.
+    Liouville variable for the log families.  The trajectory ends at the
+    first zero, if any, as the row z = 0 with the engine's slope there, and
+    is sorted by s; its dense output answers on that range only.  Without a
+    zero, a sweep toward the outer edge (decreasing s) has covered its whole
+    interval; a sweep outward has only reached its horizon.
     """
     if _vanishes(prob):
         run = _line(s_from, s_to, state0)
@@ -619,8 +608,15 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
         dz = np.append(dz[before], run.zero_dz)
     if to_edge:
         s, z, dz = s[::-1], z[::-1], dz[::-1]
+    lo, hi = float(s[0]), float(s[-1])
+
+    def dense(x):
+        if not lo - 1e-12 <= np.min(x) <= np.max(x) <= hi + 1e-12:
+            raise DomainError(f"abscissa {x} outside the swept range [{lo}, {hi}]")
+        return run.dense(x)
+
     return ShootingOutcome({"s": s, "z": z, "dz": dz}, run.zero_t, status,
-                           certificate=certificate, dense=run.dense)
+                           certificate=certificate, dense=dense)
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
@@ -630,10 +626,8 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
     r = np.exp(-s)
     if out.first_zero is not None:
         r[-1] = out.first_zero    # math.exp, which np.exp may miss by an ulp
-    dense = out.dense
-
     def dense_r(radius):
-        state = dense(-np.log(radius))
+        state = out.dense(-np.log(radius))
         return np.array([state[0], -state[1] / radius])
 
     return replace(out, trajectory={"r": r, "y": z, "dy": -dz / r}, dense=dense_r)

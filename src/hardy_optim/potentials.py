@@ -115,10 +115,10 @@ def x_iter(k: int, t: float) -> float:
 
 def _chain(m: int, sigma, kappa: float, xp):
     """The borderline families' X_1 = 1/sigma, ..., X_m by X_(i+1) = 1 /
-    (kappa - log X_i), each required positive (finite sigma), reduced to
+    (kappa - log X_i), each required positive, sigma finite at any m, reduced to
     (sum_i prod_{j<=i} X_j^2, prod_j X_j); float or ndarray, ``xp`` math or np."""
     total, prod = 0.0, 1.0
-    if (sigma == math.inf).any() if xp is np else sigma == math.inf:    # X_1 = 0
+    if not (np.isfinite(sigma).all() if xp is np else math.isfinite(sigma)):    # X_1 = +-0, nan
         raise DomainError("abscissa outside the family's domain: a chain factor is not > 0")
     for i in range(m):
         if i:
@@ -406,12 +406,14 @@ class RadialPotential:
             from scipy import special
             return special.j0(J0_FIRST_ZERO * r / R)
         xp = np if isinstance(r, np.ndarray) else math
-        if np.min(r) <= 0.0:
+        if not np.min(r) > 0.0:
             raise DomainError(f"closed form of {self.kind.value} needs r > 0, got {np.min(r)}")
         if self._euler is None:
             raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
-        kappa, scale, _ = self._euler    # X_1 = 1 / (kappa - ln(r / scale))
-        return _chain(self.m, kappa - xp.log(r / scale), kappa, xp)[1] ** -0.5
+        kappa, scale, s0 = self._euler    # X_1 = 1 / (kappa - ln(r / scale))
+        ratio = r / scale    # where it underflows to 0, X_1 = 1 / (-ln r - s0)
+        sigma = kappa - xp.log(ratio) if np.min(ratio) > 0.0 else -xp.log(r) - s0
+        return _chain(self.m, sigma, kappa, xp)[1] ** -0.5
 
 
 # ---------------------------------------------------------------------------

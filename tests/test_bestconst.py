@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
-                         brezis_vazquez_lambda, equal_volume_radius, feasible, integrate,
-                         integrate_principal_tail, log_problem, radius_problem, tail_edges,
-                         unit_ball_volume)
+                         brezis_vazquez_lambda, equal_volume_radius, euler_tail_certificate,
+                         feasible, integrate, integrate_principal_tail, log_problem,
+                         radius_problem, tail_edges, unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from hardy_optim.ode import wants_log_domain
 
@@ -255,6 +256,22 @@ def test_single_cell_plan_never_probes_a_nonpositive_multiplier(tol, s_max, monk
     assert res.c_lo <= power_law_best_constant(1.0, 1.0) <= res.c_hi
     assert feasible(p, res.c_lo, 1.0, s_max).feasible
     assert not feasible(p, res.c_hi, 1.0, s_max).feasible
+
+
+def test_single_cell_level_at_any_size_takes_three_probes():
+    # c* = (z0 / 2)^2 1e30 lies above 2^60: the plan skipped its exact pair
+    # there, and the ladder from 2^60 raised NoUpperBracket
+    p = RadialPotential.power_law(1.0, amplitude=1e-30)
+    res = best_constant(p, 1.0)
+    c_star = power_law_best_constant(1.0, 1.0) * 1e30
+    assert res.converged and res.iterations == 3
+    assert res.c_lo < c_star < res.c_hi and res.c_best == pytest.approx(1.4458e30, rel=1e-4)
+    _assert_certified_bracket(p, 1.0, res, 1e6)
+    # where c* (1 + tol / 8) overflows, the upper probe is the largest float
+    p = RadialPotential.power_law(1.0, amplitude=1e-307)
+    res = best_constant(p, 1.0, tol=100.0)
+    assert res.converged and res.bracket == (0.0, sys.float_info.max)
+    assert not feasible(p, res.c_hi, 1.0).feasible
 
 
 def test_table_search_is_unchanged(s_max):
@@ -511,47 +528,67 @@ def test_rising_inner_cell_is_infeasible_at_every_multiplier(p, R, s_max):
         assert check.evidence.status is Status.ZERO_FOUND and check.evidence.first_zero is None
 
 
+def _normal_end(p, R, s_max):
+    """2^-1022 / min(gamma, 1), gamma of the rising cell's certificate at c =
+    1: the least c whose c g(s1) is a normal double."""
+    unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
+    return 2.0 ** -1022 / min(unit.gamma, 1.0)
+
+
 def test_rising_inner_cell_at_the_tolerance_floor_takes_two_probes():
     # it stopped undecided after 35 probes, with the band (0, c_osc) between
     # the certified ends c = 0 and c_osc = 7.47e-11
     tol = 8.0 * 2.0 ** -52
     res = best_constant(RadialPotential.power_law(2.0), 1.0, tol=tol)
     assert res.converged and res.iterations == 2 and res.band is None
-    assert res.c_lo == 0.0 and res.c_hi == 0.25 * tol
+    assert res.c_lo == 0.0 and res.c_hi == 2.0 ** -1022    # g = 1
 
 
 def test_rising_inner_cell_upper_end():
-    # (pi / (s_max - s*))^2 / g(s*) with s* = max(s1, s_max - 2/q): for
-    # alpha = 2, q = 0 and s* = s1 = 1e-9, so pi^2 / (1e6 - 1e-9)^2; for
-    # alpha = 2.5 g saturates at 1e300 there
-    res = best_constant(RadialPotential.power_law(2.0), 1.0, tol=1.0)
-    assert res.iterations == 2 and res.c_hi == pytest.approx(math.pi ** 2 / 1e12, rel=1e-14)
-    res = best_constant(RadialPotential.power_law(2.5), 1.0, tol=1.0)
-    assert res.iterations == 2 and res.c_hi == pytest.approx((math.pi / 4.0) ** 2 / 1e300,
-                                                             rel=1e-12)
+    # 2^-1022 / min(gamma, 1): for alpha = 2 g = 1, for alpha = 2.5 g
+    # saturates at 1e300.  The half-oscillation window ending at s_max gave
+    # pi^2 / 1e12 and (pi / 4)^2 / 1e300
+    for alpha in (2.0, 2.5):
+        res = best_constant(RadialPotential.power_law(alpha), 1.0, tol=1.0)
+        assert res.iterations == 2 and res.c_hi == 2.0 ** -1022
     # an inner cell beyond the horizon: the certificate still holds there
+    # (the window gave tol / 4 = 0.25e-6)
     r = np.geomspace(1e-60, 1.0, 50)
-    res = best_constant(RadialPotential.custom(r, r ** -2.2), 1.0, s_max=100.0)
-    assert res.converged and res.iterations == 2 and res.c_hi == 0.25e-6
+    p = RadialPotential.custom(r, r ** -2.2)
+    res = best_constant(p, 1.0, s_max=100.0)
+    assert res.converged and res.iterations == 2 and res.c_hi == _normal_end(p, 1.0, 100.0)
+    assert res.c_hi == 2.0 ** -1022
 
 
-@pytest.mark.parametrize("amplitude", [1.0, 1e30])
+@pytest.mark.parametrize("amplitude", [1.0, 1e30, 1e-30])
 @pytest.mark.parametrize("alpha", [2.0, 2.5])
 def test_rising_inner_cell_upper_end_never_underflows(alpha, amplitude):
-    # (pi / (s_max - s*))^2 / g(s*) underflowed to 0 for amplitude 1e30 at
-    # s_max = 1e150 (and for alpha = 2 beyond ~1e160), and best_constant then
-    # doubled c = 0 forever.  The planned end stays positive, no larger at a
-    # farther horizon, and certified by the cell
-    from hardy_optim.bestconst import _rising_cell_hi
+    # a window end (pi / (s_max - s*))^2 / g(s*) underflowed to 0 for
+    # amplitude 1e30 at s_max = 1e150 (and for alpha = 2 beyond ~1e160), and
+    # best_constant then doubled c = 0 forever.  The planned end is
+    # positive, the same at every horizon, and certified by the cell
     p = RadialPotential.power_law(alpha, amplitude)
     horizons = (1e150, 1e300)
-    ends = [_rising_cell_hi(p, 1.0, s_max, 1e-6) for s_max in horizons]
-    assert all(end > 0.0 for end in ends) and ends[1] <= ends[0]
+    ends = [_normal_end(p, 1.0, s_max) for s_max in horizons]
+    assert all(end > 0.0 for end in ends) and ends[1] == ends[0]
+    assert ends[0] == pytest.approx(2.0 ** -1022 / min(amplitude, 1.0), rel=1e-12)
     for s_max, end in zip(horizons, ends):
         res = best_constant(p, 1.0, s_max=s_max)
-        assert res.bracket == (0.0, end) and res.iterations <= 3
+        assert res.bracket == (0.0, end) and res.iterations == 2
         check = feasible(p, end, 1.0, s_max)
         assert not check.feasible and check.method == "oscillation-certificate"
+
+
+@pytest.mark.parametrize("p", [RadialPotential.power_law(2.0), RadialPotential.power_law(2.5),
+                               RadialPotential.custom(_STEEP, _STEEP ** -2.2)],
+                         ids=["alpha-2", "alpha-2.5", "table-r^-2.2"])
+def test_rising_inner_cell_upper_end_is_the_same_at_every_horizon_and_tol(p):
+    # the certificate holds out to s = inf, so neither the horizon nor tol
+    # moves the end: the window gave 9.87e-12 (alpha = 2) at s_max = 1e6
+    # and tol = 1e-6, but tol / 4 at 8 eps
+    ends = {best_constant(p, 1.0, tol=tol, s_max=s_max).c_hi
+            for s_max in (1e6, 1e300) for tol in (1e-6, 8.0 * 2.0 ** -52)}
+    assert ends == {_normal_end(p, 1.0, 1e6)}
 
 
 @pytest.mark.parametrize("alpha", [2.0, 2.5])
@@ -893,6 +930,39 @@ def test_band_at_1e300_is_within_1e_4(family, m):
     res = best_constant(getattr(RadialPotential, family)(m), 1.0, s_max=1e300)
     assert res.iterations == 5 and res.band == (res.c_lo, res.c_hi)
     assert res.c_lo == 0.25 and res.c_hi / res.c_lo - 1.0 <= 1e-4
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_band_narrower_than_tol_takes_three_probes(family):
+    # at s_max = 1e300 the band [1/4, c_osc] of m = 2 is ~2e-5 wide, below
+    # tol = 1e-3, so the inside probes are not ordered: the plan fell back to
+    # the doubling ladder from c = 1 (13 probes, c_hi = 0.2504883)
+    p = getattr(RadialPotential, family)(2)
+    c_osc = tail_edges(log_problem(p, 1.0, 1.0, s_max=1e300)).c_osc
+    res = best_constant(p, 1.0, tol=1e-3, s_max=1e300)
+    assert res.converged and res.iterations == 3 and res.band is None
+    assert res.bracket == (0.25, c_osc) and 0.0 < c_osc - 0.25 < 3e-5
+
+
+def test_infinite_euler_edge_is_indeterminate(monkeypatch):
+    # with s_max one ulp past the outer edge, s_max - s0 rounds to the
+    # edge's sigma and c_osc is infinite: the ladder doubled 60 undecided
+    # multipliers and raised NoUpperBracket ("best constant is unbounded"),
+    # though nothing above 1/(4A) is decided infeasible
+    import hardy_optim.bestconst as bestconst_mod
+    p, s_max = RadialPotential.adimurthi_log(1, rho=1e300), math.nextafter(1e-9, math.inf)
+    assert tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max)).c_osc == math.inf
+    probed = []
+
+    def recorded(p, c, *args):
+        probed.append(c)
+        return feasible(p, c, *args)
+
+    monkeypatch.setattr(bestconst_mod, "feasible", recorded)
+    band = re.escape(f"[0.25, inf) undecided") + ".*" + re.escape(f"s_max = {s_max!r}")
+    with pytest.raises(IndeterminateAtHorizon, match=band):
+        best_constant(p, 1.0, s_max=s_max)
+    assert len(probed) <= 2
 
 
 def test_contradicting_verdict_widens_the_band(monkeypatch, s_max):

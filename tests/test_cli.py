@@ -309,6 +309,23 @@ def test_unwritable_out_is_an_error_record(tmp_path, capsys, argv, name):
     assert out.startswith("[error]\n")
 
 
+@pytest.mark.parametrize("potential,code", [
+    (None, 0), ({"kind": "constant", "amplitude": "0.0"}, 2)], ids=["result", "error"])
+def test_record_goes_to_out(tmp_path, capsys, potential, code):
+    # --out takes the record, an [error] one included (NoUpperBracket at
+    # amplitude 0), and stdout stays empty: the file parses to the record
+    # that stdout gets without --out
+    cfg = _write_config(tmp_path, potential=potential)
+    out_path = tmp_path / "rec.ini"
+    assert _run(capsys, "best-constant", "--config", cfg, "--out", str(out_path)) == (code, "")
+    _, out = _run(capsys, "best-constant", "--config", cfg)
+    text = out_path.read_text()
+    assert text == out and parse_record(text) == parse_record(out)
+    assert text.startswith("[error]\n" if code else "[result]\n")
+    if code:
+        assert parse_record(text)["status"] == "NoUpperBracket"
+
+
 def test_custom_potential_from_csv(tmp_path, capsys):
     table = tmp_path / "v.csv"
     r = np.logspace(-8, 0, 200)

@@ -414,6 +414,46 @@ def test_x_family_is_bit_identical_to_its_former_chain(m):
                 former(math, si, ri, ti)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_CHAIN_FAMILIES))
+def test_closed_form_where_r_over_the_scale_underflows(family, m):
+    # r / scale underflows to 0 below scale * 4.9e-324: a float r raised a
+    # bare ValueError (math domain error), an array a DomainError after a
+    # divide warning.  There sigma = kappa - ln(r / scale) = -ln r - s0 is
+    # finite, and so is (prod X_i)^(-1/2)
+    key, kappa = _CHAIN_FAMILIES[family]
+    p = getattr(RadialPotential, family)(m, **{key: 1e10})
+    r = np.array([5e-324, 1e-320, 1e-300, 0.5])
+    want = []
+    for ri in r.tolist():
+        x, prod = 1.0 / (kappa - math.log(ri) + math.log(1e10)), 1.0
+        for _ in range(m):
+            prod, x = prod * x, 1.0 / (kappa - math.log(x))
+        want.append(prod ** -0.5)
+    _assert_within_ulps(p.closed_form(r), want)
+    _assert_within_ulps(np.array([p.closed_form(ri) for ri in r.tolist()]), want)
+    assert np.all(np.diff(want) < 0.0)    # growing as r -> 0
+    for bad in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            p.closed_form(bad)
+        with pytest.raises(DomainError):
+            p.closed_form(np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", sorted(_CHAIN_FAMILIES))
+def test_euler_gamma_of_a_non_finite_tau_is_a_domain_error(family, m):
+    # tau = ln(s - s0): -inf is s = s0 and inf is s = inf, both outside the
+    # domain.  At m = 1 tau = -inf gave A + 0 (-inf) = nan, and a nan tau
+    # gave nan at every m, where the other non-finite taus raised DomainError
+    p = getattr(RadialPotential, family)(m)
+    for tau in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError):
+            p.euler_gamma(tau)
+        with pytest.raises(DomainError):
+            p.euler_gamma(np.array([0.0, tau]))
+
+
 # ---------------------------------------------------------------------------
 # construction guards
 # ---------------------------------------------------------------------------
