@@ -3,10 +3,11 @@
 checkouts can be compared record for record.
 
 The seven subcommands run in-process on each catalog entry: a constant,
-power laws alpha = 0.5, 1.5, 2.5, alpha = 1 at amplitude 1e-30 (its best
-constant, ~1.4e30, lies above the doubling search's cap 2^60), both log
-families at m = 1..3 and amplitude 0.05, 1, 20, and one 40-node table, all
-at grid_n = 2000.  Each record is hashed with its exit code and with the
+power laws alpha = 0.5, 1.5, 2.5, alpha = 1 at amplitude 1e-30 (best
+constant ~1.4e30), both log families at m = 1..3 and amplitude 0.05, 1,
+20, one 40-node table, a constant at amplitude 0 (no float multiplier is
+infeasible) and the table scaled by 1e-30 (best constant ~3.7e29), all at
+grid_n = 2000.  Each record is hashed with its exit code and with the
 CSV it writes (eigen --format csv, trace) by content, the temporary
 directory's path replaced, and one digest is printed per entry, then one
 over all of them.  hardy_optim is imported from PYTHONPATH, so the same
@@ -24,14 +25,16 @@ import numpy as np
 
 from hardy_optim.cli import main as cli_main
 
-# (name, [potential] keys); "TABLE" stands for the table's CSV path
+# (name, [potential] keys); "samples" names a table's CSV in the temporary directory
 CATALOG = [("constant", {"kind": "constant"})]
 CATALOG += [(f"power_law alpha={a}", {"kind": "power_law", "alpha": a}) for a in (0.5, 1.5, 2.5)]
 CATALOG += [("power_law alpha=1 A=1e-30", {"kind": "power_law", "alpha": 1, "amplitude": 1e-30})]
 CATALOG += [(f"{kind} m={m} A={a}", {"kind": kind, "m": m, "amplitude": a})
             for kind in ("adimurthi_log", "filippas_tertikas_x")
             for m in (1, 2, 3) for a in (0.05, 1, 20)]
-CATALOG += [("custom 40 nodes", {"kind": "custom", "samples": "TABLE"})]
+CATALOG += [("custom 40 nodes", {"kind": "custom", "samples": "table.csv"})]
+CATALOG += [("constant A=0", {"kind": "constant", "amplitude": 0}),
+            ("custom 40 nodes x 1e-30", {"kind": "custom", "samples": "table_1e-30.csv"})]
 
 # every subcommand with its flags; "OUT" stands for the CSV path
 COMMANDS = [
@@ -63,11 +66,11 @@ def main():
         tmp = Path(name)
         r = np.geomspace(1e-7, 1.0, 40)
         v = r ** -1.3 * (2.0 + np.sin(7.0 * np.log(r)))
-        (tmp / "table.csv").write_text(
-            "r,v\n" + "".join(f"{ri:.17g},{vi:.17g}\n" for ri, vi in zip(r, v)))
+        for name, scale in (("table.csv", 1.0), ("table_1e-30.csv", 1e-30)):
+            (tmp / name).write_text(
+                "r,v\n" + "".join(f"{ri:.17g},{vi:.17g}\n" for ri, vi in zip(r, scale * v)))
         for entry, potential in CATALOG:
-            keys = {k: str(tmp / "table.csv") if val == "TABLE" else val
-                    for k, val in potential.items()}
+            keys = {k: str(tmp / val) if k == "samples" else val for k, val in potential.items()}
             (tmp / "run.ini").write_text(
                 "[potential]\n" + "".join(f"{k} = {val}\n" for k, val in keys.items())
                 + "[solver]\ngrid_n = 2000\n")

@@ -4,8 +4,7 @@ agree.
 """
 
 from .bestconst import (BestConstantResult, FeasibilityCheck, best_constant,
-                        brezis_vazquez_lambda, equal_volume_radius, feasible,
-                        unit_ball_volume)
+                        brezis_vazquez_lambda, feasible, unit_ball_volume)
 from .config import RunConfig, load_config
 from .dual import DualBound, dual_lower_bound
 from .ode import (Domain, HardyODEProblem, ShootingOutcome, Status, TailCertificate,
@@ -15,7 +14,6 @@ from .ode import (Domain, HardyODEProblem, ShootingOutcome, Status, TailCertific
 from .oracle import (EigenResult, GridMapping, GridSpec, LambdaLimitResult,
                      PoincareResult, SmoothFn, hardy_quotient, lambda_limit,
                      poincare_check, reduced_rayleigh_min, weighted_eigen)
-from .potentials import (ClassLabel, Kind, Label, RadialPotential, classify,
-                         exp_tower, inner_integral, iterated_log, x_iter)
+from .potentials import ClassLabel, Kind, Label, RadialPotential, classify, exp_tower
 
 __version__ = "0.1.0"

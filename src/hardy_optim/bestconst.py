@@ -49,8 +49,8 @@ from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, euler_tail_certificate
                   wants_log_domain)
 from .potentials import J0_FIRST_ZERO, RadialPotential
 
-_DOUBLING_CAP = 2.0 ** 60   # largest multiplier the upward bracket search tries
 _EPS = 2.0 ** -52
+_TINY, _HUGE = 2.0 ** -1022, math.nextafter(math.inf, 0.0)    # the least normal, the largest double
 _TOL_FLOOR = 8.0 * _EPS     # least tol whose closing step clears the float spacing
 _SLIVER = 1e-14             # a table's zero within this / min(1, |q|) of ln(1/R) is undecided
 
@@ -105,15 +105,16 @@ def _closed_form_covers(p: RadialPotential, c: float) -> bool:
 
 def _bessel_level(p: RadialPotential, R: float) -> Optional[float]:
     """The Bessel level c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)), A =
-    ``singular_amplitude(R)``, where sigma < 2 and both A and c* are finite
-    and positive, else None: c(V) for a constant or a power law (to
+    ``singular_amplitude(R)``, where sigma < 2 and every factor and c* are
+    finite and positive, else None: c(V) for a constant or a power law (to
     ``_level_slack``), a table's search start."""
     if p.log_cells is None or not p.sigma < 2.0:
         return None
-    amp, two_minus = p.singular_amplitude(R), 2.0 - p.sigma
-    if not 0.0 < amp < math.inf:
+    two_minus = 2.0 - p.sigma
+    try:    # a power of R overflows, or A R^(2 - sigma) is 0
+        c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (p.singular_amplitude(R) * R ** two_minus)
+    except (OverflowError, ZeroDivisionError):
         return None
-    c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (amp * R ** two_minus)
     return c if 0.0 < c < math.inf else None
 
 
@@ -222,8 +223,8 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         c_lo = c_best = 1/(4A) for every m, A, R and horizon.  An infinite
         c_osc raises IndeterminateAtHorizon, naming [1/(4A), inf) and s_max;
       * an inner cell of slope q >= 0 (c(V) = 0): 2^-1022 / min(gamma, 1), gamma
-        of its ``euler_tail_certificate`` at c = 1 (tol / 4 where that is None),
-        infeasible by the cell out to s = inf: with c = 0 the whole bracket;
+        of its ``euler_tail_certificate`` at c = 1, infeasible by the cell out
+        to s = inf: with c = 0 the whole bracket;
       * a constant or a power law, at any size: c* (1 -+ tol / 8) (only the
         upper one from tol = 8 on), around its exact Bessel level c* = (z0
         (2 - sigma)/2)^2 / (A R^(2 - sigma)), or c* (1 -+ 4 slack) where tol
@@ -233,25 +234,26 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         bracket still too wide is closed to a band of that rounding's width
         around c*, whose probes are undecided;
 
-    Otherwise (a table, amplitude 0), or after a probe that contradicts a
-    prediction, it expands from the Bessel level (a table's, if sigma < 2
-    and its amplitude A is finite and positive, else c = 1) or the last
-    probe by factors of 2 until one end is certified infeasible and the
-    other feasible (or a band is met, or [0, c] is already narrow), and
-    closes the bracket to width tol * max(1, c) / 2 by an Illinois root
-    solve of the signed shooting margin (a bisection where an end has none).
-    Around an indeterminate band the certified edges are bisected toward it
-    instead, beside a band of one multiplier c from c (1 -+ tol / 8) on,
-    unless tol / 8 lies within a one-cell level's rounding; unless the
-    bracket then closes, ``converged`` is False and c_best is the largest
+    Otherwise (a table, or a Bessel level outside the float range), or after
+    a probe that contradicts a prediction, it expands from the Bessel level
+    (clamped to the largest double or to 2^-1022) or the last probe by
+    factors of 2 until one end is certified infeasible and the other
+    feasible (or a band is met, or [0, c] is already narrow), and closes the
+    bracket to width tol * max(1, c) / 2 by an Illinois root solve of the
+    signed shooting margin (a bisection where an end has none).  Around an
+    indeterminate band the certified edges are bisected toward it instead,
+    beside a band of one multiplier c from c (1 -+ tol / 8) on, unless tol /
+    8 lies within a one-cell level's rounding; unless the bracket then
+    closes, ``converged`` is False and c_best is the largest
     certified-feasible multiplier.
 
-    Every probe is a ``feasible`` call and ``iterations`` counts them.  The
-    upward search stops at 2^60: a potential that never becomes infeasible,
-    e.g. amplitude 0 (each probe the line z = 1), raises NoUpperBracket.
-    A tol below 8 eps (~1.8e-15) raises DomainError: its closing step tol *
-    max(1, c) / 4 would not clear the float spacing at the bracket's ends,
-    and the loop would probe the same multiplier forever.
+    Every probe is a ``feasible`` call and ``iterations`` counts them.
+    NoUpperBracket means that no float multiplier is infeasible: at
+    amplitude 0 (c v = 0) it is raised after the probe at c = 0, and
+    otherwise once the largest double is not certified infeasible.  A tol
+    below 8 eps (~1.8e-15) raises DomainError: its closing step tol * max(1,
+    c) / 4 would not clear the float spacing at the bracket's ends, and the
+    loop would probe the same multiplier forever.
     """
     if not tol >= _TOL_FLOOR:
         raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
@@ -285,11 +287,12 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     def wide(a, b):
         return b - a > 0.5 * tol * max(1.0, 0.5 * (a + b))
 
-    if settle(0.0, probe(0.0)) != "lo":
-        raise DomainError("feasibility at c = 0 failed; potential is invalid")
+    settle(0.0, probe(0.0))
+    if p.amplitude == 0.0:
+        raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
     # the plan, (c, predicted side) pairs: each end from the rule that certifies it
     level = _bessel_level(p, R)
-    if p.log_cells is None and p.amplitude > 0.0:    # the largest float <= c* = 1/(4A)
+    if p.log_cells is None:    # the largest float <= c* = 1/(4A)
         lower = p.closed_form_multiplier(R)
         lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
         c_osc = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).c_osc
@@ -300,27 +303,28 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
         if not lower < inside[0] < inside[1] < c_osc:    # a band no wider than tol
             plan = [plan[0], plan[3]]
-    elif p.log_cells is not None and wants_log_domain(p) and p.amplitude > 0.0:    # c(V) = 0
-        # the least c whose c g(s1) is a normal double; tol / 4 where g(s1) underflows
+    elif wants_log_domain(p):    # a rising inner cell, c(V) = 0
+        # the least c whose c g(s1) is a normal double
         unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
-        plan = [(0.25 * tol if unit is None else 2.0 ** -1022 / min(unit.gamma, 1.0), "hi")]
+        plan = [(_TINY / min(unit.gamma, 1.0), "hi")]
     elif level is not None and _one_cell(p):
         # one cell: c* (1 -+ step), step = tol/8 or, where that lies within the
         # level's rounding, 4 slack (from tol = 8 on, [0, c* (1 + step)] is narrow)
         step = max(0.125 * tol, 4.0 * _level_slack(p, R))
-        below, above = level * (1.0 - step), min(level * (1.0 + step), math.nextafter(math.inf, 0))
+        below, above = level * (1.0 - step), min(level * (1.0 + step), _HUGE)
         plan = [(below, "lo"), (above, "hi")] if below > 0.0 else [(above, "hi")]
-    else:    # a table or amplitude 0: no prediction, search from c
-        plan = [(min(1.0 if level is None else level, _DOUBLING_CAP), None)]
+    else:    # a table, or a level outside the float range: search from its nearest float
+        if level is None:    # k / g(s_R), g = A R^(2 - sigma) in [0, 1e300]
+            k, g = (J0_FIRST_ZERO * (1.0 - 0.5 * p.sigma)) ** 2, p.log_weight(-math.log(R))
+            level = min(max(k / g, _TINY), _HUGE) if g else _HUGE
+        plan = [(level, None)]
     for c, side in plan:
         if settle(c, probe(c)) != side:
             break
     while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
-        c *= 2.0 if hi is None else 0.5
-        if c > _DOUBLING_CAP:
-            raise NoUpperBracket(
-                f"no infeasible multiplier up to {_DOUBLING_CAP:g}; "
-                "best constant is unbounded", last_multiplier=c / 2.0)
+        if hi is None and c == _HUGE:
+            raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
+        c = min(2.0 * c, _HUGE) if hi is None else 0.5 * c
         settle(c, probe(c))
 
     # The margin decides where the next multiplier goes; the verdict decides
@@ -370,13 +374,6 @@ def unit_ball_volume(n: int) -> float:
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def equal_volume_radius(volume: float, n: int) -> float:
-    """Radius of the n-ball with the given volume."""
-    if volume <= 0.0:
-        raise DomainError(f"volume must be positive, got {volume}")
-    return (volume / unit_ball_volume(n)) ** (1.0 / n)
 
 
 def brezis_vazquez_lambda(n: int, volume: float) -> float:

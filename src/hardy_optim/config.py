@@ -159,7 +159,7 @@ def load_config(path: str) -> RunConfig:
         except (DomainError, ValueError) as exc:
             raise ConfigError(f"{path}: [{name}] {exc}") from exc
     cfg = RunConfig(potential, values.pop("r", potential.r_max), **values)
-    if cfg.R <= 0:
+    if not cfg.R > 0:
         raise ConfigError(f"{path}: [domain] R must be positive, got {cfg.R}")
     if cfg.n < 3:
         raise ConfigError(f"{path}: [domain] dimension n must be >= 3, got {cfg.n}")

@@ -38,11 +38,8 @@ class QuadratureError(HardyError):
 
 
 class NoUpperBracket(HardyError):
-    """Doubling never produced an infeasible multiplier (best constant is infinite)."""
-
-    def __init__(self, message: str, last_multiplier: float):
-        super().__init__(message)
-        self.last_multiplier = last_multiplier
+    """No float multiplier is infeasible: the best constant exceeds the
+    largest double, or is infinite (amplitude 0)."""
 
 
 class IndeterminateAtHorizon(HardyError):

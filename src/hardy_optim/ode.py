@@ -679,7 +679,9 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     innermost knot) out to s = inf, where the model is exact, so a >= gamma
     = c g(s1) (clipped to 1e300) there, and by Sturm comparison with
     z'' + gamma z = 0 every solution vanishes inside [s1, s1 + pi /
-    sqrt(gamma)], within the horizon or not (None if gamma underflows).  A
+    sqrt(gamma)], within the horizon or not.  Where c g(s1) is below
+    2^-1022 and q > 0, s1 moves out along the cell to where c g = 1, so
+    gamma is a normal double (None only where q = 0 and c g underflows).  A
     log family is oscillatory if c >= c_osc of ``tail_edges``, else None."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
@@ -687,9 +689,12 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     if _vanishes(prob):
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (prob.s_max, math.inf))
     if p.log_cells is not None:
-        if p.log_cells[3][-1] < 0.0:
+        anchor, ell, q = (float(cells[-1]) for cells in p.log_cells[1:])
+        if q < 0.0:
             raise DomainError("an inner cell of slope q < 0 is swept in the radius domain")
         s1 = float(max([s_start, *p.log_cells[0][-1:]]))
+        if q > 0.0 and c * p.log_weight(s1) < 2.0 ** -1022:    # out to where ln(c g) = 0
+            s1 = anchor + (-math.log(c) - ell) / q
         gamma = min(c * p.log_weight(s1), 1e300)
         if gamma == 0.0:
             return None

@@ -71,22 +71,8 @@ def exprel(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Iterated logarithms, the X_k correction weights and their chain
+# The exponential tower and the borderline chain
 # ---------------------------------------------------------------------------
-
-def iterated_log(i: int, x: float) -> float:
-    """i-fold nested natural log; every stage (including the result) must be > 0."""
-    if i < 1:
-        raise DomainError(f"iteration depth must be >= 1, got {i}")
-    value = float(x)
-    for _ in range(i):
-        if value <= 0.0:
-            raise DomainError(f"iterated_log({i}, {x}): intermediate value {value} <= 0")
-        value = math.log(value)
-    if value <= 0.0:
-        raise DomainError(f"iterated_log({i}, {x}) = {value} is not positive")
-    return value
-
 
 def exp_tower(m: int) -> float:
     """m-fold exponential of 1: e, e^e, e^(e^e), ..."""
@@ -95,21 +81,6 @@ def exp_tower(m: int) -> float:
     value = 1.0
     for _ in range(m):
         value = math.exp(value)
-    return value
-
-
-def x_iter(k: int, t: float) -> float:
-    """X_k(t) with X_1(t) = (1 - log t)^(-1) and X_k = X_1(X_{k-1}).
-
-    Defined for t in (0, 1]; maps into (0, 1] and fixes t = 1.
-    """
-    if k < 1:
-        raise DomainError(f"x_iter order must be >= 1, got {k}")
-    if not 0.0 < t <= 1.0:
-        raise DomainError(f"x_iter argument must be in (0, 1], got {t}")
-    value = float(t)
-    for _ in range(k):
-        value = 1.0 / (1.0 - math.log(value))
     return value
 
 
@@ -177,6 +148,8 @@ class RadialPotential:
     @classmethod
     def power_law(cls, alpha: float, amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
         cls._check_amp_rmax(amplitude, r_max)
+        if not math.isfinite(alpha):
+            raise DomainError(f"alpha must be finite, got {alpha}")
         return cls(Kind.POWER_LAW, amplitude=amplitude, r_max=r_max,
                    alpha=float(alpha), sigma=float(alpha))
 
@@ -206,8 +179,8 @@ class RadialPotential:
         kappa, key = _BORDERLINE[kind]
         floor = r_max if kappa else r_max * exp_tower(m)
         scale = floor if scale is None else scale
-        if scale < floor * (1.0 - 1e-12):
-            raise DomainError(f"{key} = {scale} must be >= r_max"
+        if not floor * (1.0 - 1e-12) <= scale < math.inf:
+            raise DomainError(f"{key} = {scale} must be finite and >= r_max"
                               f"{'' if kappa else f' * exp^({m})(1)'} = {floor}")
         return cls(kind, amplitude=amplitude, r_max=r_max, m=int(m), sigma=2.0,
                    **{key: float(scale)})
@@ -232,19 +205,19 @@ class RadialPotential:
             raise DomainError("custom potential radii must be strictly increasing")
         if np.any(r <= 0.0) or np.any(v <= 0.0):
             raise DomainError("custom potential samples must be strictly positive")
-        if r_max is None:
-            r_max = float(r[-1])
+        r_max = float(r[-1] if r_max is None else r_max)
+        cls._check_amp_rmax(1.0, r_max)    # a table's amplitude is 1
         log_r, log_v = np.log(r), np.log(v)
         sigma = float((log_v[0] - log_v[1]) / (log_r[1] - log_r[0]))
-        return cls(Kind.CUSTOM, amplitude=1.0, r_max=float(r_max),
+        return cls(Kind.CUSTOM, amplitude=1.0, r_max=r_max,
                    sigma=sigma, table_log_r=log_r, table_log_v=log_v)
 
     @staticmethod
     def _check_amp_rmax(amplitude: float, r_max: float) -> None:
-        if amplitude < 0.0:
-            raise DomainError(f"amplitude must be >= 0, got {amplitude}")
-        if r_max <= 0.0:
-            raise DomainError(f"r_max must be > 0, got {r_max}")
+        if not 0.0 <= amplitude < math.inf:
+            raise DomainError(f"amplitude must be finite and >= 0, got {amplitude}")
+        if not 0.0 < r_max < math.inf:
+            raise DomainError(f"r_max must be finite and > 0, got {r_max}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -364,8 +337,8 @@ class RadialPotential:
         Every catalog family is closed under this map, so the result is a
         potential of the same kind.
         """
-        if beta <= 0.0:
-            raise DomainError(f"scaling factor must be > 0, got {beta}")
+        if not 0.0 < beta < math.inf:
+            raise DomainError(f"scaling factor must be finite and > 0, got {beta}")
         if self.kind is Kind.CONSTANT:
             return RadialPotential.constant(self.amplitude * beta ** 2, self.r_max / beta)
         if self.kind is Kind.POWER_LAW:
@@ -495,14 +468,6 @@ def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
     terms = p.euler_gamma(nodes) * np.exp(-nodes)
     panels = terms[:-1].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS * half
     return np.cumsum(np.append(panels, terms[-1])[::-1])[::-1][:s.size]
-
-
-def inner_integral(p: RadialPotential, r: float) -> float:
-    """int_0^r s v(s) ds = int_{ln(1/r)}^inf ``log_weight``, by the rule of
-    ``_tail_integrals`` (exact on ``log_cells``, inf when it diverges)."""
-    if not 0.0 < r <= p.r_max * (1.0 + 1e-12):
-        raise DomainError(f"radius {r} outside (0, {p.r_max}]")
-    return float(_tail_integrals(p, np.array([math.log(1.0 / r)]))[0])
 
 
 def classify(p: RadialPotential) -> ClassLabel:

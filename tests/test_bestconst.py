@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
-                         brezis_vazquez_lambda, equal_volume_radius, euler_tail_certificate,
-                         feasible, integrate, integrate_principal_tail, log_problem,
-                         radius_problem, tail_edges, unit_ball_volume)
+                         brezis_vazquez_lambda, euler_tail_certificate, feasible, integrate,
+                         integrate_principal_tail, log_problem, radius_problem, tail_edges,
+                         unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from hardy_optim.ode import wants_log_domain
 
@@ -986,6 +986,115 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, s_max):
 
 
 # ---------------------------------------------------------------------------
+# the ends of the search: no float multiplier is infeasible, or a certified end
+# ---------------------------------------------------------------------------
+
+_FLAT = np.geomspace(1e-8, 1.0, 400)
+
+
+def _probe_counter(monkeypatch):
+    import hardy_optim.bestconst as bestconst_mod
+    counter = _Counter(bestconst_mod.feasible)
+    monkeypatch.setattr(bestconst_mod, "feasible", counter)
+    return counter
+
+
+def test_table_level_above_2_to_60_converges(monkeypatch, s_max):
+    # c(V) = z0^2 / 1e-30: the ladder started at 2^60 and stopped there with
+    # NoUpperBracket, "best constant is unbounded"
+    p = RadialPotential.custom(_FLAT, 1e-30 * np.ones(_FLAT.size))
+    probes = _probe_counter(monkeypatch)
+    res = best_constant(p, 1.0, s_max=s_max)
+    assert probes.calls == res.iterations <= 5
+    assert res.c_lo < Z0_SQ / 1e-30 < res.c_hi and res.c_best == pytest.approx(5.7831859e30)
+    _assert_certified_bracket(p, 1.0, res, s_max)
+
+
+def test_table_level_past_the_largest_double_has_no_upper_bracket(monkeypatch, s_max):
+    # c(V) = 5.8e310: the search starts at the largest double, which is
+    # feasible, so no float multiplier is infeasible (62 probes to 2^60 before)
+    p = RadialPotential.custom(_FLAT, 1e-310 * np.ones(_FLAT.size))
+    probes = _probe_counter(monkeypatch)
+    with pytest.raises(NoUpperBracket, match="no float multiplier"):
+        best_constant(p, 1.0, s_max=s_max)
+    assert probes.calls <= 3
+    assert feasible(p, sys.float_info.max, 1.0, s_max).feasible
+
+
+@pytest.mark.parametrize("r_max", [1e-200, 1e200])
+def test_constant_level_whose_power_of_R_leaves_the_float_range(r_max, s_max):
+    # c* = z0^2 / R^2 was a ZeroDivisionError (R^2 underflows) or an
+    # OverflowError (R^2 overflows); the search starts at its nearest float
+    p = RadialPotential.constant(1.0, r_max)
+    if r_max < 1.0:
+        with pytest.raises(NoUpperBracket, match="no float multiplier"):
+            best_constant(p, r_max, s_max=s_max)
+        return
+    res = best_constant(p, r_max, s_max=s_max)
+    assert res.converged and res.c_lo == 0.0 and 0.0 < res.c_hi <= 1e-299
+    assert not feasible(p, res.c_hi, r_max, s_max).feasible
+
+
+def test_power_law_level_whose_power_of_R_overflows(s_max):
+    # R^alpha = 1e450 raised OverflowError; the search starts at c* = (z0 / 4)^2
+    # / 1e150 from R^2 v(R) = 1e150
+    p, c_star = RadialPotential.power_law(1.5, r_max=1e300), (Z0 / 4.0) ** 2 / 1e150
+    res = best_constant(p, 1e300, s_max=s_max)
+    assert res.iterations <= 4
+    assert res.c_lo <= c_star * (1.0 + 1e-12) and c_star <= res.c_hi <= 4.0 * c_star
+    _assert_certified_bracket(p, 1e300, res, s_max)
+
+
+@pytest.mark.parametrize("p", [
+    RadialPotential.constant(0.0), RadialPotential.power_law(1.0, 0.0),
+    RadialPotential.power_law(2.5, 0.0), RadialPotential.adimurthi_log(1, amplitude=0.0),
+    RadialPotential.filippas_tertikas(2, amplitude=0.0)],
+    ids=["constant", "alpha-1", "alpha-2.5", "log-m1", "x-m2"])
+def test_amplitude_zero_is_answered_after_one_probe(p, monkeypatch, s_max):
+    # c v = 0 at every c: the ladder spent 62 probes doubling to 2^60
+    probes = _probe_counter(monkeypatch)
+    with pytest.raises(NoUpperBracket, match="amplitude 0"):
+        best_constant(p, 1.0, s_max=s_max)
+    assert probes.calls <= 1
+
+
+@pytest.mark.parametrize("alpha, R", [(2.5, 1e300), (3.0, 1e200)])
+def test_rising_cell_with_an_underflowing_outer_edge_is_certified(alpha, R, monkeypatch):
+    # g(s1) = 1e-300 R^(2 - alpha) underflows, so the certificate was None:
+    # the plan probed tol / 4 and the ladder doubled to 2^60 in 83 probes,
+    # "best constant is unbounded".  It starts where c g = 1 now
+    p = RadialPotential.power_law(alpha, 1e-300, r_max=R)
+    probes = _probe_counter(monkeypatch)
+    res = best_constant(p, R)
+    assert probes.calls == res.iterations == 2 and res.converged
+    assert res.c_lo == 0.0 and res.c_hi == pytest.approx(2.0 ** -1022, rel=1e-12)
+    check = feasible(p, res.c_hi, R)
+    assert not check.feasible and check.method == "oscillation-certificate"
+    cert = check.evidence.certificate
+    assert cert.gamma >= 2.0 ** -1022 and cert.window[0] > -math.log(R)
+    grid = np.linspace(*cert.window, 10001)
+    assert np.all(cert.gamma <= res.c_hi * p.log_weight(grid))
+
+
+def test_rising_cell_ends_near_the_tolerance_floor_are_normal(monkeypatch):
+    # halving from 2^-1022 / 1e-300 to 6.6e-16, each end was certified with
+    # gamma = c g(s1) subnormal (6.6e-316 for the last)
+    import hardy_optim.bestconst as bestconst_mod
+    checks = []
+
+    def recorded(*args):
+        checks.append(feasible(*args))
+        return checks[-1]
+
+    monkeypatch.setattr(bestconst_mod, "feasible", recorded)
+    res = best_constant(RadialPotential.power_law(2.5, 1e-300), 1.0, tol=8.0 * 2.0 ** -52)
+    assert res.converged and res.c_lo == 0.0
+    ends = [check.evidence.certificate for check in checks if not check.feasible]
+    assert len(ends) == res.iterations - 1
+    assert all(cert.gamma >= 2.0 ** -1022 for cert in ends)
+
+
+# ---------------------------------------------------------------------------
 # Bessel cross-checks and reference constants
 # ---------------------------------------------------------------------------
 
@@ -1006,11 +1115,6 @@ def test_brezis_vazquez_cancellation():
 def test_unit_ball_volume():
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
     assert unit_ball_volume(4) == pytest.approx(math.pi ** 2 / 2.0, rel=1e-14)
-
-
-def test_equal_volume_radius():
-    assert equal_volume_radius(unit_ball_volume(3) * 27.0, 3) == \
-        pytest.approx(3.0, rel=1e-14)
 
 
 def test_brezis_vazquez_guards():

@@ -357,6 +357,29 @@ def test_custom_table_rejects_non_finite_samples(tmp_path, capsys, row):
         RadialPotential.custom(np.array([r0, 1e-4, 1.0]), np.array([v0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("potential, domain", [
+    ({"kind": "constant", "amplitude": "nan"}, None),
+    ({"kind": "constant", "amplitude": "inf"}, None),
+    ({"kind": "power_law", "alpha": "nan"}, None),
+    ({"kind": "power_law", "alpha": "inf"}, None),
+    ({"kind": "power_law", "alpha": "-inf"}, None),
+    ({"kind": "adimurthi_log", "rho": "nan"}, None),
+    ({"kind": "filippas_tertikas_x", "d_scale": "inf"}, None),
+    ({"kind": "constant", "amplitude": "1.0"}, {"r": "nan"})],
+    ids=["amplitude-nan", "amplitude-inf", "alpha-nan", "alpha-inf", "alpha-minus-inf",
+         "rho-nan", "d_scale-inf", "R-nan"])
+def test_non_finite_config_values_are_config_errors(tmp_path, capsys, potential, domain):
+    # each reached the solvers: feasible = true (NaN amplitude, alpha or rho,
+    # infinite d), a ValueError traceback (alpha = -inf), [0, 2.2e-308]
+    # (alpha = inf), the c = 0 guard (amplitude = inf), a classify record (R)
+    cfg = _write_config(tmp_path, potential=potential, domain=domain)
+    for argv in (["best-constant"], ["feasible", "--c", "0.2"], ["classify"]):
+        code, out = _run(capsys, *argv, "--config", cfg)
+        rec = parse_record(out)
+        assert code == 1 and rec["type"] == "ConfigError" and out.startswith("[error]\n")
+        assert "finite" in rec["message"] or "positive" in rec["message"]
+
+
 # ---------------------------------------------------------------------------
 # determinism and round trips
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_optim import (Kind, Label, RadialPotential, classify, exp_tower,
-                         inner_integral, iterated_log, x_iter)
+from hardy_optim import Kind, Label, RadialPotential, classify, exp_tower
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
-from hardy_optim.potentials import _clip_exp, log_cell_tails
+from hardy_optim.potentials import _clip_exp, _tail_integrals, log_cell_tails
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +267,37 @@ def test_log_weight_array_with_one_bad_abscissa_raises(name, s_bad):
 
 
 # ---------------------------------------------------------------------------
-# iterated logs and X_k
+# iterated logs and X_k: the paper's definitions, references for the chain
 # ---------------------------------------------------------------------------
+
+def iterated_log(i: int, x: float) -> float:
+    """i-fold nested natural log; every stage (including the result) must be > 0."""
+    if i < 1:
+        raise DomainError(f"iteration depth must be >= 1, got {i}")
+    value = float(x)
+    for _ in range(i):
+        if value <= 0.0:
+            raise DomainError(f"iterated_log({i}, {x}): intermediate value {value} <= 0")
+        value = math.log(value)
+    if value <= 0.0:
+        raise DomainError(f"iterated_log({i}, {x}) = {value} is not positive")
+    return value
+
+
+def x_iter(k: int, t: float) -> float:
+    """X_k(t) with X_1(t) = (1 - log t)^(-1) and X_k = X_1(X_{k-1}).
+
+    Defined for t in (0, 1]; maps into (0, 1] and fixes t = 1.
+    """
+    if k < 1:
+        raise DomainError(f"x_iter order must be >= 1, got {k}")
+    if not 0.0 < t <= 1.0:
+        raise DomainError(f"x_iter argument must be in (0, 1], got {t}")
+    value = float(t)
+    for _ in range(k):
+        value = 1.0 / (1.0 - math.log(value))
+    return value
+
 
 def test_iterated_log_values():
     assert iterated_log(1, math.e) == pytest.approx(1.0, abs=1e-15)
@@ -474,6 +502,30 @@ def test_negative_amplitude_rejected():
         RadialPotential.constant(-1.0)
 
 
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("bad", _NON_FINITE, ids=str)
+@pytest.mark.parametrize("build", [
+    lambda x: RadialPotential.constant(x), lambda x: RadialPotential.constant(1.0, x),
+    lambda x: RadialPotential.power_law(x), lambda x: RadialPotential.power_law(1.0, x),
+    lambda x: RadialPotential.power_law(1.0, r_max=x),
+    lambda x: RadialPotential.adimurthi_log(1, rho=x),
+    lambda x: RadialPotential.adimurthi_log(1, amplitude=x),
+    lambda x: RadialPotential.filippas_tertikas(2, d_scale=x),
+    lambda x: RadialPotential.filippas_tertikas(2, r_max=x),
+    lambda x: RadialPotential.custom(np.array([0.1, 1.0]), np.array([1.0, 2.0]), r_max=x),
+    lambda x: RadialPotential.power_law(1.0).scaled(x)],
+    ids=["constant-amplitude", "constant-r_max", "power-alpha", "power-amplitude", "power-r_max",
+         "log-rho", "log-amplitude", "x-d_scale", "x-r_max", "custom-r_max", "scaled-beta"])
+def test_non_finite_parameters_are_rejected(build, bad):
+    # the checks amplitude < 0, r_max <= 0, scale < floor and beta <= 0 let
+    # NaN through, infinities passed, and alpha went unchecked: a NaN
+    # amplitude or alpha was feasible at every multiplier
+    with pytest.raises(DomainError, match="finite"):
+        build(bad)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -664,6 +716,11 @@ def test_classify_evidence_on_a_table_is_ulp_accurate():
         rel = [abs((decimal.Decimal(float(got)) - decimal.Decimal(want)) / decimal.Decimal(want))
                for got, want in zip(evidence, _EXP3R_EVIDENCE)]
     assert max(rel) <= decimal.Decimal("4.4e-16")
+
+
+def inner_integral(p, r):
+    """int_0^r t v(t) dt = int_{ln(1/r)}^inf ``log_weight``, by ``_tail_integrals``."""
+    return float(_tail_integrals(p, np.array([math.log(1.0 / r)]))[0])
 
 
 def test_inner_integral_beyond_the_linear_sum():
