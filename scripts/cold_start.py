@@ -7,6 +7,14 @@ each of which imports hardy_optim and runs the row's subcommand through
 ``cli.main``, and prints the median wall time (interpreter start to exit)
 and the scipy submodules the subcommand loaded.
 
+The figures are taken with bytecode cached, as a second run of an
+installed package finds it.  Before timing, one untimed interpreter runs
+every row, which compiles all that the rows import, src/hardy_optim
+included, into a fresh temporary PYTHONPYCACHEPREFIX that the timed runs
+then read; PYTHONDONTWRITEBYTECODE is unset for them.  So an environment
+that never writes bytecode and one that keeps it report the same kind of
+figure.
+
 Run:  python scripts/cold_start.py [--repeat 5] [--row best-constant/log-2 ...]
 """
 import argparse
@@ -59,7 +67,8 @@ def child_env() -> dict:
 def fresh_run(runs, workdir) -> tuple:
     """Run each (potential keys, subcommand argv) of ``runs`` through
     ``cli.main``, in order, in one fresh interpreter with configs written
-    under ``workdir``.  Returns the wall time in s, the exit codes and the
+    under ``workdir`` and bytecode read from and written to
+    ``workdir/pycache``.  Returns the wall time in s, the exit codes and the
     scipy submodules loaded by the end."""
     argvs = []
     for k, (potential, argv) in enumerate(runs):
@@ -67,8 +76,11 @@ def fresh_run(runs, workdir) -> tuple:
         config.write_text("[potential]\n" + "".join(f"{key} = {value}\n"
                                                     for key, value in potential.items()))
         argvs.append(argv[:1] + ["--config", str(config)] + argv[1:])
+    env = child_env()
+    env["PYTHONPYCACHEPREFIX"] = str(Path(workdir) / "pycache")
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=child_env(),
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
                           stdout=subprocess.PIPE, text=True, check=True)
     wall = time.perf_counter() - t0
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
@@ -84,9 +96,12 @@ def main():
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    print(f"{'row':<24} {'median_ms':>9}  scipy loaded")
+    rows = args.row or list(ROWS)
     with tempfile.TemporaryDirectory() as workdir:
-        for name in args.row or ROWS:
+        fresh_run([ROWS[name] for name in rows], workdir)    # untimed: compiles
+        print(f"{'row':<24} {'median_ms':>9}  scipy loaded  "
+              f"(bytecode compiled into a fresh PYTHONPYCACHEPREFIX first)")
+        for name in rows:
             walls = []
             for _ in range(args.repeat):
                 wall, _, loaded = fresh_run([ROWS[name]], workdir)

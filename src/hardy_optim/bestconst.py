@@ -27,25 +27,34 @@ solution on (0, R).  Numerically:
     infinity (its r^2 v (s - s0)^2 tends to A from above), so no
     non-oscillatory certificate exists there.
 
+What does not depend on c is a rule (``_rule``), built once per
+(potential, R, s_max): a one cell's Bessel level c* and its rounding, or a
+log family's closed-form end, the largest float c with c A <= 1/4, and its
+Euler edge c_osc (``tail_edges``).  A probe then only compares c with the
+rule's thresholds.  One slot holds the last rule, keyed by the potential's
+identity and equal R and s_max; it holds the potential, so that identity
+is never reused, and ``RadialPotential`` is frozen, so the same object
+always gives the same rule.  Tables, rising inner cells and amplitude 0
+have no rule and are decided per call.
+
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
 bracket whichever domain decides each probe, found by one loop
-(``best_constant``).  An indeterminate band around the threshold is
-reported with its certified edges, and ``c_best`` is then the largest
-certified-feasible multiplier.
+(``best_constant``), whose probes share one rule.  An indeterminate band
+around the threshold is reported with its certified edges, and ``c_best``
+is then the largest certified-feasible multiplier.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, euler_tail_certificate, integrate,
-                  integrate_principal_tail, log_problem, radius_problem, tail_edges,
+from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges, euler_tail_certificate,
+                  integrate, integrate_principal_tail, log_problem, radius_problem, tail_edges,
                   wants_log_domain)
 from .potentials import J0_FIRST_ZERO, RadialPotential
 
@@ -95,12 +104,13 @@ def _margin(out: ShootingOutcome, R: float) -> Optional[float]:
     return float(r * out.trajectory["dy"][-1] * math.log(R / r))
 
 
-def _closed_form_covers(p: RadialPotential, c: float) -> bool:
-    """Whether c <= c* = 1/(4A) for a log family of amplitude A > 0, compared
-    exactly for the stored A.  Its ``closed_form`` is a positive solution on
-    (0, R) at c*, so Sturm comparison makes every such c feasible."""
-    return p.log_cells is None and p.amplitude > 0.0 and c < math.inf \
-        and Fraction(c) * Fraction(p.amplitude) <= Fraction(1, 4)
+def _closed_form_covers(c: float, A: float) -> bool:
+    """Whether c A <= 1/4 exactly, for floats c, A >= 0 (c may be inf): with
+    c = a/b and A = u/v, whether 4 a u <= b v."""
+    if c == math.inf:
+        return False
+    (a, b), (u, v) = c.as_integer_ratio(), A.as_integer_ratio()
+    return 4 * a * u <= b * v
 
 
 def _bessel_level(p: RadialPotential, R: float) -> Optional[float]:
@@ -135,12 +145,14 @@ def _level_slack(p: RadialPotential, R: float) -> float:
     return 8.0 * _EPS * (2.0 + abs(ell) + (abs(p.sigma) + abs(q)) * abs(math.log(R)))
 
 
-def _level_verdict(p: RadialPotential, c: float, R: float, c_star: float) -> FeasibilityCheck:
+def _level_verdict(p: RadialPotential, c: float, R: float, c_star: float,
+                   slack: float) -> FeasibilityCheck:
     """Decide c for one cell of slope q < 0 from its recessive solution
     J0(x), unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 is feasible
-    above ``_level_slack``, infeasible below minus it, with the first zero
-    at s* = ln(1/R) + 2 margin / q, where x = z0, and undecided between."""
-    ratio, slack = c / c_star, _level_slack(p, R)
+    above ``slack`` (``_level_slack``), infeasible below minus it, with the
+    first zero at s* = ln(1/R) + 2 margin / q, where x = z0, and undecided
+    between."""
+    ratio = c / c_star
     margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
     if abs(margin) <= slack:
         raise IndeterminateAtHorizon(
@@ -174,36 +186,80 @@ def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome)
     return s <= s_R
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """What decides a probe of (p, R, s_max) before c is known: a one cell's
+    Bessel level (None outside the float range) and its ``_level_slack``, or
+    a log family's closed-form end and Euler edges (slack 0)."""
+
+    level: Optional[float] = None
+    slack: float = 0.0
+    c_closed: float = 0.0               # the largest float c with c A <= 1/4
+    edges: Optional[TailEdges] = None   # ``tail_edges`` at c = 1
+
+
+_slot: Optional[tuple] = None    # (p, R, s_max, rule) of the last rule built, replaced whole
+
+
+def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
+    """The rule of (p, R, s_max), or None for a table, a rising inner cell
+    and amplitude 0, which have none.  One slot, keyed by p's identity and
+    equal R and s_max; a rule that fails to build (an invalid R or horizon
+    raises DomainError) stores nothing."""
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
+        return slot[3]
+    rule = None
+    if p.log_cells is None and p.amplitude > 0.0:
+        edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
+        c = p.closed_form_multiplier(R)    # 1/(4A) rounded: c or the float below it is c_closed
+        c = c if _closed_form_covers(c, p.amplitude) else math.nextafter(c, 0.0)
+        rule = _Rule(c_closed=c, edges=edges)
+    elif _one_cell(p):
+        rule = _Rule(_bessel_level(p, R), _level_slack(p, R))
+    _slot = (p, R, s_max, rule)
+    return rule
+
+
 def feasible(p: RadialPotential, c: float, R: float,
              s_max: float = S_MAX_DEFAULT) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
     is the log-domain horizon, finite and beyond the outer edge ln(1/R).  An
-    undecided verdict raises IndeterminateAtHorizon."""
+    undecided verdict raises IndeterminateAtHorizon.
+
+    A constant or a power law with alpha < 2 compares c with the Bessel
+    level of its rule (``_rule``, kept for the next call with the same
+    potential object, R and s_max); a log family of amplitude A > 0 is
+    feasible at c <= c_closed (c A <= 1/4 exactly), infeasible at c >= c_osc
+    by the edge's certificate with gamma scaled by c, and undecided between."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
+    rule = _rule(p, R, s_max)
+    if rule is not None and rule.level is not None:
+        return _level_verdict(p, c, R, rule.level, rule.slack)
     if not wants_log_domain(p):
-        c_star = _bessel_level(p, R) if _one_cell(p) else None
-        if c_star is not None:
-            return _level_verdict(p, c, R, c_star)
         out = integrate(radius_problem(p, c, R))
         return FeasibilityCheck(_swept_verdict(p, c, R, out), out, "recessive-shot",
                                 _margin(out, R))
 
-    prob = log_problem(p, c, R, s_max=s_max)
     empty = dict.fromkeys("s z dz".split(), np.empty(0))
-    if _closed_form_covers(p, c):
-        return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
-                                "closed-form")
-    cert = euler_tail_certificate(prob)
+    if rule is not None:    # a log family of amplitude A > 0
+        if c <= rule.c_closed:
+            return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
+                                    "closed-form")
+        cert = rule.edges.certificate(c)
+    else:
+        prob = log_problem(p, c, R, s_max=s_max)
+        cert = euler_tail_certificate(prob)
+        if cert is not None and cert.kind == "nonoscillatory":    # c v = 0: the branch is a line
+            out = integrate_principal_tail(prob, cert)
+            return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
     if cert is None:
         raise IndeterminateAtHorizon(
-            f"multiplier {c}: no Euler comparison certificate by s_max = {prob.s_max}",
-            multiplier=c)
-    if cert.kind == "nonoscillatory":    # c v = 0 here: the branch is a line
-        out = integrate_principal_tail(prob, cert)
-        return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
+            f"multiplier {c}: no Euler comparison certificate by s_max = {s_max}", multiplier=c)
     # oscillatory tail: infeasible, and the certificate proves a zero inside its window
     out = ShootingOutcome(empty, None, Status.ZERO_FOUND, certificate=cert)
     return FeasibilityCheck(False, out, "oscillation-certificate")
@@ -247,7 +303,9 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     closes, ``converged`` is False and c_best is the largest
     certified-feasible multiplier.
 
-    Every probe is a ``feasible`` call and ``iterations`` counts them.
+    Every probe is a ``feasible`` call and ``iterations`` counts them.  The
+    plan reads its ends (c_lo, c_osc, the level and its slack) from the
+    rule that decides every probe (``_rule``, built once for (p, R, s_max)).
     NoUpperBracket means that no float multiplier is infeasible: at
     amplitude 0 (c v = 0) it is raised after the probe at c = 0, and
     otherwise once the largest double is not certified infeasible.  A tol
@@ -291,11 +349,9 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if p.amplitude == 0.0:
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
     # the plan, (c, predicted side) pairs: each end from the rule that certifies it
-    level = _bessel_level(p, R)
-    if p.log_cells is None:    # the largest float <= c* = 1/(4A)
-        lower = p.closed_form_multiplier(R)
-        lower = lower if _closed_form_covers(p, lower) else math.nextafter(lower, 0.0)
-        c_osc = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).c_osc
+    rule = _rule(p, R, s_max)
+    if p.log_cells is None:    # the largest float <= c* = 1/(4A), and the Euler edge
+        lower, c_osc = rule.c_closed, rule.edges.c_osc
         if c_osc == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
             raise IndeterminateAtHorizon(f"multipliers in [{lower!r}, inf) undecided: no Euler "
                                          f"edge is finite by s_max = {s_max!r}", multiplier=c_osc)
@@ -307,13 +363,14 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         # the least c whose c g(s1) is a normal double
         unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
         plan = [(_TINY / min(unit.gamma, 1.0), "hi")]
-    elif level is not None and _one_cell(p):
+    elif rule is not None and rule.level is not None:
         # one cell: c* (1 -+ step), step = tol/8 or, where that lies within the
         # level's rounding, 4 slack (from tol = 8 on, [0, c* (1 + step)] is narrow)
-        step = max(0.125 * tol, 4.0 * _level_slack(p, R))
-        below, above = level * (1.0 - step), min(level * (1.0 + step), _HUGE)
+        step = max(0.125 * tol, 4.0 * rule.slack)
+        below, above = rule.level * (1.0 - step), min(rule.level * (1.0 + step), _HUGE)
         plan = [(below, "lo"), (above, "hi")] if below > 0.0 else [(above, "hi")]
     else:    # a table, or a level outside the float range: search from its nearest float
+        level = _bessel_level(p, R) if rule is None else None    # a one cell's rule has none
         if level is None:    # k / g(s_R), g = A R^(2 - sigma) in [0, 1e300]
             k, g = (J0_FIRST_ZERO * (1.0 - 0.5 * p.sigma)) ** 2, p.log_weight(-math.log(R))
             level = min(max(k / g, _TINY), _HUGE) if g else _HUGE
@@ -331,7 +388,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     # which end it replaces, so both ends stay certified.  Each iterate is
     # clamped at least tol * max(1, c) / 4 inside the bracket, so an iterate
     # that lands next to the root on the far side closes the bracket.
-    beside = not (_one_cell(p) and 0.125 * tol <= _level_slack(p, R))
+    beside = not (rule is not None and 0.125 * tol <= rule.slack)
     last = None
     while True:
         if band is None:

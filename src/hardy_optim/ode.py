@@ -645,6 +645,10 @@ class TailEdges:
     c_osc: float
     unit_osc: TailCertificate
 
+    def certificate(self, c: float) -> Optional[TailCertificate]:
+        """The oscillatory certificate of multiplier c >= c_osc, else None."""
+        return replace(self.unit_osc, gamma=c * self.unit_osc.gamma) if c >= self.c_osc else None
+
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
     """The edge of a log family from gamma = g (s - s0)^2 (``euler_gamma``)
@@ -700,8 +704,7 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
             return None
         return TailCertificate("oscillatory", gamma, None,
                                (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
-    edges = tail_edges(prob)
-    return replace(edges.unit_osc, gamma=c * edges.unit_osc.gamma) if c >= edges.c_osc else None
+    return tail_edges(prob).certificate(c)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,7 @@ class Kind(Enum):
 
 # The borderline families: the kappa of their ``_chain``, the field of their scale
 _BORDERLINE = {Kind.ADIMURTHI_LOG: (0.0, "rho"), Kind.FILIPPAS_TERTIKAS_X: (1.0, "d_scale")}
+_FLOAT_MIN = 2.0 ** -1022     # the least normal float
 
 
 @dataclass(frozen=True)
@@ -340,16 +341,39 @@ class RadialPotential:
         if not 0.0 < beta < math.inf:
             raise DomainError(f"scaling factor must be finite and > 0, got {beta}")
         if self.kind is Kind.CONSTANT:
-            return RadialPotential.constant(self.amplitude * beta ** 2, self.r_max / beta)
+            return RadialPotential.constant(self._scaled_amplitude(beta, 2.0), self.r_max / beta)
         if self.kind is Kind.POWER_LAW:
-            return RadialPotential.power_law(self.alpha, self.amplitude * beta ** (2.0 - self.alpha),
-                                             self.r_max / beta)
+            amplitude = self._scaled_amplitude(beta, 2.0 - self.alpha)
+            return RadialPotential.power_law(self.alpha, amplitude, self.r_max / beta)
         if self._euler is not None:
             return RadialPotential._borderline(self.kind, self.m, self._euler[1] / beta,
                                                self.amplitude, self.r_max / beta)
         r = np.exp(self.table_log_r) / beta
         v = np.exp(self.table_log_v) * beta ** 2
         return RadialPotential.custom(r, v, self.r_max / beta)
+
+    def _scaled_amplitude(self, beta: float, power: float) -> float:
+        """amplitude beta^power, through logarithms where beta^power alone
+        is not a normal float (a subnormal power has already lost digits);
+        a positive amplitude whose image rounds to 0 or to inf raises
+        DomainError."""
+        if not self.amplitude:
+            return 0.0
+        try:
+            factor = beta ** power
+        except OverflowError:
+            factor = math.inf
+        if _FLOAT_MIN <= factor < math.inf:
+            amplitude = self.amplitude * factor
+        else:
+            try:
+                amplitude = math.exp(math.log(self.amplitude) + power * math.log(beta))
+            except OverflowError:
+                amplitude = math.inf
+        if not 0.0 < amplitude < math.inf:
+            raise DomainError(f"amplitude {self.amplitude!r} scaled by {beta!r}^{power!r} "
+                              f"rounds to {amplitude!r}")
+        return amplitude
 
     # -- closed forms -------------------------------------------------------
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hardy_optim import RadialPotential
+from hardy_optim import RadialPotential, bestconst
 from hardy_optim.ode import S_MAX_DEFAULT
 
 # First positive zero of J0 and derived constants, frozen from a
@@ -9,6 +9,14 @@ from hardy_optim.ode import S_MAX_DEFAULT
 Z0 = 2.4048255576957727686
 Z0_SQ = 5.7831859629467845212
 J1_AT_Z0 = 0.51914749728946678814
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_rule():
+    """Clear the one rule ``feasible`` keeps for the last (potential object,
+    R, s_max): the session-scoped potentials below would otherwise carry it
+    from test to test, into tests that count or patch what a rule reads."""
+    bestconst._slot = None
 
 
 @pytest.fixture(scope="session")

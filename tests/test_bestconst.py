@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
                          brezis_vazquez_lambda, euler_tail_certificate, feasible, integrate,
@@ -983,6 +985,120 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, s_max):
     res = best_constant(RadialPotential.adimurthi_log(1), 1.0, tol=1e-6, s_max=s_max)
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
     assert 0.25 - 1e-6 <= res.c_lo < 0.25 and 0.35 <= res.c_hi <= 0.35 + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the rule: what decides a probe before c is known, built once per (p, R, s_max)
+# ---------------------------------------------------------------------------
+
+# every magnitude of double, subnormals and 2^+-1000 included (and 0, where
+# ldexp underflows)
+_DOUBLES = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1080, 1023))
+
+
+def _exactly_covered(c, A):
+    return Fraction(c) * Fraction(A) <= Fraction(1, 4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_DOUBLES, _DOUBLES)
+def test_closed_form_cover_is_exact(c, A):
+    import hardy_optim.bestconst as bestconst_mod
+    assert bestconst_mod._closed_form_covers(c, A) == _exactly_covered(c, A)
+    assert not bestconst_mod._closed_form_covers(math.inf, A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOUBLES.filter(lambda A: A > 0.0), st.integers(-2, 2))
+def test_closed_form_cover_next_to_the_quarter(A, steps):
+    # c a few ulps either side of 1/(4A), where the product decides by ulps
+    import hardy_optim.bestconst as bestconst_mod
+    c = 0.25 / A
+    for _ in range(abs(steps)):
+        c = math.nextafter(c, math.copysign(math.inf, steps))
+    if c < math.inf:
+        assert bestconst_mod._closed_form_covers(c, A) == _exactly_covered(c, A)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DOUBLES.filter(lambda A: A > 0.0))
+def test_rule_closed_form_end_is_the_largest_covered_float(A):
+    import hardy_optim.bestconst as bestconst_mod
+    rule = bestconst_mod._rule(RadialPotential.adimurthi_log(1, amplitude=A), 1.0, 40.0)
+    assert _exactly_covered(rule.c_closed, A)
+    above = math.nextafter(rule.c_closed, math.inf)
+    assert above == math.inf or not _exactly_covered(above, A)
+
+
+def _verdict(p, c, R, s_max):
+    """A probe's verdict with its evidence, or the message of an undecided one."""
+    try:
+        check = feasible(p, c, R, s_max)
+    except IndeterminateAtHorizon as exc:
+        return str(exc)
+    ev = check.evidence
+    return (check.feasible, check.method, check.margin, ev.zero_s, ev.status, ev.certificate,
+            {name: column.size for name, column in ev.trajectory.items()})
+
+
+def test_interleaved_rules_give_the_verdicts_of_a_cleared_slot(s_max):
+    # the slot is keyed by the potential object and equal R and s_max: each
+    # switch builds the rule of its own key, and an equal but distinct
+    # potential gets its own
+    import hardy_optim.bestconst as bestconst_mod
+    p, q = RadialPotential.adimurthi_log(2, amplitude=3.0), RadialPotential.power_law(1.2, 2.0)
+    twin = RadialPotential.adimurthi_log(2, amplitude=3.0)
+    assert twin == p and twin is not p
+    keys = [(p, 1.0, s_max), (p, 0.5, s_max), (q, 1.0, s_max), (p, 1.0, 2.0 * s_max),
+            (twin, 1.0, s_max), (p, 1.0, s_max), (q, 0.5, s_max)]
+    multipliers = [0.0, 0.05, 0.25 / 3.0, 0.25 / 3.0 * (1.0 + 1e-9), 0.0834, 0.3, 0.46, 0.8, 10.0]
+    decided = set()
+    for key in keys:
+        for c in multipliers:
+            kept = _verdict(key[0], c, *key[1:])
+            assert bestconst_mod._slot[0] is key[0]
+            bestconst_mod._slot = None
+            assert _verdict(key[0], c, *key[1:]) == kept, (key[1:], c)
+            decided.add(kept if isinstance(kept, str) else kept[1])
+    assert {"closed-form", "oscillation-certificate", "recessive-shot"} <= decided
+    assert any(isinstance(v, str) and "Euler" in v for v in decided)
+
+
+def test_invalid_horizon_builds_no_rule(s_max):
+    # a rule that fails to build stores nothing: the horizon is checked on
+    # every call, and the kept rule of the valid horizon stays
+    import hardy_optim.bestconst as bestconst_mod
+    p = RadialPotential.filippas_tertikas(1)
+    assert feasible(p, 0.1, 1e-3, s_max).method == "closed-form"
+    kept = bestconst_mod._slot
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not beyond the outer edge"):
+            feasible(p, 0.1, 1e-3, 5.0)
+        assert bestconst_mod._slot is kept
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_best_constant_reads_the_euler_edges_once(family, s_max, monkeypatch):
+    # the plan and all five probes share one rule: tail_edges ran once for
+    # the plan and once more in each of the 3 probes above 1/(4A)
+    import hardy_optim.bestconst as bestconst_mod
+    import hardy_optim.ode as ode_mod
+    edges = _Counter(ode_mod.tail_edges)
+    monkeypatch.setattr(ode_mod, "tail_edges", edges)
+    monkeypatch.setattr(bestconst_mod, "tail_edges", edges)
+    res = best_constant(getattr(RadialPotential, family)(2, amplitude=0.7), 1.0, s_max=s_max)
+    assert res.iterations == 5 and res.c_lo == 0.25 / 0.7
+    assert edges.calls == 1
+
+
+def test_power_law_best_constant_reads_the_bessel_level_once(s_max, monkeypatch):
+    # it ran once for the plan and once more in each of the 3 probes
+    import hardy_optim.bestconst as bestconst_mod
+    level = _Counter(bestconst_mod._bessel_level)
+    monkeypatch.setattr(bestconst_mod, "_bessel_level", level)
+    res = best_constant(RadialPotential.power_law(1.3, 2.0, r_max=0.7), 0.7, s_max=s_max)
+    assert res.iterations == 3 and res.converged
+    assert level.calls == 1
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,8 @@ for argv in (["best-constant"], ["feasible", "--c", "1"], ["classify"],
         codes.append(cli.main(argv[:1] + ["--config", config_path] + argv[1:]))
     config.parse_record(record.getvalue())
     loaded.append(["argparse" in sys.modules,
-                   any(m in sys.modules for m in {COLD_START["SCIPY_SUBMODULES"]!r})])
+                   any(m in sys.modules for m in {COLD_START["SCIPY_SUBMODULES"]!r}),
+                   "fractions" in sys.modules or "decimal" in sys.modules])
 print(json.dumps([codes, "configparser" in sys.modules, loaded]))
 """
 
@@ -163,7 +164,10 @@ def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
     # cli._parse_args; configparser's parsing once took about 0.4 of each
     # 0.85 ms best-constant op, and importing argparse 2 ms of a cold start.
     # scipy.special and scipy.linalg import argparse themselves (through
-    # numpy.f2py), so it may arrive with them and only with them
+    # numpy.f2py), so it may arrive with them and only with them.  The
+    # closed-form test c A <= 1/4 is integer arithmetic: the five
+    # subcommands without scipy load neither fractions nor decimal, which
+    # took about 2 ms of a cold start
     path = tmp_path / "run.ini"
     path.write_text("[potential]\nkind = constant\n[solver]\ngrid_n = 200\n")
     proc = subprocess.run([sys.executable, "-c", _EVERY_SUBCOMMAND, str(path),
@@ -173,5 +177,5 @@ def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
     codes, configparser_loaded, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 1, 0, 0, 0]
     assert configparser_loaded is False
-    assert loaded[:5] == [[False, False]] * 5
-    assert all(scipy for argparse, scipy in loaded if argparse)
+    assert loaded[:5] == [[False, False, False]] * 5
+    assert all(scipy for argparse, scipy, _ in loaded if argparse)

@@ -526,6 +526,39 @@ def test_non_finite_parameters_are_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: RadialPotential.constant(1.0).scaled(1e-200),
+    lambda: RadialPotential.power_law(1.0, 1e-300).scaled(1e-200),
+    lambda: RadialPotential.constant(1.0).scaled(1e200)],
+    ids=["constant-to-0", "power-to-0", "constant-to-inf"])
+def test_scaled_amplitude_out_of_the_float_range_is_rejected(build):
+    # amplitude 1e-400 was stored as 0.0, which best_constant answered as
+    # "amplitude 0: no float multiplier is infeasible" where c(V) = z0^2 /
+    # (R^2 A); beta^2 = 1e400 raised OverflowError
+    with pytest.raises(DomainError, match="rounds to"):
+        build()
+
+
+def test_scaled_amplitude_whose_power_of_beta_leaves_the_float_range():
+    # beta^2 = 1e-400 underflows, amplitude beta^2 = 1e-200 does not
+    assert RadialPotential.constant(1e200).scaled(1e-200).amplitude == \
+        pytest.approx(1e-200, rel=1e-12)
+    assert RadialPotential.power_law(4.0, 1e300).scaled(1e200).amplitude == \
+        pytest.approx(1e-100, rel=1e-12)
+    for beta in (1e-200, 1e200):
+        assert RadialPotential.constant(0.0).scaled(beta).amplitude == 0.0
+
+
+def test_scaled_amplitude_whose_power_of_beta_is_subnormal():
+    # beta^2 = 1e-322 is stored as 9.88e-323: the product 9.88e-23 was 1.2%
+    # off 1e-22, and kept because it is a normal float; likewise beta^1.5 =
+    # 1e-321 for a power law with alpha = 1/2
+    assert RadialPotential.constant(1e300).scaled(1e-161).amplitude == \
+        pytest.approx(1e-22, rel=1e-12)
+    assert RadialPotential.power_law(0.5, 1e300).scaled(1e-214).amplitude == \
+        pytest.approx(1e-21, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
