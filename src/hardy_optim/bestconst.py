@@ -4,11 +4,12 @@ A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  Numerically:
 
   * constants and power laws with alpha < 2 (one cell of slope q = alpha -
-    2 < 0): decided in closed form, without a sweep.  The recessive
-    solution is exactly J0(x), x = (2/|q|) sqrt(c A r^(2 - alpha)), so c is
-    feasible iff x(R) <= z0, i.e. c <= c* = (z0 |q|/2)^2 / (A R^|q|), and an
-    infeasible c has its first zero where x = z0.  Within the rounding of c*
-    (a few ulps, ``_level_slack``) the verdict is undecided;
+    2 < 0): decided in closed form, without a sweep, at every amplitude and
+    R.  The recessive solution is exactly J0(x), x = (2/|q|) sqrt(c A
+    r^(2 - alpha)), so c is feasible iff x(R) <= z0, i.e. c <= c* = (z0
+    |q|/2)^2 / (A R^|q|) (``_bessel_level``, in logs outside the floats),
+    and an infeasible c has its first zero where x = z0.  Within the
+    rounding of c* (a few ulps) the verdict is undecided;
   * tables whose inner cell has slope q < 0: shoot the recessive solution,
     exactly J0 on the inner cell, carried by exact transfer matrices;
     feasibility <=> no interior zero, one below every float radius
@@ -28,14 +29,15 @@ solution on (0, R).  Numerically:
     non-oscillatory certificate exists there.
 
 What does not depend on c is a rule (``_rule``), built once per
-(potential, R, s_max): a one cell's Bessel level c* and its rounding, or a
-log family's closed-form end, the largest float c with c A <= 1/4, and its
-Euler edge c_osc (``tail_edges``).  A probe then only compares c with the
-rule's thresholds.  One slot holds the last rule, keyed by the potential's
-identity and equal R and s_max; it holds the potential, so that identity
-is never reused, and ``RadialPotential`` is frozen, so the same object
-always gives the same rule.  Tables, rising inner cells and amplitude 0
-have no rule and are decided per call.
+(potential, R, s_max): a one cell's Bessel level c*, ln c* and its
+rounding, or a log family's closed-form end, the largest float c with c A
+<= 1/4, and its Euler edge c_osc (``tail_edges``).  A probe then only
+compares c with the rule's thresholds.  One slot holds the last rule,
+keyed by the potential's identity and equal R and s_max; it holds the
+potential, so that identity is never reused, and ``RadialPotential`` is
+frozen, so the same object always gives the same rule.  Tables, rising
+inner cells and the log families at amplitude 0 have no rule and are
+decided per call.
 
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
@@ -113,51 +115,51 @@ def _closed_form_covers(c: float, A: float) -> bool:
     return 4 * a * u <= b * v
 
 
-def _bessel_level(p: RadialPotential, R: float) -> Optional[float]:
-    """The Bessel level c* = (z0 (2 - sigma)/2)^2 / (A R^(2 - sigma)), A =
-    ``singular_amplitude(R)``, where sigma < 2 and every factor and c* are
-    finite and positive, else None: c(V) for a constant or a power law (to
-    ``_level_slack``), a table's search start."""
-    if p.log_cells is None or not p.sigma < 2.0:
-        return None
-    two_minus = 2.0 - p.sigma
-    try:    # a power of R overflows, or A R^(2 - sigma) is 0
-        c = (J0_FIRST_ZERO * two_minus / 2.0) ** 2 / (p.singular_amplitude(R) * R ** two_minus)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return c if 0.0 < c < math.inf else None
-
-
-def _one_cell(p: RadialPotential) -> bool:
-    """Whether p is a constant or a power law with alpha < 2: one cell of
-    slope q < 0, whose Bessel level is exact."""
-    return p.log_cells is not None and not p.log_cells[0].size and p.log_cells[3][0] < 0.0
-
-
-def _level_slack(p: RadialPotential, R: float) -> float:
-    """Bound on the error of the margin ln(c*/c) / 2 from a one-cell
-    ``_bessel_level``: the rounding of z0 and 2 - alpha (an ulp each), of
-    ln A, ln R and the exp in A = v(R) R^alpha (ulps of |ln A| and of
-    (|alpha| + |q|) |ln R|), of the powers of R, the products and c / c*,
-    taken about three times over (on 2e4 random cells, checked against
-    50-digit arithmetic, the error stayed below 7% of it)."""
+def _bessel_level(p: RadialPotential, R: float) -> tuple:
+    """(c*, ln c*, slack) of a cell kind on the ball of radius R: the Bessel
+    level c* = k / g(s_R), k = (z0 (2 - sigma)/2)^2, ln g(s_R) =
+    ``log_weight_exponent(s_R)``, s_R = ln(1/R), exact on the model at any
+    size; c* = k / e^(ln g) (e^(ln c*) where |ln g| > 700), 0 or inf where
+    not a normal float (inf at amplitude 0).  The slack, 8 eps (2 + |ln A| +
+    (|sigma| + |q|) |ln R|), plus 8 eps |ln k| where c* is not normal and the
+    margin ln(c*/c) / 2 is a difference of logs, bounds a one cell's margin
+    error (below 0.1 of it on 2e4 random cells, against 50 digits)."""
+    p.check_radius(R)
+    s_R = -math.log(R)
+    log_g = float(p.log_weight_exponent(s_R))
+    half = abs(0.5 * J0_FIRST_ZERO * (2.0 - p.sigma))    # sqrt(k)
+    log_k = 2.0 * math.log(half) if half else -math.inf
+    log_level = log_k - log_g
+    if abs(log_g) <= 700.0:
+        level = half * half / math.exp(log_g)
+    else:
+        level = math.exp(log_level) if log_level < 709.0 else math.inf
+    normal = _TINY <= level <= _HUGE
+    level = level if normal else 0.0 if log_level < 0.0 else math.inf
+    if log_g == -math.inf:    # amplitude 0: the margin is inf at every c
+        return level, log_level, 0.0
     ell, q = float(p.log_cells[2][0]), float(p.log_cells[3][0])
-    return 8.0 * _EPS * (2.0 + abs(ell) + (abs(p.sigma) + abs(q)) * abs(math.log(R)))
+    terms = 2.0 + abs(ell) + (abs(p.sigma) + abs(q)) * abs(s_R) + (0.0 if normal else abs(log_k))
+    return level, log_level, 8.0 * _EPS * terms
 
 
-def _level_verdict(p: RadialPotential, c: float, R: float, c_star: float,
-                   slack: float) -> FeasibilityCheck:
+def _level_verdict(p: RadialPotential, c: float, R: float, rule: _Rule) -> FeasibilityCheck:
     """Decide c for one cell of slope q < 0 from its recessive solution
-    J0(x), unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 is feasible
-    above ``slack`` (``_level_slack``), infeasible below minus it, with the
-    first zero at s* = ln(1/R) + 2 margin / q, where x = z0, and undecided
-    between."""
-    ratio = c / c_star
-    margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
-    if abs(margin) <= slack:
+    J0(x), unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 (from c / c*
+    where c* is a normal float, else (ln c* - ln c) / 2) is feasible above
+    the rule's slack, infeasible below minus it, with the first zero at s*
+    = ln(1/R) + 2 margin / q, where x = z0, and undecided between."""
+    if 0.0 < rule.level < math.inf:
+        ratio = c / rule.level
+        margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
+    elif c > 0.0 and rule.log_level < math.inf:    # ln c* = inf at amplitude 0, even at c = inf
+        margin = 0.5 * (rule.log_level - math.log(c))
+    else:
+        margin = math.inf
+    if abs(margin) <= rule.slack:
         raise IndeterminateAtHorizon(
-            f"multiplier {c}: within the rounding ({slack:.1e}) of the Bessel threshold "
-            f"x(R) = z0, c* = {c_star!r}", multiplier=c)
+            f"multiplier {c}: within the rounding ({rule.slack:.1e}) of the Bessel threshold "
+            f"x(R) = z0, ln c* = {rule.log_level!r}", multiplier=c)
     zero_s = None if margin > 0.0 else -math.log(R) + 2.0 * margin / float(p.log_cells[3][0])
     out = ShootingOutcome(dict.fromkeys("r y dy".split(), np.empty(0)), zero_s,
                           Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
@@ -189,10 +191,10 @@ def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome)
 @dataclass(frozen=True)
 class _Rule:
     """What decides a probe of (p, R, s_max) before c is known: a one cell's
-    Bessel level (None outside the float range) and its ``_level_slack``, or
-    a log family's closed-form end and Euler edges (slack 0)."""
+    ``_bessel_level``, or a log family's closed-form end and Euler edges."""
 
-    level: Optional[float] = None
+    level: Optional[float] = None       # c*, 0 or inf where it is not a normal float
+    log_level: float = 0.0              # ln c*
     slack: float = 0.0
     c_closed: float = 0.0               # the largest float c with c A <= 1/4
     edges: Optional[TailEdges] = None   # ``tail_edges`` at c = 1
@@ -203,9 +205,9 @@ _slot: Optional[tuple] = None    # (p, R, s_max, rule) of the last rule built, r
 
 def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
     """The rule of (p, R, s_max), or None for a table, a rising inner cell
-    and amplitude 0, which have none.  One slot, keyed by p's identity and
-    equal R and s_max; a rule that fails to build (an invalid R or horizon
-    raises DomainError) stores nothing."""
+    and a log family at amplitude 0, which have none.  One slot, keyed by
+    p's identity and equal R and s_max; a rule that fails to build (an
+    invalid R or horizon raises DomainError) stores nothing."""
     global _slot
     slot = _slot
     if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
@@ -216,8 +218,8 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
         c = p.closed_form_multiplier(R)    # 1/(4A) rounded: c or the float below it is c_closed
         c = c if _closed_form_covers(c, p.amplitude) else math.nextafter(c, 0.0)
         rule = _Rule(c_closed=c, edges=edges)
-    elif _one_cell(p):
-        rule = _Rule(_bessel_level(p, R), _level_slack(p, R))
+    elif p.log_cells is not None and not p.log_cells[0].size and p.log_cells[3][0] < 0.0:
+        rule = _Rule(*_bessel_level(p, R))    # a constant or a power law with alpha < 2
     _slot = (p, R, s_max, rule)
     return rule
 
@@ -230,17 +232,18 @@ def feasible(p: RadialPotential, c: float, R: float,
 
     A constant or a power law with alpha < 2 compares c with the Bessel
     level of its rule (``_rule``, kept for the next call with the same
-    potential object, R and s_max); a log family of amplitude A > 0 is
-    feasible at c <= c_closed (c A <= 1/4 exactly), infeasible at c >= c_osc
-    by the edge's certificate with gamma scaled by c, and undecided between."""
+    potential object, R and s_max) at every amplitude and R; a table sweeps
+    its cells; a log family of amplitude A > 0 is feasible at c <= c_closed
+    (c A <= 1/4 exactly), infeasible at c >= c_osc by the edge's certificate
+    with gamma scaled by c, and undecided between."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
     rule = _rule(p, R, s_max)
     if rule is not None and rule.level is not None:
-        return _level_verdict(p, c, R, rule.level, rule.slack)
-    if not wants_log_domain(p):
+        return _level_verdict(p, c, R, rule)
+    if not wants_log_domain(p):    # a table
         out = integrate(radius_problem(p, c, R))
         return FeasibilityCheck(_swept_verdict(p, c, R, out), out, "recessive-shot",
                                 _margin(out, R))
@@ -281,27 +284,25 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
       * an inner cell of slope q >= 0 (c(V) = 0): 2^-1022 / min(gamma, 1), gamma
         of its ``euler_tail_certificate`` at c = 1, infeasible by the cell out
         to s = inf: with c = 0 the whole bracket;
-      * a constant or a power law, at any size: c* (1 -+ tol / 8) (only the
-        upper one from tol = 8 on), around its exact Bessel level c* = (z0
-        (2 - sigma)/2)^2 / (A R^(2 - sigma)), or c* (1 -+ 4 slack) where tol
-        / 8 lies within the rounding of c* (``_level_slack``, tol ~ 8 eps).
-        ``feasible`` decides each by x(R) against z0, from the same c*,
-        unswept: three probes with c = 0, and c_best is c* to rounding.  A
-        bracket still too wide is closed to a band of that rounding's width
-        around c*, whose probes are undecided;
+      * a constant or a power law, at every amplitude and R: c* (1 -+ tol /
+        8) around its exact Bessel level c* (``_bessel_level``) clamped to
+        [2^-1022, the largest double], the lower one only if normal, or c*
+        (1 -+ 4 slack) where tol / 8 lies within the rounding of c* (tol ~ 8
+        eps).  ``feasible`` decides each by x(R) against z0, unswept: three
+        probes with c = 0, and c_best is c* to rounding; a bracket still too
+        wide is closed to a band of that rounding's width around c*;
 
-    Otherwise (a table, or a Bessel level outside the float range), or after
-    a probe that contradicts a prediction, it expands from the Bessel level
-    (clamped to the largest double or to 2^-1022) or the last probe by
-    factors of 2 until one end is certified infeasible and the other
-    feasible (or a band is met, or [0, c] is already narrow), and closes the
-    bracket to width tol * max(1, c) / 2 by an Illinois root solve of the
-    signed shooting margin (a bisection where an end has none).  Around an
-    indeterminate band the certified edges are bisected toward it instead,
-    beside a band of one multiplier c from c (1 -+ tol / 8) on, unless tol /
-    8 lies within a one-cell level's rounding; unless the bracket then
-    closes, ``converged`` is False and c_best is the largest
-    certified-feasible multiplier.
+    Otherwise (a table), or after a probe that contradicts a prediction, it
+    expands from the table's Bessel level (clamped to the largest double or
+    to 2^-1022) or the last probe by factors of 2 until one end is
+    certified infeasible and the other feasible (or a band is met, or [0,
+    c] is already narrow), and closes the bracket to width tol * max(1, c)
+    / 2 by an Illinois root solve of the signed shooting margin (a bisection
+    where an end has none).  Around an indeterminate band the certified
+    edges are bisected toward it instead, beside a band of one multiplier c
+    from c (1 -+ tol / 8) on, unless tol / 8 lies within a one-cell level's
+    rounding; unless the bracket then closes, ``converged`` is False and
+    c_best is the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     plan reads its ends (c_lo, c_osc, the level and its slack) from the
@@ -363,18 +364,15 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         # the least c whose c g(s1) is a normal double
         unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
         plan = [(_TINY / min(unit.gamma, 1.0), "hi")]
-    elif rule is not None and rule.level is not None:
+    elif rule is not None:
         # one cell: c* (1 -+ step), step = tol/8 or, where that lies within the
-        # level's rounding, 4 slack (from tol = 8 on, [0, c* (1 + step)] is narrow)
+        # level's rounding, 4 slack, c* clamped to the normal floats
         step = max(0.125 * tol, 4.0 * rule.slack)
-        below, above = rule.level * (1.0 - step), min(rule.level * (1.0 + step), _HUGE)
-        plan = [(below, "lo"), (above, "hi")] if below > 0.0 else [(above, "hi")]
-    else:    # a table, or a level outside the float range: search from its nearest float
-        level = _bessel_level(p, R) if rule is None else None    # a one cell's rule has none
-        if level is None:    # k / g(s_R), g = A R^(2 - sigma) in [0, 1e300]
-            k, g = (J0_FIRST_ZERO * (1.0 - 0.5 * p.sigma)) ** 2, p.log_weight(-math.log(R))
-            level = min(max(k / g, _TINY), _HUGE) if g else _HUGE
-        plan = [(level, None)]
+        level = min(max(rule.level, _TINY), _HUGE)
+        below, above = level * (1.0 - step), min(level * (1.0 + step), _HUGE)
+        plan = [(below, "lo"), (above, "hi")] if below >= _TINY else [(above, "hi")]
+    else:    # a table: search from its Bessel level, clamped to the normal floats
+        plan = [(min(max(_bessel_level(p, R)[0], _TINY), _HUGE), None)]
     for c, side in plan:
         if settle(c, probe(c)) != side:
             break

@@ -66,8 +66,7 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
         raise DomainError(f"multiplier must be positive, got {c}")
     if n < 3:
         raise DomainError(f"dimension must be >= 3, got {n}")
-    if not 0.0 < R <= p_pot.r_max * (1.0 + 1e-12):
-        raise DomainError(f"R = {R} outside (0, r_max = {p_pot.r_max}]")
+    p_pot.check_radius(R)
 
     if p == 2.0:
         bound = c * _essential_infimum(p_pot, R)

@@ -92,9 +92,7 @@ class HardyODEProblem:
     def __post_init__(self):
         if self.c < 0.0:
             raise DomainError(f"multiplier must be >= 0, got {self.c}")
-        if not 0.0 < self.R <= self.potential.r_max * (1.0 + 1e-12):
-            raise DomainError(
-                f"R = {self.R} outside (0, r_max = {self.potential.r_max}]")
+        self.potential.check_radius(self.R)
         if not math.isfinite(self.s_max):
             raise DomainError(f"horizon s_max must be finite, got {self.s_max}")
         if self.domain is Domain.LOG and not self.s_max > _outer_edge(self):

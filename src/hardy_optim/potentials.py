@@ -45,11 +45,13 @@ from .errors import DomainError, UnsupportedPotential
 # z0, the first positive zero of J0: scipy.special.jn_zeros(0, 1)[0] bit for bit,
 # as a literal, so that importing the package loads no scipy
 J0_FIRST_ZERO = float.fromhex('0x1.33d152e971b3fp+1')
+_FLOAT_MIN = 2.0 ** -1022     # the least normal float
 
 
 def _clip_exp(exponent):
     """exp() that saturates at 1e300 / 0.0 instead of overflowing (comparisons
-    only need 'very large', never the exact value); float or ndarray."""
+    only need 'very large'; certified code reads the exponent,
+    ``RadialPotential.log_weight_exponent``); float or ndarray."""
     if isinstance(exponent, np.ndarray):
         # NaN fails both bounds; an empty array has no min
         if exponent.size and exponent.min() >= -745.0 and exponent.max() <= 690.0:
@@ -70,17 +72,35 @@ def exprel(x: np.ndarray) -> np.ndarray:
         return np.where(x == 0.0, 1.0, np.expm1(x) / x)
 
 
+def _times_power(x, beta: float, power: float, what: str):
+    """x beta^power for x > 0, float or ndarray, through logarithms where
+    beta^power alone is not a normal float (a subnormal power has already
+    lost digits); an image that rounds to 0 or to inf raises DomainError."""
+    try:
+        factor = beta ** power
+    except OverflowError:
+        factor = math.inf
+    with np.errstate(over="ignore"):
+        y = x * factor if _FLOAT_MIN <= factor < math.inf else np.exp(np.log(x) + power * math.log(beta))
+    if not np.all((0.0 < y) & (y < math.inf)):
+        raise DomainError(f"{what} scaled by {beta!r}^{power!r} rounds to 0 or to inf")
+    return y
+
+
 # ---------------------------------------------------------------------------
 # The exponential tower and the borderline chain
 # ---------------------------------------------------------------------------
 
 def exp_tower(m: int) -> float:
-    """m-fold exponential of 1: e, e^e, e^(e^e), ..."""
+    """m-fold exponential of 1: e, e^e, e^(e^e); DomainError from m = 4 on."""
     if m < 1:
         raise DomainError(f"tower height must be >= 1, got {m}")
     value = 1.0
-    for _ in range(m):
-        value = math.exp(value)
+    try:
+        for _ in range(m):
+            value = math.exp(value)
+    except OverflowError:
+        raise DomainError(f"tower height m = {m}: exp^({m})(1) exceeds the largest float") from None
     return value
 
 
@@ -116,7 +136,6 @@ class Kind(Enum):
 
 # The borderline families: the kappa of their ``_chain``, the field of their scale
 _BORDERLINE = {Kind.ADIMURTHI_LOG: (0.0, "rho"), Kind.FILIPPAS_TERTIKAS_X: (1.0, "d_scale")}
-_FLOAT_MIN = 2.0 ** -1022     # the least normal float
 
 
 @dataclass(frozen=True)
@@ -229,31 +248,38 @@ class RadialPotential:
         """v(r) for 0 < r <= r_max; a float gives a float, an ndarray an
         ndarray of the same shape.  Derived from the coefficient in s =
         ln(1/r): ``log_weight(s) / r^2`` for the log families, ln v on the
-        cells of ``log_cells`` for the other kinds."""
+        cells of ``log_cells`` for the other kinds.  It saturates at 1e300 /
+        0: certified code reads ``log_weight_exponent``."""
         xp = np if isinstance(r, np.ndarray) else math
         r = r.astype(float, copy=False) if xp is np else float(r)
-        inside = (0.0 < r) & (r <= self.r_max * (1.0 + 1e-12))
-        if not (inside.all() if xp is np else inside):
-            bad = r[~inside].flat[0] if xp is np else r
-            raise DomainError(f"radius {bad} outside (0, {self.r_max}]")
+        self.check_radius(r)
         if self.log_cells is None:
             with np.errstate(over="ignore"):     # r * r underflows below 1.5e-154
                 v = self.log_weight(-xp.log(r)) / r / r
             return np.minimum(v, 1e300) if xp is np else min(v, 1e300)
-        return self._cell_exp(-xp.log(r), 2.0)
+        return _clip_exp(self.log_weight_exponent(-xp.log(r), 2.0))
+
+    def check_radius(self, r) -> None:
+        """DomainError unless each r (float or ndarray) is in (0, r_max (1 + 1e-12)]."""
+        inside = (0.0 < r) & (r <= self.r_max * (1.0 + 1e-12))
+        if not (inside.all() if isinstance(inside, np.ndarray) else inside):
+            bad = r[~inside].flat[0] if isinstance(r, np.ndarray) else r
+            raise DomainError(f"radius {bad} outside (0, r_max = {self.r_max}]")
 
     def log_weight(self, s):
         """r^2 * v(r) evaluated at r = e^(-s), computed stably in s; float or
         ndarray, like ``value``.  This is the coefficient (up to the
         multiplier) of the equation in the log variable; direct evaluation of
-        v(e^(-s)) would underflow for s >~ 700, so each entry works in s."""
+        v(e^(-s)) would underflow for s >~ 700, so each entry works in s.  On
+        cells it saturates at 1e300 / 0 (``_clip_exp``): certified code reads
+        ``log_weight_exponent``."""
         xp = np if isinstance(s, np.ndarray) else math
         s = s.astype(float, copy=False) if xp is np else float(s)
         euler = self._euler
         if euler is not None:
             kappa, _, s0 = euler
             return self.amplitude * _chain(self.m, s - s0, kappa, xp)[0]
-        return self._cell_exp(s, 0.0)
+        return _clip_exp(self.log_weight_exponent(s))
 
     @functools.cached_property
     def _euler(self) -> Optional[tuple]:
@@ -264,16 +290,16 @@ class RadialPotential:
         scale = getattr(self, key)
         return kappa, scale, -(kappa + math.log(scale))
 
-    def _cell_exp(self, s, lift: float):
-        """exp(ln(r^2 v) + lift s) at r = e^(-s) on the ``log_cells`` model:
-        ell + lift anchor + (q + lift)(s - anchor) on the cell of s, so that
-        lift = 2 gives ln v without the ulp(2 s) of adding 2 s afterwards (a
-        constant returns its amplitude).  A single cell skips the search."""
+    def log_weight_exponent(self, s, lift: float = 0.0):
+        """ln(r^2 v) + lift s at r = e^(-s), unclipped: ell + lift anchor + (q +
+        lift)(s - anchor) on the ``log_cells`` cell of s (lift = 2 gives ln v
+        without the ulp(2 s) of adding 2 s afterwards; -inf at amplitude 0);
+        float or ndarray, like ``log_weight``.  One cell skips the search."""
         knots, anchor, ell, q = self._cell_lines
         if knots is not None:
             k = knots.searchsorted(s, side="right")
             anchor, ell, q = anchor[k], ell[k], q[k]
-        return _clip_exp(ell + lift * anchor + (q + lift) * (s - anchor))
+        return ell + lift * anchor + (q + lift) * (s - anchor)
 
     @functools.cached_property
     def _cell_lines(self) -> tuple:
@@ -307,10 +333,6 @@ class RadialPotential:
 
     # -- structure ----------------------------------------------------------
 
-    def singular_amplitude(self, r_ref: float) -> float:
-        """Local coefficient A of v ~ A r^(-sigma), matched at r_ref."""
-        return self.value(r_ref) * r_ref ** self.sigma
-
     def euler_shift_hint(self) -> Optional[float]:
         """Natural shift s0 for comparing r^2 v(e^{-s}) against g/(s-s0)^2.
 
@@ -336,44 +358,26 @@ class RadialPotential:
         """The rescaled potential r |-> beta^2 * v(beta r) on (0, r_max / beta].
 
         Every catalog family is closed under this map, so the result is a
-        potential of the same kind.
+        potential of the same kind.  An image (amplitude, a table's r and v)
+        that rounds to 0 or to inf raises DomainError naming beta.
         """
         if not 0.0 < beta < math.inf:
             raise DomainError(f"scaling factor must be finite and > 0, got {beta}")
-        if self.kind is Kind.CONSTANT:
-            return RadialPotential.constant(self._scaled_amplitude(beta, 2.0), self.r_max / beta)
-        if self.kind is Kind.POWER_LAW:
-            amplitude = self._scaled_amplitude(beta, 2.0 - self.alpha)
+        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):
+            amplitude = float(_times_power(self.amplitude, beta, 2.0 - self.alpha,
+                                           f"amplitude {self.amplitude!r}")) if self.amplitude else 0.0
+            if self.kind is Kind.CONSTANT:
+                return RadialPotential.constant(amplitude, self.r_max / beta)
             return RadialPotential.power_law(self.alpha, amplitude, self.r_max / beta)
         if self._euler is not None:
             return RadialPotential._borderline(self.kind, self.m, self._euler[1] / beta,
                                                self.amplitude, self.r_max / beta)
-        r = np.exp(self.table_log_r) / beta
-        v = np.exp(self.table_log_v) * beta ** 2
+        with np.errstate(over="ignore"):
+            r = np.exp(self.table_log_r) / beta
+        if not np.all((0.0 < r) & (r < math.inf)):
+            raise DomainError(f"table radii scaled by {beta!r}^-1 round to 0 or to inf")
+        v = _times_power(np.exp(self.table_log_v), beta, 2.0, "a table sample")
         return RadialPotential.custom(r, v, self.r_max / beta)
-
-    def _scaled_amplitude(self, beta: float, power: float) -> float:
-        """amplitude beta^power, through logarithms where beta^power alone
-        is not a normal float (a subnormal power has already lost digits);
-        a positive amplitude whose image rounds to 0 or to inf raises
-        DomainError."""
-        if not self.amplitude:
-            return 0.0
-        try:
-            factor = beta ** power
-        except OverflowError:
-            factor = math.inf
-        if _FLOAT_MIN <= factor < math.inf:
-            amplitude = self.amplitude * factor
-        else:
-            try:
-                amplitude = math.exp(math.log(self.amplitude) + power * math.log(beta))
-            except OverflowError:
-                amplitude = math.inf
-        if not 0.0 < amplitude < math.inf:
-            raise DomainError(f"amplitude {self.amplitude!r} scaled by {beta!r}^{power!r} "
-                              f"rounds to {amplitude!r}")
-        return amplitude
 
     # -- closed forms -------------------------------------------------------
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
@@ -301,7 +301,7 @@ def test_table_zero_just_past_R_is_undecided(alpha, amplitude, R, s_max):
     from hardy_optim.bestconst import _bessel_level
     r = np.array([1e-3 * R, R])
     p = RadialPotential.custom(r, amplitude * r ** -alpha)
-    c = _bessel_level(p, R)
+    c = _bessel_level(p, R)[0]
     for _ in range(4):
         c = math.nextafter(c, math.inf)
         try:
@@ -322,7 +322,7 @@ def test_table_level_within_the_sliver_closes_around_it(s_max):
     from hardy_optim.bestconst import _bessel_level
     for r in (np.array([1e-3, 1.0]), np.logspace(-8, 0, 200)):
         p = RadialPotential.custom(r, 1.0 / r)
-        c = _bessel_level(p, 1.0)
+        c = _bessel_level(p, 1.0)[0]
         with pytest.raises(IndeterminateAtHorizon, match="accuracy of R"):
             feasible(p, c, 1.0, s_max)
         for tol in (1e-6, 1e-10):
@@ -695,7 +695,7 @@ def test_single_cell_bracket_holds_the_exact_level(alpha, tol, s_max):
 
 # probes of best_constant at tol = 8 eps on the grid above, amplitude x R
 _FLOOR_PROBES = {
-    0.0: [16, 16, 16, 16, 14, 12, 16, 12, 6], -0.5: [18, 16, 18, 16, 14, 12, 18, 14, 6],
+    0.0: [16, 16, 16, 16, 14, 12, 17, 12, 6], -0.5: [18, 16, 18, 16, 14, 12, 18, 14, 6],
     0.5: [16, 16, 16, 16, 12, 12, 16, 10, 6], 1.0: [16, 16, 16, 16, 14, 12, 14, 8, 6],
     1.5: [16, 16, 16, 14, 10, 10, 8, 4, 4], 1.9: [14, 12, 12, 4, 3, 3, 3, 3, 3],
     1.999: [3, 3, 3, 3, 3, 3, 3, 3, 3]}
@@ -747,6 +747,131 @@ def test_single_cell_verdict_within_the_rounding_of_the_level_is_undecided(alpha
     assert above.evidence.zero_s == pytest.approx(zero_s, rel=1e-12)
     assert above.evidence.trajectory["r"].size == 0
     assert feasible(p, c * (1.0 - 1e-12), 2.0, s_max).feasible
+
+
+def _one_cell_potential(alpha, amplitude, R):
+    return RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
+        RadialPotential.power_law(alpha, amplitude, R)
+
+
+# a one cell drawn by alpha, log10 R and log10 c*, its amplitude solved for:
+# c* inside and outside the float range, amplitudes from subnormal to 1e308
+_CELLS = st.tuples(
+    st.floats(-1.0, 1.9999), st.floats(-300.0, 300.0),
+    st.one_of(st.floats(-330.0, -300.0), st.floats(-310.0, 310.0), st.floats(300.0, 330.0)))
+
+
+def _cell(draw):
+    alpha, log_R, log_level = draw
+    two_minus = 2.0 - alpha
+    log_amplitude = 2.0 * math.log10(Z0 * two_minus / 2.0) - two_minus * log_R - log_level
+    if not -320.0 <= log_amplitude <= 308.0:
+        return None
+    R = 10.0 ** log_R
+    return alpha, 10.0 ** log_amplitude, R
+
+
+@settings(max_examples=400, deadline=None)
+@given(_CELLS, st.sampled_from([0.0, 2e-16, -2e-16, 1e-15, -1e-15, 3e-14, -3e-14,
+                                1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]))
+def test_single_cell_margin_is_within_its_slack_of_the_exact_margin(draw, offset):
+    # the margin ln(c*/c) / 2 against 50 digits at c next to c*, the nearest
+    # float (the largest double, or a subnormal) where c* leaves the floats:
+    # within the rule's slack, and every verdict has the exact sign
+    from hardy_optim import bestconst as bestconst_mod
+    cell = _cell(draw)
+    assume(cell is not None)
+    alpha, amplitude, R = cell
+    p = _one_cell_potential(alpha, amplitude, R)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        level = _exact_level(alpha, amplitude, R)
+        c = min(max(float(level * (1 + Decimal(offset))), 5e-324), sys.float_info.max)
+        exact = float((level.ln() - Decimal(c).ln()) / 2)
+    try:
+        check = feasible(p, c, R)
+    except IndeterminateAtHorizon:
+        check = None
+    slack = bestconst_mod._slot[3].slack
+    assert 0.0 < slack < 1e-11
+    if check is None:
+        assert abs(exact) <= 2.0 * slack, (cell, c)
+    else:
+        assert abs(check.margin - exact) <= slack, (cell, c, check.margin, exact)
+        assert check.feasible is (exact > 0.0) and check.method == "recessive-shot"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_CELLS)
+def test_single_cell_is_never_swept(draw):
+    # at every amplitude and R: probes decided in closed form, three of them
+    # wherever c* (1 -+ tol / 8) are normal floats; the level past the float
+    # range took the ladder and swept each probe (power_law(1.5) on R = 1e300)
+    from hardy_optim import bestconst as bestconst_mod
+    cell = _cell(draw)
+    assume(cell is not None)
+    alpha, amplitude, R = cell
+    p = _one_cell_potential(alpha, amplitude, R)
+    level = _exact_level(alpha, amplitude, R)
+    with pytest.MonkeyPatch.context() as patch:
+        sweeps = _Counter(bestconst_mod.integrate)
+        patch.setattr(bestconst_mod, "integrate", sweeps)
+        try:
+            res = best_constant(p, R)
+            assert res.converged and Decimal(res.c_lo) < level < Decimal(res.c_hi)
+            assert res.iterations == 3 or (res.iterations == 2 and level < Decimal(2.0 ** -1021))
+        except NoUpperBracket:
+            assert level > Decimal(sys.float_info.max) * (1 - Decimal(1e-12))
+        for c in (0.0, 5e-324, 1e-300, 1.0, 1e300, sys.float_info.max):
+            try:
+                feasible(p, c, R)
+            except IndeterminateAtHorizon:
+                pass
+        assert sweeps.calls == 0
+
+
+def test_constant_level_past_the_saturation_of_value(s_max):
+    # value(R) saturates at 1e300, so amplitude 1e301 gave a converged
+    # bracket around 5.78e-300, ten times c(V) = z0^2 / 1e301, and c = 1e-300
+    # was certified feasible; amplitude 1e305 likewise at c = 1e-302
+    p = RadialPotential.constant(1e301)
+    res = best_constant(p, 1.0, s_max=s_max)
+    assert res.converged and res.iterations == 3
+    assert Decimal(res.c_lo) < _exact_level(0.0, 1e301, 1.0) < Decimal(res.c_hi)
+    # c* to the rounding of e^(ln 1e301), ~700 ulps; relative, as pytest.approx's
+    # absolute floor 1e-12 would pass any c ~ 1e-300
+    assert abs(res.c_best / 5.7831859629467845e-301 - 1.0) <= 1e-12
+    assert not feasible(p, 1e-300, 1.0, s_max).feasible
+    assert not feasible(RadialPotential.constant(1e305), 1e-302, 1.0, s_max).feasible
+    assert feasible(RadialPotential.constant(1e305), 5e-305, 1.0, s_max).feasible
+
+
+def test_power_law_level_past_the_float_range_of_R_is_planned(s_max):
+    # R^1.5 = 1e450: the search started from the level and the ladder closed
+    # it to [3.6e-151, 7.2e-151]; it is c* (1 -+ tol / 8) now, in 3 probes
+    p, tol = RadialPotential.power_law(1.5, r_max=1e300), 1e-6
+    res = best_constant(p, 1e300, tol=tol, s_max=s_max)
+    c_star = float(_exact_level(1.5, 1.0, 1e300))
+    assert res.converged and res.iterations == 3
+    # relative: pytest.approx's absolute floor 1e-12 would pass any c ~ 1e-151
+    assert abs(res.c_lo / (c_star * (1.0 - tol / 8.0)) - 1.0) <= 1e-13
+    assert abs(res.c_hi / (c_star * (1.0 + tol / 8.0)) - 1.0) <= 1e-13
+    _assert_certified_bracket(p, 1e300, res, s_max)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.999])
+def test_amplitude_zero_one_cell_is_feasible_in_closed_form(alpha, monkeypatch, s_max):
+    # c* = inf: every multiplier is feasible, with the sweep's record, unswept
+    import hardy_optim.bestconst as bestconst_mod
+    sweeps = _Counter(bestconst_mod.integrate)
+    monkeypatch.setattr(bestconst_mod, "integrate", sweeps)
+    p = _one_cell_potential(alpha, 0.0, 2.0)
+    for c in (0.0, 0.2, 1e300, sys.float_info.max, math.inf):
+        check = feasible(p, c, 2.0, s_max)
+        assert check.feasible and check.method == "recessive-shot"
+        assert check.evidence.status is Status.NO_ZERO_ON_INTERVAL
+        assert check.evidence.first_zero is None
+    assert sweeps.calls == 0
 
 
 @pytest.mark.parametrize("alpha, amplitude, R", [(0.5, 3.0, 2.0), (0.0, 20.0, 4.0)])

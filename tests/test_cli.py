@@ -61,6 +61,29 @@ def test_best_constant_band_exit(tmp_path, capsys):
     assert float(rec["c_best"]) == pytest.approx(0.25, abs=1e-5)
 
 
+def test_best_constant_on_a_constant_past_the_saturation_of_value(tmp_path, capsys):
+    # v(R) saturates at 1e300: the record was a converged bracket around
+    # 5.78e-300, ten times c(V), and feasible --c 1e-300 said true
+    cfg = _write_config(tmp_path, potential={"kind": "constant", "amplitude": "1e301"})
+    code, out = _run(capsys, "best-constant", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 0 and rec["status"] == "converged" and rec["iterations"] == "3"
+    assert float(rec["c_lo"]) < 5.7831859629467845e-301 < float(rec["c_hi"])
+    assert float(rec["c_hi"]) / float(rec["c_lo"]) - 1.0 < 3e-7
+    code, out = _run(capsys, "feasible", "--c", "1e-300", "--config", cfg)
+    assert code == 0 and parse_record(out)["feasible"] == "false"
+
+
+@pytest.mark.parametrize("m", ["4", "5"])
+def test_tower_past_the_float_range_is_a_config_error_naming_m(tmp_path, capsys, m):
+    # the record read "[potential] math range error"
+    cfg = _write_config(tmp_path, potential={"kind": "adimurthi_log", "m": m})
+    code, out = _run(capsys, "best-constant", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and rec["type"] == "ConfigError"
+    assert f"m = {m}:" in rec["message"] and "exceeds the largest float" in rec["message"]
+
+
 def test_malformed_config(tmp_path, capsys):
     cfg = _write_config(tmp_path, potential={"kind": "nonsense"})
     code, out = _run(capsys, "best-constant", "--config", cfg)

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 
 import numpy as np
 import pytest
@@ -361,6 +362,18 @@ def test_exp_tower():
     assert exp_tower(2) == pytest.approx(math.exp(math.e), rel=1e-15)
 
 
+@pytest.mark.parametrize("m", [4, 5, 40])
+def test_tower_past_the_float_range_names_its_height(m):
+    # exp^(4)(1) = e^3814279.1... is not a float: exp_tower and the factory
+    # raised OverflowError "math range error", naming neither m nor rho
+    with pytest.raises(DomainError, match=rf"m = {m}\b"):
+        exp_tower(m)
+    for rho in (None, 1e300):
+        with pytest.raises(DomainError, match=rf"m = {m}\b"):
+            RadialPotential.adimurthi_log(m, rho=rho)
+    assert RadialPotential.adimurthi_log(3).rho == pytest.approx(exp_tower(3), rel=1e-15)
+
+
 # The chain of the two log families against the paper's definitions: X_i =
 # 1 / log^(i)(x) at x = rho / r, and X_i(x) = x_iter(i, x) at x = r / d.
 _CHAIN_FAMILIES = {"adimurthi_log": ("rho", 0.0), "filippas_tertikas": ("d_scale", 1.0)}
@@ -630,6 +643,27 @@ def test_scaled_matches_definition(beta):
             assert ps(float(r)) == pytest.approx(beta ** 2 * p(float(beta * r)), rel=1e-12)
         assert ps.kind is p.kind and ps.r_max == pytest.approx(p.r_max / beta, rel=1e-15)
         assert ps.sigma == pytest.approx(p.sigma, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta, image", [(1e200, "sample"), (1e-200, "sample"),
+                                         (1e-310, "radii"), (1e305, "radii")])
+def test_scaled_table_out_of_the_float_range_names_beta(beta, image):
+    # beta^2 = 1e400 raised OverflowError; v beta^2 = 1e-400 underflowed and
+    # the table was rejected as "samples must be strictly positive", as were
+    # radii r / beta that underflow (1e-20 / 1e305) or overflow (1 / 1e-310)
+    with pytest.raises(DomainError, match=f"{image} scaled by {re.escape(repr(beta))}"):
+        RadialPotential.custom([1e-20, 1.0], [1.0, 2.0]).scaled(beta)
+
+
+@pytest.mark.parametrize("beta", [1e-100, 0.37, 3.0, 1e100, 1e140])
+def test_scaled_table_in_range_is_unchanged(beta):
+    # images that stay in range: the same floats as r / beta and v beta^2
+    r, v = np.geomspace(1e-6, 2.0, 40), np.exp(np.linspace(-20.0, 20.0, 40))
+    p, ps = RadialPotential.custom(r, v), RadialPotential.custom(r, v).scaled(beta)
+    want = RadialPotential.custom(np.exp(p.table_log_r) / beta, np.exp(p.table_log_v) * beta ** 2,
+                                  p.r_max / beta)
+    assert np.array_equal(ps.table_log_r, want.table_log_r)
+    assert np.array_equal(ps.table_log_v, want.table_log_v) and ps.r_max == want.r_max
 
 
 @pytest.mark.parametrize("beta", [0.5, 2.0])
