@@ -8,8 +8,12 @@ constant ~1.4e30), both log families at m = 1..3 and amplitude 0.05, 1,
 20, one 40-node table, a constant at amplitude 0 (no float multiplier is
 infeasible), the table scaled by 1e-30 (best constant ~3.7e29), a constant
 at amplitude 1e301 (best constant z0^2 1e-301, past the 1e300 at which
-v(r) saturates) and alpha = 1.5 on R = 1e300 (R^1.5 overflows), all at
-grid_n = 2000.  These last two skip eigen, whose FE pencils overflow on
+v(r) saturates), alpha = 1.5 on R = 1e300 (R^1.5 overflows), a constant
+at amplitude 4e-308 (best constant 1.4e308, next to the largest double), a
+two-node table whose zeros lie below every float radius (so its shots
+have no margin) and a two-node table whose flat inner cell has r^2 v =
+2^-1078, below every float, all at grid_n = 2000.  The entries at
+amplitude 1e301 and on R = 1e300 skip eigen, whose FE pencils overflow on
 them, and check-closed-form, which reads the saturated v(r).  Each record
 is hashed with its exit code and with the CSV it writes (eigen --format
 csv, trace) by content, the temporary directory's path replaced, and one
@@ -40,7 +44,14 @@ CATALOG += [("constant A=0", {"kind": "constant", "amplitude": 0}),
             ("custom 40 nodes x 1e-30", {"kind": "custom", "samples": "table_1e-30.csv"}),
             ("constant A=1e301", {"kind": "constant", "amplitude": 1e301}),
             ("power_law alpha=1.5 r_max=1e300", {"kind": "power_law", "alpha": 1.5,
-                                                 "r_max": 1e300})]
+                                                 "r_max": 1e300}),
+            ("constant A=4e-308", {"kind": "constant", "amplitude": 4e-308}),
+            ("custom 2 nodes, zeros below float radii", {"kind": "custom", "samples": "deep.csv"}),
+            ("custom flat rising, r^2 v = 2^-1078", {"kind": "custom", "samples": "flat.csv"})]
+
+# the two-node tables, (r, v) by name
+TABLES = {"deep.csv": ([1e-10, 1e-9], [1e-305, 1e-307]),
+          "flat.csv": ([2.0 ** -34, 2.0 ** -33], [2.0 ** -1010, 2.0 ** -1012])}
 
 # entries past the float range of v(r) or of powers of R, on which eigen
 # overflows and check-closed-form reads the saturated v(r): both skipped
@@ -76,9 +87,10 @@ def main():
         tmp = Path(name)
         r = np.geomspace(1e-7, 1.0, 40)
         v = r ** -1.3 * (2.0 + np.sin(7.0 * np.log(r)))
-        for name, scale in (("table.csv", 1.0), ("table_1e-30.csv", 1e-30)):
+        tables = {"table.csv": (r, v), "table_1e-30.csv": (r, 1e-30 * v), **TABLES}
+        for name, (r, v) in tables.items():
             (tmp / name).write_text(
-                "r,v\n" + "".join(f"{ri:.17g},{vi:.17g}\n" for ri, vi in zip(r, scale * v)))
+                "r,v\n" + "".join(f"{ri:.17g},{vi:.17g}\n" for ri, vi in zip(r, v)))
         for entry, potential in CATALOG:
             keys = {k: str(tmp / val) if k == "samples" else val for k, val in potential.items()}
             (tmp / "run.ini").write_text(

@@ -42,9 +42,10 @@ decided per call.
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
 bracket whichever domain decides each probe, found by one loop
-(``best_constant``), whose probes share one rule.  An indeterminate band
-around the threshold is reported with its certified edges, and ``c_best``
-is then the largest certified-feasible multiplier.
+(``best_constant``), whose probes share one rule.  A kind with a rule is
+probed only at the ends the rule certifies; a table is searched.  An
+indeterminate band around the threshold is reported with its certified
+edges, and ``c_best`` is then the largest certified-feasible multiplier.
 """
 from __future__ import annotations
 
@@ -62,6 +63,7 @@ from .potentials import J0_FIRST_ZERO, RadialPotential
 
 _EPS = 2.0 ** -52
 _TINY, _HUGE = 2.0 ** -1022, math.nextafter(math.inf, 0.0)    # the least normal, the largest double
+_LN_TINY, _LN_HUGE = math.log(_TINY), math.log(_HUGE)
 _TOL_FLOOR = 8.0 * _EPS     # least tol whose closing step clears the float spacing
 _SLIVER = 1e-14             # a table's zero within this / min(1, |q|) of ln(1/R) is undecided
 
@@ -133,7 +135,7 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
     if abs(log_g) <= 700.0:
         level = half * half / math.exp(log_g)
     else:
-        level = math.exp(log_level) if log_level < 709.0 else math.inf
+        level = math.exp(log_level) if log_level <= _LN_HUGE else math.inf
     normal = _TINY <= level <= _HUGE
     level = level if normal else 0.0 if log_level < 0.0 else math.inf
     if log_g == -math.inf:    # amplitude 0: the margin is inf at every c
@@ -272,37 +274,37 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   s_max: float = S_MAX_DEFAULT) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    The loop probes a plan of predicted multipliers, each end from the rule
-    that certifies it, then searches:
+    The loop probes c = 0, then a plan of multipliers, each once, each an
+    end certified by the rule of its kind:
 
       * a log family of amplitude A > 0: the largest float c_lo <= 1/(4A)
-        (the closed form) and c_osc (``tail_edges``), and between them, where
-        that band is wider than tol, c_lo + delta and c_osc - delta, delta =
-        tol * max(1, c) / 4, undecided by construction: no probe sweeps, and
+        (the closed form) and c_osc (``tail_edges``).  No probe sweeps, and
         c_lo = c_best = 1/(4A) for every m, A, R and horizon.  An infinite
         c_osc raises IndeterminateAtHorizon, naming [1/(4A), inf) and s_max;
-      * an inner cell of slope q >= 0 (c(V) = 0): 2^-1022 / min(gamma, 1), gamma
-        of its ``euler_tail_certificate`` at c = 1, infeasible by the cell out
-        to s = inf: with c = 0 the whole bracket;
-      * a constant or a power law, at every amplitude and R: c* (1 -+ tol /
-        8) around its exact Bessel level c* (``_bessel_level``) clamped to
-        [2^-1022, the largest double], the lower one only if normal, or c*
-        (1 -+ 4 slack) where tol / 8 lies within the rounding of c* (tol ~ 8
-        eps).  ``feasible`` decides each by x(R) against z0, unswept: three
-        probes with c = 0, and c_best is c* to rounding; a bracket still too
-        wide is closed to a band of that rounding's width around c*;
+      * an inner cell of slope q >= 0 (c(V) = 0): 2^-1022 / min(gamma, 1),
+        gamma of its ``euler_tail_certificate`` at c = 1 (from ln g where g
+        underflows on a flat cell), infeasible by the cell out to s = inf;
+      * a constant or a power law, at every amplitude and R: c* (1 -+ step)
+        around its exact Bessel level c* (``_bessel_level``) clamped to
+        [2^-1022, the largest double], the lower one only if normal, step =
+        max(tol / 8, 2 slack + 8 eps), the least step whose margin clears
+        the level's slack.  ``feasible`` decides each by x(R) against z0,
+        unswept: three probes with c = 0, and c_best is c* to rounding;
+      * a table: its own Bessel level, clamped to the normal floats.
 
-    Otherwise (a table), or after a probe that contradicts a prediction, it
-    expands from the table's Bessel level (clamped to the largest double or
-    to 2^-1022) or the last probe by factors of 2 until one end is
-    certified infeasible and the other feasible (or a band is met, or [0,
-    c] is already narrow), and closes the bracket to width tol * max(1, c)
-    / 2 by an Illinois root solve of the signed shooting margin (a bisection
-    where an end has none).  Around an indeterminate band the certified
-    edges are bisected toward it instead, beside a band of one multiplier c
-    from c (1 -+ tol / 8) on, unless tol / 8 lies within a one-cell level's
-    rounding; unless the bracket then closes, ``converged`` is False and
-    c_best is the largest certified-feasible multiplier.
+    Where a log family's or a one cell's certified ends are wider than tol
+    (c_osc - c_lo, or a slack above tol / 8), the rule decides no multiplier
+    between them (but within 8 eps of a one cell's): they are the band,
+    unsearched.  Otherwise (a table, a one-cell level at the largest double,
+    or a probe that contradicts the plan) the loop expands from the last
+    probe by factors of 2 until one end is certified infeasible and the
+    other feasible (or a band is met, or [0, c] is already narrow), and
+    closes the bracket to width tol * max(1, c) / 2 by an Illinois root
+    solve of the signed shooting margin, a bisection unless both ends have
+    one.  Around an indeterminate band the certified edges are bisected
+    toward it instead, beside a band of one multiplier c from c (1 -+ tol /
+    8) on; unless the bracket then closes, ``converged`` is False and c_best
+    is the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.  The
     plan reads its ends (c_lo, c_osc, the level and its slack) from the
@@ -344,38 +346,34 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         return "band"
 
     def wide(a, b):
-        return b - a > 0.5 * tol * max(1.0, 0.5 * (a + b))
+        return b - a > 0.5 * tol * max(1.0, 0.5 * a + 0.5 * b)
 
     settle(0.0, probe(0.0))
     if p.amplitude == 0.0:
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
-    # the plan, (c, predicted side) pairs: each end from the rule that certifies it
+    # the plan, each multiplier probed once: an end from the rule that certifies it
     rule = _rule(p, R, s_max)
     if p.log_cells is None:    # the largest float <= c* = 1/(4A), and the Euler edge
-        lower, c_osc = rule.c_closed, rule.edges.c_osc
-        if c_osc == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
-            raise IndeterminateAtHorizon(f"multipliers in [{lower!r}, inf) undecided: no Euler "
-                                         f"edge is finite by s_max = {s_max!r}", multiplier=c_osc)
-        inside = (lower + 0.25 * tol * max(1.0, lower), c_osc - 0.25 * tol * max(1.0, c_osc))
-        plan = [(lower, "lo"), (inside[0], "band"), (inside[1], "band"), (c_osc, "hi")]
-        if not lower < inside[0] < inside[1] < c_osc:    # a band no wider than tol
-            plan = [plan[0], plan[3]]
-    elif wants_log_domain(p):    # a rising inner cell, c(V) = 0
-        # the least c whose c g(s1) is a normal double
+        plan = [rule.c_closed, rule.edges.c_osc]
+        if plan[1] == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
+            raise IndeterminateAtHorizon(f"multipliers in [{plan[0]!r}, inf) undecided: no Euler "
+                                         f"edge is finite by s_max = {s_max!r}", multiplier=plan[1])
+    elif wants_log_domain(p):    # a rising inner cell, c(V) = 0: the least c whose c g(s1)
+        # is a normal double, from ln g where g underflows at c = 1 (a flat inner cell)
         unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
-        plan = [(_TINY / min(unit.gamma, 1.0), "hi")]
-    elif rule is not None:
-        # one cell: c* (1 -+ step), step = tol/8 or, where that lies within the
-        # level's rounding, 4 slack, c* clamped to the normal floats
-        step = max(0.125 * tol, 4.0 * rule.slack)
+        plan = [_TINY / min(unit.gamma, 1.0) if unit else math.exp(_LN_TINY - p.log_cells[2][-1])]
+    elif rule is not None:    # one cell: c* (1 -+ step), the least step whose margin clears
+        # the level's slack, c* clamped to the normal floats
+        step = max(0.125 * tol, 2.0 * rule.slack + 8.0 * _EPS)
         level = min(max(rule.level, _TINY), _HUGE)
-        below, above = level * (1.0 - step), min(level * (1.0 + step), _HUGE)
-        plan = [(below, "lo"), (above, "hi")] if below >= _TINY else [(above, "hi")]
+        plan = [level * (1.0 - step), min(level * (1.0 + step), _HUGE)]
+        plan = plan if plan[0] >= _TINY else plan[1:]
     else:    # a table: search from its Bessel level, clamped to the normal floats
-        plan = [(min(max(_bessel_level(p, R)[0], _TINY), _HUGE), None)]
-    for c, side in plan:
-        if settle(c, probe(c)) != side:
-            break
+        plan = [min(max(_bessel_level(p, R)[0], _TINY), _HUGE)]
+    for c in plan:
+        settle(c, probe(c))
+    if rule is not None and band is None and hi is not None and wide(lo[0], hi[0]):
+        band = (lo[0], hi[0])    # what the rule leaves undecided, to its ends' rounding
     while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
         if hi is None and c == _HUGE:
             raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
@@ -386,22 +384,21 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     # which end it replaces, so both ends stay certified.  Each iterate is
     # clamped at least tol * max(1, c) / 4 inside the bracket, so an iterate
     # that lands next to the root on the far side closes the bracket.
-    beside = not (rule is not None and 0.125 * tol <= rule.slack)
     last = None
     while True:
         if band is None:
             a, b = lo[0], hi[0]
             if not wide(a, b):
                 break
-            delta = 0.25 * tol * max(1.0, 0.5 * (a + b))
-            x = b - fb * (b - a) / (fb - fa) if fa > fb else 0.5 * (a + b)
+            delta = 0.25 * tol * max(1.0, 0.5 * a + 0.5 * b)
+            x = b - fb * (b - a) / (fb - fa) if fa > 0.0 > fb else 0.5 * a + 0.5 * b
             x = min(max(x, a + delta), b - delta)
         elif wide(lo[0], band[0]):
-            x = 0.5 * (lo[0] + band[0])
-            x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] and beside else x
+            x = 0.5 * lo[0] + 0.5 * band[0]
+            x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] else x
         elif wide(band[1], hi[0]):
-            x = 0.5 * (band[1] + hi[0])
-            x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] and beside else x
+            x = 0.5 * band[1] + 0.5 * hi[0]
+            x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] else x
         else:
             break
         side = settle(x, probe(x))
@@ -412,12 +409,10 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         last = side
 
     (c_lo, lo_check), (c_hi, hi_check) = lo, hi
-    if band is None or not wide(c_lo, c_hi):
-        return BestConstantResult(0.5 * (c_lo + c_hi), c_lo, c_hi, iterations,
-                                  lo_check.evidence, hi_check.evidence, tolerance=tol)
-    return BestConstantResult(c_lo, c_lo, c_hi, iterations, lo_check.evidence,
-                              hi_check.evidence, tolerance=tol, converged=False,
-                              band=(c_lo, c_hi))
+    done = band is None or not wide(c_lo, c_hi)
+    return BestConstantResult(0.5 * c_lo + 0.5 * c_hi if done else c_lo, c_lo, c_hi, iterations,
+                              lo_check.evidence, hi_check.evidence, tolerance=tol,
+                              converged=done, band=None if done else (c_lo, c_hi))
 
 
 # ---------------------------------------------------------------------------

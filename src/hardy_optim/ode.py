@@ -679,12 +679,13 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     amplitude 0) it is non-oscillatory, gamma = 0.  A cell kind's inner cell
     rises (q >= 0; q < 0 raises DomainError) from s1 = max(outer edge,
     innermost knot) out to s = inf, where the model is exact, so a >= gamma
-    = c g(s1) (clipped to 1e300) there, and by Sturm comparison with
-    z'' + gamma z = 0 every solution vanishes inside [s1, s1 + pi /
-    sqrt(gamma)], within the horizon or not.  Where c g(s1) is below
-    2^-1022 and q > 0, s1 moves out along the cell to where c g = 1, so
-    gamma is a normal double (None only where q = 0 and c g underflows).  A
-    log family is oscillatory if c >= c_osc of ``tail_edges``, else None."""
+    = c g(s1) (clipped to 1e300; from ln g where g is not a normal float)
+    there, and by Sturm comparison with z'' + gamma z = 0 every solution
+    vanishes inside [s1, s1 + pi / sqrt(gamma)], within the horizon or not.
+    Where c g(s1) is below 2^-1022 and q > 0, s1 moves out along the cell
+    to where c g = 1, so gamma is a normal double (None only where q = 0
+    and c g underflows).  A log family is oscillatory if c >= c_osc of
+    ``tail_edges``, else None."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c, p, s_start = prob.c, prob.potential, _outer_edge(prob)
@@ -697,7 +698,8 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
         s1 = float(max([s_start, *p.log_cells[0][-1:]]))
         if q > 0.0 and c * p.log_weight(s1) < 2.0 ** -1022:    # out to where ln(c g) = 0
             s1 = anchor + (-math.log(c) - ell) / q
-        gamma = min(c * p.log_weight(s1), 1e300)
+        g, log_g = p.log_weight(s1), p.log_weight_exponent(s1)
+        gamma = min(c * g if g >= 2.0 ** -1022 else math.exp(math.log(c) + log_g), 1e300)
         if gamma == 0.0:
             return None
         return TailCertificate("oscillatory", gamma, None,

@@ -75,15 +75,15 @@ def exprel(x: np.ndarray) -> np.ndarray:
 def _times_power(x, beta: float, power: float, what: str):
     """x beta^power for x > 0, float or ndarray, through logarithms where
     beta^power alone is not a normal float (a subnormal power has already
-    lost digits); an image that rounds to 0 or to inf raises DomainError."""
+    lost digits); an image that is not a normal float raises DomainError."""
     try:
         factor = beta ** power
     except OverflowError:
         factor = math.inf
     with np.errstate(over="ignore"):
         y = x * factor if _FLOAT_MIN <= factor < math.inf else np.exp(np.log(x) + power * math.log(beta))
-    if not np.all((0.0 < y) & (y < math.inf)):
-        raise DomainError(f"{what} scaled by {beta!r}^{power!r} rounds to 0 or to inf")
+    if not np.all((_FLOAT_MIN <= y) & (y < math.inf)):
+        raise DomainError(f"{what} scaled by {beta!r}^{power!r} rounds to 0, a subnormal or inf")
     return y
 
 
@@ -358,8 +358,8 @@ class RadialPotential:
         """The rescaled potential r |-> beta^2 * v(beta r) on (0, r_max / beta].
 
         Every catalog family is closed under this map, so the result is a
-        potential of the same kind.  An image (amplitude, a table's r and v)
-        that rounds to 0 or to inf raises DomainError naming beta.
+        potential of the same kind.  An image that is not a normal float (a
+        radius: that rounds to 0 or inf) raises DomainError naming beta.
         """
         if not 0.0 < beta < math.inf:
             raise DomainError(f"scaling factor must be finite and > 0, got {beta}")

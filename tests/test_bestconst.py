@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
@@ -276,6 +276,22 @@ def test_single_cell_level_at_any_size_takes_three_probes():
     assert not feasible(p, res.c_hi, 1.0).feasible
 
 
+@pytest.mark.parametrize("amplitude", [3.3e-308, 4e-308, 7e-308])
+def test_single_cell_level_next_to_the_largest_double_converges(amplitude, s_max):
+    # c* from 8.3e307 to 1.8e308: ln c* >= 709.0 was taken for an overflow
+    # (ln of the largest double is 709.78), and the half-sums a + b of the
+    # bracket's ends overflowed, so each answer was [2^1023, the largest
+    # double], "converged" with c_best = inf
+    p, tol = RadialPotential.constant(amplitude), 1e-6
+    res = best_constant(p, 1.0, tol=tol, s_max=s_max)
+    c_star = _exact_level(0.0, amplitude, 1.0)
+    assert res.converged and res.iterations == 3
+    assert abs(Decimal(res.c_lo) / (c_star * Decimal(1.0 - tol / 8.0)) - 1) <= Decimal(1e-12)
+    assert abs(Decimal(res.c_hi) / (c_star * Decimal(1.0 + tol / 8.0)) - 1) <= Decimal(1e-12)
+    assert math.isfinite(res.c_best) and abs(Decimal(res.c_best) / c_star - 1) <= Decimal(1e-12)
+    _assert_certified_bracket(p, 1.0, res, s_max)
+
+
 def test_table_search_is_unchanged(s_max):
     # tables keep the single start and the search: probe count and bracket
     # of a 400-node table as before the single-cell plan.  Its tenth probe,
@@ -382,6 +398,20 @@ def test_custom_table_brackets_are_reproducible(s_max):
             assert abs(x - y) <= 1e-10 * x
 
 
+def test_illinois_close_bisects_where_an_end_has_no_margin(monkeypatch, s_max):
+    # the zeros of this table lie beyond s = 700, below every float radius,
+    # so its infeasible ends have no margin: the Illinois step put each
+    # iterate on that end, and the clamp moved it by tol c / 4 a probe
+    # (5,044 probes, 0.47 s, for [3.524488755113951e298, 3.5244896362257485e298])
+    p = RadialPotential.custom([1e-10, 1e-9], [1e-305, 1e-307])
+    assert feasible(p, 3.6e298, 1e-9, s_max).margin is None
+    probes = _probe_counter(monkeypatch)
+    res = best_constant(p, 1e-9, s_max=s_max)
+    assert probes.calls == res.iterations <= 40
+    assert res.c_lo <= 3.5244896362257485e298 and 3.524488755113951e298 <= res.c_hi
+    _assert_certified_bracket(p, 1e-9, res, s_max)
+
+
 def test_table_domain_follows_its_inner_cell():
     # over its small decades the table is r^-1.5, but its inner cell, where
     # a recessive sweep starts, is r^-2.5 (slope q = 0.5 >= 0): the radius
@@ -402,12 +432,18 @@ def test_table_domain_follows_its_inner_cell():
 
 
 class _Counter:
+    """fn, counting its calls and those that raise IndeterminateAtHorizon."""
+
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.calls, self.undecided = fn, 0, 0
 
     def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.fn(*args, **kwargs)
+        try:
+            return self.fn(*args, **kwargs)
+        except IndeterminateAtHorizon:
+            self.undecided += 1
+            raise
 
 
 @pytest.mark.parametrize("p", [
@@ -437,7 +473,7 @@ def test_log_best_constant_samples_the_tail_once(family, s_max, monkeypatch):
 
     monkeypatch.setattr(RadialPotential, "log_weight", spy)
     res = best_constant(getattr(RadialPotential, family)(2), 1.0, s_max=s_max)
-    assert res.iterations >= 5
+    assert res.iterations == 3
     assert all(shape == () for shape in shapes)
 
 
@@ -693,26 +729,22 @@ def test_single_cell_bracket_holds_the_exact_level(alpha, tol, s_max):
                 assert res.c_hi / res.c_lo - 1.0 <= 1e-12
 
 
-# probes of best_constant at tol = 8 eps on the grid above, amplitude x R
-_FLOOR_PROBES = {
-    0.0: [16, 16, 16, 16, 14, 12, 17, 12, 6], -0.5: [18, 16, 18, 16, 14, 12, 18, 14, 6],
-    0.5: [16, 16, 16, 16, 12, 12, 16, 10, 6], 1.0: [16, 16, 16, 16, 14, 12, 14, 8, 6],
-    1.5: [16, 16, 16, 14, 10, 10, 8, 4, 4], 1.9: [14, 12, 12, 4, 3, 3, 3, 3, 3],
-    1.999: [3, 3, 3, 3, 3, 3, 3, 3, 3]}
-
-
-@pytest.mark.parametrize("alpha", sorted(_FLOOR_PROBES))
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5, 1.0, 1.5, 1.9, 1.999])
 def test_single_cell_probes_at_the_floor(alpha, s_max):
-    # beside a band of one multiplier c the search probed c (1 -+ tol/8),
-    # which at tol = 8 eps lies within the level's rounding and so was
-    # undecided too: one probe more on most cells (132 for the constant's)
-    tol, counts = 8.0 * 2.0 ** -52, []
+    # at tol = 8 eps the plan's ends c* (1 -+ step), step = 2 slack + 8 eps,
+    # are the answer in three probes: a band where wider than tol.  A search
+    # once closed it beside one undecided multiplier in 3 to 18 (132 for the
+    # constant's when c (1 -+ tol/8) was undecided too)
+    import hardy_optim.bestconst as bestconst_mod
+    tol = 8.0 * 2.0 ** -52
     for amplitude in (0.05, 1.0, 20.0):
         for R in (0.25, 1.0, 4.0):
-            p = RadialPotential.constant(amplitude, R) if alpha == 0.0 else \
-                RadialPotential.power_law(alpha, amplitude, R)
-            counts.append(best_constant(p, R, tol=tol, s_max=s_max).iterations)
-    assert counts == _FLOOR_PROBES[alpha]
+            p = _one_cell_potential(alpha, amplitude, R)
+            res = best_constant(p, R, tol=tol, s_max=s_max)
+            rule = bestconst_mod._rule(p, R, s_max)
+            step = 2.0 * rule.slack + tol
+            assert res.iterations == 3 and res.band in (None, res.bracket)
+            assert res.bracket == (rule.level * (1.0 - step), rule.level * (1.0 + step))
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
@@ -803,6 +835,7 @@ def test_single_cell_margin_is_within_its_slack_of_the_exact_margin(draw, offset
 
 @settings(max_examples=100, deadline=None)
 @given(_CELLS)
+@example((0.0, 0.0, 308.0))
 def test_single_cell_is_never_swept(draw):
     # at every amplitude and R: probes decided in closed form, three of them
     # wherever c* (1 -+ tol / 8) are normal floats; the level past the float
@@ -819,6 +852,8 @@ def test_single_cell_is_never_swept(draw):
         try:
             res = best_constant(p, R)
             assert res.converged and Decimal(res.c_lo) < level < Decimal(res.c_hi)
+            assert res.c_hi - res.c_lo <= 0.5 * res.tolerance * max(1.0, res.c_hi)
+            assert math.isfinite(res.c_best)
             assert res.iterations == 3 or (res.iterations == 2 and level < Decimal(2.0 ** -1021))
         except NoUpperBracket:
             assert level > Decimal(sys.float_info.max) * (1 - Decimal(1e-12))
@@ -828,6 +863,42 @@ def test_single_cell_is_never_swept(draw):
             except IndeterminateAtHorizon:
                 pass
         assert sweeps.calls == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CELLS, st.sampled_from([8.0 * 2.0 ** -52, 1e-12, 1e-6]))
+def test_single_cell_probes_no_undecided_multiplier(draw, tol):
+    # each probe is an end its rule certifies: c = 0 and c* (1 -+ step), step
+    # = max(tol / 8, 2 slack + 8 eps).  A search once closed the bracket
+    # beside undecided multipliers, up to 24 probes a cell at tol = 8 eps
+    cell = _cell(draw)
+    assume(cell is not None)
+    alpha, amplitude, R = cell
+    level = _exact_level(alpha, amplitude, R)
+    with pytest.MonkeyPatch.context() as patch:
+        probes = _probe_counter(patch)
+        try:
+            res = best_constant(_one_cell_potential(alpha, amplitude, R), R, tol=tol)
+        except NoUpperBracket:    # the largest double within the level's rounding, or below it
+            assert level > Decimal(sys.float_info.max) * (1 - Decimal(1e-10))
+            return
+    assert probes.calls == res.iterations <= 3 and probes.undecided == 0
+    assert Decimal(res.c_lo) < level < Decimal(res.c_hi)
+
+
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_log_family_probes_no_undecided_multiplier(family, m, monkeypatch):
+    # c = 0, the closed-form end and the Euler edge, and the band between
+    # them from the rule: two probes inside it were undecided by design
+    probes = _probe_counter(monkeypatch)
+    for amplitude in (0.05, 1.0, 20.0):
+        for s_max in (1e6, 1e300):
+            probes.calls = probes.undecided = 0
+            res = best_constant(getattr(RadialPotential, family)(m, amplitude=amplitude), 1.0,
+                                s_max=s_max)
+            assert probes.calls == res.iterations == 3 and probes.undecided == 0
+            assert res.band == (res.c_lo, res.c_hi)
 
 
 def test_constant_level_past_the_saturation_of_value(s_max):
@@ -1053,9 +1124,9 @@ def test_band_at_huge_horizons(s_max):
 def test_band_at_1e300_is_within_1e_4(family, m):
     # the band [1/(4A), c_osc] narrows like 4 (pi / ln s_max)^2 and took
     # 3.3e-4 relative at the former horizon cap 1e150; at 1e300 it is
-    # 8.3e-5, in the same five probes
+    # 8.3e-5, in three probes (five, with two undecided inside the band)
     res = best_constant(getattr(RadialPotential, family)(m), 1.0, s_max=1e300)
-    assert res.iterations == 5 and res.band == (res.c_lo, res.c_hi)
+    assert res.iterations == 3 and res.band == (res.c_lo, res.c_hi)
     assert res.c_lo == 0.25 and res.c_hi / res.c_lo - 1.0 <= 1e-4
 
 
@@ -1204,15 +1275,15 @@ def test_invalid_horizon_builds_no_rule(s_max):
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_best_constant_reads_the_euler_edges_once(family, s_max, monkeypatch):
-    # the plan and all five probes share one rule: tail_edges ran once for
-    # the plan and once more in each of the 3 probes above 1/(4A)
+    # the plan and all three probes share one rule: tail_edges ran once for
+    # the plan and once more in each probe above 1/(4A)
     import hardy_optim.bestconst as bestconst_mod
     import hardy_optim.ode as ode_mod
     edges = _Counter(ode_mod.tail_edges)
     monkeypatch.setattr(ode_mod, "tail_edges", edges)
     monkeypatch.setattr(bestconst_mod, "tail_edges", edges)
     res = best_constant(getattr(RadialPotential, family)(2, amplitude=0.7), 1.0, s_max=s_max)
-    assert res.iterations == 5 and res.c_lo == 0.25 / 0.7
+    assert res.iterations == 3 and res.c_lo == 0.25 / 0.7
     assert edges.calls == 1
 
 
@@ -1315,6 +1386,24 @@ def test_rising_cell_with_an_underflowing_outer_edge_is_certified(alpha, R, monk
     assert cert.gamma >= 2.0 ** -1022 and cert.window[0] > -math.log(R)
     grid = np.linspace(*cert.window, 10001)
     assert np.all(cert.gamma <= res.c_hi * p.log_weight(grid))
+
+
+def test_flat_rising_cell_whose_weight_underflows_is_certified(s_max):
+    # r^2 v = 2^-1078 = e^-747.2 on a flat inner cell (q = 0) underflows to
+    # 0: c g(s1) read as c * 0 left c = 1e300 undecided, though c g =
+    # e^-56.4, and the plan's end at c = 1 raised AttributeError.  c g is
+    # read from ln g now
+    R = 2.0 ** -33
+    p = RadialPotential.custom([2.0 ** -34, R], [2.0 ** -1010, 2.0 ** -1012])
+    assert wants_log_domain(p) and p.log_weight(-math.log(R)) == 0.0
+    check = feasible(p, 1e300, R, s_max)
+    assert not check.feasible and check.method == "oscillation-certificate"
+    assert check.evidence.certificate.gamma == pytest.approx(math.exp(-56.4), rel=1e-3)
+    res = best_constant(p, R, s_max=s_max)
+    assert res.c_lo == 0.0 and 0.0 < res.c_hi < math.inf
+    assert res.band is None or res.band == (res.c_lo, res.c_hi)
+    hi = feasible(p, res.c_hi, R, s_max)
+    assert not hi.feasible and hi.method == "oscillation-certificate"
 
 
 def test_rising_cell_ends_near_the_tolerance_floor_are_normal(monkeypatch):

@@ -300,6 +300,21 @@ def test_feasible_on_a_rising_inner_cell_is_certified(tmp_path, capsys):
     assert float(rec["certificate_gamma"]) == 1e-12
 
 
+def test_best_constant_on_a_flat_rising_table_whose_weight_underflows(tmp_path, capsys):
+    # r^2 v = e^-747.2 on the flat inner cell underflows to 0: the plan's
+    # end raised AttributeError, a bare traceback with exit 1
+    table = tmp_path / "v.csv"
+    table.write_text(f"r,v\n{2.0 ** -34!r},{2.0 ** -1010!r}\n{2.0 ** -33!r},{2.0 ** -1012!r}\n")
+    cfg = _write_config(tmp_path, potential={"kind": "custom", "samples": str(table)})
+    code, out = _run(capsys, "best-constant", "--config", cfg)
+    rec = parse_record(out)
+    assert code in (0, 2) and out.startswith("[result]\n")
+    assert float(rec["c_lo"]) == 0.0 and 0.0 < float(rec["c_hi"]) < math.inf
+    code, out = _run(capsys, "feasible", "--c", "1e300", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 0 and (rec["feasible"], rec["method"]) == ("false", "oscillation-certificate")
+
+
 @pytest.mark.parametrize("argv,potential,error", [
     (("trace", "--c", "-1"), None, "DomainError"),
     (("trace", "--c", "1"), {"kind": "nonsense"}, "ConfigError"),

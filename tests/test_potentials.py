@@ -552,6 +552,20 @@ def test_scaled_amplitude_out_of_the_float_range_is_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build, what", [
+    (lambda: RadialPotential.constant(1e-300).scaled(1e-10), "amplitude"),
+    (lambda: RadialPotential.power_law(1.0, 1e-300).scaled(1e-20), "amplitude"),
+    (lambda: RadialPotential.custom([1e-20, 1.0], [1e-300, 1.0]).scaled(1e-10), "sample")],
+    ids=["constant", "power", "table"])
+def test_scaled_image_that_is_subnormal_is_rejected(build, what):
+    # amplitude 1e-300 scaled by 1e-10 was kept as the subnormal 1e-320,
+    # which has lost digits: on R = 1e10 its bracket lay 1.1e-5 above c(V)
+    with pytest.raises(DomainError, match=f"{what}.* rounds to 0, a subnormal or inf"):
+        build()
+    # a normal image one decade up is kept
+    assert RadialPotential.constant(1e-300).scaled(1e-3).amplitude == pytest.approx(1e-306)
+
+
 def test_scaled_amplitude_whose_power_of_beta_leaves_the_float_range():
     # beta^2 = 1e-400 underflows, amplitude beta^2 = 1e-200 does not
     assert RadialPotential.constant(1e200).scaled(1e-200).amplitude == \
