@@ -19,33 +19,27 @@ solution on (0, R).  Numerically:
     without a sweep.  Their ``closed_form`` is a positive solution at c*,
     so by Sturm comparison (the Picone identity) so is every smaller c;
   * the log families above c* and inner cells with q >= 0
-    (``wants_log_domain``): work in the log domain.  Where c v = 0 (c = 0
-    or amplitude 0) the principal branch is the line z = 1, which certifies
+    (``wants_log_domain``): the log domain.  Where c v = 0 (c = 0 or
+    amplitude 0) the principal branch, the line z = 1, certifies
     feasibility; an oscillatory certificate (a rising inner cell's at every
-    c > 0) certifies infeasibility and is the whole evidence, since it
-    proves a zero inside its window; otherwise the answer is indeterminate
-    at the horizon and said so.  Above c* a log family oscillates at
-    infinity (its r^2 v (s - s0)^2 tends to A from above), so no
-    non-oscillatory certificate exists there.
+    c > 0) proves a zero inside its window, so infeasibility; otherwise the
+    answer is indeterminate at the horizon.  Above c* a log family
+    oscillates at infinity (its r^2 v (s - s0)^2 tends to A from above), so
+    no non-oscillatory certificate exists there.
 
 What does not depend on c is a rule (``_rule``), built once per
 (potential, R, s_max): a one cell's Bessel level c*, ln c* and its
 rounding, or a log family's closed-form end, the largest float c with c A
-<= 1/4, and its Euler edge c_osc (``tail_edges``).  A probe then only
-compares c with the rule's thresholds.  One slot holds the last rule,
-keyed by the potential's identity and equal R and s_max; it holds the
-potential, so that identity is never reused, and ``RadialPotential`` is
-frozen, so the same object always gives the same rule.  Tables, rising
-inner cells and the log families at amplitude 0 have no rule and are
-decided per call.
+<= 1/4, and its Euler edge c_osc (``tail_edges``), with which a probe
+only compares c.  Tables, rising inner cells and the log families at
+amplitude 0 have no rule and are decided per call.
 
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
-bracket whichever domain decides each probe, found by one loop
-(``best_constant``), whose probes share one rule.  A kind with a rule is
-probed only at the ends the rule certifies; a table is searched.  An
-indeterminate band around the threshold is reported with its certified
-edges, and ``c_best`` is then the largest certified-feasible multiplier.
+bracket (``best_constant``): the ends that a kind's rule, or a rising
+inner cell, certifies, or a table's search.  An indeterminate band is
+reported with its certified edges, and ``c_best`` is then the largest
+certified-feasible multiplier.
 """
 from __future__ import annotations
 
@@ -59,11 +53,11 @@ from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges, euler_tail_certificate,
                   integrate, integrate_principal_tail, log_problem, radius_problem, tail_edges,
                   wants_log_domain)
-from .potentials import J0_FIRST_ZERO, RadialPotential
+from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
 
 _EPS = 2.0 ** -52
-_TINY, _HUGE = 2.0 ** -1022, math.nextafter(math.inf, 0.0)    # the least normal, the largest double
-_LN_TINY, _LN_HUGE = math.log(_TINY), math.log(_HUGE)
+_HUGE = math.nextafter(math.inf, 0.0)    # the largest double
+_LN_TINY, _LN_HUGE = math.log(TINY), math.log(_HUGE)
 _TOL_FLOOR = 8.0 * _EPS     # least tol whose closing step clears the float spacing
 _SLIVER = 1e-14             # a table's zero within this / min(1, |q|) of ln(1/R) is undecided
 
@@ -72,8 +66,7 @@ _SLIVER = 1e-14             # a table's zero within this / min(1, |q|) of ln(1/R
 class FeasibilityCheck:
     feasible: bool
     evidence: ShootingOutcome
-    method: str          # "recessive-shot" | "principal-tail" | "oscillation-certificate"
-                         # | "closed-form"
+    method: str    # "recessive-shot" | "principal-tail" | "oscillation-certificate" | "closed-form"
     margin: Optional[float] = None    # of a recessive shot, > 0 if feasible: _margin's, or
                                       # ln(c*/c) / 2 for one cell (_level_verdict)
 
@@ -136,11 +129,11 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
         level = half * half / math.exp(log_g)
     else:
         level = math.exp(log_level) if log_level <= _LN_HUGE else math.inf
-    normal = _TINY <= level <= _HUGE
+    normal = TINY <= level <= _HUGE
     level = level if normal else 0.0 if log_level < 0.0 else math.inf
     if log_g == -math.inf:    # amplitude 0: the margin is inf at every c
         return level, log_level, 0.0
-    ell, q = float(p.log_cells[2][0]), float(p.log_cells[3][0])
+    ell, q = p.inner_cell[2:]
     terms = 2.0 + abs(ell) + (abs(p.sigma) + abs(q)) * abs(s_R) + (0.0 if normal else abs(log_k))
     return level, log_level, 8.0 * _EPS * terms
 
@@ -162,7 +155,7 @@ def _level_verdict(p: RadialPotential, c: float, R: float, rule: _Rule) -> Feasi
         raise IndeterminateAtHorizon(
             f"multiplier {c}: within the rounding ({rule.slack:.1e}) of the Bessel threshold "
             f"x(R) = z0, ln c* = {rule.log_level!r}", multiplier=c)
-    zero_s = None if margin > 0.0 else -math.log(R) + 2.0 * margin / float(p.log_cells[3][0])
+    zero_s = None if margin > 0.0 else -math.log(R) + 2.0 * margin / p.inner_cell[3]
     out = ShootingOutcome(dict.fromkeys("r y dy".split(), np.empty(0)), zero_s,
                           Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
     return FeasibilityCheck(margin > 0.0, out, "recessive-shot", margin)
@@ -208,19 +201,21 @@ _slot: Optional[tuple] = None    # (p, R, s_max, rule) of the last rule built, r
 def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
     """The rule of (p, R, s_max), or None for a table, a rising inner cell
     and a log family at amplitude 0, which have none.  One slot, keyed by
-    p's identity and equal R and s_max; a rule that fails to build (an
-    invalid R or horizon raises DomainError) stores nothing."""
+    p's identity and equal R and s_max, holds p, so that identity is never
+    reused (``RadialPotential`` is frozen, so p always gives the same rule);
+    a rule that fails to build (an invalid R or horizon raises DomainError)
+    stores nothing."""
     global _slot
     slot = _slot
     if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
         return slot[3]
-    rule = None
-    if p.log_cells is None and p.amplitude > 0.0:
+    rule, cell = None, p.inner_cell
+    if cell is None and p.amplitude > 0.0:
         edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
         c = p.closed_form_multiplier(R)    # 1/(4A) rounded: c or the float below it is c_closed
         c = c if _closed_form_covers(c, p.amplitude) else math.nextafter(c, 0.0)
         rule = _Rule(c_closed=c, edges=edges)
-    elif p.log_cells is not None and not p.log_cells[0].size and p.log_cells[3][0] < 0.0:
+    elif cell is not None and cell[0] == -math.inf and cell[3] < 0.0:
         rule = _Rule(*_bessel_level(p, R))    # a constant or a power law with alpha < 2
     _slot = (p, R, s_max, rule)
     return rule
@@ -233,11 +228,11 @@ def feasible(p: RadialPotential, c: float, R: float,
     undecided verdict raises IndeterminateAtHorizon.
 
     A constant or a power law with alpha < 2 compares c with the Bessel
-    level of its rule (``_rule``, kept for the next call with the same
-    potential object, R and s_max) at every amplitude and R; a table sweeps
-    its cells; a log family of amplitude A > 0 is feasible at c <= c_closed
-    (c A <= 1/4 exactly), infeasible at c >= c_osc by the edge's certificate
-    with gamma scaled by c, and undecided between."""
+    level of its rule (``_rule``) at every amplitude and R; a table sweeps
+    its cells; a rising inner cell is infeasible at every c > 0 by its
+    certificate; a log family of amplitude A > 0 is feasible at c <=
+    c_closed (c A <= 1/4 exactly), infeasible at c >= c_osc by the edge's
+    certificate with gamma scaled by c, and undecided between."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
@@ -281,9 +276,11 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         (the closed form) and c_osc (``tail_edges``).  No probe sweeps, and
         c_lo = c_best = 1/(4A) for every m, A, R and horizon.  An infinite
         c_osc raises IndeterminateAtHorizon, naming [1/(4A), inf) and s_max;
-      * an inner cell of slope q >= 0 (c(V) = 0): 2^-1022 / min(gamma, 1),
-        gamma of its ``euler_tail_certificate`` at c = 1 (from ln g where g
-        underflows on a flat cell), infeasible by the cell out to s = inf;
+      * an inner cell of slope q >= 0 (c(V) = 0), infeasible by the cell
+        out to s = inf: the least c whose certificate's gamma is normal, read
+        off ``inner_cell``: 2^-1022 where q > 0 (its certificate moves out to
+        c g = 1), else 2^-1022 / min(e^ell, 1), in logs where e^ell is not
+        normal, clamped to the largest double;
       * a constant or a power law, at every amplitude and R: c* (1 -+ step)
         around its exact Bessel level c* (``_bessel_level``) clamped to
         [2^-1022, the largest double], the lower one only if normal, step =
@@ -292,29 +289,24 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         unswept: three probes with c = 0, and c_best is c* to rounding;
       * a table: its own Bessel level, clamped to the normal floats.
 
-    Where a log family's or a one cell's certified ends are wider than tol
-    (c_osc - c_lo, or a slack above tol / 8), the rule decides no multiplier
-    between them (but within 8 eps of a one cell's): they are the band,
-    unsearched.  Otherwise (a table, a one-cell level at the largest double,
-    or a probe that contradicts the plan) the loop expands from the last
-    probe by factors of 2 until one end is certified infeasible and the
-    other feasible (or a band is met, or [0, c] is already narrow), and
-    closes the bracket to width tol * max(1, c) / 2 by an Illinois root
-    solve of the signed shooting margin, a bisection unless both ends have
-    one.  Around an indeterminate band the certified edges are bisected
-    toward it instead, beside a band of one multiplier c from c (1 -+ tol /
-    8) on; unless the bracket then closes, ``converged`` is False and c_best
-    is the largest certified-feasible multiplier.
+    Every kind but a table is answered by its planned ends: where they are
+    wider than tol the rule decides no multiplier between them (but within
+    8 eps of a one cell's), and they are the band, unsearched.  A table's
+    loop expands from its level by factors of 2 until one end is certified
+    infeasible and the other feasible (or a band is met, or [0, c] is
+    already narrow), and closes the bracket to width tol * max(1, c) / 2 by
+    an Illinois root solve of the signed shooting margin, a bisection
+    unless both ends have one.  Around an indeterminate band the certified
+    edges are bisected toward it instead, beside a band of one multiplier c
+    from c (1 -+ tol / 8) on; unless the bracket then closes, ``converged``
+    is False and c_best is the largest certified-feasible multiplier.
 
-    Every probe is a ``feasible`` call and ``iterations`` counts them.  The
-    plan reads its ends (c_lo, c_osc, the level and its slack) from the
-    rule that decides every probe (``_rule``, built once for (p, R, s_max)).
-    NoUpperBracket means that no float multiplier is infeasible: at
-    amplitude 0 (c v = 0) it is raised after the probe at c = 0, and
-    otherwise once the largest double is not certified infeasible.  A tol
-    below 8 eps (~1.8e-15) raises DomainError: its closing step tol * max(1,
-    c) / 4 would not clear the float spacing at the bracket's ends, and the
-    loop would probe the same multiplier forever.
+    Every probe is a ``feasible`` call and ``iterations`` counts them.
+    NoUpperBracket means that no float multiplier is infeasible: raised at
+    amplitude 0 (c v = 0) after the probe at c = 0, else once no planned end
+    (for a table, the largest double) is certified infeasible.  A tol below
+    8 eps (~1.8e-15) raises DomainError: its closing step tol * max(1, c) /
+    4 would not clear the float spacing at the bracket's ends.
     """
     if not tol >= _TOL_FLOOR:
         raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
@@ -352,61 +344,64 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     if p.amplitude == 0.0:
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
     # the plan, each multiplier probed once: an end from the rule that certifies it
-    rule = _rule(p, R, s_max)
-    if p.log_cells is None:    # the largest float <= c* = 1/(4A), and the Euler edge
+    rule, cell = _rule(p, R, s_max), p.inner_cell
+    if cell is None:    # the largest float <= c* = 1/(4A), and the Euler edge
         plan = [rule.c_closed, rule.edges.c_osc]
         if plan[1] == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
             raise IndeterminateAtHorizon(f"multipliers in [{plan[0]!r}, inf) undecided: no Euler "
                                          f"edge is finite by s_max = {s_max!r}", multiplier=plan[1])
-    elif wants_log_domain(p):    # a rising inner cell, c(V) = 0: the least c whose c g(s1)
-        # is a normal double, from ln g where g underflows at c = 1 (a flat inner cell)
-        unit = euler_tail_certificate(log_problem(p, 1.0, R, s_max=s_max))
-        plan = [_TINY / min(unit.gamma, 1.0) if unit else math.exp(_LN_TINY - p.log_cells[2][-1])]
+    elif cell[3] >= 0.0:    # a rising inner cell, c(V) = 0: the least c whose gamma is normal
+        g, x = math.exp(min(cell[2], 0.0)), _LN_TINY - cell[2]    # min(e^ell, 1), ln(TINY/e^ell)
+        plan = [TINY if cell[3] > 0.0 else TINY / g if g >= TINY
+                else math.exp(x) if x <= _LN_HUGE else _HUGE]
     elif rule is not None:    # one cell: c* (1 -+ step), the least step whose margin clears
         # the level's slack, c* clamped to the normal floats
         step = max(0.125 * tol, 2.0 * rule.slack + 8.0 * _EPS)
-        level = min(max(rule.level, _TINY), _HUGE)
+        level = min(max(rule.level, TINY), _HUGE)
         plan = [level * (1.0 - step), min(level * (1.0 + step), _HUGE)]
-        plan = plan if plan[0] >= _TINY else plan[1:]
+        plan = plan if plan[0] >= TINY else plan[1:]
     else:    # a table: search from its Bessel level, clamped to the normal floats
-        plan = [min(max(_bessel_level(p, R)[0], _TINY), _HUGE)]
+        plan = [min(max(_bessel_level(p, R)[0], TINY), _HUGE)]
     for c in plan:
         settle(c, probe(c))
-    if rule is not None and band is None and hi is not None and wide(lo[0], hi[0]):
-        band = (lo[0], hi[0])    # what the rule leaves undecided, to its ends' rounding
-    while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
-        if hi is None and c == _HUGE:
+    if rule is not None or cell[3] >= 0.0:    # every kind but a table: the planned ends,
+        if hi is None:    # the band where they are wider than tol
             raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
-        c = min(2.0 * c, _HUGE) if hi is None else 0.5 * c
-        settle(c, probe(c))
+        band = (lo[0], hi[0])
+    else:    # a table: double or halve from its level, then close on the margin
+        while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
+            if hi is None and c == _HUGE:
+                raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
+            c = min(2.0 * c, _HUGE) if hi is None else 0.5 * c
+            settle(c, probe(c))
 
-    # The margin decides where the next multiplier goes; the verdict decides
-    # which end it replaces, so both ends stay certified.  Each iterate is
-    # clamped at least tol * max(1, c) / 4 inside the bracket, so an iterate
-    # that lands next to the root on the far side closes the bracket.
-    last = None
-    while True:
-        if band is None:
-            a, b = lo[0], hi[0]
-            if not wide(a, b):
+        # The margin decides where the next multiplier goes; the verdict
+        # decides which end it replaces, so both ends stay certified.  Each
+        # iterate is clamped at least tol * max(1, c) / 4 inside the bracket,
+        # so an iterate that lands next to the root on the far side closes it.
+        last = None
+        while True:
+            if band is None:
+                a, b = lo[0], hi[0]
+                if not wide(a, b):
+                    break
+                delta = 0.25 * tol * max(1.0, 0.5 * a + 0.5 * b)
+                x = b - fb * (b - a) / (fb - fa) if fa > 0.0 > fb else 0.5 * a + 0.5 * b
+                x = min(max(x, a + delta), b - delta)
+            elif wide(lo[0], band[0]):
+                x = 0.5 * lo[0] + 0.5 * band[0]
+                x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] else x
+            elif wide(band[1], hi[0]):
+                x = 0.5 * band[1] + 0.5 * hi[0]
+                x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] else x
+            else:
                 break
-            delta = 0.25 * tol * max(1.0, 0.5 * a + 0.5 * b)
-            x = b - fb * (b - a) / (fb - fa) if fa > 0.0 > fb else 0.5 * a + 0.5 * b
-            x = min(max(x, a + delta), b - delta)
-        elif wide(lo[0], band[0]):
-            x = 0.5 * lo[0] + 0.5 * band[0]
-            x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] else x
-        elif wide(band[1], hi[0]):
-            x = 0.5 * band[1] + 0.5 * hi[0]
-            x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] else x
-        else:
-            break
-        side = settle(x, probe(x))
-        if side == last == "lo":
-            fb *= 0.5      # Illinois: the same end moved twice, so the other's weight halves
-        elif side == last == "hi":
-            fa *= 0.5
-        last = side
+            side = settle(x, probe(x))
+            if side == last == "lo":
+                fb *= 0.5      # Illinois: the same end moved twice, so the other's weight halves
+            elif side == last == "hi":
+                fa *= 0.5
+            last = side
 
     (c_lo, lo_check), (c_hi, hi_check) = lo, hi
     done = band is None or not wide(c_lo, c_hi)

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
-from .potentials import J0_FIRST_ZERO, RadialPotential
+from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 S_MAX_DEFAULT = 1e6           # default log-domain horizon
@@ -169,7 +169,7 @@ def wants_log_domain(p: RadialPotential) -> bool:
     """The log families (no ``log_cells``) and inner cells of slope q = sigma
     - 2 >= 0 (alpha >= 2 for a power law) have no recessive start at r = 0
     (``_inner_cell_start``): their feasibility is decided in the log domain."""
-    return p.log_cells is None or bool(p.log_cells[3][-1] >= 0.0)
+    return p.inner_cell is None or p.inner_cell[3] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +554,10 @@ def _inner_cell_start(prob: HardyODEProblem):
     with q >= 0 (sigma >= 2), which have no recessive branch of this form.
     """
     p = prob.potential
-    if p.log_cells is None:
+    if p.inner_cell is None:
         raise UnsupportedSingularity(
             f"{p.kind.value} potential has no recessive cell start; use the log domain")
-    knot, anchor, ell, q = (arr[-1] if arr.size else -math.inf for arr in p.log_cells)
+    knot, anchor, ell, q = p.inner_cell
     s0 = max(-math.log(_TRAJECTORY_START * prob.R), knot)
     if _vanishes(prob):
         return s0, (1.0, 0.0)
@@ -684,23 +684,23 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     vanishes inside [s1, s1 + pi / sqrt(gamma)], within the horizon or not.
     Where c g(s1) is below 2^-1022 and q > 0, s1 moves out along the cell
     to where c g = 1, so gamma is a normal double (None only where q = 0
-    and c g underflows).  A log family is oscillatory if c >= c_osc of
+    and c g is not one).  A log family is oscillatory if c >= c_osc of
     ``tail_edges``, else None."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     c, p, s_start = prob.c, prob.potential, _outer_edge(prob)
     if _vanishes(prob):
         return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (prob.s_max, math.inf))
-    if p.log_cells is not None:
-        anchor, ell, q = (float(cells[-1]) for cells in p.log_cells[1:])
+    if p.inner_cell is not None:
+        knot, anchor, ell, q = p.inner_cell
         if q < 0.0:
             raise DomainError("an inner cell of slope q < 0 is swept in the radius domain")
-        s1 = float(max([s_start, *p.log_cells[0][-1:]]))
-        if q > 0.0 and c * p.log_weight(s1) < 2.0 ** -1022:    # out to where ln(c g) = 0
+        s1 = max(s_start, knot)
+        if q > 0.0 and c * p.log_weight(s1) < TINY:    # out to where ln(c g) = 0
             s1 = anchor + (-math.log(c) - ell) / q
         g, log_g = p.log_weight(s1), p.log_weight_exponent(s1)
-        gamma = min(c * g if g >= 2.0 ** -1022 else math.exp(math.log(c) + log_g), 1e300)
-        if gamma == 0.0:
+        gamma = min(c * g if g >= TINY else math.exp(math.log(c) + log_g), 1e300)
+        if gamma < TINY:    # subnormal or 0: its rounding no longer bounds a
             return None
         return TailCertificate("oscillatory", gamma, None,
                                (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
@@ -772,6 +772,9 @@ def residual(phi: np.ndarray, prob: HardyODEProblem, grid: np.ndarray) -> float:
         dphi = np.gradient(phi, t)
         phi_tt = np.gradient(dphi, t)
         phi_tt[:2] = phi_tt[-2:] = np.nan
-    a = prob.c * prob.potential.log_weight(-t)
+    p, g = prob.potential, prob.potential.log_weight(-t)
+    a = prob.c * g
+    if p.inner_cell is not None and prob.c > 0.0:    # c g from ln g where a cell's g saturates
+        a[g >= 1e300] = np.exp(math.log(prob.c) + p.log_weight_exponent(-t[g >= 1e300]))
     res = np.abs(phi_tt + a * phi) / np.maximum(1.0, np.abs(phi))
     return float(np.nanmax(res[2:-2]))

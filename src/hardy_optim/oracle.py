@@ -33,10 +33,9 @@ import numpy as np
 
 from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainError,
                      HardyError, IndefiniteForm, NonMonotoneSequence, SingularMass)
-from .potentials import RadialPotential
+from .potentials import TINY, RadialPotential
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
-_TINY = np.finfo(float).tiny       # smallest normal double
 _CERT_GAP = 1e-6                   # relative gap from a certified shift up to lambda1
 _EIG_TOL = 1e-10                   # relative settling of lambda~ that ends inverse iteration
 _MAX_ITER = 80                     # inverse iteration steps before HardyError
@@ -116,7 +115,7 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     """
     h2 = np.diff(nodes) ** 2
     weight = np.diff(nodes ** (a + 1.0)) / (a + 1.0)     # int r^a dr per cell
-    if min(h2.min(), weight.min()) < _TINY:
+    if min(h2.min(), weight.min()) < TINY:
         raise DomainError(
             f"grid cells near r_min = {nodes[0]:g} underflow double precision; "
             "raise r_min")
@@ -155,7 +154,7 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
         if hardy:
             h_diag += wi * e
     m_diag *= half
-    if np.any(m_diag[:-1] < _TINY):
+    if np.any(m_diag[:-1] < TINY):
         raise SingularMass("potential weight vanishes or underflows on a full cell")
     pencil = k_diag[:-1], k_off[:-1], m_diag[:-1]
     return pencil + ((h_diag * half)[:-1],) if hardy else pencil

@@ -16,9 +16,10 @@ s = ln(1/r): ``log_weight(s)`` = r^2 v(r) at r = e^(-s).  The two log
 families are one chain (``_chain``), X_1 = 1/(s - s0), X_(i+1) = 1/(kappa -
 ln X_i), r^2 v = A sum_j prod_{i<=j} X_i^2, that differs only by kappa: 0 for
 the iterated logs (X_i = 1/log^(i)(rho/r)), 1 for the X family.  Constants,
-power laws and tables evaluate it on ``log_cells``, the piecewise-linear
-model of ln(r^2 v) in s that their exact sweeps integrate.  ``value`` is
-derived from it.  Both, and ``closed_form``, keep a float or ndarray's shape.
+power laws and tables evaluate it on ``log_cells`` (the last cell,
+``inner_cell``), the piecewise-linear model of ln(r^2 v) in s that their
+exact sweeps integrate.  ``value`` is derived from it.  Both, and
+``closed_form``, keep a float or ndarray's shape.
 
 The two log families carry exact positive solutions of the reduced radial
 equation at multiplier 1/4, (prod X_i)^(-1/2) (see ``closed_form`` /
@@ -45,7 +46,7 @@ from .errors import DomainError, UnsupportedPotential
 # z0, the first positive zero of J0: scipy.special.jn_zeros(0, 1)[0] bit for bit,
 # as a literal, so that importing the package loads no scipy
 J0_FIRST_ZERO = float.fromhex('0x1.33d152e971b3fp+1')
-_FLOAT_MIN = 2.0 ** -1022     # the least normal float
+TINY = 2.0 ** -1022           # the least normal double
 
 
 def _clip_exp(exponent):
@@ -81,8 +82,8 @@ def _times_power(x, beta: float, power: float, what: str):
     except OverflowError:
         factor = math.inf
     with np.errstate(over="ignore"):
-        y = x * factor if _FLOAT_MIN <= factor < math.inf else np.exp(np.log(x) + power * math.log(beta))
-    if not np.all((_FLOAT_MIN <= y) & (y < math.inf)):
+        y = x * factor if TINY <= factor < math.inf else np.exp(np.log(x) + power * math.log(beta))
+    if not np.all((TINY <= y) & (y < math.inf)):
         raise DomainError(f"{what} scaled by {beta!r}^{power!r} rounds to 0, a subnormal or inf")
     return y
 
@@ -295,18 +296,20 @@ class RadialPotential:
         lift)(s - anchor) on the ``log_cells`` cell of s (lift = 2 gives ln v
         without the ulp(2 s) of adding 2 s afterwards; -inf at amplitude 0);
         float or ndarray, like ``log_weight``.  One cell skips the search."""
-        knots, anchor, ell, q = self._cell_lines
-        if knots is not None:
-            k = knots.searchsorted(s, side="right")
-            anchor, ell, q = anchor[k], ell[k], q[k]
+        knot, anchor, ell, q = self.inner_cell
+        if knot > -math.inf:    # a table: the cell of s
+            k = self.log_cells[0].searchsorted(s, side="right")
+            anchor, ell, q = (line[k] for line in self.log_cells[1:])
         return ell + lift * anchor + (q + lift) * (s - anchor)
 
     @functools.cached_property
-    def _cell_lines(self) -> tuple:
-        """``log_cells``, with a single cell as Python floats and no knots
-        (None): scalar calls then do float arithmetic only."""
-        knots, anchors, ell, q = self.log_cells
-        return (knots, anchors, ell, q) if knots.size else (None, 0.0, float(ell[0]), float(q[0]))
+    def inner_cell(self) -> Optional[tuple]:
+        """The last cell of ``log_cells`` in floats (knot, anchor, ell, q), from
+        its knot (-inf for one cell) up to s = inf; None for the log families."""
+        if self.log_cells is None:
+            return None
+        knots, *lines = self.log_cells
+        return (float(knots[-1]) if knots.size else -math.inf, *(float(x[-1]) for x in lines))
 
     @functools.cached_property
     def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:

@@ -611,6 +611,7 @@ def test_rising_inner_cell_upper_end_never_underflows(alpha, amplitude):
     assert all(end > 0.0 for end in ends) and ends[1] == ends[0]
     assert ends[0] == pytest.approx(2.0 ** -1022 / min(amplitude, 1.0), rel=1e-12)
     for s_max, end in zip(horizons, ends):
+        end = end if alpha == 2.0 else 2.0 ** -1022    # q > 0: certified out where c g = 1
         res = best_constant(p, 1.0, s_max=s_max)
         assert res.bracket == (0.0, end) and res.iterations == 2
         check = feasible(p, end, 1.0, s_max)
@@ -1178,7 +1179,11 @@ def test_contradicting_verdict_widens_the_band(monkeypatch, s_max):
         return bestconst_mod.FeasibilityCheck(c < 0.25 or 0.3 <= c < 0.35, None, "fake")
 
     monkeypatch.setattr(bestconst_mod, "feasible", fake_feasible)
-    res = best_constant(RadialPotential.adimurthi_log(1), 1.0, tol=1e-6, s_max=s_max)
+    # a flat 40-node table of Bessel level 0.27: a log family no longer searches
+    r = np.geomspace(1e-3, 1.0, 40)
+    p = RadialPotential.custom(r, np.full(40, Z0_SQ / 0.27))
+    assert bestconst_mod._bessel_level(p, 1.0)[0] == pytest.approx(0.27, rel=1e-12)
+    res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)
     assert not res.converged and res.band == (res.c_lo, res.c_hi)
     assert 0.25 - 1e-6 <= res.c_lo < 0.25 and 0.35 <= res.c_hi <= 0.35 + 1e-6
 
@@ -1422,6 +1427,54 @@ def test_rising_cell_ends_near_the_tolerance_floor_are_normal(monkeypatch):
     ends = [check.evidence.certificate for check in checks if not check.feasible]
     assert len(ends) == res.iterations - 1
     assert all(cert.gamma >= 2.0 ** -1022 for cert in ends)
+
+
+def _rising_power_law(alpha, log_amplitude, log_R):
+    R = 10.0 ** log_R
+    return RadialPotential.power_law(alpha, 10.0 ** log_amplitude, r_max=R), R
+
+
+def _flat_table(a, b):
+    """The two-node table r^2 v = 2^(2a + b) on [2^a, 2^(a + 1)], flat to
+    rounding (q = 0, or +-1 ulp over ln 2)."""
+    return RadialPotential.custom([2.0 ** a, 2.0 ** (a + 1)], [2.0 ** b, 2.0 ** (b - 2)]), 2.0 ** (a + 1)
+
+
+# rising inner cells: power laws with alpha in [2, 4] on R in [1e-3, 1e3], and
+# flat two-node tables whose r^2 v underflows (2a + b <= -1075)
+_RISING_CELLS = st.one_of(
+    st.builds(_rising_power_law, st.one_of(st.just(2.0), st.floats(2.0, 4.0)),
+              st.floats(-300.0, 300.0), st.floats(-3.0, 3.0)),
+    st.integers(-1000, -2).flatmap(
+        lambda a: st.builds(_flat_table, st.just(a), st.integers(-1072, -1075 - 2 * a))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RISING_CELLS, st.sampled_from([8.0 * 2.0 ** -52, 1e-12, 1e-6]))
+@example(_rising_power_law(2.0, -300.0, 0.0), 8.0 * 2.0 ** -52)
+@example(_flat_table(-34, -1010), 8.0 * 2.0 ** -52)
+@example(_flat_table(-500, -1072), 1e-6)
+def test_rising_inner_cell_is_answered_by_its_planned_end(cell, tol):
+    # c(V) = 0, and every c > 0 is infeasible by the cell out to s = inf.
+    # The ladder halved a planned end wider than tol through certificates of
+    # subnormal gamma: 27 probes for power_law(2, 1e-300) at tol 8 eps, 101
+    # for the flat table r^2 v = 2^-1078
+    p, R = cell
+    assume(wants_log_domain(p))
+    with pytest.MonkeyPatch.context() as patch:
+        probes = _probe_counter(patch)
+        try:
+            res = best_constant(p, R, tol=tol)
+        except NoUpperBracket:    # even the largest double gives a subnormal gamma
+            _, _, ell, q = p.inner_cell
+            assert q == 0.0 and math.exp(math.log(sys.float_info.max) + ell) < 2.0 ** -1022
+            assert probes.calls <= 2
+            return
+    assert probes.calls == res.iterations <= 2 and res.c_lo == 0.0
+    check = feasible(p, res.c_hi, R)
+    assert not check.feasible and check.evidence.certificate.gamma >= 2.0 ** -1022
+    wide = res.c_hi > 0.5 * tol * max(1.0, 0.5 * res.c_hi)
+    assert (res.band is not None) == wide == (not res.converged)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,18 @@ def test_check_closed_form_subcommand(tmp_path, capsys):
     assert float(rec["multiplier"]) == 0.25
 
 
+def test_check_closed_form_past_the_saturation_of_v(tmp_path, capsys):
+    # at amplitude 1e301, r^2 v saturates at 1e300 near R, and the residual
+    # read c r^2 v from it: 0.92, against 1.66e-9 at amplitude 1e299
+    residuals = []
+    for amplitude in ("1e301", "1e299"):
+        cfg = _write_config(tmp_path, potential={"kind": "constant", "amplitude": amplitude})
+        code, out = _run(capsys, "check-closed-form", "--config", cfg)
+        assert code == 0
+        residuals.append(float(parse_record(out)["residual_max"]))
+    assert residuals[0] <= 1e-8 and residuals[0] == pytest.approx(residuals[1], rel=1e-3)
+
+
 def test_trace_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out_path = tmp_path / "traj.csv"

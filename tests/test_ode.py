@@ -656,6 +656,19 @@ def test_rising_cell_certificate_holds_on_a_dense_grid(R):
         assert np.all(c * p.log_weight(s) >= cert.gamma * (1.0 - 1e-15)), (p, c)
 
 
+def test_flat_rising_cell_certifies_no_subnormal_gamma():
+    # on a flat inner cell (q = 0) gamma = c g(s1) was returned subnormal,
+    # where its rounding no longer bounds a: a certificate's gamma is a
+    # normal double, and below that there is none
+    for p, c in ((RadialPotential.power_law(2.0, 1e-300), 1e-10),
+                 (RadialPotential.custom([2.0 ** -34, 2.0 ** -33], [2.0 ** -1010, 2.0 ** -1012]),
+                  1e10)):
+        R = p.r_max
+        assert p.inner_cell[3] == 0.0
+        assert euler_tail_certificate(log_problem(p, c, R)) is None
+        assert euler_tail_certificate(log_problem(p, 1e20 * c, R)).gamma >= 2.0 ** -1022
+
+
 def test_euler_certificate_rejects_a_falling_inner_cell():
     # an inner cell of slope q < 0 (alpha < 2) has no rising-cell bound;
     # its recessive shot runs in the radius domain

@@ -193,12 +193,23 @@ def test_clip_exp_fast_path_matches_the_saturating_path(exponent):
                          ids=["constant", "power_law"])
 def test_clip_exp_saturates_at_amplitude_zero(p):
     # ell = -inf on the single cell: every exponent is -inf, every weight 0
-    _, anchor, ell, q = p._cell_lines
+    _, anchor, ell, q = p.inner_cell
     assert ell == -math.inf
     s = np.linspace(-5.0, 800.0, 50)
     exponent = ell + q * (s - anchor)
     assert _clip_exp(exponent).tobytes() == _saturating_exp(exponent).tobytes()
     assert p.log_weight(s).tobytes() == np.zeros(s.size).tobytes()
+
+
+def test_inner_cell_is_the_last_of_log_cells_as_floats():
+    r = np.geomspace(1e-6, 1.0, 30)
+    for p in (RadialPotential.constant(3.0), RadialPotential.power_law(2.5, 1e-30),
+              RadialPotential.custom(r, r ** -1.3)):
+        cell = p.inner_cell
+        assert all(type(x) is float for x in cell)
+        knots, anchors, ell, q = p.log_cells
+        assert cell == ((knots[-1] if knots.size else -math.inf), anchors[-1], ell[-1], q[-1])
+    assert RadialPotential.adimurthi_log(2).inner_cell is None
 
 
 @pytest.mark.parametrize("name", ["adimurthi_m1", "ft_x_m3"])
