@@ -1,45 +1,22 @@
 """Feasibility of the reduced equation and the best improvement constant.
 
 A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
-solution on (0, R).  Numerically:
+solution on (0, R).  What does not depend on c is a rule (``_rule``), built
+once per (potential, R, s_max), whose ``verdict(c)`` decides a probe and
+whose ``plan(tol)`` names the ends that ``best_constant`` probes:
 
-  * constants and power laws with alpha < 2 (one cell of slope q = alpha -
-    2 < 0): decided in closed form, without a sweep, at every amplitude and
-    R.  The recessive solution is exactly J0(x), x = (2/|q|) sqrt(c A
-    r^(2 - alpha)), so c is feasible iff x(R) <= z0, i.e. c <= c* = (z0
-    |q|/2)^2 / (A R^|q|) (``_bessel_level``, in logs outside the floats),
-    and an infeasible c has its first zero where x = z0.  Within the
-    rounding of c* (a few ulps) the verdict is undecided;
-  * tables whose inner cell has slope q < 0: shoot the recessive solution,
-    exactly J0 on the inner cell, carried by exact transfer matrices;
-    feasibility <=> no interior zero, one below every float radius
-    included.  A zero within the sweep's accuracy of R (``_SLIVER``) is
-    undecided; a zero at R exactly is the boundary case, feasible;
-  * the log families of amplitude A > 0 at c <= c* = 1/(4A): feasible
-    without a sweep.  Their ``closed_form`` is a positive solution at c*,
-    so by Sturm comparison (the Picone identity) so is every smaller c;
-  * the log families above c* and inner cells with q >= 0
-    (``wants_log_domain``): the log domain.  Where c v = 0 (c = 0 or
-    amplitude 0) the principal branch, the line z = 1, certifies
-    feasibility; an oscillatory certificate (a rising inner cell's at every
-    c > 0) proves a zero inside its window, so infeasibility; otherwise the
-    answer is indeterminate at the horizon.  Above c* a log family
-    oscillates at infinity (its r^2 v (s - s0)^2 tends to A from above), so
-    no non-oscillatory certificate exists there.
-
-What does not depend on c is a rule (``_rule``), built once per
-(potential, R, s_max): a one cell's Bessel level c*, ln c* and its
-rounding, or a log family's closed-form end, the largest float c with c A
-<= 1/4, and its Euler edge c_osc (``tail_edges``), with which a probe
-only compares c.  Tables, rising inner cells and the log families at
-amplitude 0 have no rule and are decided per call.
+  * ``_LevelRule``, a constant or a power law with alpha < 2: c against its
+    Bessel level c*, in closed form at every amplitude and R;
+  * ``_ClosedRule``, a log family of amplitude A > 0: feasible at c <=
+    1/(4A) by its closed form, infeasible from its Euler edge c_osc on;
+  * ``_TailRule``, an inner cell of slope q >= 0 or a log family at
+    amplitude 0: the certificates of the log domain, per probe;
+  * none for a table whose inner cell falls: it is swept per call, exactly
+    by transfer matrices (``_swept_verdict``), and searched.
 
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
-bracket (``best_constant``): the ends that a kind's rule, or a rising
-inner cell, certifies, or a table's search.  An indeterminate band is
-reported with its certified edges, and ``c_best`` is then the largest
-certified-feasible multiplier.
+bracket, and an indeterminate band is reported with its certified edges.
 """
 from __future__ import annotations
 
@@ -50,9 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailEdges, euler_tail_certificate,
-                  integrate, integrate_principal_tail, log_problem, radius_problem, tail_edges,
-                  wants_log_domain)
+from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate, TailEdges,
+                  euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
+                  radius_problem, tail_edges)
 from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
 
 _EPS = 2.0 ** -52
@@ -67,8 +44,7 @@ class FeasibilityCheck:
     feasible: bool
     evidence: ShootingOutcome
     method: str    # "recessive-shot" | "principal-tail" | "oscillation-certificate" | "closed-form"
-    margin: Optional[float] = None    # of a recessive shot, > 0 if feasible: _margin's, or
-                                      # ln(c*/c) / 2 for one cell (_level_verdict)
+    margin: Optional[float] = None    # > 0 if feasible: a table's _margin, one cell's ln(c*/c) / 2
 
 
 @dataclass(frozen=True)
@@ -138,29 +114,6 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
     return level, log_level, 8.0 * _EPS * terms
 
 
-def _level_verdict(p: RadialPotential, c: float, R: float, rule: _Rule) -> FeasibilityCheck:
-    """Decide c for one cell of slope q < 0 from its recessive solution
-    J0(x), unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 (from c / c*
-    where c* is a normal float, else (ln c* - ln c) / 2) is feasible above
-    the rule's slack, infeasible below minus it, with the first zero at s*
-    = ln(1/R) + 2 margin / q, where x = z0, and undecided between."""
-    if 0.0 < rule.level < math.inf:
-        ratio = c / rule.level
-        margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
-    elif c > 0.0 and rule.log_level < math.inf:    # ln c* = inf at amplitude 0, even at c = inf
-        margin = 0.5 * (rule.log_level - math.log(c))
-    else:
-        margin = math.inf
-    if abs(margin) <= rule.slack:
-        raise IndeterminateAtHorizon(
-            f"multiplier {c}: within the rounding ({rule.slack:.1e}) of the Bessel threshold "
-            f"x(R) = z0, ln c* = {rule.log_level!r}", multiplier=c)
-    zero_s = None if margin > 0.0 else -math.log(R) + 2.0 * margin / p.inner_cell[3]
-    out = ShootingOutcome(dict.fromkeys("r y dy".split(), np.empty(0)), zero_s,
-                          Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
-    return FeasibilityCheck(margin > 0.0, out, "recessive-shot", margin)
-
-
 def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome) -> bool:
     """Whether a recessive sweep of a table is zero-free on (0, R): a zero
     at R exactly is the boundary case, feasible; one within _SLIVER / min(1,
@@ -185,26 +138,125 @@ def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome)
 
 @dataclass(frozen=True)
 class _Rule:
-    """What decides a probe of (p, R, s_max) before c is known: a one cell's
-    ``_bessel_level``, or a log family's closed-form end and Euler edges."""
+    """What decides a probe of (p, R, s_max), ``verdict(c)``, and plans
+    ``best_constant``'s, ``plan(tol)``: ends it certifies, each probed once."""
 
-    level: Optional[float] = None       # c*, 0 or inf where it is not a normal float
-    log_level: float = 0.0              # ln c*
-    slack: float = 0.0
-    c_closed: float = 0.0               # the largest float c with c A <= 1/4
-    edges: Optional[TailEdges] = None   # ``tail_edges`` at c = 1
+    p: RadialPotential
+    R: float
+    s_max: float
+
+    def _oscillating(self, c: float, cert: Optional[TailCertificate]) -> FeasibilityCheck:
+        """Infeasible by cert, a zero inside its window; undecided without one."""
+        if cert is None:
+            raise IndeterminateAtHorizon(f"multiplier {c}: no Euler comparison certificate by "
+                                         f"s_max = {self.s_max}", multiplier=c)
+        empty = dict.fromkeys("s z dz".split(), np.empty(0))
+        out = ShootingOutcome(empty, None, Status.ZERO_FOUND, certificate=cert)
+        return FeasibilityCheck(False, out, "oscillation-certificate")
+
+
+@dataclass(frozen=True)
+class _LevelRule(_Rule):
+    """One cell of slope q = alpha - 2 < 0.  Its recessive solution is
+    exactly J0(x), x = (2/|q|) sqrt(c A r^(2 - alpha)), so c is feasible iff
+    x(R) <= z0, i.e. c <= c* (``_bessel_level``)."""
+
+    level: float        # c*, 0 or inf where it is not a normal float
+    log_level: float    # ln c*
+    slack: float
+
+    def verdict(self, c: float) -> FeasibilityCheck:
+        """Unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 (from c / c*
+        where c* is a normal float, else (ln c* - ln c) / 2) is feasible
+        above the slack, infeasible below minus it, with the first zero at
+        s* = ln(1/R) + 2 margin / q, where x = z0, and undecided between."""
+        if 0.0 < self.level < math.inf:
+            ratio = c / self.level
+            margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
+        elif c > 0.0 and self.log_level < math.inf:    # ln c* = inf at amplitude 0, even at c = inf
+            margin = 0.5 * (self.log_level - math.log(c))
+        else:
+            margin = math.inf
+        if abs(margin) <= self.slack:
+            raise IndeterminateAtHorizon(
+                f"multiplier {c}: within the rounding ({self.slack:.1e}) of the Bessel threshold "
+                f"x(R) = z0, ln c* = {self.log_level!r}", multiplier=c)
+        zero_s = None if margin > 0.0 else -math.log(self.R) + 2.0 * margin / self.p.inner_cell[3]
+        out = ShootingOutcome(dict.fromkeys("r y dy".split(), np.empty(0)), zero_s,
+                              Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
+        return FeasibilityCheck(margin > 0.0, out, "recessive-shot", margin)
+
+    def plan(self, tol: float) -> list:
+        """c* (1 -+ step), c* clamped to the normal floats, the lower one only
+        if normal: step = max(tol / 8, 2 slack + 8 eps) is the least whose
+        margin clears the slack, so c_best is c* to rounding."""
+        step = max(0.125 * tol, 2.0 * self.slack + 8.0 * _EPS)
+        level = min(max(self.level, TINY), _HUGE)
+        plan = [level * (1.0 - step), min(level * (1.0 + step), _HUGE)]
+        return plan if plan[0] >= TINY else plan[1:]
+
+
+@dataclass(frozen=True)
+class _ClosedRule(_Rule):
+    """A log family of amplitude A > 0: its ``closed_form`` solves at 1/(4A),
+    so c <= c_closed is feasible (Sturm, Picone), unswept; above, r^2 v (s -
+    s0)^2 tends to A from above, and c >= c_osc is infeasible by the Euler
+    edge's certificate with gamma scaled by c, c between undecided."""
+
+    c_closed: float     # the largest float c with c A <= 1/4
+    edges: TailEdges    # ``tail_edges`` at c = 1
+
+    def verdict(self, c: float) -> FeasibilityCheck:
+        if c <= self.c_closed:
+            empty = dict.fromkeys("s z dz".split(), np.empty(0))
+            return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
+                                    "closed-form")
+        return self._oscillating(c, self.edges.certificate(c))
+
+    def plan(self, tol: float) -> list:
+        """[c_closed, c_osc], so c_lo = c_best = 1/(4A) for every m, A, R and
+        horizon; an infinite c_osc raises IndeterminateAtHorizon."""
+        plan = [self.c_closed, self.edges.c_osc]
+        if plan[1] == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
+            raise IndeterminateAtHorizon(f"multipliers in [{plan[0]!r}, inf) undecided: no Euler "
+                                         f"edge is finite by s_max = {self.s_max!r}",
+                                         multiplier=plan[1])
+        return plan
+
+
+class _TailRule(_Rule):
+    """An inner cell of slope q >= 0 (a table's too) or a log family at
+    amplitude 0, decided by ``euler_tail_certificate``: the principal branch
+    (the line z = 1) where c v = 0, a rising cell's oscillation at c > 0."""
+
+    def verdict(self, c: float) -> FeasibilityCheck:
+        prob = log_problem(self.p, c, self.R, s_max=self.s_max)
+        cert = euler_tail_certificate(prob)
+        if cert is not None and cert.kind == "nonoscillatory":    # c v = 0: the branch is a line
+            out = integrate_principal_tail(prob, cert)
+            return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
+        return self._oscillating(c, cert)
+
+    def plan(self, tol: float) -> list:
+        """A rising cell, c(V) = 0: the least c whose certificate's gamma is
+        normal, 2^-1022 where q > 0 (it moves out to c g = 1), else 2^-1022 /
+        min(e^ell, 1), in logs where e^ell is not normal, clamped to the
+        largest double.  (``best_constant`` stops amplitude 0 after c = 0.)"""
+        ell, q = self.p.inner_cell[2:]
+        g, x = math.exp(min(ell, 0.0)), _LN_TINY - ell    # min(e^ell, 1), ln(TINY/e^ell)
+        return [TINY if q > 0.0 else TINY / g if g >= TINY
+                else math.exp(x) if x <= _LN_HUGE else _HUGE]
 
 
 _slot: Optional[tuple] = None    # (p, R, s_max, rule) of the last rule built, replaced whole
 
 
 def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
-    """The rule of (p, R, s_max), or None for a table, a rising inner cell
-    and a log family at amplitude 0, which have none.  One slot, keyed by
-    p's identity and equal R and s_max, holds p, so that identity is never
-    reused (``RadialPotential`` is frozen, so p always gives the same rule);
-    a rule that fails to build (an invalid R or horizon raises DomainError)
-    stores nothing."""
+    """The rule of (p, R, s_max), or None for a table whose inner cell
+    falls, which has none.  One slot, keyed by p's identity and equal R and
+    s_max, holds p, so that identity is never reused (``RadialPotential`` is
+    frozen, so p always gives the same rule); a rule that fails to build (an
+    invalid R or horizon raises DomainError) stores nothing."""
     global _slot
     slot = _slot
     if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
@@ -214,9 +266,11 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
         edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
         c = p.closed_form_multiplier(R)    # 1/(4A) rounded: c or the float below it is c_closed
         c = c if _closed_form_covers(c, p.amplitude) else math.nextafter(c, 0.0)
-        rule = _Rule(c_closed=c, edges=edges)
-    elif cell is not None and cell[0] == -math.inf and cell[3] < 0.0:
-        rule = _Rule(*_bessel_level(p, R))    # a constant or a power law with alpha < 2
+        rule = _ClosedRule(p, R, s_max, c, edges)
+    elif cell is None or cell[3] >= 0.0:
+        rule = _TailRule(p, R, s_max)
+    elif cell[0] == -math.inf:
+        rule = _LevelRule(p, R, s_max, *_bessel_level(p, R))
     _slot = (p, R, s_max, rule)
     return rule
 
@@ -225,81 +279,36 @@ def feasible(p: RadialPotential, c: float, R: float,
              s_max: float = S_MAX_DEFAULT) -> FeasibilityCheck:
     """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
     is the log-domain horizon, finite and beyond the outer edge ln(1/R).  An
-    undecided verdict raises IndeterminateAtHorizon.
-
-    A constant or a power law with alpha < 2 compares c with the Bessel
-    level of its rule (``_rule``) at every amplitude and R; a table sweeps
-    its cells; a rising inner cell is infeasible at every c > 0 by its
-    certificate; a log family of amplitude A > 0 is feasible at c <=
-    c_closed (c A <= 1/4 exactly), infeasible at c >= c_osc by the edge's
-    certificate with gamma scaled by c, and undecided between."""
+    undecided verdict raises IndeterminateAtHorizon.  A table whose inner
+    cell falls sweeps its cells; a rule (``_rule``) decides every other kind."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
     rule = _rule(p, R, s_max)
-    if rule is not None and rule.level is not None:
-        return _level_verdict(p, c, R, rule)
-    if not wants_log_domain(p):    # a table
+    if rule is None:    # a table whose inner cell falls
         out = integrate(radius_problem(p, c, R))
         return FeasibilityCheck(_swept_verdict(p, c, R, out), out, "recessive-shot",
                                 _margin(out, R))
-
-    empty = dict.fromkeys("s z dz".split(), np.empty(0))
-    if rule is not None:    # a log family of amplitude A > 0
-        if c <= rule.c_closed:
-            return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
-                                    "closed-form")
-        cert = rule.edges.certificate(c)
-    else:
-        prob = log_problem(p, c, R, s_max=s_max)
-        cert = euler_tail_certificate(prob)
-        if cert is not None and cert.kind == "nonoscillatory":    # c v = 0: the branch is a line
-            out = integrate_principal_tail(prob, cert)
-            return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
-    if cert is None:
-        raise IndeterminateAtHorizon(
-            f"multiplier {c}: no Euler comparison certificate by s_max = {s_max}", multiplier=c)
-    # oscillatory tail: infeasible, and the certificate proves a zero inside its window
-    out = ShootingOutcome(empty, None, Status.ZERO_FOUND, certificate=cert)
-    return FeasibilityCheck(False, out, "oscillation-certificate")
+    return rule.verdict(c)
 
 
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   s_max: float = S_MAX_DEFAULT) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    The loop probes c = 0, then a plan of multipliers, each once, each an
-    end certified by the rule of its kind:
-
-      * a log family of amplitude A > 0: the largest float c_lo <= 1/(4A)
-        (the closed form) and c_osc (``tail_edges``).  No probe sweeps, and
-        c_lo = c_best = 1/(4A) for every m, A, R and horizon.  An infinite
-        c_osc raises IndeterminateAtHorizon, naming [1/(4A), inf) and s_max;
-      * an inner cell of slope q >= 0 (c(V) = 0), infeasible by the cell
-        out to s = inf: the least c whose certificate's gamma is normal, read
-        off ``inner_cell``: 2^-1022 where q > 0 (its certificate moves out to
-        c g = 1), else 2^-1022 / min(e^ell, 1), in logs where e^ell is not
-        normal, clamped to the largest double;
-      * a constant or a power law, at every amplitude and R: c* (1 -+ step)
-        around its exact Bessel level c* (``_bessel_level``) clamped to
-        [2^-1022, the largest double], the lower one only if normal, step =
-        max(tol / 8, 2 slack + 8 eps), the least step whose margin clears
-        the level's slack.  ``feasible`` decides each by x(R) against z0,
-        unswept: three probes with c = 0, and c_best is c* to rounding;
-      * a table: its own Bessel level, clamped to the normal floats.
-
-    Every kind but a table is answered by its planned ends: where they are
-    wider than tol the rule decides no multiplier between them (but within
-    8 eps of a one cell's), and they are the band, unsearched.  A table's
-    loop expands from its level by factors of 2 until one end is certified
-    infeasible and the other feasible (or a band is met, or [0, c] is
-    already narrow), and closes the bracket to width tol * max(1, c) / 2 by
-    an Illinois root solve of the signed shooting margin, a bisection
-    unless both ends have one.  Around an indeterminate band the certified
-    edges are bisected toward it instead, beside a band of one multiplier c
-    from c (1 -+ tol / 8) on; unless the bracket then closes, ``converged``
-    is False and c_best is the largest certified-feasible multiplier.
+    The loop probes c = 0, then the plan of the rule (``_rule``), whose
+    certified ends are the answer: the band, unsearched, where they are
+    wider than tol (the rule decides nothing between them, but within 8 eps
+    of a one cell's).  A table is searched from its Bessel level, clamped to
+    the normal floats: by factors of 2 until one end is certified infeasible
+    and the other feasible (or a band is met, or [0, c] is already narrow),
+    then to width tol * max(1, c) / 2 by an Illinois root solve of the
+    signed shooting margin, a bisection unless both ends have one.  Around
+    an indeterminate band the certified edges are bisected toward it
+    instead, beside a band of one multiplier c from c (1 -+ tol / 8) on;
+    unless the bracket then closes, ``converged`` is False and c_best is
+    the largest certified-feasible multiplier.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.
     NoUpperBracket means that no float multiplier is infeasible: raised at
@@ -343,32 +352,10 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     settle(0.0, probe(0.0))
     if p.amplitude == 0.0:
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
-    # the plan, each multiplier probed once: an end from the rule that certifies it
-    rule, cell = _rule(p, R, s_max), p.inner_cell
-    if cell is None:    # the largest float <= c* = 1/(4A), and the Euler edge
-        plan = [rule.c_closed, rule.edges.c_osc]
-        if plan[1] == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
-            raise IndeterminateAtHorizon(f"multipliers in [{plan[0]!r}, inf) undecided: no Euler "
-                                         f"edge is finite by s_max = {s_max!r}", multiplier=plan[1])
-    elif cell[3] >= 0.0:    # a rising inner cell, c(V) = 0: the least c whose gamma is normal
-        g, x = math.exp(min(cell[2], 0.0)), _LN_TINY - cell[2]    # min(e^ell, 1), ln(TINY/e^ell)
-        plan = [TINY if cell[3] > 0.0 else TINY / g if g >= TINY
-                else math.exp(x) if x <= _LN_HUGE else _HUGE]
-    elif rule is not None:    # one cell: c* (1 -+ step), the least step whose margin clears
-        # the level's slack, c* clamped to the normal floats
-        step = max(0.125 * tol, 2.0 * rule.slack + 8.0 * _EPS)
-        level = min(max(rule.level, TINY), _HUGE)
-        plan = [level * (1.0 - step), min(level * (1.0 + step), _HUGE)]
-        plan = plan if plan[0] >= TINY else plan[1:]
-    else:    # a table: search from its Bessel level, clamped to the normal floats
-        plan = [min(max(_bessel_level(p, R)[0], TINY), _HUGE)]
-    for c in plan:
+    rule = _rule(p, R, s_max)
+    if rule is None:    # a table: double or halve from its level, then close on the margin
+        c = min(max(_bessel_level(p, R)[0], TINY), _HUGE)
         settle(c, probe(c))
-    if rule is not None or cell[3] >= 0.0:    # every kind but a table: the planned ends,
-        if hi is None:    # the band where they are wider than tol
-            raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
-        band = (lo[0], hi[0])
-    else:    # a table: double or halve from its level, then close on the margin
         while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
             if hi is None and c == _HUGE:
                 raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
@@ -402,6 +389,12 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
             elif side == last == "hi":
                 fa *= 0.5
             last = side
+    else:    # the planned ends, the band where they are wider than tol
+        for c in rule.plan(tol):
+            settle(c, probe(c))
+        if hi is None:
+            raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
+        band = (lo[0], hi[0])
 
     (c_lo, lo_check), (c_hi, hi_check) = lo, hi
     done = band is None or not wide(c_lo, c_hi)

@@ -148,6 +148,8 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
         if n != 2:                                   # else e^((n-2)t) = 1
             np.exp(np.multiply(neg_t, 2.0 - n, out=e), out=e)
         lw = p.log_weight(neg_t)                     # a new array: scaled in place
+        if p.inner_cell is not None:                 # g from ln g where a cell's saturates
+            lw[lw >= 1e300] = np.exp(p.log_weight_exponent(neg_t[lw >= 1e300]))
         lw *= e
         lw *= wi
         m_diag += lw
@@ -181,8 +183,12 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     the Rayleigh quotient of the final vector.  Raises HardyError if that
     takes more than _MAX_ITER steps.  A warm start replaces the initial vector
     sqrt(M) by ``start`` and tries ``shift`` > 0 as the first sigma, dropped
-    (sigma = 0) if its factorization fails.
+    (sigma = 0) if its factorization fails.  It runs on 4^-k M, 4^k near max
+    M, so that y.My stays in the floats (a warm start's shift times 4^k, its
+    vector 2^k), and returns lambda 4^-k and x 2^-k, which keeps every bit.
     """
+    k = math.frexp(float(m_diag.max()))[1] // 2
+    m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
     sigma, failed = 0.0, math.inf
     if shift > 0.0:
         d, e, info = dpttrf(k_diag - shift * m_diag, k_off)
@@ -191,7 +197,7 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
         d, e, info = dpttrf(k_diag, k_off)
         if info:
             raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
-    x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else start
+    x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else np.ldexp(start, k)
     mx = m_diag * x
     lam = math.inf
     for iterations in range(1, _MAX_ITER + 1):
@@ -214,15 +220,15 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
         if step <= _EIG_TOL * lam and sigma >= target:
             break
     else:
-        raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: "
-                         f"lambda_1 in [{sigma:g}, {lam:g}]")
+        raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: lambda_1 in "
+                         f"[{np.ldexp(sigma, -2 * k):g}, {np.ldexp(lam, -2 * k):g}]")
     # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
     dx = np.diff(x)
     lam = float(_tri_mul(k_diag, k_off, np.ones_like(k_diag)) @ (x * x) - k_off @ (dx * dx))
     kx = _tri_mul(k_diag, k_off, x)
     res_norm = float(np.linalg.norm(kx - lam * m_diag * x)
                      / (np.linalg.norm(kx) + lam * np.linalg.norm(m_diag * x)))
-    return lam, x, res_norm, iterations
+    return float(np.ldexp(lam, -2 * k)), np.ldexp(x, -k), res_norm, iterations
 
 
 def _tri_mul(diag, off, x):

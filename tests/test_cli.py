@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -678,3 +679,50 @@ def test_console_script_entry(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "feasible = true" in proc.stdout
+
+
+# the five kinds of the contract below: one cell, a falling and a rising
+# power law, and both log families
+_CONTRACT_KINDS = {
+    "constant": {"kind": "constant"},
+    "power_law alpha=1.3": {"kind": "power_law", "alpha": "1.3"},
+    "power_law alpha=2.5": {"kind": "power_law", "alpha": "2.5"},
+    "adimurthi_log m=2": {"kind": "adimurthi_log", "m": "2"},
+    "filippas_tertikas_x m=3": {"kind": "filippas_tertikas_x", "m": "3"},
+}
+_CONTRACT_AMPLITUDES = ("1e-300", "1e-200", "1e-100", "1e-30", "1", "1e30", "1e100", "1e200",
+                        "1e301", "1e305")
+
+
+@pytest.mark.parametrize("kind", _CONTRACT_KINDS)
+def test_every_subcommand_answers_with_a_record_at_every_amplitude(kind, tmp_path, capsys):
+    # no exception escapes cli.main: each call ends in an exit code and a
+    # [result] or [error] record, from amplitude 1e-300 to 1e305.  Numpy's
+    # RuntimeWarnings are printed, as by the console script, not raised: the
+    # DOP853 sweep of a log family warns from c A ~ 1e150 on (CHANGES.md)
+    warnings.simplefilter("default", RuntimeWarning)
+    escaped = []
+    for amplitude in _CONTRACT_AMPLITUDES:
+        cfg = _write_config(tmp_path, potential={**_CONTRACT_KINDS[kind], "amplitude": amplitude},
+                            solver={"grid_n": "200"})
+        for argv in (["best-constant"], ["feasible", "--c", "0.2"], ["classify"],
+                     ["eigen", "--mu", "0.1"], ["dual", "--c", "0.2", "--p", "1"],
+                     ["check-closed-form"], ["trace", "--c", "0.2", "--out",
+                                             str(tmp_path / "trace.csv")]):
+            try:
+                code, out = _run(capsys, *argv, "--config", cfg)
+            except Exception as exc:    # noqa: BLE001 - the contract is that none escapes
+                escaped.append((amplitude, argv[0], type(exc).__name__))
+                continue
+            assert code in (0, 1, 2) and out.split("\n")[0] in ("[result]", "[error]"), \
+                (amplitude, argv[0], out)
+    assert not escaped
+
+
+def test_eigen_at_amplitude_1e200_is_a_result(tmp_path, capsys):
+    # its mass matrix is ~1e197: y.My overflowed in the inverse iteration
+    cfg = _write_config(tmp_path, potential={"kind": "constant", "amplitude": "1e200"},
+                        solver={"grid_n": "2000"})
+    code, out = _run(capsys, "eigen", "--mu", "0.1", "--config", cfg)
+    assert code == 0 and out.startswith("[result]\n")
+    assert 1e200 * float(parse_record(out)["lambda1"]) == pytest.approx(8.8837960585, rel=1e-9)

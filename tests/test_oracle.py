@@ -456,6 +456,46 @@ def test_lambda_limit_reports_each_solves_residual(monkeypatch):
     assert np.all(res.residual_norms < 1e-6)
 
 
+@pytest.mark.parametrize("j", [-200, -60, 60, 200])
+def test_eigenpair_is_exact_under_a_power_of_four_mass(j):
+    # the iteration is homogeneous in M: on 4^j M, cold and warm, lambda
+    # comes out times 4^-j and x times 2^-j, to the bit
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(RadialPotential.constant(), _grid(2000).nodes(),
+                                                       3, hardy=True)
+    k_diag = k_diag - 0.1 * hardy_diag
+    lam, x, res, iters = oracle._smallest_eigenpair(k_diag, k_off, m_diag)
+    warm = oracle._smallest_eigenpair(k_diag, k_off, m_diag, x, 0.9 * lam)
+    scaled = np.ldexp(m_diag, 2 * j)
+    got = oracle._smallest_eigenpair(k_diag, k_off, scaled)
+    assert (math.ldexp(got[0], 2 * j), got[2:]) == (lam, (res, iters))
+    assert np.array_equal(np.ldexp(got[1], j), x)
+    got = oracle._smallest_eigenpair(k_diag, k_off, scaled, np.ldexp(x, -j),
+                                     math.ldexp(0.9 * lam, -2 * j))
+    assert (math.ldexp(got[0], 2 * j), got[2:]) == (warm[0], warm[2:])
+    assert np.array_equal(np.ldexp(got[1], j), warm[1])
+
+
+@pytest.mark.parametrize("amplitude", [1e-100, 1e-80, 1e80, 1e200, 1e301, 1e305])
+def test_fe_quotients_scale_with_every_float_amplitude(amplitude):
+    # lambda A does not depend on A: y.My no longer over- or underflows, and
+    # past 1e300, where log_weight saturates, the mass reads ln g
+    grid, deep = _grid(2000), _grid(400, r_min=1e-40)
+    one, p = RadialPotential.constant(), RadialPotential.constant(amplitude)
+    pairs = [(weighted_eigen(p, 0.1, 3, grid).lambda1, 8.8837960585),
+             (reduced_rayleigh_min(p, grid).lambda1, reduced_rayleigh_min(one, grid).lambda1),
+             (lambda_limit(p, 3, 1.0, deep).limit, lambda_limit(one, 3, 1.0, deep).limit)]
+    for lam, expected in pairs:
+        assert lam * amplitude == pytest.approx(expected, rel=1e-9)
+
+
+def test_rising_power_law_mass_reads_the_exponent_where_it_saturates():
+    # r^2 v = A r^-0.5 passes 1e300 toward r_min at A = 1e298
+    grid = _grid(2000)
+    lam = weighted_eigen(RadialPotential.power_law(2.5, amplitude=1e298), 0.1, 3, grid).lambda1
+    expected = weighted_eigen(RadialPotential.power_law(2.5), 0.1, 3, grid).lambda1
+    assert lam * 1e298 == pytest.approx(expected, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # weighted one-dimensional inequality
 # ---------------------------------------------------------------------------
