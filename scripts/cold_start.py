@@ -5,7 +5,10 @@ Each ``hardy-optim`` call is a fresh process, so its wall time includes
 the imports.  For each row this starts ``--repeat`` fresh interpreters,
 each of which imports hardy_optim and runs the row's subcommand through
 ``cli.main``, and prints the median wall time (interpreter start to exit)
-and the scipy submodules the subcommand loaded.
+and the scipy submodules the subcommand loaded: the packages special,
+integrate, optimize and linalg, and linalg's LAPACK extension
+``_flapack``, which the FE oracle loads from its file without the linalg
+package.
 
 The figures are taken with bytecode cached, as a second run of an
 installed package finds it.  Before timing, one untimed interpreter runs
@@ -28,7 +31,8 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SCIPY_SUBMODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg")
+SCIPY_SUBMODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg",
+                    "scipy.linalg._flapack")
 
 # Run in the fresh interpreter: each argv of the JSON list through cli.main,
 # then the exit codes and the loaded SCIPY_SUBMODULES as the last stdout line.

@@ -24,9 +24,14 @@ rejected with DomainError.
 """
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,26 +40,54 @@ from .errors import (BoundaryConditionViolated, DegenerateDenominator, DomainErr
                      HardyError, IndefiniteForm, NonMonotoneSequence, SingularMass)
 from .potentials import TINY, RadialPotential
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
+# The 6-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss(6) bit for bit,
+# as literals, so that importing the package loads no numpy.polynomial
+_GL_NODES = np.array([float.fromhex(x) for x in (
+    '-0x1.dd6ca4e80a01dp-1', '-0x1.528a09655c95ep-1', '-0x1.e8b12d03675c5p-3',
+    '0x1.e8b12d03675c5p-3', '0x1.528a09655c95ep-1', '0x1.dd6ca4e80a01dp-1')])
+_GL_WEIGHTS = np.array([float.fromhex(x) for x in (
+    '0x1.5edf601e2dbf5p-3', '0x1.716b7b5794c1ep-2', '0x1.df24d499545e8p-2',
+    '0x1.df24d499545e8p-2', '0x1.716b7b5794c1ep-2', '0x1.5edf601e2dbf5p-3')])
 _CERT_GAP = 1e-6                   # relative gap from a certified shift up to lambda1
 _EIG_TOL = 1e-10                   # relative settling of lambda~ that ends inverse iteration
 _MAX_ITER = 80                     # inverse iteration steps before HardyError
 _LIMIT_DEPTH = 12                  # lambda_limit's mu_k = (1 - 2^-k) mu_n, k = 1.._LIMIT_DEPTH
 
 
-# LAPACK is imported by the first solve (see ``ode.solve_ivp``)
+@functools.cache
+def _flapack():
+    """scipy's LAPACK extension, loaded by the first solve from its file in
+    scipy/linalg without running the scipy.linalg package, whose import
+    (numpy.f2py, numpy.testing and numpy.random among others) takes
+    0.25-0.34 s of ``-X importtime`` on a 2-core x86_64 against 5-9 ms for
+    the extension.  It is registered under its own name, scipy.linalg._flapack,
+    so that a later ``import scipy.linalg`` shares this module and its
+    routines.  ``import scipy`` (the top-level package only) comes first: on
+    some platforms it sets the path of the bundled BLAS.  Raises ImportError
+    if scipy/linalg holds no such extension."""
+    import scipy
+    directory = Path(scipy.__path__[0]) / "linalg"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_flapack{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[spec.name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension _flapack in {directory}")
+
 
 def dpttrf(*args, **kwargs):
-    """scipy.linalg.lapack.dpttrf."""
-    from scipy.linalg import lapack
-    return lapack.dpttrf(*args, **kwargs)
+    """LAPACK's dpttrf (scipy.linalg.lapack.dpttrf), under the name
+    bench/spans.py and the tests patch."""
+    return _flapack().dpttrf(*args, **kwargs)
 
 
 def solve_banded(*args, **kwargs):
-    """scipy.linalg.lapack.dpttrs, under the name bench/spans.py traces
-    (ROADMAP item 5)."""
-    from scipy.linalg import lapack
-    return lapack.dpttrs(*args, **kwargs)
+    """LAPACK's dpttrs (scipy.linalg.lapack.dpttrs), under the name
+    bench/spans.py traces (ROADMAP item 5)."""
+    return _flapack().dpttrs(*args, **kwargs)
 
 
 class GridMapping(Enum):

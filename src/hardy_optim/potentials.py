@@ -424,7 +424,16 @@ class RadialPotential:
 # Classification: admissible after scaling (X) vs never admissible (Y)
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The 8-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss(8) bit for bit,
+# as literals, so that importing the package loads no numpy.polynomial
+_GL_NODES = np.array([float.fromhex(x) for x in (
+    '-0x1.ebab1cb0acc66p-1', '-0x1.97e4ab249f41ep-1', '-0x1.0d129583284b4p-1',
+    '-0x1.77ac94f3c7344p-3', '0x1.77ac94f3c7344p-3', '0x1.0d129583284b4p-1',
+    '0x1.97e4ab249f41ep-1', '0x1.ebab1cb0acc66p-1')])
+_GL_WEIGHTS = np.array([float.fromhex(x) for x in (
+    '0x1.9ea1d04ca03aep-4', '0x1.c76fb531d2b94p-3', '0x1.413c50a25560ep-2',
+    '0x1.736360b19933dp-2', '0x1.736360b19933dp-2', '0x1.413c50a25560ep-2',
+    '0x1.c76fb531d2b94p-3', '0x1.9ea1d04ca03aep-4')])
 _TAIL_PANELS = 30            # unit panels in ln(s - s0) past the last abscissa
 _PROBES = np.logspace(-2, -8, 13)   # classify's probe radii / r_max, decreasing
 

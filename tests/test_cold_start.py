@@ -3,9 +3,11 @@ interpreters: the borderline families' best-constant, feasible and
 classify are closed forms and numpy, and so are best-constant and feasible
 on a constant or a power law (x(R) against z0), classify on every kind and
 dual at every p; none of them loads a scipy submodule.  Cell sweeps load
-``scipy.special`` alone, and a whole oracle row ``scipy.linalg`` alone.
+``scipy.special`` alone, and a whole oracle row LAPACK's extension
+``scipy.linalg._flapack`` alone, without the ``scipy.linalg`` package.
 No subcommand loads the standard library's ``configparser``, and none
-loads ``argparse`` unless the scipy it runs does."""
+loads ``argparse`` or ``numpy.polynomial`` unless the scipy it runs
+does."""
 import json
 import runpy
 import subprocess
@@ -59,14 +61,15 @@ def test_cell_sweeps_load_only_special(tmp_path):
 
 
 def test_power_law_and_eigen_load_no_integrator(tmp_path):
-    # the eigensolve needs LAPACK alone, and the power law's best constant
-    # no scipy at all; neither sweeps a log family, so neither loads
+    # the eigensolve needs LAPACK's extension alone, loaded from its file
+    # without the scipy.linalg package, and the power law's best constant no
+    # scipy at all; neither sweeps a log family, so neither loads
     # scipy.integrate
     runs = [({"kind": "power_law", "alpha": "1"}, ["best-constant"]),
             (_LOG_2, ["eigen", "--mu", "0"])]
     _, codes, loaded = fresh_run(runs, tmp_path)
     assert codes == [0, 0]
-    assert loaded == ["scipy.linalg"]
+    assert loaded == ["scipy.linalg._flapack"]
 
 
 def test_dual_infimum_on_cells_loads_no_scipy(tmp_path):
@@ -119,11 +122,16 @@ for path in sys.argv[1:]:
     grid = oracle.GridSpec(cfg.grid_n, oracle.GridMapping.LOG_SPACED, cfg.R, cfg.r_min_rel * cfg.R)
     oracle.reduced_rayleigh_min(cfg.potential, grid)
     oracle.lambda_limit(cfg.potential, cfg.n, cfg.R)
-print(json.dumps([m for m in {COLD_START["SCIPY_SUBMODULES"]!r} if m in sys.modules]))
+print(json.dumps([[m for m in {COLD_START["SCIPY_SUBMODULES"]!r} if m in sys.modules],
+                  [m for m in ("numpy.f2py", "scipy._lib.array_api_compat", "numpy.polynomial")
+                   if m in sys.modules]]))
 """
 
 
 def test_oracle_row_loads_only_linalg(tmp_path):
+    # LAPACK's extension, not the scipy.linalg package, whose import ran
+    # scipy._lib.array_api_compat and with it numpy.f2py, numpy.testing and
+    # numpy.random: about half the row's set-up (BENCH_37.json)
     kinds = ["kind = constant\namplitude = 3\nr_max = 2",
              "kind = power_law\nalpha = 1.3\namplitude = 0.5",
              "kind = adimurthi_log\nm = 2", "kind = filippas_tertikas_x\nm = 3\namplitude = 7"]
@@ -134,12 +142,13 @@ def test_oracle_row_loads_only_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _ORACLE_ROW] + [str(p) for p in paths],
                           env=COLD_START["child_env"](), stdout=subprocess.PIPE, text=True,
                           check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == ["scipy.linalg"]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [["scipy.linalg._flapack"], []]
 
 
 # Every subcommand, an error record and a usage error through cli.main in one
 # fresh interpreter, each record read back by parse_record; the three that
-# load scipy come last.  After each: is argparse loaded, is a scipy submodule?
+# load scipy come last.  After each: is argparse loaded, is a scipy submodule,
+# is fractions or decimal, is numpy.polynomial?
 _EVERY_SUBCOMMAND = f"""
 import io, json, sys
 from contextlib import redirect_stdout
@@ -154,7 +163,8 @@ for argv in (["best-constant"], ["feasible", "--c", "1"], ["classify"],
     config.parse_record(record.getvalue())
     loaded.append(["argparse" in sys.modules,
                    any(m in sys.modules for m in {COLD_START["SCIPY_SUBMODULES"]!r}),
-                   "fractions" in sys.modules or "decimal" in sys.modules])
+                   "fractions" in sys.modules or "decimal" in sys.modules,
+                   "numpy.polynomial" in sys.modules])
 print(json.dumps([codes, "configparser" in sys.modules, loaded]))
 """
 
@@ -163,8 +173,11 @@ def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
     # configs and records are read by config.read_ini, the command line by
     # cli._parse_args; configparser's parsing once took about 0.4 of each
     # 0.85 ms best-constant op, and importing argparse 2 ms of a cold start.
-    # scipy.special and scipy.linalg import argparse themselves (through
-    # numpy.f2py), so it may arrive with them and only with them.  The
+    # scipy.special imports argparse and numpy.polynomial itself (through
+    # numpy.f2py and scipy._lib.array_api_compat's ``from numpy import *``),
+    # so they may arrive with scipy and only with it; eigen loads LAPACK's
+    # extension alone and neither of them.  The Gauss-Legendre rules are
+    # literals, so hardy_optim loads no numpy.polynomial (3-5 ms).  The
     # closed-form test c A <= 1/4 is integer arithmetic: the five
     # subcommands without scipy load neither fractions nor decimal, which
     # took about 2 ms of a cold start
@@ -177,5 +190,41 @@ def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
     codes, configparser_loaded, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 1, 0, 0, 0]
     assert configparser_loaded is False
-    assert loaded[:5] == [[False, False, False]] * 5
-    assert all(scipy for argparse, scipy, _ in loaded if argparse)
+    assert loaded[:5] == [[False, False, False, False]] * 5
+    assert loaded[5] == [False, True, False, False]
+    assert all(scipy for argparse, scipy, _, polynomial in loaded if argparse or polynomial)
+
+
+# The eigen record and the LAPACK routines, in a fresh interpreter where the
+# oracle's extension is loaded first and scipy.linalg after it, or the
+# reverse: both share one scipy.linalg._flapack module.
+_IMPORT_ORDER = """
+import io, json, sys
+from contextlib import redirect_stdout
+from hardy_optim import cli, oracle
+if sys.argv[1] == "oracle-first":
+    oracle._flapack()
+from scipy.linalg import lapack
+with redirect_stdout(io.StringIO()) as record:
+    code = cli.main(["eigen", "--config", sys.argv[2], "--mu", "0.1"])
+flapack = oracle._flapack()
+print(json.dumps([code, record.getvalue(), flapack is sys.modules["scipy.linalg._flapack"],
+                  flapack.dpttrf is lapack.dpttrf, flapack.dpttrs is lapack.dpttrs]))
+"""
+
+
+def test_oracle_lapack_is_scipys_in_either_import_order(tmp_path):
+    # a scipy that moves or renames _flapack fails here: the loader raises
+    # ImportError naming the directory it searched
+    path = tmp_path / "run.ini"
+    path.write_text("[potential]\nkind = power_law\nalpha = 1.3\n[solver]\ngrid_n = 2000\n")
+    results = []
+    for order in ("oracle-first", "linalg-first"):
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", _IMPORT_ORDER, order,
+                               str(path)], env=COLD_START["child_env"](), stdout=subprocess.PIPE,
+                              text=True, check=True)
+        results.append(json.loads(proc.stdout.splitlines()[-1]))
+    for code, record, registered, same_dpttrf, same_dpttrs in results:
+        assert (code, registered, same_dpttrf, same_dpttrs) == (0, True, True, True)
+        assert record.startswith("[result]\nlambda1 = ")
+    assert results[0][1] == results[1][1]

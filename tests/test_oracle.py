@@ -9,7 +9,7 @@ from scipy.special import j0
 
 from hardy_optim import (GridMapping, GridSpec, RadialPotential, SmoothFn,
                          hardy_quotient, lambda_limit, oracle, poincare_check,
-                         reduced_rayleigh_min, weighted_eigen)
+                         potentials, reduced_rayleigh_min, weighted_eigen)
 from hardy_optim.errors import (BoundaryConditionViolated, DegenerateDenominator,
                                 DomainError, HardyError, IndefiniteForm,
                                 NonMonotoneSequence, SingularMass)
@@ -346,6 +346,15 @@ def test_fe_assembly_evaluates_the_potential_o1_times(monkeypatch, potential):
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 12
     assert min(calls) >= 4095
+
+
+@pytest.mark.parametrize("module, n", [(oracle, 6), (potentials, 8)])
+def test_gauss_legendre_literals_are_leggauss(module, n):
+    # the rules are float literals, so that importing the package loads no
+    # numpy.polynomial
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    assert module._GL_NODES.tobytes() == nodes.tobytes()
+    assert module._GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def _lumped_exp(nodes, n):
