@@ -2,23 +2,24 @@
 """SHA-256 digests of every CLI record on a fixed catalog, so that two
 checkouts can be compared record for record.
 
-The seven subcommands run in-process on each catalog entry: a constant,
-power laws alpha = 0.5, 1.5, 2.5, alpha = 1 at amplitude 1e-30 (best
-constant ~1.4e30), both log families at m = 1..3 and amplitude 0.05, 1,
-20, one 40-node table, a constant at amplitude 0 (no float multiplier is
-infeasible), the table scaled by 1e-30 (best constant ~3.7e29), a constant
-at amplitude 1e301 (best constant z0^2 1e-301, past the 1e300 at which
-v(r) saturates), alpha = 1.5 on R = 1e300 (R^1.5 overflows), a constant
-at amplitude 4e-308 (best constant 1.4e308, next to the largest double), a
-two-node table whose zeros lie below every float radius (so its shots
-have no margin) and a two-node table whose flat inner cell has r^2 v =
-2^-1078, below every float, all at grid_n = 2000.  The entry on R = 1e300
-skips eigen and check-closed-form, which form powers of R past the float
-range (ROADMAP item 21).  Each record
-is hashed with its exit code and with the CSV it writes (eigen --format
-csv, trace) by content, the temporary directory's path replaced, and one
-digest is printed per entry, then one over all of them.  hardy_optim is
-imported from PYTHONPATH, so the same script digests any checkout.
+The seven subcommands, dual at p = 1 and at p = 2, run in-process on
+each catalog entry: a constant, power laws alpha = 0.5, 1.5, 2.5, alpha
+= 1 at amplitude 1e-30 (best constant ~1.4e30), both log families at m =
+1..3 and amplitude 0.05, 1, 20, one 40-node table, a constant at
+amplitude 0 (no float multiplier is infeasible), the table scaled by
+1e-30 (best constant ~3.7e29), a constant at amplitude 1e301 (best
+constant z0^2 1e-301, past the 1e300 at which v(r) once saturated),
+alpha = 1.5 on R = 1e300 (R^1.5 overflows), a constant at amplitude
+4e-308 (best constant 1.4e308, next to the largest double), a two-node
+table whose zeros lie below every float radius (so its shots have no
+margin) and a two-node table whose flat inner cell has r^2 v = 2^-1078,
+below every float, all at grid_n = 2000.  The entry on R = 1e300 skips
+eigen and check-closed-form, which form powers of R past the float range
+(ROADMAP item 21).  Each record is hashed with its exit code and with the
+CSV it writes (eigen --format csv, trace) by content, the temporary
+directory's path replaced, and one digest is printed per entry, then one
+over all of them.  hardy_optim is imported from PYTHONPATH, so the same
+script digests any checkout.
 
 Run:  PYTHONPATH=src python scripts/record_digest.py
 """
@@ -65,6 +66,7 @@ COMMANDS = [
     ["classify"],
     ["eigen", "--mu", "0.1", "--format", "csv", "--out", "OUT"],
     ["dual", "--c", "0.2", "--p", "1"],
+    ["dual", "--c", "0.2", "--p", "2"],
     ["check-closed-form"],
     ["trace", "--c", "0.2", "--out", "OUT"],
 ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
-from .potentials import RadialPotential, log_cell_tails
+from .potentials import RadialPotential, exp_or_inf, log_cell_tails
 
 # The exp-sinh rule sums t in [-4, 3]: u from 2e-19, below which a piece
 # of I is under 1e-18 of it, to 7e6, past which the integrand, decaying at
@@ -69,7 +69,7 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     p_pot.check_radius(R)
 
     if p == 2.0:
-        bound = c * _essential_infimum(p_pot, R)
+        bound = _essential_infimum(p_pot, c, R)
         return DualBound(p, None, bound, c, divergent=False, potential=p_pot)
 
     q = p / (2.0 - p)
@@ -128,20 +128,25 @@ def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
                           f"ln I = {float(estimate) - (2.0 * q + n) * s_R!r}")
 
 
-def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
-    """Infimum of v over (0, R].  Exact on ``log_cells`` (a constant, a
+def _essential_infimum(p_pot: RadialPotential, c: float, R: float) -> float:
+    """Infimum of c v over (0, R].  Exact on ``log_cells`` (a constant, a
     power law, a table), where v is monotone on each cell: 0 when the inner
-    cell falls to the origin (sigma < 0), else the least of v(R) and v at
-    the knots inside the ball.  For the two log families, the least of v
-    over 4096 log-spaced radii in [1e-9 R, R], then over 65 samples on the
-    two cells around the least sample, round after round until that bracket
-    is at most 1e-10 wide in ln r: a sampled minimum alone overstates the
-    infimum of a non-monotone v (the X family with m >= 2 dips inside the
+    cell falls to the origin (sigma < 0), else c times the least of v(R) and
+    v at the knots inside the ball, from the least ln v there where v passes
+    the largest double and c v need not.  For the two log families, the least
+    of v over 4096 log-spaced radii in [1e-9 R, R], then over 65 samples on
+    the two cells around the least sample, round after round until that
+    bracket is at most 1e-10 wide in ln r: a sampled minimum alone overstates
+    the infimum of a non-monotone v (the X family with m >= 2 dips inside the
     ball)."""
     if p_pot.log_cells is not None:
-        knots = p_pot.log_cells[0]
-        inside = p_pot.value(np.exp(-knots[knots >= -math.log(R)])).min(initial=math.inf)
-        return 0.0 if p_pot.sigma < 0.0 else float(min(p_pot.value(R), inside))
+        knots, s_R = p_pot.log_cells[0], -math.log(R)
+        s = knots[knots >= s_R]
+        least = float(min(p_pot.value(R), p_pot.value(np.exp(-s)).min(initial=math.inf)))
+        if p_pot.sigma < 0.0 or least < math.inf:
+            return 0.0 if p_pot.sigma < 0.0 else c * least
+        least = float(p_pot.log_weight_exponent(np.append(s, s_R), 2.0).min())
+        return exp_or_inf(math.log(c) + least)
     t, least = np.linspace(math.log(1e-9 * R), math.log(R), 4096), math.inf
     while True:
         v = p_pot.value(np.exp(t))
@@ -149,5 +154,5 @@ def _essential_infimum(p_pot: RadialPotential, R: float) -> float:
         least = min(least, float(v[k]))
         lo, hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
         if hi - lo <= 1e-10:
-            return least
+            return c * least
         t = np.linspace(lo, hi, 65)

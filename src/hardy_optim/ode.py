@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
-from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
+from .potentials import J0_FIRST_ZERO, TINY, RadialPotential, exp_or_inf
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 S_MAX_DEFAULT = 1e6           # default log-domain horizon
@@ -679,7 +679,7 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     amplitude 0) it is non-oscillatory, gamma = 0.  A cell kind's inner cell
     rises (q >= 0; q < 0 raises DomainError) from s1 = max(outer edge,
     innermost knot) out to s = inf, where the model is exact, so a >= gamma
-    = c g(s1) (clipped to 1e300; from ln g where g is not a normal float)
+    = min(c g(s1), 1e300) (from ln g where g is 0, subnormal or inf)
     there, and by Sturm comparison with z'' + gamma z = 0 every solution
     vanishes inside [s1, s1 + pi / sqrt(gamma)], within the horizon or not.
     Where c g(s1) is below 2^-1022 and q > 0, s1 moves out along the cell
@@ -699,7 +699,7 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
         if q > 0.0 and c * p.log_weight(s1) < TINY:    # out to where ln(c g) = 0
             s1 = anchor + (-math.log(c) - ell) / q
         g, log_g = p.log_weight(s1), p.log_weight_exponent(s1)
-        gamma = min(c * g if g >= TINY else math.exp(math.log(c) + log_g), 1e300)
+        gamma = min(c * g if TINY <= g < math.inf else exp_or_inf(math.log(c) + log_g), 1e300)
         if gamma < TINY:    # subnormal or 0: its rounding no longer bounds a
             return None
         return TailCertificate("oscillatory", gamma, None,
@@ -772,9 +772,6 @@ def residual(phi: np.ndarray, prob: HardyODEProblem, grid: np.ndarray) -> float:
         dphi = np.gradient(phi, t)
         phi_tt = np.gradient(dphi, t)
         phi_tt[:2] = phi_tt[-2:] = np.nan
-    p, g = prob.potential, prob.potential.log_weight(-t)
-    a = prob.c * g
-    if p.inner_cell is not None and prob.c > 0.0:    # c g from ln g where a cell's g saturates
-        a[g >= 1e300] = np.exp(math.log(prob.c) + p.log_weight_exponent(-t[g >= 1e300]))
+    a = prob.c * prob.potential.log_weight(-t)
     res = np.abs(phi_tt + a * phi) / np.maximum(1.0, np.abs(phi))
     return float(np.nanmax(res[2:-2]))

@@ -181,8 +181,6 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
         if n != 2:                                   # else e^((n-2)t) = 1
             np.exp(np.multiply(neg_t, 2.0 - n, out=e), out=e)
         lw = p.log_weight(neg_t)                     # a new array: scaled in place
-        if p.inner_cell is not None:                 # g from ln g where a cell's saturates
-            lw[lw >= 1e300] = np.exp(p.log_weight_exponent(neg_t[lw >= 1e300]))
         lw *= e
         lw *= wi
         m_diag += lw

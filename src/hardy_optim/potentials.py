@@ -49,21 +49,15 @@ J0_FIRST_ZERO = float.fromhex('0x1.33d152e971b3fp+1')
 TINY = 2.0 ** -1022           # the least normal double
 
 
-def _clip_exp(exponent):
-    """exp() that saturates at 1e300 / 0.0 instead of overflowing (comparisons
-    only need 'very large'; certified code reads the exponent,
-    ``RadialPotential.log_weight_exponent``); float or ndarray."""
+def exp_or_inf(exponent):
+    """e^exponent, inf past the largest double, with no warning; float or ndarray."""
     if isinstance(exponent, np.ndarray):
-        # NaN fails both bounds; an empty array has no min
-        if exponent.size and exponent.min() >= -745.0 and exponent.max() <= 690.0:
+        with np.errstate(over="ignore"):
             return np.exp(exponent)
-        inner = np.exp(np.clip(exponent, -745.0, 690.0))
-        return np.where(exponent > 690.0, 1e300, np.where(exponent < -745.0, 0.0, inner))
-    if exponent > 690.0:
-        return 1e300
-    if exponent < -745.0:
-        return 0.0
-    return math.exp(exponent)
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def exprel(x: np.ndarray) -> np.ndarray:
@@ -249,16 +243,14 @@ class RadialPotential:
         """v(r) for 0 < r <= r_max; a float gives a float, an ndarray an
         ndarray of the same shape.  Derived from the coefficient in s =
         ln(1/r): ``log_weight(s) / r^2`` for the log families, ln v on the
-        cells of ``log_cells`` for the other kinds.  It saturates at 1e300 /
-        0: certified code reads ``log_weight_exponent``."""
+        cells of ``log_cells`` for the other kinds; inf past the largest double."""
         xp = np if isinstance(r, np.ndarray) else math
         r = r.astype(float, copy=False) if xp is np else float(r)
         self.check_radius(r)
         if self.log_cells is None:
             with np.errstate(over="ignore"):     # r * r underflows below 1.5e-154
-                v = self.log_weight(-xp.log(r)) / r / r
-            return np.minimum(v, 1e300) if xp is np else min(v, 1e300)
-        return _clip_exp(self.log_weight_exponent(-xp.log(r), 2.0))
+                return self.log_weight(-xp.log(r)) / r / r
+        return exp_or_inf(self.log_weight_exponent(-xp.log(r), 2.0))
 
     def check_radius(self, r) -> None:
         """DomainError unless each r (float or ndarray) is in (0, r_max (1 + 1e-12)]."""
@@ -272,15 +264,14 @@ class RadialPotential:
         ndarray, like ``value``.  This is the coefficient (up to the
         multiplier) of the equation in the log variable; direct evaluation of
         v(e^(-s)) would underflow for s >~ 700, so each entry works in s.  On
-        cells it saturates at 1e300 / 0 (``_clip_exp``): certified code reads
-        ``log_weight_exponent``."""
+        cells it is e^``log_weight_exponent``, inf past the largest double."""
         xp = np if isinstance(s, np.ndarray) else math
         s = s.astype(float, copy=False) if xp is np else float(s)
         euler = self._euler
         if euler is not None:
             kappa, _, s0 = euler
             return self.amplitude * _chain(self.m, s - s0, kappa, xp)[0]
-        return _clip_exp(self.log_weight_exponent(s))
+        return exp_or_inf(self.log_weight_exponent(s))
 
     @functools.cached_property
     def _euler(self) -> Optional[tuple]:
@@ -292,8 +283,8 @@ class RadialPotential:
         return kappa, scale, -(kappa + math.log(scale))
 
     def log_weight_exponent(self, s, lift: float = 0.0):
-        """ln(r^2 v) + lift s at r = e^(-s), unclipped: ell + lift anchor + (q +
-        lift)(s - anchor) on the ``log_cells`` cell of s (lift = 2 gives ln v
+        """ln(r^2 v) + lift s at r = e^(-s): ell + lift anchor + (q + lift)(s -
+        anchor) on the ``log_cells`` cell of s (lift = 2 gives ln v
         without the ulp(2 s) of adding 2 s afterwards; -inf at amplitude 0);
         float or ndarray, like ``log_weight``.  One cell skips the search."""
         knot, anchor, ell, q = self.inner_cell
@@ -388,7 +379,8 @@ class RadialPotential:
         """Multiplier c at which ``closed_form`` solves y'' + y'/r + c v y = 0.
 
         The log families solve at c = 1/4 / amplitude; the constant potential
-        at c = z0^2 / (R^2 amplitude) where z0 is the first J0 zero.
+        at c = z0^2 / (R^2 amplitude) where z0 is the first J0 zero, a
+        DomainError where R^2 or c is not a normal float.
         """
         if self.kind is not Kind.CONSTANT and self._euler is None:
             raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
@@ -397,7 +389,12 @@ class RadialPotential:
         if self._euler is not None:
             return 0.25 / self.amplitude
         R = self.r_max if R is None else R
-        return J0_FIRST_ZERO * J0_FIRST_ZERO / (R * R * self.amplitude)
+        denominator = R * R * self.amplitude
+        c = J0_FIRST_ZERO * J0_FIRST_ZERO / denominator if denominator > 0.0 else math.inf
+        if not (TINY <= R * R and TINY <= c < math.inf):
+            raise DomainError(f"closed-form multiplier z0^2 / (R^2 amplitude) at R = {R!r}, "
+                              f"amplitude {self.amplitude!r}: R^2 or the multiplier is 0, a subnormal or inf")
+        return c
 
     def closed_form(self, r, R: Optional[float] = None):
         """Exact positive solution of the reduced equation for this entry,

@@ -583,9 +583,9 @@ def test_rising_inner_cell_at_the_tolerance_floor_takes_two_probes():
 
 
 def test_rising_inner_cell_upper_end():
-    # 2^-1022 / min(gamma, 1): for alpha = 2 g = 1, for alpha = 2.5 g
-    # saturates at 1e300.  The half-oscillation window ending at s_max gave
-    # pi^2 / 1e12 and (pi / 4)^2 / 1e300
+    # 2^-1022 / min(gamma, 1): for alpha = 2 g = 1, for alpha = 2.5 g at
+    # the horizon passes the largest double.  The half-oscillation window
+    # ending at s_max gave pi^2 / 1e12 and (pi / 4)^2 / 1e300
     for alpha in (2.0, 2.5):
         res = best_constant(RadialPotential.power_law(alpha), 1.0, tol=1.0)
         assert res.iterations == 2 and res.c_hi == 2.0 ** -1022
@@ -903,7 +903,7 @@ def test_log_family_probes_no_undecided_multiplier(family, m, monkeypatch):
 
 
 def test_constant_level_past_the_saturation_of_value(s_max):
-    # value(R) saturates at 1e300, so amplitude 1e301 gave a converged
+    # value(R) once saturated at 1e300, so amplitude 1e301 gave a converged
     # bracket around 5.78e-300, ten times c(V) = z0^2 / 1e301, and c = 1e-300
     # was certified feasible; amplitude 1e305 likewise at c = 1e-302
     p = RadialPotential.constant(1e301)

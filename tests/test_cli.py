@@ -63,7 +63,7 @@ def test_best_constant_band_exit(tmp_path, capsys):
 
 
 def test_best_constant_on_a_constant_past_the_saturation_of_value(tmp_path, capsys):
-    # v(R) saturates at 1e300: the record was a converged bracket around
+    # v(R) once saturated at 1e300: the record was a converged bracket around
     # 5.78e-300, ten times c(V), and feasible --c 1e-300 said true
     cfg = _write_config(tmp_path, potential={"kind": "constant", "amplitude": "1e301"})
     code, out = _run(capsys, "best-constant", "--config", cfg)
@@ -207,8 +207,8 @@ def test_check_closed_form_subcommand(tmp_path, capsys):
 
 
 def test_check_closed_form_past_the_saturation_of_v(tmp_path, capsys):
-    # at amplitude 1e301, r^2 v saturates at 1e300 near R, and the residual
-    # read c r^2 v from it: 0.92, against 1.66e-9 at amplitude 1e299
+    # at amplitude 1e301, r^2 v once saturated at 1e300 near R, and the
+    # residual read c r^2 v from it: 0.92, against 1.66e-9 at amplitude 1e299
     residuals = []
     for amplitude in ("1e301", "1e299"):
         cfg = _write_config(tmp_path, potential={"kind": "constant", "amplitude": amplitude})
@@ -216,6 +216,20 @@ def test_check_closed_form_past_the_saturation_of_v(tmp_path, capsys):
         assert code == 0
         residuals.append(float(parse_record(out)["residual_max"]))
     assert residuals[0] <= 1e-8 and residuals[0] == pytest.approx(residuals[1], rel=1e-3)
+
+
+@pytest.mark.parametrize("potential", [{"r_max": "1e-300"},
+                                       {"amplitude": "1e300", "r_max": "1e10"}],
+                         ids=["R-squared-underflows", "multiplier-subnormal"])
+def test_check_closed_form_multiplier_outside_the_floats_is_an_error(tmp_path, capsys,
+                                                                      potential):
+    # R R = 0 escaped as a bare ZeroDivisionError; z0^2 / (R^2 A) ~ 5.8e-320
+    # printed multiplier = 0 and a residual of 1.17
+    cfg = _write_config(tmp_path, potential={"kind": "constant", **potential})
+    code, out = _run(capsys, "check-closed-form", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and out.startswith("[error]\n") and rec["type"] == "DomainError"
+    assert "closed-form multiplier" in rec["message"]
 
 
 def test_trace_subcommand(tmp_path, capsys):

@@ -18,6 +18,22 @@ def test_essential_infimum_for_constants():
     assert b.q is None
 
 
+def test_p_2_bound_past_the_saturation_of_v():
+    # v = 1e301 saturated at 1e300, so c v read 0.1 at c = 1e-301
+    b = dual_lower_bound(RadialPotential.constant(1e301), 1e-301, 2.0, 3, 1.0)
+    assert b.bound == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+def test_p_2_bound_where_v_passes_the_largest_double():
+    # v(R) = 2e308 is no float but c v = 2e8 is: read from ln v on the cell,
+    # where a saturated v gave 1.0 and c * inf would give inf
+    p = RadialPotential.power_law(1.0, amplitude=1e308, r_max=0.5)
+    assert p.value(0.5) == math.inf
+    b = dual_lower_bound(p, 1e-300, 2.0, 3, 0.5)
+    assert b.bound == pytest.approx(2e8, rel=1e-12, abs=0.0)
+    assert dual_lower_bound(p, 1e300, 2.0, 3, 0.5).bound == math.inf
+
+
 def test_essential_infimum_of_table_sees_a_dip_between_samples():
     # The p = 2 bound once took the minimum over 4096 log-spaced samples of
     # [1e-9 R, R], an upper estimate of the infimum: a one-node dip that

@@ -487,7 +487,7 @@ def test_eigenpair_is_exact_under_a_power_of_four_mass(j):
 @pytest.mark.parametrize("amplitude", [1e-100, 1e-80, 1e80, 1e200, 1e301, 1e305])
 def test_fe_quotients_scale_with_every_float_amplitude(amplitude):
     # lambda A does not depend on A: y.My no longer over- or underflows, and
-    # past 1e300, where log_weight saturates, the mass reads ln g
+    # past 1e300, where log_weight once saturated, the mass is exact
     grid, deep = _grid(2000), _grid(400, r_min=1e-40)
     one, p = RadialPotential.constant(), RadialPotential.constant(amplitude)
     pairs = [(weighted_eigen(p, 0.1, 3, grid).lambda1, 8.8837960585),
@@ -498,7 +498,8 @@ def test_fe_quotients_scale_with_every_float_amplitude(amplitude):
 
 
 def test_rising_power_law_mass_reads_the_exponent_where_it_saturates():
-    # r^2 v = A r^-0.5 passes 1e300 toward r_min at A = 1e298
+    # r^2 v = A r^-0.5 passes 1e300 toward r_min at A = 1e298, where
+    # log_weight once saturated
     grid = _grid(2000)
     lam = weighted_eigen(RadialPotential.power_law(2.5, amplitude=1e298), 0.1, 3, grid).lambda1
     expected = weighted_eigen(RadialPotential.power_law(2.5), 0.1, 3, grid).lambda1

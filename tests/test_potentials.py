@@ -1,6 +1,7 @@
 import decimal
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hardy_optim import Kind, Label, RadialPotential, classify, exp_tower
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
-from hardy_optim.potentials import _clip_exp, _tail_integrals, log_cell_tails
+from hardy_optim.potentials import _tail_integrals, exp_or_inf, log_cell_tails
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +129,14 @@ ARRAY_POTENTIALS = {
 
 
 def _assert_within_ulps(array_result, scalar_results, ulps=4):
+    """Within ``ulps`` where the expected value is finite; the same inf or
+    nan elsewhere."""
     expected = np.array(scalar_results)
     assert array_result.shape == expected.shape
-    assert np.all(np.abs(array_result - expected) <= ulps * np.spacing(np.abs(expected)))
+    finite = np.isfinite(expected)
+    assert np.array_equal(array_result[~finite], expected[~finite], equal_nan=True)
+    error = np.abs(array_result[finite] - expected[finite])
+    assert np.all(error <= ulps * np.spacing(np.abs(expected[finite])))
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
@@ -155,19 +161,16 @@ def test_log_weight_array_matches_scalar_calls(name, offsets):
 
 @pytest.mark.parametrize("name", ["power_law", "power_law_steep", "constant", "custom"])
 def test_log_weight_array_saturates_like_scalar(name):
-    # both sides of the 1e300 / 0.0 saturation of _clip_exp, and far beyond
+    # far past the largest double: r^2 v of the steep power law overflows to
+    # inf, no longer to 1e300, in the array and the scalar calls alike
     p = ARRAY_POTENTIALS[name]
     s = np.concatenate([np.linspace(300.0, 1200.0, 901), [1e6, 1e300]])
     array = p.log_weight(s)
-    assert np.all(np.isfinite(array))
+    assert not np.isnan(array).any()
     _assert_within_ulps(array, [p.log_weight(float(si)) for si in s])
 
 
-def _saturating_exp(exponent):
-    """_clip_exp's array path as it was before the in-range fast path."""
-    inner = np.exp(np.clip(exponent, -745.0, 690.0))
-    return np.where(exponent > 690.0, 1e300, np.where(exponent < -745.0, 0.0, inner))
-
+LN_MAX = math.log(sys.float_info.max)    # e^LN_MAX is the largest double
 
 _EXPONENTS = {
     "empty": [],
@@ -175,30 +178,58 @@ _EXPONENTS = {
     "nan-among-finite": [0.5, math.nan, -3.0],
     "inf": [math.inf, 1.0],
     "minus-inf": [-math.inf, 1.0],
-    "bounds": [-745.0, 0.0, 690.0],
-    "above-690": [689.9, 690.0000001, 1e300],
-    "below-745": [-744.9, -745.0000001, -1e300],
-    "in-range": np.linspace(-745.0, 690.0, 1001),
+    "ln-max": [LN_MAX, math.nextafter(LN_MAX, math.inf)],
+    "above-ln-max": [709.9, 710.0, 1e300],
+    "subnormal": [-708.4, -745.0, -745.2, -1e300],
+    "in-range": np.linspace(-745.0, LN_MAX, 1001),
 }
 
 
 @pytest.mark.parametrize("exponent", _EXPONENTS.values(), ids=_EXPONENTS.keys())
-def test_clip_exp_fast_path_matches_the_saturating_path(exponent):
+def test_exp_or_inf_is_exp_up_to_the_largest_double(exponent):
+    # numpy's exp bit for bit on arrays, within an ulp of math.exp on floats,
+    # inf past e^LN_MAX, with no warning and no OverflowError
     exponent = np.array(exponent, dtype=float)
-    assert _clip_exp(exponent).tobytes() == _saturating_exp(exponent).tobytes()
+    array = exp_or_inf(exponent)
+    with np.errstate(over="ignore"):
+        assert array.tobytes() == np.exp(exponent).tobytes()
+    scalars = [exp_or_inf(float(x)) for x in exponent]
+    assert all(type(y) is float for y in scalars)
+    _assert_within_ulps(array, scalars, ulps=1)
+    assert np.all((array == math.inf) == (exponent > LN_MAX))
+
+
+@pytest.mark.parametrize("name", ["power_law", "power_law_steep", "constant", "custom"])
+def test_cell_weights_are_exp_of_the_exponent_up_to_the_largest_double(name):
+    # value and log_weight on cells are e^(ln v) and e^(ln r^2 v), exact
+    # wherever that is a float and inf above it; once they saturated at 1e300
+    base = ARRAY_POTENTIALS[name]
+    r = base.r_max * np.exp(-np.linspace(0.0, 700.0, 141))
+    for p in (base, base.scaled(1e-100)):
+        for s in np.append(np.linspace(-5.0, 2000.0, 401), [1e6]):
+            exponent = p.log_weight_exponent(s)
+            want = math.exp(exponent) if exponent <= LN_MAX else math.inf
+            assert p.log_weight(float(s)) == want
+        radii = np.append(r / base.r_max * p.r_max, p.r_max)
+        exponent = p.log_weight_exponent(-np.log(radii), 2.0)
+        with np.errstate(over="ignore"):
+            assert p.value(radii).tobytes() == np.exp(exponent).tobytes()
+        assert np.all((p.value(radii) == math.inf) == (exponent > LN_MAX))
+    assert RadialPotential.constant(sys.float_info.max).value(1.0) == math.exp(LN_MAX)
+    assert RadialPotential.power_law(1.0, sys.float_info.max).value(0.5) == math.inf
 
 
 @pytest.mark.parametrize("p", [RadialPotential.constant(0.0),
                                RadialPotential.power_law(1.3, amplitude=0.0)],
                          ids=["constant", "power_law"])
-def test_clip_exp_saturates_at_amplitude_zero(p):
+def test_weights_are_zero_at_amplitude_zero(p):
     # ell = -inf on the single cell: every exponent is -inf, every weight 0
     _, anchor, ell, q = p.inner_cell
     assert ell == -math.inf
     s = np.linspace(-5.0, 800.0, 50)
-    exponent = ell + q * (s - anchor)
-    assert _clip_exp(exponent).tobytes() == _saturating_exp(exponent).tobytes()
     assert p.log_weight(s).tobytes() == np.zeros(s.size).tobytes()
+    assert p.value(np.geomspace(1e-300, 1.0, 50)).tobytes() == np.zeros(50).tobytes()
+    assert p.log_weight(800.0) == p.value(1e-300) == p.value(1.0) == 0.0
 
 
 def test_inner_cell_is_the_last_of_log_cells_as_floats():
@@ -215,10 +246,11 @@ def test_inner_cell_is_the_last_of_log_cells_as_floats():
 @pytest.mark.parametrize("name", ["adimurthi_m1", "ft_x_m3"])
 def test_log_family_value_saturates_below_square_underflow(name):
     # r * r underflows below 1.5e-154: a float radius once raised
-    # ZeroDivisionError, an ndarray gave inf with an overflow warning
+    # ZeroDivisionError, an ndarray gave inf with an overflow warning; v
+    # then saturated at 1e300, and now overflows to inf, with no warning
     p = ARRAY_POTENTIALS[name]
-    assert p.value(1e-170) == 1e300
-    np.testing.assert_array_equal(p.value(np.array([1e-170, 1e-3])), [1e300, p.value(1e-3)])
+    assert p.value(1e-170) == math.inf
+    np.testing.assert_array_equal(p.value(np.array([1e-170, 1e-3])), [math.inf, p.value(1e-3)])
 
 
 def test_constant_array_evaluation_is_exact():
