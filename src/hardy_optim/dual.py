@@ -29,7 +29,7 @@ import numpy as np
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
-from .potentials import RadialPotential, exp_or_inf, log_cell_tails
+from .potentials import TINY, RadialPotential, exp_or_inf, log_cell_tails
 
 # The exp-sinh rule sums t in [-4, 3]: u from 2e-19, below which a piece
 # of I is under 1e-18 of it, to 7e6, past which the integrand, decaying at
@@ -57,8 +57,8 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     evaluated as ln I (see the module docstring).  A divergent integral is
     reported as an explicit zero bound with the ``divergent`` flag set (the
     local integrand exponent at the origin is checked first: sigma q + n - 1
-    <= -1 certifies divergence, as does a vanishing potential).  A bound that
-    is not a positive float raises DivergentNorm.
+    <= -1 certifies divergence, as does a vanishing potential).  A bound
+    past the largest double, or 0 at p < 2, raises DivergentNorm.
     """
     if not 0.0 < p <= 2.0:
         raise InvalidP(f"exponent p must be in (0, 2], got {p}")
@@ -70,6 +70,8 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 
     if p == 2.0:
         bound = _essential_infimum(p_pot, c, R)
+        if bound == math.inf:
+            raise DivergentNorm(f"c ess inf v is past the largest double at c = {c!r}")
         return DualBound(p, None, bound, c, divergent=False, potential=p_pot)
 
     q = p / (2.0 - p)
@@ -132,27 +134,29 @@ def _essential_infimum(p_pot: RadialPotential, c: float, R: float) -> float:
     """Infimum of c v over (0, R].  Exact on ``log_cells`` (a constant, a
     power law, a table), where v is monotone on each cell: 0 when the inner
     cell falls to the origin (sigma < 0), else c times the least of v(R) and
-    v at the knots inside the ball, from the least ln v there where v passes
-    the largest double and c v need not.  For the two log families, the least
-    of v over 4096 log-spaced radii in [1e-9 R, R], then over 65 samples on
-    the two cells around the least sample, round after round until that
-    bracket is at most 1e-10 wide in ln r: a sampled minimum alone overstates
-    the infimum of a non-monotone v (the X family with m >= 2 dips inside the
-    ball)."""
+    v at the knots inside the ball, from ln v where v is no normal float.  On
+    the log families, the least of v (of ln v where r^2 underflows, v = inf
+    at every radius) over 4096 log-spaced radii in [1e-9 R, R], then over 65
+    on the two cells around the least, until that bracket is 1e-10 wide in
+    ln r: one sampled minimum overstates the dip of the X family at m >= 2."""
     if p_pot.log_cells is not None:
         knots, s_R = p_pot.log_cells[0], -math.log(R)
         s = knots[knots >= s_R]
-        least = float(min(p_pot.value(R), p_pot.value(np.exp(-s)).min(initial=math.inf)))
-        if p_pot.sigma < 0.0 or least < math.inf:
-            return 0.0 if p_pot.sigma < 0.0 else c * least
-        least = float(p_pot.log_weight_exponent(np.append(s, s_R), 2.0).min())
-        return exp_or_inf(math.log(c) + least)
-    t, least = np.linspace(math.log(1e-9 * R), math.log(R), 4096), math.inf
+        v = float(min(p_pot.value(R), p_pot.value(np.exp(-s)).min(initial=math.inf)))
+        if p_pot.sigma < 0.0:
+            return 0.0
+        if TINY <= v < math.inf:
+            return c * v
+        return exp_or_inf(math.log(c) + p_pot.log_weight_exponent(np.append(s, s_R), 2.0).min())
+    t, least, ln = np.linspace(math.log(1e-9 * R), math.log(R), 4096), math.inf, False
     while True:
-        v = p_pot.value(np.exp(t))
+        v = np.log(p_pot.log_weight(-t)) - 2.0 * t if ln else p_pot.value(np.exp(t))
+        if not ln and v.min() == math.inf:
+            ln = True
+            continue
         k = int(np.argmin(v))
         least = min(least, float(v[k]))
         lo, hi = t[max(k - 1, 0)], t[min(k + 1, t.size - 1)]
         if hi - lo <= 1e-10:
-            return c * least
+            return exp_or_inf(math.log(c) + least) if ln else c * least
         t = np.linspace(lo, hi, 65)

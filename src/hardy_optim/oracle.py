@@ -484,7 +484,8 @@ def hardy_quotient(r: np.ndarray, u: np.ndarray, p: RadialPotential, n: int,
     mu_n = 0.25 * (n - 2) ** 2
     v = p.value(r)
     numerator = np.trapezoid(du ** 2 * r ** (n - 1), r) - mu_n * np.trapezoid(u ** 2 * r ** (n - 3.0), r)
-    denominator = np.trapezoid(v * u ** 2 * r ** (n - 1), r)
-    if denominator <= 1e-300:
+    with np.errstate(invalid="ignore"):     # v = inf times u^2 = 0 is nan, refused below
+        denominator = np.trapezoid(v * u ** 2 * r ** (n - 1), r)
+    if not 1e-300 < denominator < math.inf:
         raise DegenerateDenominator(f"potential-weighted mass is {denominator}")
     return float(numerator / denominator)

@@ -378,9 +378,8 @@ class RadialPotential:
     def closed_form_multiplier(self, R: Optional[float] = None) -> float:
         """Multiplier c at which ``closed_form`` solves y'' + y'/r + c v y = 0.
 
-        The log families solve at c = 1/4 / amplitude; the constant potential
-        at c = z0^2 / (R^2 amplitude) where z0 is the first J0 zero, a
-        DomainError where R^2 or c is not a normal float.
+        The log families solve at c = 1/4 / amplitude; the constant at c = z0^2 /
+        (R^2 amplitude), z0 the first J0 zero, DomainError where R^2 or c is no normal float.
         """
         if self.kind is not Kind.CONSTANT and self._euler is None:
             raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
@@ -389,11 +388,9 @@ class RadialPotential:
         if self._euler is not None:
             return 0.25 / self.amplitude
         R = self.r_max if R is None else R
-        denominator = R * R * self.amplitude
-        c = J0_FIRST_ZERO * J0_FIRST_ZERO / denominator if denominator > 0.0 else math.inf
+        c = J0_FIRST_ZERO * J0_FIRST_ZERO / max(R * R * self.amplitude, math.ulp(0.0))
         if not (TINY <= R * R and TINY <= c < math.inf):
-            raise DomainError(f"closed-form multiplier z0^2 / (R^2 amplitude) at R = {R!r}, "
-                              f"amplitude {self.amplitude!r}: R^2 or the multiplier is 0, a subnormal or inf")
+            raise DomainError(f"closed-form multiplier z0^2/(R^2 A) at R = {R!r}: no normal float")
         return c
 
     def closed_form(self, r, R: Optional[float] = None):

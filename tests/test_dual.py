@@ -31,7 +31,24 @@ def test_p_2_bound_where_v_passes_the_largest_double():
     assert p.value(0.5) == math.inf
     b = dual_lower_bound(p, 1e-300, 2.0, 3, 0.5)
     assert b.bound == pytest.approx(2e8, rel=1e-12, abs=0.0)
-    assert dual_lower_bound(p, 1e300, 2.0, 3, 0.5).bound == math.inf
+    with pytest.raises(DivergentNorm):      # c v = 2e608 is no float
+        dual_lower_bound(p, 1e300, 2.0, 3, 0.5)
+
+
+@pytest.mark.parametrize("make", [RadialPotential.adimurthi_log,
+                                  RadialPotential.filippas_tertikas])
+def test_p_2_bound_on_a_log_family_where_r_squared_underflows(make):
+    # below r = 1.5e-154 r^2 underflows and v is inf at every sample: the
+    # minimum of c v then read inf, and c v ~ 1e20 here is a float
+    p = make(1, r_max=1e-160)
+    assert p.value(1e-160) == math.inf
+    b = dual_lower_bound(p, 1e-300, 2.0, 3, 1e-160)
+    s = math.log(1e160)
+    g = p.log_weight(s)
+    assert b.bound == pytest.approx(math.exp(math.log(1e-300) + math.log(g) + 2.0 * s),
+                                    rel=1e-12, abs=0.0)
+    with pytest.raises(DivergentNorm):
+        dual_lower_bound(p, 1.0, 2.0, 3, 1e-160)
 
 
 def test_essential_infimum_of_table_sees_a_dip_between_samples():

@@ -619,6 +619,21 @@ def test_quotient_degenerate_denominator():
         hardy_quotient(r, np.sin(math.pi * r), RadialPotential.constant(0.0), 3, 1.0)
 
 
+def test_quotient_refuses_a_mass_past_the_largest_double():
+    # v is inf where v r^2 passes the largest double, or r^2 underflows (r
+    # below 1.5e-154): the mass is then inf, or nan from inf * u(R)^2 = 0,
+    # and the old `denominator <= 1e-300` check let nan through
+    r = np.geomspace(1e-8, 1.0, 16)
+    r[-1] = 1.0
+    with pytest.raises(DegenerateDenominator):      # mass inf
+        hardy_quotient(r, 1.0 - r, RadialPotential.adimurthi_log(1, amplitude=1e300), 3, 1.0)
+    r = np.geomspace(1e-170, 1e-160, 16)
+    r[-1] = 1e-160
+    with pytest.raises(DegenerateDenominator):      # mass nan
+        hardy_quotient(r, 1.0 - r / 1e-160, RadialPotential.adimurthi_log(1, r_max=1e-160),
+                       3, 1e-160, du=np.zeros_like(r))
+
+
 def test_quotient_requires_boundary_zero(constant_pot):
     r = _log_radii(101)
     with pytest.raises(DomainError):
