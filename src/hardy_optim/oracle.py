@@ -107,8 +107,8 @@ class GridSpec:
     def __post_init__(self):
         if self.N < 16:
             raise DomainError(f"need at least 16 nodes, got {self.N}")
-        if not 0.0 < self.r_min < self.R:
-            raise DomainError(f"need 0 < r_min < R, got ({self.r_min}, {self.R})")
+        if not 0.0 < self.r_min < self.R < math.inf:
+            raise DomainError(f"need 0 < r_min < R < inf, got r_min = {self.r_min}, R = {self.R}")
 
     def nodes(self) -> np.ndarray:
         if self.mapping is GridMapping.UNIFORM:
@@ -146,17 +146,19 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     below the smallest normal double (deep inner cutoffs), where the
     assembly would lose its precision and then overflow.
     """
-    h2 = np.diff(nodes) ** 2
-    weight = np.diff(nodes ** (a + 1.0)) / (a + 1.0)     # int r^a dr per cell
-    if min(h2.min(), weight.min()) < TINY:
+    h2 = np.diff(nodes)
+    h2 *= h2
+    cell = np.diff(nodes ** (a + 1.0))
+    cell /= a + 1.0                                      # int r^a dr per cell
+    if min(h2.min(), cell.min()) < TINY:
         raise DomainError(
             f"grid cells near r_min = {nodes[0]:g} underflow double precision; "
             "raise r_min")
-    cell = weight / h2
+    cell /= h2
     diag = np.zeros(nodes.size)
     diag[:-1] += cell
     diag[1:] += cell
-    return diag, -cell
+    return diag, np.negative(cell, out=cell)
 
 
 def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
@@ -165,32 +167,37 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
     log_weight(-t) e^((n-2)t) dt; with ``hardy``, also the lumped Hardy
     weight r^(n-3) dr = e^((n-2)t) dt of the forms with an inverse-square
     term, from the same e^((n-2)t) samples.  Lumped weights integrate over
-    each node's cell in t = ln r, composite Gauss-Legendre per half-cell."""
+    each node's cell in t = ln r, composite Gauss-Legendre per half-cell.
+    Besides the stiffness and log_weight's results it writes into half-widths,
+    midpoints, -t (then e^((n-2)t)) and the sums, with the plain bits."""
     k_diag, k_off = _stiffness(nodes, float(n - 1))
-    t_nodes = np.log(nodes)
-    t_mid = 0.5 * (t_nodes[:-1] + t_nodes[1:])       # geometric midpoints in r
-    t_lo = np.concatenate([t_nodes[:1], t_mid])
-    t_hi = np.concatenate([t_mid, t_nodes[-1:]])
-    half = 0.5 * (t_hi - t_lo)
-    mid = 0.5 * (t_hi + t_lo)
-    m_diag, h_diag = np.zeros(nodes.size), np.zeros(nodes.size)
-    neg_t, e = np.empty(nodes.size), np.ones(nodes.size)
+    half, mid, neg_t = np.empty(nodes.size), np.empty(nodes.size), np.log(nodes)
+    # t in neg_t, the cell ends t_lo = (t_0, t_mid) in mid and t_hi = (t_mid, t_N) in half
+    np.add(neg_t[:-1], neg_t[1:], out=mid[1:])
+    mid[1:] *= 0.5                                   # t_mid: geometric midpoints in r
+    mid[0], half[-1], half[:-1] = neg_t[0], neg_t[-1], mid[1:]
+    np.subtract(half, mid, out=neg_t)
+    mid += half
+    mid *= 0.5
+    np.multiply(neg_t, 0.5, out=half)
+    m_diag = np.zeros(nodes.size)
+    h_diag = np.zeros(nodes.size) if hardy else None
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
         np.multiply(half, -xi, out=neg_t)
         neg_t -= mid                                 # -t = -(mid + half xi), exactly
-        if n != 2:                                   # else e^((n-2)t) = 1
-            np.exp(np.multiply(neg_t, 2.0 - n, out=e), out=e)
         lw = p.log_weight(neg_t)                     # a new array: scaled in place
+        # e^((n-2)t) over -t, which log_weight has read; 1 at n = 2
+        e = np.exp(np.multiply(neg_t, 2.0 - n, out=neg_t), out=neg_t) if n != 2 else 1.0
         lw *= e
         lw *= wi
         m_diag += lw
         if hardy:
-            h_diag += wi * e
+            h_diag += np.multiply(e, wi, out=lw)
     m_diag *= half
     if np.any(m_diag[:-1] < TINY):
         raise SingularMass("potential weight vanishes or underflows on a full cell")
     pencil = k_diag[:-1], k_off[:-1], m_diag[:-1]
-    return pencil + ((h_diag * half)[:-1],) if hardy else pencil
+    return pencil + (np.multiply(h_diag, half, out=h_diag)[:-1],) if hardy else pencil
 
 
 def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = None,
@@ -217,33 +224,37 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     (sigma = 0) if its factorization fails.  It runs on 4^-k M, 4^k near max
     M, so that y.My stays in the floats (a warm start's shift times 4^k, its
     vector 2^k), and returns lambda 4^-k and x 2^-k, which keeps every bit.
+    Besides dpttrf's factors and each solve it writes, with the plain bits, into
+    4^-k M, K - sigma M, and M x and M y, which trade places each step.
     """
     k = math.frexp(float(m_diag.max()))[1] // 2
     m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
+    work, my = np.empty_like(m_diag), np.empty_like(m_diag)
     sigma, failed = 0.0, math.inf
     if shift > 0.0:
-        d, e, info = dpttrf(k_diag - shift * m_diag, k_off)
+        d, e, info = dpttrf(_shifted(k_diag, shift, m_diag, work), k_off)
         sigma = 0.0 if info else shift
     if not sigma:
         d, e, info = dpttrf(k_diag, k_off)
         if info:
             raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
-    x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else np.ldexp(start, k)
+    x = (np.sqrt(np.maximum(m_diag, 1e-300, out=work), out=work) if start is None
+         else np.ldexp(start, k, out=work))
     mx = m_diag * x
     lam = math.inf
     for iterations in range(1, _MAX_ITER + 1):
         y, _ = solve_banded(d, e, mx)
-        my = m_diag * y
-        y_my = float(y @ my)
+        y_my = float(y @ np.multiply(m_diag, y, out=my))
         lam, lam_prev = sigma + float(y @ mx) / y_my, lam   # y.Ky = y.Mx + sigma y.My
         scale = 1.0 / math.sqrt(y_my)
-        x, mx = y * scale, my * scale
+        my *= scale
+        mx, my = my, mx
         target, step = lam * (1.0 - _CERT_GAP), abs(lam - lam_prev)
         aim = target if step <= _CERT_GAP * lam else lam - 2.0 * step
         if sigma < aim:
             shift = aim if aim < failed else 0.5 * (sigma + failed)
             for _ in range(2):
-                d_new, e_new, info = dpttrf(k_diag - shift * m_diag, k_off)
+                d_new, e_new, info = dpttrf(_shifted(k_diag, shift, m_diag, work), k_off)
                 if not info:
                     sigma, d, e = shift, d_new, e_new
                     break
@@ -253,20 +264,29 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     else:
         raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: lambda_1 in "
                          f"[{np.ldexp(sigma, -2 * k):g}, {np.ldexp(lam, -2 * k):g}]")
-    # x.Kx via row sums and edge differences: x @ (K x) cancels to noise > tol
-    dx = np.diff(x)
-    lam = float(_tri_mul(k_diag, k_off, np.ones_like(k_diag)) @ (x * x) - k_off @ (dx * dx))
-    kx = _tri_mul(k_diag, k_off, x)
-    res_norm = float(np.linalg.norm(kx - lam * m_diag * x)
-                     / (np.linalg.norm(kx) + lam * np.linalg.norm(m_diag * x)))
-    return float(np.ldexp(lam, -2 * k)), np.ldexp(x, -k), res_norm, iterations
+    x = np.multiply(y, scale, out=y)                 # x = y scale, of the last step only
+    # x.Kx via K's row sums and edge differences: x @ (K x) cancels to noise > tol
+    np.copyto(work, k_diag)
+    work[:-1] += k_off
+    work[1:] += k_off
+    dx = np.subtract(x[1:], x[:-1], out=mx[:-1])
+    dx *= dx
+    lam = float(work @ np.multiply(x, x, out=my) - k_off @ dx)
+    kx = np.multiply(k_diag, x, out=work)
+    kx[:-1] += np.multiply(k_off, x[1:], out=my[:-1])
+    kx[1:] += np.multiply(k_off, x[:-1], out=my[:-1])
+    lam_mx = np.multiply(m_diag, lam, out=my)
+    lam_mx *= x
+    r_norm = np.linalg.norm(np.subtract(kx, lam_mx, out=my))
+    res_norm = float(r_norm / (np.linalg.norm(kx)
+                               + lam * np.linalg.norm(np.multiply(m_diag, x, out=my))))
+    return float(np.ldexp(lam, -2 * k)), np.ldexp(x, -k, out=x), res_norm, iterations
 
 
-def _tri_mul(diag, off, x):
-    y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
-    return y
+def _shifted(diag, sigma, weight, out):
+    """diag - sigma weight, formed in ``out`` (which may be weight, not diag)."""
+    np.multiply(weight, sigma, out=out)
+    return np.subtract(diag, out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +307,7 @@ def reduced_rayleigh_min(p: RadialPotential, grid: GridSpec) -> EigenResult:
     L = ln(ln(rho / r_min) / ln(rho / R)), so the gap closes only like
     (pi / L)^2.
     """
+    p.check_radius(grid.R)
     # the reduced quotient is the radial form of dimension 2 (weight r)
     k_diag, k_off, m_diag = _pencil(p, grid.nodes(), 2)
     lam, x, res, iters = _smallest_eigenpair(k_diag, k_off, m_diag)
@@ -306,8 +327,10 @@ def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> Eig
     mu_crit = 0.25 * (n - 2) ** 2
     if not 0.0 <= mu < mu_crit:
         raise IndefiniteForm(f"mu = {mu} outside [0, mu_n = {mu_crit})")
+    p.check_radius(grid.R)
     k_diag, k_off, m_diag, hardy_diag = _pencil(p, grid.nodes(), n, hardy=True)
-    lam, x, res, iters = _smallest_eigenpair(k_diag - mu * hardy_diag, k_off, m_diag)
+    lam, x, res, iters = _smallest_eigenpair(_shifted(k_diag, mu, hardy_diag, hardy_diag),
+                                             k_off, m_diag)
     return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
 
@@ -336,15 +359,19 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
         # deeper than for a fixed-mu solve or it acts as a Dirichlet wall
         # and the sequence plateaus above the true limit.
         grid = GridSpec(4000, GridMapping.LOG_SPACED, R, 1e-40 * R)
+    elif grid.R != R:
+        raise DomainError(f"the grid ends at {grid.R}, not at R = {R}")
+    p.check_radius(R)
     mu_n = 0.25 * (n - 2) ** 2
     mus = (1.0 - 2.0 ** -np.arange(1.0, _LIMIT_DEPTH + 1)) * mu_n
-    # one assembly; each mu only shifts the stiffness diagonal
+    # one assembly; each mu only shifts the stiffness diagonal, in one buffer
     k_diag, k_off, m_diag, hardy_diag = _pencil(p, grid.nodes(), n, hardy=True)
     lambdas, residuals, x, shift = [], [], None, 0.0
+    shifted = np.empty_like(k_diag)
     for mu in mus:
         # warm start passed positionally, the way tests stub the solver
-        lam, x, res = _smallest_eigenpair(k_diag - float(mu) * hardy_diag, k_off, m_diag,
-                                          x, shift)[:3]
+        lam, x, res = _smallest_eigenpair(_shifted(k_diag, float(mu), hardy_diag, shifted),
+                                          k_off, m_diag, x, shift)[:3]
         shift = 2.0 * lam - lambdas[-1] if lambdas else 0.0
         lambdas.append(lam)
         residuals.append(res)

@@ -102,16 +102,17 @@ def exp_tower(m: int) -> float:
 def _chain(m: int, sigma, kappa: float, xp):
     """The borderline families' X_1 = 1/sigma, ..., X_m by X_(i+1) = 1 /
     (kappa - log X_i), each required positive, sigma finite at any m, reduced to
-    (sum_i prod_{j<=i} X_j^2, prod_j X_j); float or ndarray, ``xp`` math or np."""
-    total, prod = 0.0, 1.0
+    (sum_i prod_{j<=i} X_j^2, prod_j X_j); float or ndarray, ``xp`` math or np.
+    An ndarray sigma is the caller's temporary: each sigma and X_i overwrite it."""
+    total, prod, inplace = 0.0, 1.0, isinstance(sigma, np.ndarray)
     if not (np.isfinite(sigma).all() if xp is np else math.isfinite(sigma)):    # X_1 = +-0, nan
         raise DomainError("abscissa outside the family's domain: a chain factor is not > 0")
     for i in range(m):
-        if i:
-            sigma = kappa - xp.log(x)    # finite, as the last X is in (0, inf)
+        if i:    # kappa - log X, finite, as the last X is in (0, inf)
+            sigma = np.subtract(kappa, np.log(x, out=x), out=x) if inplace else kappa - xp.log(x)
         if (sigma <= 0.0).any() if xp is np else sigma <= 0.0:
             raise DomainError("abscissa outside the family's domain: a chain factor is not > 0")
-        x = 1.0 / sigma
+        x = np.divide(1.0, sigma, out=sigma) if inplace else 1.0 / sigma
         prod *= x
         total += prod * prod
     return total, prod
@@ -270,7 +271,9 @@ class RadialPotential:
         euler = self._euler
         if euler is not None:
             kappa, _, s0 = euler
-            return self.amplitude * _chain(self.m, s - s0, kappa, xp)[0]
+            total = _chain(self.m, s - s0, kappa, xp)[0]
+            total *= self.amplitude    # in place for an ndarray, the chain's own
+            return total
         return exp_or_inf(self.log_weight_exponent(s))
 
     @functools.cached_property

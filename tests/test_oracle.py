@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,6 +507,148 @@ def test_rising_power_law_mass_reads_the_exponent_where_it_saturates():
     assert lam * 1e298 == pytest.approx(expected, rel=1e-9)
 
 
+def _tri_mul(diag, off, x):
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
+def _reference_eigenpair(k_diag, k_off, m_diag, start=None, shift=0.0):
+    """_smallest_eigenpair as it was with a new array for every product: the
+    same iteration, x and M x formed afresh each step, K's row sums as K
+    times a vector of ones."""
+    dpttrf, solve_banded = oracle.dpttrf, oracle.solve_banded
+    k = math.frexp(float(m_diag.max()))[1] // 2
+    m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
+    sigma, failed = 0.0, math.inf
+    if shift > 0.0:
+        d, e, info = dpttrf(k_diag - shift * m_diag, k_off)
+        sigma = 0.0 if info else shift
+    if not sigma:
+        d, e, info = dpttrf(k_diag, k_off)
+        if info:
+            raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
+    x = np.sqrt(np.maximum(m_diag, 1e-300)) if start is None else np.ldexp(start, k)
+    mx = m_diag * x
+    lam = math.inf
+    for iterations in range(1, oracle._MAX_ITER + 1):
+        y, _ = solve_banded(d, e, mx)
+        my = m_diag * y
+        y_my = float(y @ my)
+        lam, lam_prev = sigma + float(y @ mx) / y_my, lam
+        scale = 1.0 / math.sqrt(y_my)
+        x, mx = y * scale, my * scale
+        target, step = lam * (1.0 - oracle._CERT_GAP), abs(lam - lam_prev)
+        aim = target if step <= oracle._CERT_GAP * lam else lam - 2.0 * step
+        if sigma < aim:
+            shift = aim if aim < failed else 0.5 * (sigma + failed)
+            for _ in range(2):
+                d_new, e_new, info = dpttrf(k_diag - shift * m_diag, k_off)
+                if not info:
+                    sigma, d, e = shift, d_new, e_new
+                    break
+                failed, shift = shift, 0.5 * (sigma + shift)
+        if step <= oracle._EIG_TOL * lam and sigma >= target:
+            break
+    else:
+        raise HardyError(f"inverse iteration unsettled after {oracle._MAX_ITER} steps")
+    dx = np.diff(x)
+    lam = float(_tri_mul(k_diag, k_off, np.ones_like(k_diag)) @ (x * x) - k_off @ (dx * dx))
+    kx = _tri_mul(k_diag, k_off, x)
+    res_norm = float(np.linalg.norm(kx - lam * m_diag * x)
+                     / (np.linalg.norm(kx) + lam * np.linalg.norm(m_diag * x)))
+    return float(np.ldexp(lam, -2 * k)), np.ldexp(x, -k), res_norm, iterations
+
+
+def _same_eigenpair(got, want):
+    return (got[0], got[1].tobytes(), got[2:]) == (want[0], want[1].tobytes(), want[2:])
+
+
+_SOLVER_POTENTIALS = {**_PENCIL_POTENTIALS, **_COLD_POTENTIALS}
+
+
+@pytest.mark.parametrize("potential", _SOLVER_POTENTIALS.values(), ids=_SOLVER_POTENTIALS.keys())
+def test_eigenpair_matches_the_reference_solver_bitwise(potential):
+    # the solver's fixed working set keeps every bit of lambda, x, the
+    # residual and the iteration count: cold and warm, on the reduced and the
+    # weighted pencil, and on 4^j M
+    nodes = _grid(2000, r_min=1e-40).nodes()
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, nodes, 3, hardy=True)
+    for pencil in (oracle._pencil(potential, nodes, 2), (k_diag - 0.1 * hardy_diag, k_off, m_diag)):
+        cold = _reference_eigenpair(*pencil)
+        cases = [(pencil, ()), (pencil, (cold[1], 0.9 * cold[0]))]
+        cases += [((*pencil[:2], np.ldexp(pencil[2], 2 * j)), ()) for j in (-60, 60)]
+        for args, warm in cases:
+            want = _reference_eigenpair(*args, *warm)
+            assert _same_eigenpair(oracle._smallest_eigenpair(*args, *warm), want)
+
+
+@pytest.mark.parametrize("potential", [RadialPotential.power_law(1.0),
+                                       RadialPotential.adimurthi_log(3)],
+                         ids=["power_law-1", "adimurthi_log-3"])
+def test_lambda_limit_matches_the_reference_solver_bitwise(monkeypatch, potential):
+    # the K - mu H buffer and the warm starts hand the solver the same
+    # pencils and vectors as the reference did
+    got = lambda_limit(potential, 3, 1.0)
+    monkeypatch.setattr(oracle, "_smallest_eigenpair", _reference_eigenpair)
+    want = lambda_limit(potential, 3, 1.0)
+    assert got.limit == want.limit
+    for name in ("lambdas", "extrapolants", "residual_norms"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _peak_n_arrays(run, n):
+    """Peak traced memory of run() in units of n doubles, after a first
+    untraced call (which loads LAPACK)."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (8.0 * n)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("potential, bounds", [(RadialPotential.power_law(1.0), (11, 13, 14)),
+                                               (RadialPotential.adimurthi_log(3), (13, 13, 14))],
+                         ids=["power_law-1", "adimurthi_log-3"])
+def test_fe_working_set_is_pinned_in_n_arrays(potential, bounds):
+    # at N = 10,000, with a new array for every product, the pencil peaked
+    # at 15 (power law) and 19 (adimurthi_log(3)) N-arrays and both quotients
+    # at 16 and 20; in fixed working sets the pencil peaks at 10 and 12,
+    # reduced_rayleigh_min at 12 and weighted_eigen at 13
+    grid = _grid()
+    nodes = grid.nodes()
+    peaks = (_peak_n_arrays(lambda: oracle._pencil(potential, nodes, 3, hardy=True), grid.N),
+             _peak_n_arrays(lambda: reduced_rayleigh_min(potential, grid), grid.N),
+             _peak_n_arrays(lambda: weighted_eigen(potential, 0.1, 3, grid), grid.N))
+    assert all(peak <= bound for peak, bound in zip(peaks, bounds)), peaks
+
+
+@pytest.mark.parametrize("entry", ["reduced_rayleigh_min", "weighted_eigen", "lambda_limit",
+                                   "lambda_limit-default-grid"])
+def test_fe_quotients_refuse_a_grid_past_the_potentials_domain(entry):
+    # on r_max = 1 a grid out to R = 4 once answered (0.36145 from the reduced
+    # quotient, the extrapolated c(V) of R = 4) where best_constant,
+    # feasible, dual_lower_bound, hardy_quotient and value raise
+    p = RadialPotential.power_law(1.0, r_max=1.0)
+    grid = GridSpec(2000, GridMapping.LOG_SPACED, 4.0, 4e-6)
+    calls = {"reduced_rayleigh_min": lambda: reduced_rayleigh_min(p, grid),
+             "weighted_eigen": lambda: weighted_eigen(p, 0.1, 3, grid),
+             "lambda_limit": lambda: lambda_limit(p, 3, 4.0, grid),
+             "lambda_limit-default-grid": lambda: lambda_limit(p, 3, 4.0)}
+    with pytest.raises(DomainError, match=r"radius 4\.0 outside \(0, r_max = 1\.0\]"):
+        calls[entry]()
+
+
+def test_lambda_limit_refuses_a_grid_that_ends_elsewhere():
+    # a grid ending at 0.5 once answered 3.0009, the limit of R = 0.5, for R = 1
+    grid = GridSpec(2000, GridMapping.LOG_SPACED, 0.5, 1e-30)
+    with pytest.raises(DomainError, match="ends at 0.5, not at R = 1.0"):
+        lambda_limit(RadialPotential.power_law(1.0), 3, 1.0, grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # weighted one-dimensional inequality
 # ---------------------------------------------------------------------------
@@ -649,6 +792,14 @@ def test_grid_spec_guards():
         GridSpec(8, GridMapping.UNIFORM, 1.0, 1e-6)
     with pytest.raises(DomainError):
         GridSpec(100, GridMapping.UNIFORM, 1.0, 2.0)
+
+
+def test_grid_spec_refuses_an_infinite_radius():
+    # R = inf once gave the nodes [nan, inf, ...], RuntimeWarnings and an
+    # unsettled eigensolve
+    for mapping in GridMapping:
+        with pytest.raises(DomainError, match="R = inf"):
+            GridSpec(2000, mapping, math.inf, 1e-6)
 
 
 def test_grid_nodes_ordering():

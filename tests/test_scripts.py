@@ -52,3 +52,18 @@ def test_record_digest_prints_one_digest_per_entry(monkeypatch, capsys):
     assert "power_law alpha=1 A=1e-30" in names
     assert "adimurthi_log m=3 A=20" in names and "filippas_tertikas_x m=1 A=0.05" in names
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
+
+
+def test_fe_profile_prints_each_entry_point_on_the_catalog(monkeypatch, capsys):
+    lines = _run_script("fe_profile.py", [], monkeypatch, capsys)
+    assert lines[0].split() == ["entry", "potential", "N", "peak_N", "faults", "dpttrf",
+                                "dpttrs", "ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert len(rows) == 3 * 11 and [row[0] for row in rows[::11]] == [
+        "reduced_rayleigh_min", "weighted_eigen", "lambda_limit"]
+    for row in rows:
+        peak, faults, factors, solves, ms = map(float, row[-5:])
+        n = 4000 if row[0] == "lambda_limit" else 10_000
+        assert int(row[-6]) == n and 0.0 < peak < 20.0 and faults >= 0.0 and ms > 0.0
+        assert 1 <= factors <= solves
+    assert [row[1] for row in rows[10::11]] == ["mean"] * 3
