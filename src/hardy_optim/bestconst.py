@@ -65,16 +65,14 @@ class BestConstantResult:
 
 
 def _margin(out: ShootingOutcome, R: float) -> Optional[float]:
-    """Signed shooting margin of a swept radius-domain shot, continuous in c:
-    y(R) without a zero, else r* y'(r*) ln(R / r*), the value at R of the
-    tangent (in ln r) at the first zero r*.  Positive on the feasible side.
-    None for a zero below every float radius, which leaves no trajectory."""
-    if out.first_zero is None:
-        return float(out.trajectory["y"][-1])
-    if not out.trajectory["r"].size:
+    """Signed shooting margin of a swept radius-domain shot from its end row,
+    continuous in c: y(R) without a zero, else r* y'(r*) ln(R / r*), the
+    value at R of the tangent (in ln r) at the first zero r*.  Positive on
+    the feasible side; None for a zero below every float radius (no row)."""
+    if out.end is None:
         return None
-    r = out.first_zero
-    return float(r * out.trajectory["dy"][-1] * math.log(R / r))
+    r, y, dy = out.end.values()
+    return y if out.first_zero is None else r * dy * math.log(R / r)
 
 
 def _closed_form_covers(c: float, A: float) -> bool:
@@ -128,7 +126,7 @@ def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome)
     if found:
         near = 0.0 < s - s_R <= bound
     else:    # the tangent in s at R vanishes y(R) / (-R y'(R)) past R
-        near = 0.0 < out.trajectory["y"][-1] <= -R * out.trajectory["dy"][-1] * bound
+        near = 0.0 < out.end["y"] <= -R * out.end["dy"] * bound
     if near:
         raise IndeterminateAtHorizon(
             f"multiplier {c}: first zero within the sweep's accuracy of R, "

@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,13 +141,23 @@ class TailCertificate:
 
 @dataclass(frozen=True)
 class ShootingOutcome:
-    """Trajectory plus zero/termination bookkeeping for one integration."""
+    """First zero, termination and solution of one integration.  A sweep
+    keeps one state, its dense output (of r or s, answering on ``span``).
+    Its ``trajectory``, (r, y, dy/dr) in increasing r or (s, z, dz/ds) in
+    increasing s, is a view of that formed on first read, a first zero the
+    exact row z = 0; ``end`` is the row where it stopped, read by verdicts."""
 
-    trajectory: dict                      # column name -> sample array
+    rows: dict | Callable                 # column name -> sample array, or the function forming it
     zero_s: Optional[float]               # log abscissa s* of the first zero, if any
     status: Status
     certificate: Optional[TailCertificate] = None
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
+    end: Optional[dict] = None            # column name -> value at the first zero, else at the end
+    span: Optional[tuple] = None          # (lo, hi): the range of s swept
+
+    @cached_property
+    def trajectory(self) -> dict:
+        return self.rows() if callable(self.rows) else self.rows
 
     @property
     def first_zero(self) -> Optional[float]:
@@ -176,16 +187,7 @@ def wants_log_domain(p: RadialPotential) -> bool:
 # DOP853 sweeps of the log families, in the Liouville variable
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _RawRun:
-    t: np.ndarray
-    y: np.ndarray                 # shape (2, n)
-    zero_t: Optional[float]
-    zero_dz: Optional[float]      # the slope dz/ds at zero_t, where z = 0
-    dense: Optional[Callable]
-
-
-def _line(s_from: float, s_to: float, state0) -> _RawRun:
+def _line(s_from: float, s_to: float, state0) -> tuple:
     """The sweep where a = 0: the line z = z0 + z0' (s - s_from), up to its
     zero if it crosses 0 inside the sweep."""
     z0, dz0 = float(state0[0]), float(state0[1])
@@ -196,10 +198,10 @@ def _line(s_from: float, s_to: float, state0) -> _RawRun:
     def dense(s):
         return np.array([z0 + dz0 * (np.asarray(s) - s_from), np.full(np.shape(s), dz0)])
 
-    return _RawRun(t, dense(t), zero_t, None if zero_t is None else dz0, dense)
+    return t, zero_t, None if zero_t is None else dz0, dense
 
 
-def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _RawRun:
+def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
     """Sweep a log family from s_from to s_to in tau = ln(s - s0), s0 = (outer
     edge) - 1, by one solve_ivp call; the first sign change ends it at the
     terminal event, whose root is already refined on the dense output.
@@ -236,25 +238,27 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
         last = s0 + math.exp(sol.t[-1]) if sol.t.size else s_from
         raise StepSizeUnderflow(f"integrator stalled at abscissa {last}: {sol.message}", last)
 
-    def to_z(tau, u):
-        """(s, z, dz/ds) from tau and (w, w_t); s0 + sigma is only as exact as
-        s0, so it is clipped into the swept range."""
-        sigma, gain = np.exp(tau), np.exp(0.5 * (tau - tau0))
-        return np.clip(s0 + sigma, lo, hi), gain * u[0], gain * (u[1] + 0.5 * u[0]) / sigma
+    def to_s(tau):    # s0 + sigma is only as exact as s0: clipped into the swept range
+        return np.clip(s0 + np.exp(tau), lo, hi)
 
-    s, z, dz = to_z(sol.t, sol.y)
+    def to_z(tau, u):    # (z, dz/ds) from (w, w_t)
+        sigma, gain = np.exp(tau), np.exp(0.5 * (tau - tau0))
+        return gain * u[0], gain * (u[1] + 0.5 * u[0]) / sigma
+
+    s = to_s(sol.t)    # the steps; their states are the dense output's
     s[0] = s_from
     zero_t = zero_dz = None
     if sol.t_events[0].size:
-        zero_t, _, zero_dz = (float(v) for v in to_z(sol.t_events[0][0], sol.y_events[0][0]))
+        tau = sol.t_events[0][0]
+        zero_t, zero_dz = float(to_s(tau)), float(to_z(tau, sol.y_events[0][0])[1])
     else:
         s[-1] = s_to
 
     def dense(s):
         tau = np.log(np.asarray(s) - s0)
-        return np.array(to_z(tau, sol.sol(tau))[1:])
+        return np.array(to_z(tau, sol.sol(tau)))
 
-    return _RawRun(s, np.array([z, dz]), zero_t, zero_dz, dense)
+    return s, zero_t, zero_dz, dense
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +422,12 @@ def _transfer(a: tuple, b: tuple) -> tuple[np.ndarray, ...]:
             (b21 * a22 - b22 * a21) / norm, (b22 * a11 - b21 * a12) / norm)
 
 
-def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _RawRun:
+def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
     """Sweep a log-log linear kind exactly: carry the state across the
     segments by their transfer matrices, find the first segment whose exact
     solution vanishes, and locate the zero from the solution's phase, so two
-    zeros inside one segment are no trap.  The trajectory holds
-    _CELL_SAMPLES points per segment, knots included, and its end."""
+    zeros inside one segment are no trap.  Its samples: _CELL_SAMPLES per
+    segment and its end; a knot belongs to the segment it starts."""
     seg = _segments(prob, s_from, s_to)
     n = seg.u.size
     both = _fundamental(seg, np.tile(np.arange(n), 2), np.concatenate([seg.u, seg.w]))
@@ -473,29 +477,22 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> _R
             zero_t = _phase_root(phase, goal, lo, hi, min(max(guess, lo), hi))
         n = k + 1
 
-    def state(k, t):    # f (A, B) of segments k at t: the states (z, dz/ds)
-        f11, f12, f21, f22, _ = _fundamental(seg, k, t)
-        return np.array([f11 * A[k] + f12 * B[k], f21 * A[k] + f22 * B[k]])
-
-    frac = np.arange(_CELL_SAMPLES) / _CELL_SAMPLES
-    t = (seg.u[:n, None] + (seg.w - seg.u)[:n, None] * frac).ravel()
-    owner = np.repeat(np.arange(n), _CELL_SAMPLES)
-    if zero_t is None:
-        t, owner = np.append(t, seg.w[-1]), np.append(owner, n - 1)
-    keep = np.ones(t.size, dtype=bool)
-    keep[1:] = np.diff(t) != 0.0
-    t, owner = t[keep], owner[keep]
-    y = state(owner, t)
-
     sign = 1.0 if s_to > s_from else -1.0
     ends = sign * seg.w[:n]
 
-    def dense(s):
+    def dense(s):    # f (A, B) of the segments k holding s: the states (z, dz/ds)
         t = np.atleast_1d(np.asarray(s, dtype=float))
-        out = state(np.minimum(np.searchsorted(ends, sign * t), n - 1), t)
+        k = np.minimum(np.searchsorted(ends, sign * t, side="right"), n - 1)
+        f11, f12, f21, f22, _ = _fundamental(seg, k, t)
+        out = np.array([f11 * A[k] + f12 * B[k], f21 * A[k] + f22 * B[k]])
         return out if np.ndim(s) else out[:, 0]
 
-    return _RawRun(t, y, zero_t, None if zero_t is None else float(dense(zero_t)[1]), dense)
+    frac = np.arange(_CELL_SAMPLES) / _CELL_SAMPLES
+    t = (seg.u[:n, None] + (seg.w - seg.u)[:n, None] * frac).ravel()
+    if zero_t is None:
+        t = np.append(t, seg.w[-1])
+    t = t[np.append(True, np.diff(t) != 0.0)]
+    return t, zero_t, None if zero_t is None else float(dense(zero_t)[1]), dense
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +509,8 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
     """
     if prob.domain is Domain.RADIUS:
         s0, state0 = _inner_cell_start(prob)
-        if state0 is None:    # s0 is the zero, beyond s = 700
-            columns = dict.fromkeys("r y dy".split(), np.empty(0))
-            return ShootingOutcome(columns, s0, Status.ZERO_FOUND)
+        if state0 is None:    # s0 is the zero, beyond s = 700: no row
+            return ShootingOutcome(dict.fromkeys(("r", "y", "dy"), np.empty(0)), s0, Status.ZERO_FOUND)
         return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0))
     return _sweep(prob, _outer_edge(prob), prob.s_max, (1.0, 0.0))
 
@@ -581,54 +577,59 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
 
     As the line through the start state where a = 0 (``_vanishes``); else
     exactly, cell by cell, for the log-log linear kinds and by DOP853 in the
-    Liouville variable for the log families.  The trajectory ends at the
-    first zero, if any, as the row z = 0 with the engine's slope there, and
-    is sorted by s; its dense output answers on that range only.  Without a
-    zero, a sweep toward the outer edge (decreasing s) has covered its whole
-    interval; a sweep outward has only reached its horizon.
+    Liouville variable for the log families, each of which returns its
+    samples, first zero and slope there, and dense output: the end row and
+    the rows (the samples before the zero, then the row z = 0 with that
+    slope, sorted by s) are read off it.  Without a zero, a sweep toward the
+    outer edge (decreasing s) has covered its interval; outward, it has
+    only reached its horizon.
     """
     if _vanishes(prob):
-        run = _line(s_from, s_to, state0)
+        t, zero_t, zero_dz, run = _line(s_from, s_to, state0)
     elif prob.potential.log_cells is not None:
-        run = _cell_sweep(prob, s_from, s_to, state0)
+        t, zero_t, zero_dz, run = _cell_sweep(prob, s_from, s_to, state0)
     else:
-        run = _liouville_sweep(prob, s_from, s_to, state0)
+        t, zero_t, zero_dz, run = _liouville_sweep(prob, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
-    s, z, dz = run.t, run.y[0], run.y[1]
-    if run.zero_t is None:
+    if zero_t is None:    # the last sample: s_to, or a cell sweep's zero-width capped end
         status = Status.NO_ZERO_ON_INTERVAL if to_edge else Status.HORIZON_REACHED
-    else:
-        status = Status.ZERO_FOUND
-        before = s > run.zero_t if to_edge else s < run.zero_t
-        before[0] = True    # the start, even where the zero rounds to its s
-        s = np.append(s[before], run.zero_t)
-        z = np.append(z[before], 0.0)    # the engine's z there is only as exact as its root
-        dz = np.append(dz[before], run.zero_dz)
-    if to_edge:
-        s, z, dz = s[::-1], z[::-1], dz[::-1]
-    lo, hi = float(s[0]), float(s[-1])
+        end = (float(t[-1]), *(float(v) for v in run(t[-1])))
+    else:    # the engine's z there is only as exact as its root
+        status, end = Status.ZERO_FOUND, (zero_t, 0.0, zero_dz)
+    lo, hi = sorted((s_from, end[0]))
 
     def dense(x):
         if not lo - 1e-12 <= np.min(x) <= np.max(x) <= hi + 1e-12:
             raise DomainError(f"abscissa {x} outside the swept range [{lo}, {hi}]")
-        return run.dense(x)
+        return run(x)
 
-    return ShootingOutcome({"s": s, "z": z, "dz": dz}, run.zero_t, status,
-                           certificate=certificate, dense=dense)
+    def rows():    # the samples before the zero, the start even where the zero rounds to it
+        s = t if zero_t is None else t[np.append(True, t[1:] > zero_t if to_edge else t[1:] < zero_t)]
+        columns = np.vstack([s, run(s)])
+        if zero_t is not None:
+            columns = np.column_stack([columns, end])
+        return dict(zip(("s", "z", "dz"), columns[:, ::-1] if to_edge else columns))
+
+    return ShootingOutcome(rows, zero_t, status, certificate=certificate, dense=dense,
+                           end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi))
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
-    """A sweep in the radius frame: r = e^-s, y = z and dy/dr = -z'/r, in
-    increasing r, with a dense output that takes a radius."""
-    s, z, dz = (out.trajectory[k][::-1] for k in ("s", "z", "dz"))
-    r = np.exp(-s)
-    if out.first_zero is not None:
-        r[-1] = out.first_zero    # math.exp, which np.exp may miss by an ulp
+    """A sweep in the radius frame: r = e^-s, y = z and dy/dr = -z'/r in
+    increasing r, rows and end row alike, with a dense output of r."""
+    def columns(s, z, dz):
+        r = np.exp(-s[::-1])
+        if out.first_zero is not None:
+            r[-1] = out.first_zero    # math.exp, which np.exp may miss by an ulp
+        return dict(zip(("r", "y", "dy"), (r, z[::-1], -dz[::-1] / r)))
+
     def dense_r(radius):
         state = out.dense(-np.log(radius))
         return np.array([state[0], -state[1] / radius])
 
-    return replace(out, trajectory={"r": r, "y": z, "dy": -dz / r}, dense=dense_r)
+    end = columns(*(np.array([v]) for v in out.end.values()))
+    return replace(out, rows=lambda: columns(*out.trajectory.values()), dense=dense_r,
+                   end={k: float(v[0]) for k, v in end.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -712,24 +713,24 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
 # ---------------------------------------------------------------------------
 
 def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem) -> float:
-    """Max |psi' + psi^2 + a(s)| along the trajectory, psi = z'/z.
+    """Max |psi' + psi^2 + a(s)| along the solution, psi = z'/z.
 
     psi is the log-derivative of the solution in the log variable (equal to
     -r y'(r)/y(r) in radius terms); for an exact solution the expression
     vanishes identically, so the returned maximum bounds the combined
-    integration and finite-difference error.  Needs strictly positive z on
-    a range of s of positive length.
+    integration and finite-difference error.  A sweep is read off its dense
+    output across its span, not its rows.  Needs a log-frame outcome and
+    strictly positive z on a range of s of positive length.
     """
     if prob.domain is not Domain.LOG:
         raise DomainError("riccati_check expects a log-domain problem")
-    if "z" not in outcome.trajectory:
+    if "z" not in (outcome.end or outcome.trajectory):    # the frame's columns
         raise DomainError("riccati_check expects a log-domain trajectory")
-    s, z, dz = (outcome.trajectory[k] for k in ("s", "z", "dz"))
+    swept = outcome.dense is not None
+    s = np.linspace(*outcome.span, _RICCATI_SAMPLES) if swept else outcome.trajectory["s"]
     if s.size < 2 or not s[-1] > s[0]:
         raise DomainError("trajectory spans no range of s")
-    if outcome.dense is not None:
-        s = np.linspace(s[0], s[-1], _RICCATI_SAMPLES)
-        z, dz = outcome.dense(s)
+    z, dz = outcome.dense(s) if swept else (outcome.trajectory[k] for k in ("z", "dz"))
     if np.any(z <= 0.0):
         raise NonPositiveTrajectory("trajectory is not strictly positive on the sampled range")
     psi = dz / z

@@ -79,8 +79,8 @@ def _flapack():
 
 
 def dpttrf(*args, **kwargs):
-    """LAPACK's dpttrf (scipy.linalg.lapack.dpttrf), under the name
-    bench/spans.py and the tests patch."""
+    """LAPACK's dpttrf (scipy.linalg.lapack.dpttrf), under the name the
+    tests patch (bench/spans.py patches only ``solve_banded``)."""
     return _flapack().dpttrf(*args, **kwargs)
 
 
@@ -105,8 +105,8 @@ class GridSpec:
     r_min: float = 1e-6
 
     def __post_init__(self):
-        if self.N < 16:
-            raise DomainError(f"need at least 16 nodes, got {self.N}")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 16:
+            raise DomainError(f"need an integer N of at least 16 nodes, got N = {self.N!r}")
         if not 0.0 < self.r_min < self.R < math.inf:
             raise DomainError(f"need 0 < r_min < R < inf, got r_min = {self.r_min}, R = {self.R}")
 

@@ -306,6 +306,28 @@ def test_table_search_is_unchanged(s_max):
     assert 2e-10 < feasible(p, res.c_hi, 1.0, s_max).evidence.zero_s < 3e-10
 
 
+@pytest.mark.parametrize("shape", [lambda r: np.exp(3.0 * r), lambda r: r ** -1.5],
+                         ids=["exp(3r)", "r^-1.5"])
+def test_table_verdict_forms_no_trajectory(shape, monkeypatch):
+    # a verdict reads the sweep's end row: one feasible call on a 400-node
+    # table evaluates J0 and Y0 at both ends of its 399 segments, at the
+    # inner start and at the end row or the zero's slope, 2 points per node;
+    # the trajectory rows, formed eagerly, took 7,184 at c_lo
+    import hardy_optim.ode as ode_mod
+    r = np.geomspace(1e-8, 1.0, 400)
+    p = RadialPotential.custom(r, shape(r))
+    res = best_constant(p, 1.0)
+    assert not {"trajectory"} & (vars(res.evidence_lo).keys() | vars(res.evidence_hi).keys())
+    bessel = ode_mod._bessel
+    for c, verdict in ((res.c_lo, True), (res.c_hi, False)):
+        points = []
+        monkeypatch.setattr(ode_mod, "_bessel",
+                            lambda lnx: points.append(np.size(lnx)) or bessel(lnx))
+        check = feasible(p, c, 1.0)
+        assert check.feasible is verdict and sum(points) == 2 * r.size
+        assert "trajectory" not in vars(check.evidence)
+
+
 @pytest.mark.parametrize("alpha, amplitude, R", [(0.0, 20.0, 4.0), (0.5, 3.0, 2.0)])
 def test_table_zero_just_past_R_is_undecided(alpha, amplitude, R, s_max):
     # a two-node table of a constant or a power law is one cell, whose first

@@ -774,6 +774,41 @@ def test_dense_answers_an_array_as_its_points():
             out.dense(np.array([x[0], x[-1] + 1e-3 * (x[-1] - x[0])]))
 
 
+def test_trajectory_is_a_view_formed_on_first_read():
+    # a sweep keeps its dense output alone; the rows are formed from it once,
+    # when first read
+    for out in _dense_cases():
+        assert "trajectory" not in vars(out)
+        rows = out.trajectory
+        assert out.trajectory is rows and "trajectory" in vars(out)
+
+
+def test_end_row_is_where_the_view_stops_and_span_its_range_of_s():
+    # the end row is the view's row at the zero or the far end, bit for bit,
+    # in both frames: last in r, and in s last outward, first toward the edge
+    # (the principal tail, which carries its certificate)
+    for out in _dense_cases():
+        rows = [{k: float(v[i]) for k, v in out.trajectory.items()} for i in (0, -1)]
+        toward_edge = "s" in out.trajectory and out.certificate is not None
+        assert out.end == (rows[0] if toward_edge else rows[-1])
+        if "s" in out.trajectory:
+            assert out.span == (out.trajectory["s"][0], out.trajectory["s"][-1])
+
+
+def test_log_rows_are_the_dense_output_at_the_samples():
+    # every row but an exact zero's is the dense output at its abscissa, bit
+    # for bit: DOP853's at its own steps, a cell sweep's knots on the
+    # segment they start
+    for out in _dense_cases():
+        if "s" not in out.trajectory:
+            continue
+        s, z, dz = out.trajectory.values()
+        rows = np.ones(s.size, dtype=bool)
+        if out.zero_s is not None:
+            rows[np.flatnonzero(s == out.zero_s)] = False
+        np.testing.assert_array_equal(out.dense(s[rows]), [z[rows], dz[rows]])
+
+
 @pytest.mark.parametrize("p, c, R, s_max, value", [
     (RadialPotential.constant(1.0, r_max=math.exp(-1.0)), 1.0, math.exp(-1.0), 5.0,
      9.146290180783723e-08),

@@ -67,3 +67,14 @@ def test_fe_profile_prints_each_entry_point_on_the_catalog(monkeypatch, capsys):
         assert int(row[-6]) == n and 0.0 < peak < 20.0 and faults >= 0.0 and ms > 0.0
         assert 1 <= factors <= solves
     assert [row[1] for row in rows[10::11]] == ["mean"] * 3
+
+
+def test_shot_profile_prints_each_table(monkeypatch, capsys):
+    lines = _run_script("shot_profile.py", [], monkeypatch, capsys)
+    assert lines[0].split() == ["table", "probes", "c_lo", "c_hi", "bessel", "ms"]
+    rows = [line.rsplit(None, 5) for line in lines[1:]]
+    assert [row[0] for row in rows] == ["exp(3r)", "r^-1.5", "item 17"]
+    for name, probes, c_lo, c_hi, bessel, ms in rows:
+        assert int(probes) >= 3 and 0.0 < float(c_lo) < float(c_hi) and float(ms) > 0.0
+        assert int(bessel) == 800
+    assert [int(row[1]) for row in rows] == [11, 4, 10]
