@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Cost of the table sweeps: the shot-layer counterpart of fe_profile.py.
 
-For each of three 400-node tables on r = geomspace(1e-8, 1, 400) on the
-unit ball, v = exp(3r), v = r^-1.5 and v = (1 + r^-1.2)(1 + sin(40 r)/2)
-(ROADMAP item 17's table), it prints best_constant's probes and certified
-bracket, the Bessel points (arguments passed to ode._bessel) of one
+For each of four 400-node tables on r = geomspace(1e-8, 1, 400) on the
+unit ball, v = exp(3r), v = r^-1.5, v = (1 + r^-1.2)(1 + sin(40 r)/2)
+(ROADMAP item 17's table) and v = r^-1.9999 (c(V) = 1.4458e-8), it prints
+best_constant's probes, certified bracket and its relative width (c_hi -
+c_lo) / c_lo, the Bessel points (arguments passed to ode._bessel) of one
 feasible call at c_lo, and the median wall time in ms of three
 best_constant calls after an untimed one.  Probes, brackets and Bessel
 points are deterministic; the times are not.
@@ -20,7 +21,8 @@ from hardy_optim import RadialPotential, best_constant, feasible, ode
 
 R = np.geomspace(1e-8, 1.0, 400)
 TABLES = [("exp(3r)", np.exp(3.0 * R)), ("r^-1.5", R ** -1.5),
-          ("item 17", (1.0 + R ** -1.2) * (1.0 + 0.5 * np.sin(40.0 * R)))]
+          ("item 17", (1.0 + R ** -1.2) * (1.0 + 0.5 * np.sin(40.0 * R))),
+          ("r^-1.9999", R ** -1.9999)]
 
 
 def bessel_points(p, c):
@@ -40,7 +42,8 @@ def bessel_points(p, c):
 
 
 def main():
-    print(f"{'table':<10}{'probes':>7}{'c_lo':>25}{'c_hi':>25}{'bessel':>8}{'ms':>8}")
+    print(f"{'table':<10}{'probes':>7}{'c_lo':>25}{'c_hi':>25}{'rel_width':>11}{'bessel':>8}"
+          f"{'ms':>8}")
     for name, v in TABLES:
         p = RadialPotential.custom(R, v)
         res = best_constant(p, 1.0)
@@ -49,7 +52,8 @@ def main():
             start = time.perf_counter()
             best_constant(p, 1.0)
             ms.append(1e3 * (time.perf_counter() - start))
-        print(f"{name:<10}{res.iterations:>7}{res.c_lo!r:>25}{res.c_hi!r:>25}"
+        rel_width = (res.c_hi - res.c_lo) / res.c_lo
+        print(f"{name:<10}{res.iterations:>7}{res.c_lo!r:>25}{res.c_hi!r:>25}{rel_width:>11.3g}"
               f"{bessel_points(p, res.c_lo):>8}{statistics.median(ms):>8.2f}")
 
 

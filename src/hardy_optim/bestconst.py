@@ -3,7 +3,7 @@
 A multiplier c is feasible when y'' + y'/r + c v(r) y = 0 admits a positive
 solution on (0, R).  What does not depend on c is a rule (``_rule``), built
 once per (potential, R, s_max), whose ``verdict(c)`` decides a probe and
-whose ``plan(tol)`` names the ends that ``best_constant`` probes:
+whose ``plan(tol, checks)`` yields the multipliers ``best_constant`` probes:
 
   * ``_LevelRule``, a constant or a power law with alpha < 2: c against its
     Bessel level c*, in closed form at every amplitude and R;
@@ -11,8 +11,9 @@ whose ``plan(tol)`` names the ends that ``best_constant`` probes:
     1/(4A) by its closed form, infeasible from its Euler edge c_osc on;
   * ``_TailRule``, an inner cell of slope q >= 0 or a log family at
     amplitude 0: the certificates of the log domain, per probe;
-  * none for a table whose inner cell falls: it is swept per call, exactly
-    by transfer matrices (``_swept_verdict``), and searched.
+  * ``_SweptRule``, a table whose inner cell falls: swept per probe,
+    exactly, by transfer matrices, and decided by the sign of one Pruefer
+    margin, whose c-derivative the sweep carries, so its plan is Newton's.
 
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
@@ -44,7 +45,7 @@ class FeasibilityCheck:
     feasible: bool
     evidence: ShootingOutcome
     method: str    # "recessive-shot" | "principal-tail" | "oscillation-certificate" | "closed-form"
-    margin: Optional[float] = None    # > 0 if feasible: a table's _margin, one cell's ln(c*/c) / 2
+    margin: Optional[float] = None    # >= 0 if feasible: ``_SweptRule``'s, or ln(c*/c) / 2
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,6 @@ class BestConstantResult:
     @property
     def bracket(self) -> tuple:
         return (self.c_lo, self.c_hi)
-
-
-def _margin(out: ShootingOutcome, R: float) -> Optional[float]:
-    """Signed shooting margin of a swept radius-domain shot from its end row,
-    continuous in c: y(R) without a zero, else r* y'(r*) ln(R / r*), the
-    value at R of the tangent (in ln r) at the first zero r*.  Positive on
-    the feasible side; None for a zero below every float radius (no row)."""
-    if out.end is None:
-        return None
-    r, y, dy = out.end.values()
-    return y if out.first_zero is None else r * dy * math.log(R / r)
 
 
 def _closed_form_covers(c: float, A: float) -> bool:
@@ -112,32 +102,12 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
     return level, log_level, 8.0 * _EPS * terms
 
 
-def _swept_verdict(p: RadialPotential, c: float, R: float, out: ShootingOutcome) -> bool:
-    """Whether a recessive sweep of a table is zero-free on (0, R): a zero
-    at R exactly is the boundary case, feasible; one within _SLIVER / min(1,
-    |q|) of it in s, q the slope of its cell, is undecided: inside R the
-    first zero, past R the zero of a zero-free sweep's tangent at R.  That
-    is the sweep's tested accuracy: the Bessel-form zero carries the
-    rounding of ln x divided by the rate |q|/2 at which ln x moves."""
-    s_R, found = -math.log(R), out.status is Status.ZERO_FOUND
-    s = out.zero_s if found else s_R
-    q = abs(float(p.log_cells[3][p.log_cells[0].searchsorted(s, "right")]))
-    bound = _SLIVER / min(1.0, q or 1.0)
-    if found:
-        near = 0.0 < s - s_R <= bound
-    else:    # the tangent in s at R vanishes y(R) / (-R y'(R)) past R
-        near = 0.0 < out.end["y"] <= -R * out.end["dy"] * bound
-    if near:
-        raise IndeterminateAtHorizon(
-            f"multiplier {c}: first zero within the sweep's accuracy of R, "
-            + (f"at s = {s!r}" if found else "past it by the tangent at R"), multiplier=c)
-    return s <= s_R
-
-
 @dataclass(frozen=True)
 class _Rule:
     """What decides a probe of (p, R, s_max), ``verdict(c)``, and plans
-    ``best_constant``'s, ``plan(tol)``: ends it certifies, each probed once."""
+    ``best_constant``'s, ``plan(tol, checks)``: the multipliers to probe, in
+    a list of the ends it certifies (a table's: yielded one by one, each
+    check, None where undecided, appended to ``checks`` before the next)."""
 
     p: RadialPotential
     R: float
@@ -184,7 +154,7 @@ class _LevelRule(_Rule):
                               Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
         return FeasibilityCheck(margin > 0.0, out, "recessive-shot", margin)
 
-    def plan(self, tol: float) -> list:
+    def plan(self, tol: float, checks: list) -> list:
         """c* (1 -+ step), c* clamped to the normal floats, the lower one only
         if normal: step = max(tol / 8, 2 slack + 8 eps) is the least whose
         margin clears the slack, so c_best is c* to rounding."""
@@ -211,7 +181,7 @@ class _ClosedRule(_Rule):
                                     "closed-form")
         return self._oscillating(c, self.edges.certificate(c))
 
-    def plan(self, tol: float) -> list:
+    def plan(self, tol: float, checks: list) -> list:
         """[c_closed, c_osc], so c_lo = c_best = 1/(4A) for every m, A, R and
         horizon; an infinite c_osc raises IndeterminateAtHorizon."""
         plan = [self.c_closed, self.edges.c_osc]
@@ -235,7 +205,7 @@ class _TailRule(_Rule):
             return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
         return self._oscillating(c, cert)
 
-    def plan(self, tol: float) -> list:
+    def plan(self, tol: float, checks: list) -> list:
         """A rising cell, c(V) = 0: the least c whose certificate's gamma is
         normal, 2^-1022 where q > 0 (it moves out to c g = 1), else 2^-1022 /
         min(e^ell, 1), in logs where e^ell is not normal, clamped to the
@@ -246,20 +216,79 @@ class _TailRule(_Rule):
                 else math.exp(x) if x <= _LN_HUGE else _HUGE]
 
 
+@dataclass(frozen=True)
+class _SweptRule(_Rule):
+    """A table whose inner cell falls, swept per probe (``integrate``).  Its
+    margin, ln(1/R) - s* at a first zero s*, else atan2(y, -R y') at R (pi
+    less the Pruefer angle there), falls in c at the rate mass / (y^2 +
+    (r y')^2) at the end row (``ShootingOutcome.mass``): its plan is Newton's."""
+
+    level: float    # the inner cell's Bessel level, clamped to the normal floats
+
+    def verdict(self, c: float) -> FeasibilityCheck:
+        """Feasible iff the margin is >= 0, undecided within _SLIVER / min(1,
+        |q|) of 0, q the slope of the cell of the zero or of R: the sweep's
+        tested accuracy, the rounding of ln x over the rate |q|/2 at which it
+        moves.  A zero below every float radius has no row and no margin."""
+        out, s_R = integrate(radius_problem(self.p, c, self.R)), -math.log(self.R)
+        if out.end is None:
+            return FeasibilityCheck(False, out, "recessive-shot")
+        (_, y, dy), (knots, *_, q) = out.end.values(), self.p.log_cells
+        found = out.zero_s is not None
+        margin = s_R - out.zero_s if found else math.atan2(y, -self.R * dy)
+        q = abs(float(q[knots.searchsorted(out.zero_s if found else s_R, "right")]))
+        if 0.0 < abs(margin) <= _SLIVER / min(1.0, q or 1.0):
+            raise IndeterminateAtHorizon(
+                f"multiplier {c}: first zero within the sweep's accuracy of R, "
+                + (f"at s = {out.zero_s!r}" if found else "past it by the tangent at R"),
+                multiplier=c)
+        return FeasibilityCheck(margin >= 0.0, out, "recessive-shot", margin)
+
+    def plan(self, tol: float, checks: list):
+        """Newton in ln c on the margin from the Bessel level, each step
+        clamped to +-2 and replaced by the geometric mean of the certified
+        ends where it leaves them or has no slope (by a step of 2 toward an
+        end at 0 or inf), until a step is within tol/8, an iterate is
+        undecided or the ends are within tol; then the pair x (1 -+ tol/8)
+        about the last estimate x, each end stepped out by doubling until it
+        is certified on its side or meets the certified end beyond it."""
+        lo, hi, x = 0.0, math.inf, self.level
+        while True:
+            yield (c := x)
+            if (check := checks[-1]) is None:    # c lies within the sweep's accuracy of c(V)
+                break
+            lo, hi = (c, hi) if check.feasible else (lo, c)
+            m, out, x = check.margin, check.evidence, math.nan
+            if m is not None and 0.0 < c * (out.mass or 0.0) < math.inf:    # dm/dc = -mass/rho^2
+                r, y, dy = out.end.values()
+                x = c * math.exp(min(max(m * (y * y + (r * dy) ** 2) / (c * out.mass), -2.0), 2.0))
+            x = x if lo < x < hi else math.sqrt(lo) * math.sqrt(hi)
+            x = x if lo < x < hi else min(c * math.exp(2.0 if check.feasible else -2.0), _HUGE)
+            if not lo < x < hi or abs(x - c) <= 0.125 * tol * c or hi - lo <= tol * lo:
+                break
+        for sign in (-1.0, 1.0):
+            step = 0.125 * tol
+            while lo < (c := x * (1.0 + sign * step)) < hi:
+                yield c
+                if checks[-1] is not None and checks[-1].feasible is (sign < 0.0):
+                    break
+                step *= 2.0
+
+
 _slot: Optional[tuple] = None    # (p, R, s_max, rule) of the last rule built, replaced whole
 
 
-def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
-    """The rule of (p, R, s_max), or None for a table whose inner cell
-    falls, which has none.  One slot, keyed by p's identity and equal R and
-    s_max, holds p, so that identity is never reused (``RadialPotential`` is
-    frozen, so p always gives the same rule); a rule that fails to build (an
-    invalid R or horizon raises DomainError) stores nothing."""
+def _rule(p: RadialPotential, R: float, s_max: float) -> _Rule:
+    """The rule of (p, R, s_max).  One slot, keyed by p's identity and equal
+    R and s_max, holds p, so that identity is never reused
+    (``RadialPotential`` is frozen, so p always gives the same rule); a rule
+    that fails to build (an invalid R or horizon raises DomainError) stores
+    nothing."""
     global _slot
     slot = _slot
     if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
         return slot[3]
-    rule, cell = None, p.inner_cell
+    cell = p.inner_cell
     if cell is None and p.amplitude > 0.0:
         edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
         c = p.closed_form_multiplier(R)    # 1/(4A) rounded: c or the float below it is c_closed
@@ -269,133 +298,81 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> Optional[_Rule]:
         rule = _TailRule(p, R, s_max)
     elif cell[0] == -math.inf:
         rule = _LevelRule(p, R, s_max, *_bessel_level(p, R))
+    else:
+        rule = _SweptRule(p, R, s_max, min(max(_bessel_level(p, R)[0], TINY), _HUGE))
     _slot = (p, R, s_max, rule)
     return rule
 
 
 def feasible(p: RadialPotential, c: float, R: float,
              s_max: float = S_MAX_DEFAULT) -> FeasibilityCheck:
-    """Decide feasibility of multiplier c on the ball of radius R.  ``s_max``
-    is the log-domain horizon, finite and beyond the outer edge ln(1/R).  An
-    undecided verdict raises IndeterminateAtHorizon.  A table whose inner
-    cell falls sweeps its cells; a rule (``_rule``) decides every other kind."""
+    """Decide feasibility of multiplier c on the ball of radius R by the rule
+    of (p, R, s_max) (``_rule``).  ``s_max`` is the log-domain horizon,
+    finite and beyond the outer edge ln(1/R).  An undecided verdict raises
+    IndeterminateAtHorizon."""
     if not c >= 0.0:
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
-    rule = _rule(p, R, s_max)
-    if rule is None:    # a table whose inner cell falls
-        out = integrate(radius_problem(p, c, R))
-        return FeasibilityCheck(_swept_verdict(p, c, R, out), out, "recessive-shot",
-                                _margin(out, R))
-    return rule.verdict(c)
+    return _rule(p, R, s_max).verdict(c)
 
 
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
                   s_max: float = S_MAX_DEFAULT) -> BestConstantResult:
     """Certified bracket around the supremum of feasible multipliers.
 
-    The loop probes c = 0, then the plan of the rule (``_rule``), whose
-    certified ends are the answer: the band, unsearched, where they are
-    wider than tol (the rule decides nothing between them, but within 8 eps
-    of a one cell's).  A table is searched from its Bessel level, clamped to
-    the normal floats: by factors of 2 until one end is certified infeasible
-    and the other feasible (or a band is met, or [0, c] is already narrow),
-    then to width tol * max(1, c) / 2 by an Illinois root solve of the
-    signed shooting margin, a bisection unless both ends have one.  Around
-    an indeterminate band the certified edges are bisected toward it
-    instead, beside a band of one multiplier c from c (1 -+ tol / 8) on;
-    unless the bracket then closes, ``converged`` is False and c_best is
-    the largest certified-feasible multiplier.
+    The loop probes c = 0, then the plan of the rule (``_rule``): a one
+    cell's pair c* (1 -+ step) about its Bessel level, a log family's
+    closed form and Euler edge, a rising cell's least certified multiplier,
+    or a table's Newton iterates on its Pruefer margin from its inner
+    cell's Bessel level, then the pair x (1 -+ tol/8) about the last one,
+    an undecided end stepped out by doubling (``_SweptRule.plan``).  The
+    certified ends are the answer, converged where within tol * max(1, c)
+    / 2, else the band, c_best its feasible end.  A verdict that
+    contradicts an undecided one (Sturm) widens the band instead of moving
+    an end past it.
 
     Every probe is a ``feasible`` call and ``iterations`` counts them.
     NoUpperBracket means that no float multiplier is infeasible: raised at
-    amplitude 0 (c v = 0) after the probe at c = 0, else once no planned end
-    (for a table, the largest double) is certified infeasible.  A tol below
-    8 eps (~1.8e-15) raises DomainError: its closing step tol * max(1, c) /
-    4 would not clear the float spacing at the bracket's ends.
+    amplitude 0 (c v = 0) after the probe at c = 0, else once no planned
+    multiplier (up to the largest double) is certified infeasible.  A tol
+    below 8 eps (~1.8e-15) raises DomainError: its closing step tol c / 8
+    would not clear the float spacing at the bracket's ends.
     """
     if not tol >= _TOL_FLOOR:
         raise DomainError(f"tolerance must be at least {_TOL_FLOOR:.17g}, got {tol}")
     iterations = 0
     lo = hi = band = None      # (c, check) certified ends; (lowest, highest) undecided
-    # Illinois weights: the ends' margins clipped to their side; 0 without a
-    # margin, which turns the Illinois step into a bisection
-    fa = fb = 0.0
 
     def probe(c):
-        nonlocal iterations
+        """A check of c (None where undecided), filed: a verdict moves the
+        certified end on its own side of the band; an undecided or
+        out-of-place one widens the band."""
+        nonlocal iterations, lo, hi, band
         iterations += 1
         try:
-            return feasible(p, c, R, s_max)
+            check = feasible(p, c, R, s_max)
         except IndeterminateAtHorizon:
-            return None
-
-    def settle(c, check) -> str:
-        """File a probe: a verdict moves the certified end on its own side of
-        the band; an undecided or out-of-place one widens the band."""
-        nonlocal lo, hi, band, fa, fb
+            check = None
         if check is not None and check.feasible and (band is None or c < band[0]):
-            lo, fa = (c, check), max(check.margin or 0.0, 0.0)
-            return "lo"
-        if check is not None and not check.feasible and (band is None or c > band[1]):
-            hi, fb = (c, check), min(check.margin or 0.0, 0.0)
-            return "hi"
-        band = (c, c) if band is None else (min(band[0], c), max(band[1], c))
-        return "band"
+            lo = (c, check)
+        elif check is not None and not check.feasible and (band is None or c > band[1]):
+            hi = (c, check)
+        else:
+            band = (c, c) if band is None else (min(band[0], c), max(band[1], c))
+        return check
 
-    def wide(a, b):
-        return b - a > 0.5 * tol * max(1.0, 0.5 * a + 0.5 * b)
-
-    settle(0.0, probe(0.0))
+    probe(0.0)
     if p.amplitude == 0.0:
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
-    rule = _rule(p, R, s_max)
-    if rule is None:    # a table: double or halve from its level, then close on the margin
-        c = min(max(_bessel_level(p, R)[0], TINY), _HUGE)
-        settle(c, probe(c))
-        while hi is None or not (lo[0] > 0.0 or band is not None or not wide(0.0, hi[0])):
-            if hi is None and c == _HUGE:
-                raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
-            c = min(2.0 * c, _HUGE) if hi is None else 0.5 * c
-            settle(c, probe(c))
-
-        # The margin decides where the next multiplier goes; the verdict
-        # decides which end it replaces, so both ends stay certified.  Each
-        # iterate is clamped at least tol * max(1, c) / 4 inside the bracket,
-        # so an iterate that lands next to the root on the far side closes it.
-        last = None
-        while True:
-            if band is None:
-                a, b = lo[0], hi[0]
-                if not wide(a, b):
-                    break
-                delta = 0.25 * tol * max(1.0, 0.5 * a + 0.5 * b)
-                x = b - fb * (b - a) / (fb - fa) if fa > 0.0 > fb else 0.5 * a + 0.5 * b
-                x = min(max(x, a + delta), b - delta)
-            elif wide(lo[0], band[0]):
-                x = 0.5 * lo[0] + 0.5 * band[0]
-                x = max(x, band[0] * (1.0 - 0.125 * tol)) if band[0] == band[1] else x
-            elif wide(band[1], hi[0]):
-                x = 0.5 * band[1] + 0.5 * hi[0]
-                x = min(x, band[1] * (1.0 + 0.125 * tol)) if band[0] == band[1] else x
-            else:
-                break
-            side = settle(x, probe(x))
-            if side == last == "lo":
-                fb *= 0.5      # Illinois: the same end moved twice, so the other's weight halves
-            elif side == last == "hi":
-                fa *= 0.5
-            last = side
-    else:    # the planned ends, the band where they are wider than tol
-        for c in rule.plan(tol):
-            settle(c, probe(c))
-        if hi is None:
-            raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
-        band = (lo[0], hi[0])
+    checks = []
+    for c in _rule(p, R, s_max).plan(tol, checks):
+        checks.append(probe(c))
+    if hi is None:
+        raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
 
     (c_lo, lo_check), (c_hi, hi_check) = lo, hi
-    done = band is None or not wide(c_lo, c_hi)
+    done = c_hi - c_lo <= 0.5 * tol * max(1.0, 0.5 * c_lo + 0.5 * c_hi)
     return BestConstantResult(0.5 * c_lo + 0.5 * c_hi if done else c_lo, c_lo, c_hi, iterations,
                               lo_check.evidence, hi_check.evidence, tolerance=tol,
                               converged=done, band=None if done else (c_lo, c_hi))

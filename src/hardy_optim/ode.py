@@ -154,6 +154,7 @@ class ShootingOutcome:
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
     end: Optional[dict] = None            # column name -> value at the first zero, else at the end
     span: Optional[tuple] = None          # (lo, hi): the range of s swept
+    mass: Optional[float] = None          # a cell sweep's integral of g z^2 ds, recessive to r = 0
 
     @cached_property
     def trajectory(self) -> dict:
@@ -187,7 +188,7 @@ def wants_log_domain(p: RadialPotential) -> bool:
 # DOP853 sweeps of the log families, in the Liouville variable
 # ---------------------------------------------------------------------------
 
-def _line(s_from: float, s_to: float, state0) -> tuple:
+def _line(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
     """The sweep where a = 0: the line z = z0 + z0' (s - s_from), up to its
     zero if it crosses 0 inside the sweep."""
     z0, dz0 = float(state0[0]), float(state0[1])
@@ -198,7 +199,7 @@ def _line(s_from: float, s_to: float, state0) -> tuple:
     def dense(s):
         return np.array([z0 + dz0 * (np.asarray(s) - s_from), np.full(np.shape(s), dz0)])
 
-    return t, zero_t, None if zero_t is None else dz0, dense
+    return t, zero_t, None if zero_t is None else dz0, dense, None
 
 
 def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
@@ -258,7 +259,7 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
         tau = np.log(np.asarray(s) - s0)
         return np.array(to_z(tau, sol.sol(tau)))
 
-    return s, zero_t, zero_dz, dense
+    return s, zero_t, zero_dz, dense, None
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +280,7 @@ class _Segments:
     q: np.ndarray
     lnx: np.ndarray
     omega: np.ndarray
+    log_a: np.ndarray    # ln a(u)
 
 
 def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
@@ -286,7 +288,8 @@ def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
 
     A piece along which x grows past x(u) + 2 pi ends there: its phase
     then gains more than pi, so the sweep's first zero lies inside, and no
-    x beyond it (which could overflow) is ever formed.
+    x beyond it (which could overflow) is ever formed.  Its rise in ln x is
+    formed apart from ln x, which would absorb it from x ~ 1e15 on.
     """
     knots, anchors, ell, q = prob.potential.log_cells
     inside = knots[(knots - s_from) * (knots - s_to) < 0.0]
@@ -300,13 +303,14 @@ def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
     lnx[sloped] = np.log(2.0 / np.abs(q[sloped])) + 0.5 * log_a[sloped]
     bessel = np.minimum(lnx, lnx + 0.5 * q * h) < math.log(_X_ASYMPTOTIC)
     omega = np.where(bessel, 0.0, np.exp(0.5 * np.minimum(log_a, 1400.0)))
-    cap = np.log(np.exp(np.minimum(lnx, 700.0)) + 2.0 * math.pi)
-    capped = np.flatnonzero((q * h > 0.0) & (lnx + 0.5 * q * h > cap))
+    rise = np.logaddexp(0.0, math.log(2.0 * math.pi) - lnx)
+    capped = np.flatnonzero((q * h > 0.0) & (0.5 * q * h > rise))
     if capped.size:
         k = capped[0]
-        w[k] = u[k] + 2.0 * (cap[k] - lnx[k]) / q[k]
-        u, w, bessel, q, lnx, omega = (a[:k + 1] for a in (u, w, bessel, q, lnx, omega))
-    return _Segments(u, w, bessel, q, lnx, omega)
+        w[k] = u[k] + 2.0 * rise[k] / q[k]
+        u, w, bessel, q, lnx, omega, log_a = (a[:k + 1] for a in
+                                              (u, w, bessel, q, lnx, omega, log_a))
+    return _Segments(u, w, bessel, q, lnx, omega, log_a)
 
 
 def _small_y0(lnx):
@@ -434,13 +438,13 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
     a, b = tuple(f[:n] for f in both), tuple(f[n:] for f in both)    # at u and at w
     zi, dzi = float(state0[0]), float(state0[1])
     z, dz = [zi], [dzi]
-    for t11, t12, t21, t22 in zip(*(t[:-1].tolist() for t in _transfer(a, b))):
+    for t11, t12, t21, t22 in zip(*(t.tolist() for t in _transfer(a, b))):
         zi, dzi = t11 * zi + t12 * dzi, t21 * zi + t22 * dzi
         z.append(zi)
         dz.append(dzi)
-    z, dz = np.array(z), np.array(dz)
+    z, dz = np.array(z), np.array(dz)    # the states at each u, then at the last w
     det = a[0] * a[3] - a[1] * a[2]
-    A, B = (a[3] * z - a[1] * dz) / det, (a[0] * dz - a[2] * z) / det    # state = F(s) (A, B)
+    A, B = (a[3] * z[:-1] - a[1] * dz[:-1]) / det, (a[0] * dz[:-1] - a[2] * z[:-1]) / det
 
     # the exact solution is (modulus) cos(phase - phi): its zeros sit at
     # phase = phi + pi/2 (mod pi), first the one next to the entry along the
@@ -476,6 +480,8 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
             lo, hi = sorted((u, float(seg.w[k])))
             zero_t = _phase_root(phase, goal, lo, hi, min(max(guess, lo), hi))
         n = k + 1
+    elif seg.w[-1] != s_to:    # capped: its zero lies within the spacing of s of its start
+        zero_t = float(seg.u[-1])
 
     sign = 1.0 if s_to > s_from else -1.0
     ends = sign * seg.w[:n]
@@ -492,7 +498,23 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
     if zero_t is None:
         t = np.append(t, seg.w[-1])
     t = t[np.append(True, np.diff(t) != 0.0)]
-    return t, zero_t, None if zero_t is None else float(dense(zero_t)[1]), dense
+    zero_dz = None if zero_t is None else float(dense(zero_t)[1])
+    last = (z[n], dz[n], seg.w[n - 1]) if zero_t is None else (0.0, zero_dz, zero_t)
+    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, last) / prob.c
+
+
+def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, last: tuple) -> float:
+    """The integral of a z^2 over the first n segments, the last ending in
+    last = (z, z', s), signed by the direction swept: E = a z^2 + z'^2 has
+    E' = q a z^2, so it is (E(w) - E(u)) / q, but where |q h| <= 2^-26, as
+    E is constant to q h there and (s E - z z')' = 2 a z^2, (h E - z z'|_u^w) / 2."""
+    (z_w, dz_w, w), q = (np.append(v[1:n], e) for v, e in zip((z, dz, seg.u), last)), seg.q[:n]
+    h, z, dz, log_a = w - seg.u[:n], z[:n], dz[:n], seg.log_a[:n]
+    flat = np.abs(q * h) <= 2.0 ** -26
+    with np.errstate(over="ignore", invalid="ignore"):    # a past the floats: an inf mass
+        e_u, e_w = np.exp(log_a) * z * z + dz * dz, np.exp(log_a + q * h) * z_w * z_w + dz_w * dz_w
+        return float(np.sum(np.where(flat, 0.5 * (h * e_u - z_w * dz_w + z * dz),
+                                     (e_w - e_u) / np.where(flat, 1.0, q))))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +533,11 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
         s0, state0 = _inner_cell_start(prob)
         if state0 is None:    # s0 is the zero, beyond s = 700: no row
             return ShootingOutcome(dict.fromkeys(("r", "y", "dy"), np.empty(0)), s0, Status.ZERO_FOUND)
-        return _radius_columns(_sweep(prob, s0, -math.log(prob.R), state0))
+        out = _sweep(prob, s0, -math.log(prob.R), state0)
+        if out.mass is not None:    # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
+            (z, dz), q, g = state0, prob.potential.inner_cell[3], prob.potential.log_weight(s0)
+            out = replace(out, mass=out.mass + (g * z * z + dz * dz / prob.c) / -q)
+        return _radius_columns(out)
     return _sweep(prob, _outer_edge(prob), prob.s_max, (1.0, 0.0))
 
 
@@ -584,14 +610,11 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     outer edge (decreasing s) has covered its interval; outward, it has
     only reached its horizon.
     """
-    if _vanishes(prob):
-        t, zero_t, zero_dz, run = _line(s_from, s_to, state0)
-    elif prob.potential.log_cells is not None:
-        t, zero_t, zero_dz, run = _cell_sweep(prob, s_from, s_to, state0)
-    else:
-        t, zero_t, zero_dz, run = _liouville_sweep(prob, s_from, s_to, state0)
+    engine = (_line if _vanishes(prob) else _cell_sweep if prob.potential.log_cells is not None
+              else _liouville_sweep)
+    t, zero_t, zero_dz, run, mass = engine(prob, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
-    if zero_t is None:    # the last sample: s_to, or a cell sweep's zero-width capped end
+    if zero_t is None:    # the last sample, s_to
         status = Status.NO_ZERO_ON_INTERVAL if to_edge else Status.HORIZON_REACHED
         end = (float(t[-1]), *(float(v) for v in run(t[-1])))
     else:    # the engine's z there is only as exact as its root
@@ -611,7 +634,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
         return dict(zip(("s", "z", "dz"), columns[:, ::-1] if to_edge else columns))
 
     return ShootingOutcome(rows, zero_t, status, certificate=certificate, dense=dense,
-                           end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi))
+                           end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi), mass=mass)
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:

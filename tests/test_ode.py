@@ -283,6 +283,42 @@ def test_transfer_matrices_have_unit_determinant(p, c, s_from, s_to):
     np.testing.assert_allclose(t11 * t22 - t12 * t21, 1.0, rtol=0.0, atol=1e-12)
 
 
+def _slope_tables():
+    """(name, table) pairs for the Pruefer slope identity."""
+    r = np.geomspace(1e-8, 1.0, 400)
+    yield "exp(3r)", RadialPotential.custom(r, np.exp(3.0 * r))
+    yield "item 17", RadialPotential.custom(r, (1.0 + r ** -1.2) * (1.0 + 0.5 * np.sin(40.0 * r)))
+    # v = r^-2 exactly on the nodes 2^-14 .. 2^-10, so r^2 v is flat there
+    # (q = 0, the cos / sin form), r^-1.5 on either side
+    k = np.arange(30.0, -1.0, -1.0)
+    rise = np.where(k < 10.0, 20.0 + 1.5 * (k - 10.0), 28.0 + 1.5 * (k - 14.0))
+    v = np.where((k >= 10.0) & (k <= 14.0), 4.0 ** k, 2.0 ** rise)
+    yield "flat decade", RadialPotential.custom(2.0 ** -k, v)
+    yield "1e8 exp(3r)", RadialPotential.custom(r, 1e8 * np.exp(3.0 * r))
+    # a thin shell where r^2 v is near-flat (q = -0.1) and x ~ 6e3: the
+    # modulus-phase form on a sloped cell
+    e = np.array([1e-7, 1e-4, 1.001e-4])
+    spike = 1e10 * ((1.0 + e[1]) / (1.0 + e[0])) ** -2 * 1.00001
+    r = np.concatenate([np.geomspace(1e-8, 0.9, 60), 0.9 + 0.9 * e, [1.0]])
+    yield "thin shell", RadialPotential.custom(r, np.append(np.ones(60), [1e10, spike, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("name, p", list(_slope_tables()), ids=[n for n, _ in _slope_tables()])
+def test_sweep_mass_is_the_pruefer_slope_of_the_margin(name, p):
+    # the c-derivative of the Pruefer angle at R is the integral of g z^2
+    # from r = 0 over z^2 + (dz/ds)^2 there (Pryce 1993, Ch. 5): the margin,
+    # pi less that angle or ln(1/R) - s* past a zero, falls at that rate
+    from hardy_optim import best_constant, feasible
+    c_star = best_constant(p, 1.0).c_best
+    for c in (0.5 * c_star, 1.2 * c_star):
+        out = integrate(radius_problem(p, c, 1.0))
+        r, y, dy = out.end.values()
+        h = 1e-6 * c
+        slope = (feasible(p, c + h, 1.0).margin - feasible(p, c - h, 1.0).margin) / (2.0 * h)
+        assert out.mass / (y * y + (r * dy) ** 2) == pytest.approx(-slope, rel=1e-6), (name, c)
+    assert name != "flat decade" or np.count_nonzero(p.log_cells[3] == 0.0) == 4
+
+
 def test_sweep_from_bessel_into_modulus_phase_segments():
     # v = 1 up to r = 0.5, then a jump to 1e8: the recessive sweep crosses
     # Bessel segments (x <= 1) into one with x >= 5e3 before its first zero,
@@ -667,6 +703,25 @@ def test_flat_rising_cell_certifies_no_subnormal_gamma():
         assert p.inner_cell[3] == 0.0
         assert euler_tail_certificate(log_problem(p, c, R)) is None
         assert euler_tail_certificate(log_problem(p, 1e20 * c, R)).gamma >= 2.0 ** -1022
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+def test_rising_cell_sweep_finds_the_zero_its_certificate_proves(alpha):
+    # a rising segment is capped where x grows by 2 pi, and that rise in ln x
+    # was formed as ln(x + 2 pi) - ln x, which rounds to 0 from x ~ 1e15 on:
+    # the capped segment had zero width, and the sweep reported
+    # HorizonReached with one sample where every c > 0 oscillates (alpha =
+    # 2.5 from amplitude 1e30 on); past ~1e100 the cap's width is below the
+    # spacing of s, and the zero is its start
+    from hardy_optim import feasible
+    for amplitude in 10.0 ** np.arange(10, 301, 10):
+        p = RadialPotential.power_law(alpha, amplitude)
+        assert not feasible(p, 0.2, 1.0).feasible
+        out = integrate(log_problem(p, 0.2, 1.0))
+        assert out.status is Status.ZERO_FOUND, amplitude
+        # a >= 0.2 A from the outer edge on: a zero within pi / sqrt(0.2 A) of it
+        assert 1e-9 <= out.zero_s <= 1e-9 + math.pi / math.sqrt(0.2 * amplitude)
+        assert out.trajectory["z"][-1] == 0.0
 
 
 def test_euler_certificate_rejects_a_falling_inner_cell():

@@ -71,10 +71,14 @@ def test_fe_profile_prints_each_entry_point_on_the_catalog(monkeypatch, capsys):
 
 def test_shot_profile_prints_each_table(monkeypatch, capsys):
     lines = _run_script("shot_profile.py", [], monkeypatch, capsys)
-    assert lines[0].split() == ["table", "probes", "c_lo", "c_hi", "bessel", "ms"]
-    rows = [line.rsplit(None, 5) for line in lines[1:]]
-    assert [row[0] for row in rows] == ["exp(3r)", "r^-1.5", "item 17"]
-    for name, probes, c_lo, c_hi, bessel, ms in rows:
+    assert lines[0].split() == ["table", "probes", "c_lo", "c_hi", "rel_width", "bessel", "ms"]
+    rows = [line.rsplit(None, 6) for line in lines[1:]]
+    assert [row[0] for row in rows] == ["exp(3r)", "r^-1.5", "item 17", "r^-1.9999"]
+    for name, probes, c_lo, c_hi, rel_width, bessel, ms in rows:
         assert int(probes) >= 3 and 0.0 < float(c_lo) < float(c_hi) and float(ms) > 0.0
-        assert int(bessel) == 800
-    assert [int(row[1]) for row in rows] == [11, 4, 10]
+        # a relative bracket: the r^-1.9999 table's was [c, 2c], 100% wide
+        width = (float(c_hi) - float(c_lo)) / float(c_lo)
+        assert abs(float(rel_width) - width) <= 1e-2 * width and width <= 2.5e-7
+    # 2 per segment: r^-1.9999's recessive start lies one segment inside its inner knot
+    assert [int(row[5]) for row in rows] == [800, 800, 800, 802]
+    assert [int(row[1]) for row in rows] == [7, 3, 7, 3]
