@@ -262,9 +262,12 @@ class _SweptRule(_Rule):
             if m is not None and 0.0 < c * (out.mass or 0.0) < math.inf:    # dm/dc = -mass/rho^2
                 r, y, dy = out.end.values()
                 x = c * math.exp(min(max(m * (y * y + (r * dy) ** 2) / (c * out.mass), -2.0), 2.0))
+                x = min(max(x, lo), hi)
+            if abs(x - c) <= 0.125 * tol * c:
+                break
             x = x if lo < x < hi else math.sqrt(lo) * math.sqrt(hi)
             x = x if lo < x < hi else min(c * math.exp(2.0 if check.feasible else -2.0), _HUGE)
-            if not lo < x < hi or abs(x - c) <= 0.125 * tol * c or hi - lo <= tol * lo:
+            if not lo < x < hi or hi - lo <= tol * lo:
                 break
         for sign in (-1.0, 1.0):
             step = 0.125 * tol
