@@ -11,9 +11,8 @@ whose ``plan(tol, checks)`` yields the multipliers ``best_constant`` probes:
     1/(4A) by its closed form, infeasible from its Euler edge c_osc on;
   * ``_TailRule``, an inner cell of slope q >= 0 or a log family at
     amplitude 0: the certificates of the log domain, per probe;
-  * ``_SweptRule``, a table whose inner cell falls: swept per probe,
-    exactly, by transfer matrices, and decided by the sign of one Pruefer
-    margin, whose c-derivative the sweep carries, so its plan is Newton's.
+  * ``_SweptRule``, a table whose inner cell falls: swept per probe, with
+    the c-derivative of its Pruefer margin, so its plan is Newton's.
 
 Every undecided verdict raises IndeterminateAtHorizon.  Feasibility is
 monotone in c (Sturm), so the best constant is the edge of a certified
@@ -233,25 +232,22 @@ class _SweptRule(_Rule):
         out, s_R = integrate(radius_problem(self.p, c, self.R)), -math.log(self.R)
         if out.end is None:
             return FeasibilityCheck(False, out, "recessive-shot")
-        (_, y, dy), (knots, *_, q) = out.end.values(), self.p.log_cells
-        found = out.zero_s is not None
-        margin = s_R - out.zero_s if found else math.atan2(y, -self.R * dy)
-        q = abs(float(q[knots.searchsorted(out.zero_s if found else s_R, "right")]))
+        s, (_, y, dy), (knots, *_, q) = out.zero_s, out.end.values(), self.p.log_cells
+        margin = math.atan2(y, -self.R * dy) if s is None else s_R - s
+        q = abs(float(q[knots.searchsorted(s_R if s is None else s, "right")]))
         if 0.0 < abs(margin) <= _SLIVER / min(1.0, q or 1.0):
             raise IndeterminateAtHorizon(
                 f"multiplier {c}: first zero within the sweep's accuracy of R, "
-                + (f"at s = {out.zero_s!r}" if found else "past it by the tangent at R"),
-                multiplier=c)
+                + ("past it by the tangent at R" if s is None else f"at s = {s!r}"), multiplier=c)
         return FeasibilityCheck(margin >= 0.0, out, "recessive-shot", margin)
 
     def plan(self, tol: float, checks: list):
         """Newton in ln c on the margin from the Bessel level, each step
         clamped to +-2 and replaced by the geometric mean of the certified
         ends where it leaves them or has no slope (by a step of 2 toward an
-        end at 0 or inf), until a step is within tol/8, an iterate is
-        undecided or the ends are within tol; then the pair x (1 -+ tol/8)
-        about the last estimate x, each end stepped out by doubling until it
-        is certified on its side or meets the certified end beyond it."""
+        end at 0 or inf) until a step is within tol/8, an iterate undecided
+        or the ends within tol; then the pair x (1 -+ tol/8) about the last
+        estimate, each end doubled out until certified or past its end."""
         lo, hi, x = 0.0, math.inf, self.level
         while True:
             yield (c := x)

@@ -499,18 +499,18 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
         t = np.append(t, seg.w[-1])
     t = t[np.append(True, np.diff(t) != 0.0)]
     zero_dz = None if zero_t is None else float(dense(zero_t)[1])
-    last = (z[n], dz[n], seg.w[n - 1]) if zero_t is None else (0.0, zero_dz, zero_t)
-    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, last) / prob.c
+    z[n], dz[n], s_end = (z[n], dz[n], seg.w[n - 1]) if zero_t is None else (0.0, zero_dz, zero_t)
+    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, s_end) / prob.c
 
 
-def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, last: tuple) -> float:
-    """The integral of a z^2 over the first n segments, the last ending in
-    last = (z, z', s), signed by the direction swept: E = a z^2 + z'^2 has
-    E' = q a z^2, so it is (E(w) - E(u)) / q, but where |q h| <= 2^-26, as
-    E is constant to q h there and (s E - z z')' = 2 a z^2, (h E - z z'|_u^w) / 2."""
-    (z_w, dz_w, w), q = (np.append(v[1:n], e) for v, e in zip((z, dz, seg.u), last)), seg.q[:n]
-    h, z, dz, log_a = w - seg.u[:n], z[:n], dz[:n], seg.log_a[:n]
-    flat = np.abs(q * h) <= 2.0 ** -26
+def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, s_end: float) -> float:
+    """The integral of a z^2 over the first n segments, the last ending at
+    s_end, from the states (z, z') at their starts and at s_end, signed by
+    the direction swept: E = a z^2 + z'^2 has E' = q a z^2, so it is (E(w) -
+    E(u)) / q, but where |q h| <= 2^-26, as E is constant to q h there and
+    (s E - z z')' = 2 a z^2, (h E - z z' |_u^w) / 2."""
+    q, log_a, h = seg.q[:n], seg.log_a[:n], np.append(seg.w[:n - 1], s_end) - seg.u[:n]
+    flat, (z_w, dz_w), z, dz = np.abs(q * h) <= 2.0 ** -26, (z[1:n + 1], dz[1:n + 1]), z[:n], dz[:n]
     with np.errstate(over="ignore", invalid="ignore"):    # a past the floats: an inf mass
         e_u, e_w = np.exp(log_a) * z * z + dz * dz, np.exp(log_a + q * h) * z_w * z_w + dz_w * dz_w
         return float(np.sum(np.where(flat, 0.5 * (h * e_u - z_w * dz_w + z * dz),
