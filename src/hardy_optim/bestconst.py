@@ -104,9 +104,8 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
 @dataclass(frozen=True)
 class _Rule:
     """What decides a probe of (p, R, s_max), ``verdict(c)``, and plans
-    ``best_constant``'s, ``plan(tol, checks)``: the multipliers to probe, in
-    a list of the ends it certifies (a table's: yielded one by one, each
-    check, None where undecided, appended to ``checks`` before the next)."""
+    ``best_constant``'s, ``plan(tol, checks)``: the ends it certifies, or a
+    table's iterates, each yielded once ``checks`` holds the last one's."""
 
     p: RadialPotential
     R: float

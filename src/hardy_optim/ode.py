@@ -510,10 +510,12 @@ def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, s_end: float) -
     E(u)) / q, but where |q h| <= 2^-26, as E is constant to q h there and
     (s E - z z')' = 2 a z^2, (h E - z z' |_u^w) / 2."""
     q, log_a, h = seg.q[:n], seg.log_a[:n], np.append(seg.w[:n - 1], s_end) - seg.u[:n]
-    flat, (z_w, dz_w), z, dz = np.abs(q * h) <= 2.0 ** -26, (z[1:n + 1], dz[1:n + 1]), z[:n], dz[:n]
+    z_u, dz_u, z_w, dz_w = z[:n], dz[:n], z[1:n + 1], dz[1:n + 1]
+    flat = np.abs(q * h) <= 2.0 ** -26
     with np.errstate(over="ignore", invalid="ignore"):    # a past the floats: an inf mass
-        e_u, e_w = np.exp(log_a) * z * z + dz * dz, np.exp(log_a + q * h) * z_w * z_w + dz_w * dz_w
-        return float(np.sum(np.where(flat, 0.5 * (h * e_u - z_w * dz_w + z * dz),
+        e_u = np.exp(log_a) * z_u * z_u + dz_u * dz_u
+        e_w = np.exp(log_a + q * h) * z_w * z_w + dz_w * dz_w
+        return float(np.sum(np.where(flat, 0.5 * (h * e_u - z_w * dz_w + z_u * dz_u),
                                      (e_w - e_u) / np.where(flat, 1.0, q))))
 
 
@@ -604,11 +606,11 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     As the line through the start state where a = 0 (``_vanishes``); else
     exactly, cell by cell, for the log-log linear kinds and by DOP853 in the
     Liouville variable for the log families, each of which returns its
-    samples, first zero and slope there, and dense output: the end row and
-    the rows (the samples before the zero, then the row z = 0 with that
-    slope, sorted by s) are read off it.  Without a zero, a sweep toward the
-    outer edge (decreasing s) has covered its interval; outward, it has
-    only reached its horizon.
+    samples, first zero and slope there, dense output and mass (a cell
+    sweep's alone): the end row and the rows (the samples before the zero,
+    then the row z = 0 with that slope, sorted by s) are read off it.
+    Without a zero, a sweep toward the outer edge (decreasing s) has covered
+    its interval; outward, it has only reached its horizon.
     """
     engine = (_line if _vanishes(prob) else _cell_sweep if prob.potential.log_cells is not None
               else _liouville_sweep)
