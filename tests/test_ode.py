@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status, TailCertificate,
-                         TailEdges, euler_tail_certificate, integrate, integrate_principal_tail,
-                         log_problem, radius_problem, residual, riccati_check, to_log_domain)
+                         TailEdges, best_constant, euler_tail_certificate, feasible, integrate,
+                         integrate_principal_tail, log_problem, radius_problem, residual,
+                         riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
 from hardy_optim.ode import _fundamental, _segments, _transfer, tail_edges
@@ -303,12 +304,11 @@ def _slope_tables():
     yield "thin shell", RadialPotential.custom(r, np.append(np.ones(60), [1e10, spike, 1.0, 1.0]))
 
 
-@pytest.mark.parametrize("name, p", list(_slope_tables()), ids=[n for n, _ in _slope_tables()])
+@pytest.mark.parametrize("name, p", [pytest.param(n, p, id=n) for n, p in _slope_tables()])
 def test_sweep_mass_is_the_pruefer_slope_of_the_margin(name, p):
     # the c-derivative of the Pruefer angle at R is the integral of g z^2
     # from r = 0 over z^2 + (dz/ds)^2 there (Pryce 1993, Ch. 5): the margin,
     # pi less that angle or ln(1/R) - s* past a zero, falls at that rate
-    from hardy_optim import best_constant, feasible
     c_star = best_constant(p, 1.0).c_best
     for c in (0.5 * c_star, 1.2 * c_star):
         out = integrate(radius_problem(p, c, 1.0))
@@ -713,7 +713,6 @@ def test_rising_cell_sweep_finds_the_zero_its_certificate_proves(alpha):
     # HorizonReached with one sample where every c > 0 oscillates (alpha =
     # 2.5 from amplitude 1e30 on); past ~1e100 the cap's width is below the
     # spacing of s, and the zero is its start
-    from hardy_optim import feasible
     for amplitude in 10.0 ** np.arange(10, 301, 10):
         p = RadialPotential.power_law(alpha, amplitude)
         assert not feasible(p, 0.2, 1.0).feasible
