@@ -24,12 +24,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate, TailEdges,
-                  euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
-                  radius_problem, tail_edges)
+from .ode import (NO_ROWS, S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate, TailEdges,
+                  euler_edge, euler_tail_certificate, integrate, integrate_principal_tail,
+                  log_problem, radius_problem)
 from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
 
 _EPS = 2.0 ** -52
@@ -116,8 +114,7 @@ class _Rule:
         if cert is None:
             raise IndeterminateAtHorizon(f"multiplier {c}: no Euler comparison certificate by "
                                          f"s_max = {self.s_max}", multiplier=c)
-        empty = dict.fromkeys("s z dz".split(), np.empty(0))
-        out = ShootingOutcome(empty, None, Status.ZERO_FOUND, certificate=cert)
+        out = ShootingOutcome(NO_ROWS["s z dz"], None, Status.ZERO_FOUND, certificate=cert)
         return FeasibilityCheck(False, out, "oscillation-certificate")
 
 
@@ -130,6 +127,7 @@ class _LevelRule(_Rule):
     level: float        # c*, 0 or inf where it is not a normal float
     log_level: float    # ln c*
     slack: float
+    no_zero = ShootingOutcome(NO_ROWS["r y dy"], None, Status.NO_ZERO_ON_INTERVAL)    # shared
 
     def verdict(self, c: float) -> FeasibilityCheck:
         """Unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 (from c / c*
@@ -147,10 +145,11 @@ class _LevelRule(_Rule):
             raise IndeterminateAtHorizon(
                 f"multiplier {c}: within the rounding ({self.slack:.1e}) of the Bessel threshold "
                 f"x(R) = z0, ln c* = {self.log_level!r}", multiplier=c)
-        zero_s = None if margin > 0.0 else -math.log(self.R) + 2.0 * margin / self.p.inner_cell[3]
-        out = ShootingOutcome(dict.fromkeys("r y dy".split(), np.empty(0)), zero_s,
-                              Status.NO_ZERO_ON_INTERVAL if zero_s is None else Status.ZERO_FOUND)
-        return FeasibilityCheck(margin > 0.0, out, "recessive-shot", margin)
+        if margin > 0.0:
+            return FeasibilityCheck(True, self.no_zero, "recessive-shot", margin)
+        zero_s = -math.log(self.R) + 2.0 * margin / self.p.inner_cell[3]
+        return FeasibilityCheck(False, ShootingOutcome(NO_ROWS["r y dy"], zero_s, Status.ZERO_FOUND),
+                                "recessive-shot", margin)
 
     def plan(self, tol: float, checks: list) -> list:
         """c* (1 -+ step), c* clamped to the normal floats, the lower one only
@@ -170,14 +169,12 @@ class _ClosedRule(_Rule):
     edge's certificate with gamma scaled by c, c between undecided."""
 
     c_closed: float     # the largest float c with c A <= 1/4
-    edges: TailEdges    # ``tail_edges`` at c = 1
+    edges: TailEdges    # ``euler_edge``, at c = 1
+    closed = FeasibilityCheck(True, ShootingOutcome(NO_ROWS["s z dz"], None,
+                                                    Status.NO_ZERO_ON_INTERVAL), "closed-form")
 
     def verdict(self, c: float) -> FeasibilityCheck:
-        if c <= self.c_closed:
-            empty = dict.fromkeys("s z dz".split(), np.empty(0))
-            return FeasibilityCheck(True, ShootingOutcome(empty, None, Status.NO_ZERO_ON_INTERVAL),
-                                    "closed-form")
-        return self._oscillating(c, self.edges.certificate(c))
+        return self.closed if c <= self.c_closed else self._oscillating(c, self.edges.certificate(c))
 
     def plan(self, tol: float, checks: list) -> list:
         """[c_closed, c_osc], so c_lo = c_best = 1/(4A) for every m, A, R and
@@ -286,12 +283,11 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> _Rule:
     slot = _slot
     if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
         return slot[3]
-    cell = p.inner_cell
-    if cell is None and p.amplitude > 0.0:
-        edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
-        c = p.closed_form_multiplier(R)    # 1/(4A) rounded: c or the float below it is c_closed
-        c = c if _closed_form_covers(c, p.amplitude) else math.nextafter(c, 0.0)
-        rule = _ClosedRule(p, R, s_max, c, edges)
+    cell, A = p.inner_cell, p.amplitude
+    if cell is None and A > 0.0:
+        c = 0.25 / A    # ``closed_form_multiplier`` rounded: c or the float below it is c_closed
+        rule = _ClosedRule(p, R, s_max, c if _closed_form_covers(c, A) else math.nextafter(c, 0.0),
+                           euler_edge(p, R, s_max))
     elif cell is None or cell[3] >= 0.0:
         rule = _TailRule(p, R, s_max)
     elif cell[0] == -math.inf:

@@ -44,18 +44,14 @@ def main(argv: Optional[list] = None) -> int:
         return _emit(args, _error(exc), _EXIT_ERROR, section="error")
 
 
-def _writes_csv(args) -> bool:
-    """Whether --out names the subcommand's CSV artifact."""
-    return args.handler is _cmd_trace or getattr(args, "format", None) == "csv"
-
-
 def _emit(args, record: dict, exit_code: int, section: str = "result") -> int:
     """Write the record and return exit_code; a record that --out cannot
     take is lost, and an [error] record on stdout says so (exit 1)."""
     text = format_record(record, section=section)
-    # records, [error] ones included, never overwrite a CSV artifact path;
-    # a usage error has no parsed arguments and goes to stdout
-    if args is not None and args.out and not _writes_csv(args):
+    # records, [error] ones included, never overwrite --out's CSV (trace, eigen
+    # --format csv); a usage error has no parsed arguments and goes to stdout
+    csv = args is not None and (args.handler is _cmd_trace or getattr(args, "format", "") == "csv")
+    if args is not None and args.out and not csv:
         try:
             write_text(args.out, text)
             return exit_code
@@ -250,8 +246,8 @@ def _parse_args(argv: list) -> SimpleNamespace:
             values[flag] = flags[flag](value)
         except ValueError:
             _usage(name, f"argument {flag}: invalid value {value!r}")
-    missing = [flag for flag in flags if flag not in values and flag not in _DEFAULTS]
-    if missing:
+    if not values.keys() >= flags.keys() - _DEFAULTS.keys():
+        missing = [flag for flag in flags if flag not in values and flag not in _DEFAULTS]
         _usage(name, f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(handler=handler,
                            **{flag[2:]: values.get(flag, _DEFAULTS.get(flag)) for flag in flags})

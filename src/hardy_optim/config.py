@@ -50,14 +50,15 @@ def read_ini(text: str) -> dict:
             continue
         if current is None:
             raise ConfigError(f"line {number}: {line!r} before the first section header")
-        eq, colon = line.find("="), line.find(":")
-        cut = eq if colon < 0 or 0 <= eq < colon else colon
-        key = line[:cut].strip().lower()
-        if cut < 0 or not key:
+        key, cut, value = line.partition("=")
+        if not cut or ":" in key:    # split at the first delimiter
+            key, cut, value = line.partition(":")
+        key = key.strip().lower()
+        if not cut or not key:
             raise ConfigError(f"line {number}: expected 'key = value', got {line!r}")
         if key in current:
             raise ConfigError(f"line {number}: repeated key {key!r} in [{name}]")
-        current[key] = line[cut + 1:].strip()
+        current[key] = value.strip()
     return sections
 
 
@@ -98,22 +99,20 @@ _REQUIRED = {"power_law": "alpha", "custom": "samples"}
 
 
 def _parse(section, keys: dict) -> dict:
-    """The section's values, each read by its parser in ``keys``; any other
-    key is a DomainError."""
-    unknown = sorted(set(section) - set(keys))
-    if unknown:
-        raise DomainError(f"unknown key(s): {', '.join(unknown)}")
+    """The section's values, each read by its parser in ``keys``; another key is a DomainError."""
+    if not keys.keys() >= section.keys():
+        raise DomainError(f"unknown key(s): {', '.join(sorted(section.keys() - keys.keys()))}")
     return {key: keys[key](value) for key, value in section.items()}
 
 
 def read_potential(section) -> RadialPotential:
     """Build the potential of a ``[potential]`` mapping: ``kind`` picks the
     factory, and the other keys are that kind's row of ``KEYS``."""
-    section = dict(section)
-    kind = section.pop("kind", "").strip().lower()
+    kind = section.get("kind", "").strip().lower()
     if kind not in _FACTORIES:
         raise DomainError(f"unknown potential kind {kind!r}")
-    values = _parse(section, KEYS["potential"][kind])
+    values = _parse(section, {"kind": str, **KEYS["potential"][kind]})
+    del values["kind"]
     required = _REQUIRED.get(kind)
     if required and required not in values:
         raise DomainError(f"{kind} potential needs key {required!r}")
@@ -134,18 +133,17 @@ class RunConfig:
 
 def load_config(path: str) -> RunConfig:
     """Parse and validate an INI config file into a RunConfig."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    try:    # unbuffered bytes, decoded whole, with the newlines text mode reads
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode().replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r} not found or unreadable") from exc
     try:
         sections = read_ini(text)
     except ConfigError as exc:      # no section header, a repeated key, ...
         raise ConfigError(f"{path}: {exc}") from exc
-    unknown = sorted(set(sections) - set(KEYS))
-    if unknown:
-        raise ConfigError(f"{path}: unknown section(s): {', '.join(unknown)}")
+    if not KEYS.keys() >= sections.keys():
+        raise ConfigError(f"{path}: unknown section(s): {', '.join(sorted(sections - KEYS.keys()))}")
     if "potential" not in sections:
         raise ConfigError(f"{path}: missing required section [potential]")
     try:
@@ -155,7 +153,7 @@ def load_config(path: str) -> RunConfig:
     values = {}
     for name in ("domain", "solver"):
         try:
-            values.update(_parse(sections.get(name, {}), KEYS[name]))
+            values.update(_parse(sections[name], KEYS[name]) if name in sections else ())
         except (DomainError, ValueError) as exc:
             raise ConfigError(f"{path}: [{name}] {exc}") from exc
     cfg = RunConfig(potential, values.pop("r", potential.r_max), **values)
@@ -176,27 +174,23 @@ def load_config(path: str) -> RunConfig:
 # Records
 # ---------------------------------------------------------------------------
 
-def format_number(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+def _render(value) -> str:
+    """A record value of a type ``_RENDER`` lacks: numbers to 17 digits, else str."""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.17g}" if isinstance(value, (float, np.floating)) else str(value)
+
+
+# ``_render`` by exact type, in builtins: no Python call for the values a record holds
+_RENDER = {float: "{:.17g}".format, str: str, int: str, bool: ("false", "true").__getitem__,
+           type(None): {None: "none"}.__getitem__}
 
 
 def format_record(mapping: dict, section: str = "result") -> str:
     """Serialize a flat mapping as an INI section with 17-digit numerics."""
     lines = [f"[{section}]"]
     for key, value in mapping.items():
-        if value is None:
-            rendered = "none"
-        elif isinstance(value, str):
-            rendered = value
-        elif isinstance(value, (bool, int, float, np.integer, np.floating)):
-            rendered = format_number(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
+        lines.append(f"{key} = {_RENDER.get(type(value), _render)(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,6 +59,8 @@ _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
 _SMALL_X = 1e-30              # below it J0, Y0, x J1, x Y1 are their leading terms
 _X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
 _RICCATI_SAMPLES = 4097       # dense-output resamples of riccati_check
+NO_ROWS = {frame: MappingProxyType(dict.fromkeys(frame.split(), np.frombuffer(b"")))
+           for frame in ("s z dz", "r y dy")}    # of an outcome without a sweep: shared, read-only
 
 
 # scipy is imported by the first call that needs it: scipy.integrate to sweep a
@@ -167,8 +170,7 @@ class ShootingOutcome:
 
 
 def _outer_edge(prob: HardyODEProblem) -> float:
-    """Log abscissa just inside r = R where the outward sweep, the tail grid
-    and the a = 0 certificate start."""
+    """Log abscissa just inside r = R, where the outward sweep and the tail certificates start."""
     return -math.log(prob.R) + 1e-9
 
 
@@ -534,7 +536,7 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
     if prob.domain is Domain.RADIUS:
         s0, state0 = _inner_cell_start(prob)
         if state0 is None:    # s0 is the zero, beyond s = 700: no row
-            return ShootingOutcome(dict.fromkeys(("r", "y", "dy"), np.empty(0)), s0, Status.ZERO_FOUND)
+            return ShootingOutcome(NO_ROWS["r y dy"], s0, Status.ZERO_FOUND)
         out = _sweep(prob, s0, -math.log(prob.R), state0)
         if out.mass is not None:    # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
             (z, dz), q, g = state0, prob.potential.inner_cell[3], prob.potential.log_weight(s0)
@@ -671,10 +673,18 @@ class TailEdges:
 
     def certificate(self, c: float) -> Optional[TailCertificate]:
         """The oscillatory certificate of multiplier c >= c_osc, else None."""
-        return replace(self.unit_osc, gamma=c * self.unit_osc.gamma) if c >= self.c_osc else None
+        u = self.unit_osc    # built whole: ``replace`` costs twice as much
+        return TailCertificate(u.kind, c * u.gamma, u.shift, u.window) if c >= self.c_osc else None
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
+    """``euler_edge`` of a log-domain problem."""
+    if prob.domain is not Domain.LOG:
+        raise DomainError("tail certificates live in the log domain")
+    return euler_edge(prob.potential, prob.R, prob.s_max)
+
+
+def euler_edge(p: RadialPotential, R: float, s_max: float) -> TailEdges:
     """The edge of a log family from gamma = g (s - s0)^2 (``euler_gamma``)
     at s0 = ``euler_shift_hint``, where it does not rise on [outer edge, inf)
     and tends to the amplitude A: c_osc = (1/4 + (pi / ln(sigma_max /
@@ -683,21 +693,23 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     hold a half-oscillation of a minorant Euler solution, a zero of every
     solution (Hartman, Ch. XI); no shorter window needs less.  That min is
     gamma_max up to rounding, so the certificate's gamma also bounds gamma
-    on all of [s_max, inf).
-
-    A cell kind raises DomainError (see ``euler_tail_certificate``)."""
-    if prob.domain is not Domain.LOG:
-        raise DomainError("tail certificates live in the log domain")
-    p, lo = prob.potential, _outer_edge(prob)
-    if p.log_cells is not None:
+    on all of [s_max, inf).  From floats, under the checks a log problem
+    makes of R and s_max; a cell kind raises DomainError."""
+    p.check_radius(R)
+    if not math.isfinite(s_max):
+        raise DomainError(f"horizon s_max must be finite, got {s_max}")
+    lo = -math.log(R) + 1e-9    # the outer edge
+    if not s_max > lo:
+        raise DomainError(f"horizon s_max = {s_max} not beyond the outer edge {lo}")
+    if p.inner_cell is not None:
         raise DomainError(f"a {p.kind.value} potential has no tail edges, only its inner cell")
     s0 = p.euler_shift_hint()
-    sigma_edge, sigma_max = lo - s0, prob.s_max - s0
+    sigma_edge, sigma_max = lo - s0, s_max - s0
     gamma = min(p.euler_gamma(math.log(sigma_edge)), p.euler_gamma(math.log(sigma_max)))
     width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
     need = 0.25 + (math.pi / width) ** 2 if width > 0.0 else math.inf
     return TailEdges(need / gamma if gamma > 0.0 else math.inf,
-                     TailCertificate("oscillatory", gamma, s0, (lo, prob.s_max)))
+                     TailCertificate("oscillatory", gamma, s0, (lo, s_max)))
 
 
 def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:

@@ -300,10 +300,13 @@ class RadialPotential:
     def inner_cell(self) -> Optional[tuple]:
         """The last cell of ``log_cells`` in floats (knot, anchor, ell, q), from
         its knot (-inf for one cell) up to s = inf; None for the log families."""
-        if self.log_cells is None:
+        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):    # ln A and alpha - 2, no arrays
+            ell = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
+            return -math.inf, 0.0, ell, self.alpha - 2.0
+        if self.kind is not Kind.CUSTOM:
             return None
         knots, *lines = self.log_cells
-        return (float(knots[-1]) if knots.size else -math.inf, *(float(x[-1]) for x in lines))
+        return (float(knots[-1]), *(float(x[-1]) for x in lines))
 
     @functools.cached_property
     def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
@@ -318,8 +321,7 @@ class RadialPotential:
         table has one cell per segment plus its two extrapolation cells.
         """
         if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):
-            ell = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
-            return np.empty(0), np.zeros(1), np.array([ell]), np.array([self.alpha - 2.0])
+            return np.empty(0), np.zeros(1), *(np.array([x]) for x in self.inner_cell[2:])
         if self.kind is not Kind.CUSTOM:
             return None
         knots = -self.table_log_r[::-1]

@@ -1332,16 +1332,16 @@ def test_invalid_horizon_builds_no_rule(s_max):
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_best_constant_reads_the_euler_edges_once(family, s_max, monkeypatch):
-    # the plan and all three probes share one rule: tail_edges ran once for
-    # the plan and once more in each probe above 1/(4A)
+    # the plan and all three probes share one rule, whose Euler edge is read
+    # once, from floats: no log problem is built (tail_edges of one was read
+    # for the plan and once more in each probe above 1/(4A))
     import hardy_optim.bestconst as bestconst_mod
-    import hardy_optim.ode as ode_mod
-    edges = _Counter(ode_mod.tail_edges)
-    monkeypatch.setattr(ode_mod, "tail_edges", edges)
-    monkeypatch.setattr(bestconst_mod, "tail_edges", edges)
+    edges, problems = _Counter(bestconst_mod.euler_edge), _Counter(bestconst_mod.log_problem)
+    monkeypatch.setattr(bestconst_mod, "euler_edge", edges)
+    monkeypatch.setattr(bestconst_mod, "log_problem", problems)
     res = best_constant(getattr(RadialPotential, family)(2, amplitude=0.7), 1.0, s_max=s_max)
     assert res.iterations == 3 and res.c_lo == 0.25 / 0.7
-    assert edges.calls == 1
+    assert edges.calls == 1 and problems.calls == 0
 
 
 def test_power_law_best_constant_reads_the_bessel_level_once(s_max, monkeypatch):
