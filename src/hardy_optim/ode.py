@@ -52,7 +52,7 @@ from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
 from .potentials import J0_FIRST_ZERO, TINY, RadialPotential, exp_or_inf
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
-S_MAX_DEFAULT = 1e6           # default log-domain horizon
+S_MAX_DEFAULT = 1e300         # default log-domain horizon
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
 _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
 _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included

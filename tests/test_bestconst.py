@@ -1065,11 +1065,12 @@ def test_critical_best_constant_reports_band(s_max, adimurthi_1):
 
 @pytest.mark.parametrize("family, m, amplitude", [
     ("adimurthi_log", 1, 0.26), ("adimurthi_log", 1, 0.3), ("filippas_tertikas", 2, 0.26)])
-def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude, s_max):
-    # c = 1 lies inside the band above 1/(4A), undecided; the plan's
-    # predicted edges bracket that band (the doubling phase once met c = 1
-    # before a certified-infeasible multiplier)
-    p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+def test_indeterminate_doubling_multiplier_reports_band(family, m, amplitude):
+    # c = 1 lies inside the band above 1/(4A), undecided at the horizon 1e6
+    # (certified at the default, 1e300); the plan's predicted edges bracket
+    # that band (the doubling phase once met c = 1 before a
+    # certified-infeasible multiplier)
+    p, s_max = getattr(RadialPotential, family)(m, amplitude=amplitude), 1e6
     with pytest.raises(IndeterminateAtHorizon):
         feasible(p, 1.0, 1.0, s_max)
     res = best_constant(p, 1.0, tol=1e-6, s_max=s_max)

@@ -450,7 +450,7 @@ def test_certificate_nonoscillatory_only_where_a_vanishes(adimurthi_1):
     for family in ("adimurthi_log", "filippas_tertikas"):
         null = getattr(RadialPotential, family)(2, amplitude=0.0)
         for p, c in ((adimurthi_1, 0.0), (null, 1.0), (null, 1e300)):
-            cert = euler_tail_certificate(log_problem(p, c, 1.0))
+            cert = euler_tail_certificate(log_problem(p, c, 1.0, s_max=1e6))
             assert cert.kind == "nonoscillatory" and cert.gamma == 0.0
             assert cert.window == (1e6, math.inf)
 
@@ -496,7 +496,8 @@ def test_certificate_band_shrinks_with_horizon(adimurthi_1):
 
 
 def test_certificate_none_inside_band(adimurthi_1):
-    assert euler_tail_certificate(log_problem(adimurthi_1, 0.28, 1.0)) is None
+    # 0.28 lies inside the band [1/4, 0.3017] of the horizon 1e6
+    assert euler_tail_certificate(log_problem(adimurthi_1, 0.28, 1.0, s_max=1e6)) is None
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
