@@ -321,8 +321,9 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
     or a table's Newton iterates on its Pruefer margin from its inner
     cell's Bessel level, then the pair x (1 -+ tol/8) about the last one,
     an undecided end stepped out by doubling (``_SweptRule.plan``).  The
-    certified ends are the answer, converged where within tol * max(1, c)
-    / 2, else the band, c_best its feasible end.  A verdict that
+    certified ends are the answer, converged where within tol c / 2 (tol
+    max(1, c) / 2 from c_lo = 0, a rising cell's [0, 2^-1022]), else the
+    band, c_best its feasible end.  A verdict that
     contradicts an undecided one (Sturm) widens the band instead of moving
     an end past it.
 
@@ -366,7 +367,8 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         raise NoUpperBracket(f"no float multiplier is certified infeasible, up to {c!r}")
 
     (c_lo, lo_check), (c_hi, hi_check) = lo, hi
-    done = c_hi - c_lo <= 0.5 * tol * max(1.0, 0.5 * c_lo + 0.5 * c_hi)
+    mid = 0.5 * c_lo + 0.5 * c_hi    # a relative width, but on [0, c_hi] (a rising cell's)
+    done = c_hi - c_lo <= 0.5 * tol * (mid if c_lo > 0.0 else max(1.0, mid))
     return BestConstantResult(0.5 * c_lo + 0.5 * c_hi if done else c_lo, c_lo, c_hi, iterations,
                               lo_check.evidence, hi_check.evidence, tolerance=tol,
                               converged=done, band=None if done else (c_lo, c_hi))

@@ -734,12 +734,44 @@ def test_tolerance_below_the_float_spacing_is_rejected():
 
 
 def test_tolerance_at_the_floor_converges(s_max):
-    # at the floor every closing step lands strictly inside the bracket
-    p = RadialPotential.power_law(1.0, amplitude=1e6)
-    res = best_constant(p, 1.0, tol=8.0 * 2.0 ** -52, s_max=s_max)
-    assert res.iterations <= 10
-    _assert_certified_bracket(p, 1.0, res, s_max)
+    # at the floor every closing step lands strictly inside the bracket: the
+    # plan's ends c* (1 -+ step), step = 2 slack + 8 eps, each certified,
+    # are the band of test_single_cell_probes_at_the_floor, wider than tol
+    # relative (it read converged while the test was absolute below c = 1)
+    import hardy_optim.bestconst as bestconst_mod
+    p, tol = RadialPotential.power_law(1.0, amplitude=1e6), 8.0 * 2.0 ** -52
+    res = best_constant(p, 1.0, tol=tol, s_max=s_max)
+    rule = bestconst_mod._rule(p, 1.0, s_max)
+    step = 2.0 * rule.slack + tol
+    assert res.iterations == 3 and not res.converged and res.band == res.bracket
+    assert res.bracket == (rule.level * (1.0 - step), rule.level * (1.0 + step))
+    assert res.c_best == res.c_lo and res.c_hi - res.c_lo > 0.5 * tol * res.c_lo
+    assert feasible(p, res.c_lo, 1.0, s_max).feasible
+    assert not feasible(p, res.c_hi, 1.0, s_max).feasible
 
+
+@pytest.mark.parametrize("horizon", [1e6, 1e300])
+def test_borderline_band_below_one_is_not_converged(horizon):
+    # converged means within tol c / 2 wherever c_lo > 0: at amplitude 1e6
+    # the band [1/(4A), c_osc] is 21% wide at the horizon 1e6 and 8e-5 at
+    # 1e300, both of which read converged below c = 1 while the test was
+    # absolute, tol / 2 = 5e-7
+    p = RadialPotential.adimurthi_log(1, amplitude=1e6)
+    res = best_constant(p, 1.0, s_max=horizon)
+    assert not res.converged and res.band == res.bracket
+    assert res.c_best == res.c_lo == 2.5e-7 and res.c_hi > res.c_lo * (1.0 + 1e-5)
+
+
+def test_table_bracket_converges_only_within_a_relative_tol():
+    # the 400-node r^-1.999 table at tol 1e-14: its certified ends lie 3e-14
+    # apart relative, the sweep's accuracy, which read converged below c = 1
+    # while the test was absolute; now the band of those ends
+    r = np.geomspace(1e-8, 1.0, 400)
+    p = RadialPotential.custom(r, r ** -1.999)
+    res = best_constant(p, 1.0, tol=1e-14)
+    assert not res.converged and res.band == res.bracket and res.c_best == res.c_lo
+    assert 5e-15 < res.c_hi / res.c_lo - 1.0 < 1e-13
+    assert feasible(p, res.c_lo, 1.0).feasible and not feasible(p, res.c_hi, 1.0).feasible
 
 # ---------------------------------------------------------------------------
 # one cell in closed form: x(R) against z0, and the undecided sliver
