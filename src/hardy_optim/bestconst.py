@@ -215,8 +215,10 @@ class _TailRule(_Rule):
 class _SweptRule(_Rule):
     """A table whose inner cell falls, swept per probe (``integrate``).  Its
     margin, ln(1/R) - s* at a first zero s*, else atan2(y, -R y') at R (pi
-    less the Pruefer angle there), falls in c at the rate mass / (y^2 +
-    (r y')^2) at the end row (``ShootingOutcome.mass``): its plan is Newton's."""
+    less the Pruefer angle there), falls in ln c at the rate c mass / (y^2 +
+    (r y')^2) at the end row (``ShootingOutcome.c_mass``), and a zero below
+    every float radius, on the inner cell of slope q, at -1/q: its plan is
+    Newton's."""
 
     level: float    # the inner cell's Bessel level, clamped to the normal floats
 
@@ -250,11 +252,14 @@ class _SweptRule(_Rule):
             if (check := checks[-1]) is None:    # c lies within the sweep's accuracy of c(V)
                 break
             lo, hi = (c, hi) if check.feasible else (lo, c)
-            m, out, x = check.margin, check.evidence, math.nan
-            if m is not None and 0.0 < c * (out.mass or 0.0) < math.inf:    # dm/dc = -mass/rho^2
-                r, y, dy = out.end.values()
-                x = c * math.exp(min(max(m * (y * y + (r * dy) ** 2) / (c * out.mass), -2.0), 2.0))
-                x = min(max(x, lo), hi)
+            out, x, step = check.evidence, math.nan, None    # Newton's step in ln c
+            if check.margin is not None and 0.0 < (out.c_mass or 0.0) < math.inf:
+                r, y, dy = out.end.values()    # dm/d ln c = -c mass / rho^2
+                step = check.margin * (y * y + (r * dy) ** 2) / out.c_mass
+            elif out.end is None:    # a zero below every float radius, on the inner cell
+                step = (out.zero_s + math.log(self.R)) * self.p.inner_cell[3]    # ds*/d ln c = -1/q
+            if step is not None:
+                x = min(max(c * math.exp(min(max(step, -2.0), 2.0)), lo), hi)
             if abs(x - c) <= 0.125 * tol * c:
                 break
             x = x if lo < x < hi else math.sqrt(lo) * math.sqrt(hi)

@@ -158,6 +158,7 @@ class ShootingOutcome:
     end: Optional[dict] = None            # column name -> value at the first zero, else at the end
     span: Optional[tuple] = None          # (lo, hi): the range of s swept
     mass: Optional[float] = None          # a cell sweep's integral of g z^2 ds, recessive to r = 0
+    c_mass: Optional[float] = None        # its integral of a z^2 ds, c mass, formed without 1/c
 
     @cached_property
     def trajectory(self) -> dict:
@@ -502,7 +503,7 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
     t = t[np.append(True, np.diff(t) != 0.0)]
     zero_dz = None if zero_t is None else float(dense(zero_t)[1])
     z[n], dz[n], s_end = (z[n], dz[n], seg.w[n - 1]) if zero_t is None else (0.0, zero_dz, zero_t)
-    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, s_end) / prob.c
+    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, s_end)
 
 
 def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, s_end: float) -> float:
@@ -538,9 +539,10 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
         if state0 is None:    # s0 is the zero, beyond s = 700: no row
             return ShootingOutcome(NO_ROWS["r y dy"], s0, Status.ZERO_FOUND)
         out = _sweep(prob, s0, -math.log(prob.R), state0)
-        if out.mass is not None:    # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
+        if out.c_mass is not None:    # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
             (z, dz), q, g = state0, prob.potential.inner_cell[3], prob.potential.log_weight(s0)
-            out = replace(out, mass=out.mass + (g * z * z + dz * dz / prob.c) / -q)
+            c_mass = out.c_mass + (prob.c * g * z * z + dz * dz) / -q
+            out = replace(out, mass=c_mass / prob.c, c_mass=c_mass)
         return _radius_columns(out)
     return _sweep(prob, _outer_edge(prob), prob.s_max, (1.0, 0.0))
 
@@ -616,7 +618,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     """
     engine = (_line if _vanishes(prob) else _cell_sweep if prob.potential.log_cells is not None
               else _liouville_sweep)
-    t, zero_t, zero_dz, run, mass = engine(prob, s_from, s_to, state0)
+    t, zero_t, zero_dz, run, c_mass = engine(prob, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
     if zero_t is None:    # the last sample, s_to
         status = Status.NO_ZERO_ON_INTERVAL if to_edge else Status.HORIZON_REACHED
@@ -638,7 +640,8 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
         return dict(zip(("s", "z", "dz"), columns[:, ::-1] if to_edge else columns))
 
     return ShootingOutcome(rows, zero_t, status, certificate=certificate, dense=dense,
-                           end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi), mass=mass)
+                           end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi),
+                           mass=None if c_mass is None else c_mass / prob.c, c_mass=c_mass)
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:

@@ -461,6 +461,22 @@ def test_illinois_close_bisects_where_an_end_has_no_margin(monkeypatch, s_max):
     _assert_certified_bracket(p, 1e-9, res, s_max)
 
 
+def test_table_with_zeros_below_every_float_radius_is_planned_by_newton(monkeypatch, s_max):
+    # c(V) ~ 3.5e298: a feasible probe's integral of g z^2 is below every
+    # float, so each probe carried a mass of 0 or 5e-324, and past c(V) the
+    # zeros lie below every float radius, with no margin: the plan bisected
+    # ln c, 28 probes.  The integral of a z^2 (~2e-14) is a float, and such
+    # a zero sits on the inner cell, where s* moves by -1/q in ln c
+    p = RadialPotential.custom([1e-10, 1e-9], [1e-305, 1e-307])
+    probes = _probe_counter(monkeypatch)
+    res = best_constant(p, 1e-9, s_max=s_max)
+    assert probes.calls == res.iterations <= 8
+    assert res.c_lo <= 3.5244895629616671e298 and 3.5244887634764511e298 <= res.c_hi
+    _assert_certified_bracket(p, 1e-9, res, s_max)
+    out = feasible(p, res.c_lo, 1e-9, s_max).evidence
+    assert out.mass < 1e-300 and 1e-20 < out.c_mass < 1e-10
+
+
 def test_table_domain_follows_its_inner_cell():
     # over its small decades the table is r^-1.5, but its inner cell, where
     # a recessive sweep starts, is r^-2.5 (slope q = 0.5 >= 0): the radius
