@@ -740,3 +740,51 @@ def test_eigen_at_amplitude_1e200_is_a_result(tmp_path, capsys):
     code, out = _run(capsys, "eigen", "--mu", "0.1", "--config", cfg)
     assert code == 0 and out.startswith("[result]\n")
     assert 1e200 * float(parse_record(out)["lambda1"]) == pytest.approx(8.8837960585, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the cost of one best-constant op, counted
+# ---------------------------------------------------------------------------
+
+def _python_calls(argv) -> tuple:
+    """The exit code and the Python function calls ("call" events of
+    sys.setprofile) of one in-process CLI run, stdout captured, with the
+    rule slot cleared so that the run builds its rule."""
+    import contextlib
+    import io
+
+    import hardy_optim.bestconst as bestconst_mod
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    bestconst_mod._slot = None
+    with contextlib.redirect_stdout(io.StringIO()):
+        sys.setprofile(count)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(None)
+    return code, calls
+
+
+@pytest.mark.parametrize("potential, bound", [
+    ({"kind": "constant", "amplitude": "1.3", "r_max": "1.7"}, 43),
+    ({"kind": "power_law", "amplitude": "1.3", "alpha": "1.1", "r_max": "1.7"}, 43),
+    ({"kind": "adimurthi_log", "amplitude": "1.3", "m": "2"}, 58),
+    ({"kind": "filippas_tertikas_x", "amplitude": "1.3", "m": "3"}, 57),
+], ids=["constant", "power_law", "adimurthi_log m=2", "filippas_tertikas_x m=3"])
+def test_best_constant_op_python_calls(tmp_path, potential, bound):
+    # a count that does not depend on the machine: the Python calls of a
+    # warm best-constant op on the config the benchmark writes.  It took
+    # 63, 63, 86 and 85, on 14 frozen-dataclass constructions for a log
+    # family, the Euler edge read through a log problem and
+    # dataclasses.replace, np.empty(0) row dicts and the text-mode codec
+    argv = ["best-constant", "--config",
+            _write_config(tmp_path, potential=potential, solver={"grid_n": "10000"})]
+    warm = _python_calls(argv)
+    code, calls = _python_calls(argv)
+    assert code == warm[0] == (0 if potential["kind"] in ("constant", "power_law") else 2)
+    assert calls == warm[1] and calls <= bound

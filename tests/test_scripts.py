@@ -72,7 +72,8 @@ def test_fe_profile_prints_each_entry_point_on_the_catalog(monkeypatch, capsys):
 def test_shot_profile_prints_each_table(monkeypatch, capsys):
     lines = _run_script("shot_profile.py", [], monkeypatch, capsys)
     assert lines[0].split() == ["table", "probes", "c_lo", "c_hi", "rel_width", "bessel", "ms"]
-    rows = [line.rsplit(None, 6) for line in lines[1:]]
+    assert lines[5] == ""
+    rows = [line.rsplit(None, 6) for line in lines[1:5]]
     assert [row[0] for row in rows] == ["exp(3r)", "r^-1.5", "item 17", "r^-1.9999"]
     for name, probes, c_lo, c_hi, rel_width, bessel, ms in rows:
         assert int(probes) >= 3 and 0.0 < float(c_lo) < float(c_hi) and float(ms) > 0.0
@@ -82,3 +83,18 @@ def test_shot_profile_prints_each_table(monkeypatch, capsys):
     # 2 per segment: r^-1.9999's recessive start lies one segment inside its inner knot
     assert [int(row[5]) for row in rows] == [800, 800, 800, 802]
     assert [int(row[1]) for row in rows] == [7, 3, 7, 3]
+
+
+def test_shot_profile_prints_one_op_per_rule_kind(monkeypatch, capsys):
+    # a best-constant op per rule kind: its Python calls, deterministic,
+    # pinned as bounds (a log family's took 86, a power law's 63), and its
+    # median time
+    lines = _run_script("shot_profile.py", [], monkeypatch, capsys)
+    assert lines[6].split() == ["rule", "potential", "calls", "us"]
+    rows = [line.split() for line in lines[7:]]
+    assert [row[0] for row in rows] == ["_LevelRule", "_ClosedRule", "_TailRule", "_SweptRule"]
+    assert [" ".join(row[1:-2]) for row in rows] == [
+        "power_law a=1.1", "adimurthi_log m=2", "power_law a=2.5", "custom"]
+    calls = [int(row[-2]) for row in rows]
+    assert calls[0] <= 43 and calls[1] <= 58 and calls[2] < calls[3]
+    assert all(float(row[-1]) > 0.0 for row in rows)
