@@ -50,8 +50,8 @@ def _emit(args, record: dict, exit_code: int, section: str = "result") -> int:
     text = format_record(record, section=section)
     # records, [error] ones included, never overwrite --out's CSV (trace, eigen
     # --format csv); a usage error has no parsed arguments and goes to stdout
-    csv = args is not None and (args.handler is _cmd_trace or getattr(args, "format", "") == "csv")
-    if args is not None and args.out and not csv:
+    if args is not None and args.out and args.handler is not _cmd_trace \
+            and getattr(args, "format", None) != "csv":
         try:
             write_text(args.out, text)
             return exit_code

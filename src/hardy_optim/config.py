@@ -16,12 +16,12 @@ key is a ``ConfigError``, whichever subcommand reads the file.
 ``ode.S_MAX_DEFAULT``, where the log families' band is ~1e-4 wide); the
 integrator tolerances and the undecided sliver are constants of ``ode``
 and ``bestconst``, and the best-constant tolerance is ``best_constant``'s
-default.  Where a record
-goes, in what form and with what wall-clock stamp are the CLI's ``--out``,
-``eigen --format`` and ``--timestamp``.  Result records are emitted in the
-same syntax (a single ``[result]`` or ``[error]`` section), so that every
-record re-parses with ``parse_record``.  All numbers are written with 17
-significant digits for cross-platform reproducibility.
+default.  Where a record goes, in what form and with what wall-clock
+stamp are the CLI's ``--out``, ``eigen --format`` and ``--timestamp``.
+Result records are emitted in the same syntax (a single ``[result]`` or
+``[error]`` section), so that every record re-parses with
+``parse_record``.  All numbers are written with 17 significant digits for
+cross-platform reproducibility.
 """
 from __future__ import annotations
 
