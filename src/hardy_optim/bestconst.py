@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (NO_ROWS, S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate, TailEdges,
-                  euler_edge, euler_tail_certificate, integrate, integrate_principal_tail,
-                  log_problem, radius_problem)
+from .ode import (NO_ROWS, S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate, euler_edge,
+                  euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
+                  radius_problem)
 from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
 
 _EPS = 2.0 ** -52
@@ -99,7 +99,7 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
     return level, log_level, 8.0 * _EPS * terms
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _Rule:
     """What decides a probe of (p, R, s_max), ``verdict(c)``, and plans
     ``best_constant``'s, ``plan(tol, checks)``: the ends it certifies, or a
@@ -118,7 +118,7 @@ class _Rule:
         return FeasibilityCheck(False, out, "oscillation-certificate")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _LevelRule(_Rule):
     """One cell of slope q = alpha - 2 < 0.  Its recessive solution is
     exactly J0(x), x = (2/|q|) sqrt(c A r^(2 - alpha)), so c is feasible iff
@@ -161,7 +161,7 @@ class _LevelRule(_Rule):
         return plan if plan[0] >= TINY else plan[1:]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _ClosedRule(_Rule):
     """A log family of amplitude A > 0: its ``closed_form`` solves at 1/(4A),
     so c <= c_closed is feasible (Sturm, Picone), unswept; above, r^2 v (s -
@@ -169,17 +169,22 @@ class _ClosedRule(_Rule):
     edge's certificate with gamma scaled by c, c between undecided."""
 
     c_closed: float     # the largest float c with c A <= 1/4
-    edges: TailEdges    # ``euler_edge``, at c = 1
+    c_osc: float        # ``euler_edge``, and its certificate's (gamma, shift, window) at c = 1
+    unit: tuple
     closed = FeasibilityCheck(True, ShootingOutcome(NO_ROWS["s z dz"], None,
                                                     Status.NO_ZERO_ON_INTERVAL), "closed-form")
 
     def verdict(self, c: float) -> FeasibilityCheck:
-        return self.closed if c <= self.c_closed else self._oscillating(c, self.edges.certificate(c))
+        if c <= self.c_closed:
+            return self.closed
+        gamma, shift, window = self.unit
+        return self._oscillating(c, TailCertificate("oscillatory", c * gamma, shift, window)
+                                 if c >= self.c_osc else None)
 
     def plan(self, tol: float, checks: list) -> list:
         """[c_closed, c_osc], so c_lo = c_best = 1/(4A) for every m, A, R and
         horizon; an infinite c_osc raises IndeterminateAtHorizon."""
-        plan = [self.c_closed, self.edges.c_osc]
+        plan = [self.c_closed, self.c_osc]
         if plan[1] == math.inf:    # the closed form decides c <= 1/(4A), and nothing above
             raise IndeterminateAtHorizon(f"multipliers in [{plan[0]!r}, inf) undecided: no Euler "
                                          f"edge is finite by s_max = {self.s_max!r}",
@@ -211,7 +216,7 @@ class _TailRule(_Rule):
                 else math.exp(x) if x <= _LN_HUGE else _HUGE]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class _SweptRule(_Rule):
     """A table whose inner cell falls, swept per probe (``integrate``).  Its
     margin, ln(1/R) - s* at a first zero s*, else atan2(y, -R y') at R (pi
@@ -292,7 +297,7 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> _Rule:
     if cell is None and A > 0.0:
         c = 0.25 / A    # ``closed_form_multiplier`` rounded: c or the float below it is c_closed
         rule = _ClosedRule(p, R, s_max, c if _closed_form_covers(c, A) else math.nextafter(c, 0.0),
-                           euler_edge(p, R, s_max))
+                           *euler_edge(p, R, s_max))
     elif cell is None or cell[3] >= 0.0:
         rule = _TailRule(p, R, s_max)
     elif cell[0] == -math.inf:

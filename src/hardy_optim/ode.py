@@ -684,10 +684,11 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
     """``euler_edge`` of a log-domain problem."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    return euler_edge(prob.potential, prob.R, prob.s_max)
+    c_osc, unit = euler_edge(prob.potential, prob.R, prob.s_max)
+    return TailEdges(c_osc, TailCertificate("oscillatory", *unit))
 
 
-def euler_edge(p: RadialPotential, R: float, s_max: float) -> TailEdges:
+def euler_edge(p: RadialPotential, R: float, s_max: float) -> tuple:
     """The edge of a log family from gamma = g (s - s0)^2 (``euler_gamma``)
     at s0 = ``euler_shift_hint``, where it does not rise on [outer edge, inf)
     and tends to the amplitude A: c_osc = (1/4 + (pi / ln(sigma_max /
@@ -696,8 +697,9 @@ def euler_edge(p: RadialPotential, R: float, s_max: float) -> TailEdges:
     hold a half-oscillation of a minorant Euler solution, a zero of every
     solution (Hartman, Ch. XI); no shorter window needs less.  That min is
     gamma_max up to rounding, so the certificate's gamma also bounds gamma
-    on all of [s_max, inf).  From floats, under the checks a log problem
-    makes of R and s_max; a cell kind raises DomainError."""
+    on all of [s_max, inf).  (c_osc, (gamma, s0, window)), from floats,
+    under the checks a log problem makes of R and s_max; a cell kind raises
+    DomainError."""
     p.check_radius(R)
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
@@ -711,8 +713,7 @@ def euler_edge(p: RadialPotential, R: float, s_max: float) -> TailEdges:
     gamma = min(p.euler_gamma(math.log(sigma_edge)), p.euler_gamma(math.log(sigma_max)))
     width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
     need = 0.25 + (math.pi / width) ** 2 if width > 0.0 else math.inf
-    return TailEdges(need / gamma if gamma > 0.0 else math.inf,
-                     TailCertificate("oscillatory", gamma, s0, (lo, s_max)))
+    return need / gamma if gamma > 0.0 else math.inf, (gamma, s0, (lo, s_max))
 
 
 def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:

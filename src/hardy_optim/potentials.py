@@ -123,6 +123,7 @@ def _chain(m: int, sigma, kappa: float, xp):
 # ---------------------------------------------------------------------------
 
 class Kind(Enum):
+    __hash__ = object.__hash__    # singletons: hashed in C, not by Enum's Python __hash__
     CONSTANT = "constant"
     POWER_LAW = "power_law"
     ADIMURTHI_LOG = "adimurthi_log"

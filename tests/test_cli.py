@@ -773,8 +773,8 @@ def _python_calls(argv) -> tuple:
 @pytest.mark.parametrize("potential, bound", [
     ({"kind": "constant", "amplitude": "1.3", "r_max": "1.7"}, 43),
     ({"kind": "power_law", "amplitude": "1.3", "alpha": "1.1", "r_max": "1.7"}, 43),
-    ({"kind": "adimurthi_log", "amplitude": "1.3", "m": "2"}, 58),
-    ({"kind": "filippas_tertikas_x", "amplitude": "1.3", "m": "3"}, 57),
+    ({"kind": "adimurthi_log", "amplitude": "1.3", "m": "2"}, 52),
+    ({"kind": "filippas_tertikas_x", "amplitude": "1.3", "m": "3"}, 51),
 ], ids=["constant", "power_law", "adimurthi_log m=2", "filippas_tertikas_x m=3"])
 def test_best_constant_op_python_calls(tmp_path, potential, bound):
     # a count that does not depend on the machine: the Python calls of a

@@ -96,5 +96,5 @@ def test_shot_profile_prints_one_op_per_rule_kind(monkeypatch, capsys):
     assert [" ".join(row[1:-2]) for row in rows] == [
         "power_law a=1.1", "adimurthi_log m=2", "power_law a=2.5", "custom"]
     calls = [int(row[-2]) for row in rows]
-    assert calls[0] <= 43 and calls[1] <= 58 and calls[2] < calls[3]
+    assert calls[0] <= 43 and calls[1] <= 52 and calls[2] < calls[3]
     assert all(float(row[-1]) > 0.0 for row in rows)
