@@ -22,6 +22,7 @@ brackets, Bessel points and calls are deterministic; the times are not.
 Run:  PYTHONPATH=src python scripts/shot_profile.py
 """
 import contextlib
+import gc
 import io
 import statistics
 import sys
@@ -63,7 +64,8 @@ RULES = [("_LevelRule", {"kind": "power_law", "amplitude": 1.3, "alpha": 1.1, "r
 
 
 def op_calls(argv):
-    """The Python calls of one in-process CLI op, the rule slot cleared."""
+    """The Python calls of one in-process CLI op, the rule slot cleared and
+    the cyclic collector paused, so that no finalizer runs inside it."""
     calls = 0
 
     def count(frame, event, arg):
@@ -71,12 +73,14 @@ def op_calls(argv):
         calls += event == "call"
 
     bestconst._slot = None
+    gc.disable()
     with contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(count)
         try:
             cli.main(argv)
         finally:
             sys.setprofile(None)
+            gc.enable()
     return calls
 
 

@@ -789,6 +789,7 @@ def test_table_bracket_converges_only_within_a_relative_tol():
     assert 5e-15 < res.c_hi / res.c_lo - 1.0 < 1e-13
     assert feasible(p, res.c_lo, 1.0).feasible and not feasible(p, res.c_hi, 1.0).feasible
 
+
 # ---------------------------------------------------------------------------
 # one cell in closed form: x(R) against z0, and the undecided sliver
 # ---------------------------------------------------------------------------

@@ -749,8 +749,10 @@ def test_eigen_at_amplitude_1e200_is_a_result(tmp_path, capsys):
 def _python_calls(argv) -> tuple:
     """The exit code and the Python function calls ("call" events of
     sys.setprofile) of one in-process CLI run, stdout captured, with the
-    rule slot cleared so that the run builds its rule."""
+    rule slot cleared so that the run builds its rule, and the cyclic
+    collector paused so that no finalizer runs inside it."""
     import contextlib
+    import gc
     import io
 
     import hardy_optim.bestconst as bestconst_mod
@@ -761,12 +763,16 @@ def _python_calls(argv) -> tuple:
         calls += event == "call"
 
     bestconst_mod._slot = None
+    collecting = gc.isenabled()
+    gc.disable()
     with contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(count)
         try:
             code = main(argv)
         finally:
             sys.setprofile(None)
+            if collecting:
+                gc.enable()
     return code, calls
 
 
