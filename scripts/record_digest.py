@@ -12,9 +12,11 @@ constant z0^2 1e-301, past the 1e300 at which v(r) once saturated),
 alpha = 1.5 on R = 1e300 (R^1.5 overflows), a constant at amplitude
 4e-308 (best constant 1.4e308, next to the largest double), a two-node
 table whose zeros lie below every float radius (so its shots have no
-margin) and a two-node table whose flat inner cell has r^2 v = 2^-1078,
-below every float, all at grid_n = 2000.  The entry on R = 1e300 skips
-eigen and check-closed-form, which form powers of R past the float range
+margin), a two-node table whose flat inner cell has r^2 v = 2^-1078,
+below every float, both log families at amplitude 0 (iterated log m = 2,
+X family m = 1: a vanishing Euler tail) and alpha = 2 (an inner cell of
+slope q = 0), all at grid_n = 2000.  The entry on R = 1e300 skips eigen
+and check-closed-form, which form powers of R past the float range
 (ROADMAP item 21).  Each record is hashed with its exit code and with the
 CSV it writes (eigen --format csv, trace) by content, the temporary
 directory's path replaced, and one digest is printed per entry, then one
@@ -48,7 +50,10 @@ CATALOG += [("constant A=0", {"kind": "constant", "amplitude": 0}),
                                                  "r_max": 1e300}),
             ("constant A=4e-308", {"kind": "constant", "amplitude": 4e-308}),
             ("custom 2 nodes, zeros below float radii", {"kind": "custom", "samples": "deep.csv"}),
-            ("custom flat rising, r^2 v = 2^-1078", {"kind": "custom", "samples": "flat.csv"})]
+            ("custom flat rising, r^2 v = 2^-1078", {"kind": "custom", "samples": "flat.csv"}),
+            ("adimurthi_log m=2 A=0", {"kind": "adimurthi_log", "m": 2, "amplitude": 0}),
+            ("filippas_tertikas_x m=1 A=0", {"kind": "filippas_tertikas_x", "m": 1, "amplitude": 0}),
+            ("power_law alpha=2", {"kind": "power_law", "alpha": 2})]
 
 # the two-node tables, (r, v) by name
 TABLES = {"deep.csv": ([1e-10, 1e-9], [1e-305, 1e-307]),

@@ -46,11 +46,13 @@ def test_cold_start_times_a_log_family_row(monkeypatch, capsys):
 def test_record_digest_prints_one_digest_per_entry(monkeypatch, capsys):
     lines = _run_script("record_digest.py", [], monkeypatch, capsys)
     digests, names = zip(*(line.split("  ", 1) for line in lines))
-    assert len(lines) == 32 and names[0] == "constant" and names[-1] == "total"
+    assert len(lines) == 35 and names[0] == "constant" and names[-1] == "total"
     assert "constant A=4e-308" in names and "custom flat rising, r^2 v = 2^-1078" in names
     assert "constant A=1e301" in names and "power_law alpha=1.5 r_max=1e300" in names
     assert "power_law alpha=1 A=1e-30" in names
     assert "adimurthi_log m=3 A=20" in names and "filippas_tertikas_x m=1 A=0.05" in names
+    assert "adimurthi_log m=2 A=0" in names and "filippas_tertikas_x m=1 A=0" in names
+    assert "power_law alpha=2" in names
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
 
 
