@@ -7,11 +7,11 @@ is reported as feasible / infeasible / indeterminate; the indeterminate
 stretch shrinks as the horizon grows because the Euler-comparison window
 needs ln-length pi/sqrt(gamma - 1/4).  Beside the grid, each horizon's
 predicted band [1/4, c_osc]: the family's closed form certifies every
-c <= 1/4 feasible without a sweep, and ``tail_edges`` gives c_osc from g at
-the outer edge and at the horizon, with gamma = r^2 v (s - s0)^2 at the
-family's Euler shift s0, where it is non-increasing: every c >= c_osc has
-an oscillatory certificate on the window from the outer edge to the
-horizon, which no shorter window beats (infeasible).  The ``band`` row is
+c <= 1/4 feasible without a sweep, and its Euler tail's ``edge`` gives
+c_osc from g at the outer edge and at the horizon, with gamma = r^2 v (s -
+s0)^2 at the family's Euler shift s0, where it is non-increasing: every c
+>= c_osc has an oscillatory certificate on the window from the outer edge
+to the horizon, which no shorter window beats (infeasible).  The ``band`` row is
 its width c_osc - 1/4.  Below them, each horizon's ``best_constant``
 bracket and its wall time (best of 3): c_lo is 1/4 at every horizon, and
 c_hi follows c_osc.  It is the before/after table of a change to the
@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from hardy_optim import RadialPotential, best_constant, feasible, log_problem, tail_edges
+from hardy_optim import RadialPotential, best_constant, feasible
 from hardy_optim.errors import IndeterminateAtHorizon
 
 
@@ -37,7 +37,7 @@ def verdict(p, c, s_max):
 def predicted_band(p, s_max):
     """[1/(4A), c_osc]: feasible by the closed form up to its lower end,
     certified infeasible from its upper end on."""
-    return p.closed_form_multiplier(1.0), tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max)).c_osc
+    return p.closed_form_multiplier(1.0), p.tail.edge(1.0, s_max)[0]
 
 
 def timed_best_constant(p, s_max):

@@ -9,8 +9,9 @@ whose ``plan(tol, checks)`` yields the multipliers ``best_constant`` probes:
     Bessel level c*, in closed form at every amplitude and R;
   * ``_ClosedRule``, a log family of amplitude A > 0: feasible at c <=
     1/(4A) by its closed form, infeasible from its Euler edge c_osc on;
-  * ``_TailRule``, an inner cell of slope q >= 0 or a log family at
-    amplitude 0: the certificates of the log domain, per probe;
+  * ``_TailRule``, an inner cell of slope q >= 0, or amplitude 0 where the
+    log domain decides (``VanishingTail.log_domain``): the certificates of
+    the log domain, per probe;
   * ``_SweptRule``, a table whose inner cell falls: swept per probe, with
     the c-derivative of its Pruefer margin, so its plan is Newton's.
 
@@ -25,14 +26,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from .ode import (NO_ROWS, S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate, euler_edge,
+from .ode import (NO_ROWS, S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate,
                   euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
                   radius_problem)
-from .potentials import J0_FIRST_ZERO, TINY, RadialPotential
+from .potentials import (HUGE, J0_FIRST_ZERO, TINY, EulerTail, FallingCell, RadialPotential,
+                         VanishingTail)
 
 _EPS = 2.0 ** -52
-_HUGE = math.nextafter(math.inf, 0.0)    # the largest double
-_LN_TINY, _LN_HUGE = math.log(TINY), math.log(_HUGE)
+_LN_HUGE = math.log(HUGE)
 _TOL_FLOOR = 8.0 * _EPS     # least tol whose closing step clears the float spacing
 _SLIVER = 1e-14             # a table's zero within this / min(1, |q|) of ln(1/R) is undecided
 
@@ -62,15 +63,6 @@ class BestConstantResult:
         return (self.c_lo, self.c_hi)
 
 
-def _closed_form_covers(c: float, A: float) -> bool:
-    """Whether c A <= 1/4 exactly, for floats c, A >= 0 (c may be inf): with
-    c = a/b and A = u/v, whether 4 a u <= b v."""
-    if c == math.inf:
-        return False
-    (a, b), (u, v) = c.as_integer_ratio(), A.as_integer_ratio()
-    return 4 * a * u <= b * v
-
-
 def _bessel_level(p: RadialPotential, R: float) -> tuple:
     """(c*, ln c*, slack) of a cell kind on the ball of radius R: the Bessel
     level c* = k / g(s_R), k = (z0 (2 - sigma)/2)^2, ln g(s_R) =
@@ -90,7 +82,7 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
         level = half * half / math.exp(log_g)
     else:
         level = math.exp(log_level) if log_level <= _LN_HUGE else math.inf
-    normal = TINY <= level <= _HUGE
+    normal = TINY <= level <= HUGE
     level = level if normal else 0.0 if log_level < 0.0 else math.inf
     if log_g == -math.inf:    # amplitude 0: the margin is inf at every c
         return level, log_level, 0.0
@@ -156,8 +148,8 @@ class _LevelRule(_Rule):
         if normal: step = max(tol / 8, 2 slack + 8 eps) is the least whose
         margin clears the slack, so c_best is c* to rounding."""
         step = max(0.125 * tol, 2.0 * self.slack + 8.0 * _EPS)
-        level = min(max(self.level, TINY), _HUGE)
-        plan = [level * (1.0 - step), min(level * (1.0 + step), _HUGE)]
+        level = min(max(self.level, TINY), HUGE)
+        plan = [level * (1.0 - step), min(level * (1.0 + step), HUGE)]
         return plan if plan[0] >= TINY else plan[1:]
 
 
@@ -169,7 +161,7 @@ class _ClosedRule(_Rule):
     edge's certificate with gamma scaled by c, c between undecided."""
 
     c_closed: float     # the largest float c with c A <= 1/4
-    c_osc: float        # ``euler_edge``, and its certificate's (gamma, shift, window) at c = 1
+    c_osc: float        # ``EulerTail.edge``, and its certificate's (gamma, shift, window) at c = 1
     unit: tuple
     closed = FeasibilityCheck(True, ShootingOutcome(NO_ROWS["s z dz"], None,
                                                     Status.NO_ZERO_ON_INTERVAL), "closed-form")
@@ -193,9 +185,9 @@ class _ClosedRule(_Rule):
 
 
 class _TailRule(_Rule):
-    """An inner cell of slope q >= 0 (a table's too) or a log family at
-    amplitude 0, decided by ``euler_tail_certificate``: the principal branch
-    (the line z = 1) where c v = 0, a rising cell's oscillation at c > 0."""
+    """A ``RisingCell`` (a table's too) or a ``VanishingTail`` of the log
+    domain, decided by ``euler_tail_certificate``: the principal branch (the
+    line z = 1) where c v = 0, a rising cell's oscillation at c > 0."""
 
     def verdict(self, c: float) -> FeasibilityCheck:
         prob = log_problem(self.p, c, self.R, s_max=self.s_max)
@@ -206,14 +198,9 @@ class _TailRule(_Rule):
         return self._oscillating(c, cert)
 
     def plan(self, tol: float, checks: list) -> list:
-        """A rising cell, c(V) = 0: the least c whose certificate's gamma is
-        normal, 2^-1022 where q > 0 (it moves out to c g = 1), else 2^-1022 /
-        min(e^ell, 1), in logs where e^ell is not normal, clamped to the
-        largest double.  (``best_constant`` stops amplitude 0 after c = 0.)"""
-        ell, q = self.p.inner_cell[2:]
-        g, x = math.exp(min(ell, 0.0)), _LN_TINY - ell    # min(e^ell, 1), ln(TINY/e^ell)
-        return [TINY if q > 0.0 else TINY / g if g >= TINY
-                else math.exp(x) if x <= _LN_HUGE else _HUGE]
+        """A rising cell, c(V) = 0: its ``planned_end``, the least c it
+        certifies.  (``best_constant`` stops amplitude 0 after c = 0.)"""
+        return [self.p.tail.planned_end()]
 
 
 @dataclass(eq=False)
@@ -268,7 +255,7 @@ class _SweptRule(_Rule):
             if abs(x - c) <= 0.125 * tol * c:
                 break
             x = x if lo < x < hi else math.sqrt(lo) * math.sqrt(hi)
-            x = x if lo < x < hi else min(c * math.exp(2.0 if check.feasible else -2.0), _HUGE)
+            x = x if lo < x < hi else min(c * math.exp(2.0 if check.feasible else -2.0), HUGE)
             if not lo < x < hi or hi - lo <= tol * lo:
                 break
         for sign in (-1.0, 1.0):
@@ -293,17 +280,16 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> _Rule:
     slot = _slot
     if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max:
         return slot[3]
-    cell, A = p.inner_cell, p.amplitude
-    if cell is None and A > 0.0:
-        c = 0.25 / A    # ``closed_form_multiplier`` rounded: c or the float below it is c_closed
-        rule = _ClosedRule(p, R, s_max, c if _closed_form_covers(c, A) else math.nextafter(c, 0.0),
-                           *euler_edge(p, R, s_max))
-    elif cell is None or cell[3] >= 0.0:
+    tail = p.tail
+    if isinstance(tail, EulerTail):
+        p.check_radius(R)
+        rule = _ClosedRule(p, R, s_max, tail.c_closed, *tail.edge(R, s_max))
+    elif tail.log_domain:    # a rising cell, or v = 0 where the log domain decides
         rule = _TailRule(p, R, s_max)
-    elif cell[0] == -math.inf:
+    elif isinstance(tail, FallingCell) and tail.knot > -math.inf:    # a table's
+        rule = _SweptRule(p, R, s_max, min(max(_bessel_level(p, R)[0], TINY), HUGE))
+    else:    # one falling cell, or v = 0 where the radius domain decides (level inf)
         rule = _LevelRule(p, R, s_max, *_bessel_level(p, R))
-    else:
-        rule = _SweptRule(p, R, s_max, min(max(_bessel_level(p, R)[0], TINY), _HUGE))
     _slot = (p, R, s_max, rule)
     return rule
 
@@ -318,7 +304,10 @@ def feasible(p: RadialPotential, c: float, R: float,
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
-    return _rule(p, R, s_max).verdict(c)
+    slot = _slot    # ``_rule``'s, matched here as there, without a call
+    rule = slot[3] if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max \
+        else _rule(p, R, s_max)
+    return rule.verdict(c)
 
 
 def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
@@ -368,7 +357,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         return check
 
     probe(0.0)
-    if p.amplitude == 0.0:
+    if isinstance(p.tail, VanishingTail):
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
     checks = []
     for c in _rule(p, R, s_max).plan(tol, checks):

@@ -161,7 +161,7 @@ def _cmd_check_closed_form(args, cfg: RunConfig):
 
 def _cmd_trace(args, cfg: RunConfig):
     prob = ode.radius_problem(cfg.potential, args.c, cfg.R)
-    if ode.wants_log_domain(cfg.potential):
+    if cfg.potential.tail.log_domain:
         prob = ode.to_log_domain(prob, cfg.s_max)
     out = ode.integrate(prob)
     header = ",".join(out.trajectory)    # r,y,dy or s,z,dz

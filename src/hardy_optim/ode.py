@@ -49,10 +49,10 @@ import numpy as np
 
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
-from .potentials import J0_FIRST_ZERO, TINY, RadialPotential, exp_or_inf
+from .potentials import (_VANISHING, J0_FIRST_ZERO, S_MAX_DEFAULT, EulerTail, RadialPotential,
+                         TailCertificate, outer_edge)
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
-S_MAX_DEFAULT = 1e300         # default log-domain horizon
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
 _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
 _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
@@ -99,9 +99,9 @@ class HardyODEProblem:
         self.potential.check_radius(self.R)
         if not math.isfinite(self.s_max):
             raise DomainError(f"horizon s_max must be finite, got {self.s_max}")
-        if self.domain is Domain.LOG and not self.s_max > _outer_edge(self):
+        if self.domain is Domain.LOG and not self.s_max > outer_edge(self.R):
             raise DomainError(
-                f"horizon s_max = {self.s_max} not beyond the outer edge {_outer_edge(self)}")
+                f"horizon s_max = {self.s_max} not beyond the outer edge {outer_edge(self.R)}")
 
     def coefficient(self, x):
         """Equation coefficient in this domain's variable: c*v(r) at radius x,
@@ -124,22 +124,6 @@ def to_log_domain(prob: HardyODEProblem, s_max: float = S_MAX_DEFAULT) -> HardyO
     if prob.domain is not Domain.RADIUS:
         raise DomainError("to_log_domain expects a radius-domain problem")
     return replace(prob, domain=Domain.LOG, s_max=s_max)
-
-
-@dataclass(frozen=True)
-class TailCertificate:
-    """Sturm-comparison verdict for the coefficient tail a(s).
-
-    ``gamma`` is the extreme of a(s) (s - shift)^2 over the certified window:
-    a maximum for the non-oscillatory side (at most 1/4, 0 where a = 0) on
-    [s_max, inf), a minimum for the oscillatory side (must exceed 1/4 over a
-    long enough window); a rising inner cell's (shift None) bounds a itself.
-    """
-
-    kind: str                 # "nonoscillatory" | "oscillatory"
-    gamma: float
-    shift: Optional[float]
-    window: tuple             # (s1, s2) where the comparison holds
 
 
 @dataclass(frozen=True)
@@ -170,21 +154,9 @@ class ShootingOutcome:
         return None if self.zero_s is None else math.exp(-self.zero_s)
 
 
-def _outer_edge(prob: HardyODEProblem) -> float:
-    """Log abscissa just inside r = R, where the outward sweep and the tail certificates start."""
-    return -math.log(prob.R) + 1e-9
-
-
 def _vanishes(prob: HardyODEProblem) -> bool:
     """Whether a = c g vanishes: c = 0 or amplitude 0 (table samples are > 0)."""
     return prob.c == 0.0 or prob.potential.amplitude == 0.0
-
-
-def wants_log_domain(p: RadialPotential) -> bool:
-    """The log families (no ``log_cells``) and inner cells of slope q = sigma
-    - 2 >= 0 (alpha >= 2 for a power law) have no recessive start at r = 0
-    (``_inner_cell_start``): their feasibility is decided in the log domain."""
-    return p.inner_cell is None or p.inner_cell[3] >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +191,9 @@ def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) 
     """
     z0, dz0 = float(state0[0]), float(state0[1])
     lo, hi = sorted((s_from, s_to))
-    c, gamma = prob.c, prob.potential.euler_gamma
-    s0 = _outer_edge(prob) - 1.0
-    delta = s0 - prob.potential.euler_shift_hint()
+    c, tail = prob.c, prob.potential.tail
+    gamma, s0 = tail.gamma, outer_edge(prob.R) - 1.0
+    delta = s0 - tail.s0
     sigma0 = s_from - s0
     tau0 = math.log(sigma0)
 
@@ -544,7 +516,7 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
             c_mass = out.c_mass + (prob.c * g * z * z + dz * dz) / -q
             out = replace(out, mass=c_mass / prob.c, c_mass=c_mass)
         return _radius_columns(out)
-    return _sweep(prob, _outer_edge(prob), prob.s_max, (1.0, 0.0))
+    return _sweep(prob, outer_edge(prob.R), prob.s_max, (1.0, 0.0))
 
 
 def integrate_principal_tail(prob: HardyODEProblem,
@@ -681,72 +653,27 @@ class TailEdges:
 
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
-    """``euler_edge`` of a log-domain problem."""
+    """``EulerTail.edge`` of a log-domain problem; DomainError for any other tail."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    c_osc, unit = euler_edge(prob.potential, prob.R, prob.s_max)
+    tail = prob.potential.tail
+    if not isinstance(tail, EulerTail):
+        raise DomainError(f"a {prob.potential.kind.value} potential has no Euler tail edges, "
+                          f"only a {type(tail).__name__}")
+    c_osc, unit = tail.edge(prob.R, prob.s_max)
     return TailEdges(c_osc, TailCertificate("oscillatory", *unit))
 
 
-def euler_edge(p: RadialPotential, R: float, s_max: float) -> tuple:
-    """The edge of a log family from gamma = g (s - s0)^2 (``euler_gamma``)
-    at s0 = ``euler_shift_hint``, where it does not rise on [outer edge, inf)
-    and tends to the amplitude A: c_osc = (1/4 + (pi / ln(sigma_max /
-    sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0 (inf at A =
-    0 and where that ratio rounds to 1), makes the outer edge to the horizon
-    hold a half-oscillation of a minorant Euler solution, a zero of every
-    solution (Hartman, Ch. XI); no shorter window needs less.  That min is
-    gamma_max up to rounding, so the certificate's gamma also bounds gamma
-    on all of [s_max, inf).  (c_osc, (gamma, s0, window)), from floats,
-    under the checks a log problem makes of R and s_max; a cell kind raises
-    DomainError."""
-    p.check_radius(R)
-    if not math.isfinite(s_max):
-        raise DomainError(f"horizon s_max must be finite, got {s_max}")
-    lo = -math.log(R) + 1e-9    # the outer edge
-    if not s_max > lo:
-        raise DomainError(f"horizon s_max = {s_max} not beyond the outer edge {lo}")
-    if p.inner_cell is not None:
-        raise DomainError(f"a {p.kind.value} potential has no tail edges, only its inner cell")
-    s0 = p.euler_shift_hint()
-    sigma_edge, sigma_max = lo - s0, s_max - s0
-    gamma = min(p.euler_gamma(math.log(sigma_edge)), p.euler_gamma(math.log(sigma_max)))
-    width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
-    need = 0.25 + (math.pi / width) ** 2 if width > 0.0 else math.inf
-    return need / gamma if gamma > 0.0 else math.inf, (gamma, s0, (lo, s_max))
-
-
 def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
-    """Classify the coefficient tail a(s) = c g(s).  Where a = 0 (c = 0 or
-    amplitude 0) it is non-oscillatory, gamma = 0.  A cell kind's inner cell
-    rises (q >= 0; q < 0 raises DomainError) from s1 = max(outer edge,
-    innermost knot) out to s = inf, where the model is exact, so a >= gamma
-    = min(c g(s1), 1e300) (from ln g where g is 0, subnormal or inf)
-    there, and by Sturm comparison with z'' + gamma z = 0 every solution
-    vanishes inside [s1, s1 + pi / sqrt(gamma)], within the horizon or not.
-    Where c g(s1) is below 2^-1022 and q > 0, s1 moves out along the cell
-    to where c g = 1, so gamma is a normal double (None only where q = 0
-    and c g is not one).  A log family is oscillatory if c >= c_osc of
-    ``tail_edges``, else None."""
+    """Classify the coefficient tail a(s) = c g(s) by the potential's tail
+    (``RadialPotential.tail``): where a = 0 (c = 0, or a ``VanishingTail``)
+    non-oscillatory, gamma = 0; a rising cell's oscillation at every c > 0
+    (None only where its gamma is no normal double); a log family's from c_osc
+    of its Euler edge on, else None; a falling cell raises DomainError."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    c, p, s_start = prob.c, prob.potential, _outer_edge(prob)
-    if _vanishes(prob):
-        return TailCertificate("nonoscillatory", 0.0, s_start - 1.0, (prob.s_max, math.inf))
-    if p.inner_cell is not None:
-        knot, anchor, ell, q = p.inner_cell
-        if q < 0.0:
-            raise DomainError("an inner cell of slope q < 0 is swept in the radius domain")
-        s1 = max(s_start, knot)
-        if q > 0.0 and c * p.log_weight(s1) < TINY:    # out to where ln(c g) = 0
-            s1 = anchor + (-math.log(c) - ell) / q
-        g, log_g = p.log_weight(s1), p.log_weight_exponent(s1)
-        gamma = min(c * g if TINY <= g < math.inf else exp_or_inf(math.log(c) + log_g), 1e300)
-        if gamma < TINY:    # subnormal or 0: its rounding no longer bounds a
-            return None
-        return TailCertificate("oscillatory", gamma, None,
-                               (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
-    return tail_edges(prob).certificate(c)
+    tail = prob.potential.tail if prob.c else _VANISHING[True]    # c = 0: a = 0 whatever g is
+    return tail.certificate(prob.c, prob.R, prob.s_max)
 
 
 # ---------------------------------------------------------------------------

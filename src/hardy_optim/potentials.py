@@ -26,6 +26,12 @@ equation at multiplier 1/4, (prod X_i)^(-1/2) (see ``closed_form`` /
 ``closed_form_multiplier``); the constant potential carries the J0 profile
 at multiplier z0^2/R^2.
 
+Which kind of inner tail a potential has is decided once, by
+``RadialPotential.tail``, in floats: a ``FallingCell`` (an inner cell of
+slope q < 0), a ``RisingCell`` (q >= 0), an ``EulerTail`` (a log family of
+amplitude A > 0) or a ``VanishingTail`` (amplitude 0).  The solvers, the
+classifier and the dual bound ask it rather than the kind.
+
 Admissibility classification follows the sign of
 liminf_{r->0} ln(r) * int_0^r s v(s) ds: finite liminf means the potential is
 admissible after scaling (label X), divergence to -infinity means no scaling
@@ -37,7 +43,8 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from operator import itemgetter
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -47,6 +54,8 @@ from .errors import DomainError, UnsupportedPotential
 # as a literal, so that importing the package loads no scipy
 J0_FIRST_ZERO = float.fromhex('0x1.33d152e971b3fp+1')
 TINY = 2.0 ** -1022           # the least normal double
+HUGE = math.nextafter(math.inf, 0.0)    # the largest double
+S_MAX_DEFAULT = 1e300         # default log-domain horizon
 
 
 def exp_or_inf(exponent):
@@ -271,20 +280,22 @@ class RadialPotential:
         s = s.astype(float, copy=False) if xp is np else float(s)
         euler = self._euler
         if euler is not None:
-            kappa, _, s0 = euler
-            total = _chain(self.m, s - s0, kappa, xp)[0]
+            total = _chain(self.m, s - euler.s0, euler.kappa, xp)[0]
             total *= self.amplitude    # in place for an ndarray, the chain's own
             return total
         return exp_or_inf(self.log_weight_exponent(s))
 
     @functools.cached_property
-    def _euler(self) -> Optional[tuple]:
-        """(kappa, scale rho or d, s0 = -(kappa + ln scale)) of a log family, else None."""
+    def _euler(self) -> Optional[EulerTail]:
+        """A log family's chain at its shift s0 = -(kappa + ln scale), at any
+        amplitude (its ``tail`` where A > 0), else None."""
         if self.kind not in _BORDERLINE:
             return None
         kappa, key = _BORDERLINE[self.kind]
-        scale = getattr(self, key)
-        return kappa, scale, -(kappa + math.log(scale))
+        A = self.amplitude
+        c = 0.25 / A if A else math.inf    # 1/(4A) rounded: c or the float below it is c_closed
+        return EulerTail(self.m, kappa, A, -(kappa + math.log(getattr(self, key))),
+                         c if _closed_form_covers(c, A) else math.nextafter(c, 0.0))
 
     def log_weight_exponent(self, s, lift: float = 0.0):
         """ln(r^2 v) + lift s at r = e^(-s): ell + lift anchor + (q + lift)(s -
@@ -298,16 +309,32 @@ class RadialPotential:
         return ell + lift * anchor + (q + lift) * (s - anchor)
 
     @functools.cached_property
-    def inner_cell(self) -> Optional[tuple]:
+    def inner_cell(self) -> Optional[_Cell]:
         """The last cell of ``log_cells`` in floats (knot, anchor, ell, q), from
-        its knot (-inf for one cell) up to s = inf; None for the log families."""
+        its knot (-inf for one cell) up to s = inf, a ``FallingCell`` or a
+        ``RisingCell`` by the sign of q; None for the log families."""
         if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):    # ln A and alpha - 2, no arrays
             ell = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
-            return -math.inf, 0.0, ell, self.alpha - 2.0
-        if self.kind is not Kind.CUSTOM:
+            cell = -math.inf, 0.0, ell, self.alpha - 2.0
+        elif self.kind is not Kind.CUSTOM:
             return None
-        knots, *lines = self.log_cells
-        return (float(knots[-1]), *(float(x[-1]) for x in lines))
+        else:
+            knots, *lines = self.log_cells
+            cell = (float(knots[-1]), *(float(x[-1]) for x in lines))
+        return (RisingCell if cell[3] >= 0.0 else FallingCell)(cell)
+
+    @functools.cached_property
+    def tail(self) -> FallingCell | RisingCell | EulerTail | VanishingTail:
+        """The inner tail, the one place its kind is decided: a
+        ``VanishingTail`` at amplitude 0, else ``inner_cell`` or a log
+        family's ``EulerTail``.  Each form has ``log_domain`` (whether a probe
+        is decided in s, with no recessive start at r = 0) and
+        ``certificate(c, R, s_max)``: the Sturm certificate of a = c r^2 v
+        at c > 0 past the outer edge of the ball of radius R, or None."""
+        cell = None if self.kind in _BORDERLINE else self.inner_cell
+        if self.amplitude == 0.0:
+            return _VANISHING[cell is None or cell.log_domain]
+        return self._euler if cell is None else cell
 
     @functools.cached_property
     def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
@@ -334,25 +361,14 @@ class RadialPotential:
     # -- structure ----------------------------------------------------------
 
     def euler_shift_hint(self) -> Optional[float]:
-        """Natural shift s0 for comparing r^2 v(e^{-s}) against g/(s-s0)^2.
-
-        The borderline families are exactly shifted-Euler to leading order:
-        r^2 v = amplitude (1 + ...)/(s - s0)^2, s0 = -(kappa + ln scale):
-        -ln rho for the iterated logs, -(1 + ln d) for the X family.  At this
-        shift gamma = r^2 v (s - s0)^2 is non-increasing in s on the whole
-        ball and tends to the amplitude, which ``ode.tail_edges`` takes as given.
-        """
-        return None if self._euler is None else self._euler[2]
+        """A log family's Euler shift s0 (``EulerTail``), else None."""
+        return None if self._euler is None else self._euler.s0
 
     def euler_gamma(self, tau):
-        """gamma = r^2 v (s - s0)^2 at s = s0 + e^tau, s0 = ``euler_shift_hint``:
-        by self-similarity, A plus the same family one level shallower (scale
-        1, s0 = -kappa) at abscissa tau, A at m = 1; float or ndarray."""
+        """``EulerTail.gamma`` of a log family, at any amplitude."""
         if self._euler is None:
             raise UnsupportedPotential(f"no Euler shift for kind {self.kind.value}")
-        xp = np if isinstance(tau, np.ndarray) else math
-        kappa = self._euler[0]    # below, 0 tau gives tau's shape at m = 1
-        return self.amplitude * (1.0 + _chain(self.m - 1, kappa + tau, kappa, xp)[0]) + 0.0 * tau
+        return self._euler.gamma(tau)
 
     def scaled(self, beta: float) -> "RadialPotential":
         """The rescaled potential r |-> beta^2 * v(beta r) on (0, r_max / beta].
@@ -370,7 +386,8 @@ class RadialPotential:
                 return RadialPotential.constant(amplitude, self.r_max / beta)
             return RadialPotential.power_law(self.alpha, amplitude, self.r_max / beta)
         if self._euler is not None:
-            return RadialPotential._borderline(self.kind, self.m, self._euler[1] / beta,
+            scale = getattr(self, _BORDERLINE[self.kind][1])
+            return RadialPotential._borderline(self.kind, self.m, scale / beta,
                                                self.amplitude, self.r_max / beta)
         with np.errstate(over="ignore"):
             r = np.exp(self.table_log_r) / beta
@@ -414,10 +431,157 @@ class RadialPotential:
             raise DomainError(f"closed form of {self.kind.value} needs r > 0, got {np.min(r)}")
         if self._euler is None:
             raise UnsupportedPotential(f"no closed form for kind {self.kind.value}")
-        kappa, scale, s0 = self._euler    # X_1 = 1 / (kappa - ln(r / scale))
+        kappa, key = _BORDERLINE[self.kind]    # X_1 = 1 / (kappa - ln(r / scale))
+        scale, s0 = getattr(self, key), self._euler.s0
         ratio = r / scale    # where it underflows to 0, X_1 = 1 / (-ln r - s0)
         sigma = kappa - xp.log(ratio) if np.min(ratio) > 0.0 else -xp.log(r) - s0
         return _chain(self.m, sigma, kappa, xp)[1] ** -0.5
+
+
+# ---------------------------------------------------------------------------
+# The inner tail: one of four forms, in floats (``RadialPotential.tail``)
+# ---------------------------------------------------------------------------
+
+def outer_edge(R: float) -> float:
+    """Log abscissa just inside r = R, where the outward sweep and the tail certificates start."""
+    return -math.log(R) + 1e-9
+
+
+def _closed_form_covers(c: float, A: float) -> bool:
+    """Whether c A <= 1/4 exactly, for floats c, A >= 0 (c may be inf): with
+    c = a/b and A = u/v, whether 4 a u <= b v."""
+    if c == math.inf:
+        return False
+    (a, b), (u, v) = c.as_integer_ratio(), A.as_integer_ratio()
+    return 4 * a * u <= b * v
+
+
+@dataclass(frozen=True)
+class TailCertificate:
+    """Sturm-comparison verdict for the coefficient tail a(s).
+
+    ``gamma`` is the extreme of a(s) (s - shift)^2 over the certified window:
+    a maximum for the non-oscillatory side (at most 1/4, 0 where a = 0) on
+    [s_max, inf), a minimum for the oscillatory side (must exceed 1/4 over a
+    long enough window); a rising inner cell's (shift None) bounds a itself.
+    """
+
+    kind: str                 # "nonoscillatory" | "oscillatory"
+    gamma: float
+    shift: Optional[float]
+    window: tuple             # (s1, s2) where the comparison holds
+
+
+class _Cell(tuple):
+    """An inner cell (knot, anchor, ell, q), ln(r^2 v) = ell + q (s - anchor)
+    from its knot (-inf for one cell) on: a tuple, formed and read without a
+    Python call."""
+    __slots__ = ()
+    knot, anchor, ell, q = (property(itemgetter(i)) for i in range(4))
+
+
+class FallingCell(_Cell):
+    """q < 0: J0 on the cell is the recessive start at r = 0, so a probe is
+    a radius-domain shot: against a one cell's Bessel level, or a table's sweep."""
+    __slots__ = ()
+    log_domain = False
+
+    def certificate(self, c: float, R: float, s_max: float):
+        raise DomainError("an inner cell of slope q < 0 is swept in the radius domain")
+
+
+class RisingCell(_Cell):
+    """q >= 0: every c > 0 oscillates on the cell, exact out to s = inf."""
+    __slots__ = ()
+    log_domain = True
+
+    def certificate(self, c: float, R: float, s_max: float) -> Optional[TailCertificate]:
+        """From s1 = max(outer edge, knot) on, a >= gamma = min(c g(s1), 1e300)
+        (from ln g where g is 0, subnormal or inf), so every solution vanishes
+        inside [s1, s1 + pi / sqrt(gamma)], within the horizon or not.  Where
+        c g(s1) < 2^-1022 and q > 0, s1 moves out to where c g = 1, so gamma is
+        normal (None only where q = 0 and c g is not)."""
+        knot, anchor, ell, q = self
+        s1 = max(outer_edge(R), knot)
+        if q > 0.0 and c * exp_or_inf(ell + q * (s1 - anchor)) < TINY:
+            s1 = anchor + (-math.log(c) - ell) / q
+        log_g = ell + q * (s1 - anchor)
+        g = exp_or_inf(log_g)
+        gamma = min(c * g if TINY <= g < math.inf else exp_or_inf(math.log(c) + log_g), 1e300)
+        if gamma < TINY:    # subnormal or 0: its rounding no longer bounds a
+            return None
+        return TailCertificate("oscillatory", gamma, None,
+                               (s1, math.nextafter(s1 + math.pi / math.sqrt(gamma), math.inf)))
+
+    def planned_end(self) -> float:
+        """The least c it certifies, c(V) being 0: 2^-1022 where q > 0, else
+        2^-1022 / min(e^ell, 1), in logs where e^ell is not normal, clamped
+        to the largest double."""
+        ell, q = self[2:]
+        g, x = math.exp(min(ell, 0.0)), math.log(TINY) - ell    # min(e^ell, 1), ln(TINY/e^ell)
+        return (TINY if q > 0.0 else TINY / g if g >= TINY
+                else math.exp(x) if x <= math.log(HUGE) else HUGE)
+
+
+@dataclass(frozen=True)
+class EulerTail:
+    """A log family, the chain (m, kappa) at amplitude A and Euler shift s0:
+    r^2 v = A (1 + ...) / (s - s0)^2, s0 = -ln rho for the iterated logs,
+    -(1 + ln d) for the X family.  gamma = r^2 v (s - s0)^2 does not rise on
+    the ball and tends to A (Fact 1), so the closed form decides every c <=
+    c_closed, the largest float with c A <= 1/4, and the Euler edge every c
+    >= c_osc (``edge``)."""
+
+    m: int
+    kappa: float
+    amplitude: float
+    s0: float
+    c_closed: float
+    log_domain: ClassVar[bool] = True
+
+    def gamma(self, tau):
+        """gamma at s = s0 + e^tau: by self-similarity, A plus the chain one
+        level shallower (scale 1) at abscissa tau, A at m = 1; float or ndarray."""
+        xp = np if isinstance(tau, np.ndarray) else math    # below, 0 tau gives tau's shape at m = 1
+        return self.amplitude * (1.0 + _chain(self.m - 1, self.kappa + tau, self.kappa, xp)[0]) \
+            + 0.0 * tau
+
+    def edge(self, R: float, s_max: float) -> tuple:
+        """(c_osc, (gamma, s0, window)), checking s_max as a log problem does
+        (R is the caller's): c_osc = (1/4 + (pi / ln(sigma_max /
+        sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0 (inf where
+        that ratio rounds to 1), makes the outer edge to the horizon hold a
+        half-oscillation of a minorant Euler solution (Hartman, Ch. XI); no
+        shorter window needs less.  That min is gamma_max up to rounding, so
+        gamma bounds gamma on [s_max, inf) too."""
+        if not math.isfinite(s_max):
+            raise DomainError(f"horizon s_max must be finite, got {s_max}")
+        lo = outer_edge(R)
+        if not s_max > lo:
+            raise DomainError(f"horizon s_max = {s_max} not beyond the outer edge {lo}")
+        sigma_edge, sigma_max = lo - self.s0, s_max - self.s0
+        gamma = min(self.gamma(math.log(sigma_edge)), self.gamma(math.log(sigma_max)))
+        width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
+        return (0.25 + (math.pi / width) ** 2) / gamma if width > 0.0 else math.inf, \
+            (gamma, self.s0, (lo, s_max))
+
+    def certificate(self, c: float, R: float, s_max: float) -> Optional[TailCertificate]:
+        c_osc, (gamma, shift, window) = self.edge(R, s_max)
+        return TailCertificate("oscillatory", c * gamma, shift, window) if c >= c_osc else None
+
+
+@dataclass(frozen=True)
+class VanishingTail:
+    """Amplitude 0: a = 0, non-oscillatory, every c feasible; ``log_domain``
+    is the kind's (a log family's or a rising cell's, not a falling one's)."""
+
+    log_domain: bool
+
+    def certificate(self, c: float, R: float, s_max: float) -> TailCertificate:
+        return TailCertificate("nonoscillatory", 0.0, outer_edge(R) - 1.0, (s_max, math.inf))
+
+
+_VANISHING = (VanishingTail(False), VanishingTail(True))    # shared: ``tail`` forms none
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +642,21 @@ def log_cell_tails(cells: tuple, s: np.ndarray, a: float, b: float) -> np.ndarra
 
 
 def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
-    """int_{s_k}^inf r^2 v ds at r = e^(-s) for increasing s_k.  On
-    ``log_cells`` each piece is exact, g w ``exprel``(q w) from its left end
-    (g / -q on the inner cell; every tail is inf when q >= 0 there), summed
-    from the right in linear space, to a few ulps, wherever every ln g lies
-    in [-700, 700] and the sum is finite; elsewhere it is the exp of
-    ``log_cell_tails`` at a = 1, b = 0, whose relative error grows like
-    eps |ln int g|.  The log families integrate G(tau) e^(-tau),
-    G = ``euler_gamma``, by a composite Gauss rule on unit panels in
-    tau = ln(s - s0), s0 their Euler shift (geometric panels in
-    u = 1 / (s - s0)), closed past the last one, T, by G(T) e^(-T), from one
-    array ``euler_gamma`` call.  numpy only."""
-    if p.log_cells is not None:
+    """int_{s_k}^inf r^2 v ds at r = e^(-s) for increasing s_k, by p's tail.
+    0 where it vanishes.  On ``log_cells`` each piece is exact, g w
+    ``exprel``(q w) from its left end (g / -q on the inner cell; every tail
+    is inf when q >= 0 there), summed from the right in linear space, to a
+    few ulps, wherever every ln g lies in [-700, 700] and the sum is finite;
+    elsewhere it is the exp of ``log_cell_tails`` at a = 1, b = 0, whose
+    relative error grows like eps |ln int g|.  An Euler tail integrates
+    G(tau) e^(-tau), G = its ``gamma``, by a composite Gauss rule on unit
+    panels in tau = ln(s - s0), s0 its shift (geometric panels in u = 1 /
+    (s - s0)), closed past the last one, T, by G(T) e^(-T), from one array
+    ``gamma`` call.  numpy only."""
+    tail = p.tail
+    if isinstance(tail, VanishingTail):
+        return np.zeros(s.shape)
+    if not isinstance(tail, EulerTail):
         points, f, q, w = _cell_points(p.log_cells, s, 1.0, 0.0)
         if q[-1] >= 0.0 and f[-1] > -math.inf:
             return np.full(s.shape, math.inf)
@@ -501,35 +668,35 @@ def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
             if np.isfinite(tails[0]):
                 return tails[points.searchsorted(s)]
         return np.exp(log_cell_tails(p.log_cells, s, 1.0, 0.0))
-    tau = np.log(s - p.euler_shift_hint())
+    tau = np.log(s - tail.s0)
     edges = np.concatenate([tau, tau[-1] + np.arange(1.0, _TAIL_PANELS + 1.0)])
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
     nodes = np.append(mid[:, None] + half[:, None] * _GL_NODES, edges[-1])
-    terms = p.euler_gamma(nodes) * np.exp(-nodes)
+    terms = tail.gamma(nodes) * np.exp(-nodes)
     panels = terms[:-1].reshape(-1, _GL_NODES.size) @ _GL_WEIGHTS * half
     return np.cumsum(np.append(panels, terms[-1])[::-1])[::-1][:s.size]
 
 
 def classify(p: RadialPotential) -> ClassLabel:
     """Classify the potential by L(r) = ln(r) int_0^r t v dt = -s int_s^inf g,
-    s = ln(1/r), g = ``log_weight``.  Every label is certified:
+    s = ln(1/r), g = ``log_weight``, from its tail.  Every label is certified:
 
-      * ``log_cells`` kinds, exactly by the inner cell's slope q (g ~ e^(q s)):
-        q < 0 makes L -> 0, X (limit_estimate 0); q >= 0 makes the integral
-        diverge, Y (evidence infinite);
-      * the log families, by the bound B = gamma(s_max) of the certificate
-        of ``ode.tail_edges``, finite for both: g <= B / (s - s0)^2 on
-        [s_max, inf) gives |L| <= B s / (s - s0) -> B, X (limit_estimate -B).
+      * an inner cell, exactly by its slope q (g ~ e^(q s)): q < 0 makes
+        L -> 0, X (limit_estimate 0); q >= 0 makes the integral diverge, Y
+        (evidence infinite);
+      * an Euler tail, by the bound B = gamma(s_max) of its ``edge`` at the
+        default horizon: g <= B / (s - s0)^2 on [s_max, inf) gives
+        |L| <= B s / (s - s0) -> B, X (limit_estimate -B);
+      * a vanishing tail, g = 0: L = 0, X (limit_estimate 0).
 
     The evidence is L at the probe radii r_max 10^-2 ... 10^-8, from
     ``_tail_integrals``.
     """
-    probes = p.r_max * _PROBES
+    probes, tail = p.r_max * _PROBES, p.tail
     evidence = np.log(probes) * _tail_integrals(p, -np.log(probes))
-    if p.log_cells is not None:
-        if np.isinf(evidence[-1]):
-            return ClassLabel(Label.Y, evidence, probes)
-        return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)
-    from .ode import log_problem, tail_edges      # ode builds on this module
-    bound = tail_edges(log_problem(p, 1.0, p.r_max)).unit_osc.gamma
-    return ClassLabel(Label.X, evidence, probes, limit_estimate=-bound)
+    if isinstance(tail, EulerTail):
+        bound = tail.edge(p.r_max, S_MAX_DEFAULT)[1][0]
+        return ClassLabel(Label.X, evidence, probes, limit_estimate=-bound)
+    if np.isinf(evidence[-1]):
+        return ClassLabel(Label.Y, evidence, probes)
+    return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)

@@ -15,7 +15,6 @@ from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant
                          integrate_principal_tail, log_problem, radius_problem, tail_edges,
                          unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
-from hardy_optim.ode import wants_log_domain
 
 from conftest import Z0, Z0_SQ, power_law_best_constant
 
@@ -486,14 +485,14 @@ def test_table_domain_follows_its_inner_cell():
     v = r ** -1.5
     v[0] = v[1] * (r[0] / r[1]) ** -2.5
     p = RadialPotential.custom(r, v)
-    assert p.sigma == pytest.approx(2.5) and wants_log_domain(p)
+    assert p.sigma == pytest.approx(2.5) and p.tail.log_domain
     check = feasible(p, 0.1, 1.0)
     assert not check.feasible and check.method == "oscillation-certificate"
     res = best_constant(p, 1.0)
     assert res.converged and res.c_lo == 0.0 and 0.0 < res.c_hi < 1e-6
     # the catalog kinds keep their domain: q = alpha - 2
     for alpha in (0.0, 1.0, 1.999, 2.0, 2.5):
-        assert wants_log_domain(RadialPotential.power_law(alpha)) is (alpha >= 2.0)
+        assert RadialPotential.power_law(alpha).tail.log_domain is (alpha >= 2.0)
 
 
 class _Counter:
@@ -1306,21 +1305,21 @@ def _exactly_covered(c, A):
 @settings(max_examples=500, deadline=None)
 @given(_DOUBLES, _DOUBLES)
 def test_closed_form_cover_is_exact(c, A):
-    import hardy_optim.bestconst as bestconst_mod
-    assert bestconst_mod._closed_form_covers(c, A) == _exactly_covered(c, A)
-    assert not bestconst_mod._closed_form_covers(math.inf, A)
+    import hardy_optim.potentials as potentials_mod
+    assert potentials_mod._closed_form_covers(c, A) == _exactly_covered(c, A)
+    assert not potentials_mod._closed_form_covers(math.inf, A)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_DOUBLES.filter(lambda A: A > 0.0), st.integers(-2, 2))
 def test_closed_form_cover_next_to_the_quarter(A, steps):
     # c a few ulps either side of 1/(4A), where the product decides by ulps
-    import hardy_optim.bestconst as bestconst_mod
+    import hardy_optim.potentials as potentials_mod
     c = 0.25 / A
     for _ in range(abs(steps)):
         c = math.nextafter(c, math.copysign(math.inf, steps))
     if c < math.inf:
-        assert bestconst_mod._closed_form_covers(c, A) == _exactly_covered(c, A)
+        assert potentials_mod._closed_form_covers(c, A) == _exactly_covered(c, A)
 
 
 @settings(max_examples=100, deadline=None)
@@ -1386,8 +1385,9 @@ def test_best_constant_reads_the_euler_edges_once(family, s_max, monkeypatch):
     # once, from floats: no log problem is built (tail_edges of one was read
     # for the plan and once more in each probe above 1/(4A))
     import hardy_optim.bestconst as bestconst_mod
-    edges, problems = _Counter(bestconst_mod.euler_edge), _Counter(bestconst_mod.log_problem)
-    monkeypatch.setattr(bestconst_mod, "euler_edge", edges)
+    from hardy_optim.potentials import EulerTail
+    edges, problems = _Counter(EulerTail.edge), _Counter(bestconst_mod.log_problem)
+    monkeypatch.setattr(EulerTail, "edge", lambda tail, *args: edges(tail, *args))
     monkeypatch.setattr(bestconst_mod, "log_problem", problems)
     res = best_constant(getattr(RadialPotential, family)(2, amplitude=0.7), 1.0, s_max=s_max)
     assert res.iterations == 3 and res.c_lo == 0.25 / 0.7
@@ -1502,7 +1502,7 @@ def test_flat_rising_cell_whose_weight_underflows_is_certified(s_max):
     # read from ln g now
     R = 2.0 ** -33
     p = RadialPotential.custom([2.0 ** -34, R], [2.0 ** -1010, 2.0 ** -1012])
-    assert wants_log_domain(p) and p.log_weight(-math.log(R)) == 0.0
+    assert p.tail.log_domain and p.log_weight(-math.log(R)) == 0.0
     check = feasible(p, 1e300, R, s_max)
     assert not check.feasible and check.method == "oscillation-certificate"
     assert check.evidence.certificate.gamma == pytest.approx(math.exp(-56.4), rel=1e-3)
@@ -1562,7 +1562,7 @@ def test_rising_inner_cell_is_answered_by_its_planned_end(cell, tol):
     # subnormal gamma: 27 probes for power_law(2, 1e-300) at tol 8 eps, 101
     # for the flat table r^2 v = 2^-1078
     p, R = cell
-    assume(wants_log_domain(p))
+    assume(p.tail.log_domain)
     with pytest.MonkeyPatch.context() as patch:
         probes = _probe_counter(patch)
         try:

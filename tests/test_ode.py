@@ -108,7 +108,7 @@ def test_zero_multiplier_is_the_line_without_a_cell_sweep(p, monkeypatch):
 
     monkeypatch.setattr(ode_mod, "_cell_sweep", no_sweep)
     prob = radius_problem(p, 0.0, 1.0)
-    if ode_mod.wants_log_domain(p):
+    if p.tail.log_domain:
         prob = to_log_domain(prob)
     out = integrate(prob)
     x, z, dz = out.trajectory.values()    # (r, y, dy/dr) or (s, z, dz/ds)
@@ -588,20 +588,21 @@ def test_tail_edges_gamma_is_the_horizon_value():
 
 
 def test_tail_edges_evaluate_the_potential_once(monkeypatch):
-    # gamma at the outer edge and at the horizon, by two scalar euler_gamma
-    # calls at tau = ln(s - s0), and g itself not at all
+    # gamma at the outer edge and at the horizon, by two scalar gamma
+    # evaluations at tau = ln(s - s0), and g itself not at all
+    from hardy_optim.potentials import EulerTail
     calls = []
 
-    def spy(name):
-        real = getattr(RadialPotential, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
         return lambda self, x: calls.append((name, np.shape(x))) or real(self, x)
 
-    for name in ("log_weight", "euler_gamma"):
-        monkeypatch.setattr(RadialPotential, name, spy(name))
+    monkeypatch.setattr(RadialPotential, "log_weight", spy(RadialPotential, "log_weight"))
+    monkeypatch.setattr(EulerTail, "gamma", spy(EulerTail, "gamma"))
     for p in _tail_cases():
         calls.clear()
         tail_edges(log_problem(p, 1.0, 1.0))
-        assert calls == [("euler_gamma", ())] * 2
+        assert calls == [("gamma", ())] * 2
 
 
 def _pair_search_edges(prob):

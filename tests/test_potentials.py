@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from hardy_optim import Kind, Label, RadialPotential, classify, exp_tower
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
-from hardy_optim.potentials import _tail_integrals, exp_or_inf, log_cell_tails
+from hardy_optim.potentials import (EulerTail, FallingCell, RisingCell, VanishingTail,
+                                    _tail_integrals, exp_or_inf, log_cell_tails)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,75 @@ def test_inner_cell_is_the_last_of_log_cells_as_floats():
         knots, anchors, ell, q = p.log_cells
         assert cell == ((knots[-1] if knots.size else -math.inf), anchors[-1], ell[-1], q[-1])
     assert RadialPotential.adimurthi_log(2).inner_cell is None
+
+
+_R = np.geomspace(1e-6, 1.0, 30)
+
+
+@pytest.mark.parametrize("p, form, log_domain", [
+    (RadialPotential.constant(3.0), FallingCell, False),
+    (RadialPotential.power_law(1.999), FallingCell, False),
+    (RadialPotential.custom(_R, _R ** -1.3), FallingCell, False),
+    (RadialPotential.power_law(2.0), RisingCell, True),
+    (RadialPotential.power_law(2.5, 1e-30), RisingCell, True),
+    (RadialPotential.custom(_R, _R ** -2.2), RisingCell, True),
+    (RadialPotential.adimurthi_log(2), EulerTail, True),
+    (RadialPotential.filippas_tertikas(3, amplitude=0.05), EulerTail, True),
+    (RadialPotential.constant(0.0), VanishingTail, False),
+    (RadialPotential.power_law(1.5, 0.0), VanishingTail, False),
+    (RadialPotential.power_law(2.5, 0.0), VanishingTail, True),
+    (RadialPotential.adimurthi_log(2, amplitude=0.0), VanishingTail, True),
+    (RadialPotential.filippas_tertikas(1, amplitude=0.0), VanishingTail, True),
+], ids=["constant", "alpha-1.999", "table-falling", "alpha-2", "alpha-2.5", "table-rising",
+        "log-m2", "x-m3", "constant-A0", "alpha-1.5-A0", "alpha-2.5-A0", "log-m2-A0", "x-m1-A0"])
+def test_tail_is_one_cached_form_per_potential(p, form, log_domain):
+    # the one place the kind of inner tail is decided: a falling or rising
+    # inner cell is the cell itself, read in floats; an Euler tail holds
+    # the chain's floats; amplitude 0 vanishes, in the domain of its kind
+    tail = p.tail
+    assert type(tail) is form and tail.log_domain is log_domain and p.tail is tail
+    if form in (FallingCell, RisingCell):
+        assert tail is p.inner_cell and (tail.knot, tail.anchor, tail.ell, tail.q) == tail
+        assert (tail.q < 0.0) is (form is FallingCell)
+    if form is EulerTail:
+        assert (tail.m, tail.amplitude, tail.s0) == (p.m, p.amplitude, p.euler_shift_hint())
+        c = p.closed_form_multiplier()    # 1/(4A) rounded: c_closed is it or the float below
+        assert tail.c_closed in (c, math.nextafter(c, 0.0))
+        tau = np.linspace(1.5, 700.0, 9)
+        assert tail.gamma(tau).tobytes() == p.euler_gamma(tau).tobytes()
+        assert tail.gamma(2.5) == p.euler_gamma(2.5)
+
+
+def test_tail_certificates_by_form():
+    # each form answers the certificate of its own tail: a falling cell has
+    # none (it is swept in the radius domain), a vanishing one is
+    # non-oscillatory with gamma 0, a rising cell and an Euler tail bound a
+    with pytest.raises(DomainError):
+        RadialPotential.power_law(1.5).tail.certificate(1.0, 1.0, 1e6)
+    cert = RadialPotential.adimurthi_log(2, amplitude=0.0).tail.certificate(1.0, 1.0, 1e6)
+    assert (cert.kind, cert.gamma, cert.window) == ("nonoscillatory", 0.0, (1e6, math.inf))
+    cert = RadialPotential.power_law(2.5).tail.certificate(1.0, 1.0, 1e6)
+    assert cert.kind == "oscillatory" and cert.shift is None and cert.window[0] == 1e-9
+    tail = RadialPotential.filippas_tertikas(2).tail
+    c_osc, (gamma, s0, window) = tail.edge(1.0, 1e6)
+    assert tail.certificate(math.nextafter(c_osc, 0.0), 1.0, 1e6) is None
+    assert tail.certificate(c_osc, 1.0, 1e6).gamma == c_osc * gamma and window == (1e-9, 1e6)
+    with pytest.raises(DomainError, match="not beyond the outer edge"):
+        tail.edge(1.0, 1e-9)
+
+
+def test_classify_builds_no_ode_problem(monkeypatch):
+    # a log family's bound is its Euler tail's, read from floats: classify
+    # imported ode and built a log problem for it
+    import hardy_optim.ode as ode_mod
+
+    def refuse(self):
+        raise AssertionError("classify built a HardyODEProblem")
+
+    monkeypatch.setattr(ode_mod.HardyODEProblem, "__post_init__", refuse)
+    for p in (RadialPotential.adimurthi_log(2), RadialPotential.filippas_tertikas(3),
+              RadialPotential.power_law(2.5), RadialPotential.adimurthi_log(1, amplitude=0.0)):
+        assert classify(p).label is (Label.Y if p.sigma > 2.0 else Label.X)
 
 
 @pytest.mark.parametrize("name", ["adimurthi_m1", "ft_x_m3"])
