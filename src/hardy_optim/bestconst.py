@@ -286,7 +286,7 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> _Rule:
         rule = _ClosedRule(p, R, s_max, tail.c_closed, *tail.edge(R, s_max))
     elif tail.log_domain:    # a rising cell, or v = 0 where the log domain decides
         rule = _TailRule(p, R, s_max)
-    elif isinstance(tail, FallingCell) and tail.knot > -math.inf:    # a table's
+    elif isinstance(tail, FallingCell) and tail[0] > -math.inf:    # a table's: a finite knot
         rule = _SweptRule(p, R, s_max, min(max(_bessel_level(p, R)[0], TINY), HUGE))
     else:    # one falling cell, or v = 0 where the radius domain decides (level inf)
         rule = _LevelRule(p, R, s_max, *_bessel_level(p, R))

@@ -14,11 +14,10 @@ The norm is taken in s = ln(1/r), in log space: with g = ``log_weight``,
     ||(c v)^{-1}||_q^q = n omega_n I,   I = int_{s_R}^inf (c g(s))^(-q) e^(-(2q+n) s) ds,
 
 s_R = ln(1/R), and the bound is exp(-(ln(n omega_n) + ln I) / q), so that
-(c v)^(-q) never has to be a float.  The potential's tail decides how: on
-``log_cells`` (an inner cell's tail: constants, power laws, tables) ln I is
-exact, from ``log_cell_tails`` as ``classify``'s tails; an Euler tail (the
-two log families) takes an exp-sinh double-exponential rule (Takahasi and
-Mori 1974) on its ``gamma``; a vanishing tail diverges.  numpy only.
+(c v)^(-q) never has to be a float.  On ``log_cells`` (constants, power
+laws, tables) ln I is exact, from ``log_cell_tails`` as ``classify``'s
+tails; the two log families (an ``EulerTail``) take an exp-sinh double-
+exponential rule (Takahasi and Mori 1974) on ``euler_gamma``.  numpy only.
 """
 from __future__ import annotations
 
@@ -99,16 +98,15 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 
 def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
                            s_R: float) -> float:
-    """ln I for an Euler tail (a log family) by the exp-sinh rule in u = lam (s - s_R),
+    """ln I for the two log families by the exp-sinh rule in u = lam (s - s_R),
     u = exp(pi/2 sinh t), with the step h halved (h = 1/2, 1/4, ...) until
     two successive levels agree to _DE_RTOL relative; each level adds the
     new nodes to the old.  lam = 2q + n - 2q / (s_R - s0) >= n is the decay
     rate at s_R of the m = 1 integrand, (s - s0)^(2q) e^(-(2q+n) s), s0 the
     Euler shift.  ln(c g) is ln c + ln G(tau) - 2 tau at tau = ln(s - s0), G
-    = the tail's ``gamma`` >= A, so that no node underflows g.  Raises
+    = ``euler_gamma`` >= A, so that no node underflows g.  Raises
     QuadratureError after _DE_LEVELS levels."""
-    tail = p_pot.tail
-    s0 = tail.s0
+    s0 = p_pot.euler_shift_hint()
     lam = 2.0 * q + n - 2.0 * q / (s_R - s0)
 
     def log_terms(t: np.ndarray) -> np.ndarray:
@@ -117,7 +115,7 @@ def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
         du = e + np.log(0.5 * math.pi * np.cosh(t) / lam)
         s_off = np.exp(e) / lam
         tau = np.log(s_R - s0 + s_off)
-        return -q * (math.log(c) + np.log(tail.gamma(tau)) - 2.0 * tau) \
+        return -q * (math.log(c) + np.log(p_pot.euler_gamma(tau)) - 2.0 * tau) \
             - (2.0 * q + n) * s_off + du
 
     h = 0.5
@@ -134,16 +132,15 @@ def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
 
 
 def _essential_infimum(p_pot: RadialPotential, c: float, R: float) -> float:
-    """Infimum of c v over (0, R], by the potential's tail: 0 where it
-    vanishes.  Exact on ``log_cells`` (a constant, a power law, a table),
-    where v is monotone on each cell: 0 when the inner cell falls to the
-    origin (sigma < 0), else c times the least of v(R) and v at the knots
-    inside the ball, from ln v where v is no normal float.  On an Euler tail
-    (the log families), the least of v (of ln v where r^2 underflows, v =
-    inf at every radius) over 4096 log-spaced radii in [1e-9 R, R], then
-    over 65 on the two cells around the least, until that bracket is 1e-10
-    wide in ln r: one sampled minimum overstates the dip of the X family at
-    m >= 2."""
+    """Infimum of c v over (0, R], 0 where it vanishes.  Exact on ``log_cells``
+    (a constant, a power law, a table), where v is monotone on each cell: 0
+    when the inner cell falls to the origin (sigma < 0), else c times the
+    least of v(R) and v at the knots inside the ball, from ln v where v is
+    no normal float.  On the log families, the least of v (of ln v where r^2
+    underflows, v = inf at every radius) over 4096 log-spaced radii in [1e-9
+    R, R], then over 65 on the two cells around the least, until that
+    bracket is 1e-10 wide in ln r: one sampled minimum overstates the dip of
+    the X family at m >= 2."""
     tail = p_pot.tail
     if isinstance(tail, VanishingTail):
         return 0.0

@@ -28,13 +28,11 @@ s_max costs little more than one to 1e6; the integrator's terminal event
 ends it at the first sign change.  Trajectories and zeros are reported in s.
 
 Beyond any fixed horizon, Sturm comparison (Hartman, Ordinary Differential
-Equations, Ch. XI) certifies oscillation.  The log families compare with
-z'' + g/(s - s0)^2 z = 0 at their shift, where a (s - s0)^2 does not rise:
-the outer edge to the horizon must hold an Euler half-oscillation, decided
-from a (s - s0)^2 at those two abscissae (``tail_edges``).  Only a = 0 has a
-non-oscillatory tail.  A cell kind in the log domain has a rising inner
-cell (q >= 0), on which z'' + a(s1) z = 0 is a minorant out to s = inf:
-every c > 0 oscillates.
+Equations, Ch. XI) certifies oscillation: each form of the potential's
+``tail`` gives its own certificate (``euler_tail_certificate``).  The log
+families compare with z'' + g/(s - s0)^2 z = 0 at their shift, where a (s -
+s0)^2 does not rise; a rising inner cell (q >= 0) with z'' + a(s1) z = 0
+out to s = inf; only a = 0 has a non-oscillatory tail.
 """
 from __future__ import annotations
 
@@ -50,7 +48,7 @@ import numpy as np
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
 from .potentials import (_VANISHING, J0_FIRST_ZERO, S_MAX_DEFAULT, EulerTail, RadialPotential,
-                         TailCertificate, outer_edge)
+                         TailCertificate, VanishingTail, outer_edge)
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
@@ -155,8 +153,8 @@ class ShootingOutcome:
 
 
 def _vanishes(prob: HardyODEProblem) -> bool:
-    """Whether a = c g vanishes: c = 0 or amplitude 0 (table samples are > 0)."""
-    return prob.c == 0.0 or prob.potential.amplitude == 0.0
+    """Whether a = c g vanishes: c = 0 or a ``VanishingTail`` (amplitude 0)."""
+    return prob.c == 0.0 or isinstance(prob.potential.tail, VanishingTail)
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +586,8 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     Without a zero, a sweep toward the outer edge (decreasing s) has covered
     its interval; outward, it has only reached its horizon.
     """
-    engine = (_line if _vanishes(prob) else _cell_sweep if prob.potential.log_cells is not None
-              else _liouville_sweep)
+    engine = (_line if _vanishes(prob) else _liouville_sweep
+              if isinstance(prob.potential.tail, EulerTail) else _cell_sweep)
     t, zero_t, zero_dz, run, c_mass = engine(prob, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
     if zero_t is None:    # the last sample, s_to
@@ -646,11 +644,6 @@ class TailEdges:
     c_osc: float
     unit_osc: TailCertificate
 
-    def certificate(self, c: float) -> Optional[TailCertificate]:
-        """The oscillatory certificate of multiplier c >= c_osc, else None."""
-        u = self.unit_osc    # built whole: ``replace`` costs twice as much
-        return TailCertificate(u.kind, c * u.gamma, u.shift, u.window) if c >= self.c_osc else None
-
 
 def tail_edges(prob: HardyODEProblem) -> TailEdges:
     """``EulerTail.edge`` of a log-domain problem; DomainError for any other tail."""
@@ -658,18 +651,16 @@ def tail_edges(prob: HardyODEProblem) -> TailEdges:
         raise DomainError("tail certificates live in the log domain")
     tail = prob.potential.tail
     if not isinstance(tail, EulerTail):
-        raise DomainError(f"a {prob.potential.kind.value} potential has no Euler tail edges, "
-                          f"only a {type(tail).__name__}")
+        raise DomainError(f"a {type(tail).__name__} has no Euler tail edges")
     c_osc, unit = tail.edge(prob.R, prob.s_max)
     return TailEdges(c_osc, TailCertificate("oscillatory", *unit))
 
 
 def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
-    """Classify the coefficient tail a(s) = c g(s) by the potential's tail
-    (``RadialPotential.tail``): where a = 0 (c = 0, or a ``VanishingTail``)
-    non-oscillatory, gamma = 0; a rising cell's oscillation at every c > 0
-    (None only where its gamma is no normal double); a log family's from c_osc
-    of its Euler edge on, else None; a falling cell raises DomainError."""
+    """Classify the coefficient tail a(s) = c g(s) by the potential's
+    ``tail``: non-oscillatory where a = 0 (c = 0 too), oscillatory at c > 0
+    on a rising cell and from c_osc on for a log family, else None; a
+    falling cell raises DomainError."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
     tail = prob.potential.tail if prob.c else _VANISHING[True]    # c = 0: a = 0 whatever g is

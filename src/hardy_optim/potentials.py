@@ -26,11 +26,10 @@ equation at multiplier 1/4, (prod X_i)^(-1/2) (see ``closed_form`` /
 ``closed_form_multiplier``); the constant potential carries the J0 profile
 at multiplier z0^2/R^2.
 
-Which kind of inner tail a potential has is decided once, by
-``RadialPotential.tail``, in floats: a ``FallingCell`` (an inner cell of
-slope q < 0), a ``RisingCell`` (q >= 0), an ``EulerTail`` (a log family of
-amplitude A > 0) or a ``VanishingTail`` (amplitude 0).  The solvers, the
-classifier and the dual bound ask it rather than the kind.
+The kind of a potential's inner tail is decided once, in floats, by
+``RadialPotential.tail``: the inner cell, a ``FallingCell`` or a
+``RisingCell`` by the sign of its slope; a log family's ``EulerTail``; or a
+``VanishingTail`` at amplitude 0.
 
 Admissibility classification follows the sign of
 liminf_{r->0} ln(r) * int_0^r s v(s) ds: finite liminf means the potential is
@@ -43,7 +42,6 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -309,7 +307,7 @@ class RadialPotential:
         return ell + lift * anchor + (q + lift) * (s - anchor)
 
     @functools.cached_property
-    def inner_cell(self) -> Optional[_Cell]:
+    def inner_cell(self) -> Optional[FallingCell | RisingCell]:
         """The last cell of ``log_cells`` in floats (knot, anchor, ell, q), from
         its knot (-inf for one cell) up to s = inf, a ``FallingCell`` or a
         ``RisingCell`` by the sign of q; None for the log families."""
@@ -325,12 +323,10 @@ class RadialPotential:
 
     @functools.cached_property
     def tail(self) -> FallingCell | RisingCell | EulerTail | VanishingTail:
-        """The inner tail, the one place its kind is decided: a
-        ``VanishingTail`` at amplitude 0, else ``inner_cell`` or a log
-        family's ``EulerTail``.  Each form has ``log_domain`` (whether a probe
-        is decided in s, with no recessive start at r = 0) and
-        ``certificate(c, R, s_max)``: the Sturm certificate of a = c r^2 v
-        at c > 0 past the outer edge of the ball of radius R, or None."""
+        """The inner tail: ``inner_cell``, a log family's ``EulerTail`` or a
+        ``VanishingTail`` at amplitude 0.  Each form has ``log_domain``
+        (whether a probe is decided in s) and ``certificate(c, R, s_max)``,
+        that of a = c r^2 v at c > 0 past the outer edge of the ball."""
         cell = None if self.kind in _BORDERLINE else self.inner_cell
         if self.amplitude == 0.0:
             return _VANISHING[cell is None or cell.log_domain]
@@ -472,15 +468,10 @@ class TailCertificate:
     window: tuple             # (s1, s2) where the comparison holds
 
 
-class _Cell(tuple):
-    """An inner cell (knot, anchor, ell, q), ln(r^2 v) = ell + q (s - anchor)
-    from its knot (-inf for one cell) on: a tuple, formed and read without a
-    Python call."""
-    __slots__ = ()
-    knot, anchor, ell, q = (property(itemgetter(i)) for i in range(4))
+# An inner cell is a tuple (knot, anchor, ell, q), formed and read without a
+# Python call: ln(r^2 v) = ell + q (s - anchor) from its knot (-inf for one cell) on
 
-
-class FallingCell(_Cell):
+class FallingCell(tuple):
     """q < 0: J0 on the cell is the recessive start at r = 0, so a probe is
     a radius-domain shot: against a one cell's Bessel level, or a table's sweep."""
     __slots__ = ()
@@ -490,7 +481,7 @@ class FallingCell(_Cell):
         raise DomainError("an inner cell of slope q < 0 is swept in the radius domain")
 
 
-class RisingCell(_Cell):
+class RisingCell(tuple):
     """q >= 0: every c > 0 oscillates on the cell, exact out to s = inf."""
     __slots__ = ()
     log_domain = True
@@ -542,9 +533,9 @@ class EulerTail:
     def gamma(self, tau):
         """gamma at s = s0 + e^tau: by self-similarity, A plus the chain one
         level shallower (scale 1) at abscissa tau, A at m = 1; float or ndarray."""
-        xp = np if isinstance(tau, np.ndarray) else math    # below, 0 tau gives tau's shape at m = 1
-        return self.amplitude * (1.0 + _chain(self.m - 1, self.kappa + tau, self.kappa, xp)[0]) \
-            + 0.0 * tau
+        xp = np if isinstance(tau, np.ndarray) else math
+        kappa = self.kappa    # below, 0 tau gives tau's shape at m = 1
+        return self.amplitude * (1.0 + _chain(self.m - 1, kappa + tau, kappa, xp)[0]) + 0.0 * tau
 
     def edge(self, R: float, s_max: float) -> tuple:
         """(c_osc, (gamma, s0, window)), checking s_max as a log problem does
@@ -553,7 +544,7 @@ class EulerTail:
         that ratio rounds to 1), makes the outer edge to the horizon hold a
         half-oscillation of a minorant Euler solution (Hartman, Ch. XI); no
         shorter window needs less.  That min is gamma_max up to rounding, so
-        gamma bounds gamma on [s_max, inf) too."""
+        the certificate's gamma also bounds gamma on [s_max, inf)."""
         if not math.isfinite(s_max):
             raise DomainError(f"horizon s_max must be finite, got {s_max}")
         lo = outer_edge(R)
@@ -562,8 +553,8 @@ class EulerTail:
         sigma_edge, sigma_max = lo - self.s0, s_max - self.s0
         gamma = min(self.gamma(math.log(sigma_edge)), self.gamma(math.log(sigma_max)))
         width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
-        return (0.25 + (math.pi / width) ** 2) / gamma if width > 0.0 else math.inf, \
-            (gamma, self.s0, (lo, s_max))
+        need = 0.25 + (math.pi / width) ** 2 if width > 0.0 else math.inf
+        return need / gamma if gamma > 0.0 else math.inf, (gamma, self.s0, (lo, s_max))
 
     def certificate(self, c: float, R: float, s_max: float) -> Optional[TailCertificate]:
         c_osc, (gamma, shift, window) = self.edge(R, s_max)

@@ -270,8 +270,7 @@ def test_tail_is_one_cached_form_per_potential(p, form, log_domain):
     tail = p.tail
     assert type(tail) is form and tail.log_domain is log_domain and p.tail is tail
     if form in (FallingCell, RisingCell):
-        assert tail is p.inner_cell and (tail.knot, tail.anchor, tail.ell, tail.q) == tail
-        assert (tail.q < 0.0) is (form is FallingCell)
+        assert tail is p.inner_cell and (tail[3] < 0.0) is (form is FallingCell)
     if form is EulerTail:
         assert (tail.m, tail.amplitude, tail.s0) == (p.m, p.amplitude, p.euler_shift_hint())
         c = p.closed_form_multiplier()    # 1/(4A) rounded: c_closed is it or the float below
