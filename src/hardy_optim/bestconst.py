@@ -304,7 +304,7 @@ def feasible(p: RadialPotential, c: float, R: float,
         raise DomainError(f"multiplier must be >= 0, got {c}")
     if not math.isfinite(s_max):
         raise DomainError(f"horizon s_max must be finite, got {s_max}")
-    slot = _slot    # ``_rule``'s, matched here as there, without a call
+    slot = _slot    # the kept rule, matched as ``_rule`` matches it, without a Python call
     rule = slot[3] if slot is not None and slot[0] is p and slot[1] == R and slot[2] == s_max \
         else _rule(p, R, s_max)
     return rule.verdict(c)

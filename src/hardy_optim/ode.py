@@ -28,11 +28,11 @@ s_max costs little more than one to 1e6; the integrator's terminal event
 ends it at the first sign change.  Trajectories and zeros are reported in s.
 
 Beyond any fixed horizon, Sturm comparison (Hartman, Ordinary Differential
-Equations, Ch. XI) certifies oscillation: each form of the potential's
-``tail`` gives its own certificate (``euler_tail_certificate``).  The log
-families compare with z'' + g/(s - s0)^2 z = 0 at their shift, where a (s -
-s0)^2 does not rise; a rising inner cell (q >= 0) with z'' + a(s1) z = 0
-out to s = inf; only a = 0 has a non-oscillatory tail.
+Equations, Ch. XI) certifies oscillation by the potential's ``tail``
+(``euler_tail_certificate``): a log family compares with z'' + g/(s -
+s0)^2 z = 0 at its shift, where a (s - s0)^2 does not rise; a rising inner
+cell (q >= 0) with z'' + a(s1) z = 0 out to s = inf, so every c > 0
+oscillates; only a = 0 has a non-oscillatory tail.
 """
 from __future__ import annotations
 
