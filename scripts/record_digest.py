@@ -52,7 +52,8 @@ CATALOG += [("constant A=0", {"kind": "constant", "amplitude": 0}),
             ("custom 2 nodes, zeros below float radii", {"kind": "custom", "samples": "deep.csv"}),
             ("custom flat rising, r^2 v = 2^-1078", {"kind": "custom", "samples": "flat.csv"}),
             ("adimurthi_log m=2 A=0", {"kind": "adimurthi_log", "m": 2, "amplitude": 0}),
-            ("filippas_tertikas_x m=1 A=0", {"kind": "filippas_tertikas_x", "m": 1, "amplitude": 0}),
+            ("filippas_tertikas_x m=1 A=0",
+             {"kind": "filippas_tertikas_x", "m": 1, "amplitude": 0}),
             ("power_law alpha=2", {"kind": "power_law", "alpha": 2})]
 
 # the two-node tables, (r, v) by name

@@ -818,8 +818,8 @@ def test_best_constant_op_python_calls(tmp_path, potential, bound):
 def test_classify_op_python_calls(tmp_path):
     # a log family's bound read its Euler edge through a log problem and
     # tail_edges, imported from ode on each call: 67 calls
-    argv = ["classify", "--config",
-            _write_config(tmp_path, potential={"kind": "adimurthi_log", "amplitude": "1.3", "m": "2"})]
+    potential = {"kind": "adimurthi_log", "amplitude": "1.3", "m": "2"}
+    argv = ["classify", "--config", _write_config(tmp_path, potential=potential)]
     warm = _python_calls(argv)
     code, calls = _python_calls(argv)
     assert code == warm[0] == 0 and calls == warm[1] and calls <= 67
