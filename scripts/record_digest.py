@@ -2,10 +2,11 @@
 """SHA-256 digests of every CLI record on a fixed catalog, so that two
 checkouts can be compared record for record.
 
-The seven subcommands, dual at p = 1 and at p = 2, run in-process on
-each catalog entry: a constant, power laws alpha = 0.5, 1.5, 2.5, alpha
-= 1 at amplitude 1e-30 (best constant ~1.4e30), both log families at m =
-1..3 and amplitude 0.05, 1, 20, one 40-node table, a constant at
+The seven subcommands, feasible at c = 0 (the verdict where c v = 0) and
+at c = 0.2, dual at p = 1 and at p = 2, run in-process on each catalog
+entry: a constant, power laws alpha = 0.5, 1.5, 2.5, alpha = 1 at
+amplitude 1e-30 (best constant ~1.4e30), both log families at m = 1..3
+and amplitude 0.05, 1, 20, one 40-node table, a constant at
 amplitude 0 (no float multiplier is infeasible), the table scaled by
 1e-30 (best constant ~3.7e29), a constant at amplitude 1e301 (best
 constant z0^2 1e-301, past the 1e300 at which v(r) once saturated),
@@ -68,6 +69,7 @@ SKIPPED = {("power_law alpha=1.5 r_max=1e300", "eigen"),
 # every subcommand with its flags; "OUT" stands for the CSV path
 COMMANDS = [
     ["best-constant"],
+    ["feasible", "--c", "0"],
     ["feasible", "--c", "0.2"],
     ["classify"],
     ["eigen", "--mu", "0.1", "--format", "csv", "--out", "OUT"],
