@@ -5,13 +5,12 @@ solution on (0, R).  What does not depend on c is a rule (``_rule``), built
 once per (potential, R, s_max), whose ``verdict(c)`` decides a probe and
 whose ``plan(tol, checks)`` yields the multipliers ``best_constant`` probes:
 
-  * ``_LevelRule``, a constant or a power law with alpha < 2: c against its
-    Bessel level c*, in closed form at every amplitude and R;
+  * ``_LevelRule``, a constant or a power law with alpha < 2 and A > 0: c
+    against its Bessel level c*, in closed form at every amplitude and R;
   * ``_ClosedRule``, a log family of amplitude A > 0: feasible at c <=
     1/(4A) by its closed form, infeasible from its Euler edge c_osc on;
-  * ``_TailRule``, an inner cell of slope q >= 0, or amplitude 0 where the
-    log domain decides (``VanishingTail.log_domain``): the certificates of
-    the log domain, per probe;
+  * ``_TailRule``, an inner cell of slope q >= 0, or amplitude 0 of any
+    kind (``VANISHING``): the tail's certificate, per probe, unswept;
   * ``_SweptRule``, a table whose inner cell falls: swept per probe, with
     the c-derivative of its Pruefer margin, so its plan is Newton's.
 
@@ -26,11 +25,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
+# bench/spans.py patches integrate, euler_tail_certificate and integrate_principal_tail
+# here; no rule calls the last two, kept until the bench drops them (ROADMAP item 13)
 from .ode import (NO_ROWS, S_MAX_DEFAULT, ShootingOutcome, Status, TailCertificate,
-                  euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
-                  radius_problem)
-from .potentials import (HUGE, J0_FIRST_ZERO, TINY, EulerTail, FallingCell, RadialPotential,
-                         VanishingTail)
+                  euler_tail_certificate, integrate, integrate_principal_tail, radius_problem)
+from .potentials import (HUGE, J0_FIRST_ZERO, TINY, VANISHING, EulerTail, RadialPotential,
+                         outer_edge)
 
 _EPS = 2.0 ** -52
 _LN_HUGE = math.log(HUGE)
@@ -68,15 +68,15 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
     level c* = k / g(s_R), k = (z0 (2 - sigma)/2)^2, ln g(s_R) =
     ``log_weight_exponent(s_R)``, s_R = ln(1/R), exact on the model at any
     size; c* = k / e^(ln g) (e^(ln c*) where |ln g| > 700), 0 or inf where
-    not a normal float (inf at amplitude 0).  The slack, 8 eps (2 + |ln A| +
+    not a normal float.  The slack, 8 eps (2 + |ln A| +
     (|sigma| + |q|) |ln R|), plus 8 eps |ln k| where c* is not normal and the
     margin ln(c*/c) / 2 is a difference of logs, bounds a one cell's margin
     error (below 0.1 of it on 2e4 random cells, against 50 digits)."""
     p.check_radius(R)
     s_R = -math.log(R)
     log_g = float(p.log_weight_exponent(s_R))
-    half = abs(0.5 * J0_FIRST_ZERO * (2.0 - p.sigma))    # sqrt(k)
-    log_k = 2.0 * math.log(half) if half else -math.inf
+    half = 0.5 * J0_FIRST_ZERO * (2.0 - p.sigma)    # sqrt(k), > 0 on a falling cell
+    log_k = 2.0 * math.log(half)
     log_level = log_k - log_g
     if abs(log_g) <= 700.0:
         level = half * half / math.exp(log_g)
@@ -84,8 +84,6 @@ def _bessel_level(p: RadialPotential, R: float) -> tuple:
         level = math.exp(log_level) if log_level <= _LN_HUGE else math.inf
     normal = TINY <= level <= HUGE
     level = level if normal else 0.0 if log_level < 0.0 else math.inf
-    if log_g == -math.inf:    # amplitude 0: the margin is inf at every c
-        return level, log_level, 0.0
     ell, q = p.inner_cell[2:]
     terms = 2.0 + abs(ell) + (abs(p.sigma) + abs(q)) * abs(s_R) + (0.0 if normal else abs(log_k))
     return level, log_level, 8.0 * _EPS * terms
@@ -129,10 +127,8 @@ class _LevelRule(_Rule):
         if 0.0 < self.level < math.inf:
             ratio = c / self.level
             margin = -0.5 * math.log(ratio) if ratio > 0.0 else math.inf
-        elif c > 0.0 and self.log_level < math.inf:    # ln c* = inf at amplitude 0, even at c = inf
-            margin = 0.5 * (self.log_level - math.log(c))
         else:
-            margin = math.inf
+            margin = 0.5 * (self.log_level - math.log(c)) if c > 0.0 else math.inf
         if abs(margin) <= self.slack:
             raise IndeterminateAtHorizon(
                 f"multiplier {c}: within the rounding ({self.slack:.1e}) of the Bessel threshold "
@@ -185,17 +181,17 @@ class _ClosedRule(_Rule):
 
 
 class _TailRule(_Rule):
-    """A ``RisingCell`` (a table's too) or a ``VanishingTail`` of the log
-    domain, decided by ``euler_tail_certificate``: the principal branch (the
-    line z = 1) where c v = 0, a rising cell's oscillation at c > 0."""
+    """A ``RisingCell`` (a table's too) or ``VANISHING``, by the tail's
+    certificate, unswept: where c v = 0 (c = 0, or amplitude 0) y = 1 solves,
+    positive on the ball; a rising cell oscillates at every c > 0."""
 
     def verdict(self, c: float) -> FeasibilityCheck:
-        prob = log_problem(self.p, c, self.R, s_max=self.s_max)
-        cert = euler_tail_certificate(prob)
-        if cert is not None and cert.kind == "nonoscillatory":    # c v = 0: the branch is a line
-            out = integrate_principal_tail(prob, cert)
-            return FeasibilityCheck(out.status is not Status.ZERO_FOUND, out, "principal-tail")
-        return self._oscillating(c, cert)
+        tail = self.p.tail
+        if c == 0.0 or tail is VANISHING:
+            out = ShootingOutcome(NO_ROWS["s z dz"], None, Status.NO_ZERO_ON_INTERVAL,
+                                  certificate=VANISHING.certificate(c, self.R, self.s_max))
+            return FeasibilityCheck(True, out, "principal-tail")
+        return self._oscillating(c, tail.certificate(c, self.R, self.s_max))
 
     def plan(self, tol: float, checks: list) -> list:
         """A rising cell, c(V) = 0: its ``planned_end``, the least c it
@@ -284,11 +280,13 @@ def _rule(p: RadialPotential, R: float, s_max: float) -> _Rule:
     if isinstance(tail, EulerTail):
         p.check_radius(R)
         rule = _ClosedRule(p, R, s_max, tail.c_closed, *tail.edge(R, s_max))
-    elif tail.log_domain:    # a rising cell, or v = 0 where the log domain decides
+    elif tail.log_domain:    # a rising cell, or VANISHING: R and s_max as a log problem checks them
+        p.check_radius(R)
+        outer_edge(R, s_max)
         rule = _TailRule(p, R, s_max)
-    elif isinstance(tail, FallingCell) and tail[0] > -math.inf:    # a table's: a finite knot
+    elif tail[0] > -math.inf:    # a table's falling cell: a finite knot
         rule = _SweptRule(p, R, s_max, min(max(_bessel_level(p, R)[0], TINY), HUGE))
-    else:    # one falling cell, or v = 0 where the radius domain decides (level inf)
+    else:    # one falling cell
         rule = _LevelRule(p, R, s_max, *_bessel_level(p, R))
     _slot = (p, R, s_max, rule)
     return rule
@@ -357,7 +355,7 @@ def best_constant(p: RadialPotential, R: float, tol: float = 1e-6,
         return check
 
     probe(0.0)
-    if isinstance(p.tail, VanishingTail):
+    if p.tail is VANISHING:
         raise NoUpperBracket("amplitude 0: c v = 0, so no float multiplier is infeasible")
     checks = []
     for c in _rule(p, R, s_max).plan(tol, checks):

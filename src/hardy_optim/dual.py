@@ -29,7 +29,7 @@ import numpy as np
 
 from .bestconst import unit_ball_volume
 from .errors import DivergentNorm, DomainError, InvalidP, QuadratureError
-from .potentials import (TINY, EulerTail, RadialPotential, VanishingTail, exp_or_inf,
+from .potentials import (TINY, VANISHING, EulerTail, RadialPotential, exp_or_inf,
                          log_cell_tails)
 
 # The exp-sinh rule sums t in [-4, 3]: u from 2e-19, below which a piece
@@ -79,7 +79,7 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     # integrand ~ r^(sigma q + n - 1) at the origin; a vanishing v
     # (amplitude 0) makes (c v)^(-q) infinite everywhere
     exponent0 = p_pot.sigma * q + n - 1.0
-    if exponent0 <= -1.0 or isinstance(tail, VanishingTail):
+    if exponent0 <= -1.0 or tail is VANISHING:
         return DualBound(p, q, 0.0, c, divergent=True, potential=p_pot)
 
     s_R = -math.log(R)
@@ -142,7 +142,7 @@ def _essential_infimum(p_pot: RadialPotential, c: float, R: float) -> float:
     bracket is 1e-10 wide in ln r: one sampled minimum overstates the dip of
     the X family at m >= 2."""
     tail = p_pot.tail
-    if isinstance(tail, VanishingTail):
+    if tail is VANISHING:
         return 0.0
     if not isinstance(tail, EulerTail):
         knots, s_R = p_pot.log_cells[0], -math.log(R)

@@ -47,8 +47,8 @@ import numpy as np
 
 from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                      StepSizeUnderflow, UnsupportedSingularity)
-from .potentials import (_VANISHING, J0_FIRST_ZERO, S_MAX_DEFAULT, EulerTail, RadialPotential,
-                         TailCertificate, VanishingTail, outer_edge)
+from .potentials import (J0_FIRST_ZERO, S_MAX_DEFAULT, VANISHING, EulerTail, RadialPotential,
+                         TailCertificate, outer_edge)
 
 _RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
@@ -95,11 +95,10 @@ class HardyODEProblem:
         if self.c < 0.0:
             raise DomainError(f"multiplier must be >= 0, got {self.c}")
         self.potential.check_radius(self.R)
-        if not math.isfinite(self.s_max):
+        if self.domain is Domain.LOG:
+            outer_edge(self.R, self.s_max)
+        elif not math.isfinite(self.s_max):
             raise DomainError(f"horizon s_max must be finite, got {self.s_max}")
-        if self.domain is Domain.LOG and not self.s_max > outer_edge(self.R):
-            raise DomainError(
-                f"horizon s_max = {self.s_max} not beyond the outer edge {outer_edge(self.R)}")
 
     def coefficient(self, x):
         """Equation coefficient in this domain's variable: c*v(r) at radius x,
@@ -153,8 +152,8 @@ class ShootingOutcome:
 
 
 def _vanishes(prob: HardyODEProblem) -> bool:
-    """Whether a = c g vanishes: c = 0 or a ``VanishingTail`` (amplitude 0)."""
-    return prob.c == 0.0 or isinstance(prob.potential.tail, VanishingTail)
+    """Whether a = c g vanishes: c = 0 or the ``VANISHING`` tail (amplitude 0)."""
+    return prob.c == 0.0 or prob.potential.tail is VANISHING
 
 
 # ---------------------------------------------------------------------------
@@ -636,26 +635,6 @@ def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
 # Euler-comparison tail certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TailEdges:
-    """Shifted-Euler edge: c >= c_osc (inf if none) is oscillatory by the
-    certificate unit_osc at c = 1, its gamma scaled by c."""
-
-    c_osc: float
-    unit_osc: TailCertificate
-
-
-def tail_edges(prob: HardyODEProblem) -> TailEdges:
-    """``EulerTail.edge`` of a log-domain problem; DomainError for any other tail."""
-    if prob.domain is not Domain.LOG:
-        raise DomainError("tail certificates live in the log domain")
-    tail = prob.potential.tail
-    if not isinstance(tail, EulerTail):
-        raise DomainError(f"a {type(tail).__name__} has no Euler tail edges")
-    c_osc, unit = tail.edge(prob.R, prob.s_max)
-    return TailEdges(c_osc, TailCertificate("oscillatory", *unit))
-
-
 def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     """Classify the coefficient tail a(s) = c g(s) by the potential's
     ``tail``: non-oscillatory where a = 0 (c = 0 too), oscillatory at c > 0
@@ -663,7 +642,7 @@ def euler_tail_certificate(prob: HardyODEProblem) -> Optional[TailCertificate]:
     falling cell raises DomainError."""
     if prob.domain is not Domain.LOG:
         raise DomainError("tail certificates live in the log domain")
-    tail = prob.potential.tail if prob.c else _VANISHING[True]    # c = 0: a = 0 whatever g is
+    tail = prob.potential.tail if prob.c else VANISHING    # c = 0: a = 0 whatever g is
     return tail.certificate(prob.c, prob.R, prob.s_max)
 
 

@@ -28,8 +28,8 @@ at multiplier z0^2/R^2.
 
 The kind of a potential's inner tail is decided once, in floats, by
 ``RadialPotential.tail``: the inner cell, a ``FallingCell`` or a
-``RisingCell`` by the sign of its slope; a log family's ``EulerTail``; or a
-``VanishingTail`` at amplitude 0.
+``RisingCell`` by the sign of its slope; a log family's ``EulerTail``; or,
+at amplitude 0 of any kind, the one ``VANISHING``.
 
 Admissibility classification follows the sign of
 liminf_{r->0} ln(r) * int_0^r s v(s) ds: finite liminf means the potential is
@@ -323,14 +323,13 @@ class RadialPotential:
 
     @functools.cached_property
     def tail(self) -> FallingCell | RisingCell | EulerTail | VanishingTail:
-        """The inner tail: ``inner_cell``, a log family's ``EulerTail`` or a
-        ``VanishingTail`` at amplitude 0.  Each form has ``log_domain``
-        (whether a probe is decided in s) and ``certificate(c, R, s_max)``,
+        """``VANISHING`` at amplitude 0, else a log family's ``EulerTail`` or
+        ``inner_cell``.  Each form has ``log_domain`` (whether a probe is
+        decided in s: all but a falling cell) and ``certificate(c, R, s_max)``,
         that of a = c r^2 v at c > 0 past the outer edge of the ball."""
-        cell = None if self.kind in _BORDERLINE else self.inner_cell
         if self.amplitude == 0.0:
-            return _VANISHING[cell is None or cell.log_domain]
-        return self._euler if cell is None else cell
+            return VANISHING
+        return self._euler if self.kind in _BORDERLINE else self.inner_cell
 
     @functools.cached_property
     def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
@@ -438,9 +437,16 @@ class RadialPotential:
 # The inner tail: one of four forms, in floats (``RadialPotential.tail``)
 # ---------------------------------------------------------------------------
 
-def outer_edge(R: float) -> float:
-    """Log abscissa just inside r = R, where the outward sweep and the tail certificates start."""
-    return -math.log(R) + 1e-9
+def outer_edge(R: float, s_max: Optional[float] = None) -> float:
+    """Log abscissa just inside r = R, where the outward sweep and the tail
+    certificates start; DomainError unless the log-domain horizon s_max,
+    where given, is finite and beyond it."""
+    lo = -math.log(R) + 1e-9
+    if s_max is not None and not math.isfinite(s_max):
+        raise DomainError(f"horizon s_max must be finite, got {s_max}")
+    if s_max is not None and not s_max > lo:
+        raise DomainError(f"horizon s_max = {s_max} not beyond the outer edge {lo}")
+    return lo
 
 
 def _closed_form_covers(c: float, A: float) -> bool:
@@ -538,18 +544,14 @@ class EulerTail:
         return self.amplitude * (1.0 + _chain(self.m - 1, kappa + tau, kappa, xp)[0]) + 0.0 * tau
 
     def edge(self, R: float, s_max: float) -> tuple:
-        """(c_osc, (gamma, s0, window)), checking s_max as a log problem does
-        (R is the caller's): c_osc = (1/4 + (pi / ln(sigma_max /
+        """(c_osc, (gamma, s0, window)), checking s_max (``outer_edge``; R
+        is the caller's): c_osc = (1/4 + (pi / ln(sigma_max /
         sigma_edge))^2) / min(gamma_edge, gamma_max), sigma = s - s0 (inf where
         that ratio rounds to 1), makes the outer edge to the horizon hold a
         half-oscillation of a minorant Euler solution (Hartman, Ch. XI); no
         shorter window needs less.  That min is gamma_max up to rounding, so
         the certificate's gamma also bounds gamma on [s_max, inf)."""
-        if not math.isfinite(s_max):
-            raise DomainError(f"horizon s_max must be finite, got {s_max}")
-        lo = outer_edge(R)
-        if not s_max > lo:
-            raise DomainError(f"horizon s_max = {s_max} not beyond the outer edge {lo}")
+        lo = outer_edge(R, s_max)
         sigma_edge, sigma_max = lo - self.s0, s_max - self.s0
         gamma = min(self.gamma(math.log(sigma_edge)), self.gamma(math.log(sigma_max)))
         width = math.log(sigma_max / sigma_edge)    # 0 where s_max - s0 rounds to the edge's
@@ -561,18 +563,17 @@ class EulerTail:
         return TailCertificate("oscillatory", c * gamma, shift, window) if c >= c_osc else None
 
 
-@dataclass(frozen=True)
 class VanishingTail:
-    """Amplitude 0: a = 0, non-oscillatory, every c feasible; ``log_domain``
-    is the kind's (a log family's or a rising cell's, not a falling one's)."""
-
-    log_domain: bool
+    """a = 0 (amplitude 0 of any kind, or c = 0): non-oscillatory, y = 1 solves
+    and every c is feasible, in the log domain.  One shared instance, ``VANISHING``."""
+    __slots__ = ()
+    log_domain = True
 
     def certificate(self, c: float, R: float, s_max: float) -> TailCertificate:
         return TailCertificate("nonoscillatory", 0.0, outer_edge(R) - 1.0, (s_max, math.inf))
 
 
-_VANISHING = (VanishingTail(False), VanishingTail(True))    # shared: ``tail`` forms none
+VANISHING = VanishingTail()
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +646,7 @@ def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
     (s - s0)), closed past the last one, T, by G(T) e^(-T), from one array
     ``gamma`` call.  numpy only."""
     tail = p.tail
-    if isinstance(tail, VanishingTail):
+    if tail is VANISHING:
         return np.zeros(s.shape)
     if not isinstance(tail, EulerTail):
         points, f, q, w = _cell_points(p.log_cells, s, 1.0, 0.0)
@@ -670,7 +671,7 @@ def _tail_integrals(p: RadialPotential, s: np.ndarray) -> np.ndarray:
 
 def classify(p: RadialPotential) -> ClassLabel:
     """Classify the potential by L(r) = ln(r) int_0^r t v dt = -s int_s^inf g,
-    s = ln(1/r), g = ``log_weight``, from its tail.  Every label is certified:
+    s = ln(1/r), g = ``log_weight``, from its tail's form.  Every label is certified:
 
       * an inner cell, exactly by its slope q (g ~ e^(q s)): q < 0 makes
         L -> 0, X (limit_estimate 0); q >= 0 makes the integral diverge, Y
@@ -681,13 +682,14 @@ def classify(p: RadialPotential) -> ClassLabel:
       * a vanishing tail, g = 0: L = 0, X (limit_estimate 0).
 
     The evidence is L at the probe radii r_max 10^-2 ... 10^-8, from
-    ``_tail_integrals``.
+    ``_tail_integrals``; no label reads it (it overflows at amplitude 1e308).
     """
     probes, tail = p.r_max * _PROBES, p.tail
-    evidence = np.log(probes) * _tail_integrals(p, -np.log(probes))
+    with np.errstate(over="ignore"):
+        evidence = np.log(probes) * _tail_integrals(p, -np.log(probes))
     if isinstance(tail, EulerTail):
         bound = tail.edge(p.r_max, S_MAX_DEFAULT)[1][0]
         return ClassLabel(Label.X, evidence, probes, limit_estimate=-bound)
-    if np.isinf(evidence[-1]):
+    if isinstance(tail, RisingCell):
         return ClassLabel(Label.Y, evidence, probes)
     return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
                          brezis_vazquez_lambda, euler_tail_certificate, feasible, integrate,
-                         integrate_principal_tail, log_problem, radius_problem, tail_edges,
+                         integrate_principal_tail, log_problem, radius_problem,
                          unit_ball_volume)
 from hardy_optim.errors import DomainError, IndeterminateAtHorizon, NoUpperBracket
 
@@ -1030,17 +1030,58 @@ def test_power_law_level_past_the_float_range_of_R_is_planned(s_max):
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.999])
 def test_amplitude_zero_one_cell_is_feasible_in_closed_form(alpha, monkeypatch, s_max):
-    # c* = inf: every multiplier is feasible, with the sweep's record, unswept
+    # c v = 0: every multiplier is feasible by the vanishing tail's
+    # certificate, unswept, as on every kind at amplitude 0 (a one cell's
+    # answer was once its Bessel level c* = inf, "recessive-shot")
     import hardy_optim.bestconst as bestconst_mod
     sweeps = _Counter(bestconst_mod.integrate)
     monkeypatch.setattr(bestconst_mod, "integrate", sweeps)
     p = _one_cell_potential(alpha, 0.0, 2.0)
     for c in (0.0, 0.2, 1e300, sys.float_info.max, math.inf):
         check = feasible(p, c, 2.0, s_max)
-        assert check.feasible and check.method == "recessive-shot"
+        assert check.feasible and check.method == "principal-tail"
         assert check.evidence.status is Status.NO_ZERO_ON_INTERVAL
         assert check.evidence.first_zero is None
+        cert = check.evidence.certificate
+        assert cert.kind == "nonoscillatory" and cert.gamma == 0.0
     assert sweeps.calls == 0
+
+
+_RISING_TABLE = np.geomspace(1e-6, 1.0, 400)
+_C_V_ZERO = [(p, 0.0) for p in (RadialPotential.power_law(2.5), RadialPotential.power_law(2.0),
+                                RadialPotential.custom(_RISING_TABLE, _RISING_TABLE ** -2.2))]
+_C_V_ZERO += [(p, c) for p in (RadialPotential.constant(0.0), RadialPotential.power_law(1.5, 0.0),
+                               RadialPotential.power_law(2.5, 0.0),
+                               RadialPotential.adimurthi_log(2, amplitude=0.0),
+                               RadialPotential.filippas_tertikas(1, amplitude=0.0))
+              for c in (0.0, 1.0, 1e300)]
+
+
+@pytest.mark.parametrize("p, c", _C_V_ZERO, ids=[
+    "alpha-2.5", "alpha-2", "table-rising", *(f"{name}-A0-c{c:g}" for name in (
+        "constant", "alpha-1.5", "alpha-2.5", "log-m2", "x-m1") for c in (0.0, 1.0, 1e300))])
+def test_c_v_zero_is_answered_by_the_tail_without_a_sweep(p, c, monkeypatch, s_max):
+    # where c v = 0 (c = 0, or amplitude 0 of any kind) y = 1 solves on the
+    # whole ball, known before any integration: the verdict is the vanishing
+    # tail's certificate, with no shooting problem, tail certificate or
+    # sweep.  A rising cell's probe at c = 0 built a log problem and swept
+    # the line z = 1 back from the horizon, and a falling kind at amplitude 0
+    # answered "recessive-shot" from its Bessel level c* = inf
+    import hardy_optim.bestconst as bestconst_mod
+    import hardy_optim.ode as ode_mod
+
+    def boom(*args, **kwargs):
+        raise AssertionError("c v = 0 built a shooting problem or swept")
+
+    monkeypatch.setattr(ode_mod.HardyODEProblem, "__post_init__", boom)
+    for module, name in ((bestconst_mod, "euler_tail_certificate"),
+                         (bestconst_mod, "integrate_principal_tail"), (ode_mod, "_sweep")):
+        monkeypatch.setattr(module, name, boom)
+    check = feasible(p, c, 1.0, s_max)
+    out = check.evidence
+    assert check.feasible and check.method == "principal-tail"
+    assert out.status is Status.NO_ZERO_ON_INTERVAL and out.first_zero is None
+    assert out.certificate.kind == "nonoscillatory" and out.certificate.gamma == 0.0
 
 
 @pytest.mark.parametrize("alpha, amplitude, R", [(0.5, 3.0, 2.0), (0.0, 20.0, 4.0)])
@@ -1151,11 +1192,11 @@ def test_closed_form_lower_end_agrees_with_the_sweep(family, m, amplitude, R, mo
     p = getattr(RadialPotential, family)(m, amplitude=amplitude)
     horizons = (1e4, 1e6, 1e150)
     for s_max in horizons:
-        unit = tail_edges(log_problem(p, 1.0, R, s_max=s_max)).unit_osc
-        c = 0.25 / unit.gamma
+        _, (gamma, shift, _) = p.tail.edge(R, s_max)
+        c = 0.25 / gamma
         assert 0.0 < c * amplitude <= 0.25 * (1.0 + 1e-15)
         prob = log_problem(p, c, R, s_max=s_max)
-        cert = TailCertificate("nonoscillatory", c * unit.gamma, unit.shift, (s_max, math.inf))
+        cert = TailCertificate("nonoscillatory", c * gamma, shift, (s_max, math.inf))
         out = integrate_principal_tail(prob, cert)
         assert out.status is Status.NO_ZERO_ON_INTERVAL and out.first_zero is None
     ivp = _Counter(ode_mod.solve_ivp)
@@ -1235,7 +1276,7 @@ def test_band_narrower_than_tol_takes_three_probes(family):
     # tol = 1e-3, so the inside probes are not ordered: the plan fell back to
     # the doubling ladder from c = 1 (13 probes, c_hi = 0.2504883)
     p = getattr(RadialPotential, family)(2)
-    c_osc = tail_edges(log_problem(p, 1.0, 1.0, s_max=1e300)).c_osc
+    c_osc = p.tail.edge(1.0, 1e300)[0]
     res = best_constant(p, 1.0, tol=1e-3, s_max=1e300)
     assert res.converged and res.iterations == 3 and res.band is None
     assert res.bracket == (0.25, c_osc) and 0.0 < c_osc - 0.25 < 3e-5
@@ -1248,7 +1289,7 @@ def test_infinite_euler_edge_is_indeterminate(monkeypatch):
     # though nothing above 1/(4A) is decided infeasible
     import hardy_optim.bestconst as bestconst_mod
     p, s_max = RadialPotential.adimurthi_log(1, rho=1e300), math.nextafter(1e-9, math.inf)
-    assert tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max)).c_osc == math.inf
+    assert p.tail.edge(1.0, s_max)[0] == math.inf
     probed = []
 
     def recorded(p, c, *args):
@@ -1382,13 +1423,13 @@ def test_invalid_horizon_builds_no_rule(s_max):
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_best_constant_reads_the_euler_edges_once(family, s_max, monkeypatch):
     # the plan and all three probes share one rule, whose Euler edge is read
-    # once, from floats: no log problem is built (tail_edges of one was read
-    # for the plan and once more in each probe above 1/(4A))
-    import hardy_optim.bestconst as bestconst_mod
+    # once, from floats: no shooting problem is built (tail_edges of a log
+    # problem was read for the plan and once more in each probe above 1/(4A))
+    from hardy_optim.ode import HardyODEProblem
     from hardy_optim.potentials import EulerTail
-    edges, problems = _Counter(EulerTail.edge), _Counter(bestconst_mod.log_problem)
+    edges, problems = _Counter(EulerTail.edge), _Counter(HardyODEProblem.__post_init__)
     monkeypatch.setattr(EulerTail, "edge", lambda tail, *args: edges(tail, *args))
-    monkeypatch.setattr(bestconst_mod, "log_problem", problems)
+    monkeypatch.setattr(HardyODEProblem, "__post_init__", lambda prob: problems(prob))
     res = best_constant(getattr(RadialPotential, family)(2, amplitude=0.7), 1.0, s_max=s_max)
     assert res.iterations == 3 and res.c_lo == 0.25 / 0.7
     assert edges.calls == 1 and problems.calls == 0

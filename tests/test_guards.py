@@ -11,7 +11,6 @@ from hardy_optim import (GridMapping, GridSpec, RadialPotential, SmoothFn, TailC
                          radius_problem, reduced_rayleigh_min, residual, riccati_check,
                          to_log_domain, unit_ball_volume, weighted_eigen)
 from hardy_optim.errors import DomainError
-from hardy_optim.ode import tail_edges
 
 _RADIUS = radius_problem(RadialPotential.power_law(1.0), 0.2, 1.0)
 _LOG = log_problem(RadialPotential.adimurthi_log(1), 0.2, 1.0)
@@ -22,7 +21,6 @@ _SINE = SmoothFn(math.sin, math.cos, lambda r: -math.sin(r))
 
 # name -> (call, what its DomainError says)
 _GUARDS = {
-    "tail_edges on a radius problem": (lambda: tail_edges(_RADIUS), "live in the log domain"),
     "euler_tail_certificate on a radius problem":
         (lambda: euler_tail_certificate(_RADIUS), "live in the log domain"),
     "integrate_principal_tail on a radius problem":

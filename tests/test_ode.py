@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status, TailCertificate,
-                         TailEdges, best_constant, euler_tail_certificate, feasible, integrate,
+                         best_constant, euler_tail_certificate, feasible, integrate,
                          integrate_principal_tail, log_problem, radius_problem, residual,
                          riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
                                 StepSizeUnderflow, UnsupportedSingularity)
-from hardy_optim.ode import _fundamental, _segments, _transfer, tail_edges
+from hardy_optim.ode import _fundamental, _segments, _transfer
 
 from conftest import Z0, power_law_zero
 
@@ -505,8 +505,7 @@ def test_tail_edges_decide_the_certificate(family):
     # the certificate is the comparison of the multiplier with the edge,
     # exactly at it included; below it, at 1/4 and under, there is none
     p = getattr(RadialPotential, family)(2)
-    edges = tail_edges(log_problem(p, 1.0, 1.0))
-    c_osc = edges.c_osc
+    c_osc = p.tail.edge(1.0, 1e300)[0]
     assert 0.25 < c_osc < math.inf
     certs = [euler_tail_certificate(log_problem(p, c, 1.0))
              for c in (0.2, 0.25, np.nextafter(c_osc, 0.0), c_osc)]
@@ -521,7 +520,7 @@ _FAMILIES = {"adimurthi_log": ("rho", 5.0), "filippas_tertikas": ("d_scale", 3.0
 
 
 def _gamma(p, s, s0):
-    """a (s - s0)^2 at c = 1, saturated as ``tail_edges`` saturates it."""
+    """a (s - s0)^2 at c = 1, saturated as ``EulerTail.edge`` saturates it."""
     with np.errstate(over="ignore"):
         return np.minimum(p.log_weight(s) * (s - s0) ** 2, 1e300)
 
@@ -530,7 +529,7 @@ def _gamma(p, s, s0):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_gamma_is_non_increasing_at_the_hint_shift(family, m, scaled):
-    # Fact 1, which tail_edges takes as given: at s0 = euler_shift_hint,
+    # Fact 1, which EulerTail.edge takes as given: at s0 = euler_shift_hint,
     # gamma = g (s - s0)^2 is A (1 + sum of products of squared inverse logs
     # or of squared X's), non-increasing toward A, whatever rho or d
     key, factor = _FAMILIES[family]
@@ -558,33 +557,31 @@ def test_tail_edges_hold_on_a_dense_grid(s_max):
     # at c_osc; beyond the horizon gamma stays at most that gamma too, the
     # bound B = gamma(s_max) of ``classify``
     for p, R in itertools.product(_tail_cases(), (1.0, 0.5)):
-        edges = tail_edges(log_problem(p, 1.0, R, s_max=s_max))
-        unit = edges.unit_osc
-        assert unit is not None and 0.0 < edges.c_osc < math.inf
-        s1, s2 = unit.window
+        c_osc, (gamma, shift, (s1, s2)) = p.tail.edge(R, s_max)
+        assert 0.0 < c_osc < math.inf
         assert -math.log(R) < s1 < s2 <= s_max
-        s = unit.shift + np.geomspace(s1 - unit.shift, s2 - unit.shift, 20001)[1:-1]
-        assert np.all(_gamma(p, s, unit.shift) >= unit.gamma * (1.0 - 1e-12)), p
-        length = math.log((s2 - unit.shift) / (s1 - unit.shift))
-        assert length >= (1.0 - 1e-12) * math.pi / math.sqrt(edges.c_osc * unit.gamma - 0.25)
+        s = shift + np.geomspace(s1 - shift, s2 - shift, 20001)[1:-1]
+        assert np.all(_gamma(p, s, shift) >= gamma * (1.0 - 1e-12)), p
+        length = math.log((s2 - shift) / (s1 - shift))
+        assert length >= (1.0 - 1e-12) * math.pi / math.sqrt(c_osc * gamma - 0.25)
         s = np.geomspace(s_max, 1e3 * s_max, 20001)
-        assert np.all(_gamma(p, s, unit.shift) <= unit.gamma * (1.0 + 1e-12)), p
+        assert np.all(_gamma(p, s, shift) <= gamma * (1.0 + 1e-12)), p
 
 
 def test_tail_edges_gamma_is_the_horizon_value():
     # gamma at the horizon, not a sampled maximum from a fitted shift: the
     # sampler's gave 1/4 over 0.248551 here
     p = RadialPotential.adimurthi_log(2)
-    unit = tail_edges(log_problem(p, 1.0, 1.0, s_max=1e6)).unit_osc
-    assert unit.gamma <= 0.25 / 0.24869
-    assert unit.shift == p.euler_shift_hint()
+    _, (gamma, shift, _) = p.tail.edge(1.0, 1e6)
+    assert gamma <= 0.25 / 0.24869
+    assert shift == p.euler_shift_hint()
     # at m = 1 gamma is A = 1 and is clipped below at A, so it is 1 (at s_max
     # = 1e6 the X family's gamma rounds one ulp above 1 at the horizon, and
     # the edge's, the smaller, is 1)
     for s_max in (1e4, 1e6, 1e30, 1e150):
         for family in _FAMILIES:
-            one = tail_edges(log_problem(getattr(RadialPotential, family)(1), 1.0, 1.0, s_max))
-            assert one.unit_osc.gamma == 1.0
+            one = getattr(RadialPotential, family)(1).tail.edge(1.0, s_max)
+            assert one[1][0] == 1.0
 
 
 def test_tail_edges_evaluate_the_potential_once(monkeypatch):
@@ -601,18 +598,18 @@ def test_tail_edges_evaluate_the_potential_once(monkeypatch):
     monkeypatch.setattr(EulerTail, "gamma", spy(EulerTail, "gamma"))
     for p in _tail_cases():
         calls.clear()
-        tail_edges(log_problem(p, 1.0, 1.0))
+        p.tail.edge(1.0, 1e300)
         assert calls == [("gamma", ())] * 2
 
 
-def _pair_search_edges(prob):
+def _pair_search_edges(p, R, s_max):
     """The oscillatory edge of a log family as the pair search over 100
     window ends found it: the least multiplier over all pairs of ends
-    geometric in s - s0, inside the horizon."""
-    p, lo = prob.potential, -math.log(prob.R) + 1e-9
+    geometric in s - s0, inside the horizon, with (gamma, s0, window) at c = 1."""
+    lo = -math.log(R) + 1e-9
     s0 = p.euler_shift_hint()
-    s = s0 + np.geomspace(lo - s0, prob.s_max - s0, 100)
-    s[0], s[-1] = lo, prob.s_max
+    s = s0 + np.geomspace(lo - s0, s_max - s0, 100)
+    s[0], s[-1] = lo, s_max
     sigma = s - s0
     i, j = np.triu_indices(s.size, 1)
     gamma = np.array([p.euler_gamma(math.log(x)) for x in sigma])
@@ -620,9 +617,8 @@ def _pair_search_edges(prob):
         need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
             / np.minimum(gamma[i], gamma[j])
     k = int(np.argmin(need))
-    unit_osc = TailCertificate("oscillatory", float(min(gamma[i[k]], gamma[j[k]])), s0,
-                               (float(s[i[k]]), float(s[j[k]])))
-    return TailEdges(float(need[k]), unit_osc)
+    return float(need[k]), (float(min(gamma[i[k]], gamma[j[k]])), s0,
+                            (float(s[i[k]]), float(s[j[k]])))
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -633,9 +629,8 @@ def test_tail_edges_equal_the_pair_search(family):
     for m, amplitude, R, s_max in itertools.product(
             (1, 2, 3), (1e-3, 0.05, 0.3, 1.0, 20.0, 1e3), (1.0, 0.5, 0.25),
             (2.0, 10.0, 1e2, 1e4, 1e6, 1e30, 1e100, 1e150, 1e300)):
-        prob = log_problem(getattr(RadialPotential, family)(m, amplitude=amplitude), 1.0, R,
-                           s_max=s_max)
-        assert tail_edges(prob) == _pair_search_edges(prob), (m, amplitude, R, s_max)
+        p = getattr(RadialPotential, family)(m, amplitude=amplitude)
+        assert p.tail.edge(R, s_max) == _pair_search_edges(p, R, s_max), (m, amplitude, R, s_max)
 
 
 _RISING = np.geomspace(1e-6, 1.0, 400)
@@ -650,20 +645,17 @@ def _rising_cases():
 
 
 def test_tail_edges_without_an_inner_cell_inside_the_horizon():
-    # tail edges are the log families'; a cell kind's log domain is decided
-    # by its inner cell, here one that starts beyond the horizon s_max = 100:
-    # the certificate's window lies past s_max, where the cell model is exact
+    # tail edges are the log families' (``EulerTail.edge``); a cell kind's
+    # log domain is decided by its inner cell, here one that starts beyond
+    # the horizon s_max = 100: the certificate's window lies past s_max,
+    # where the cell model is exact
     r = np.geomspace(1e-60, 1.0, 50)
     prob = log_problem(RadialPotential.custom(r, r ** -2.2), 1.0, 1.0, s_max=100.0)
-    with pytest.raises(DomainError):
-        tail_edges(prob)
     cert = euler_tail_certificate(prob)
     assert cert.kind == "oscillatory" and cert.shift is None
     assert cert.window[0] == pytest.approx(60.0 * math.log(10.0), rel=1e-15)
     assert cert.window[0] > prob.s_max
-    for p in _rising_cases():
-        with pytest.raises(DomainError):
-            tail_edges(log_problem(p, 1.0, 1.0))
+    assert not any(hasattr(p.tail, "edge") for p in (*_rising_cases(), prob.potential))
 
 
 def test_tail_edges_of_a_window_inside_the_rounding_of_the_shift():
@@ -672,8 +664,8 @@ def test_tail_edges_of_a_window_inside_the_rounding_of_the_shift():
     # edge formula divided by, so no multiplier is certified oscillatory
     p = RadialPotential.adimurthi_log(1, rho=1e300)
     s_max = math.nextafter(1e-9, math.inf)
-    edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
-    assert edges.c_osc == math.inf and edges.unit_osc.window == (1e-9, s_max)
+    c_osc, (_, _, window) = p.tail.edge(1.0, s_max)
+    assert c_osc == math.inf and window == (1e-9, s_max)
     assert euler_tail_certificate(log_problem(p, 1e6, 1.0, s_max=s_max)) is None
 
 
@@ -726,22 +718,22 @@ def test_rising_cell_sweep_finds_the_zero_its_certificate_proves(alpha):
 
 
 def test_euler_certificate_rejects_a_falling_inner_cell():
-    # an inner cell of slope q < 0 (alpha < 2) has no rising-cell bound;
-    # its recessive shot runs in the radius domain
+    # an inner cell of slope q < 0 (alpha < 2) has no rising-cell bound and
+    # no Euler edge; its recessive shot runs in the radius domain
     for p in (RadialPotential.power_law(1.9), RadialPotential.constant(1.0)):
         with pytest.raises(DomainError):
             euler_tail_certificate(log_problem(p, 1.0, 1.0))
-        with pytest.raises(DomainError):
-            tail_edges(log_problem(p, 1.0, 1.0))
+        assert not hasattr(p.tail, "edge")
 
 
-def _principal_tail(p, c, R=1.0, s_max=1e6, edges=None):
+def _principal_tail(p, c, R=1.0, s_max=1e6, edge=None):
     """The principal tail at c from a non-oscillatory certificate built by
     hand, gamma = c gamma(s_max) on [s_max, inf): a log family's tail is
-    non-oscillatory up to c = 1/(4 gamma(s_max)), which no verdict reads."""
-    unit = (edges or tail_edges(log_problem(p, 1.0, R, s_max=s_max))).unit_osc
+    non-oscillatory up to c = 1/(4 gamma(s_max)), which no verdict reads.
+    ``edge`` is an ``EulerTail.edge`` to read gamma from instead."""
+    _, (gamma, shift, _) = edge or p.tail.edge(R, s_max)
     prob = log_problem(p, c, R, s_max=s_max)
-    cert = TailCertificate("nonoscillatory", c * unit.gamma, unit.shift, (s_max, math.inf))
+    cert = TailCertificate("nonoscillatory", c * gamma, shift, (s_max, math.inf))
     return prob, integrate_principal_tail(prob, cert)
 
 
@@ -812,7 +804,7 @@ def _dense_cases():
     yield integrate(radius_problem(RadialPotential.power_law(1.5), 6.0, 1.0))
     yield integrate(log_problem(RadialPotential.adimurthi_log(2), 0.35, 1.0))
     p = RadialPotential.filippas_tertikas(3)
-    yield _principal_tail(p, 0.25 / tail_edges(log_problem(p, 1.0, 1.0)).unit_osc.gamma)[1]
+    yield _principal_tail(p, 0.25 / p.tail.edge(1.0, 1e300)[1][0])[1]
     yield integrate(log_problem(RadialPotential.constant(0.0), 1.0, 1.0, s_max=10.0))
 
 
@@ -963,10 +955,11 @@ def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
         p = getattr(RadialPotential, family)(m, amplitude=amplitude)
         g = p.log_weight(np.geomspace(1e-9, 1e6, 4000))
         assert np.all(g > 0.0) and np.all(np.diff(g) <= 0.0)
-        edges = tail_edges(log_problem(p, 1.0, 1.0))
-        tail, out = _principal_tail(p, 0.25 / edges.unit_osc.gamma, edges=edges)
+        edge = p.tail.edge(1.0, 1e300)
+        c_osc, (gamma, _, _) = edge
+        tail, out = _principal_tail(p, 0.25 / gamma, edge=edge)
         sweeps = [(tail, out)]
-        for c in (edges.c_osc, 3.0 * edges.c_osc, 1e40 / amplitude):
+        for c in (c_osc, 3.0 * c_osc, 1e40 / amplitude):
             shot = log_problem(p, c, 1.0)
             sweeps.append((shot, integrate(shot)))
         for prob, out in sweeps:
@@ -998,9 +991,9 @@ def test_principal_tail_rhs_evaluations(s_max, budget, monkeypatch):
     for family in ("adimurthi_log", "filippas_tertikas"):
         for m in (1, 2, 3):
             p = getattr(RadialPotential, family)(m)
-            edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
+            gamma = p.tail.edge(1.0, s_max)[1][0]
             nfev.clear()
-            _principal_tail(p, 0.25 / edges.unit_osc.gamma, s_max=s_max, edges=edges)
+            _principal_tail(p, 0.25 / gamma, s_max=s_max)
             assert len(nfev) == 1 and nfev[0] <= budget, (family, m, nfev)
 
 
@@ -1025,10 +1018,10 @@ def test_log_family_sweeps_at_the_largest_horizons(family, m, s_max):
     assert log_problem(p, 1.0, 1.0, s_max=s_max).s_max == s_max    # no cut to 1e150
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        edges = tail_edges(log_problem(p, 1.0, 1.0, s_max=s_max))
-        _, tail = _principal_tail(p, 0.25 / edges.unit_osc.gamma, s_max=s_max, edges=edges)
+        c_osc, (gamma, _, _) = p.tail.edge(1.0, s_max)
+        _, tail = _principal_tail(p, 0.25 / gamma, s_max=s_max)
         shot = integrate(log_problem(p, 1e-3, 1.0, s_max=s_max))
-    assert edges.unit_osc.gamma >= 1.0 and 0.25 < edges.c_osc < 0.25 * (1.0 + 1e-4)
+    assert gamma >= 1.0 and 0.25 < c_osc < 0.25 * (1.0 + 1e-4)
     assert tail.status is Status.NO_ZERO_ON_INTERVAL and np.all(tail.trajectory["z"] > 0.0)
     assert shot.status is Status.ZERO_FOUND and 1.0 < shot.zero_s < s_max
 

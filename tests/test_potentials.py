@@ -2,6 +2,7 @@ import decimal
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from hardy_optim import Kind, Label, RadialPotential, classify, exp_tower
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
-from hardy_optim.potentials import (EulerTail, FallingCell, RisingCell, VanishingTail,
+from hardy_optim.potentials import (VANISHING, EulerTail, FallingCell, RisingCell, VanishingTail,
                                     _tail_integrals, exp_or_inf, log_cell_tails)
 
 
@@ -256,8 +257,8 @@ _R = np.geomspace(1e-6, 1.0, 30)
     (RadialPotential.custom(_R, _R ** -2.2), RisingCell, True),
     (RadialPotential.adimurthi_log(2), EulerTail, True),
     (RadialPotential.filippas_tertikas(3, amplitude=0.05), EulerTail, True),
-    (RadialPotential.constant(0.0), VanishingTail, False),
-    (RadialPotential.power_law(1.5, 0.0), VanishingTail, False),
+    (RadialPotential.constant(0.0), VanishingTail, True),
+    (RadialPotential.power_law(1.5, 0.0), VanishingTail, True),
     (RadialPotential.power_law(2.5, 0.0), VanishingTail, True),
     (RadialPotential.adimurthi_log(2, amplitude=0.0), VanishingTail, True),
     (RadialPotential.filippas_tertikas(1, amplitude=0.0), VanishingTail, True),
@@ -266,9 +267,12 @@ _R = np.geomspace(1e-6, 1.0, 30)
 def test_tail_is_one_cached_form_per_potential(p, form, log_domain):
     # the one place the kind of inner tail is decided: a falling or rising
     # inner cell is the cell itself, read in floats; an Euler tail holds
-    # the chain's floats; amplitude 0 vanishes, in the domain of its kind
+    # the chain's floats; amplitude 0 is the one shared vanishing tail, of
+    # the log domain whatever the kind (a falling kind's was of the radius
+    # domain)
     tail = p.tail
     assert type(tail) is form and tail.log_domain is log_domain and p.tail is tail
+    assert (tail is VANISHING) is (form is VanishingTail)
     if form in (FallingCell, RisingCell):
         assert tail is p.inner_cell and (tail[3] < 0.0) is (form is FallingCell)
     if form is EulerTail:
@@ -830,6 +834,18 @@ def test_classify_log_family_limit():
 def test_classify_near_critical_is_honest():
     # the inner cell's slope q = alpha - 2 = -0.01 < 0 decides exactly
     assert classify(RadialPotential.power_law(1.99)).label is Label.X
+
+
+def test_classify_reads_the_label_off_the_tail_where_the_evidence_overflows():
+    # at amplitude 1e308 the tail integral of a falling cell overflows at
+    # the probes: the infinite evidence was read as Y, with no limit
+    # estimate and an "overflow encountered in exp" RuntimeWarning, though
+    # the cell's slope q = -0.01 certifies X with limit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lab = classify(RadialPotential.power_law(1.99, amplitude=1e308))
+    assert lab.label is Label.X and lab.limit_estimate == 0.0
+    assert lab.evidence[-1] == -math.inf
 
 
 def test_classify_log_family_bound_is_the_tail_sample():

@@ -90,7 +90,8 @@ def test_shot_profile_prints_each_table(monkeypatch, capsys):
 def test_shot_profile_prints_one_op_per_rule_kind(monkeypatch, capsys):
     # a best-constant op per rule kind: its Python calls, deterministic,
     # pinned as bounds (a log family's took 86, a power law's 63), and its
-    # median time
+    # median time.  A rising cell's answer is read off its tail, unswept:
+    # no dearer than a log family's (71 against 51 with a sweep at c = 0)
     lines = _run_script("shot_profile.py", [], monkeypatch, capsys)
     assert lines[6].split() == ["rule", "potential", "calls", "us"]
     rows = [line.split() for line in lines[7:]]
@@ -98,5 +99,5 @@ def test_shot_profile_prints_one_op_per_rule_kind(monkeypatch, capsys):
     assert [" ".join(row[1:-2]) for row in rows] == [
         "power_law a=1.1", "adimurthi_log m=2", "power_law a=2.5", "custom"]
     calls = [int(row[-2]) for row in rows]
-    assert calls[0] <= 43 and calls[1] <= 52 and calls[2] < calls[3]
+    assert calls[0] <= 43 and calls[1] <= 52 and calls[2] <= calls[1] < calls[3]
     assert all(float(row[-1]) > 0.0 for row in rows)
