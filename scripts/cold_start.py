@@ -59,6 +59,7 @@ ROWS = {
     "dual/power-1-p2": (_POWER_1, ["dual", "--c", "1", "--p", "2"]),
     "dual/log-2-p1": ({"kind": "adimurthi_log", "m": "2"}, ["dual", "--c", "0.25", "--p", "1"]),
     "dual/x-3-p2": ({"kind": "filippas_tertikas_x", "m": "3"}, ["dual", "--c", "0.25", "--p", "2"]),
+    "trace/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["trace", "--c", "0.35"]),
 }
 
 
@@ -70,9 +71,9 @@ def child_env() -> dict:
 
 def fresh_run(runs, workdir) -> tuple:
     """Run each (potential keys, subcommand argv) of ``runs`` through
-    ``cli.main``, in order, in one fresh interpreter with configs written
-    under ``workdir`` and bytecode read from and written to
-    ``workdir/pycache``.  Returns the wall time in s, the exit codes and the
+    ``cli.main``, in order, in one fresh interpreter working in ``workdir``
+    (where a trace writes its default CSV), with configs written there and
+    bytecode read from and written to ``workdir/pycache``.  Returns the wall time in s, the exit codes and the
     scipy submodules loaded by the end."""
     argvs = []
     for k, (potential, argv) in enumerate(runs):
@@ -85,7 +86,7 @@ def fresh_run(runs, workdir) -> tuple:
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(argvs)], env=env,
-                          stdout=subprocess.PIPE, text=True, check=True)
+                          cwd=workdir, stdout=subprocess.PIPE, text=True, check=True)
     wall = time.perf_counter() - t0
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     return wall, codes, loaded

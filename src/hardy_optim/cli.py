@@ -170,7 +170,7 @@ def _cmd_trace(args, cfg: RunConfig):
     record = {
         "status": out.status.value,
         "first_zero": out.first_zero,
-        "zero_s": out.zero_s,
+        "zero_s": out.zero_s, **dict(zip(("zero_s_lo", "zero_s_hi"), out.zero_bracket or ())),
         "samples": out.trajectory[header.split(",")[0]].size,
         "csv": path,
     }

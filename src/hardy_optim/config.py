@@ -14,8 +14,8 @@ what a config may set: the keys of ``[potential]`` (by its ``kind``),
 key is a ``ConfigError``, whichever subcommand reads the file.
 ``[solver] s_max`` is the log-domain horizon (default 1e300,
 ``ode.S_MAX_DEFAULT``, where the log families' band is ~1e-4 wide); the
-integrator tolerances and the undecided sliver are constants of ``ode``
-and ``bestconst``, and the best-constant tolerance is ``best_constant``'s
+Euler cells of a log-family sweep and the undecided sliver are constants of
+``ode`` and ``bestconst``, and the best-constant tolerance is ``best_constant``'s
 default.  Where a record goes, in what form and with what wall-clock
 stamp are the CLI's ``--out``, ``eigen --format`` and ``--timestamp``.
 Result records are emitted in the same syntax (a single ``[result]`` or

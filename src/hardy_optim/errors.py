@@ -17,14 +17,6 @@ class UnsupportedSingularity(HardyError):
     """Series initialization is invalid for the declared singularity."""
 
 
-class StepSizeUnderflow(HardyError):
-    """Adaptive integrator stalled; carries the last abscissa reached."""
-
-    def __init__(self, message: str, last_abscissa: float):
-        super().__init__(message)
-        self.last_abscissa = last_abscissa
-
-
 class NonPositiveTrajectory(HardyError):
     """Riccati transform requires a strictly positive trajectory."""
 
@@ -45,8 +37,8 @@ class NoUpperBracket(HardyError):
 class IndeterminateAtHorizon(HardyError):
     """A feasibility verdict could not be decided: neither a zero nor a
     comparison certificate was obtained by the horizon, or the multiplier
-    lies within rounding of its threshold (a one-cell Bessel level, or a
-    table's first zero within the sweep's accuracy of R).
+    lies within rounding of its threshold (a one-cell Bessel level, a table's
+    first zero within the sweep's accuracy of R, a log family's end laws).
 
     Carries the multiplier that could not be decided.
     """

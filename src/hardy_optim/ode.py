@@ -21,11 +21,10 @@ branch at r = 0 is exactly J0(x) on the inner cell, which needs q < 0 there
 Pryce, Numerical Solution of Sturm-Liouville Problems, 1993) on the model
 the tables themselves define.
 
-The two log families are swept by DOP853 in one solve_ivp call, in the
-Liouville variable tau = ln(s - s0), s0 = (outer edge) - 1, whose
-coefficient tends to a constant at the horizon, so a sweep to any finite
-s_max costs little more than one to 1e6; the integrator's terminal event
-ends it at the first sign change.  Trajectories and zeros are reported in s.
+The two log families are swept by the same carry and phase search on Euler
+cells in tau = ln(s - s0), where w = z e^(-tau/2) solves w'' + (c G - 1/4) w
+= 0 exactly at G constant, and G does not rise: the laws at the cells' ends
+bracket the first zero (``_euler_sweep``), reported in s.
 
 Beyond any fixed horizon, Sturm comparison (Hartman, Ordinary Differential
 Equations, Ch. XI) certifies oscillation by the potential's ``tail``
@@ -45,15 +44,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
-                     StepSizeUnderflow, UnsupportedSingularity)
-from .potentials import (J0_FIRST_ZERO, S_MAX_DEFAULT, VANISHING, EulerTail, RadialPotential,
-                         TailCertificate, outer_edge)
+from .errors import (DomainError, GridTooCoarse, IndeterminateAtHorizon, NonPositiveTrajectory,
+                     UnsupportedSingularity)
+from .potentials import (HUGE, J0_FIRST_ZERO, S_MAX_DEFAULT, VANISHING, EulerTail,
+                         RadialPotential, TailCertificate, outer_edge)
 
-_RTOL, _ATOL = 1e-10, 1e-14   # DOP853 tolerances of the log-family sweeps
 _TRAJECTORY_START = 1e-8      # radius / R where a recessive trajectory starts at most
 _DEEPEST_START = 700.0        # largest s a recessive trajectory starts at: r ~ 1e-304
 _CELL_SAMPLES = 16            # trajectory samples per cell, its entry included
+_EULER_CELLS = 3000           # tau-cells of a log family's sweep past m = 1
+_EULER_GRADING = 0.1          # their widths grow like this + tau - tau(outer edge)
+_EULER_SAMPLES = 256          # trajectory samples of a log family's sweep, uniform in tau
 _SMALL_X = 1e-30              # below it J0, Y0, x J1, x Y1 are their leading terms
 _X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
 _RICCATI_SAMPLES = 4097       # dense-output resamples of riccati_check
@@ -61,11 +62,10 @@ NO_ROWS = {frame: MappingProxyType(dict.fromkeys(frame.split(), np.frombuffer(b"
            for frame in ("s z dz", "r y dy")}    # of an outcome without a sweep: shared, read-only
 
 
-# scipy is imported by the first call that needs it: scipy.integrate to sweep a
-# log family, scipy.special (in ``_bessel`` and ``_phase_at``) to sweep cells
+# scipy.special is imported by the first call that needs it (``_bessel``, ``_phase_at``)
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp."""
+    """scipy.integrate.solve_ivp, uncalled: the name bench/spans.py patches (ROADMAP item 5)."""
     from scipy import integrate
     return integrate.solve_ivp(*args, **kwargs)
 
@@ -140,6 +140,7 @@ class ShootingOutcome:
     span: Optional[tuple] = None          # (lo, hi): the range of s swept
     mass: Optional[float] = None          # a cell sweep's integral of g z^2 ds, recessive to r = 0
     c_mass: Optional[float] = None        # its integral of a z^2 ds, c mass, formed without 1/c
+    zero_bracket: Optional[tuple] = None  # (lo, hi): an Euler sweep's s certified to hold zero_s
 
     @cached_property
     def trajectory(self) -> dict:
@@ -156,10 +157,6 @@ def _vanishes(prob: HardyODEProblem) -> bool:
     return prob.c == 0.0 or prob.potential.tail is VANISHING
 
 
-# ---------------------------------------------------------------------------
-# DOP853 sweeps of the log families, in the Liouville variable
-# ---------------------------------------------------------------------------
-
 def _line(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
     """The sweep where a = 0: the line z = z0 + z0' (s - s_from), up to its
     zero if it crosses 0 inside the sweep."""
@@ -171,71 +168,11 @@ def _line(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
     def dense(s):
         return np.array([z0 + dz0 * (np.asarray(s) - s_from), np.full(np.shape(s), dz0)])
 
-    return t, zero_t, None if zero_t is None else dz0, dense, None
-
-
-def _liouville_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
-    """Sweep a log family from s_from to s_to in tau = ln(s - s0), s0 = (outer
-    edge) - 1, by one solve_ivp call; the first sign change ends it at the
-    terminal event, whose root is already refined on the dense output.
-
-    With sigma = s - s0 = e^tau and z = w e^((tau - tau_start)/2), the
-    equation z'' + a z = 0 is exactly w_tt + (a sigma^2 - 1/4) w = 0, whose
-    coefficient tends to the constant c A - 1/4 at the horizon: steps grow
-    with s, so the sweep costs little at any horizon.  No sigma^2 is formed:
-    a sigma^2 = c G(ln(sigma + delta)) (sigma / (sigma + delta))^2, with
-    G = ``euler_gamma`` and sigma + delta = s - ``euler_shift_hint``.
-    """
-    z0, dz0 = float(state0[0]), float(state0[1])
-    lo, hi = sorted((s_from, s_to))
-    c, tail = prob.c, prob.potential.tail
-    gamma, s0 = tail.gamma, outer_edge(prob.R) - 1.0
-    delta = s0 - tail.s0
-    sigma0 = s_from - s0
-    tau0 = math.log(sigma0)
-
-    def rhs(tau, u):
-        sigma = math.exp(tau)
-        ratio = sigma / (sigma + delta)
-        return (u[1], (0.25 - c * gamma(math.log(sigma + delta)) * ratio * ratio) * u[0])
-
-    def zero_event(tau, u):
-        return u[0]
-    zero_event.terminal = True
-    zero_event.direction = 0.0
-
-    sol = solve_ivp(rhs, (tau0, math.log(s_to - s0)), (z0, sigma0 * dz0 - 0.5 * z0),
-                    method="DOP853", rtol=_RTOL, atol=_ATOL, dense_output=True,
-                    events=[zero_event])
-    if sol.status == -1:
-        last = s0 + math.exp(sol.t[-1]) if sol.t.size else s_from
-        raise StepSizeUnderflow(f"integrator stalled at abscissa {last}: {sol.message}", last)
-
-    def to_s(tau):    # s0 + sigma is only as exact as s0: clipped into the swept range
-        return np.clip(s0 + np.exp(tau), lo, hi)
-
-    def to_z(tau, u):    # (z, dz/ds) from (w, w_t)
-        sigma, gain = np.exp(tau), np.exp(0.5 * (tau - tau0))
-        return gain * u[0], gain * (u[1] + 0.5 * u[0]) / sigma
-
-    s = to_s(sol.t)    # the steps; their states are the dense output's
-    s[0] = s_from
-    zero_t = zero_dz = None
-    if sol.t_events[0].size:
-        tau = sol.t_events[0][0]
-        zero_t, zero_dz = float(to_s(tau)), float(to_z(tau, sol.y_events[0][0])[1])
-    else:
-        s[-1] = s_to
-
-    def dense(s):
-        tau = np.log(np.asarray(s) - s0)
-        return np.array(to_z(tau, sol.sol(tau)))
-
-    return s, zero_t, zero_dz, dense, None
+    return t, zero_t, None if zero_t is None else dz0, dense, None, None
 
 
 # ---------------------------------------------------------------------------
-# Exact cell sweeps of the log-log linear kinds
+# Exact cell sweeps: the log-log linear kinds' cells, the log families' Euler cells
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -398,6 +335,28 @@ def _transfer(a: tuple, b: tuple) -> tuple[np.ndarray, ...]:
             (b21 * a22 - b22 * a21) / norm, (b22 * a11 - b21 * a12) / norm)
 
 
+def _carry(transfer: tuple, state0) -> tuple[np.ndarray, np.ndarray]:
+    """The states (z, z'): state0, then each segment's end, carried by its transfer matrix."""
+    zi, dzi = float(state0[0]), float(state0[1])
+    z, dz = [zi], [dzi]
+    for t11, t12, t21, t22 in zip(*(t.tolist() for t in transfer)):
+        zi, dzi = t11 * zi + t12 * dzi, t21 * zi + t22 * dzi
+        z.append(zi)
+        dz.append(dzi)
+    return np.array(z), np.array(dz)
+
+
+def _zero_targets(A, B, omega, theta_u, theta_w) -> tuple[np.ndarray, np.ndarray]:
+    """Where A f1 + B f2 = (modulus) cos(phase - phi), phi = atan2(B, omega A), vanishes first
+    along the sweep: its target phase, and whether the phase from theta_u to theta_w reaches it."""
+    phi = np.arctan2(B, omega * A)
+    up = theta_w > theta_u
+    turns = (theta_u - phi - 0.5 * math.pi) / math.pi
+    target = phi + 0.5 * math.pi + math.pi * np.where(up, np.floor(turns) + 1.0,
+                                                     np.ceil(turns) - 1.0)
+    return target, np.where(up, target <= theta_w, target >= theta_w) & (theta_w != theta_u)
+
+
 def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
     """Sweep a log-log linear kind exactly: carry the state across the
     segments by their transfer matrices, find the first segment whose exact
@@ -408,26 +367,10 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
     n = seg.u.size
     both = _fundamental(seg, np.tile(np.arange(n), 2), np.concatenate([seg.u, seg.w]))
     a, b = tuple(f[:n] for f in both), tuple(f[n:] for f in both)    # at u and at w
-    zi, dzi = float(state0[0]), float(state0[1])
-    z, dz = [zi], [dzi]
-    for t11, t12, t21, t22 in zip(*(t.tolist() for t in _transfer(a, b))):
-        zi, dzi = t11 * zi + t12 * dzi, t21 * zi + t22 * dzi
-        z.append(zi)
-        dz.append(dzi)
-    z, dz = np.array(z), np.array(dz)    # the states at each u, then at the last w
+    z, dz = _carry(_transfer(a, b), state0)    # the states at each u, then at the last w
     det = a[0] * a[3] - a[1] * a[2]
     A, B = (a[3] * z[:-1] - a[1] * dz[:-1]) / det, (a[0] * dz[:-1] - a[2] * z[:-1]) / det
-
-    # the exact solution is (modulus) cos(phase - phi): its zeros sit at
-    # phase = phi + pi/2 (mod pi), first the one next to the entry along the
-    # sweep
-    theta_u, theta_w = a[4], b[4]
-    phi = np.arctan2(B, np.where(seg.bessel, A, seg.omega * A))
-    up = theta_w > theta_u
-    turns = (theta_u - phi - 0.5 * math.pi) / math.pi
-    target = phi + 0.5 * math.pi + math.pi * np.where(up, np.floor(turns) + 1.0,
-                                                     np.ceil(turns) - 1.0)
-    hit = np.where(up, target <= theta_w, target >= theta_w) & (theta_w != theta_u)
+    target, hit = _zero_targets(A, B, np.where(seg.bessel, 1.0, seg.omega), a[4], b[4])
 
     zero_t = None
     if hit.any():
@@ -472,7 +415,7 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
     t = t[np.append(True, np.diff(t) != 0.0)]
     zero_dz = None if zero_t is None else float(dense(zero_t)[1])
     z[n], dz[n], s_end = (z[n], dz[n], seg.w[n - 1]) if zero_t is None else (0.0, zero_dz, zero_t)
-    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, s_end)
+    return t, zero_t, zero_dz, dense, sign * _mass(seg, n, z, dz, s_end), None
 
 
 def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, s_end: float) -> float:
@@ -489,6 +432,72 @@ def _mass(seg: _Segments, n: int, z: np.ndarray, dz: np.ndarray, s_end: float) -
         e_w = np.exp(log_a + q * h) * z_w * z_w + dz_w * dz_w
         return float(np.sum(np.where(flat, 0.5 * (h * e_u - z_w * dz_w + z_u * dz_u),
                                      (e_w - e_u) / np.where(flat, 1.0, q))))
+
+
+def _euler_law(k2: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The solutions C, S of w'' + k2 w = 0 with C = S' = 1, S = C' = 0 at t = 0, their
+    phase atan2(nu S, C), odd and monotone, and nu = sqrt|k2| (1 at k2 = 0): cos, sin / nu
+    and phase nu t where k2 > 0; cosh, sinh / nu where k2 < 0; 1, t where k2 = 0."""
+    osc, flat = k2 > 0.0, k2 == 0.0
+    nu = np.where(flat, 1.0, np.sqrt(np.abs(k2)))
+    x, hyp = nu * t, np.where(k2 < 0.0, nu * t, 0.0)
+    S = np.where(flat, t, np.where(osc, np.sin(x), np.sinh(hyp)) / nu)
+    C = np.where(osc, np.cos(x), np.cosh(hyp))
+    return C, S, np.where(osc, x, np.arctan2(nu * S, C)), nu
+
+
+def _euler_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
+    """Sweep a log family on Euler cells: in tau = ln(s - s0), s0 its Euler shift,
+    z = e^(tau/2) w and w'' + (c G - 1/4) w = 0, G = ``EulerTail.gamma`` non-increasing
+    (Facts 1, 2).  On _EULER_CELLS cells graded from the outer edge's end (one at
+    m = 1, G = A), three laws hold G at each cell's left end, right end or midpoint.
+    By Sturm comparison (Hartman, Ch. XI) the end laws' first zeros bracket the true
+    one and the midpoint law's, reported with the bracket: a zero only where every
+    law vanishes, none only where none does, else IndeterminateAtHorizon."""
+    tail, c = prob.potential.tail, prob.c
+    tau0, tau1 = math.log(s_from - tail.s0), math.log(s_to - tail.s0)
+    n = 1 if tail.m == 1 else _EULER_CELLS
+    grade = np.expm1(np.linspace(0.0, math.log1p(abs(tau1 - tau0) / _EULER_GRADING), n + 1))
+    tau = min(tau0, tau1) + _EULER_GRADING * (grade if tau1 > tau0 else grade[::-1])
+    tau[0], tau[-1] = tau0, tau1
+    g = tail.gamma(np.append(tau, 0.5 * (tau[:-1] + tau[1:])))    # at the ends, then the midpoints
+    if not c * float(np.max(g)) <= HUGE:
+        raise DomainError(f"c G = {c} x {np.max(g)} on a log family's Euler cells overflows")
+    starts = tail.s0 + np.exp(tau)    # the cells' starts in s; (w, w') at s_from, where w = z
+    starts[0], w0 = s_from, (state0[0], (s_from - tail.s0) * state0[1] - 0.5 * state0[0])
+    laws, lo, hi, sign = [], min(s_from, s_to), max(s_from, s_to), math.copysign(1.0, tau1 - tau0)
+    for G in (np.maximum(g[:n], g[1:n + 1]), np.minimum(g[:n], g[1:n + 1]), g[n + 1:]):
+        C, S, theta, nu = _euler_law(k2 := c * G - 0.25, np.diff(tau))
+        w, dw = _carry((C, S, -k2 * S, C), w0)
+        target, hit = _zero_targets(w[:-1], dw[:-1], nu, 0.0, theta)
+        k, t, zero = int(np.argmax(hit)), None, None
+        if hit[k]:    # the phase inverted in cell k: nu t, tan t or atan(tanh(nu t))
+            phase, rate = float(target[k]), float(nu[k])
+            t = phase / rate if k2[k] > 0.0 else math.tan(phase) if k2[k] == 0.0 else \
+                math.atanh(math.tan(phase)) / rate
+            zero = min(max(starts[k] + (starts[k] - tail.s0) * math.expm1(t), lo), hi)
+        laws.append((k2, w, dw, k, t, zero))
+    if len({law[4] is None for law in laws}) > 1:
+        raise IndeterminateAtHorizon(f"c = {c}: the Euler end laws disagree on a zero by s = {s_to}", c)
+    k2, w, dw, k, t, zero = laws[2]
+
+    def at(j, t, sigma):    # (z, dz/ds) of the midpoint law t into cell j, at sigma = s - s0
+        C, S, _, _ = _euler_law(k2[j], t)
+        wt, gain = C * w[j] + S * dw[j], np.exp(0.5 * (tau[j] + t - tau0))
+        return np.array([gain * wt, gain * (0.5 * wt + C * dw[j] - k2[j] * S * w[j]) / sigma])
+
+    def dense(s):
+        sigma = np.atleast_1d(np.asarray(s, dtype=float)) - tail.s0
+        j = np.searchsorted(sign * tau[1:-1], sign * np.log(sigma), side="right")
+        out = at(j, np.log(sigma) - tau[j], sigma)
+        return out if np.ndim(s) else out[:, 0]
+
+    bracket = None if t is None else tuple(sorted(law[5] for law in laws[:2]))
+    zero = None if t is None else min(max(zero, bracket[0]), bracket[1])
+    inner = tail.s0 + np.exp(np.linspace(tau0, tau1 if t is None else tau[k] + t, _EULER_SAMPLES)[1:-1])
+    samples = np.concatenate([[s_from], inner, [s_to] if t is None else []])
+    return (samples[np.append(True, np.diff(samples) != 0.0)], zero,
+            None if t is None else float(at(k, t, zero - tail.s0)[1]), dense, None, bracket)
 
 
 # ---------------------------------------------------------------------------
@@ -577,17 +586,17 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     """Integrate z'' + a(s) z = 0 from s_from to s_to.
 
     As the line through the start state where a = 0 (``_vanishes``); else
-    exactly, cell by cell, for the log-log linear kinds and by DOP853 in the
-    Liouville variable for the log families, each of which returns its
-    samples, first zero and slope there, dense output and mass (a cell
-    sweep's alone): the end row and the rows (the samples before the zero,
-    then the row z = 0 with that slope, sorted by s) are read off it.
+    exactly, cell by cell, for the log-log linear kinds and on Euler cells
+    for the log families, each of which returns its samples, first zero and
+    slope there, dense output, mass (a cell sweep's alone) and zero bracket
+    (an Euler sweep's alone): the end row and the rows (the samples before
+    the zero, then the row z = 0 with that slope, sorted by s) are read off it.
     Without a zero, a sweep toward the outer edge (decreasing s) has covered
     its interval; outward, it has only reached its horizon.
     """
-    engine = (_line if _vanishes(prob) else _liouville_sweep
+    engine = (_line if _vanishes(prob) else _euler_sweep
               if isinstance(prob.potential.tail, EulerTail) else _cell_sweep)
-    t, zero_t, zero_dz, run, c_mass = engine(prob, s_from, s_to, state0)
+    t, zero_t, zero_dz, run, c_mass, bracket = engine(prob, s_from, s_to, state0)
     to_edge = s_to < s_from    # toward the outer edge r = R
     if zero_t is None:    # the last sample, s_to
         status = Status.NO_ZERO_ON_INTERVAL if to_edge else Status.HORIZON_REACHED
@@ -610,7 +619,8 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
 
     return ShootingOutcome(rows, zero_t, status, certificate=certificate, dense=dense,
                            end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi),
-                           mass=None if c_mass is None else c_mass / prob.c, c_mass=c_mass)
+                           mass=None if c_mass is None else c_mass / prob.c, c_mass=c_mass,
+                           zero_bracket=bracket)
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:

@@ -401,9 +401,6 @@ class SmoothFn:
     deriv: Callable[[float], float]
     deriv2: Optional[Callable[[float], float]] = None
 
-    def __call__(self, r: float) -> float:
-        return self.value(r)
-
 
 @dataclass(frozen=True)
 class PoincareResult:

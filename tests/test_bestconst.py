@@ -143,10 +143,10 @@ def test_amplitude_zero_log_family_has_no_upper_bracket(family, s_max, monkeypat
     # closed_form_multiplier raises UnsupportedPotential at A = 0, so the
     # closed form certifies nothing there: every probe is the principal
     # tail, the line z = 1 (61 DOP853 sweeps once), and all are feasible up
-    # to the doubling cap
+    # to the doubling cap, with no Euler-cell sweep
     import hardy_optim.ode as ode_mod
-    ivp = _Counter(ode_mod.solve_ivp)
-    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    ivp = _Counter(ode_mod._euler_sweep)
+    monkeypatch.setattr(ode_mod, "_euler_sweep", ivp)
     p = getattr(RadialPotential, family)(1, amplitude=0.0)
     assert feasible(p, 1.0, 1.0, s_max).method == "principal-tail"
     with pytest.raises(NoUpperBracket):
@@ -164,8 +164,8 @@ def test_no_feasible_verdict_just_above_the_sharp_threshold(family, amplitude, f
     # certificate there, and the principal tail answered feasible.  Now the
     # answer is undecided, without a sweep
     import hardy_optim.ode as ode_mod
-    ivp = _Counter(ode_mod.solve_ivp)
-    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    ivp = _Counter(ode_mod._euler_sweep)
+    monkeypatch.setattr(ode_mod, "_euler_sweep", ivp)
     p = getattr(RadialPotential, family)(1, amplitude=amplitude)
     with pytest.raises(IndeterminateAtHorizon):
         feasible(p, 0.25 / amplitude * (1.0 + f), 1.0, s_max)
@@ -214,7 +214,7 @@ def test_tables_near_sigma_two_bracket_the_closed_form(n, alpha, s_max):
 
 def _assert_certified_bracket(p, R, res, s_max):
     assert res.converged and res.band is None
-    assert res.c_lo < res.c_best < res.c_hi
+    assert res.c_lo < res.c_best < res.c_hi or res.c_best == res.c_lo == 0.0   # c(V) = 0
     assert res.c_hi - res.c_lo <= 0.5 * res.tolerance * max(1.0, res.c_best)
     assert feasible(p, res.c_lo, R, s_max).feasible
     assert not feasible(p, res.c_hi, R, s_max).feasible
@@ -548,8 +548,8 @@ def test_log_best_constant_answers_c_zero_without_solve_ivp(family, s_max, monke
     # took one DOP853 principal tail at c_non)
     import hardy_optim.bestconst as bestconst_mod
     import hardy_optim.ode as ode_mod
-    ivp = _Counter(ode_mod.solve_ivp)
-    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    ivp = _Counter(ode_mod._euler_sweep)
+    monkeypatch.setattr(ode_mod, "_euler_sweep", ivp)
     methods = {}
 
     def counted(p, c, *args, **kwargs):
@@ -612,6 +612,18 @@ def test_zero_best_constant_takes_two_probes(p, s_max):
     assert res.iterations == 2
     assert res.c_lo == 0.0
     _assert_certified_bracket(p, 1.0, res, s_max)
+
+
+@pytest.mark.parametrize("p", [RadialPotential.power_law(2.0), RadialPotential.power_law(2.5),
+                               RadialPotential.custom(_STEEP, _STEEP ** -2.2)],
+                         ids=["alpha-2", "alpha-2.5", "table-r^-2.2"])
+def test_zero_best_constant_is_its_feasible_end(p, s_max):
+    # c(V) = 0 on a rising cell, bracketed by [0, 2^-1022]: c_best was that
+    # bracket's midpoint, 1.1125369292536007e-308, a multiplier certified
+    # infeasible like every c > 0
+    res = best_constant(p, 1.0, s_max=s_max)
+    assert res.converged and res.bracket == (0.0, 2.0 ** -1022)
+    assert res.c_best == 0.0
 
 
 @pytest.mark.parametrize("p", [RadialPotential.power_law(2.0), RadialPotential.power_law(2.5),
@@ -1199,8 +1211,8 @@ def test_closed_form_lower_end_agrees_with_the_sweep(family, m, amplitude, R, mo
         cert = TailCertificate("nonoscillatory", c * gamma, shift, (s_max, math.inf))
         out = integrate_principal_tail(prob, cert)
         assert out.status is Status.NO_ZERO_ON_INTERVAL and out.first_zero is None
-    ivp = _Counter(ode_mod.solve_ivp)
-    monkeypatch.setattr(ode_mod, "solve_ivp", ivp)
+    ivp = _Counter(ode_mod._euler_sweep)
+    monkeypatch.setattr(ode_mod, "_euler_sweep", ivp)
     for s_max in horizons:
         res = best_constant(p, R, s_max=s_max)
         assert res.c_lo == res.c_best and res.iterations <= 5

@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -298,6 +297,23 @@ def test_trace_reports_a_zero_beyond_float_radii(tmp_path, capsys):
     assert rec["status"] == "ZeroFound" and float(rec["first_zero"]) == 0.0
     shot = integrate(log_problem(RadialPotential.adimurthi_log(3, amplitude=0.05), 0.2, 1.0))
     assert float(rec["zero_s"]) == shot.zero_s > 745.0
+
+
+def test_trace_of_a_log_family_prints_its_certified_bracket(tmp_path, capsys):
+    # at amplitude 1e200 DOP853 ended in [error] StepSizeUnderflow (exit 1)
+    # with three RuntimeWarnings; the Euler cells give the zero and the
+    # bracket their end laws certify, and a cell kind prints no bracket
+    for potential, c in (({"kind": "adimurthi_log", "m": "2", "amplitude": "1e200"}, "0.2"),
+                         ({"kind": "adimurthi_log", "m": "2"}, "0.3"), ({"kind": "constant"}, "8")):
+        cfg = _write_config(tmp_path, potential=potential)
+        code, out = _run(capsys, "trace", "--c", c, "--config", cfg,
+                         "--out", str(tmp_path / "t.csv"))
+        rec = parse_record(out)
+        assert code == 0 and rec["status"] == "ZeroFound"
+        if potential["kind"] == "constant":
+            assert "zero_s_lo" not in rec and "zero_s_hi" not in rec
+        else:
+            assert float(rec["zero_s_lo"]) <= float(rec["zero_s"]) <= float(rec["zero_s_hi"])
 
 
 @pytest.mark.parametrize("table", [False, True], ids=["power-1.999", "table-r^-1.999"])
@@ -724,9 +740,9 @@ _CONTRACT_AMPLITUDES = ("1e-300", "1e-200", "1e-100", "1e-30", "1", "1e30", "1e1
 def test_every_subcommand_answers_with_a_record_at_every_amplitude(kind, tmp_path, capsys):
     # no exception escapes cli.main: each call ends in an exit code and a
     # [result] or [error] record, from amplitude 1e-300 to 1e305.  Numpy's
-    # RuntimeWarnings are printed, as by the console script, not raised: the
-    # DOP853 sweep of a log family warns from c A ~ 1e150 on (CHANGES.md)
-    warnings.simplefilter("default", RuntimeWarning)
+    # RuntimeWarnings are raised (the suite's filter), so a warning escapes
+    # too; they were printed while DOP853 swept the log families, which
+    # warned from c A ~ 1e150 on
     escaped = []
     for amplitude in _CONTRACT_AMPLITUDES:
         cfg = _write_config(tmp_path, potential={**_CONTRACT_KINDS[kind], "amplitude": amplitude},

@@ -31,6 +31,18 @@ def test_borderline_subcommands_load_no_scipy(tmp_path):
     assert loaded == []
 
 
+def test_log_family_trace_loads_no_scipy(tmp_path):
+    # the Euler cells are numpy alone: DOP853 loaded scipy.integrate, and with
+    # it linalg, optimize, sparse, spatial, special and fft (a cold trace took
+    # about 1 s, against 0.3 s for feasible on the same config)
+    runs = [(_LOG_2, ["trace", "--c", "0.35"]),
+            ({"kind": "filippas_tertikas_x", "m": "3", "amplitude": "1e200"},
+             ["trace", "--c", "0.2", "--out", str(tmp_path / "t.csv")])]
+    _, codes, loaded = fresh_run(runs, tmp_path)
+    assert codes == [0, 0] and (tmp_path / "trajectory.csv").exists()
+    assert loaded == []
+
+
 def test_single_cell_subcommands_load_no_scipy(tmp_path):
     # a constant or a power law is decided by x(R) against z0: no cell sweep,
     # which loaded scipy.special for every probe's Bessel functions

@@ -3,6 +3,7 @@ the record round trip and the README's example config."""
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +97,14 @@ _SPECIAL = st.sampled_from(["100%", "a: b", "x = y", "; z", "# w", "1e6%", "%(r)
        st.sampled_from(["result", "error"]))
 def test_parse_record_inverts_format_record(record, section):
     assert parse_record(format_record(record, section)) == record
+
+
+def test_format_record_renders_numpy_scalars_by_value():
+    # numpy scalars are not the builtin types of the renderer's table: a float
+    # still takes 17 digits, an integer its digits, anything else its str
+    text = format_record({"x": np.float64(0.1), "f": np.float32(0.5), "n": np.int64(-3),
+                          "pair": (1, 2)})
+    assert text == "[result]\nx = 0.10000000000000001\nf = 0.5\nn = -3\npair = (1, 2)\n"
 
 
 @pytest.mark.parametrize("text", ["[result]\nx = 1\n[error]\ny = 2\n", "# none\n"],

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import sys
+import timeit
 import warnings
 
 import numpy as np
@@ -10,8 +12,8 @@ from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status, TailC
                          best_constant, euler_tail_certificate, feasible, integrate,
                          integrate_principal_tail, log_problem, radius_problem, residual,
                          riccati_check, to_log_domain)
-from hardy_optim.errors import (DomainError, GridTooCoarse, NonPositiveTrajectory,
-                                StepSizeUnderflow, UnsupportedSingularity)
+from hardy_optim.errors import (DomainError, GridTooCoarse, IndeterminateAtHorizon,
+                                NonPositiveTrajectory, UnsupportedSingularity)
 from hardy_optim.ode import _fundamental, _segments, _transfer
 
 from conftest import Z0, power_law_zero
@@ -125,14 +127,14 @@ def test_vanishing_sweep_with_a_slope_is_the_exact_line(p, shift, monkeypatch):
     # a non-oscillatory certificate with gamma > 0, built by hand on an a = 0
     # problem, seeds the principal tail with z' > 0: the sweep is the line
     # z = 1 + z'(s - s_top), ending at its zero if it crosses 0; it once ran a
-    # cell sweep (a cell model of a = 0) or solve_ivp
+    # cell sweep (a cell model of a = 0) or DOP853
     import hardy_optim.ode as ode_mod
 
     def no_sweep(*args, **kwargs):
         raise AssertionError("a vanishing coefficient was swept")
 
     monkeypatch.setattr(ode_mod, "_cell_sweep", no_sweep)
-    monkeypatch.setattr(ode_mod, "solve_ivp", no_sweep)
+    monkeypatch.setattr(ode_mod, "_euler_sweep", no_sweep)
     prob = log_problem(p, 1.0, 1.0, s_max=10.0)
     cert = TailCertificate("nonoscillatory", 0.25, shift, (10.0, math.inf))
     out = integrate_principal_tail(prob, cert)
@@ -458,10 +460,10 @@ def test_certificate_nonoscillatory_only_where_a_vanishes(adimurthi_1):
 def test_vanishing_coefficient_is_swept_as_the_line(monkeypatch):
     # a = 0 at c > 0 (amplitude 0) is the line z = 1 for every kind: the
     # recessive shot, the outer-edge shot and the principal tail, with no
-    # cell sweep and no solve_ivp call (the log families took DOP853)
+    # cell sweep and no Euler-cell sweep (the log families once took DOP853)
     import hardy_optim.ode as ode_mod
     calls = []
-    for name in ("solve_ivp", "_cell_sweep"):
+    for name in ("_euler_sweep", "_cell_sweep"):
         real = getattr(ode_mod, name)
         monkeypatch.setattr(ode_mod, name,
                             lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
@@ -798,7 +800,7 @@ def test_riccati_rejects_a_zero_at_the_start():
 
 def _dense_cases():
     """Sweeps of every engine and frame: cells in the log and the radius
-    frame, DOP853 outward (to a zero) and back from the horizon, the line."""
+    frame, Euler cells outward (to a zero) and back from the horizon, the line."""
     cells = RadialPotential.custom([0.01, 0.1, 1.0], [30.0, 3.0, 2.0])
     yield integrate(log_problem(cells, 0.05, 1.0, s_max=8.0))
     yield integrate(radius_problem(RadialPotential.power_law(1.5), 6.0, 1.0))
@@ -845,7 +847,7 @@ def test_end_row_is_where_the_view_stops_and_span_its_range_of_s():
 
 def test_log_rows_are_the_dense_output_at_the_samples():
     # every row but an exact zero's is the dense output at its abscissa, bit
-    # for bit: DOP853's at its own steps, a cell sweep's knots on the
+    # for bit: an Euler sweep's uniform in tau, a cell sweep's knots on the
     # segment they start
     for out in _dense_cases():
         if "s" not in out.trajectory:
@@ -937,20 +939,15 @@ def test_residual_grid_too_coarse():
 
 
 # ---------------------------------------------------------------------------
-# DOP853 sweeps of the log families: bounded states, cost and stall reporting
+# Euler-cell sweeps of the log families: bounded states, cost and brackets
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
-def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
+def test_log_family_sweeps_stay_bounded(family, m):
     # g is positive and decreasing, and every sweep starts at z = 1, not
     # rising along the sweep, and ends at its first zero: so z <= 1 and
-    # |z'| <= sqrt(z'(start)^2 + c g(outer edge)), far from overflow, and
-    # each sweep is one solve_ivp call
-    import hardy_optim.ode as ode_mod
-    calls = []
-    real = ode_mod.solve_ivp
-    monkeypatch.setattr(ode_mod, "solve_ivp", lambda *a, **k: calls.append(1) or real(*a, **k))
+    # |z'| <= sqrt(z'(start)^2 + c g(outer edge)), far from overflow
     for amplitude in (0.05, 1.0, 20.0):
         p = getattr(RadialPotential, family)(m, amplitude=amplitude)
         g = p.log_weight(np.geomspace(1e-9, 1e6, 4000))
@@ -969,32 +966,93 @@ def test_log_family_sweeps_stay_bounded(family, m, monkeypatch):
             assert np.all((z if out.first_zero is None else np.delete(z, end)) > 0.0)
             bound = math.sqrt(dz[start] ** 2 + prob.c * float(p.log_weight(0.0)))
             assert np.max(np.abs(dz)) <= bound * (1.0 + 1e-9)
-    assert len(calls) == 12
 
 
-@pytest.mark.parametrize("s_max, budget", [(1e6, 700), (1e150, 1500)])
-def test_principal_tail_rhs_evaluations(s_max, budget, monkeypatch):
-    # swept in tau = ln(s - s0), the principal tail at 1/(4 gamma(s_max)) of
-    # every borderline entry takes a few hundred RHS evaluations at any
-    # horizon; swept in s it
-    # took 1,391-1,931 at s_max = 1e6 and ~19.9k at 1e150
+@pytest.mark.parametrize("s_max", [1e6, 1e150])
+def test_principal_tail_reads_gamma_in_one_call(s_max, monkeypatch):
+    # the principal tail at 1/(4 gamma(s_max)) of every borderline entry reads
+    # G at its cells' ends and midpoints in one array EulerTail.gamma call,
+    # at any horizon: one cell at m = 1, _EULER_CELLS past it (DOP853 took a
+    # few hundred scalar right-hand sides; swept in s, 1,391-19.9k)
     import hardy_optim.ode as ode_mod
-    nfev = []
-    real = ode_mod.solve_ivp
-
-    def counted(*args, **kwargs):
-        sol = real(*args, **kwargs)
-        nfev.append(sol.nfev)
-        return sol
-
-    monkeypatch.setattr(ode_mod, "solve_ivp", counted)
+    from hardy_optim.potentials import EulerTail
+    shapes = []
+    gamma = EulerTail.gamma
+    monkeypatch.setattr(EulerTail, "gamma",
+                        lambda self, tau: shapes.append(np.shape(tau)) or gamma(self, tau))
     for family in ("adimurthi_log", "filippas_tertikas"):
         for m in (1, 2, 3):
             p = getattr(RadialPotential, family)(m)
-            gamma = p.tail.edge(1.0, s_max)[1][0]
-            nfev.clear()
-            _principal_tail(p, 0.25 / gamma, s_max=s_max)
-            assert len(nfev) == 1 and nfev[0] <= budget, (family, m, nfev)
+            edge = p.tail.edge(1.0, s_max)
+            shapes.clear()
+            _, out = _principal_tail(p, 0.25 / edge[1][0], s_max=s_max, edge=edge)
+            cells = 1 if m == 1 else ode_mod._EULER_CELLS
+            assert out.status is Status.NO_ZERO_ON_INTERVAL
+            assert shapes == [(2 * cells + 1,)], (family, m, shapes)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_zero(family, m, c):
+    """First zero in s of the outer-edge shot z'' + c g(s) z = 0, z = 1,
+    z' = 0 at s = 1e-9 (R = 1), by DOP853 at rtol 1e-12 on g itself."""
+    from scipy.integrate import solve_ivp
+    p = getattr(RadialPotential, family)(m)
+
+    def crossing(s, u):
+        return u[0]
+    crossing.terminal = True
+    sol = solve_ivp(lambda s, u: (u[1], -c * float(p.log_weight(s)) * u[0]), (1e-9, 1e3),
+                    (1.0, 0.0), method="DOP853", rtol=1e-12, atol=1e-15, events=crossing)
+    return float(sol.t_events[0][0])
+
+
+_M1_ZEROS = {0.3: 5.558006844672, 0.35: 4.949714393964, 1.0: 2.350801520790}
+
+
+@pytest.mark.parametrize("s_max", [1e6, 1e300])
+@pytest.mark.parametrize("c", [0.3, 0.35, 1.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
+def test_euler_sweep_brackets_the_first_zero(family, m, c, s_max):
+    # G does not rise, so the laws at each cell's left and right end bracket
+    # the first zero (Sturm comparison), to 1e-3 relative, and the midpoint
+    # law's zero, the one reported, lies between, within 1e-5 of DOP853's; at
+    # m = 1 (G = A = 1) all are s0 + sigma_e exp(atan(2 w) / w), w = sqrt(c -
+    # 1/4), sigma_e = 1 + 1e-9 (DOP853 had them to ~1e-11)
+    prob = log_problem(getattr(RadialPotential, family)(m), c, 1.0, s_max=s_max)
+    out = integrate(prob)
+    ref = _reference_zero(family, m, c)
+    lo, hi = out.zero_bracket
+    assert out.status is Status.ZERO_FOUND
+    assert lo * (1.0 - 1e-12) <= ref <= hi * (1.0 + 1e-12)
+    assert hi - lo <= 1e-3 * ref and lo <= out.zero_s <= hi
+    assert out.zero_s == pytest.approx(ref, rel=1e-5)
+    if m == 1:
+        assert lo == out.zero_s == hi == pytest.approx(_M1_ZEROS[c], abs=1e-12)
+    assert min(timeit.repeat(lambda: integrate(prob), number=1, repeat=5)) <= 10e-3
+
+
+def test_euler_sweep_between_the_end_laws_is_undecided():
+    # a horizon between the end laws' zeros: the left-end law vanishes before
+    # it, the right-end law does not, so neither status is certified
+    p = RadialPotential.adimurthi_log(2)
+    lo, hi = integrate(log_problem(p, 0.3, 1.0, s_max=20.0)).zero_bracket
+    assert integrate(log_problem(p, 0.3, 1.0, s_max=hi * (1.0 + 1e-3))).status is \
+        Status.ZERO_FOUND
+    assert integrate(log_problem(p, 0.3, 1.0, s_max=lo * (1.0 - 1e-3))).status is \
+        Status.HORIZON_REACHED
+    with pytest.raises(IndeterminateAtHorizon) as err:
+        integrate(log_problem(p, 0.3, 1.0, s_max=0.5 * (lo + hi)))
+    assert err.value.multiplier == 0.3
+
+
+def test_euler_sweep_past_the_largest_double_is_a_domain_error():
+    # c G = 1e300 x 2e10 overflows: its cells' laws read cos(inf) (nan, with
+    # RuntimeWarnings), where DOP853 ended in StepSizeUnderflow
+    p = RadialPotential.adimurthi_log(2, amplitude=1e10)
+    with pytest.raises(DomainError, match="overflows"):
+        integrate(log_problem(p, 1e300, 1.0))
+    assert integrate(log_problem(p, 1e290, 1.0)).status is Status.ZERO_FOUND
 
 
 def test_horizon_is_any_finite_float():
@@ -1024,18 +1082,3 @@ def test_log_family_sweeps_at_the_largest_horizons(family, m, s_max):
     assert gamma >= 1.0 and 0.25 < c_osc < 0.25 * (1.0 + 1e-4)
     assert tail.status is Status.NO_ZERO_ON_INTERVAL and np.all(tail.trajectory["z"] > 0.0)
     assert shot.status is Status.ZERO_FOUND and 1.0 < shot.zero_s < s_max
-
-
-def test_step_size_underflow_mapping(monkeypatch):
-    # a stalled sweep raises with the abscissa the integrator reached, in s:
-    # the integrator steps in tau = ln(s - s0), s0 = (outer edge) - 1
-    class _Stalled:
-        status = -1
-        message = "step too small"
-        t = np.array([0.0, 2.0])
-
-    import hardy_optim.ode as ode_mod
-    monkeypatch.setattr(ode_mod, "solve_ivp", lambda *a, **k: _Stalled())
-    with pytest.raises(StepSizeUnderflow) as err:
-        integrate(log_problem(RadialPotential.adimurthi_log(1), 0.35, 1.0))
-    assert err.value.last_abscissa == pytest.approx(1e-9 - 1.0 + math.exp(2.0), rel=1e-15)
