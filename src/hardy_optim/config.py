@@ -215,7 +215,7 @@ def write_text(path: str, text: str) -> None:
 
 
 def write_trajectory_csv(path: str, outcome, header: str) -> None:
-    """Trajectory CSV, one row per accepted step, increasing abscissa."""
+    """Trajectory CSV, one row per sample, increasing abscissa."""
     cols = np.column_stack([outcome.trajectory[name] for name in header.split(",")])
     write_text(path, header + "\n" + "".join(",".join(f"{val:.17g}" for val in row) + "\n"
                                               for row in cols))

@@ -17,7 +17,7 @@ s_R = ln(1/R), and the bound is exp(-(ln(n omega_n) + ln I) / q), so that
 (c v)^(-q) never has to be a float.  On ``log_cells`` (constants, power
 laws, tables) ln I is exact, from ``log_cell_tails`` as ``classify``'s
 tails; the two log families (an ``EulerTail``) take an exp-sinh double-
-exponential rule (Takahasi and Mori 1974) on ``euler_gamma``.  numpy only.
+exponential rule (Takahasi and Mori 1974) on the tail's ``gamma``.  numpy only.
 """
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     """
     if not 0.0 < p <= 2.0:
         raise InvalidP(f"exponent p must be in (0, 2], got {p}")
-    if c <= 0.0:
+    if not c > 0.0:
         raise DomainError(f"multiplier must be positive, got {c}")
     if n < 3:
         raise DomainError(f"dimension must be >= 3, got {n}")
@@ -84,7 +84,7 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
 
     s_R = -math.log(R)
     if isinstance(tail, EulerTail):
-        log_i = _exp_sinh_log_integral(p_pot, c, q, n, s_R)
+        log_i = _exp_sinh_log_integral(tail, c, q, n, s_R)
     else:
         log_i = -q * math.log(c) + float(
             log_cell_tails(p_pot.log_cells, np.array([s_R]), -q, -(2.0 * q + n))[0])
@@ -96,7 +96,7 @@ def dual_lower_bound(p_pot: RadialPotential, c: float, p: float, n: int,
     return DualBound(p, q, bound, c, divergent=False, potential=p_pot)
 
 
-def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
+def _exp_sinh_log_integral(tail: EulerTail, c: float, q: float, n: int,
                            s_R: float) -> float:
     """ln I for the two log families by the exp-sinh rule in u = lam (s - s_R),
     u = exp(pi/2 sinh t), with the step h halved (h = 1/2, 1/4, ...) until
@@ -104,9 +104,9 @@ def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
     new nodes to the old.  lam = 2q + n - 2q / (s_R - s0) >= n is the decay
     rate at s_R of the m = 1 integrand, (s - s0)^(2q) e^(-(2q+n) s), s0 the
     Euler shift.  ln(c g) is ln c + ln G(tau) - 2 tau at tau = ln(s - s0), G
-    = ``euler_gamma`` >= A, so that no node underflows g.  Raises
+    = ``tail.gamma`` >= A, so that no node underflows g.  Raises
     QuadratureError after _DE_LEVELS levels."""
-    s0 = p_pot.euler_shift_hint()
+    s0 = tail.s0
     lam = 2.0 * q + n - 2.0 * q / (s_R - s0)
 
     def log_terms(t: np.ndarray) -> np.ndarray:
@@ -115,7 +115,7 @@ def _exp_sinh_log_integral(p_pot: RadialPotential, c: float, q: float, n: int,
         du = e + np.log(0.5 * math.pi * np.cosh(t) / lam)
         s_off = np.exp(e) / lam
         tau = np.log(s_R - s0 + s_off)
-        return -q * (math.log(c) + np.log(p_pot.euler_gamma(tau)) - 2.0 * tau) \
+        return -q * (math.log(c) + np.log(tail.gamma(tau)) - 2.0 * tau) \
             - (2.0 * q + n) * s_off + du
 
     h = 0.5

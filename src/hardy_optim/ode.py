@@ -92,7 +92,7 @@ class HardyODEProblem:
     s_max: float = S_MAX_DEFAULT    # outer horizon (log domain): finite, beyond the outer edge
 
     def __post_init__(self):
-        if self.c < 0.0:
+        if not self.c >= 0.0:
             raise DomainError(f"multiplier must be >= 0, got {self.c}")
         self.potential.check_radius(self.R)
         if self.domain is Domain.LOG:
@@ -138,8 +138,7 @@ class ShootingOutcome:
     dense: Optional[Callable] = field(default=None, repr=False, compare=False)
     end: Optional[dict] = None            # column name -> value at the first zero, else at the end
     span: Optional[tuple] = None          # (lo, hi): the range of s swept
-    mass: Optional[float] = None          # a cell sweep's integral of g z^2 ds, recessive to r = 0
-    c_mass: Optional[float] = None        # its integral of a z^2 ds, c mass, formed without 1/c
+    c_mass: Optional[float] = None        # a cell sweep's integral of a z^2 ds, recessive to r = 0
     zero_bracket: Optional[tuple] = None  # (lo, hi): an Euler sweep's s certified to hold zero_s
 
     @cached_property
@@ -520,7 +519,7 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
         if out.c_mass is not None:    # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
             (z, dz), q, g = state0, prob.potential.inner_cell[3], prob.potential.log_weight(s0)
             c_mass = out.c_mass + (prob.c * g * z * z + dz * dz) / -q
-            out = replace(out, mass=c_mass / prob.c, c_mass=c_mass)
+            out = replace(out, c_mass=c_mass)
         return _radius_columns(out)
     return _sweep(prob, outer_edge(prob.R), prob.s_max, (1.0, 0.0))
 
@@ -588,7 +587,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
     As the line through the start state where a = 0 (``_vanishes``); else
     exactly, cell by cell, for the log-log linear kinds and on Euler cells
     for the log families, each of which returns its samples, first zero and
-    slope there, dense output, mass (a cell sweep's alone) and zero bracket
+    slope there, dense output, c mass (a cell sweep's alone) and zero bracket
     (an Euler sweep's alone): the end row and the rows (the samples before
     the zero, then the row z = 0 with that slope, sorted by s) are read off it.
     Without a zero, a sweep toward the outer edge (decreasing s) has covered
@@ -619,8 +618,7 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
 
     return ShootingOutcome(rows, zero_t, status, certificate=certificate, dense=dense,
                            end=dict(zip(("s", "z", "dz"), end)), span=(lo, hi),
-                           mass=None if c_mass is None else c_mass / prob.c, c_mass=c_mass,
-                           zero_bracket=bracket)
+                           c_mass=c_mass, zero_bracket=bracket)
 
 
 def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:

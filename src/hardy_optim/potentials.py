@@ -29,7 +29,8 @@ at multiplier z0^2/R^2.
 The kind of a potential's inner tail is decided once, in floats, by
 ``RadialPotential.tail``: the inner cell, a ``FallingCell`` or a
 ``RisingCell`` by the sign of its slope; a log family's ``EulerTail``; or,
-at amplitude 0 of any kind, the one ``VANISHING``.
+where the model is 0 (a cell kind's ln A = -inf, a log family's A = 0), the
+one ``VANISHING``.
 
 Admissibility classification follows the sign of
 liminf_{r->0} ln(r) * int_0^r s v(s) ds: finite liminf means the potential is
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar, Optional
 
@@ -146,36 +147,63 @@ _BORDERLINE = {Kind.ADIMURTHI_LOG: (0.0, "rho"), Kind.FILIPPAS_TERTIKAS_X: (1.0,
 class RadialPotential:
     """Evaluatable radial coefficient with declared behavior at r = 0.
 
-    Immutable; construct through the classmethod factories which enforce the
-    catalog guards (positivity of every log factor on (0, r_max], d >= r_max
-    for the X family, nonnegative amplitude).
+    Immutable.  Every construction, by a factory, the constructor,
+    ``dataclasses.replace`` or ``scaled``, runs the catalog guards
+    (``__post_init__``): a finite amplitude >= 0, a finite r_max > 0, a
+    finite alpha, and for the log families m >= 1 and an outer scale at
+    least its floor, which keeps every log factor positive on (0, r_max].
+    sigma is read off the model there, never passed in.
     """
 
     kind: Kind
-    amplitude: float = 1.0
+    amplitude: float = 1.0    # unread by a table, whose samples are its model
     r_max: float = 1.0
     alpha: float = 0.0        # power-law exponent
     m: int = 1                # iteration depth of the log families
-    rho: float = math.e       # outer scale of the iterated logs
-    d_scale: float = 1.0      # outer scale of the X functions
-    sigma: float = 0.0        # v ~ A r^(-sigma) at r = 0; a table's is its inner cell's
+    rho: Optional[float] = None        # outer scale of the iterated logs; None: its floor
+    d_scale: Optional[float] = None    # outer scale of the X functions; None: its floor
     table_log_r: Optional[np.ndarray] = field(default=None, repr=False)
     table_log_v: Optional[np.ndarray] = field(default=None, repr=False)
+    sigma: float = field(init=False)    # v ~ A r^(-sigma) at r = 0; a table's is its inner cell's
+
+    def __post_init__(self):
+        """The guards, then sigma: alpha for a power law, 0 for a constant,
+        2 for the log families, a table's first-segment exponent; a log
+        family's outer scale defaults to its floor, r_max times exp^(m)(1)
+        at kappa = 0, r_max at kappa = 1."""
+        if not 0.0 <= self.amplitude < math.inf:
+            raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not 0.0 < self.r_max < math.inf:
+            raise DomainError(f"r_max must be finite and > 0, got {self.r_max}")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
+        if self.kind in _BORDERLINE:
+            if self.m < 1:
+                raise DomainError(f"iteration depth must be >= 1, got {self.m}")
+            kappa, key = _BORDERLINE[self.kind]
+            floor = self.r_max if kappa else self.r_max * exp_tower(self.m)
+            scale = floor if getattr(self, key) is None else getattr(self, key)
+            if not floor * (1.0 - 1e-12) <= scale < math.inf:
+                raise DomainError(f"{key} = {scale} must be finite and >= r_max"
+                                  f"{'' if kappa else f' * exp^({self.m})(1)'} = {floor}")
+            object.__setattr__(self, key, float(scale))
+            sigma = 2.0
+        elif self.kind is Kind.CUSTOM:
+            log_r, log_v = self.table_log_r, self.table_log_v
+            sigma = float((log_v[0] - log_v[1]) / (log_r[1] - log_r[0]))
+        else:
+            sigma = float(self.alpha) if self.kind is Kind.POWER_LAW else 0.0
+        object.__setattr__(self, "sigma", sigma)
 
     # -- factories ----------------------------------------------------------
 
     @classmethod
     def constant(cls, amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
-        cls._check_amp_rmax(amplitude, r_max)
-        return cls(Kind.CONSTANT, amplitude=amplitude, r_max=r_max, sigma=0.0)
+        return cls(Kind.CONSTANT, amplitude=amplitude, r_max=r_max)
 
     @classmethod
     def power_law(cls, alpha: float, amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
-        cls._check_amp_rmax(amplitude, r_max)
-        if not math.isfinite(alpha):
-            raise DomainError(f"alpha must be finite, got {alpha}")
-        return cls(Kind.POWER_LAW, amplitude=amplitude, r_max=r_max,
-                   alpha=float(alpha), sigma=float(alpha))
+        return cls(Kind.POWER_LAW, amplitude=amplitude, r_max=r_max, alpha=float(alpha))
 
     @classmethod
     def adimurthi_log(cls, m: int = 1, rho: Optional[float] = None,
@@ -183,31 +211,15 @@ class RadialPotential:
         """Iterated-log family, the chain at kappa = 0.  rho defaults to, and
         must be at least, r_max times the m-fold exponential tower of 1,
         which keeps every factor log^(i)(rho/r) positive on (0, r_max]."""
-        return cls._borderline(Kind.ADIMURTHI_LOG, m, rho, amplitude, r_max)
+        return cls(Kind.ADIMURTHI_LOG, amplitude=amplitude, r_max=r_max, m=int(m), rho=rho)
 
     @classmethod
     def filippas_tertikas(cls, m: int = 1, d_scale: Optional[float] = None,
                           amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
         """X-function family, the chain at kappa = 1; d defaults to r_max and
         must not be smaller, so r/d stays in (0, 1] where every X_i is defined."""
-        return cls._borderline(Kind.FILIPPAS_TERTIKAS_X, m, d_scale, amplitude, r_max)
-
-    @classmethod
-    def _borderline(cls, kind: Kind, m: int, scale: Optional[float],
-                    amplitude: float, r_max: float) -> "RadialPotential":
-        """A borderline family at outer scale ``scale``, by default and at least
-        its floor: r_max times exp^(m)(1) at kappa = 0, r_max at kappa = 1."""
-        cls._check_amp_rmax(amplitude, r_max)
-        if m < 1:
-            raise DomainError(f"iteration depth must be >= 1, got {m}")
-        kappa, key = _BORDERLINE[kind]
-        floor = r_max if kappa else r_max * exp_tower(m)
-        scale = floor if scale is None else scale
-        if not floor * (1.0 - 1e-12) <= scale < math.inf:
-            raise DomainError(f"{key} = {scale} must be finite and >= r_max"
-                              f"{'' if kappa else f' * exp^({m})(1)'} = {floor}")
-        return cls(kind, amplitude=amplitude, r_max=r_max, m=int(m), sigma=2.0,
-                   **{key: float(scale)})
+        return cls(Kind.FILIPPAS_TERTIKAS_X, amplitude=amplitude, r_max=r_max, m=int(m),
+                   d_scale=d_scale)
 
     @classmethod
     def custom(cls, r: np.ndarray, v: np.ndarray,
@@ -217,7 +229,8 @@ class RadialPotential:
 
         Below r[0] the table is exactly v[0] (r / r[0])^(-sigma), so sigma is
         its inner cell's exponent -(ln v1 - ln v0) / (ln r1 - ln r0), 0 when
-        the first segment is flat.
+        the first segment is flat.  The samples are checked here, before
+        their logarithms are taken.
         """
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -229,19 +242,8 @@ class RadialPotential:
             raise DomainError("custom potential radii must be strictly increasing")
         if np.any(r <= 0.0) or np.any(v <= 0.0):
             raise DomainError("custom potential samples must be strictly positive")
-        r_max = float(r[-1] if r_max is None else r_max)
-        cls._check_amp_rmax(1.0, r_max)    # a table's amplitude is 1
-        log_r, log_v = np.log(r), np.log(v)
-        sigma = float((log_v[0] - log_v[1]) / (log_r[1] - log_r[0]))
-        return cls(Kind.CUSTOM, amplitude=1.0, r_max=r_max,
-                   sigma=sigma, table_log_r=log_r, table_log_v=log_v)
-
-    @staticmethod
-    def _check_amp_rmax(amplitude: float, r_max: float) -> None:
-        if not 0.0 <= amplitude < math.inf:
-            raise DomainError(f"amplitude must be finite and >= 0, got {amplitude}")
-        if not 0.0 < r_max < math.inf:
-            raise DomainError(f"r_max must be finite and > 0, got {r_max}")
+        return cls(Kind.CUSTOM, r_max=float(r[-1] if r_max is None else r_max),
+                   table_log_r=np.log(r), table_log_v=np.log(v))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -311,9 +313,9 @@ class RadialPotential:
         """The last cell of ``log_cells`` in floats (knot, anchor, ell, q), from
         its knot (-inf for one cell) up to s = inf, a ``FallingCell`` or a
         ``RisingCell`` by the sign of q; None for the log families."""
-        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):    # ln A and alpha - 2, no arrays
+        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):    # ln A and sigma - 2, no arrays
             ell = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
-            cell = -math.inf, 0.0, ell, self.alpha - 2.0
+            cell = -math.inf, 0.0, ell, self.sigma - 2.0
         elif self.kind is not Kind.CUSTOM:
             return None
         else:
@@ -323,13 +325,14 @@ class RadialPotential:
 
     @functools.cached_property
     def tail(self) -> FallingCell | RisingCell | EulerTail | VanishingTail:
-        """``VANISHING`` at amplitude 0, else a log family's ``EulerTail`` or
-        ``inner_cell``.  Each form has ``log_domain`` (whether a probe is
-        decided in s: all but a falling cell) and ``certificate(c, R, s_max)``,
-        that of a = c r^2 v at c > 0 past the outer edge of the ball."""
-        if self.amplitude == 0.0:
-            return VANISHING
-        return self._euler if self.kind in _BORDERLINE else self.inner_cell
+        """``VANISHING`` where the model is 0 (a log family's A = 0 or an inner
+        cell's ell = -inf), else a log family's ``EulerTail`` or ``inner_cell``.
+        Each form has ``log_domain`` (whether a probe is decided in s: all but
+        a falling cell) and ``certificate(c, R, s_max)``, that of a = c r^2 v
+        at c > 0 past the outer edge of the ball."""
+        if self.kind in _BORDERLINE:
+            return self._euler if self.amplitude else VANISHING
+        return self.inner_cell if self.inner_cell[2] > -math.inf else VANISHING
 
     @functools.cached_property
     def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
@@ -340,7 +343,7 @@ class RadialPotential:
         between knots[k-1] and knots[k] (the first cell reaches down to
         s = -inf, the last, the inner cell, up to +inf), and there
         ln(r^2 v) = ell[k] + q[k] (s - anchors[k]).  A constant or a power
-        law is one cell with q = alpha - 2 (ell = -inf at amplitude 0); a
+        law is one cell with q = sigma - 2 (ell = -inf at amplitude 0); a
         table has one cell per segment plus its two extrapolation cells.
         """
         if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):
@@ -355,16 +358,6 @@ class RadialPotential:
 
     # -- structure ----------------------------------------------------------
 
-    def euler_shift_hint(self) -> Optional[float]:
-        """A log family's Euler shift s0 (``EulerTail``), else None."""
-        return None if self._euler is None else self._euler.s0
-
-    def euler_gamma(self, tau):
-        """``EulerTail.gamma`` of a log family, at any amplitude."""
-        if self._euler is None:
-            raise UnsupportedPotential(f"no Euler shift for kind {self.kind.value}")
-        return self._euler.gamma(tau)
-
     def scaled(self, beta: float) -> "RadialPotential":
         """The rescaled potential r |-> beta^2 * v(beta r) on (0, r_max / beta].
 
@@ -375,15 +368,12 @@ class RadialPotential:
         if not 0.0 < beta < math.inf:
             raise DomainError(f"scaling factor must be finite and > 0, got {beta}")
         if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):
-            amplitude = float(_times_power(self.amplitude, beta, 2.0 - self.alpha,
+            amplitude = float(_times_power(self.amplitude, beta, 2.0 - self.sigma,
                                            f"amplitude {self.amplitude!r}")) if self.amplitude else 0.0
-            if self.kind is Kind.CONSTANT:
-                return RadialPotential.constant(amplitude, self.r_max / beta)
-            return RadialPotential.power_law(self.alpha, amplitude, self.r_max / beta)
-        if self._euler is not None:
-            scale = getattr(self, _BORDERLINE[self.kind][1])
-            return RadialPotential._borderline(self.kind, self.m, scale / beta,
-                                               self.amplitude, self.r_max / beta)
+            return replace(self, amplitude=amplitude, r_max=self.r_max / beta)
+        if self.kind in _BORDERLINE:
+            key = _BORDERLINE[self.kind][1]
+            return replace(self, r_max=self.r_max / beta, **{key: getattr(self, key) / beta})
         with np.errstate(over="ignore"):
             r = np.exp(self.table_log_r) / beta
         if not np.all((0.0 < r) & (r < math.inf)):
@@ -564,8 +554,9 @@ class EulerTail:
 
 
 class VanishingTail:
-    """a = 0 (amplitude 0 of any kind, or c = 0): non-oscillatory, y = 1 solves
-    and every c is feasible, in the log domain.  One shared instance, ``VANISHING``."""
+    """a = 0 (a constant, power law or log family at amplitude 0, or c = 0):
+    non-oscillatory, y = 1 solves and every c is feasible, in the log domain.
+    One shared instance, ``VANISHING``."""
     __slots__ = ()
     log_domain = True
 

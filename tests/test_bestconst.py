@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 import sys
 import warnings
 from decimal import Decimal, localcontext
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hardy_optim import (RadialPotential, Status, TailCertificate, best_constant,
+from hardy_optim import (Kind, RadialPotential, Status, TailCertificate, best_constant,
                          brezis_vazquez_lambda, euler_tail_certificate, feasible, integrate,
                          integrate_principal_tail, log_problem, radius_problem,
                          unit_ball_volume)
@@ -131,6 +132,28 @@ def test_best_constant_scale_invariance_of_cell_kinds(p, beta, s_max):
     scaled = best_constant(p.scaled(beta), 1.5 / beta, s_max=s_max)
     assert direct.converged and scaled.converged
     assert abs(scaled.c_best - direct.c_best) <= 1e-6 * max(1.0, direct.c_best)
+
+
+_R40 = np.geomspace(1e-6, 1.0, 40)
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    (replace(RadialPotential.power_law(1.0), alpha=1.5), Z0_SQ / 16.0 * (1.0 - 1.3e-7),
+     Z0_SQ / 16.0 * (1.0 + 1.3e-7)),
+    (replace(RadialPotential.constant(), alpha=1.5), Z0_SQ * (1.0 - 1.3e-7),
+     Z0_SQ * (1.0 + 1.3e-7)),
+    (replace(RadialPotential.custom(_R40, np.exp(3.0 * _R40)), amplitude=0.0),
+     1.2259260, 1.2259262)],
+    ids=["power_law alpha 1 -> 1.5", "constant alpha 1.5", "table amplitude 0"])
+def test_replaced_fields_answer_for_the_model_value_describes(p, lo, hi, s_max):
+    # sigma is read off the model at every construction: a stored sigma = 1
+    # kept alpha = 1's bracket [1.4457963, 1.4457967]; a constant's slope
+    # read alpha, so v was r^-1.5 while its bracket was v = 1's; and a
+    # table's unused amplitude 0 made its tail vanish (NoUpperBracket)
+    res = best_constant(p, 1.0, s_max=s_max)
+    assert res.converged and lo <= res.c_lo <= res.c_hi <= hi
+    assert p.value(0.5) == pytest.approx(
+        {Kind.POWER_LAW: 0.5 ** -1.5, Kind.CONSTANT: 1.0, Kind.CUSTOM: 4.501263}[p.kind], rel=1e-6)
 
 
 def test_no_upper_bracket(s_max):
@@ -473,7 +496,7 @@ def test_table_with_zeros_below_every_float_radius_is_planned_by_newton(monkeypa
     assert res.c_lo <= 3.5244895629616671e298 and 3.5244887634764511e298 <= res.c_hi
     _assert_certified_bracket(p, 1e-9, res, s_max)
     out = feasible(p, res.c_lo, 1e-9, s_max).evidence
-    assert out.mass < 1e-300 and 1e-20 < out.c_mass < 1e-10
+    assert out.c_mass / res.c_lo < 1e-300 and 1e-20 < out.c_mass < 1e-10
 
 
 def test_table_domain_follows_its_inner_cell():
@@ -515,18 +538,22 @@ class _Counter:
     RadialPotential.custom(np.geomspace(1e-6, 1.0, 40),
                            np.exp(3.0 * np.geomspace(1e-6, 1.0, 40)))],
     ids=["constant", "power_law", "custom"])
-def test_radius_best_constant_makes_no_solve_ivp_call(p, s_max, monkeypatch):
+def test_radius_best_constant_sweeps_once_per_table_probe(p, s_max, monkeypatch):
+    # a constant's and a power law's rules are closed form, with no sweep; a
+    # table's plan sweeps once per probe, the line at c = 0 included
     import hardy_optim.ode as ode_mod
-    counter = _Counter(ode_mod.solve_ivp)
-    monkeypatch.setattr(ode_mod, "solve_ivp", counter)
-    assert best_constant(p, 1.0, s_max=s_max).converged
-    assert counter.calls == 0
+    counter = _Counter(ode_mod._sweep)
+    monkeypatch.setattr(ode_mod, "_sweep", counter)
+    res = best_constant(p, 1.0, s_max=s_max)
+    assert res.converged
+    assert counter.calls == (res.iterations if p.kind is Kind.CUSTOM else 0)
+    assert p.kind is not Kind.CUSTOM or res.iterations == 7
 
 
 @pytest.mark.parametrize("family", ["adimurthi_log", "filippas_tertikas"])
 def test_log_best_constant_samples_the_tail_once(family, s_max, monkeypatch):
     # the tail is read as gamma from ln(s - s0) at two abscissae per edge
-    # (``euler_gamma``), so no probe samples g on an array; an array call
+    # (``EulerTail.gamma``), so no probe samples g on an array; an array call
     # once cost 46 us, which an ``edges`` cache passed down saved
     shapes = []
     log_weight = RadialPotential.log_weight

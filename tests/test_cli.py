@@ -243,6 +243,23 @@ def test_check_closed_form_multiplier_outside_the_floats_is_an_error(tmp_path, c
     assert "closed-form multiplier" in rec["message"]
 
 
+@pytest.mark.parametrize("argv", [["dual", "--c", "nan", "--p", "2"],
+                                  ["dual", "--c", "nan", "--p", "1"],
+                                  ["trace", "--c", "nan", "--out", "OUT"]],
+                         ids=["dual p=2", "dual p=1", "trace"])
+def test_nan_multiplier_is_an_error_record(tmp_path, capsys, argv):
+    # dual at p = 2 printed bound = nan, exit 0; at p = 1 a DivergentNorm,
+    # "exp(nan)"; trace warned and reported NoZeroOnInterval, exit 0
+    cfg = _write_config(tmp_path, potential={"kind": "power_law", "alpha": "1"})
+    out_path = tmp_path / "traj.csv"
+    code, out = _run(capsys, *(str(out_path) if a == "OUT" else a for a in argv),
+                     "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and out.startswith("[error]\n") and rec["type"] == "DomainError"
+    assert rec["message"].startswith("multiplier must be") and rec["message"].endswith("nan")
+    assert capsys.readouterr().err == "" and not out_path.exists()
+
+
 def test_trace_subcommand(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out_path = tmp_path / "traj.csv"

@@ -200,6 +200,16 @@ def test_invalid_exponents():
         dual_lower_bound(p, -1.0, 1.0, 3, 1.0)
 
 
+@pytest.mark.parametrize("p", [RadialPotential.power_law(1.0), RadialPotential.adimurthi_log(2)],
+                         ids=["power_law", "adimurthi_log"])
+@pytest.mark.parametrize("exponent", [2.0, 1.0])
+def test_nan_multiplier_is_a_domain_error(p, exponent):
+    # c <= 0 let nan through: p = 2 returned bound = nan, p = 1 a DivergentNorm
+    # "exp(nan)" on a power law and a QuadratureError on a log family
+    with pytest.raises(DomainError, match="multiplier must be positive, got nan"):
+        dual_lower_bound(p, math.nan, exponent, 3, 1.0)
+
+
 def test_bound_caps_gap_of_normalized_functions():
     # wire the dual and quotient modules together: for ||u||_p = 1 the
     # (angular-complete) gap must exceed the dual bound
@@ -292,7 +302,7 @@ def test_exp_sinh_rule_matches_quad(family, m):
         for p in (0.1, 1.0, 1.5, 1.99):
             q = p / (2.0 - p)
             for R in (1.0, 0.5):
-                rule = dual._exp_sinh_log_integral(pot, c, q, 3, -math.log(R))
+                rule = dual._exp_sinh_log_integral(pot.tail, c, q, 3, -math.log(R))
                 assert math.exp(rule - _quad_log_integral(pot, c, q, 3, R)) == pytest.approx(
                     1.0, rel=1e-10, abs=0.0), (amplitude, p, R)
 

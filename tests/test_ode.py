@@ -317,7 +317,8 @@ def test_sweep_mass_is_the_pruefer_slope_of_the_margin(name, p):
         r, y, dy = out.end.values()
         h = 1e-6 * c
         slope = (feasible(p, c + h, 1.0).margin - feasible(p, c - h, 1.0).margin) / (2.0 * h)
-        assert out.mass / (y * y + (r * dy) ** 2) == pytest.approx(-slope, rel=1e-6), (name, c)
+        mass = out.c_mass / c
+        assert mass / (y * y + (r * dy) ** 2) == pytest.approx(-slope, rel=1e-6), (name, c)
     assert name != "flat decade" or np.count_nonzero(p.log_cells[3] == 0.0) == 4
 
 
@@ -531,7 +532,7 @@ def _gamma(p, s, s0):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_gamma_is_non_increasing_at_the_hint_shift(family, m, scaled):
-    # Fact 1, which EulerTail.edge takes as given: at s0 = euler_shift_hint,
+    # Fact 1, which EulerTail.edge takes as given: at the tail's shift s0,
     # gamma = g (s - s0)^2 is A (1 + sum of products of squared inverse logs
     # or of squared X's), non-increasing toward A, whatever rho or d
     key, factor = _FAMILIES[family]
@@ -541,7 +542,7 @@ def test_gamma_is_non_increasing_at_the_hint_shift(family, m, scaled):
         if scaled:
             p = getattr(RadialPotential, family)(m, **{key: factor * getattr(p, key)},
                                                  amplitude=amplitude)
-        gamma = _gamma(p, s, p.euler_shift_hint())
+        gamma = _gamma(p, s, p.tail.s0)
         assert np.all(np.diff(gamma) <= 1e-15 * gamma[1:]), (family, m, amplitude)
         assert gamma[-1] >= amplitude * (1.0 - 1e-15)
 
@@ -576,7 +577,7 @@ def test_tail_edges_gamma_is_the_horizon_value():
     p = RadialPotential.adimurthi_log(2)
     _, (gamma, shift, _) = p.tail.edge(1.0, 1e6)
     assert gamma <= 0.25 / 0.24869
-    assert shift == p.euler_shift_hint()
+    assert shift == p.tail.s0
     # at m = 1 gamma is A = 1 and is clipped below at A, so it is 1 (at s_max
     # = 1e6 the X family's gamma rounds one ulp above 1 at the horizon, and
     # the edge's, the smaller, is 1)
@@ -609,12 +610,12 @@ def _pair_search_edges(p, R, s_max):
     window ends found it: the least multiplier over all pairs of ends
     geometric in s - s0, inside the horizon, with (gamma, s0, window) at c = 1."""
     lo = -math.log(R) + 1e-9
-    s0 = p.euler_shift_hint()
+    s0 = p.tail.s0
     s = s0 + np.geomspace(lo - s0, s_max - s0, 100)
     s[0], s[-1] = lo, s_max
     sigma = s - s0
     i, j = np.triu_indices(s.size, 1)
-    gamma = np.array([p.euler_gamma(math.log(x)) for x in sigma])
+    gamma = np.array([p.tail.gamma(math.log(x)) for x in sigma])
     with np.errstate(divide="ignore", over="ignore"):
         need = (0.25 + (math.pi / np.log(sigma[j] / sigma[i])) ** 2) \
             / np.minimum(gamma[i], gamma[j])
@@ -625,7 +626,7 @@ def _pair_search_edges(p, R, s_max):
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_tail_edges_equal_the_pair_search(family):
-    # gamma does not rise at the hint shift, so of all windows inside the
+    # gamma does not rise at the tail's shift, so of all windows inside the
     # horizon the whole one, outer edge to horizon, needs the least
     # multiplier: the two-point edges are the pair search's, bit for bit
     for m, amplitude, R, s_max in itertools.product(
@@ -1053,6 +1054,14 @@ def test_euler_sweep_past_the_largest_double_is_a_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         integrate(log_problem(p, 1e300, 1.0))
     assert integrate(log_problem(p, 1e290, 1.0)).status is Status.ZERO_FOUND
+
+
+@pytest.mark.parametrize("make", [radius_problem, log_problem], ids=["radius", "log"])
+def test_nan_multiplier_is_a_domain_error(make):
+    # c < 0 let nan through: a radius sweep warned from _segments and
+    # reported NoZeroOnInterval
+    with pytest.raises(DomainError, match="multiplier must be >= 0, got nan"):
+        make(RadialPotential.power_law(1.0), math.nan, 1.0)
 
 
 def test_horizon_is_any_finite_float():

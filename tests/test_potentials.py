@@ -1,6 +1,7 @@
 import decimal
 import math
 import re
+from dataclasses import replace
 import sys
 import warnings
 
@@ -82,7 +83,7 @@ def test_log_weight_stable_far_beyond_underflow():
 @pytest.mark.parametrize("family, key", [("adimurthi_log", "rho"),
                                          ("filippas_tertikas", "d_scale")])
 def test_euler_gamma_is_the_shifted_coefficient(family, key, m):
-    # self-similarity: gamma = g (s - s0)^2 at the hint shift, read from
+    # self-similarity: gamma = g (s - s0)^2 at the tail's shift, read from
     # tau = ln(s - s0) alone, is A plus the family one level shallower, for
     # rho or d at and above its floor
     s = np.geomspace(1.5, 1e140, 200)
@@ -90,21 +91,16 @@ def test_euler_gamma_is_the_shifted_coefficient(family, key, m):
         floor = getattr(getattr(RadialPotential, family)(m, amplitude=amplitude), key)
         for scale in (1.0, 5.0):
             p = getattr(RadialPotential, family)(m, amplitude=amplitude, **{key: scale * floor})
-            sigma = s - p.euler_shift_hint()
+            sigma = s - p.tail.s0
             tau = np.log(sigma)
             expected = p.log_weight(s) * sigma ** 2
             for t, want in zip(tau, expected):
-                got = p.euler_gamma(float(t))
+                got = p.tail.gamma(float(t))
                 assert abs(got - want) <= 4.0 * math.ulp(want), (amplitude, scale, t)
-            np.testing.assert_array_equal(p.euler_gamma(tau),
-                                          [p.euler_gamma(float(t)) for t in tau])
+            np.testing.assert_array_equal(p.tail.gamma(tau),
+                                          [p.tail.gamma(float(t)) for t in tau])
             if m == 1:
-                assert p.euler_gamma(float(tau[0])) == amplitude
-
-
-def test_euler_gamma_needs_a_log_family():
-    with pytest.raises(UnsupportedPotential):
-        RadialPotential.power_law(1.0).euler_gamma(1.0)
+                assert p.tail.gamma(float(tau[0])) == amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +272,11 @@ def test_tail_is_one_cached_form_per_potential(p, form, log_domain):
     if form in (FallingCell, RisingCell):
         assert tail is p.inner_cell and (tail[3] < 0.0) is (form is FallingCell)
     if form is EulerTail:
-        assert (tail.m, tail.amplitude, tail.s0) == (p.m, p.amplitude, p.euler_shift_hint())
+        kappa, scale = (0.0, p.rho) if p.kind is Kind.ADIMURTHI_LOG else (1.0, p.d_scale)
+        assert (tail.m, tail.kappa, tail.amplitude, tail.s0) == \
+            (p.m, kappa, p.amplitude, -(kappa + math.log(scale)))
         c = p.closed_form_multiplier()    # 1/(4A) rounded: c_closed is it or the float below
         assert tail.c_closed in (c, math.nextafter(c, 0.0))
-        tau = np.linspace(1.5, 700.0, 9)
-        assert tail.gamma(tau).tobytes() == p.euler_gamma(tau).tobytes()
-        assert tail.gamma(2.5) == p.euler_gamma(2.5)
 
 
 def test_tail_certificates_by_form():
@@ -523,8 +518,8 @@ def _chain_cases(family, m):
         floor = getattr(getattr(RadialPotential, family)(m, r_max=r_max), key)
         p = getattr(RadialPotential, family)(m, amplitude=amplitude, r_max=r_max,
                                             **{key: above * floor})
-        s = np.linspace(-math.log(r_max), p.euler_shift_hint() + 700.0, 60)
-        yield p, s, np.geomspace(1e-280, r_max, 60), np.log(s - p.euler_shift_hint())
+        s = np.linspace(-math.log(r_max), p.tail.s0 + 700.0, 60)
+        yield p, s, np.geomspace(1e-280, r_max, 60), np.log(s - p.tail.s0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -532,11 +527,11 @@ def _chain_cases(family, m):
 def test_chain_matches_the_paper_definitions(family, m):
     # log_weight(s) = A sum_j prod X_i^2 at sigma = s - s0 (x = e^sigma for
     # the iterated logs, e^(1 - sigma) for the X family), closed_form(r) =
-    # (prod X_i)^(-1/2), and euler_gamma(tau) = A (1 + the sum one level
+    # (prod X_i)^(-1/2), and the tail's gamma(tau) = A (1 + the sum one level
     # shallower at scale 1, sigma = kappa + tau), on floats and on arrays
     key, kappa = _CHAIN_FAMILIES[family]
     for p, s, r, tau in _chain_cases(family, m):
-        scale, s0, amp = getattr(p, key), p.euler_shift_hint(), p.amplitude
+        scale, s0, amp = getattr(p, key), p.tail.s0, p.amplitude
 
         def paper_x(sigma):
             return math.exp(kappa - sigma) if kappa else math.exp(sigma)
@@ -544,7 +539,7 @@ def test_chain_matches_the_paper_definitions(family, m):
             (p.log_weight, s, lambda si: amp * _paper_chain(family, m, paper_x(si - s0))[0]),
             (p.closed_form, r,
              lambda ri: _paper_chain(family, m, ri / scale if kappa else scale / ri)[1] ** -0.5),
-            (p.euler_gamma, tau,
+            (p.tail.gamma, tau,
              lambda ti: amp * (1.0 + _paper_chain(family, m - 1, paper_x(kappa + ti))[0])))
         for method, points, paper in cases:
             want = np.array([paper(float(x)) for x in points])
@@ -554,7 +549,7 @@ def test_chain_matches_the_paper_definitions(family, m):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_x_family_is_bit_identical_to_its_former_chain(m):
-    # log_weight, euler_gamma and closed_form as the X family computed them
+    # log_weight, the tail's gamma and closed_form as the X family computed them
     # before it shared its chain with the iterated logs, on arrays and floats
     for p, s, r, tau in _chain_cases("filippas_tertikas", m):
         d, amp = p.d_scale, p.amplitude
@@ -563,11 +558,11 @@ def test_x_family_is_bit_identical_to_its_former_chain(m):
             return (amp * _former_x_chain(m, 1.0 / (1.0 + math.log(d) + s), xp)[0],
                     amp * (1.0 + _former_x_chain(m - 1, 1.0 / (1.0 + tau), xp)[0]) + 0.0 * tau,
                     _former_x_chain(m, 1.0 / (1.0 - xp.log(r / d)), xp)[1] ** -0.5)
-        for got, want in zip((p.log_weight(s), p.euler_gamma(tau), p.closed_form(r)),
+        for got, want in zip((p.log_weight(s), p.tail.gamma(tau), p.closed_form(r)),
                              former(np, s, r, tau)):
             assert got.tobytes() == want.tobytes()
         for si, ri, ti in zip(s.tolist(), r.tolist(), tau.tolist()):
-            assert (p.log_weight(si), p.euler_gamma(ti), p.closed_form(ri)) == \
+            assert (p.log_weight(si), p.tail.gamma(ti), p.closed_form(ri)) == \
                 former(math, si, ri, ti)
 
 
@@ -606,9 +601,9 @@ def test_euler_gamma_of_a_non_finite_tau_is_a_domain_error(family, m):
     p = getattr(RadialPotential, family)(m)
     for tau in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError):
-            p.euler_gamma(tau)
+            p.tail.gamma(tau)
         with pytest.raises(DomainError):
-            p.euler_gamma(np.array([0.0, tau]))
+            p.tail.gamma(np.array([0.0, tau]))
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +624,50 @@ def test_d_scale_guard():
 def test_negative_amplitude_rejected():
     with pytest.raises(DomainError):
         RadialPotential.constant(-1.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: replace(RadialPotential.adimurthi_log(2), m=0), "iteration depth must be >= 1"),
+    (lambda: replace(RadialPotential.constant(), amplitude=-1.0), "amplitude must be finite"),
+    (lambda: replace(RadialPotential.power_law(1.0), r_max=0.0), "r_max must be finite"),
+    (lambda: replace(RadialPotential.power_law(1.0), alpha=math.nan), "alpha must be finite"),
+    (lambda: replace(RadialPotential.adimurthi_log(2), m=3), "rho = .* must be finite and >="),
+    (lambda: replace(RadialPotential.filippas_tertikas(1), r_max=2.0), "d_scale = 1.0 must be"),
+    (lambda: RadialPotential(Kind.ADIMURTHI_LOG, rho=math.e, m=2), "rho = 2.718"),
+    (lambda: RadialPotential(Kind.CONSTANT, amplitude=math.inf), "amplitude must be finite")],
+    ids=["log m=0", "constant A<0", "r_max 0", "alpha nan", "log m=3 on m=2's rho",
+         "x r_max past d", "log rho below e^e", "constructor A inf"])
+def test_every_construction_runs_the_guards(build, message):
+    # the guards ran only in the factories: replace(adimurthi_log(2), m=0)
+    # had v = 0 and a band [0.25, 0.2500207], and the constructor took any field
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_sigma_is_read_off_the_model_never_passed():
+    # RadialPotential(POWER_LAW, alpha=1, sigma=0.5) once built an r^-1
+    # potential answered as r^-0.5, [3.2530417, 3.2530425]
+    with pytest.raises(TypeError, match="sigma"):
+        RadialPotential(Kind.POWER_LAW, alpha=1.0, sigma=0.5)
+    with pytest.raises(ValueError, match="sigma"):
+        replace(RadialPotential.power_law(1.0), sigma=0.5)
+    r = np.geomspace(1e-6, 1.0, 40)
+    table = RadialPotential.custom(r, r ** -1.3)
+    cases = [(RadialPotential.power_law(1.0), 1.0),
+             (replace(RadialPotential.power_law(1.0), alpha=1.5), 1.5),
+             (RadialPotential.constant(2.0), 0.0),
+             (replace(RadialPotential.constant(), alpha=1.5), 0.0),
+             (RadialPotential(Kind.POWER_LAW, alpha=0.5), 0.5),
+             (RadialPotential.adimurthi_log(2), 2.0),
+             (RadialPotential(Kind.FILIPPAS_TERTIKAS_X, m=3), 2.0),
+             (replace(table, amplitude=0.0), table.sigma)]
+    for p, sigma in cases:
+        assert p.sigma == sigma and p.inner_cell in (None, p.tail)
+        assert p.inner_cell is None or p.inner_cell[3] == p.sigma - 2.0 or p.kind is Kind.CUSTOM
+    assert table.sigma == pytest.approx(1.3, rel=1e-12)
+    # a log family's outer scale defaults to its floor in the constructor too
+    assert RadialPotential(Kind.ADIMURTHI_LOG, m=2).rho == RadialPotential.adimurthi_log(2).rho
+    assert RadialPotential(Kind.FILIPPAS_TERTIKAS_X, r_max=3.0).d_scale == 3.0
 
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
