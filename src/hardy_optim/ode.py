@@ -14,8 +14,9 @@ exactly there by cylinder functions Z0(x), x = (2/|q|) sqrt(a(s)); from
 x = 1e3 on (and for q = 0, cos / sin) in Hankel's
 modulus-phase form, whose phase never forms x itself.  Their sweeps multiply
 Wronskian-normalised (det 1) 2x2 transfer matrices cell by cell, and Newton
-steps on the monotone phase of the exact solution find the first zero
-inside a cell, so a cell holding two zeros is no trap.  The recessive
+steps on the monotone phase of the exact solution, ``_fundamental``'s, which
+the zero's target phase also reads, find the first zero inside a cell, so a
+cell holding two zeros is no trap.  The recessive
 branch at r = 0 is exactly J0(x) on the inner cell, which needs q < 0 there
 (sigma < 2).  This is the coefficient-approximation method (Pruess 1973;
 Pryce, Numerical Solution of Sturm-Liouville Problems, 1993) on the model
@@ -62,7 +63,7 @@ NO_ROWS = {frame: MappingProxyType(dict.fromkeys(frame.split(), np.frombuffer(b"
            for frame in ("s z dz", "r y dy")}    # of an outcome without a sweep: shared, read-only
 
 
-# scipy.special is imported by the first call that needs it (``_bessel``, ``_phase_at``)
+# scipy.special is imported by the first call that needs it (``_bessel``)
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, uncalled: the name bench/spans.py patches (ROADMAP item 5)."""
@@ -178,9 +179,11 @@ def _line(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tuple:
 class _Segments:
     """The cells a sweep crosses, clipped to it, in sweep order: segment k
     runs from u[k] to w[k], where ln a = ln a(u) + q[k] (s - u[k]).  Where
-    bessel[k] its solutions are J0 and Y0 at ln x = lnx[k] + q[k] (s - u[k]) / 2;
-    elsewhere x >= _X_ASYMPTOTIC (or q = 0) and they take the modulus-phase
-    form with omega[k] = sqrt(a(u)) (see ``_hankel``)."""
+    bessel[k] its solutions are J0 and Y0 at ln x = lnx[k] + q[k] (s - u[k]) / 2
+    and omega[k] = 1; elsewhere x >= _X_ASYMPTOTIC (or q = 0) and they take the
+    modulus-phase form with omega[k] = sqrt(a(u)) (see ``_hankel``).  A
+    solution A f1 + B f2 vanishes where the phase meets atan2(B, omega A) + pi/2
+    (mod pi), and the phase rises at omega det F / (f11^2 + (omega f12)^2)."""
 
     u: np.ndarray
     w: np.ndarray
@@ -210,7 +213,7 @@ def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
     sloped = q != 0.0
     lnx[sloped] = np.log(2.0 / np.abs(q[sloped])) + 0.5 * log_a[sloped]
     bessel = np.minimum(lnx, lnx + 0.5 * q * h) < math.log(_X_ASYMPTOTIC)
-    omega = np.where(bessel, 0.0, np.exp(0.5 * np.minimum(log_a, 1400.0)))
+    omega = np.where(bessel, 1.0, np.exp(0.5 * np.minimum(log_a, 1400.0)))
     rise = np.logaddexp(0.0, math.log(2.0 * math.pi) - lnx)
     capped = np.flatnonzero((q * h > 0.0) & (0.5 * q * h > rise))
     if capped.size:
@@ -221,36 +224,18 @@ def _segments(prob: HardyODEProblem, s_from: float, s_to: float) -> _Segments:
     return _Segments(u, w, bessel, q, lnx, omega, log_a)
 
 
-def _small_y0(lnx):
-    """Y0 at x = e^lnx < _SMALL_X, from ln x: (2/pi) (ln(x/2) + Euler's gamma)."""
-    return (lnx - math.log(2.0) + np.euler_gamma) * (2.0 / math.pi)
-
-
 def _bessel(lnx: np.ndarray) -> tuple[np.ndarray, ...]:
     """J0, Y0, x J1 and x Y1 at x = e^lnx; below _SMALL_X their leading
-    terms, taken from ln x, since x itself may underflow there."""
+    terms, taken from ln x, since x itself may underflow there (Y0 is
+    (2/pi) (ln(x/2) + Euler's gamma))."""
     from scipy import special
     x = np.exp(np.minimum(lnx, 700.0))
     small = x < _SMALL_X
     xs = np.where(small, 1.0, x)
-    return (np.where(small, 1.0, special.j0(xs)), np.where(small, _small_y0(lnx), special.y0(xs)),
+    y0 = np.where(small, (lnx - math.log(2.0) + np.euler_gamma) * (2.0 / math.pi), special.y0(xs))
+    return (np.where(small, 1.0, special.j0(xs)), y0,
             np.where(small, 0.5 * x * x, xs * special.j1(xs)),
             np.where(small, -2.0 / math.pi, xs * special.y1(xs)))
-
-
-def _unwrap(x, theta):
-    """The Bessel phase theta = arg(J0 + i Y0) on its branch: it increases
-    with x, and x - pi/2 < theta <= x - pi/4; float or ndarray."""
-    return theta + 2.0 * math.pi * np.rint((x - 0.25 * math.pi - theta) / (2.0 * math.pi))
-
-
-def _phase_at(lnx: float, rate: float) -> tuple[float, float]:
-    """The unwrapped Bessel phase at one x = e^lnx and its slope where ln x
-    grows at ``rate``, 2 rate / (pi (J0^2 + Y0^2)), in scalar arithmetic."""
-    from scipy import special
-    x = math.exp(min(lnx, 700.0))
-    j0, y0 = (1.0, _small_y0(lnx)) if x < _SMALL_X else (special.j0(x), special.y0(x))
-    return _unwrap(x, math.atan2(y0, j0)), 2.0 * rate / (math.pi * (j0 * j0 + y0 * y0))
 
 
 def _phase_root(phase: Callable, target: float, lo: float, hi: float, s: float) -> float:
@@ -295,11 +280,13 @@ def _hankel(omega: np.ndarray, q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray
 
 
 def _bessel_form(lnx0: np.ndarray, half_q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fundamental matrix (J0, Y0 and their s-derivatives) and unwrapped
-    phase at ln x = lnx0 + half_q t."""
+    """Fundamental matrix (J0, Y0 and their s-derivatives) and phase at ln x
+    = lnx0 + half_q t: arg(J0 + i Y0) on its branch, which increases with x,
+    x - pi/2 < theta <= x - pi/4."""
     lnx = lnx0 + half_q * t
     j0, y0, xj1, xy1 = _bessel(lnx)
-    theta = _unwrap(np.exp(np.minimum(lnx, 700.0)), np.arctan2(y0, j0))
+    x, theta = np.exp(np.minimum(lnx, 700.0)), np.arctan2(y0, j0)
+    theta += 2.0 * math.pi * np.rint((x - 0.25 * math.pi - theta) / (2.0 * math.pi))
     return j0, y0, -half_q * xj1, -half_q * xy1, theta
 
 
@@ -369,30 +356,26 @@ def _cell_sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0) -> tu
     z, dz = _carry(_transfer(a, b), state0)    # the states at each u, then at the last w
     det = a[0] * a[3] - a[1] * a[2]
     A, B = (a[3] * z[:-1] - a[1] * dz[:-1]) / det, (a[0] * dz[:-1] - a[2] * z[:-1]) / det
-    target, hit = _zero_targets(A, B, np.where(seg.bessel, 1.0, seg.omega), a[4], b[4])
+    target, hit = _zero_targets(A, B, seg.omega, a[4], b[4])
 
     zero_t = None
     if hit.any():
         k = int(np.argmax(hit))
-        if seg.q[k] == 0.0:
-            zero_t = float(seg.u[k] + target[k] / seg.omega[k])
-        else:
-            # Newton starts where theta ~ x - pi/4 - 1/(8x), or psi ~ +-(x - x(u)), hits it
-            goal, u, h, lnx = (float(v[k]) for v in (target, seg.u, 0.5 * seg.q, seg.lnx))
-            if seg.bessel[k]:
-                phase = lambda s: _phase_at(lnx + h * (s - u), h)
-                beta = goal + 0.25 * math.pi
-                guess = u + (math.log(beta + 0.125 / beta) - lnx) / h if beta > 1.0 else u
-            else:
-                one, w = np.array([k]), float(seg.omega[k])
+        one = np.array([k])
+        goal, u, h, lnx, w = (float(v[k]) for v in (target, seg.u, 0.5 * seg.q, seg.lnx, seg.omega))
 
-                def phase(s):    # psi and its slope, omega det F / (f11^2 + (omega f12)^2)
-                    f11, f12, f21, f22, psi = (float(v[0]) for v in
-                                               _fundamental(seg, one, np.array([s])))
-                    return psi, w * (f11 * f22 - f12 * f21) / (f11 * f11 + (w * f12) ** 2)
-                guess = u + math.log1p(h * goal / w) / h if h * goal / w > -1.0 else u
-            lo, hi = sorted((u, float(seg.w[k])))
-            zero_t = _phase_root(phase, goal, lo, hi, min(max(guess, lo), hi))
+        def phase(s):    # the phase and its slope omega det F / (f11^2 + (omega f12)^2)
+            f11, f12, f21, f22, theta = (float(v[0]) for v in _fundamental(seg, one, np.array([s])))
+            return theta, w * (f11 * f22 - f12 * f21) / (f11 * f11 + (w * f12) ** 2)
+        # Newton starts where theta ~ x - pi/4 - 1/(8x), or psi ~ +-(x - x(u)), hits it
+        if seg.bessel[k]:
+            beta = goal + 0.25 * math.pi
+            guess = u + (math.log(beta + 0.125 / beta) - lnx) / h if beta > 1.0 else u
+        else:    # exact where flat: psi = omega (s - u)
+            y = h * goal / w
+            guess = u + (math.log1p(y) / h if h else goal / w) if y > -1.0 else u
+        lo, hi = sorted((u, float(seg.w[k])))
+        zero_t = _phase_root(phase, goal, lo, hi, min(max(guess, lo), hi))
         n = k + 1
     elif seg.w[-1] != s_to:    # capped: its zero lies within the spacing of s of its start
         zero_t = float(seg.u[-1])

@@ -139,8 +139,8 @@ class LambdaLimitResult:
 # ---------------------------------------------------------------------------
 
 def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """P1 stiffness with weight r^a, a = n - 1 >= 1: returns (diagonal,
-    off-diagonal).
+    """P1 stiffness with weight r^a, a = n - 1 >= 1, at ``nodes``: returns
+    (diagonal, off-diagonal).
 
     Raises DomainError when a squared cell width or a weight integral is
     below the smallest normal double (deep inner cutoffs), where the
@@ -162,30 +162,38 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
-    """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped:
-    stiffness (diag, off-diag) r^(n-1) and lumped mass v r^(n-1) dr =
-    log_weight(-t) e^((n-2)t) dt; with ``hardy``, also the lumped Hardy
-    weight r^(n-3) dr = e^((n-2)t) dt of the forms with an inverse-square
-    term, from the same e^((n-2)t) samples.  Lumped weights integrate over
-    each node's cell in t = ln r, composite Gauss-Legendre per half-cell.
-    Besides the stiffness and log_weight's results it writes into half-widths,
-    midpoints, -t (then e^((n-2)t)) and the sums, with the plain bits."""
-    k_diag, k_off = _stiffness(nodes, float(n - 1))
-    half, mid, neg_t = np.empty(nodes.size), np.empty(nodes.size), np.log(nodes)
+    """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped,
+    assembled on the unit ball, rho = r / R with R the last node: the
+    quotients do not change under dilation when v is read at r = R rho, so no
+    power of R is formed.  Stiffness (diag, off-diag) rho^(n-1) and lumped
+    mass R^2 v rho^(n-1) drho = g e^((n-2)t) dt, g = log_weight(ln(1/R) - t);
+    with ``hardy``, also the lumped Hardy weight rho^(n-3) drho = e^((n-2)t) dt
+    of the forms with an inverse-square term, from the same e^((n-2)t)
+    samples.  Lumped weights integrate over each node's cell in t = ln rho,
+    composite Gauss-Legendre per half-cell.  Besides the stiffness and
+    log_weight's results it writes into rho (then t, s = ln(1/R) - t, -t and
+    e^((n-2)t)), half-widths, midpoints and the sums, with the plain bits."""
+    ln_r = math.log(nodes[-1])
+    neg_t = np.divide(nodes, nodes[-1])               # rho
+    k_diag, k_off = _stiffness(neg_t, float(n - 1))
+    half, mid = np.empty(nodes.size), np.empty(nodes.size)
+    np.log(neg_t, out=neg_t)
     # t in neg_t, the cell ends t_lo = (t_0, t_mid) in mid and t_hi = (t_mid, t_N) in half
     np.add(neg_t[:-1], neg_t[1:], out=mid[1:])
-    mid[1:] *= 0.5                                   # t_mid: geometric midpoints in r
+    mid[1:] *= 0.5                                   # t_mid: geometric midpoints in rho
     mid[0], half[-1], half[:-1] = neg_t[0], neg_t[-1], mid[1:]
     np.subtract(half, mid, out=neg_t)
     mid += half
     mid *= 0.5
     np.multiply(neg_t, 0.5, out=half)
+    mid += ln_r                                      # ln R + the cells' centres in t
     m_diag = np.zeros(nodes.size)
     h_diag = np.zeros(nodes.size) if hardy else None
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
         np.multiply(half, -xi, out=neg_t)
-        neg_t -= mid                                 # -t = -(mid + half xi), exactly
+        neg_t -= mid                                 # s = ln(1/R) - t, t = centre + half xi
         lw = p.log_weight(neg_t)                     # a new array: scaled in place
+        neg_t += ln_r                                # -t, exactly where R = 1
         # e^((n-2)t) over -t, which log_weight has read; 1 at n = 2
         e = np.exp(np.multiply(neg_t, 2.0 - n, out=neg_t), out=neg_t) if n != 2 else 1.0
         lw *= e

@@ -150,20 +150,22 @@ class RadialPotential:
     Immutable.  Every construction, by a factory, the constructor,
     ``dataclasses.replace`` or ``scaled``, runs the catalog guards
     (``__post_init__``): a finite amplitude >= 0, a finite r_max > 0, a
-    finite alpha, and for the log families m >= 1 and an outer scale at
-    least its floor, which keeps every log factor positive on (0, r_max].
-    sigma is read off the model there, never passed in.
+    finite alpha, an integer m (an integral float is stored as an int), and
+    for the log families m >= 1 and an outer scale at least its floor, which
+    keeps every log factor positive on (0, r_max].  sigma is read off the
+    model there, never passed in, and a table's logs are stored as tuples of
+    floats, so that equal potentials compare and hash equal.
     """
 
     kind: Kind
     amplitude: float = 1.0    # unread by a table, whose samples are its model
     r_max: float = 1.0
     alpha: float = 0.0        # power-law exponent
-    m: int = 1                # iteration depth of the log families
+    m: int = 1                # iteration depth of the log families, an integer
     rho: Optional[float] = None        # outer scale of the iterated logs; None: its floor
     d_scale: Optional[float] = None    # outer scale of the X functions; None: its floor
-    table_log_r: Optional[np.ndarray] = field(default=None, repr=False)
-    table_log_v: Optional[np.ndarray] = field(default=None, repr=False)
+    table_log_r: Optional[tuple] = field(default=None, repr=False)    # floats, so tables
+    table_log_v: Optional[tuple] = field(default=None, repr=False)    # compare and hash
     sigma: float = field(init=False)    # v ~ A r^(-sigma) at r = 0; a table's is its inner cell's
 
     def __post_init__(self):
@@ -177,6 +179,10 @@ class RadialPotential:
             raise DomainError(f"r_max must be finite and > 0, got {self.r_max}")
         if not math.isfinite(self.alpha):
             raise DomainError(f"alpha must be finite, got {self.alpha}")
+        if not (isinstance(self.m, (int, np.integer))
+                or isinstance(self.m, (float, np.floating)) and float(self.m).is_integer()):
+            raise DomainError(f"iteration depth must be an integer, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if self.kind in _BORDERLINE:
             if self.m < 1:
                 raise DomainError(f"iteration depth must be >= 1, got {self.m}")
@@ -189,8 +195,10 @@ class RadialPotential:
             object.__setattr__(self, key, float(scale))
             sigma = 2.0
         elif self.kind is Kind.CUSTOM:
-            log_r, log_v = self.table_log_r, self.table_log_v
-            sigma = float((log_v[0] - log_v[1]) / (log_r[1] - log_r[0]))
+            for key in ("table_log_r", "table_log_v"):    # tuples of floats, from any sequence
+                object.__setattr__(self, key, tuple(np.asarray(getattr(self, key), float).tolist()))
+            (r0, r1), (v0, v1) = self.table_log_r[:2], self.table_log_v[:2]
+            sigma = (v0 - v1) / (r1 - r0)
         else:
             sigma = float(self.alpha) if self.kind is Kind.POWER_LAW else 0.0
         object.__setattr__(self, "sigma", sigma)
@@ -211,14 +219,14 @@ class RadialPotential:
         """Iterated-log family, the chain at kappa = 0.  rho defaults to, and
         must be at least, r_max times the m-fold exponential tower of 1,
         which keeps every factor log^(i)(rho/r) positive on (0, r_max]."""
-        return cls(Kind.ADIMURTHI_LOG, amplitude=amplitude, r_max=r_max, m=int(m), rho=rho)
+        return cls(Kind.ADIMURTHI_LOG, amplitude=amplitude, r_max=r_max, m=m, rho=rho)
 
     @classmethod
     def filippas_tertikas(cls, m: int = 1, d_scale: Optional[float] = None,
                           amplitude: float = 1.0, r_max: float = 1.0) -> "RadialPotential":
         """X-function family, the chain at kappa = 1; d defaults to r_max and
         must not be smaller, so r/d stays in (0, 1] where every X_i is defined."""
-        return cls(Kind.FILIPPAS_TERTIKAS_X, amplitude=amplitude, r_max=r_max, m=int(m),
+        return cls(Kind.FILIPPAS_TERTIKAS_X, amplitude=amplitude, r_max=r_max, m=m,
                    d_scale=d_scale)
 
     @classmethod
@@ -350,8 +358,9 @@ class RadialPotential:
             return np.empty(0), np.zeros(1), *(np.array([x]) for x in self.inner_cell[2:])
         if self.kind is not Kind.CUSTOM:
             return None
-        knots = -self.table_log_r[::-1]
-        ell = (self.table_log_v + 2.0 * self.table_log_r)[::-1]
+        log_r, log_v = np.array(self.table_log_r), np.array(self.table_log_v)
+        knots = -log_r[::-1]
+        ell = (log_v + 2.0 * log_r)[::-1]
         q = np.diff(ell) / np.diff(knots)
         return (knots, np.concatenate([knots[:1], knots]), np.concatenate([ell[:1], ell]),
                 np.concatenate([q[:1], q, q[-1:]]))
@@ -667,9 +676,8 @@ def classify(p: RadialPotential) -> ClassLabel:
       * an inner cell, exactly by its slope q (g ~ e^(q s)): q < 0 makes
         L -> 0, X (limit_estimate 0); q >= 0 makes the integral diverge, Y
         (evidence infinite);
-      * an Euler tail, by the bound B = gamma(s_max) of its ``edge`` at the
-        default horizon: g <= B / (s - s0)^2 on [s_max, inf) gives
-        |L| <= B s / (s - s0) -> B, X (limit_estimate -B);
+      * an Euler tail, exactly: gamma = g (s - s0)^2 falls to A (Fact 1),
+        so L -> -A, X (limit_estimate -A);
       * a vanishing tail, g = 0: L = 0, X (limit_estimate 0).
 
     The evidence is L at the probe radii r_max 10^-2 ... 10^-8, from
@@ -679,8 +687,7 @@ def classify(p: RadialPotential) -> ClassLabel:
     with np.errstate(over="ignore"):
         evidence = np.log(probes) * _tail_integrals(p, -np.log(probes))
     if isinstance(tail, EulerTail):
-        bound = tail.edge(p.r_max, S_MAX_DEFAULT)[1][0]
-        return ClassLabel(Label.X, evidence, probes, limit_estimate=-bound)
+        return ClassLabel(Label.X, evidence, probes, limit_estimate=-tail.amplitude)
     if isinstance(tail, RisingCell):
         return ClassLabel(Label.Y, evidence, probes)
     return ClassLabel(Label.X, evidence, probes, limit_estimate=0.0)

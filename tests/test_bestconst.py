@@ -337,20 +337,31 @@ def test_table_search_is_unchanged(s_max):
 def test_table_verdict_forms_no_trajectory(shape, monkeypatch):
     # a verdict reads the sweep's end row: one feasible call on a 400-node
     # table evaluates J0 and Y0 at both ends of its 399 segments, at the
-    # inner start and at the end row or the zero's slope, 2 points per node;
-    # the trajectory rows, formed eagerly, took 7,184 at c_lo
+    # inner start and at the end row or the zero's slope, 2 points per node,
+    # and the zero search at most 3 more, one per phase evaluation; the
+    # trajectory rows, formed eagerly, took 7,184 at c_lo
     import hardy_optim.ode as ode_mod
     r = np.geomspace(1e-8, 1.0, 400)
     p = RadialPotential.custom(r, shape(r))
     res = best_constant(p, 1.0)
     assert not {"trajectory"} & (vars(res.evidence_lo).keys() | vars(res.evidence_hi).keys())
-    bessel = ode_mod._bessel
+    bessel, phase_root = ode_mod._bessel, ode_mod._phase_root
     for c, verdict in ((res.c_lo, True), (res.c_hi, False)):
-        points = []
+        points = {False: [], True: []}    # outside and inside the zero search
+        searching = []
+
+        def search(*args):
+            searching.append(True)
+            try:
+                return phase_root(*args)
+            finally:
+                searching.pop()
+        monkeypatch.setattr(ode_mod, "_phase_root", search)
         monkeypatch.setattr(ode_mod, "_bessel",
-                            lambda lnx: points.append(np.size(lnx)) or bessel(lnx))
+                            lambda lnx: points[bool(searching)].append(np.size(lnx)) or bessel(lnx))
         check = feasible(p, c, 1.0)
-        assert check.feasible is verdict and sum(points) == 2 * r.size
+        assert check.feasible is verdict and sum(points[False]) == 2 * r.size
+        assert sum(points[True]) <= 3 and bool(points[True]) is not verdict
         assert "trajectory" not in vars(check.evidence)
 
 

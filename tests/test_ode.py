@@ -169,8 +169,9 @@ def test_zero_in_a_cell_takes_few_phase_evaluations(alpha, monkeypatch):
     # the rounding of the phase's argument (which the sweep anchors at s ~ 20)
     import hardy_optim.ode as ode_mod
     calls = []
-    phase_at = ode_mod._phase_at
-    monkeypatch.setattr(ode_mod, "_phase_at", lambda *a: calls.append(1) or phase_at(*a))
+    phase_root = ode_mod._phase_root
+    monkeypatch.setattr(ode_mod, "_phase_root", lambda phase, *a: phase_root(
+        lambda s: calls.append(1) or phase(s), *a))
     q = alpha - 2.0
     for amplitude, R, f in itertools.product((0.05, 1.0, 20.0), (0.25, 1.0, 4.0),
                                              (1.0 + 1.25e-7, 1.001, 30.0)):

@@ -507,6 +507,19 @@ def test_rising_power_law_mass_reads_the_exponent_where_it_saturates():
     assert lam * 1e298 == pytest.approx(expected, rel=1e-9)
 
 
+def test_fe_quotients_are_dilation_invariant_past_the_float_powers_of_R():
+    # on r = R rho the quotients of v are R^(alpha - 2) times those of the
+    # unit ball's r^-alpha: at R = 1e300 the stiffness formed R^2 = inf and
+    # weighted_eigen raised "inverse iteration unsettled after 80 steps"
+    p, one = RadialPotential.power_law(1.5, r_max=1e300), RadialPotential.power_law(1.5)
+    grid, unit = _grid(2000, 1e300, 1e294), _grid(2000)
+    pairs = [(weighted_eigen(p, 0.1, 3, grid).lambda1, weighted_eigen(one, 0.1, 3, unit).lambda1),
+             (reduced_rayleigh_min(p, grid).lambda1, reduced_rayleigh_min(one, unit).lambda1),
+             (lambda_limit(p, 3, 1e300, grid).limit, lambda_limit(one, 3, 1.0, unit).limit)]
+    for lam, expected in pairs:
+        assert lam == pytest.approx(1e-150 * expected, rel=1e-11)
+
+
 def _tri_mul(diag, off, x):
     y = diag * x
     y[:-1] += off * x[1:]

@@ -670,6 +670,44 @@ def test_sigma_is_read_off_the_model_never_passed():
     assert RadialPotential(Kind.FILIPPAS_TERTIKAS_X, r_max=3.0).d_scale == 3.0
 
 
+def test_tables_are_values():
+    # the table's logs were ndarray fields: custom(r, v) == custom(r, v)
+    # raised ValueError (an array's truth value) and hash(custom(r, v)) a TypeError
+    r = np.geomspace(1e-6, 1.0, 40)
+    a, b = RadialPotential.custom(r, r ** -1.3), RadialPotential.custom(r.copy(), r ** -1.3)
+    other = RadialPotential.custom(r, r ** -1.2)
+    assert a == b and hash(a) == hash(b) and a != other
+    assert len({a, b, other}) == 2 and replace(a, table_log_r=np.log(r)) == a
+    assert type(a.table_log_r) is tuple and all(type(x) is float for x in a.table_log_v)
+    assert a.log_cells[0].tolist() == (-np.log(r))[::-1].tolist()
+
+
+@pytest.mark.parametrize("build, m", [
+    (lambda: RadialPotential(Kind.ADIMURTHI_LOG, m=2.0), 2),
+    (lambda: RadialPotential(Kind.FILIPPAS_TERTIKAS_X, m=np.int64(3)), 3),
+    (lambda: RadialPotential.adimurthi_log(np.float64(1.0)), 1),
+    (lambda: replace(RadialPotential.filippas_tertikas(1), m=2.0), 2)],
+    ids=["float", "numpy-int", "numpy-float", "replace"])
+def test_integral_depth_is_stored_as_an_int(build, m):
+    # RadialPotential(ADIMURTHI_LOG, m=2.0) escaped as a bare TypeError from
+    # exp_tower; an integral float or a numpy integer is the integer it holds
+    p = build()
+    assert type(p.m) is int and p.m == m and p.value(0.5) > 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RadialPotential(Kind.FILIPPAS_TERTIKAS_X, m=1.5),
+    lambda: RadialPotential.adimurthi_log(1.5),
+    lambda: replace(RadialPotential.adimurthi_log(2), m=math.nan),
+    lambda: RadialPotential(Kind.ADIMURTHI_LOG, m="2")],
+    ids=["X-1.5", "factory-1.5", "nan", "str"])
+def test_non_integral_depth_is_a_domain_error(build):
+    # filippas_tertikas m = 1.5 was built and failed in _chain at the first
+    # value; adimurthi_log(1.5) silently built m = 1
+    with pytest.raises(DomainError, match="iteration depth must be an integer"):
+        build()
+
+
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
@@ -888,19 +926,18 @@ def test_classify_reads_the_label_off_the_tail_where_the_evidence_overflows():
 
 
 def test_classify_log_family_bound_is_the_tail_sample():
-    # B = gamma(s_max), the gamma of the Euler tail edge's certificate,
-    # bounds |L| in the limit; it is finite for both log families, so no
-    # label is Indeterminate
-    lab = classify(RadialPotential.adimurthi_log(3, amplitude=20.0))
-    assert lab.label is Label.X
-    assert -20.2 < lab.limit_estimate < -20.0
-    assert np.all(np.abs(lab.evidence) < -lab.limit_estimate)
-    # at m = 1 gamma is A, and B is A itself (1/4 over 1/(4 gamma) missed it
-    # by up to 3 ulps)
+    # gamma = g (s - s0)^2 falls to A (Fact 1), so L = -s int_s^inf g tends
+    # to -A exactly, at every depth; the bound gamma(1e300) of the default
+    # horizon's Euler edge was reported (-1.0000020956855225 on
+    # adimurthi_log(2), -20.000042894308137 on adimurthi_log(3,
+    # amplitude=20)), and at m = 1 1/4 over 1/(4 gamma) once missed A by up
+    # to 3 ulps
     for family in ("adimurthi_log", "filippas_tertikas"):
-        for amplitude in (0.05, 0.3, 7.956335241748048, 20.0):
-            p = getattr(RadialPotential, family)(1, amplitude=amplitude)
-            assert classify(p).limit_estimate == -amplitude
+        for m in (1, 2, 3):
+            for amplitude in (0.05, 0.3, 7.956335241748048, 20.0):
+                lab = classify(getattr(RadialPotential, family)(m, amplitude=amplitude))
+                assert lab.label is Label.X and lab.limit_estimate == -amplitude
+                assert np.all(np.abs(lab.evidence) < amplitude)
 
 
 @pytest.mark.parametrize("name", sorted(ARRAY_POTENTIALS))
