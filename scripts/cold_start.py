@@ -7,8 +7,9 @@ each of which imports hardy_optim and runs the row's subcommand through
 ``cli.main``, and prints the median wall time (interpreter start to exit)
 and the scipy submodules the subcommand loaded: the packages special,
 integrate, optimize and linalg, and linalg's LAPACK extension
-``_flapack``, which the FE oracle loads from its file without the linalg
-package.
+``_flapack``.  The FE oracle calls numpy's own OpenBLAS, so ``eigen`` loads
+none of them; it loads ``_flapack`` alone, from its file without the linalg
+package, only where numpy's library lacks dpttrf and dpttrs.
 
 The figures are taken with bytecode cached, as a second run of an
 installed package finds it.  Before timing, one untimed interpreter runs

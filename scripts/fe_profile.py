@@ -11,7 +11,10 @@ and weighted_eigen (mu = 0.125, n = 3) at N = 10,000 down to r_min = 1e-6,
 and lambda_limit (n = 3) on its own 4000-node grid.  Every call is made once
 untimed first; the faults and the time are medians over three untraced
 calls (the LAPACK counts are per call), the peak is of one traced call.  A
-last line per entry point gives the means over the catalog.
+last line per entry point gives the means over the catalog.  The first line
+names the LAPACK the oracle chose (numpy's own OpenBLAS, or scipy's
+_flapack), the last the process's peak resident set (ru_maxrss, in kB on
+Linux and bytes on macOS).
 
 Run:  PYTHONPATH=src python scripts/fe_profile.py
 """
@@ -71,6 +74,7 @@ def profile(run, n):
 
 
 def main():
+    print(f"lapack: {oracle._lapack().name}")
     print(f"{'entry':<22}{'potential':<24}{'N':>6}{'peak_N':>8}{'faults':>8}"
           f"{'dpttrf':>8}{'dpttrs':>8}{'ms':>8}")
     for entry, n, fn in ENTRIES:
@@ -82,6 +86,7 @@ def main():
         means = [statistics.fmean(column) for column in zip(*rows)]
         print(f"{entry:<22}{'mean':<24}{n:>6}{means[0]:>8.2f}{means[1]:>8.1f}"
               f"{means[2]:>8.1f}{means[3]:>8.1f}{means[4]:>8.2f}")
+    print(f"ru_maxrss: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
 
 
 if __name__ == "__main__":

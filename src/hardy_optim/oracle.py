@@ -6,13 +6,11 @@ assembled as piecewise-linear finite elements on explicit grids, so
 agreement with the ODE side is a genuine two-sided check of the
 feasibility characterization.
 
-Smallest eigenvalues are certified by Sylvester's law of inertia: the
-tridiagonal K - sigma M has an unpivoted LDL^T factorization with positive
-pivots exactly when every eigenvalue exceeds sigma.  A returned lambda1 is
-a Rayleigh quotient at most _CERT_GAP (1e-6) relative above such a sigma.
-Inverse iteration takes each Rayleigh quotient from its solve and aims each
-shift at a predicted lower bound (see _smallest_eigenpair), so that a shift
-seldom fails to factor.
+Smallest eigenvalues are certified by Sylvester's law of inertia: a returned
+lambda1 is at most _CERT_GAP (1e-6) relative above a sigma at which K - sigma M
+has an unpivoted LDL^T factorization with positive pivots (_smallest_eigenpair).
+Its dpttrf and dpttrs are numpy's own OpenBLAS, called by ctypes in place, and
+scipy's LAPACK extension only where numpy's library lacks them (_lapack).
 
 Boundary treatment: Dirichlet at the outer radius, natural (free) at the
 inner cutoff r_min.  The inner cutoff stands in for the boundedness
@@ -24,6 +22,8 @@ rejected with DomainError.
 """
 from __future__ import annotations
 
+import collections
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -52,19 +52,15 @@ _CERT_GAP = 1e-6                   # relative gap from a certified shift up to l
 _EIG_TOL = 1e-10                   # relative settling of lambda~ that ends inverse iteration
 _MAX_ITER = 80                     # inverse iteration steps before HardyError
 _LIMIT_DEPTH = 12                  # lambda_limit's mu_k = (1 - 2^-k) mu_n, k = 1.._LIMIT_DEPTH
+_Lapack = collections.namedtuple("_Lapack", "name refs dpttrf dpttrs")    # see _lapack
 
 
 @functools.cache
 def _flapack():
-    """scipy's LAPACK extension, loaded by the first solve from its file in
-    scipy/linalg without running the scipy.linalg package, whose import
-    (numpy.f2py, numpy.testing and numpy.random among others) takes
-    0.25-0.34 s of ``-X importtime`` on a 2-core x86_64 against 5-9 ms for
-    the extension.  It is registered under its own name, scipy.linalg._flapack,
-    so that a later ``import scipy.linalg`` shares this module and its
-    routines.  ``import scipy`` (the top-level package only) comes first: on
-    some platforms it sets the path of the bundled BLAS.  Raises ImportError
-    if scipy/linalg holds no such extension."""
+    """The fallback LAPACK, scipy's extension, loaded from its file in scipy/linalg
+    without the scipy.linalg package (0.25-0.34 s of ``-X importtime`` on a 2-core
+    x86_64, against 5-9 ms), under its own name, which a later ``import scipy.linalg``
+    shares; ``import scipy`` first, which on some platforms sets the BLAS's path."""
     import scipy
     directory = Path(scipy.__path__[0]) / "linalg"
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -78,16 +74,51 @@ def _flapack():
     raise ImportError(f"no LAPACK extension _flapack in {directory}")
 
 
-def dpttrf(*args, **kwargs):
-    """LAPACK's dpttrf (scipy.linalg.lapack.dpttrf), under the name the
-    tests patch (bench/spans.py patches only ``solve_banded``)."""
-    return _flapack().dpttrf(*args, **kwargs)
+def _numpy_libraries() -> list:
+    """numpy's wheels' own OpenBLAS (int64, scipy_ names): numpy.libs, or numpy/.dylibs on macOS."""
+    package = Path(np.__file__).parent
+    return sorted([*package.parent.glob("numpy.libs/*scipy_openblas64_*"),
+                   *package.glob(".dylibs/*scipy_openblas64_*")])
 
 
-def solve_banded(*args, **kwargs):
-    """LAPACK's dpttrs (scipy.linalg.lapack.dpttrs), under the name
-    bench/spans.py traces (ROADMAP item 5)."""
-    return _flapack().dpttrs(*args, **kwargs)
+@functools.cache
+def _lapack() -> _Lapack:
+    """The name, refs, dpttrf and dpttrs of the FE solves' LAPACK, chosen on the first:
+    numpy's library where it exports scipy_dpttrf_64_ and scipy_dpttrs_64_, else
+    _flapack.  dpttrf(n, d, e) and dpttrs(n, d, e, b) work in place, return info and
+    take refs(*arrays): the order n, then each array's address (ctypes) or the array."""
+    for path in _numpy_libraries():
+        try:
+            library = ctypes.CDLL(str(path))
+            factor, solve = library.scipy_dpttrf_64_, library.scipy_dpttrs_64_
+        except (OSError, AttributeError):
+            continue
+        factor.argtypes, solve.argtypes = [ctypes.c_void_p] * 4, [ctypes.c_void_p] * 7
+        factor.restype = solve.restype = None
+        factor.errcheck = solve.errcheck = lambda _, __, args: args[0][2]   # INFO, in n
+        return _Lapack(
+            str(path), lambda *arrays: ((ctypes.c_int64 * 3)(arrays[0].size, 1, 0),  # N, NRHS, INFO
+                                        *(a.ctypes.data for a in arrays)),
+            lambda n, d, e: factor(n, d, e, ctypes.byref(n, 16)),
+            lambda n, d, e, b: solve(n, ctypes.byref(n, 8), d, e, b, n, ctypes.byref(n, 16)))
+    try:
+        flapack = _flapack()
+    except ImportError as exc:
+        raise ImportError("no LAPACK for the FE oracle: no scipy_dpttrf_64_ in numpy.libs or "
+                          f"numpy/.dylibs beside {np.__file__}, and {exc}") from exc
+    return _Lapack(flapack.__name__, lambda *arrays: (arrays[0].size, *arrays),
+                   lambda n, d, e: flapack.dpttrf(d, e, overwrite_d=1, overwrite_e=1)[2],
+                   lambda n, d, e, b: flapack.dpttrs(d, e, b, overwrite_b=1)[1])
+
+
+def dpttrf(n, d, e) -> int:
+    """LAPACK's dpttrf on _lapack()'s refs, under the name the tests patch."""
+    return _lapack().dpttrf(n, d, e)
+
+
+def solve_banded(n, d, e, b) -> int:
+    """LAPACK's dpttrs on _lapack()'s refs, under the name bench/spans.py traces."""
+    return _lapack().dpttrs(n, d, e, b)
 
 
 class GridMapping(Enum):
@@ -232,26 +263,33 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     (sigma = 0) if its factorization fails.  It runs on 4^-k M, 4^k near max
     M, so that y.My stays in the floats (a warm start's shift times 4^k, its
     vector 2^k), and returns lambda 4^-k and x 2^-k, which keeps every bit.
-    Besides dpttrf's factors and each solve it writes, with the plain bits, into
-    4^-k M, K - sigma M, and M x and M y, which trade places each step.
+    It works in place, with the plain bits, on arrays allocated once per call:
+    4^-k M, K - sigma M's factors and a trial pair, y, and M x and M y.
     """
     k = math.frexp(float(m_diag.max()))[1] // 2
     m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
-    work, my = np.empty_like(m_diag), np.empty_like(m_diag)
-    sigma, failed = 0.0, math.inf
-    if shift > 0.0:
-        d, e, info = dpttrf(_shifted(k_diag, shift, m_diag, work), k_off)
-        sigma = 0.0 if info else shift
-    if not sigma:
-        d, e, info = dpttrf(k_diag, k_off)
-        if info:
-            raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
-    x = (np.sqrt(np.maximum(m_diag, 1e-300, out=work), out=work) if start is None
-         else np.ldexp(start, k, out=work))
-    mx = m_diag * x
+    d, e, trial_d, trial_e, y, mx, my = (np.empty(m_diag.size - j) for j in (0, 1, 0, 1, 0, 0, 0))
+    n, *refs = _lapack().refs(d, e, trial_d, trial_e, y)     # LAPACK's terms, read once per call
+    pairs = [(d, e, *refs[:2]), (trial_d, trial_e, *refs[2:4])]     # certified, trial
+
+    def factor(shift: float) -> int:      # dpttrf of K - shift M in the trial pair
+        d, e, *ref = pairs[1]
+        _shifted(k_diag, shift, m_diag, d)
+        np.copyto(e, k_off)
+        if not (info := dpttrf(n, *ref)):
+            pairs.reverse()
+        return info
+
+    sigma, failed = (shift if shift > 0.0 and not factor(shift) else 0.0), math.inf
+    if not sigma and (info := factor(0.0)):
+        raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
+    x = (np.sqrt(np.maximum(m_diag, 1e-300, out=y), out=y) if start is None
+         else np.ldexp(start, k, out=y))
+    np.multiply(m_diag, x, out=mx)
     lam = math.inf
     for iterations in range(1, _MAX_ITER + 1):
-        y, _ = solve_banded(d, e, mx)
+        np.copyto(y, mx)
+        solve_banded(n, *pairs[0][2:], refs[4])     # y = (K - sigma M)^-1 M x
         y_my = float(y @ np.multiply(m_diag, y, out=my))
         lam, lam_prev = sigma + float(y @ mx) / y_my, lam   # y.Ky = y.Mx + sigma y.My
         scale = 1.0 / math.sqrt(y_my)
@@ -262,9 +300,8 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
         if sigma < aim:
             shift = aim if aim < failed else 0.5 * (sigma + failed)
             for _ in range(2):
-                d_new, e_new, info = dpttrf(_shifted(k_diag, shift, m_diag, work), k_off)
-                if not info:
-                    sigma, d, e = shift, d_new, e_new
+                if not factor(shift):
+                    sigma = shift
                     break
                 failed, shift = shift, 0.5 * (sigma + shift)
         if step <= _EIG_TOL * lam and sigma >= target:
@@ -272,7 +309,7 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     else:
         raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: lambda_1 in "
                          f"[{np.ldexp(sigma, -2 * k):g}, {np.ldexp(lam, -2 * k):g}]")
-    x = np.multiply(y, scale, out=y)                 # x = y scale, of the last step only
+    x, work = np.multiply(y, scale, out=y), pairs[1][0]   # x = y scale, of the last step only
     # x.Kx via K's row sums and edge differences: x @ (K x) cancels to noise > tol
     np.copyto(work, k_diag)
     work[:-1] += k_off

@@ -150,11 +150,12 @@ class RadialPotential:
     Immutable.  Every construction, by a factory, the constructor,
     ``dataclasses.replace`` or ``scaled``, runs the catalog guards
     (``__post_init__``): a finite amplitude >= 0, a finite r_max > 0, a
-    finite alpha, an integer m (an integral float is stored as an int), and
-    for the log families m >= 1 and an outer scale at least its floor, which
-    keeps every log factor positive on (0, r_max].  sigma is read off the
-    model there, never passed in, and a table's logs are stored as tuples of
-    floats, so that equal potentials compare and hash equal.
+    finite alpha, an integer m (an integral float is stored as an int), for
+    the log families m >= 1 and an outer scale at least its floor, which
+    keeps every log factor positive on (0, r_max], and a table's logs finite,
+    two or more and as many of v as of r, the radii strictly increasing.
+    sigma is read off the model there, never passed in, and a table's logs
+    are stored as tuples of floats, so equal potentials compare and hash equal.
     """
 
     kind: Kind
@@ -195,8 +196,15 @@ class RadialPotential:
             object.__setattr__(self, key, float(scale))
             sigma = 2.0
         elif self.kind is Kind.CUSTOM:
-            for key in ("table_log_r", "table_log_v"):    # tuples of floats, from any sequence
-                object.__setattr__(self, key, tuple(np.asarray(getattr(self, key), float).tolist()))
+            log_r, log_v = np.asarray(self.table_log_r, float), np.asarray(self.table_log_v, float)
+            if log_r.ndim != 1 or log_r.shape != log_v.shape or log_r.size < 2:
+                raise DomainError("custom potential needs matching 1-d r and v arrays, length >= 2")
+            if not (np.isfinite(log_r).all() and np.isfinite(log_v).all()):
+                raise DomainError("custom potential samples must be finite")
+            if np.any(np.diff(log_r) <= 0.0):
+                raise DomainError("custom potential radii must be strictly increasing")
+            object.__setattr__(self, "table_log_r", tuple(log_r.tolist()))    # floats, so tables
+            object.__setattr__(self, "table_log_v", tuple(log_v.tolist()))    # compare and hash
             (r0, r1), (v0, v1) = self.table_log_r[:2], self.table_log_v[:2]
             sigma = (v0 - v1) / (r1 - r0)
         else:
@@ -235,19 +243,14 @@ class RadialPotential:
         """Tabulated potential, interpolated log-linearly (linear in log r vs
         log v) and extrapolated with the boundary slopes.
 
-        Below r[0] the table is exactly v[0] (r / r[0])^(-sigma), so sigma is
-        its inner cell's exponent -(ln v1 - ln v0) / (ln r1 - ln r0), 0 when
-        the first segment is flat.  The samples are checked here, before
-        their logarithms are taken.
+        Below r[0] the table is exactly v[0] (r / r[0])^(-sigma), so sigma is its inner
+        cell's exponent -(ln v1 - ln v0) / (ln r1 - ln r0), 0 when the first segment is
+        flat.  Shape and positivity are checked here, before the logs are taken.
         """
         r = np.asarray(r, dtype=float)
         v = np.asarray(v, dtype=float)
         if r.ndim != 1 or r.shape != v.shape or r.size < 2:
             raise DomainError("custom potential needs matching 1-d r and v arrays, length >= 2")
-        if not (np.isfinite(r).all() and np.isfinite(v).all()):
-            raise DomainError("custom potential samples must be finite")
-        if np.any(np.diff(r) <= 0.0):
-            raise DomainError("custom potential radii must be strictly increasing")
         if np.any(r <= 0.0) or np.any(v <= 0.0):
             raise DomainError("custom potential samples must be strictly positive")
         return cls(Kind.CUSTOM, r_max=float(r[-1] if r_max is None else r_max),

@@ -3,9 +3,10 @@ interpreters: the borderline families' best-constant, feasible and
 classify are closed forms and numpy, and so are best-constant and feasible
 on a constant or a power law (x(R) against z0), classify on every kind and
 dual at every p; none of them loads a scipy submodule.  Cell sweeps load
-``scipy.special`` alone, and a whole oracle row LAPACK's extension
-``scipy.linalg._flapack`` alone, without the ``scipy.linalg`` package.
-No subcommand loads the standard library's ``configparser``, and none
+``scipy.special`` alone.  ``eigen`` and a whole oracle row load what the
+oracle's LAPACK needs: no scipy module with numpy's own OpenBLAS, and LAPACK's
+extension ``scipy.linalg._flapack`` alone, without the ``scipy.linalg``
+package, with the fallback.  No subcommand loads the standard library's ``configparser``, and none
 loads ``argparse`` or ``numpy.polynomial`` unless the scipy it runs
 does."""
 import json
@@ -14,8 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hardy_optim import oracle
+
 COLD_START = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "cold_start.py"))
 fresh_run = COLD_START["fresh_run"]
+_FLAPACK = oracle._lapack().name == "scipy.linalg._flapack"    # the fallback's choice
+_LAPACK_LOADS = ["scipy.linalg._flapack"] if _FLAPACK else []
 
 _LOG_2 = {"kind": "adimurthi_log", "m": "2"}
 
@@ -73,15 +78,15 @@ def test_cell_sweeps_load_only_special(tmp_path):
 
 
 def test_power_law_and_eigen_load_no_integrator(tmp_path):
-    # the eigensolve needs LAPACK's extension alone, loaded from its file
-    # without the scipy.linalg package, and the power law's best constant no
-    # scipy at all; neither sweeps a log family, so neither loads
-    # scipy.integrate
+    # the eigensolve calls numpy's own OpenBLAS (the fallback: LAPACK's
+    # extension alone, loaded from its file without the scipy.linalg package),
+    # and the power law's best constant no scipy at all; neither sweeps a log
+    # family, so neither loads scipy.integrate
     runs = [({"kind": "power_law", "alpha": "1"}, ["best-constant"]),
             (_LOG_2, ["eigen", "--mu", "0"])]
     _, codes, loaded = fresh_run(runs, tmp_path)
     assert codes == [0, 0]
-    assert loaded == ["scipy.linalg._flapack"]
+    assert loaded == _LAPACK_LOADS
 
 
 def test_dual_infimum_on_cells_loads_no_scipy(tmp_path):
@@ -136,12 +141,15 @@ for path in sys.argv[1:]:
     oracle.lambda_limit(cfg.potential, cfg.n, cfg.R)
 print(json.dumps([[m for m in {COLD_START["SCIPY_SUBMODULES"]!r} if m in sys.modules],
                   [m for m in ("numpy.f2py", "scipy._lib.array_api_compat", "numpy.polynomial")
-                   if m in sys.modules]]))
+                   if m in sys.modules],
+                  "scipy" in sys.modules]))
 """
 
 
-def test_oracle_row_loads_only_linalg(tmp_path):
-    # LAPACK's extension, not the scipy.linalg package, whose import ran
+def test_oracle_row_loads_only_its_lapack(tmp_path):
+    # numpy's own OpenBLAS and no scipy module at all: LAPACK's extension
+    # loaded scipy's second OpenBLAS, about 3 MB of peak RSS.  The fallback
+    # loads the extension, not the scipy.linalg package, whose import ran
     # scipy._lib.array_api_compat and with it numpy.f2py, numpy.testing and
     # numpy.random: about half the row's set-up (BENCH_37.json)
     kinds = ["kind = constant\namplitude = 3\nr_max = 2",
@@ -154,7 +162,7 @@ def test_oracle_row_loads_only_linalg(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _ORACLE_ROW] + [str(p) for p in paths],
                           env=COLD_START["child_env"](), stdout=subprocess.PIPE, text=True,
                           check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == [["scipy.linalg._flapack"], []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [_LAPACK_LOADS, [], _FLAPACK]
 
 
 # Every subcommand, an error record and a usage error through cli.main in one
@@ -187,8 +195,8 @@ def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
     # 0.85 ms best-constant op, and importing argparse 2 ms of a cold start.
     # scipy.special imports argparse and numpy.polynomial itself (through
     # numpy.f2py and scipy._lib.array_api_compat's ``from numpy import *``),
-    # so they may arrive with scipy and only with it; eigen loads LAPACK's
-    # extension alone and neither of them.  The Gauss-Legendre rules are
+    # so they may arrive with scipy and only with it; eigen loads no scipy
+    # (the fallback LAPACK's extension alone) and neither of them.  The Gauss-Legendre rules are
     # literals, so hardy_optim loads no numpy.polynomial (3-5 ms).  The
     # closed-form test c A <= 1/4 is integer arithmetic: the five
     # subcommands without scipy load neither fractions nor decimal, which
@@ -203,7 +211,7 @@ def test_no_subcommand_loads_configparser_or_argparse(tmp_path):
     assert codes == [0, 0, 0, 0, 1, 0, 0, 0]
     assert configparser_loaded is False
     assert loaded[:5] == [[False, False, False, False]] * 5
-    assert loaded[5] == [False, True, False, False]
+    assert loaded[5] == [False, _FLAPACK, False, False]
     assert all(scipy for argparse, scipy, _, polynomial in loaded if argparse or polynomial)
 
 

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 from scipy.special import j0
 
@@ -234,10 +235,10 @@ def test_eigensolve_raises_at_the_iteration_cap(constant_pot, monkeypatch):
     factor = oracle.dpttrf
     calls = []
 
-    def only_unshifted(d, e):
+    def only_unshifted(*args):
         calls.append(1)
-        d, e, info = factor(d, e)
-        return d, e, info if len(calls) == 1 else 1
+        info = factor(*args)
+        return info if len(calls) == 1 else 1
 
     monkeypatch.setattr(oracle, "dpttrf", only_unshifted)
     with pytest.raises(HardyError, match="unsettled after 80"):
@@ -285,9 +286,8 @@ def _record_factorizations(monkeypatch):
     infos, factor = [], oracle.dpttrf
 
     def counted(*args):
-        out = factor(*args)
-        infos.append(out[2])
-        return out
+        infos.append(factor(*args))
+        return infos[-1]
 
     monkeypatch.setattr(oracle, "dpttrf", counted)
     return infos
@@ -530,8 +530,7 @@ def _tri_mul(diag, off, x):
 def _reference_eigenpair(k_diag, k_off, m_diag, start=None, shift=0.0):
     """_smallest_eigenpair as it was with a new array for every product: the
     same iteration, x and M x formed afresh each step, K's row sums as K
-    times a vector of ones."""
-    dpttrf, solve_banded = oracle.dpttrf, oracle.solve_banded
+    times a vector of ones, and scipy's LAPACK whichever the oracle chose."""
     k = math.frexp(float(m_diag.max()))[1] // 2
     m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
     sigma, failed = 0.0, math.inf
@@ -546,7 +545,7 @@ def _reference_eigenpair(k_diag, k_off, m_diag, start=None, shift=0.0):
     mx = m_diag * x
     lam = math.inf
     for iterations in range(1, oracle._MAX_ITER + 1):
-        y, _ = solve_banded(d, e, mx)
+        y, _ = dpttrs(d, e, mx)
         my = m_diag * y
         y_my = float(y @ my)
         lam, lam_prev = sigma + float(y @ mx) / y_my, lam
@@ -623,14 +622,18 @@ def _peak_n_arrays(run, n):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("potential, bounds", [(RadialPotential.power_law(1.0), (11, 13, 14)),
-                                               (RadialPotential.adimurthi_log(3), (13, 13, 14))],
+@pytest.mark.parametrize("potential, bounds", [(RadialPotential.power_law(1.0), (10.5, 11.5, 12.5)),
+                                               (RadialPotential.adimurthi_log(3), (12.5, 12.5, 13.5))],
                          ids=["power_law-1", "adimurthi_log-3"])
 def test_fe_working_set_is_pinned_in_n_arrays(potential, bounds):
     # at N = 10,000, with a new array for every product, the pencil peaked
     # at 15 (power law) and 19 (adimurthi_log(3)) N-arrays and both quotients
-    # at 16 and 20; in fixed working sets the pencil peaks at 10 and 12,
-    # reduced_rayleigh_min at 12 and weighted_eigen at 13
+    # at 16 and 20; in fixed working sets the pencil peaks at 10 and 12, and
+    # with LAPACK's f2py wrappers, which returned new factors and solutions,
+    # reduced_rayleigh_min at 12 and weighted_eigen at 13 on either potential.
+    # Factoring and solving in place, the power law's solves peak at 11 and
+    # 12; on adimurthi_log(3) the assembly's peak, the nodes beside the
+    # pencil's 12, stays the quotients'
     grid = _grid()
     nodes = grid.nodes()
     peaks = (_peak_n_arrays(lambda: oracle._pencil(potential, nodes, 3, hardy=True), grid.N),
@@ -660,6 +663,123 @@ def test_lambda_limit_refuses_a_grid_that_ends_elsewhere():
     grid = GridSpec(2000, GridMapping.LOG_SPACED, 0.5, 1e-30)
     with pytest.raises(DomainError, match="ends at 0.5, not at R = 1.0"):
         lambda_limit(RadialPotential.power_law(1.0), 3, 1.0, grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# the LAPACK the solves call
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def lapack_choice(monkeypatch):
+    """A fresh LAPACK choice, made again after the test: patch
+    oracle._numpy_libraries (through monkeypatch) before the first solve."""
+    oracle._lapack.cache_clear()
+    yield monkeypatch
+    oracle._lapack.cache_clear()
+
+
+def _fallback(lapack_choice, libraries=()):
+    """The LAPACK chosen where numpy's library lookup finds ``libraries``."""
+    lapack_choice.setattr(oracle, "_numpy_libraries", lambda: [Path(x) for x in libraries])
+    oracle._lapack.cache_clear()
+    return oracle._lapack()
+
+
+def _numpy_openblas():
+    return oracle._numpy_libraries()[0]
+
+
+def test_the_oracle_calls_numpys_own_lapack(lapack_choice):
+    # numpy's wheel ships its OpenBLAS beside the package, and exports
+    # dpttrf and dpttrs with 64-bit integers; scipy's copy is not loaded for them
+    library = _numpy_openblas()
+    assert library.parent.name in ("numpy.libs", ".dylibs")
+    assert oracle._lapack().name == str(library)
+
+
+@pytest.mark.parametrize("libraries", [[], ["no-such-directory/libscipy_openblas64_.so"],
+                                       ["libgfortran", "libquadmath"]],
+                         ids=["missing", "unloadable", "without-the-routines"])
+def test_the_fallback_is_scipys_extension(lapack_choice, libraries):
+    # a library beside numpy's OpenBLAS that loads but exports neither routine
+    libraries = [next(_numpy_openblas().parent.glob(f"{x}*")) if x.startswith("lib") else x
+                 for x in libraries]
+    assert _fallback(lapack_choice, libraries).name == "scipy.linalg._flapack"
+
+
+def test_no_lapack_names_both_places_searched(lapack_choice):
+    # the last line of the loader: scipy/linalg holds no _flapack
+    import importlib.machinery
+    lapack_choice.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    oracle._flapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=r"numpy\.libs.*\.dylibs.*_flapack in .*linalg"):
+            _fallback(lapack_choice)
+        with pytest.raises(ImportError, match="no LAPACK for the FE oracle"):
+            weighted_eigen(RadialPotential.constant(), 0.1, 3, _grid(200))
+    finally:
+        oracle._flapack.cache_clear()
+
+
+@pytest.mark.parametrize("backend", ["numpy", "fallback"])
+def test_each_lapack_factors_and_solves_in_place_as_scipys(lapack_choice, backend):
+    # the same bits as scipy.linalg.lapack's copies, in the arrays given, and
+    # info the first pivot that is not positive
+    lapack = oracle._lapack() if backend == "numpy" else _fallback(lapack_choice)
+    rng = np.random.default_rng(3)
+    diag, off, rhs = 4.0 + rng.random(50), rng.random(49) - 0.5, rng.random(50)
+    for k_diag in (diag, np.r_[diag[:20], -1.0, diag[21:]]):
+        d, e, b = k_diag.copy(), off.copy(), rhs.copy()
+        n, *refs = lapack.refs(d, e, b)
+        want_d, want_e, want_info = dpttrf(k_diag, off)
+        assert oracle.dpttrf(n, *refs[:2]) == want_info
+        if want_info:
+            assert want_info == 21
+            continue
+        assert (d.tobytes(), e.tobytes()) == (want_d.tobytes(), want_e.tobytes())
+        assert oracle.solve_banded(n, *refs) == 0
+        assert b.tobytes() == dpttrs(want_d, want_e, rhs)[0].tobytes()
+
+
+def _counted_run(run):
+    """run()'s result and its numbers of dpttrf and dpttrs calls."""
+    counts = {"dpttrf": 0, "solve_banded": 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for name in counts:
+            def call(*args, name=name, lapack=getattr(oracle, name)):
+                counts[name] += 1
+                return lapack(*args)
+            patch.setattr(oracle, name, call)
+        return run(), tuple(counts.values())
+
+
+_AGREEMENT = {"constant": RadialPotential.constant(),
+              "power_law-1.5": RadialPotential.power_law(1.5),
+              "adimurthi_log-3": RadialPotential.adimurthi_log(3)}
+
+
+@pytest.mark.parametrize("potential", _AGREEMENT.values(), ids=_AGREEMENT.keys())
+def test_both_lapacks_agree_on_every_quotient(lapack_choice, potential):
+    # numpy's OpenBLAS and scipy's run the same reference dpttrf / dpttrs:
+    # the same iterations, factorizations and solves, and the quotients
+    # within 1e-12
+    grid = _grid(4000, r_min=1e-40)
+    runs = {"weighted_eigen": lambda: weighted_eigen(potential, 0.125, 3, grid),
+            "reduced_rayleigh_min": lambda: reduced_rayleigh_min(potential, grid),
+            "lambda_limit": lambda: lambda_limit(potential, 3, 1.0)}
+    assert oracle._lapack().name == str(_numpy_openblas())
+    numpy_runs = {name: _counted_run(run) for name, run in runs.items()}
+    assert _fallback(lapack_choice).name == "scipy.linalg._flapack"
+    fallback_runs = {name: _counted_run(run) for name, run in runs.items()}
+    for name in runs:
+        (got, got_counts), (want, want_counts) = fallback_runs[name], numpy_runs[name]
+        assert got_counts == want_counts, name
+        if name == "lambda_limit":
+            assert got.limit == pytest.approx(want.limit, rel=1e-12)
+            assert got.lambdas == pytest.approx(want.lambdas, rel=1e-12)
+        else:
+            assert got.iterations == want.iterations, name
+            assert got.lambda1 == pytest.approx(want.lambda1, rel=1e-12), name
 
 
 # ---------------------------------------------------------------------------

@@ -682,6 +682,31 @@ def test_tables_are_values():
     assert a.log_cells[0].tolist() == (-np.log(r))[::-1].tolist()
 
 
+_TABLE_R = np.geomspace(1e-6, 1.0, 40)
+_TABLE = RadialPotential.custom(_TABLE_R, np.exp(3.0 * _TABLE_R))
+
+
+@pytest.mark.parametrize("logs, message", [
+    ({"table_log_r": np.log(_TABLE_R)[::-1]}, "radii must be strictly increasing"),
+    ({"table_log_r": np.zeros(40)}, "radii must be strictly increasing"),
+    ({"table_log_r": np.r_[np.log(_TABLE_R)[:20], np.log(_TABLE_R)[19:39]]},
+     "radii must be strictly increasing"),
+    ({"table_log_v": np.full(40, math.nan)}, "samples must be finite"),
+    ({"table_log_r": np.r_[-math.inf, np.log(_TABLE_R)[1:]]}, "samples must be finite"),
+    ({"table_log_v": np.log(np.exp(3.0 * _TABLE_R))[:-1]}, "matching 1-d r and v arrays"),
+    ({"table_log_r": [0.0], "table_log_v": [0.0]}, "length >= 2")],
+    ids=["decreasing", "equal", "repeated", "nan", "inf", "unequal-lengths", "one-sample"])
+def test_every_table_construction_checks_its_logs(logs, message):
+    # the sample checks ran in custom alone: replace() built decreasing
+    # radii, which best_constant then bracketed, NaN logs and logs of
+    # unequal lengths, and equal radii escaped as a bare ZeroDivisionError
+    with pytest.raises(DomainError, match=message):
+        replace(_TABLE, **logs)
+    with pytest.raises(DomainError, match=message):
+        RadialPotential(Kind.CUSTOM, **{"table_log_r": _TABLE.table_log_r,
+                                        "table_log_v": _TABLE.table_log_v, **logs})
+
+
 @pytest.mark.parametrize("build, m", [
     (lambda: RadialPotential(Kind.ADIMURTHI_LOG, m=2.0), 2),
     (lambda: RadialPotential(Kind.FILIPPAS_TERTIKAS_X, m=np.int64(3)), 3),

@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+from hardy_optim import oracle
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -58,9 +60,12 @@ def test_record_digest_prints_one_digest_per_entry(monkeypatch, capsys):
 
 def test_fe_profile_prints_each_entry_point_on_the_catalog(monkeypatch, capsys):
     lines = _run_script("fe_profile.py", [], monkeypatch, capsys)
-    assert lines[0].split() == ["entry", "potential", "N", "peak_N", "faults", "dpttrf",
+    assert lines[0] == f"lapack: {oracle._lapack().name}"
+    assert lines[1].split() == ["entry", "potential", "N", "peak_N", "faults", "dpttrf",
                                 "dpttrs", "ms"]
-    rows = [line.split() for line in lines[1:]]
+    name, maxrss = lines[-1].split()
+    assert name == "ru_maxrss:" and int(maxrss) > 0
+    rows = [line.split() for line in lines[2:-1]]
     assert len(rows) == 3 * 11 and [row[0] for row in rows[::11]] == [
         "reduced_rayleigh_min", "weighted_eigen", "lambda_limit"]
     for row in rows:
