@@ -6,11 +6,9 @@ assembled as piecewise-linear finite elements on explicit grids, so
 agreement with the ODE side is a genuine two-sided check of the
 feasibility characterization.
 
-Smallest eigenvalues are certified by Sylvester's law of inertia: a returned
-lambda1 is at most _CERT_GAP (1e-6) relative above a sigma at which K - sigma M
-has an unpivoted LDL^T factorization with positive pivots (_smallest_eigenpair).
-Its dpttrf and dpttrs are numpy's own OpenBLAS, called by ctypes in place, and
-scipy's LAPACK extension only where numpy's library lacks them (_lapack).
+Smallest eigenvalues are certified by Sylvester's law of inertia, at most _CERT_GAP
+(1e-6) relative above a sigma at which K - sigma M factors (_smallest_eigenpair), by
+numpy's own OpenBLAS through ctypes, or scipy's LAPACK where numpy's lacks it (_lapack).
 
 Boundary treatment: Dirichlet at the outer radius, natural (free) at the
 inner cutoff r_min.  The inner cutoff stands in for the boundedness
@@ -85,8 +83,8 @@ def _numpy_libraries() -> list:
 def _lapack() -> _Lapack:
     """The name, refs, dpttrf and dpttrs of the FE solves' LAPACK, chosen on the first:
     numpy's library where it exports scipy_dpttrf_64_ and scipy_dpttrs_64_, else
-    _flapack.  dpttrf(n, d, e) and dpttrs(n, d, e, b) work in place, return info and
-    take refs(*arrays): the order n, then each array's address (ctypes) or the array."""
+    _flapack.  dpttrf(n, d, e) and dpttrs(n, d, e, b) work in place and return info
+    (ctypes': None, then INFO) on refs(*arrays): n, then each array's address or itself."""
     for path in _numpy_libraries():
         try:
             library = ctypes.CDLL(str(path))
@@ -95,12 +93,14 @@ def _lapack() -> _Lapack:
             continue
         factor.argtypes, solve.argtypes = [ctypes.c_void_p] * 4, [ctypes.c_void_p] * 7
         factor.restype = solve.restype = None
-        factor.errcheck = solve.errcheck = lambda _, __, args: args[0][2]   # INFO, in n
-        return _Lapack(
-            str(path), lambda *arrays: ((ctypes.c_int64 * 3)(arrays[0].size, 1, 0),  # N, NRHS, INFO
-                                        *(a.ctypes.data for a in arrays)),
-            lambda n, d, e: factor(n, d, e, ctypes.byref(n, 16)),
-            lambda n, d, e, b: solve(n, ctypes.byref(n, 8), d, e, b, n, ctypes.byref(n, 16)))
+
+        def refs(*arrays):          # n: the int64s (N, NRHS = 1, INFO), then their addresses
+            ints = (ctypes.c_int64 * 3)(arrays[0].size, 1, 0)
+            at = ctypes.addressof(ints)
+            return ((ints, at, at + 8, at + 16),
+                    *(ctypes.addressof(ctypes.c_char.from_buffer(a)) for a in arrays))
+        return _Lapack(str(path), refs, lambda n, d, e: factor(n[1], d, e, n[3]) or n[0][2],
+                       lambda n, d, e, b: solve(n[1], n[2], d, e, b, n[1], n[3]) or n[0][2])
     try:
         flapack = _flapack()
     except ImportError as exc:
