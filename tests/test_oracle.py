@@ -530,7 +530,8 @@ def _tri_mul(diag, off, x):
 def _reference_eigenpair(k_diag, k_off, m_diag, start=None, shift=0.0):
     """_smallest_eigenpair as it was with a new array for every product: the
     same iteration, x and M x formed afresh each step, K's row sums as K
-    times a vector of ones, and scipy's LAPACK whichever the oracle chose."""
+    times a vector of ones, and scipy.linalg.lapack's routines whichever
+    LAPACK the oracle chose."""
     k = math.frexp(float(m_diag.max()))[1] // 2
     m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
     sigma, failed = 0.0, math.inf
@@ -701,7 +702,8 @@ def test_the_oracle_calls_numpys_own_lapack(lapack_choice):
                                        ["libgfortran", "libquadmath"]],
                          ids=["missing", "unloadable", "without-the-routines"])
 def test_the_fallback_is_scipys_extension(lapack_choice, libraries):
-    # a library beside numpy's OpenBLAS that loads but exports neither routine
+    # no library, one that does not load, or libraries beside numpy's OpenBLAS
+    # that load but export neither routine
     libraries = [next(_numpy_openblas().parent.glob(f"{x}*")) if x.startswith("lib") else x
                  for x in libraries]
     assert _fallback(lapack_choice, libraries).name == "scipy.linalg._flapack"
