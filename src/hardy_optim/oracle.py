@@ -6,9 +6,9 @@ assembled as piecewise-linear finite elements on explicit grids, so
 agreement with the ODE side is a genuine two-sided check of the
 feasibility characterization.
 
-Smallest eigenvalues are certified by Sylvester's law of inertia, at most _CERT_GAP
-(1e-6) relative above a sigma at which K - sigma M factors (_smallest_eigenpair), by
-numpy's own OpenBLAS through ctypes, or scipy's LAPACK where numpy's lacks it (_lapack).
+Each quotient reads one eigensolve pass per pencil over its mu (_eigenpairs), certified by
+Sylvester's law of inertia at most _CERT_GAP (1e-6) relative above a sigma at which K - sigma
+M factors, by numpy's own OpenBLAS through ctypes, or scipy's LAPACK where numpy's lacks it.
 
 Boundary treatment: Dirichlet at the outer radius, natural (free) at the
 inner cutoff r_min.  The inner cutoff stands in for the boundedness
@@ -136,6 +136,10 @@ class GridSpec:
     r_min: float = 1e-6
 
     def __post_init__(self):
+        try:                            # the enum or its value, as nodes and _quad_cells read it
+            object.__setattr__(self, "mapping", GridMapping(self.mapping))
+        except ValueError:
+            raise DomainError(f"unknown grid mapping {self.mapping!r}") from None
         if not isinstance(self.N, (int, np.integer)) or self.N < 16:
             raise DomainError(f"need an integer N of at least 16 nodes, got N = {self.N!r}")
         if not 0.0 < self.r_min < self.R < math.inf:
@@ -192,18 +196,19 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, np.negative(cell, out=cell)
 
 
-def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
+def _pencil(p: RadialPotential, nodes: np.ndarray, n: int):
     """P1 pencil of the dimension-n radial form, Dirichlet node at R dropped,
     assembled on the unit ball, rho = r / R with R the last node: the
     quotients do not change under dilation when v is read at r = R rho, so no
-    power of R is formed.  Stiffness (diag, off-diag) rho^(n-1) and lumped
-    mass R^2 v rho^(n-1) drho = g e^((n-2)t) dt, g = log_weight(ln(1/R) - t);
-    with ``hardy``, also the lumped Hardy weight rho^(n-3) drho = e^((n-2)t) dt
-    of the forms with an inverse-square term, from the same e^((n-2)t)
-    samples.  Lumped weights integrate over each node's cell in t = ln rho,
-    composite Gauss-Legendre per half-cell.  Besides the stiffness and
-    log_weight's results it writes into rho (then t, s = ln(1/R) - t, -t and
-    e^((n-2)t)), half-widths, midpoints and the sums, with the plain bits."""
+    power of R is formed.  Stiffness (diag, off-diag) rho^(n-1), lumped
+    mass R^2 v rho^(n-1) drho = g e^((n-2)t) dt, g = log_weight(ln(1/R) - t),
+    and the lumped Hardy weight rho^(n-3) drho = e^((n-2)t) dt of the
+    inverse-square term, from the same e^((n-2)t) samples, or None at n = 2,
+    whose reduced quotient has none.  Lumped weights integrate over each
+    node's cell in t = ln rho, composite Gauss-Legendre per half-cell.
+    Besides the stiffness and log_weight's results it writes into rho (then
+    t, s = ln(1/R) - t, -t and e^((n-2)t)), half-widths, midpoints and the
+    sums, with the plain bits."""
     ln_r = math.log(nodes[-1])
     neg_t = np.divide(nodes, nodes[-1])               # rho
     k_diag, k_off = _stiffness(neg_t, float(n - 1))
@@ -219,7 +224,7 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
     np.multiply(neg_t, 0.5, out=half)
     mid += ln_r                                      # ln R + the cells' centres in t
     m_diag = np.zeros(nodes.size)
-    h_diag = np.zeros(nodes.size) if hardy else None
+    h_diag = np.zeros(nodes.size) if n != 2 else None
     for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
         np.multiply(half, -xi, out=neg_t)
         neg_t -= mid                                 # s = ln(1/R) - t, t = centre + half xi
@@ -230,19 +235,19 @@ def _pencil(p: RadialPotential, nodes: np.ndarray, n: int, hardy: bool = False):
         lw *= e
         lw *= wi
         m_diag += lw
-        if hardy:
+        if n != 2:
             h_diag += np.multiply(e, wi, out=lw)
     m_diag *= half
     if np.any(m_diag[:-1] < TINY):
         raise SingularMass("potential weight vanishes or underflows on a full cell")
-    pencil = k_diag[:-1], k_off[:-1], m_diag[:-1]
-    return pencil + (np.multiply(h_diag, half, out=h_diag)[:-1],) if hardy else pencil
+    hardy = np.multiply(h_diag, half, out=h_diag)[:-1] if n != 2 else None
+    return k_diag[:-1], k_off[:-1], m_diag[:-1], hardy
 
 
-def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = None,
-                        shift: float = 0.0) -> tuple[float, np.ndarray, float, int]:
-    """Smallest eigenpair of (tridiagonal K) u = lambda (diagonal M) u by
-    inverse iteration on certified shifts.
+def _eigenpairs(k_diag, k_off, m_diag, hardy_diag, mus):
+    """For each mu of ``mus`` in turn, the smallest eigenpair (lambda, x,
+    residual, iterations) of (K - mu H) u = lambda M u, K tridiagonal, H and M
+    diagonal (H None: K u = lambda M u), by inverse iteration on certified shifts.
 
     By Sylvester's law of inertia a successful `dpttrf` of K - sigma M (all
     pivots positive) certifies sigma < lambda_1, a failed one lambda_1 <= sigma.
@@ -256,76 +261,83 @@ def _smallest_eigenpair(k_diag, k_off, m_diag, start: Optional[np.ndarray] = Non
     relative, then at lambda~(1 - _CERT_GAP), never below sigma; an aim not
     below the lowest failed shift goes halfway to it, and a shift that fails
     is retried once halfway back to sigma.  It stops once sigma >=
-    lambda~(1 - _CERT_GAP) and lambda~ moved <= _EIG_TOL relative, returning
-    the Rayleigh quotient of the final vector.  Raises HardyError if that
-    takes more than _MAX_ITER steps.  A warm start replaces the initial vector
-    sqrt(M) by ``start`` and tries ``shift`` > 0 as the first sigma, dropped
-    (sigma = 0) if its factorization fails.  It runs on 4^-k M, 4^k near max
-    M, so that y.My stays in the floats (a warm start's shift times 4^k, its
-    vector 2^k), and returns lambda 4^-k and x 2^-k, which keeps every bit.
-    It works in place, with the plain bits, on arrays allocated once per call:
-    4^-k M, K - sigma M's factors and a trial pair, y, and M x and M y.
+    lambda~(1 - _CERT_GAP) and lambda~ moved <= _EIG_TOL relative, yielding
+    the Rayleigh quotient of the final vector; HardyError after _MAX_ITER
+    steps.  The first mu starts cold, from sqrt(M) at sigma = 0; each later
+    one from the last x, and from the third on first tries the shift
+    2 lambda_k - lambda_(k-1), dropped (sigma = 0) if it fails to factor.
+    Set up once: M scaled in place by 4^-k, 4^k near max M, so that y.My stays
+    in the floats (yielding lambda 4^-k and x 2^-k keeps every bit); K - mu H,
+    the certified and trial factor pairs, y, M x and M y; LAPACK's terms.
+    x is yielded in place, in y: it is valid until the next step.
     """
     k = math.frexp(float(m_diag.max()))[1] // 2
-    m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
+    np.ldexp(m_diag, -2 * k, out=m_diag)
+    k_mu = k_diag if hardy_diag is None else np.empty_like(k_diag)
     d, e, trial_d, trial_e, y, mx, my = (np.empty(m_diag.size - j) for j in (0, 1, 0, 1, 0, 0, 0))
-    n, *refs = _lapack().refs(d, e, trial_d, trial_e, y)     # LAPACK's terms, read once per call
+    n, *refs = _lapack().refs(d, e, trial_d, trial_e, y)     # LAPACK's terms, read once per pass
     pairs = [(d, e, *refs[:2]), (trial_d, trial_e, *refs[2:4])]     # certified, trial
 
-    def factor(shift: float) -> int:      # dpttrf of K - shift M in the trial pair
+    def factor(shift: float) -> int:      # dpttrf of K - mu H - shift M in the trial pair
         d, e, *ref = pairs[1]
-        _shifted(k_diag, shift, m_diag, d)
+        _shifted(k_mu, shift, m_diag, d)
         np.copyto(e, k_off)
         if not (info := dpttrf(n, *ref)):
             pairs.reverse()
         return info
 
-    sigma, failed = (shift if shift > 0.0 and not factor(shift) else 0.0), math.inf
-    if not sigma and (info := factor(0.0)):
-        raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
-    x = (np.sqrt(np.maximum(m_diag, 1e-300, out=y), out=y) if start is None
-         else np.ldexp(start, k, out=y))
-    np.multiply(m_diag, x, out=mx)
-    lam = math.inf
-    for iterations in range(1, _MAX_ITER + 1):
-        np.copyto(y, mx)
-        solve_banded(n, *pairs[0][2:], refs[4])     # y = (K - sigma M)^-1 M x
-        y_my = float(y @ np.multiply(m_diag, y, out=my))
-        lam, lam_prev = sigma + float(y @ mx) / y_my, lam   # y.Ky = y.Mx + sigma y.My
-        scale = 1.0 / math.sqrt(y_my)
-        my *= scale
-        mx, my = my, mx
-        target, step = lam * (1.0 - _CERT_GAP), abs(lam - lam_prev)
-        aim = target if step <= _CERT_GAP * lam else lam - 2.0 * step
-        if sigma < aim:
-            shift = aim if aim < failed else 0.5 * (sigma + failed)
-            for _ in range(2):
-                if not factor(shift):
-                    sigma = shift
-                    break
-                failed, shift = shift, 0.5 * (sigma + shift)
-        if step <= _EIG_TOL * lam and sigma >= target:
-            break
-    else:
-        raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: lambda_1 in "
-                         f"[{np.ldexp(sigma, -2 * k):g}, {np.ldexp(lam, -2 * k):g}]")
-    x, work = np.multiply(y, scale, out=y), pairs[1][0]   # x = y scale, of the last step only
-    # x.Kx via K's row sums and edge differences: x @ (K x) cancels to noise > tol
-    np.copyto(work, k_diag)
-    work[:-1] += k_off
-    work[1:] += k_off
-    dx = np.subtract(x[1:], x[:-1], out=mx[:-1])
-    dx *= dx
-    lam = float(work @ np.multiply(x, x, out=my) - k_off @ dx)
-    kx = np.multiply(k_diag, x, out=work)
-    kx[:-1] += np.multiply(k_off, x[1:], out=my[:-1])
-    kx[1:] += np.multiply(k_off, x[:-1], out=my[:-1])
-    lam_mx = np.multiply(m_diag, lam, out=my)
-    lam_mx *= x
-    r_norm = np.linalg.norm(np.subtract(kx, lam_mx, out=my))
-    res_norm = float(r_norm / (np.linalg.norm(kx)
-                               + lam * np.linalg.norm(np.multiply(m_diag, x, out=my))))
-    return float(np.ldexp(lam, -2 * k)), np.ldexp(x, -k, out=x), res_norm, iterations
+    lambdas = []
+    for mu in mus:
+        if hardy_diag is not None:
+            _shifted(k_diag, mu, hardy_diag, k_mu)
+        shift = float(np.ldexp(2.0 * lambdas[-1] - lambdas[-2], 2 * k)) if len(lambdas) > 1 else 0.0
+        sigma, failed = (shift if shift > 0.0 and not factor(shift) else 0.0), math.inf
+        if not sigma and (info := factor(0.0)):
+            raise IndefiniteForm(f"K is not positive definite (LDL^T pivot {info} <= 0)")
+        x = (np.ldexp(y, k, out=y) if lambdas
+             else np.sqrt(np.maximum(m_diag, 1e-300, out=y), out=y))
+        np.multiply(m_diag, x, out=mx)
+        lam = math.inf
+        for iterations in range(1, _MAX_ITER + 1):
+            np.copyto(y, mx)
+            solve_banded(n, *pairs[0][2:], refs[4])     # y = (K - sigma M)^-1 M x
+            y_my = float(y @ np.multiply(m_diag, y, out=my))
+            lam, lam_prev = sigma + float(y @ mx) / y_my, lam   # y.Ky = y.Mx + sigma y.My
+            scale = 1.0 / math.sqrt(y_my)
+            my *= scale
+            mx, my = my, mx
+            target, step = lam * (1.0 - _CERT_GAP), abs(lam - lam_prev)
+            aim = target if step <= _CERT_GAP * lam else lam - 2.0 * step
+            if sigma < aim:
+                shift = aim if aim < failed else 0.5 * (sigma + failed)
+                for _ in range(2):
+                    if not factor(shift):
+                        sigma = shift
+                        break
+                    failed, shift = shift, 0.5 * (sigma + shift)
+            if step <= _EIG_TOL * lam and sigma >= target:
+                break
+        else:
+            raise HardyError(f"inverse iteration unsettled after {_MAX_ITER} steps: lambda_1 in "
+                             f"[{np.ldexp(sigma, -2 * k):g}, {np.ldexp(lam, -2 * k):g}]")
+        x, work = np.multiply(y, scale, out=y), pairs[1][0]   # x = y scale, of the last step only
+        # x.Kx via K's row sums and edge differences: x @ (K x) cancels to noise > tol
+        np.copyto(work, k_mu)
+        work[:-1] += k_off
+        work[1:] += k_off
+        dx = np.subtract(x[1:], x[:-1], out=mx[:-1])
+        dx *= dx
+        lam = float(work @ np.multiply(x, x, out=my) - k_off @ dx)
+        kx = np.multiply(k_mu, x, out=work)
+        kx[:-1] += np.multiply(k_off, x[1:], out=my[:-1])
+        kx[1:] += np.multiply(k_off, x[:-1], out=my[:-1])
+        lam_mx = np.multiply(m_diag, lam, out=my)
+        lam_mx *= x
+        r_norm = np.linalg.norm(np.subtract(kx, lam_mx, out=my))
+        res_norm = float(r_norm / (np.linalg.norm(kx)
+                                   + lam * np.linalg.norm(np.multiply(m_diag, x, out=my))))
+        lambdas.append(float(np.ldexp(lam, -2 * k)))
+        yield lambdas[-1], np.ldexp(x, -k, out=x), res_norm, iterations
 
 
 def _shifted(diag, sigma, weight, out):
@@ -354,8 +366,7 @@ def reduced_rayleigh_min(p: RadialPotential, grid: GridSpec) -> EigenResult:
     """
     p.check_radius(grid.R)
     # the reduced quotient is the radial form of dimension 2 (weight r)
-    k_diag, k_off, m_diag = _pencil(p, grid.nodes(), 2)
-    lam, x, res, iters = _smallest_eigenpair(k_diag, k_off, m_diag)
+    lam, x, res, iters = next(_eigenpairs(*_pencil(p, grid.nodes(), 2), (0.0,)))
     return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
 
@@ -373,9 +384,7 @@ def weighted_eigen(p: RadialPotential, mu: float, n: int, grid: GridSpec) -> Eig
     if not 0.0 <= mu < mu_crit:
         raise IndefiniteForm(f"mu = {mu} outside [0, mu_n = {mu_crit})")
     p.check_radius(grid.R)
-    k_diag, k_off, m_diag, hardy_diag = _pencil(p, grid.nodes(), n, hardy=True)
-    lam, x, res, iters = _smallest_eigenpair(_shifted(k_diag, mu, hardy_diag, hardy_diag),
-                                             k_off, m_diag)
+    lam, x, res, iters = next(_eigenpairs(*_pencil(p, grid.nodes(), n), (mu,)))
     return EigenResult(lam, np.concatenate([x, [0.0]]), grid, res, iters)
 
 
@@ -385,15 +394,14 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     critical coupling, along mu_k = (1 - 2^-k) mu_n, k = 1.._LIMIT_DEPTH,
     in dimension n >= 3.
 
-    A continuation: each solve starts from the last eigenvector and first
-    tries the shift 2 lambda_k - lambda_(k-1), below lambda_(k+1) while the
-    steps shrink; each eigenvalue is certified as in a cold solve.  It
-    approaches its limit linearly in nu = sqrt(mu_n - mu), so a two-point
-    Richardson step in nu (ratio sqrt(2)) removes the leading term.  Deep in
-    the sequence the inner cutoff contaminates the data (the plateau of the
-    truncated interval), so the reported limit is the extrapolant where
-    consecutive extrapolants agree best, the usual error proxy.  The raw
-    sequence is returned for inspection; a non-monotone sequence aborts the
+    One assembly and one continuation pass of _eigenpairs over the mu_k,
+    each eigenvalue certified as in a cold solve.  It approaches its limit
+    linearly in nu = sqrt(mu_n - mu), so a two-point Richardson step in nu
+    (ratio sqrt(2)) removes the leading term.  Deep in the sequence the
+    inner cutoff contaminates the data (the plateau of the truncated
+    interval), so the reported limit is the extrapolant where consecutive
+    extrapolants agree best, the usual error proxy.  The raw sequence is
+    returned for inspection; a non-monotone sequence aborts the
     extrapolation.
     """
     if n < 3:
@@ -409,20 +417,9 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     p.check_radius(R)
     mu_n = 0.25 * (n - 2) ** 2
     mus = (1.0 - 2.0 ** -np.arange(1.0, _LIMIT_DEPTH + 1)) * mu_n
-    # one assembly; each mu only shifts the stiffness diagonal, in one buffer
-    k_diag, k_off, m_diag, hardy_diag = _pencil(p, grid.nodes(), n, hardy=True)
-    lambdas, residuals, x, shift = [], [], None, 0.0
-    shifted = np.empty_like(k_diag)
-    for mu in mus:
-        # warm start passed positionally, the way tests stub the solver
-        lam, x, res = _smallest_eigenpair(_shifted(k_diag, float(mu), hardy_diag, shifted),
-                                          k_off, m_diag, x, shift)[:3]
-        shift = 2.0 * lam - lambdas[-1] if lambdas else 0.0
-        lambdas.append(lam)
-        residuals.append(res)
-    lambdas = np.array(lambdas)
-    diffs = np.diff(lambdas)
-    if np.any(diffs > 1e-12 * np.abs(lambdas[:-1])):
+    solves = [(lam, res) for lam, _, res, _ in _eigenpairs(*_pencil(p, grid.nodes(), n), mus)]
+    lambdas, residuals = (np.array(column) for column in zip(*solves))
+    if np.any(np.diff(lambdas) > 1e-12 * np.abs(lambdas[:-1])):
         raise NonMonotoneSequence(
             "eigenvalues failed to decrease along the mu sequence: "
             f"{lambdas.tolist()}")
@@ -431,7 +428,7 @@ def lambda_limit(p: RadialPotential, n: int, R: float,
     agreement = np.abs(np.diff(extrapolants))
     best = int(np.argmin(agreement[1:])) + 1   # skip the warmup pair
     limit = float(extrapolants[best + 1])
-    return LambdaLimitResult(limit, mus, lambdas, extrapolants, np.array(residuals))
+    return LambdaLimitResult(limit, mus, lambdas, extrapolants, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +547,8 @@ def hardy_quotient(r: np.ndarray, u: np.ndarray, p: RadialPotential, n: int,
         du = np.gradient(u, r)
     else:
         du = np.asarray(du, dtype=float)
+        if du.shape != r.shape or not np.all(np.isfinite(du)):
+            raise DomainError("derivative samples du must be finite and match r's shape")
     mu_n = 0.25 * (n - 2) ** 2
     v = p.value(r)
     numerator = np.trapezoid(du ** 2 * r ** (n - 1), r) - mu_n * np.trapezoid(u ** 2 * r ** (n - 3.0), r)

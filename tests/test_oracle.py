@@ -157,9 +157,9 @@ def test_lambda_limit_rejects_low_dimension(constant_pot, n):
 
 def test_lambda_limit_nonmonotone_guard(constant_pot, monkeypatch):
     # a sequence that rises along mu must be reported, not extrapolated
-    rising = iter(np.linspace(1.0, 2.0, 12))
-    monkeypatch.setattr(oracle, "_smallest_eigenpair",
-                        lambda *args: (float(next(rising)), None, 0.0, 1))
+    rising = np.linspace(1.0, 2.0, 12)
+    monkeypatch.setattr(oracle, "_eigenpairs",
+                        lambda *args: ((float(lam), None, 0.0, 1) for lam in rising))
     with pytest.raises(NonMonotoneSequence):
         lambda_limit(constant_pot, 3, 1.0)
 
@@ -192,7 +192,7 @@ def test_lambda_limit_eigenvalues_match_lapack_bisection(potential):
     # symmetrically scaled pencil M^-1/2 K M^-1/2 on lambda_limit's grid
     res = lambda_limit(potential, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
-    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3, hardy=True)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3)
     scale = 1.0 / np.sqrt(m_diag)
     for mu, lam in zip(res.mu_values, res.lambdas):
         ref = eigh_tridiagonal((k_diag - mu * hardy_diag) * scale ** 2,
@@ -215,7 +215,7 @@ def test_returned_eigenvalue_is_inertia_certified(constant_pot, mu):
     # K - lambda (1 + gap) M is not (an eigenvalue within gap of lambda)
     gap = oracle._CERT_GAP
     grid = _grid(4000, r_min=1e-40)
-    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(constant_pot, grid.nodes(), 3, hardy=True)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(constant_pot, grid.nodes(), 3)
     lam = weighted_eigen(constant_pot, mu, 3, grid).lambda1
     for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
         info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
@@ -226,7 +226,7 @@ def test_indefinite_stiffness_is_rejected():
     k_diag = np.full(32, 2.0)
     k_diag[5] = -1.0
     with pytest.raises(IndefiniteForm):
-        oracle._smallest_eigenpair(k_diag, np.full(31, -1.0), np.ones(32))
+        next(oracle._eigenpairs(k_diag, np.full(31, -1.0), np.ones(32), None, (0.0,)))
 
 
 def test_eigensolve_raises_at_the_iteration_cap(constant_pot, monkeypatch):
@@ -260,24 +260,25 @@ def test_two_routes_agree_on_custom_potential(s_max):
 
 
 def test_lambda_limit_reuses_one_assembly_exactly(monkeypatch):
-    # lambda_limit assembles once and shifts the diagonal per mu: the pencil
-    # it hands the eigensolver at each mu is, bit for bit, the one
-    # weighted_eigen builds.  Its warm-started iteration path differs from a
-    # cold solve, so the eigenvalues agree to rounding, not bitwise.
-    pencils = []
-    solver = oracle._smallest_eigenpair
+    # lambda_limit assembles once and hands the eigensolve pass every mu: the
+    # pencil it hands the pass is, bit for bit, the one weighted_eigen builds,
+    # with the same mu.  Its warm-started iteration path differs from a cold
+    # solve, so the eigenvalues agree to rounding, not bitwise.
+    pencils, mus = [], []
+    solver = oracle._eigenpairs
 
     def spy(*args):
-        pencils.append([a.tobytes() for a in args[:3]])
+        pencils.append([a.tobytes() for a in args[:4]])
+        mus.append(list(args[4]))
         return solver(*args)
 
-    monkeypatch.setattr(oracle, "_smallest_eigenpair", spy)
+    monkeypatch.setattr(oracle, "_eigenpairs", spy)
     p = RadialPotential.power_law(0.5, amplitude=2.0)
     res = lambda_limit(p, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
     for k, mu in enumerate(res.mu_values):
         assert res.lambdas[k] == pytest.approx(weighted_eigen(p, mu, 3, grid).lambda1, rel=1e-12)
-        assert pencils[-1] == pencils[k]
+        assert pencils[-1] == pencils[0] and mus[-1] == [mus[0][k]] == [mu]
 
 
 def _record_factorizations(monkeypatch):
@@ -319,7 +320,7 @@ def test_lambda_limit_eigenvalues_are_inertia_certified(potential):
     gap = oracle._CERT_GAP
     res = lambda_limit(potential, 3, 1.0)
     grid = GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40)
-    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3, hardy=True)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3)
     for mu, lam in zip(res.mu_values, res.lambdas):
         for factor, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
             info = dpttrf(k_diag - mu * hardy_diag - lam * factor * m_diag, k_off)[2]
@@ -374,11 +375,11 @@ def _lumped_exp(nodes, n):
 @pytest.mark.parametrize("n", [3, 5])
 def test_pencil_shares_its_exp_samples_with_the_hardy_weight(n):
     # the Hardy diagonal reuses the mass's e^((n-2)t) samples, bit for bit,
-    # and asking for it leaves the pencil as it was
+    # and assembling it leaves the pencil as it is assembled without it
     nodes = _grid(500, r_min=1e-40).nodes()
     p = RadialPotential.adimurthi_log(2)
-    *pencil, hardy = oracle._pencil(p, nodes, n, hardy=True)
-    for got, want in zip(pencil, oracle._pencil(p, nodes, n)):
+    *pencil, hardy = oracle._pencil(p, nodes, n)
+    for got, want in zip(pencil, _reference_pencil(p, nodes, n), strict=True):
         assert got.tobytes() == want.tobytes()
     assert hardy.tobytes() == _lumped_exp(nodes, n).tobytes()
 
@@ -418,8 +419,14 @@ _PENCIL_POTENTIALS = {"constant": RadialPotential.constant(2.5),
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("potential", _PENCIL_POTENTIALS.values(), ids=_PENCIL_POTENTIALS.keys())
 def test_pencil_matches_the_reference_assembly_bitwise(potential, n, hardy):
+    # "plain": the stiffness and the mass against an assembly without the
+    # Hardy weight; "hardy": the whole pencil, whose Hardy diagonal is there
+    # exactly where n != 2
     nodes = _grid(500, r_min=1e-40).nodes()
-    got = oracle._pencil(potential, nodes, n, hardy)
+    got = oracle._pencil(potential, nodes, n)
+    assert len(got) == 4 and (got[3] is None) == (n == 2)
+    hardy = hardy and n != 2
+    got = got if hardy else got[:3]
     want = _reference_pencil(potential, nodes, n, hardy)
     assert len(got) == len(want) == (4 if hardy else 3)
     for g, w in zip(got, want):
@@ -439,11 +446,11 @@ def test_cold_solves_are_inertia_certified(monkeypatch, potential):
     gap, mu = oracle._CERT_GAP, 0.125
     grid = _grid(4000, r_min=1e-40)
     infos = _record_factorizations(monkeypatch)
-    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3, hardy=True)
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, grid.nodes(), 3)
     reduced = oracle._pencil(potential, grid.nodes(), 2)
     cases = [(k_diag - mu * hardy_diag, k_off, m_diag,
               weighted_eigen(potential, mu, 3, grid).lambda1),
-             (*reduced, reduced_rayleigh_min(potential, grid).lambda1)]
+             (*reduced[:3], reduced_rayleigh_min(potential, grid).lambda1)]
     assert infos and not any(infos)
     for k, off, m, lam in cases:
         for scale, indefinite in ((1.0 - gap, False), (1.0 + gap, True)):
@@ -453,14 +460,14 @@ def test_cold_solves_are_inertia_certified(monkeypatch, potential):
 
 def test_lambda_limit_reports_each_solves_residual(monkeypatch):
     residuals = []
-    solver = oracle._smallest_eigenpair
+    solver = oracle._eigenpairs
 
     def spy(*args):
-        out = solver(*args)
-        residuals.append(out[2])
-        return out
+        for out in solver(*args):
+            residuals.append(out[2])
+            yield out
 
-    monkeypatch.setattr(oracle, "_smallest_eigenpair", spy)
+    monkeypatch.setattr(oracle, "_eigenpairs", spy)
     res = lambda_limit(RadialPotential.power_law(1.0), 3, 1.0)
     assert res.residual_norms.tolist() == residuals and len(residuals) == 12
     assert np.all(res.residual_norms < 1e-6)
@@ -468,21 +475,18 @@ def test_lambda_limit_reports_each_solves_residual(monkeypatch):
 
 @pytest.mark.parametrize("j", [-200, -60, 60, 200])
 def test_eigenpair_is_exact_under_a_power_of_four_mass(j):
-    # the iteration is homogeneous in M: on 4^j M, cold and warm, lambda
-    # comes out times 4^-j and x times 2^-j, to the bit
-    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(RadialPotential.constant(), _grid(2000).nodes(),
-                                                       3, hardy=True)
-    k_diag = k_diag - 0.1 * hardy_diag
-    lam, x, res, iters = oracle._smallest_eigenpair(k_diag, k_off, m_diag)
-    warm = oracle._smallest_eigenpair(k_diag, k_off, m_diag, x, 0.9 * lam)
-    scaled = np.ldexp(m_diag, 2 * j)
-    got = oracle._smallest_eigenpair(k_diag, k_off, scaled)
-    assert (math.ldexp(got[0], 2 * j), got[2:]) == (lam, (res, iters))
-    assert np.array_equal(np.ldexp(got[1], j), x)
-    got = oracle._smallest_eigenpair(k_diag, k_off, scaled, np.ldexp(x, -j),
-                                     math.ldexp(0.9 * lam, -2 * j))
-    assert (math.ldexp(got[0], 2 * j), got[2:]) == (warm[0], warm[2:])
-    assert np.array_equal(np.ldexp(got[1], j), warm[1])
+    # the iteration is homogeneous in M: on 4^j M, cold and warm (from the last
+    # vector, then also from the shift 2 lambda_k - lambda_(k-1)), lambda comes
+    # out times 4^-j and x times 2^-j, to the bit
+    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(RadialPotential.constant(),
+                                                       _grid(2000).nodes(), 3)
+    mus = (0.1, 0.15, 0.2)
+    want = _pass(k_diag, k_off, m_diag, hardy_diag, mus)
+    got = _pass(k_diag, k_off, np.ldexp(m_diag, 2 * j), hardy_diag, mus)
+    assert len(got) == len(want) == 3
+    for (lam, x, res, iters), scaled in zip(want, got):
+        assert (math.ldexp(scaled[0], 2 * j), scaled[2:]) == (lam, (res, iters))
+        assert np.array_equal(np.ldexp(scaled[1], j), x)
 
 
 @pytest.mark.parametrize("amplitude", [1e-100, 1e-80, 1e80, 1e200, 1e301, 1e305])
@@ -528,10 +532,11 @@ def _tri_mul(diag, off, x):
 
 
 def _reference_eigenpair(k_diag, k_off, m_diag, start=None, shift=0.0):
-    """_smallest_eigenpair as it was with a new array for every product: the
-    same iteration, x and M x formed afresh each step, K's row sums as K
-    times a vector of ones, and scipy.linalg.lapack's routines whichever
-    LAPACK the oracle chose."""
+    """One solve of oracle._eigenpairs as it was with a new array for every
+    product: the same iteration, from ``start`` and ``shift`` where given, x
+    and M x formed afresh each step, K's row sums as K times a vector of
+    ones, and scipy.linalg.lapack's routines whichever LAPACK the oracle
+    chose."""
     k = math.frexp(float(m_diag.max()))[1] // 2
     m_diag, shift = np.ldexp(m_diag, -2 * k), float(np.ldexp(shift, 2 * k))
     sigma, failed = 0.0, math.inf
@@ -574,6 +579,26 @@ def _reference_eigenpair(k_diag, k_off, m_diag, start=None, shift=0.0):
     return float(np.ldexp(lam, -2 * k)), np.ldexp(x, -k), res_norm, iterations
 
 
+def _reference_pass(k_diag, k_off, m_diag, hardy_diag, mus):
+    """oracle._eigenpairs as lambda_limit once ran it, one _reference_eigenpair
+    per mu: K - mu H formed afresh, each later mu started from the last
+    vector and, from the third on, from the shift 2 lambda_k - lambda_(k-1)."""
+    out, start, shift = [], None, 0.0
+    for mu in mus:
+        pencil = (k_diag if hardy_diag is None else k_diag - mu * hardy_diag, k_off, m_diag)
+        out.append(_reference_eigenpair(*pencil, start, shift))
+        start, shift = out[-1][1], (2.0 * out[-1][0] - out[-2][0] if len(out) > 1 else 0.0)
+    return out
+
+
+def _pass(k_diag, k_off, m_diag, hardy_diag, mus):
+    """Every eigenpair of an oracle._eigenpairs pass, each x copied (the pass
+    yields it in place), on a copy of M (the pass scales its M in place)."""
+    return [(lam, x.copy(), res, iters)
+            for lam, x, res, iters in oracle._eigenpairs(k_diag, k_off, m_diag.copy(),
+                                                         hardy_diag, mus)]
+
+
 def _same_eigenpair(got, want):
     return (got[0], got[1].tobytes(), got[2:]) == (want[0], want[1].tobytes(), want[2:])
 
@@ -583,28 +608,30 @@ _SOLVER_POTENTIALS = {**_PENCIL_POTENTIALS, **_COLD_POTENTIALS}
 
 @pytest.mark.parametrize("potential", _SOLVER_POTENTIALS.values(), ids=_SOLVER_POTENTIALS.keys())
 def test_eigenpair_matches_the_reference_solver_bitwise(potential):
-    # the solver's fixed working set keeps every bit of lambda, x, the
-    # residual and the iteration count: cold and warm, on the reduced and the
-    # weighted pencil, and on 4^j M
+    # the pass's fixed working set keeps every bit of lambda, x, the residual
+    # and the iteration count: cold and warm, on the reduced and the weighted
+    # pencil, and on 4^j M.  A pass over mu = 0, 0, 0 on the reduced pencil
+    # tries 2 lambda_2 - lambda_1, next to lambda_1, for the third: on four of
+    # these potentials it fails to factor and is dropped
     nodes = _grid(2000, r_min=1e-40).nodes()
-    k_diag, k_off, m_diag, hardy_diag = oracle._pencil(potential, nodes, 3, hardy=True)
-    for pencil in (oracle._pencil(potential, nodes, 2), (k_diag - 0.1 * hardy_diag, k_off, m_diag)):
-        cold = _reference_eigenpair(*pencil)
-        cases = [(pencil, ()), (pencil, (cold[1], 0.9 * cold[0]))]
-        cases += [((*pencil[:2], np.ldexp(pencil[2], 2 * j)), ()) for j in (-60, 60)]
-        for args, warm in cases:
-            want = _reference_eigenpair(*args, *warm)
-            assert _same_eigenpair(oracle._smallest_eigenpair(*args, *warm), want)
+    for pencil, mus in ((oracle._pencil(potential, nodes, 2), (0.0, 0.0, 0.0)),
+                        (oracle._pencil(potential, nodes, 3), (0.05, 0.1, 0.15))):
+        cases = [(pencil, mus[:1]), (pencil, mus)]
+        cases += [((*pencil[:2], np.ldexp(pencil[2], 2 * j), pencil[3]), mus[:1]) for j in (-60, 60)]
+        for args, case in cases:
+            got, want = _pass(*args, case), _reference_pass(*args, case)
+            assert len(got) == len(want) == len(case)
+            assert all(map(_same_eigenpair, got, want))
 
 
 @pytest.mark.parametrize("potential", [RadialPotential.power_law(1.0),
                                        RadialPotential.adimurthi_log(3)],
                          ids=["power_law-1", "adimurthi_log-3"])
 def test_lambda_limit_matches_the_reference_solver_bitwise(monkeypatch, potential):
-    # the K - mu H buffer and the warm starts hand the solver the same
+    # the pass's K - mu H buffer and warm starts hand each solve the same
     # pencils and vectors as the reference did
     got = lambda_limit(potential, 3, 1.0)
-    monkeypatch.setattr(oracle, "_smallest_eigenpair", _reference_eigenpair)
+    monkeypatch.setattr(oracle, "_eigenpairs", _reference_pass)
     want = lambda_limit(potential, 3, 1.0)
     assert got.limit == want.limit
     for name in ("lambdas", "extrapolants", "residual_norms"):
@@ -637,7 +664,7 @@ def test_fe_working_set_is_pinned_in_n_arrays(potential, bounds):
     # pencil's 12, stays the quotients'
     grid = _grid()
     nodes = grid.nodes()
-    peaks = (_peak_n_arrays(lambda: oracle._pencil(potential, nodes, 3, hardy=True), grid.N),
+    peaks = (_peak_n_arrays(lambda: oracle._pencil(potential, nodes, 3), grid.N),
              _peak_n_arrays(lambda: reduced_rayleigh_min(potential, grid), grid.N),
              _peak_n_arrays(lambda: weighted_eigen(potential, 0.1, 3, grid), grid.N))
     assert all(peak <= bound for peak, bound in zip(peaks, bounds)), peaks
@@ -784,6 +811,34 @@ def test_both_lapacks_agree_on_every_quotient(lapack_choice, potential):
             assert got.lambda1 == pytest.approx(want.lambda1, rel=1e-12), name
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("potential", _AGREEMENT.values(), ids=_AGREEMENT.keys())
+def test_lambda_limits_first_solve_is_weighted_eigens_bitwise(potential, n):
+    # the pass starts its first mu cold, as weighted_eigen's one-mu pass does
+    res = lambda_limit(potential, n, 1.0)
+    assert res.mu_values[0] == 0.125 * (n - 2) ** 2
+    cold = weighted_eigen(potential, res.mu_values[0], n,
+                          GridSpec(4000, GridMapping.LOG_SPACED, 1.0, 1e-40))
+    assert (res.lambdas[0], res.residual_norms[0]) == (cold.lambda1, cold.residual_norm)
+
+
+def test_an_abandoned_pass_leaves_the_next_quotient_unchanged():
+    # a pass left suspended after its first eigenpair shares no array and no
+    # state with the quotients computed after it
+    p, grid = RadialPotential.power_law(1.5), _grid(4000, r_min=1e-40)
+
+    def quotients():
+        eigen, limit = weighted_eigen(p, 0.125, 3, grid), lambda_limit(p, 3, 1.0)
+        return (eigen.lambda1, eigen.eigenvector.tobytes(), eigen.residual_norm, eigen.iterations,
+                limit.lambdas.tobytes(), limit.residual_norms.tobytes(), limit.limit)
+
+    want = quotients()
+    abandoned = oracle._eigenpairs(*oracle._pencil(p, grid.nodes(), 3), (0.1, 0.2))
+    first = next(abandoned)
+    assert quotients() == want
+    assert first[0] == weighted_eigen(p, 0.1, 3, grid).lambda1
+
+
 # ---------------------------------------------------------------------------
 # weighted one-dimensional inequality
 # ---------------------------------------------------------------------------
@@ -912,6 +967,19 @@ def test_quotient_refuses_a_mass_past_the_largest_double():
                        3, 1e-160, du=np.zeros_like(r))
 
 
+@pytest.mark.parametrize("du", ["short", "column", "nan", "inf"])
+def test_quotient_refuses_derivative_samples_unlike_r(constant_pot, du):
+    # a du of another length escaped as numpy's broadcasting ValueError, a
+    # column one as a TypeError, and non-finite samples gave a nan or inf quotient
+    r = _log_radii(101)
+    u, good = np.sin(math.pi * r), math.pi * np.cos(math.pi * r)
+    bad = {"short": good[:-1], "column": good[:, None], "nan": np.where(r < 0.5, good, np.nan),
+           "inf": np.where(r < 0.5, good, np.inf)}[du]
+    hardy_quotient(r, u, constant_pot, 3, 1.0, du=good)
+    with pytest.raises(DomainError, match="du"):
+        hardy_quotient(r, u, constant_pot, 3, 1.0, du=bad)
+
+
 def test_quotient_requires_boundary_zero(constant_pot):
     r = _log_radii(101)
     with pytest.raises(DomainError):
@@ -935,6 +1003,27 @@ def test_grid_spec_refuses_an_infinite_radius():
     for mapping in GridMapping:
         with pytest.raises(DomainError, match="R = inf"):
             GridSpec(2000, mapping, math.inf, 1e-6)
+
+
+@pytest.mark.parametrize("mapping", ["uniform", "log", *GridMapping])
+def test_grid_spec_reads_its_mapping_as_the_enum(mapping):
+    # "uniform" once built log-spaced nodes, while _quad_cells read it as uniform
+    grid = GridSpec(16, mapping, 1.0, 0.5)
+    assert grid.mapping is GridMapping(mapping)
+    uniform = np.linspace(0.5, 1.0, 16)
+    logs = np.exp(np.linspace(math.log(0.5), 0.0, 16))
+    want = uniform if grid.mapping is GridMapping.UNIFORM else logs
+    assert grid.nodes().tobytes() == want.tobytes()
+    cells = oracle._quad_cells(0.5, 1.0, grid)
+    assert cells.tobytes() == oracle._quad_cells(0.5, 1.0, GridSpec(16, grid.mapping)).tobytes()
+    assert cells.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mapping", [None, 1.0, "Uniform", "linear", GridMapping])
+def test_grid_spec_refuses_an_unknown_mapping(mapping):
+    # each of these once built log-spaced nodes, and _quad_cells uniform cells
+    with pytest.raises(DomainError, match="unknown grid mapping"):
+        GridSpec(16, mapping, 1.0, 0.5)
 
 
 def test_grid_nodes_ordering():
