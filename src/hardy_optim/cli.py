@@ -10,17 +10,13 @@ structured [error] records, never bare tracebacks.
 """
 from __future__ import annotations
 
-import math
 import sys
 import time
 from types import SimpleNamespace
 from typing import Optional
 
-import numpy as np
-
 from . import bestconst, dual, ode, oracle
-from .config import (RunConfig, format_record, load_config, write_text,
-                     write_trajectory_csv, write_vector_csv)
+from .config import RunConfig, format_record, load_config, write_csv, write_text
 from .errors import ConfigError, HardyError, IndeterminateAtHorizon, NoUpperBracket
 from .potentials import classify as classify_potential
 
@@ -125,7 +121,7 @@ def _cmd_eigen(args, cfg: RunConfig):
     }
     if args.format == "csv":
         path = args.out or "eigenvector.csv"
-        write_vector_csv(path, grid.nodes(), result.eigenvector)
+        write_csv(path, "r,u", (grid.nodes(), result.eigenvector))
         record["csv"] = path
     return record, _EXIT_OK
 
@@ -145,8 +141,8 @@ def _cmd_dual(args, cfg: RunConfig):
 def _cmd_check_closed_form(args, cfg: RunConfig):
     p = cfg.potential
     c = p.closed_form_multiplier(cfg.R)
-    grid = np.exp(np.linspace(math.log(1e-6 * cfg.R), math.log(cfg.R * (1.0 - 1e-12)),
-                              cfg.grid_n))
+    grid = oracle.GridSpec(cfg.grid_n, oracle.GridMapping.LOG_SPACED, cfg.R * (1.0 - 1e-12),
+                           cfg.r_min_rel * cfg.R).nodes()
     phi = p.closed_form(grid, cfg.R)
     prob = ode.radius_problem(p, c, cfg.R)
     res = ode.residual(phi, prob, grid)
@@ -166,7 +162,7 @@ def _cmd_trace(args, cfg: RunConfig):
     out = ode.integrate(prob)
     header = ",".join(out.trajectory)    # r,y,dy or s,z,dz
     path = args.out or "trajectory.csv"
-    write_trajectory_csv(path, out, header)
+    write_csv(path, header, out.trajectory.values())
     record = {
         "status": out.status.value,
         "first_zero": out.first_zero,

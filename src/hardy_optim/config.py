@@ -129,7 +129,7 @@ class RunConfig:
     R: float = 1.0
     n: int = 3
     grid_n: int = 10_000
-    r_min_rel: float = 1e-6
+    r_min_rel: float = 1e-6          # the FE log grid's first node over R, in (0, 1)
     s_max: float = S_MAX_DEFAULT     # log-domain horizon, positive and finite
 
 
@@ -169,6 +169,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"{path}: [solver] s_max must be positive and finite, got {cfg.s_max}")
     if cfg.grid_n < 16:
         raise ConfigError(f"{path}: [solver] grid_n must be >= 16, got {cfg.grid_n}")
+    if not 0 < cfg.r_min_rel < 1:
+        raise ConfigError(f"{path}: [solver] r_min_rel must be in (0, 1), got {cfg.r_min_rel}")
     return cfg
 
 
@@ -214,12 +216,8 @@ def write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def write_trajectory_csv(path: str, outcome, header: str) -> None:
-    """Trajectory CSV, one row per sample, increasing abscissa."""
-    cols = np.column_stack([outcome.trajectory[name] for name in header.split(",")])
+def write_csv(path: str, header: str, columns) -> None:
+    """A CSV under ``header``, one row per index of the equal-length ``columns``,
+    each value to 17 significant digits."""
     write_text(path, header + "\n" + "".join(",".join(f"{val:.17g}" for val in row) + "\n"
-                                              for row in cols))
-
-
-def write_vector_csv(path: str, r: np.ndarray, u: np.ndarray) -> None:
-    write_text(path, "r,u\n" + "".join(f"{ri:.17g},{ui:.17g}\n" for ri, ui in zip(r, u)))
+                                              for row in zip(*columns)))

@@ -145,11 +145,11 @@ def _essential_infimum(p_pot: RadialPotential, c: float, R: float) -> float:
     if tail is VANISHING:
         return 0.0
     if not isinstance(tail, EulerTail):
+        if p_pot.sigma < 0.0:
+            return 0.0
         knots, s_R = p_pot.log_cells[0], -math.log(R)
         s = knots[knots >= s_R]
         v = float(min(p_pot.value(R), p_pot.value(np.exp(-s)).min(initial=math.inf)))
-        if p_pot.sigma < 0.0:
-            return 0.0
         if TINY <= v < math.inf:
             return c * v
         return exp_or_inf(math.log(c) + p_pot.log_weight_exponent(np.append(s, s_R), 2.0).min())

@@ -1,6 +1,8 @@
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,12 +254,12 @@ def test_nan_multiplier_is_an_error_record(tmp_path, capsys, argv):
     # "exp(nan)"; trace warned and reported NoZeroOnInterval, exit 0
     cfg = _write_config(tmp_path, potential={"kind": "power_law", "alpha": "1"})
     out_path = tmp_path / "traj.csv"
-    code, out = _run(capsys, *(str(out_path) if a == "OUT" else a for a in argv),
-                     "--config", cfg)
+    code = main([*(str(out_path) if a == "OUT" else a for a in argv), "--config", cfg])
+    out, err = capsys.readouterr()
     rec = parse_record(out)
     assert code == 1 and out.startswith("[error]\n") and rec["type"] == "DomainError"
     assert rec["message"].startswith("multiplier must be") and rec["message"].endswith("nan")
-    assert capsys.readouterr().err == "" and not out_path.exists()
+    assert err == "" and not out_path.exists()
 
 
 def test_trace_subcommand(tmp_path, capsys):
@@ -730,14 +732,119 @@ def test_log_domain_horizon_inside_the_ball_is_an_error_record(argv, tmp_path, c
     assert rec["message"].startswith("horizon s_max = 5.0 not beyond the outer edge 6.9")
 
 
-def test_console_script_entry(tmp_path):
-    cfg = _write_config(tmp_path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "hardy_optim.cli", "feasible", "--c", "1.0",
-         "--config", cfg],
-        capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "feasible = true" in proc.stdout
+@pytest.mark.parametrize("r_min_rel", ["nan", "0", "1", "2", "-1"])
+def test_grid_cutoff_must_lie_inside_the_ball(r_min_rel, tmp_path, capsys):
+    # best-constant and check-closed-form ignored the key, nan included, and
+    # eigen reported it as GridSpec's DomainError
+    cfg = _write_config(tmp_path, solver={"r_min_rel": r_min_rel})
+    with pytest.raises(ConfigError, match=r"\[solver\] r_min_rel"):
+        load_config(cfg)
+    for argv in (["best-constant"], ["eigen", "--mu", "0.1"], ["check-closed-form"]):
+        code, out = _run(capsys, *argv, "--config", cfg)
+        rec = parse_record(out)
+        assert code == 1 and rec["type"] == "ConfigError"
+        assert f"[solver] r_min_rel must be in (0, 1), got {float(r_min_rel)}" in rec["message"]
+
+
+def test_check_closed_form_grid_starts_at_r_min_rel(tmp_path, capsys, monkeypatch):
+    # its grid began at 1e-6 R whatever the config said
+    from hardy_optim import ode
+    grids, residual = [], ode.residual
+
+    def recorded(phi, prob, grid):
+        grids.append(grid)
+        return residual(phi, prob, grid)
+
+    monkeypatch.setattr(ode, "residual", recorded)
+    for solver in ({"grid_n": "64", "r_min_rel": "1e-3"}, {"grid_n": "64"}):
+        cfg = _write_config(tmp_path, potential={"kind": "constant", "r_max": "2"}, solver=solver)
+        assert _run(capsys, "check-closed-form", "--config", cfg)[0] == 0
+    for grid, r_min in zip(grids, (2e-3, 2e-6)):
+        assert grid.size == 64 and grid[-1] == pytest.approx(2.0 * (1.0 - 1e-12), rel=1e-15)
+        assert grid[0] == pytest.approx(r_min, rel=1e-14)
+
+
+# The CLI's contract, one row per call: the potential (None the default one,
+# "README" the README's example config), the argv after the subcommand's
+# --config ("OUT" a CSV path), the exit code, the record's section and some of
+# its values (a float read to 1e-5), and what the installed script prints on
+# stderr, where a fresh process checks that (None: the record alone, in-process)
+_ZERO = {"kind": "constant", "amplitude": "0"}
+_POWER = {"kind": "power_law", "alpha": "1"}
+_USAGE = "usage: hardy-optim feasible --config CONFIG --c C [--out OUT] [--timestamp]\n"
+_CONSOLE = {
+    "feasible": (None, ["feasible", "--c", "1.0"], 0, "result", {"feasible": "true"}, ""),
+    "README best-constant": ("README", ["best-constant"], 0, "result", {"status": "converged"},
+                             None),
+    "usage error": ("README", ["feasible"], 1, "error", {"type": "ConfigError"}, _USAGE),
+    "amplitude 0 best-constant": (_ZERO, ["best-constant"], 2, "error",
+                                  {"status": "NoUpperBracket"}, ""),
+    "amplitude 0 feasible": (_ZERO, ["feasible", "--c", "1"], 0, "result",
+                             {"method": "principal-tail", "certificate": "nonoscillatory"}, None),
+    "amplitude 0 classify": ({"kind": "adimurthi_log", "m": "2", "amplitude": "0"}, ["classify"],
+                             0, "result", {"limit_estimate": "0"}, None),
+    "rising cell best-constant": ({"kind": "power_law", "alpha": "2.5", "amplitude": "1e-300"},
+                                  ["best-constant"], 0, "result",
+                                  {"iterations": "2", "c_hi": "2.2250738585072014e-308"}, None),
+    "eigen at amplitude 1e200": ({"kind": "constant", "amplitude": "1e200"},
+                                 ["eigen", "--mu", "0.1"], 0, "result", {}, ""),
+    "dual p=2 past 1e300": ({"kind": "constant", "amplitude": "1e301"},
+                            ["dual", "--p", "2", "--c", "1e-301"], 0, "result", {"bound": 1.0},
+                            None),
+    "closed-form multiplier underflows": ({"kind": "constant", "r_max": "1e-300"},
+                                          ["check-closed-form"], 1, "error",
+                                          {"type": "DomainError"}, ""),
+    "trace at amplitude 1e200": ({"kind": "adimurthi_log", "m": "2", "amplitude": "1e200"},
+                                 ["trace", "--c", "0.2", "--out", "OUT"], 0, "result",
+                                 {"status": "ZeroFound"}, ""),
+    "dual at c=nan": (_POWER, ["dual", "--c", "nan", "--p", "2"], 1, "error",
+                      {"type": "DomainError"}, ""),
+    "trace at c=nan": (_POWER, ["trace", "--c", "nan", "--out", "OUT"], 1, "error",
+                       {"type": "DomainError"}, ""),
+    "eigen on R=1e300": ({"kind": "power_law", "alpha": "1.5", "r_max": "1e300"},
+                         ["eigen", "--mu", "0.1"], 0, "result", {}, ""),
+    "classify iterated log m=2": ({"kind": "adimurthi_log", "m": "2"}, ["classify"], 0, "result",
+                                  {"limit_estimate": "-1"}, None),
+}
+_FRESH = {name: row for name, row in _CONSOLE.items() if row[-1] is not None}
+_README_INI = re.search(r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md")
+                        .read_text(encoding="utf-8"), re.S).group(1)
+
+
+def _console_argv(tmp_path, potential, argv) -> list:
+    if potential == "README":
+        cfg = tmp_path / "readme.ini"
+        cfg.write_text(_README_INI, encoding="utf-8")
+    else:
+        cfg = _write_config(tmp_path, potential=potential)
+    return argv[:1] + ["--config", str(cfg)] + \
+        [str(tmp_path / "out.csv") if a == "OUT" else a for a in argv[1:]]
+
+
+@pytest.mark.parametrize("potential, argv, code, section, values, stderr", _CONSOLE.values(),
+                         ids=_CONSOLE)
+def test_console_record(tmp_path, capsys, potential, argv, code, section, values, stderr):
+    assert main(_console_argv(tmp_path, potential, argv)) == code
+    out, err = capsys.readouterr()
+    rec = parse_record(out)
+    assert out.startswith(f"[{section}]\n") and err == (stderr or "")
+    for key, value in values.items():
+        if isinstance(value, float):
+            assert float(rec[key]) == pytest.approx(value, rel=1e-5, abs=0.0), key
+        else:
+            assert rec[key] == value, key
+
+
+@pytest.mark.parametrize("potential, argv, code, section, values, stderr", _FRESH.values(),
+                         ids=_FRESH)
+def test_console_script_entry(tmp_path, capsys, potential, argv, code, section, values, stderr):
+    # the script in a fresh process, with Python's default warning filters:
+    # main's exit code and record, and on stderr no warning or traceback
+    full = _console_argv(tmp_path, potential, argv)
+    proc = subprocess.run([sys.executable, "-m", "hardy_optim.cli", *full],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert main(full) == code and proc.stdout == capsys.readouterr().out
 
 
 # the five kinds of the contract below: one cell, a falling and a rising

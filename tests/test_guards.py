@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hardy_optim import (GridMapping, GridSpec, RadialPotential, SmoothFn, TailCertificate,
-                         dual_lower_bound, euler_tail_certificate, exp_tower, hardy_quotient,
-                         integrate, integrate_principal_tail, log_problem, poincare_check,
-                         radius_problem, reduced_rayleigh_min, residual, riccati_check,
-                         to_log_domain, unit_ball_volume, weighted_eigen)
+from hardy_optim import (GridMapping, GridSpec, HardyODEProblem, RadialPotential, SmoothFn,
+                         TailCertificate, dual_lower_bound, euler_tail_certificate, exp_tower,
+                         hardy_quotient, integrate, integrate_principal_tail, log_problem,
+                         poincare_check, radius_problem, reduced_rayleigh_min, residual,
+                         riccati_check, to_log_domain, unit_ball_volume, weighted_eigen)
 from hardy_optim.errors import DomainError
 
 _RADIUS = radius_problem(RadialPotential.power_law(1.0), 0.2, 1.0)
@@ -25,6 +25,13 @@ _GUARDS = {
         (lambda: euler_tail_certificate(_RADIUS), "live in the log domain"),
     "integrate_principal_tail on a radius problem":
         (lambda: integrate_principal_tail(_RADIUS, _TAIL), "expects a log-domain problem"),
+    "integrate_principal_tail on an oscillatory certificate":
+        (lambda: integrate_principal_tail(_LOG, TailCertificate("oscillatory", 0.3, -1.0,
+                                                                (1e6, math.inf))),
+         "needs a non-oscillatory certificate"),
+    "HardyODEProblem in the radius domain with an infinite horizon":
+        (lambda: HardyODEProblem(RadialPotential.power_law(1.0), 0.2, 1.0, s_max=math.inf),
+         "horizon s_max must be finite"),
     "riccati_check on a radius problem":
         (lambda: riccati_check(integrate(_LOG), _RADIUS), "expects a log-domain problem"),
     "riccati_check on a radius-frame outcome":
