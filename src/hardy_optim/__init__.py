@@ -9,7 +9,7 @@ from .config import RunConfig, load_config
 from .dual import DualBound, dual_lower_bound
 from .ode import (Domain, HardyODEProblem, ShootingOutcome, Status, TailCertificate,
                   euler_tail_certificate, integrate, integrate_principal_tail, log_problem,
-                  radius_problem, residual, riccati_check, to_log_domain)
+                  radius_problem, radius_rows, residual, riccati_check, to_log_domain)
 from .oracle import (EigenResult, GridMapping, GridSpec, LambdaLimitResult,
                      PoincareResult, SmoothFn, hardy_quotient, lambda_limit,
                      poincare_check, reduced_rayleigh_min, weighted_eigen)

@@ -104,7 +104,7 @@ class _Rule:
         if cert is None:
             raise IndeterminateAtHorizon(f"multiplier {c}: no Euler comparison certificate by "
                                          f"s_max = {self.s_max}", multiplier=c)
-        out = ShootingOutcome(NO_ROWS["s z dz"], None, Status.ZERO_FOUND, certificate=cert)
+        out = ShootingOutcome(NO_ROWS, None, Status.ZERO_FOUND, certificate=cert)
         return FeasibilityCheck(False, out, "oscillation-certificate")
 
 
@@ -117,7 +117,7 @@ class _LevelRule(_Rule):
     level: float        # c*, 0 or inf where it is not a normal float
     log_level: float    # ln c*
     slack: float
-    no_zero = ShootingOutcome(NO_ROWS["r y dy"], None, Status.NO_ZERO_ON_INTERVAL)    # shared
+    no_zero = ShootingOutcome(NO_ROWS, None, Status.NO_ZERO_ON_INTERVAL)    # shared
 
     def verdict(self, c: float) -> FeasibilityCheck:
         """Unswept: the margin ln z0 - ln x(R) = ln(c*/c) / 2 (from c / c*
@@ -136,7 +136,7 @@ class _LevelRule(_Rule):
         if margin > 0.0:
             return FeasibilityCheck(True, self.no_zero, "recessive-shot", margin)
         zero_s = -math.log(self.R) + 2.0 * margin / self.p.inner_cell[3]
-        return FeasibilityCheck(False, ShootingOutcome(NO_ROWS["r y dy"], zero_s, Status.ZERO_FOUND),
+        return FeasibilityCheck(False, ShootingOutcome(NO_ROWS, zero_s, Status.ZERO_FOUND),
                                 "recessive-shot", margin)
 
     def plan(self, tol: float, checks: list) -> list:
@@ -159,7 +159,7 @@ class _ClosedRule(_Rule):
     c_closed: float     # the largest float c with c A <= 1/4
     c_osc: float        # ``EulerTail.edge``, and its certificate's (gamma, shift, window) at c = 1
     unit: tuple
-    closed = FeasibilityCheck(True, ShootingOutcome(NO_ROWS["s z dz"], None,
+    closed = FeasibilityCheck(True, ShootingOutcome(NO_ROWS, None,
                                                     Status.NO_ZERO_ON_INTERVAL), "closed-form")
 
     def verdict(self, c: float) -> FeasibilityCheck:
@@ -188,7 +188,7 @@ class _TailRule(_Rule):
     def verdict(self, c: float) -> FeasibilityCheck:
         tail = self.p.tail
         if c == 0.0 or tail is VANISHING:
-            out = ShootingOutcome(NO_ROWS["s z dz"], None, Status.NO_ZERO_ON_INTERVAL,
+            out = ShootingOutcome(NO_ROWS, None, Status.NO_ZERO_ON_INTERVAL,
                                   certificate=VANISHING.certificate(c, self.R, self.s_max))
             return FeasibilityCheck(True, out, "principal-tail")
         return self._oscillating(c, tail.certificate(c, self.R, self.s_max))
@@ -202,11 +202,11 @@ class _TailRule(_Rule):
 @dataclass(eq=False)
 class _SweptRule(_Rule):
     """A table whose inner cell falls, swept per probe (``integrate``).  Its
-    margin, ln(1/R) - s* at a first zero s*, else atan2(y, -R y') at R (pi
-    less the Pruefer angle there), falls in ln c at the rate c mass / (y^2 +
-    (r y')^2) at the end row (``ShootingOutcome.c_mass``), and a zero below
-    every float radius, on the inner cell of slope q, at -1/q: its plan is
-    Newton's."""
+    margin, ln(1/R) - s* at a first zero s*, else atan2(z, z') at s_R =
+    ln(1/R) (pi less the Pruefer angle there), falls in ln c at the rate c
+    mass / (z^2 + z'^2) at the end row (``ShootingOutcome.c_mass``), and a
+    zero below every float radius, on the inner cell of slope q, at -1/q:
+    its plan is Newton's."""
 
     level: float    # the inner cell's Bessel level, clamped to the normal floats
 
@@ -218,8 +218,8 @@ class _SweptRule(_Rule):
         out, s_R = integrate(radius_problem(self.p, c, self.R)), -math.log(self.R)
         if out.end is None:
             return FeasibilityCheck(False, out, "recessive-shot")
-        s, (_, y, dy), (knots, *_, q) = out.zero_s, out.end.values(), self.p.log_cells
-        margin = math.atan2(y, -self.R * dy) if s is None else s_R - s
+        s, (_, z, dz), (knots, *_, q) = out.zero_s, out.end.values(), self.p.log_cells
+        margin = math.atan2(z, dz) if s is None else s_R - s
         q = abs(float(q[knots.searchsorted(s_R if s is None else s, "right")]))
         if 0.0 < abs(margin) <= _SLIVER / min(1.0, q or 1.0):
             raise IndeterminateAtHorizon(
@@ -242,8 +242,8 @@ class _SweptRule(_Rule):
             lo, hi = (c, hi) if check.feasible else (lo, c)
             out, x, step = check.evidence, math.nan, None    # Newton's step in ln c
             if check.margin is not None and 0.0 < (out.c_mass or 0.0) < math.inf:
-                r, y, dy = out.end.values()    # dm/d ln c = -c mass / rho^2
-                step = check.margin * (y * y + (r * dy) ** 2) / out.c_mass
+                _, z, dz = out.end.values()    # dm/d ln c = -c mass / rho^2
+                step = check.margin * (z * z + dz * dz) / out.c_mass
             elif out.end is None:    # a zero below every float radius, on the inner cell
                 step = (out.zero_s + math.log(self.R)) * self.p.inner_cell[3]    # ds*/d ln c = -1/q
             if step is not None:

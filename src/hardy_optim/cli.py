@@ -160,14 +160,14 @@ def _cmd_trace(args, cfg: RunConfig):
     if cfg.potential.tail.log_domain:
         prob = ode.to_log_domain(prob, cfg.s_max)
     out = ode.integrate(prob)
-    header = ",".join(out.trajectory)    # r,y,dy or s,z,dz
+    rows = out.trajectory if prob.domain is ode.Domain.LOG else ode.radius_rows(out)
     path = args.out or "trajectory.csv"
-    write_csv(path, header, out.trajectory.values())
+    write_csv(path, ",".join(rows), rows.values())    # r,y,dy or s,z,dz
     record = {
         "status": out.status.value,
         "first_zero": out.first_zero,
         "zero_s": out.zero_s, **dict(zip(("zero_s_lo", "zero_s_hi"), out.zero_bracket or ())),
-        "samples": out.trajectory[header.split(",")[0]].size,
+        "samples": len(next(iter(rows.values()))),
         "csv": path,
     }
     return record, _EXIT_OK

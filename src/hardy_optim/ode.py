@@ -4,9 +4,9 @@ Under s = ln(1/r) the equation becomes z'' + a(s) z = 0 with
 a(s) = c e^{-2s} v(e^{-s}), and every shot is one sweep of that equation
 from some start state (``_sweep``): the recessive shot runs from the inner
 cell down to the outer edge, the outer-edge shot runs up to the horizon
-s_max, the principal tail runs back from the horizon.  Radius-domain
-problems report their sweep as (r, y, dy/dr), log-domain problems as
-(s, z, dz/ds).  Where a = 0 a sweep is the line through its start state.
+s_max, the principal tail runs back from the horizon.  Every shot reports
+its sweep as (s, z, dz/ds), whatever its problem's domain; ``radius_rows``
+forms its rows as (r, y, dy/dr).  Where a = 0 a sweep is the line through its start state.
 
 Constants, power laws and ``custom`` tables are log-log linear: on each of
 their cells ln a = ln c + ell + q (s - anchor), and z'' + a z = 0 is solved
@@ -59,8 +59,8 @@ _EULER_SAMPLES = 256          # trajectory samples of a log family's sweep, unif
 _SMALL_X = 1e-30              # below it J0, Y0, x J1, x Y1 are their leading terms
 _X_ASYMPTOTIC = 1e3           # x from which Z0 takes its modulus-phase form
 _RICCATI_SAMPLES = 4097       # dense-output resamples of riccati_check
-NO_ROWS = {frame: MappingProxyType(dict.fromkeys(frame.split(), np.frombuffer(b"")))
-           for frame in ("s z dz", "r y dy")}    # of an outcome without a sweep: shared, read-only
+# the rows of an outcome without a sweep: shared, read-only
+NO_ROWS = MappingProxyType(dict.fromkeys(("s", "z", "dz"), np.frombuffer(b"")))
 
 
 # scipy.special is imported by the first call that needs it (``_bessel``)
@@ -84,7 +84,8 @@ class Status(Enum):
 
 @dataclass(frozen=True)
 class HardyODEProblem:
-    """Immutable description of one shooting problem."""
+    """One shooting problem.  Its domain picks the shot ``integrate`` runs,
+    the recessive one or the outer edge's, and ``coefficient``'s variable."""
 
     potential: RadialPotential
     c: float
@@ -126,11 +127,11 @@ def to_log_domain(prob: HardyODEProblem, s_max: float = S_MAX_DEFAULT) -> HardyO
 
 @dataclass(frozen=True)
 class ShootingOutcome:
-    """First zero, termination and solution of one integration.  A sweep
-    keeps one state, its dense output (of r or s, answering on ``span``).
-    Its ``trajectory``, (r, y, dy/dr) in increasing r or (s, z, dz/ds) in
-    increasing s, is a view of that formed on first read, a first zero the
-    exact row z = 0; ``end`` is the row where it stopped, read by verdicts."""
+    """First zero, termination and solution of one integration, in s =
+    ln(1/r) whatever the domain.  A sweep keeps one state, its dense output
+    of s on ``span``; its ``trajectory``, (s, z, dz/ds) in increasing s
+    (``radius_rows``: (r, y, dy/dr)), is a view of that formed on first read,
+    a first zero the exact row z = 0; ``end`` is the row where it stopped."""
 
     rows: dict | Callable                 # column name -> sample array, or the function forming it
     zero_s: Optional[float]               # log abscissa s* of the first zero, if any
@@ -490,20 +491,20 @@ def integrate(prob: HardyODEProblem) -> ShootingOutcome:
     """Shoot the problem across its interval and report the first zero.
 
     Radius domain: the recessive sweep from the inner cell down to the outer
-    edge, reported as (r, y, dy/dr) (only its zero where that lies below
-    every float radius).  Log domain: starts at the outer edge with z = 1,
-    z' = 0 and sweeps toward increasing s up to s_max.
+    edge (only its zero where that lies below every float radius).  Log
+    domain: starts at the outer edge with z = 1, z' = 0 and sweeps toward
+    increasing s up to s_max.  Either reports (s, z, dz/ds).
     """
     if prob.domain is Domain.RADIUS:
         s0, state0 = _inner_cell_start(prob)
         if state0 is None:    # s0 is the zero, beyond s = 700: no row
-            return ShootingOutcome(NO_ROWS["r y dy"], s0, Status.ZERO_FOUND)
+            return ShootingOutcome(NO_ROWS, s0, Status.ZERO_FOUND)
         out = _sweep(prob, s0, -math.log(prob.R), state0)
-        if out.c_mass is not None:    # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
-            (z, dz), q, g = state0, prob.potential.inner_cell[3], prob.potential.log_weight(s0)
-            c_mass = out.c_mass + (prob.c * g * z * z + dz * dz) / -q
-            out = replace(out, c_mass=c_mass)
-        return _radius_columns(out)
+        if out.c_mass is None:
+            return out
+        # J0's tail past s0, where ln a falls at the rate -q (``_mass``)
+        (z, dz), q, g = state0, prob.potential.inner_cell[3], prob.potential.log_weight(s0)
+        return replace(out, c_mass=out.c_mass + (prob.c * g * z * z + dz * dz) / -q)
     return _sweep(prob, outer_edge(prob.R), prob.s_max, (1.0, 0.0))
 
 
@@ -604,22 +605,16 @@ def _sweep(prob: HardyODEProblem, s_from: float, s_to: float, state0,
                            c_mass=c_mass, zero_bracket=bracket)
 
 
-def _radius_columns(out: ShootingOutcome) -> ShootingOutcome:
-    """A sweep in the radius frame: r = e^-s, y = z and dy/dr = -z'/r in
-    increasing r, rows and end row alike, with a dense output of r."""
-    def columns(s, z, dz):
-        r = np.exp(-s[::-1])
-        if out.first_zero is not None:
-            r[-1] = out.first_zero    # math.exp, which np.exp may miss by an ulp
-        return dict(zip(("r", "y", "dy"), (r, z[::-1], -dz[::-1] / r)))
-
-    def dense_r(radius):
-        state = out.dense(-np.log(radius))
-        return np.array([state[0], -state[1] / radius])
-
-    end = columns(*(np.array([v]) for v in out.end.values()))
-    return replace(out, rows=lambda: columns(*out.trajectory.values()), dense=dense_r,
-                   end={k: float(v[0]) for k, v in end.items()})
+def radius_rows(out: ShootingOutcome) -> dict:
+    """A shot's rows in the radius frame: r = e^-s, y = z and dy/dr = -z'/r
+    in increasing r, a first zero's row at r = ``first_zero`` exactly
+    (math.exp, which np.exp may miss by an ulp); empty columns where the
+    shot has no row (a zero below every float radius)."""
+    s, z, dz = (column[::-1] for column in out.trajectory.values())
+    r = np.exp(-s)
+    if out.zero_s is not None:
+        r[s == out.zero_s] = out.first_zero
+    return dict(zip(("r", "y", "dy"), (r, z, -dz / r)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,13 +643,11 @@ def riccati_check(outcome: ShootingOutcome, prob: HardyODEProblem) -> float:
     -r y'(r)/y(r) in radius terms); for an exact solution the expression
     vanishes identically, so the returned maximum bounds the combined
     integration and finite-difference error.  A sweep is read off its dense
-    output across its span, not its rows.  Needs a log-frame outcome and
-    strictly positive z on a range of s of positive length.
+    output across its span, not its rows.  Needs strictly positive z on a
+    range of s of positive length.
     """
     if prob.domain is not Domain.LOG:
         raise DomainError("riccati_check expects a log-domain problem")
-    if "z" not in (outcome.end or outcome.trajectory):    # the frame's columns
-        raise DomainError("riccati_check expects a log-domain trajectory")
     swept = outcome.dense is not None
     s = np.linspace(*outcome.span, _RICCATI_SAMPLES) if swept else outcome.trajectory["s"]
     if s.size < 2 or not s[-1] > s[0]:

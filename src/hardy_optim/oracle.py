@@ -15,8 +15,8 @@ inner cutoff r_min.  The inner cutoff stands in for the boundedness
 condition at the origin; forcing the value to zero there instead would
 pollute eigenvalues logarithmically (the origin has zero capacity for these
 weights, so the continuum problem does not see a Dirichlet condition at 0).
-A cutoff so deep that the innermost cells underflow double precision is
-rejected with DomainError.
+A cutoff so deep that the innermost cells underflow double precision, or
+a grid whose nodes coincide in floats, is rejected with DomainError.
 """
 from __future__ import annotations
 
@@ -178,16 +178,21 @@ def _stiffness(nodes: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
     (diagonal, off-diagonal).
 
     Raises DomainError when a squared cell width or a weight integral is
-    below the smallest normal double (deep inner cutoffs), where the
-    assembly would lose its precision and then overflow.
+    below the smallest normal double, where the assembly would lose its
+    precision and then overflow: nodes that coincide in floats (a grid
+    narrower than their spacing), else a deep inner cutoff.
     """
     h2 = np.diff(nodes)
     h2 *= h2
     cell = np.diff(nodes ** (a + 1.0))
     cell /= a + 1.0                                      # int r^a dr per cell
     if min(h2.min(), cell.min()) < TINY:
+        same = np.flatnonzero(np.diff(nodes) == 0.0)
+        if same.size:
+            raise DomainError(f"grid nodes coincide in double precision at r / R = "
+                              f"{float(nodes[same[0]])!r}; use fewer nodes or a wider grid")
         raise DomainError(
-            f"grid cells near r_min = {nodes[0]:g} underflow double precision; "
+            f"grid cells near r_min / R = {nodes[0]:g} underflow double precision; "
             "raise r_min")
     cell /= h2
     diag = np.zeros(nodes.size)

@@ -205,7 +205,7 @@ def test_power_laws_near_sigma_two_bracket_the_closed_form(s_max):
         p = RadialPotential.power_law(alpha)
         res = best_constant(p, 1.0, s_max=s_max)
         assert res.converged and res.iterations == 3
-        assert "r" in res.evidence_hi.trajectory
+        assert res.evidence_hi.certificate is None    # a radius-domain zero, no certificate
         assert res.c_lo <= power_law_best_constant(alpha, 1.0) <= res.c_hi
         _assert_certified_bracket(p, 1.0, res, s_max)
     assert power_law_best_constant(1.99, 1.0) == pytest.approx(1.44580e-4, rel=1e-5)
@@ -925,7 +925,7 @@ def test_single_cell_verdict_within_the_rounding_of_the_level_is_undecided(alpha
     # the zero where x = z0, s* = ln(1/R) + 2 ln(c / c*) / (2 - alpha), unswept
     zero_s = -math.log(2.0) + math.log1p(1e-12) / (2.0 - alpha)
     assert above.evidence.zero_s == pytest.approx(zero_s, rel=1e-12)
-    assert above.evidence.trajectory["r"].size == 0
+    assert above.evidence.trajectory["s"].size == 0
     assert feasible(p, c * (1.0 - 1e-12), 2.0, s_max).feasible
 
 

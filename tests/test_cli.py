@@ -746,6 +746,25 @@ def test_grid_cutoff_must_lie_inside_the_ball(r_min_rel, tmp_path, capsys):
         assert f"[solver] r_min_rel must be in (0, 1), got {float(r_min_rel)}" in rec["message"]
 
 
+@pytest.mark.parametrize("potential, r_min_rel, message", [
+    ({"kind": "constant"}, "0.99999999999999",
+     "grid nodes coincide in double precision at r / R = 0.99999999999999; "
+     "use fewer nodes or a wider grid"),
+    ({"kind": "constant", "r_max": "4"}, "1e-300",
+     "grid cells near r_min / R = 1e-300 underflow double precision; raise r_min")],
+    ids=["coinciding nodes", "deep cutoff at R=4"])
+def test_eigen_grid_that_cannot_be_assembled_says_why(potential, r_min_rel, message, tmp_path,
+                                                      capsys):
+    # both read "grid cells near r_min = 1 (1e-300) underflow double
+    # precision; raise r_min": a grid narrower than its nodes' float spacing
+    # was told to raise r_min, which narrows it further, and r_min / R was
+    # printed as r_min
+    cfg = _write_config(tmp_path, potential=potential, solver={"r_min_rel": r_min_rel})
+    code, out = _run(capsys, "eigen", "--mu", "0.1", "--config", cfg)
+    rec = parse_record(out)
+    assert code == 1 and rec["type"] == "DomainError" and rec["message"] == message
+
+
 def test_check_closed_form_grid_starts_at_r_min_rel(tmp_path, capsys, monkeypatch):
     # its grid began at 1e-6 R whatever the config said
     from hardy_optim import ode
@@ -765,10 +784,11 @@ def test_check_closed_form_grid_starts_at_r_min_rel(tmp_path, capsys, monkeypatc
 
 
 # The CLI's contract, one row per call: the potential (None the default one,
-# "README" the README's example config), the argv after the subcommand's
-# --config ("OUT" a CSV path), the exit code, the record's section and some of
-# its values (a float read to 1e-5), and what the installed script prints on
-# stderr, where a fresh process checks that (None: the record alone, in-process)
+# "README" the README's example config, a "samples" key the table's text), the
+# argv after the subcommand's --config ("OUT" a CSV path), the exit code, the
+# record's section and some of its values (a float read to 1e-5, "csv" the
+# text of the CSV it names), and what the installed script prints on stderr,
+# where a fresh process checks that (None: the record alone, in-process)
 _ZERO = {"kind": "constant", "amplitude": "0"}
 _POWER = {"kind": "power_law", "alpha": "1"}
 _USAGE = "usage: hardy-optim feasible --config CONFIG --c C [--out OUT] [--timestamp]\n"
@@ -805,6 +825,10 @@ _CONSOLE = {
                          ["eigen", "--mu", "0.1"], 0, "result", {}, ""),
     "classify iterated log m=2": ({"kind": "adimurthi_log", "m": "2"}, ["classify"], 0, "result",
                                   {"limit_estimate": "-1"}, None),
+    "trace of a zero below every float radius": (
+        {"kind": "custom", "samples": "r,v\n1e-10,1e-305\n1e-9,1e-307\n"},
+        ["trace", "--c", "1e308", "--out", "OUT"], 0, "result",
+        {"status": "ZeroFound", "first_zero": "0", "samples": "0", "csv": "r,y,dy\n"}, ""),
 }
 _FRESH = {name: row for name, row in _CONSOLE.items() if row[-1] is not None}
 _README_INI = re.search(r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md")
@@ -815,6 +839,10 @@ def _console_argv(tmp_path, potential, argv) -> list:
     if potential == "README":
         cfg = tmp_path / "readme.ini"
         cfg.write_text(_README_INI, encoding="utf-8")
+    elif potential and "samples" in potential:
+        table = tmp_path / "table.csv"
+        table.write_text(potential["samples"], encoding="utf-8")
+        cfg = _write_config(tmp_path, potential={**potential, "samples": table})
     else:
         cfg = _write_config(tmp_path, potential=potential)
     return argv[:1] + ["--config", str(cfg)] + \
@@ -829,7 +857,9 @@ def test_console_record(tmp_path, capsys, potential, argv, code, section, values
     rec = parse_record(out)
     assert out.startswith(f"[{section}]\n") and err == (stderr or "")
     for key, value in values.items():
-        if isinstance(value, float):
+        if key == "csv":
+            assert Path(rec[key]).read_text(encoding="utf-8") == value
+        elif isinstance(value, float):
             assert float(rec[key]) == pytest.approx(value, rel=1e-5, abs=0.0), key
         else:
             assert rec[key] == value, key
@@ -936,8 +966,9 @@ def _python_calls(argv) -> tuple:
     ({"kind": "power_law", "amplitude": "1.3", "alpha": "2.5", "r_max": "1.7"}, 49),
     ({"kind": "power_law", "amplitude": "1.3", "alpha": "2", "r_max": "1.7"}, 48),
     ({"kind": "adimurthi_log", "amplitude": "0", "m": "2"}, 35),
+    ({"kind": "custom", "samples": "table.csv"}, 417),
 ], ids=["constant", "power_law", "adimurthi_log m=2", "filippas_tertikas_x m=3",
-        "power_law alpha=2.5", "power_law alpha=2", "adimurthi_log m=2 A=0"])
+        "power_law alpha=2.5", "power_law alpha=2", "adimurthi_log m=2 A=0", "custom"])
 def test_best_constant_op_python_calls(tmp_path, potential, bound):
     # a count that does not depend on the machine: the Python calls of a
     # warm best-constant op on the config the benchmark writes.  It took
@@ -947,12 +978,21 @@ def test_best_constant_op_python_calls(tmp_path, potential, bound):
     # A rising cell (alpha = 2.5, 2) and a vanishing tail (exit 2,
     # NoUpperBracket) took 76, 73 and 51 while the probe at c = 0 built a log
     # problem and swept the line z = 1 back from the horizon; their verdict
-    # is the tail's certificate now, with no sweep
+    # is the tail's certificate now, with no sweep.  A swept table (the
+    # 400-node r^-1.5 table of scripts/shot_profile.py) took 451 while each
+    # sweep was rebuilt as (r, y, dy/dr) and its verdict converted it back
+    if "samples" in potential:
+        r = np.geomspace(1e-8, 1.0, 400)
+        potential = {**potential, "samples": tmp_path / potential["samples"]}
+        potential["samples"].write_text("r,v\n" + "".join(
+            f"{ri!r},{vi!r}\n" for ri, vi in zip(r.tolist(), (r ** -1.5).tolist())))
     argv = ["best-constant", "--config",
             _write_config(tmp_path, potential=potential, solver={"grid_n": "10000"})]
-    warm = _python_calls(argv)
-    code, calls = _python_calls(argv)
-    assert code == warm[0] == (0 if potential["kind"] in ("constant", "power_law") else 2)
+    # a table's first two ops import scipy.special (ode._bessel) and fill an ABC cache
+    runs = [_python_calls(argv) for _ in range(4 if "samples" in potential else 2)]
+    warm, (code, calls) = runs[-2:]
+    assert code == warm[0] == (2 if potential["kind"] in ("adimurthi_log",
+                                                          "filippas_tertikas_x") else 0)
     assert calls == warm[1] and calls <= bound
 
 

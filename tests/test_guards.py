@@ -9,7 +9,7 @@ from hardy_optim import (GridMapping, GridSpec, HardyODEProblem, RadialPotential
                          TailCertificate, dual_lower_bound, euler_tail_certificate, exp_tower,
                          hardy_quotient, integrate, integrate_principal_tail, log_problem,
                          poincare_check, radius_problem, reduced_rayleigh_min, residual,
-                         riccati_check, to_log_domain, unit_ball_volume, weighted_eigen)
+                         riccati_check, unit_ball_volume, weighted_eigen)
 from hardy_optim.errors import DomainError
 
 _RADIUS = radius_problem(RadialPotential.power_law(1.0), 0.2, 1.0)
@@ -34,9 +34,6 @@ _GUARDS = {
          "horizon s_max must be finite"),
     "riccati_check on a radius problem":
         (lambda: riccati_check(integrate(_LOG), _RADIUS), "expects a log-domain problem"),
-    "riccati_check on a radius-frame outcome":
-        (lambda: riccati_check(integrate(_RADIUS), to_log_domain(_RADIUS)),
-         "expects a log-domain trajectory"),
     "residual on a log problem":
         (lambda: residual(np.ones(10), _LOG, np.geomspace(1e-3, 1.0, 10)),
          "expects a radius-domain problem"),

@@ -10,8 +10,8 @@ import pytest
 
 from hardy_optim import (Domain, RadialPotential, ShootingOutcome, Status, TailCertificate,
                          best_constant, euler_tail_certificate, feasible, integrate,
-                         integrate_principal_tail, log_problem, radius_problem, residual,
-                         riccati_check, to_log_domain)
+                         integrate_principal_tail, log_problem, radius_problem, radius_rows,
+                         residual, riccati_check, to_log_domain)
 from hardy_optim.errors import (DomainError, GridTooCoarse, IndeterminateAtHorizon,
                                 NonPositiveTrajectory, UnsupportedSingularity)
 from hardy_optim.ode import _fundamental, _segments, _transfer
@@ -24,9 +24,15 @@ from conftest import Z0, power_law_zero
 # series y = 1 - c A r^(2-sigma)/(2-sigma)^2 + O(r^(2(2-sigma)))
 # ---------------------------------------------------------------------------
 
+def _radius_state(out, r):
+    """(y, dy/dr) of a shot at radius r, from its dense output of s = ln(1/r)."""
+    z, dz = out.dense(-np.log(r))
+    return np.array([z, -dz / r])
+
+
 def _recessive_state(p, c, r, R=1.0):
     """(y, dy/dr) of the recessive shot at radius r."""
-    return integrate(radius_problem(p, c, R)).dense(r)
+    return _radius_state(integrate(radius_problem(p, c, R)), r)
 
 
 def test_frobenius_constant():
@@ -46,7 +52,7 @@ def test_frobenius_power_law():
 
 def test_frobenius_zero_amplitude():
     out = integrate(radius_problem(RadialPotential.constant(0.0), 1.0, 1.0))
-    assert tuple(out.dense(1e-4)) == (1.0, 0.0)
+    assert tuple(_radius_state(out, 1e-4)) == (1.0, 0.0)
 
 
 def test_frobenius_rejects_critical():
@@ -93,7 +99,7 @@ def test_no_zero_below_bessel_zero():
 def test_zero_amplitude_stays_at_one():
     out = integrate(radius_problem(RadialPotential.constant(0.0), 1.0, 1.0))
     assert out.status is Status.NO_ZERO_ON_INTERVAL
-    assert np.all(out.trajectory["y"] == 1.0)
+    assert np.all(out.trajectory["z"] == 1.0)
 
 
 @pytest.mark.parametrize("p", [
@@ -113,10 +119,10 @@ def test_zero_multiplier_is_the_line_without_a_cell_sweep(p, monkeypatch):
     if p.tail.log_domain:
         prob = to_log_domain(prob)
     out = integrate(prob)
-    x, z, dz = out.trajectory.values()    # (r, y, dy/dr) or (s, z, dz/ds)
+    s, z, dz = out.trajectory.values()
     assert out.status is not Status.ZERO_FOUND
     assert z.tolist() == [1.0, 1.0] and dz.tolist() == [0.0, 0.0]
-    assert tuple(out.dense(x[0])) == (1.0, 0.0)
+    assert tuple(out.dense(s[0])) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("p", [RadialPotential.constant(0.0),
@@ -200,8 +206,8 @@ def test_recessive_zero_below_every_float_radius():
 def test_trajectory_positive_before_zero():
     p = RadialPotential.constant(1.0, r_max=10.0)
     out = integrate(radius_problem(p, 1.0, 10.0))
-    y = out.trajectory["y"]
-    assert np.all(y[:-1] > 0.0)
+    z = out.trajectory["z"]    # in increasing s: the zero is the first row
+    assert np.all(z[1:] > 0.0)
 
 
 def test_zero_bracket_tightness():
@@ -211,9 +217,9 @@ def test_zero_bracket_tightness():
     p = RadialPotential.constant(1.0, r_max=10.0)
     out = integrate(radius_problem(p, 1.0, 10.0))
     width = 1e-12 * 10.0
-    assert out.dense(out.first_zero - 5 * width)[0] > 0.0
-    slope = abs(out.dense(out.first_zero)[1])
-    assert abs(out.dense(out.first_zero)[0]) <= 10 * width * slope
+    assert _radius_state(out, out.first_zero - 5 * width)[0] > 0.0
+    slope = abs(_radius_state(out, out.first_zero)[1])
+    assert abs(_radius_state(out, out.first_zero)[0]) <= 10 * width * slope
 
 
 def test_sturm_zero_monotonicity():
@@ -237,7 +243,7 @@ def test_first_zero_inside_a_cell_with_two_zeros():
     out = integrate(radius_problem(p, 1.0, 6.0))
     assert out.status is Status.ZERO_FOUND
     assert out.first_zero == pytest.approx(Z0, abs=1e-12)
-    assert out.trajectory["r"][-1] == out.first_zero
+    assert radius_rows(out)["r"][-1] == out.first_zero
 
 
 def test_flat_cell_propagates_by_cos_and_sin():
@@ -315,11 +321,11 @@ def test_sweep_mass_is_the_pruefer_slope_of_the_margin(name, p):
     c_star = best_constant(p, 1.0).c_best
     for c in (0.5 * c_star, 1.2 * c_star):
         out = integrate(radius_problem(p, c, 1.0))
-        r, y, dy = out.end.values()
+        _, z, dz = out.end.values()
         h = 1e-6 * c
         slope = (feasible(p, c + h, 1.0).margin - feasible(p, c - h, 1.0).margin) / (2.0 * h)
         mass = out.c_mass / c
-        assert mass / (y * y + (r * dy) ** 2) == pytest.approx(-slope, rel=1e-6), (name, c)
+        assert mass / (z * z + dz * dz) == pytest.approx(-slope, rel=1e-6), (name, c)
     assert name != "flat decade" or np.count_nonzero(p.log_cells[3] == 0.0) == 4
 
 
@@ -354,7 +360,7 @@ def test_sweep_from_bessel_into_modulus_phase_segments():
     assert out.first_zero == pytest.approx(zero, rel=1e-12)
     for piece, radius in ((pieces[0], 0.25), (pieces[1], 0.5 * (1.0 + 5e-7)),
                           (pieces[2], 0.50001), (pieces[2], 0.5001), (pieces[2], 0.50015)):
-        np.testing.assert_allclose(out.dense(radius), piece.sol(radius), rtol=1e-10)
+        np.testing.assert_allclose(_radius_state(out, radius), piece.sol(radius), rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +407,9 @@ def test_log_shots_end_at_first_zero():
     # zero is the last row
     rec = integrate(radius_problem(RadialPotential.power_law(0.5), 5.0, 1.0))
     assert rec.status is Status.ZERO_FOUND
-    assert rec.trajectory["r"][-1] == rec.first_zero
-    assert np.all(np.diff(rec.trajectory["r"]) > 0.0)
+    rows = radius_rows(rec)
+    assert rows["r"][-1] == rec.first_zero
+    assert np.all(np.diff(rows["r"]) > 0.0)
 
 
 @pytest.mark.parametrize("prob", [
@@ -418,8 +425,8 @@ def test_zero_row_is_an_exact_zero(prob):
     # tau; the row is now z = 0 with the engine's slope
     out = integrate(prob)
     assert out.status is Status.ZERO_FOUND
-    value, slope = (out.trajectory[k][-1] for k in (("z", "dz") if "z" in out.trajectory
-                                                    else ("y", "dy")))
+    i = 0 if prob.domain is Domain.RADIUS else -1    # toward the edge the zero is the least s
+    value, slope = (out.trajectory[k][i] for k in ("z", "dz"))
     assert value == 0.0 and slope != 0.0
     if prob.c >= 1e40:    # the energy z'^2 + a z^2 = a of the start, at the zero
         a = prob.coefficient(out.zero_s)
@@ -478,7 +485,7 @@ def test_vanishing_coefficient_is_swept_as_the_line(monkeypatch):
             shots.append(integrate(radius_problem(p, 2.0, 1.0)))
         for out in shots:
             assert out.first_zero is None and out.status is not Status.ZERO_FOUND
-            z = out.trajectory["z" if "z" in out.trajectory else "y"]
+            z = out.trajectory["z"]
             assert z.size == 2 and np.all(z == 1.0)
     assert calls == []
 
@@ -801,8 +808,9 @@ def test_riccati_rejects_a_zero_at_the_start():
 
 
 def _dense_cases():
-    """Sweeps of every engine and frame: cells in the log and the radius
-    frame, Euler cells outward (to a zero) and back from the horizon, the line."""
+    """Sweeps of every engine and direction: cells outward and recessive
+    (toward the edge), Euler cells outward (to a zero) and back from the
+    horizon, the line."""
     cells = RadialPotential.custom([0.01, 0.1, 1.0], [30.0, 3.0, 2.0])
     yield integrate(log_problem(cells, 0.05, 1.0, s_max=8.0))
     yield integrate(radius_problem(RadialPotential.power_law(1.5), 6.0, 1.0))
@@ -836,15 +844,13 @@ def test_trajectory_is_a_view_formed_on_first_read():
 
 
 def test_end_row_is_where_the_view_stops_and_span_its_range_of_s():
-    # the end row is the view's row at the zero or the far end, bit for bit,
-    # in both frames: last in r, and in s last outward, first toward the edge
-    # (the principal tail, which carries its certificate)
-    for out in _dense_cases():
+    # the end row is the view's row at the zero or the far end, bit for bit:
+    # in s last outward, first toward the edge (the recessive shot and the
+    # principal tail)
+    for out, toward_edge in zip(_dense_cases(), (False, True, False, True, False), strict=True):
         rows = [{k: float(v[i]) for k, v in out.trajectory.items()} for i in (0, -1)]
-        toward_edge = "s" in out.trajectory and out.certificate is not None
         assert out.end == (rows[0] if toward_edge else rows[-1])
-        if "s" in out.trajectory:
-            assert out.span == (out.trajectory["s"][0], out.trajectory["s"][-1])
+        assert out.span == (out.trajectory["s"][0], out.trajectory["s"][-1])
 
 
 def test_log_rows_are_the_dense_output_at_the_samples():
@@ -852,8 +858,6 @@ def test_log_rows_are_the_dense_output_at_the_samples():
     # for bit: an Euler sweep's uniform in tau, a cell sweep's knots on the
     # segment they start
     for out in _dense_cases():
-        if "s" not in out.trajectory:
-            continue
         s, z, dz = out.trajectory.values()
         rows = np.ones(s.size, dtype=bool)
         if out.zero_s is not None:
