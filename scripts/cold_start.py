@@ -9,7 +9,10 @@ and the scipy submodules the subcommand loaded: the packages special,
 integrate, optimize and linalg, and linalg's LAPACK extension
 ``_flapack``.  The FE oracle calls numpy's own OpenBLAS, so ``eigen`` loads
 none of them; it loads ``_flapack`` alone, from its file without the linalg
-package, only where numpy's library lacks dpttrf and dpttrs.
+package, only where numpy's library lacks dpttrf and dpttrs.  The table
+row reads the 400-node exp(3r) table of scripts/shot_profile.py on r =
+geomspace(1e-8, 1, 400), written as a CSV into the run's working
+directory; its cell sweeps load scipy.special.
 
 The figures are taken with bytecode cached, as a second run of an
 installed package finds it.  Before timing, one untimed interpreter runs
@@ -31,6 +34,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 SCIPY_SUBMODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg",
                     "scipy.linalg._flapack")
@@ -45,6 +50,7 @@ print(json.dumps([codes, [m for m in {SCIPY_SUBMODULES!r} if m in sys.modules]])
 """
 
 _POWER_1 = {"kind": "power_law", "alpha": "1"}
+TABLE = "exp3r.csv"    # the samples file a row names, written into its working directory
 # name -> ([potential] keys, subcommand and its options); grid_n is 10000 by default
 ROWS = {
     "best-constant/constant": ({"kind": "constant"}, ["best-constant"]),
@@ -53,6 +59,7 @@ ROWS = {
     "best-constant/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["best-constant"]),
     "best-constant/x-1": ({"kind": "filippas_tertikas_x", "m": "1"}, ["best-constant"]),
     "best-constant/x-2": ({"kind": "filippas_tertikas_x", "m": "2"}, ["best-constant"]),
+    "best-constant/table": ({"kind": "custom", "samples": TABLE}, ["best-constant"]),
     "eigen/power-1": (_POWER_1, ["eigen", "--mu", "0"]),
     "classify/log-2": ({"kind": "adimurthi_log", "m": "2"}, ["classify"]),
     "classify/power-1": (_POWER_1, ["classify"]),
@@ -73,10 +80,15 @@ def child_env() -> dict:
 def fresh_run(runs, workdir) -> tuple:
     """Run each (potential keys, subcommand argv) of ``runs`` through
     ``cli.main``, in order, in one fresh interpreter working in ``workdir``
-    (where a trace writes its default CSV), with configs written there and
-    bytecode read from and written to ``workdir/pycache``.  Returns the wall time in s, the exit codes and the
-    scipy submodules loaded by the end."""
+    (where a trace writes its default CSV), with configs, and the TABLE a
+    run reads, written there and bytecode read from and written to
+    ``workdir/pycache``.  Returns the wall time in s, the exit codes and
+    the scipy submodules loaded by the end."""
     argvs = []
+    if any(potential.get("samples") == TABLE for potential, _ in runs):
+        r = np.geomspace(1e-8, 1.0, 400)
+        (Path(workdir) / TABLE).write_text("r,v\n" + "".join(
+            f"{ri!r},{vi!r}\n" for ri, vi in zip(r.tolist(), np.exp(3.0 * r).tolist())))
     for k, (potential, argv) in enumerate(runs):
         config = Path(workdir) / f"run{k}.ini"
         config.write_text("[potential]\n" + "".join(f"{key} = {value}\n"

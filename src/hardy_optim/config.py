@@ -25,6 +25,7 @@ cross-platform reproducibility.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,10 @@ def load_samples_csv(path) -> tuple[np.ndarray, np.ndarray]:
         header = fh.readline().strip()
         if [c.strip() for c in header.split(",")] != ["r", "v"]:
             raise DomainError(f"expected CSV header 'r,v' in {path}, got {header!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        text = fh.read()
+    if not re.search(r"^\s*[^#\s]", text, re.MULTILINE):    # loadtxt skips blanks and comments
+        raise DomainError(f"no samples in {path}: a header and no rows")
+    data = np.loadtxt(text.splitlines(), delimiter=",", ndmin=2)
     if data.shape[1] != 2:
         raise DomainError(f"expected two columns in {path}")
     return data[:, 0], data[:, 1]

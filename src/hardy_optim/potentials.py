@@ -26,11 +26,12 @@ equation at multiplier 1/4, (prod X_i)^(-1/2) (see ``closed_form`` /
 ``closed_form_multiplier``); the constant potential carries the J0 profile
 at multiplier z0^2/R^2.
 
-The kind of a potential's inner tail is decided once, in floats, by
-``RadialPotential.tail``: the inner cell, a ``FallingCell`` or a
-``RisingCell`` by the sign of its slope; a log family's ``EulerTail``; or,
-where the model is 0 (a cell kind's ln A = -inf, a log family's A = 0), the
-one ``VANISHING``.
+Each potential's model is decided once, in floats, by
+``RadialPotential.__post_init__``, which every construction runs: sigma,
+``log_cells``, ``inner_cell`` and the inner tail, ``tail``: the inner cell,
+a ``FallingCell`` or a ``RisingCell`` by the sign of its slope; a log
+family's ``EulerTail``; or, where the model is 0 (a cell kind's ln A =
+-inf, a log family's A = 0), the one ``VANISHING``.
 
 Admissibility classification follows the sign of
 liminf_{r->0} ln(r) * int_0^r s v(s) ds: finite liminf means the potential is
@@ -39,7 +40,6 @@ ever works (label Y).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -148,14 +148,37 @@ class RadialPotential:
     """Evaluatable radial coefficient with declared behavior at r = 0.
 
     Immutable.  Every construction, by a factory, the constructor,
-    ``dataclasses.replace`` or ``scaled``, runs the catalog guards
-    (``__post_init__``): a finite amplitude >= 0, a finite r_max > 0, a
-    finite alpha, an integer m (an integral float is stored as an int), for
-    the log families m >= 1 and an outer scale at least its floor, which
-    keeps every log factor positive on (0, r_max], and a table's logs finite,
-    two or more and as many of v as of r, the radii strictly increasing.
-    sigma is read off the model there, never passed in, and a table's logs
-    are stored as tuples of floats, so equal potentials compare and hash equal.
+    ``dataclasses.replace`` or ``scaled``, runs ``__post_init__``: the
+    catalog guards (``kind`` a ``Kind`` or its value, a finite amplitude >=
+    0, a finite r_max > 0, a finite alpha, an integer m (an integral float
+    is stored as an int), for the log families m >= 1 and an outer scale at
+    least its floor, which keeps every log factor positive on (0, r_max],
+    and a table's logs finite, two or more and as many of v as of r, the
+    radii strictly increasing), then the model, built once from the fields.
+    A table's logs are stored as tuples of floats, so equal potentials
+    compare and hash equal; the model fields are never passed in, and all
+    but sigma stay out of ==, hash and repr:
+
+      sigma       v ~ A r^(-sigma) at r = 0: alpha for a power law, 0 for a
+                  constant, 2 for the log families, a table's first-segment
+                  exponent (its inner cell's).
+      log_cells   ln(r^2 v) at r = e^(-s) as a chain of cells on which it is
+                  linear in s, (knots, anchors, ell, q), None for the log
+                  families.  The knots increase, cell k lies between
+                  knots[k-1] and knots[k] (the first reaches down to s = -inf,
+                  the last up to +inf), and there ln(r^2 v) = ell[k] + q[k] (s
+                  - anchors[k]).  A constant or a power law is one cell with
+                  q = sigma - 2 (ell = -inf at amplitude 0); a table has one
+                  cell per segment plus its two extrapolation cells.
+      inner_cell  the last cell in floats (knot, anchor, ell, q), from its
+                  knot (-inf for one cell) up to s = inf, a ``FallingCell`` or
+                  a ``RisingCell`` by the sign of q; None for the log families.
+      tail        ``VANISHING`` where the model is 0 (a log family's A = 0 or
+                  an inner cell's ell = -inf), else a log family's
+                  ``EulerTail`` or ``inner_cell``.  Each form has
+                  ``log_domain`` (whether a probe is decided in s: all but a
+                  falling cell) and ``certificate(c, R, s_max)``, that of a =
+                  c r^2 v at c > 0 past the outer edge of the ball.
     """
 
     kind: Kind
@@ -167,13 +190,23 @@ class RadialPotential:
     d_scale: Optional[float] = None    # outer scale of the X functions; None: its floor
     table_log_r: Optional[tuple] = field(default=None, repr=False)    # floats, so tables
     table_log_v: Optional[tuple] = field(default=None, repr=False)    # compare and hash
-    sigma: float = field(init=False)    # v ~ A r^(-sigma) at r = 0; a table's is its inner cell's
+    sigma: float = field(init=False)
+    log_cells: Optional[tuple[np.ndarray, ...]] = field(init=False, repr=False, compare=False)
+    inner_cell: Optional[FallingCell | RisingCell] = field(init=False, repr=False, compare=False)
+    tail: FallingCell | RisingCell | EulerTail | VanishingTail = field(
+        init=False, repr=False, compare=False)
+    # a log family's chain at its shift s0 = -(kappa + ln scale), at any
+    # amplitude (its tail where A > 0), else None
+    _euler: Optional[EulerTail] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """The guards, then sigma: alpha for a power law, 0 for a constant,
-        2 for the log families, a table's first-segment exponent; a log
-        family's outer scale defaults to its floor, r_max times exp^(m)(1)
-        at kappa = 0, r_max at kappa = 1."""
+        """The guards, then the model; a log family's outer scale defaults
+        to its floor, r_max times exp^(m)(1) at kappa = 0, r_max at kappa = 1."""
+        if not isinstance(self.kind, Kind):
+            try:
+                object.__setattr__(self, "kind", Kind(self.kind))
+            except ValueError:
+                raise DomainError(f"unknown potential kind {self.kind!r}") from None
         if not 0.0 <= self.amplitude < math.inf:
             raise DomainError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if not 0.0 < self.r_max < math.inf:
@@ -184,6 +217,7 @@ class RadialPotential:
                 or isinstance(self.m, (float, np.floating)) and float(self.m).is_integer()):
             raise DomainError(f"iteration depth must be an integer, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
+        cells = inner = euler = None
         if self.kind in _BORDERLINE:
             if self.m < 1:
                 raise DomainError(f"iteration depth must be >= 1, got {self.m}")
@@ -194,7 +228,11 @@ class RadialPotential:
                 raise DomainError(f"{key} = {scale} must be finite and >= r_max"
                                   f"{'' if kappa else f' * exp^({self.m})(1)'} = {floor}")
             object.__setattr__(self, key, float(scale))
-            sigma = 2.0
+            A = self.amplitude
+            c = 0.25 / A if A else math.inf    # 1/(4A) rounded: c or the float below it is c_closed
+            euler = EulerTail(self.m, kappa, A, -(kappa + math.log(scale)),
+                              c if _closed_form_covers(c, A) else math.nextafter(c, 0.0))
+            sigma, tail = 2.0, euler if A else VANISHING
         elif self.kind is Kind.CUSTOM:
             log_r, log_v = np.asarray(self.table_log_r, float), np.asarray(self.table_log_v, float)
             if log_r.ndim != 1 or log_r.shape != log_v.shape or log_r.size < 2:
@@ -207,9 +245,23 @@ class RadialPotential:
             object.__setattr__(self, "table_log_v", tuple(log_v.tolist()))    # compare and hash
             (r0, r1), (v0, v1) = self.table_log_r[:2], self.table_log_v[:2]
             sigma = (v0 - v1) / (r1 - r0)
-        else:
+            knots = -log_r[::-1]
+            ell = (log_v + 2.0 * log_r)[::-1]
+            q = np.diff(ell) / np.diff(knots)
+            cells = (knots, np.concatenate([knots[:1], knots]), np.concatenate([ell[:1], ell]),
+                     np.concatenate([q[:1], q, q[-1:]]))
+            inner = float(knots[-1]), float(knots[-1]), float(ell[-1]), float(q[-1])
+        else:    # one cell, ln A and sigma - 2, no arrays read
             sigma = float(self.alpha) if self.kind is Kind.POWER_LAW else 0.0
-        object.__setattr__(self, "sigma", sigma)
+            ell = math.log(self.amplitude) if self.amplitude else -math.inf
+            inner = -math.inf, 0.0, ell, sigma - 2.0
+            cells = np.empty(0), np.zeros(1), np.array([ell]), np.array([sigma - 2.0])
+        if inner is not None:
+            inner = (RisingCell if inner[3] >= 0.0 else FallingCell)(inner)
+            tail = inner if inner[2] > -math.inf else VANISHING
+        for name, model in (("sigma", sigma), ("log_cells", cells), ("inner_cell", inner),
+                            ("tail", tail), ("_euler", euler)):
+            object.__setattr__(self, name, model)
 
     # -- factories ----------------------------------------------------------
 
@@ -296,18 +348,6 @@ class RadialPotential:
             return total
         return exp_or_inf(self.log_weight_exponent(s))
 
-    @functools.cached_property
-    def _euler(self) -> Optional[EulerTail]:
-        """A log family's chain at its shift s0 = -(kappa + ln scale), at any
-        amplitude (its ``tail`` where A > 0), else None."""
-        if self.kind not in _BORDERLINE:
-            return None
-        kappa, key = _BORDERLINE[self.kind]
-        A = self.amplitude
-        c = 0.25 / A if A else math.inf    # 1/(4A) rounded: c or the float below it is c_closed
-        return EulerTail(self.m, kappa, A, -(kappa + math.log(getattr(self, key))),
-                         c if _closed_form_covers(c, A) else math.nextafter(c, 0.0))
-
     def log_weight_exponent(self, s, lift: float = 0.0):
         """ln(r^2 v) + lift s at r = e^(-s): ell + lift anchor + (q + lift)(s -
         anchor) on the ``log_cells`` cell of s (lift = 2 gives ln v
@@ -318,55 +358,6 @@ class RadialPotential:
             k = self.log_cells[0].searchsorted(s, side="right")
             anchor, ell, q = (line[k] for line in self.log_cells[1:])
         return ell + lift * anchor + (q + lift) * (s - anchor)
-
-    @functools.cached_property
-    def inner_cell(self) -> Optional[FallingCell | RisingCell]:
-        """The last cell of ``log_cells`` in floats (knot, anchor, ell, q), from
-        its knot (-inf for one cell) up to s = inf, a ``FallingCell`` or a
-        ``RisingCell`` by the sign of q; None for the log families."""
-        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):    # ln A and sigma - 2, no arrays
-            ell = math.log(self.amplitude) if self.amplitude > 0.0 else -math.inf
-            cell = -math.inf, 0.0, ell, self.sigma - 2.0
-        elif self.kind is not Kind.CUSTOM:
-            return None
-        else:
-            knots, *lines = self.log_cells
-            cell = (float(knots[-1]), *(float(x[-1]) for x in lines))
-        return (RisingCell if cell[3] >= 0.0 else FallingCell)(cell)
-
-    @functools.cached_property
-    def tail(self) -> FallingCell | RisingCell | EulerTail | VanishingTail:
-        """``VANISHING`` where the model is 0 (a log family's A = 0 or an inner
-        cell's ell = -inf), else a log family's ``EulerTail`` or ``inner_cell``.
-        Each form has ``log_domain`` (whether a probe is decided in s: all but
-        a falling cell) and ``certificate(c, R, s_max)``, that of a = c r^2 v
-        at c > 0 past the outer edge of the ball."""
-        if self.kind in _BORDERLINE:
-            return self._euler if self.amplitude else VANISHING
-        return self.inner_cell if self.inner_cell[2] > -math.inf else VANISHING
-
-    @functools.cached_property
-    def log_cells(self) -> Optional[tuple[np.ndarray, ...]]:
-        """ln(r^2 v) at r = e^(-s) as a chain of cells on which it is linear
-        in s, or None for the two log families.
-
-        Returns (knots, anchors, ell, q): the knots increase, cell k lies
-        between knots[k-1] and knots[k] (the first cell reaches down to
-        s = -inf, the last, the inner cell, up to +inf), and there
-        ln(r^2 v) = ell[k] + q[k] (s - anchors[k]).  A constant or a power
-        law is one cell with q = sigma - 2 (ell = -inf at amplitude 0); a
-        table has one cell per segment plus its two extrapolation cells.
-        """
-        if self.kind in (Kind.CONSTANT, Kind.POWER_LAW):
-            return np.empty(0), np.zeros(1), *(np.array([x]) for x in self.inner_cell[2:])
-        if self.kind is not Kind.CUSTOM:
-            return None
-        log_r, log_v = np.array(self.table_log_r), np.array(self.table_log_v)
-        knots = -log_r[::-1]
-        ell = (log_v + 2.0 * log_r)[::-1]
-        q = np.diff(ell) / np.diff(knots)
-        return (knots, np.concatenate([knots[:1], knots]), np.concatenate([ell[:1], ell]),
-                np.concatenate([q[:1], q, q[-1:]]))
 
     # -- structure ----------------------------------------------------------
 

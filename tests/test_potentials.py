@@ -1,7 +1,7 @@
 import decimal
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 import sys
 import warnings
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_optim import Kind, Label, RadialPotential, classify, exp_tower
+from hardy_optim import Kind, Label, RadialPotential, best_constant, classify, exp_tower
 from hardy_optim.config import read_potential
 from hardy_optim.errors import DomainError, UnsupportedPotential
 from hardy_optim.potentials import (VANISHING, EulerTail, FallingCell, RisingCell, VanishingTail,
@@ -634,9 +634,11 @@ def test_negative_amplitude_rejected():
     (lambda: replace(RadialPotential.adimurthi_log(2), m=3), "rho = .* must be finite and >="),
     (lambda: replace(RadialPotential.filippas_tertikas(1), r_max=2.0), "d_scale = 1.0 must be"),
     (lambda: RadialPotential(Kind.ADIMURTHI_LOG, rho=math.e, m=2), "rho = 2.718"),
-    (lambda: RadialPotential(Kind.CONSTANT, amplitude=math.inf), "amplitude must be finite")],
+    (lambda: RadialPotential(Kind.CONSTANT, amplitude=math.inf), "amplitude must be finite"),
+    (lambda: RadialPotential(None), "unknown potential kind None"),
+    (lambda: RadialPotential("x"), "unknown potential kind 'x'")],
     ids=["log m=0", "constant A<0", "r_max 0", "alpha nan", "log m=3 on m=2's rho",
-         "x r_max past d", "log rho below e^e", "constructor A inf"])
+         "x r_max past d", "log rho below e^e", "constructor A inf", "kind None", "kind x"])
 def test_every_construction_runs_the_guards(build, message):
     # the guards ran only in the factories: replace(adimurthi_log(2), m=0)
     # had v = 0 and a band [0.25, 0.2500207], and the constructor took any field
@@ -680,6 +682,31 @@ def test_tables_are_values():
     assert len({a, b, other}) == 2 and replace(a, table_log_r=np.log(r)) == a
     assert type(a.table_log_r) is tuple and all(type(x) is float for x in a.table_log_v)
     assert a.log_cells[0].tolist() == (-np.log(r))[::-1].tolist()
+
+
+
+def test_model_fields_stay_out_of_eq_hash_and_repr():
+    # __post_init__ builds the model into fields, not cached properties, so
+    # two equal tables hold distinct arrays: == and hash read the fields
+    # given, the repr holds no array
+    model = {f.name: f for f in fields(RadialPotential) if not f.init}
+    assert list(model) == ["sigma", "log_cells", "inner_cell", "tail", "_euler"]
+    assert [f.name for f in model.values() if f.compare or f.repr] == ["sigma"]
+    r = np.geomspace(1e-6, 1.0, 40)
+    a, b = RadialPotential.custom(r, r ** -1.3), RadialPotential.custom(r, r ** -1.3)
+    assert a.log_cells[0] is not b.log_cells[0] and a.tail == b.tail
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "array" not in repr(a) and "cell" not in repr(a)
+    p = RadialPotential.adimurthi_log(2)
+    assert "EulerTail" not in repr(p) and vars(p)["_euler"] is p.tail
+
+
+def test_kind_may_be_given_by_its_value():
+    # RadialPotential("power_law", alpha=1.5) had sigma = 0, and its first
+    # tail read raised a bare TypeError (None and "x" too: guards rows)
+    p, factory = RadialPotential("power_law", alpha=1.5), RadialPotential.power_law(1.5)
+    assert p.kind is Kind.POWER_LAW and p == factory and p.tail == factory.tail
+    assert best_constant(p, 1.0).bracket == best_constant(factory, 1.0).bracket
 
 
 _TABLE_R = np.geomspace(1e-6, 1.0, 40)

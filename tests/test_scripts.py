@@ -45,6 +45,19 @@ def test_cold_start_times_a_log_family_row(monkeypatch, capsys):
     assert name == "best-constant/log-2" and float(wall) > 0.0 and loaded == "-"
 
 
+def test_cold_start_times_a_table_row(monkeypatch, capsys, tmp_path):
+    # the 400-node exp(3r) table of shot_profile.py, its CSV in the run's
+    # working directory: an exit-0 op whose cell sweeps load scipy.special
+    lines = _run_script("cold_start.py", ["--repeat", "1", "--row", "best-constant/table"],
+                        monkeypatch, capsys)
+    name, wall, *loaded = lines[1].split()
+    assert name == "best-constant/table" and float(wall) > 0.0 and "special" in loaded
+    cold_start = runpy.run_path(str(SCRIPTS / "cold_start.py"))
+    _, codes, loaded = cold_start["fresh_run"]([cold_start["ROWS"]["best-constant/table"]],
+                                               tmp_path)
+    assert codes == [0] and "scipy.special" in loaded
+
+
 def test_record_digest_prints_one_digest_per_entry(monkeypatch, capsys):
     lines = _run_script("record_digest.py", [], monkeypatch, capsys)
     digests, names = zip(*(line.split("  ", 1) for line in lines))
@@ -96,7 +109,8 @@ def test_shot_profile_prints_one_op_per_rule_kind(monkeypatch, capsys):
     # a best-constant op per rule kind: its Python calls, deterministic,
     # pinned as bounds (a log family's took 86, a power law's 63), and its
     # median time.  A rising cell's answer is read off its tail, unswept:
-    # no dearer than a log family's (71 against 51 with a sweep at c = 0)
+    # no dearer than a log family's (71 against 51 with a sweep at c = 0).
+    # 43 and 52 while the model was four lazily cached properties
     lines = _run_script("shot_profile.py", [], monkeypatch, capsys)
     assert lines[6].split() == ["rule", "potential", "calls", "us"]
     rows = [line.split() for line in lines[7:]]
@@ -104,5 +118,5 @@ def test_shot_profile_prints_one_op_per_rule_kind(monkeypatch, capsys):
     assert [" ".join(row[1:-2]) for row in rows] == [
         "power_law a=1.1", "adimurthi_log m=2", "power_law a=2.5", "custom"]
     calls = [int(row[-2]) for row in rows]
-    assert calls[0] <= 43 and calls[1] <= 52 and calls[2] <= calls[1] < calls[3]
+    assert calls[0] <= 39 and calls[1] <= 46 and calls[2] <= calls[1] < calls[3]
     assert all(float(row[-1]) > 0.0 for row in rows)
