@@ -984,8 +984,9 @@ def test_best_constant_op_python_calls(tmp_path, potential, bound):
     # 400-node r^-1.5 table of scripts/shot_profile.py) took 451 while each
     # sweep was rebuilt as (r, y, dy/dr) and its verdict converted it back.
     # Each potential built its model lazily, in four cached properties that
-    # each switched on the kind again: 4 calls more an op, 9 on the table,
-    # none at A = 0, whose tail read skipped the Euler tail
+    # each switched on the kind again: 4 calls more an op, 12 on the table
+    # (whose header-only check now adds 3), none at A = 0, whose tail read
+    # skipped the Euler tail
     if "samples" in potential:
         r = np.geomspace(1e-8, 1.0, 400)
         potential = {**potential, "samples": tmp_path / potential["samples"]}
